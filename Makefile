@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck promtest check bench benchcheck chaoscheck crashcheck fuzz scalecheck obscheck paritycheck growcheck
+.PHONY: build test race vet staticcheck promtest check bench benchcheck chaoscheck crashcheck fuzz scalecheck obscheck paritycheck growcheck figcheck
 
 build:
 	$(GO) build ./...
@@ -80,6 +80,14 @@ paritycheck:
 	$(GO) test -race -count=1 ./internal/parity/
 	$(GO) test -tags purego -count=1 ./internal/parity/
 	$(GO) test -run 'TestAllocs|TestFloor' -count=1 -v ./internal/parity/ ./internal/raid/
+
+# figcheck runs the paper-figures golden test (CI job `figures`):
+# Figure 5, Table 3, the degraded/rebuild table and a reduced Figure 6
+# run on the virtual clock and must match cmd/raidxbench/testdata byte
+# for byte. Regenerate with `go test ./cmd/raidxbench/ -run
+# TestPaperFiguresGolden -update` only when a number is meant to move.
+figcheck:
+	$(GO) test -run TestPaperFiguresGolden -count=1 ./cmd/raidxbench/
 
 # obscheck runs the observability-plane shard (CI job `obs`): the
 # whole obs package (labeled instruments, time-series sampler, cluster

@@ -166,10 +166,13 @@ func (r *RS) encodeRow(j int, out []byte, data [][]byte) {
 // Update applies a data-shard delta to all parity shards in place:
 // parity[j] ^= rows[j][shard]·delta. This is the read-modify-write
 // small-write path — the caller reads old data, XORs new data over it
-// to form delta, and avoids touching the other k-1 data shards.
+// to form delta, and avoids touching the other k-1 data shards. A nil
+// parity[j] (a parity shard the caller has lost) is skipped.
 func (r *RS) Update(parity [][]byte, shard int, delta []byte) {
 	for j, out := range parity {
-		GalMulXor(out, delta, r.rows[j][shard])
+		if out != nil {
+			GalMulXor(out, delta, r.rows[j][shard])
+		}
 	}
 }
 

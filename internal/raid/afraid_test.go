@@ -5,12 +5,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/raid"
 )
 
-func afraidRig(t *testing.T) (*raid.AFRAID, []*diskHandle) {
+func afraidRig(t *testing.T) (*raid.Stripe, []*diskHandle) {
 	t.Helper()
 	devs, raw := mkDisks(4, 32)
 	a, err := raid.NewAFRAID(devs)
@@ -159,4 +160,44 @@ func TestAFRAIDSmallWriteIsSingleIO(t *testing.T) {
 	if reads != 0 || writes != 1 {
 		t.Fatalf("small write cost %d reads + %d writes, want 0 + 1", reads, writes)
 	}
+}
+
+// TestAFRAIDConcurrentWritersAndFlush: the redundancy window is shared
+// by every writer and the flusher; writers on disjoint stripes racing a
+// Flush must leave data intact and, after a final Flush, no window.
+func TestAFRAIDConcurrentWritersAndFlush(t *testing.T) {
+	a, _ := afraidRig(t)
+	ctx := context.Background()
+	k, _ := a.Shards()
+	data := make([]byte, int(a.Blocks())*a.BlockSize())
+	rand.New(rand.NewSource(5)).Read(data)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for s := w; s < 32; s += 4 {
+				off := s * k * a.BlockSize()
+				if err := a.WriteBlocks(ctx, int64(s*k), data[off:off+k*a.BlockSize()]); err != nil {
+					t.Error(err)
+				}
+				if s%8 == w {
+					if err := a.Flush(ctx); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := a.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if a.DirtyStripes() != 0 {
+		t.Fatalf("%d stripes still dirty after flush", a.DirtyStripes())
+	}
+	if err := a.Verify(ctx); err != nil {
+		t.Fatal(err)
+	}
+	checkAll(t, a, data, "concurrent")
 }

@@ -62,9 +62,10 @@ func TestAllocsAfraidSync(t *testing.T) {
 	})
 }
 
-// TestAllocsAfraidDegradedRead pins the reconstruct path: with a
-// failed disk, reads of its blocks XOR the survivors into the caller's
-// buffer through one pooled scratch block.
+// TestAllocsAfraidDegradedRead pins the read plan of a degraded array:
+// with a failed disk, a block on a surviving disk still costs only the
+// plan and the fan-out bookkeeping, scattered straight into the
+// caller's buffer.
 func TestAllocsAfraidDegradedRead(t *testing.T) {
 	devs, raw := allocDisks(t, 4)
 	a, err := raid.NewAFRAID(devs)

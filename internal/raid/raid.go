@@ -1,8 +1,10 @@
 // Package raid implements the baseline disk array engines the paper
-// compares RAID-x against: RAID-0 (striping), RAID-5 (rotated parity),
-// RAID-10 (striped mirrors), and chained declustering. The RAID-x
-// engine itself — the paper's contribution — lives in internal/core and
-// shares this package's device interface and striping machinery.
+// compares RAID-x against: RAID-0 (striping), RAID-10 (striped
+// mirrors), chained declustering, and Stripe, the parity engine that
+// serves RAID-5 (rotated parity), the rs(k,m) erasure-coded tier and
+// AFRAID. The RAID-x engine itself — the paper's contribution — lives
+// in internal/core and shares this package's device interface and
+// striping machinery.
 //
 // Engines are pure data movers over a set of block devices. The devices
 // may be local simulated disks, or remote disks reached through the

@@ -1,0 +1,756 @@
+package raid
+
+import (
+	"context"
+	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
+
+	"repro/internal/bufpool"
+	"repro/internal/par"
+	"repro/internal/parity"
+)
+
+// Stripe is the parity-striped array engine: every stripe holds k data
+// shards and m parity shards of a systematic Reed-Solomon code (m = 1
+// is plain XOR parity), one shard per device, and the array survives
+// any m device failures. Logical block lb is data shard lb%k of stripe
+// lb/k; shard j of stripe s (data for j < k, parity row j-k otherwise)
+// lives at physical block s of device (rot(s)+j) mod n, so parity
+// writes and degraded-read load rotate over all members.
+//
+// Three parameterisations exist, each with its own constructor:
+//
+//   - NewRAID5: m = 1, left-symmetric rotation. Small writes pay the
+//     read-modify-write penalty the paper's Figure 5 exposes.
+//   - NewRS: any m >= 1, forward rotation.
+//   - NewAFRAID: RAID-5 with deferred parity (Savage & Wilkes, USENIX
+//     '96, which the paper names as an influence): writes touch data
+//     only and leave their stripes in a redundancy window until Flush
+//     recomputes the parity. RAID-x reaches the same small-write speed
+//     by mirroring, paying capacity instead of a window.
+//
+// All parity math runs through internal/parity and all block scratch
+// comes from internal/bufpool. Full-stripe writes and healthy reads go
+// out as one vectored transfer per device aliasing the caller's buffer.
+type Stripe struct {
+	name    string
+	devs    []Dev
+	bs      int
+	k, m    int
+	code    *parity.RS
+	stripes int64                    // physical blocks per device
+	rot     func(s int64, n int) int // device of shard 0 of stripe s
+
+	// The redundancy window: stripes with stale parity, each with the
+	// sequence number of the write that last opened it, so a sync that
+	// raced a write does not close it. nil unless parity is deferred.
+	mu     sync.Mutex
+	dirty  map[int64]uint64
+	seq    uint64
+	syncMu sync.Mutex // one Flush syncs the window at a time
+
+	degradedNotify func(blocks int)
+}
+
+// leftSymmetric is RAID-5's rotation: the parity shard (the last one)
+// sits on device n-1 - s mod n, layout.RAID5.ParityDisk, and the data
+// shards follow it cyclically.
+func leftSymmetric(s int64, n int) int { return (n - int(s%int64(n))) % n }
+
+// forward moves every shard one device up per stripe.
+func forward(s int64, n int) int { return int(s % int64(n)) }
+
+func newStripe(name string, devs []Dev, m int, rot func(int64, int) int, deferred bool) (*Stripe, error) {
+	if m < 1 {
+		return nil, fmt.Errorf("raid: %s: m must be >= 1, got %d", name, m)
+	}
+	// At least two data shards (use mirroring below that).
+	bs, per, err := checkDevs(devs, m+2)
+	if err != nil {
+		return nil, err
+	}
+	code, err := parity.NewRS(len(devs)-m, m)
+	if err != nil {
+		return nil, fmt.Errorf("raid: %s: %w", name, err)
+	}
+	a := &Stripe{name: name, devs: devs, bs: bs, k: len(devs) - m, m: m, code: code, stripes: per, rot: rot}
+	if deferred {
+		a.dirty = map[int64]uint64{}
+	}
+	return a, nil
+}
+
+// NewRAID5 builds a RAID-5 array over at least three devices.
+func NewRAID5(devs []Dev) (*Stripe, error) {
+	return newStripe("raid5", devs, 1, leftSymmetric, false)
+}
+
+// NewRS builds an erasure-coded array with m parity shards per stripe
+// over the given devices; k is implied as len(devs) - m.
+func NewRS(devs []Dev, m int) (*Stripe, error) {
+	return newStripe(fmt.Sprintf("rs(%d,%d)", len(devs)-m, m), devs, m, forward, false)
+}
+
+// NewAFRAID builds an AFRAID array over at least three devices.
+func NewAFRAID(devs []Dev) (*Stripe, error) {
+	return newStripe("afraid", devs, 1, leftSymmetric, true)
+}
+
+// Name implements Array.
+func (a *Stripe) Name() string { return a.name }
+
+// BlockSize implements Array.
+func (a *Stripe) BlockSize() int { return a.bs }
+
+// Blocks implements Array.
+func (a *Stripe) Blocks() int64 { return a.stripes * int64(a.k) }
+
+// Shards reports the code geometry (k data, m parity).
+func (a *Stripe) Shards() (k, m int) { return a.k, a.m }
+
+// SetDegradedNotify implements DegradedNotifier: fn is called with the
+// number of logical blocks served through reconstruction. Must be set
+// before the array is used; not synchronized against I/O.
+func (a *Stripe) SetDegradedNotify(fn func(blocks int)) { a.degradedNotify = fn }
+
+// DirtyStripes reports how many stripes currently lack valid parity —
+// the size of the redundancy window (always zero with eager parity).
+func (a *Stripe) DirtyStripes() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.dirty)
+}
+
+func (a *Stripe) markDirty(s0, s1 int64) {
+	a.mu.Lock()
+	a.seq++
+	for s := s0; s <= s1; s++ {
+		a.dirty[s] = a.seq
+	}
+	a.mu.Unlock()
+}
+
+func (a *Stripe) isDirty(s int64) bool {
+	if a.dirty == nil {
+		return false
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	_, dirty := a.dirty[s]
+	return dirty
+}
+
+// devOf reports the device holding shard j of stripe s.
+func (a *Stripe) devOf(s int64, j int) int {
+	return (a.rot(s, len(a.devs)) + j) % len(a.devs)
+}
+
+// shardOf reports which shard of stripe s device d holds.
+func (a *Stripe) shardOf(s int64, d int) int {
+	n := len(a.devs)
+	return (d - a.rot(s, n) + n) % n
+}
+
+// block returns logical block lb's slot in p, whose first byte is
+// logical block b0.
+func (a *Stripe) block(p []byte, b0, lb int64) []byte {
+	off := (lb - b0) * int64(a.bs)
+	return p[off : off+int64(a.bs)]
+}
+
+// devSet is a set of device indexes (parity.NewRS caps k+m at 255).
+type devSet [4]uint64
+
+func (s *devSet) add(d int)     { s[d>>6] |= 1 << (d & 63) }
+func (s devSet) has(d int) bool { return s[d>>6]&(1<<(d&63)) != 0 }
+
+func (s devSet) count() int {
+	return bits.OnesCount64(s[0]) + bits.OnesCount64(s[1]) + bits.OnesCount64(s[2]) + bits.OnesCount64(s[3])
+}
+
+// failedDevs returns the devices reporting unhealthy; more than m is
+// data loss.
+func (a *Stripe) failedDevs() (devSet, error) {
+	var failed devSet
+	for i, d := range a.devs {
+		if !d.Healthy() {
+			failed.add(i)
+		}
+	}
+	if f := failed.count(); f > a.m {
+		return failed, fmt.Errorf("%s: %d devices failed, tolerate %d: %w", a.name, f, a.m, ErrDataLoss)
+	}
+	return failed, nil
+}
+
+// collect folds n per-task results — at(i) is task i's device and
+// error — into the set of devices that erred and the first error.
+func collect(n int, at func(i int) (dev int, err error)) (devSet, error) {
+	var erred devSet
+	var first error
+	for i := 0; i < n; i++ {
+		if d, err := at(i); err != nil {
+			erred.add(d)
+			if first == nil {
+				first = err
+			}
+		}
+	}
+	return erred, first
+}
+
+// seg is one contiguous physical run on a device and the caller-buffer
+// slots of its blocks.
+type seg struct {
+	phys int64
+	vec  [][]byte
+}
+
+// devSegs is one device's share of a request.
+type devSegs struct {
+	dev  int
+	segs []seg
+	err  error
+}
+
+// plan maps logical blocks [b, b+n) of p onto per-device segments,
+// merging physically contiguous blocks, and lists the logical blocks
+// that live on failed devices instead. Only devices with work are
+// returned, in device order.
+func (a *Stripe) plan(b int64, n int, p []byte, failed devSet) (runs []devSegs, lost []int64) {
+	runs = make([]devSegs, len(a.devs))
+	for lb := b; lb < b+int64(n); lb++ {
+		s, j := lb/int64(a.k), int(lb%int64(a.k))
+		d := a.devOf(s, j)
+		if failed.has(d) {
+			lost = append(lost, lb)
+			continue
+		}
+		segs := runs[d].segs
+		if n := len(segs); n > 0 && segs[n-1].phys+int64(len(segs[n-1].vec)) == s {
+			segs[n-1].vec = append(segs[n-1].vec, a.block(p, b, lb))
+		} else {
+			runs[d].segs = append(segs, seg{phys: s, vec: [][]byte{a.block(p, b, lb)}})
+		}
+	}
+	active := runs[:0]
+	for d, r := range runs {
+		if len(r.segs) > 0 {
+			r.dev = d
+			active = append(active, r)
+		}
+	}
+	return active, lost
+}
+
+// runSegs moves every device's segments in parallel, each segment as
+// one vectored transfer (xfer is ReadBlocksVec or WriteBlocksVec). Every
+// device is attempted — one device's error does not cancel the others —
+// and the erring devices come back alongside the first error, so reads
+// can fail over to reconstruction.
+func (a *Stripe) runSegs(ctx context.Context, runs []devSegs, xfer func(context.Context, Dev, int64, [][]byte) error) (devSet, error) {
+	_ = par.ForEach(ctx, len(runs), func(ctx context.Context, i int) error {
+		r := &runs[i]
+		for _, sg := range r.segs {
+			if r.err = xfer(ctx, a.devs[r.dev], sg.phys, sg.vec); r.err != nil {
+				break
+			}
+		}
+		return nil
+	})
+	return collect(len(runs), func(i int) (int, error) { return runs[i].dev, runs[i].err })
+}
+
+// ReadBlocks implements Array. Shards on healthy devices scatter
+// straight into p; stripes with a needed shard on a failed device are
+// reconstructed. A device that reports healthy but errors at read time
+// (remote health probes are cached, so Healthy() can lag an actual
+// failure) triggers a retry with that device treated as failed, so its
+// blocks are served through reconstruction instead of surfacing the
+// error.
+func (a *Stripe) ReadBlocks(ctx context.Context, b int64, p []byte) error {
+	n, err := checkRange(a, b, p)
+	if err != nil {
+		return err
+	}
+	failed, err := a.failedDevs()
+	if err != nil {
+		return err
+	}
+	for {
+		erred, err := a.readOnce(ctx, b, n, p, failed)
+		if err == nil {
+			return nil
+		}
+		// erred is disjoint from failed (failed devices are never
+		// read), so every retry grows failed and the loop ends within
+		// m rounds.
+		if ctx.Err() != nil || erred.count() == 0 || failed.count()+erred.count() > a.m {
+			return err
+		}
+		for i := range failed {
+			failed[i] |= erred[i]
+		}
+	}
+}
+
+// readOnce executes one read attempt treating the given devices as
+// failed. On error it reports which devices errored at read time.
+func (a *Stripe) readOnce(ctx context.Context, b int64, n int, p []byte, failed devSet) (devSet, error) {
+	runs, lost := a.plan(b, n, p, failed)
+	if erred, err := a.runSegs(ctx, runs, ReadBlocksVec); err != nil {
+		return erred, err
+	}
+	for i, lb := range lost {
+		s := lb / int64(a.k)
+		if i > 0 && lost[i-1]/int64(a.k) == s {
+			continue // the stripe's reconstruction already delivered it
+		}
+		shards, erred, err := a.readStripe(ctx, s, failed)
+		if err != nil {
+			return erred, err
+		}
+		for _, lb := range lost[i:] {
+			if lb/int64(a.k) != s {
+				break
+			}
+			copy(a.block(p, b, lb), shards[lb%int64(a.k)])
+		}
+		putShards(shards)
+	}
+	if len(lost) > 0 && a.degradedNotify != nil {
+		a.degradedNotify(len(lost))
+	}
+	return devSet{}, nil
+}
+
+// readShards reads shard j of stripe s into a fresh pooled block at
+// shards[j] for every j in js, in parallel, attempting all of them.
+func (a *Stripe) readShards(ctx context.Context, s int64, shards [][]byte, js []int) (devSet, error) {
+	errs := make([]error, len(js))
+	_ = par.ForEach(ctx, len(js), func(ctx context.Context, i int) error {
+		shards[js[i]] = bufpool.Get(a.bs)
+		errs[i] = a.devs[a.devOf(s, js[i])].ReadBlocks(ctx, s, shards[js[i]])
+		return nil
+	})
+	return collect(len(js), func(i int) (int, error) { return a.devOf(s, js[i]), errs[i] })
+}
+
+// writeShards writes shard j of stripe s from shards[j] for every j in
+// js, in parallel.
+func (a *Stripe) writeShards(ctx context.Context, s int64, shards [][]byte, js []int) error {
+	return par.ForEach(ctx, len(js), func(ctx context.Context, i int) error {
+		return a.devs[a.devOf(s, js[i])].WriteBlocks(ctx, s, shards[js[i]])
+	})
+}
+
+func putShards(shards [][]byte) {
+	for _, sh := range shards {
+		bufpool.Put(sh)
+	}
+}
+
+// readStripe returns all k+m shards of stripe s in pooled blocks: the
+// survivors read from their devices, the rest reconstructed from them.
+// A stripe in the redundancy window has no valid parity to do that
+// with. The caller releases the shards with putShards.
+func (a *Stripe) readStripe(ctx context.Context, s int64, failed devSet) ([][]byte, devSet, error) {
+	if a.isDirty(s) {
+		return nil, devSet{}, fmt.Errorf("%s: stripe %d in redundancy window (parity stale): %w", a.name, s, ErrDataLoss)
+	}
+	shards := make([][]byte, a.k+a.m)
+	present := make([]bool, a.k+a.m)
+	js := make([]int, 0, a.k+a.m)
+	for d := range a.devs {
+		j := a.shardOf(s, d)
+		if present[j] = !failed.has(d); present[j] {
+			js = append(js, j)
+		} else {
+			shards[j] = bufpool.Get(a.bs)
+		}
+	}
+	erred, err := a.readShards(ctx, s, shards, js)
+	if err == nil {
+		err = a.code.Reconstruct(shards, present)
+	}
+	if err != nil {
+		putShards(shards)
+		return nil, erred, err
+	}
+	return shards, devSet{}, nil
+}
+
+// WriteBlocks implements Array. With eager parity the request splits
+// into a partial head stripe, a run of full stripes and a partial tail
+// stripe. With deferred parity the data blocks go out immediately (no
+// parity I/O on the critical path) and the touched stripes enter the
+// redundancy window until Flush.
+func (a *Stripe) WriteBlocks(ctx context.Context, b int64, p []byte) error {
+	n, err := checkRange(a, b, p)
+	if err != nil {
+		return err
+	}
+	failed, err := a.failedDevs()
+	if err != nil {
+		return err
+	}
+	k := int64(a.k)
+	end := b + int64(n)
+	s0, s1 := b/k, (end-1)/k
+	if a.dirty != nil {
+		runs, lost := a.plan(b, n, p, failed)
+		if len(lost) > 0 {
+			return fmt.Errorf("%s: cannot write block %d, its device failed and parity is deferred: %w", a.name, lost[0], ErrDataLoss)
+		}
+		// Open the window before the data moves, so a failure mid-write
+		// finds it open, and again after: a concurrent Flush may have
+		// synced a stripe against data this write had not landed yet.
+		a.markDirty(s0, s1)
+		_, err := a.runSegs(ctx, runs, WriteBlocksVec)
+		a.markDirty(s0, s1)
+		return err
+	}
+	fullStart, fullEnd := s0, s1+1
+	if b%k != 0 {
+		fullStart = s0 + 1
+	}
+	if end%k != 0 {
+		fullEnd = s1
+	}
+	// Partial stripes first...
+	for s := s0; s <= s1; s++ {
+		if s >= fullStart && s < fullEnd {
+			continue
+		}
+		lo, hi := max(s*k, b), min((s+1)*k, end)
+		if err := a.writePartialStripe(ctx, s, lo, hi, p, b, failed); err != nil {
+			return err
+		}
+	}
+	// ...then the full-stripe region as one long parallel write.
+	if fullStart < fullEnd {
+		return a.writeFullStripes(ctx, fullStart, fullEnd, p, b, failed)
+	}
+	return nil
+}
+
+// writeFullStripes writes stripes [sa, sb), all fully covered: data
+// shards go out as gather lists aliasing p, parity shards are encoded
+// into one pooled staging buffer.
+func (a *Stripe) writeFullStripes(ctx context.Context, sa, sb int64, p []byte, b0 int64, failed devSet) error {
+	rows := int(sb - sa)
+	parityBuf := bufpool.Get(rows * a.m * a.bs)
+	defer bufpool.Put(parityBuf)
+	vecs := make([][][]byte, len(a.devs))
+	for d := range vecs {
+		vecs[d] = make([][]byte, rows)
+	}
+	shards := make([][]byte, a.k+a.m)
+	for s := sa; s < sb; s++ {
+		row := int(s - sa)
+		for j := range shards {
+			if j < a.k {
+				shards[j] = a.block(p, b0, s*int64(a.k)+int64(j))
+			} else {
+				off := (row*a.m + j - a.k) * a.bs
+				shards[j] = parityBuf[off : off+a.bs]
+			}
+			vecs[a.devOf(s, j)][row] = shards[j]
+		}
+		if err := a.code.Encode(shards[:a.k], shards[a.k:]); err != nil {
+			return err
+		}
+	}
+	return par.ForEach(ctx, len(a.devs), func(ctx context.Context, d int) error {
+		if failed.has(d) {
+			return nil
+		}
+		return WriteBlocksVec(ctx, a.devs[d], sa, vecs[d])
+	})
+}
+
+// writePartialStripe updates logical blocks [lo, hi) of stripe s — the
+// covered shards — and the parity shards on surviving devices:
+//
+//   - No covered shard is lost: read-modify-write. Read the old covered
+//     data and the surviving parity, fold the deltas into the parity,
+//     write both back; with no parity left it is a plain data write.
+//     This is the "R+W" small-write cost of the paper's Table 2.
+//   - A covered shard is lost, so its new value can exist only inside
+//     the parity: reconstruct-write. Re-encode the parity from the new
+//     covered values and the old uncovered ones, which are read
+//     directly — or, when one of those is lost too, recovered by
+//     reconstructing the old stripe.
+func (a *Stripe) writePartialStripe(ctx context.Context, s, lo, hi int64, p []byte, b0 int64, failed devSet) error {
+	j0, j1 := int(lo-s*int64(a.k)), int(hi-s*int64(a.k))
+	// The stripe as this write sees it. Pooled blocks hold what is
+	// read or encoded; the covered data shards end up aliasing p.
+	shards := make([][]byte, a.k+a.m)
+	aliased := false
+	defer func() {
+		for j, sh := range shards {
+			if !aliased || j < j0 || j >= j1 {
+				bufpool.Put(sh)
+			}
+		}
+	}()
+
+	// out lists the shards to write: surviving parity, then covered
+	// data on healthy devices.
+	out := make([]int, 0, a.k+a.m)
+	for j := a.k; j < a.k+a.m; j++ {
+		if !failed.has(a.devOf(s, j)) {
+			out = append(out, j)
+		}
+	}
+	parityLeft := len(out)
+	coveredLost, uncoveredLost := false, false
+	for j := 0; j < a.k; j++ {
+		lost := failed.has(a.devOf(s, j))
+		switch covered := j >= j0 && j < j1; {
+		case covered && lost:
+			coveredLost = true
+		case covered:
+			out = append(out, j)
+		case lost:
+			uncoveredLost = true
+		}
+	}
+
+	switch {
+	case !coveredLost && parityLeft > 0:
+		if _, err := a.readShards(ctx, s, shards, out); err != nil {
+			return err
+		}
+		for _, j := range out[parityLeft:] {
+			// delta = old ^ new, formed in place in the old block.
+			parity.XorInto(shards[j], a.block(p, b0, s*int64(a.k)+int64(j)))
+			a.code.Update(shards[a.k:], j, shards[j])
+		}
+	case coveredLost && !uncoveredLost:
+		uncovered := make([]int, 0, a.k)
+		for j := 0; j < a.k; j++ {
+			if j < j0 || j >= j1 {
+				uncovered = append(uncovered, j)
+			}
+		}
+		if _, err := a.readShards(ctx, s, shards, uncovered); err != nil {
+			return err
+		}
+		for j := a.k; j < a.k+a.m; j++ {
+			shards[j] = bufpool.Get(a.bs)
+		}
+	case coveredLost:
+		var err error
+		if shards, _, err = a.readStripe(ctx, s, failed); err != nil {
+			return err
+		}
+	}
+	for j := j0; j < j1; j++ {
+		bufpool.Put(shards[j])
+		shards[j] = a.block(p, b0, s*int64(a.k)+int64(j))
+	}
+	aliased = true
+	if coveredLost {
+		if err := a.code.Encode(shards[:a.k], shards[a.k:]); err != nil {
+			return err
+		}
+	}
+	return a.writeShards(ctx, s, shards, out)
+}
+
+// Flush implements Array. With deferred parity it first recomputes the
+// parity of every stripe in the redundancy window (the parity writes
+// ride the devices' background lanes), restoring full redundancy.
+func (a *Stripe) Flush(ctx context.Context) error {
+	if a.dirty != nil {
+		if err := a.syncWindow(ctx); err != nil {
+			return err
+		}
+	}
+	return flushAll(ctx, a.devs)
+}
+
+// syncWindow syncs every stripe now in the redundancy window, in stripe
+// order. Flushes take turns, or a slow one could land a parity block
+// computed from older data over a faster one's.
+func (a *Stripe) syncWindow(ctx context.Context) error {
+	a.syncMu.Lock()
+	defer a.syncMu.Unlock()
+	a.mu.Lock()
+	window := make([]int64, 0, len(a.dirty))
+	for s := range a.dirty {
+		window = append(window, s)
+	}
+	a.mu.Unlock()
+	slices.Sort(window)
+	for _, s := range window {
+		if err := a.syncStripe(ctx, s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// syncStripe recomputes one dirty stripe's parity: fold each data
+// shard, read through one scratch block, into zeroed parity, and queue
+// the parity writes behind the foreground traffic.
+func (a *Stripe) syncStripe(ctx context.Context, s int64) error {
+	a.mu.Lock()
+	opened := a.dirty[s]
+	a.mu.Unlock()
+	for j := 0; j < a.k+a.m; j++ {
+		if d := a.devOf(s, j); !a.devs[d].Healthy() {
+			if j < a.k {
+				return fmt.Errorf("%s: cannot sync stripe %d, data device %d down: %w", a.name, s, d, ErrDataLoss)
+			}
+			return nil // a parity device is down: the stripe stays dirty until it is replaced
+		}
+	}
+	pshards := make([][]byte, a.m)
+	for j := range pshards {
+		pshards[j] = bufpool.Get(a.bs)
+		clear(pshards[j])
+	}
+	defer putShards(pshards)
+	buf := bufpool.Get(a.bs)
+	defer bufpool.Put(buf)
+	for j := 0; j < a.k; j++ {
+		if err := a.devs[a.devOf(s, j)].ReadBlocks(ctx, s, buf); err != nil {
+			return err
+		}
+		a.code.Update(pshards, j, buf)
+	}
+	for j, sh := range pshards {
+		if err := a.devs[a.devOf(s, a.k+j)].WriteBlocksBackground(ctx, s, sh); err != nil {
+			return err
+		}
+	}
+	a.mu.Lock()
+	if a.dirty[s] == opened { // no write reopened the window meanwhile
+		delete(a.dirty, s)
+	}
+	a.mu.Unlock()
+	return nil
+}
+
+// batchRows is how many stripes Rebuild and Verify move per device
+// transfer.
+const batchRows = 64
+
+// readBatch reads rows [s0, s0+rows) of every device outside skip into
+// cols[d], in parallel.
+func (a *Stripe) readBatch(ctx context.Context, s0, rows int64, cols [][]byte, skip devSet) error {
+	return par.ForEach(ctx, len(a.devs), func(ctx context.Context, d int) error {
+		if skip.has(d) {
+			return nil
+		}
+		return a.devs[d].ReadBlocks(ctx, s0, cols[d][:int(rows)*a.bs])
+	})
+}
+
+// rowShards points shards at row r of the batch starting at stripe s0,
+// in shard order.
+func (a *Stripe) rowShards(shards, cols [][]byte, s0 int64, r int) {
+	for j := range shards {
+		shards[j] = cols[a.devOf(s0+int64(r), j)][r*a.bs : (r+1)*a.bs]
+	}
+}
+
+// getCols returns one pooled batch-sized column buffer per device.
+func (a *Stripe) getCols() [][]byte {
+	cols := make([][]byte, len(a.devs))
+	for d := range cols {
+		cols[d] = bufpool.Get(batchRows * a.bs)
+	}
+	return cols
+}
+
+// Rebuild implements Rebuilder: reconstruct every block of (replaced)
+// device idx from the survivors, up to m-1 of which may be down too.
+// Stripes in the redundancy window cannot be reconstructed (AFRAID's
+// accepted risk), so a non-empty window aborts the rebuild.
+func (a *Stripe) Rebuild(ctx context.Context, idx int) error {
+	if idx < 0 || idx >= len(a.devs) {
+		return fmt.Errorf("%s: rebuild of device %d out of range", a.name, idx)
+	}
+	if !a.devs[idx].Healthy() {
+		return fmt.Errorf("%s: rebuild target %d is not healthy (replace it first)", a.name, idx)
+	}
+	if w := a.DirtyStripes(); w > 0 {
+		return fmt.Errorf("%s: %d stripes in the redundancy window: %w", a.name, w, ErrDataLoss)
+	}
+	var missing devSet
+	missing.add(idx)
+	for i, d := range a.devs {
+		if !d.Healthy() {
+			missing.add(i)
+		}
+	}
+	if f := missing.count(); f > a.m {
+		return fmt.Errorf("%s: %d members unavailable during rebuild, tolerate %d: %w", a.name, f, a.m, ErrDataLoss)
+	}
+	// The missing devices' columns receive the reconstructed shards.
+	cols := a.getCols()
+	defer putShards(cols)
+	shards := make([][]byte, a.k+a.m)
+	present := make([]bool, a.k+a.m)
+	for s0 := int64(0); s0 < a.stripes; s0 += batchRows {
+		rows := min(batchRows, a.stripes-s0)
+		if err := a.readBatch(ctx, s0, rows, cols, missing); err != nil {
+			return err
+		}
+		for r := 0; r < int(rows); r++ {
+			a.rowShards(shards, cols, s0, r)
+			for j := range present {
+				present[j] = !missing.has(a.devOf(s0+int64(r), j))
+			}
+			if err := a.code.Reconstruct(shards, present); err != nil {
+				return err
+			}
+		}
+		if err := a.devs[idx].WriteBlocks(ctx, s0, cols[idx][:int(rows)*a.bs]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Verify implements Verifier: re-encode every stripe's data and compare
+// against the stored parity shards, naming the device of the first one
+// that differs. Stripes in the redundancy window are exempt.
+func (a *Stripe) Verify(ctx context.Context) error {
+	cols := a.getCols()
+	defer putShards(cols)
+	want := make([][]byte, a.m)
+	for j := range want {
+		want[j] = bufpool.Get(a.bs)
+	}
+	defer putShards(want)
+	shards := make([][]byte, a.k+a.m)
+	for s0 := int64(0); s0 < a.stripes; s0 += batchRows {
+		rows := min(batchRows, a.stripes-s0)
+		if err := a.readBatch(ctx, s0, rows, cols, devSet{}); err != nil {
+			return err
+		}
+		for r := 0; r < int(rows); r++ {
+			s := s0 + int64(r)
+			if a.isDirty(s) {
+				continue
+			}
+			a.rowShards(shards, cols, s0, r)
+			if err := a.code.Encode(shards[:a.k], want); err != nil {
+				return err
+			}
+			for j, w := range want {
+				if i := parity.FirstDiff(shards[a.k+j], w); i >= 0 {
+					return fmt.Errorf("%s: stripe %d parity shard %d mismatch at byte %d (device %d)",
+						a.name, s, j, i, a.devOf(s, a.k+j))
+				}
+			}
+		}
+	}
+	return nil
+}

@@ -111,11 +111,18 @@ func TestPoolMixedPolicies(t *testing.T) {
 	check(cold, coldData)
 	check(mid, midData)
 
+	// The counter's unit is logical blocks served through redundancy,
+	// whatever the policy: of each volume's blocks 0..63, those whose
+	// home is device 3. Mirror stripes round-robin (3, 13, .. 63).
+	// rs(8,2) puts shard j of stripe s on device (s+j) mod 10, which
+	// is a data shard in 6 of stripes 0..7. raid5 puts shard j on
+	// device (j-s) mod 10, a data shard in 7 of its stripes 0..7
+	// (stripe 7 holds only block 63, on device 3).
 	snap := reg.Snapshot()
-	for _, name := range []string{"hot", "cold", "mid"} {
+	for name, want := range map[string]int64{"hot": 7, "cold": 6, "mid": 7} {
 		key := obs.LabelName("vol.degraded_reads", "volume", name)
-		if snap.Counters[key] == 0 {
-			t.Errorf("degraded read counter %s did not move", key)
+		if got := snap.Counters[key]; got != want {
+			t.Errorf("degraded read counter %s = %d, want %d", key, got, want)
 		}
 	}
 

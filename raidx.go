@@ -389,14 +389,14 @@ func CompareReliability(nodes, disksPerNode int, diskBlocks int64, mttf, mttr ti
 
 // NewAFRAID builds the lazily-redundant RAID-5 variant (Savage &
 // Wilkes), a design-space baseline the paper cites.
-func NewAFRAID(devs []Dev) (*raid.AFRAID, error) { return raid.NewAFRAID(devs) }
+func NewAFRAID(devs []Dev) (*raid.Stripe, error) { return raid.NewAFRAID(devs) }
 
 // Parity kernels and the erasure-coded tier (DESIGN.md section 15).
 type (
-	// RSArray is the Reed-Solomon erasure-coded engine: k data + m
-	// parity shards per stripe over k+m devices, tolerating any m
-	// simultaneous failures.
-	RSArray = raid.RSArray
+	// RSArray is the parity-striped engine: k data + m parity shards
+	// per stripe over k+m devices, tolerating any m simultaneous
+	// failures. RAID-5 and AFRAID are its m = 1 parameterisations.
+	RSArray = raid.Stripe
 	// RSCode is the raw GF(2^8) Reed-Solomon encoder the engine is
 	// built on, usable standalone over caller-owned shard buffers.
 	RSCode = parity.RS
