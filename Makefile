@@ -66,11 +66,14 @@ bench:
 # benchcheck runs the allocation-pinned regression tests: AllocsPerRun
 # limits on the hot paths (transport round trips, remote device I/O, the
 # engine's stripe fan-out, and coherent cache-hit reads — which must
-# stay at 0 remote calls and <= 2 allocs). A hot-path allocation
-# regression fails here before it shows up in the benchmarks. Must run
-# without -race — the race runtime allocates on its own account.
+# stay at 0 remote calls and <= 2 allocs) — and the array-call pins on
+# fsim's extent data path (TestCalls: a 256 KiB WriteFile, its ReadFile
+# and a 4 KiB overwrite inside a 1 MiB file each stay at a handful of
+# array calls, so a return to per-block I/O fails here). A hot-path
+# allocation regression fails here before it shows up in the benchmarks.
+# Must run without -race — the race runtime allocates on its own account.
 benchcheck:
-	$(GO) test -run 'TestAllocs|TestFloor' -count=1 -v ./internal/transport/ ./internal/cdd/ ./internal/core/ ./internal/raid/ ./internal/parity/
+	$(GO) test -run 'TestAllocs|TestFloor|TestCalls' -count=1 -v ./internal/transport/ ./internal/cdd/ ./internal/core/ ./internal/raid/ ./internal/parity/ ./internal/fsim/
 
 # paritycheck runs the parity-kernel shard (CI job `parity`): the full
 # kernel/RS suite under the race detector, the portable purego build of

@@ -12,8 +12,14 @@ import (
 // the client buffer cache every 1999 system had. Coherence policy
 // (NFS-style close-to-open weakened to a TTL, like `actimeo`):
 //
-//   - Writes go through to the array and update the local copy, so a
-//     client always sees its own writes immediately.
+//   - It holds metadata (inode-table, bitmap, indirect and directory
+//     blocks) and the partial head or tail block of a data transfer.
+//     Runs of whole data blocks go straight between the caller's buffer
+//     and the array (see readData / writeData), so streaming a file
+//     does not evict the metadata the cache is there for.
+//   - Cached writes go through to the array and update the local copy,
+//     and a write that goes past the cache drops the copies it
+//     replaces, so a client always sees its own writes immediately.
 //   - Unlocked (optimistic) reads may serve cached blocks for up to TTL
 //     after they were fetched; within that window they can be stale
 //     with respect to *other* clients. That is exactly the weak read
@@ -92,6 +98,25 @@ func (c *blockCache) put(ctx context.Context, blk int64, src []byte) {
 	c.order = append(c.order, blk)
 }
 
+// drop forgets blocks [blk, blk+n), which a write that went past the
+// cache has just replaced on the array.
+func (c *blockCache) drop(blk int64, n int) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	kept := c.order[:0]
+	for _, b := range c.order {
+		if b >= blk && b < blk+int64(n) {
+			delete(c.data, b)
+		} else {
+			kept = append(kept, b)
+		}
+	}
+	c.order = kept
+}
+
 type noCacheKey struct{}
 
 // noCache reports whether ctx demands fresh reads (inside lock-group
@@ -127,3 +152,15 @@ func (fs *FS) bwrite(ctx context.Context, blk int64, data []byte) error {
 	fs.cache.put(ctx, blk, data)
 	return nil
 }
+
+// getBlock hands out one block of scratch whose contents are undefined;
+// putBlock takes it back once nothing refers to it.
+func (fs *FS) getBlock() *[]byte {
+	if bp, ok := fs.scratch.Get().(*[]byte); ok {
+		return bp
+	}
+	b := make([]byte, fs.bs)
+	return &b
+}
+
+func (fs *FS) putBlock(bp *[]byte) { fs.scratch.Put(bp) }

@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,6 +46,10 @@ const (
 	lockGroupBase = 0
 	lockInodeBase = 1 << 10
 	lockITBBase   = 1 << 30
+	// mkfsChunk is how much of the metadata region Mkfs zeroes per
+	// array call: large enough to stripe over every disk, small enough
+	// for one frame per node over TCP.
+	mkfsChunk = 256 << 10
 )
 
 // Common errors.
@@ -194,6 +199,8 @@ type FS struct {
 	owner string
 	seq   atomic.Uint64
 	cache *blockCache
+	// scratch pools one-block buffers (*[]byte of bs bytes).
+	scratch sync.Pool
 	// prefGroup is this mount's preferred allocation group, derived
 	// from the owner identity so concurrent clients spread out.
 	prefGroup uint32
@@ -266,10 +273,12 @@ func Mkfs(ctx context.Context, arr raid.Array, lk Locker, owner string, opts Opt
 	fs := &FS{arr: arr, bs: bs, sb: sb, lock: lk, owner: owner,
 		cache: newCache(opts.CacheBlocks), prefGroup: hashGroup(owner, uint32(groups))}
 
-	// Zero all metadata blocks.
-	zero := make([]byte, bs)
-	for b := int64(1); b < dataStart; b++ {
-		if err := arr.WriteBlocks(ctx, b, zero); err != nil {
+	// Zero all metadata blocks, mkfsChunk bytes per array call.
+	chunk := min(max(1, mkfsChunk/int64(bs)), dataStart-1)
+	zero := make([]byte, chunk*int64(bs))
+	for b := int64(1); b < dataStart; b += chunk {
+		n := min(chunk, dataStart-b)
+		if err := arr.WriteBlocks(ctx, b, zero[:n*int64(bs)]); err != nil {
 			return nil, err
 		}
 	}

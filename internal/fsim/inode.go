@@ -59,7 +59,9 @@ func (fs *FS) readInode(ctx context.Context, ino uint32) (*inode, error) {
 		return nil, fmt.Errorf("fsim: inode %d out of range", ino)
 	}
 	blk, off := fs.inodeLoc(ino)
-	buf := make([]byte, fs.bs)
+	bp := fs.getBlock()
+	defer fs.putBlock(bp)
+	buf := *bp
 	if err := fs.bread(ctx, blk, buf); err != nil {
 		return nil, err
 	}
@@ -83,7 +85,9 @@ func (fs *FS) writeInode(ctx context.Context, ino uint32, in *inode) error {
 // concurrency exists).
 func (fs *FS) writeInodeRaw(ctx context.Context, ino uint32, in *inode) error {
 	blk, off := fs.inodeLoc(ino)
-	buf := make([]byte, fs.bs)
+	bp := fs.getBlock()
+	defer fs.putBlock(bp)
+	buf := *bp
 	if err := fs.bread(ctx, blk, buf); err != nil {
 		return err
 	}
@@ -98,7 +102,9 @@ func (fs *FS) setInodeUsed(ctx context.Context, ino uint32, used bool) error {
 	g := ino / fs.sb.InodesPerGroup
 	within := ino % fs.sb.InodesPerGroup
 	bm := fs.sb.inodeBitmapBlk(g)
-	buf := make([]byte, fs.bs)
+	bp := fs.getBlock()
+	defer fs.putBlock(bp)
+	buf := *bp
 	if err := fs.bread(ctx, bm, buf); err != nil {
 		return err
 	}
@@ -113,7 +119,9 @@ func (fs *FS) setInodeUsed(ctx context.Context, ino uint32, used bool) error {
 // allocInode claims a free inode in group g.
 func (fs *FS) allocInode(ctx context.Context, g uint32) (uint32, error) {
 	bm := fs.sb.inodeBitmapBlk(g)
-	buf := make([]byte, fs.bs)
+	bp := fs.getBlock()
+	defer fs.putBlock(bp)
+	buf := *bp
 	if err := fs.bread(ctx, bm, buf); err != nil {
 		return 0, err
 	}
@@ -133,7 +141,9 @@ func (fs *FS) allocInode(ctx context.Context, g uint32) (uint32, error) {
 func (fs *FS) allocBlocks(ctx context.Context, g uint32, count int) ([]int64, error) {
 	lo, hi := fs.sb.groupDataRange(g)
 	bm := fs.sb.blockBitmapBlk(g)
-	buf := make([]byte, fs.bs)
+	bp := fs.getBlock()
+	defer fs.putBlock(bp)
+	buf := *bp
 	if err := fs.bread(ctx, bm, buf); err != nil {
 		return nil, err
 	}
@@ -157,7 +167,9 @@ func (fs *FS) allocBlocks(ctx context.Context, g uint32, count int) ([]int64, er
 func (fs *FS) freeBlocksInGroup(ctx context.Context, g uint32, blks []int64) error {
 	lo, hi := fs.sb.groupDataRange(g)
 	bm := fs.sb.blockBitmapBlk(g)
-	buf := make([]byte, fs.bs)
+	bp := fs.getBlock()
+	defer fs.putBlock(bp)
+	buf := *bp
 	if err := fs.bread(ctx, bm, buf); err != nil {
 		return err
 	}
@@ -177,96 +189,140 @@ func (fs *FS) ptrsPerBlock() int { return fs.bs / 8 }
 // maxFileBlocks is the largest file in blocks.
 func (fs *FS) maxFileBlocks() int64 { return numDirect + int64(fs.ptrsPerBlock()) }
 
-// blockOf resolves file-relative block idx of an inode to a physical
-// block, returning 0 if unallocated.
-func (fs *FS) blockOf(ctx context.Context, in *inode, idx int64) (int64, error) {
-	if idx < numDirect {
-		return int64(in.Direct[idx]), nil
-	}
-	idx -= numDirect
-	if idx >= int64(fs.ptrsPerBlock()) || in.Indirect == 0 {
-		return 0, nil
-	}
-	buf := make([]byte, fs.bs)
-	if err := fs.bread(ctx, int64(in.Indirect), buf); err != nil {
-		return 0, err
-	}
-	return int64(binary.BigEndian.Uint64(buf[idx*8:])), nil
+// blocksFor is the number of blocks a file of size bytes spans.
+func (fs *FS) blocksFor(size int64) int64 { return (size + int64(fs.bs) - 1) / int64(fs.bs) }
+
+// blockMap is an inode's file-block to physical-block map, resolved
+// once per operation: the direct pointers plus one read of the indirect
+// block. Physical block 0 (the superblock) stands for a hole.
+type blockMap struct {
+	in    *inode
+	ind   *[]byte // pooled copy of the indirect block; nil if the file has none or the operation stays below numDirect
+	dirty bool    // ind differs from what is on the array
 }
 
-// mapBlocks ensures file blocks [0, want) are allocated, claiming new
-// blocks from group g as needed. Caller holds the inode lock and group
-// g's lock.
-func (fs *FS) mapBlocks(ctx context.Context, in *inode, want int64, g uint32) error {
+// loadMap resolves file blocks [0, nblocks) of in. The caller releases
+// the map when done.
+func (fs *FS) loadMap(ctx context.Context, in *inode, nblocks int64) (blockMap, error) {
+	m := blockMap{in: in}
+	if nblocks > numDirect && in.Indirect != 0 {
+		m.ind = fs.getBlock()
+		if err := fs.bread(ctx, int64(in.Indirect), *m.ind); err != nil {
+			fs.releaseMap(&m)
+			return m, err
+		}
+	}
+	return m, nil
+}
+
+func (fs *FS) releaseMap(m *blockMap) {
+	if m.ind != nil {
+		fs.putBlock(m.ind)
+		m.ind = nil
+	}
+}
+
+// at reports the physical block of file block idx, 0 for a hole.
+func (m *blockMap) at(idx int64) int64 {
+	if idx < numDirect {
+		return int64(m.in.Direct[idx])
+	}
+	off := (idx - numDirect) * 8
+	if m.ind == nil || off >= int64(len(*m.ind)) {
+		return 0
+	}
+	return int64(binary.BigEndian.Uint64((*m.ind)[off:]))
+}
+
+// set points file block idx at phys. Past numDirect the indirect block
+// must be loaded.
+func (m *blockMap) set(idx, phys int64) {
+	if idx < numDirect {
+		m.in.Direct[idx] = uint64(phys)
+		return
+	}
+	binary.BigEndian.PutUint64((*m.ind)[(idx-numDirect)*8:], uint64(phys))
+	m.dirty = true
+}
+
+// run reports how many of the file blocks [idx, idx+limit), counted from
+// idx, are physically consecutive (or, from a hole, are all holes), and
+// the physical block of the first.
+func (m *blockMap) run(idx int64, limit int) (phys int64, n int) {
+	phys = m.at(idx)
+	for n = 1; n < limit; n++ {
+		next := phys + int64(n)
+		if phys == 0 {
+			next = 0
+		}
+		if m.at(idx+int64(n)) != next {
+			break
+		}
+	}
+	return phys, n
+}
+
+// mapBlocks ensures file blocks [first, want) are allocated, claiming
+// new blocks from group g as needed and writing the indirect block back
+// if it changed. Caller holds the inode lock and group g's lock.
+func (fs *FS) mapBlocks(ctx context.Context, m *blockMap, first, want int64, g uint32) error {
 	if want > fs.maxFileBlocks() {
 		return fmt.Errorf("fsim: file larger than %d blocks", fs.maxFileBlocks())
 	}
-	var missing int64
-	for idx := int64(0); idx < want; idx++ {
-		b, err := fs.blockOf(ctx, in, idx)
-		if err != nil {
-			return err
-		}
-		if b == 0 {
-			missing++
+	n := 0
+	for idx := first; idx < want; idx++ {
+		if m.at(idx) == 0 {
+			n++
 		}
 	}
-	needIndirect := want > numDirect && in.Indirect == 0
-	if missing == 0 && !needIndirect {
-		return nil
-	}
-	n := int(missing)
+	needIndirect := want > numDirect && m.in.Indirect == 0
 	if needIndirect {
 		n++
+	}
+	if n == 0 {
+		return nil
 	}
 	blks, err := fs.allocBlocks(ctx, g, n)
 	if err != nil {
 		return err
 	}
-	next := 0
-	var indirectBuf []byte
 	if needIndirect {
-		in.Indirect = uint64(blks[next])
-		next++
-		indirectBuf = make([]byte, fs.bs)
-	} else if want > numDirect && in.Indirect != 0 {
-		indirectBuf = make([]byte, fs.bs)
-		if err := fs.bread(ctx, int64(in.Indirect), indirectBuf); err != nil {
-			return err
+		m.in.Indirect = uint64(blks[0])
+		blks = blks[1:]
+		m.ind = fs.getBlock()
+		clear(*m.ind)
+		m.dirty = true
+	}
+	for idx := first; idx < want; idx++ {
+		if m.at(idx) == 0 {
+			m.set(idx, blks[0])
+			blks = blks[1:]
 		}
 	}
-	for idx := int64(0); idx < want; idx++ {
-		if idx < numDirect {
-			if in.Direct[idx] == 0 {
-				in.Direct[idx] = uint64(blks[next])
-				next++
-			}
-			continue
-		}
-		off := (idx - numDirect) * 8
-		if binary.BigEndian.Uint64(indirectBuf[off:]) == 0 {
-			binary.BigEndian.PutUint64(indirectBuf[off:], uint64(blks[next]))
-			next++
-		}
-	}
-	if indirectBuf != nil {
-		if err := fs.bwrite(ctx, int64(in.Indirect), indirectBuf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return fs.flushMap(ctx, m)
 }
 
-// fileBlocks lists the allocated physical blocks of an inode in order.
+// flushMap writes a changed indirect block back.
+func (fs *FS) flushMap(ctx context.Context, m *blockMap) error {
+	if !m.dirty {
+		return nil
+	}
+	m.dirty = false
+	return fs.bwrite(ctx, int64(m.in.Indirect), *m.ind)
+}
+
+// fileBlocks lists the allocated physical blocks of an inode in order,
+// the indirect block last.
 func (fs *FS) fileBlocks(ctx context.Context, in *inode) ([]int64, error) {
-	nblocks := (int64(in.Size) + int64(fs.bs) - 1) / int64(fs.bs)
-	out := make([]int64, 0, nblocks)
+	nblocks := fs.blocksFor(int64(in.Size))
+	m, err := fs.loadMap(ctx, in, nblocks)
+	if err != nil {
+		return nil, err
+	}
+	defer fs.releaseMap(&m)
+	out := make([]int64, 0, nblocks+1)
 	for idx := int64(0); idx < nblocks; idx++ {
-		b, err := fs.blockOf(ctx, in, idx)
-		if err != nil {
-			return nil, err
-		}
-		if b != 0 {
+		if b := m.at(idx); b != 0 {
 			out = append(out, b)
 		}
 	}
@@ -276,7 +332,25 @@ func (fs *FS) fileBlocks(ctx context.Context, in *inode) ([]int64, error) {
 	return out, nil
 }
 
-// readData copies [off, off+len(p)) of the inode's data into p.
+// piece cuts the next piece off the byte range [off, off+remain): the
+// part of one block when the range starts or ends inside it, otherwise
+// the longest run of whole blocks that are physically consecutive. It
+// reports the first physical block (0: a hole), the offset within it and
+// the piece's length in bytes; a piece shorter than a block is partial.
+func (fs *FS) piece(m *blockMap, off int64, remain int) (phys int64, within, n int) {
+	idx := off / int64(fs.bs)
+	within = int(off % int64(fs.bs))
+	if within != 0 || remain < fs.bs {
+		return m.at(idx), within, min(fs.bs-within, remain)
+	}
+	phys, blocks := m.run(idx, remain/fs.bs)
+	return phys, 0, blocks * fs.bs
+}
+
+// readData copies [off, off+len(p)) of the inode's data into p. Runs of
+// whole blocks move in one array call each, straight into p and past
+// the cache; partial blocks and directory blocks (metadata the cache is
+// there to hold) are read through it.
 func (fs *FS) readData(ctx context.Context, in *inode, off int64, p []byte) (int, error) {
 	size := int64(in.Size)
 	if off >= size {
@@ -285,28 +359,31 @@ func (fs *FS) readData(ctx context.Context, in *inode, off int64, p []byte) (int
 	if off+int64(len(p)) > size {
 		p = p[:size-off]
 	}
+	m, err := fs.loadMap(ctx, in, fs.blocksFor(off+int64(len(p))))
+	if err != nil {
+		return 0, err
+	}
+	defer fs.releaseMap(&m)
 	total := 0
-	buf := make([]byte, fs.bs)
 	for len(p) > 0 {
-		idx := off / int64(fs.bs)
-		within := int(off % int64(fs.bs))
-		n := fs.bs - within
-		if n > len(p) {
-			n = len(p)
+		phys, within, n := fs.piece(&m, off, len(p))
+		switch {
+		case phys == 0:
+			clear(p[:n]) // hole
+		case n < fs.bs:
+			bp := fs.getBlock()
+			err = fs.bread(ctx, phys, *bp)
+			copy(p[:n], (*bp)[within:])
+			fs.putBlock(bp)
+		case in.Mode == modeDir:
+			for b := 0; b < n/fs.bs && err == nil; b++ {
+				err = fs.bread(ctx, phys+int64(b), p[b*fs.bs:(b+1)*fs.bs])
+			}
+		default:
+			err = fs.arr.ReadBlocks(ctx, phys, p[:n])
 		}
-		phys, err := fs.blockOf(ctx, in, idx)
 		if err != nil {
 			return total, err
-		}
-		if phys == 0 {
-			for i := 0; i < n; i++ {
-				p[i] = 0 // hole
-			}
-		} else {
-			if err := fs.bread(ctx, phys, buf); err != nil {
-				return total, err
-			}
-			copy(p[:n], buf[within:within+n])
 		}
 		p = p[n:]
 		off += int64(n)
@@ -316,39 +393,40 @@ func (fs *FS) readData(ctx context.Context, in *inode, off int64, p []byte) (int
 }
 
 // writeData stores p at [off, off+len(p)), growing the file with
-// blocks from group g. Caller must hold the inode and group locks; the
-// inode is updated in memory and must be written back by the caller.
+// blocks from group g. Runs of whole blocks move in one array call each,
+// straight from p and past the cache; a partial block is merged in a
+// bounce buffer, which starts as zeros when this write allocated the
+// block, so a previous owner's bytes are never read back. Caller must
+// hold the inode and group locks; the inode is updated in memory and
+// must be written back by the caller.
 func (fs *FS) writeData(ctx context.Context, in *inode, off int64, p []byte, g uint32) error {
+	if len(p) == 0 {
+		return nil
+	}
 	end := off + int64(len(p))
-	want := (end + int64(fs.bs) - 1) / int64(fs.bs)
-	if err := fs.mapBlocks(ctx, in, want, g); err != nil {
+	first, want := off/int64(fs.bs), fs.blocksFor(end)
+	m, err := fs.loadMap(ctx, in, want)
+	if err != nil {
 		return err
 	}
-	buf := make([]byte, fs.bs)
+	defer fs.releaseMap(&m)
+	// Only the first and last block can be partial.
+	firstFresh, lastFresh := m.at(first) == 0, m.at(want-1) == 0
+	if err := fs.mapBlocks(ctx, &m, first, want, g); err != nil {
+		return err
+	}
 	for len(p) > 0 {
-		idx := off / int64(fs.bs)
-		within := int(off % int64(fs.bs))
-		n := fs.bs - within
-		if n > len(p) {
-			n = len(p)
+		phys, within, n := fs.piece(&m, off, len(p))
+		if n < fs.bs {
+			idx := off / int64(fs.bs)
+			fresh := idx == first && firstFresh || idx == want-1 && lastFresh
+			err = fs.writePartial(ctx, phys, within, p[:n], fresh)
+		} else {
+			err = fs.arr.WriteBlocks(ctx, phys, p[:n])
+			fs.cache.drop(phys, n/fs.bs)
 		}
-		phys, err := fs.blockOf(ctx, in, idx)
 		if err != nil {
 			return err
-		}
-		if n == fs.bs {
-			if err := fs.bwrite(ctx, phys, p[:n]); err != nil {
-				return err
-			}
-		} else {
-			// Partial block: read-modify-write.
-			if err := fs.bread(ctx, phys, buf); err != nil {
-				return err
-			}
-			copy(buf[within:], p[:n])
-			if err := fs.bwrite(ctx, phys, buf); err != nil {
-				return err
-			}
 		}
 		p = p[n:]
 		off += int64(n)
@@ -357,4 +435,20 @@ func (fs *FS) writeData(ctx context.Context, in *inode, off int64, p []byte, g u
 		in.Size = uint64(end)
 	}
 	return nil
+}
+
+// writePartial merges p into block phys at offset within. A fresh block
+// (one with no owner's data in it yet) is merged into zeros instead of
+// being read.
+func (fs *FS) writePartial(ctx context.Context, phys int64, within int, p []byte, fresh bool) error {
+	bp := fs.getBlock()
+	defer fs.putBlock(bp)
+	buf := *bp
+	if fresh {
+		clear(buf)
+	} else if err := fs.bread(ctx, phys, buf); err != nil {
+		return err
+	}
+	copy(buf[within:], p)
+	return fs.bwrite(ctx, phys, buf)
 }

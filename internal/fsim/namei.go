@@ -249,14 +249,23 @@ func (fs *FS) Create(ctx context.Context, path string) (*File, error) {
 	return &File{fs: fs, ino: ino}, nil
 }
 
-// Open returns a handle to an existing file.
-func (fs *FS) Open(ctx context.Context, path string) (*File, error) {
+// resolveFile is resolve for a path that must not name a directory.
+func (fs *FS) resolveFile(ctx context.Context, path string) (uint32, *inode, error) {
 	ino, in, err := fs.resolve(ctx, path)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if in.Mode == modeDir {
-		return nil, fmt.Errorf("%w: %s", ErrIsDir, path)
+		return 0, nil, fmt.Errorf("%w: %s", ErrIsDir, path)
+	}
+	return ino, in, nil
+}
+
+// Open returns a handle to an existing file.
+func (fs *FS) Open(ctx context.Context, path string) (*File, error) {
+	ino, _, err := fs.resolveFile(ctx, path)
+	if err != nil {
+		return nil, err
 	}
 	return &File{fs: fs, ino: ino}, nil
 }
@@ -473,8 +482,12 @@ func (f *File) write(ctx context.Context, p []byte, offOf func(*inode) int64) er
 			if err != nil {
 				return err
 			}
+			before := *in
 			if err := fs.writeData(ctx, in, offOf(in), p, g); err != nil {
 				return err
+			}
+			if *in == before {
+				return nil // overwritten in place: size and pointers stand
 			}
 			return fs.writeInode(ctx, f.ino, in)
 		})
@@ -487,8 +500,8 @@ func (f *File) write(ctx context.Context, p []byte, offOf func(*inode) int64) er
 	return lastErr
 }
 
-// WriteFile creates (or truncates nothing — files are write-once in the
-// benchmark usage) a file with the given contents.
+// WriteFile creates a file with the given contents; it fails with
+// ErrExist if path already names something.
 func (fs *FS) WriteFile(ctx context.Context, path string, data []byte) error {
 	f, err := fs.Create(ctx, path)
 	if err != nil {
@@ -499,16 +512,12 @@ func (fs *FS) WriteFile(ctx context.Context, path string, data []byte) error {
 
 // ReadFile returns a file's full contents.
 func (fs *FS) ReadFile(ctx context.Context, path string) ([]byte, error) {
-	f, err := fs.Open(ctx, path)
+	_, in, err := fs.resolveFile(ctx, path)
 	if err != nil {
 		return nil, err
 	}
-	size, err := f.Size(ctx)
-	if err != nil {
-		return nil, err
-	}
-	data := make([]byte, size)
-	n, err := f.ReadAt(ctx, data, 0)
+	data := make([]byte, in.Size)
+	n, err := fs.readData(ctx, in, 0, data)
 	return data[:n], err
 }
 

@@ -31,6 +31,20 @@ func newShadow() *shadowFS {
 	return &shadowFS{files: map[string][]byte{}, dirs: map[string]bool{"": true}}
 }
 
+// writeAt applies a File.WriteAt to the model: bytes between the old
+// end and off read as zeros, and an empty write changes nothing.
+func (s *shadowFS) writeAt(name string, p []byte, off int64) {
+	if len(p) == 0 {
+		return
+	}
+	f := s.files[name]
+	if end := int(off) + len(p); end > len(f) {
+		f = append(f, make([]byte, end-len(f))...)
+	}
+	copy(f[off:], p)
+	s.files[name] = f
+}
+
 func parent(p string) string {
 	for i := len(p) - 1; i >= 0; i-- {
 		if p[i] == '/' {

@@ -2,7 +2,6 @@ package fsim
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -10,7 +9,9 @@ import (
 )
 
 // Truncate shrinks (or logically grows) the file to size bytes. Growth
-// just extends the size (reads of the new tail see zeros); shrinking
+// just extends the size: reads of the new tail see zeros, because the
+// slack past the end of a file's last block is always zero (a block is
+// zero-filled when allocated, and re-zeroed here on shrink). Shrinking
 // releases whole blocks past the new end and zeroes the freed pointers.
 func (f *File) Truncate(ctx context.Context, size int64) error {
 	if size < 0 {
@@ -52,62 +53,44 @@ func (f *File) Truncate(ctx context.Context, size int64) error {
 			in.Size = uint64(size)
 			return fs.writeInode(ctx, f.ino, in)
 		}
-		keep := (size + int64(fs.bs) - 1) / int64(fs.bs)
+		keep, nblocks := fs.blocksFor(size), fs.blocksFor(int64(in.Size))
+		m, err := fs.loadMap(ctx, in, nblocks)
+		if err != nil {
+			return err
+		}
+		defer fs.releaseMap(&m)
 		// Zero the stale tail of a partially-kept final block, so a
 		// later grow exposes zeros, not old data.
 		if within := int(size % int64(fs.bs)); within != 0 {
-			phys, err := fs.blockOf(ctx, in, keep-1)
-			if err != nil {
-				return err
-			}
-			if phys != 0 {
-				buf := make([]byte, fs.bs)
+			if phys := m.at(keep - 1); phys != 0 {
+				bp := fs.getBlock()
+				defer fs.putBlock(bp)
+				buf := *bp
 				if err := fs.bread(ctx, phys, buf); err != nil {
 					return err
 				}
-				for i := within; i < fs.bs; i++ {
-					buf[i] = 0
-				}
+				clear(buf[within:])
 				if err := fs.bwrite(ctx, phys, buf); err != nil {
 					return err
 				}
 			}
 		}
-		nblocks := (int64(in.Size) + int64(fs.bs) - 1) / int64(fs.bs)
 		var freed []int64
-		var indirectBuf []byte
 		for idx := keep; idx < nblocks; idx++ {
-			phys, err := fs.blockOf(ctx, in, idx)
-			if err != nil {
-				return err
+			if phys := m.at(idx); phys != 0 {
+				freed = append(freed, phys)
+				m.set(idx, 0)
 			}
-			if phys == 0 {
-				continue
-			}
-			freed = append(freed, phys)
-			if idx < numDirect {
-				in.Direct[idx] = 0
-				continue
-			}
-			if indirectBuf == nil {
-				indirectBuf = make([]byte, fs.bs)
-				if err := fs.bread(ctx, int64(in.Indirect), indirectBuf); err != nil {
-					return err
-				}
-			}
-			binary.BigEndian.PutUint64(indirectBuf[(idx-numDirect)*8:], 0)
 		}
 		// Drop the indirect block itself if nothing above numDirect
 		// remains.
 		if in.Indirect != 0 && keep <= numDirect {
 			freed = append(freed, int64(in.Indirect))
 			in.Indirect = 0
-			indirectBuf = nil
+			m.dirty = false
 		}
-		if indirectBuf != nil {
-			if err := fs.bwrite(ctx, int64(in.Indirect), indirectBuf); err != nil {
-				return err
-			}
+		if err := fs.flushMap(ctx, &m); err != nil {
+			return err
 		}
 		// Free per group (all involved groups are locked).
 		byGroup := map[uint32][]int64{}
