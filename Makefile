@@ -108,11 +108,13 @@ obscheck:
 # migration engine drills (live traffic, pause/resume, crash resume,
 # shrink, source failover, the deterministic vclock schedule), the
 # supervisor rebalance jobs and their mutual exclusion with recovery, the
-# epoch fence over the wire, and the TCP grow chaos drills with
-# partitions and node kills — all under the race detector, twice. The
-# real-process SIGKILL resume drill runs once (it builds binaries).
+# layout-generation fence over the wire, the one mount path (device
+# tables per generation, degraded mount, the refusals, the stale-epoch
+# rerun), and the TCP grow chaos drills with partitions and node kills —
+# all under the race detector, twice. The real-process SIGKILL resume
+# drill runs once (it builds binaries).
 growcheck:
-	$(GO) test -run 'TestEpoch|TestOSM|TestMigration|TestSupervisedGrow|TestRebalance|TestGrowChaos|TestFileEpoch' -race -count=2 ./internal/layout/ ./internal/core/ ./internal/repair/ ./internal/cdd/ ./internal/store/
+	$(GO) test -run 'TestEpoch|TestOSM|TestMigration|TestSupervisedGrow|TestRebalance|TestGrowChaos|TestFileEpoch|TestMount' -race -count=2 ./internal/layout/ ./internal/core/ ./internal/repair/ ./internal/cdd/ ./internal/store/ ./internal/mount/
 	$(GO) test -run 'TestGrowCrash' -race -count=1 ./cmd/raidxnode/
 
 # scalecheck runs the serving-at-scale shard (CI job `scale`): the

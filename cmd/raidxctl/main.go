@@ -30,8 +30,9 @@
 //	                                             slowest, with each node's
 //	                                             server-side spans merged in
 //
-// The -addrs list orders nodes; disks are assembled in SIOS order (disk
-// j on node j mod n), so the same list must be used consistently.
+// The -addrs list orders nodes (node i of the layout is the i-th
+// address), so the same list must be used consistently; after a grow,
+// append the joined nodes in join order.
 package main
 
 import (
@@ -47,7 +48,7 @@ import (
 	"repro/internal/cdd"
 	"repro/internal/core"
 	"repro/internal/layout"
-	"repro/internal/raid"
+	"repro/internal/mount"
 	"repro/internal/repair"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -73,9 +74,9 @@ func main() {
 	case "replace":
 		err = withCluster(os.Args[2:], runReplace)
 	case "rebuild":
-		err = withCluster(os.Args[2:], runRebuild)
+		err = withEngine(os.Args[2:], core.Options{}, runRebuild)
 	case "verify":
-		err = withCluster(os.Args[2:], runVerify)
+		err = withEngine(os.Args[2:], core.Options{}, runVerify)
 	case "super":
 		err = runSuper(os.Args[2:])
 	case "repair":
@@ -90,7 +91,7 @@ func main() {
 		// Record every probe op; assemble traces from the ring (no slow
 		// log needed — the probe picks its own slowest).
 		tr := trace.New(trace.Config{SlowThreshold: -1})
-		err = withClusterOpts(os.Args[2:], core.Options{Trace: tr}, runTrace)
+		err = withEngine(os.Args[2:], core.Options{Trace: tr}, runTrace)
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -152,40 +153,30 @@ func runLayout(args []string) error {
 	return nil
 }
 
-// rig is a live TCP-assembled RAID-x.
+// rig is a live cluster as a command sees it: the node connections
+// and, for the commands that move blocks (rebuild, verify, trace), the
+// engine internal/mount attached over them.
 type rig struct {
-	clients []*cdd.NodeClient // nil entry = node unreachable at startup
-	addrs   []string
-	devs    []raid.Dev
-	arr     *core.RAIDx
-	nodes   int
-	perNode int
-	ep      *layout.Epoch // non-nil once the cluster has rebalanced
+	*mount.Cluster
+	arr *core.RAIDx
 }
 
-// globalOf maps (node, local disk) to the global column index. At
-// generation zero this is the SIOS interleave; after a rebalance the
-// epoch's column order applies (grown columns are appended, so the
-// interleave formula no longer holds).
-func (r *rig) globalOf(node, local int) int {
-	if r.ep == nil {
-		return node + local*r.nodes
-	}
-	for d := 0; d < r.ep.Width(); d++ {
-		if r.ep.NodeOf(d) == node && r.ep.LocalOf(d) == local {
+// globalOf maps (node, local disk) to its column in ep's device table,
+// -1 when the disk holds no column (or ep is unknown).
+func globalOf(ep *layout.Epoch, node, local int) int {
+	for d := 0; ep != nil && d < ep.Width(); d++ {
+		if ep.NodeOf(d) == node && ep.LocalOf(d) == local {
 			return d
 		}
 	}
 	return -1
 }
 
+// withCluster parses the shared flags, connects to the -addrs nodes
+// (tolerating ones that are down) and runs fn. It builds no engine, so
+// the control commands (status, stats, top, fail, replace) work whatever
+// state the layout is in.
 func withCluster(args []string, fn func(fs *flag.FlagSet, r *rig) error) error {
-	return withClusterOpts(args, core.Options{}, fn)
-}
-
-// withClusterOpts assembles the rig with explicit engine options (the
-// trace command passes a tracer).
-func withClusterOpts(args []string, opts core.Options, fn func(fs *flag.FlagSet, r *rig) error) error {
 	fs := flag.NewFlagSet("raidxctl", flag.ExitOnError)
 	addrs := fs.String("addrs", "", "comma-separated node addresses (required)")
 	// The per-command flags are shared and read back through fs.Lookup
@@ -206,162 +197,37 @@ func withClusterOpts(args []string, opts core.Options, fn func(fs *flag.FlagSet,
 	if *addrs == "" {
 		return fmt.Errorf("-addrs is required")
 	}
-	list := strings.Split(*addrs, ",")
-	r := &rig{nodes: len(list), addrs: list}
-	defer func() {
-		for _, c := range r.clients {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
-	// Tolerate unreachable nodes: operate degraded with offline
-	// placeholders (r.clients[i] stays nil for a node that was down).
-	r.clients = make([]*cdd.NodeClient, len(list))
-	var ref *cdd.NodeClient
-	for i, a := range list {
-		a = strings.TrimSpace(a)
-		r.addrs[i] = a
-		c, err := cdd.Connect(a)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "raidxctl: warning: node %s unreachable (%v); operating degraded\n", a, err)
-			continue
-		}
-		r.clients[i] = c
-		if ref == nil {
-			ref = c
-		}
-	}
-	if ref == nil {
-		return fmt.Errorf("no CDD node reachable")
-	}
-	r.perNode = ref.NumDisks()
-	for _, c := range r.clients {
-		if c != nil && c.NumDisks() != r.perNode {
-			return fmt.Errorf("nodes export different disk counts")
-		}
-	}
-	// A stale-epoch rejection from the command means the cluster
-	// rebalanced underneath this rig: refetch the layout, reassemble,
-	// and rerun once. Control commands (status, stats, top) never tag
-	// I/O and keep working during a migration; data commands bounce
-	// typed off the nodes' migration fence.
-	ctx := context.Background()
-	for attempt := 0; ; attempt++ {
-		li, err := assembleRig(ctx, r, ref, opts)
-		if err != nil {
-			return err
-		}
-		err = fn(fs, r)
-		if err != nil && cdd.IsStaleEpoch(err) {
-			if attempt == 0 {
-				fmt.Fprintln(os.Stderr, "raidxctl: layout epoch advanced mid-command; refetching the layout and retrying")
-				continue
-			}
-			if li.Migrating {
-				return fmt.Errorf("rebalance in flight (epoch %d -> %d): block I/O is fenced to the coordinator until it completes: %w",
-					li.Gen, li.TargetGen, err)
-			}
-		}
+	cl, err := mount.Connect(strings.Split(*addrs, ","))
+	if err != nil {
 		return err
 	}
+	defer cl.Close()
+	for i, err := range cl.Errs {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "raidxctl: warning: node %s unreachable (%v); operating degraded\n", cl.Addrs[i], err)
+		}
+	}
+	return fn(fs, &rig{Cluster: cl})
 }
 
-// assembleRig probes the cluster's layout epoch (the rebalance
-// coordinator answers OpLayout with the full descriptor; plain nodes
-// with their bare enforced generation), tags all block I/O at the
-// generation in force, and builds the rig's device table and engine at
-// that epoch.
-func assembleRig(ctx context.Context, r *rig, ref *cdd.NodeClient, opts core.Options) (cdd.LayoutInfo, error) {
-	li := probeLayout(ctx, r.clients)
-	for _, c := range r.clients {
-		if c != nil && li.Gen > 0 {
-			c.SetArrayEpoch(li.Gen)
-		}
-	}
-	if li.Migrating {
-		fmt.Fprintf(os.Stderr, "raidxctl: warning: rebalance in flight (epoch %d -> %d, cursor %d); array views may lag\n",
-			li.Gen, li.TargetGen, li.Cursor)
-	}
-	if li.Desc != nil && li.Desc.Gen() > 0 {
-		ep, err := layout.EpochFromDesc(*li.Desc)
-		if err != nil {
-			return li, fmt.Errorf("cluster layout descriptor: %w", err)
-		}
-		if ep.Nodes() > r.nodes {
-			return li, fmt.Errorf("cluster is at epoch %d spanning %d nodes; -addrs lists %d", ep.Gen(), ep.Nodes(), r.nodes)
-		}
-		r.ep = ep
-		model := ref.Dev(0)
-		r.devs = make([]raid.Dev, ep.Width())
-		for d := range r.devs {
-			node, local := ep.NodeOf(d), ep.LocalOf(d)
-			if node >= r.nodes || local >= r.perNode {
-				if !ep.Active(d) {
-					continue // retired column; core tolerates a nil device
-				}
-				return li, fmt.Errorf("epoch column %d is local disk %d of node %d, outside the assembled cluster", d, local, node)
-			}
-			if r.clients[node] == nil {
-				r.devs[d] = cdd.Offline(r.addrs[node], model.BlockSize(), model.NumBlocks())
-			} else {
-				r.devs[d] = r.clients[node].Dev(local)
-			}
-		}
-		arr, err := core.NewAtEpoch(r.devs, ep, opts)
-		if err != nil {
-			return li, err
-		}
-		r.arr = arr
-		return li, nil
-	}
-	r.devs = make([]raid.Dev, r.nodes*r.perNode)
-	for local := 0; local < r.perNode; local++ {
-		model := ref.Dev(local)
-		for node := 0; node < r.nodes; node++ {
-			if r.clients[node] == nil {
-				r.devs[node+local*r.nodes] = cdd.Offline(r.addrs[node], model.BlockSize(), model.NumBlocks())
-			} else {
-				r.devs[node+local*r.nodes] = r.clients[node].Dev(local)
-			}
-		}
-	}
-	arr, err := core.New(r.devs, r.nodes, r.perNode, opts)
-	if err != nil {
-		return li, err
-	}
-	r.arr = arr
-	return li, nil
-}
-
-// probeLayout asks each reachable node for its layout view and returns
-// the most informative answer: a full descriptor if any node serves
-// one (the coordinator), otherwise the highest bare generation seen.
-func probeLayout(ctx context.Context, clients []*cdd.NodeClient) cdd.LayoutInfo {
-	var best cdd.LayoutInfo
-	for _, c := range clients {
-		if c == nil {
-			continue
-		}
-		li, err := c.Layout(ctx)
-		if err != nil {
-			continue
-		}
-		if li.Desc != nil {
-			return li
-		}
-		if li.Gen > best.Gen {
-			best = li
-		}
-	}
-	return best
+// withEngine is withCluster plus an engine at the cluster's layout epoch
+// (opts carries the trace command's tracer). mount.Run makes the
+// refusals — rebalance in flight, no descriptor, short -addrs — and
+// reruns fn on a rebuilt engine if the layout moves mid-command.
+func withEngine(args []string, opts core.Options, fn func(fs *flag.FlagSet, r *rig) error) error {
+	return withCluster(args, func(fs *flag.FlagSet, r *rig) error {
+		return r.Run(context.Background(), opts, func(arr *core.RAIDx) error {
+			r.arr = arr
+			return fn(fs, r)
+		})
+	})
 }
 
 func target(fs *flag.FlagSet, r *rig) (node, disk int, err error) {
 	node = atoi(fs.Lookup("node").Value.String())
 	disk = atoi(fs.Lookup("disk").Value.String())
-	if node < 0 || node >= r.nodes || disk < 0 || disk >= r.perNode {
-		return 0, 0, fmt.Errorf("target n%d/d%d out of range (%d nodes x %d disks)", node, disk, r.nodes, r.perNode)
+	if node < 0 || node >= len(r.Addrs) || disk < 0 || disk >= r.PerNode {
+		return 0, 0, fmt.Errorf("target n%d/d%d out of range (%d nodes x %d disks)", node, disk, len(r.Addrs), r.PerNode)
 	}
 	return node, disk, nil
 }
@@ -373,26 +239,38 @@ func atoi(s string) int {
 }
 
 func runStatus(fs *flag.FlagSet, r *rig) error {
-	fmt.Printf("RAID-x over %d node(s) x %d disk(s); capacity %d blocks x %d B\n",
-		r.nodes, r.perNode, r.arr.Blocks(), r.arr.BlockSize())
-	if r.ep != nil {
-		fmt.Printf("layout epoch %d: base %d node(s), %d active\n", r.ep.Gen(), r.ep.Base().Nodes, r.ep.Nodes())
+	v, perr := r.Probe(context.Background())
+	fmt.Printf("RAID-x over %d node(s) x %d disk(s)", len(r.Addrs), r.PerNode)
+	if v.Epoch != nil {
+		fmt.Printf("; capacity %d blocks x %d B", v.Epoch.DataBlocks(), r.BlockSize)
 	}
-	for node, c := range r.clients {
+	fmt.Println()
+	switch {
+	case perr != nil:
+		fmt.Printf("layout: %v\n", perr)
+	case v.Migrating:
+		fmt.Printf("layout epoch %d: MIGRATING to epoch %d, cursor %d\n", v.Gen, v.TargetGen, v.Cursor)
+	case v.Gen > 0:
+		fmt.Printf("layout epoch %d: base %d node(s), %d active\n", v.Gen, v.Epoch.Base().Nodes, v.Epoch.Nodes())
+	}
+	for node, c := range r.Clients {
 		if c == nil {
-			fmt.Printf("node %d (%s): OFFLINE (unreachable)\n", node, r.addrs[node])
+			fmt.Printf("node %d (%s): OFFLINE (unreachable)\n", node, r.Addrs[node])
 			continue
 		}
 		fmt.Printf("node %d (%s):\n", node, c.Addr())
-		for local := 0; local < r.perNode; local++ {
+		for local := 0; local < r.PerNode; local++ {
 			d := c.Dev(local)
 			d.InvalidateHealth()
 			state := "healthy"
 			if !d.Healthy() {
 				state = "FAILED"
 			}
-			line := fmt.Sprintf("  disk %d (global D%d): %d blocks, %s",
-				local, r.globalOf(node, local), d.NumBlocks(), state)
+			line := fmt.Sprintf("  disk %d", local)
+			if g := globalOf(v.Epoch, node, local); g >= 0 {
+				line += fmt.Sprintf(" (global D%d)", g)
+			}
+			line += fmt.Sprintf(": %d blocks, %s", d.NumBlocks(), state)
 			if st, err := c.Stats(local); err == nil {
 				line += fmt.Sprintf("  [%d reads / %d writes, %d MB in / %d MB out]",
 					st.Reads, st.Writes, st.BytesWritten>>20, st.BytesRead>>20)
@@ -408,10 +286,10 @@ func runFail(fs *flag.FlagSet, r *rig) error {
 	if err != nil {
 		return err
 	}
-	if r.clients[node] == nil {
-		return fmt.Errorf("node %d (%s) is offline", node, r.addrs[node])
+	if r.Clients[node] == nil {
+		return fmt.Errorf("node %d (%s) is offline", node, r.Addrs[node])
 	}
-	if err := r.clients[node].FailDisk(disk); err != nil {
+	if err := r.Clients[node].FailDisk(disk); err != nil {
 		return err
 	}
 	fmt.Printf("injected failure into node %d disk %d\n", node, disk)
@@ -423,10 +301,10 @@ func runReplace(fs *flag.FlagSet, r *rig) error {
 	if err != nil {
 		return err
 	}
-	if r.clients[node] == nil {
-		return fmt.Errorf("node %d (%s) is offline", node, r.addrs[node])
+	if r.Clients[node] == nil {
+		return fmt.Errorf("node %d (%s) is offline", node, r.Addrs[node])
 	}
-	if err := r.clients[node].ReplaceDisk(disk); err != nil {
+	if err := r.Clients[node].ReplaceDisk(disk); err != nil {
 		return err
 	}
 	fmt.Printf("installed blank replacement at node %d disk %d (run rebuild next)\n", node, disk)
@@ -438,13 +316,13 @@ func runRebuild(fs *flag.FlagSet, r *rig) error {
 	if err != nil {
 		return err
 	}
-	global := r.globalOf(node, disk)
+	global := globalOf(r.arr.Epoch(), node, disk)
 	if global < 0 {
-		return fmt.Errorf("node %d disk %d holds no column in epoch %d", node, disk, r.ep.Gen())
+		return fmt.Errorf("node %d disk %d holds no column in epoch %d", node, disk, r.arr.Epoch().Gen())
 	}
-	rd, ok := r.devs[global].(*cdd.RemoteDev)
+	rd, ok := r.arr.Devices()[global].(*cdd.RemoteDev)
 	if !ok {
-		return fmt.Errorf("node %d (%s) is offline; bring it back before rebuilding", node, r.addrs[node])
+		return fmt.Errorf("node %d (%s) is offline; bring it back before rebuilding", node, r.Addrs[node])
 	}
 	// A manual rebuild racing the repair supervisor's own copy would
 	// interleave two writers over the same device: refuse while any
@@ -466,7 +344,7 @@ func runRebuild(fs *flag.FlagSet, r *rig) error {
 // error and are skipped.
 func repairOwner(r *rig, idx int) (addr string, state repair.State) {
 	ctx := context.Background()
-	for i, c := range r.clients {
+	for i, c := range r.Clients {
 		if c == nil {
 			continue
 		}
@@ -480,7 +358,7 @@ func repairOwner(r *rig, idx int) (addr string, state repair.State) {
 		}
 		switch st.Devices[idx].State {
 		case repair.StateDegraded, repair.StateRebuilding, repair.StateResyncing:
-			return r.addrs[i], st.Devices[idx].State
+			return r.Addrs[i], st.Devices[idx].State
 		}
 	}
 	return "", ""
@@ -810,8 +688,8 @@ func runTrace(fs *flag.FlagSet, r *rig) error {
 	}
 
 	// One span fetch per node; each waterfall merges from the same set.
-	remote := make([][]trace.Span, len(r.clients))
-	for i, c := range r.clients {
+	remote := make([][]trace.Span, len(r.Clients))
+	for i, c := range r.Clients {
 		if c == nil {
 			continue
 		}

@@ -23,12 +23,12 @@ type diskRow struct {
 // the most recent health events.
 func runStats(fs *flag.FlagSet, r *rig) error {
 	nEvents := atoi(fs.Lookup("events").Value.String())
-	for node, c := range r.clients {
+	for node, c := range r.Clients {
 		if node > 0 {
 			fmt.Println()
 		}
 		if c == nil {
-			fmt.Printf("node %d (%s): OFFLINE (unreachable)\n", node, r.addrs[node])
+			fmt.Printf("node %d (%s): OFFLINE (unreachable)\n", node, r.Addrs[node])
 			continue
 		}
 		snap, err := c.ObsSnapshot(context.Background())

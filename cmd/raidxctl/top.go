@@ -55,9 +55,9 @@ func runTop(fs *flag.FlagSet, r *rig) error {
 func pollCluster(r *rig) (obs.Snapshot, []obs.Snapshot, int) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	snaps := make([]obs.Snapshot, 0, len(r.clients))
+	snaps := make([]obs.Snapshot, 0, len(r.Clients))
 	up := 0
-	for _, c := range r.clients {
+	for _, c := range r.Clients {
 		if c == nil {
 			continue
 		}
@@ -109,7 +109,7 @@ func fmtRate(v float64) string {
 }
 
 func renderTop(w *strings.Builder, r *rig, cur obs.Snapshot, perNode []obs.Snapshot, prev obs.Snapshot, dt time.Duration, up int, first bool) {
-	fmt.Fprintf(w, "raidxctl top — %s — %d/%d node(s) up", cur.Time.Format("15:04:05"), up, r.nodes)
+	fmt.Fprintf(w, "raidxctl top — %s — %d/%d node(s) up", cur.Time.Format("15:04:05"), up, len(r.Addrs))
 	if first {
 		fmt.Fprintf(w, " — first poll (cumulative stats; rates need one interval)")
 	}
@@ -388,7 +388,7 @@ func runTraceByID(r *rig, idStr string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	var spans []trace.Span
-	for i, c := range r.clients {
+	for i, c := range r.Clients {
 		if c == nil {
 			continue
 		}

@@ -12,7 +12,8 @@
 //	raidxfs -addrs $ADDRS rm   /projects/notes
 //	raidxfs -addrs $ADDRS fsck            # or: fsck -repair
 //
-// The -addrs list orders nodes (disk j on node j mod n). Locking uses a
+// The -addrs list orders nodes (node i of the layout is the i-th
+// address; internal/mount builds the device table). Locking uses a
 // process-local lock table: concurrent raidxfs invocations from
 // different machines must coordinate through a shared lock service
 // (NodeClient.Lock); for a single administrative shell the local table
@@ -30,8 +31,7 @@ import (
 	"repro/internal/cdd"
 	"repro/internal/core"
 	"repro/internal/fsim"
-	"repro/internal/layout"
-	"repro/internal/raid"
+	"repro/internal/mount"
 )
 
 func main() {
@@ -50,144 +50,26 @@ func main() {
 }
 
 func run(addrs, owner string, args []string) error {
-	list := strings.Split(addrs, ",")
-	// Tolerate unreachable nodes: mount degraded with offline
-	// placeholders instead of refusing to start (clients[i] is nil for
-	// a node that was down; geometry comes from a reachable peer).
-	clients := make([]*cdd.NodeClient, len(list))
-	defer func() {
-		for _, c := range clients {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
-	var ref *cdd.NodeClient
-	for i, a := range list {
-		a = strings.TrimSpace(a)
-		list[i] = a
-		c, err := cdd.Connect(a)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "raidxfs: warning: node %s unreachable (%v); operating degraded\n", a, err)
-			continue
-		}
-		clients[i] = c
-		if ref == nil {
-			ref = c
-		}
-	}
-	if ref == nil {
-		return fmt.Errorf("no CDD node reachable")
-	}
-	perNode := ref.NumDisks()
-	nodes := len(clients)
-	ctx := context.Background()
-	// A stale-epoch rejection mid-command means the cluster rebalanced
-	// underneath this mount: every placement this engine computed is
-	// suspect, so the only sound recovery is to refetch the layout,
-	// rebuild the engine, and rerun the command from scratch. One
-	// rebuild is allowed; a second rejection surfaces.
-	for attempt := 0; ; attempt++ {
-		arr, err := buildEngine(ctx, clients, list, ref, nodes, perNode)
-		if err != nil {
-			return err
-		}
-		err = runCmd(ctx, arr, owner, args, nodes, perNode)
-		if err != nil && cdd.IsStaleEpoch(err) && attempt == 0 {
-			fmt.Fprintln(os.Stderr, "raidxfs: layout epoch advanced mid-command; refetching the layout and retrying")
-			continue
-		}
+	cl, err := mount.Connect(strings.Split(addrs, ","))
+	if err != nil {
 		return err
 	}
-}
-
-// buildEngine probes the cluster's layout epoch (the rebalance
-// coordinator serves the full descriptor; plain nodes their bare
-// enforced generation), tags all block I/O at the generation in force,
-// and assembles the engine at that epoch.
-func buildEngine(ctx context.Context, clients []*cdd.NodeClient, list []string, ref *cdd.NodeClient, nodes, perNode int) (*core.RAIDx, error) {
-	var li cdd.LayoutInfo
-	for _, c := range clients {
-		if c == nil {
-			continue
-		}
-		l, err := c.Layout(ctx)
+	defer cl.Close()
+	for i, err := range cl.Errs {
 		if err != nil {
-			continue
-		}
-		if l.Desc != nil {
-			li = l
-			break
-		}
-		if l.Gen > li.Gen {
-			li = l
+			fmt.Fprintf(os.Stderr, "raidxfs: warning: node %s unreachable (%v); operating degraded\n", cl.Addrs[i], err)
 		}
 	}
-	if li.Migrating {
-		// Blocks are moving: the coordinator routes its own I/O around
-		// the copy cursor, but this mount cannot, so below the cursor its
-		// writes would land at homes the migration is about to retire.
-		// The nodes are fenced against that; refuse up front with a
-		// better message than the fence's rejection.
-		return nil, fmt.Errorf("rebalance in flight (epoch %d -> %d, cursor %d): the coordinator is the only sanctioned writer while blocks move; retry when it completes",
-			li.Gen, li.TargetGen, li.Cursor)
-	}
-	if li.Gen > 0 && li.Desc == nil {
-		// Tagging I/O at li.Gen would make the nodes ACCEPT placements
-		// computed from the seed map — exactly the corruption the epoch
-		// fence exists to stop.
-		return nil, fmt.Errorf("cluster enforces layout epoch %d but no reachable node serves its descriptor (rebalance coordinator down?); refusing to place I/O with the seed map", li.Gen)
-	}
-	for _, c := range clients {
-		if c != nil && li.Gen > 0 {
-			c.SetArrayEpoch(li.Gen)
-		}
-	}
-	if li.Desc != nil && li.Desc.Gen() > 0 {
-		// The cluster has rebalanced: build the device table in the
-		// epoch's canonical column order (grown columns are appended, so
-		// the node-major interleave below no longer holds).
-		ep, err := layout.EpochFromDesc(*li.Desc)
-		if err != nil {
-			return nil, fmt.Errorf("cluster layout descriptor: %w", err)
-		}
-		if ep.Nodes() > nodes {
-			return nil, fmt.Errorf("cluster is at epoch %d spanning %d nodes; -addrs lists %d", ep.Gen(), ep.Nodes(), nodes)
-		}
-		model := ref.Dev(0)
-		devs := make([]raid.Dev, ep.Width())
-		for d := range devs {
-			node, local := ep.NodeOf(d), ep.LocalOf(d)
-			if node >= nodes || local >= perNode {
-				if !ep.Active(d) {
-					continue // retired column; core tolerates a nil device
-				}
-				return nil, fmt.Errorf("epoch column %d is local disk %d of node %d, outside the assembled cluster", d, local, node)
-			}
-			if clients[node] == nil {
-				devs[d] = cdd.Offline(list[node], model.BlockSize(), model.NumBlocks())
-			} else {
-				devs[d] = clients[node].Dev(local)
-			}
-		}
-		return core.NewAtEpoch(devs, ep, core.Options{})
-	}
-	devs := make([]raid.Dev, nodes*perNode)
-	for local := 0; local < perNode; local++ {
-		model := ref.Dev(local)
-		for node := 0; node < nodes; node++ {
-			if clients[node] == nil {
-				devs[node+local*nodes] = cdd.Offline(list[node], model.BlockSize(), model.NumBlocks())
-			} else {
-				devs[node+local*nodes] = clients[node].Dev(local)
-			}
-		}
-	}
-	return core.New(devs, nodes, perNode, core.Options{})
+	ctx := context.Background()
+	// The command reruns from scratch on a rebuilt engine if the cluster
+	// rebalances underneath it (mount.Run).
+	return cl.Run(ctx, core.Options{}, func(arr *core.RAIDx) error {
+		return runCmd(ctx, arr, owner, args, cl.PerNode)
+	})
 }
 
 // runCmd executes one shell command against an assembled engine.
-func runCmd(ctx context.Context, arr *core.RAIDx, owner string, args []string, nodes, perNode int) error {
+func runCmd(ctx context.Context, arr *core.RAIDx, owner string, args []string, perNode int) error {
 	lk := fsim.NewTableLocker(cdd.NewTable())
 
 	cmd, rest := args[0], args[1:]
@@ -324,7 +206,7 @@ func runCmd(ctx context.Context, arr *core.RAIDx, owner string, args []string, n
 			return err
 		}
 		fmt.Printf("array: %d blocks x %d B = %d MB raw (RAID-x %dx%d)\n",
-			arr.Blocks(), arr.BlockSize(), arr.Blocks()*int64(arr.BlockSize())>>20, nodes, perNode)
+			arr.Blocks(), arr.BlockSize(), arr.Blocks()*int64(arr.BlockSize())>>20, arr.Epoch().Nodes(), perNode)
 		fmt.Printf("fs:    %d/%d data blocks free (%d MB), %d/%d inodes free\n",
 			st.FreeBlocks, st.TotalBlocks, st.FreeBlocks*int64(st.BlockSize)>>20,
 			st.FreeInodes, st.TotalInodes)

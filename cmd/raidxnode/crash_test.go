@@ -25,7 +25,7 @@ import (
 	"repro/internal/cdd"
 	"repro/internal/core"
 	"repro/internal/intent"
-	"repro/internal/raid"
+	"repro/internal/mount"
 	"repro/internal/repair"
 	"repro/internal/store"
 )
@@ -146,19 +146,17 @@ func TestCrashRestartSIGKILLDeltaResync(t *testing.T) {
 		procs[i] = startNode(t, bin, fmt.Sprintf("n%d", i), "127.0.0.1:0", t.TempDir())
 	}
 
-	clients := make([]*cdd.NodeClient, numNodes)
-	devs := make([]raid.Dev, numNodes)
+	addrs := make([]string, numNodes)
 	for i, p := range procs {
-		c, err := cdd.Connect(p.addr)
-		if err != nil {
-			t.Fatalf("dial %s: %v", p.addr, err)
-		}
-		defer c.Close()
-		clients[i] = c
-		devs[i] = c.Dev(0)
+		addrs[i] = p.addr
 	}
+	cl, err := mount.Connect(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
 	il := intent.NewLog(numNodes, nBlocks, 8)
-	arr, err := core.New(devs, numNodes, 1, core.Options{Intent: il, ForegroundMirror: true})
+	arr, err := cl.Engine(context.Background(), core.Options{Intent: il, ForegroundMirror: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,9 +292,7 @@ func TestCrashRestartSIGKILLDeltaResync(t *testing.T) {
 
 	// Orderly shutdown everywhere: every image must inspect clean.
 	sup.Stop()
-	for _, c := range clients {
-		c.Close()
-	}
+	cl.Close()
 	for _, p := range procs {
 		p.sigterm(t)
 	}

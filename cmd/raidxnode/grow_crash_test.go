@@ -11,6 +11,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -20,8 +21,7 @@ import (
 
 	"repro/internal/cdd"
 	"repro/internal/core"
-	"repro/internal/layout"
-	"repro/internal/raid"
+	"repro/internal/mount"
 	"repro/internal/repair"
 	"repro/internal/store"
 )
@@ -76,20 +76,21 @@ func TestGrowCrashSIGKILLResumeFromCheckpoint(t *testing.T) {
 	}
 
 	// Golden prefill through a client-side mount of the 4-node array.
-	devs := make([]raid.Dev, 4)
-	for i := 0; i < 4; i++ {
-		devs[i] = clients[i].Dev(0)
-	}
-	arr, err := core.New(devs, 4, 1, core.Options{})
+	base, err := mount.Connect(baseAddrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := make([]byte, arr.Blocks()*int64(nBS))
-	rand.New(rand.NewSource(67)).Read(golden)
-	if err := arr.WriteBlocks(ctx, 0, golden); err != nil {
-		t.Fatal(err)
-	}
-	if err := arr.Flush(ctx); err != nil {
+	defer base.Close()
+	var golden []byte
+	err = base.Run(ctx, core.Options{}, func(arr *core.RAIDx) error {
+		golden = make([]byte, arr.Blocks()*int64(nBS))
+		rand.New(rand.NewSource(67)).Read(golden)
+		if err := arr.WriteBlocks(ctx, 0, golden); err != nil {
+			return err
+		}
+		return arr.Flush(ctx)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -134,7 +135,7 @@ func TestGrowCrashSIGKILLResumeFromCheckpoint(t *testing.T) {
 	allAddrs := append(append([]string{}, baseAddrs...), joinAddrs...)
 	procs[0] = startNode(t, bin, "g0", hostAddr, hostDir, hostArgs(allAddrs, 1<<20)...)
 	// Completion requires the stable descriptor, not just Gen == 1: the
-	// fence adopts the target generation at migration start and persists
+	// members adopt the target generation at migration start and persist
 	// it, so the restarted coordinator reports Gen 1 with no descriptor
 	// during the window before the resume attaches.
 	sawResume := false
@@ -151,73 +152,64 @@ func TestGrowCrashSIGKILLResumeFromCheckpoint(t *testing.T) {
 		t.Log("resumed migration finished between polls; cursor floor unobserved")
 	}
 
-	// Every member reports the adopted generation (the fence adopts it
-	// at migration start; the stable broadcast keeps it).
+	// Every member reports the adopted generation (adopted at migration
+	// start; the completion broadcast repeats it).
 	for i, c := range clients {
 		waitLayout(t, c, 30*time.Second, fmt.Sprintf("node %d to adopt epoch 1", i), func(li cdd.LayoutInfo) bool {
 			return li.Gen == 1
 		})
 	}
 
-	// Audit through a fresh mount at the grown epoch: the device table
-	// is rebuilt in epoch column order from the coordinator's layout,
-	// and the mount tags its I/O at the adopted generation the way
-	// buildEngine does — members may still be fenced until the stable
-	// completion broadcast lands, and tagged requests pass the fence.
-	li, err := clients[0].Layout(ctx)
-	if err != nil || li.Desc == nil {
-		t.Fatalf("coordinator layout after resume: %+v, %v", li, err)
+	// The mount made before the grow still places I/O with the base map:
+	// its first operation bounces stale, and mount.Run recovers by
+	// rebuilding at the grown epoch — twelve columns in epoch order, from
+	// an address list that now names all twelve nodes.
+	if err := base.Run(ctx, core.Options{}, func(arr *core.RAIDx) error {
+		return arr.ReadBlocks(ctx, 0, make([]byte, nBS))
+	}); !errors.Is(err, mount.ErrGeometry) {
+		t.Fatalf("4-address mount of the 12-node epoch = %v, want the short-address-list refusal", err)
 	}
-	for _, c := range clients {
-		c.SetArrayEpoch(li.Gen)
-	}
-	ep, err := layout.EpochFromDesc(*li.Desc)
+	all, err := mount.Connect(allAddrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ep.Nodes() != total {
-		t.Fatalf("grown epoch spans %d nodes, want %d", ep.Nodes(), total)
-	}
-	gdevs := make([]raid.Dev, ep.Width())
-	for d := range gdevs {
-		gdevs[d] = clients[ep.NodeOf(d)].Dev(ep.LocalOf(d))
-	}
-	grown, err := core.NewAtEpoch(gdevs, ep, core.Options{})
+	defer all.Close()
+	err = all.Run(ctx, core.Options{}, func(grown *core.RAIDx) error {
+		if ep := grown.Epoch(); ep.Gen() != 1 || ep.Nodes() != total {
+			return fmt.Errorf("mounted at epoch %d spanning %d nodes, want epoch 1 over %d", ep.Gen(), ep.Nodes(), total)
+		}
+		got := make([]byte, len(golden))
+		if err := grown.ReadBlocks(ctx, 0, got); err != nil {
+			return fmt.Errorf("read after resumed grow: %w", err)
+		}
+		if !bytes.Equal(got, golden) {
+			return errors.New("data wrong after SIGKILL + resumed grow")
+		}
+		return grown.Verify(ctx)
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	got := make([]byte, len(golden))
-	if err := grown.ReadBlocks(ctx, 0, got); err != nil {
-		t.Fatalf("read after resumed grow: %v", err)
-	}
-	if !bytes.Equal(got, golden) {
-		t.Fatal("data wrong after SIGKILL + resumed grow")
-	}
-	if err := grown.Verify(ctx); err != nil {
-		t.Fatalf("verify after resumed grow: %v", err)
 	}
 
-	// The stable completion broadcast clears every member's fence:
-	// untagged block I/O must be accepted again once it lands.
+	// There is no fence to clear: after completion every member still
+	// rejects a client that places I/O with the base map — a fresh
+	// connection that never learned the epoch — and serves one at the
+	// adopted generation.
 	probe := make([]byte, nBS)
 	for i, c := range clients {
-		c.SetArrayEpoch(0)
-		fenceDeadline := time.Now().Add(30 * time.Second)
-		for {
-			err := c.Dev(0).ReadBlocks(ctx, 0, probe)
-			if err == nil {
-				break
-			}
-			if time.Now().After(fenceDeadline) {
-				t.Fatalf("node %d still rejects untagged I/O 30s after completion: %v", i, err)
-			}
-			time.Sleep(10 * time.Millisecond)
+		if err := c.Dev(0).ReadBlocks(ctx, 0, probe); !cdd.IsStaleEpoch(err) {
+			t.Fatalf("node %d served a generation-0 read after the grow: %v", i, err)
+		}
+		if err := c.Dev(0).WriteBlocks(ctx, 0, probe); !cdd.IsStaleEpoch(err) {
+			t.Fatalf("node %d served a generation-0 write after the grow: %v", i, err)
+		}
+		if err := all.Clients[i].Dev(0).ReadBlocks(ctx, 0, probe); err != nil {
+			t.Fatalf("node %d rejected a generation-1 read: %v", i, err)
 		}
 	}
 
 	// Orderly shutdown: every image inspects clean AND records the
-	// adopted epoch, so a future restart re-enforces the fence on its
-	// own.
+	// adopted epoch, so a future restart re-enforces it on its own.
 	for _, c := range clients {
 		c.Close()
 	}

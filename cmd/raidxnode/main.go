@@ -59,7 +59,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/intent"
-	"repro/internal/layout"
+	"repro/internal/mount"
 	"repro/internal/obs"
 	"repro/internal/qos"
 	"repro/internal/raid"
@@ -378,84 +378,59 @@ type repairOpts struct {
 // supervisor over the assembled array. The returned stop function
 // halts the supervisor and closes the client connections.
 func startRepair(node *cdd.Node, o repairOpts) (*repair.Supervisor, func(), error) {
-	list := strings.Split(o.cluster, ",")
-	clients := make([]*cdd.NodeClient, 0, len(list))
-	closeAll := func() {
-		for _, c := range clients {
-			c.Close()
-		}
+	cl, err := mount.Connect(strings.Split(o.cluster, ","))
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, a := range list {
-		c, err := cdd.Connect(strings.TrimSpace(a))
+	closeAll := cl.Close
+	// The coordinator is the array's one repair writer: it mounts only
+	// over a fully reachable membership.
+	for i, err := range cl.Errs {
 		if err != nil {
 			closeAll()
-			return nil, nil, fmt.Errorf("dial %s: %w", a, err)
+			return nil, nil, fmt.Errorf("dial %s: %w", cl.Addrs[i], err)
 		}
-		clients = append(clients, c)
 	}
-	perNode := clients[0].NumDisks()
+	clients := cl.Clients
 
 	// Layout position: the epoch checkpoint (StateDir/epoch.json) records
 	// the generation the array reached and any migration cut short by a
-	// crash. With no checkpoint the array mounts at generation zero and
-	// the device table is the fresh SIOS interleave; with one, the table
-	// is rebuilt in EPOCH column order — base columns interleave at the
-	// BASE node count and grown columns are appended — which is not the
-	// interleave at the current node count.
+	// crash. With no checkpoint the engine is built at the layout the
+	// nodes report, like any other mount; with one, at the checkpointed
+	// source epoch — and, for a grow interrupted mid-migration, over a
+	// table that already spans the target width (BeginGrow resumes with
+	// no new devices).
 	var ck *repair.RebalanceCkpt
 	if o.stateDir != "" {
-		var err error
 		if ck, err = repair.LoadRebalance(store.OS, o.stateDir); err != nil {
 			closeAll()
 			return nil, nil, err
 		}
 	}
-	var (
-		devs  []raid.Dev
-		srcEp *layout.Epoch
-	)
+	// The engine grows the intent log to its device table's width, so it
+	// is built before the snapshots below are merged in.
+	il := intent.NewLog(0, o.blocks, o.regionBlocks)
+	copts := core.Options{
+		Obs:    node.Manager.Obs(),
+		Trace:  node.Manager.Tracer(),
+		Intent: il,
+	}
+	var arr *core.RAIDx
 	if ck == nil {
-		devs = make([]raid.Dev, len(clients)*perNode)
-		for local := 0; local < perNode; local++ {
-			for n := range clients {
-				devs[n+local*len(clients)] = clients[n].Dev(local)
-			}
-		}
+		arr, err = cl.Engine(context.Background(), copts)
 	} else {
-		var err error
-		if srcEp, err = layout.EpochFromDesc(ck.Source); err != nil {
-			closeAll()
-			return nil, nil, fmt.Errorf("epoch checkpoint: %w", err)
-		}
-		// A grow interrupted mid-migration needs the table to already span
-		// the target width (BeginGrow resumes with no new devices).
-		tableEp := srcEp
+		growBy := 0
 		if !ck.Done && ck.Action == "grow" {
-			if tableEp, err = srcEp.Grow(ck.Nodes); err != nil {
-				closeAll()
-				return nil, nil, fmt.Errorf("epoch checkpoint: %w", err)
-			}
+			growBy = ck.Nodes
 		}
-		if tableEp.Nodes() > len(clients) {
-			closeAll()
-			return nil, nil, fmt.Errorf("-repair-cluster lists %d node(s); epoch %d spans %d",
-				len(clients), tableEp.Gen(), tableEp.Nodes())
-		}
-		devs = make([]raid.Dev, tableEp.Width())
-		for d := range devs {
-			n, local := tableEp.NodeOf(d), tableEp.LocalOf(d)
-			if !tableEp.Active(d) && n >= len(clients) {
-				continue // retired node no longer listed; column stays nil
-			}
-			if local >= perNode {
-				closeAll()
-				return nil, nil, fmt.Errorf("epoch column %d is local disk %d of node %d, but nodes export %d disk(s)",
-					d, local, n, perNode)
-			}
-			devs[d] = clients[n].Dev(local)
+		if arr, err = cl.EngineAt(ck.Source, growBy, copts); err != nil {
+			err = fmt.Errorf("epoch checkpoint: %w", err)
 		}
 	}
-	il := intent.NewLog(len(devs), o.blocks, o.regionBlocks)
+	if err != nil {
+		closeAll()
+		return nil, nil, err
+	}
 	// Crash recovery, local first: our own StateDir snapshot is the
 	// freshest record of what this host dirtied before it died. Peer
 	// copies merge on top (snapshots union, so order only matters for
@@ -481,24 +456,6 @@ func startRepair(node *cdd.Node, o repairOpts) (*repair.Supervisor, func(), erro
 		}
 	}
 	cancel()
-	copts := core.Options{
-		Obs:    node.Manager.Obs(),
-		Trace:  node.Manager.Tracer(),
-		Intent: il,
-	}
-	var (
-		arr *core.RAIDx
-		err error
-	)
-	if srcEp != nil {
-		arr, err = core.NewAtEpoch(devs, srcEp, copts)
-	} else {
-		arr, err = core.New(devs, len(clients), perNode, copts)
-	}
-	if err != nil {
-		closeAll()
-		return nil, nil, err
-	}
 	var sp *raid.Sparer
 	if o.spares > 0 {
 		spareDevs := make([]raid.Dev, o.spares)
@@ -540,18 +497,14 @@ func startRepair(node *cdd.Node, o repairOpts) (*repair.Supervisor, func(), erro
 		},
 	})
 	node.Manager.SetRepair(sup)
-	coord := &rebalanceCoord{sup: sup, arr: arr, node: node, perNode: perNode, clients: clients}
+	coord := &rebalanceCoord{sup: sup, arr: arr, node: node, perNode: cl.PerNode, clients: clients}
 	node.Manager.SetRebalance(coord)
-	// Seed the fence and the mount's I/O tags at the mounted generation.
-	// There is no transport-level stale-epoch recovery: this engine is
+	// The mount stamped this host's connections with the mounted
+	// generation; enforce it on this node too. The coordinator does not
+	// go through mount.Run's stale-epoch recovery: its engine is
 	// migration-aware, so a stale rejection means a foreign coordinator
 	// moved the layout underneath it — fail typed rather than guess.
-	if srcEp != nil && srcEp.Gen() > 0 {
-		node.Manager.AdoptEpoch(srcEp.Gen())
-		for _, c := range clients {
-			c.SetArrayEpoch(srcEp.Gen())
-		}
-	}
+	node.Manager.AdoptEpoch(arr.Epoch().Gen())
 	// Resume an interrupted migration BEFORE background jobs run: blocks
 	// below the checkpointed cursor already live at their target homes,
 	// and only the restored migration state routes reads there. The
@@ -573,10 +526,8 @@ func startRepair(node *cdd.Node, o repairOpts) (*repair.Supervisor, func(), erro
 			return nil, nil, fmt.Errorf("resume epoch checkpoint: %w", rerr)
 		}
 		log.Printf("raidxnode: resuming %s by %d node(s) at block %d (epoch %d)",
-			ck.Action, ck.Nodes, ck.Cursor, srcEp.Gen())
-		// Re-fence the members: the fence flag is volatile and every node
-		// that restarted with this coordinator has lost it.
-		coord.fenceMembers()
+			ck.Action, ck.Nodes, ck.Cursor, arr.Epoch().Gen())
+		coord.broadcastEpoch()
 		go coord.watchCompletion()
 	}
 	sup.Start(context.Background())
@@ -659,48 +610,50 @@ func (g *rebalanceCoord) Rebalance(action string, nodes int, addrs []string) err
 	default:
 		return fmt.Errorf("unknown rebalance action %q (want grow or shrink)", action)
 	}
-	// Fence the membership before blocks start moving in earnest: from
-	// here until completion the coordinator is the only sanctioned
-	// writer, and any other mount's untagged or stale-tagged I/O must
-	// bounce typed instead of landing at homes the copy will retire.
-	g.fenceMembers()
+	// Lock every older map out before blocks start moving in earnest:
+	// from here on the coordinator is the only sanctioned writer, and any
+	// other mount's I/O — placed with the source layout or with none —
+	// bounces typed instead of landing at homes the copy will retire.
+	g.broadcastEpoch()
 	go g.watchCompletion()
 	return nil
 }
 
-// fenceMembers fences every member node for the in-flight migration:
-// each adopts the target generation and rejects untagged block I/O
-// until the completion broadcast clears the fence. The coordinator's
-// own clients are re-tagged at the target generation first, so its
-// foreground I/O — the one writer that routes around the copy cursor —
-// passes the fences it raises.
-func (g *rebalanceCoord) fenceMembers() {
-	_, tgen, active := g.arr.Migrating()
-	if !active {
-		return
+// broadcastEpoch brings every member to the generation the array is
+// heading for: the target of the migration in flight, or the stable
+// epoch once it has completed. The coordinator's own connections are
+// re-stamped first, so its foreground I/O — the one writer that routes
+// around the copy cursor — passes the check it is about to raise. A
+// member adopts a generation durably (superblock) and never lowers it,
+// so one broadcast at migration start guards the whole copy; a member
+// that misses it catches up from the first coordinator I/O it serves
+// (requests ahead of a node's generation are adopted) and from the
+// completion broadcast.
+func (g *rebalanceCoord) broadcastEpoch() {
+	gen := g.arr.Epoch().Gen()
+	if _, tgen, active := g.arr.Migrating(); active {
+		gen = tgen
 	}
-	g.node.Manager.AdoptEpoch(tgen)
-	g.node.Manager.SetEpochFence(true)
+	g.node.Manager.AdoptEpoch(gen)
 	g.mu.Lock()
 	cs := append([]*cdd.NodeClient(nil), g.clients...)
 	g.mu.Unlock()
 	for _, c := range cs {
-		c.SetArrayEpoch(tgen)
+		c.SetArrayEpoch(gen)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for _, c := range cs {
-		if _, err := c.FenceEpoch(ctx, tgen); err != nil {
-			log.Printf("raidxnode: epoch %d fence to %s: %v", tgen, c.Addr(), err)
+		if _, err := c.EpochSet(ctx, gen); err != nil {
+			log.Printf("raidxnode: epoch %d broadcast to %s: %v", gen, c.Addr(), err)
 		}
 	}
 }
 
-// watchCompletion waits out the in-flight migration and then broadcasts
-// the new epoch generation to every member node — the wire fence that
-// bounces clients still placing I/O with the retired map. (An errored
-// migration stays active and is retried by the supervisor's tick, so
-// the watcher keeps waiting.)
+// watchCompletion waits out the in-flight migration and then repeats the
+// broadcast for the now-stable epoch. (An errored migration stays active
+// and is retried by the supervisor's tick, so the watcher keeps
+// waiting.)
 func (g *rebalanceCoord) watchCompletion() {
 	g.mu.Lock()
 	if g.watching {
@@ -714,37 +667,17 @@ func (g *rebalanceCoord) watchCompletion() {
 		g.watching = false
 		g.mu.Unlock()
 	}()
-	for i := 0; ; i++ {
+	for {
 		if _, _, active := g.arr.Migrating(); !active {
 			break
 		}
-		// Re-raise the fence every ~2s: the flag is volatile, so a member
-		// that restarted mid-migration comes back up unfenced (its adopted
-		// generation survives in the superblock, but the fence does not).
-		if i%20 == 19 {
-			g.fenceMembers()
-		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	st := g.sup.RebalanceStatus()
-	if st == nil || !st.Done {
+	if st := g.sup.RebalanceStatus(); st == nil || !st.Done {
 		return
 	}
-	gen := g.arr.Epoch().Gen()
-	g.node.Manager.AdoptEpoch(gen)
-	g.node.Manager.SetEpochFence(false)
-	g.mu.Lock()
-	cs := append([]*cdd.NodeClient(nil), g.clients...)
-	g.mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for _, c := range cs {
-		c.SetArrayEpoch(gen)
-		if _, err := c.EpochSet(ctx, gen); err != nil {
-			log.Printf("raidxnode: epoch %d broadcast to %s: %v", gen, c.Addr(), err)
-		}
-	}
-	log.Printf("raidxnode: rebalance complete, epoch %d in force", gen)
+	g.broadcastEpoch()
+	log.Printf("raidxnode: rebalance complete, epoch %d in force", g.arr.Epoch().Gen())
 }
 
 // closeJoined closes the clients the coordinator dialed for grows.

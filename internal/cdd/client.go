@@ -2,7 +2,6 @@ package cdd
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -94,8 +93,7 @@ func retryableOp(op uint8) bool {
 		OpLockSnapshot, OpUnlock, OpUnlockAll, OpFail, OpReplace,
 		OpObsSnapshot, OpTraceSpans,
 		OpIntentPut, OpIntentGet, OpRepairStatus, OpRepairCtl,
-		OpCoherence,
-		OpReadEpoch, OpWriteEpoch, OpLayout, OpEpochSet:
+		OpCoherence, OpLayout, OpEpochSet:
 		// OpRebalanceCtl is excluded like OpLock: a start whose response
 		// was lost would double-begin and bounce off ErrRebalanceActive.
 		return true
@@ -136,30 +134,21 @@ func retryableErr(err error) bool {
 // drops payload references before returning it to the pool.
 type ioScratch struct {
 	hdr [ioHeaderLen]byte
-	tag [epochTagLen]byte
 	req [][]byte
 	dst [][]byte
 }
 
 var ioScratchPool = sync.Pool{New: func() any { return new(ioScratch) }}
 
-// getIOScratch returns a scratch with the header encoded and installed
-// as the request's first gather segment.
-func getIOScratch(h ioHeader) *ioScratch {
+// scratch returns a call scratch whose header — installed as the
+// request's first gather segment — addresses count blocks at b on this
+// disk, stamped with the generation of the client's layout.
+func (d *RemoteDev) scratch(b int64, count int) *ioScratch {
 	s := ioScratchPool.Get().(*ioScratch)
-	putIOHeader(&s.hdr, h)
+	putIOHeader(&s.hdr, ioHeader{Disk: d.disk, Block: b, Count: uint32(count), Gen: d.n.arrayEpoch.Load()})
 	s.req = append(s.req[:0], s.hdr[:])
 	s.dst = s.dst[:0]
 	return s
-}
-
-// tagEpoch prepends the epoch generation as the request's first gather
-// segment. The segment aliases s.tag, so tagging costs no allocation.
-func (s *ioScratch) tagEpoch(gen uint64) {
-	binary.BigEndian.PutUint64(s.tag[:], gen)
-	s.req = append(s.req, nil)
-	copy(s.req[1:], s.req)
-	s.req[0] = s.tag[:]
 }
 
 func (s *ioScratch) release() {
@@ -226,10 +215,10 @@ type NodeClient struct {
 	met    clientMetrics
 	closed atomic.Bool
 
-	// arrayEpoch, when non-zero, tags every block I/O with the layout
-	// epoch generation the client's placement map was built from (see
-	// epoch.go). A stale-epoch rejection surfaces typed: recovery means
-	// rebuilding the placement map, never re-tagging the same request.
+	// arrayEpoch is the layout generation the client's placement map was
+	// built from (0: the base layout); every block I/O header carries it
+	// (see epoch.go). A stale-epoch rejection surfaces typed: recovery
+	// means rebuilding the placement map, never re-stamping the request.
 	arrayEpoch atomic.Uint64
 }
 
@@ -336,9 +325,9 @@ func (n *NodeClient) doCall(ctx context.Context, op uint8, req [][]byte, scatter
 		if !retryableErr(err) {
 			// A stale-epoch rejection is deliberately NOT retried here:
 			// the physical (disk, block) in this request was computed
-			// from the retired epoch's placement map, so re-tagging and
+			// from the retired epoch's placement map, so re-stamping and
 			// resending the same bytes would read the wrong block — or
-			// write to a dead home with an accepted tag. The typed error
+			// write to a dead home under an accepted generation. The error
 			// surfaces to a layer that can rebuild the layout and
 			// recompute placements (see epoch.go).
 			return nil, err
@@ -640,16 +629,11 @@ func (d *RemoteDev) ReadBlocks(ctx context.Context, b int64, buf []byte) (err er
 	h.Val = int64(len(buf))
 	defer func() { h.End(err) }()
 	start := time.Now()
-	op := OpRead
-	s := getIOScratch(ioHeader{Disk: d.disk, Block: b, Count: uint32(len(buf) / d.bs)})
-	if gen := d.n.arrayEpoch.Load(); gen > 0 {
-		op = OpReadEpoch
-		s.tagEpoch(gen)
-	}
+	s := d.scratch(b, len(buf)/d.bs)
 	if len(buf) > 0 {
 		s.dst = append(s.dst, buf)
 	}
-	_, err = d.n.doCall(ctx, op, s.req, s.dst, len(buf))
+	_, err = d.n.doCall(ctx, OpRead, s.req, s.dst, len(buf))
 	s.release()
 	d.n.met.readLat.Observe(time.Since(start))
 	if err != nil {
@@ -675,14 +659,9 @@ func (d *RemoteDev) ReadBlocksVec(ctx context.Context, b int64, segs [][]byte) (
 	h.Val = int64(total)
 	defer func() { h.End(err) }()
 	start := time.Now()
-	op := OpRead
-	s := getIOScratch(ioHeader{Disk: d.disk, Block: b, Count: uint32(total / d.bs)})
-	if gen := d.n.arrayEpoch.Load(); gen > 0 {
-		op = OpReadEpoch
-		s.tagEpoch(gen)
-	}
+	s := d.scratch(b, total/d.bs)
 	s.dst = append(s.dst, segs...)
-	_, err = d.n.doCall(ctx, op, s.req, s.dst, total)
+	_, err = d.n.doCall(ctx, OpRead, s.req, s.dst, total)
 	s.release()
 	d.n.met.readLat.Observe(time.Since(start))
 	if err != nil {
@@ -713,16 +692,11 @@ func (d *RemoteDev) WriteBlocks(ctx context.Context, b int64, data []byte) error
 	ctx, h := trace.Start(ctx, "cdd.write", d.subject)
 	h.Val = int64(len(data))
 	start := time.Now()
-	op := OpWrite
-	s := getIOScratch(ioHeader{Disk: d.disk, Block: b})
+	s := d.scratch(b, 0)
 	if len(data) > 0 {
 		s.req = append(s.req, data)
 	}
-	if gen := d.n.arrayEpoch.Load(); gen > 0 {
-		op = OpWriteEpoch
-		s.tagEpoch(gen)
-	}
-	_, err := d.n.doCall(ctx, op, s.req, nil, 0)
+	_, err := d.n.doCall(ctx, OpWrite, s.req, nil, 0)
 	s.release()
 	d.n.met.writeLat.Observe(time.Since(start))
 	h.End(err)
@@ -741,14 +715,9 @@ func (d *RemoteDev) WriteBlocksVec(ctx context.Context, b int64, segs [][]byte) 
 	ctx, h := trace.Start(ctx, "cdd.write", d.subject)
 	h.Val = int64(total)
 	start := time.Now()
-	op := OpWrite
-	s := getIOScratch(ioHeader{Disk: d.disk, Block: b})
+	s := d.scratch(b, 0)
 	s.req = append(s.req, segs...)
-	if gen := d.n.arrayEpoch.Load(); gen > 0 {
-		op = OpWriteEpoch
-		s.tagEpoch(gen)
-	}
-	_, err := d.n.doCall(ctx, op, s.req, nil, 0)
+	_, err := d.n.doCall(ctx, OpWrite, s.req, nil, 0)
 	s.release()
 	d.n.met.writeLat.Observe(time.Since(start))
 	h.End(err)
@@ -758,24 +727,18 @@ func (d *RemoteDev) WriteBlocksVec(ctx context.Context, b int64, segs [][]byte) 
 
 // WriteBlocksBackground implements raid.Dev: the write travels as a
 // notification, so the caller does not wait for the remote disk. A
-// later Flush or Call on the same connection orders after it.
+// later Flush or Call on the same connection orders after it. A push
+// placed with a retired layout is dropped by the node instead of landing
+// at a dead home; the node counts the drop (mgr.bg_stale_drops) and the
+// writer's intent log keeps the block dirty, so resync re-mirrors it.
 func (d *RemoteDev) WriteBlocksBackground(ctx context.Context, b int64, data []byte) error {
 	ctx, h := trace.Start(ctx, "cdd.bg-write", d.subject)
 	h.Val = int64(len(data))
-	op := OpWriteBG
-	s := getIOScratch(ioHeader{Disk: d.disk, Block: b})
+	s := d.scratch(b, 0)
 	if len(data) > 0 {
 		s.req = append(s.req, data)
 	}
-	if gen := d.n.arrayEpoch.Load(); gen > 0 {
-		// Tagged notification: a stale background mirror push is dropped
-		// by the node instead of landing at a retired home. The node
-		// counts the drop (mgr.bg_stale_drops) and the writer's intent
-		// log keeps the block dirty, so resync re-mirrors it later.
-		op = OpWriteBGEpoch
-		s.tagEpoch(gen)
-	}
-	err := d.n.c.NotifyVec(ctx, op, s.req)
+	err := d.n.c.NotifyVec(ctx, OpWriteBG, s.req)
 	s.release()
 	h.End(err)
 	d.noteOutcome(err)

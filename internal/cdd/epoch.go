@@ -1,17 +1,21 @@
 package cdd
 
-// Array-epoch fencing and membership control over the CDD wire. After
-// an online rebalance completes, blocks live at homes computed from a
-// newer layout epoch; a client that missed the transition would keep
-// placing I/O with the retired map. The fence: clients tag block I/O
-// with the epoch generation their map was built from, nodes reject
-// tags older than the generation the rebalance coordinator broadcast
-// (CodeStaleEpoch), and the rejection surfaces typed to the mount
-// layer, which refetches the layout, rebuilds its device table and
-// placement map, and re-issues the operation with recomputed homes.
-// The retry can never happen below that layer: a newer generation
-// implies moved homes, so resending the same physical (disk, block)
-// with a fresher tag would corrupt, not recover.
+// The layout-generation fence and membership control over the CDD wire.
+// One invariant: every block read, write and background write carries
+// the generation of the layout its (disk, block) was computed from
+// (0 = the base layout), and a node serves it only if that generation is
+// at least the one the node has adopted. A rebalance moves blocks to
+// homes computed from the next generation; the coordinator broadcasts
+// that generation to every member when the copy STARTS, so from the
+// first moved block any mount still placing I/O with an older map —
+// including one that never heard of epochs — bounces with
+// CodeStaleEpoch. The adopted generation is durable in the node's
+// superblocks, so a restart cannot reopen the window. The rejection
+// surfaces typed to internal/mount, which refetches the layout, rebuilds
+// its device table and placement map, and reruns the operation with
+// recomputed homes. The retry can never happen below that layer: a newer
+// generation implies moved homes, so resending the same physical (disk,
+// block) stamped with a fresher generation would corrupt, not recover.
 
 import (
 	"context"
@@ -45,38 +49,9 @@ func IsStaleEpoch(err error) bool {
 	return errors.As(err, &re) && re.Code == transport.CodeStaleEpoch
 }
 
-// epochTagLen is the epoch generation prefix of tagged I/O payloads.
-const epochTagLen = 8
-
-// OpEpochSet phase byte: a stable broadcast installs the generation
-// and returns the node to normal serving; a fence broadcast installs
-// it AND rejects untagged block I/O until the next stable broadcast.
-// The coordinator fences members at migration start — the window when
-// an unfenced second writer's blocks could land at homes the copy is
-// about to retire — and clears the fence at completion.
-const (
-	epochPhaseStable = 0
-	epochPhaseFence  = 1
-)
-
-// epochTagged reports whether op carries an epoch tag as its first
-// payload segment.
-func epochTagged(op uint8) bool {
-	return op == OpReadEpoch || op == OpWriteEpoch || op == OpWriteBGEpoch
-}
-
-// baseOp maps an epoch-tagged opcode to the op it wraps.
-func baseOp(op uint8) uint8 {
-	switch op {
-	case OpReadEpoch:
-		return OpRead
-	case OpWriteEpoch:
-		return OpWrite
-	case OpWriteBGEpoch:
-		return OpWriteBG
-	}
-	return op
-}
+// epochGenLen is the length of an OpEpochSet payload and response: one
+// big-endian generation.
+const epochGenLen = 8
 
 // LayoutInfo is the OpLayout response: the epoch generation a node
 // enforces and, when answered by the rebalance coordinator, the full
@@ -121,17 +96,8 @@ func (m *Manager) SetRebalance(rc RebalanceController) {
 }
 
 // EpochGen reports the array-epoch generation this node enforces on
-// tagged I/O.
+// block I/O.
 func (m *Manager) EpochGen() uint64 { return m.epochGen.Load() }
-
-// EpochFence reports whether the node currently rejects untagged block
-// I/O (a migration is in flight and the coordinator fenced the node).
-func (m *Manager) EpochFence() bool { return m.epochFence.Load() }
-
-// SetEpochFence raises or clears the migration fence locally. The
-// coordinator's own node uses it directly; remote members are fenced
-// over the wire via a phase-1 OpEpochSet.
-func (m *Manager) SetEpochFence(on bool) { m.epochFence.Store(on) }
 
 // AdoptEpoch raises the node's enforced array epoch to gen; lower or
 // equal generations are ignored (broadcasts are idempotent and may
@@ -165,10 +131,10 @@ func (m *Manager) SetEpochNotify(f func(gen uint64)) {
 	m.mu.Unlock()
 }
 
-// checkEpoch gates one epoch-tagged request: tags behind the node's
-// generation are rejected typed; tags ahead of it are adopted — the
-// client learned of a newer epoch before this node's broadcast landed,
-// and either way the node must stop honoring the older map.
+// checkEpoch gates one block I/O request: a generation behind the node's
+// is rejected typed; one ahead of it is adopted — the client learned of
+// a newer epoch before this node's broadcast landed, and either way the
+// node must stop honoring the older map.
 func (m *Manager) checkEpoch(gen uint64) error {
 	if cur := m.AdoptEpoch(gen); gen < cur {
 		return fmt.Errorf("cdd: request epoch %d behind node epoch %d: %w", gen, cur, errStaleEpoch)
@@ -176,54 +142,15 @@ func (m *Manager) checkEpoch(gen uint64) error {
 	return nil
 }
 
-// decodeEpochTag splits an epoch-tagged payload into the generation and
-// the wrapped payload.
-func decodeEpochTag(b []byte) (uint64, []byte, error) {
-	if len(b) < epochTagLen {
-		return 0, nil, fmt.Errorf("cdd: short epoch tag: %w", errBadRequest)
-	}
-	return binary.BigEndian.Uint64(b[:epochTagLen]), b[epochTagLen:], nil
-}
-
 // handleEpoch serves the epoch/membership opcodes (dispatched from
 // handle).
 func (m *Manager) handleEpoch(ctx context.Context, op uint8, payload []byte) ([]byte, error) {
 	switch op {
-	case OpReadEpoch, OpWriteEpoch, OpWriteBGEpoch:
-		gen, rest, err := decodeEpochTag(payload)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.checkEpoch(gen); err != nil {
-			if op == OpWriteBGEpoch {
-				// The client sent this as a notification and will never
-				// see the rejection; count the dropped mirror write so
-				// the redundancy loss is observable (mgr.bg_stale_drops).
-				m.met.bgStaleDrops.Inc()
-			}
-			return nil, err
-		}
-		return m.handle(ctx, baseOp(op), rest)
-
 	case OpEpochSet:
-		// 8 bytes: legacy stable broadcast. 9 bytes: generation plus a
-		// phase byte (fence or stable). Either form adopts the
-		// generation; the phase decides whether untagged block I/O is
-		// rejected afterwards.
-		phase := byte(epochPhaseStable)
-		switch len(payload) {
-		case epochTagLen:
-		case epochTagLen + 1:
-			phase = payload[epochTagLen]
-			if phase > epochPhaseFence {
-				return nil, fmt.Errorf("cdd: unknown epoch-set phase %d: %w", phase, errBadRequest)
-			}
-		default:
-			return nil, fmt.Errorf("cdd: bad epoch-set payload: %w", errBadRequest)
+		if len(payload) != epochGenLen {
+			return nil, fmt.Errorf("cdd: epoch-set payload of %d bytes, want %d: %w", len(payload), epochGenLen, errBadRequest)
 		}
-		cur := m.AdoptEpoch(binary.BigEndian.Uint64(payload[:epochTagLen]))
-		m.epochFence.Store(phase == epochPhaseFence)
-		return binary.BigEndian.AppendUint64(nil, cur), nil
+		return binary.BigEndian.AppendUint64(nil, m.AdoptEpoch(binary.BigEndian.Uint64(payload))), nil
 
 	case OpLayout:
 		m.mu.Lock()
@@ -250,12 +177,12 @@ func (m *Manager) handleEpoch(ctx context.Context, op uint8, payload []byte) ([]
 	return nil, fmt.Errorf("cdd: op %d: %w", op, errUnknownOp)
 }
 
-// ArrayEpoch reports the epoch generation this client tags block I/O
-// with (0: untagged legacy I/O).
+// ArrayEpoch reports the layout generation this client stamps on block
+// I/O (0: the base layout).
 func (n *NodeClient) ArrayEpoch() uint64 { return n.arrayEpoch.Load() }
 
-// SetArrayEpoch raises the epoch generation the client tags block I/O
-// with. Lower generations are ignored — an epoch never rolls back.
+// SetArrayEpoch raises the layout generation the client stamps on block
+// I/O. Lower generations are ignored — an epoch never rolls back.
 func (n *NodeClient) SetArrayEpoch(gen uint64) {
 	for {
 		cur := n.arrayEpoch.Load()
@@ -281,31 +208,17 @@ func (n *NodeClient) Layout(ctx context.Context) (LayoutInfo, error) {
 }
 
 // EpochSet broadcasts an array-epoch generation to the node; the node
-// adopts it if higher, clears any migration fence, and answers with
-// the generation now in force.
+// adopts it if higher and answers with the generation now in force. The
+// rebalance coordinator sends the TARGET generation when a migration
+// starts: from then on the node rejects block I/O placed with any older
+// map, and only the coordinator — stamping the target generation —
+// writes while blocks move.
 func (n *NodeClient) EpochSet(ctx context.Context, gen uint64) (uint64, error) {
-	return n.epochSet(ctx, gen, epochPhaseStable)
-}
-
-// FenceEpoch broadcasts gen with the fence phase: the node adopts gen
-// and rejects untagged block I/O until a stable EpochSet clears the
-// fence. The rebalance coordinator fences every member at migration
-// start, so a mount that never learned of the migration bounces typed
-// instead of writing to homes the copy is about to retire.
-func (n *NodeClient) FenceEpoch(ctx context.Context, gen uint64) (uint64, error) {
-	return n.epochSet(ctx, gen, epochPhaseFence)
-}
-
-func (n *NodeClient) epochSet(ctx context.Context, gen uint64, phase byte) (uint64, error) {
-	p := binary.BigEndian.AppendUint64(nil, gen)
-	if phase != epochPhaseStable {
-		p = append(p, phase)
-	}
-	raw, err := n.call(ctx, OpEpochSet, p)
+	raw, err := n.call(ctx, OpEpochSet, binary.BigEndian.AppendUint64(nil, gen))
 	if err != nil {
 		return 0, err
 	}
-	if len(raw) != epochTagLen {
+	if len(raw) != epochGenLen {
 		return 0, fmt.Errorf("cdd: bad epoch-set response length %d", len(raw))
 	}
 	return binary.BigEndian.Uint64(raw), nil

@@ -31,7 +31,7 @@ func TestEpochTaggedIO(t *testing.T) {
 	data := make([]byte, 2*512)
 	rand.New(rand.NewSource(7)).Read(data)
 
-	// In-date tag: served like untagged I/O.
+	// Generation in date: served.
 	c.SetArrayEpoch(3)
 	if err := dev.WriteBlocks(ctx, 0, data); err != nil {
 		t.Fatalf("write at current epoch: %v", err)
@@ -122,103 +122,106 @@ func TestEpochSetBroadcast(t *testing.T) {
 	if li.Gen != 4 || li.Desc != nil || li.Migrating {
 		t.Fatalf("layout = %+v, want bare gen 4", li)
 	}
+	// The payload is exactly one generation: there is no phase byte.
+	for _, n := range []int{0, 7, 9} {
+		_, err := c.call(ctx, OpEpochSet, make([]byte, n))
+		var re *transport.RemoteError
+		if !errors.As(err, &re) || re.Code != transport.CodeBadRequest {
+			t.Fatalf("EpochSet with a %d-byte payload = %v, want bad-request", n, err)
+		}
+	}
 }
 
-// TestEpochFenceDuringMigration: a phase-1 EpochSet fences the node —
-// untagged block I/O bounces typed while a migration moves blocks,
-// stale tags bounce, target-generation tags (the coordinator's own
-// I/O) pass, dropped stale background writes are counted, and the
-// stable completion broadcast reopens the node.
+// TestEpochFenceDuringMigration: the fence is one invariant with nothing
+// to raise or clear. Before the coordinator's start-of-migration
+// broadcast a writer at the source generation is served; once the node
+// adopts the target generation, generation-0 and source-generation
+// block I/O bounce typed, the coordinator's own I/O (stamped with the
+// target) passes, Flush stays open, and a dropped background mirror
+// write is counted. The completion broadcast of the same generation
+// changes nothing: older maps stay locked out for good.
 func TestEpochFenceDuringMigration(t *testing.T) {
 	n := startNode(t, 1, 32)
 	n.Manager.AdoptEpoch(1)
-	c, err := Connect(n.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	ctx := context.Background()
-	dev := c.Dev(0)
 	data := make([]byte, 512)
 	rand.New(rand.NewSource(11)).Read(data)
-
-	// Before the fence: untagged I/O is served.
-	if err := dev.WriteBlocks(ctx, 0, data); err != nil {
-		t.Fatalf("untagged write before fence: %v", err)
-	}
-
-	// The coordinator fences the node at migration start (target gen 2).
-	if got, err := c.FenceEpoch(ctx, 2); err != nil || got != 2 {
-		t.Fatalf("FenceEpoch(2) = %d, %v", got, err)
-	}
-	if !n.Manager.EpochFence() {
-		t.Fatal("fence not raised")
-	}
-
-	// Untagged data ops bounce typed — the second mount that never
-	// learned of the migration must not write below the copy cursor.
-	if err := dev.WriteBlocks(ctx, 0, data); !IsStaleEpoch(err) {
-		t.Fatalf("untagged write under fence = %v, want stale-epoch", err)
-	}
 	got := make([]byte, 512)
-	if err := dev.ReadBlocks(ctx, 0, got); !IsStaleEpoch(err) {
-		t.Fatalf("untagged read under fence = %v, want stale-epoch", err)
+	connectAt := func(gen uint64) *NodeClient {
+		c, err := Connect(n.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		c.SetArrayEpoch(gen)
+		return c
 	}
-	// Flush and control ops stay open under the fence.
-	if err := dev.Flush(ctx); err != nil {
-		t.Fatalf("flush under fence: %v", err)
+	cZero, cSource, cCoord := connectAt(0), connectAt(1), connectAt(2)
+
+	// Stable cluster at generation 1: the source-generation writer is
+	// served; a generation-0 client is locked out with no migration in
+	// flight — the hole "tag 0 = legacy, never rejected" used to leave.
+	if err := cSource.Dev(0).WriteBlocks(ctx, 0, data); err != nil {
+		t.Fatalf("source-generation write on a stable node: %v", err)
 	}
-	if !dev.Healthy() {
-		t.Fatal("fence rejection marked device unhealthy")
+	if err := cZero.Dev(0).WriteBlocks(ctx, 0, data); !IsStaleEpoch(err) {
+		t.Fatalf("generation-0 write to a generation-1 node = %v, want stale-epoch", err)
+	}
+	if err := cZero.Dev(0).ReadBlocks(ctx, 0, got); !IsStaleEpoch(err) {
+		t.Fatalf("generation-0 read from a generation-1 node = %v, want stale-epoch", err)
 	}
 
-	// A tag at the retired generation bounces the same way.
-	cStale, err := Connect(n.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cStale.Close()
-	cStale.SetArrayEpoch(1)
-	if err := cStale.Dev(0).WriteBlocks(ctx, 0, data); !IsStaleEpoch(err) {
-		t.Fatalf("stale-tagged write under fence = %v, want stale-epoch", err)
-	}
-
-	// A stale background mirror write is a notification: the client sees
-	// no error, so the node must count the drop.
-	drops := n.Manager.met.bgStaleDrops
-	if err := cStale.Dev(0).WriteBlocksBackground(ctx, 4, data); err != nil {
-		t.Fatalf("stale background write returned an error to the notifier: %v", err)
-	}
-	// Notifications are async; a call on the same connection orders
-	// behind them.
-	if err := cStale.Dev(0).Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if v := drops.Value(); v < 1 {
-		t.Fatalf("bg_stale_drops = %d after dropped stale background write, want >= 1", v)
-	}
-
-	// The coordinator's own I/O — tagged at the target generation —
-	// passes the fence.
-	cCoord, err := Connect(n.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cCoord.Close()
-	cCoord.SetArrayEpoch(2)
-	if err := cCoord.Dev(0).WriteBlocks(ctx, 0, data); err != nil {
-		t.Fatalf("target-tagged write under fence: %v", err)
-	}
-
-	// The stable completion broadcast clears the fence.
-	if gen, err := c.EpochSet(ctx, 2); err != nil || gen != 2 {
+	// Migration start: the coordinator broadcasts the target generation.
+	if gen, err := cCoord.EpochSet(ctx, 2); err != nil || gen != 2 {
 		t.Fatalf("EpochSet(2) = %d, %v", gen, err)
 	}
-	if n.Manager.EpochFence() {
-		t.Fatal("fence survived the stable broadcast")
+	for name, c := range map[string]*NodeClient{"generation-0": cZero, "source-generation": cSource} {
+		dev := c.Dev(0)
+		if err := dev.WriteBlocks(ctx, 0, data); !IsStaleEpoch(err) {
+			t.Fatalf("%s write during migration = %v, want stale-epoch", name, err)
+		}
+		if err := dev.ReadBlocks(ctx, 0, got); !IsStaleEpoch(err) {
+			t.Fatalf("%s read during migration = %v, want stale-epoch", name, err)
+		}
+		// Flush and control ops stay open; a rejection is an answer, not
+		// a fault, so the device stays healthy.
+		if err := dev.Flush(ctx); err != nil {
+			t.Fatalf("%s flush during migration: %v", name, err)
+		}
+		if !dev.Healthy() {
+			t.Fatalf("%s: stale-epoch rejection marked device unhealthy", name)
+		}
+		// A stale background mirror write is a notification: the client
+		// sees no error, so the node must count the drop. A call on the
+		// same connection orders behind the notification.
+		before := n.Manager.met.bgStaleDrops.Value()
+		if err := dev.WriteBlocksBackground(ctx, 4, data); err != nil {
+			t.Fatalf("%s background write returned an error to the notifier: %v", name, err)
+		}
+		if err := dev.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if v := n.Manager.met.bgStaleDrops.Value(); v != before+1 {
+			t.Fatalf("bg_stale_drops = %d after a dropped %s background write, want %d", v, name, before+1)
+		}
 	}
-	if err := dev.WriteBlocks(ctx, 0, data); err != nil {
-		t.Fatalf("untagged write after completion: %v", err)
+
+	// The coordinator's own I/O — stamped with the target generation —
+	// is the one writer that passes.
+	if err := cCoord.Dev(0).WriteBlocks(ctx, 0, data); err != nil {
+		t.Fatalf("target-generation write during migration: %v", err)
+	}
+
+	// Completion re-broadcasts the same generation: idempotent, and the
+	// older maps stay rejected.
+	if gen, err := cCoord.EpochSet(ctx, 2); err != nil || gen != 2 {
+		t.Fatalf("completion EpochSet(2) = %d, %v", gen, err)
+	}
+	if err := cZero.Dev(0).WriteBlocks(ctx, 0, data); !IsStaleEpoch(err) {
+		t.Fatalf("generation-0 write after completion = %v, want stale-epoch", err)
+	}
+	if err := cCoord.Dev(0).ReadBlocks(ctx, 0, got); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("target-generation read after completion: %v", err)
 	}
 }
 

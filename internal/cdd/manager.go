@@ -30,17 +30,10 @@ type Manager struct {
 	met    managerMetrics
 
 	// epochGen is the array-layout epoch generation this node enforces
-	// on epoch-tagged I/O (see epoch.go); raised by OpEpochSet
-	// broadcasts and by tags ahead of it, never lowered.
+	// on every block read, write and background write (see epoch.go);
+	// raised by OpEpochSet broadcasts and by requests ahead of it, never
+	// lowered.
 	epochGen atomic.Uint64
-	// epochFence, while set, rejects UNTAGGED block I/O: a migration is
-	// moving blocks and only the rebalance coordinator — whose tags are
-	// validated against epochGen — may route around the copy cursor. An
-	// untagged writer carries no epoch the node could check, so below
-	// the cursor its blocks would land at old homes and be silently
-	// retired at the epoch switch. Raised by a phase-1 OpEpochSet at
-	// migration start, cleared by the stable completion broadcast.
-	epochFence atomic.Bool
 
 	mu    sync.Mutex
 	peers []*transport.Client // for lock-table replication
@@ -81,12 +74,12 @@ type managerMetrics struct {
 	beats, lockOps                                   *obs.Counter
 	fgOps, fgErrors                                  *obs.Counter
 	// bgStaleDrops counts background mirror writes rejected for a stale
-	// or missing epoch. Clients send those as notifications and never
+	// layout generation. Clients send those as notifications and never
 	// see the rejection, so each drop is a silent redundancy loss until
 	// resync — the counter keeps it visible to operators.
 	bgStaleDrops *obs.Counter
 	fgLat        *obs.Histogram
-	latByOp      [len(opSpanNames)]*obs.Histogram
+	latByOp      [opEnd]*obs.Histogram
 }
 
 // DefaultLeaseTTL is the lock service's grant lease: a client that
@@ -107,14 +100,14 @@ func NewManager(disks []*disk.Disk) *Manager {
 		tracer:  trace.New(trace.Config{}),
 		intents: make(map[string][]byte),
 		met: managerMetrics{
-			reads:    reg.Counter("mgr.read_ops"),
-			writes:   reg.Counter("mgr.write_ops"),
-			bgWrites: reg.Counter("mgr.bg_write_ops"),
-			flushes:  reg.Counter("mgr.flush_ops"),
-			probes:   reg.Counter("mgr.health_ops"),
-			failed:   reg.Counter("mgr.op_errors"),
-			beats:    reg.Counter("mgr.beats"),
-			lockOps:  reg.Counter("mgr.lock_ops"),
+			reads:        reg.Counter("mgr.read_ops"),
+			writes:       reg.Counter("mgr.write_ops"),
+			bgWrites:     reg.Counter("mgr.bg_write_ops"),
+			flushes:      reg.Counter("mgr.flush_ops"),
+			probes:       reg.Counter("mgr.health_ops"),
+			failed:       reg.Counter("mgr.op_errors"),
+			beats:        reg.Counter("mgr.beats"),
+			lockOps:      reg.Counter("mgr.lock_ops"),
 			fgOps:        reg.Counter("mgr.fg_ops"),
 			fgErrors:     reg.Counter("mgr.fg_errors"),
 			bgStaleDrops: reg.Counter("mgr.bg_stale_drops"),
@@ -214,7 +207,7 @@ func errCode(err error) uint8 {
 
 // opSpanNames labels the manager span of each opcode; static strings
 // keep span recording allocation-free.
-var opSpanNames = [...]string{
+var opSpanNames = [opEnd]string{
 	OpInfo:         "mgr.info",
 	OpRead:         "mgr.read",
 	OpWrite:        "mgr.write",
@@ -236,9 +229,6 @@ var opSpanNames = [...]string{
 	OpRepairStatus: "mgr.repair-status",
 	OpRepairCtl:    "mgr.repair-ctl",
 	OpCoherence:    "mgr.beat",
-	OpReadEpoch:    "mgr.read-epoch",
-	OpWriteEpoch:   "mgr.write-epoch",
-	OpWriteBGEpoch: "mgr.bg-write-epoch",
 	OpLayout:       "mgr.layout",
 	OpEpochSet:     "mgr.epoch-set",
 	OpRebalanceCtl: "mgr.rebalance-ctl",
@@ -258,24 +248,7 @@ func opSpanName(op uint8) string {
 func (m *Manager) Handle(ctx context.Context, op uint8, payload []byte) ([]byte, error) {
 	ctx, h := trace.Start(ctx, opSpanName(op), "")
 	start := time.Now()
-	var (
-		resp []byte
-		err  error
-	)
-	// The migration fence gates untagged block I/O here, at the entry
-	// point only: handleEpoch re-dispatches validated tagged ops through
-	// handle with their base opcodes, and those must not bounce a second
-	// time. Control and flush ops stay open under the fence.
-	if m.epochFence.Load() && (op == OpRead || op == OpWrite || op == OpWriteBG) {
-		err = fmt.Errorf("cdd: untagged block I/O rejected during migration (node epoch %d): %w",
-			m.epochGen.Load(), errStaleEpoch)
-		if op == OpWriteBG {
-			// A notification: the client never sees this rejection.
-			m.met.bgStaleDrops.Inc()
-		}
-	} else {
-		resp, err = m.handle(ctx, op, payload)
-	}
+	resp, err := m.handle(ctx, op, payload)
 	h.End(err)
 	d := time.Since(start)
 	// Latency lands in the per-op labeled histogram and, for the
@@ -289,7 +262,7 @@ func (m *Manager) Handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 		m.met.latByOp[op].ObserveTraced(d, tid)
 	}
 	switch op {
-	case OpRead, OpWrite, OpFlush, OpReadEpoch, OpWriteEpoch:
+	case OpRead, OpWrite, OpFlush:
 		m.met.fgOps.Inc()
 		m.met.fgLat.ObserveTraced(d, tid)
 		if err != nil {
@@ -315,16 +288,35 @@ func (m *Manager) handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 			Blocks:    m.disks[0].NumBlocks(),
 		}), nil
 
-	case OpRead:
-		m.met.reads.Inc()
-		h, _, err := decodeIOHeader(payload)
+	case OpRead, OpWrite, OpWriteBG:
+		h, data, err := decodeIOHeader(payload)
 		if err != nil {
+			return nil, err
+		}
+		// The one fence: block I/O placed with a layout older than the
+		// one this node has adopted is never served.
+		if err := m.checkEpoch(h.Gen); err != nil {
+			if op == OpWriteBG {
+				// The client sent this as a notification and will never
+				// see the rejection; count the dropped mirror write so
+				// the redundancy loss is observable.
+				m.met.bgStaleDrops.Inc()
+			}
 			return nil, err
 		}
 		d, err := m.disk(h.Disk)
 		if err != nil {
 			return nil, err
 		}
+		switch op {
+		case OpWriteBG:
+			m.met.bgWrites.Inc()
+			return nil, d.WriteBlocksBackground(ctx, h.Block, data)
+		case OpWrite:
+			m.met.writes.Inc()
+			return nil, d.WriteBlocks(ctx, h.Block, data)
+		}
+		m.met.reads.Inc()
 		nbytes := int64(h.Count) * int64(d.BlockSize())
 		if nbytes > transport.MaxPayload {
 			return nil, fmt.Errorf("cdd: read of %d bytes exceeds frame limit: %w", nbytes, errBadRequest)
@@ -337,22 +329,6 @@ func (m *Manager) handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 			return nil, err
 		}
 		return buf, nil
-
-	case OpWrite, OpWriteBG:
-		h, data, err := decodeIOHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		d, err := m.disk(h.Disk)
-		if err != nil {
-			return nil, err
-		}
-		if op == OpWriteBG {
-			m.met.bgWrites.Inc()
-			return nil, d.WriteBlocksBackground(ctx, h.Block, data)
-		}
-		m.met.writes.Inc()
-		return nil, d.WriteBlocks(ctx, h.Block, data)
 
 	case OpFlush:
 		m.met.flushes.Inc()
@@ -533,7 +509,7 @@ func (m *Manager) handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 		}
 		return nil, nil
 
-	case OpReadEpoch, OpWriteEpoch, OpWriteBGEpoch, OpLayout, OpEpochSet, OpRebalanceCtl:
+	case OpLayout, OpEpochSet, OpRebalanceCtl:
 		return m.handleEpoch(ctx, op, payload)
 	}
 	return nil, fmt.Errorf("cdd: op %d: %w", op, errUnknownOp)

@@ -7,7 +7,12 @@ import (
 	"time"
 )
 
-// Opcodes of the CDD wire protocol.
+// Opcodes of the CDD wire protocol. There is one block-I/O family:
+// OpRead, OpWrite and OpWriteBG carry, inside the I/O header, the layout
+// generation the sender's placement map was built from (0 = the base
+// layout), and a node that has adopted a newer generation answers
+// CodeStaleEpoch instead of serving a placement computed from a retired
+// layout (epoch.go). Flush and every control op stay open.
 const (
 	// OpInfo returns node metadata: disk count, block size, per-disk
 	// capacity.
@@ -17,6 +22,8 @@ const (
 	// OpWrite writes blocks to one disk.
 	OpWrite
 	// OpWriteBG is OpWrite as a notification: the deferred mirror push.
+	// The sender never sees a stale-generation rejection, so the node
+	// counts each dropped push in mgr.bg_stale_drops.
 	OpWriteBG
 	// OpFlush drains background work on one disk.
 	OpFlush
@@ -64,32 +71,25 @@ const (
 	// carries pending invalidation events back — the piggybacked
 	// coherence channel of DESIGN.md §13.
 	OpCoherence
-	// OpReadEpoch / OpWriteEpoch / OpWriteBGEpoch are OpRead / OpWrite /
-	// OpWriteBG with an 8-byte array-epoch generation prefixed to the
-	// payload. A node whose recorded generation is newer answers
-	// CodeStaleEpoch instead of serving a placement computed from a
-	// retired layout — the fence that keeps clients with pre-rebalance
-	// maps from corrupting moved blocks.
-	OpReadEpoch
-	OpWriteEpoch
-	OpWriteBGEpoch
 	// OpLayout returns the node's layout view as JSON (LayoutInfo): the
 	// epoch generation it enforces and, when a rebalance coordinator
 	// runs here, the full epoch descriptor plus migration progress —
 	// what a stale client fetches to rebuild its placement map.
 	OpLayout
-	// OpEpochSet installs a new array-epoch generation: an 8-byte
-	// payload is a stable broadcast, a 9th phase byte of 1 additionally
-	// fences the node against untagged block I/O for the duration of a
-	// migration. The node adopts the generation only if higher than its
-	// current one and answers with the generation now in force —
-	// idempotent, so the rebalance coordinator broadcasts it with
-	// retries.
+	// OpEpochSet installs a new array-epoch generation (8-byte payload).
+	// The node adopts it only if higher than its current one and answers
+	// with the generation now in force — idempotent, so the rebalance
+	// coordinator broadcasts it with retries.
 	OpEpochSet
 	// OpRebalanceCtl asks the node's rebalance coordinator to start a
 	// membership change (JSON rebalanceReq payload). Answered with an
 	// error when no coordinator runs here.
 	OpRebalanceCtl
+
+	// opEnd is one past the last opcode; per-opcode tables are sized by
+	// it, so a new opcode without a span name or a retry class fails
+	// TestRetryableOpMatrix.
+	opEnd
 )
 
 // repairCtl payload bytes.
@@ -181,30 +181,32 @@ func decodeInfo(b []byte) (infoResp, error) {
 	}, nil
 }
 
-// ioHeader prefixes OpRead/OpWrite/OpWriteBG/OpFlush payloads.
+// ioHeader prefixes OpRead/OpWrite/OpWriteBG payloads, and addresses
+// the disk of the per-disk control ops (flush, health, stats, fail,
+// replace), which leave Gen zero and are never checked against it.
 type ioHeader struct {
 	Disk  uint32
 	Block int64
 	Count uint32 // blocks to read; implied by payload length on writes
+	Gen   uint64 // layout generation the sender placed this I/O with
 }
 
-const ioHeaderLen = 16
+const ioHeaderLen = 24
 
-// putIOHeader encodes h into a caller-owned 16-byte array — the
-// allocation-free alternative to encodeIOHeader for the hot path, where
-// the header travels as its own gather segment instead of being copied
-// in front of the payload.
+// putIOHeader encodes h into a caller-owned array — the allocation-free
+// alternative to encodeIOHeader for the hot path, where the header
+// travels as its own gather segment instead of being copied in front of
+// the payload.
 func putIOHeader(b *[ioHeaderLen]byte, h ioHeader) {
 	binary.BigEndian.PutUint32(b[0:4], h.Disk)
 	binary.BigEndian.PutUint64(b[4:12], uint64(h.Block))
 	binary.BigEndian.PutUint32(b[12:16], h.Count)
+	binary.BigEndian.PutUint64(b[16:24], h.Gen)
 }
 
 func encodeIOHeader(h ioHeader, payload []byte) []byte {
 	b := make([]byte, ioHeaderLen+len(payload))
-	binary.BigEndian.PutUint32(b[0:4], h.Disk)
-	binary.BigEndian.PutUint64(b[4:12], uint64(h.Block))
-	binary.BigEndian.PutUint32(b[12:16], h.Count)
+	putIOHeader((*[ioHeaderLen]byte)(b), h)
 	copy(b[ioHeaderLen:], payload)
 	return b
 }
@@ -217,6 +219,7 @@ func decodeIOHeader(b []byte) (ioHeader, []byte, error) {
 		Disk:  binary.BigEndian.Uint32(b[0:4]),
 		Block: int64(binary.BigEndian.Uint64(b[4:12])),
 		Count: binary.BigEndian.Uint32(b[12:16]),
+		Gen:   binary.BigEndian.Uint64(b[16:24]),
 	}, b[ioHeaderLen:], nil
 }
 

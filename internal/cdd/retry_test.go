@@ -41,16 +41,39 @@ func TestRetryableOpMatrix(t *testing.T) {
 		{"repair-status", OpRepairStatus, true},
 		{"repair-ctl", OpRepairCtl, true},
 		{"coherence-beat", OpCoherence, true}, // beats are pure state exchange
+		{"layout", OpLayout, true},
+		{"epoch-set", OpEpochSet, true}, // adopt-if-higher is idempotent
 		// A lost OpLock response leaves the grant recorded server-side; a
 		// blind resend would double-record it. Single attempt only.
 		{"lock", OpLock, false},
 		{"write-bg", OpWriteBG, false}, // notify-only: no response to retry on
 		{"lock-replica", OpLockReplica, false},
+		// A start whose response was lost would double-begin.
+		{"rebalance-ctl", OpRebalanceCtl, false},
 	}
+	classed := map[uint8]bool{}
 	for _, c := range cases {
+		classed[c.op] = true
 		if got := retryableOp(c.op); got != c.want {
 			t.Errorf("retryableOp(%s) = %v, want %v", c.name, got, c.want)
 		}
+	}
+	// Every opcode has a deliberate retry class above and its own span
+	// name (hence its own mgr.op_latency label): a new opcode cannot
+	// slip in unclassified, and no traffic hides under a second name for
+	// the same operation.
+	names := map[string]uint8{}
+	for op := OpInfo; op < opEnd; op++ {
+		if !classed[op] {
+			t.Errorf("opcode %d has no row in the retry matrix", op)
+		}
+		name := opSpanNames[op]
+		if name == "" {
+			t.Errorf("opcode %d has no span name", op)
+		} else if prev, dup := names[name]; dup {
+			t.Errorf("opcodes %d and %d share span name %q", prev, op, name)
+		}
+		names[name] = op
 	}
 }
 

@@ -88,11 +88,13 @@ func (a *RAIDx) ColumnRetired(i int) bool {
 	return i < es.cur.Width() && !es.cur.Active(i)
 }
 
-// NewAtEpoch builds a RAID-x array positioned at a prior layout epoch —
-// the reopen path after a restart (possibly mid-migration: pass the
-// stable source epoch, then resume with BeginGrow/BeginShrink). devs
-// must cover at least ep.Width() columns; extra trailing devices are
-// idle until a grow targets them. Retired columns may be nil.
+// NewAtEpoch is the engine's one constructor: it builds a RAID-x array
+// positioned at layout epoch ep — generation zero for a fresh array
+// (New), a later one when reopening a rebalanced cluster (possibly
+// mid-migration: pass the stable source epoch, then resume with
+// BeginGrow/BeginShrink). devs must cover at least ep.Width() columns in
+// the epoch's column order; extra trailing devices are idle until a grow
+// targets them. Retired columns may be nil.
 func NewAtEpoch(devs []raid.Dev, ep *layout.Epoch, opt Options) (*RAIDx, error) {
 	if ep == nil {
 		return nil, fmt.Errorf("core: nil epoch")
@@ -137,6 +139,7 @@ func NewAtEpoch(devs []raid.Dev, ep *layout.Epoch, opt Options) (*RAIDx, error) 
 	a.table.Store(&owned)
 	a.epoch.Store(&epochState{cur: ep})
 	a.intLog.Grow(len(devs))
+	a.finishInit(devs)
 	return a, nil
 }
 

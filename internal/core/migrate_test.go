@@ -14,6 +14,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/intent"
 	"repro/internal/layout"
+	"repro/internal/obs"
 	"repro/internal/raid"
 	"repro/internal/store"
 	"repro/internal/vclock"
@@ -714,4 +715,53 @@ func TestMigrationResumeFromDurableCursorKeepsWrites(t *testing.T) {
 	if err := re.Verify(ctx); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestEpochMountRegistersObs: mounting at a non-zero epoch is the same
+// construction as a fresh mount — the backlog and rebuild gauges are
+// registered and a member that is already down is flagged on the event
+// log. (Before the one-constructor fold, every mount of a rebalanced
+// cluster skipped both.)
+func TestEpochMountRegistersObs(t *testing.T) {
+	a, _, mk := migArray(t, 4, 1, 96, Options{})
+	ctx := context.Background()
+	data := fillRandom(t, a, 23)
+	m, err := a.BeginGrow(2, mk(2), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(ctx, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ep := a.Epoch()
+	if ep.Gen() != 1 {
+		t.Fatalf("grown array at generation %d, want 1", ep.Gen())
+	}
+	devs := a.Devices()
+	devs[2].(*disk.Disk).Fail()
+
+	reg := obs.NewRegistry()
+	b, err := NewAtEpoch(devs, ep, Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	for _, g := range []string{"raidx.backlog_us", "raidx.bg_backlog_us", "raidx.rebuild_done_blocks", "raidx.rebuild_total_blocks"} {
+		if _, ok := snap.Gauges[g]; !ok {
+			t.Errorf("gauge %s not registered by a generation-1 mount", g)
+		}
+	}
+	var mounts []obs.Event
+	for _, ev := range snap.Events {
+		if ev.Kind == obs.EventDegradedMount {
+			mounts = append(mounts, ev)
+		}
+	}
+	if len(mounts) != 1 || mounts[0].Detail != "1 of 6 devices unhealthy at mount" {
+		t.Fatalf("degraded-mount events = %+v, want one naming 1 of 6 devices", mounts)
+	}
+	checkContent(t, b, data, "degraded generation-1 mount")
 }

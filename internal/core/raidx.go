@@ -197,40 +197,25 @@ type RAIDx struct {
 
 // New builds a RAID-x array over an n-by-k grid of devices: devs[j] is
 // global disk j, attached to node j mod nodes (the paper's Figure 3
-// arrangement). len(devs) must equal nodes × disksPerNode.
+// arrangement). len(devs) must equal nodes × disksPerNode. It is
+// NewAtEpoch at generation zero of the geometry the devices allow.
 func New(devs []raid.Dev, nodes, disksPerNode int, opt Options) (*RAIDx, error) {
 	if len(devs) != nodes*disksPerNode {
 		return nil, fmt.Errorf("core: %d devices for a %dx%d array", len(devs), nodes, disksPerNode)
 	}
-	bs, per, err := checkDevs(devs)
+	_, per, err := checkDevs(devs)
 	if err != nil {
 		return nil, err
 	}
-	if per%2 != 0 {
-		per-- // use an even number of blocks per disk
-	}
+	per -= per % 2 // half data, half mirror
 	if per/2 < int64(nodes-1) {
 		return nil, fmt.Errorf("core: disks too small (%d blocks) for mirror groups of %d", per, nodes-1)
 	}
-	a := &RAIDx{
-		lay:    layout.NewOSM(nodes, disksPerNode, per),
-		bs:     bs,
-		opt:    opt,
-		met:    newCoreMetrics(opt.Obs),
-		tracer: opt.Trace,
-		intLog: opt.Intent,
-	}
-	a.setColNames(len(devs))
-	owned := append([]raid.Dev(nil), devs...)
-	a.table.Store(&owned)
-	a.epoch.Store(&epochState{cur: layout.NewEpoch(a.lay)})
-	a.finishInit(devs)
-	return a, nil
+	return NewAtEpoch(devs, layout.NewEpoch(layout.NewOSM(nodes, disksPerNode, per)), opt)
 }
 
-// finishInit registers the obs gauges and flags a degraded mount; the
-// construction tail shared by New and NewAtEpoch. Retired or spare
-// slots in devs may be nil.
+// finishInit registers the obs gauges and flags a degraded mount.
+// Retired or spare slots in devs may be nil.
 func (a *RAIDx) finishInit(devs []raid.Dev) {
 	if a.opt.Obs != nil {
 		a.opt.Obs.RegisterGauge("raidx.backlog_us", func() int64 {

@@ -194,8 +194,15 @@ func TestRebalanceCrashResume(t *testing.T) {
 	if err := arr2.Verify(ctx); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	ck2, err := repair.LoadRebalance(store.OS, dir)
-	if err != nil || ck2 == nil || !ck2.Done || ck2.Source.Gen() != 1 {
-		t.Fatalf("final checkpoint %+v, %v", ck2, err)
+	// The done record is written after the completed status becomes
+	// visible, so wait for it rather than racing the runner's last save.
+	var ck2 *repair.RebalanceCkpt
+	h.waitFor(t, 5*time.Second, "final checkpoint to record the grown epoch", func() bool {
+		ck2, err = repair.LoadRebalance(store.OS, dir)
+		return err == nil && ck2 != nil && ck2.Done
+	})
+	if ck2.Source.Gen() != 1 {
+		t.Fatalf("final checkpoint %+v", ck2)
 	}
+	sup2.Stop() // no save may race the TempDir cleanup
 }

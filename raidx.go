@@ -42,6 +42,7 @@ import (
 	"repro/internal/fsim"
 	"repro/internal/intent"
 	"repro/internal/layout"
+	"repro/internal/mount"
 	"repro/internal/nfssim"
 	"repro/internal/obs"
 	"repro/internal/parity"
@@ -198,6 +199,13 @@ func ListenAndServe(addr string, disks []*Disk) (*Node, error) {
 
 // Connect dials a CDD node with default retry/deadline policy.
 func Connect(addr string) (*NodeClient, error) { return cdd.Connect(addr) }
+
+// Attach connects to a live cluster given its node addresses in node
+// order — the one mount path the binaries use (internal/mount). The
+// returned cluster tolerates nodes that are down, builds engines at the
+// layout epoch the nodes enforce (Engine), and reruns an operation on a
+// rebuilt engine when the cluster rebalances underneath it (Run).
+func Attach(addrs []string) (*mount.Cluster, error) { return mount.Connect(addrs) }
 
 // Fault tolerance: retry policy, custom dialers, fault injection.
 type (

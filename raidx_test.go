@@ -127,6 +127,43 @@ func TestPublicAPITCP(t *testing.T) {
 	}
 }
 
+// TestPublicAPIAttach covers the one mount path through the façade:
+// addresses in, an engine over every node's disks out.
+func TestPublicAPIAttach(t *testing.T) {
+	addrs := make([]string, 4)
+	for i := range addrs {
+		node, err := ListenAndServe("127.0.0.1:0", []*Disk{NewMemDisk("d", 512, 64)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer node.Close()
+		addrs[i] = node.Addr()
+	}
+	cl, err := Attach(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	err = cl.Run(ctx, Options{}, func(arr *RAIDx) error {
+		data := bytes.Repeat([]byte{0x5A}, 8*512)
+		if err := arr.WriteBlocks(ctx, 4, data); err != nil {
+			return err
+		}
+		got := make([]byte, len(data))
+		if err := arr.ReadBlocks(ctx, 4, got); err != nil {
+			return err
+		}
+		if !bytes.Equal(got, data) {
+			t.Error("attached array round trip mismatch")
+		}
+		return arr.Verify(ctx)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPublicAPIOSMLayout sanity-checks the exported address arithmetic.
 func TestPublicAPIOSMLayout(t *testing.T) {
 	lay := NewOSM(4, 3, 12)
