@@ -66,10 +66,11 @@ bench:
 # benchcheck runs the allocation-pinned regression tests: AllocsPerRun
 # limits on the hot paths (transport round trips, remote device I/O, the
 # engine's stripe fan-out, and coherent cache-hit reads — which must
-# stay at 0 remote calls and <= 2 allocs) — and the array-call pins on
-# fsim's extent data path (TestCalls: a 256 KiB WriteFile, its ReadFile
-# and a 4 KiB overwrite inside a 1 MiB file each stay at a handful of
-# array calls, so a return to per-block I/O fails here). A hot-path
+# stay at 0 remote calls and <= 2 allocs) — and the call pins (TestCalls):
+# the engine's exact device-call set and issue order at layout generation
+# 0 and 1, and the array calls on fsim's extent data path (a 256 KiB
+# WriteFile, its ReadFile and a 4 KiB overwrite inside a 1 MiB file each
+# stay at a handful, so a return to per-block I/O fails here). A hot-path
 # allocation regression fails here before it shows up in the benchmarks.
 # Must run without -race — the race runtime allocates on its own account.
 benchcheck:

@@ -1,17 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
-	"repro/internal/bufpool"
 	"repro/internal/layout"
-	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/raid"
-	"repro/internal/trace"
 )
 
 // ErrMigrationActive is returned by operations that must not run while
@@ -25,7 +23,9 @@ var ErrMigrationActive = errors.New("core: layout migration in progress")
 // blocks and will never be rebuilt.
 var ErrRetiredColumn = errors.New("core: column retired by shrink")
 
-// epochState is the engine's layout view, published through an atomic
+// epochState is the engine's layout view and the only thing that answers
+// "where is block b", at every generation: with no overrides it falls
+// through to the base OSM arithmetic. It is published through an atomic
 // pointer with the same copy-on-write discipline as the device table:
 // an operation loads it once and every placement decision inside that
 // operation is consistent. During a migration the state carries both
@@ -45,9 +45,11 @@ type epochState struct {
 	mig *Migration
 }
 
-// plain reports whether the fast arithmetic paths apply: no overrides,
-// no migration.
-func (s *epochState) plain() bool { return s.next == nil && s.cur.Trivial() }
+// fenced reports whether some node may hold a generation above zero
+// (a grow or shrink has happened or is in flight). Such a node's epoch
+// fence drops a stale deferred image write with no error coming back,
+// so the write path records those writes in the intent log up front.
+func (s *epochState) fenced() bool { return s.next != nil || s.cur.Gen() > 0 }
 
 // dataLoc places block b under this view: migrated blocks by the target
 // layout, the rest by the current one.
@@ -135,333 +137,103 @@ func NewAtEpoch(devs []raid.Dev, ep *layout.Epoch, opt Options) (*RAIDx, error) 
 		intLog: opt.Intent,
 	}
 	a.setColNames(len(devs))
-	owned := append([]raid.Dev(nil), devs...)
-	a.table.Store(&owned)
+	a.table.Store(&devView{devs: append([]raid.Dev(nil), devs...), blank: make([]bool, len(devs))})
 	a.epoch.Store(&epochState{cur: ep})
 	a.intLog.Grow(len(devs))
 	a.finishInit(devs)
 	return a, nil
 }
 
-// rebuildEpochFrom recovers a replaced disk under a non-trivial layout
-// epoch. The arithmetic rebuild's column/group walk no longer matches
-// the overridden placements, so this path scans the disk's physical
-// blocks and inverts each through the epoch's source maps: the data
-// half is still a contiguous prefix of logical blocks, the mirror half
-// the base slot window plus relocated images. Progress counts physical
-// blocks per half (Epoch records the generation; a checkpoint from
-// another generation is discarded).
-func (a *RAIDx) rebuildEpochFrom(ctx context.Context, idx int, ep *layout.Epoch, prog *RebuildProgress, pace PaceFunc) (err error) {
-	devs := a.devices()
-	blank := a.blankCols.Load()
-	ctx, root := a.tracer.StartRoot(ctx, "raidx.rebuild", a.col(idx))
-	defer func() { root.End(err) }()
-	subject := fmt.Sprintf("raidx/d%d", idx)
-	if prog.Epoch != ep.Gen() {
-		*prog = RebuildProgress{Epoch: ep.Gen()}
-	}
-	detail := fmt.Sprintf("epoch %d scan", ep.Gen())
-	if prog.DataDone > 0 || prog.GroupsDone > 0 {
-		detail += fmt.Sprintf(", resume data=%d mirror=%d", prog.DataDone, prog.GroupsDone)
-	}
-	a.met.events.Append(obs.EventRebuildStart, subject, detail)
-	defer func() {
-		detail := "ok"
-		if err != nil {
-			detail = err.Error()
-		}
-		a.met.events.Append(obs.EventRebuildEnd, subject, detail)
-	}()
-	half := a.lay.DiskBlocks / 2
-	prog.DataTotal, prog.GroupsTotal = half, half
-	a.rebuildTotal.Store(2 * half)
-	a.rebuildDone.Store(prog.DataDone + prog.GroupsDone)
-	buf := bufpool.Get(rebuildChunk * a.bs)
-	defer bufpool.Put(buf)
-	valid := make([]bool, rebuildChunk)
-	// copyHalf recovers physical blocks [base+done, base+half) of idx,
-	// inverting each through source and reading the peer copy.
-	copyHalf := func(base int64, done *int64, source func(int64) (int64, bool), peer func(int64) layout.Loc) error {
-		start := *done - *done%rebuildChunk // re-copy a partial chunk; trusting it needs proof
-		for c := start; c < half; c += rebuildChunk {
-			n := half - c
-			if n > rebuildChunk {
-				n = rebuildChunk
-			}
-			err := par.ForEach(ctx, int(n), func(ctx context.Context, t int) error {
-				pb := base + c + int64(t)
-				lb, ok := source(pb)
-				valid[t] = ok
-				if !ok {
-					return nil
-				}
-				src := peer(lb)
-				if !readable(devs, blank, src.Disk) {
-					return fmt.Errorf("core: surviving copy of block %d unavailable during rebuild: %w", lb, raid.ErrDataLoss)
-				}
-				return devs[src.Disk].ReadBlocks(ctx, src.Block, buf[t*a.bs:(t+1)*a.bs])
-			})
-			if err != nil {
-				return err
-			}
-			for t := int64(0); t < n; {
-				if !valid[t] {
-					t++
-					continue
-				}
-				run := t
-				for run < n && valid[run] {
-					run++
-				}
-				if err := devs[idx].WriteBlocks(ctx, base+c+t, buf[t*int64(a.bs):run*int64(a.bs)]); err != nil {
-					return err
-				}
-				t = run
-			}
-			*done = c + n
-			a.rebuildDone.Store(prog.DataDone + prog.GroupsDone)
-			if pace != nil {
-				if err := pace(ctx, int(n)*a.bs); err != nil {
-					return err
-				}
-			}
-		}
-		*done = half
-		return nil
-	}
-	if err := copyHalf(0, &prog.DataDone,
-		func(pb int64) (int64, bool) { return ep.DataSource(idx, pb) },
-		ep.MirrorLoc); err != nil {
-		return err
-	}
-	if err := copyHalf(half, &prog.GroupsDone,
-		func(pb int64) (int64, bool) { return ep.MirrorSource(idx, pb) },
-		ep.DataLoc); err != nil {
-		return err
-	}
-	a.intLog.ClearDev(idx)
-	a.setBlank(idx, false)
-	return nil
+// ext is one block of a planned operation: logical block lb at physical
+// block phys of disk.
+type ext struct {
+	disk     int
+	phys, lb int64
 }
 
-// physSpan is one physically contiguous run on one disk, carrying the
-// logical blocks it covers in physical order.
-type physSpan struct {
-	disk int
-	phys int64   // first physical block
-	lbs  []int64 // logical block per physical slot
+// plan is the placement of one foreground operation over [b, b+n): where
+// every block and (for writes) every image lives under the epoch view
+// the operation loaded. Plans are pooled and their slices reused, so
+// placing an operation allocates nothing.
+type plan struct {
+	// data holds the blocks sorted by (disk, phys), so each disk's blocks
+	// fall into as few physically contiguous runs as possible and runs are
+	// issued in one deterministic order. segs[i] is data[i]'s block of the
+	// caller's buffer: a run's segments are its scatter/gather list. They
+	// alias the buffer — no bytes are copied; vector-aware devices carry
+	// them to the wire as-is, and raid.ReadBlocksVec/WriteBlocksVec
+	// coalesce through one pooled buffer for devices that need a flat
+	// transfer.
+	data []ext
+	segs [][]byte
+	// byLB and end are the counting sort's scratch: the blocks in logical
+	// order, and per-disk bucket bounds.
+	byLB []ext
+	end  []int
+	// img holds the images in logical order: img[i] is block b+i's.
+	img []ext
+	fns []func(context.Context) error
 }
 
-// locEntry pairs a logical block with its physical home under a view.
-type locEntry struct {
-	lb  int64
-	loc layout.Loc
+var planPool = sync.Pool{New: func() any { return new(plan) }}
+
+// place plans the blocks of the caller's buffer p, starting at logical
+// block b, under layout view es and device view v. The data blocks are
+// ordered in linear time: a counting sort buckets them by disk and
+// leaves each bucket in logical order, which is already physical order
+// wherever placement is the base striping; a bucket holding override
+// placements is then sorted by physical block.
+func (a *RAIDx) place(es *epochState, v *devView, b int64, p []byte, images bool) *plan {
+	pl := planPool.Get().(*plan)
+	width, bs := len(v.devs), int64(a.bs)
+	pl.end = append(pl.end, make([]int, width+1)...)
+	for lb := b; lb < b+int64(len(p))/bs; lb++ {
+		d := es.dataLoc(lb)
+		pl.byLB = append(pl.byLB, ext{d.Disk, d.Block, lb})
+		pl.end[d.Disk+1]++
+		if images {
+			m := es.mirrorLoc(lb)
+			pl.img = append(pl.img, ext{m.Disk, m.Block, lb})
+		}
+	}
+	for d := 0; d < width; d++ {
+		pl.end[d+1] += pl.end[d] // where disk d's bucket starts
+	}
+	pl.data = append(pl.data, pl.byLB...)
+	for _, e := range pl.byLB {
+		pl.data[pl.end[e.disk]] = e
+		pl.end[e.disk]++ // ends up where the disk's bucket ends
+	}
+	lo := 0
+	for _, hi := range pl.end[:width] {
+		slices.SortFunc(pl.data[lo:hi], func(x, y ext) int { return cmp.Compare(x.phys, y.phys) })
+		lo = hi
+	}
+	for _, e := range pl.data {
+		pl.segs = append(pl.segs, p[(e.lb-b)*bs:(e.lb-b+1)*bs])
+	}
+	return pl
 }
 
-// spansOf groups located blocks into physically contiguous per-disk
-// runs. Blocks of one donor column migrate to consecutive receiver
-// offsets, so epoched placements still coalesce into long runs.
-func spansOf(ents []locEntry) []physSpan {
-	byDisk := map[int][]locEntry{}
-	for _, e := range ents {
-		byDisk[e.loc.Disk] = append(byDisk[e.loc.Disk], e)
-	}
-	var spans []physSpan
-	for disk, list := range byDisk {
-		sort.Slice(list, func(i, j int) bool { return list[i].loc.Block < list[j].loc.Block })
-		for i := 0; i < len(list); {
-			j := i + 1
-			for j < len(list) && list[j].loc.Block == list[j-1].loc.Block+1 {
-				j++
-			}
-			sp := physSpan{disk: disk, phys: list[i].loc.Block}
-			for _, e := range list[i:j] {
-				sp.lbs = append(sp.lbs, e.lb)
-			}
-			spans = append(spans, sp)
-			i = j
-		}
-	}
-	return spans
+// release returns the plan to the pool. Lists are cleared first so a
+// pooled plan never pins caller buffers or closures.
+func (pl *plan) release() {
+	clear(pl.segs)
+	clear(pl.fns)
+	pl.data, pl.img, pl.segs, pl.fns = pl.data[:0], pl.img[:0], pl.segs[:0], pl.fns[:0]
+	pl.byLB, pl.end = pl.byLB[:0], pl.end[:0]
+	planPool.Put(pl)
 }
 
-// readEpoch is the general read path for epoched arrays: per-view
-// placement, vectored reads over coalesced physical runs, per-block
-// mirror failover. It trades the arithmetic fast path's zero-alloc
-// guarantee for correctness under arbitrary remaps.
-func (a *RAIDx) readEpoch(ctx context.Context, es *epochState, b int64, n int, p []byte) error {
-	devs := a.devices()
-	blank := a.blankCols.Load()
-	ents := make([]locEntry, n)
-	for t := 0; t < n; t++ {
-		lb := b + int64(t)
-		ents[t] = locEntry{lb: lb, loc: es.dataLoc(lb)}
+// runEnd returns the end of the run starting at exts[i]: consecutive
+// entries on one disk at consecutive physical blocks. A flat run — one
+// that must travel as a single contiguous piece of the caller's buffer —
+// also ends where the logical blocks stop being consecutive.
+func runEnd(exts []ext, i int, flat bool) int {
+	j := i + 1
+	for j < len(exts) && exts[j].disk == exts[i].disk && exts[j].phys == exts[j-1].phys+1 &&
+		(!flat || exts[j].lb == exts[j-1].lb+1) {
+		j++
 	}
-	seg := func(lb int64) []byte {
-		return p[(lb-b)*int64(a.bs) : (lb-b+1)*int64(a.bs)]
-	}
-	var fns []func(context.Context) error
-	for _, sp := range spansOf(ents) {
-		sp := sp
-		if !readable(devs, blank, sp.disk) {
-			// Degraded: serve each block from its image.
-			for _, lb := range sp.lbs {
-				lb := lb
-				fns = append(fns, func(ctx context.Context) error {
-					a.met.degradedReads.Inc()
-					if a.degradedNotify != nil {
-						a.degradedNotify(1)
-					}
-					return a.readViaImage(ctx, es, devs, blank, lb, seg(lb), nil)
-				})
-			}
-			continue
-		}
-		fns = append(fns, func(ctx context.Context) (err error) {
-			ctx, ch := trace.Start(ctx, "raidx.col-read", a.col(sp.disk))
-			ch.Val = int64(len(sp.lbs) * a.bs)
-			defer func() { ch.End(err) }()
-			segs := make([][]byte, len(sp.lbs))
-			for i, lb := range sp.lbs {
-				segs[i] = seg(lb)
-			}
-			rerr := raid.ReadBlocksVec(ctx, devs[sp.disk], sp.phys, segs)
-			if rerr == nil || ctx.Err() != nil {
-				return rerr
-			}
-			a.noteFailover(fmt.Sprintf("raidx/d%d", sp.disk), rerr)
-			for _, lb := range sp.lbs {
-				if err := a.readViaImage(ctx, es, devs, blank, lb, seg(lb), rerr); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	return par.Do(ctx, fns...)
-}
-
-// readViaImage serves one block from its mirror image under the view.
-func (a *RAIDx) readViaImage(ctx context.Context, es *epochState, devs []raid.Dev, blank uint64, lb int64, dst []byte, cause error) error {
-	m := es.mirrorLoc(lb)
-	if !readable(devs, blank, m.Disk) {
-		if cause != nil {
-			return fmt.Errorf("core: block %d primary failed (%v) and image unavailable: %w", lb, cause, raid.ErrDataLoss)
-		}
-		return fmt.Errorf("core: block %d and its image both unavailable: %w", lb, raid.ErrDataLoss)
-	}
-	err := devs[m.Disk].ReadBlocks(ctx, m.Block, dst)
-	if err != nil && cause != nil {
-		return fmt.Errorf("core: block %d primary failed (%v), image read failed: %w", lb, cause, err)
-	}
-	return err
-}
-
-// writeEpoch is the general write path for epoched arrays. It first
-// synchronizes with any in-flight migration: the write waits out a copy
-// window overlapping its range, then registers itself so the copier
-// cannot open such a window until it lands — the lost-update guard that
-// keeps "zero foreground errors" honest under live rebalance.
-func (a *RAIDx) writeEpoch(ctx context.Context, b int64, n int, p []byte) error {
-	es := a.epoch.Load()
-	if m := es.mig; m != nil {
-		if m.enterWrite(b, int64(n)) {
-			defer m.exitWrite(b, int64(n))
-		}
-		// The cursor for [b, b+n) is now pinned: reload the view the
-		// copier may have advanced while we waited.
-		es = a.epoch.Load()
-	}
-	devs := a.devices()
-	for lb := b; lb < b+int64(n); lb++ {
-		if !devs[es.dataLoc(lb).Disk].Healthy() && !devs[es.mirrorLoc(lb).Disk].Healthy() {
-			return fmt.Errorf("core: block %d has no healthy copy location: %w", lb, raid.ErrDataLoss)
-		}
-	}
-	seg := func(lb int64) []byte {
-		return p[(lb-b)*int64(a.bs) : (lb-b+1)*int64(a.bs)]
-	}
-	ents := make([]locEntry, n)
-	for t := 0; t < n; t++ {
-		lb := b + int64(t)
-		ents[t] = locEntry{lb: lb, loc: es.dataLoc(lb)}
-	}
-	var fns []func(context.Context) error
-	for _, sp := range spansOf(ents) {
-		sp := sp
-		dev := devs[sp.disk]
-		if a.opt.IntentAhead {
-			a.intLog.MarkRange(sp.disk, sp.phys, int64(len(sp.lbs)))
-		}
-		if !dev.Healthy() {
-			a.intLog.MarkRange(sp.disk, sp.phys, int64(len(sp.lbs)))
-			continue
-		}
-		fns = append(fns, func(ctx context.Context) (err error) {
-			ctx, ch := trace.Start(ctx, "raidx.col-write", a.col(sp.disk))
-			ch.Val = int64(len(sp.lbs) * a.bs)
-			defer func() { ch.End(err) }()
-			segs := make([][]byte, len(sp.lbs))
-			for i, lb := range sp.lbs {
-				segs[i] = seg(lb)
-			}
-			err = raid.WriteBlocksVec(ctx, dev, sp.phys, segs)
-			if err != nil {
-				a.intLog.MarkRange(sp.disk, sp.phys, int64(len(sp.lbs)))
-			}
-			return err
-		})
-	}
-	// Image writes: coalesce physically contiguous runs whose payload is
-	// also contiguous in p (consecutive logical blocks), so group-packed
-	// images still go out as one long deferred write.
-	for t := 0; t < n; t++ {
-		lb := b + int64(t)
-		ents[t] = locEntry{lb: lb, loc: es.mirrorLoc(lb)}
-	}
-	for _, sp := range spansOf(ents) {
-		sp := sp
-		dev := devs[sp.disk]
-		// Deferred mirror writes travel as background notifications, and
-		// a remote node's epoch fence may drop a stale one with no error
-		// coming back — mark the intent up front so the divergence stays
-		// visible for delta resync instead of being a silent redundancy
-		// loss.
-		if a.opt.IntentAhead || !a.opt.ForegroundMirror {
-			a.intLog.MarkRange(sp.disk, sp.phys, int64(len(sp.lbs)))
-		}
-		if !dev.Healthy() {
-			a.intLog.MarkRange(sp.disk, sp.phys, int64(len(sp.lbs)))
-			continue
-		}
-		// Split the physical run wherever the logical blocks are not
-		// consecutive: background writes need one flat buffer.
-		for i := 0; i < len(sp.lbs); {
-			j := i + 1
-			if !a.opt.ScatterMirror {
-				for j < len(sp.lbs) && sp.lbs[j] == sp.lbs[j-1]+1 {
-					j++
-				}
-			}
-			lo, phys := sp.lbs[i], sp.phys+int64(i)
-			count := int64(j - i)
-			fns = append(fns, func(ctx context.Context) (err error) {
-				ctx, mh := trace.Start(ctx, "raidx.mirror-write", a.col(sp.disk))
-				mh.Val = count * int64(a.bs)
-				defer func() { mh.End(err) }()
-				chunk := p[(lo-b)*int64(a.bs) : (lo-b+count)*int64(a.bs)]
-				if a.opt.ForegroundMirror {
-					err = dev.WriteBlocks(ctx, phys, chunk)
-				} else {
-					err = dev.WriteBlocksBackground(ctx, phys, chunk)
-				}
-				if err != nil {
-					a.intLog.MarkRange(sp.disk, phys, count)
-				}
-				return err
-			})
-			i = j
-		}
-	}
-	return par.Do(ctx, fns...)
+	return j
 }

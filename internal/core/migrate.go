@@ -253,8 +253,8 @@ func (m *Migration) copyWindow(ctx context.Context, lo, hi int64, checkpoint fun
 		return 0, nil
 	}
 	m.openWindow(lo, hi)
-	devs := m.a.devices()
-	blank := m.a.blankCols.Load()
+	v := m.a.table.Load()
+	devs := v.devs
 	buf := bufpool.Get(len(moves) * m.a.bs)
 	defer bufpool.Put(buf)
 	err := par.ForEach(ctx, len(moves), func(ctx context.Context, i int) error {
@@ -268,11 +268,11 @@ func (m *Migration) copyWindow(ctx context.Context, lo, hi int64, checkpoint fun
 			alt = m.from.DataLoc(mv.lb)
 		}
 		rerr := errSourceDown
-		if readable(devs, blank, src.Disk) {
+		if v.readable(src.Disk) {
 			rerr = devs[src.Disk].ReadBlocks(ctx, src.Block, dst)
 		}
 		if rerr != nil && ctx.Err() == nil {
-			if !readable(devs, blank, alt.Disk) {
+			if !v.readable(alt.Disk) {
 				return fmt.Errorf("core: migrating block %d: both copies unavailable (%v): %w", mv.lb, rerr, raid.ErrDataLoss)
 			}
 			if aerr := devs[alt.Disk].ReadBlocks(ctx, alt.Block, dst); aerr != nil {
@@ -380,11 +380,13 @@ func (a *RAIDx) BeginGrow(addNodes int, newDevs []raid.Dev, cursor int64) (*Migr
 			}
 		}
 		a.swapMu.Lock()
-		table := append(append([]raid.Dev(nil), a.devices()...), newDevs...)
-		a.table.Store(&table)
-		a.setColNames(len(table))
+		a.editView(func(v *devView) {
+			v.devs = append(v.devs, newDevs...)
+			v.blank = append(v.blank, make([]bool, len(newDevs))...)
+		})
+		a.setColNames(next.Width())
 		a.swapMu.Unlock()
-		a.intLog.Grow(len(table))
+		a.intLog.Grow(next.Width())
 	} else if len(newDevs) != 0 {
 		return nil, fmt.Errorf("core: device table already spans width %d; pass no new devices", len(devs))
 	}

@@ -43,34 +43,6 @@ import (
 	"repro/internal/trace"
 )
 
-// segPool recycles the scatter/gather lists the hot read and write paths
-// build per column run. Lists are cleared before pooling so a pooled
-// list never pins caller buffers.
-var segPool = sync.Pool{New: func() any { return new([][]byte) }}
-
-// colSegs builds the gather list addressing the blocks of one column run
-// inside p: one segment per logical block first, first+width, ... The
-// segments alias p — no bytes are copied; vector-aware devices carry
-// them to the wire as-is, and raid.ReadBlocksVec/WriteBlocksVec coalesce
-// through one pooled buffer for devices that need a flat transfer.
-func (a *RAIDx) colSegs(b, first int64, count int, p []byte) *[][]byte {
-	width := int64(a.lay.TotalDisks())
-	sp := segPool.Get().(*[][]byte)
-	segs := (*sp)[:0]
-	for t := 0; t < count; t++ {
-		lb := first + int64(t)*width
-		segs = append(segs, p[(lb-b)*int64(a.bs):(lb-b+1)*int64(a.bs)])
-	}
-	*sp = segs
-	return sp
-}
-
-func putSegs(sp *[][]byte) {
-	clear(*sp)
-	*sp = (*sp)[:0]
-	segPool.Put(sp)
-}
-
 // Options tune the engine; the zero value is the paper's design. The
 // other settings exist for the ablation benchmarks in DESIGN.md.
 type Options struct {
@@ -142,18 +114,18 @@ func newCoreMetrics(r *obs.Registry) coreMetrics {
 // RAIDx is the OSM array engine. It satisfies raid.Array,
 // raid.Rebuilder, and raid.Verifier.
 type RAIDx struct {
-	// table is the copy-on-write device table: readers load the current
-	// slice once per operation and work on that immutable snapshot,
-	// while SwapDev installs a fresh copy under swapMu. A hot-swap
+	// table is the copy-on-write device view: operations load it once at
+	// entry and work on that immutable snapshot, while SwapDev, a grow and
+	// a finished rebuild install a fresh copy under swapMu. A hot-swap
 	// during a read storm is therefore race-free — in-flight operations
-	// finish against the table they started with, and the next
-	// operation sees the spare.
-	table  atomic.Pointer[[]raid.Dev]
+	// finish against the view they started with, and the next operation
+	// sees the spare.
+	table  atomic.Pointer[devView]
 	swapMu sync.Mutex
-	// epoch is the copy-on-write layout view (see epochState). The zero
-	// generation delegates to lay's pure arithmetic; grows and shrinks
-	// publish override generations here, and an in-flight migration
-	// carries both layouts plus its cursor.
+	// epoch is the copy-on-write layout view (see epochState): the one
+	// answer to "where is block b" for reads, writes and repair at every
+	// generation. Grows and shrinks publish override generations here,
+	// and an in-flight migration carries both layouts plus its cursor.
 	epoch atomic.Pointer[epochState]
 	// ioGate closes the migration-start race: writes hold it shared for
 	// their duration, Begin{Grow,Shrink} takes it exclusively for the
@@ -176,16 +148,6 @@ type RAIDx struct {
 	flip atomic.Uint32
 	// intLog is the optional write-intent log (nil: marks are no-ops).
 	intLog *intent.Log
-	// blankCols is a bitmask of columns whose device answers health
-	// probes but holds no trustworthy content: a freshly swapped-in
-	// spare is blank until its rebuild completes, so reads of its
-	// blocks must route through the mirror images even though the
-	// device itself is "up". Writes still land on it — they only make
-	// the rebuild's job smaller. Operations load the mask once at
-	// entry, like the device table, so one operation's copy choices
-	// stay consistent while a rebuild finishes concurrently. Columns
-	// >= 64 are never flagged (such arrays keep health-only routing).
-	blankCols atomic.Uint64
 	// rebuildDone/rebuildTotal expose background-repair progress (in
 	// physical blocks of the device under repair) through obs gauges.
 	rebuildDone, rebuildTotal atomic.Int64
@@ -286,34 +248,36 @@ func (a *RAIDx) col(i int) string {
 	return fmt.Sprintf("d%d", i)
 }
 
-// readable reports whether column col may serve reads under the given
-// blank-column mask: the device must answer and must not be a blank
-// spare whose rebuild has not completed.
-func readable(devs []raid.Dev, blank uint64, col int) bool {
-	return (col >= 64 || blank&(1<<uint(col)) == 0) && devs[col] != nil && devs[col].Healthy()
+// devView is one immutable snapshot of the device table.
+type devView struct {
+	devs []raid.Dev
+	// blank flags columns whose device answers health probes but holds no
+	// trustworthy content: a freshly swapped-in spare is blank until its
+	// rebuild completes, so reads of its blocks must route through the
+	// mirror images even though the device itself is "up". Writes still
+	// land on it — they only make the rebuild's job smaller. Blankness
+	// lives in the view so that one operation's copy choices stay
+	// consistent while a rebuild finishes concurrently.
+	blank []bool
 }
 
-// setBlank marks or clears column col in the blank mask.
-func (a *RAIDx) setBlank(col int, blank bool) {
-	if col >= 64 {
-		return
-	}
-	for {
-		old := a.blankCols.Load()
-		next := old &^ (1 << uint(col))
-		if blank {
-			next = old | 1<<uint(col)
-		}
-		if a.blankCols.CompareAndSwap(old, next) {
-			return
-		}
-	}
+// readable reports whether column col may serve reads: the device must
+// answer and must not be a blank spare whose rebuild has not completed.
+func (v *devView) readable(col int) bool {
+	return !v.blank[col] && v.devs[col] != nil && v.devs[col].Healthy()
 }
 
-// devices returns the current device table snapshot. Operations load it
-// once at entry and pass it down, so a concurrent SwapDev cannot change
-// the set of devices an operation addresses mid-flight.
-func (a *RAIDx) devices() []raid.Dev { return *a.table.Load() }
+// editView publishes a copy of the device view changed by edit. Callers
+// hold swapMu.
+func (a *RAIDx) editView(edit func(*devView)) {
+	cur := a.table.Load()
+	next := &devView{devs: append([]raid.Dev(nil), cur.devs...), blank: append([]bool(nil), cur.blank...)}
+	edit(next)
+	a.table.Store(next)
+}
+
+// devices returns the current device table snapshot.
+func (a *RAIDx) devices() []raid.Dev { return a.table.Load().devs }
 
 // Devices returns the current device-table snapshot. The slice is the
 // engine's own copy-on-write table: treat it as read-only. The repair
@@ -345,15 +309,11 @@ func (a *RAIDx) SwapDev(idx int, dev raid.Dev) (raid.Dev, error) {
 		return nil, fmt.Errorf("core: spare geometry %dx%d does not match %dx%d",
 			dev.BlockSize(), dev.NumBlocks(), a.bs, a.lay.DiskBlocks)
 	}
-	next := append([]raid.Dev(nil), cur...)
-	old := next[idx]
-	next[idx] = dev
-	// Flag the column blank BEFORE publishing the table: no reader may
-	// ever observe the spare as a valid read source before its rebuild.
-	a.setBlank(idx, true)
-	a.table.Store(&next)
+	// The spare is published already flagged blank: no reader may ever
+	// observe it as a valid read source before its rebuild.
+	a.editView(func(v *devView) { v.devs[idx], v.blank[idx] = dev, true })
 	a.met.events.Append(obs.EventSwap, fmt.Sprintf("raidx/d%d", idx), "hot spare installed")
-	return old, nil
+	return cur[idx], nil
 }
 
 // Tracer exposes the engine's tracer (nil when tracing is off).
@@ -368,12 +328,12 @@ func (a *RAIDx) BlockSize() int { return a.bs }
 // Blocks implements raid.Array.
 func (a *RAIDx) Blocks() int64 { return a.lay.DataBlocks() }
 
-// ReadBlocks implements raid.Array: a parallel RAID-0-style read over
-// the data halves, with per-block fallback to mirror images for blocks
-// on failed disks.
+// ReadBlocks implements raid.Array: a parallel RAID-0-style read of each
+// disk's physically contiguous runs, with per-block fallback to mirror
+// images for blocks on failed disks. It is the only foreground read
+// path, at every layout generation and during a migration.
 func (a *RAIDx) ReadBlocks(ctx context.Context, b int64, p []byte) (err error) {
-	n, err := a.checkRange(b, p)
-	if err != nil {
+	if _, err := a.checkRange(b, p); err != nil {
 		return err
 	}
 	ctx, root := a.tracer.StartRoot(ctx, "raidx.read", "raidx")
@@ -381,140 +341,118 @@ func (a *RAIDx) ReadBlocks(ctx context.Context, b int64, p []byte) (err error) {
 	defer func() { root.End(err) }()
 	start := time.Now()
 	defer func() { a.met.readLat.Observe(time.Since(start)) }()
-	if es := a.epoch.Load(); !es.plain() {
-		// Overridden placements or an in-flight migration: take the
-		// general epoch-aware path.
-		return a.readEpoch(ctx, es, b, n, p)
-	}
-	devs := a.devices()
-	blank := a.blankCols.Load()
-	width := a.lay.TotalDisks()
-	var fns []func(context.Context) error
-	for col := 0; col < width; col++ {
-		first := b + (int64(col)-b%int64(width)+int64(width))%int64(width)
-		if first >= b+int64(n) {
+	es, v := a.epoch.Load(), a.table.Load()
+	pl := a.place(es, v, b, p, false)
+	defer pl.release()
+	for i, j := 0, 0; i < len(pl.data); i = j {
+		j = runEnd(pl.data, i, false)
+		run, segs := pl.data[i:j], pl.segs[i:j]
+		disk, phys := run[0].disk, run[0].phys
+		if !v.readable(disk) {
+			// Degraded: fetch each block's image individually — images of
+			// one column scatter over many mirror groups.
+			for t := range run {
+				lb, dst, m := run[t].lb, segs[t], es.mirrorLoc(run[t].lb)
+				pl.fns = append(pl.fns, func(ctx context.Context) error {
+					a.met.degradedReads.Inc()
+					if a.degradedNotify != nil {
+						a.degradedNotify(1)
+					}
+					ctx, dh := trace.Start(ctx, "raidx.degraded-read", a.col(m.Disk))
+					err := a.readImage(ctx, v, lb, m, dst, nil)
+					dh.End(err)
+					return err
+				})
+			}
 			continue
 		}
-		count := int((b+int64(n)-1-first)/int64(width)) + 1
-		dev := devs[col]
-		if readable(devs, blank, col) {
+		dev := v.devs[disk]
+		if a.opt.BalanceReads && len(run) == 1 {
 			// Load-balanced single-block read: alternate the preferred
 			// copy, then defer to whichever disk has less queued work.
-			if a.opt.BalanceReads && count == 1 {
-				m := a.lay.MirrorLoc(first)
-				mdev := devs[m.Disk]
-				if readable(devs, blank, m.Disk) {
-					db, mb := raid.BacklogOf(dev), raid.BacklogOf(mdev)
-					useMirror := mb < db || (mb == db && a.flip.Add(1)%2 == 0)
-					if useMirror {
-						a.met.balancedMirror.Inc()
-						fns = append(fns, func(ctx context.Context) error {
-							dst := p[(first-b)*int64(a.bs) : (first-b+1)*int64(a.bs)]
-							err := mdev.ReadBlocks(ctx, m.Block, dst)
-							if err == nil || ctx.Err() != nil {
-								return err
-							}
-							// Failover to the data copy.
-							a.noteFailover(fmt.Sprintf("raidx/d%d", m.Disk), err)
-							fctx, fh := trace.Start(ctx, "raidx.failover", a.col(m.Disk))
-							derr := dev.ReadBlocks(fctx, first/int64(width), dst)
-							fh.End(derr)
-							if derr == nil {
-								return nil
-							}
+			if m := es.mirrorLoc(run[0].lb); v.readable(m.Disk) {
+				mdev := v.devs[m.Disk]
+				db, mb := raid.BacklogOf(dev), raid.BacklogOf(mdev)
+				if mb < db || (mb == db && a.flip.Add(1)%2 == 0) {
+					a.met.balancedMirror.Inc()
+					pl.fns = append(pl.fns, func(ctx context.Context) error {
+						err := mdev.ReadBlocks(ctx, m.Block, segs[0])
+						if err == nil || ctx.Err() != nil {
 							return err
-						})
-						continue
-					}
-					a.met.balancedData.Inc()
+						}
+						// Failover to the data copy.
+						a.noteFailover(m.Disk, err)
+						fctx, fh := trace.Start(ctx, "raidx.failover", a.col(m.Disk))
+						derr := dev.ReadBlocks(fctx, phys, segs[0])
+						fh.End(derr)
+						if derr == nil {
+							return nil
+						}
+						return err
+					})
+					continue
 				}
+				a.met.balancedData.Inc()
 			}
-			col := col
-			fns = append(fns, func(ctx context.Context) (err error) {
-				ctx, ch := trace.Start(ctx, "raidx.col-read", a.col(col))
-				ch.Val = int64(count * a.bs)
-				defer func() { ch.End(err) }()
-				// Scatter the column run straight into p — no staging
-				// buffer, no copy-out loop. Vector-aware devices land
-				// each block in place; others coalesce through one
-				// pooled buffer inside ReadBlocksVec.
-				segs := a.colSegs(b, first, count, p)
-				rerr := raid.ReadBlocksVec(ctx, dev, first/int64(width), *segs)
-				putSegs(segs)
-				if rerr != nil {
-					if ctx.Err() != nil {
-						return rerr
-					}
-					// Read-failover: the primary errored or timed out
-					// mid-run (a flaky/partitioned node, not a known-dead
-					// disk). Redirect every block of the run to its mirror
-					// image on the orthogonal stripe group; the failed
-					// operation has already marked the node suspect. The
-					// mirrors rewrite every block of the run, so bytes a
-					// partial scatter may have landed in p are overwritten.
-					a.noteFailover(fmt.Sprintf("raidx/d%d", col), rerr)
-					fctx, fh := trace.Start(ctx, "raidx.failover", a.col(col))
-					ferr := a.readRunViaMirrors(fctx, devs, blank, first, count, b, p, rerr)
-					fh.End(ferr)
-					return ferr
-				}
-				return nil
-			})
-			continue
 		}
-		// Degraded: fetch each block's image individually — images of
-		// one column scatter over many mirror groups.
-		for t := 0; t < count; t++ {
-			lb := first + int64(t)*int64(width)
-			fns = append(fns, func(ctx context.Context) (err error) {
-				a.met.degradedReads.Inc()
-				if a.degradedNotify != nil {
-					a.degradedNotify(1)
-				}
-				m := a.lay.MirrorLoc(lb)
-				ctx, dh := trace.Start(ctx, "raidx.degraded-read", a.col(m.Disk))
-				defer func() { dh.End(err) }()
-				mdev := devs[m.Disk]
-				if !readable(devs, blank, m.Disk) {
-					return fmt.Errorf("core: block %d and its image both unavailable: %w", lb, raid.ErrDataLoss)
-				}
-				return mdev.ReadBlocks(ctx, m.Block, p[(lb-b)*int64(a.bs):(lb-b+1)*int64(a.bs)])
-			})
-		}
+		pl.fns = append(pl.fns, func(ctx context.Context) (err error) {
+			ctx, ch := trace.Start(ctx, "raidx.col-read", a.col(disk))
+			ch.Val = int64(len(run) * a.bs)
+			defer func() { ch.End(err) }()
+			// Scatter the run straight into p — no staging buffer, no
+			// copy-out loop.
+			rerr := raid.ReadBlocksVec(ctx, dev, phys, segs)
+			if rerr == nil || ctx.Err() != nil {
+				return rerr
+			}
+			// Read-failover: the primary errored or timed out mid-run (a
+			// flaky/partitioned node, not a known-dead disk). Redirect every
+			// block of the run to its mirror image on the orthogonal stripe
+			// group; the failed operation has already marked the node
+			// suspect. The images rewrite every block of the run, so bytes a
+			// partial scatter may have landed in p are overwritten.
+			a.noteFailover(disk, rerr)
+			fctx, fh := trace.Start(ctx, "raidx.failover", a.col(disk))
+			for t := 0; t < len(run) && err == nil; t++ {
+				err = a.readImage(fctx, v, run[t].lb, es.mirrorLoc(run[t].lb), segs[t], rerr)
+			}
+			fh.End(err)
+			return err
+		})
 	}
-	return par.Do(ctx, fns...)
+	return par.Do(ctx, pl.fns...)
 }
 
-// noteFailover records a read redirected from a failing primary copy.
-func (a *RAIDx) noteFailover(subject string, cause error) {
+// noteFailover records a read redirected from a failing primary copy on
+// column col.
+func (a *RAIDx) noteFailover(col int, cause error) {
 	a.met.failoverReads.Inc()
-	a.met.events.Append(obs.EventFailover, subject, cause.Error())
+	a.met.events.Append(obs.EventFailover, fmt.Sprintf("raidx/d%d", col), cause.Error())
 }
 
-// readRunViaMirrors serves one column run from mirror images after the
-// primary read failed with cause. Images of one column scatter over
-// many mirror groups, so each block is fetched individually. A block
-// whose image is also unavailable fails the whole run with both errors.
-func (a *RAIDx) readRunViaMirrors(ctx context.Context, devs []raid.Dev, blank uint64, first int64, count int, b int64, p []byte, cause error) error {
-	width := int64(a.lay.TotalDisks())
-	for t := 0; t < count; t++ {
-		lb := first + int64(t)*width
-		m := a.lay.MirrorLoc(lb)
-		mdev := devs[m.Disk]
-		if !readable(devs, blank, m.Disk) {
+// readImage serves block lb from its mirror image at m. cause, when
+// non-nil, is the error that failed the primary read; a block whose
+// image is also unavailable reports both.
+func (a *RAIDx) readImage(ctx context.Context, v *devView, lb int64, m layout.Loc, dst []byte, cause error) error {
+	if !v.readable(m.Disk) {
+		if cause != nil {
 			return fmt.Errorf("core: block %d primary failed (%v) and image unavailable: %w", lb, cause, raid.ErrDataLoss)
 		}
-		dst := p[(lb-b)*int64(a.bs) : (lb-b+1)*int64(a.bs)]
-		if err := mdev.ReadBlocks(ctx, m.Block, dst); err != nil {
-			return fmt.Errorf("core: block %d primary failed (%v), image read failed: %w", lb, cause, err)
-		}
+		return fmt.Errorf("core: block %d and its image both unavailable: %w", lb, raid.ErrDataLoss)
 	}
-	return nil
+	err := v.devs[m.Disk].ReadBlocks(ctx, m.Block, dst)
+	if err != nil && cause != nil {
+		return fmt.Errorf("core: block %d primary failed (%v), image read failed: %w", lb, cause, err)
+	}
+	return err
 }
 
 // WriteBlocks implements raid.Array: data blocks stripe to all disks in
-// the foreground; the covered portion of each mirror group is gathered
-// and written to its single mirror disk in the background.
+// the foreground, one gathered transfer per physically contiguous run;
+// the images go out as one write per run of consecutive blocks — at the
+// base layout, the covered portion of each mirror group on its single
+// mirror disk — in the background. It is the only write path, at every
+// layout generation and during a migration.
 func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) {
 	n, err := a.checkRange(b, p)
 	if err != nil {
@@ -529,148 +467,98 @@ func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) 
 	// write that loaded the pre-migration layout has drained.
 	a.ioGate.RLock()
 	defer a.ioGate.RUnlock()
-	if es := a.epoch.Load(); !es.plain() {
-		return a.writeEpoch(ctx, b, n, p)
+	es := a.epoch.Load()
+	if m := es.mig; m != nil {
+		// Wait out a copy window overlapping the range, then register so
+		// the copier cannot open one until this write lands — the
+		// lost-update guard that keeps "zero foreground errors" honest
+		// under live rebalance.
+		if m.enterWrite(b, int64(n)) {
+			defer m.exitWrite(b, int64(n))
+		}
+		// The cursor for [b, b+n) is now pinned: reload the view the
+		// copier may have advanced while we waited.
+		es = a.epoch.Load()
 	}
-	devs := a.devices()
-	if err := a.checkWritable(devs, b, n); err != nil {
-		return err
+	v := a.table.Load()
+	pl := a.place(es, v, b, p, true)
+	defer pl.release()
+	for _, d := range pl.data {
+		if !v.devs[d.disk].Healthy() && !v.devs[pl.img[d.lb-b].disk].Healthy() {
+			return fmt.Errorf("core: block %d has no healthy copy location: %w", d.lb, raid.ErrDataLoss)
+		}
 	}
-	fns := a.dataWriteFns(devs, b, n, p)
-	fns = append(fns, a.mirrorWriteFns(devs, b, n, p)...)
-	return par.Do(ctx, fns...)
-}
-
-// dataWriteFns builds the foreground striped data writes (one
-// contiguous transfer per disk), skipping failed disks.
-func (a *RAIDx) dataWriteFns(devs []raid.Dev, b int64, n int, p []byte) []func(context.Context) error {
-	width := a.lay.TotalDisks()
-	var fns []func(context.Context) error
-	for col := 0; col < width; col++ {
-		first := b + (int64(col)-b%int64(width)+int64(width))%int64(width)
-		if first >= b+int64(n) {
+	// Foreground data writes, one gathered transfer per run.
+	for i, j := 0, 0; i < len(pl.data); i = j {
+		j = runEnd(pl.data, i, false)
+		lo, segs, dev := pl.data[i], pl.segs[i:j], v.devs[pl.data[i].disk]
+		// IntentAhead marks the region before it is in flight, so a crash
+		// treats it as possibly torn until a resync confirms it. A failed
+		// disk is skipped — the image carries the data — and the mark lets
+		// a delta resync replay just these blocks when the device returns.
+		healthy := dev.Healthy()
+		if a.opt.IntentAhead || !healthy {
+			a.mark(lo, j-i)
+		}
+		if !healthy {
 			continue
 		}
-		count := int((b+int64(n)-1-first)/int64(width)) + 1
-		dev := devs[col]
-		phys := first / int64(width)
-		if a.opt.IntentAhead {
-			// Write-ahead mark: the region is in flight, so a crash here
-			// must treat it as possibly torn until a resync confirms it.
-			a.intLog.MarkRange(col, phys, int64(count))
-		}
-		if !dev.Healthy() {
-			// The image carries the data; log the intent so a delta
-			// resync can replay just these blocks when the device
-			// returns.
-			a.intLog.MarkRange(col, phys, int64(count))
-			continue
-		}
-		col := col
-		fns = append(fns, func(ctx context.Context) (err error) {
-			ctx, ch := trace.Start(ctx, "raidx.col-write", a.col(col))
-			ch.Val = int64(count * a.bs)
+		pl.fns = append(pl.fns, func(ctx context.Context) (err error) {
+			ctx, ch := trace.Start(ctx, "raidx.col-write", a.col(lo.disk))
+			ch.Val = int64(len(segs) * a.bs)
 			defer func() { ch.End(err) }()
-			// Gather the column run from p — no staging buffer, no
-			// copy-in loop. Vector-aware devices put the segments on the
-			// wire as one vectored frame; others coalesce through one
-			// pooled buffer inside WriteBlocksVec.
-			segs := a.colSegs(b, first, count, p)
-			err = raid.WriteBlocksVec(ctx, dev, phys, *segs)
-			putSegs(segs)
-			if err != nil {
-				// The run's on-disk state is unknown (partial landing,
-				// cancelled sibling, device died mid-write): mark it
-				// dirty so repair replays it from the surviving copy.
-				a.intLog.MarkRange(col, phys, int64(count))
+			// Gather the run from p — no staging buffer, no copy-in loop.
+			if err = raid.WriteBlocksVec(ctx, dev, lo.phys, segs); err != nil {
+				// Partial landing, cancelled sibling, device died mid-write.
+				a.mark(lo, len(segs))
 			}
 			return err
 		})
 	}
-	return fns
-}
-
-// mirrorWriteFns builds the mirror-group image writes. Each group's
-// covered blocks are logically consecutive, hence physically contiguous
-// in the group's slot: one gathered write per group (or per block under
-// the ScatterMirror ablation), deferred unless ForegroundMirror is set.
-func (a *RAIDx) mirrorWriteFns(devs []raid.Dev, b int64, n int, p []byte) []func(context.Context) error {
-	gs := int64(a.lay.GroupSize())
-	var fns []func(context.Context) error
-	for g := b / gs; g*gs < b+int64(n); g++ {
-		lo, hi := g*gs, (g+1)*gs
-		if lo < b {
-			lo = b
+	// Image writes, in logical order. A deferred write needs one flat
+	// piece of p, so a run ends where the blocks stop being consecutive:
+	// one gathered write per mirror group at the base layout (or per block
+	// under the ScatterMirror ablation). Deferred images travel as
+	// background notifications, and a remote node's epoch fence may drop a
+	// stale one with no error coming back — once any node can be fenced,
+	// mark the intent up front so the divergence stays visible for delta
+	// resync instead of being a silent redundancy loss.
+	ahead := a.opt.IntentAhead || (!a.opt.ForegroundMirror && es.fenced())
+	for i, j := 0, 0; i < len(pl.img); i = j {
+		if j = i + 1; !a.opt.ScatterMirror {
+			j = runEnd(pl.img, i, true)
 		}
-		if hi > b+int64(n) {
-			hi = b + int64(n)
+		lo, count, dev := pl.img[i], j-i, v.devs[pl.img[i].disk]
+		healthy := dev.Healthy()
+		if ahead || !healthy {
+			a.mark(lo, count)
 		}
-		mdisk := a.lay.MirrorDisk(g)
-		dev := devs[mdisk]
-		start := a.lay.GroupLoc(g)
-		phys := start.Block + (lo - g*gs)
-		if a.opt.IntentAhead {
-			a.intLog.MarkRange(mdisk, phys, hi-lo)
+		if !healthy {
+			continue // the data copy carries the blocks
 		}
-		if !dev.Healthy() {
-			// The data copy carries the blocks; log the skipped image
-			// region so a returning mirror is delta-resynced.
-			a.intLog.MarkRange(mdisk, phys, hi-lo)
-			continue
-		}
-		if a.opt.ScatterMirror {
-			for lb := lo; lb < hi; lb++ {
-				lb := lb
-				fns = append(fns, func(ctx context.Context) error {
-					data := p[(lb-b)*int64(a.bs) : (lb-b+1)*int64(a.bs)]
-					mphys := phys + (lb - lo)
-					var err error
-					if a.opt.ForegroundMirror {
-						err = dev.WriteBlocks(ctx, mphys, data)
-					} else {
-						err = dev.WriteBlocksBackground(ctx, mphys, data)
-					}
-					if err != nil {
-						a.intLog.MarkRange(mdisk, mphys, 1)
-					}
-					return err
-				})
-			}
-			continue
-		}
-		fns = append(fns, func(ctx context.Context) (err error) {
-			ctx, mh := trace.Start(ctx, "raidx.mirror-write", a.col(mdisk))
-			mh.Val = (hi - lo) * int64(a.bs)
+		pl.fns = append(pl.fns, func(ctx context.Context) (err error) {
+			ctx, mh := trace.Start(ctx, "raidx.mirror-write", a.col(lo.disk))
+			mh.Val = int64(count * a.bs)
 			defer func() { mh.End(err) }()
-			chunk := p[(lo-b)*int64(a.bs) : (hi-b)*int64(a.bs)]
+			chunk := p[(lo.lb-b)*int64(a.bs) : (lo.lb-b+int64(count))*int64(a.bs)]
 			if a.opt.ForegroundMirror {
-				err = dev.WriteBlocks(ctx, phys, chunk)
+				err = dev.WriteBlocks(ctx, lo.phys, chunk)
 			} else {
-				err = dev.WriteBlocksBackground(ctx, phys, chunk)
+				err = dev.WriteBlocksBackground(ctx, lo.phys, chunk)
 			}
 			if err != nil {
-				// The image may be missing or torn: record the intent so
-				// repair re-copies it from the data blocks.
-				a.intLog.MarkRange(mdisk, phys, hi-lo)
+				a.mark(lo, count) // the image may be missing or torn
 			}
 			return err
 		})
 	}
-	return fns
+	return par.Do(ctx, pl.fns...)
 }
 
-// checkWritable verifies that every touched block retains at least one
-// healthy copy location.
-func (a *RAIDx) checkWritable(devs []raid.Dev, b int64, n int) error {
-	for lb := b; lb < b+int64(n); lb++ {
-		dOK := devs[a.lay.DataLoc(lb).Disk].Healthy()
-		mOK := devs[a.lay.MirrorLoc(lb).Disk].Healthy()
-		if !dOK && !mOK {
-			return fmt.Errorf("core: block %d has no healthy copy location: %w", lb, raid.ErrDataLoss)
-		}
-	}
-	return nil
-}
+// mark logs count blocks starting at e as a copy region whose on-disk
+// state is or may become unknown, so repair replays it from the other
+// copy.
+func (a *RAIDx) mark(e ext, count int) { a.intLog.MarkRange(e.disk, e.phys, int64(count)) }
 
 func (a *RAIDx) checkRange(b int64, p []byte) (int, error) {
 	if len(p) == 0 || len(p)%a.bs != 0 {
@@ -712,7 +600,8 @@ func (a *RAIDx) Rebuild(ctx context.Context, idx int) error {
 }
 
 // RebuildFrom is Rebuild with a resumable checkpoint and optional
-// pacing. prog, when non-nil, is read to skip work already done by an
+// pacing: a restore of the disk's data half, then of its mirror half.
+// prog, when non-nil, is read to skip work already done by an
 // interrupted run and updated after every landed chunk, so a caller
 // that keeps the same RebuildProgress across attempts resumes instead
 // of restarting; pass a zeroed RebuildProgress (or nil) for a fresh
@@ -720,37 +609,24 @@ func (a *RAIDx) Rebuild(ctx context.Context, idx int) error {
 // bytes just copied — returning an error aborts the rebuild with the
 // checkpoint intact.
 func (a *RAIDx) RebuildFrom(ctx context.Context, idx int, prog *RebuildProgress, pace PaceFunc) (err error) {
-	devs := a.devices()
-	if idx < 0 || idx >= len(devs) {
-		return fmt.Errorf("core: rebuild of device %d out of range", idx)
-	}
-	if _, _, active := a.Migrating(); active {
-		return ErrMigrationActive
-	}
-	if a.ColumnRetired(idx) {
-		return ErrRetiredColumn
-	}
-	if !devs[idx].Healthy() {
-		return fmt.Errorf("core: rebuild target %d is not healthy (replace it first)", idx)
+	v, err := a.repairTarget(idx, "rebuild")
+	if err != nil {
+		return err
 	}
 	if prog == nil {
 		prog = &RebuildProgress{}
 	}
-	if ep := a.Epoch(); !ep.Trivial() {
-		return a.rebuildEpochFrom(ctx, idx, ep, prog, pace)
-	}
-	if prog.Epoch != 0 {
+	if gen := a.Epoch().Gen(); prog.Epoch != gen {
 		// Checkpoint cut under a different layout generation: placements
 		// moved, so the recorded progress no longer names the same blocks.
-		*prog = RebuildProgress{}
+		*prog = RebuildProgress{Epoch: gen}
 	}
-	blank := a.blankCols.Load()
 	ctx, root := a.tracer.StartRoot(ctx, "raidx.rebuild", a.col(idx))
 	defer func() { root.End(err) }()
 	subject := fmt.Sprintf("raidx/d%d", idx)
-	detail := ""
-	if prog.DataDone > 0 || prog.GroupsDone > 0 {
-		detail = fmt.Sprintf("resume data=%d groups=%d", prog.DataDone, prog.GroupsDone)
+	detail := fmt.Sprintf("epoch %d", prog.Epoch)
+	if prog.done() > 0 {
+		detail += fmt.Sprintf(", resume data=%d mirror=%d", prog.DataDone, prog.GroupsDone)
 	}
 	a.met.events.Append(obs.EventRebuildStart, subject, detail)
 	defer func() {
@@ -760,114 +636,25 @@ func (a *RAIDx) RebuildFrom(ctx context.Context, idx int, prog *RebuildProgress,
 		}
 		a.met.events.Append(obs.EventRebuildEnd, subject, detail)
 	}()
-	width := int64(a.lay.TotalDisks())
-	gs := int64(a.lay.GroupSize())
-	colBlocks := (a.Blocks() - int64(idx) + width - 1) / width
-	if colBlocks < 0 {
-		colBlocks = 0
+	half := a.lay.DiskBlocks / 2
+	prog.DataTotal, prog.GroupsTotal = half, half
+	a.rebuildTotal.Store(prog.Total())
+	a.rebuildDone.Store(prog.done())
+	if _, err := a.restore(ctx, v, idx, 0, half, &prog.DataDone, pace); err != nil {
+		return err
 	}
-	prog.DataTotal = colBlocks
-	prog.GroupsTotal = 0
-	for g := int64(0); g < a.Blocks()/gs; g++ {
-		if a.lay.MirrorDisk(g) == idx {
-			prog.GroupsTotal++
-		}
-	}
-	a.rebuildTotal.Store(prog.DataTotal + prog.GroupsTotal*gs)
-	a.rebuildDone.Store(prog.done(gs))
-	// Recover the data half: blocks lb ≡ idx (mod width), in bounded
-	// chunks. A checkpointed DataDone is rounded down to a chunk
-	// boundary — re-copying a partial chunk is idempotent, trusting it
-	// is not.
-	if colBlocks > 0 {
-		start := prog.DataDone
-		if start > colBlocks {
-			start = colBlocks
-		}
-		start -= start % rebuildChunk
-		n := colBlocks
-		if n > rebuildChunk {
-			n = rebuildChunk
-		}
-		// One pooled scratch buffer serves every chunk of the column.
-		buf := bufpool.Get(int(n) * a.bs)
-		defer bufpool.Put(buf)
-		for c := start; c < colBlocks; c += rebuildChunk {
-			n := colBlocks - c
-			if n > rebuildChunk {
-				n = rebuildChunk
-			}
-			part := buf[:n*int64(a.bs)]
-			err := par.ForEach(ctx, int(n), func(ctx context.Context, t int) error {
-				lb := int64(idx) + (c+int64(t))*width
-				m := a.lay.MirrorLoc(lb)
-				src := devs[m.Disk]
-				if !readable(devs, blank, m.Disk) {
-					return fmt.Errorf("core: image of block %d unavailable during rebuild: %w", lb, raid.ErrDataLoss)
-				}
-				return src.ReadBlocks(ctx, m.Block, part[t*a.bs:(t+1)*a.bs])
-			})
-			if err != nil {
-				return err
-			}
-			if err := devs[idx].WriteBlocks(ctx, c, part); err != nil {
-				return err
-			}
-			prog.DataDone = c + n
-			a.rebuildDone.Store(prog.done(gs))
-			if pace != nil {
-				if err := pace(ctx, int(n)*a.bs); err != nil {
-					return err
-				}
-			}
-		}
-		prog.DataDone = colBlocks
-	}
-	// Recover the mirror half: every group whose slot lives on idx. One
-	// pooled scratch buffer is reused across all the groups — each
-	// gathered group write lands before the next group's reads refill it.
-	// A checkpoint skips the first GroupsDone owned groups (group order
-	// is deterministic).
-	groups := a.Blocks() / gs
-	chunk := bufpool.Get(int(gs) * a.bs)
-	defer bufpool.Put(chunk)
-	owned := int64(0)
-	for g := int64(0); g < groups; g++ {
-		if a.lay.MirrorDisk(g) != idx {
-			continue
-		}
-		owned++
-		if owned <= prog.GroupsDone {
-			continue // an interrupted run already landed this group
-		}
-		start := a.lay.GroupLoc(g)
-		err := par.ForEach(ctx, int(gs), func(ctx context.Context, j int) error {
-			lb := g*gs + int64(j)
-			d := a.lay.DataLoc(lb)
-			src := devs[d.Disk]
-			if !readable(devs, blank, d.Disk) {
-				return fmt.Errorf("core: data copy of block %d unavailable during rebuild: %w", lb, raid.ErrDataLoss)
-			}
-			return src.ReadBlocks(ctx, d.Block, chunk[j*a.bs:(j+1)*a.bs])
-		})
-		if err != nil {
-			return err
-		}
-		if err := devs[idx].WriteBlocks(ctx, start.Block, chunk); err != nil {
-			return err
-		}
-		prog.GroupsDone = owned
-		a.rebuildDone.Store(prog.done(gs))
-		if pace != nil {
-			if err := pace(ctx, int(gs)*a.bs); err != nil {
-				return err
-			}
-		}
+	if _, err := a.restore(ctx, v, idx, half, 2*half, &prog.GroupsDone, pace); err != nil {
+		return err
 	}
 	// A fresh, complete copy supersedes any intents logged against the
-	// device while it was down, and the column is a read source again.
+	// device while it was down, and the column is a read source again —
+	// unless a newer spare took its place while the rebuild ran.
 	a.intLog.ClearDev(idx)
-	a.setBlank(idx, false)
+	a.swapMu.Lock()
+	defer a.swapMu.Unlock()
+	if a.devices()[idx] == v.devs[idx] {
+		a.editView(func(v *devView) { v.blank[idx] = false })
+	}
 	return nil
 }
 

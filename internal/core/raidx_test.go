@@ -283,27 +283,47 @@ func TestMultiFailureSameNode(t *testing.T) {
 
 // TestBalancedReadAvoidsBusyDisk: with BalanceReads, a single-block
 // read dodges a data disk buried under queued work by reading the
-// orthogonal image instead.
+// orthogonal image instead — at the base layout and after a grow alike.
 func TestBalancedReadAvoidsBusyDisk(t *testing.T) {
-	run := func(balance bool) time.Duration {
+	run := func(balance, grow bool) time.Duration {
 		s := vclock.New()
 		model := disk.Model{Seek: 0, TrackSkip: 0, BandwidthBps: 1e6, PerRequest: 0}
 		a, raw := simArray(t, s, 4, 1, 16, model, Options{BalanceReads: balance})
 		var took time.Duration
 		s.Spawn("reader", func(p *vclock.Proc) {
 			ctx := vclock.With(context.Background(), p)
-			// Populate block 0 and its image.
-			if err := a.WriteBlocks(ctx, 0, make([]byte, bs)); err != nil {
+			if grow {
+				added := make([]raid.Dev, 2)
+				for i := range added {
+					d := disk.New(s, fmt.Sprintf("d%d", 4+i), store.NewMem(bs, 16), model)
+					added[i], raw = d, append(raw, d)
+				}
+				m, err := a.BeginGrow(2, added, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := m.Run(ctx, nil, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			// Populate the last block (a grow moves it) and its image.
+			lb := a.Blocks() - 1
+			if moved, _ := a.Epoch().Moved(lb); moved != grow {
+				t.Errorf("block %d moved = %v, want %v", lb, moved, grow)
+			}
+			if err := a.WriteBlocks(ctx, lb, make([]byte, bs)); err != nil {
 				t.Error(err)
 			}
 			if err := a.Flush(ctx); err != nil {
 				t.Error(err)
 			}
 			start := p.Now()
-			// Bury block 0's data disk (disk 0) under 50 ms of work.
-			raw[0].Arm().Reserve(50 * time.Millisecond)
+			// Bury the block's data disk under 50 ms of work.
+			raw[a.Epoch().DataLoc(lb).Disk].Arm().Reserve(50 * time.Millisecond)
 			buf := make([]byte, bs)
-			if err := a.ReadBlocks(ctx, 0, buf); err != nil {
+			if err := a.ReadBlocks(ctx, lb, buf); err != nil {
 				t.Error(err)
 			}
 			took = p.Now() - start
@@ -313,13 +333,15 @@ func TestBalancedReadAvoidsBusyDisk(t *testing.T) {
 		}
 		return took
 	}
-	plain := run(false)
-	balanced := run(true)
-	if plain < 50*time.Millisecond {
-		t.Fatalf("unbalanced read took %v, expected to queue behind 50ms", plain)
-	}
-	if balanced >= 10*time.Millisecond {
-		t.Fatalf("balanced read took %v, expected to dodge the busy disk", balanced)
+	for _, grow := range []bool{false, true} {
+		plain := run(false, grow)
+		balanced := run(true, grow)
+		if plain < 50*time.Millisecond {
+			t.Fatalf("grow=%v: unbalanced read took %v, expected to queue behind 50ms", grow, plain)
+		}
+		if balanced >= 10*time.Millisecond {
+			t.Fatalf("grow=%v: balanced read took %v, expected to dodge the busy disk", grow, balanced)
+		}
 	}
 }
 
@@ -465,4 +487,53 @@ func TestSwapDevDuringReadStorm(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestBlankSpareWideArray: a blank spare is never a read source, however
+// wide the array. On a 66-column array a spare swapped in at column 65
+// serves no read until its rebuild completes — the column's blocks come
+// from their images — and serves them directly afterwards.
+func TestBlankSpareWideArray(t *testing.T) {
+	const blocks = 84
+	a, raw := pureArray(t, 22, 3, blocks)
+	ctx := context.Background()
+	data := make([]byte, a.Blocks()*int64(bs))
+	rand.New(rand.NewSource(66)).Read(data)
+	if err := a.WriteBlocks(ctx, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	const col = 65
+	raw[col].Fail()
+	spare := disk.New(nil, "spare", store.NewMem(bs, blocks), disk.DefaultModel())
+	if _, err := a.SwapDev(col, spare); err != nil {
+		t.Fatal(err)
+	}
+	readAll := func(what string) (spareReads int64) {
+		t.Helper()
+		before, _, _, _ := spare.Stats()
+		got := make([]byte, len(data))
+		if err := a.ReadBlocks(ctx, 0, got); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("%s: read returned the wrong data", what)
+		}
+		after, _, _, _ := spare.Stats()
+		return after - before
+	}
+	if n := readAll("before rebuild"); n != 0 {
+		t.Fatalf("blank spare served %d reads before its rebuild", n)
+	}
+	if err := a.Rebuild(ctx, col); err != nil {
+		t.Fatal(err)
+	}
+	if n := readAll("after rebuild"); n == 0 {
+		t.Fatal("rebuilt spare still bypassed by reads")
+	}
+	if err := a.Verify(ctx); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -167,6 +167,10 @@ func TestRepairRebuildResume(t *testing.T) {
 	if prog.DataDone != prog.DataTotal || prog.GroupsDone != prog.GroupsTotal {
 		t.Fatalf("checkpoint %+v not complete", prog)
 	}
+	// Both halves count physical blocks: half the disk each.
+	if half := a.Layout().DiskBlocks / 2; prog.DataTotal != half || prog.GroupsTotal != half || prog.Total() != 2*half {
+		t.Fatalf("checkpoint totals %+v, want %d physical blocks per half", prog, half)
+	}
 }
 
 // TestResyncDeltaOnlyTransfersDirty: writes landed while a device was

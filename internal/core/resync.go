@@ -21,11 +21,15 @@ import (
 // for pause.
 type PaceFunc func(ctx context.Context, bytes int) error
 
-// RebuildProgress is a rebuild checkpoint: how much of the device's
-// data half (column blocks) and mirror half (owned groups) has landed.
-// RebuildFrom updates it after every chunk, so a caller that persists
-// it across an interruption resumes where the last run stopped instead
-// of recopying the whole disk.
+// RebuildProgress is a rebuild checkpoint: how many physical blocks of
+// the device's data half (Data*) and of its mirror half (Groups*) have
+// been restored, at every layout generation. RebuildFrom updates it
+// after every chunk, so a caller that persists it across an
+// interruption resumes where the last run stopped instead of recopying
+// the whole disk. The JSON names date from when the mirror half counted
+// whole mirror groups at generation zero; a checkpoint persisted in
+// that unit reads as fewer blocks than were done, so it resumes
+// earlier, never later.
 type RebuildProgress struct {
 	DataDone    int64 `json:"data_done"`
 	DataTotal   int64 `json:"data_total"`
@@ -38,14 +42,10 @@ type RebuildProgress struct {
 }
 
 // done reports progress in physical blocks, the unit of the obs gauges.
-func (p *RebuildProgress) done(gs int64) int64 {
-	return p.DataDone + p.GroupsDone*gs
-}
+func (p *RebuildProgress) done() int64 { return p.DataDone + p.GroupsDone }
 
 // Total reports the job size in physical blocks.
-func (p *RebuildProgress) Total(gs int64) int64 {
-	return p.DataTotal + p.GroupsTotal*gs
-}
+func (p *RebuildProgress) Total() int64 { return p.DataTotal + p.GroupsTotal }
 
 // ResyncStats reports what a delta resync moved.
 type ResyncStats struct {
@@ -62,55 +62,15 @@ type ScrubStats struct {
 }
 
 // resyncSource maps physical block pb of device idx back to the logical
-// block stored there. ok is false for blocks no logical block maps to
-// (capacity truncation, unused mirror slots) — those need no resync.
-//
-// The data half is the inverse of DataLoc: disk idx, block pb holds
-// lb = pb·width + idx. The mirror half is the inverse of GroupLoc:
-// pb-mirrorBase falls in group slot (pb-base)/gs at offset (pb-base)%gs,
-// and the group in that slot whose MirrorDisk is idx — each disk owns
-// exactly one group out of every width consecutive groups, so the scan
-// is bounded by width.
+// block stored there, through the epoch's inverse maps: the data half
+// holds data blocks, the mirror half images. ok is false for blocks no
+// logical block maps to (capacity truncation, unused or vacated slots) —
+// those need no repair.
 func (a *RAIDx) resyncSource(pb int64, idx int) (int64, bool) {
-	if ep := a.Epoch(); !ep.Trivial() {
-		// Overridden placements: the epoch keeps exact inverse maps. The
-		// data half stays a contiguous prefix, the mirror half is the
-		// base slot window plus relocated images.
-		if pb < 0 || pb >= a.lay.DiskBlocks {
-			return 0, false
-		}
-		if pb < a.lay.DiskBlocks/2 {
-			return ep.DataSource(idx, pb)
-		}
-		return ep.MirrorSource(idx, pb)
+	if pb < a.lay.DiskBlocks/2 {
+		return a.Epoch().DataSource(idx, pb)
 	}
-	width := int64(a.lay.TotalDisks())
-	gs := int64(a.lay.GroupSize())
-	base := a.lay.DiskBlocks / 2
-	if pb < 0 {
-		return 0, false
-	}
-	if pb < base {
-		lb := pb*width + int64(idx)
-		if lb >= a.Blocks() {
-			return 0, false
-		}
-		return lb, true
-	}
-	off := pb - base
-	slot := off / gs
-	j := off % gs
-	for g := slot * width; g < (slot+1)*width; g++ {
-		if a.lay.MirrorDisk(g) != idx {
-			continue
-		}
-		lb := g*gs + j
-		if lb >= a.Blocks() {
-			return 0, false
-		}
-		return lb, true
-	}
-	return 0, false
+	return a.Epoch().MirrorSource(idx, pb)
 }
 
 // peerLoc reports where the live copy of logical block lb lives, given
@@ -125,6 +85,101 @@ func (a *RAIDx) peerLoc(lb int64, idx int) layout.Loc {
 	return es.mirrorLoc(lb)
 }
 
+// repairTarget checks that device idx can take a repair job (what names
+// it in errors) and returns the device view the job works on.
+func (a *RAIDx) repairTarget(idx int, what string) (*devView, error) {
+	v := a.table.Load()
+	if idx < 0 || idx >= len(v.devs) {
+		return nil, fmt.Errorf("core: %s of device %d out of range", what, idx)
+	}
+	if _, _, active := a.Migrating(); active {
+		return nil, ErrMigrationActive
+	}
+	if a.ColumnRetired(idx) {
+		return nil, ErrRetiredColumn
+	}
+	if !v.devs[idx].Healthy() {
+		return nil, fmt.Errorf("core: %s target %d is not healthy (replace it first)", what, idx)
+	}
+	return v, nil
+}
+
+// readPeer reads into dst the live copy of whatever logical block is
+// stored at physical block pb of device idx. ok is false, and nothing is
+// read, when no logical block maps there.
+func (a *RAIDx) readPeer(ctx context.Context, v *devView, idx int, pb int64, dst []byte) (ok bool, err error) {
+	lb, ok := a.resyncSource(pb, idx)
+	if !ok {
+		return false, nil
+	}
+	src := a.peerLoc(lb, idx)
+	if !v.readable(src.Disk) {
+		return true, fmt.Errorf("core: live copy of physical block %d/%d (block %d) unavailable: %w", idx, pb, lb, raid.ErrDataLoss)
+	}
+	return true, v.devs[src.Disk].ReadBlocks(ctx, src.Block, dst)
+}
+
+// restore rewrites physical blocks [lo, hi) of device idx from their
+// live peer copies, rebuildChunk blocks at a time: the chunk's peers are
+// read in parallel, then the blocks some logical block maps to are
+// written back in as few contiguous runs as possible (capacity-truncated
+// tails and unused mirror slots are skipped). It is the one repair loop:
+// a rebuild restores both halves of the disk, a resync its dirty
+// regions. done, when non-nil, is a checkpoint — how much of [lo, hi) an
+// earlier run already restored — kept current (with the rebuild gauge)
+// after every chunk. pace, when non-nil, is called after each chunk.
+// restore returns the number of blocks it wrote.
+func (a *RAIDx) restore(ctx context.Context, v *devView, idx int, lo, hi int64, done *int64, pace PaceFunc) (copied int64, err error) {
+	c := lo
+	if done != nil {
+		// Resume at a chunk boundary — re-copying a partial chunk is
+		// idempotent, trusting it is not.
+		c += min(*done, hi-lo)
+		if c < hi {
+			c -= (c - lo) % rebuildChunk
+		}
+	}
+	// One pooled scratch buffer serves every chunk.
+	buf := bufpool.Get(rebuildChunk * a.bs)
+	defer bufpool.Put(buf)
+	var valid [rebuildChunk]bool
+	for ; c < hi; c += rebuildChunk {
+		n := int(min(hi-c, rebuildChunk))
+		err := par.ForEach(ctx, n, func(ctx context.Context, t int) (err error) {
+			valid[t], err = a.readPeer(ctx, v, idx, c+int64(t), buf[t*a.bs:(t+1)*a.bs])
+			return err
+		})
+		if err != nil {
+			return copied, err
+		}
+		for t := 0; t < n; {
+			if !valid[t] {
+				t++
+				continue
+			}
+			run := t
+			for run < n && valid[run] {
+				run++
+			}
+			if err := v.devs[idx].WriteBlocks(ctx, c+int64(t), buf[t*a.bs:run*a.bs]); err != nil {
+				return copied, err
+			}
+			copied += int64(run - t)
+			t = run
+		}
+		if done != nil {
+			a.rebuildDone.Add(c + int64(n) - lo - *done)
+			*done = c + int64(n) - lo
+		}
+		if pace != nil {
+			if err := pace(ctx, n*a.bs); err != nil {
+				return copied, err
+			}
+		}
+	}
+	return copied, nil
+}
+
 // Resync replays dirty physical regions of device idx from the live
 // peer copies — the delta alternative to a full Rebuild when a device
 // returns stale rather than blank. Regions normally come from
@@ -132,20 +187,10 @@ func (a *RAIDx) peerLoc(lb int64, idx int) layout.Loc {
 // passed in (replaying a region twice is idempotent, losing one is
 // not). pace, when non-nil, throttles the copy like RebuildFrom.
 func (a *RAIDx) Resync(ctx context.Context, idx int, regions []intent.Region, pace PaceFunc) (st ResyncStats, err error) {
-	devs := a.devices()
-	if idx < 0 || idx >= len(devs) {
-		return st, fmt.Errorf("core: resync of device %d out of range", idx)
+	v, err := a.repairTarget(idx, "resync")
+	if err != nil {
+		return st, err
 	}
-	if _, _, active := a.Migrating(); active {
-		return st, ErrMigrationActive
-	}
-	if a.ColumnRetired(idx) {
-		return st, ErrRetiredColumn
-	}
-	if !devs[idx].Healthy() {
-		return st, fmt.Errorf("core: resync target %d is not healthy", idx)
-	}
-	blank := a.blankCols.Load()
 	ctx, root := a.tracer.StartRoot(ctx, "raidx.resync", a.col(idx))
 	defer func() { root.End(err) }()
 	subject := fmt.Sprintf("raidx/d%d", idx)
@@ -159,64 +204,13 @@ func (a *RAIDx) Resync(ctx context.Context, idx int, regions []intent.Region, pa
 		}
 		a.met.events.Append(obs.EventResyncEnd, subject, detail)
 	}()
-	buf := bufpool.Get(rebuildChunk * a.bs)
-	defer bufpool.Put(buf)
-	srcs := make([]layout.Loc, rebuildChunk)
-	valid := make([]bool, rebuildChunk)
 	for _, reg := range regions {
 		st.Regions++
-		for lo := reg.Start; lo < reg.Start+reg.Count; lo += rebuildChunk {
-			hi := reg.Start + reg.Count
-			if hi > lo+rebuildChunk {
-				hi = lo + rebuildChunk
-			}
-			n := int(hi - lo)
-			for t := 0; t < n; t++ {
-				lb, ok := a.resyncSource(lo+int64(t), idx)
-				valid[t] = ok
-				if ok {
-					srcs[t] = a.peerLoc(lb, idx)
-				}
-			}
-			err := par.ForEach(ctx, n, func(ctx context.Context, t int) error {
-				if !valid[t] {
-					return nil
-				}
-				src := devs[srcs[t].Disk]
-				if !readable(devs, blank, srcs[t].Disk) {
-					return fmt.Errorf("core: live copy of physical block %d/%d unavailable during resync: %w",
-						idx, lo+int64(t), raid.ErrDataLoss)
-				}
-				return src.ReadBlocks(ctx, srcs[t].Block, buf[t*a.bs:(t+1)*a.bs])
-			})
-			if err != nil {
-				return st, err
-			}
-			// Write the chunk as contiguous valid runs: capacity-truncated
-			// tails and unused mirror slots are skipped, everything else
-			// lands in as few device writes as possible.
-			for t := 0; t < n; {
-				if !valid[t] {
-					t++
-					continue
-				}
-				run := t
-				for run < n && valid[run] {
-					run++
-				}
-				part := buf[t*a.bs : run*a.bs]
-				if err := devs[idx].WriteBlocks(ctx, lo+int64(t), part); err != nil {
-					return st, err
-				}
-				st.BlocksCopied += int64(run - t)
-				st.BytesCopied += int64(len(part))
-				t = run
-			}
-			if pace != nil {
-				if err := pace(ctx, n*a.bs); err != nil {
-					return st, err
-				}
-			}
+		n, err := a.restore(ctx, v, idx, reg.Start, reg.Start+reg.Count, nil, pace)
+		st.BlocksCopied += n
+		st.BytesCopied += n * int64(a.bs)
+		if err != nil {
+			return st, err
 		}
 	}
 	return st, nil
@@ -230,20 +224,10 @@ func (a *RAIDx) Resync(ctx context.Context, idx int, regions []intent.Region, pa
 // dirty-region tracking lost a write, so the caller should escalate to
 // a full rebuild.
 func (a *RAIDx) ScrubSample(ctx context.Context, idx int, stride int64, pace PaceFunc) (st ScrubStats, err error) {
-	devs := a.devices()
-	if idx < 0 || idx >= len(devs) {
-		return st, fmt.Errorf("core: scrub of device %d out of range", idx)
+	v, err := a.repairTarget(idx, "scrub")
+	if err != nil {
+		return st, err
 	}
-	if _, _, active := a.Migrating(); active {
-		return st, ErrMigrationActive
-	}
-	if a.ColumnRetired(idx) {
-		return st, ErrRetiredColumn
-	}
-	if !devs[idx].Healthy() {
-		return st, fmt.Errorf("core: scrub target %d is not healthy", idx)
-	}
-	blank := a.blankCols.Load()
 	if stride <= 0 {
 		stride = rebuildChunk
 	}
@@ -254,26 +238,20 @@ func (a *RAIDx) ScrubSample(ctx context.Context, idx int, stride int64, pace Pac
 	defer bufpool.Put(have)
 	defer bufpool.Put(want)
 	for pb := int64(0); pb < a.lay.DiskBlocks; pb += stride {
-		lb, ok := a.resyncSource(pb, idx)
+		ok, err := a.readPeer(ctx, v, idx, pb, want)
+		if err != nil {
+			return st, err
+		}
 		if !ok {
 			continue
 		}
-		src := a.peerLoc(lb, idx)
-		peer := devs[src.Disk]
-		if !readable(devs, blank, src.Disk) {
-			return st, fmt.Errorf("core: live copy of physical block %d/%d unavailable during scrub: %w",
-				idx, pb, raid.ErrDataLoss)
-		}
-		if err := peer.ReadBlocks(ctx, src.Block, want); err != nil {
-			return st, err
-		}
-		if err := devs[idx].ReadBlocks(ctx, pb, have); err != nil {
+		if err := v.devs[idx].ReadBlocks(ctx, pb, have); err != nil {
 			return st, err
 		}
 		st.BlocksChecked++
 		if parity.FirstDiff(have, want) >= 0 {
 			st.Mismatches++
-			if err := devs[idx].WriteBlocks(ctx, pb, want); err != nil {
+			if err := v.devs[idx].WriteBlocks(ctx, pb, want); err != nil {
 				return st, err
 			}
 			st.BlocksRepaired++

@@ -33,6 +33,10 @@ import (
 // The override maps answer "where is block b" for the new epoch while
 // the previous Epoch value still answers for the old one — the core
 // engine holds both during a migration and picks by migration cursor.
+// The engine places every operation through an Epoch, generation zero
+// included: with no overrides DataLoc / MirrorLoc cost one empty-map
+// length check on top of the base arithmetic, and DataSource /
+// MirrorSource are the exact inverses its repair loop scans with.
 
 // ErrNoMirrorSpace is returned by a shrink whose relocated images do
 // not fit in the surviving disks' free mirror-half slots.
@@ -162,10 +166,6 @@ func (e *Epoch) Gen() uint64 { return uint64(len(e.steps)) }
 
 // Base returns the epoch-zero OSM geometry.
 func (e *Epoch) Base() OSM { return e.base }
-
-// Trivial reports whether this epoch is plain OSM arithmetic (no
-// overrides), letting engines keep the allocation-free fast paths.
-func (e *Epoch) Trivial() bool { return len(e.steps) == 0 }
 
 // Width reports the total number of disk slots (including retired
 // ones, which keep their indices so physical locations stay stable).

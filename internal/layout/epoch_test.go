@@ -292,27 +292,28 @@ func TestEpochMovesBetween(t *testing.T) {
 	}
 }
 
-// TestEpochTrivialFastPath pins the gen-0 guarantees engines rely on
-// for their allocation-free paths.
-func TestEpochTrivialFastPath(t *testing.T) {
+// TestEpochZeroIsBaseArithmetic pins the generation-0 guarantee the
+// engine's one placement path relies on: an epoch with no steps places
+// every block exactly where the base OSM arithmetic does.
+func TestEpochZeroIsBaseArithmetic(t *testing.T) {
 	e := NewEpoch(NewOSM(4, 2, 24))
-	if !e.Trivial() {
-		t.Fatal("fresh epoch not trivial")
+	if e.Gen() != 0 {
+		t.Fatal("fresh epoch not at generation 0")
 	}
 	osm := e.Base()
 	for lb := int64(0); lb < e.DataBlocks(); lb++ {
 		if e.DataLoc(lb) != osm.DataLoc(lb) || e.MirrorLoc(lb) != osm.MirrorLoc(lb) {
-			t.Fatalf("trivial epoch disagrees with OSM at block %d", lb)
+			t.Fatalf("generation-0 epoch disagrees with OSM at block %d", lb)
 		}
 	}
 	e1, err := e.Grow(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e1.Trivial() {
-		t.Fatal("grown epoch claims trivial")
+	if e1.Gen() != 1 {
+		t.Fatal("grown epoch not at generation 1")
 	}
-	if e.Trivial() != true {
+	if e.Gen() != 0 {
 		t.Fatal("grow mutated its receiver")
 	}
 }
