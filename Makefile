@@ -34,11 +34,15 @@ race:
 check: vet staticcheck promtest race
 
 # chaoscheck runs the self-healing chaos suite (CI job `repair`): the
-# repair-supervisor and delta-resync tests — including the faultnet
-# kill/partition/readmit scenarios in internal/cdd — under the race
-# detector, plus the coherence chaos suite (partitioned writers and
-# caching readers on overlapping lock groups: zero stale reads,
-# lease auto-release of dead holders) run twice.
+# repair-supervisor and delta-resync tests under the race detector —
+# the supervisor drills and the writes-while-a-spare-is-blank schedule
+# in internal/repair, table-driven over raidx, rs(k,2), raid5(4) and
+# chained(4); the member-table drills over all five redundant engines
+# in internal/raid; the faultnet kill/partition/readmit scenarios in
+# internal/cdd over raidx and an rs(4,2) stripe — plus the coherence
+# chaos suite (partitioned writers and caching readers on overlapping
+# lock groups: zero stale reads, lease auto-release of dead holders)
+# run twice.
 chaoscheck:
 	$(GO) test -run 'TestRepair|TestResync' -race ./...
 	$(GO) test -run 'TestCoherence' -race -count=2 ./internal/cdd/
@@ -68,7 +72,9 @@ bench:
 # engine's stripe fan-out, and coherent cache-hit reads — which must
 # stay at 0 remote calls and <= 2 allocs) — and the call pins (TestCalls):
 # the engine's exact device-call set and issue order at layout generation
-# 0 and 1, and the array calls on fsim's extent data path (a 256 KiB
+# 0 and 1, the exact device-call set of a full rebuild through the one
+# restore loop for every redundant engine, none above one 128-block chunk
+# (TestCallsRestore), and the array calls on fsim's extent data path (a 256 KiB
 # WriteFile, its ReadFile and a 4 KiB overwrite inside a 1 MiB file each
 # stay at a handful, so a return to per-block I/O fails here). A hot-path
 # allocation regression fails here before it shows up in the benchmarks.

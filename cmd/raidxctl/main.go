@@ -441,9 +441,8 @@ func printRepairStatus(addr string, raw []byte) {
 		if d.ResyncBytes > 0 {
 			line += fmt.Sprintf("  resynced %d KB", d.ResyncBytes>>10)
 		}
-		if st.Active == i && d.Prog.Total() > 0 {
-			line += fmt.Sprintf("  [rebuild %d/%d data blocks, %d/%d mirror blocks]",
-				d.Prog.DataDone, d.Prog.DataTotal, d.Prog.GroupsDone, d.Prog.GroupsTotal)
+		if st.Active == i && d.Prog.Total > 0 {
+			line += fmt.Sprintf("  [rebuild %d/%d blocks]", d.Prog.Done, d.Prog.Total)
 		}
 		if d.LastErr != "" {
 			line += "  last error: " + d.LastErr

@@ -471,7 +471,7 @@ func startRepair(node *cdd.Node, o repairOpts) (*repair.Supervisor, func(), erro
 			return nil, nil, err
 		}
 	}
-	var pace core.PaceFunc
+	var pace raid.PaceFunc
 	if o.sched != nil {
 		// Maintenance traffic yields to foreground serving under the
 		// background admission rate.

@@ -26,6 +26,35 @@ import (
 	"repro/internal/store"
 )
 
+// healArray is what the self-healing drills need of an engine.
+type healArray interface {
+	raid.Array
+	raid.Restorer // = repair.Array
+	raid.DevSwapper
+	raid.Verifier
+}
+
+// healEngines are the policies the TCP drills run over: the OSM mirror
+// on four nodes and an rs(4,2) stripe on six, each handed the cluster's
+// registry and its own intent log.
+var healEngines = []struct {
+	name  string
+	nodes int
+	build func(devs []raid.Dev, il *intent.Log, reg *obs.Registry) (healArray, error)
+}{
+	{"raidx", 4, func(devs []raid.Dev, il *intent.Log, reg *obs.Registry) (healArray, error) {
+		return core.New(devs, 4, 1, core.Options{Obs: reg, Intent: il, ForegroundMirror: true})
+	}},
+	{"rs(4,2)", 6, func(devs []raid.Dev, il *intent.Log, reg *obs.Registry) (healArray, error) {
+		a, err := raid.NewRS(devs, 2)
+		if err != nil {
+			return nil, err
+		}
+		a.Members().Attach(il, reg, nil)
+		return a, nil
+	}},
+}
+
 // waitDev polls the supervisor until cond holds for member idx.
 func waitDev(t *testing.T, sup *repair.Supervisor, idx int, within time.Duration, cond func(repair.DevStatus) bool, what string) {
 	t.Helper()
@@ -50,10 +79,16 @@ func waitDev(t *testing.T, sup *repair.Supervisor, idx int, within time.Duration
 // errors and zero wrong bytes throughout (mirror failover while the
 // node is dead, blank-column routing while the spare rebuilds).
 func TestRepairChaosNodeKillAutoSpareRebuild(t *testing.T) {
+	for _, e := range healEngines {
+		t.Run(e.name, func(t *testing.T) { nodeKillAutoSpareRebuild(t, e.nodes, e.build) })
+	}
+}
+
+func nodeKillAutoSpareRebuild(t *testing.T, n int, build func([]raid.Dev, *intent.Log, *obs.Registry) (healArray, error)) {
 	const blocks = 128
-	devs, _, nodes, reg := faultCluster(t, 4, 1, blocks, nil)
-	il := intent.NewLog(4, blocks, 8)
-	a, err := core.New(devs, 4, 1, core.Options{Obs: reg, Intent: il, ForegroundMirror: true})
+	devs, _, nodes, reg := faultCluster(t, n, 1, blocks, nil)
+	il := intent.NewLog(n, blocks, 8)
+	a, err := build(devs, il, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +195,9 @@ func TestRepairChaosNodeKillAutoSpareRebuild(t *testing.T) {
 
 	// Writes that raced the rebuild may have been clobbered by an
 	// in-flight chunk copy (copy read the peer before the write landed):
-	// rewrite the writer region once on the healed array, then audit.
+	// rewrite the writer region once on the healed array, then audit. The
+	// region is whole stripes of the rs array, so the rewrite re-encodes
+	// its parity from scratch.
 	if err := a.WriteBlocks(ctx, wbase, wdata); err != nil {
 		t.Fatalf("post-heal rewrite: %v", err)
 	}
@@ -181,7 +218,7 @@ func TestRepairChaosNodeKillAutoSpareRebuild(t *testing.T) {
 	if countEvents(reg, obs.EventRepairState, "repair/d2") == 0 {
 		t.Error("no repair state transitions logged for the healed device")
 	}
-	if countEvents(reg, obs.EventRebuildStart, "raidx/d2") == 0 {
+	if countEvents(reg, obs.EventRebuildStart, a.Name()+"/d2") == 0 {
 		t.Error("no rebuild-start event for the healed device")
 	}
 }
@@ -192,11 +229,17 @@ func TestRepairChaosNodeKillAutoSpareRebuild(t *testing.T) {
 // replaying ONLY the dirty regions: the resync byte count must be a
 // small fraction of the device, and a post-resync Verify must pass.
 func TestResyncChaosPartitionDeltaOnly(t *testing.T) {
+	for _, e := range healEngines {
+		t.Run(e.name, func(t *testing.T) { partitionDeltaOnly(t, e.nodes, e.build) })
+	}
+}
+
+func partitionDeltaOnly(t *testing.T, n int, build func([]raid.Dev, *intent.Log, *obs.Registry) (healArray, error)) {
 	const blocks = 256
 	fnet := faultnet.New(7)
-	devs, clients, _, reg := faultCluster(t, 4, 1, blocks, fnet)
-	il := intent.NewLog(4, blocks, 8)
-	a, err := core.New(devs, 4, 1, core.Options{Obs: reg, Intent: il, ForegroundMirror: true})
+	devs, clients, _, reg := faultCluster(t, n, 1, blocks, fnet)
+	il := intent.NewLog(n, blocks, 8)
+	a, err := build(devs, il, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +321,7 @@ func TestResyncChaosPartitionDeltaOnly(t *testing.T) {
 	if err := a.Verify(ctx); err != nil {
 		t.Fatalf("verify after delta resync: %v", err)
 	}
-	if countEvents(reg, obs.EventResyncStart, "raidx/d1") == 0 {
+	if countEvents(reg, obs.EventResyncStart, a.Name()+"/d1") == 0 {
 		t.Error("no resync-start event for the readmitted device")
 	}
 }

@@ -115,10 +115,7 @@ func NewAtEpoch(devs []raid.Dev, ep *layout.Epoch, opt Options) (*RAIDx, error) 
 		}
 		live = append(live, d)
 	}
-	if len(live) == 0 {
-		return nil, fmt.Errorf("core: no devices")
-	}
-	bs, per, err := checkDevs(live)
+	bs, per, err := raid.CheckDevs(live, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -129,17 +126,16 @@ func NewAtEpoch(devs []raid.Dev, ep *layout.Epoch, opt Options) (*RAIDx, error) 
 		return nil, fmt.Errorf("core: devices hold %d blocks, epoch geometry needs %d", per, base.DiskBlocks)
 	}
 	a := &RAIDx{
+		mem:    raid.NewMembers("raidx", devs, bs, base.DiskBlocks),
 		lay:    base,
 		bs:     bs,
 		opt:    opt,
 		met:    newCoreMetrics(opt.Obs),
 		tracer: opt.Trace,
-		intLog: opt.Intent,
 	}
+	a.mem.Attach(opt.Intent, opt.Obs, opt.Trace)
 	a.setColNames(len(devs))
-	a.table.Store(&devView{devs: append([]raid.Dev(nil), devs...), blank: make([]bool, len(devs))})
 	a.epoch.Store(&epochState{cur: ep})
-	a.intLog.Grow(len(devs))
 	a.finishInit(devs)
 	return a, nil
 }
@@ -183,9 +179,9 @@ var planPool = sync.Pool{New: func() any { return new(plan) }}
 // leaves each bucket in logical order, which is already physical order
 // wherever placement is the base striping; a bucket holding override
 // placements is then sorted by physical block.
-func (a *RAIDx) place(es *epochState, v *devView, b int64, p []byte, images bool) *plan {
+func (a *RAIDx) place(es *epochState, v *raid.MemberView, b int64, p []byte, images bool) *plan {
 	pl := planPool.Get().(*plan)
-	width, bs := len(v.devs), int64(a.bs)
+	width, bs := len(v.Devs), int64(a.bs)
 	pl.end = append(pl.end, make([]int, width+1)...)
 	for lb := b; lb < b+int64(len(p))/bs; lb++ {
 		d := es.dataLoc(lb)

@@ -176,7 +176,7 @@ func (m *Migration) abortWindow() {
 // be called again; a crash loses at most the in-flight window, which
 // the resumed run re-copies — old homes stay authoritative until the
 // commit, so torn new-home writes are invisible.
-func (m *Migration) Run(ctx context.Context, pace PaceFunc, checkpoint func(cursor int64) error) (err error) {
+func (m *Migration) Run(ctx context.Context, pace raid.PaceFunc, checkpoint func(cursor int64) error) (err error) {
 	m.mu.Lock()
 	if m.running {
 		m.mu.Unlock()
@@ -253,8 +253,8 @@ func (m *Migration) copyWindow(ctx context.Context, lo, hi int64, checkpoint fun
 		return 0, nil
 	}
 	m.openWindow(lo, hi)
-	v := m.a.table.Load()
-	devs := v.devs
+	v := m.a.mem.Load()
+	devs := v.Devs
 	buf := bufpool.Get(len(moves) * m.a.bs)
 	defer bufpool.Put(buf)
 	err := par.ForEach(ctx, len(moves), func(ctx context.Context, i int) error {
@@ -268,11 +268,11 @@ func (m *Migration) copyWindow(ctx context.Context, lo, hi int64, checkpoint fun
 			alt = m.from.DataLoc(mv.lb)
 		}
 		rerr := errSourceDown
-		if v.readable(src.Disk) {
+		if v.Readable(src.Disk) {
 			rerr = devs[src.Disk].ReadBlocks(ctx, src.Block, dst)
 		}
 		if rerr != nil && ctx.Err() == nil {
-			if !v.readable(alt.Disk) {
+			if !v.Readable(alt.Disk) {
 				return fmt.Errorf("core: migrating block %d: both copies unavailable (%v): %w", mv.lb, rerr, raid.ErrDataLoss)
 			}
 			if aerr := devs[alt.Disk].ReadBlocks(ctx, alt.Block, dst); aerr != nil {
@@ -332,8 +332,8 @@ func (a *RAIDx) beginMigration(next *layout.Epoch, cursor int64) (*Migration, er
 	if cursor < 0 || cursor > a.Blocks() {
 		return nil, fmt.Errorf("core: resume cursor %d outside [0,%d]", cursor, a.Blocks())
 	}
-	a.swapMu.Lock()
-	defer a.swapMu.Unlock()
+	a.migMu.Lock()
+	defer a.migMu.Unlock()
 	es := a.epoch.Load()
 	if es.next != nil {
 		return nil, ErrMigrationActive
@@ -367,26 +367,16 @@ func (a *RAIDx) BeginGrow(addNodes int, newDevs []raid.Dev, cursor int64) (*Migr
 	if err != nil {
 		return nil, err
 	}
-	devs := a.devices()
+	devs := a.Devices()
 	need := next.Width() - len(devs)
 	if need > 0 {
 		if len(newDevs) != need {
 			return nil, fmt.Errorf("core: grow by %d nodes needs %d devices, got %d", addNodes, need, len(newDevs))
 		}
-		for i, d := range newDevs {
-			if d.BlockSize() != a.bs || d.NumBlocks() < a.lay.DiskBlocks {
-				return nil, fmt.Errorf("core: new device %d geometry %dx%d does not match %dx%d",
-					i, d.BlockSize(), d.NumBlocks(), a.bs, a.lay.DiskBlocks)
-			}
+		if err := a.mem.Append(newDevs); err != nil {
+			return nil, err
 		}
-		a.swapMu.Lock()
-		a.editView(func(v *devView) {
-			v.devs = append(v.devs, newDevs...)
-			v.blank = append(v.blank, make([]bool, len(newDevs))...)
-		})
 		a.setColNames(next.Width())
-		a.swapMu.Unlock()
-		a.intLog.Grow(next.Width())
 	} else if len(newDevs) != 0 {
 		return nil, fmt.Errorf("core: device table already spans width %d; pass no new devices", len(devs))
 	}

@@ -356,10 +356,10 @@ func TestMigrationExclusion(t *testing.T) {
 	if err := a.Rebuild(ctx, 0); !errors.Is(err, ErrMigrationActive) {
 		t.Fatalf("rebuild during migration: %v, want ErrMigrationActive", err)
 	}
-	if _, err := a.Resync(ctx, 0, []intent.Region{{Start: 0, Count: 8}}, nil); !errors.Is(err, ErrMigrationActive) {
+	if _, err := raid.Resync(ctx, a, 0, []intent.Region{{Start: 0, Count: 8}}, nil); !errors.Is(err, ErrMigrationActive) {
 		t.Fatalf("resync during migration: %v, want ErrMigrationActive", err)
 	}
-	if _, err := a.ScrubSample(ctx, 0, 0, nil); !errors.Is(err, ErrMigrationActive) {
+	if _, err := raid.ScrubSample(ctx, a, 0, 0, nil); !errors.Is(err, ErrMigrationActive) {
 		t.Fatalf("scrub during migration: %v, want ErrMigrationActive", err)
 	}
 	if _, err := a.BeginGrow(1, nil, 0); !errors.Is(err, ErrMigrationActive) {
@@ -532,8 +532,8 @@ func TestRebuildAndResyncUnderEpoch(t *testing.T) {
 	if _, err := a.SwapDev(0, spare); err != nil {
 		t.Fatal(err)
 	}
-	prog := &RebuildProgress{}
-	if err := a.RebuildFrom(ctx, 0, prog, nil); err != nil {
+	prog := &raid.RebuildProgress{}
+	if err := raid.RebuildFrom(ctx, a, 0, prog, nil); err != nil {
 		t.Fatalf("epoched rebuild: %v", err)
 	}
 	if prog.Epoch != a.Epoch().Gen() {
@@ -564,7 +564,7 @@ func TestRebuildAndResyncUnderEpoch(t *testing.T) {
 		if len(regions) == 0 {
 			break
 		}
-		if _, err := a.Resync(ctx, victim, regions, nil); err != nil {
+		if _, err := raid.Resync(ctx, a, victim, regions, nil); err != nil {
 			t.Fatalf("epoched resync: %v", err)
 		}
 	}

@@ -112,16 +112,17 @@ func newCoreMetrics(r *obs.Registry) coreMetrics {
 }
 
 // RAIDx is the OSM array engine. It satisfies raid.Array,
-// raid.Rebuilder, and raid.Verifier.
+// raid.Verifier, and — repaired by the policy-independent loop in
+// internal/raid — raid.Restorer and raid.DevSwapper.
 type RAIDx struct {
-	// table is the copy-on-write device view: operations load it once at
+	// mem is the copy-on-write member table: operations load it once at
 	// entry and work on that immutable snapshot, while SwapDev, a grow and
-	// a finished rebuild install a fresh copy under swapMu. A hot-swap
-	// during a read storm is therefore race-free — in-flight operations
-	// finish against the view they started with, and the next operation
-	// sees the spare.
-	table  atomic.Pointer[devView]
-	swapMu sync.Mutex
+	// a finished rebuild install a fresh copy. A hot-swap during a read
+	// storm is therefore race-free — in-flight operations finish against
+	// the view they started with, and the next operation sees the spare.
+	mem *raid.Members
+	// migMu serializes the start of migrations.
+	migMu sync.Mutex
 	// epoch is the copy-on-write layout view (see epochState): the one
 	// answer to "where is block b" for reads, writes and repair at every
 	// generation. Grows and shrinks publish override generations here,
@@ -146,11 +147,6 @@ type RAIDx struct {
 	// simultaneous readers split between data and image instead of
 	// herding onto whichever side momentarily reports less backlog.
 	flip atomic.Uint32
-	// intLog is the optional write-intent log (nil: marks are no-ops).
-	intLog *intent.Log
-	// rebuildDone/rebuildTotal expose background-repair progress (in
-	// physical blocks of the device under repair) through obs gauges.
-	rebuildDone, rebuildTotal atomic.Int64
 	// degradedNotify, when set (raid.DegradedNotifier), is called with
 	// the number of blocks each degraded read served through a mirror
 	// image; the vol package wires it to a per-volume counter.
@@ -165,7 +161,7 @@ func New(devs []raid.Dev, nodes, disksPerNode int, opt Options) (*RAIDx, error) 
 	if len(devs) != nodes*disksPerNode {
 		return nil, fmt.Errorf("core: %d devices for a %dx%d array", len(devs), nodes, disksPerNode)
 	}
-	_, per, err := checkDevs(devs)
+	_, per, err := raid.CheckDevs(devs, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +178,7 @@ func (a *RAIDx) finishInit(devs []raid.Dev) {
 	if a.opt.Obs != nil {
 		a.opt.Obs.RegisterGauge("raidx.backlog_us", func() int64 {
 			var sum time.Duration
-			for _, d := range a.devices() {
+			for _, d := range a.Devices() {
 				if d != nil {
 					sum += raid.BacklogOf(d)
 				}
@@ -191,15 +187,13 @@ func (a *RAIDx) finishInit(devs []raid.Dev) {
 		})
 		a.opt.Obs.RegisterGauge("raidx.bg_backlog_us", func() int64 {
 			var sum time.Duration
-			for _, d := range a.devices() {
+			for _, d := range a.Devices() {
 				if d != nil {
 					sum += raid.BgBacklogOf(d)
 				}
 			}
 			return int64(sum / time.Microsecond)
 		})
-		a.opt.Obs.RegisterGauge("raidx.rebuild_done_blocks", a.rebuildDone.Load)
-		a.opt.Obs.RegisterGauge("raidx.rebuild_total_blocks", a.rebuildTotal.Load)
 	}
 	// A degraded mount — building the array over members that are
 	// already unhealthy — is a state worth flagging on the event log.
@@ -213,20 +207,6 @@ func (a *RAIDx) finishInit(devs []raid.Dev) {
 		a.met.events.Append(obs.EventDegradedMount, "raidx",
 			fmt.Sprintf("%d of %d devices unhealthy at mount", down, len(devs)))
 	}
-}
-
-func checkDevs(devs []raid.Dev) (int, int64, error) {
-	bs := devs[0].BlockSize()
-	per := devs[0].NumBlocks()
-	for i, d := range devs {
-		if d.BlockSize() != bs {
-			return 0, 0, fmt.Errorf("core: device %d block size %d != %d", i, d.BlockSize(), bs)
-		}
-		if d.NumBlocks() < per {
-			per = d.NumBlocks()
-		}
-	}
-	return bs, per, nil
 }
 
 // setColNames publishes a fresh pre-formatted name table covering n
@@ -248,44 +228,13 @@ func (a *RAIDx) col(i int) string {
 	return fmt.Sprintf("d%d", i)
 }
 
-// devView is one immutable snapshot of the device table.
-type devView struct {
-	devs []raid.Dev
-	// blank flags columns whose device answers health probes but holds no
-	// trustworthy content: a freshly swapped-in spare is blank until its
-	// rebuild completes, so reads of its blocks must route through the
-	// mirror images even though the device itself is "up". Writes still
-	// land on it — they only make the rebuild's job smaller. Blankness
-	// lives in the view so that one operation's copy choices stay
-	// consistent while a rebuild finishes concurrently.
-	blank []bool
-}
-
-// readable reports whether column col may serve reads: the device must
-// answer and must not be a blank spare whose rebuild has not completed.
-func (v *devView) readable(col int) bool {
-	return !v.blank[col] && v.devs[col] != nil && v.devs[col].Healthy()
-}
-
-// editView publishes a copy of the device view changed by edit. Callers
-// hold swapMu.
-func (a *RAIDx) editView(edit func(*devView)) {
-	cur := a.table.Load()
-	next := &devView{devs: append([]raid.Dev(nil), cur.devs...), blank: append([]bool(nil), cur.blank...)}
-	edit(next)
-	a.table.Store(next)
-}
-
-// devices returns the current device table snapshot.
-func (a *RAIDx) devices() []raid.Dev { return a.table.Load().devs }
-
 // Devices returns the current device-table snapshot. The slice is the
-// engine's own copy-on-write table: treat it as read-only. The repair
-// supervisor polls it for member health.
-func (a *RAIDx) Devices() []raid.Dev { return a.devices() }
+// engine's own copy-on-write table: treat it as read-only.
+func (a *RAIDx) Devices() []raid.Dev { return a.mem.Load().Devs }
 
-// Intent exposes the array's write-intent log (nil when not configured).
-func (a *RAIDx) Intent() *intent.Log { return a.intLog }
+// Members implements raid.Restorer: the member table, which also holds
+// the array's write-intent log.
+func (a *RAIDx) Members() *raid.Members { return a.mem }
 
 // Layout exposes the OSM address arithmetic (used by the checkpointing
 // module and the layout-printing tool).
@@ -294,27 +243,7 @@ func (a *RAIDx) Layout() layout.OSM { return a.lay }
 // SwapDev implements raid.DevSwapper: it replaces member idx (typically
 // a failed disk) with a hot spare of identical geometry and returns the
 // previous device. The new device is blank until Rebuild runs.
-//
-// The swap installs a fresh copy of the device table, so operations
-// already in flight finish against the old table while everything
-// started afterwards sees the spare; concurrent swaps serialize.
-func (a *RAIDx) SwapDev(idx int, dev raid.Dev) (raid.Dev, error) {
-	a.swapMu.Lock()
-	defer a.swapMu.Unlock()
-	cur := a.devices()
-	if idx < 0 || idx >= len(cur) {
-		return nil, fmt.Errorf("core: swap of device %d out of range", idx)
-	}
-	if dev.BlockSize() != a.bs || dev.NumBlocks() < a.lay.DiskBlocks {
-		return nil, fmt.Errorf("core: spare geometry %dx%d does not match %dx%d",
-			dev.BlockSize(), dev.NumBlocks(), a.bs, a.lay.DiskBlocks)
-	}
-	// The spare is published already flagged blank: no reader may ever
-	// observe it as a valid read source before its rebuild.
-	a.editView(func(v *devView) { v.devs[idx], v.blank[idx] = dev, true })
-	a.met.events.Append(obs.EventSwap, fmt.Sprintf("raidx/d%d", idx), "hot spare installed")
-	return cur[idx], nil
-}
+func (a *RAIDx) SwapDev(idx int, dev raid.Dev) (raid.Dev, error) { return a.mem.Swap(idx, dev) }
 
 // Tracer exposes the engine's tracer (nil when tracing is off).
 func (a *RAIDx) Tracer() *trace.Tracer { return a.tracer }
@@ -341,14 +270,14 @@ func (a *RAIDx) ReadBlocks(ctx context.Context, b int64, p []byte) (err error) {
 	defer func() { root.End(err) }()
 	start := time.Now()
 	defer func() { a.met.readLat.Observe(time.Since(start)) }()
-	es, v := a.epoch.Load(), a.table.Load()
+	es, v := a.epoch.Load(), a.mem.Load()
 	pl := a.place(es, v, b, p, false)
 	defer pl.release()
 	for i, j := 0, 0; i < len(pl.data); i = j {
 		j = runEnd(pl.data, i, false)
 		run, segs := pl.data[i:j], pl.segs[i:j]
 		disk, phys := run[0].disk, run[0].phys
-		if !v.readable(disk) {
+		if !v.Readable(disk) {
 			// Degraded: fetch each block's image individually — images of
 			// one column scatter over many mirror groups.
 			for t := range run {
@@ -366,12 +295,12 @@ func (a *RAIDx) ReadBlocks(ctx context.Context, b int64, p []byte) (err error) {
 			}
 			continue
 		}
-		dev := v.devs[disk]
+		dev := v.Devs[disk]
 		if a.opt.BalanceReads && len(run) == 1 {
 			// Load-balanced single-block read: alternate the preferred
 			// copy, then defer to whichever disk has less queued work.
-			if m := es.mirrorLoc(run[0].lb); v.readable(m.Disk) {
-				mdev := v.devs[m.Disk]
+			if m := es.mirrorLoc(run[0].lb); v.Readable(m.Disk) {
+				mdev := v.Devs[m.Disk]
 				db, mb := raid.BacklogOf(dev), raid.BacklogOf(mdev)
 				if mb < db || (mb == db && a.flip.Add(1)%2 == 0) {
 					a.met.balancedMirror.Inc()
@@ -433,14 +362,14 @@ func (a *RAIDx) noteFailover(col int, cause error) {
 // readImage serves block lb from its mirror image at m. cause, when
 // non-nil, is the error that failed the primary read; a block whose
 // image is also unavailable reports both.
-func (a *RAIDx) readImage(ctx context.Context, v *devView, lb int64, m layout.Loc, dst []byte, cause error) error {
-	if !v.readable(m.Disk) {
+func (a *RAIDx) readImage(ctx context.Context, v *raid.MemberView, lb int64, m layout.Loc, dst []byte, cause error) error {
+	if !v.Readable(m.Disk) {
 		if cause != nil {
 			return fmt.Errorf("core: block %d primary failed (%v) and image unavailable: %w", lb, cause, raid.ErrDataLoss)
 		}
 		return fmt.Errorf("core: block %d and its image both unavailable: %w", lb, raid.ErrDataLoss)
 	}
-	err := v.devs[m.Disk].ReadBlocks(ctx, m.Block, dst)
+	err := v.Devs[m.Disk].ReadBlocks(ctx, m.Block, dst)
 	if err != nil && cause != nil {
 		return fmt.Errorf("core: block %d primary failed (%v), image read failed: %w", lb, cause, err)
 	}
@@ -480,18 +409,18 @@ func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) 
 		// copier may have advanced while we waited.
 		es = a.epoch.Load()
 	}
-	v := a.table.Load()
+	v := a.mem.Load()
 	pl := a.place(es, v, b, p, true)
 	defer pl.release()
 	for _, d := range pl.data {
-		if !v.devs[d.disk].Healthy() && !v.devs[pl.img[d.lb-b].disk].Healthy() {
+		if !v.Devs[d.disk].Healthy() && !v.Devs[pl.img[d.lb-b].disk].Healthy() {
 			return fmt.Errorf("core: block %d has no healthy copy location: %w", d.lb, raid.ErrDataLoss)
 		}
 	}
 	// Foreground data writes, one gathered transfer per run.
 	for i, j := 0, 0; i < len(pl.data); i = j {
 		j = runEnd(pl.data, i, false)
-		lo, segs, dev := pl.data[i], pl.segs[i:j], v.devs[pl.data[i].disk]
+		lo, segs, dev := pl.data[i], pl.segs[i:j], v.Devs[pl.data[i].disk]
 		// IntentAhead marks the region before it is in flight, so a crash
 		// treats it as possibly torn until a resync confirms it. A failed
 		// disk is skipped — the image carries the data — and the mark lets
@@ -528,7 +457,7 @@ func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) 
 		if j = i + 1; !a.opt.ScatterMirror {
 			j = runEnd(pl.img, i, true)
 		}
-		lo, count, dev := pl.img[i], j-i, v.devs[pl.img[i].disk]
+		lo, count, dev := pl.img[i], j-i, v.Devs[pl.img[i].disk]
 		healthy := dev.Healthy()
 		if ahead || !healthy {
 			a.mark(lo, count)
@@ -558,7 +487,7 @@ func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) 
 // mark logs count blocks starting at e as a copy region whose on-disk
 // state is or may become unknown, so repair replays it from the other
 // copy.
-func (a *RAIDx) mark(e ext, count int) { a.intLog.MarkRange(e.disk, e.phys, int64(count)) }
+func (a *RAIDx) mark(e ext, count int) { a.mem.Intent().MarkRange(e.disk, e.phys, int64(count)) }
 
 func (a *RAIDx) checkRange(b int64, p []byte) (int, error) {
 	if len(p) == 0 || len(p)%a.bs != 0 {
@@ -576,86 +505,14 @@ func (a *RAIDx) checkRange(b int64, p []byte) (int, error) {
 func (a *RAIDx) Flush(ctx context.Context) (err error) {
 	ctx, root := a.tracer.StartRoot(ctx, "raidx.flush", "raidx")
 	defer func() { root.End(err) }()
-	devs := a.devices()
-	return par.ForEach(ctx, len(devs), func(ctx context.Context, i int) error {
-		if devs[i] == nil || !devs[i].Healthy() {
-			return nil
-		}
-		return devs[i].Flush(ctx)
-	})
+	return raid.FlushAll(ctx, a.Devices())
 }
-
-// rebuildChunk bounds repair I/O: blocks per recovered write. A whole
-// column written in one call is tens of megabytes at realistic disk
-// sizes, which overflows the transport frame limit when the target is a
-// remote device (and holds the entire column in memory).
-const rebuildChunk = 128
 
 // Rebuild implements raid.Rebuilder: the replaced disk's data half is
 // recovered from images on other nodes; its mirror half is regenerated
-// from the corresponding data blocks. Equivalent to RebuildFrom with no
-// checkpoint and no pacing.
+// from the corresponding data blocks.
 func (a *RAIDx) Rebuild(ctx context.Context, idx int) error {
-	return a.RebuildFrom(ctx, idx, nil, nil)
-}
-
-// RebuildFrom is Rebuild with a resumable checkpoint and optional
-// pacing: a restore of the disk's data half, then of its mirror half.
-// prog, when non-nil, is read to skip work already done by an
-// interrupted run and updated after every landed chunk, so a caller
-// that keeps the same RebuildProgress across attempts resumes instead
-// of restarting; pass a zeroed RebuildProgress (or nil) for a fresh
-// rebuild. pace, when non-nil, is called after each chunk with the
-// bytes just copied — returning an error aborts the rebuild with the
-// checkpoint intact.
-func (a *RAIDx) RebuildFrom(ctx context.Context, idx int, prog *RebuildProgress, pace PaceFunc) (err error) {
-	v, err := a.repairTarget(idx, "rebuild")
-	if err != nil {
-		return err
-	}
-	if prog == nil {
-		prog = &RebuildProgress{}
-	}
-	if gen := a.Epoch().Gen(); prog.Epoch != gen {
-		// Checkpoint cut under a different layout generation: placements
-		// moved, so the recorded progress no longer names the same blocks.
-		*prog = RebuildProgress{Epoch: gen}
-	}
-	ctx, root := a.tracer.StartRoot(ctx, "raidx.rebuild", a.col(idx))
-	defer func() { root.End(err) }()
-	subject := fmt.Sprintf("raidx/d%d", idx)
-	detail := fmt.Sprintf("epoch %d", prog.Epoch)
-	if prog.done() > 0 {
-		detail += fmt.Sprintf(", resume data=%d mirror=%d", prog.DataDone, prog.GroupsDone)
-	}
-	a.met.events.Append(obs.EventRebuildStart, subject, detail)
-	defer func() {
-		detail := "ok"
-		if err != nil {
-			detail = err.Error()
-		}
-		a.met.events.Append(obs.EventRebuildEnd, subject, detail)
-	}()
-	half := a.lay.DiskBlocks / 2
-	prog.DataTotal, prog.GroupsTotal = half, half
-	a.rebuildTotal.Store(prog.Total())
-	a.rebuildDone.Store(prog.done())
-	if _, err := a.restore(ctx, v, idx, 0, half, &prog.DataDone, pace); err != nil {
-		return err
-	}
-	if _, err := a.restore(ctx, v, idx, half, 2*half, &prog.GroupsDone, pace); err != nil {
-		return err
-	}
-	// A fresh, complete copy supersedes any intents logged against the
-	// device while it was down, and the column is a read source again —
-	// unless a newer spare took its place while the rebuild ran.
-	a.intLog.ClearDev(idx)
-	a.swapMu.Lock()
-	defer a.swapMu.Unlock()
-	if a.devices()[idx] == v.devs[idx] {
-		a.editView(func(v *devView) { v.blank[idx] = false })
-	}
-	return nil
+	return raid.RebuildFrom(ctx, a, idx, nil, nil)
 }
 
 // SetDegradedNotify implements raid.DegradedNotifier: fn is called
@@ -669,7 +526,7 @@ func (a *RAIDx) SetDegradedNotify(fn func(blocks int)) { a.degradedNotify = fn }
 func (a *RAIDx) Verify(ctx context.Context) (err error) {
 	ctx, root := a.tracer.StartRoot(ctx, "raidx.verify", "raidx")
 	defer func() { root.End(err) }()
-	devs := a.devices()
+	devs := a.Devices()
 	es := a.epoch.Load()
 	data := bufpool.Get(a.bs)
 	image := bufpool.Get(a.bs)

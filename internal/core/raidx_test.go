@@ -181,7 +181,7 @@ func TestPartialGroupMirrorWrites(t *testing.T) {
 			lb := int64(2 + i)
 			m := a.Layout().MirrorLoc(lb)
 			got := make([]byte, bs)
-			if err := a.devices()[m.Disk].ReadBlocks(ctx, m.Block, got); err != nil {
+			if err := a.Devices()[m.Disk].ReadBlocks(ctx, m.Block, got); err != nil {
 				t.Error(err)
 			}
 			if !bytes.Equal(got, data[i*bs:(i+1)*bs]) {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/intent"
+	"repro/internal/obs"
 	"repro/internal/raid"
 	"repro/internal/store"
 )
@@ -27,7 +29,7 @@ func intentArray(t *testing.T, nodes, k int, blocks int64, regionBlocks int64) (
 		raw[i] = d
 	}
 	il := intent.NewLog(nodes*k, blocks, regionBlocks)
-	a, err := New(devs, nodes, k, Options{Intent: il})
+	a, err := New(devs, nodes, k, Options{Intent: il, Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +134,8 @@ func TestRepairRebuildResume(t *testing.T) {
 	errPaused := errors.New("paused")
 	abortAfter := int(fullWrites) / 2
 	calls := 0
-	var prog RebuildProgress
-	err := a.RebuildFrom(ctx, victim, &prog, func(ctx context.Context, bytes int) error {
+	var prog raid.RebuildProgress
+	err := raid.RebuildFrom(ctx, a, victim, &prog, func(ctx context.Context, bytes int) error {
 		calls++
 		if calls >= abortAfter {
 			return errPaused
@@ -143,14 +145,14 @@ func TestRepairRebuildResume(t *testing.T) {
 	if !errors.Is(err, errPaused) {
 		t.Fatalf("interrupted rebuild returned %v, want pause error", err)
 	}
-	if prog.DataDone == 0 && prog.GroupsDone == 0 {
+	if prog.Done == 0 {
 		t.Fatal("no checkpoint recorded before the abort")
 	}
 	_, w2, _, _ := raw[victim].Stats()
 
 	// Resume from the checkpoint: the second run must do at most the
 	// remaining work (plus one re-copied boundary chunk), not start over.
-	if err := a.RebuildFrom(ctx, victim, &prog, nil); err != nil {
+	if err := raid.RebuildFrom(ctx, a, victim, &prog, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, w3, _, _ := raw[victim].Stats()
@@ -161,15 +163,22 @@ func TestRepairRebuildResume(t *testing.T) {
 	if err := a.Verify(ctx); err != nil {
 		t.Fatalf("verify after resumed rebuild: %v", err)
 	}
-	if done, total := a.rebuildDone.Load(), a.rebuildTotal.Load(); total == 0 || done != total {
+	g := a.opt.Obs.Snapshot().Gauges
+	if done, total := g["raidx.rebuild_done_blocks"], g["raidx.rebuild_total_blocks"]; total == 0 || done != total {
 		t.Fatalf("progress gauges %d/%d after completion", done, total)
 	}
-	if prog.DataDone != prog.DataTotal || prog.GroupsDone != prog.GroupsTotal {
-		t.Fatalf("checkpoint %+v not complete", prog)
+	// One counter, in physical blocks over both halves of the disk.
+	if want := a.Layout().DiskBlocks; prog.Done != want || prog.Total != want {
+		t.Fatalf("checkpoint %+v, want %d of %d physical blocks", prog, want, want)
 	}
-	// Both halves count physical blocks: half the disk each.
-	if half := a.Layout().DiskBlocks / 2; prog.DataTotal != half || prog.GroupsTotal != half || prog.Total() != 2*half {
-		t.Fatalf("checkpoint totals %+v, want %d physical blocks per half", prog, half)
+	// A checkpoint persisted under the four-field shape decodes as nothing
+	// done: it resumes earlier, never later.
+	var old raid.RebuildProgress
+	if err := json.Unmarshal([]byte(`{"data_done":400,"data_total":400,"groups_done":128,"groups_total":400}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	if old.Done != 0 {
+		t.Fatalf("old-shape checkpoint decoded as %+v, want zero done", old)
 	}
 }
 
@@ -211,7 +220,7 @@ func TestResyncDeltaOnlyTransfersDirty(t *testing.T) {
 	}
 	// The device returns with stale contents (not blank).
 	raw[victim].Readmit()
-	st, err := a.Resync(ctx, victim, il.TakeDirty(victim), nil)
+	st, err := raid.Resync(ctx, a, victim, il.TakeDirty(victim), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +242,7 @@ func TestResyncDeltaOnlyTransfersDirty(t *testing.T) {
 		t.Fatal("data diverged after delta resync")
 	}
 	// A sampled scrub of the readmitted device finds nothing left to fix.
-	sc, err := a.ScrubSample(ctx, victim, 4, nil)
+	sc, err := raid.ScrubSample(ctx, a, victim, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +323,7 @@ func TestResyncReadmitRace(t *testing.T) {
 		if len(regions) == 0 {
 			break
 		}
-		if _, err := a.Resync(ctx, victim, regions, nil); err != nil {
+		if _, err := raid.Resync(ctx, a, victim, regions, nil); err != nil {
 			for _, r := range regions {
 				il.MarkRange(victim, r.Start, r.Count)
 			}

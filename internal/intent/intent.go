@@ -35,6 +35,7 @@ import (
 	"math/bits"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/store"
 )
@@ -59,7 +60,14 @@ type Log struct {
 	bits         [][]uint64 // one bitset per device
 	dirty        []int64    // dirty-region count per device (cheap gauges)
 	gen          uint64     // bumped on every mutation (persistence dirtiness)
+	// n is len(bits) for the bounds checks made before taking mu: Grow
+	// appends to bits while marks and polls are in flight.
+	n atomic.Int64
 }
+
+// tracks reports whether the log — nil included — tracks device dev.
+// Devices are only ever appended, so a yes stays true.
+func (l *Log) tracks(dev int) bool { return l != nil && dev >= 0 && dev < int(l.n.Load()) }
 
 // NewLog creates a log for an array of devices, each deviceBlocks
 // physical blocks, tracked at regionBlocks granularity (0 takes
@@ -82,6 +90,7 @@ func NewLog(devices int, deviceBlocks, regionBlocks int64) *Log {
 	for i := range l.bits {
 		l.bits[i] = make([]uint64, words)
 	}
+	l.n.Store(int64(devices))
 	return l
 }
 
@@ -91,7 +100,7 @@ func NewLog(devices int, deviceBlocks, regionBlocks int64) *Log {
 // (retired members keep their slot; their bits simply stay clean), and
 // a nil log stays nil-safe.
 func (l *Log) Grow(devices int) {
-	if l == nil || devices <= len(l.bits) {
+	if l == nil || devices <= int(l.n.Load()) {
 		return
 	}
 	words := (l.regions() + 63) / 64
@@ -100,6 +109,7 @@ func (l *Log) Grow(devices int) {
 		l.bits = append(l.bits, make([]uint64, words))
 		l.dirty = append(l.dirty, 0)
 	}
+	l.n.Store(int64(len(l.bits)))
 	l.gen++
 	l.mu.Unlock()
 }
@@ -117,7 +127,7 @@ func (l *Log) Devices() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.bits)
+	return int(l.n.Load())
 }
 
 // regions reports the number of regions per device. Caller holds no lock
@@ -130,7 +140,7 @@ func (l *Log) regions() int64 {
 // block+count) on device dev as dirty. Out-of-range portions are
 // clamped; a nil log discards the mark.
 func (l *Log) MarkRange(dev int, block, count int64) {
-	if l == nil || dev < 0 || dev >= len(l.bits) || count <= 0 {
+	if !l.tracks(dev) || count <= 0 {
 		return
 	}
 	lo, hi := block, block+count
@@ -159,7 +169,7 @@ func (l *Log) MarkRange(dev int, block, count int64) {
 
 // DirtyRegions reports how many regions are currently dirty on dev.
 func (l *Log) DirtyRegions(dev int) int64 {
-	if l == nil || dev < 0 || dev >= len(l.bits) {
+	if !l.tracks(dev) {
 		return 0
 	}
 	l.mu.Lock()
@@ -183,7 +193,7 @@ func (l *Log) DirtyBlocks(dev int) int64 {
 // Dirty returns dev's dirty regions, coalesced into maximal contiguous
 // runs, without clearing them.
 func (l *Log) Dirty(dev int) []Region {
-	if l == nil || dev < 0 || dev >= len(l.bits) {
+	if !l.tracks(dev) {
 		return nil
 	}
 	l.mu.Lock()
@@ -195,7 +205,7 @@ func (l *Log) Dirty(dev int) []Region {
 // them. The caller owns replaying the returned regions; on failure it
 // must re-mark them (MarkRange is idempotent) or the intents are lost.
 func (l *Log) TakeDirty(dev int) []Region {
-	if l == nil || dev < 0 || dev >= len(l.bits) {
+	if !l.tracks(dev) {
 		return nil
 	}
 	l.mu.Lock()
@@ -243,7 +253,7 @@ func (l *Log) collect(dev int) []Region {
 // ClearDev drops every dirty mark on dev (a completed full rebuild
 // supersedes the intents).
 func (l *Log) ClearDev(dev int) {
-	if l == nil || dev < 0 || dev >= len(l.bits) {
+	if !l.tracks(dev) {
 		return
 	}
 	l.mu.Lock()

@@ -369,7 +369,7 @@ func (s *Scheduler) Wait(ctx context.Context, c Class, tenant string, n int) err
 	return nil
 }
 
-// Pace adapts one (class, tenant) stream to the core.PaceFunc shape —
+// Pace adapts one (class, tenant) stream to the raid.PaceFunc shape —
 // func(ctx, bytes) error — so repair, resync, and scrub route through
 // admission control without importing this package.
 func (s *Scheduler) Pace(c Class, tenant string) func(ctx context.Context, bytes int) error {

@@ -1,0 +1,147 @@
+package raid
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/intent"
+	"repro/internal/obs"
+	"repro/internal/trace"
+)
+
+// MemberView is one immutable snapshot of an array's member table. An
+// operation loads it once at entry and makes every copy choice against
+// it, so a hot-swap or a finishing rebuild never changes the table under
+// an operation in flight.
+type MemberView struct {
+	// Devs is the table itself: treat it as read-only. Columns an engine
+	// retired may be nil.
+	Devs []Dev
+	// blank flags members that answer health probes but hold no
+	// trustworthy content: a freshly swapped-in spare is blank until its
+	// rebuild completes.
+	blank []bool
+}
+
+// Readable reports whether member i may serve reads — foreground reads,
+// read-modify-write pre-reads and repair sources alike: the device must
+// answer and must not be a blank spare. Writes ask only Healthy(): they
+// land on a blank member too, which just makes its rebuild's job smaller.
+func (v *MemberView) Readable(i int) bool {
+	return !v.blank[i] && v.Devs[i] != nil && v.Devs[i].Healthy()
+}
+
+// Members is the copy-on-write member table every redundant engine keeps
+// its devices in, and where the repair loop (restore.go) finds what it
+// needs besides the engine's Reconstruct: the write-intent log, the event
+// log, the tracer and the progress gauges.
+type Members struct {
+	name   string
+	bs     int
+	blocks int64 // physical blocks of a member the array uses
+
+	view atomic.Pointer[MemberView]
+	mu   sync.Mutex // serializes edits of the table
+
+	il     *intent.Log
+	events *obs.EventLog
+	tracer *trace.Tracer
+	// done/total are the <name>.rebuild_*_blocks gauges: progress of the
+	// member under rebuild, in physical blocks.
+	done, total atomic.Int64
+}
+
+// NewMembers builds the member table of the array called name over devs,
+// each of which must offer blocks blocks of bs bytes.
+func NewMembers(name string, devs []Dev, bs int, blocks int64) *Members {
+	m := &Members{name: name, bs: bs, blocks: blocks}
+	m.view.Store(&MemberView{Devs: append([]Dev(nil), devs...), blank: make([]bool, len(devs))})
+	return m
+}
+
+// Attach hands the table the array's services, any of which may be nil:
+// the write-intent log (no log, no delta resync), the registry that
+// receives swap, rebuild and resync events and the rebuild gauges, and
+// the tracer for repair spans. Call it before the array takes I/O.
+func (m *Members) Attach(il *intent.Log, reg *obs.Registry, tr *trace.Tracer) {
+	m.il, m.events, m.tracer = il, reg.Events(), tr
+	il.Grow(len(m.Load().Devs))
+	reg.RegisterGauge(m.name+".rebuild_done_blocks", m.done.Load)
+	reg.RegisterGauge(m.name+".rebuild_total_blocks", m.total.Load)
+}
+
+// Load returns the current snapshot of the table.
+func (m *Members) Load() *MemberView { return m.view.Load() }
+
+// Intent returns the array's write-intent log, in which engines mark the
+// member regions whose copy write was skipped (device down) or failed, so
+// a delta resync replays them when the device returns. It is nil when
+// none is attached; a nil log discards marks and reports nothing dirty.
+func (m *Members) Intent() *intent.Log { return m.il }
+
+// edit publishes a copy of the table changed by fn. Callers hold m.mu.
+func (m *Members) edit(fn func(*MemberView)) {
+	cur := m.Load()
+	next := &MemberView{Devs: append([]Dev(nil), cur.Devs...), blank: append([]bool(nil), cur.blank...)}
+	fn(next)
+	m.view.Store(next)
+}
+
+func (m *Members) fits(dev Dev) error {
+	if dev.BlockSize() != m.bs || dev.NumBlocks() < m.blocks {
+		return fmt.Errorf("%s: device geometry %dx%d does not match %dx%d",
+			m.name, dev.BlockSize(), dev.NumBlocks(), m.bs, m.blocks)
+	}
+	return nil
+}
+
+// Swap replaces member idx (typically a failed disk) with a hot spare of
+// matching geometry and returns the previous device; it is every engine's
+// SwapDev. The spare is published already blank — no reader may ever see
+// it as a valid source before its rebuild. Concurrent swaps serialize.
+func (m *Members) Swap(idx int, dev Dev) (Dev, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	cur := m.Load().Devs
+	if idx < 0 || idx >= len(cur) {
+		return nil, fmt.Errorf("%s: swap of device %d out of range", m.name, idx)
+	}
+	if err := m.fits(dev); err != nil {
+		return nil, err
+	}
+	m.edit(func(v *MemberView) { v.Devs[idx], v.blank[idx] = dev, true })
+	m.events.Append(obs.EventSwap, fmt.Sprintf("%s/d%d", m.name, idx), "hot spare installed")
+	return cur[idx], nil
+}
+
+// Append widens the table, and the intent log with it, by devs (an
+// online grow). New members are not blank: nothing maps to them until
+// the engine's migration copies blocks over.
+func (m *Members) Append(devs []Dev) error {
+	for _, d := range devs {
+		if err := m.fits(d); err != nil {
+			return err
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.edit(func(v *MemberView) {
+		v.Devs = append(v.Devs, devs...)
+		v.blank = append(v.blank, make([]bool, len(devs))...)
+	})
+	m.il.Grow(len(m.Load().Devs))
+	return nil
+}
+
+// rebuilt records that dev, member idx, has been restored in full: the
+// copy supersedes any intents logged against the member, and it is a
+// read source again — unless a newer spare took its place meanwhile.
+func (m *Members) rebuilt(idx int, dev Dev) {
+	m.il.ClearDev(idx)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.Load().Devs[idx] == dev {
+		m.edit(func(v *MemberView) { v.blank[idx] = false })
+	}
+}

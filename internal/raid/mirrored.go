@@ -18,7 +18,7 @@ import (
 // arrangement.
 type mirroredArray struct {
 	name    string
-	devs    []Dev
+	mem     *Members
 	bs      int
 	blocks  int64
 	primary mapping
@@ -30,65 +30,62 @@ type mirroredArray struct {
 	balanceReads bool
 }
 
-func (a *mirroredArray) Name() string   { return a.name }
-func (a *mirroredArray) BlockSize() int { return a.bs }
-func (a *mirroredArray) Blocks() int64  { return a.blocks }
+func (a *mirroredArray) Name() string      { return a.name }
+func (a *mirroredArray) BlockSize() int    { return a.bs }
+func (a *mirroredArray) Blocks() int64     { return a.blocks }
+func (a *mirroredArray) Members() *Members { return a.mem }
+
+// SwapDev implements DevSwapper.
+func (a *mirroredArray) SwapDev(idx int, dev Dev) (Dev, error) { return a.mem.Swap(idx, dev) }
 
 // ReadBlocks reads from one copy, alternating between copies per call
 // for load balance, with per-run fallback to the other copy when a
-// device has failed.
+// device has failed or is a blank spare.
 func (a *mirroredArray) ReadBlocks(ctx context.Context, b int64, p []byte) error {
 	if _, err := checkRange(a, b, p); err != nil {
 		return err
 	}
-	first, second := a.primary, a.mirror
+	first := a.primary
 	if a.balanceReads && a.flip.Add(1)%2 == 0 {
-		first, second = second, first
+		first = a.mirror
 	}
-	return readStriped(ctx, a.devs, first, b, p, a.bs, func(ctx context.Context, r run) error {
-		// Degraded path: the same logical blocks through the other
-		// mapping. Both mappings stripe with the same width, so the
-		// run is contiguous there too.
-		dev := a.devs[second.diskOf(r.col)]
-		if !dev.Healthy() {
-			return fmt.Errorf("%s: both copies of column %d failed: %w", a.name, r.col, ErrDataLoss)
-		}
+	return readStriped(ctx, a.mem.Load(), first, b, p, a.bs, func(ctx context.Context, r run) error {
+		// Degraded path: the run as the column's other copy holds it —
+		// exactly what repair would put back on this device.
 		buf := make([]byte, r.count*a.bs)
-		phys := second.base + r.first/int64(second.width)
-		if err := dev.ReadBlocks(ctx, phys, buf); err != nil {
+		if err := a.Reconstruct(ctx, first.diskOf(r.col), r.phys, buf, nil); err != nil {
 			return err
 		}
-		second.scatter(p, buf, r, b, a.bs)
+		first.scatter(p, buf, r, b, a.bs)
 		return nil
 	})
 }
 
 // WriteBlocks writes both copies in the foreground (the conventional
 // mirrored-write discipline that RAID-x improves upon). Runs landing on
-// a failed device are skipped as long as the other copy is healthy.
+// a failed device are skipped, and intent-marked, as long as the other
+// copy is healthy; a blank spare takes every write.
 func (a *mirroredArray) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 	if _, err := checkRange(a, b, p); err != nil {
 		return err
 	}
-	if err := a.checkWritable(b, len(p)/a.bs); err != nil {
+	devs := a.mem.Load().Devs
+	if err := a.checkWritable(devs, b, len(p)/a.bs); err != nil {
 		return err
 	}
+	mark := a.mem.Intent().MarkRange
 	return par.Do(ctx,
-		func(ctx context.Context) error {
-			return writeStriped(ctx, a.devs, a.primary, b, p, a.bs, true, false)
-		},
-		func(ctx context.Context) error {
-			return writeStriped(ctx, a.devs, a.mirror, b, p, a.bs, true, false)
-		},
+		func(ctx context.Context) error { return writeStriped(ctx, devs, a.primary, b, p, a.bs, mark) },
+		func(ctx context.Context) error { return writeStriped(ctx, devs, a.mirror, b, p, a.bs, mark) },
 	)
 }
 
 // checkWritable verifies every touched column retains at least one
 // healthy copy.
-func (a *mirroredArray) checkWritable(b int64, n int) error {
+func (a *mirroredArray) checkWritable(devs []Dev, b int64, n int) error {
 	for _, r := range a.primary.runs(b, n) {
-		pOK := a.devs[a.primary.diskOf(r.col)].Healthy()
-		mOK := a.devs[a.mirror.diskOf(r.col)].Healthy()
+		pOK := devs[a.primary.diskOf(r.col)].Healthy()
+		mOK := devs[a.mirror.diskOf(r.col)].Healthy()
 		if !pOK && !mOK {
 			return fmt.Errorf("%s: both copies of column %d failed: %w", a.name, r.col, ErrDataLoss)
 		}
@@ -97,61 +94,69 @@ func (a *mirroredArray) checkWritable(b int64, n int) error {
 }
 
 // Flush implements Array.
-func (a *mirroredArray) Flush(ctx context.Context) error { return flushAll(ctx, a.devs) }
+func (a *mirroredArray) Flush(ctx context.Context) error { return FlushAll(ctx, a.mem.Load().Devs) }
 
-// Rebuild reconstructs device idx from the surviving copies: every
-// column whose primary or mirror lives on idx is copied across.
+// Rebuild implements Rebuilder: every column whose primary or mirror
+// copy lives on (replaced) device idx is copied back from the other.
 func (a *mirroredArray) Rebuild(ctx context.Context, idx int) error {
-	if idx < 0 || idx >= len(a.devs) {
-		return fmt.Errorf("%s: rebuild of device %d out of range", a.name, idx)
+	return RebuildFrom(ctx, a, idx, nil, nil)
+}
+
+// rows is the length of one column: the physical blocks each copy of it
+// occupies on its device.
+func (a *mirroredArray) rows() int64 { return a.blocks / int64(a.primary.width) }
+
+// Extents implements Restorer: the area holding primary copies, then
+// the one holding mirror copies where the layout keeps them apart
+// (chained declustering; a RAID-10 device holds one column at offset 0
+// either way). The placement never changes.
+func (a *mirroredArray) Extents() ([][2]int64, uint64) {
+	ext := [][2]int64{{a.primary.base, a.primary.base + a.rows()}}
+	if a.mirror.base != a.primary.base {
+		ext = append(ext, [2]int64{a.mirror.base, a.mirror.base + a.rows()})
 	}
-	if !a.devs[idx].Healthy() {
-		return fmt.Errorf("%s: rebuild target %d is not healthy (replace it first)", a.name, idx)
+	return ext, 0
+}
+
+// Reconstruct implements Restorer: the physical blocks of device idx
+// from pb on that fill dst are a run of some column's primary or mirror
+// copy; they are read, in one call, from the same run of the column's
+// other copy. Both mappings stripe with the same width, so the run is
+// contiguous there too.
+func (a *mirroredArray) Reconstruct(ctx context.Context, idx int, pb int64, dst []byte, _ []bool) error {
+	v := a.mem.Load()
+	holds := func(m mapping, col int) bool {
+		return m.diskOf(col) == idx && pb >= m.base && pb < m.base+a.rows()
 	}
-	total := a.blocks
-	w := int64(a.primary.width)
 	for col := 0; col < a.primary.width; col++ {
-		colBlocks := (total - int64(col) + w - 1) / w
-		if colBlocks <= 0 {
-			continue
+		lost, live := a.primary, a.mirror
+		if !holds(lost, col) {
+			if lost, live = live, lost; !holds(lost, col) {
+				continue
+			}
 		}
-		var src, dst mapping
-		switch {
-		case a.primary.diskOf(col) == idx:
-			src, dst = a.mirror, a.primary
-		case a.mirror.diskOf(col) == idx:
-			src, dst = a.primary, a.mirror
-		default:
-			continue
+		src := live.diskOf(col)
+		if !v.Readable(src) {
+			return fmt.Errorf("%s: both copies of column %d failed: %w", a.name, col, ErrDataLoss)
 		}
-		from := a.devs[src.diskOf(col)]
-		if !from.Healthy() {
-			return fmt.Errorf("%s: cannot rebuild column %d, source failed: %w", a.name, col, ErrDataLoss)
-		}
-		// Column col starts at physical block base on its disk.
-		buf := make([]byte, colBlocks*int64(a.bs))
-		if err := from.ReadBlocks(ctx, src.base, buf); err != nil {
-			return err
-		}
-		if err := a.devs[idx].WriteBlocks(ctx, dst.base, buf); err != nil {
-			return err
-		}
+		return v.Devs[src].ReadBlocks(ctx, live.base+pb-lost.base, dst)
 	}
-	return nil
+	return fmt.Errorf("%s: device %d holds no column at physical block %d", a.name, idx, pb)
 }
 
 // Verify checks that both copies of every block agree.
 func (a *mirroredArray) Verify(ctx context.Context) error {
+	devs := a.mem.Load().Devs
 	buf1 := make([]byte, a.bs)
 	buf2 := make([]byte, a.bs)
 	for b := int64(0); b < a.blocks; b++ {
 		pl := a.primary
 		ml := a.mirror
 		col := int(b % int64(pl.width))
-		if err := a.devs[pl.diskOf(col)].ReadBlocks(ctx, pl.base+b/int64(pl.width), buf1); err != nil {
+		if err := devs[pl.diskOf(col)].ReadBlocks(ctx, pl.base+b/int64(pl.width), buf1); err != nil {
 			return err
 		}
-		if err := a.devs[ml.diskOf(col)].ReadBlocks(ctx, ml.base+b/int64(ml.width), buf2); err != nil {
+		if err := devs[ml.diskOf(col)].ReadBlocks(ctx, ml.base+b/int64(ml.width), buf2); err != nil {
 			return err
 		}
 		for i := range buf1 {

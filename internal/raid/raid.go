@@ -3,8 +3,10 @@
 // mirrors), chained declustering, and Stripe, the parity engine that
 // serves RAID-5 (rotated parity), the rs(k,m) erasure-coded tier and
 // AFRAID. The RAID-x engine itself — the paper's contribution — lives
-// in internal/core and shares this package's device interface and
-// striping machinery.
+// in internal/core and shares this package's device interface, striping
+// machinery and repair layer: the member table (members.go) and the one
+// loop that rebuilds, resyncs and scrubs every redundant engine
+// (restore.go).
 //
 // Engines are pure data movers over a set of block devices. The devices
 // may be local simulated disks, or remote disks reached through the
@@ -116,9 +118,9 @@ func BgBacklogOf(d Dev) time.Duration {
 	return 0
 }
 
-// checkDevs validates a homogeneous device set and returns the common
+// CheckDevs validates a homogeneous device set and returns the common
 // block size and per-device capacity.
-func checkDevs(devs []Dev, min int) (blockSize int, diskBlocks int64, err error) {
+func CheckDevs(devs []Dev, min int) (blockSize int, diskBlocks int64, err error) {
 	if len(devs) < min {
 		return 0, 0, fmt.Errorf("raid: need at least %d devices, got %d", min, len(devs))
 	}

@@ -11,7 +11,7 @@ import (
 // the image on the odd disk at the same offset. Writes update both
 // copies in the foreground; reads alternate between copies.
 func NewRAID10(devs []Dev) (*RAID10, error) {
-	bs, per, err := checkDevs(devs, 2)
+	bs, per, err := CheckDevs(devs, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -22,7 +22,7 @@ func NewRAID10(devs []Dev) (*RAID10, error) {
 	pairs := lay.Pairs()
 	a := &RAID10{mirroredArray{
 		name:         "raid10",
-		devs:         devs,
+		mem:          NewMembers("raid10", devs, bs, per),
 		bs:           bs,
 		blocks:       lay.DataBlocks(),
 		primary:      mapping{width: pairs, base: 0, diskOf: func(c int) int { return 2 * c }},
@@ -41,7 +41,7 @@ type RAID10 struct{ mirroredArray }
 // the foreground — the scattered, synchronous mirror updates are what
 // RAID-x's clustered background mirror groups improve upon.
 func NewChained(devs []Dev) (*Chained, error) {
-	bs, per, err := checkDevs(devs, 2)
+	bs, per, err := CheckDevs(devs, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +49,7 @@ func NewChained(devs []Dev) (*Chained, error) {
 	n := len(devs)
 	a := &Chained{mirroredArray{
 		name:         "chained",
-		devs:         devs,
+		mem:          NewMembers("chained", devs, bs, per),
 		bs:           bs,
 		blocks:       lay.DataBlocks(),
 		primary:      mapping{width: n, base: 0, diskOf: func(c int) int { return c }},

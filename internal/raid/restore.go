@@ -1,0 +1,290 @@
+package raid
+
+import (
+	"context"
+	"fmt"
+	"math"
+
+	"repro/internal/bufpool"
+	"repro/internal/intent"
+	"repro/internal/obs"
+	"repro/internal/parity"
+)
+
+// Restorer is all the repair loop needs of an array engine: its member
+// table and the policy's inverse. How a member is repaired (chunking,
+// pacing, checkpoint and resume, dirty-region replay, scrub-compare,
+// spare masking, gauges, events, spans) is this file's business, once,
+// for every policy.
+type Restorer interface {
+	BlockSize() int
+	Members() *Members
+	// Extents lists the physical block ranges [lo, hi) of a member that
+	// hold array content, in the order a rebuild restores them, and the
+	// placement generation they were derived under.
+	Extents() (ext [][2]int64, gen uint64)
+	// Reconstruct fills dst with what the physical blocks of member idx
+	// from pb on — never straddling two extents — must hold, read or
+	// decoded from readable members other than idx. hole, one flag per
+	// block and all false on entry, is set for a block nothing maps to,
+	// whose bytes in dst are then undefined. An engine that cannot have
+	// idx repaired now says so here, with its own typed error.
+	Reconstruct(ctx context.Context, idx int, pb int64, dst []byte, hole []bool) error
+}
+
+// rebuildChunk bounds repair I/O: the most blocks one Reconstruct call
+// covers and one device transfer of a repair job moves. A whole column
+// in one call is tens of megabytes at realistic disk sizes: too much to
+// hold in memory, and to frame when a member is remote.
+const rebuildChunk = 128
+
+// PaceFunc throttles background repair I/O. The repair loop calls it
+// after each landed chunk with the bytes just copied; the function
+// sleeps (or waits on a token bucket) so foreground I/O keeps priority.
+// Returning an error aborts the job with its checkpoint intact — the
+// supervisor uses that for pause.
+type PaceFunc func(ctx context.Context, bytes int) error
+
+// RebuildProgress is a rebuild checkpoint: how many physical blocks of
+// the member, counted over its concatenated extents, have been restored.
+// A caller that persists it across an interruption resumes where the
+// last run stopped instead of recopying the whole disk. A checkpoint
+// persisted under the earlier field names (data_done, groups_done)
+// decodes as zero done, so it resumes earlier, never later.
+type RebuildProgress struct {
+	Done  int64 `json:"done"`
+	Total int64 `json:"total"`
+	// Epoch is the placement generation the checkpoint was cut under. A
+	// rebalance between runs moves placements, so a resumed rebuild
+	// restarts from zero when the generations differ.
+	Epoch uint64 `json:"epoch,omitempty"`
+}
+
+// ResyncStats reports what a delta resync moved.
+type ResyncStats struct {
+	Regions      int   `json:"regions"`
+	BlocksCopied int64 `json:"blocks_copied"`
+	BytesCopied  int64 `json:"bytes_copied"`
+}
+
+// ScrubStats reports what a sampled scrub checked and repaired.
+type ScrubStats struct {
+	BlocksChecked  int64 `json:"blocks_checked"`
+	Mismatches     int64 `json:"mismatches"`
+	BlocksRepaired int64 `json:"blocks_repaired"`
+}
+
+// repairTarget checks that member idx can take a repair job (what names
+// it in errors) and returns the device the job writes to.
+func repairTarget(m *Members, idx int, what string) (Dev, error) {
+	devs := m.Load().Devs
+	if idx < 0 || idx >= len(devs) {
+		return nil, fmt.Errorf("%s: %s of device %d out of range", m.name, what, idx)
+	}
+	if devs[idx] == nil || !devs[idx].Healthy() {
+		return nil, fmt.Errorf("%s: %s target %d is not healthy (replace it first)", m.name, what, idx)
+	}
+	return devs[idx], nil
+}
+
+// restore rewrites what physical blocks [lo, hi) of member idx hold of
+// the array — the part of the range inside each extent — rebuildChunk
+// blocks at a time: the engine reconstructs the chunk from the other
+// members, then the blocks that are not holes are written to dev in as
+// few contiguous runs as possible. It is the one repair loop: a rebuild
+// restores the whole member, a resync its dirty regions, a scrub the
+// blocks it found wrong. prog, when non-nil, is the checkpoint of a
+// whole-member restore: what an earlier run restored is skipped, and the
+// checkpoint (with the rebuild gauge) is kept current after every chunk.
+// pace, when non-nil, is called after each chunk. restore returns the
+// number of blocks it wrote.
+func restore(ctx context.Context, r Restorer, idx int, dev Dev, lo, hi int64, prog *RebuildProgress, pace PaceFunc) (copied int64, err error) {
+	m, bs := r.Members(), r.BlockSize()
+	// One pooled scratch buffer serves every chunk.
+	buf := bufpool.Get(int(min(hi-lo, rebuildChunk)) * bs)
+	defer bufpool.Put(buf)
+	var hole [rebuildChunk]bool
+	ext, _ := r.Extents()
+	base := int64(0) // where the extent starts in the checkpoint's count
+	for _, e := range ext {
+		c, end := max(lo, e[0]), min(hi, e[1])
+		if prog != nil {
+			// Resume at a chunk boundary — re-copying a partial chunk is
+			// idempotent, trusting it is not.
+			c += min(max(prog.Done-base, 0), end-c)
+			if c < end {
+				c -= (c - e[0]) % rebuildChunk
+			}
+		}
+		for ; c < end; c += rebuildChunk {
+			n := int(min(end-c, rebuildChunk))
+			clear(hole[:n])
+			if err := r.Reconstruct(ctx, idx, c, buf[:n*bs], hole[:n]); err != nil {
+				return copied, err
+			}
+			for t := 0; t < n; {
+				if hole[t] {
+					t++
+					continue
+				}
+				run := t
+				for run < n && !hole[run] {
+					run++
+				}
+				if err := dev.WriteBlocks(ctx, c+int64(t), buf[t*bs:run*bs]); err != nil {
+					return copied, err
+				}
+				copied += int64(run - t)
+				t = run
+			}
+			if prog != nil {
+				done := base + c + int64(n) - e[0]
+				m.done.Add(done - prog.Done)
+				prog.Done = done
+			}
+			if pace != nil {
+				if err := pace(ctx, n*bs); err != nil {
+					return copied, err
+				}
+			}
+		}
+		base += e[1] - e[0]
+	}
+	return copied, nil
+}
+
+// RebuildFrom reconstructs the full contents of (replaced) member idx —
+// every engine's Rebuild — resuming from prog when it records an
+// interrupted run (nil or zeroed: a fresh rebuild) and pacing itself
+// through pace (nil: full speed).
+func RebuildFrom(ctx context.Context, r Restorer, idx int, prog *RebuildProgress, pace PaceFunc) (err error) {
+	m := r.Members()
+	dev, err := repairTarget(m, idx, "rebuild")
+	if err != nil {
+		return err
+	}
+	ext, gen := r.Extents()
+	if prog == nil {
+		prog = &RebuildProgress{}
+	}
+	if prog.Epoch != gen {
+		// Checkpoint cut under a different placement generation: the
+		// recorded progress no longer names the same blocks.
+		*prog = RebuildProgress{Epoch: gen}
+	}
+	ctx, root := m.tracer.StartRoot(ctx, m.name+".rebuild", fmt.Sprintf("d%d", idx))
+	defer func() { root.End(err) }()
+	subject := fmt.Sprintf("%s/d%d", m.name, idx)
+	detail := fmt.Sprintf("epoch %d", prog.Epoch)
+	if prog.Done > 0 {
+		detail += fmt.Sprintf(", resume at block %d", prog.Done)
+	}
+	m.events.Append(obs.EventRebuildStart, subject, detail)
+	defer func() {
+		detail := "ok"
+		if err != nil {
+			detail = err.Error()
+		}
+		m.events.Append(obs.EventRebuildEnd, subject, detail)
+	}()
+	prog.Total = 0
+	for _, e := range ext {
+		prog.Total += e[1] - e[0]
+	}
+	m.total.Store(prog.Total)
+	m.done.Store(prog.Done)
+	if _, err := restore(ctx, r, idx, dev, 0, math.MaxInt64, prog, pace); err != nil {
+		return err
+	}
+	m.rebuilt(idx, dev)
+	return nil
+}
+
+// Resync replays dirty physical regions of member idx from the other
+// members — the delta alternative to a full rebuild when a device
+// returns stale rather than blank. Regions normally come from
+// intent.Log.TakeDirty; on error the caller must re-mark the regions it
+// passed in (replaying a region twice is idempotent, losing one is
+// not). pace, when non-nil, throttles the copy like RebuildFrom.
+func Resync(ctx context.Context, r Restorer, idx int, regions []intent.Region, pace PaceFunc) (st ResyncStats, err error) {
+	m := r.Members()
+	dev, err := repairTarget(m, idx, "resync")
+	if err != nil {
+		return st, err
+	}
+	ctx, root := m.tracer.StartRoot(ctx, m.name+".resync", fmt.Sprintf("d%d", idx))
+	defer func() { root.End(err) }()
+	subject := fmt.Sprintf("%s/d%d", m.name, idx)
+	m.events.Append(obs.EventResyncStart, subject, fmt.Sprintf("%d regions", len(regions)))
+	defer func() {
+		detail := fmt.Sprintf("copied %d blocks (%d bytes) over %d regions",
+			st.BlocksCopied, st.BytesCopied, st.Regions)
+		if err != nil {
+			detail += ": " + err.Error()
+		}
+		m.events.Append(obs.EventResyncEnd, subject, detail)
+	}()
+	for _, reg := range regions {
+		st.Regions++
+		n, err := restore(ctx, r, idx, dev, reg.Start, reg.Start+reg.Count, nil, pace)
+		st.BlocksCopied += n
+		st.BytesCopied += n * int64(r.BlockSize())
+		if err != nil {
+			return st, err
+		}
+	}
+	return st, nil
+}
+
+// ScrubSample spot-checks member idx after a resync: every stride-th
+// block of each extent (stride <= 0 takes rebuildChunk) is compared
+// against what the other members say it must hold and restored on
+// mismatch. It is the cheap confidence check that the intent log covered
+// everything the device missed — a mismatch means dirty-region tracking
+// lost a write, so the caller should escalate to a full rebuild.
+func ScrubSample(ctx context.Context, r Restorer, idx int, stride int64, pace PaceFunc) (st ScrubStats, err error) {
+	m, bs := r.Members(), r.BlockSize()
+	dev, err := repairTarget(m, idx, "scrub")
+	if err != nil {
+		return st, err
+	}
+	if stride <= 0 {
+		stride = rebuildChunk
+	}
+	ctx, root := m.tracer.StartRoot(ctx, m.name+".scrub", fmt.Sprintf("d%d", idx))
+	defer func() { root.End(err) }()
+	have := bufpool.Get(bs)
+	want := bufpool.Get(bs)
+	defer bufpool.Put(have)
+	defer bufpool.Put(want)
+	ext, _ := r.Extents()
+	for _, e := range ext {
+		for pb := e[0]; pb < e[1]; pb += stride {
+			var hole [1]bool
+			if err := r.Reconstruct(ctx, idx, pb, want, hole[:]); err != nil {
+				return st, err
+			}
+			if hole[0] {
+				continue
+			}
+			if err := dev.ReadBlocks(ctx, pb, have); err != nil {
+				return st, err
+			}
+			st.BlocksChecked++
+			if parity.FirstDiff(have, want) >= 0 {
+				st.Mismatches++
+				n, err := restore(ctx, r, idx, dev, pb, pb+1, nil, nil)
+				st.BlocksRepaired += n
+				if err != nil {
+					return st, err
+				}
+			}
+			if pace != nil {
+				if err := pace(ctx, 2*bs); err != nil {
+					return st, err
+				}
+			}
+		}
+	}
+	return st, nil
+}

@@ -8,14 +8,21 @@ import (
 )
 
 // DevSwapper is implemented by arrays whose member devices can be
-// replaced in place (core.RAIDx implements it); required for hot
-// sparing.
+// replaced in place — every redundant engine, through its Members
+// table; required for hot sparing.
 type DevSwapper interface {
 	Rebuilder
 	// SwapDev replaces member idx with dev (which must match geometry)
 	// and returns the previous device.
 	SwapDev(idx int, dev Dev) (Dev, error)
 }
+
+// Every redundant engine of this package is repaired by the one loop in
+// restore.go and takes hot spares (core.RAIDx asserts the same).
+var _, _, _ interface {
+	Restorer
+	DevSwapper
+} = (*Stripe)(nil), (*RAID10)(nil), (*Chained)(nil)
 
 // ErrRepairInFlight reports that a failover or supervised repair
 // already owns the member slot — a second conflicting copy must not

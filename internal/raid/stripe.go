@@ -36,7 +36,8 @@ import (
 // out as one vectored transfer per device aliasing the caller's buffer.
 type Stripe struct {
 	name    string
-	devs    []Dev
+	mem     *Members
+	n       int // members
 	bs      int
 	k, m    int
 	code    *parity.RS
@@ -67,7 +68,7 @@ func newStripe(name string, devs []Dev, m int, rot func(int64, int) int, deferre
 		return nil, fmt.Errorf("raid: %s: m must be >= 1, got %d", name, m)
 	}
 	// At least two data shards (use mirroring below that).
-	bs, per, err := checkDevs(devs, m+2)
+	bs, per, err := CheckDevs(devs, m+2)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +76,7 @@ func newStripe(name string, devs []Dev, m int, rot func(int64, int) int, deferre
 	if err != nil {
 		return nil, fmt.Errorf("raid: %s: %w", name, err)
 	}
-	a := &Stripe{name: name, devs: devs, bs: bs, k: len(devs) - m, m: m, code: code, stripes: per, rot: rot}
+	a := &Stripe{name: name, mem: NewMembers(name, devs, bs, per), n: len(devs), bs: bs, k: len(devs) - m, m: m, code: code, stripes: per, rot: rot}
 	if deferred {
 		a.dirty = map[int64]uint64{}
 	}
@@ -143,15 +144,10 @@ func (a *Stripe) isDirty(s int64) bool {
 }
 
 // devOf reports the device holding shard j of stripe s.
-func (a *Stripe) devOf(s int64, j int) int {
-	return (a.rot(s, len(a.devs)) + j) % len(a.devs)
-}
+func (a *Stripe) devOf(s int64, j int) int { return (a.rot(s, a.n) + j) % a.n }
 
 // shardOf reports which shard of stripe s device d holds.
-func (a *Stripe) shardOf(s int64, d int) int {
-	n := len(a.devs)
-	return (d - a.rot(s, n) + n) % n
-}
+func (a *Stripe) shardOf(s int64, d int) int { return (d - a.rot(s, a.n) + a.n) % a.n }
 
 // block returns logical block lb's slot in p, whose first byte is
 // logical block b0.
@@ -170,19 +166,24 @@ func (s devSet) count() int {
 	return bits.OnesCount64(s[0]) + bits.OnesCount64(s[1]) + bits.OnesCount64(s[2]) + bits.OnesCount64(s[3])
 }
 
-// failedDevs returns the devices reporting unhealthy; more than m is
-// data loss.
-func (a *Stripe) failedDevs() (devSet, error) {
-	var failed devSet
-	for i, d := range a.devs {
-		if !d.Healthy() {
-			failed.add(i)
+// lostDevs returns the members of v no read decision may use (lost:
+// down, or a blank spare whose rebuild has not completed) and those no
+// write can reach (down, a subset of lost). More than m lost is data
+// loss.
+func (a *Stripe) lostDevs(v *MemberView) (lost, down devSet, err error) {
+	for i, d := range v.Devs {
+		up := d.Healthy()
+		if !up {
+			down.add(i)
+		}
+		if !up || v.blank[i] {
+			lost.add(i)
 		}
 	}
-	if f := failed.count(); f > a.m {
-		return failed, fmt.Errorf("%s: %d devices failed, tolerate %d: %w", a.name, f, a.m, ErrDataLoss)
+	if f := lost.count(); f > a.m {
+		err = fmt.Errorf("%s: %d devices failed, tolerate %d: %w", a.name, f, a.m, ErrDataLoss)
 	}
-	return failed, nil
+	return lost, down, err
 }
 
 // collect folds n per-task results — at(i) is task i's device and
@@ -220,7 +221,7 @@ type devSegs struct {
 // that live on failed devices instead. Only devices with work are
 // returned, in device order.
 func (a *Stripe) plan(b int64, n int, p []byte, failed devSet) (runs []devSegs, lost []int64) {
-	runs = make([]devSegs, len(a.devs))
+	runs = make([]devSegs, a.n)
 	for lb := b; lb < b+int64(n); lb++ {
 		s, j := lb/int64(a.k), int(lb%int64(a.k))
 		d := a.devOf(s, j)
@@ -250,11 +251,11 @@ func (a *Stripe) plan(b int64, n int, p []byte, failed devSet) (runs []devSegs, 
 // device is attempted — one device's error does not cancel the others —
 // and the erring devices come back alongside the first error, so reads
 // can fail over to reconstruction.
-func (a *Stripe) runSegs(ctx context.Context, runs []devSegs, xfer func(context.Context, Dev, int64, [][]byte) error) (devSet, error) {
+func runSegs(ctx context.Context, devs []Dev, runs []devSegs, xfer func(context.Context, Dev, int64, [][]byte) error) (devSet, error) {
 	_ = par.ForEach(ctx, len(runs), func(ctx context.Context, i int) error {
 		r := &runs[i]
 		for _, sg := range r.segs {
-			if r.err = xfer(ctx, a.devs[r.dev], sg.phys, sg.vec); r.err != nil {
+			if r.err = xfer(ctx, devs[r.dev], sg.phys, sg.vec); r.err != nil {
 				break
 			}
 		}
@@ -275,12 +276,13 @@ func (a *Stripe) ReadBlocks(ctx context.Context, b int64, p []byte) error {
 	if err != nil {
 		return err
 	}
-	failed, err := a.failedDevs()
+	v := a.mem.Load()
+	failed, _, err := a.lostDevs(v)
 	if err != nil {
 		return err
 	}
 	for {
-		erred, err := a.readOnce(ctx, b, n, p, failed)
+		erred, err := a.readOnce(ctx, v.Devs, b, n, p, failed)
 		if err == nil {
 			return nil
 		}
@@ -298,9 +300,9 @@ func (a *Stripe) ReadBlocks(ctx context.Context, b int64, p []byte) error {
 
 // readOnce executes one read attempt treating the given devices as
 // failed. On error it reports which devices errored at read time.
-func (a *Stripe) readOnce(ctx context.Context, b int64, n int, p []byte, failed devSet) (devSet, error) {
+func (a *Stripe) readOnce(ctx context.Context, devs []Dev, b int64, n int, p []byte, failed devSet) (devSet, error) {
 	runs, lost := a.plan(b, n, p, failed)
-	if erred, err := a.runSegs(ctx, runs, ReadBlocksVec); err != nil {
+	if erred, err := runSegs(ctx, devs, runs, ReadBlocksVec); err != nil {
 		return erred, err
 	}
 	for i, lb := range lost {
@@ -308,7 +310,7 @@ func (a *Stripe) readOnce(ctx context.Context, b int64, n int, p []byte, failed 
 		if i > 0 && lost[i-1]/int64(a.k) == s {
 			continue // the stripe's reconstruction already delivered it
 		}
-		shards, erred, err := a.readStripe(ctx, s, failed)
+		shards, erred, err := a.readStripe(ctx, devs, s, failed)
 		if err != nil {
 			return erred, err
 		}
@@ -328,21 +330,26 @@ func (a *Stripe) readOnce(ctx context.Context, b int64, n int, p []byte, failed 
 
 // readShards reads shard j of stripe s into a fresh pooled block at
 // shards[j] for every j in js, in parallel, attempting all of them.
-func (a *Stripe) readShards(ctx context.Context, s int64, shards [][]byte, js []int) (devSet, error) {
+func (a *Stripe) readShards(ctx context.Context, devs []Dev, s int64, shards [][]byte, js []int) (devSet, error) {
 	errs := make([]error, len(js))
 	_ = par.ForEach(ctx, len(js), func(ctx context.Context, i int) error {
 		shards[js[i]] = bufpool.Get(a.bs)
-		errs[i] = a.devs[a.devOf(s, js[i])].ReadBlocks(ctx, s, shards[js[i]])
+		errs[i] = devs[a.devOf(s, js[i])].ReadBlocks(ctx, s, shards[js[i]])
 		return nil
 	})
 	return collect(len(js), func(i int) (int, error) { return a.devOf(s, js[i]), errs[i] })
 }
 
 // writeShards writes shard j of stripe s from shards[j] for every j in
-// js, in parallel.
-func (a *Stripe) writeShards(ctx context.Context, s int64, shards [][]byte, js []int) error {
+// js, in parallel. A shard that fails to land is intent-marked.
+func (a *Stripe) writeShards(ctx context.Context, devs []Dev, s int64, shards [][]byte, js []int) error {
 	return par.ForEach(ctx, len(js), func(ctx context.Context, i int) error {
-		return a.devs[a.devOf(s, js[i])].WriteBlocks(ctx, s, shards[js[i]])
+		d := a.devOf(s, js[i])
+		err := devs[d].WriteBlocks(ctx, s, shards[js[i]])
+		if err != nil {
+			a.mem.Intent().MarkRange(d, s, 1)
+		}
+		return err
 	})
 }
 
@@ -356,14 +363,14 @@ func putShards(shards [][]byte) {
 // survivors read from their devices, the rest reconstructed from them.
 // A stripe in the redundancy window has no valid parity to do that
 // with. The caller releases the shards with putShards.
-func (a *Stripe) readStripe(ctx context.Context, s int64, failed devSet) ([][]byte, devSet, error) {
+func (a *Stripe) readStripe(ctx context.Context, devs []Dev, s int64, failed devSet) ([][]byte, devSet, error) {
 	if a.isDirty(s) {
 		return nil, devSet{}, fmt.Errorf("%s: stripe %d in redundancy window (parity stale): %w", a.name, s, ErrDataLoss)
 	}
 	shards := make([][]byte, a.k+a.m)
 	present := make([]bool, a.k+a.m)
 	js := make([]int, 0, a.k+a.m)
-	for d := range a.devs {
+	for d := 0; d < a.n; d++ {
 		j := a.shardOf(s, d)
 		if present[j] = !failed.has(d); present[j] {
 			js = append(js, j)
@@ -371,7 +378,7 @@ func (a *Stripe) readStripe(ctx context.Context, s int64, failed devSet) ([][]by
 			shards[j] = bufpool.Get(a.bs)
 		}
 	}
-	erred, err := a.readShards(ctx, s, shards, js)
+	erred, err := a.readShards(ctx, devs, s, shards, js)
 	if err == nil {
 		err = a.code.Reconstruct(shards, present)
 	}
@@ -386,13 +393,17 @@ func (a *Stripe) readStripe(ctx context.Context, s int64, failed devSet) ([][]by
 // into a partial head stripe, a run of full stripes and a partial tail
 // stripe. With deferred parity the data blocks go out immediately (no
 // parity I/O on the critical path) and the touched stripes enter the
-// redundancy window until Flush.
+// redundancy window until Flush. An eager write skips only members that
+// are down — a blank spare takes every write — and intent-marks every
+// shard write it skips or that fails. (A deferred write that fails
+// stays in the window: no parity exists yet to resync it from.)
 func (a *Stripe) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 	n, err := checkRange(a, b, p)
 	if err != nil {
 		return err
 	}
-	failed, err := a.failedDevs()
+	v := a.mem.Load()
+	lost, down, err := a.lostDevs(v)
 	if err != nil {
 		return err
 	}
@@ -400,15 +411,15 @@ func (a *Stripe) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 	end := b + int64(n)
 	s0, s1 := b/k, (end-1)/k
 	if a.dirty != nil {
-		runs, lost := a.plan(b, n, p, failed)
-		if len(lost) > 0 {
-			return fmt.Errorf("%s: cannot write block %d, its device failed and parity is deferred: %w", a.name, lost[0], ErrDataLoss)
+		runs, skipped := a.plan(b, n, p, down)
+		if len(skipped) > 0 {
+			return fmt.Errorf("%s: cannot write block %d, its device failed and parity is deferred: %w", a.name, skipped[0], ErrDataLoss)
 		}
 		// Open the window before the data moves, so a failure mid-write
 		// finds it open, and again after: a concurrent Flush may have
 		// synced a stripe against data this write had not landed yet.
 		a.markDirty(s0, s1)
-		_, err := a.runSegs(ctx, runs, WriteBlocksVec)
+		_, err := runSegs(ctx, v.Devs, runs, WriteBlocksVec)
 		a.markDirty(s0, s1)
 		return err
 	}
@@ -425,13 +436,13 @@ func (a *Stripe) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 			continue
 		}
 		lo, hi := max(s*k, b), min((s+1)*k, end)
-		if err := a.writePartialStripe(ctx, s, lo, hi, p, b, failed); err != nil {
+		if err := a.writePartialStripe(ctx, v.Devs, s, lo, hi, p, b, lost, down); err != nil {
 			return err
 		}
 	}
 	// ...then the full-stripe region as one long parallel write.
 	if fullStart < fullEnd {
-		return a.writeFullStripes(ctx, fullStart, fullEnd, p, b, failed)
+		return a.writeFullStripes(ctx, v.Devs, fullStart, fullEnd, p, b, down)
 	}
 	return nil
 }
@@ -439,11 +450,11 @@ func (a *Stripe) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 // writeFullStripes writes stripes [sa, sb), all fully covered: data
 // shards go out as gather lists aliasing p, parity shards are encoded
 // into one pooled staging buffer.
-func (a *Stripe) writeFullStripes(ctx context.Context, sa, sb int64, p []byte, b0 int64, failed devSet) error {
+func (a *Stripe) writeFullStripes(ctx context.Context, devs []Dev, sa, sb int64, p []byte, b0 int64, down devSet) error {
 	rows := int(sb - sa)
 	parityBuf := bufpool.Get(rows * a.m * a.bs)
 	defer bufpool.Put(parityBuf)
-	vecs := make([][][]byte, len(a.devs))
+	vecs := make([][][]byte, a.n)
 	for d := range vecs {
 		vecs[d] = make([][]byte, rows)
 	}
@@ -463,27 +474,32 @@ func (a *Stripe) writeFullStripes(ctx context.Context, sa, sb int64, p []byte, b
 			return err
 		}
 	}
-	return par.ForEach(ctx, len(a.devs), func(ctx context.Context, d int) error {
-		if failed.has(d) {
-			return nil
+	return par.ForEach(ctx, a.n, func(ctx context.Context, d int) (err error) {
+		if !down.has(d) {
+			err = WriteBlocksVec(ctx, devs[d], sa, vecs[d])
 		}
-		return WriteBlocksVec(ctx, a.devs[d], sa, vecs[d])
+		if down.has(d) || err != nil {
+			a.mem.Intent().MarkRange(d, sa, int64(rows))
+		}
+		return err
 	})
 }
 
 // writePartialStripe updates logical blocks [lo, hi) of stripe s — the
-// covered shards — and the parity shards on surviving devices:
+// covered shards — and the parity shards, on every member that is up:
 //
-//   - No covered shard is lost: read-modify-write. Read the old covered
-//     data and the surviving parity, fold the deltas into the parity,
-//     write both back; with no parity left it is a plain data write.
-//     This is the "R+W" small-write cost of the paper's Table 2.
+//   - Every covered shard and every parity shard to be written has a
+//     readable old value: read-modify-write. Read the old covered data
+//     and the parity, fold the deltas into the parity, write both back;
+//     with no parity member up it is a plain data write. This is the
+//     "R+W" small-write cost of the paper's Table 2.
 //   - A covered shard is lost, so its new value can exist only inside
-//     the parity: reconstruct-write. Re-encode the parity from the new
-//     covered values and the old uncovered ones, which are read
-//     directly — or, when one of those is lost too, recovered by
+//     the parity — or a parity shard sits on a blank spare, where a delta
+//     would land on zeros: reconstruct-write. Re-encode the parity whole
+//     from the new covered values and the old uncovered ones, which are
+//     read directly — or, when one of those is lost too, recovered by
 //     reconstructing the old stripe.
-func (a *Stripe) writePartialStripe(ctx context.Context, s, lo, hi int64, p []byte, b0 int64, failed devSet) error {
+func (a *Stripe) writePartialStripe(ctx context.Context, devs []Dev, s, lo, hi int64, p []byte, b0 int64, lost, down devSet) error {
 	j0, j1 := int(lo-s*int64(a.k)), int(hi-s*int64(a.k))
 	// The stripe as this write sees it. Pooled blocks hold what is
 	// read or encoded; the covered data shards end up aliasing p.
@@ -497,31 +513,37 @@ func (a *Stripe) writePartialStripe(ctx context.Context, s, lo, hi int64, p []by
 		}
 	}()
 
-	// out lists the shards to write: surviving parity, then covered
-	// data on healthy devices.
+	// out lists the shards to write: parity, then covered data, each on a
+	// member that is up. reencode is set when one of them has no readable
+	// old value to form a delta against.
 	out := make([]int, 0, a.k+a.m)
+	reencode, uncoveredLost := false, false
 	for j := a.k; j < a.k+a.m; j++ {
-		if !failed.has(a.devOf(s, j)) {
+		if d := a.devOf(s, j); down.has(d) {
+			a.mem.Intent().MarkRange(d, s, 1)
+		} else {
 			out = append(out, j)
+			reencode = reencode || lost.has(d)
 		}
 	}
 	parityLeft := len(out)
-	coveredLost, uncoveredLost := false, false
 	for j := 0; j < a.k; j++ {
-		lost := failed.has(a.devOf(s, j))
+		d := a.devOf(s, j)
 		switch covered := j >= j0 && j < j1; {
-		case covered && lost:
-			coveredLost = true
+		case covered && down.has(d):
+			a.mem.Intent().MarkRange(d, s, 1)
+			reencode = true
 		case covered:
 			out = append(out, j)
-		case lost:
+			reencode = reencode || lost.has(d)
+		case lost.has(d):
 			uncoveredLost = true
 		}
 	}
 
 	switch {
-	case !coveredLost && parityLeft > 0:
-		if _, err := a.readShards(ctx, s, shards, out); err != nil {
+	case !reencode && parityLeft > 0:
+		if _, err := a.readShards(ctx, devs, s, shards, out); err != nil {
 			return err
 		}
 		for _, j := range out[parityLeft:] {
@@ -529,22 +551,22 @@ func (a *Stripe) writePartialStripe(ctx context.Context, s, lo, hi int64, p []by
 			parity.XorInto(shards[j], a.block(p, b0, s*int64(a.k)+int64(j)))
 			a.code.Update(shards[a.k:], j, shards[j])
 		}
-	case coveredLost && !uncoveredLost:
+	case reencode && !uncoveredLost:
 		uncovered := make([]int, 0, a.k)
 		for j := 0; j < a.k; j++ {
 			if j < j0 || j >= j1 {
 				uncovered = append(uncovered, j)
 			}
 		}
-		if _, err := a.readShards(ctx, s, shards, uncovered); err != nil {
+		if _, err := a.readShards(ctx, devs, s, shards, uncovered); err != nil {
 			return err
 		}
 		for j := a.k; j < a.k+a.m; j++ {
 			shards[j] = bufpool.Get(a.bs)
 		}
-	case coveredLost:
+	case reencode:
 		var err error
-		if shards, _, err = a.readStripe(ctx, s, failed); err != nil {
+		if shards, _, err = a.readStripe(ctx, devs, s, lost); err != nil {
 			return err
 		}
 	}
@@ -553,30 +575,31 @@ func (a *Stripe) writePartialStripe(ctx context.Context, s, lo, hi int64, p []by
 		shards[j] = a.block(p, b0, s*int64(a.k)+int64(j))
 	}
 	aliased = true
-	if coveredLost {
+	if reencode {
 		if err := a.code.Encode(shards[:a.k], shards[a.k:]); err != nil {
 			return err
 		}
 	}
-	return a.writeShards(ctx, s, shards, out)
+	return a.writeShards(ctx, devs, s, shards, out)
 }
 
 // Flush implements Array. With deferred parity it first recomputes the
 // parity of every stripe in the redundancy window (the parity writes
 // ride the devices' background lanes), restoring full redundancy.
 func (a *Stripe) Flush(ctx context.Context) error {
+	v := a.mem.Load()
 	if a.dirty != nil {
-		if err := a.syncWindow(ctx); err != nil {
+		if err := a.syncWindow(ctx, v); err != nil {
 			return err
 		}
 	}
-	return flushAll(ctx, a.devs)
+	return FlushAll(ctx, v.Devs)
 }
 
 // syncWindow syncs every stripe now in the redundancy window, in stripe
 // order. Flushes take turns, or a slow one could land a parity block
 // computed from older data over a faster one's.
-func (a *Stripe) syncWindow(ctx context.Context) error {
+func (a *Stripe) syncWindow(ctx context.Context, v *MemberView) error {
 	a.syncMu.Lock()
 	defer a.syncMu.Unlock()
 	a.mu.Lock()
@@ -587,7 +610,7 @@ func (a *Stripe) syncWindow(ctx context.Context) error {
 	a.mu.Unlock()
 	slices.Sort(window)
 	for _, s := range window {
-		if err := a.syncStripe(ctx, s); err != nil {
+		if err := a.syncStripe(ctx, v, s); err != nil {
 			return err
 		}
 	}
@@ -597,15 +620,16 @@ func (a *Stripe) syncWindow(ctx context.Context) error {
 // syncStripe recomputes one dirty stripe's parity: fold each data
 // shard, read through one scratch block, into zeroed parity, and queue
 // the parity writes behind the foreground traffic.
-func (a *Stripe) syncStripe(ctx context.Context, s int64) error {
+func (a *Stripe) syncStripe(ctx context.Context, v *MemberView, s int64) error {
 	a.mu.Lock()
 	opened := a.dirty[s]
 	a.mu.Unlock()
 	for j := 0; j < a.k+a.m; j++ {
-		if d := a.devOf(s, j); !a.devs[d].Healthy() {
-			if j < a.k {
-				return fmt.Errorf("%s: cannot sync stripe %d, data device %d down: %w", a.name, s, d, ErrDataLoss)
-			}
+		d := a.devOf(s, j)
+		if j < a.k && !v.Readable(d) {
+			return fmt.Errorf("%s: cannot sync stripe %d, data device %d down: %w", a.name, s, d, ErrDataLoss)
+		}
+		if !v.Devs[d].Healthy() {
 			return nil // a parity device is down: the stripe stays dirty until it is replaced
 		}
 	}
@@ -618,13 +642,13 @@ func (a *Stripe) syncStripe(ctx context.Context, s int64) error {
 	buf := bufpool.Get(a.bs)
 	defer bufpool.Put(buf)
 	for j := 0; j < a.k; j++ {
-		if err := a.devs[a.devOf(s, j)].ReadBlocks(ctx, s, buf); err != nil {
+		if err := v.Devs[a.devOf(s, j)].ReadBlocks(ctx, s, buf); err != nil {
 			return err
 		}
 		a.code.Update(pshards, j, buf)
 	}
 	for j, sh := range pshards {
-		if err := a.devs[a.devOf(s, a.k+j)].WriteBlocksBackground(ctx, s, sh); err != nil {
+		if err := v.Devs[a.devOf(s, a.k+j)].WriteBlocksBackground(ctx, s, sh); err != nil {
 			return err
 		}
 	}
@@ -636,111 +660,89 @@ func (a *Stripe) syncStripe(ctx context.Context, s int64) error {
 	return nil
 }
 
-// batchRows is how many stripes Rebuild and Verify move per device
-// transfer.
-const batchRows = 64
-
-// readBatch reads rows [s0, s0+rows) of every device outside skip into
-// cols[d], in parallel.
-func (a *Stripe) readBatch(ctx context.Context, s0, rows int64, cols [][]byte, skip devSet) error {
-	return par.ForEach(ctx, len(a.devs), func(ctx context.Context, d int) error {
+// eachRow reads rows [s0, s0+rows) of every device outside skip, one
+// call per device, and hands fn each row's k+m shards in shard order;
+// the shards of skipped devices are scratch.
+func (a *Stripe) eachRow(ctx context.Context, devs []Dev, s0 int64, rows int, skip devSet, fn func(s int64, shards [][]byte) error) error {
+	cols := make([][]byte, a.n)
+	for d := range cols {
+		cols[d] = bufpool.Get(rows * a.bs)
+	}
+	defer putShards(cols)
+	err := par.ForEach(ctx, a.n, func(ctx context.Context, d int) error {
 		if skip.has(d) {
 			return nil
 		}
-		return a.devs[d].ReadBlocks(ctx, s0, cols[d][:int(rows)*a.bs])
+		return devs[d].ReadBlocks(ctx, s0, cols[d])
 	})
+	shards := make([][]byte, a.k+a.m)
+	for r := 0; r < rows && err == nil; r++ {
+		s := s0 + int64(r)
+		for j := range shards {
+			shards[j] = cols[a.devOf(s, j)][r*a.bs : (r+1)*a.bs]
+		}
+		err = fn(s, shards)
+	}
+	return err
 }
 
-// rowShards points shards at row r of the batch starting at stripe s0,
-// in shard order.
-func (a *Stripe) rowShards(shards, cols [][]byte, s0 int64, r int) {
-	for j := range shards {
-		shards[j] = cols[a.devOf(s0+int64(r), j)][r*a.bs : (r+1)*a.bs]
-	}
-}
+// Members implements Restorer.
+func (a *Stripe) Members() *Members { return a.mem }
 
-// getCols returns one pooled batch-sized column buffer per device.
-func (a *Stripe) getCols() [][]byte {
-	cols := make([][]byte, len(a.devs))
-	for d := range cols {
-		cols[d] = bufpool.Get(batchRows * a.bs)
-	}
-	return cols
-}
+// SwapDev implements DevSwapper.
+func (a *Stripe) SwapDev(idx int, dev Dev) (Dev, error) { return a.mem.Swap(idx, dev) }
 
 // Rebuild implements Rebuilder: reconstruct every block of (replaced)
 // device idx from the survivors, up to m-1 of which may be down too.
-// Stripes in the redundancy window cannot be reconstructed (AFRAID's
-// accepted risk), so a non-empty window aborts the rebuild.
 func (a *Stripe) Rebuild(ctx context.Context, idx int) error {
-	if idx < 0 || idx >= len(a.devs) {
-		return fmt.Errorf("%s: rebuild of device %d out of range", a.name, idx)
-	}
-	if !a.devs[idx].Healthy() {
-		return fmt.Errorf("%s: rebuild target %d is not healthy (replace it first)", a.name, idx)
-	}
-	if w := a.DirtyStripes(); w > 0 {
-		return fmt.Errorf("%s: %d stripes in the redundancy window: %w", a.name, w, ErrDataLoss)
-	}
-	var missing devSet
+	return RebuildFrom(ctx, a, idx, nil, nil)
+}
+
+// Extents implements Restorer: a member is one run of shards, one per
+// stripe, and the placement never changes.
+func (a *Stripe) Extents() ([][2]int64, uint64) { return [][2]int64{{0, a.stripes}}, 0 }
+
+// Reconstruct implements Restorer: the shards device idx holds in
+// stripes [pb, pb+len(hole)), decoded from those rows of the readable
+// survivors. A stripe in the redundancy window cannot be reconstructed
+// (AFRAID's accepted risk).
+func (a *Stripe) Reconstruct(ctx context.Context, idx int, pb int64, dst []byte, hole []bool) error {
+	v := a.mem.Load()
+	missing, _, _ := a.lostDevs(v)
 	missing.add(idx)
-	for i, d := range a.devs {
-		if !d.Healthy() {
-			missing.add(i)
-		}
-	}
 	if f := missing.count(); f > a.m {
 		return fmt.Errorf("%s: %d members unavailable during rebuild, tolerate %d: %w", a.name, f, a.m, ErrDataLoss)
 	}
-	// The missing devices' columns receive the reconstructed shards.
-	cols := a.getCols()
-	defer putShards(cols)
-	shards := make([][]byte, a.k+a.m)
 	present := make([]bool, a.k+a.m)
-	for s0 := int64(0); s0 < a.stripes; s0 += batchRows {
-		rows := min(batchRows, a.stripes-s0)
-		if err := a.readBatch(ctx, s0, rows, cols, missing); err != nil {
-			return err
+	return a.eachRow(ctx, v.Devs, pb, len(hole), missing, func(s int64, shards [][]byte) error {
+		if a.isDirty(s) {
+			return fmt.Errorf("%s: stripe %d in redundancy window (parity stale): %w", a.name, s, ErrDataLoss)
 		}
-		for r := 0; r < int(rows); r++ {
-			a.rowShards(shards, cols, s0, r)
-			for j := range present {
-				present[j] = !missing.has(a.devOf(s0+int64(r), j))
-			}
-			if err := a.code.Reconstruct(shards, present); err != nil {
-				return err
-			}
+		// Decode idx's shard straight into the caller's buffer.
+		shards[a.shardOf(s, idx)] = dst[int(s-pb)*a.bs : int(s-pb+1)*a.bs]
+		for j := range present {
+			present[j] = !missing.has(a.devOf(s, j))
 		}
-		if err := a.devs[idx].WriteBlocks(ctx, s0, cols[idx][:int(rows)*a.bs]); err != nil {
-			return err
-		}
-	}
-	return nil
+		return a.code.Reconstruct(shards, present)
+	})
 }
 
 // Verify implements Verifier: re-encode every stripe's data and compare
 // against the stored parity shards, naming the device of the first one
 // that differs. Stripes in the redundancy window are exempt.
 func (a *Stripe) Verify(ctx context.Context) error {
-	cols := a.getCols()
-	defer putShards(cols)
+	devs := a.mem.Load().Devs
 	want := make([][]byte, a.m)
 	for j := range want {
 		want[j] = bufpool.Get(a.bs)
 	}
 	defer putShards(want)
-	shards := make([][]byte, a.k+a.m)
-	for s0 := int64(0); s0 < a.stripes; s0 += batchRows {
-		rows := min(batchRows, a.stripes-s0)
-		if err := a.readBatch(ctx, s0, rows, cols, devSet{}); err != nil {
-			return err
-		}
-		for r := 0; r < int(rows); r++ {
-			s := s0 + int64(r)
+	for s0 := int64(0); s0 < a.stripes; s0 += rebuildChunk {
+		rows := int(min(rebuildChunk, a.stripes-s0))
+		err := a.eachRow(ctx, devs, s0, rows, devSet{}, func(s int64, shards [][]byte) error {
 			if a.isDirty(s) {
-				continue
+				return nil
 			}
-			a.rowShards(shards, cols, s0, r)
 			if err := a.code.Encode(shards[:a.k], want); err != nil {
 				return err
 			}
@@ -750,6 +752,10 @@ func (a *Stripe) Verify(ctx context.Context) error {
 						a.name, s, j, i, a.devOf(s, a.k+j))
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

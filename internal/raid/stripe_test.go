@@ -376,6 +376,9 @@ func TestStripeReadFailoverOnStaleHealth(t *testing.T) {
 				devs[i] = l
 				liars = append(liars, l)
 			}
+			// One more, honest until the last step.
+			extra := &staleHealthDev{Dev: devs[0]}
+			devs[0] = extra
 			a := g.over(t, devs)
 			var notified int
 			a.SetDegradedNotify(func(n int) { notified += n })
@@ -416,7 +419,7 @@ func TestStripeReadFailoverOnStaleHealth(t *testing.T) {
 
 			// One more erring device exceeds the redundancy budget: the
 			// error must propagate instead of retrying forever.
-			devs[0] = &staleHealthDev{Dev: devs[0], failReads: true}
+			extra.failReads = true
 			if err := a.ReadBlocks(ctx, 0, got); err == nil {
 				t.Fatalf("read with %d erring devices should fail", g.m+1)
 			}
@@ -425,7 +428,7 @@ func TestStripeReadFailoverOnStaleHealth(t *testing.T) {
 }
 
 // TestStripeRebuildIsBatched: a column rebuild reads each survivor in
-// 64-row batches — one device call per batch, not one per stripe — and
+// chunks of rows — one device call per chunk, not one per stripe — and
 // never reads the target.
 func TestStripeRebuildIsBatched(t *testing.T) {
 	ctx := context.Background()
@@ -447,7 +450,7 @@ func TestStripeRebuildIsBatched(t *testing.T) {
 	}
 	for i, d := range raw {
 		reads, _, _, _ := d.Stats()
-		want := int64((stripes + 63) / 64)
+		want := int64((stripes + 127) / 128) // rebuildChunk rows per call
 		if i == victim {
 			want = 0
 		}

@@ -61,26 +61,26 @@ func (m mapping) scatter(p, src []byte, r run, b0 int64, bs int) {
 	}
 }
 
-// readStriped performs a parallel striped read of [b, b+n) into p.
-// If a device is unhealthy and fallback is non-nil, fallback is invoked
-// for that run instead (degraded path). A device that reports healthy
-// but then errors mid-run (a flaky or partitioned remote node) also
-// fails over to fallback; the original error is returned only if the
-// fallback cannot serve the run either.
-func readStriped(ctx context.Context, devs []Dev, m mapping, b int64, p []byte, bs int,
+// readStriped performs a parallel striped read of [b, b+n) into p over
+// the members of v. If a member is not readable and fallback is non-nil,
+// fallback is invoked for that run instead (degraded path). A device
+// that reports healthy but then errors mid-run (a flaky or partitioned
+// remote node) also fails over to fallback; the original error is
+// returned only if the fallback cannot serve the run either.
+func readStriped(ctx context.Context, v *MemberView, m mapping, b int64, p []byte, bs int,
 	fallback func(ctx context.Context, r run) error) error {
 
 	rs := m.runs(b, len(p)/bs)
 	fns := make([]func(context.Context) error, len(rs))
 	for i, r := range rs {
 		r := r
-		dev := devs[m.diskOf(r.col)]
+		disk := m.diskOf(r.col)
 		fns[i] = func(ctx context.Context) error {
-			if !dev.Healthy() && fallback != nil {
+			if !v.Readable(disk) && fallback != nil {
 				return fallback(ctx, r)
 			}
 			buf := make([]byte, r.count*bs)
-			if err := dev.ReadBlocks(ctx, r.phys, buf); err != nil {
+			if err := v.Devs[disk].ReadBlocks(ctx, r.phys, buf); err != nil {
 				if fallback != nil && ctx.Err() == nil {
 					if ferr := fallback(ctx, r); ferr == nil {
 						return nil
@@ -95,39 +95,43 @@ func readStriped(ctx context.Context, devs []Dev, m mapping, b int64, p []byte, 
 	return par.Do(ctx, fns...)
 }
 
-// writeStriped performs a parallel striped write of p to [b, b+n).
-// skipUnhealthy controls degraded behaviour: if true, runs landing on
-// failed devices are silently skipped (the caller guarantees another
-// copy exists); if false the device error propagates. background
-// selects deferred writes.
+// writeStriped performs a parallel striped write of p to [b, b+n). mark
+// selects degraded behaviour. With a mark function (the caller
+// guarantees another copy exists) a run landing on a down device is
+// skipped, and every run skipped or failed is reported to it as (disk,
+// physical block, count) for the intent log. Without one the device's
+// error propagates.
 func writeStriped(ctx context.Context, devs []Dev, m mapping, b int64, p []byte, bs int,
-	skipUnhealthy, background bool) error {
+	mark func(disk int, block, count int64)) error {
 
 	rs := m.runs(b, len(p)/bs)
 	fns := make([]func(context.Context) error, len(rs))
 	for i, r := range rs {
 		r := r
-		dev := devs[m.diskOf(r.col)]
+		disk := m.diskOf(r.col)
 		fns[i] = func(ctx context.Context) error {
-			if skipUnhealthy && !dev.Healthy() {
+			if mark != nil && !devs[disk].Healthy() {
+				mark(disk, r.phys, int64(r.count))
 				return nil
 			}
 			buf := make([]byte, r.count*bs)
 			m.gather(buf, p, r, b, bs)
-			if background {
-				return dev.WriteBlocksBackground(ctx, r.phys, buf)
+			err := devs[disk].WriteBlocks(ctx, r.phys, buf)
+			if err != nil && mark != nil {
+				mark(disk, r.phys, int64(r.count))
 			}
-			return dev.WriteBlocks(ctx, r.phys, buf)
+			return err
 		}
 	}
 	return par.Do(ctx, fns...)
 }
 
-// flushAll drains background work on every device, in parallel.
-// Unhealthy devices are skipped (their queued work is lost with them).
-func flushAll(ctx context.Context, devs []Dev) error {
+// FlushAll drains background work on every device, in parallel. Empty
+// slots and unhealthy devices are skipped (their queued work is lost
+// with them).
+func FlushAll(ctx context.Context, devs []Dev) error {
 	return par.ForEach(ctx, len(devs), func(ctx context.Context, i int) error {
-		if !devs[i].Healthy() {
+		if devs[i] == nil || !devs[i].Healthy() {
 			return nil
 		}
 		return devs[i].Flush(ctx)

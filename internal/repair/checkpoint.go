@@ -17,8 +17,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/raid"
 	"repro/internal/store"
 )
 
@@ -26,7 +26,7 @@ import (
 // to resume its recovery job, nothing that the health poll re-derives.
 type devCheckpoint struct {
 	State       State                `json:"state"`
-	Prog        core.RebuildProgress `json:"rebuild,omitempty"`
+	Prog        raid.RebuildProgress `json:"rebuild,omitempty"`
 	ResyncBytes int64                `json:"resync_bytes,omitempty"`
 	Rebuilds    int                  `json:"rebuilds,omitempty"`
 	Resyncs     int                  `json:"resyncs,omitempty"`
@@ -60,7 +60,7 @@ func (s *Supervisor) checkpointPath() string {
 // non-fatal: missing files mean a fresh host, a geometry mismatch means
 // the array was re-created and the old state is meaningless.
 func (s *Supervisor) recoverLocal() {
-	il := s.arr.Intent()
+	il := s.mem.Intent()
 	if err := il.LoadFrom(s.fsys(), s.intentPath()); err != nil {
 		s.events.Append(obs.EventRepairState, "repair",
 			fmt.Sprintf("stale local intent snapshot ignored: %v", err))
@@ -115,7 +115,7 @@ func (s *Supervisor) saveLocal(intentChanged bool) {
 		return
 	}
 	if intentChanged {
-		if err := s.arr.Intent().SaveTo(s.fsys(), s.intentPath()); err != nil {
+		if err := s.mem.Intent().SaveTo(s.fsys(), s.intentPath()); err != nil {
 			s.events.Append(obs.EventRepairState, "repair",
 				fmt.Sprintf("local intent snapshot save failed: %v", err))
 		}

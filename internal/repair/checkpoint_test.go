@@ -151,50 +151,48 @@ func TestRepairLocalStateRecovery(t *testing.T) {
 // supervisor restart resumes from the persisted checkpoint instead of
 // starting over.
 func TestRepairCheckpointResumesRebuild(t *testing.T) {
-	stateDir := t.TempDir()
-	cfg := repair.Config{
-		Poll:          2 * time.Millisecond,
-		FailureBudget: 5 * time.Millisecond,
-		StateDir:      stateDir,
-		// Slow enough to stop mid-rebuild (~130 KiB/s vs a ~400 KiB job).
-		RateBytesPerSec: 128 * rebuildChunkBytes() / 10,
-	}
-	h := newHarness(t, 4, 800, 2, cfg)
-	h.fillRandom(t, 9)
-	ctx := context.Background()
-	h.sup.Start(ctx)
+	for _, e := range drillEngines() {
+		t.Run(e.name, func(t *testing.T) {
+			cfg := repair.Config{
+				Poll:          2 * time.Millisecond,
+				FailureBudget: 5 * time.Millisecond,
+				StateDir:      t.TempDir(),
+				// Slow enough to stop mid-rebuild: a chunk every ~80 ms.
+				RateBytesPerSec: 128 * rebuildChunkBytes() / 10,
+			}
+			h := newEngineHarness(t, e, 800, 2, cfg)
+			data := h.fillRandom(t, 9)
+			ctx := context.Background()
+			h.sup.Start(ctx)
 
-	const victim = 0
-	h.raw[victim].Fail()
-	h.waitFor(t, 5*time.Second, "rebuild to make some progress", func() bool {
-		st := h.sup.Status()
-		return st.Devices[victim].State == repair.StateRebuilding && st.Devices[victim].Prog.DataDone > 0
-	})
-	h.sup.Stop()
-	frozen := h.sup.Status().Devices[victim].Prog
+			const victim = 0
+			h.raw[victim].Fail()
+			h.waitFor(t, 5*time.Second, "rebuild to make some progress", func() bool {
+				st := h.sup.Status()
+				return st.Devices[victim].State == repair.StateRebuilding && st.Devices[victim].Prog.Done > 0
+			})
+			h.sup.Stop()
+			frozen := h.sup.Status().Devices[victim].Prog
 
-	// New supervisor over the same array (the swapped-in spare is still
-	// installed) with the same StateDir: it must come up already in
-	// rebuilding state, at or past the frozen checkpoint.
-	sup2 := repair.New(h.arr, nil, cfg)
-	st := sup2.Status()
-	if st.Devices[victim].State != repair.StateRebuilding {
-		t.Fatalf("recovered state = %q, want rebuilding", st.Devices[victim].State)
-	}
-	if st.Devices[victim].Prog.DataDone == 0 {
-		t.Fatal("rebuild checkpoint not recovered")
-	}
-	if st.Devices[victim].Prog.DataDone > frozen.DataDone {
-		t.Fatalf("recovered checkpoint %+v ahead of frozen %+v", st.Devices[victim].Prog, frozen)
-	}
-	sup2.Start(ctx)
-	defer sup2.Stop()
-	h.waitFor(t, 10*time.Second, "resumed rebuild to finish", func() bool {
-		st := sup2.Status()
-		return st.Devices[victim].Rebuilds == 1 && st.Devices[victim].State == repair.StateHealthy
-	})
-	if err := h.arr.Verify(ctx); err != nil {
-		t.Fatalf("verify after resumed rebuild: %v", err)
+			// New supervisor over the same array (the swapped-in spare is
+			// still installed) with the same StateDir: it must come up
+			// already in rebuilding state, at or before the frozen checkpoint.
+			sup2 := repair.New(h.arr, nil, cfg)
+			st := sup2.Status()
+			if st.Devices[victim].State != repair.StateRebuilding {
+				t.Fatalf("recovered state = %q, want rebuilding", st.Devices[victim].State)
+			}
+			if st.Devices[victim].Prog.Done == 0 {
+				t.Fatal("rebuild checkpoint not recovered")
+			}
+			if st.Devices[victim].Prog.Done > frozen.Done {
+				t.Fatalf("recovered checkpoint %+v ahead of frozen %+v", st.Devices[victim].Prog, frozen)
+			}
+			sup2.Start(ctx)
+			defer sup2.Stop()
+			h.waitRebuilt(t, sup2, victim, "resumed rebuild to finish")
+			h.checkHealed(t, data, "resumed rebuild")
+		})
 	}
 }
 

@@ -30,18 +30,6 @@ var ErrRebalanceActive = errors.New("repair: rebalance in progress")
 // so a membership change may not start — heal first, then rebalance.
 var ErrRepairBusy = errors.New("repair: recovery in progress")
 
-// Rebalancer is the slice of core.RAIDx the membership driver needs;
-// asserted at runtime so arrays without epoch support (and the tests'
-// fakes) keep working.
-type Rebalancer interface {
-	BeginGrow(addNodes int, newDevs []raid.Dev, cursor int64) (*core.Migration, error)
-	BeginShrink(removeNodes int, cursor int64) (*core.Migration, error)
-	CurrentMigration() *core.Migration
-	Migrating() (cursor int64, targetGen uint64, active bool)
-	Epoch() *layout.Epoch
-	Blocks() int64
-}
-
 // RebalanceCkpt is the durable record of the array's layout epoch and
 // any in-flight migration, written to StateDir/epoch.json. The reopen
 // path reads it before building the array: Source is the stable epoch
@@ -85,6 +73,17 @@ func SaveRebalance(fs store.FS, dir string, ck *RebalanceCkpt) error {
 	return store.WriteFileAtomic(fs, rebalanceFile(dir), raw)
 }
 
+// rebalanceJob is the supervisor's state of the membership-change job,
+// guarded by Supervisor.mu.
+type rebalanceJob struct {
+	action  string // "grow" | "shrink", "" before any change
+	source  layout.EpochDesc
+	nodes   int
+	err     string
+	running bool            // a runner goroutine is going
+	mig     *core.Migration // the migration the runner drives
+}
+
 // RebalanceStatus is the supervisor's view of the membership job.
 type RebalanceStatus struct {
 	core.MigrateStatus
@@ -93,9 +92,10 @@ type RebalanceStatus struct {
 	LastErr string `json:"last_err,omitempty"`
 }
 
-// rebalancer returns the array's membership interface, or nil.
-func (s *Supervisor) rebalancer() Rebalancer {
-	r, _ := s.arr.(Rebalancer)
+// rebalancer returns the array as the one engine that supports membership
+// changes, or nil for any other policy.
+func (s *Supervisor) rebalancer() *core.RAIDx {
+	r, _ := s.arr.(*core.RAIDx)
 	return r
 }
 
@@ -146,7 +146,10 @@ func (s *Supervisor) startRebalance(action string, nodes int, newDevs []raid.Dev
 	if r == nil {
 		return fmt.Errorf("repair: array does not support membership changes")
 	}
-	if s.rebalanceActive() {
+	s.mu.Lock()
+	running := s.reb.running // a finished job's runner may still be writing its done record
+	s.mu.Unlock()
+	if running || s.rebalanceActive() {
 		return ErrRebalanceActive
 	}
 	if s.recoveryBusy() {
@@ -169,32 +172,42 @@ func (s *Supervisor) startRebalance(action string, nodes int, newDevs []raid.Dev
 		return err
 	}
 	s.mu.Lock()
-	s.rebAction = action
-	s.rebSource = source
-	s.rebNodes = nodes
-	s.rebErr = ""
+	s.reb.action, s.reb.source, s.reb.nodes, s.reb.err = action, source, nodes, ""
 	s.mu.Unlock()
 	// Best effort: a failed initial write self-heals at the first window
 	// checkpoint, which persists the same full record.
 	_ = s.saveRebalanceCkpt(cursor, false)
+	// Only now may a runner go: one kicked by tick before the job's record
+	// was down would checkpoint windows under the previous job's name, and
+	// could even finish and see its done record overwritten by that write.
+	s.mu.Lock()
+	s.reb.mig = m
+	s.mu.Unlock()
 	s.events.Append(obs.EventRebalanceStart, "repair",
 		fmt.Sprintf("%s by %d nodes, resume at block %d", action, nodes, cursor))
-	s.kickRebalance(m)
+	s.kickRebalance()
 	return nil
 }
 
-// kickRebalance launches the migration runner unless one is already
-// going. Called from startRebalance and from tick (which restarts the
-// runner after a pause or a transient copy error).
-func (s *Supervisor) kickRebalance(m *core.Migration) {
+// kickRebalance launches the runner of the migration startRebalance
+// recorded, unless one is already going. Called from startRebalance and
+// from tick (which restarts the runner after a pause or a transient copy
+// error, and starts it for a rebalance requested before Start). The
+// runner is a child of the context Start created, so Stop ends it.
+func (s *Supervisor) kickRebalance() {
 	s.mu.Lock()
-	if s.rebRunning || s.paused {
+	m, ctx := s.reb.mig, s.ctx
+	if m == nil || s.reb.running || s.paused || ctx == nil || ctx.Err() != nil {
 		s.mu.Unlock()
 		return
 	}
-	s.rebRunning = true
+	s.reb.running = true
+	s.wg.Add(1)
 	s.mu.Unlock()
-	go s.runRebalance(m)
+	go func() {
+		defer s.wg.Done()
+		s.runRebalance(ctx, m)
+	}()
 }
 
 // runRebalance drives the migration to completion (or to a pause/error
@@ -203,27 +216,26 @@ func (s *Supervisor) kickRebalance(m *core.Migration) {
 // at or below the durable cursor, so a coordinator crash and resume
 // from the checkpoint can never re-copy old homes over acknowledged
 // writes.
-func (s *Supervisor) runRebalance(m *core.Migration) {
+func (s *Supervisor) runRebalance(ctx context.Context, m *core.Migration) {
 	defer func() {
 		s.mu.Lock()
-		s.rebRunning = false
+		s.reb.running = false
 		s.mu.Unlock()
 	}()
-	ctx := context.Background()
 	err := m.Run(ctx, s.pace, func(cursor int64) error {
 		return s.saveRebalanceCkpt(cursor, false)
 	})
 	if err != nil {
-		if !errors.Is(err, ErrPaused) {
+		if !errors.Is(err, ErrPaused) && ctx.Err() == nil {
 			s.mu.Lock()
-			s.rebErr = err.Error()
+			s.reb.err = err.Error()
 			s.mu.Unlock()
 			s.events.Append(obs.EventRepairState, "repair", "rebalance error: "+err.Error())
 		}
 		return
 	}
 	s.mu.Lock()
-	s.rebErr = ""
+	s.reb.err, s.reb.mig = "", nil // done: nothing left for tick to kick
 	s.mu.Unlock()
 	// Best effort: if the done record misses, the last per-window
 	// checkpoint holds cursor = Blocks(), so a restart resumes into an
@@ -250,7 +262,7 @@ func (s *Supervisor) saveRebalanceCkpt(cursor int64, done bool) error {
 		ck = RebalanceCkpt{Source: r.Epoch().Desc(), Cursor: r.Blocks(), Done: true}
 	} else {
 		s.mu.Lock()
-		ck = RebalanceCkpt{Source: s.rebSource, Action: s.rebAction, Nodes: s.rebNodes, Cursor: cursor}
+		ck = RebalanceCkpt{Source: s.reb.source, Action: s.reb.action, Nodes: s.reb.nodes, Cursor: cursor}
 		s.mu.Unlock()
 	}
 	if err := SaveRebalance(s.fsys(), s.cfg.StateDir, &ck); err != nil {
@@ -270,7 +282,7 @@ func (s *Supervisor) RebalanceStatus() *RebalanceStatus {
 	}
 	m := r.CurrentMigration()
 	s.mu.Lock()
-	action, running, lastErr := s.rebAction, s.rebRunning, s.rebErr
+	action, running, lastErr := s.reb.action, s.reb.running, s.reb.err
 	s.mu.Unlock()
 	if m == nil {
 		if action == "" {

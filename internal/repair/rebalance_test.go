@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -48,7 +50,7 @@ func TestSupervisedGrow(t *testing.T) {
 		st := h.sup.RebalanceStatus()
 		return st != nil && st.Done && !st.Running
 	})
-	if gen := h.arr.Epoch().Gen(); gen != 1 {
+	if gen := h.rx.Epoch().Gen(); gen != 1 {
 		t.Fatalf("epoch gen %d after grow, want 1", gen)
 	}
 	if err := h.arr.Flush(ctx); err != nil {
@@ -128,6 +130,61 @@ func TestRebalanceRepairExclusion(t *testing.T) {
 	}
 }
 
+// TestRebalanceStopEndsRunner: the migration runner is a child of the
+// supervisor's lifetime — once Stop returns it has exited, so the cursor
+// and the epoch checkpoint no longer move (a runner that outlived Stop
+// kept copying windows and rewriting epoch.json next to whatever the
+// caller did next: close the stores, start a successor).
+func TestRebalanceStopEndsRunner(t *testing.T) {
+	dir := t.TempDir()
+	parked := make(chan struct{}, 1) // the runner reached its first pace point
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	h := newHarness(t, 4, 96, 0, repair.Config{
+		Poll:     2 * time.Millisecond,
+		StateDir: dir,
+		// Park the runner in its pace call — after a committed window —
+		// until it is released or its context ends.
+		Pace: func(ctx context.Context, _ int) error {
+			select {
+			case parked <- struct{}{}:
+			default:
+			}
+			select {
+			case <-release:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		},
+	})
+	h.fillRandom(t, 59)
+	h.sup.Start(context.Background())
+	newDevs, _ := mkDisks(4, 8, 96)
+	if err := h.sup.StartGrow(8, newDevs, 0); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	ckpt := filepath.Join(dir, "epoch.json")
+	cursor, _, active := h.rx.Migrating()
+	before, err := os.Stat(ckpt)
+	if !active || cursor == 0 || err != nil {
+		t.Fatalf("parked runner: active=%v cursor=%d, checkpoint: %v", active, cursor, err)
+	}
+
+	h.sup.Stop()
+
+	if st := h.sup.RebalanceStatus(); st == nil || st.Running {
+		t.Fatalf("after Stop the rebalance runner is still going: %+v", st)
+	}
+	if now, _, _ := h.rx.Migrating(); now != cursor {
+		t.Fatalf("cursor moved %d -> %d after Stop", cursor, now)
+	}
+	if after, err := os.Stat(ckpt); err != nil || !after.ModTime().Equal(before.ModTime()) {
+		t.Fatalf("epoch checkpoint rewritten after Stop: %v -> %v (%v)", before.ModTime(), after.ModTime(), err)
+	}
+}
+
 // TestRebalanceCrashResume: kill the supervisor mid-grow, rebuild the
 // whole stack from the persisted epoch checkpoint (the raidxnode reopen
 // path), and finish with only the delta.
@@ -146,7 +203,7 @@ func TestRebalanceCrashResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.waitFor(t, 5*time.Second, "some progress", func() bool {
-		cursor, _, active := h.arr.Migrating()
+		cursor, _, active := h.rx.Migrating()
 		return active && cursor > 0
 	})
 	h.sup.Stop() // "crash": runner cancelled at its next pace point
@@ -165,7 +222,7 @@ func TestRebalanceCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	devs := append([]raid.Dev(nil), h.arr.Devices()...)
+	devs := append([]raid.Dev(nil), h.rx.Devices()...)
 	arr2, err := core.NewAtEpoch(devs, src, core.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@
 // — a two-second blip costs seconds of copying, not a whole disk. If
 // the budget expires, the member is degraded: the supervisor claims a
 // hot spare from the Sparer, swaps it in, and rebuilds it from the
-// array's orthogonal copies. Jobs checkpoint their progress, pause and
+// array's redundancy. Jobs checkpoint their progress, pause and
 // resume on demand, survive interruption (a crash-mid-rebuild resumes
 // from the last landed chunk), and pace themselves through a byte-rate
 // throttle so foreground I/O keeps priority.
@@ -36,9 +36,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/intent"
-	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/raid"
 	"repro/internal/store"
@@ -83,15 +80,10 @@ func (st State) Code() int64 {
 	return -1
 }
 
-// Array is the slice of core.RAIDx the supervisor drives.
-type Array interface {
-	Devices() []raid.Dev
-	Intent() *intent.Log
-	BlockSize() int
-	RebuildFrom(ctx context.Context, idx int, prog *core.RebuildProgress, pace core.PaceFunc) error
-	Resync(ctx context.Context, idx int, regions []intent.Region, pace core.PaceFunc) (core.ResyncStats, error)
-	ScrubSample(ctx context.Context, idx int, stride int64, pace core.PaceFunc) (core.ScrubStats, error)
-}
+// Array is what the supervisor drives: any engine the policy-independent
+// repair loop of internal/raid can restore — its member table (devices,
+// write-intent log) plus the policy's Reconstruct.
+type Array = raid.Restorer
 
 // Config tunes the supervisor.
 type Config struct {
@@ -108,9 +100,9 @@ type Config struct {
 	// and scrub traffic through a QoS admission scheduler (e.g.
 	// qos.Scheduler.Pace(qos.Background, "repair")) so maintenance I/O
 	// shares bandwidth with foreground serving instead of racing it.
-	Pace core.PaceFunc
+	Pace raid.PaceFunc
 	// ScrubStride samples every stride-th block after a resync
-	// (0 takes the core default). Negative disables the scrub.
+	// (0 takes the repair loop's default). Negative disables the scrub.
 	ScrubStride int64
 	// Persist, when set, receives intent-log snapshots whenever the log
 	// changed since the last call (at poll cadence). raidxnode wires it
@@ -138,7 +130,7 @@ type DevStatus struct {
 	// Since is when the device entered its current state.
 	Since time.Time `json:"since"`
 	// Prog checkpoints an interrupted rebuild for resume.
-	Prog core.RebuildProgress `json:"rebuild,omitempty"`
+	Prog raid.RebuildProgress `json:"rebuild,omitempty"`
 	// ResyncBytes accumulates delta-resync traffic for the device.
 	ResyncBytes int64 `json:"resync_bytes"`
 	// Rebuilds / Resyncs count completed recoveries.
@@ -169,7 +161,8 @@ type Status struct {
 // Supervisor runs the repair state machine over an array.
 type Supervisor struct {
 	arr Array
-	sp  *raid.Sparer // optional: nil disables auto-failover
+	mem *raid.Members // arr's member table: devices and write-intent log
+	sp  *raid.Sparer  // optional: nil disables auto-failover
 	cfg Config
 
 	events *obs.EventLog
@@ -184,15 +177,14 @@ type Supervisor struct {
 	lastCkpt  string  // last checkpoint JSON written to StateDir
 	prevDirty []int64 // per-device dirty count at the previous poll
 
-	// Membership-change (rebalance) job state; see rebalance.go.
-	rebAction  string // "grow" | "shrink", "" before any change
-	rebSource  layout.EpochDesc
-	rebNodes   int
-	rebErr     string
-	rebRunning bool
+	reb rebalanceJob // the membership-change job; see rebalance.go
 
+	// ctx is the context Start created; the supervision loop and the
+	// rebalance runner are its children, counted in wg, so Stop cancels
+	// both and returns only once both have exited.
+	ctx  context.Context
 	stop context.CancelFunc
-	done chan struct{}
+	wg   sync.WaitGroup
 }
 
 // ErrPaused aborts a running job when the supervisor is paused or
@@ -208,9 +200,10 @@ func New(arr Array, sp *raid.Sparer, cfg Config) *Supervisor {
 	if cfg.FailureBudget < 0 {
 		cfg.FailureBudget = 0
 	}
-	n := len(arr.Devices())
+	n := len(arr.Members().Load().Devs)
 	s := &Supervisor{
 		arr:    arr,
+		mem:    arr.Members(),
 		sp:     sp,
 		cfg:    cfg,
 		events: cfg.Obs.Events(),
@@ -258,12 +251,11 @@ func New(arr Array, sp *raid.Sparer, cfg Config) *Supervisor {
 func (s *Supervisor) Start(ctx context.Context) {
 	ctx, cancel := context.WithCancel(ctx)
 	s.mu.Lock()
-	s.stop = cancel
-	s.done = make(chan struct{})
-	done := s.done
+	s.ctx, s.stop = ctx, cancel
+	s.wg.Add(1)
 	s.mu.Unlock()
 	go func() {
-		defer close(done)
+		defer s.wg.Done()
 		t := time.NewTicker(s.cfg.Poll)
 		defer t.Stop()
 		for {
@@ -277,19 +269,18 @@ func (s *Supervisor) Start(ctx context.Context) {
 	}()
 }
 
-// Stop halts the loop and cancels any running job (its checkpoint
-// survives; a later Start resumes it).
+// Stop halts the loop and cancels any running job, a rebalance included
+// (its checkpoint survives; a later Start resumes it). When Stop returns
+// the supervisor moves no more blocks and writes no more state.
 func (s *Supervisor) Stop() {
 	s.mu.Lock()
-	cancel, done := s.stop, s.done
-	if s.jobCancel != nil {
-		s.jobCancel()
+	// Cancelled under mu: kickRebalance checks the context and joins wg
+	// under the same lock, so no runner starts past this point.
+	if s.stop != nil {
+		s.stop()
 	}
 	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
-		<-done
-	}
+	s.wg.Wait()
 }
 
 // Pause suspends repair: the running job is cancelled at its next pace
@@ -366,17 +357,8 @@ func (s *Supervisor) StatusJSON() ([]byte, error) {
 // setState moves member idx to next and logs the transition.
 func (s *Supervisor) setState(idx int, next State, why string) {
 	s.mu.Lock()
-	prev := s.devs[idx].State
-	if prev == next {
-		s.mu.Unlock()
-		return
-	}
-	s.devs[idx].State = next
-	s.devs[idx].Since = time.Now()
-	s.mu.Unlock()
-	s.stateG.With(strconv.Itoa(idx)).Set(next.Code())
-	s.events.Append(obs.EventRepairState, fmt.Sprintf("repair/d%d", idx),
-		fmt.Sprintf("%s -> %s: %s", prev, next, why))
+	defer s.mu.Unlock()
+	s.transitionLocked(idx, next, why)
 }
 
 // pace is the PaceFunc of every supervised job: it aborts on pause or
@@ -407,8 +389,8 @@ func (s *Supervisor) pace(ctx context.Context, bytes int) error {
 // tick is one pass of the state machine: advance every member's state,
 // then run at most one recovery job synchronously.
 func (s *Supervisor) tick(ctx context.Context) {
-	devs := s.arr.Devices()
-	il := s.arr.Intent()
+	devs := s.mem.Load().Devs
+	il := s.mem.Intent()
 	now := time.Now()
 	job := -1
 	// During a membership change no recovery job may start (the copier
@@ -487,9 +469,7 @@ func (s *Supervisor) tick(ctx context.Context) {
 
 	if rebalancing {
 		if !paused {
-			if m := s.rebalancer().CurrentMigration(); m != nil {
-				s.kickRebalance(m)
-			}
+			s.kickRebalance()
 		}
 	} else if job >= 0 {
 		s.runJob(ctx, job)
@@ -556,10 +536,24 @@ func (s *Supervisor) startFailover(ctx context.Context, idx int) error {
 	}
 	s.mu.Lock()
 	s.devs[idx].swapped = true
-	s.devs[idx].Prog = core.RebuildProgress{}
+	s.devs[idx].Prog = raid.RebuildProgress{}
 	s.mu.Unlock()
 	s.setState(idx, StateRebuilding, "hot spare installed")
 	return s.runRebuild(ctx, idx)
+}
+
+// targetFailed reports whether a job on member idx (what names it)
+// failed with err because the target device itself died, and if so sends
+// the member back to suspect with a fresh failure budget.
+func (s *Supervisor) targetFailed(idx int, what string, err error) bool {
+	if d := s.mem.Load().Devs[idx]; d != nil && d.Healthy() {
+		return false
+	}
+	s.mu.Lock()
+	s.devs[idx].unhealthySince = time.Now()
+	s.transitionLocked(idx, StateSuspect, what+" target failed: "+err.Error())
+	s.mu.Unlock()
+	return true
 }
 
 // runRebuild runs (or resumes) the full background copy onto member idx.
@@ -567,7 +561,7 @@ func (s *Supervisor) runRebuild(ctx context.Context, idx int) error {
 	s.mu.Lock()
 	prog := s.devs[idx].Prog
 	s.mu.Unlock()
-	err := s.arr.RebuildFrom(ctx, idx, &prog, func(ctx context.Context, b int) error {
+	err := raid.RebuildFrom(ctx, s.arr, idx, &prog, func(ctx context.Context, b int) error {
 		s.mu.Lock()
 		s.devs[idx].Prog = prog
 		s.mu.Unlock()
@@ -578,18 +572,16 @@ func (s *Supervisor) runRebuild(ctx context.Context, idx int) error {
 	swapped := s.devs[idx].swapped
 	s.mu.Unlock()
 	if err != nil {
-		if !s.arr.Devices()[idx].Healthy() {
-			// The rebuild target itself died: release the claim so the
-			// degraded path can swap the next spare.
+		if s.targetFailed(idx, "rebuild", err) {
+			// Release the claim so the degraded path can swap the next
+			// spare.
 			if swapped && s.sp != nil {
 				s.sp.Release(idx)
 			}
 			s.mu.Lock()
 			s.devs[idx].swapped = false
-			s.devs[idx].unhealthySince = time.Now()
-			s.devs[idx].Prog = core.RebuildProgress{}
+			s.devs[idx].Prog = raid.RebuildProgress{}
 			s.mu.Unlock()
-			s.setState(idx, StateSuspect, "rebuild target failed: "+err.Error())
 		}
 		return err
 	}
@@ -600,7 +592,7 @@ func (s *Supervisor) runRebuild(ctx context.Context, idx int) error {
 	s.devs[idx].swapped = false
 	s.devs[idx].escalated = false
 	s.devs[idx].Rebuilds++
-	s.devs[idx].Prog = core.RebuildProgress{}
+	s.devs[idx].Prog = raid.RebuildProgress{}
 	s.mu.Unlock()
 	s.setState(idx, StateHealthy, "rebuild complete")
 	return nil
@@ -609,13 +601,13 @@ func (s *Supervisor) runRebuild(ctx context.Context, idx int) error {
 // runResync drains the intent log onto readmitted member idx, then
 // spot-checks it with a sampled scrub.
 func (s *Supervisor) runResync(ctx context.Context, idx int) error {
-	il := s.arr.Intent()
+	il := s.mem.Intent()
 	for {
 		regions := il.TakeDirty(idx)
 		if len(regions) == 0 {
 			break
 		}
-		st, err := s.arr.Resync(ctx, idx, regions, s.pace)
+		st, err := raid.Resync(ctx, s.arr, idx, regions, s.pace)
 		s.mu.Lock()
 		s.devs[idx].ResyncBytes += st.BytesCopied
 		s.mu.Unlock()
@@ -625,24 +617,14 @@ func (s *Supervisor) runResync(ctx context.Context, idx int) error {
 			for _, r := range regions {
 				il.MarkRange(idx, r.Start, r.Count)
 			}
-			if !s.arr.Devices()[idx].Healthy() {
-				s.mu.Lock()
-				s.devs[idx].unhealthySince = time.Now()
-				s.mu.Unlock()
-				s.setState(idx, StateSuspect, "resync target failed: "+err.Error())
-			}
+			s.targetFailed(idx, "resync", err)
 			return err
 		}
 	}
 	if s.cfg.ScrubStride >= 0 {
-		sc, err := s.arr.ScrubSample(ctx, idx, s.cfg.ScrubStride, s.pace)
+		sc, err := raid.ScrubSample(ctx, s.arr, idx, s.cfg.ScrubStride, s.pace)
 		if err != nil {
-			if !s.arr.Devices()[idx].Healthy() {
-				s.mu.Lock()
-				s.devs[idx].unhealthySince = time.Now()
-				s.mu.Unlock()
-				s.setState(idx, StateSuspect, "scrub target failed: "+err.Error())
-			}
+			s.targetFailed(idx, "scrub", err)
 			return err
 		}
 		if sc.Mismatches > 0 {
@@ -650,7 +632,7 @@ func (s *Supervisor) runResync(ctx context.Context, idx int) error {
 			// trusted, escalate to a full rebuild-in-place.
 			s.mu.Lock()
 			s.devs[idx].escalated = true
-			s.devs[idx].Prog = core.RebuildProgress{}
+			s.devs[idx].Prog = raid.RebuildProgress{}
 			s.mu.Unlock()
 			s.setState(idx, StateRebuilding,
 				fmt.Sprintf("scrub found %d mismatches, escalating to full rebuild", sc.Mismatches))
@@ -668,7 +650,7 @@ func (s *Supervisor) runResync(ctx context.Context, idx int) error {
 // the local StateDir copy when the log changed since the last push, and
 // refreshes the local job checkpoint.
 func (s *Supervisor) persist() {
-	il := s.arr.Intent()
+	il := s.mem.Intent()
 	gen := il.Gen()
 	s.mu.Lock()
 	changed := gen != s.lastGen

@@ -56,10 +56,16 @@ func (e *SizeError) Error() string {
 // Mem is an in-memory BlockStore. Blocks are allocated lazily on first
 // write; unwritten blocks read as zeros. Mem is safe for concurrent use.
 type Mem struct {
-	mu        sync.RWMutex
+	// mu[b%memShards] guards block b, contents included: WriteBlock
+	// overwrites a block's slice in place, so a reader holds the lock
+	// across its copy or it could return a torn block. Sharding keeps
+	// that longer hold from serializing operations on different blocks.
+	mu        [memShards]sync.RWMutex
 	blockSize int
 	blocks    []([]byte)
 }
+
+const memShards = 64
 
 // NewMem creates an in-memory store with n blocks of blockSize bytes.
 func NewMem(blockSize int, n int64) *Mem {
@@ -86,16 +92,14 @@ func (m *Mem) ReadBlock(b int64, buf []byte) error {
 	if b < 0 || b >= int64(len(m.blocks)) {
 		return &RangeError{Block: b, Max: int64(len(m.blocks))}
 	}
-	m.mu.RLock()
-	src := m.blocks[b]
-	m.mu.RUnlock()
-	if src == nil {
-		for i := range buf {
-			buf[i] = 0
-		}
-		return nil
+	mu := &m.mu[b%memShards]
+	mu.RLock()
+	if src := m.blocks[b]; src != nil {
+		copy(buf, src)
+	} else {
+		clear(buf)
 	}
-	copy(buf, src)
+	mu.RUnlock()
 	return nil
 }
 
@@ -107,21 +111,24 @@ func (m *Mem) WriteBlock(b int64, data []byte) error {
 	if b < 0 || b >= int64(len(m.blocks)) {
 		return &RangeError{Block: b, Max: int64(len(m.blocks))}
 	}
-	m.mu.Lock()
+	mu := &m.mu[b%memShards]
+	mu.Lock()
 	dst := m.blocks[b]
 	if dst == nil {
 		dst = make([]byte, m.blockSize)
 		m.blocks[b] = dst
 	}
 	copy(dst, data)
-	m.mu.Unlock()
+	mu.Unlock()
 	return nil
 }
 
 // Blank implements Blanker: every block reverts to reading as zeros.
 func (m *Mem) Blank() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	for i := range m.mu {
+		m.mu[i].Lock()
+		defer m.mu[i].Unlock()
+	}
 	clear(m.blocks)
 	return nil
 }
@@ -129,13 +136,14 @@ func (m *Mem) Blank() error {
 // AllocatedBlocks reports how many blocks have been written at least
 // once (useful in tests and capacity accounting).
 func (m *Mem) AllocatedBlocks() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	var n int64
-	for _, b := range m.blocks {
-		if b != nil {
+	for i := range m.blocks {
+		mu := &m.mu[i%memShards]
+		mu.RLock()
+		if m.blocks[i] != nil {
 			n++
 		}
+		mu.RUnlock()
 	}
 	return n
 }

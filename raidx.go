@@ -446,8 +446,9 @@ func ParityKernelName() string { return parity.KernelName() }
 // Sparer manages hot-spare disks with automatic failover + rebuild.
 type Sparer = raid.Sparer
 
-// NewSparer creates a hot-spare pool for a RAID-x array.
-func NewSparer(arr *RAIDx, spares []Dev) *Sparer { return raid.NewSparer(arr, spares) }
+// NewSparer creates a hot-spare pool for any redundant array (RAID-x,
+// RAID-5, rs(k,m), RAID-10, chained declustering).
+func NewSparer(arr raid.DevSwapper, spares []Dev) *Sparer { return raid.NewSparer(arr, spares) }
 
 // Self-healing: write-intent logging, delta resync, and the automatic
 // repair supervisor (DESIGN.md section 11).
@@ -471,11 +472,11 @@ type (
 	// RepairDevStatus is the supervisor's view of one member.
 	RepairDevStatus = repair.DevStatus
 	// RebuildProgress checkpoints an interrupted rebuild for resume.
-	RebuildProgress = core.RebuildProgress
+	RebuildProgress = raid.RebuildProgress
 	// ResyncStats reports what a delta resync moved.
-	ResyncStats = core.ResyncStats
+	ResyncStats = raid.ResyncStats
 	// ScrubStats reports what a sampled scrub checked and repaired.
-	ScrubStats = core.ScrubStats
+	ScrubStats = raid.ScrubStats
 )
 
 // Repair state machine nodes (see DESIGN.md section 11).
@@ -498,9 +499,9 @@ func NewIntentLog(devices int, deviceBlocks, regionBlocks int64) *IntentLog {
 }
 
 // NewRepairSupervisor builds (but does not start) a repair supervisor
-// over the array. sp may be nil: failed members then wait for manual
-// repair while readmitted ones still get automatic delta resyncs.
-func NewRepairSupervisor(arr *RAIDx, sp *Sparer, cfg RepairConfig) *RepairSupervisor {
+// over any redundant array. sp may be nil: failed members then wait for
+// manual repair while readmitted ones still get automatic delta resyncs.
+func NewRepairSupervisor(arr repair.Array, sp *Sparer, cfg RepairConfig) *RepairSupervisor {
 	return repair.New(arr, sp, cfg)
 }
 

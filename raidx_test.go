@@ -226,3 +226,41 @@ func TestPublicAPIFaultTolerance(t *testing.T) {
 		t.Fatal("post-heal read mismatch")
 	}
 }
+
+// TestPublicAPIRepairAnyPolicy: the hot-spare pool and the repair
+// supervisor take any redundant engine through the façade — here an
+// rs(2,2) stripe with its intent log attached — and a failover heals it.
+func TestPublicAPIRepairAnyPolicy(t *testing.T) {
+	ctx := context.Background()
+	devs := NewMemDevs(4, 64, 512)
+	arr, err := NewRS(devs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewMetricsRegistry()
+	arr.Members().Attach(NewIntentLog(len(devs), 64, 0), reg, nil)
+	sp := NewSparer(arr, NewMemDevs(1, 64, 512))
+	sup := NewRepairSupervisor(arr, sp, RepairConfig{Obs: reg})
+	if st := sup.Status(); len(st.Devices) != 4 || st.Spares != 1 {
+		t.Fatalf("supervisor status %+v", st)
+	}
+	data := make([]byte, arr.Blocks()*int64(arr.BlockSize()))
+	rand.New(rand.NewSource(3)).Read(data)
+	if err := arr.WriteBlocks(ctx, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	devs[2].(*Disk).Fail()
+	if err := sp.Failover(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := arr.Verify(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if err := arr.ReadBlocks(ctx, 0, got); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after failover: %v", err)
+	}
+	if g := reg.Snapshot().Gauges; g["rs(2,2).rebuild_total_blocks"] != 64 || g["rs(2,2).rebuild_done_blocks"] != 64 {
+		t.Fatalf("rebuild gauges %v", g)
+	}
+}
