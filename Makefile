@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck promtest check bench benchcheck chaoscheck crashcheck fuzz scalecheck obscheck paritycheck growcheck figcheck
+.PHONY: build test race vet staticcheck promtest check bench benchcheck chaoscheck crashcheck fuzz scalecheck obscheck paritycheck growcheck figcheck perfcheck
 
 build:
 	$(GO) build ./...
@@ -51,7 +51,9 @@ chaoscheck:
 # fault-injection VFS tests, superblock/reopen edge cases, intent and
 # checkpoint persistence, the in-process power-cut recovery harness
 # (torn writes, lying fsync), and the real SIGKILL/restart drill over
-# raidxnode processes — all under the race detector, twice.
+# raidxnode processes (cmd/raidxnode; its in-process twin, the node
+# runtime's Abort -> restart drill, runs in growcheck) — all under the
+# race detector, twice.
 crashcheck:
 	$(GO) test -run 'TestCrash|TestFaultFS|TestSuperblock|TestInspect|TestFileReopen|TestFileWasClean|TestFileBlank|TestFileConcurrent|TestLogSave|TestLogLoad|TestRepairLocal|TestRepairCheckpoint|TestRepairStateDir' -race -count=2 ./...
 
@@ -117,17 +119,41 @@ obscheck:
 # supervisor rebalance jobs and their mutual exclusion with recovery, the
 # layout-generation fence over the wire, the one mount path (device
 # tables per generation, degraded mount, the refusals, the stale-epoch
-# rerun), and the TCP grow chaos drills with partitions and node kills —
-# all under the race detector, twice. The real-process SIGKILL resume
-# drill runs once (it builds binaries).
+# rerun), the TCP grow chaos drill with a node kill, and the drills
+# through the real rebalance coordinator over in-process nodes
+# (internal/node: fence at start, completion, Abort -> restart resume,
+# a partition mid-rebalance, no goroutine left after Close or Abort, the
+# untearable layout reply) — all under the race detector, twice. The
+# real-process SIGKILL resume drill runs once (it builds binaries).
 growcheck:
-	$(GO) test -run 'TestEpoch|TestOSM|TestMigration|TestSupervisedGrow|TestRebalance|TestGrowChaos|TestFileEpoch|TestMount' -race -count=2 ./internal/layout/ ./internal/core/ ./internal/repair/ ./internal/cdd/ ./internal/store/ ./internal/mount/
+	$(GO) test -run 'TestEpoch|TestOSM|TestMigration|TestSupervisedGrow|TestRebalance|TestGrowChaos|TestFileEpoch|TestMount|TestLayoutReply' -race -count=2 ./internal/layout/ ./internal/core/ ./internal/repair/ ./internal/cdd/ ./internal/store/ ./internal/mount/ ./internal/node/
 	$(GO) test -run 'TestGrowCrash' -race -count=1 ./cmd/raidxnode/
 
 # scalecheck runs the serving-at-scale shard (CI job `scale`): the
 # coherence protocol and session tests, the QoS scheduler, the workload
-# runner, and a reduced `raidxbench scale` sweep over real TCP.
+# runner, and a reduced `raidxbench scale` run over real TCP (client
+# fairness sweep + background QoS cap under a foreground storm).
 scalecheck:
 	$(GO) test -run 'TestLockModes|TestLease|TestRevocation|TestBeatReset|TestSession|TestCoherence' -race ./internal/cdd/
 	$(GO) test -race ./internal/qos/ ./internal/workload/
 	$(GO) run ./cmd/raidxbench scale -clients 50,200 -totalops 20000
+
+# perfcheck runs the one yardstick (CI job `perf`, pushes to main only):
+# the five benchmark workloads plus ladder and traced runs, compared
+# against the committed baseline. A regressed end-to-end metric fails;
+# when the runs spread too widely to tell (unresolved) the whole thing is
+# run once more, and if it still cannot tell, that is a warning, not a
+# failure. The baseline was measured on another host: read a failure here
+# as "measure a before/after pair on one machine", not as a verdict.
+PERF_BASE ?= benchmark/baseline/seed1-a.json
+PERF_OUT ?= benchmark/out/perfcheck.json
+perfcheck:
+	@for attempt in 1 2; do \
+		$(GO) run ./benchmark -out $(PERF_OUT) || exit 1; \
+		$(GO) run ./benchmark -compare $(PERF_BASE) $(PERF_OUT) > $(PERF_OUT).txt; code=$$?; \
+		cat $(PERF_OUT).txt; \
+		if [ $$code -ne 0 ]; then echo "perfcheck: regressed against $(PERF_BASE) (or not comparable)"; exit 1; fi; \
+		if ! grep -q '[1-9][0-9]* unresolved$$' $(PERF_OUT).txt; then exit 0; fi; \
+		if [ $$attempt -eq 1 ]; then echo "perfcheck: unresolved metrics, running once more"; fi; \
+	done; \
+	echo "perfcheck: WARNING: still unresolved after a rerun; not failing"

@@ -113,7 +113,6 @@ func runFig5(args []string) error {
 				fmt.Printf(" %8.2f", r.MBps)
 				hot = append(hot, fmt.Sprintf("%s@%.0f%%", r.Bottleneck, r.BottleneckUtil*100))
 				csvRows = append(csvRows, fmt.Sprintf("%s,%s,%d,%.3f", pattern, sys, m, r.MBps))
-				record(benchResult{Name: fmt.Sprintf("fig5/%s/%s/%d", pattern, sys, m), MBps: r.MBps})
 			}
 			fmt.Println()
 			if *verbose {
@@ -523,7 +522,6 @@ func runScaleSim(args []string) error {
 		}
 		fmt.Printf("%-8d %12.2f %14.2f %12s\n", n, r.MBps, r.MBps/float64(n),
 			fmt.Sprintf("%s@%.0f%%", r.Bottleneck, r.BottleneckUtil*100))
-		record(benchResult{Name: fmt.Sprintf("scale-sim/%d", n), MBps: r.MBps})
 	}
 	return nil
 }

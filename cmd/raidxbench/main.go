@@ -34,7 +34,6 @@ func main() {
 	global := flag.NewFlagSet("raidxbench", flag.ExitOnError)
 	global.Usage = usage
 	pprofOut := global.String("pprof", "", "write a CPU profile of the whole run to this file")
-	jsonOut := global.String("json", "", "write machine-readable results (MB/s, allocs/op, ns/op) to this file")
 	global.Parse(os.Args[1:])
 	if global.NArg() < 1 {
 		usage()
@@ -86,12 +85,8 @@ func main() {
 		err = runReliability(args)
 	case "ablate":
 		err = runAblate(args)
-	case "hotpath":
-		err = runHotpath(args)
 	case "rebalance":
 		err = runRebalance(args)
-	case "parity":
-		err = runParity(args)
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -104,20 +99,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "raidxbench:", err)
 		os.Exit(1)
 	}
-	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "raidxbench: -json:", err)
-			os.Exit(1)
-		}
-	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: raidxbench <all|scale|scale-sim|hotpath|parity|rebalance|table2|fig5|table3|fig6|fig7|summary|txn|degraded|reliability|ablate> [flags]
+	fmt.Fprintln(os.Stderr, `usage: raidxbench <all|scale|scale-sim|rebalance|table2|fig5|table3|fig6|fig7|summary|txn|degraded|reliability|ablate> [flags]
 Run 'raidxbench <cmd> -h' for per-command flags.
-Global flags (before the command): -pprof <file>, -json <file>.
+Global flag (before the command): -pprof <file>.
 The scale command drives coherent client sessions over real TCP:
-  raidxbench -json BENCH_PR7.json scale -clients 100,500,1000,2000 -tenants 4`)
+  raidxbench scale -clients 100,500,1000,2000 -tenants 4`)
 }
 
 // clusterFlags registers the shared testbed flags.

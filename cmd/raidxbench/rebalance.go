@@ -55,7 +55,6 @@ func runRebalance(args []string) error {
 
 	// Foreground baseline: the same writer pool against the stable array.
 	base := fgStorm(ctx, a, *writers, *bs, 400*time.Millisecond, nil)
-	record(benchResult{Name: fmt.Sprintf("rebalance/fg-baseline-%dn", *nodes), MBps: base})
 
 	m, err := a.BeginGrow(*add, mk(*nodes, *add), 0)
 	if err != nil {
@@ -87,9 +86,6 @@ func runRebalance(args []string) error {
 	copyMBps := float64(st.MovedBytes) / 1e6 / elapsed.Seconds()
 	minMoves := a.Blocks() * int64(*add) / int64(*nodes+*add)
 	overhead := float64(st.MovedBlocks)/float64(minMoves) - 1
-	growName := fmt.Sprintf("rebalance/copy-grow-%dto%d", *nodes, *nodes+*add)
-	record(benchResult{Name: growName, MBps: copyMBps})
-	record(benchResult{Name: fmt.Sprintf("rebalance/fg-during-grow-%dn", *nodes), MBps: fgDuring})
 
 	fmt.Printf("Online grow %d -> %d nodes: %d logical blocks x %d B, %d foreground writer(s)\n",
 		*nodes, *nodes+*add, a.Blocks(), *bs, *writers)

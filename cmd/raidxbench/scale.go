@@ -5,8 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"runtime"
-	"sort"
-	"testing"
 	"time"
 
 	"repro/internal/cdd"
@@ -21,18 +19,15 @@ import (
 // write-back) driven by hundreds to thousands of concurrent clients
 // against a loopback CDD node, plus the QoS demonstration that a
 // background repair-class stream stays at its configured share while
-// foreground traffic storms.
+// foreground traffic storms. Two tables:
 //
-// Three phases, all recorded in the -json results (BENCH_PR7.json):
+//  1. client sweep — aggregate throughput, allocs/op, and per-tenant
+//     fairness (Jain index) as the client count grows;
+//  2. QoS — achieved background bandwidth under a foreground storm vs
+//     the configured cap.
 //
-//  1. latency probe — remote-read vs cache-hit-read ns/op and
-//     allocs/op for one client (rows scale/read-remote,
-//     scale/read-cached);
-//  2. client sweep — aggregate throughput, allocs/op, and per-tenant
-//     fairness as the client count grows (rows scale/clients=N and
-//     scale/clients=N/tenant=tK);
-//  3. QoS — achieved background bandwidth under a foreground storm
-//     vs the configured cap (rows scale/qos-*).
+// (One client's cache-hit vs remote read is the benchmark ladder's
+// ladder.cdd.session.hit_read_4k vs ladder.cdd.remotedev.read_4k.)
 func runScale(args []string) error {
 	fs := flag.NewFlagSet("scale", flag.ExitOnError)
 	clientsFlag := fs.String("clients", "100,500,1000,2000", "client counts to sweep")
@@ -40,7 +35,7 @@ func runScale(args []string) error {
 	bs := fs.Int("bs", 1024, "block size (bytes)")
 	totalOps := fs.Int("totalops", 400000, "total workload ops per sweep point (split across clients, so every point measures the same work and spans several write-back flush cycles)")
 	region := fs.Int64("region", 8, "private blocks each client locks exclusively")
-	bgCap := fs.Int64("qos-bg-rate", 2<<20, "background QoS cap for phase 3 (bytes/sec)")
+	bgCap := fs.Int64("qos-bg-rate", 2<<20, "background QoS cap for the QoS table (bytes/sec)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -49,9 +44,6 @@ func runScale(args []string) error {
 		return err
 	}
 
-	if err := scaleLatencyProbe(*bs); err != nil {
-		return err
-	}
 	if err := scaleClientSweep(counts, *tenants, *bs, *totalOps, *region); err != nil {
 		return err
 	}
@@ -70,77 +62,11 @@ func scaleNode(bs int, blocks int64) (*cdd.Node, error) {
 	return node, nil
 }
 
-// scaleLatencyProbe measures one client's remote read vs coherent
-// cache-hit read and records (and prints) the gap.
-func scaleLatencyProbe(bs int) error {
-	node, err := scaleNode(bs, 4096)
-	if err != nil {
-		return err
-	}
-	defer node.Close()
-	c, err := cdd.Connect(node.Addr())
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	ctx := context.Background()
-
-	s := cdd.NewSession(c, "probe", cdd.SessionConfig{})
-	defer s.Close()
-	if err := s.AcquireBlocks(ctx, cdd.Shared, 0, 0, 64); err != nil {
-		return err
-	}
-	dev := s.Dev(0)
-	buf := make([]byte, bs)
-
-	// Remote path: the raw RemoteDev, no cache in the way.
-	remote := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(bs))
-		for i := 0; i < b.N; i++ {
-			if err := c.Dev(0).ReadBlocks(ctx, 0, buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// Cached path: populate once, then hit.
-	if err := dev.ReadBlocks(ctx, 0, buf); err != nil {
-		return err
-	}
-	cached := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(bs))
-		for i := 0; i < b.N; i++ {
-			if err := dev.ReadBlocks(ctx, 0, buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	rNs := float64(remote.NsPerOp())
-	cNs := float64(cached.NsPerOp())
-	ratio := rNs / cNs
-	fmt.Printf("Latency probe (block %d B):\n", bs)
-	fmt.Printf("  %-14s %10.0f ns/op %8.1f allocs/op\n", "remote read", rNs, float64(remote.AllocsPerOp()))
-	fmt.Printf("  %-14s %10.0f ns/op %8.1f allocs/op\n", "cached read", cNs, float64(cached.AllocsPerOp()))
-	fmt.Printf("  %-14s %10.1fx\n", "speedup", ratio)
-	record(benchResult{Name: "scale/read-remote", NsPerOp: rNs,
-		AllocsPerOp: float64(remote.AllocsPerOp()), BytesPerOp: int64(bs),
-		MBps: float64(bs) / 1e6 / (rNs / 1e9)})
-	record(benchResult{Name: "scale/read-cached", NsPerOp: cNs,
-		AllocsPerOp: float64(cached.AllocsPerOp()), BytesPerOp: int64(bs),
-		MBps: float64(bs) / 1e6 / (cNs / 1e9)})
-	if ratio < 10 {
-		fmt.Printf("  WARNING: cache-hit speedup %.1fx below the 10x target\n", ratio)
-	}
-	return nil
-}
-
 // scaleClientSweep drives count concurrent coherent sessions per sweep
-// point, each over its own TCP connection, and records aggregate
-// throughput plus per-tenant shares.
+// point, each over its own TCP connection, and prints aggregate
+// throughput plus the fairness of the per-tenant shares.
 func scaleClientSweep(counts []int, tenants, bs, totalOps int, region int64) error {
-	fmt.Printf("\nClient sweep (%d tenants, %d total ops/point, %d-block exclusive regions):\n", tenants, totalOps, region)
+	fmt.Printf("Client sweep (%d tenants, %d total ops/point, %d-block exclusive regions):\n", tenants, totalOps, region)
 	fmt.Printf("%-10s %12s %12s %12s %10s\n", "clients", "MB/s", "ops/s", "allocs/op", "fairness")
 	var prevMBps float64
 	for idx, count := range counts {
@@ -257,36 +183,12 @@ func scaleClientSweep(counts []int, tenants, bs, totalOps int, region int64) err
 			return fmt.Errorf("clients=%d: %d workload errors", count, res.Errs)
 		}
 		allocsPerOp := float64(ms1.Mallocs-ms0.Mallocs) / float64(res.Ops)
-		var names []string
-		for tn := range res.Tenants {
-			names = append(names, tn)
+		shares := make([]float64, 0, len(res.Tenants))
+		for _, ts := range res.Tenants {
+			shares = append(shares, float64(ts.Bytes))
 		}
-		sort.Strings(names)
-		shares := make([]float64, 0, len(names))
-		for _, tn := range names {
-			shares = append(shares, float64(res.Tenants[tn].Bytes))
-		}
-		jain := workload.JainIndex(shares)
 		opsPerSec := float64(res.Ops) / res.Elapsed.Seconds()
-		fmt.Printf("%-10d %12.2f %12.0f %12.1f %10.3f\n", count, res.MBps(), opsPerSec, allocsPerOp, jain)
-		record(benchResult{
-			Name:        fmt.Sprintf("scale/clients=%d", count),
-			Clients:     count,
-			MBps:        res.MBps(),
-			NsPerOp:     res.Elapsed.Seconds() / float64(res.Ops) * 1e9,
-			AllocsPerOp: allocsPerOp,
-			BytesPerOp:  res.Bytes / res.Ops,
-			Fairness:    jain,
-		})
-		for _, tn := range names {
-			ts := res.Tenants[tn]
-			record(benchResult{
-				Name:    fmt.Sprintf("scale/clients=%d/tenant=%s", count, tn),
-				Clients: count,
-				Tenant:  tn,
-				MBps:    float64(ts.Bytes) / 1e6 / res.Elapsed.Seconds(),
-			})
-		}
+		fmt.Printf("%-10d %12.2f %12.0f %12.1f %10.3f\n", count, res.MBps(), opsPerSec, allocsPerOp, workload.JainIndex(shares))
 		if idx > 0 && res.MBps() < 0.5*prevMBps {
 			fmt.Printf("  WARNING: throughput collapsed at %d clients (%.2f -> %.2f MB/s)\n",
 				count, prevMBps, res.MBps())
@@ -372,9 +274,6 @@ func scaleQoS(bs int, bgCap int64) error {
 	fmt.Printf("\nQoS under foreground storm (%d workers, background cap %.2f MB/s):\n", fgWorkers, capMBps)
 	fmt.Printf("  %-18s %10.2f MB/s\n", "foreground", fgMBps)
 	fmt.Printf("  %-18s %10.2f MB/s (cap %.2f)\n", "background", bgMBps, capMBps)
-	record(benchResult{Name: "scale/qos-foreground", MBps: fgMBps})
-	record(benchResult{Name: "scale/qos-background", MBps: bgMBps})
-	record(benchResult{Name: "scale/qos-background-cap", MBps: capMBps})
 	if bgMBps > 1.3*capMBps {
 		fmt.Printf("  WARNING: background exceeded its cap (%.2f > %.2f MB/s)\n", bgMBps, capMBps)
 	}

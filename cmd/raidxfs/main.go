@@ -13,18 +13,21 @@
 //	raidxfs -addrs $ADDRS fsck            # or: fsck -repair
 //
 // The -addrs list orders nodes (node i of the layout is the i-th
-// address; internal/mount builds the device table). Locking uses a
-// process-local lock table: concurrent raidxfs invocations from
-// different machines must coordinate through a shared lock service
-// (NodeClient.Lock); for a single administrative shell the local table
-// suffices.
+// address; internal/mount builds the device table). The first address is
+// also the lock home: every mutating command takes its lock groups from
+// that node's consistency module, so concurrent raidxfs invocations —
+// other shells, other hosts — exclude each other. With the lock home
+// down, commands that take no locks (ls, get, stat, df, fsck) still work
+// degraded; the rest refuse ("lock home unreachable").
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -43,13 +46,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: raidxfs -addrs a,b,c <mkfs|ls|mkdir|put|get|rm|mv|stat|df|fsck> [args]")
 		os.Exit(2)
 	}
-	if err := run(*addrs, *owner, args); err != nil {
+	// The lock table is the cluster's, so the identity must tell this
+	// invocation from every other: an owner never conflicts with itself.
+	host, _ := os.Hostname()
+	id := fmt.Sprintf("%s@%s/%d", *owner, host, os.Getpid())
+	if err := run(context.Background(), *addrs, id, args); err != nil {
 		fmt.Fprintln(os.Stderr, "raidxfs:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addrs, owner string, args []string) error {
+// errNoLockHome refuses a mutating command while the lock home — the
+// first -addrs node — is unreachable: mutating without its lock groups
+// could interleave with another client's update of the same directory.
+var errNoLockHome = errors.New("lock home unreachable")
+
+// noLockHome is the Locker of a mount whose lock home is down.
+type noLockHome struct{ addr string }
+
+func (l noLockHome) Lock(context.Context, string, []cdd.Range) error {
+	return fmt.Errorf("%w (%s): refusing to modify the file system without its lock groups", errNoLockHome, l.addr)
+}
+func (noLockHome) Unlock(context.Context, string, []cdd.Range) error { return nil }
+
+func run(ctx context.Context, addrs, owner string, args []string) error {
 	cl, err := mount.Connect(strings.Split(addrs, ","))
 	if err != nil {
 		return err
@@ -60,20 +80,28 @@ func run(addrs, owner string, args []string) error {
 			fmt.Fprintf(os.Stderr, "raidxfs: warning: node %s unreachable (%v); operating degraded\n", cl.Addrs[i], err)
 		}
 	}
-	ctx := context.Background()
+	var lk fsim.Locker = noLockHome{cl.Addrs[0]}
+	if home := cl.Clients[0]; home != nil {
+		lk = home
+	}
 	// The command reruns from scratch on a rebuilt engine if the cluster
 	// rebalances underneath it (mount.Run).
 	return cl.Run(ctx, core.Options{}, func(arr *core.RAIDx) error {
-		return runCmd(ctx, arr, owner, args, cl.PerNode)
+		return runCmd(ctx, arr, lk, owner, args, cl.PerNode)
 	})
 }
 
 // runCmd executes one shell command against an assembled engine.
-func runCmd(ctx context.Context, arr *core.RAIDx, owner string, args []string, perNode int) error {
-	lk := fsim.NewTableLocker(cdd.NewTable())
-
+func runCmd(ctx context.Context, arr *core.RAIDx, lk fsim.Locker, owner string, args []string, perNode int) error {
 	cmd, rest := args[0], args[1:]
 	if cmd == "mkfs" {
+		// Formatting excludes every other client: it holds the whole lock
+		// space (and so refuses, like any mutation, without a lock home).
+		all := []cdd.Range{{Start: 0, End: math.MaxUint64}}
+		if err := lk.Lock(ctx, owner, all); err != nil {
+			return err
+		}
+		defer lk.Unlock(ctx, owner, all)
 		_, err := fsim.Mkfs(ctx, arr, lk, owner, fsim.Options{})
 		if err != nil {
 			return err

@@ -286,7 +286,7 @@ func TestRemoteLockService(t *testing.T) {
 		done <- b.Lock(ctx, "clientB", []Range{{50, 60}})
 	}()
 	time.Sleep(10 * time.Millisecond)
-	if err := a.Unlock("clientA", []Range{{0, 100}}); err != nil {
+	if err := a.Unlock(context.Background(), "clientA", []Range{{0, 100}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {

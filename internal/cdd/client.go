@@ -496,9 +496,10 @@ func (n *NodeClient) Beat(ctx context.Context, owner string, lastSeq uint64) (Be
 	return decodeBeatResult(raw)
 }
 
-// Unlock releases a range group.
-func (n *NodeClient) Unlock(owner string, rs []Range) error {
-	_, err := n.call(context.Background(), OpUnlock, encodeLockMsg(lockMsg{Owner: owner, Ranges: rs}))
+// Unlock releases a range group. With Lock it makes a NodeClient an
+// fsim.Locker: the node's lock-group table as the cluster's lock home.
+func (n *NodeClient) Unlock(ctx context.Context, owner string, rs []Range) error {
+	_, err := n.call(ctx, OpUnlock, encodeLockMsg(lockMsg{Owner: owner, Ranges: rs}))
 	return err
 }
 

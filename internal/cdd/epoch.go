@@ -78,7 +78,7 @@ type rebalanceReq struct {
 // RebalanceController is the slice of a rebalance coordinator the
 // manager can drive remotely (raidxctl grow|shrink|rebalance status).
 // Declared as an interface so cdd stays below repair in the dependency
-// order; raidxnode implements it over its repair supervisor.
+// order; internal/node implements it over its repair supervisor.
 type RebalanceController interface {
 	// LayoutJSON returns the coordinator's LayoutInfo as JSON.
 	LayoutJSON() ([]byte, error)

@@ -193,7 +193,7 @@ func (s *Session) Release(ctx context.Context, rs []Range) error {
 	s.excl = dropExact(s.excl, rs)
 	s.mu.Unlock()
 	s.invalidateRanges(rs)
-	return s.n.Unlock(s.owner, rs)
+	return s.n.Unlock(ctx, s.owner, rs)
 }
 
 // ReleaseBlocks is Release over one disk's block range.

@@ -83,6 +83,16 @@ func (a *RAIDx) Migrating() (cursor int64, targetGen uint64, active bool) {
 	return es.cursor, es.next.Gen(), true
 }
 
+// EpochView returns the whole layout view from ONE load: the stable
+// epoch and, while a migration is in flight, its cursor and target epoch
+// (nil otherwise). Epoch and Migrating each load on their own, so a reply
+// assembled from both can pair the source epoch with "not migrating" when
+// the migration finishes in between.
+func (a *RAIDx) EpochView() (stable *layout.Epoch, cursor int64, target *layout.Epoch) {
+	es := a.epoch.Load()
+	return es.cur, es.cursor, es.next
+}
+
 // ColumnRetired reports whether column i was retired by a shrink. The
 // repair supervisor skips retired columns in its health scan.
 func (a *RAIDx) ColumnRetired(i int) bool {

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// Benchmarks mirror the `raidxbench parity` subcommand: the byte-loop
-// "before" row, the word-parallel kernel, and the RS codec at the
-// geometries the vol package ships (rs(8,2) default cold tier).
+// The kernel benchmarks: the byte-loop "before" row, the word-parallel
+// kernel, and the RS codec at the geometries the vol package ships
+// (rs(8,2) default cold tier). The benchmark ladder's ladder.parity.*
+// rows time the same calls.
 
 func benchBufs(n int) (dst, src []byte) {
 	rng := rand.New(rand.NewSource(42))

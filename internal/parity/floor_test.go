@@ -59,8 +59,10 @@ func TestAllocsParityKernels(t *testing.T) {
 // word-parallel kernel must beat the byte loop by a wide margin, and
 // RS(8,2) encode must stay in hundreds-of-MB/s territory even on a
 // throttled CI host. The real numbers (≥8× and ≥1 GB/s on the bench
-// host) are recorded by `raidxbench parity` in BENCH_PR9.json; the
-// floors here are deliberately conservative so the test never flakes
+// host) are the benchmark ladder's ladder.parity.xor_64k and
+// ladder.parity.rs_8_2.encode_64k (PR 9's are in EXPERIMENTS.md's
+// wall-clock history); the floors here are deliberately conservative so
+// the test never flakes
 // on shared hardware while still catching a kernel that silently
 // degrades to byte-at-a-time.
 func TestFloorParityThroughput(t *testing.T) {

@@ -82,7 +82,14 @@ type rebalanceJob struct {
 	err     string
 	running bool            // a runner goroutine is going
 	mig     *core.Migration // the migration the runner drives
+	done    func(context.Context)
 }
+
+// OnRebalanceDone registers f, before Start, to run on the rebalance
+// runner each time a membership change completes — after the done record
+// is down, while the job still reports running — so Stop waits for it and
+// ends its context. The rebalance coordinator's completion broadcast.
+func (s *Supervisor) OnRebalanceDone(f func(ctx context.Context)) { s.reb.done = f }
 
 // RebalanceStatus is the supervisor's view of the membership job.
 type RebalanceStatus struct {
@@ -132,16 +139,18 @@ func (s *Supervisor) recoveryBusy() bool {
 // disks in layout order; nil on resume when the device table already
 // spans the target width.
 func (s *Supervisor) StartGrow(addNodes int, newDevs []raid.Dev, cursor int64) error {
-	return s.startRebalance("grow", addNodes, newDevs, cursor)
+	return s.StartRebalance("grow", addNodes, newDevs, cursor)
 }
 
 // StartShrink begins or resumes a live contraction by removeNodes tail
 // nodes.
 func (s *Supervisor) StartShrink(removeNodes int, cursor int64) error {
-	return s.startRebalance("shrink", removeNodes, nil, cursor)
+	return s.StartRebalance("shrink", removeNodes, nil, cursor)
 }
 
-func (s *Supervisor) startRebalance(action string, nodes int, newDevs []raid.Dev, cursor int64) error {
+// StartRebalance is StartGrow or StartShrink by name, as wire requests
+// and the epoch checkpoint spell the action; any other name is refused.
+func (s *Supervisor) StartRebalance(action string, nodes int, newDevs []raid.Dev, cursor int64) error {
 	r := s.rebalancer()
 	if r == nil {
 		return fmt.Errorf("repair: array does not support membership changes")
@@ -189,8 +198,8 @@ func (s *Supervisor) startRebalance(action string, nodes int, newDevs []raid.Dev
 	return nil
 }
 
-// kickRebalance launches the runner of the migration startRebalance
-// recorded, unless one is already going. Called from startRebalance and
+// kickRebalance launches the runner of the migration StartRebalance
+// recorded, unless one is already going. Called from StartRebalance and
 // from tick (which restarts the runner after a pause or a transient copy
 // error, and starts it for a rebalance requested before Start). The
 // runner is a child of the context Start created, so Stop ends it.
@@ -243,6 +252,9 @@ func (s *Supervisor) runRebalance(ctx context.Context, m *core.Migration) {
 	_ = s.saveRebalanceCkpt(0, true)
 	s.events.Append(obs.EventRebalanceEnd, "repair",
 		fmt.Sprintf("moved %d blocks (%d bytes)", m.Status().MovedBlocks, m.Status().MovedBytes))
+	if s.reb.done != nil {
+		s.reb.done(ctx)
+	}
 }
 
 // saveRebalanceCkpt writes the epoch checkpoint and returns the write
@@ -289,7 +301,8 @@ func (s *Supervisor) RebalanceStatus() *RebalanceStatus {
 			return nil
 		}
 		// A completed (or never-started-this-process) job: report the
-		// stable epoch.
+		// stable epoch. Its runner may still be going — writing the done
+		// record, running the OnRebalanceDone hook.
 		return &RebalanceStatus{
 			MigrateStatus: core.MigrateStatus{
 				ToGen:  r.Epoch().Gen(),
@@ -299,6 +312,7 @@ func (s *Supervisor) RebalanceStatus() *RebalanceStatus {
 				Target: r.Epoch().Desc(),
 			},
 			Action:  action,
+			Running: running,
 			LastErr: lastErr,
 		}
 	}
