@@ -58,13 +58,15 @@ crashcheck:
 	$(GO) test -run 'TestCrash|TestFaultFS|TestSuperblock|TestInspect|TestFileReopen|TestFileWasClean|TestFileBlank|TestFileConcurrent|TestLogSave|TestLogLoad|TestRepairLocal|TestRepairCheckpoint|TestRepairStateDir' -race -count=2 ./...
 
 # fuzz gives each parser fuzzer a short budget: snapshot merging and
-# superblock decoding must never panic on arbitrary bytes, and
+# superblock decoding must never panic on arbitrary bytes,
 # Reed-Solomon encode/reconstruct must round-trip every geometry and
-# erasure pattern the fuzzer can reach.
+# erasure pattern the fuzzer can reach, and a multi-extent write the
+# manager rejects must have written nothing.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLogMerge -fuzztime 20s ./internal/intent/
 	$(GO) test -run '^$$' -fuzz FuzzSuperblockDecode -fuzztime 20s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzRSRoundTrip -fuzztime 20s ./internal/parity/
+	$(GO) test -run '^$$' -fuzz FuzzWriteExtents -fuzztime 20s ./internal/cdd/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -72,7 +74,10 @@ bench:
 # benchcheck runs the allocation-pinned regression tests: AllocsPerRun
 # limits on the hot paths (transport round trips, remote device I/O, the
 # engine's stripe fan-out, and coherent cache-hit reads — which must
-# stay at 0 remote calls and <= 2 allocs) — and the call pins (TestCalls):
+# stay at 0 remote calls and <= 2 allocs; a write-back batch or a
+# scattered flush over a full cache costs no more than the one remote
+# write it makes) — and the call pins (TestCalls): a session's flush of
+# 64 scattered dirty blocks is ONE remote write (TestCallsGroupCommit),
 # the engine's exact device-call set and issue order at layout generation
 # 0 and 1, the exact device-call set of a full rebuild through the one
 # restore loop for every redundant engine, none above one 128-block chunk

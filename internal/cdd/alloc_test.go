@@ -24,13 +24,18 @@ func allocLimit(t *testing.T, limit float64, f func()) {
 	}
 }
 
+// remoteWriteAllocs is the remote write's limit, named because the
+// write-back pins below are stated in it: a whole flush must cost no
+// more than the one remote write it makes.
+const remoteWriteAllocs = 6
+
 // TestAllocsRemoteDevWrite pins the single-device remote write path:
 // cdd client → transport → manager → disk for one 64 KiB transfer.
 func TestAllocsRemoteDevWrite(t *testing.T) {
 	_, devs := benchCluster(t, 1, 4096, 16<<10)
 	ctx := context.Background()
 	buf := make([]byte, 64<<10)
-	allocLimit(t, 6, func() {
+	allocLimit(t, remoteWriteAllocs, func() {
 		if err := devs[0].WriteBlocks(ctx, 0, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -80,4 +85,94 @@ func TestAllocsCachedRead(t *testing.T) {
 	if remoteAfter := node.Manager.Obs().Counter("mgr.read_ops").Value(); remoteAfter != remoteBefore {
 		t.Fatalf("cache-hit reads made %d remote calls, want 0", remoteAfter-remoteBefore)
 	}
+}
+
+// fullCacheSession opens a default-sized session (4 MiB cache, 256 KiB
+// write-back) over a region four times its cache and writes the lower
+// half through it, so the cache is full and every insert evicts (and
+// the node's memory store has materialised the blocks the write pin
+// rewrites).
+func fullCacheSession(t *testing.T) *cdd.CachedDev {
+	t.Helper()
+	const region = 4096
+	_, c, reg := coherenceNode(t, region)
+	s := cdd.NewSession(c, "alloc-full", cdd.SessionConfig{Obs: reg})
+	t.Cleanup(func() { s.Close() })
+	ctx := context.Background()
+	if err := s.AcquireBlocks(ctx, cdd.Exclusive, 0, 0, region); err != nil {
+		t.Fatal(err)
+	}
+	dev := s.Dev(0)
+	buf := make([]byte, 64*dev.BlockSize())
+	for b := int64(0); b < region/2; b += 64 {
+		if err := dev.WriteBlocks(ctx, b, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Cache().Bytes(); got != 4<<20 {
+		t.Fatalf("cache holds %d bytes, want it full (4 MiB)", got)
+	}
+	return dev
+}
+
+// TestAllocsCachedWrite pins the write-back path over a full cache, one
+// 256 KiB batch per run: 64 absorbs that allocate nothing and the inline
+// group commit the 64th trips — one remote write, 64 blocks moved into
+// the cache on the entries they evict — for the price of that one remote
+// write, under 0.1 allocations per write. (A whole batch per run, so the
+// warm-up run refills the pools AllocsPerRun's GOMAXPROCS change empties.)
+func TestAllocsCachedWrite(t *testing.T) {
+	dev := fullCacheSession(t)
+	ctx := context.Background()
+	buf := make([]byte, dev.BlockSize())
+	next := int64(0)
+	allocLimit(t, remoteWriteAllocs, func() {
+		for i := 0; i < 64; i++ {
+			if err := dev.WriteBlocks(ctx, next, buf); err != nil {
+				t.Fatal(err)
+			}
+			next = (next + 1) % 2048
+		}
+		if dev.DirtyBlocks() != 0 {
+			t.Fatal("the 64th write did not flush inline")
+		}
+	})
+}
+
+// TestAllocsCachedMiss pins a miss over a full cache: the remote read
+// (3 of its limit of 6 today) plus an admission that recycles the entry
+// and buffer it evicts — at most one more than the read costs, where an
+// entry and a list element per admission made it 5.
+func TestAllocsCachedMiss(t *testing.T) {
+	dev := fullCacheSession(t)
+	ctx := context.Background()
+	buf := make([]byte, dev.BlockSize())
+	next := int64(2048) // the half the fill did not read
+	allocLimit(t, 4, func() {
+		if err := dev.ReadBlocks(ctx, next, buf); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+}
+
+// TestAllocsGroupCommit pins a steady-state scattered flush — 64 dirty
+// blocks, no two adjacent, absorbed and committed — at the cost of the
+// ONE remote write it makes: table and gather list come from pooled
+// scratch, and the committed blocks re-enter the cache on their entries.
+func TestAllocsGroupCommit(t *testing.T) {
+	_, c, reg := coherenceNode(t, 512)
+	dev := heldSession(t, c, reg, "alloc-gc", 512)
+	ctx := context.Background()
+	buf := make([]byte, dev.BlockSize())
+	allocLimit(t, remoteWriteAllocs, func() {
+		for i := int64(0); i < 64; i++ {
+			if err := dev.WriteBlocks(ctx, i*7, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := dev.FlushWriteBack(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package cdd
 
 import (
-	"container/list"
 	"sync"
 
 	"repro/internal/bufpool"
@@ -10,7 +9,8 @@ import (
 
 // BlockCache is a per-client read cache over remote blocks: a bounded
 // LRU keyed by (disk, block), with bufpool-backed entries so cache
-// churn recycles buffers instead of allocating. It holds bytes only —
+// churn recycles buffers — and, once full, the evicted entry itself —
+// instead of allocating. It holds bytes only —
 // coherence (when an entry may be *served*) is the Session's job: a hit
 // is valid only under a live lock-group grant within the lease safety
 // window (DESIGN.md §13).
@@ -18,8 +18,8 @@ type BlockCache struct {
 	mu   sync.Mutex
 	max  int64
 	size int64
-	m    map[cacheKey]*list.Element
-	lru  *list.List // front = most recent
+	m    map[cacheKey]*cacheEntry
+	lru  cacheEntry // ring sentinel: lru.next = most recent, lru.prev = least
 
 	hits, misses, evicts, invals *obs.Counter
 }
@@ -30,8 +30,9 @@ type cacheKey struct {
 }
 
 type cacheEntry struct {
-	key cacheKey
-	buf []byte // bufpool-owned, exactly one block
+	key        cacheKey
+	buf        []byte // bufpool-owned, exactly one block
+	prev, next *cacheEntry
 }
 
 // NewBlockCache creates a cache bounded to maxBytes of block payloads
@@ -42,11 +43,8 @@ func NewBlockCache(maxBytes int64, reg *obs.Registry) *BlockCache {
 	if maxBytes <= 0 {
 		maxBytes = 4 << 20
 	}
-	c := &BlockCache{
-		max: maxBytes,
-		m:   make(map[cacheKey]*list.Element),
-		lru: list.New(),
-	}
+	c := &BlockCache{max: maxBytes, m: make(map[cacheKey]*cacheEntry)}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	if reg != nil {
 		c.hits = reg.Counter("sess.cache_hits")
 		c.misses = reg.Counter("sess.cache_misses")
@@ -72,20 +70,15 @@ func NewBlockCache(maxBytes int64, reg *obs.Registry) *BlockCache {
 // whether it was present. dst must be exactly one block.
 func (c *BlockCache) Get(disk uint32, block int64, dst []byte) bool {
 	c.mu.Lock()
-	el, ok := c.m[cacheKey{disk: disk, block: block}]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Inc()
-		return false
-	}
-	ent := el.Value.(*cacheEntry)
-	if len(ent.buf) != len(dst) {
+	ent := c.m[cacheKey{disk: disk, block: block}]
+	if ent == nil || len(ent.buf) != len(dst) {
 		c.mu.Unlock()
 		c.misses.Inc()
 		return false
 	}
 	copy(dst, ent.buf)
-	c.lru.MoveToFront(el)
+	detach(ent)
+	c.pushFrontLocked(ent)
 	c.mu.Unlock()
 	c.hits.Inc()
 	return true
@@ -98,30 +91,12 @@ func (c *BlockCache) Put(disk uint32, block int64, data []byte) {
 		return
 	}
 	c.mu.Lock()
-	key := cacheKey{disk: disk, block: block}
-	if el, ok := c.m[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		if len(ent.buf) == len(data) {
-			copy(ent.buf, data)
-			c.lru.MoveToFront(el)
-			c.mu.Unlock()
-			return
-		}
-		c.removeLocked(el)
+	ent := c.insertLocked(cacheKey{disk: disk, block: block}, len(data))
+	if len(ent.buf) != len(data) {
+		bufpool.Put(ent.buf)
+		ent.buf = bufpool.Get(len(data))
 	}
-	for c.size+int64(len(data)) > c.max {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back)
-		c.evicts.Inc()
-	}
-	buf := bufpool.Get(len(data))
-	copy(buf, data)
-	ent := &cacheEntry{key: key, buf: buf}
-	c.m[key] = c.lru.PushFront(ent)
-	c.size += int64(len(buf))
+	copy(ent.buf, data)
 	c.mu.Unlock()
 }
 
@@ -135,32 +110,61 @@ func (c *BlockCache) PutOwned(disk uint32, block int64, buf []byte) {
 		return
 	}
 	c.mu.Lock()
-	key := cacheKey{disk: disk, block: block}
-	if el, ok := c.m[key]; ok {
-		c.removeLocked(el)
-	}
-	for c.size+int64(len(buf)) > c.max {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back)
-		c.evicts.Inc()
-	}
-	ent := &cacheEntry{key: key, buf: buf}
-	c.m[key] = c.lru.PushFront(ent)
-	c.size += int64(len(buf))
+	ent := c.insertLocked(cacheKey{disk: disk, block: block}, len(buf))
+	bufpool.Put(ent.buf)
+	ent.buf = buf
 	c.mu.Unlock()
 }
 
-// removeLocked unlinks el and returns its buffer to the pool.
-func (c *BlockCache) removeLocked(el *list.Element) {
-	ent := el.Value.(*cacheEntry)
-	c.lru.Remove(el)
+// insertLocked links an entry for key at the front and accounts n bytes
+// to it, first displacing the key's old entry and then LRU entries until
+// n fits. The entry is the last one displaced, its buffer still attached
+// (a fresh one with no buffer when nothing was): the caller leaves it
+// holding exactly n bytes.
+func (c *BlockCache) insertLocked(key cacheKey, n int) *cacheEntry {
+	ent := c.m[key]
+	if ent != nil {
+		c.unlinkLocked(ent)
+	}
+	for c.size+int64(n) > c.max && c.lru.prev != &c.lru {
+		if ent != nil {
+			bufpool.Put(ent.buf)
+		}
+		ent = c.lru.prev
+		c.unlinkLocked(ent)
+		c.evicts.Inc()
+	}
+	if ent == nil {
+		ent = new(cacheEntry)
+	}
+	ent.key = key
+	c.pushFrontLocked(ent)
+	c.m[key] = ent
+	c.size += int64(n)
+	return ent
+}
+
+// pushFrontLocked links ent into the LRU ring as the most recent.
+func (c *BlockCache) pushFrontLocked(ent *cacheEntry) {
+	ent.prev, ent.next = &c.lru, c.lru.next
+	ent.prev.next, ent.next.prev = ent, ent
+}
+
+// detach takes ent out of the LRU ring.
+func detach(ent *cacheEntry) { ent.prev.next, ent.next.prev = ent.next, ent.prev }
+
+// unlinkLocked takes ent out of the ring, the map and the byte count;
+// its buffer stays attached.
+func (c *BlockCache) unlinkLocked(ent *cacheEntry) {
+	detach(ent)
 	delete(c.m, ent.key)
 	c.size -= int64(len(ent.buf))
+}
+
+// removeLocked unlinks ent and returns its buffer to the pool.
+func (c *BlockCache) removeLocked(ent *cacheEntry) {
+	c.unlinkLocked(ent)
 	bufpool.Put(ent.buf)
-	ent.buf = nil
 }
 
 // InvalidateBlocks drops the cached blocks [start, start+count) of one
@@ -171,20 +175,16 @@ func (c *BlockCache) InvalidateBlocks(disk uint32, start, count int64) {
 	if count > int64(len(c.m)) {
 		// Wide invalidation (e.g. a whole-disk range): scan entries, not
 		// blocks.
-		var doomed []*list.Element
-		for key, el := range c.m {
+		for key, ent := range c.m {
 			if key.disk == disk && key.block >= start && key.block < start+count {
-				doomed = append(doomed, el)
+				c.removeLocked(ent)
+				n++
 			}
-		}
-		for _, el := range doomed {
-			c.removeLocked(el)
-			n++
 		}
 	} else {
 		for b := start; b < start+count; b++ {
-			if el, ok := c.m[cacheKey{disk: disk, block: b}]; ok {
-				c.removeLocked(el)
+			if ent := c.m[cacheKey{disk: disk, block: b}]; ent != nil {
+				c.removeLocked(ent)
 				n++
 			}
 		}
@@ -197,8 +197,8 @@ func (c *BlockCache) InvalidateBlocks(disk uint32, start, count int64) {
 func (c *BlockCache) InvalidateAll() {
 	c.mu.Lock()
 	n := len(c.m)
-	for c.lru.Back() != nil {
-		c.removeLocked(c.lru.Back())
+	for c.lru.prev != &c.lru {
+		c.removeLocked(c.lru.prev)
 	}
 	c.mu.Unlock()
 	c.invals.Add(int64(n))

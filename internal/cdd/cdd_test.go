@@ -158,7 +158,7 @@ func TestProtocolRejectsTruncation(t *testing.T) {
 }
 
 // startNode launches a CDD node with k disks.
-func startNode(t *testing.T, k int, blocks int64) *Node {
+func startNode(t testing.TB, k int, blocks int64) *Node {
 	t.Helper()
 	disks := make([]*disk.Disk, k)
 	for i := range disks {

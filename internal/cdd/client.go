@@ -134,6 +134,7 @@ func retryableErr(err error) bool {
 // drops payload references before returning it to the pool.
 type ioScratch struct {
 	hdr [ioHeaderLen]byte
+	tab []byte // extent table of a multi-extent write
 	req [][]byte
 	dst [][]byte
 }
@@ -709,6 +710,29 @@ func (d *RemoteDev) WriteBlocks(ctx context.Context, b int64, data []byte) error
 // the given segments (consecutive blocks on this disk), all segments
 // going to the wire as one vectored frame.
 func (d *RemoteDev) WriteBlocksVec(ctx context.Context, b int64, segs [][]byte) error {
+	return d.writeVec(ctx, d.scratch(b, 0), segs)
+}
+
+// WriteExtents writes several extents of this disk in one OpWrite: segs
+// are the block buffers of all extents in order, and the extent table
+// travels as the gather segment after the header. The node validates the
+// whole table before writing anything; after an error any extent may or
+// may not have landed.
+func (d *RemoteDev) WriteExtents(ctx context.Context, exts []Extent, segs [][]byte) error {
+	if len(exts) == 0 {
+		return nil
+	}
+	s := d.scratch(0, len(exts))
+	s.tab = s.tab[:0]
+	for _, e := range exts {
+		s.tab = appendExtent(s.tab, e)
+	}
+	s.req = append(s.req, s.tab)
+	return d.writeVec(ctx, s, segs)
+}
+
+// writeVec sends the OpWrite assembled in s with segs as its data.
+func (d *RemoteDev) writeVec(ctx context.Context, s *ioScratch, segs [][]byte) error {
 	total := 0
 	for _, sg := range segs {
 		total += len(sg)
@@ -716,7 +740,6 @@ func (d *RemoteDev) WriteBlocksVec(ctx context.Context, b int64, segs [][]byte) 
 	ctx, h := trace.Start(ctx, "cdd.write", d.subject)
 	h.Val = int64(total)
 	start := time.Now()
-	s := d.scratch(b, 0)
 	s.req = append(s.req, segs...)
 	_, err := d.n.doCall(ctx, OpWrite, s.req, nil, 0)
 	s.release()

@@ -1,0 +1,241 @@
+package cdd
+
+// The multi-extent OpWrite on the wire: what the manager rejects (and
+// that a rejected table writes nothing), the one generation fence, and
+// the flush that must never send a run whose grant is gone.
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"math"
+	"testing"
+	"time"
+
+	"repro/internal/transport"
+)
+
+const extTestBlocks = 16
+
+// extentPayload frames k extents' table plus data behind an I/O header
+// claiming count extents — malformed on purpose where the case says so.
+func extentPayload(count uint32, exts []Extent, data []byte) []byte {
+	var tab []byte
+	for _, e := range exts {
+		tab = appendExtent(tab, e)
+	}
+	return encodeIOHeader(ioHeader{Disk: 0, Count: count}, append(tab, data...))
+}
+
+// patterned fills the node's disk 0 with a known pattern and returns it.
+func patterned(t testing.TB, n *Node) []byte {
+	t.Helper()
+	d := n.Manager.disks[0]
+	img := make([]byte, int(d.NumBlocks())*d.BlockSize())
+	for i := range img {
+		img[i] = byte(i/d.BlockSize()) ^ 0xA5
+	}
+	if err := d.WriteBlocks(context.Background(), 0, img); err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+func diskImage(t testing.TB, n *Node) []byte {
+	t.Helper()
+	d := n.Manager.disks[0]
+	img := make([]byte, int(d.NumBlocks())*d.BlockSize())
+	if err := d.ReadBlocks(context.Background(), 0, img); err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+func TestWriteExtentsRejected(t *testing.T) {
+	n := startNode(t, 1, extTestBlocks)
+	c, err := Connect(n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const bs = 512
+	blk := func(k int) []byte { return bytes.Repeat([]byte{0xEE}, k*bs) }
+	cases := []struct {
+		name    string
+		op      uint8
+		payload []byte
+	}{
+		{"short table", OpWrite, extentPayload(2, []Extent{{0, 1}}, nil)},
+		{"table longer than payload", OpWrite, extentPayload(1000, []Extent{{0, 1}}, blk(1))},
+		{"table count wraps uint32*12", OpWrite, extentPayload(math.MaxUint32, []Extent{{0, 1}}, blk(1))},
+		{"zero-length extent", OpWrite, extentPayload(2, []Extent{{0, 1}, {4, 0}}, blk(1))},
+		{"negative block", OpWrite, extentPayload(1, []Extent{{-1, 1}}, blk(1))},
+		{"past the disk", OpWrite, extentPayload(2, []Extent{{0, 1}, {extTestBlocks - 1, 2}}, blk(3))},
+		{"block+blocks wraps int64", OpWrite, extentPayload(2, []Extent{{0, 1}, {math.MaxInt64, 2}}, blk(3))},
+		{"blocks beyond any disk", OpWrite, extentPayload(1, []Extent{{1, math.MaxUint32}}, blk(1))},
+		{"descending", OpWrite, extentPayload(2, []Extent{{8, 1}, {2, 1}}, blk(2))},
+		{"overlapping", OpWrite, extentPayload(2, []Extent{{2, 3}, {4, 1}}, blk(4))},
+		{"repeated", OpWrite, extentPayload(2, []Extent{{2, 1}, {2, 1}}, blk(2))},
+		{"data longer than table", OpWrite, extentPayload(2, []Extent{{0, 1}, {4, 1}}, blk(3))},
+		{"data shorter than table", OpWrite, extentPayload(2, []Extent{{0, 1}, {4, 2}}, blk(2))},
+		{"data not whole blocks", OpWrite, extentPayload(1, []Extent{{0, 1}}, blk(1)[:bs-1])},
+		{"background write with a table", OpWriteBG, extentPayload(1, []Extent{{0, 1}}, blk(1))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := patterned(t, n)
+			_, err := c.Transport().Call(context.Background(), tc.op, tc.payload)
+			var re *transport.RemoteError
+			if !errors.As(err, &re) || re.Code != transport.CodeBadRequest {
+				t.Fatalf("err = %v, want CodeBadRequest", err)
+			}
+			if !bytes.Equal(diskImage(t, n), want) {
+				t.Fatal("a rejected request changed the disk")
+			}
+		})
+	}
+}
+
+// TestWriteExtentsRoundTrip: the well-formed twin of the table above —
+// adjacent and separated extents, first and last block of the disk.
+func TestWriteExtentsRoundTrip(t *testing.T) {
+	n := startNode(t, 1, extTestBlocks)
+	c, err := Connect(n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	want := patterned(t, n)
+	exts := []Extent{{0, 1}, {1, 2}, {7, 1}, {extTestBlocks - 1, 1}}
+	var segs [][]byte
+	for _, e := range exts {
+		for b := e.Block; b < e.Block+int64(e.Blocks); b++ {
+			seg := bytes.Repeat([]byte{byte(b) + 1}, 512)
+			segs = append(segs, seg)
+			copy(want[b*512:], seg)
+		}
+	}
+	before := n.Manager.Obs().Counter("mgr.write_ops").Value()
+	if err := c.Dev(0).WriteExtents(context.Background(), exts, segs); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Manager.Obs().Counter("mgr.write_ops").Value() - before; got != 1 {
+		t.Errorf("one multi-extent write counted as %d write ops", got)
+	}
+	if !bytes.Equal(diskImage(t, n), want) {
+		t.Fatal("extents landed at the wrong blocks")
+	}
+}
+
+// TestWriteExtentsStaleEpoch: the generation fence sits before the op
+// switch, so it covers the multi-extent form without being re-spelled.
+func TestWriteExtentsStaleEpoch(t *testing.T) {
+	n := startNode(t, 1, extTestBlocks)
+	want := patterned(t, n)
+	n.Manager.AdoptEpoch(5)
+	c, err := Connect(n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetArrayEpoch(3)
+	seg := bytes.Repeat([]byte{0xEE}, 512)
+	err = c.Dev(0).WriteExtents(context.Background(), []Extent{{1, 1}, {5, 1}}, [][]byte{seg, seg})
+	var re *transport.RemoteError
+	if !errors.As(err, &re) || re.Code != transport.CodeStaleEpoch {
+		t.Fatalf("multi-extent write at a retired generation: err = %v, want CodeStaleEpoch", err)
+	}
+	if !bytes.Equal(diskImage(t, n), want) {
+		t.Fatal("a stale-generation write changed the disk")
+	}
+}
+
+// FuzzWriteExtents: whatever follows a valid header, the manager never
+// panics, and a request it rejects has written nothing.
+func FuzzWriteExtents(f *testing.F) {
+	n := startNode(f, 1, extTestBlocks)
+	seg := bytes.Repeat([]byte{0xEE}, 512)
+	f.Add(uint32(2), extentPayload(0, []Extent{{1, 1}, {5, 1}}, append(seg, seg...))[ioHeaderLen:])
+	f.Add(uint32(2), extentPayload(0, []Extent{{5, 1}, {1, 1}}, append(seg, seg...))[ioHeaderLen:])
+	f.Add(uint32(1), extentPayload(0, []Extent{{15, 2}}, append(seg, seg...))[ioHeaderLen:])
+	f.Add(uint32(3), extentPayload(0, []Extent{{0, 1}}, seg)[ioHeaderLen:])
+	f.Add(uint32(0), seg)
+	want := patterned(f, n)
+	f.Fuzz(func(t *testing.T, count uint32, body []byte) {
+		payload := encodeIOHeader(ioHeader{Disk: 0, Count: count}, body)
+		if _, err := n.Manager.Handle(context.Background(), OpWrite, payload); err == nil {
+			want = patterned(t, n) // accepted: a legitimate write, start over
+		} else if !bytes.Equal(diskImage(t, n), want) {
+			t.Fatalf("rejected (%v) but the disk changed", err)
+		}
+	})
+}
+
+// TestWriteBackRevokedRunNotSent: of three dirty runs the middle one's
+// exclusive grant is gone by flush time (a release racing a writer). It
+// is discarded and never sent; its siblings land in the SAME write; the
+// new owner's bytes survive.
+func TestWriteBackRevokedRunNotSent(t *testing.T) {
+	n := startNode(t, 1, 64)
+	c, reg := connectObs(t, n.Addr())
+	s := NewSession(c, "three-runs", SessionConfig{Obs: reg, WriteBackBytes: 64 << 20, WriteBackAge: time.Hour})
+	defer s.Close()
+	ctx := context.Background()
+	runs := []Range{BlockLockRange(0, 0, 8), BlockLockRange(0, 16, 8), BlockLockRange(0, 32, 8)}
+	for _, r := range runs {
+		if err := s.Acquire(ctx, Exclusive, []Range{r}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev := s.Dev(0)
+	ours := bytes.Repeat([]byte{0x11}, 2*512)
+	for _, b := range []int64{2, 18, 34} {
+		if err := dev.WriteBlocks(ctx, b, ours); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dev.DirtyBlocks() != 6 {
+		t.Fatalf("dirty blocks = %d, want 6", dev.DirtyBlocks())
+	}
+
+	// The middle grant goes away without the flush Release would run,
+	// and a new owner takes the range and writes.
+	s.mu.Lock()
+	s.excl = dropExact(s.excl, runs[1:2])
+	s.mu.Unlock()
+	if err := c.Unlock(ctx, s.Owner(), runs[1:2]); err != nil {
+		t.Fatal(err)
+	}
+	c2, _ := connectObs(t, n.Addr())
+	if ok, err := c2.TryLock("usurper", runs[1:2]); err != nil || !ok {
+		t.Fatalf("usurper lock: ok=%v err=%v", ok, err)
+	}
+	theirs := bytes.Repeat([]byte{0x44}, 2*512)
+	if err := c2.Dev(0).WriteBlocks(ctx, 18, theirs); err != nil {
+		t.Fatal(err)
+	}
+
+	writes := n.Manager.Obs().Counter("mgr.write_ops")
+	before := writes.Value()
+	if err := dev.FlushWriteBack(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := writes.Value() - before; got != 1 {
+		t.Errorf("the two surviving runs went out in %d writes, want 1", got)
+	}
+	if e, b := reg.Counter("sess.wb_errors").Value(), reg.Counter("sess.wb_blocks").Value(); e != 1 || b != 4 {
+		t.Errorf("wb_errors = %d, wb_blocks = %d, want 1 and 4", e, b)
+	}
+	if dev.DirtyBlocks() != 0 {
+		t.Errorf("%d blocks still dirty", dev.DirtyBlocks())
+	}
+	got := make([]byte, 2*512)
+	for b, want := range map[int64][]byte{2: ours, 18: theirs, 34: ours} {
+		if err := c2.Dev(0).ReadBlocks(ctx, b, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("block %d holds %#x.., want %#x..", b, got[0], want[0])
+		}
+	}
+}

@@ -310,10 +310,16 @@ func (m *Manager) handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 		}
 		switch op {
 		case OpWriteBG:
+			if h.Count != 0 {
+				return nil, fmt.Errorf("cdd: background write with an extent table: %w", errBadRequest)
+			}
 			m.met.bgWrites.Inc()
 			return nil, d.WriteBlocksBackground(ctx, h.Block, data)
 		case OpWrite:
 			m.met.writes.Inc()
+			if h.Count > 0 {
+				return nil, writeExtents(ctx, d, h.Count, data)
+			}
 			return nil, d.WriteBlocks(ctx, h.Block, data)
 		}
 		m.met.reads.Inc()
@@ -513,6 +519,28 @@ func (m *Manager) handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 		return m.handleEpoch(ctx, op, payload)
 	}
 	return nil, fmt.Errorf("cdd: op %d: %w", op, errUnknownOp)
+}
+
+// writeExtents serves a multi-extent OpWrite: the whole table is
+// validated before the first block is written, then each extent is
+// written in table order straight from the request buffer. The first
+// error aborts; extents before it have landed, as with a torn vectored
+// write, so the client resends every block of a failed request.
+func writeExtents(ctx context.Context, d *disk.Disk, k uint32, payload []byte) error {
+	bs := d.BlockSize()
+	tab, data, err := splitExtents(payload, k, bs, d.NumBlocks())
+	if err != nil {
+		return err
+	}
+	for i := 0; i < int(k); i++ {
+		e := extentAt(tab, i)
+		n := int(e.Blocks) * bs
+		if err := d.WriteBlocks(ctx, e.Block, data[:n]); err != nil {
+			return err
+		}
+		data = data[n:]
+	}
+	return nil
 }
 
 // Node couples a manager with its transport server.

@@ -19,7 +19,8 @@ const (
 	OpInfo uint8 = iota + 1
 	// OpRead reads count blocks from one disk.
 	OpRead
-	// OpWrite writes blocks to one disk.
+	// OpWrite writes blocks to one disk: one extent, or several under an
+	// extent table (see ioHeader).
 	OpWrite
 	// OpWriteBG is OpWrite as a notification: the deferred mirror push.
 	// The sender never sees a stale-generation rejection, so the node
@@ -184,14 +185,72 @@ func decodeInfo(b []byte) (infoResp, error) {
 // ioHeader prefixes OpRead/OpWrite/OpWriteBG payloads, and addresses
 // the disk of the per-disk control ops (flush, health, stats, fail,
 // replace), which leave Gen zero and are never checked against it.
+//
+// Count is the blocks to read on OpRead. On OpWrite, 0 means one extent
+// at Block whose length the payload implies; k > 0 means the payload is
+// an extent table of k descriptors followed by the extents' data back to
+// back, and Block is unused. OpWriteBG carries no table.
 type ioHeader struct {
 	Disk  uint32
 	Block int64
-	Count uint32 // blocks to read; implied by payload length on writes
+	Count uint32
 	Gen   uint64 // layout generation the sender placed this I/O with
 }
 
 const ioHeaderLen = 24
+
+// Extent is a run of consecutive blocks on one disk; its wire form is
+// block int64, blocks uint32, big-endian like the header.
+type Extent struct {
+	Block  int64
+	Blocks uint32
+}
+
+const (
+	extentLen = 12
+	// One multi-extent write carries at most this many extents and this
+	// many bytes of blocks; with <= 256 extents the table is smaller than
+	// a 4 KiB block, so a node that predates the table fails the frame
+	// with a size error instead of writing it somewhere.
+	maxExtents     = 256
+	maxExtentBytes = 1 << 20
+)
+
+func appendExtent(tab []byte, e Extent) []byte {
+	tab = binary.BigEndian.AppendUint64(tab, uint64(e.Block))
+	return binary.BigEndian.AppendUint32(tab, e.Blocks)
+}
+
+func extentAt(tab []byte, i int) Extent {
+	b := tab[i*extentLen:]
+	return Extent{Block: int64(binary.BigEndian.Uint64(b[0:8])), Blocks: binary.BigEndian.Uint32(b[8:12])}
+}
+
+// splitExtents validates a k-extent write payload against a disk of
+// numBlocks blocks of bs bytes and splits it into table and data. The
+// whole table is checked before the caller writes anything: every extent
+// non-empty and inside the disk, extents ascending without overlap, and
+// the data exactly as long as the table says.
+func splitExtents(payload []byte, k uint32, bs int, numBlocks int64) (tab, data []byte, err error) {
+	n := int64(k) * extentLen
+	if n > int64(len(payload)) {
+		return nil, nil, fmt.Errorf("cdd: %d-extent table exceeds %d-byte payload: %w", k, len(payload), errBadRequest)
+	}
+	tab, data = payload[:n], payload[n:]
+	var end, total int64 // end of the previous extent; blocks so far (<= numBlocks)
+	for i := 0; i < int(k); i++ {
+		e := extentAt(tab, i)
+		if e.Blocks == 0 || e.Block < end || e.Block > numBlocks-int64(e.Blocks) {
+			return nil, nil, fmt.Errorf("cdd: extent %d (%d+%d) empty, out of order or outside %d blocks: %w", i, e.Block, e.Blocks, numBlocks, errBadRequest)
+		}
+		end = e.Block + int64(e.Blocks)
+		total += int64(e.Blocks)
+	}
+	if total*int64(bs) != int64(len(data)) {
+		return nil, nil, fmt.Errorf("cdd: extent table covers %d blocks, payload carries %d bytes: %w", total, len(data), errBadRequest)
+	}
+	return tab, data, nil
+}
 
 // putIOHeader encodes h into a caller-owned array — the allocation-free
 // alternative to encodeIOHeader for the hot path, where the header

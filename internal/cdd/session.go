@@ -71,8 +71,8 @@ type sessionMetrics struct {
 //
 // The safety rule (DESIGN.md §13): a cached block may be served only
 // while (a) a local grant covers it and (b) the last successful
-// heartbeat is younger than half the server lease TTL. A writer gets
-// its exclusive grant only after every shared holder acked the
+// heartbeat was sent less than half the server lease TTL ago. A writer
+// gets its exclusive grant only after every shared holder acked the
 // revocation or outlived its lease — and an outlived holder has, by
 // (b), already stopped serving hits.
 type Session struct {
@@ -88,7 +88,7 @@ type Session struct {
 	lastSeq uint64
 	devs    map[uint32]*CachedDev
 
-	lastBeat atomic.Int64 // unix-nano of the last successful heartbeat
+	lastBeat atomic.Int64 // unix-nano at which the last successful heartbeat was sent
 	ttl      atomic.Int64 // server lease term (ns); 0 = leases disabled
 	ttlKnown atomic.Bool  // set once a Beat has reported the lease term
 
@@ -247,8 +247,9 @@ func (s *Session) cachedDevs() []*CachedDev {
 }
 
 // leaseFresh reports whether cached state may be served: the last
-// successful heartbeat must be younger than half the server lease TTL
-// (the safety window — strictly inside the server's expiry, so an
+// successful heartbeat must have been sent less than half the server
+// lease TTL ago (the safety window — strictly inside the server's
+// expiry, which runs from when the server processed that beat, so an
 // expired-and-auto-released holder has already stopped serving hits).
 // Until the first successful beat reports the lease term the answer is
 // false — assuming "no lease" before hearing otherwise would let a
@@ -321,6 +322,10 @@ func (s *Session) beatOnce() {
 	heldAny := len(s.shared)+len(s.excl) > 0
 	s.mu.Unlock()
 
+	// The server renews the lease when it processes the beat, which is no
+	// earlier than this instant; the reply may come back much later, and
+	// a retried beat keeps its first attempt's send time.
+	sent := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.Beat*4+s.n.policy.CallTimeout)
 	br, err := s.n.Beat(ctx, s.owner, lastSeq)
 	cancel()
@@ -369,7 +374,7 @@ func (s *Session) beatOnce() {
 	s.ttlKnown.Store(true)
 	// Published last: a hit is only served once the events above are
 	// fully applied.
-	s.lastBeat.Store(time.Now().UnixNano())
+	s.lastBeat.Store(sent.UnixNano())
 }
 
 // applyInvalidation drops cache entries and revoked shared grants

@@ -4,11 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/trace"
 )
 
 // ErrStaleLease is returned by flush paths when the session's lease
@@ -28,11 +29,12 @@ var ErrStaleLease = errors.New("cdd: lease stale; write-back held")
 // vectored call and are admitted to the cache when cacheable.
 //
 // Write path: blocks covered by a live exclusive grant are absorbed
-// into the write-back buffer and group-committed as contiguous runs in
-// single vectored RPCs — bounded by bytes (SessionConfig.WriteBackBytes,
-// flushed inline), age (WriteBackAge, flushed by the heartbeat loop),
-// and lock handoff (Session.Release flushes before the grant drops).
-// Uncovered writes pass straight through.
+// into the write-back buffer and group-committed, every contiguous run
+// an extent of one multi-extent write — bounded by bytes
+// (SessionConfig.WriteBackBytes, flushed inline), age (WriteBackAge,
+// flushed by the heartbeat loop), and lock handoff (Session.Release
+// flushes before the grant drops). Uncovered writes pass straight
+// through.
 type CachedDev struct {
 	s    *Session
 	d    *RemoteDev
@@ -46,6 +48,7 @@ type CachedDev struct {
 
 	// flush scratch, reused across group commits
 	blocksScratch []int64
+	extsScratch   []Extent
 	segsScratch   [][]byte
 }
 
@@ -231,40 +234,50 @@ func (c *CachedDev) DirtyBlocks() int {
 }
 
 // flushLocked is the group commit: dirty blocks are sorted, coalesced
-// into contiguous runs, and each run written in one vectored call. On
-// success the committed buffers move into the read cache (still under
-// our exclusive grant); on error everything stays dirty for retry.
+// into contiguous runs, and all runs written as the extents of one
+// multi-extent write (consecutive ones when the batch outgrows
+// maxExtents / maxExtentBytes). On success the committed buffers move
+// into the read cache (still under our exclusive grant); on error every
+// block of the failed write stays dirty for retry, since any of its
+// extents may not have landed.
 //
 // Safety: a flush commits remotely only inside the lease safety window
 // and only for runs still covered by a live exclusive grant. Outside
 // the window the buffer is held (ErrStaleLease) — the ranges may have
 // been re-granted to a new owner during a partition, and writing them
 // on heal would be a lost update. Runs whose grant is gone are
-// discarded, matching the lease-loss path.
-func (c *CachedDev) flushLocked(ctx context.Context) error {
+// discarded, matching the lease-loss path, and never sent.
+func (c *CachedDev) flushLocked(ctx context.Context) (err error) {
 	if len(c.dirty) == 0 {
 		return nil
 	}
 	if !c.s.leaseFresh() {
 		return ErrStaleLease
 	}
+	// The writer that trips the threshold pays for the whole batch: the
+	// span makes that delay attributable in its trace.
+	ctx, h := trace.Start(ctx, "sess.group-commit", c.d.subject)
+	h.Val = int64(c.dirtyBytes)
+	defer func() { h.End(err) }()
+
 	blocks := c.blocksScratch[:0]
 	for blk := range c.dirty {
 		blocks = append(blocks, blk)
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
+	slices.Sort(blocks)
 	c.blocksScratch = blocks
 
+	maxBlocks := max(maxExtentBytes/c.bs, 1) // per write, so per run too
+	c.extsScratch, c.segsScratch = c.extsScratch[:0], c.segsScratch[:0]
 	for i := 0; i < len(blocks); {
 		j := i + 1
-		for j < len(blocks) && blocks[j] == blocks[j-1]+1 {
+		for j < len(blocks) && blocks[j] == blocks[j-1]+1 && j-i < maxBlocks {
 			j++
 		}
 		if !c.s.holdsBlocks(c.disk, blocks[i], int64(j-i), true) {
 			// Exclusive coverage lost since these blocks were buffered: a
 			// new owner may hold the range, so the run must not be written.
-			for k := i; k < j; k++ {
-				blk := blocks[k]
+			for _, blk := range blocks[i:j] {
 				bufpool.Put(c.dirty[blk])
 				delete(c.dirty, blk)
 				c.dirtyBytes -= c.bs
@@ -273,31 +286,52 @@ func (c *CachedDev) flushLocked(ctx context.Context) error {
 			i = j
 			continue
 		}
-		segs := c.segsScratch[:0]
-		for k := i; k < j; k++ {
-			segs = append(segs, c.dirty[blocks[k]])
-		}
-		c.segsScratch = segs
-		if err := c.d.WriteBlocksVec(ctx, blocks[i], segs); err != nil {
-			c.s.met.wbErrors.Inc()
-			return err
-		}
-		c.s.met.wbFlushes.Inc()
-		c.s.met.wbBlocks.Add(int64(j - i))
-		for k := i; k < j; k++ {
-			blk := blocks[k]
-			buf := c.dirty[blk]
-			delete(c.dirty, blk)
-			c.dirtyBytes -= c.bs
-			if c.s.leaseFresh() && c.s.holdsBlocks(c.disk, blk, 1, false) {
-				c.s.cache.PutOwned(c.disk, blk, buf)
-			} else {
-				bufpool.Put(buf)
+		if len(c.extsScratch) == maxExtents || len(c.segsScratch)+j-i > maxBlocks {
+			if err := c.commit(ctx); err != nil {
+				return err
 			}
+		}
+		c.extsScratch = append(c.extsScratch, Extent{Block: blocks[i], Blocks: uint32(j - i)})
+		for _, blk := range blocks[i:j] {
+			c.segsScratch = append(c.segsScratch, c.dirty[blk])
 		}
 		i = j
 	}
+	if err := c.commit(ctx); err != nil {
+		return err
+	}
 	c.oldest = time.Time{}
+	return nil
+}
+
+// commit sends the gathered extents (segsScratch: their dirty buffers,
+// one per block) as one write, then moves the blocks out of the dirty
+// map into the read cache and empties the gather lists.
+func (c *CachedDev) commit(ctx context.Context) error {
+	exts, segs := c.extsScratch, c.segsScratch
+	if len(exts) == 0 {
+		return nil
+	}
+	if err := c.d.WriteExtents(ctx, exts, segs); err != nil {
+		c.s.met.wbErrors.Inc()
+		return err
+	}
+	c.s.met.wbFlushes.Inc()
+	c.s.met.wbBlocks.Add(int64(len(segs)))
+	i := 0
+	for _, e := range exts {
+		for blk := e.Block; blk < e.Block+int64(e.Blocks); blk++ {
+			delete(c.dirty, blk)
+			c.dirtyBytes -= c.bs
+			if c.s.leaseFresh() && c.s.holdsBlocks(c.disk, blk, 1, false) {
+				c.s.cache.PutOwned(c.disk, blk, segs[i])
+			} else {
+				bufpool.Put(segs[i])
+			}
+			i++
+		}
+	}
+	c.extsScratch, c.segsScratch = exts[:0], segs[:0]
 	return nil
 }
 
