@@ -25,8 +25,11 @@ staticcheck:
 promtest:
 	$(GO) test ./internal/obs/ -run 'TestWriteProm|TestPromName'
 
+# The second line gives internal/par's resident workers (hand-off, idle
+# exit, what a parked worker still references) ten rounds each.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./internal/par/
 
 # Full verification: static analysis, the exporter grammar tests, and
 # the whole suite (including the transport/cdd fault-injection tests)
@@ -72,9 +75,10 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # benchcheck runs the allocation-pinned regression tests: AllocsPerRun
-# limits on the hot paths (transport round trips, remote device I/O, the
-# engine's stripe fan-out, and coherent cache-hit reads — which must
-# stay at 0 remote calls and <= 2 allocs; a write-back batch or a
+# limits on the hot paths (a warmed-up par.Do itself — the cancellable
+# context and nothing per branch — transport round trips, remote device
+# I/O, the engine's stripe fan-out, and coherent cache-hit reads — which
+# must stay at 0 remote calls and <= 2 allocs; a write-back batch or a
 # scattered flush over a full cache costs no more than the one remote
 # write it makes) — and the call pins (TestCalls): a session's flush of
 # 64 scattered dirty blocks is ONE remote write (TestCallsGroupCommit),
@@ -87,7 +91,7 @@ bench:
 # allocation regression fails here before it shows up in the benchmarks.
 # Must run without -race — the race runtime allocates on its own account.
 benchcheck:
-	$(GO) test -run 'TestAllocs|TestFloor|TestCalls' -count=1 -v ./internal/transport/ ./internal/cdd/ ./internal/core/ ./internal/raid/ ./internal/parity/ ./internal/fsim/
+	$(GO) test -run 'TestAllocs|TestFloor|TestCalls' -count=1 -v ./internal/par/ ./internal/transport/ ./internal/cdd/ ./internal/core/ ./internal/raid/ ./internal/parity/ ./internal/fsim/
 
 # paritycheck runs the parity-kernel shard (CI job `parity`): the full
 # kernel/RS suite under the race detector, the portable purego build of

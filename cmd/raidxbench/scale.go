@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/cdd"
@@ -220,11 +221,13 @@ func scaleQoS(bs int, bgCap int64) error {
 	type tally struct{ bytes int64 }
 	fg := make([]tally, fgWorkers)
 	var bg tally
-	done := make(chan struct{})
+	var streams sync.WaitGroup // the tallies are read once every stream has returned
+	streams.Add(fgWorkers + 1)
 	start := time.Now()
 	// Foreground storm: unthrottled readers.
 	for w := 0; w < fgWorkers; w++ {
 		go func(w int) {
+			defer streams.Done()
 			c, err := cdd.Connect(node.Addr())
 			if err != nil {
 				return
@@ -242,7 +245,7 @@ func scaleQoS(bs int, bgCap int64) error {
 	// Background "repair" stream: bulk reads paced through the
 	// scheduler — exactly what repair.Config.Pace does in raidxnode.
 	go func() {
-		defer close(done)
+		defer streams.Done()
 		c, err := cdd.Connect(node.Addr())
 		if err != nil {
 			return
@@ -261,7 +264,7 @@ func scaleQoS(bs int, bgCap int64) error {
 			blk += 64
 		}
 	}()
-	<-done
+	streams.Wait()
 	elapsed := time.Since(start).Seconds()
 
 	var fgBytes int64

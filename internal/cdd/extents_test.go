@@ -239,3 +239,71 @@ func TestWriteBackRevokedRunNotSent(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteBackRunAcrossAbuttingGrants: two adjacent dirty blocks, each
+// under its own exclusive grant, form a run no single grant contains.
+// Both are still ours: both reach the node and nothing is counted lost.
+// With the grant over the second one gone, the run is cut at the
+// boundary: the first is written, the second discarded.
+func TestWriteBackRunAcrossAbuttingGrants(t *testing.T) {
+	n := startNode(t, 1, 64)
+	c, reg := connectObs(t, n.Addr())
+	s := NewSession(c, "abutting", SessionConfig{Obs: reg, WriteBackBytes: 64 << 20, WriteBackAge: time.Hour})
+	defer s.Close()
+	ctx := context.Background()
+	grants := []Range{BlockLockRange(0, 0, 4), BlockLockRange(0, 4, 4)}
+	for _, r := range grants {
+		if err := s.Acquire(ctx, Exclusive, []Range{r}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev := s.Dev(0)
+	buffer := func(fill byte) {
+		t.Helper()
+		for _, b := range []int64{3, 4} {
+			if err := dev.WriteBlocks(ctx, b, bytes.Repeat([]byte{fill}, 512)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if dev.DirtyBlocks() != 2 {
+			t.Fatalf("dirty blocks = %d, want 2", dev.DirtyBlocks())
+		}
+	}
+	onNode := func(want3, want4 byte) {
+		t.Helper()
+		c2, _ := connectObs(t, n.Addr())
+		got := make([]byte, 2*512)
+		if err := c2.Dev(0).ReadBlocks(ctx, 3, got); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != want3 || got[512] != want4 {
+			t.Errorf("node holds %#x, %#x in blocks 3, 4, want %#x, %#x", got[0], got[512], want3, want4)
+		}
+	}
+	wbErrors, wbBlocks := reg.Counter("sess.wb_errors"), reg.Counter("sess.wb_blocks")
+
+	buffer(0x11)
+	if err := dev.FlushWriteBack(ctx); err != nil {
+		t.Fatal(err)
+	}
+	onNode(0x11, 0x11)
+	if e, b := wbErrors.Value(), wbBlocks.Value(); e != 0 || b != 2 {
+		t.Errorf("wb_errors = %d, wb_blocks = %d, want 0 and 2", e, b)
+	}
+
+	// Buffer the pair again, then lose the second grant before the flush.
+	buffer(0x22)
+	s.mu.Lock()
+	s.excl = dropExact(s.excl, grants[1:])
+	s.mu.Unlock()
+	if err := dev.FlushWriteBack(ctx); err != nil {
+		t.Fatal(err)
+	}
+	onNode(0x22, 0x11)
+	if e, b := wbErrors.Value(), wbBlocks.Value(); e != 1 || b != 3 {
+		t.Errorf("wb_errors = %d, wb_blocks = %d, want 1 and 3", e, b)
+	}
+	if dev.DirtyBlocks() != 0 {
+		t.Errorf("%d blocks still dirty", dev.DirtyBlocks())
+	}
+}

@@ -245,8 +245,9 @@ func (c *CachedDev) DirtyBlocks() int {
 // and only for runs still covered by a live exclusive grant. Outside
 // the window the buffer is held (ErrStaleLease) — the ranges may have
 // been re-granted to a new owner during a partition, and writing them
-// on heal would be a lost update. Runs whose grant is gone are
-// discarded, matching the lease-loss path, and never sent.
+// on heal would be a lost update. Blocks whose grant is gone are
+// discarded, matching the lease-loss path, and never sent; coverage is
+// per block, so a run under two abutting grants is written whole.
 func (c *CachedDev) flushLocked(ctx context.Context) (err error) {
 	if len(c.dirty) == 0 {
 		return nil
@@ -274,7 +275,18 @@ func (c *CachedDev) flushLocked(ctx context.Context) (err error) {
 		for j < len(blocks) && blocks[j] == blocks[j-1]+1 && j-i < maxBlocks {
 			j++
 		}
-		if !c.s.holdsBlocks(c.disk, blocks[i], int64(j-i), true) {
+		held := c.s.holdsBlocks(c.disk, blocks[i], int64(j-i), true)
+		if !held {
+			// No one grant contains the run. Cut it where coverage changes:
+			// blocks under abutting grants are still ours to write.
+			held = c.s.holdsBlocks(c.disk, blocks[i], 1, true)
+			end := j
+			j = i + 1
+			for j < end && c.s.holdsBlocks(c.disk, blocks[j], 1, true) == held {
+				j++
+			}
+		}
+		if !held {
 			// Exclusive coverage lost since these blocks were buffered: a
 			// new owner may hold the range, so the run must not be written.
 			for _, blk := range blocks[i:j] {

@@ -82,7 +82,7 @@ func TestAllocsWriteStripe(t *testing.T) {
 	allocCases(t, func(t *testing.T, a *RAIDx) {
 		ctx := context.Background()
 		buf := make([]byte, 12*a.BlockSize())
-		allocLimit(t, 60, func() {
+		allocLimit(t, 24, func() {
 			if err := a.WriteBlocks(ctx, allocAt, buf); err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestAllocsReadStripe(t *testing.T) {
 		if err := a.WriteBlocks(ctx, allocAt, buf); err != nil {
 			t.Fatal(err)
 		}
-		allocLimit(t, 50, func() {
+		allocLimit(t, 20, func() {
 			if err := a.ReadBlocks(ctx, allocAt, buf); err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestAllocsWriteSmall(t *testing.T) {
 	allocCases(t, func(t *testing.T, a *RAIDx) {
 		ctx := context.Background()
 		buf := make([]byte, a.BlockSize())
-		allocLimit(t, 20, func() {
+		allocLimit(t, 8, func() {
 			if err := a.WriteBlocks(ctx, allocAt+6, buf); err != nil {
 				t.Fatal(err)
 			}

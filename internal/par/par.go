@@ -5,15 +5,18 @@
 // touches many disks at once, and the elapsed time must be the maximum
 // of the per-disk times, not their sum. When the context carries a
 // vclock.Proc, children are spawned as simulated processes so that the
-// virtual clock observes the overlap; otherwise ordinary goroutines are
-// used.
+// virtual clock observes the overlap; otherwise the branches run on
+// resident worker goroutines (see doReal).
 package par
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -32,10 +35,13 @@ import (
 // deterministically as the first non-cancellation error in argument
 // order.
 //
+// A function must return normally: it runs on the caller's goroutine or
+// on a shared worker, so runtime.Goexit (t.FailNow) is not its to call.
+//
 // Under a traced context the whole fan-out is one "par.do" span (Val =
 // branch count), so a waterfall shows the fan-out's wall time as the
 // max of its branches, with every branch a child span.
-func Do(ctx context.Context, fns ...func(context.Context) error) (err error) {
+func Do(ctx context.Context, fns ...func(context.Context) error) error {
 	live := fns[:0]
 	for _, fn := range fns {
 		if fn != nil {
@@ -48,13 +54,30 @@ func Do(ctx context.Context, fns ...func(context.Context) error) (err error) {
 	case 1:
 		return live[0](ctx)
 	}
+	return ForEach(ctx, len(live), func(ctx context.Context, i int) error { return live[i](ctx) })
+}
+
+// ForEach runs fn(i) for every i in [0, n) in parallel and returns the
+// first error in index order; it is Do over the n calls.
+func ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) (err error) {
+	switch {
+	case n <= 0:
+		return nil
+	case n == 1:
+		return fn(ctx, 0)
+	}
 	ctx, h := trace.Start(ctx, "par.do", "")
-	h.Val = int64(len(live))
+	h.Val = int64(n)
 	defer func() { h.End(err) }()
 	if p, ok := vclock.From(ctx); ok {
-		return doSim(ctx, p, live)
+		fns := make([]func(context.Context) error, n)
+		for i := range fns {
+			i := i
+			fns[i] = func(ctx context.Context) error { return fn(ctx, i) }
+		}
+		return doSim(ctx, p, fns)
 	}
-	return doReal(ctx, live)
+	return doReal(ctx, n, fn)
 }
 
 func doSim(ctx context.Context, p *vclock.Proc, fns []func(context.Context) error) error {
@@ -80,40 +103,121 @@ func doSim(ctx context.Context, p *vclock.Proc, fns []func(context.Context) erro
 	return firstError(errs)
 }
 
-func doReal(ctx context.Context, fns []func(context.Context) error) error {
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, len(fns))
-	var wg sync.WaitGroup
-	wg.Add(len(fns))
-	for i, fn := range fns {
-		go func(i int, fn func(context.Context) error) {
-			defer wg.Done()
-			if err := fn(cctx); err != nil {
-				errs[i] = err
-				cancel() // first failure aborts the siblings
+// join is the state one real-time fan-out shares with its branches. It
+// is pooled and cleared on release, so neither the pool nor a parked
+// worker pins a finished operation's buffers.
+type join struct {
+	ctx    context.Context // cancelled by the first failure
+	cancel context.CancelFunc
+	fn     func(context.Context, int) error
+	errs   []error
+	wg     sync.WaitGroup
+}
+
+// run is branch i: a failure is recorded and aborts the siblings.
+func (j *join) run(i int) {
+	if err := j.fn(j.ctx, i); err != nil {
+		j.errs[i] = err
+		j.cancel()
+	}
+}
+
+// task is one branch handed to a resident worker.
+type task struct {
+	j *join
+	i int
+}
+
+// The resident workers (DESIGN.md §10). parked counts the workers
+// committed to receiving from tasks: a sender that took one out of the
+// count (hire) waits only for that worker to reach its receive, and a
+// branch nobody is parked for starts a worker of its own, so a nested
+// or wider-than-ever fan-out never waits for one and there is no cap.
+var (
+	joins   = sync.Pool{New: func() any { return new(join) }}
+	tasks   = make(chan task)
+	parked  atomic.Int64
+	started atomic.Int64 // workers ever started; read by tests
+)
+
+// A worker leaves on the second idleExit tick that finds it parked.
+const idleExit = 200 * time.Millisecond
+
+// hire takes one parked worker out of the count. A failed attempt shows
+// the count too low for a moment, never too high.
+func hire() bool {
+	if parked.Add(-1) >= 0 {
+		return true
+	}
+	parked.Add(1)
+	return false
+}
+
+func work(t task) {
+	tick := time.NewTicker(idleExit)
+	defer tick.Stop()
+	for {
+		j := t.j
+		j.run(t.i)
+		t = task{}
+		// Parked before Done: once Do returns, the next one can hire
+		// every worker it used.
+		parked.Add(1)
+		j.wg.Done()
+		for idle := false; t.j == nil; {
+			select {
+			case t = <-tasks:
+			case <-tick.C:
+				// Leaving takes this worker's own place in the count;
+				// when a sender already has, its task is on the way.
+				if idle && hire() {
+					return
+				}
+				idle = true
 			}
-		}(i, fn)
+		}
 	}
-	wg.Wait()
-	if ctx.Err() != nil {
-		// The caller's own context ended; every error is legitimate.
-		return firstError(errs)
-	}
-	// Prefer the root cause over a sibling's cancellation echo.
-	var first error
-	for _, err := range errs {
-		if err == nil {
+}
+
+// doReal hands n-1 branches to resident workers, whose stacks are
+// already grown, and runs the last on the caller, whose stack is deep.
+func doReal(ctx context.Context, n int, fn func(context.Context, int) error) error {
+	j := joins.Get().(*join)
+	j.ctx, j.cancel = context.WithCancel(ctx)
+	defer j.cancel()
+	j.fn, j.errs = fn, slices.Grow(j.errs, n)[:n]
+	j.wg.Add(n - 1)
+	for i := 0; i < n-1; i++ {
+		if hire() {
+			tasks <- task{j, i}
 			continue
 		}
-		if first == nil {
-			first = err
-		}
-		if !errors.Is(err, context.Canceled) {
+		started.Add(1)
+		go work(task{j, i})
+	}
+	j.run(n - 1)
+	j.wg.Wait()
+	err := rootCause(j.errs, ctx.Err() != nil)
+	clear(j.errs)
+	j.ctx, j.cancel, j.fn, j.errs = nil, nil, nil, j.errs[:0]
+	joins.Put(j) // not deferred: a panicking branch leaves its siblings running on j
+	return err
+}
+
+// rootCause is the first error that is not a sibling's cancellation
+// echo, else the first echo. When the caller's own context ended every
+// error is legitimate and the first one wins.
+func rootCause(errs []error, callerEnded bool) error {
+	var echo error
+	for _, err := range errs {
+		if err != nil && (callerEnded || !errors.Is(err, context.Canceled)) {
 			return err
 		}
+		if echo == nil {
+			echo = err
+		}
 	}
-	return first
+	return echo
 }
 
 func firstError(errs []error) error {
@@ -123,18 +227,4 @@ func firstError(errs []error) error {
 		}
 	}
 	return nil
-}
-
-// ForEach runs fn(i) for every i in [0, n) in parallel and returns the
-// first error in index order.
-func ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	fns := make([]func(context.Context) error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		fns[i] = func(ctx context.Context) error { return fn(ctx, i) }
-	}
-	return Do(ctx, fns...)
 }

@@ -52,7 +52,7 @@ func TestAllocsAfraidSync(t *testing.T) {
 	}
 	ctx := context.Background()
 	buf := make([]byte, a.BlockSize())
-	allocLimit(t, 40, func() {
+	allocLimit(t, 11, func() {
 		if err := a.WriteBlocks(ctx, 0, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestAllocsAfraidDegradedRead(t *testing.T) {
 	}
 	raw[1].Fail()
 	buf := make([]byte, a.BlockSize())
-	allocLimit(t, 8, func() {
+	allocLimit(t, 5, func() {
 		if err := a.ReadBlocks(ctx, 0, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestAllocsRAID5SmallWrite(t *testing.T) {
 	}
 	ctx := context.Background()
 	buf := make([]byte, a.BlockSize())
-	allocLimit(t, 40, func() {
+	allocLimit(t, 11, func() {
 		if err := a.WriteBlocks(ctx, 5, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestAllocsRSFullStripeWrite(t *testing.T) {
 	ctx := context.Background()
 	k, _ := a.Shards()
 	buf := make([]byte, k*a.BlockSize())
-	allocLimit(t, 70, func() {
+	allocLimit(t, 16, func() {
 		if err := a.WriteBlocks(ctx, 0, buf); err != nil {
 			t.Fatal(err)
 		}
