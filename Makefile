@@ -26,10 +26,13 @@ promtest:
 	$(GO) test ./internal/obs/ -run 'TestWriteProm|TestPromName'
 
 # The second line gives internal/par's resident workers (hand-off, idle
-# exit, what a parked worker still references) ten rounds each.
+# exit, what a parked worker still references) ten rounds each; the third
+# gives raid.Window (both wait backends, no starvation, a foreground write
+# against a parked restore chunk on four engines) five.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/par/
+	$(GO) test -race -count=5 -run TestWindow ./internal/raid/
 
 # Full verification: static analysis, the exporter grammar tests, and
 # the whole suite (including the transport/cdd fault-injection tests)
@@ -124,7 +127,8 @@ obscheck:
 # growcheck runs the online-membership shard (CI job `grow`): the
 # epoch/remap property tests (every geometry pair up to 64 nodes), the
 # migration engine drills (live traffic, pause/resume, crash resume,
-# shrink, source failover, the deterministic vclock schedule), the
+# shrink, source failover, the deterministic vclock schedule in which a
+# stamped writer Proc and Migration.Run share the clock), the
 # supervisor rebalance jobs and their mutual exclusion with recovery, the
 # layout-generation fence over the wire, the one mount path (device
 # tables per generation, degraded mount, the refusals, the stale-epoch

@@ -40,8 +40,7 @@ type epochState struct {
 	// next-layout homes.
 	next   *layout.Epoch
 	cursor int64
-	// mig is the migration owning next/cursor; writers use it to keep
-	// out of the active copy window.
+	// mig is the migration owning next/cursor.
 	mig *Migration
 }
 
@@ -177,8 +176,9 @@ type plan struct {
 	byLB []ext
 	end  []int
 	// img holds the images in logical order: img[i] is block b+i's.
-	img []ext
-	fns []func(context.Context) error
+	img   []ext
+	spans []raid.Span // a write's runs, for the members' window
+	fns   []func(context.Context) error
 }
 
 var planPool = sync.Pool{New: func() any { return new(plan) }}
@@ -226,7 +226,7 @@ func (a *RAIDx) place(es *epochState, v *raid.MemberView, b int64, p []byte, ima
 func (pl *plan) release() {
 	clear(pl.segs)
 	clear(pl.fns)
-	pl.data, pl.img, pl.segs, pl.fns = pl.data[:0], pl.img[:0], pl.segs[:0], pl.fns[:0]
+	pl.data, pl.img, pl.segs, pl.fns, pl.spans = pl.data[:0], pl.img[:0], pl.segs[:0], pl.fns[:0], pl.spans[:0]
 	pl.byLB, pl.end = pl.byLB[:0], pl.end[:0]
 	planPool.Put(pl)
 }

@@ -19,11 +19,6 @@ import (
 // window's worth of copying at most.
 const migChunk = 64
 
-// blkRange is a half-open range of logical blocks.
-type blkRange struct{ lo, hi int64 }
-
-func overlaps(a, b blkRange) bool { return a.lo < b.hi && b.lo < a.hi }
-
 // MigrateStatus is a point-in-time snapshot of a migration.
 type MigrateStatus struct {
 	FromGen     uint64           `json:"from_gen"`
@@ -46,12 +41,9 @@ type Migration struct {
 	a        *RAIDx
 	from, to *layout.Epoch
 
-	mu           sync.Mutex
-	cond         *sync.Cond
-	winLo, winHi int64 // active copy window (logical blocks); equal = none
-	inflight     []blkRange
-	finished     bool
-	running      bool
+	mu       sync.Mutex
+	finished bool
+	running  bool
 
 	movedBlocks atomic.Int64
 	movedBytes  atomic.Int64
@@ -80,89 +72,6 @@ func (m *Migration) Status() MigrateStatus {
 
 // TargetEpoch returns the layout this migration is moving to.
 func (m *Migration) TargetEpoch() *layout.Epoch { return m.to }
-
-// enterWrite blocks while the copy window overlaps [b, b+n), then
-// registers the write so the copier cannot open such a window until
-// exitWrite. Returns false (without registering) once the migration
-// has finished — the caller just proceeds on the final layout.
-func (m *Migration) enterWrite(b, n int64) bool {
-	r := blkRange{b, b + n}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if m.finished {
-			return false
-		}
-		if !overlaps(r, blkRange{m.winLo, m.winHi}) {
-			m.inflight = append(m.inflight, r)
-			return true
-		}
-		m.cond.Wait()
-	}
-}
-
-// exitWrite deregisters a foreground write.
-func (m *Migration) exitWrite(b, n int64) {
-	r := blkRange{b, b + n}
-	m.mu.Lock()
-	for i, f := range m.inflight {
-		if f == r {
-			m.inflight[i] = m.inflight[len(m.inflight)-1]
-			m.inflight = m.inflight[:len(m.inflight)-1]
-			break
-		}
-	}
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
-
-// openWindow claims [lo, hi) for copying. The window is published
-// first — gating any NEW overlapping write — and then the copier waits
-// for writes already in flight to drain. Claim-then-drain cannot
-// starve: the pre-existing overlap set is finite and new arrivals
-// block on the window, while drain-then-claim would wait forever under
-// a steady write load.
-func (m *Migration) openWindow(lo, hi int64) {
-	w := blkRange{lo, hi}
-	m.mu.Lock()
-	m.winLo, m.winHi = lo, hi
-	for {
-		clear := true
-		for _, f := range m.inflight {
-			if overlaps(f, w) {
-				clear = false
-				break
-			}
-		}
-		if clear {
-			break
-		}
-		m.cond.Wait()
-	}
-	m.mu.Unlock()
-}
-
-// commitWindow publishes cursor = hi, then releases the window. The
-// publish happens before gated writers wake, so a writer that waited
-// on this window reloads a view that already routes its blocks to
-// their new homes. Callers must have made the cursor durable first
-// when the window moved any block (see copyWindow).
-func (m *Migration) commitWindow(hi int64) {
-	m.a.epoch.Store(&epochState{cur: m.from, next: m.to, cursor: hi, mig: m})
-	m.mu.Lock()
-	m.winLo, m.winHi = 0, 0
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
-
-// abortWindow releases the window without advancing the cursor (copy
-// error or pause mid-chunk; the committed state is untouched).
-func (m *Migration) abortWindow() {
-	m.mu.Lock()
-	m.winLo, m.winHi = 0, 0
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
 
 // Run drives the migration to completion: for each window of migChunk
 // logical blocks it copies every block whose data or image home
@@ -244,7 +153,7 @@ func (m *Migration) copyWindow(ctx context.Context, lo, hi int64, checkpoint fun
 		// No home changes in this window: the commit carries no routing
 		// delta, so the durable cursor may lag it harmlessly — a resume
 		// below it re-scans blocks whose old and new homes coincide.
-		m.commitWindow(hi)
+		m.a.epoch.Store(&epochState{cur: m.from, next: m.to, cursor: hi, mig: m})
 		if checkpoint != nil {
 			if err := checkpoint(hi); err != nil {
 				return 0, err
@@ -252,7 +161,9 @@ func (m *Migration) copyWindow(ctx context.Context, lo, hi int64, checkpoint fun
 		}
 		return 0, nil
 	}
-	m.openWindow(lo, hi)
+	// Claim the window: a write to it waits until the copy is published,
+	// and the writes already in flight over it land before the first read.
+	claim := m.a.win.Open(ctx, raid.Span{Lo: lo, Hi: hi})
 	v := m.a.mem.Load()
 	devs := v.Devs
 	buf := bufpool.Get(len(moves) * m.a.bs)
@@ -287,22 +198,25 @@ func (m *Migration) copyWindow(ctx context.Context, lo, hi int64, checkpoint fun
 		return devs[mv.to.Disk].WriteBlocks(ctx, mv.to.Block, dst)
 	})
 	if err != nil {
-		m.abortWindow()
+		m.a.win.Abort(claim)
 		return 0, err
 	}
 	// Durable before visible: the cursor must reach stable storage
-	// before commitWindow routes foreground writes to the new homes —
+	// before the view routes foreground writes to the new homes —
 	// a crash-resume restarts from the durable cursor and re-copies
 	// old homes, which would silently overwrite any acknowledged write
 	// that had routed ahead of it. The window is still open here, so
 	// overlapping writes stay gated while the checkpoint syncs.
 	if checkpoint != nil {
 		if err := checkpoint(hi); err != nil {
-			m.abortWindow()
+			m.a.win.Abort(claim)
 			return 0, fmt.Errorf("core: migration checkpoint at block %d: %w", hi, err)
 		}
 	}
-	m.commitWindow(hi)
+	// Published before the release, so a writer the window held back
+	// loads a view that routes its blocks to their new homes.
+	m.a.epoch.Store(&epochState{cur: m.from, next: m.to, cursor: hi, mig: m})
+	m.a.win.Commit(claim)
 	m.movedBlocks.Add(int64(len(moves)))
 	m.movedBytes.Add(int64(len(moves) * m.a.bs))
 	return int64(len(moves)), nil
@@ -310,14 +224,12 @@ func (m *Migration) copyWindow(ctx context.Context, lo, hi int64, checkpoint fun
 
 var errSourceDown = fmt.Errorf("source unavailable")
 
-// finishMigration installs the target epoch as current and wakes every
-// gated writer into the final layout.
+// finishMigration installs the target epoch as current.
 func (a *RAIDx) finishMigration(m *Migration) {
 	a.epoch.Store(&epochState{cur: m.to})
 	m.mu.Lock()
 	m.finished = true
 	m.mu.Unlock()
-	m.cond.Broadcast()
 	a.met.events.Append(obs.EventRebalanceEnd, "raidx",
 		fmt.Sprintf("epoch %d -> %d: moved %d blocks (%d bytes)",
 			m.from.Gen(), m.to.Gen(), m.movedBlocks.Load(), m.movedBytes.Load()))
@@ -332,20 +244,17 @@ func (a *RAIDx) beginMigration(next *layout.Epoch, cursor int64) (*Migration, er
 	if cursor < 0 || cursor > a.Blocks() {
 		return nil, fmt.Errorf("core: resume cursor %d outside [0,%d]", cursor, a.Blocks())
 	}
-	a.migMu.Lock()
-	defer a.migMu.Unlock()
+	// Claim the whole array around the publish: writes still placing
+	// blocks by the pre-migration view land first, every later one loads
+	// the migrating view, and two starts take turns. The claim waits in
+	// real time, so under the virtual clock begin with no write in flight.
+	defer a.win.Commit(a.win.Open(context.TODO(), raid.Span{Lo: 0, Hi: a.Blocks()}))
 	es := a.epoch.Load()
 	if es.next != nil {
 		return nil, ErrMigrationActive
 	}
 	m := &Migration{a: a, from: es.cur, to: next}
-	m.cond = sync.NewCond(&m.mu)
-	// Quiesce in-flight writers that loaded a pre-migration view, then
-	// publish: every write starting after this sees the migration and
-	// gates against its copy windows.
-	a.ioGate.Lock()
 	a.epoch.Store(&epochState{cur: es.cur, next: next, cursor: cursor, mig: m})
-	a.ioGate.Unlock()
 	a.met.events.Append(obs.EventRebalanceStart, "raidx",
 		fmt.Sprintf("epoch %d -> %d (%d nodes -> %d), resume at %d",
 			es.cur.Gen(), next.Gen(), es.cur.Nodes(), next.Nodes(), cursor))

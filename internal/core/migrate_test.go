@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -403,17 +404,45 @@ func TestMigrationSourceFailover(t *testing.T) {
 }
 
 // TestMigrationGrowVclockDeterministic runs the 4 -> 12 grow drill
-// under the virtual clock: foreground writes interleave with the
-// copier at its pace points (the window is closed there, so a
-// simulated proc cannot wedge on the window's condvar), which makes
-// the schedule reproducible run to run. Every write must succeed,
-// the writes land on both sides of the advancing cursor so both epoch
-// routing paths serve I/O mid-migration, content and redundancy must
-// verify at the new epoch, and the move count must stay within the
-// minimal-movement bound.
+// under the virtual clock, twice, and requires the two scheduler traces
+// to be identical. Two writers share the clock with the copier: the
+// migrator itself writes at its pace points, on both sides of the
+// advancing cursor, and a stamped writer Proc writes (block, sequence)
+// stamped blocks into the window at the cursor — the blocks being copied —
+// while Run runs, so the logical window parks writer and copier on the
+// virtual clock. Every write must succeed with no vclock deadlock, content
+// and redundancy must verify at the new epoch, and the move count must
+// stay within the minimal-movement bound.
 func TestMigrationGrowVclockDeterministic(t *testing.T) {
+	first, total := growVclock(t)
+	second, total2 := growVclock(t)
+	if total != total2 || len(first) != len(second) {
+		t.Fatalf("runs differ: %d vs %d scheduler events", total, total2)
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("runs diverge at scheduler event %d: %v vs %v", i, first[i], second[i])
+		}
+	}
+	parked := 0
+	for _, ev := range first {
+		if ev.Kind == vclock.TracePark && ev.Extra == "gate:raid.Window" {
+			parked++
+		}
+	}
+	if parked == 0 {
+		t.Fatal("no writer or copier ever waited in the window: the schedule did not overlap them")
+	}
+	t.Logf("%d scheduler events, %d window waits", total, parked)
+}
+
+// growVclock is one run of the vclock grow drill; it returns the
+// scheduler trace.
+func growVclock(t *testing.T) ([]vclock.TraceEvent, int64) {
+	t.Helper()
 	const blocks = 96
 	s := vclock.New()
+	tr := s.EnableTrace(1 << 17)
 	model := disk.Model{Seek: 0, TrackSkip: 0, BandwidthBps: 64e6, PerRequest: 50 * time.Microsecond}
 	mkSim := func(first, n int) []raid.Dev {
 		out := make([]raid.Dev, n)
@@ -431,9 +460,35 @@ func TestMigrationGrowVclockDeterministic(t *testing.T) {
 	var (
 		shadow     []byte
 		moved      int64
+		stamped    int
 		lowWrites  int // writes below the cursor: already-migrated homes
 		highWrites int // writes above it: old homes under the source map
 	)
+	// writer stamps each block it writes with (block, sequence) and aims
+	// at the window the copier takes next, until the migration ends.
+	writer := func(p *vclock.Proc) {
+		ctx := vclock.With(context.Background(), p)
+		buf := make([]byte, bs)
+		for seq := int64(1); ; seq++ {
+			cursor, _, active := a.Migrating()
+			if !active {
+				break
+			}
+			lb := min(cursor+seq%migChunk, a.Blocks()-1)
+			binary.BigEndian.PutUint64(buf, uint64(lb))
+			binary.BigEndian.PutUint64(buf[8:], uint64(seq))
+			if err := a.WriteBlocks(ctx, lb, buf); err != nil {
+				t.Errorf("stamped write at block %d (cursor %d): %v", lb, cursor, err)
+				return
+			}
+			copy(shadow[lb*int64(bs):], buf)
+			stamped++
+			p.Sleep(100 * time.Microsecond)
+		}
+		if err := a.Flush(ctx); err != nil {
+			t.Error(err)
+		}
+	}
 	s.Spawn("migrator", func(p *vclock.Proc) {
 		ctx := vclock.With(context.Background(), p)
 		shadow = make([]byte, a.Blocks()*int64(bs))
@@ -446,11 +501,14 @@ func TestMigrationGrowVclockDeterministic(t *testing.T) {
 			t.Error(err)
 			return
 		}
+		// Begun with no write in flight: the start's instant claim of the
+		// whole array waits in real time (see beginMigration).
 		m, err := a.BeginGrow(8, newDevs, 0)
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		s.Spawn("writer", writer)
 		rng := rand.New(rand.NewSource(43))
 		buf := make([]byte, bs)
 		pace := func(ctx context.Context, bytes int) error {
@@ -492,8 +550,8 @@ func TestMigrationGrowVclockDeterministic(t *testing.T) {
 	if got := a.Epoch().Gen(); got != 1 {
 		t.Fatalf("epoch generation %d after grow, want 1", got)
 	}
-	if lowWrites == 0 || highWrites == 0 {
-		t.Fatalf("writes did not straddle the cursor (%d below, %d above)", lowWrites, highWrites)
+	if lowWrites == 0 || highWrites == 0 || stamped == 0 {
+		t.Fatalf("writes did not straddle the cursor (%d below, %d above, %d stamped)", lowWrites, highWrites, stamped)
 	}
 	checkContent(t, a, shadow, "after vclock grow")
 	if err := a.Verify(ctx); err != nil {
@@ -503,6 +561,10 @@ func TestMigrationGrowVclockDeterministic(t *testing.T) {
 	if moved < minMoves || moved > minMoves+minMoves/4 {
 		t.Fatalf("moved %d blocks, want within [%d, %d]", moved, minMoves, minMoves+minMoves/4)
 	}
+	if tr.Total() > 1<<17 {
+		t.Fatalf("%d scheduler events overflow the trace", tr.Total())
+	}
+	return tr.Events(), tr.Total()
 }
 
 // TestRebuildAndResyncUnderEpoch: after a completed grow the layout is

@@ -29,7 +29,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -121,19 +120,14 @@ type RAIDx struct {
 	// storm is therefore race-free — in-flight operations finish against
 	// the view they started with, and the next operation sees the spare.
 	mem *raid.Members
-	// migMu serializes the start of migrations.
-	migMu sync.Mutex
 	// epoch is the copy-on-write layout view (see epochState): the one
 	// answer to "where is block b" for reads, writes and repair at every
 	// generation. Grows and shrinks publish override generations here,
 	// and an in-flight migration carries both layouts plus its cursor.
 	epoch atomic.Pointer[epochState]
-	// ioGate closes the migration-start race: writes hold it shared for
-	// their duration, Begin{Grow,Shrink} takes it exclusively for the
-	// instant it publishes the migrating view, so no write that placed
-	// blocks under the pre-migration view is still in flight when the
-	// copier starts.
-	ioGate sync.RWMutex
+	// win is the logical-block window: writes enter it before loading
+	// the view, a migration claims its copy windows in it.
+	win    raid.Window
 	lay    layout.OSM
 	bs     int
 	opt    Options
@@ -262,7 +256,7 @@ func (a *RAIDx) Blocks() int64 { return a.lay.DataBlocks() }
 // images for blocks on failed disks. It is the only foreground read
 // path, at every layout generation and during a migration.
 func (a *RAIDx) ReadBlocks(ctx context.Context, b int64, p []byte) (err error) {
-	if _, err := a.checkRange(b, p); err != nil {
+	if _, err := raid.CheckRange(a, b, p); err != nil {
 		return err
 	}
 	ctx, root := a.tracer.StartRoot(ctx, "raidx.read", "raidx")
@@ -383,7 +377,7 @@ func (a *RAIDx) readImage(ctx context.Context, v *raid.MemberView, lb int64, m l
 // mirror disk — in the background. It is the only write path, at every
 // layout generation and during a migration.
 func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) {
-	n, err := a.checkRange(b, p)
+	n, err := raid.CheckRange(a, b, p)
 	if err != nil {
 		return err
 	}
@@ -392,24 +386,10 @@ func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) 
 	defer func() { root.End(err) }()
 	start := time.Now()
 	defer func() { a.met.writeLat.Observe(time.Since(start)) }()
-	// Shared-mode gate: a migration publishes its view only after every
-	// write that loaded the pre-migration layout has drained.
-	a.ioGate.RLock()
-	defer a.ioGate.RUnlock()
-	es := a.epoch.Load()
-	if m := es.mig; m != nil {
-		// Wait out a copy window overlapping the range, then register so
-		// the copier cannot open one until this write lands — the
-		// lost-update guard that keeps "zero foreground errors" honest
-		// under live rebalance.
-		if m.enterWrite(b, int64(n)) {
-			defer m.exitWrite(b, int64(n))
-		}
-		// The cursor for [b, b+n) is now pinned: reload the view the
-		// copier may have advanced while we waited.
-		es = a.epoch.Load()
-	}
-	v := a.mem.Load()
+	// Entered, the range is out of every copy window until this write
+	// lands, so the view loaded next places it where it lives throughout.
+	defer a.win.Exit(a.win.Enter(ctx, raid.Span{Lo: b, Hi: b + int64(n)}))
+	es, v := a.epoch.Load(), a.mem.Load()
 	pl := a.place(es, v, b, p, true)
 	defer pl.release()
 	for _, d := range pl.data {
@@ -421,6 +401,7 @@ func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) 
 	for i, j := 0, 0; i < len(pl.data); i = j {
 		j = runEnd(pl.data, i, false)
 		lo, segs, dev := pl.data[i], pl.segs[i:j], v.Devs[pl.data[i].disk]
+		pl.spans = append(pl.spans, raid.Span{Dev: lo.disk, Lo: lo.phys, Hi: lo.phys + int64(j-i)})
 		// IntentAhead marks the region before it is in flight, so a crash
 		// treats it as possibly torn until a resync confirms it. A failed
 		// disk is skipped — the image carries the data — and the mark lets
@@ -458,6 +439,7 @@ func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) 
 			j = runEnd(pl.img, i, true)
 		}
 		lo, count, dev := pl.img[i], j-i, v.Devs[pl.img[i].disk]
+		pl.spans = append(pl.spans, raid.Span{Dev: lo.disk, Lo: lo.phys, Hi: lo.phys + int64(count)})
 		healthy := dev.Healthy()
 		if ahead || !healthy {
 			a.mark(lo, count)
@@ -481,6 +463,9 @@ func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) 
 			return err
 		})
 	}
+	// In the members' window no restore chunk reads the other copy of a
+	// run while the run is in flight.
+	defer a.mem.Window().Exit(a.mem.Window().Enter(ctx, pl.spans...))
 	return par.Do(ctx, pl.fns...)
 }
 
@@ -488,17 +473,6 @@ func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) 
 // state is or may become unknown, so repair replays it from the other
 // copy.
 func (a *RAIDx) mark(e ext, count int) { a.mem.Intent().MarkRange(e.disk, e.phys, int64(count)) }
-
-func (a *RAIDx) checkRange(b int64, p []byte) (int, error) {
-	if len(p) == 0 || len(p)%a.bs != 0 {
-		return 0, fmt.Errorf("core: buffer length %d not a positive multiple of block size %d", len(p), a.bs)
-	}
-	n := len(p) / a.bs
-	if b < 0 || b+int64(n) > a.Blocks() {
-		return 0, fmt.Errorf("core: blocks [%d,%d) outside [0,%d)", b, b+int64(n), a.Blocks())
-	}
-	return n, nil
-}
 
 // Flush implements raid.Array: waits for all deferred image writes, so
 // the array is fully redundant on return.

@@ -682,15 +682,10 @@ func TestGrowChaosLiveTrafficPartition(t *testing.T) {
 		t.Fatal("readers made no progress")
 	}
 
-	// Writes that raced a window copy may have been clobbered by the
-	// copier reading the peer first: rewrite the writer region once on
-	// the grown array, then audit everything. Past generation 0 every
-	// write marks its deferred image writes in the intent log up front, so
-	// the rewrite itself would wake a resync — which is not ordered
-	// against a foreground write to the same block (ROADMAP item 2's open
-	// hole); the audit runs with the supervisor paused and idle.
-	sup.Pause()
-	waitWithin(t, 10*time.Second, "the supervisor to go idle", func() bool { return sup.Status().Active < 0 })
+	// Rewrite the writer region once on the grown array, then audit
+	// everything with the supervisor live: past generation 0 the rewrite
+	// marks its deferred image writes up front and wakes a resync, which
+	// the members' window orders against it.
 	if err := a.WriteBlocks(ctx, wbase, wdata); err != nil {
 		t.Fatalf("post-grow rewrite: %v", err)
 	}

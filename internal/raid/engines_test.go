@@ -157,22 +157,29 @@ func TestEnginesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEnginesRejectBadRanges: every engine, RAID-x included, refuses a bad
+// range with *store.RangeError and a bad buffer with *store.SizeError.
 func TestEnginesRejectBadRanges(t *testing.T) {
 	for _, ec := range engineCases() {
 		t.Run(ec.name, func(t *testing.T) {
 			a, _ := ec.build(t)
 			ctx := context.Background()
-			if err := a.ReadBlocks(ctx, -1, make([]byte, testBS)); err == nil {
-				t.Error("negative block accepted")
+			var re *store.RangeError
+			var se *store.SizeError
+			if err := a.ReadBlocks(ctx, -1, make([]byte, testBS)); !errors.As(err, &re) {
+				t.Errorf("negative block: got %v, want *store.RangeError", err)
 			}
-			if err := a.ReadBlocks(ctx, a.Blocks(), make([]byte, testBS)); err == nil {
-				t.Error("past-end read accepted")
+			if err := a.ReadBlocks(ctx, a.Blocks(), make([]byte, testBS)); !errors.As(err, &re) {
+				t.Errorf("past-end read: got %v, want *store.RangeError", err)
 			}
-			if err := a.WriteBlocks(ctx, 0, make([]byte, testBS+1)); err == nil {
-				t.Error("unaligned buffer accepted")
+			if err := a.WriteBlocks(ctx, a.Blocks()-1, make([]byte, 2*testBS)); !errors.As(err, &re) {
+				t.Errorf("write across the end: got %v, want *store.RangeError", err)
 			}
-			if err := a.WriteBlocks(ctx, 0, nil); err == nil {
-				t.Error("empty buffer accepted")
+			if err := a.WriteBlocks(ctx, 0, make([]byte, testBS+1)); !errors.As(err, &se) {
+				t.Errorf("unaligned buffer: got %v, want *store.SizeError", err)
+			}
+			if err := a.WriteBlocks(ctx, 0, nil); !errors.As(err, &se) {
+				t.Errorf("empty buffer: got %v, want *store.SizeError", err)
 			}
 		})
 	}

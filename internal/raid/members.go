@@ -43,6 +43,7 @@ type Members struct {
 
 	view atomic.Pointer[MemberView]
 	mu   sync.Mutex // serializes edits of the table
+	win  Window     // over (member, physical block) spans
 
 	il     *intent.Log
 	events *obs.EventLog
@@ -79,6 +80,9 @@ func (m *Members) Load() *MemberView { return m.view.Load() }
 // a delta resync replays them when the device returns. It is nil when
 // none is attached; a nil log discards marks and reports nothing dirty.
 func (m *Members) Intent() *intent.Log { return m.il }
+
+// Window returns the members' physical window (see Window).
+func (m *Members) Window() *Window { return &m.win }
 
 // edit publishes a copy of the table changed by fn. Callers hold m.mu.
 func (m *Members) edit(fn func(*MemberView)) {

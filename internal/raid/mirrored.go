@@ -25,9 +25,6 @@ type mirroredArray struct {
 	mirror  mapping
 	// flip alternates reads between copies for load balancing.
 	flip atomic.Uint32
-	// balanceReads enables alternating; chained declustering and
-	// RAID-10 both read from either copy.
-	balanceReads bool
 }
 
 func (a *mirroredArray) Name() string      { return a.name }
@@ -42,11 +39,11 @@ func (a *mirroredArray) SwapDev(idx int, dev Dev) (Dev, error) { return a.mem.Sw
 // for load balance, with per-run fallback to the other copy when a
 // device has failed or is a blank spare.
 func (a *mirroredArray) ReadBlocks(ctx context.Context, b int64, p []byte) error {
-	if _, err := checkRange(a, b, p); err != nil {
+	if _, err := CheckRange(a, b, p); err != nil {
 		return err
 	}
 	first := a.primary
-	if a.balanceReads && a.flip.Add(1)%2 == 0 {
+	if a.flip.Add(1)%2 == 0 {
 		first = a.mirror
 	}
 	return readStriped(ctx, a.mem.Load(), first, b, p, a.bs, func(ctx context.Context, r run) error {
@@ -64,33 +61,29 @@ func (a *mirroredArray) ReadBlocks(ctx context.Context, b int64, p []byte) error
 // WriteBlocks writes both copies in the foreground (the conventional
 // mirrored-write discipline that RAID-x improves upon). Runs landing on
 // a failed device are skipped, and intent-marked, as long as the other
-// copy is healthy; a blank spare takes every write.
+// copy is healthy; a blank spare takes every write. The write enters the
+// members' window over the runs of both copies.
 func (a *mirroredArray) WriteBlocks(ctx context.Context, b int64, p []byte) error {
-	if _, err := checkRange(a, b, p); err != nil {
+	n, err := CheckRange(a, b, p)
+	if err != nil {
 		return err
 	}
 	devs := a.mem.Load().Devs
-	if err := a.checkWritable(devs, b, len(p)/a.bs); err != nil {
-		return err
+	var spans []Span
+	for _, r := range a.primary.runs(b, n) {
+		pd, md := a.primary.diskOf(r.col), a.mirror.diskOf(r.col)
+		if !devs[pd].Healthy() && !devs[md].Healthy() {
+			return fmt.Errorf("%s: both copies of column %d failed: %w", a.name, r.col, ErrDataLoss)
+		}
+		mp := r.phys - a.primary.base + a.mirror.base // both copies stripe with one width
+		spans = append(spans, Span{pd, r.phys, r.phys + int64(r.count)}, Span{md, mp, mp + int64(r.count)})
 	}
+	defer a.mem.win.Exit(a.mem.win.Enter(ctx, spans...))
 	mark := a.mem.Intent().MarkRange
 	return par.Do(ctx,
 		func(ctx context.Context) error { return writeStriped(ctx, devs, a.primary, b, p, a.bs, mark) },
 		func(ctx context.Context) error { return writeStriped(ctx, devs, a.mirror, b, p, a.bs, mark) },
 	)
-}
-
-// checkWritable verifies every touched column retains at least one
-// healthy copy.
-func (a *mirroredArray) checkWritable(devs []Dev, b int64, n int) error {
-	for _, r := range a.primary.runs(b, n) {
-		pOK := devs[a.primary.diskOf(r.col)].Healthy()
-		mOK := devs[a.mirror.diskOf(r.col)].Healthy()
-		if !pOK && !mOK {
-			return fmt.Errorf("%s: both copies of column %d failed: %w", a.name, r.col, ErrDataLoss)
-		}
-	}
-	return nil
 }
 
 // Flush implements Array.

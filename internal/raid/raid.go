@@ -140,8 +140,10 @@ func CheckDevs(devs []Dev, min int) (blockSize int, diskBlocks int64, err error)
 	return blockSize, diskBlocks, nil
 }
 
-// checkRange validates a logical request against the array geometry.
-func checkRange(a Array, b int64, p []byte) (blocks int, err error) {
+// CheckRange validates a logical request against the array geometry:
+// p must be a positive whole number of blocks (else *store.SizeError),
+// all of them inside the array (else *store.RangeError).
+func CheckRange(a Array, b int64, p []byte) (blocks int, err error) {
 	bs := a.BlockSize()
 	if len(p) == 0 || len(p)%bs != 0 {
 		return 0, &store.SizeError{Got: len(p), Want: bs}

@@ -43,7 +43,7 @@ func (a *RAID0) mapping() mapping {
 
 // ReadBlocks implements Array.
 func (a *RAID0) ReadBlocks(ctx context.Context, b int64, p []byte) error {
-	if _, err := checkRange(a, b, p); err != nil {
+	if _, err := CheckRange(a, b, p); err != nil {
 		return err
 	}
 	return readStriped(ctx, a.view, a.mapping(), b, p, a.bs, func(context.Context, run) error {
@@ -53,7 +53,7 @@ func (a *RAID0) ReadBlocks(ctx context.Context, b int64, p []byte) error {
 
 // WriteBlocks implements Array.
 func (a *RAID0) WriteBlocks(ctx context.Context, b int64, p []byte) error {
-	if _, err := checkRange(a, b, p); err != nil {
+	if _, err := CheckRange(a, b, p); err != nil {
 		return err
 	}
 	return writeStriped(ctx, a.view.Devs, a.mapping(), b, p, a.bs, nil)

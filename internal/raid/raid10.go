@@ -21,13 +21,12 @@ func NewRAID10(devs []Dev) (*RAID10, error) {
 	lay := layout.NewRAID10(layout.Geometry{Disks: len(devs), DiskBlocks: per})
 	pairs := lay.Pairs()
 	a := &RAID10{mirroredArray{
-		name:         "raid10",
-		mem:          NewMembers("raid10", devs, bs, per),
-		bs:           bs,
-		blocks:       lay.DataBlocks(),
-		primary:      mapping{width: pairs, base: 0, diskOf: func(c int) int { return 2 * c }},
-		mirror:       mapping{width: pairs, base: 0, diskOf: func(c int) int { return 2*c + 1 }},
-		balanceReads: true,
+		name:    "raid10",
+		mem:     NewMembers("raid10", devs, bs, per),
+		bs:      bs,
+		blocks:  lay.DataBlocks(),
+		primary: mapping{width: pairs, base: 0, diskOf: func(c int) int { return 2 * c }},
+		mirror:  mapping{width: pairs, base: 0, diskOf: func(c int) int { return 2*c + 1 }},
 	}}
 	return a, nil
 }
@@ -48,13 +47,12 @@ func NewChained(devs []Dev) (*Chained, error) {
 	lay := layout.NewChained(layout.Geometry{Disks: len(devs), DiskBlocks: per})
 	n := len(devs)
 	a := &Chained{mirroredArray{
-		name:         "chained",
-		mem:          NewMembers("chained", devs, bs, per),
-		bs:           bs,
-		blocks:       lay.DataBlocks(),
-		primary:      mapping{width: n, base: 0, diskOf: func(c int) int { return c }},
-		mirror:       mapping{width: n, base: per / 2, diskOf: func(c int) int { return (c + 1) % n }},
-		balanceReads: true,
+		name:    "chained",
+		mem:     NewMembers("chained", devs, bs, per),
+		bs:      bs,
+		blocks:  lay.DataBlocks(),
+		primary: mapping{width: n, base: 0, diskOf: func(c int) int { return c }},
+		mirror:  mapping{width: n, base: per / 2, diskOf: func(c int) int { return (c + 1) % n }},
 	}}
 	return a, nil
 }

@@ -91,7 +91,8 @@ func repairTarget(m *Members, idx int, what string) (Dev, error) {
 // the array — the part of the range inside each extent — rebuildChunk
 // blocks at a time: the engine reconstructs the chunk from the other
 // members, then the blocks that are not holes are written to dev in as
-// few contiguous runs as possible. It is the one repair loop: a rebuild
+// few contiguous runs as possible, all under a claim of the members'
+// window. It is the one repair loop: a rebuild
 // restores the whole member, a resync its dirty regions, a scrub the
 // blocks it found wrong. prog, when non-nil, is the checkpoint of a
 // whole-member restore: what an earlier run restored is skipped, and the
@@ -118,8 +119,12 @@ func restore(ctx context.Context, r Restorer, idx int, dev Dev, lo, hi int64, pr
 		}
 		for ; c < end; c += rebuildChunk {
 			n := int(min(end-c, rebuildChunk))
+			// No foreground write to the chunk lands between the first read
+			// of the other members and the last write here.
+			claim := m.win.Open(ctx, Span{Dev: idx, Lo: c, Hi: c + int64(n)})
 			clear(hole[:n])
 			if err := r.Reconstruct(ctx, idx, c, buf[:n*bs], hole[:n]); err != nil {
+				m.win.Abort(claim)
 				return copied, err
 			}
 			for t := 0; t < n; {
@@ -132,11 +137,13 @@ func restore(ctx context.Context, r Restorer, idx int, dev Dev, lo, hi int64, pr
 					run++
 				}
 				if err := dev.WriteBlocks(ctx, c+int64(t), buf[t*bs:run*bs]); err != nil {
+					m.win.Abort(claim)
 					return copied, err
 				}
 				copied += int64(run - t)
 				t = run
 			}
+			m.win.Commit(claim)
 			if prog != nil {
 				done := base + c + int64(n) - e[0]
 				m.done.Add(done - prog.Done)

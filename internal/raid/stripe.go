@@ -44,13 +44,10 @@ type Stripe struct {
 	stripes int64                    // physical blocks per device
 	rot     func(s int64, n int) int // device of shard 0 of stripe s
 
-	// The redundancy window: stripes with stale parity, each with the
-	// sequence number of the write that last opened it, so a sync that
-	// raced a write does not close it. nil unless parity is deferred.
-	mu     sync.Mutex
-	dirty  map[int64]uint64
-	seq    uint64
-	syncMu sync.Mutex // one Flush syncs the window at a time
+	// The redundancy window: stripes with stale parity. nil unless parity
+	// is deferred.
+	mu    sync.Mutex
+	dirty map[int64]struct{}
 
 	degradedNotify func(blocks int)
 }
@@ -78,7 +75,7 @@ func newStripe(name string, devs []Dev, m int, rot func(int64, int) int, deferre
 	}
 	a := &Stripe{name: name, mem: NewMembers(name, devs, bs, per), n: len(devs), bs: bs, k: len(devs) - m, m: m, code: code, stripes: per, rot: rot}
 	if deferred {
-		a.dirty = map[int64]uint64{}
+		a.dirty = map[int64]struct{}{}
 	}
 	return a, nil
 }
@@ -122,15 +119,6 @@ func (a *Stripe) DirtyStripes() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.dirty)
-}
-
-func (a *Stripe) markDirty(s0, s1 int64) {
-	a.mu.Lock()
-	a.seq++
-	for s := s0; s <= s1; s++ {
-		a.dirty[s] = a.seq
-	}
-	a.mu.Unlock()
 }
 
 func (a *Stripe) isDirty(s int64) bool {
@@ -272,7 +260,7 @@ func runSegs(ctx context.Context, devs []Dev, runs []devSegs, xfer func(context.
 // blocks are served through reconstruction instead of surfacing the
 // error.
 func (a *Stripe) ReadBlocks(ctx context.Context, b int64, p []byte) error {
-	n, err := checkRange(a, b, p)
+	n, err := CheckRange(a, b, p)
 	if err != nil {
 		return err
 	}
@@ -396,9 +384,11 @@ func (a *Stripe) readStripe(ctx context.Context, devs []Dev, s int64, failed dev
 // redundancy window until Flush. An eager write skips only members that
 // are down — a blank spare takes every write — and intent-marks every
 // shard write it skips or that fails. (A deferred write that fails
-// stays in the window: no parity exists yet to resync it from.)
+// stays in the window: no parity exists yet to resync it from.) Every
+// write enters the members' window over its rows: a row's shards decode
+// only together, so a restore of one member must not see half of a write.
 func (a *Stripe) WriteBlocks(ctx context.Context, b int64, p []byte) error {
-	n, err := checkRange(a, b, p)
+	n, err := CheckRange(a, b, p)
 	if err != nil {
 		return err
 	}
@@ -410,17 +400,20 @@ func (a *Stripe) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 	k := int64(a.k)
 	end := b + int64(n)
 	s0, s1 := b/k, (end-1)/k
+	defer a.mem.win.Exit(a.mem.win.Enter(ctx, Span{Dev: -1, Lo: s0, Hi: s1 + 1}))
 	if a.dirty != nil {
 		runs, skipped := a.plan(b, n, p, down)
 		if len(skipped) > 0 {
 			return fmt.Errorf("%s: cannot write block %d, its device failed and parity is deferred: %w", a.name, skipped[0], ErrDataLoss)
 		}
 		// Open the window before the data moves, so a failure mid-write
-		// finds it open, and again after: a concurrent Flush may have
-		// synced a stripe against data this write had not landed yet.
-		a.markDirty(s0, s1)
+		// finds it open; a sync of these rows waits for this write.
+		a.mu.Lock()
+		for s := s0; s <= s1; s++ {
+			a.dirty[s] = struct{}{}
+		}
+		a.mu.Unlock()
 		_, err := runSegs(ctx, v.Devs, runs, WriteBlocksVec)
-		a.markDirty(s0, s1)
 		return err
 	}
 	fullStart, fullEnd := s0, s1+1
@@ -597,11 +590,8 @@ func (a *Stripe) Flush(ctx context.Context) error {
 }
 
 // syncWindow syncs every stripe now in the redundancy window, in stripe
-// order. Flushes take turns, or a slow one could land a parity block
-// computed from older data over a faster one's.
+// order.
 func (a *Stripe) syncWindow(ctx context.Context, v *MemberView) error {
-	a.syncMu.Lock()
-	defer a.syncMu.Unlock()
 	a.mu.Lock()
 	window := make([]int64, 0, len(a.dirty))
 	for s := range a.dirty {
@@ -619,11 +609,14 @@ func (a *Stripe) syncWindow(ctx context.Context, v *MemberView) error {
 
 // syncStripe recomputes one dirty stripe's parity: fold each data
 // shard, read through one scratch block, into zeroed parity, and queue
-// the parity writes behind the foreground traffic.
+// the parity writes behind the foreground traffic. It claims the row in
+// the members' window, so no write lands on it from the first read to
+// the window closing, and two flushes sync it one after the other.
 func (a *Stripe) syncStripe(ctx context.Context, v *MemberView, s int64) error {
-	a.mu.Lock()
-	opened := a.dirty[s]
-	a.mu.Unlock()
+	defer a.mem.win.Commit(a.mem.win.Open(ctx, Span{Dev: -1, Lo: s, Hi: s + 1}))
+	if !a.isDirty(s) {
+		return nil // another flush synced it
+	}
 	for j := 0; j < a.k+a.m; j++ {
 		d := a.devOf(s, j)
 		if j < a.k && !v.Readable(d) {
@@ -653,9 +646,7 @@ func (a *Stripe) syncStripe(ctx context.Context, v *MemberView, s int64) error {
 		}
 	}
 	a.mu.Lock()
-	if a.dirty[s] == opened { // no write reopened the window meanwhile
-		delete(a.dirty, s)
-	}
+	delete(a.dirty, s)
 	a.mu.Unlock()
 	return nil
 }

@@ -1,0 +1,357 @@
+package raid_test
+
+import (
+	"bytes"
+	"context"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/intent"
+	"repro/internal/raid"
+	"repro/internal/vclock"
+)
+
+// inWindowWait counts the goroutines parked in a raid.Window wait.
+func inWindowWait() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "raid.(*Window).wait(")
+}
+
+// waitUntil polls cond for up to ten seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestWindowRealTime: on the sync.Cond backend a write overlapping a claim
+// waits for its release, a disjoint one does not, and a claim waits for
+// the writes admitted before it.
+func TestWindowRealTime(t *testing.T) {
+	var w raid.Window
+	ctx := context.Background()
+	claim := w.Open(ctx, raid.Span{Dev: 1, Lo: 0, Hi: 8})
+	for _, s := range []raid.Span{{Dev: 2, Lo: 0, Hi: 8}, {Dev: 1, Lo: 8, Hi: 9}, {Dev: -1, Lo: 8, Hi: 16}} {
+		w.Exit(w.Enter(ctx, s)) // disjoint: no wait
+	}
+	entered := make(chan struct{})
+	go func() {
+		w.Exit(w.Enter(ctx, raid.Span{Dev: -1, Lo: 7, Hi: 8})) // a row through the claim
+		close(entered)
+	}()
+	waitUntil(t, "the overlapping write to wait", func() bool { return inWindowWait() == 1 })
+	select {
+	case <-entered:
+		t.Fatal("a write overlapping a claim went through")
+	default:
+	}
+	w.Commit(claim)
+	<-entered
+
+	// Claim-then-drain: a write admitted before the claim holds it up,
+	// whatever its span, until it exits.
+	write := w.Enter(ctx, raid.Span{Dev: 0, Lo: 0, Hi: 1})
+	opened := make(chan raid.Ticket)
+	go func() { opened <- w.Open(ctx, raid.Span{Dev: 3, Lo: 0, Hi: 1}) }()
+	waitUntil(t, "the claim to drain", func() bool { return inWindowWait() == 1 })
+	w.Exit(write)
+	claim = <-opened
+	// A write registered under an open claim holds up only a claim it overlaps.
+	write = w.Enter(ctx, raid.Span{Dev: 0, Lo: 0, Hi: 1})
+	w.Commit(w.Open(ctx, raid.Span{Dev: 0, Lo: 1, Hi: 2}))
+	w.Exit(write)
+	w.Commit(claim)
+}
+
+// TestWindowNoStarvation: a copier claiming spans that a steady stream of
+// writers keeps hitting still gets every claim.
+func TestWindowNoStarvation(t *testing.T) {
+	var w raid.Window
+	ctx := context.Background()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				w.Exit(w.Enter(ctx, raid.Span{Dev: 0, Lo: 0, Hi: 4}))
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		w.Commit(w.Open(ctx, raid.Span{Dev: 0, Lo: 2, Hi: 3}))
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestWindowVclock is the same contract on the vclock.Gate backend, timed
+// in virtual time: the overlapping write resumes at the release, the
+// disjoint one at once, the claim after the write it drains, and a claim
+// amid a steady stream of writers within one write's duration.
+func TestWindowVclock(t *testing.T) {
+	const ms = time.Millisecond
+	s := vclock.New()
+	var w raid.Window
+	at := map[string]time.Duration{}
+	proc := func(name string, fn func(ctx context.Context, p *vclock.Proc)) {
+		s.Spawn(name, func(p *vclock.Proc) {
+			fn(vclock.With(context.Background(), p), p)
+			at[name] = p.Now()
+		})
+	}
+	proc("copier", func(ctx context.Context, p *vclock.Proc) {
+		c := w.Open(ctx, raid.Span{Dev: 0, Lo: 0, Hi: 8})
+		p.Sleep(ms)
+		w.Commit(c)
+	})
+	proc("overlapping", func(ctx context.Context, p *vclock.Proc) {
+		w.Exit(w.Enter(ctx, raid.Span{Dev: 0, Lo: 4, Hi: 5}))
+	})
+	proc("disjoint", func(ctx context.Context, p *vclock.Proc) {
+		w.Exit(w.Enter(ctx, raid.Span{Dev: 1, Lo: 4, Hi: 5}))
+	})
+	proc("writer", func(ctx context.Context, p *vclock.Proc) {
+		p.Sleep(2 * ms)
+		tk := w.Enter(ctx, raid.Span{Dev: 2, Lo: 0, Hi: 1})
+		p.Sleep(2 * ms)
+		w.Exit(tk)
+	})
+	proc("drainer", func(ctx context.Context, p *vclock.Proc) {
+		p.Sleep(3 * ms)
+		w.Commit(w.Open(ctx, raid.Span{Dev: 3, Lo: 0, Hi: 1}))
+	})
+	// Four writers 25 µs apart, each holding the span for 100 µs, until
+	// 10 ms; a claim opened amid them at 6 ms.
+	for i := 0; i < 4; i++ {
+		proc("stream"+string(rune('0'+i)), func(ctx context.Context, p *vclock.Proc) {
+			p.Sleep(5*ms + time.Duration(i)*25*time.Microsecond)
+			for p.Now() < 10*ms {
+				tk := w.Enter(ctx, raid.Span{Dev: 4, Lo: 0, Hi: 4})
+				p.Sleep(100 * time.Microsecond)
+				w.Exit(tk)
+			}
+		})
+	}
+	proc("amid", func(ctx context.Context, p *vclock.Proc) {
+		p.Sleep(6 * ms)
+		c := w.Open(ctx, raid.Span{Dev: 4, Lo: 2, Hi: 3})
+		at["amid.open"] = p.Now()
+		w.Commit(c)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]time.Duration{"overlapping": ms, "disjoint": 0, "drainer": 4 * ms}
+	for name, when := range want {
+		if at[name] != when {
+			t.Errorf("%s finished at %v, want %v", name, at[name], when)
+		}
+	}
+	if got := at["amid.open"]; got < 6*ms || got > 6*ms+100*time.Microsecond {
+		t.Errorf("claim amid the writer stream opened at %v, want within one write of 6ms", got)
+	}
+}
+
+// gatedDev parks the first write after arm until release — a restore
+// chunk stopped between its Reconstruct and its write to the target — and
+// counts the writes that reach the device meanwhile.
+type gatedDev struct {
+	raid.Dev
+	mu               sync.Mutex
+	armed, holding   bool
+	parked, released chan struct{}
+	passed           int
+}
+
+func (d *gatedDev) arm() {
+	d.mu.Lock()
+	d.armed, d.parked, d.released = true, make(chan struct{}), make(chan struct{})
+	d.mu.Unlock()
+}
+
+func (d *gatedDev) gate() {
+	d.mu.Lock()
+	park := d.armed
+	if d.armed = false; d.holding {
+		d.passed++
+	}
+	d.holding = d.holding || park
+	d.mu.Unlock()
+	if park {
+		close(d.parked)
+		<-d.released
+		d.mu.Lock()
+		d.holding = false
+		d.mu.Unlock()
+	}
+}
+
+func (d *gatedDev) WriteBlocks(ctx context.Context, b int64, p []byte) error {
+	d.gate()
+	return d.Dev.WriteBlocks(ctx, b, p)
+}
+
+func (d *gatedDev) WriteBlocksBackground(ctx context.Context, b int64, p []byte) error {
+	d.gate()
+	return d.Dev.WriteBlocksBackground(ctx, b, p)
+}
+
+// TestWindowRestoreChunk is the lost update the window closes: a resync
+// parks a restore chunk between reading the other members and writing the
+// target, and a foreground write into the chunk must wait for it — else
+// the restore lands the bytes it read before the write over the write's.
+// After release and Flush the member holds the foreground bytes (read
+// with each other member down in turn), Verify is clean, and the intent
+// log drains.
+func TestWindowRestoreChunk(t *testing.T) {
+	const per, victim, region = 300, 1, 16
+	type array interface {
+		raid.Array
+		raid.Restorer
+		raid.Verifier
+	}
+	attach := func(a *raid.Stripe, err error, il *intent.Log) (array, error) {
+		if err == nil {
+			a.Members().Attach(il, nil, nil)
+		}
+		return a, err
+	}
+	cases := []struct {
+		name  string
+		n     int
+		build func(devs []raid.Dev, il *intent.Log) (array, error)
+	}{
+		{"raidx", 4, func(devs []raid.Dev, il *intent.Log) (array, error) {
+			return core.New(devs, 4, 1, core.Options{Intent: il})
+		}},
+		{"rs(4,2)", 6, func(devs []raid.Dev, il *intent.Log) (array, error) {
+			a, err := raid.NewRS(devs, 2)
+			return attach(a, err, il)
+		}},
+		{"raid5(4)", 4, func(devs []raid.Dev, il *intent.Log) (array, error) {
+			a, err := raid.NewRAID5(devs)
+			return attach(a, err, il)
+		}},
+		{"chained(4)", 4, func(devs []raid.Dev, il *intent.Log) (array, error) {
+			a, err := raid.NewChained(devs)
+			if err == nil {
+				a.Members().Attach(il, nil, nil)
+			}
+			return a, err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			devs, raw := mkDisks(c.n, per)
+			gd := &gatedDev{Dev: devs[victim]}
+			devs[victim] = gd
+			il := intent.NewLog(c.n, per, 8)
+			a, err := c.build(devs, il)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shadow := make([]byte, a.Blocks()*int64(testBS))
+			fill(shadow, 71)
+			if err := a.WriteBlocks(ctx, 0, shadow); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			// The victim misses a write, comes back stale, and is resynced.
+			head := shadow[:region*testBS]
+			fill(head, 72)
+			raw[victim].Fail()
+			if err := a.WriteBlocks(ctx, 0, head); err != nil {
+				t.Fatal(err)
+			}
+			raw[victim].Readmit()
+			regions := il.TakeDirty(victim)
+			if len(regions) == 0 {
+				t.Fatal("the missed write left no intent")
+			}
+			gd.arm()
+			var releaseOnce sync.Once
+			release := func() { releaseOnce.Do(func() { close(gd.released) }) }
+			defer release()
+			resynced := make(chan error, 1)
+			go func() {
+				_, err := raid.Resync(ctx, a, victim, regions, nil)
+				resynced <- err
+			}()
+			<-gd.parked
+
+			fill(head, 73)
+			wrote := make(chan error, 1)
+			go func() { wrote <- a.WriteBlocks(ctx, 0, head) }()
+			waitUntil(t, "the foreground write to wait for the parked chunk", func() bool {
+				select {
+				case err := <-wrote:
+					t.Fatalf("foreground write returned (%v) while the restore chunk was parked", err)
+				default:
+				}
+				gd.mu.Lock()
+				passed := gd.passed
+				gd.mu.Unlock()
+				if passed > 0 {
+					t.Fatal("a foreground write reached the member while its restore chunk was parked")
+				}
+				return inWindowWait() > 0
+			})
+			release()
+			if err := <-resynced; err != nil {
+				t.Fatalf("resync: %v", err)
+			}
+			if err := <-wrote; err != nil {
+				t.Fatalf("foreground write: %v", err)
+			}
+			if err := a.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Verify(ctx); err != nil {
+				t.Fatalf("verify: %v", err)
+			}
+			for pass := 0; il.AnyDirty(); pass++ {
+				if pass > 10 {
+					t.Fatal("intent log never drained")
+				}
+				for i := 0; i < c.n; i++ {
+					if regions := il.TakeDirty(i); len(regions) > 0 {
+						if _, err := raid.Resync(ctx, a, i, regions, nil); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			got := make([]byte, len(head))
+			for i := range raw {
+				if i == victim {
+					continue
+				}
+				raw[i].Fail()
+				if err := a.ReadBlocks(ctx, 0, got); err != nil {
+					t.Fatalf("read with member %d down: %v", i, err)
+				}
+				raw[i].Readmit()
+				if !bytes.Equal(got, head) {
+					t.Fatalf("with member %d down the foreground write is lost", i)
+				}
+			}
+		})
+	}
+}
