@@ -28,11 +28,13 @@ promtest:
 # The second line gives internal/par's resident workers (hand-off, idle
 # exit, what a parked worker still references) ten rounds each; the third
 # gives raid.Window (both wait backends, no starvation, a foreground write
-# against a parked restore chunk on four engines) five.
+# against a parked restore chunk on four engines) five; the fourth gives
+# the session block cache (admission, eviction, invalidation) five.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/par/
 	$(GO) test -race -count=5 -run TestWindow ./internal/raid/
+	$(GO) test -race -count=5 -run 'TestBlockCache' ./internal/cdd/
 
 # Full verification: static analysis, the exporter grammar tests, and
 # the whole suite (including the transport/cdd fault-injection tests)
@@ -83,8 +85,13 @@ bench:
 # I/O, the engine's stripe fan-out, and coherent cache-hit reads — which
 # must stay at 0 remote calls and <= 2 allocs; a write-back batch or a
 # scattered flush over a full cache costs no more than the one remote
-# write it makes) — and the call pins (TestCalls): a session's flush of
-# 64 scattered dirty blocks is ONE remote write (TestCallsGroupCommit),
+# write it makes; more than ten capacities of cache hits, halving sweeps
+# of the admission sketch included, allocate nothing) — and the call pins
+# (TestCalls): a session's flush of 64 scattered dirty blocks is ONE
+# remote write (TestCallsGroupCommit), the session cache's hit ratio on
+# session_cache's own mix, replayed with no network or clock, stays
+# >= 0.69 at <= 0.175 misses per op (TestCallsCacheZipf; plain LRU
+# reads 0.631 / 0.212),
 # the engine's exact device-call set and issue order at layout generation
 # 0 and 1, the exact device-call set of a full rebuild through the one
 # restore loop for every redundant engine, none above one 128-block chunk

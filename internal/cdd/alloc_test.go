@@ -61,7 +61,8 @@ func TestAllocsRemoteDevRead(t *testing.T) {
 // TestAllocsCachedRead pins the coherent cache-hit read path: a block
 // under a live shared grant must be served with ZERO remote calls and
 // at most 2 heap allocations per read (the context timer machinery of
-// the caller is not involved — this is mutex + map lookup + copy).
+// the caller is not involved — this is mutex + sketch count + map
+// lookup + copy).
 func TestAllocsCachedRead(t *testing.T) {
 	node, c, reg := coherenceNode(t, 256)
 	s := cdd.NewSession(c, "alloc-cache", cdd.SessionConfig{Obs: reg})
@@ -80,6 +81,16 @@ func TestAllocsCachedRead(t *testing.T) {
 	allocLimit(t, 2, func() {
 		if err := dev.ReadBlocks(ctx, 0, buf); err != nil {
 			t.Fatal(err)
+		}
+	})
+	// Eleven capacities of lookups per run (the default cache holds 1,024
+	// blocks): every run crosses a halving sweep of the admission sketch,
+	// and the whole run still stays inside one hit's limit.
+	allocLimit(t, 2, func() {
+		for i := 0; i < 11*1024; i++ {
+			if err := dev.ReadBlocks(ctx, 0, buf); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 	if remoteAfter := node.Manager.Obs().Counter("mgr.read_ops").Value(); remoteAfter != remoteBefore {
@@ -140,9 +151,10 @@ func TestAllocsCachedWrite(t *testing.T) {
 }
 
 // TestAllocsCachedMiss pins a miss over a full cache: the remote read
-// (3 of its limit of 6 today) plus an admission that recycles the entry
-// and buffer it evicts — at most one more than the read costs, where an
-// entry and a list element per admission made it 5.
+// (3 of its limit of 6 today) plus the admission check, which either
+// recycles the entry and buffer it evicts or drops the copy — at most
+// one more than the read costs, where an entry and a list element per
+// admission made it 5.
 func TestAllocsCachedMiss(t *testing.T) {
 	dev := fullCacheSession(t)
 	ctx := context.Background()

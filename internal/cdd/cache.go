@@ -10,18 +10,21 @@ import (
 // BlockCache is a per-client read cache over remote blocks: a bounded
 // LRU keyed by (disk, block), with bufpool-backed entries so cache
 // churn recycles buffers — and, once full, the evicted entry itself —
-// instead of allocating. It holds bytes only —
-// coherence (when an entry may be *served*) is the Session's job: a hit
-// is valid only under a live lock-group grant within the lease safety
-// window (DESIGN.md §13).
+// instead of allocating. A full cache admits a new block only if recent
+// lookups rate it above the LRU block it would evict (TinyLFU), so a
+// stream of one-touch misses cannot flush the hot set. It holds bytes
+// only — coherence (when an entry may be *served*) is the Session's job:
+// a hit is valid only under a live lock-group grant within the lease
+// safety window (DESIGN.md §13).
 type BlockCache struct {
 	mu   sync.Mutex
 	max  int64
 	size int64
 	m    map[cacheKey]*cacheEntry
 	lru  cacheEntry // ring sentinel: lru.next = most recent, lru.prev = least
+	freq sketch
 
-	hits, misses, evicts, invals *obs.Counter
+	hits, misses, evicts, rejects, invals *obs.Counter
 }
 
 type cacheKey struct {
@@ -37,8 +40,9 @@ type cacheEntry struct {
 
 // NewBlockCache creates a cache bounded to maxBytes of block payloads
 // (<= 0 takes 4 MiB). reg, when non-nil, receives the sess.cache_*
-// hit/miss/eviction/invalidation counters, a size gauge, and a
-// sess.cache_hit_ratio_pct gauge (hits per hundred lookups, lifetime).
+// hit/miss/eviction/admission-reject/invalidation counters, a size
+// gauge, and a sess.cache_hit_ratio_pct gauge (hits per hundred lookups,
+// lifetime).
 func NewBlockCache(maxBytes int64, reg *obs.Registry) *BlockCache {
 	if maxBytes <= 0 {
 		maxBytes = 4 << 20
@@ -49,6 +53,7 @@ func NewBlockCache(maxBytes int64, reg *obs.Registry) *BlockCache {
 		c.hits = reg.Counter("sess.cache_hits")
 		c.misses = reg.Counter("sess.cache_misses")
 		c.evicts = reg.Counter("sess.cache_evictions")
+		c.rejects = reg.Counter("sess.cache_admit_rejects")
 		c.invals = reg.Counter("sess.cache_invalidations")
 		reg.RegisterGauge("sess.cache_bytes", func() int64 {
 			c.mu.Lock()
@@ -67,10 +72,16 @@ func NewBlockCache(maxBytes int64, reg *obs.Registry) *BlockCache {
 }
 
 // Get copies the cached block (disk, block) into dst and reports
-// whether it was present. dst must be exactly one block.
+// whether it was present. dst must be exactly one block. Every lookup,
+// hit or miss, counts towards the block's admission frequency.
 func (c *BlockCache) Get(disk uint32, block int64, dst []byte) bool {
+	key := cacheKey{disk: disk, block: block}
 	c.mu.Lock()
-	ent := c.m[cacheKey{disk: disk, block: block}]
+	if c.freq.words == nil {
+		c.freq.init(c.max / int64(max(len(dst), 1)))
+	}
+	c.freq.add(key)
+	ent := c.m[key]
 	if ent == nil || len(ent.buf) != len(dst) {
 		c.mu.Unlock()
 		c.misses.Inc()
@@ -85,46 +96,56 @@ func (c *BlockCache) Get(disk uint32, block int64, dst []byte) bool {
 }
 
 // Put stores a copy of data (exactly one block) under (disk, block),
-// evicting LRU entries to stay within the byte bound.
+// evicting LRU entries to stay within the byte bound — or drops it, when
+// it would evict and the admission check turns it away.
 func (c *BlockCache) Put(disk uint32, block int64, data []byte) {
 	if int64(len(data)) > c.max {
 		return
 	}
 	c.mu.Lock()
-	ent := c.insertLocked(cacheKey{disk: disk, block: block}, len(data))
-	if len(ent.buf) != len(data) {
-		bufpool.Put(ent.buf)
-		ent.buf = bufpool.Get(len(data))
+	if ent := c.insertLocked(cacheKey{disk: disk, block: block}, len(data)); ent != nil {
+		if len(ent.buf) != len(data) {
+			bufpool.Put(ent.buf)
+			ent.buf = bufpool.Get(len(data))
+		}
+		copy(ent.buf, data)
 	}
-	copy(ent.buf, data)
 	c.mu.Unlock()
 }
 
 // PutOwned is Put with buffer handoff: the cache takes ownership of
 // buf (a bufpool buffer holding exactly one block) instead of copying.
 // The write-back flusher uses it to move committed blocks straight
-// into the cache.
+// into the cache. A rejected buf goes back to the pool.
 func (c *BlockCache) PutOwned(disk uint32, block int64, buf []byte) {
 	if int64(len(buf)) > c.max {
 		bufpool.Put(buf)
 		return
 	}
 	c.mu.Lock()
-	ent := c.insertLocked(cacheKey{disk: disk, block: block}, len(buf))
-	bufpool.Put(ent.buf)
-	ent.buf = buf
+	if ent := c.insertLocked(cacheKey{disk: disk, block: block}, len(buf)); ent != nil {
+		ent.buf, buf = buf, ent.buf
+	}
 	c.mu.Unlock()
+	bufpool.Put(buf) // the buffer the entry held, or buf itself if rejected
 }
 
 // insertLocked links an entry for key at the front and accounts n bytes
 // to it, first displacing the key's old entry and then LRU entries until
 // n fits. The entry is the last one displaced, its buffer still attached
 // (a fresh one with no buffer when nothing was): the caller leaves it
-// holding exactly n bytes.
+// holding exactly n bytes. It returns nil, changing nothing, when key is
+// new, would evict, and is not looked up more often than the LRU block:
+// a cached key is always replaced, so a rejection never leaves a stale
+// copy behind.
 func (c *BlockCache) insertLocked(key cacheKey, n int) *cacheEntry {
 	ent := c.m[key]
 	if ent != nil {
 		c.unlinkLocked(ent)
+	} else if c.size+int64(n) > c.max && c.lru.prev != &c.lru &&
+		c.freq.estimate(key) <= c.freq.estimate(c.lru.prev.key) {
+		c.rejects.Inc()
+		return nil
 	}
 	for c.size+int64(n) > c.max && c.lru.prev != &c.lru {
 		if ent != nil {
@@ -216,4 +237,78 @@ func (c *BlockCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.size
+}
+
+// sketch is the admission check's count-min sketch of recent lookups
+// (TinyLFU: Einziger, Friedman and Manes, ACM TOS 2017): four rows of
+// 4-bit counters, a key's estimate the smallest of its four. A key's four
+// counters share one 64-bit word, so counting a lookup is one load and
+// one store; only those at the key's minimum are raised (conservative
+// update), and all are halved every ten capacities of lookups, so a block
+// read no more loses its claim. It is sized on the first lookup, once the
+// block size fixes the capacity in blocks, and never reallocated.
+type sketch struct {
+	words  []uint64 // row r's four counters are bits [16r, 16r+16) of a word
+	shift  uint     // 64 - log2(len(words))
+	count  int      // lookups since the last halving
+	period int      // lookups between halvings
+}
+
+func (s *sketch) init(blocks int64) {
+	blocks = max(blocks, 1)
+	s.shift = 64
+	for 1<<(64-s.shift) < 2*blocks {
+		s.shift--
+	}
+	s.words = make([]uint64, 1<<(64-s.shift))
+	s.period = 10 * int(blocks)
+}
+
+// locate returns the index of key's word and the 8 bits that choose its
+// counter in each row of the word (2 per row), all from the top bits of
+// one multiplicative (Fibonacci) hash of the key.
+func (s *sketch) locate(key cacheKey) (int, uint) {
+	h := (uint64(key.block) ^ uint64(key.disk)<<48) * 0x9e3779b97f4a7c15
+	return int(h >> s.shift), uint(h>>(s.shift-8)) & 0xff
+}
+
+// counter reads the row-r counter that sel chooses in w.
+func counter(w uint64, sel, r uint) uint64 { return w >> offset(sel, r) & 15 }
+
+// offset is the bit offset in its word of the row-r counter sel chooses.
+func offset(sel, r uint) uint { return (16*r + 4*(sel>>(2*r)&3)) & 63 }
+
+// minCounter is a key's estimate: the smallest of its counters in w.
+func minCounter(w uint64, sel uint) uint64 {
+	return min(counter(w, sel, 0), counter(w, sel, 1), counter(w, sel, 2), counter(w, sel, 3))
+}
+
+// add counts one lookup of key.
+func (s *sketch) add(key cacheKey) {
+	i, sel := s.locate(key)
+	w := s.words[i]
+	if est := minCounter(w, sel); est < 15 {
+		for r := uint(0); r < 4; r++ {
+			if counter(w, sel, r) == est {
+				w += 1 << offset(sel, r)
+			}
+		}
+		s.words[i] = w
+	}
+	if s.count++; s.count >= s.period {
+		for i, w := range s.words {
+			s.words[i] = w >> 1 & 0x7777777777777777 // each counter halved
+		}
+		s.count = 0
+	}
+}
+
+// estimate reports how often key was looked up recently (0 before the
+// first lookup sized the sketch).
+func (s *sketch) estimate(key cacheKey) uint64 {
+	if s.words == nil {
+		return 0
+	}
+	i, sel := s.locate(key)
+	return minCounter(s.words[i], sel)
 }
