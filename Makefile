@@ -28,8 +28,10 @@ promtest:
 # The second line gives internal/par's resident workers (hand-off, idle
 # exit, what a parked worker still references) ten rounds each; the third
 # gives raid.Window (both wait backends, no starvation, a foreground write
-# against a parked restore chunk on four engines) five; the fourth gives
-# the session block cache (admission, eviction, invalidation) five.
+# against a parked restore chunk on four engines, and
+# TestWindowVerifyBesideWriter: Verify and a stride-1 scrub beside a
+# stamped writer, zero mismatches) five; the fourth gives the session
+# block cache (admission, eviction, invalidation) five.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/par/
@@ -94,8 +96,10 @@ bench:
 # reads 0.631 / 0.212),
 # the engine's exact device-call set and issue order at layout generation
 # 0 and 1, the exact device-call set of a full rebuild through the one
-# restore loop for every redundant engine, none above one 128-block chunk
-# (TestCallsRestore), and the array calls on fsim's extent data path (a 256 KiB
+# restore loop for every redundant engine and then of a Verify (its
+# compare mode: every member's rebuild reads plus one read per chunk, no
+# write), none above one 128-block chunk (TestCallsRestore), and the
+# array calls on fsim's extent data path (a 256 KiB
 # WriteFile, its ReadFile and a 4 KiB overwrite inside a 1 MiB file each
 # stay at a handful, so a return to per-block I/O fails here). A hot-path
 # allocation regression fails here before it shows up in the benchmarks.

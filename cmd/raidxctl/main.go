@@ -11,7 +11,7 @@
 //	raidxctl rebuild -addrs ... -node 2 -disk 0  rebuild it from redundancy
 //	                                             (refused while the repair
 //	                                             supervisor owns the disk)
-//	raidxctl verify -addrs ...                   check all images match
+//	raidxctl verify -addrs ...                   check the array's redundancy
 //	raidxctl super <image.img> ...               decode the checksummed
 //	                                             superblock of on-disk
 //	                                             images: geometry, UUIDs,
@@ -49,6 +49,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/mount"
+	"repro/internal/raid"
 	"repro/internal/repair"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -282,21 +283,16 @@ func runStatus(fs *flag.FlagSet, r *rig) error {
 }
 
 func runFail(fs *flag.FlagSet, r *rig) error {
-	node, disk, err := target(fs, r)
-	if err != nil {
-		return err
-	}
-	if r.Clients[node] == nil {
-		return fmt.Errorf("node %d (%s) is offline", node, r.Addrs[node])
-	}
-	if err := r.Clients[node].FailDisk(disk); err != nil {
-		return err
-	}
-	fmt.Printf("injected failure into node %d disk %d\n", node, disk)
-	return nil
+	return diskOp(fs, r, (*cdd.NodeClient).FailDisk, "injected failure into node %d disk %d\n")
 }
 
 func runReplace(fs *flag.FlagSet, r *rig) error {
+	return diskOp(fs, r, (*cdd.NodeClient).ReplaceDisk, "installed blank replacement at node %d disk %d (run rebuild next)\n")
+}
+
+// diskOp runs op on the target disk through its node and reports it as
+// done with msg.
+func diskOp(fs *flag.FlagSet, r *rig, op func(*cdd.NodeClient, int) error, msg string) error {
 	node, disk, err := target(fs, r)
 	if err != nil {
 		return err
@@ -304,10 +300,10 @@ func runReplace(fs *flag.FlagSet, r *rig) error {
 	if r.Clients[node] == nil {
 		return fmt.Errorf("node %d (%s) is offline", node, r.Addrs[node])
 	}
-	if err := r.Clients[node].ReplaceDisk(disk); err != nil {
+	if err := op(r.Clients[node], disk); err != nil {
 		return err
 	}
-	fmt.Printf("installed blank replacement at node %d disk %d (run rebuild next)\n", node, disk)
+	fmt.Printf(msg, node, disk)
 	return nil
 }
 
@@ -624,11 +620,11 @@ func runSuper(args []string) error {
 }
 
 func runVerify(fs *flag.FlagSet, r *rig) error {
-	if err := r.arr.Verify(context.Background()); err != nil {
-		return err
+	st, err := raid.Verify(context.Background(), r.arr)
+	if err == nil {
+		fmt.Printf("verify: redundancy intact: %d blocks checked, %d pending\n", st.BlocksChecked, st.Pending)
 	}
-	fmt.Println("verify: all data blocks match their images")
-	return nil
+	return err
 }
 
 // runTrace runs a read-only probe workload against the live array,

@@ -341,8 +341,8 @@ func TestMigrationShrink(t *testing.T) {
 }
 
 // TestMigrationExclusion: while a migration is in flight, rebuilds,
-// resyncs, scrubs, and a second membership change all refuse with
-// typed errors.
+// resyncs, scrubs, verifies, and a second membership change all refuse
+// with typed errors.
 func TestMigrationExclusion(t *testing.T) {
 	const blocks = 96
 	il := intent.NewLog(12, blocks, 8)
@@ -362,6 +362,9 @@ func TestMigrationExclusion(t *testing.T) {
 	}
 	if _, err := raid.ScrubSample(ctx, a, 0, 0, nil); !errors.Is(err, ErrMigrationActive) {
 		t.Fatalf("scrub during migration: %v, want ErrMigrationActive", err)
+	}
+	if err := a.Verify(ctx); !errors.Is(err, ErrMigrationActive) {
+		t.Fatalf("verify during migration: %v, want ErrMigrationActive", err)
 	}
 	if _, err := a.BeginGrow(1, nil, 0); !errors.Is(err, ErrMigrationActive) {
 		t.Fatalf("second grow during migration: %v, want ErrMigrationActive", err)

@@ -32,12 +32,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bufpool"
 	"repro/internal/intent"
 	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/parity"
 	"repro/internal/raid"
 	"repro/internal/trace"
 )
@@ -495,28 +493,9 @@ func (a *RAIDx) Rebuild(ctx context.Context, idx int) error {
 // concurrent calls.
 func (a *RAIDx) SetDegradedNotify(fn func(blocks int)) { a.degradedNotify = fn }
 
-// Verify implements raid.Verifier: every data block must equal its
-// image. Call Flush first if background writes may be pending.
-func (a *RAIDx) Verify(ctx context.Context) (err error) {
-	ctx, root := a.tracer.StartRoot(ctx, "raidx.verify", "raidx")
-	defer func() { root.End(err) }()
-	devs := a.Devices()
-	es := a.epoch.Load()
-	data := bufpool.Get(a.bs)
-	image := bufpool.Get(a.bs)
-	defer bufpool.Put(data)
-	defer bufpool.Put(image)
-	for lb := int64(0); lb < a.Blocks(); lb++ {
-		d, m := es.dataLoc(lb), es.mirrorLoc(lb)
-		if err := devs[d.Disk].ReadBlocks(ctx, d.Block, data); err != nil {
-			return err
-		}
-		if err := devs[m.Disk].ReadBlocks(ctx, m.Block, image); err != nil {
-			return err
-		}
-		if i := parity.FirstDiff(data, image); i >= 0 {
-			return fmt.Errorf("core: block %d differs from its image at byte %d", lb, i)
-		}
-	}
-	return nil
+// Verify implements raid.Verifier through raid.Verify: every block of
+// every member must equal its other copy. It refuses during a migration.
+func (a *RAIDx) Verify(ctx context.Context) error {
+	_, err := raid.Verify(ctx, a)
+	return err
 }

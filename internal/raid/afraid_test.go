@@ -51,14 +51,18 @@ func TestAFRAIDRoundTripAndWindow(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("round trip mismatch")
 	}
+	// Inside the window the stale parity is pending, not a mismatch.
+	if st, err := raid.Verify(ctx, a); err != nil || st.Pending == 0 {
+		t.Fatalf("verify inside the window: %+v, %v; want pending blocks and no error", st, err)
+	}
 	if err := a.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if a.DirtyStripes() != 0 {
 		t.Fatalf("window not closed by flush: %d dirty", a.DirtyStripes())
 	}
-	if err := a.Verify(ctx); err != nil {
-		t.Fatalf("parity wrong after flush: %v", err)
+	if st, err := raid.Verify(ctx, a); err != nil || st.Pending != 0 || st.BlocksChecked == 0 {
+		t.Fatalf("verify after flush: %+v, %v; want blocks checked, none pending", st, err)
 	}
 }
 
@@ -103,8 +107,8 @@ func TestAFRAIDWindowIsHonest(t *testing.T) {
 	if err := hs[2].d.Replace(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Rebuild(ctx, 2); !errors.Is(err, raid.ErrDataLoss) {
-		t.Fatalf("rebuild in window: got %v, want ErrDataLoss", err)
+	if err := a.Rebuild(ctx, 2); !errors.Is(err, raid.ErrDataLoss) || !errors.Is(err, raid.ErrPending) {
+		t.Fatalf("rebuild in window: got %v, want ErrDataLoss and ErrPending", err)
 	}
 }
 

@@ -137,26 +137,8 @@ func (a *mirroredArray) Reconstruct(ctx context.Context, idx int, pb int64, dst 
 	return fmt.Errorf("%s: device %d holds no column at physical block %d", a.name, idx, pb)
 }
 
-// Verify checks that both copies of every block agree.
+// Verify implements Verifier through the repair loop's compare (Verify).
 func (a *mirroredArray) Verify(ctx context.Context) error {
-	devs := a.mem.Load().Devs
-	buf1 := make([]byte, a.bs)
-	buf2 := make([]byte, a.bs)
-	for b := int64(0); b < a.blocks; b++ {
-		pl := a.primary
-		ml := a.mirror
-		col := int(b % int64(pl.width))
-		if err := devs[pl.diskOf(col)].ReadBlocks(ctx, pl.base+b/int64(pl.width), buf1); err != nil {
-			return err
-		}
-		if err := devs[ml.diskOf(col)].ReadBlocks(ctx, ml.base+b/int64(ml.width), buf2); err != nil {
-			return err
-		}
-		for i := range buf1 {
-			if buf1[i] != buf2[i] {
-				return fmt.Errorf("%s: block %d copies differ at byte %d", a.name, b, i)
-			}
-		}
-	}
-	return nil
+	_, err := Verify(ctx, a)
+	return err
 }

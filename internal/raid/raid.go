@@ -86,6 +86,11 @@ type Verifier interface {
 // failures than the redundancy covers).
 var ErrDataLoss = errors.New("raid: unrecoverable data loss")
 
+// ErrPending reports blocks whose redundancy is not computed yet
+// (AFRAID's redundancy window). An error wrapping it wraps ErrDataLoss
+// too: a check counts the blocks as pending, a rebuild has lost them.
+var ErrPending = errors.New("raid: redundancy pending")
+
 // QueueReporter is optionally implemented by devices that can report
 // their pending foreground backlog (simulated disks do; remote disks do
 // not). Load-balancing read policies treat devices without it as idle.

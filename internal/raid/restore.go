@@ -2,6 +2,7 @@ package raid
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -12,10 +13,10 @@ import (
 )
 
 // Restorer is all the repair loop needs of an array engine: its member
-// table and the policy's inverse. How a member is repaired (chunking,
-// pacing, checkpoint and resume, dirty-region replay, scrub-compare,
-// spare masking, gauges, events, spans) is this file's business, once,
-// for every policy.
+// table and the policy's inverse. How a member is repaired or checked
+// (chunking, pacing, checkpoint and resume, dirty-region replay, scrub
+// and verify compares, spare masking, gauges, events, spans) is this
+// file's business, once, for every policy.
 type Restorer interface {
 	BlockSize() int
 	Members() *Members
@@ -39,7 +40,7 @@ type Restorer interface {
 const rebuildChunk = 128
 
 // PaceFunc throttles background repair I/O. The repair loop calls it
-// after each landed chunk with the bytes just copied; the function
+// after each chunk with the chunk's size in bytes; the function
 // sleeps (or waits on a token bucket) so foreground I/O keeps priority.
 // Returning an error aborts the job with its checkpoint intact — the
 // supervisor uses that for pause.
@@ -67,11 +68,15 @@ type ResyncStats struct {
 	BytesCopied  int64 `json:"bytes_copied"`
 }
 
-// ScrubStats reports what a sampled scrub checked and repaired.
+// ScrubStats reports what a compare pass (Verify, ScrubSample) checked
+// and repaired.
 type ScrubStats struct {
 	BlocksChecked  int64 `json:"blocks_checked"`
 	Mismatches     int64 `json:"mismatches"`
 	BlocksRepaired int64 `json:"blocks_repaired"`
+	// Pending counts the blocks left unchecked because their redundancy
+	// is not computed yet (AFRAID's window): they are no mismatch.
+	Pending int64 `json:"pending"`
 }
 
 // repairTarget checks that member idx can take a repair job (what names
@@ -87,22 +92,43 @@ func repairTarget(m *Members, idx int, what string) (Dev, error) {
 	return devs[idx], nil
 }
 
+// ColumnRetired reports whether a shrink retired member i of r: it holds
+// nothing, and is never repaired or verified.
+func ColumnRetired(r Restorer, i int) bool {
+	s, ok := r.(interface{ ColumnRetired(int) bool })
+	return ok && s.ColumnRetired(i)
+}
+
+// compare is restore's compare mode: instead of writing every block it
+// reconstructs, restore reads the member's own copy of the chunk and
+// writes back only what differs (repair) or fails on it. stride > 1
+// samples one block every stride blocks instead of whole chunks.
+type compare struct {
+	stride int64
+	repair bool
+	st     ScrubStats
+}
+
 // restore rewrites what physical blocks [lo, hi) of member idx hold of
 // the array — the part of the range inside each extent — rebuildChunk
 // blocks at a time: the engine reconstructs the chunk from the other
 // members, then the blocks that are not holes are written to dev in as
 // few contiguous runs as possible, all under a claim of the members'
-// window. It is the one repair loop: a rebuild
-// restores the whole member, a resync its dirty regions, a scrub the
-// blocks it found wrong. prog, when non-nil, is the checkpoint of a
+// window. It is the one repair and compare loop: a rebuild restores the
+// whole member, a resync its dirty regions; with cmp, a scrub or a
+// verify compares. prog, when non-nil, is the checkpoint of a
 // whole-member restore: what an earlier run restored is skipped, and the
 // checkpoint (with the rebuild gauge) is kept current after every chunk.
 // pace, when non-nil, is called after each chunk. restore returns the
 // number of blocks it wrote.
-func restore(ctx context.Context, r Restorer, idx int, dev Dev, lo, hi int64, prog *RebuildProgress, pace PaceFunc) (copied int64, err error) {
+func restore(ctx context.Context, r Restorer, idx int, dev Dev, lo, hi int64, prog *RebuildProgress, pace PaceFunc, cmp *compare) (copied int64, err error) {
 	m, bs := r.Members(), r.BlockSize()
+	step, width := int64(rebuildChunk), int64(rebuildChunk)
+	if cmp != nil && cmp.stride > 1 {
+		step, width = cmp.stride, 1
+	}
 	// One pooled scratch buffer serves every chunk.
-	buf := bufpool.Get(int(min(hi-lo, rebuildChunk)) * bs)
+	buf := bufpool.Get(int(min(hi-lo, width)) * bs)
 	defer bufpool.Put(buf)
 	var hole [rebuildChunk]bool
 	ext, _ := r.Extents()
@@ -117,17 +143,18 @@ func restore(ctx context.Context, r Restorer, idx int, dev Dev, lo, hi int64, pr
 				c -= (c - e[0]) % rebuildChunk
 			}
 		}
-		for ; c < end; c += rebuildChunk {
-			n := int(min(end-c, rebuildChunk))
+		for ; c < end; c += step {
+			n := int(min(end-c, width))
 			// No foreground write to the chunk lands between the first read
-			// of the other members and the last write here.
+			// and the last write here.
 			claim := m.win.Open(ctx, Span{Dev: idx, Lo: c, Hi: c + int64(n)})
-			clear(hole[:n])
-			if err := r.Reconstruct(ctx, idx, c, buf[:n*bs], hole[:n]); err != nil {
-				m.win.Abort(claim)
-				return copied, err
+			if cmp != nil {
+				err = cmp.chunk(ctx, r, idx, dev, c, buf[:n*bs], hole[:n])
+			} else {
+				clear(hole[:n])
+				err = r.Reconstruct(ctx, idx, c, buf[:n*bs], hole[:n])
 			}
-			for t := 0; t < n; {
+			for t := 0; t < n && err == nil; {
 				if hole[t] {
 					t++
 					continue
@@ -136,12 +163,14 @@ func restore(ctx context.Context, r Restorer, idx int, dev Dev, lo, hi int64, pr
 				for run < n && !hole[run] {
 					run++
 				}
-				if err := dev.WriteBlocks(ctx, c+int64(t), buf[t*bs:run*bs]); err != nil {
-					m.win.Abort(claim)
-					return copied, err
+				if err = dev.WriteBlocks(ctx, c+int64(t), buf[t*bs:run*bs]); err == nil {
+					copied += int64(run - t)
 				}
-				copied += int64(run - t)
 				t = run
+			}
+			if err != nil {
+				m.win.Abort(claim)
+				return copied, err
 			}
 			m.win.Commit(claim)
 			if prog != nil {
@@ -158,6 +187,58 @@ func restore(ctx context.Context, r Restorer, idx int, dev Dev, lo, hi int64, pr
 		base += e[1] - e[0]
 	}
 	return copied, nil
+}
+
+// chunk is one claimed chunk of a compare: it reads member idx's copy of
+// the blocks from c on, reconstructs what they must hold into want, and
+// flags in skip every block restore need not write — holes, and the
+// blocks that match. A mismatch counts once confirmed: the view's devices
+// are flushed, so that a background write still on its way lands, and
+// the chunk is looked at again. A chunk whose redundancy is pending is
+// counted and skipped whole.
+func (cmp *compare) chunk(ctx context.Context, r Restorer, idx int, dev Dev, c int64, want []byte, skip []bool) error {
+	m, bs := r.Members(), r.BlockSize()
+	have := bufpool.Get(len(want)) // the member's own copy
+	defer bufpool.Put(have)
+	look := func() error {
+		clear(skip)
+		if err := dev.ReadBlocks(ctx, c, have); err != nil {
+			return err
+		}
+		return r.Reconstruct(ctx, idx, c, want, skip)
+	}
+	diff := func(t int) int { return parity.FirstDiff(have[t*bs:(t+1)*bs], want[t*bs:(t+1)*bs]) }
+	err := look()
+	for t := 0; t < len(skip) && err == nil; t++ {
+		if !skip[t] && diff(t) >= 0 {
+			if err = FlushAll(ctx, m.Load().Devs); err == nil {
+				err = look()
+			}
+			break
+		}
+	}
+	if errors.Is(err, ErrPending) {
+		cmp.st.Pending += int64(len(skip))
+		for t := range skip {
+			skip[t] = true
+		}
+		return nil
+	}
+	for t := 0; t < len(skip) && err == nil; t++ {
+		if skip[t] {
+			continue
+		}
+		cmp.st.BlocksChecked++
+		i := diff(t)
+		if skip[t] = i < 0; skip[t] {
+			continue
+		}
+		cmp.st.Mismatches++
+		if !cmp.repair {
+			err = fmt.Errorf("%s: device %d block %d differs from what the other members hold at byte %d", m.name, idx, c+int64(t), i)
+		}
+	}
+	return err
 }
 
 // RebuildFrom reconstructs the full contents of (replaced) member idx —
@@ -200,7 +281,7 @@ func RebuildFrom(ctx context.Context, r Restorer, idx int, prog *RebuildProgress
 	}
 	m.total.Store(prog.Total)
 	m.done.Store(prog.Done)
-	if _, err := restore(ctx, r, idx, dev, 0, math.MaxInt64, prog, pace); err != nil {
+	if _, err := restore(ctx, r, idx, dev, 0, math.MaxInt64, prog, pace, nil); err != nil {
 		return err
 	}
 	m.rebuilt(idx, dev)
@@ -233,7 +314,7 @@ func Resync(ctx context.Context, r Restorer, idx int, regions []intent.Region, p
 	}()
 	for _, reg := range regions {
 		st.Regions++
-		n, err := restore(ctx, r, idx, dev, reg.Start, reg.Start+reg.Count, nil, pace)
+		n, err := restore(ctx, r, idx, dev, reg.Start, reg.Start+reg.Count, nil, pace, nil)
 		st.BlocksCopied += n
 		st.BytesCopied += n * int64(r.BlockSize())
 		if err != nil {
@@ -243,14 +324,15 @@ func Resync(ctx context.Context, r Restorer, idx int, regions []intent.Region, p
 	return st, nil
 }
 
-// ScrubSample spot-checks member idx after a resync: every stride-th
-// block of each extent (stride <= 0 takes rebuildChunk) is compared
-// against what the other members say it must hold and restored on
-// mismatch. It is the cheap confidence check that the intent log covered
-// everything the device missed — a mismatch means dirty-region tracking
-// lost a write, so the caller should escalate to a full rebuild.
+// ScrubSample spot-checks member idx after a resync: restore's compare
+// mode, over every stride-th block of each extent (stride <= 0 takes
+// rebuildChunk), repairs each block that differs from what the other
+// members say it must hold. It is the cheap confidence check that the
+// intent log covered everything the device missed — a mismatch means
+// dirty-region tracking lost a write, so the caller should escalate to a
+// full rebuild.
 func ScrubSample(ctx context.Context, r Restorer, idx int, stride int64, pace PaceFunc) (st ScrubStats, err error) {
-	m, bs := r.Members(), r.BlockSize()
+	m := r.Members()
 	dev, err := repairTarget(m, idx, "scrub")
 	if err != nil {
 		return st, err
@@ -260,38 +342,27 @@ func ScrubSample(ctx context.Context, r Restorer, idx int, stride int64, pace Pa
 	}
 	ctx, root := m.tracer.StartRoot(ctx, m.name+".scrub", fmt.Sprintf("d%d", idx))
 	defer func() { root.End(err) }()
-	have := bufpool.Get(bs)
-	want := bufpool.Get(bs)
-	defer bufpool.Put(have)
-	defer bufpool.Put(want)
-	ext, _ := r.Extents()
-	for _, e := range ext {
-		for pb := e[0]; pb < e[1]; pb += stride {
-			var hole [1]bool
-			if err := r.Reconstruct(ctx, idx, pb, want, hole[:]); err != nil {
-				return st, err
-			}
-			if hole[0] {
-				continue
-			}
-			if err := dev.ReadBlocks(ctx, pb, have); err != nil {
-				return st, err
-			}
-			st.BlocksChecked++
-			if parity.FirstDiff(have, want) >= 0 {
-				st.Mismatches++
-				n, err := restore(ctx, r, idx, dev, pb, pb+1, nil, nil)
-				st.BlocksRepaired += n
-				if err != nil {
-					return st, err
-				}
-			}
-			if pace != nil {
-				if err := pace(ctx, 2*bs); err != nil {
-					return st, err
-				}
-			}
+	cmp := compare{stride: stride, repair: true}
+	cmp.st.BlocksRepaired, err = restore(ctx, r, idx, dev, 0, math.MaxInt64, nil, pace, &cmp)
+	return cmp.st, err
+}
+
+// Verify checks the redundancy of r: restore's compare mode over every
+// member a shrink did not retire, every block, repairing nothing. It
+// returns at the first mismatch, naming its device and physical block.
+// Blocks whose redundancy is pending are counted, not checked.
+func Verify(ctx context.Context, r Restorer) (st ScrubStats, err error) {
+	m := r.Members()
+	ctx, root := m.tracer.StartRoot(ctx, m.name+".verify", m.name)
+	defer func() { root.End(err) }()
+	cmp := compare{stride: 1}
+	for idx, dev := range m.Load().Devs {
+		if dev == nil || ColumnRetired(r, idx) {
+			continue
+		}
+		if _, err := restore(ctx, r, idx, dev, 0, math.MaxInt64, nil, nil, &cmp); err != nil {
+			return cmp.st, err
 		}
 	}
-	return st, nil
+	return cmp.st, nil
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/layout"
 	"repro/internal/raid"
+	"repro/internal/store"
 )
 
 // chunk is the repair loop's rebuildChunk: the most blocks one repair
@@ -59,6 +60,9 @@ func sortCalls(c []devCall) []devCall {
 		}
 		if c[i].Phys != c[j].Phys {
 			return c[i].Phys < c[j].Phys
+		}
+		if c[i].Blocks != c[j].Blocks {
+			return c[i].Blocks < c[j].Blocks
 		}
 		return c[i].Kind < c[j].Kind
 	})
@@ -138,37 +142,36 @@ func wantStripeRestore(n, idx int, rows int64) []devCall {
 // through the one restore loop, against expectations computed from the
 // layouts alone, and that no repair transfer moves more than one chunk —
 // a whole column in one call cannot cross the transport's frame limit.
+// Then the same for Verify, the loop's compare over every member: each
+// member's rebuild reads, plus one read of each of its chunks, and no
+// write.
 func TestCallsRestore(t *testing.T) {
 	const per = 600 // blocks per device: extents of 300 or 600, neither a chunk multiple
 	const victim = 1
 	geo := func(n int) layout.Geometry { return layout.Geometry{Disks: n, DiskBlocks: per} }
+	whole, halves := [][2]int64{{0, per}}, [][2]int64{{0, per / 2}, {per / 2, per}}
 	cases := []struct {
 		name  string
 		n     int
+		ext   [][2]int64 // every member's extents
 		build func(devs []raid.Dev) (raid.Rebuilder, error)
-		want  func() []devCall
+		want  func(idx int) []devCall // a full rebuild of member idx
 	}{
-		{"raidx 4x1", 4,
+		{"raidx 4x1", 4, halves,
 			func(devs []raid.Dev) (raid.Rebuilder, error) { return core.New(devs, 4, 1, core.Options{}) },
-			func() []devCall {
-				return wantMirrorRestore(layout.NewOSM(4, 1, per), victim, [][2]int64{{0, per / 2}, {per / 2, per}}, true)
-			}},
-		{"raid5(4)", 4,
+			func(idx int) []devCall { return wantMirrorRestore(layout.NewOSM(4, 1, per), idx, halves, true) }},
+		{"raid5(4)", 4, whole,
 			func(devs []raid.Dev) (raid.Rebuilder, error) { return raid.NewRAID5(devs) },
-			func() []devCall { return wantStripeRestore(4, victim, per) }},
-		{"rs(6,2)", 8,
+			func(idx int) []devCall { return wantStripeRestore(4, idx, per) }},
+		{"rs(6,2)", 8, whole,
 			func(devs []raid.Dev) (raid.Rebuilder, error) { return raid.NewRS(devs, 2) },
-			func() []devCall { return wantStripeRestore(8, victim, per) }},
-		{"raid10(4)", 4,
+			func(idx int) []devCall { return wantStripeRestore(8, idx, per) }},
+		{"raid10(4)", 4, whole,
 			func(devs []raid.Dev) (raid.Rebuilder, error) { return raid.NewRAID10(devs) },
-			func() []devCall {
-				return wantMirrorRestore(layout.NewRAID10(geo(4)), victim, [][2]int64{{0, per}}, false)
-			}},
-		{"chained(4)", 4,
+			func(idx int) []devCall { return wantMirrorRestore(layout.NewRAID10(geo(4)), idx, whole, false) }},
+		{"chained(4)", 4, halves,
 			func(devs []raid.Dev) (raid.Rebuilder, error) { return raid.NewChained(devs) },
-			func() []devCall {
-				return wantMirrorRestore(layout.NewChained(geo(4)), victim, [][2]int64{{0, per / 2}, {per / 2, per}}, false)
-			}},
+			func(idx int) []devCall { return wantMirrorRestore(layout.NewChained(geo(4)), idx, halves, false) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -202,19 +205,41 @@ func TestCallsRestore(t *testing.T) {
 			if err := a.Rebuild(ctx, victim); err != nil {
 				t.Fatal(err)
 			}
-			got := sortCalls(calls)
-			for _, call := range got {
-				if call.Blocks > chunk {
-					t.Errorf("repair transfer %+v moves more than %d blocks", call, chunk)
+			check := func(what string, want []devCall) {
+				t.Helper()
+				mu.Lock()
+				got := sortCalls(calls)
+				calls = nil
+				mu.Unlock()
+				for _, call := range got {
+					if call.Blocks > chunk {
+						t.Errorf("%s transfer %+v moves more than %d blocks", what, call, chunk)
+					}
+				}
+				if want = sortCalls(want); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s device calls: got %d, want %d\n got  %s\n want %s",
+						what, len(got), len(want), head(got), head(want))
 				}
 			}
-			if want := sortCalls(c.want()); !reflect.DeepEqual(got, want) {
-				t.Errorf("rebuild device calls: got %d, want %d\n got  %s\n want %s",
-					len(got), len(want), head(got), head(want))
-			}
+			check("rebuild", c.want(victim))
+
 			if err := a.(raid.Verifier).Verify(ctx); err != nil {
 				t.Fatalf("verify after rebuild: %v", err)
 			}
+			var want []devCall
+			for i := 0; i < c.n; i++ {
+				for _, call := range c.want(i) {
+					if call.Kind == "read" {
+						want = append(want, call)
+					}
+				}
+				for _, e := range c.ext {
+					for pb := e[0]; pb < e[1]; pb += chunk {
+						want = append(want, devCall{i, pb, int(min(chunk, e[1]-pb)), "read"})
+					}
+				}
+			}
+			check("verify", want)
 		})
 	}
 }
@@ -339,6 +364,52 @@ func TestRepairSwapDevBlankUntilRebuilt(t *testing.T) {
 			}
 			if r := reads(spareDisks[1]); r == 0 {
 				t.Fatal("the rebuilt spare serves no reads")
+			}
+		})
+	}
+}
+
+// BenchmarkVerify times one whole-array Verify of each redundant engine
+// over in-memory disks of 4096 blocks of 4 KiB:
+//
+//	go test -run '^$' -bench Verify -benchtime 1x -count 3 ./internal/raid/
+func BenchmarkVerify(b *testing.B) {
+	const bs, per = 4096, 4096
+	cases := []struct {
+		name  string
+		n     int
+		build func(devs []raid.Dev) (raid.Array, error)
+	}{
+		{"rs(8,2)", 10, func(devs []raid.Dev) (raid.Array, error) { return raid.NewRS(devs, 2) }},
+		{"raid5(4)", 4, func(devs []raid.Dev) (raid.Array, error) { return raid.NewRAID5(devs) }},
+		{"raidx 4x1", 4, func(devs []raid.Dev) (raid.Array, error) { return core.New(devs, 4, 1, core.Options{}) }},
+		{"raid10(4)", 4, func(devs []raid.Dev) (raid.Array, error) { return raid.NewRAID10(devs) }},
+		{"chained(4)", 4, func(devs []raid.Dev) (raid.Array, error) { return raid.NewChained(devs) }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			ctx := context.Background()
+			devs := make([]raid.Dev, c.n)
+			for i := range devs {
+				devs[i] = disk.New(nil, fmt.Sprintf("d%d", i), store.NewMem(bs, per), disk.DefaultModel())
+			}
+			a, err := c.build(devs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			data := make([]byte, a.Blocks()*bs)
+			fill(data, 1)
+			if err := a.WriteBlocks(ctx, 0, data); err != nil {
+				b.Fatal(err)
+			}
+			if err := a.Flush(ctx); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := a.(raid.Verifier).Verify(ctx); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -651,32 +651,6 @@ func (a *Stripe) syncStripe(ctx context.Context, v *MemberView, s int64) error {
 	return nil
 }
 
-// eachRow reads rows [s0, s0+rows) of every device outside skip, one
-// call per device, and hands fn each row's k+m shards in shard order;
-// the shards of skipped devices are scratch.
-func (a *Stripe) eachRow(ctx context.Context, devs []Dev, s0 int64, rows int, skip devSet, fn func(s int64, shards [][]byte) error) error {
-	cols := make([][]byte, a.n)
-	for d := range cols {
-		cols[d] = bufpool.Get(rows * a.bs)
-	}
-	defer putShards(cols)
-	err := par.ForEach(ctx, a.n, func(ctx context.Context, d int) error {
-		if skip.has(d) {
-			return nil
-		}
-		return devs[d].ReadBlocks(ctx, s0, cols[d])
-	})
-	shards := make([][]byte, a.k+a.m)
-	for r := 0; r < rows && err == nil; r++ {
-		s := s0 + int64(r)
-		for j := range shards {
-			shards[j] = cols[a.devOf(s, j)][r*a.bs : (r+1)*a.bs]
-		}
-		err = fn(s, shards)
-	}
-	return err
-}
-
 // Members implements Restorer.
 func (a *Stripe) Members() *Members { return a.mem }
 
@@ -695,8 +669,8 @@ func (a *Stripe) Extents() ([][2]int64, uint64) { return [][2]int64{{0, a.stripe
 
 // Reconstruct implements Restorer: the shards device idx holds in
 // stripes [pb, pb+len(hole)), decoded from those rows of the readable
-// survivors. A stripe in the redundancy window cannot be reconstructed
-// (AFRAID's accepted risk).
+// survivors, each read in one call. A stripe in the redundancy window
+// cannot be reconstructed (AFRAID's accepted risk).
 func (a *Stripe) Reconstruct(ctx context.Context, idx int, pb int64, dst []byte, hole []bool) error {
 	v := a.mem.Load()
 	missing, _, _ := a.lostDevs(v)
@@ -704,50 +678,37 @@ func (a *Stripe) Reconstruct(ctx context.Context, idx int, pb int64, dst []byte,
 	if f := missing.count(); f > a.m {
 		return fmt.Errorf("%s: %d members unavailable during rebuild, tolerate %d: %w", a.name, f, a.m, ErrDataLoss)
 	}
-	present := make([]bool, a.k+a.m)
-	return a.eachRow(ctx, v.Devs, pb, len(hole), missing, func(s int64, shards [][]byte) error {
-		if a.isDirty(s) {
-			return fmt.Errorf("%s: stripe %d in redundancy window (parity stale): %w", a.name, s, ErrDataLoss)
+	cols := make([][]byte, a.n)
+	for d := range cols {
+		cols[d] = bufpool.Get(len(dst))
+	}
+	defer putShards(cols)
+	err := par.ForEach(ctx, a.n, func(ctx context.Context, d int) error {
+		if missing.has(d) {
+			return nil
 		}
-		// Decode idx's shard straight into the caller's buffer.
-		shards[a.shardOf(s, idx)] = dst[int(s-pb)*a.bs : int(s-pb+1)*a.bs]
-		for j := range present {
+		return v.Devs[d].ReadBlocks(ctx, pb, cols[d])
+	})
+	shards := make([][]byte, a.k+a.m)
+	present := make([]bool, a.k+a.m)
+	for r := 0; r < len(hole) && err == nil; r++ {
+		s := pb + int64(r)
+		if a.isDirty(s) {
+			return fmt.Errorf("%s: stripe %d in redundancy window (parity stale): %w: %w", a.name, s, ErrPending, ErrDataLoss)
+		}
+		for j := range shards {
+			shards[j] = cols[a.devOf(s, j)][r*a.bs : (r+1)*a.bs]
 			present[j] = !missing.has(a.devOf(s, j))
 		}
-		return a.code.Reconstruct(shards, present)
-	})
+		// Decode idx's shard straight into the caller's buffer.
+		shards[a.shardOf(s, idx)] = dst[r*a.bs : (r+1)*a.bs]
+		err = a.code.Reconstruct(shards, present)
+	}
+	return err
 }
 
-// Verify implements Verifier: re-encode every stripe's data and compare
-// against the stored parity shards, naming the device of the first one
-// that differs. Stripes in the redundancy window are exempt.
+// Verify implements Verifier through the repair loop's compare (Verify).
 func (a *Stripe) Verify(ctx context.Context) error {
-	devs := a.mem.Load().Devs
-	want := make([][]byte, a.m)
-	for j := range want {
-		want[j] = bufpool.Get(a.bs)
-	}
-	defer putShards(want)
-	for s0 := int64(0); s0 < a.stripes; s0 += rebuildChunk {
-		rows := int(min(rebuildChunk, a.stripes-s0))
-		err := a.eachRow(ctx, devs, s0, rows, devSet{}, func(s int64, shards [][]byte) error {
-			if a.isDirty(s) {
-				return nil
-			}
-			if err := a.code.Encode(shards[:a.k], want); err != nil {
-				return err
-			}
-			for j, w := range want {
-				if i := parity.FirstDiff(shards[a.k+j], w); i >= 0 {
-					return fmt.Errorf("%s: stripe %d parity shard %d mismatch at byte %d (device %d)",
-						a.name, s, j, i, a.devOf(s, a.k+j))
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := Verify(ctx, a)
+	return err
 }

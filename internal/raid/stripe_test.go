@@ -263,8 +263,8 @@ func TestStripeTooManyFailures(t *testing.T) {
 
 // TestStripeVerifyDetectsCorruption is the scrub integration check:
 // flip a data block behind the array's back and Verify must name a
-// parity mismatch and a device; after rewriting the stripe Verify
-// passes again.
+// device and the block (a member's physical block is its stripe); after
+// rewriting the stripe Verify passes again.
 func TestStripeVerifyDetectsCorruption(t *testing.T) {
 	ctx := context.Background()
 	for _, g := range stripeGeoms() {
@@ -279,7 +279,7 @@ func TestStripeVerifyDetectsCorruption(t *testing.T) {
 		if err := devs[2].WriteBlocks(ctx, 4, evil); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Verify(ctx); err == nil || !strings.Contains(err.Error(), "stripe 4") || !strings.Contains(err.Error(), "device") {
+		if err := a.Verify(ctx); err == nil || !strings.Contains(err.Error(), "block 4 ") || !strings.Contains(err.Error(), "device") {
 			t.Fatalf("%s: verify over corrupted block: %v", g.name, err)
 		}
 		// Rewriting the affected stripes re-encodes parity; Verify heals.

@@ -3,9 +3,13 @@ package raid_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -352,6 +356,184 @@ func TestWindowRestoreChunk(t *testing.T) {
 					t.Fatalf("with member %d down the foreground write is lost", i)
 				}
 			}
+		})
+	}
+}
+
+// heldDev keeps background writes off the device until a Flush, or a
+// foreground write over them, lands them — a remote member's background
+// lane: a compare that reads an image too early sees the old one.
+type heldDev struct {
+	raid.Dev
+	mu      sync.Mutex
+	held    []heldWrite
+	flushes int
+}
+
+type heldWrite struct {
+	b int64
+	p []byte
+}
+
+func (d *heldDev) WriteBlocksBackground(_ context.Context, b int64, p []byte) error {
+	d.mu.Lock()
+	d.held = append(d.held, heldWrite{b, bytes.Clone(p)})
+	d.mu.Unlock()
+	return nil
+}
+
+// land writes the held writes overlapping [lo, hi) through, oldest first;
+// d.mu is held.
+func (d *heldDev) land(ctx context.Context, lo, hi int64) error {
+	var keep []heldWrite
+	for i, w := range d.held {
+		if w.b >= hi || lo >= w.b+int64(len(w.p)/d.BlockSize()) {
+			keep = append(keep, w)
+		} else if err := d.Dev.WriteBlocks(ctx, w.b, w.p); err != nil {
+			d.held = append(keep, d.held[i:]...)
+			return err
+		}
+	}
+	d.held = keep
+	return nil
+}
+
+func (d *heldDev) WriteBlocks(ctx context.Context, b int64, p []byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.land(ctx, b, b+int64(len(p)/d.BlockSize())); err != nil {
+		return err
+	}
+	return d.Dev.WriteBlocks(ctx, b, p)
+}
+
+func (d *heldDev) Flush(ctx context.Context) error {
+	d.mu.Lock()
+	d.flushes++
+	err := d.land(ctx, 0, math.MaxInt64)
+	d.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return d.Dev.Flush(ctx)
+}
+
+// TestWindowVerifyBesideWriter: Verify and a stride-1 ScrubSample of
+// every member loop beside a writer that rewrites random ranges with
+// stamped blocks. Each compare chunk is a claim in the members' window,
+// so neither may count a mismatch. In the last row every member holds
+// its background writes until a flush: a compare that read an image still
+// on its way must flush and look again before it counts. Afterwards the
+// array reads back the writer's last stamps and verifies clean.
+func TestWindowVerifyBesideWriter(t *testing.T) {
+	const per = 300
+	type array interface {
+		raid.Array
+		raid.Restorer
+	}
+	raidx := func(devs []raid.Dev) (array, error) { return core.New(devs, 4, 1, core.Options{}) }
+	cases := []struct {
+		name  string
+		n     int
+		held  bool
+		build func(devs []raid.Dev) (array, error)
+	}{
+		{"raidx", 4, false, raidx},
+		{"rs(4,2)", 6, false, func(devs []raid.Dev) (array, error) { return raid.NewRS(devs, 2) }},
+		{"raid5(4)", 4, false, func(devs []raid.Dev) (array, error) { return raid.NewRAID5(devs) }},
+		{"chained(4)", 4, false, func(devs []raid.Dev) (array, error) { return raid.NewChained(devs) }},
+		{"raidx, images held until flush", 4, true, raidx},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			devs, _ := mkDisks(c.n, per)
+			var held []*heldDev
+			for i := range devs {
+				if c.held {
+					held = append(held, &heldDev{Dev: devs[i]})
+					devs[i] = held[i]
+				}
+			}
+			a, err := c.build(devs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shadow := make([]byte, a.Blocks()*int64(testBS))
+			// write stamps blocks [b, b+n) of shadow with seq and writes them.
+			write := func(b, n int64, seq uint64) error {
+				for lb := b; lb < b+n; lb++ {
+					blk := shadow[lb*testBS : (lb+1)*testBS]
+					for off := 0; off < testBS; off += 16 {
+						binary.LittleEndian.PutUint64(blk[off:], uint64(lb))
+						binary.LittleEndian.PutUint64(blk[off+8:], seq)
+					}
+				}
+				return a.WriteBlocks(ctx, b, shadow[b*testBS:(b+n)*testBS])
+			}
+			if err := write(0, a.Blocks(), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			// Unflushed: the first compare meets it whatever the schedule.
+			if err := write(0, 8, 1); err != nil {
+				t.Fatal(err)
+			}
+			stop, done := make(chan struct{}), make(chan struct{})
+			var writes atomic.Int64
+			go func() {
+				defer close(done)
+				rng := rand.New(rand.NewSource(1))
+				for seq := uint64(2); ; seq++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					n := 1 + rng.Int63n(8)
+					if err := write(rng.Int63n(a.Blocks()-n+1), n, seq); err != nil {
+						t.Error(err)
+						return
+					}
+					writes.Add(1)
+				}
+			}()
+			halt := sync.OnceFunc(func() { close(stop); <-done })
+			defer halt()
+			// At least three rounds, and until the writer is well under way.
+			for round := 0; round < 3 || writes.Load() < 200; round++ {
+				select {
+				case <-done:
+					t.Fatal("the writer stopped")
+				default:
+				}
+				if st, err := raid.Verify(ctx, a); err != nil || st.Mismatches != 0 {
+					t.Fatalf("round %d: verify beside the writer: %+v, %v", round, st, err)
+				}
+				for idx := 0; idx < c.n; idx++ {
+					if st, err := raid.ScrubSample(ctx, a, idx, 1, nil); err != nil || st.Mismatches != 0 {
+						t.Fatalf("round %d: scrub of member %d beside the writer: %+v, %v", round, idx, st, err)
+					}
+				}
+			}
+			halt()
+			for i, d := range held {
+				d.mu.Lock()
+				flushes := d.flushes
+				d.mu.Unlock()
+				if flushes == 0 {
+					t.Errorf("member %d: no compare flushed to confirm a held image", i)
+				}
+			}
+			if err := a.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if st, err := raid.Verify(ctx, a); err != nil || st.Mismatches != 0 || st.BlocksChecked == 0 {
+				t.Fatalf("verify after the writer stopped: %+v, %v", st, err)
+			}
+			checkAll(t, a, shadow, "after the writer stopped")
 		})
 	}
 }

@@ -398,10 +398,6 @@ func (s *Supervisor) tick(ctx context.Context) {
 	// state transitions still track health. A paused or error-aborted
 	// migration runner is restarted here once repair is resumed.
 	rebalancing := s.rebalanceActive()
-	retired := func(int) bool { return false }
-	if r, ok := s.arr.(interface{ ColumnRetired(int) bool }); ok {
-		retired = r.ColumnRetired
-	}
 	s.mu.Lock()
 	paused := s.paused
 	// A grow widened the device table: supervise the new members.
@@ -413,7 +409,7 @@ func (s *Supervisor) tick(ctx context.Context) {
 		if i >= len(devs) {
 			break
 		}
-		if retired(i) {
+		if raid.ColumnRetired(s.arr, i) {
 			// A shrink removed this column's node: it holds no live
 			// blocks, is never rebuilt, and must not consume a spare.
 			continue

@@ -475,7 +475,7 @@ type (
 	RebuildProgress = raid.RebuildProgress
 	// ResyncStats reports what a delta resync moved.
 	ResyncStats = raid.ResyncStats
-	// ScrubStats reports what a sampled scrub checked and repaired.
+	// ScrubStats reports what a scrub or verify checked and repaired.
 	ScrubStats = raid.ScrubStats
 )
 
