@@ -29,33 +29,49 @@ func allocLimit(t *testing.T, limit float64, f func()) {
 // more than the one remote write it makes.
 const remoteWriteAllocs = 6
 
+// remoteSizes are the benchmark's request sizes — mirror_small's and
+// session_cache's 4 KiB op and mirror_large's 64 KiB one — on its 4 KiB
+// blocks.
+var remoteSizes = []struct {
+	name string
+	n    int
+}{{"4KiB", 4 << 10}, {"64KiB", 64 << 10}}
+
 // TestAllocsRemoteDevWrite pins the single-device remote write path:
-// cdd client → transport → manager → disk for one 64 KiB transfer.
+// cdd client → transport → manager → disk for one transfer.
 func TestAllocsRemoteDevWrite(t *testing.T) {
-	_, devs := benchCluster(t, 1, 4096, 16<<10)
+	_, devs := benchCluster(t, 1, 4096, 4<<10)
 	ctx := context.Background()
-	buf := make([]byte, 64<<10)
-	allocLimit(t, remoteWriteAllocs, func() {
-		if err := devs[0].WriteBlocks(ctx, 0, buf); err != nil {
-			t.Fatal(err)
-		}
-	})
+	for _, sz := range remoteSizes {
+		t.Run(sz.name, func(t *testing.T) {
+			buf := make([]byte, sz.n)
+			allocLimit(t, remoteWriteAllocs, func() {
+				if err := devs[0].WriteBlocks(ctx, 0, buf); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+	}
 }
 
 // TestAllocsRemoteDevRead pins the single-device remote read path: the
 // response must land in buf (scatter), not in a fresh allocation.
 func TestAllocsRemoteDevRead(t *testing.T) {
-	_, devs := benchCluster(t, 1, 4096, 16<<10)
+	_, devs := benchCluster(t, 1, 4096, 4<<10)
 	ctx := context.Background()
-	buf := make([]byte, 64<<10)
-	if err := devs[0].WriteBlocks(ctx, 0, buf); err != nil {
-		t.Fatal(err)
+	for _, sz := range remoteSizes {
+		t.Run(sz.name, func(t *testing.T) {
+			buf := make([]byte, sz.n)
+			if err := devs[0].WriteBlocks(ctx, 0, buf); err != nil {
+				t.Fatal(err)
+			}
+			allocLimit(t, 6, func() {
+				if err := devs[0].ReadBlocks(ctx, 0, buf); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
 	}
-	allocLimit(t, 6, func() {
-		if err := devs[0].ReadBlocks(ctx, 0, buf); err != nil {
-			t.Fatal(err)
-		}
-	})
 }
 
 // TestAllocsCachedRead pins the coherent cache-hit read path: a block

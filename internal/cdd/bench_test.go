@@ -21,11 +21,11 @@ import (
 // benchCluster assembles a RAID-x array over `nodes` loopback CDD
 // nodes with one disk each (bs-byte blocks), returning the array and
 // the remote devices.
-func benchCluster(tb testing.TB, nodes int, bs int64, blocks int) (*core.RAIDx, []raid.Dev) {
+func benchCluster(tb testing.TB, nodes int, numBlocks int64, bs int) (*core.RAIDx, []raid.Dev) {
 	tb.Helper()
 	var devs []raid.Dev
 	for i := 0; i < nodes; i++ {
-		d := disk.New(nil, fmt.Sprintf("n%d.d0", i), store.NewMem(blocks, bs), disk.DefaultModel())
+		d := disk.New(nil, fmt.Sprintf("n%d.d0", i), store.NewMem(bs, numBlocks), disk.DefaultModel())
 		n, err := cdd.ListenAndServe("127.0.0.1:0", []*disk.Disk{d})
 		if err != nil {
 			tb.Fatal(err)

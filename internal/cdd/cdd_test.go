@@ -125,7 +125,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 	if err != nil || got != i {
 		t.Fatalf("info: got %+v err %v", got, err)
 	}
-	h := ioHeader{Disk: 7, Block: 123456789, Count: 42}
+	h := ioHeader{Disk: 7, Count: 42, Gen: 123456789}
 	gh, data, err := decodeIOHeader(encodeIOHeader(h, []byte("payload")))
 	if err != nil || gh != h || string(data) != "payload" {
 		t.Fatalf("io header: got %+v %q err %v", gh, data, err)

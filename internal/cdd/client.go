@@ -129,34 +129,16 @@ func retryableErr(err error) bool {
 }
 
 // ioScratch is the per-call assembly area of one remote block
-// operation: the wire-encoded I/O header plus reusable gather/scatter
-// lists. Pooled so the hot path allocates nothing for framing; release
-// drops payload references before returning it to the pool.
+// operation: the wire-encoded I/O header and extent table plus reusable
+// gather/scatter lists. Pooled so the hot path allocates nothing for
+// framing; blockIO drops payload references before returning it.
 type ioScratch struct {
-	hdr [ioHeaderLen]byte
-	tab []byte // extent table of a multi-extent write
-	req [][]byte
-	dst [][]byte
+	head []byte // I/O header, then the extent table
+	req  [][]byte
+	dst  [][]byte
 }
 
 var ioScratchPool = sync.Pool{New: func() any { return new(ioScratch) }}
-
-// scratch returns a call scratch whose header — installed as the
-// request's first gather segment — addresses count blocks at b on this
-// disk, stamped with the generation of the client's layout.
-func (d *RemoteDev) scratch(b int64, count int) *ioScratch {
-	s := ioScratchPool.Get().(*ioScratch)
-	putIOHeader(&s.hdr, ioHeader{Disk: d.disk, Block: b, Count: uint32(count), Gen: d.n.arrayEpoch.Load()})
-	s.req = append(s.req[:0], s.hdr[:])
-	s.dst = s.dst[:0]
-	return s
-}
-
-func (s *ioScratch) release() {
-	clear(s.req)
-	clear(s.dst)
-	ioScratchPool.Put(s)
-}
 
 // Options tune a node connection.
 type Options struct {
@@ -620,58 +602,106 @@ func (d *RemoteDev) BlockSize() int { return d.bs }
 // NumBlocks implements raid.Dev.
 func (d *RemoteDev) NumBlocks() int64 { return d.blocks }
 
-// ReadBlocks implements raid.Dev. The response scatters off the socket
-// directly into buf — no intermediate allocation or copy on the way
-// back (the zero-copy read path of DESIGN.md §10).
-func (d *RemoteDev) ReadBlocks(ctx context.Context, b int64, buf []byte) (err error) {
-	if len(buf)%d.bs != 0 {
-		return fmt.Errorf("cdd: buffer length %d not a multiple of %d", len(buf), d.bs)
-	}
-	ctx, h := trace.Start(ctx, "cdd.read", d.subject)
-	h.Val = int64(len(buf))
-	defer func() { h.End(err) }()
-	start := time.Now()
-	s := d.scratch(b, len(buf)/d.bs)
-	if len(buf) > 0 {
-		s.dst = append(s.dst, buf)
-	}
-	_, err = d.n.doCall(ctx, OpRead, s.req, s.dst, len(buf))
-	s.release()
-	d.n.met.readLat.Observe(time.Since(start))
-	if err != nil {
-		err = d.mapReadErr(err)
-		d.noteOutcome(err)
-		return err
-	}
-	return nil
+// ReadBlocks implements raid.Dev: a one-extent read whose response
+// scatters off the socket directly into buf.
+func (d *RemoteDev) ReadBlocks(ctx context.Context, b int64, buf []byte) error {
+	return d.blockIO(ctx, OpRead, []Extent{d.run(b, buf)}, [][]byte{buf})
 }
 
-// ReadBlocksVec implements raid.VecDev: one remote read whose response
-// scatters into the given segments (consecutive blocks on this disk,
-// each segment a positive multiple of the block size).
-func (d *RemoteDev) ReadBlocksVec(ctx context.Context, b int64, segs [][]byte) (err error) {
-	total := 0
+// ReadBlocksVec implements raid.VecDev: one remote read of consecutive
+// blocks at b whose response scatters into segs.
+func (d *RemoteDev) ReadBlocksVec(ctx context.Context, b int64, segs [][]byte) error {
+	return d.blockIO(ctx, OpRead, []Extent{d.run(b, segs...)}, segs)
+}
+
+// WriteBlocks implements raid.Dev: a one-extent write.
+func (d *RemoteDev) WriteBlocks(ctx context.Context, b int64, data []byte) error {
+	return d.blockIO(ctx, OpWrite, []Extent{d.run(b, data)}, [][]byte{data})
+}
+
+// WriteBlocksVec implements raid.VecDev: one remote write of consecutive
+// blocks at b gathered from segs.
+func (d *RemoteDev) WriteBlocksVec(ctx context.Context, b int64, segs [][]byte) error {
+	return d.blockIO(ctx, OpWrite, []Extent{d.run(b, segs...)}, segs)
+}
+
+// WriteExtents writes several extents of this disk in one OpWrite: segs
+// are the block buffers of all extents in order. The node validates the
+// whole table before writing anything; after an error any extent may or
+// may not have landed.
+func (d *RemoteDev) WriteExtents(ctx context.Context, exts []Extent, segs [][]byte) error {
+	return d.blockIO(ctx, OpWrite, exts, segs)
+}
+
+// WriteBlocksBackground implements raid.Dev: the write travels as a
+// notification, so the caller does not wait for the remote disk. A
+// later Flush or Call on the same connection orders after it. A push
+// placed with a retired layout is dropped by the node instead of landing
+// at a dead home; the node counts the drop (mgr.bg_stale_drops) and the
+// writer's intent log keeps the block dirty, so resync re-mirrors it.
+func (d *RemoteDev) WriteBlocksBackground(ctx context.Context, b int64, data []byte) error {
+	return d.blockIO(ctx, OpWriteBG, []Extent{d.run(b, data)}, [][]byte{data})
+}
+
+// run is the one extent at b that segs fill.
+func (d *RemoteDev) run(b int64, segs ...[]byte) Extent {
+	n := 0
+	for _, sg := range segs {
+		n += len(sg)
+	}
+	return Extent{Block: b, Blocks: uint32(n / d.bs)}
+}
+
+var devSpanNames = [opEnd]string{OpRead: "cdd.read", OpWrite: "cdd.write", OpWriteBG: "cdd.bg-write"}
+
+// blockIO is the one request builder of block I/O. The I/O header and
+// extent table are encoded into the pooled scratch and travel as the
+// first gather segment; segs — the extents' blocks in table order — are
+// never copied: a write's go to the wire after the table (one vectored
+// frame; a notification for OpWriteBG), and a read's response scatters
+// off the socket straight into them (DESIGN.md §10).
+func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [][]byte) (err error) {
+	total, blocks := 0, 0
 	for _, sg := range segs {
 		total += len(sg)
 	}
-	if total == 0 || total%d.bs != 0 {
-		return fmt.Errorf("cdd: scatter length %d not a positive multiple of %d", total, d.bs)
+	for _, e := range exts {
+		blocks += int(e.Blocks)
 	}
-	ctx, h := trace.Start(ctx, "cdd.read", d.subject)
+	if total == 0 || total != blocks*d.bs {
+		return fmt.Errorf("cdd: %d bytes for %d blocks of %d bytes", total, blocks, d.bs)
+	}
+	ctx, h := trace.Start(ctx, devSpanNames[op], d.subject)
 	h.Val = int64(total)
-	defer func() { h.End(err) }()
 	start := time.Now()
-	s := d.scratch(b, total/d.bs)
-	s.dst = append(s.dst, segs...)
-	_, err = d.n.doCall(ctx, OpRead, s.req, s.dst, total)
-	s.release()
-	d.n.met.readLat.Observe(time.Since(start))
-	if err != nil {
-		err = d.mapReadErr(err)
-		d.noteOutcome(err)
-		return err
+	s := ioScratchPool.Get().(*ioScratch)
+	s.head = appendIOHeader(s.head[:0], ioHeader{Disk: d.disk, Count: uint32(len(exts)), Gen: d.n.arrayEpoch.Load()})
+	for _, e := range exts {
+		s.head = appendExtent(s.head, e)
 	}
-	return nil
+	s.req = append(s.req[:0], s.head)
+	switch op {
+	case OpRead:
+		s.dst = append(s.dst[:0], segs...)
+		_, err = d.n.doCall(ctx, op, s.req, s.dst, total)
+		d.n.met.readLat.Observe(time.Since(start))
+		if err != nil {
+			err = d.mapReadErr(err)
+		}
+	case OpWrite:
+		s.req = append(s.req, segs...)
+		_, err = d.n.doCall(ctx, op, s.req, nil, 0)
+		d.n.met.writeLat.Observe(time.Since(start))
+	default:
+		s.req = append(s.req, segs...)
+		err = d.n.c.NotifyVec(ctx, op, s.req)
+	}
+	clear(s.req)
+	clear(s.dst)
+	ioScratchPool.Put(s)
+	h.End(err)
+	d.noteOutcome(err)
+	return err
 }
 
 // mapReadErr rewrites a response-size mismatch as the short-read
@@ -684,88 +714,6 @@ func (d *RemoteDev) mapReadErr(err error) error {
 		// truncates responses keeps being treated as a good copy.
 		return fmt.Errorf("cdd: short read: %d of %d bytes", rse.Got, rse.Want)
 	}
-	return err
-}
-
-// WriteBlocks implements raid.Dev. The I/O header and the caller's data
-// travel as separate gather segments of one vectored frame write — the
-// payload is never copied into a staging buffer.
-func (d *RemoteDev) WriteBlocks(ctx context.Context, b int64, data []byte) error {
-	ctx, h := trace.Start(ctx, "cdd.write", d.subject)
-	h.Val = int64(len(data))
-	start := time.Now()
-	s := d.scratch(b, 0)
-	if len(data) > 0 {
-		s.req = append(s.req, data)
-	}
-	_, err := d.n.doCall(ctx, OpWrite, s.req, nil, 0)
-	s.release()
-	d.n.met.writeLat.Observe(time.Since(start))
-	h.End(err)
-	d.noteOutcome(err)
-	return err
-}
-
-// WriteBlocksVec implements raid.VecDev: one remote write gathered from
-// the given segments (consecutive blocks on this disk), all segments
-// going to the wire as one vectored frame.
-func (d *RemoteDev) WriteBlocksVec(ctx context.Context, b int64, segs [][]byte) error {
-	return d.writeVec(ctx, d.scratch(b, 0), segs)
-}
-
-// WriteExtents writes several extents of this disk in one OpWrite: segs
-// are the block buffers of all extents in order, and the extent table
-// travels as the gather segment after the header. The node validates the
-// whole table before writing anything; after an error any extent may or
-// may not have landed.
-func (d *RemoteDev) WriteExtents(ctx context.Context, exts []Extent, segs [][]byte) error {
-	if len(exts) == 0 {
-		return nil
-	}
-	s := d.scratch(0, len(exts))
-	s.tab = s.tab[:0]
-	for _, e := range exts {
-		s.tab = appendExtent(s.tab, e)
-	}
-	s.req = append(s.req, s.tab)
-	return d.writeVec(ctx, s, segs)
-}
-
-// writeVec sends the OpWrite assembled in s with segs as its data.
-func (d *RemoteDev) writeVec(ctx context.Context, s *ioScratch, segs [][]byte) error {
-	total := 0
-	for _, sg := range segs {
-		total += len(sg)
-	}
-	ctx, h := trace.Start(ctx, "cdd.write", d.subject)
-	h.Val = int64(total)
-	start := time.Now()
-	s.req = append(s.req, segs...)
-	_, err := d.n.doCall(ctx, OpWrite, s.req, nil, 0)
-	s.release()
-	d.n.met.writeLat.Observe(time.Since(start))
-	h.End(err)
-	d.noteOutcome(err)
-	return err
-}
-
-// WriteBlocksBackground implements raid.Dev: the write travels as a
-// notification, so the caller does not wait for the remote disk. A
-// later Flush or Call on the same connection orders after it. A push
-// placed with a retired layout is dropped by the node instead of landing
-// at a dead home; the node counts the drop (mgr.bg_stale_drops) and the
-// writer's intent log keeps the block dirty, so resync re-mirrors it.
-func (d *RemoteDev) WriteBlocksBackground(ctx context.Context, b int64, data []byte) error {
-	ctx, h := trace.Start(ctx, "cdd.bg-write", d.subject)
-	h.Val = int64(len(data))
-	s := d.scratch(b, 0)
-	if len(data) > 0 {
-		s.req = append(s.req, data)
-	}
-	err := d.n.c.NotifyVec(ctx, OpWriteBG, s.req)
-	s.release()
-	h.End(err)
-	d.noteOutcome(err)
 	return err
 }
 

@@ -1,30 +1,36 @@
 package cdd
 
-// The multi-extent OpWrite on the wire: what the manager rejects (and
-// that a rejected table writes nothing), the one generation fence, and
-// the flush that must never send a run whose grant is gone.
+// Block ops on the wire, every one an extent table: what the manager
+// rejects (and that a rejected table moves nothing), what it serves, the
+// one generation fence, and the flush that must never send a run whose
+// grant is gone.
 
 import (
 	"bytes"
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
+	"repro/internal/disk"
+	"repro/internal/store"
 	"repro/internal/transport"
 )
 
 const extTestBlocks = 16
 
-// extentPayload frames k extents' table plus data behind an I/O header
-// claiming count extents — malformed on purpose where the case says so.
-func extentPayload(count uint32, exts []Extent, data []byte) []byte {
+// blockPayload frames an I/O header for disk claiming count extents,
+// then exts' table, then data — malformed on purpose where the case says
+// so.
+func blockPayload(disk, count uint32, exts []Extent, data []byte) []byte {
 	var tab []byte
 	for _, e := range exts {
 		tab = appendExtent(tab, e)
 	}
-	return encodeIOHeader(ioHeader{Disk: 0, Count: count}, append(tab, data...))
+	return encodeIOHeader(ioHeader{Disk: disk, Count: count}, append(tab, data...))
 }
 
 // patterned fills the node's disk 0 with a known pattern and returns it.
@@ -51,53 +57,83 @@ func diskImage(t testing.TB, n *Node) []byte {
 	return img
 }
 
+var blockOps = []uint8{OpRead, OpWrite, OpWriteBG}
+
+// TestWriteExtentsRejected: every malformed block op is CodeBadRequest
+// with nothing moved, whichever of the three ops carries it. Disk 0 is
+// the one patterned; disk 1 is sparse and spans more than one frame.
 func TestWriteExtentsRejected(t *testing.T) {
-	n := startNode(t, 1, extTestBlocks)
+	const bs = 512
+	bigBlocks := int64(transport.MaxPayload/bs + 1)
+	n, err := ListenAndServe("127.0.0.1:0", []*disk.Disk{
+		disk.New(nil, "d0", store.NewMem(bs, extTestBlocks), disk.DefaultModel()),
+		disk.New(nil, "big", store.NewMem(bs, bigBlocks), disk.DefaultModel()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
 	c, err := Connect(n.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	const bs = 512
 	blk := func(k int) []byte { return bytes.Repeat([]byte{0xEE}, k*bs) }
+	writes := []uint8{OpWrite, OpWriteBG}
 	cases := []struct {
-		name    string
-		op      uint8
-		payload []byte
+		name  string
+		ops   []uint8
+		disk  uint32
+		count uint32
+		exts  []Extent
+		// wdata follows the table on a write, rdata on a read.
+		wdata, rdata []byte
 	}{
-		{"short table", OpWrite, extentPayload(2, []Extent{{0, 1}}, nil)},
-		{"table longer than payload", OpWrite, extentPayload(1000, []Extent{{0, 1}}, blk(1))},
-		{"table count wraps uint32*12", OpWrite, extentPayload(math.MaxUint32, []Extent{{0, 1}}, blk(1))},
-		{"zero-length extent", OpWrite, extentPayload(2, []Extent{{0, 1}, {4, 0}}, blk(1))},
-		{"negative block", OpWrite, extentPayload(1, []Extent{{-1, 1}}, blk(1))},
-		{"past the disk", OpWrite, extentPayload(2, []Extent{{0, 1}, {extTestBlocks - 1, 2}}, blk(3))},
-		{"block+blocks wraps int64", OpWrite, extentPayload(2, []Extent{{0, 1}, {math.MaxInt64, 2}}, blk(3))},
-		{"blocks beyond any disk", OpWrite, extentPayload(1, []Extent{{1, math.MaxUint32}}, blk(1))},
-		{"descending", OpWrite, extentPayload(2, []Extent{{8, 1}, {2, 1}}, blk(2))},
-		{"overlapping", OpWrite, extentPayload(2, []Extent{{2, 3}, {4, 1}}, blk(4))},
-		{"repeated", OpWrite, extentPayload(2, []Extent{{2, 1}, {2, 1}}, blk(2))},
-		{"data longer than table", OpWrite, extentPayload(2, []Extent{{0, 1}, {4, 1}}, blk(3))},
-		{"data shorter than table", OpWrite, extentPayload(2, []Extent{{0, 1}, {4, 2}}, blk(2))},
-		{"data not whole blocks", OpWrite, extentPayload(1, []Extent{{0, 1}}, blk(1)[:bs-1])},
-		{"background write with a table", OpWriteBG, extentPayload(1, []Extent{{0, 1}}, blk(1))},
+		{name: "no extent table", ops: blockOps, count: 0, wdata: blk(1)},
+		{name: "short table", ops: blockOps, count: 2, exts: []Extent{{0, 1}}},
+		{name: "table longer than payload", ops: blockOps, count: 1000, exts: []Extent{{0, 1}}, wdata: blk(1)},
+		{name: "table count wraps uint32*12", ops: blockOps, count: math.MaxUint32, exts: []Extent{{0, 1}}, wdata: blk(1)},
+		{name: "zero-length extent", ops: blockOps, count: 2, exts: []Extent{{0, 1}, {4, 0}}, wdata: blk(1)},
+		{name: "negative block", ops: blockOps, count: 1, exts: []Extent{{-1, 1}}, wdata: blk(1)},
+		{name: "past the disk", ops: blockOps, count: 2, exts: []Extent{{0, 1}, {extTestBlocks - 1, 2}}, wdata: blk(3)},
+		{name: "block+blocks wraps int64", ops: blockOps, count: 2, exts: []Extent{{0, 1}, {math.MaxInt64, 2}}, wdata: blk(3)},
+		{name: "blocks beyond any disk", ops: blockOps, count: 1, exts: []Extent{{1, math.MaxUint32}}, wdata: blk(1)},
+		{name: "descending", ops: blockOps, count: 2, exts: []Extent{{8, 1}, {2, 1}}, wdata: blk(2)},
+		{name: "overlapping", ops: blockOps, count: 2, exts: []Extent{{2, 3}, {4, 1}}, wdata: blk(4)},
+		{name: "repeated", ops: blockOps, count: 2, exts: []Extent{{2, 1}, {2, 1}}, wdata: blk(2)},
+		{name: "no such disk", ops: blockOps, disk: 2, count: 1, exts: []Extent{{0, 1}}, wdata: blk(1)},
+		{name: "data longer than table", ops: writes, count: 2, exts: []Extent{{0, 1}, {4, 1}}, wdata: blk(3)},
+		{name: "data shorter than table", ops: writes, count: 2, exts: []Extent{{0, 1}, {4, 2}}, wdata: blk(2)},
+		{name: "data not whole blocks", ops: writes, count: 1, exts: []Extent{{0, 1}}, wdata: blk(1)[:bs-1]},
+		{name: "read table followed by data", ops: []uint8{OpRead}, count: 1, exts: []Extent{{0, 1}}, rdata: blk(1)},
+		{name: "read beyond one frame", ops: []uint8{OpRead}, disk: 1, count: 1, exts: []Extent{{0, uint32(bigBlocks)}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := patterned(t, n)
-			_, err := c.Transport().Call(context.Background(), tc.op, tc.payload)
-			var re *transport.RemoteError
-			if !errors.As(err, &re) || re.Code != transport.CodeBadRequest {
-				t.Fatalf("err = %v, want CodeBadRequest", err)
-			}
-			if !bytes.Equal(diskImage(t, n), want) {
-				t.Fatal("a rejected request changed the disk")
+			for _, op := range tc.ops {
+				t.Run(strings.TrimPrefix(opSpanName(op), "mgr."), func(t *testing.T) {
+					data := tc.wdata
+					if op == OpRead {
+						data = tc.rdata
+					}
+					want := patterned(t, n)
+					_, err := c.Transport().Call(context.Background(), op, blockPayload(tc.disk, tc.count, tc.exts, data))
+					var re *transport.RemoteError
+					if !errors.As(err, &re) || re.Code != transport.CodeBadRequest {
+						t.Fatalf("err = %v, want CodeBadRequest", err)
+					}
+					if !bytes.Equal(diskImage(t, n), want) {
+						t.Fatal("a rejected request changed the disk")
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestWriteExtentsRoundTrip: the well-formed twin of the table above —
-// adjacent and separated extents, first and last block of the disk.
+// TestWriteExtentsRoundTrip: the well-formed twin of the table above, one
+// request per row — adjacent and separated extents, first and last block
+// of the disk — and each counted as one op of its kind.
 func TestWriteExtentsRoundTrip(t *testing.T) {
 	n := startNode(t, 1, extTestBlocks)
 	c, err := Connect(n.Addr())
@@ -105,25 +141,53 @@ func TestWriteExtentsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	want := patterned(t, n)
-	exts := []Extent{{0, 1}, {1, 2}, {7, 1}, {extTestBlocks - 1, 1}}
-	var segs [][]byte
-	for _, e := range exts {
-		for b := e.Block; b < e.Block+int64(e.Blocks); b++ {
-			seg := bytes.Repeat([]byte{byte(b) + 1}, 512)
-			segs = append(segs, seg)
-			copy(want[b*512:], seg)
-		}
+	dev := c.Dev(0)
+	ctx := context.Background()
+	cases := []struct {
+		name    string
+		op      uint8
+		counter string
+		exts    []Extent
+	}{
+		{"write", OpWrite, "mgr.write_ops", []Extent{{0, 1}, {1, 2}, {7, 1}, {extTestBlocks - 1, 1}}},
+		{"background write, one extent", OpWriteBG, "mgr.bg_write_ops", []Extent{{3, 2}}},
+		{"background write, two extents", OpWriteBG, "mgr.bg_write_ops", []Extent{{0, 1}, {extTestBlocks - 2, 2}}},
+		{"read, two extents", OpRead, "mgr.read_ops", []Extent{{9, 2}, {12, 1}}},
 	}
-	before := n.Manager.Obs().Counter("mgr.write_ops").Value()
-	if err := c.Dev(0).WriteExtents(context.Background(), exts, segs); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.Manager.Obs().Counter("mgr.write_ops").Value() - before; got != 1 {
-		t.Errorf("one multi-extent write counted as %d write ops", got)
-	}
-	if !bytes.Equal(diskImage(t, n), want) {
-		t.Fatal("extents landed at the wrong blocks")
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := patterned(t, n)
+			var segs [][]byte
+			var read []byte // what a read must return, in table order
+			for _, e := range tc.exts {
+				for b := e.Block; b < e.Block+int64(e.Blocks); b++ {
+					seg := bytes.Repeat([]byte{byte(16*i) + byte(b) + 1}, 512)
+					if tc.op == OpRead {
+						read = append(read, want[b*512:(b+1)*512]...)
+					} else {
+						copy(want[b*512:], seg)
+					}
+					segs = append(segs, seg)
+				}
+			}
+			counter := n.Manager.Obs().Counter(tc.counter)
+			before := counter.Value()
+			if err := dev.blockIO(ctx, tc.op, tc.exts, segs); err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := counter.Value() - before; got != 1 {
+				t.Errorf("one %d-extent request counted as %d %s", len(tc.exts), got, tc.counter)
+			}
+			if tc.op == OpRead && !bytes.Equal(bytes.Join(segs, nil), read) {
+				t.Error("the extents came back out of table order or wrong")
+			}
+			if !bytes.Equal(diskImage(t, n), want) {
+				t.Fatal("extents landed at the wrong blocks")
+			}
+		})
 	}
 }
 
@@ -150,23 +214,31 @@ func TestWriteExtentsStaleEpoch(t *testing.T) {
 	}
 }
 
-// FuzzWriteExtents: whatever follows a valid header, the manager never
-// panics, and a request it rejects has written nothing.
+// FuzzWriteExtents: whatever block op follows a valid header, the
+// manager never panics, and a request it rejects has written nothing.
 func FuzzWriteExtents(f *testing.F) {
 	n := startNode(f, 1, extTestBlocks)
 	seg := bytes.Repeat([]byte{0xEE}, 512)
-	f.Add(uint32(2), extentPayload(0, []Extent{{1, 1}, {5, 1}}, append(seg, seg...))[ioHeaderLen:])
-	f.Add(uint32(2), extentPayload(0, []Extent{{5, 1}, {1, 1}}, append(seg, seg...))[ioHeaderLen:])
-	f.Add(uint32(1), extentPayload(0, []Extent{{15, 2}}, append(seg, seg...))[ioHeaderLen:])
-	f.Add(uint32(3), extentPayload(0, []Extent{{0, 1}}, seg)[ioHeaderLen:])
-	f.Add(uint32(0), seg)
+	f.Add(OpWrite, uint32(2), blockPayload(0, 0, []Extent{{1, 1}, {5, 1}}, append(seg, seg...))[ioHeaderLen:])
+	f.Add(OpWriteBG, uint32(2), blockPayload(0, 0, []Extent{{5, 1}, {1, 1}}, append(seg, seg...))[ioHeaderLen:])
+	f.Add(OpWrite, uint32(1), blockPayload(0, 0, []Extent{{15, 2}}, append(seg, seg...))[ioHeaderLen:])
+	f.Add(OpRead, uint32(2), blockPayload(0, 0, []Extent{{0, 1}, {4, 3}}, nil)[ioHeaderLen:])
+	f.Add(OpRead, uint32(1), blockPayload(0, 0, []Extent{{0, 1}}, seg)[ioHeaderLen:])
+	f.Add(OpWriteBG, uint32(0), seg)
 	want := patterned(f, n)
-	f.Fuzz(func(t *testing.T, count uint32, body []byte) {
+	f.Fuzz(func(t *testing.T, op uint8, count uint32, body []byte) {
+		op = blockOps[int(op)%len(blockOps)]
 		payload := encodeIOHeader(ioHeader{Disk: 0, Count: count}, body)
-		if _, err := n.Manager.Handle(context.Background(), OpWrite, payload); err == nil {
-			want = patterned(t, n) // accepted: a legitimate write, start over
-		} else if !bytes.Equal(diskImage(t, n), want) {
-			t.Fatalf("rejected (%v) but the disk changed", err)
+		resp, err := n.Manager.Handle(context.Background(), op, payload)
+		if err == nil {
+			bufpool.Put(resp)
+			if op != OpRead {
+				want = patterned(t, n) // accepted: a legitimate write, start over
+				return
+			}
+		}
+		if !bytes.Equal(diskImage(t, n), want) {
+			t.Fatalf("%s (%v) but the disk changed", opSpanName(op), err)
 		}
 	})
 }

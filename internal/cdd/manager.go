@@ -289,60 +289,11 @@ func (m *Manager) handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 		}), nil
 
 	case OpRead, OpWrite, OpWriteBG:
-		h, data, err := decodeIOHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		// The one fence: block I/O placed with a layout older than the
-		// one this node has adopted is never served.
-		if err := m.checkEpoch(h.Gen); err != nil {
-			if op == OpWriteBG {
-				// The client sent this as a notification and will never
-				// see the rejection; count the dropped mirror write so
-				// the redundancy loss is observable.
-				m.met.bgStaleDrops.Inc()
-			}
-			return nil, err
-		}
-		d, err := m.disk(h.Disk)
-		if err != nil {
-			return nil, err
-		}
-		switch op {
-		case OpWriteBG:
-			if h.Count != 0 {
-				return nil, fmt.Errorf("cdd: background write with an extent table: %w", errBadRequest)
-			}
-			m.met.bgWrites.Inc()
-			return nil, d.WriteBlocksBackground(ctx, h.Block, data)
-		case OpWrite:
-			m.met.writes.Inc()
-			if h.Count > 0 {
-				return nil, writeExtents(ctx, d, h.Count, data)
-			}
-			return nil, d.WriteBlocks(ctx, h.Block, data)
-		}
-		m.met.reads.Inc()
-		nbytes := int64(h.Count) * int64(d.BlockSize())
-		if nbytes > transport.MaxPayload {
-			return nil, fmt.Errorf("cdd: read of %d bytes exceeds frame limit: %w", nbytes, errBadRequest)
-		}
-		// Pooled response: the server releases it once the frame is on
-		// the wire (RecycleResponses), closing the buffer's cycle.
-		buf := bufpool.Get(int(nbytes))
-		if err := d.ReadBlocks(ctx, h.Block, buf); err != nil {
-			bufpool.Put(buf)
-			return nil, err
-		}
-		return buf, nil
+		return m.blockIO(ctx, op, payload)
 
 	case OpFlush:
 		m.met.flushes.Inc()
-		h, _, err := decodeIOHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		d, err := m.disk(h.Disk)
+		d, err := m.diskOf(payload)
 		if err != nil {
 			return nil, err
 		}
@@ -350,11 +301,7 @@ func (m *Manager) handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 
 	case OpHealth:
 		m.met.probes.Inc()
-		h, _, err := decodeIOHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		d, err := m.disk(h.Disk)
+		d, err := m.diskOf(payload)
 		if err != nil {
 			return nil, err
 		}
@@ -364,11 +311,7 @@ func (m *Manager) handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 		return []byte{0}, nil
 
 	case OpFail:
-		h, _, err := decodeIOHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		d, err := m.disk(h.Disk)
+		d, err := m.diskOf(payload)
 		if err != nil {
 			return nil, err
 		}
@@ -376,18 +319,11 @@ func (m *Manager) handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 		return nil, nil
 
 	case OpReplace:
-		h, _, err := decodeIOHeader(payload)
+		d, err := m.diskOf(payload)
 		if err != nil {
 			return nil, err
 		}
-		d, err := m.disk(h.Disk)
-		if err != nil {
-			return nil, err
-		}
-		if err := d.Replace(); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		return nil, d.Replace()
 
 	case OpLock:
 		m.met.lockOps.Inc()
@@ -436,11 +372,7 @@ func (m *Manager) handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 		return encodeSnapshot(m.locks.Version(), m.locks.Snapshot()), nil
 
 	case OpStats:
-		h, _, err := decodeIOHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		d, err := m.disk(h.Disk)
+		d, err := m.diskOf(payload)
 		if err != nil {
 			return nil, err
 		}
@@ -521,26 +453,79 @@ func (m *Manager) handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 	return nil, fmt.Errorf("cdd: op %d: %w", op, errUnknownOp)
 }
 
-// writeExtents serves a multi-extent OpWrite: the whole table is
-// validated before the first block is written, then each extent is
-// written in table order straight from the request buffer. The first
-// error aborts; extents before it have landed, as with a torn vectored
-// write, so the client resends every block of a failed request.
-func writeExtents(ctx context.Context, d *disk.Disk, k uint32, payload []byte) error {
-	bs := d.BlockSize()
-	tab, data, err := splitExtents(payload, k, bs, d.NumBlocks())
+// blockIO serves OpRead, OpWrite and OpWriteBG: the generation fence,
+// the disk, the whole extent table validated, then one disk call per
+// extent in table order — a write's straight from the request buffer, a
+// read's into one pooled response the server releases once the frame is
+// on the wire (RecycleResponses). The first disk error aborts; extents
+// before it have moved, as with a torn vectored write, so a client
+// resends every block of a failed write.
+func (m *Manager) blockIO(ctx context.Context, op uint8, payload []byte) ([]byte, error) {
+	h, body, err := decodeIOHeader(payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for i := 0; i < int(k); i++ {
-		e := extentAt(tab, i)
-		n := int(e.Blocks) * bs
-		if err := d.WriteBlocks(ctx, e.Block, data[:n]); err != nil {
-			return err
+	// The one fence: block I/O placed with a layout older than the one
+	// this node has adopted is never served.
+	if err := m.checkEpoch(h.Gen); err != nil {
+		if op == OpWriteBG {
+			// The client sent this as a notification and will never see
+			// the rejection; count the dropped mirror write so the
+			// redundancy loss is observable.
+			m.met.bgStaleDrops.Inc()
 		}
-		data = data[n:]
+		return nil, err
 	}
-	return nil
+	d, err := m.disk(h.Disk)
+	if err != nil {
+		return nil, err
+	}
+	switch op {
+	case OpRead:
+		m.met.reads.Inc()
+	case OpWrite:
+		m.met.writes.Inc()
+	default:
+		m.met.bgWrites.Inc()
+	}
+	bs := d.BlockSize()
+	tab, data, n, err := splitExtents(body, h.Count, bs, d.NumBlocks(), op == OpRead)
+	if err != nil {
+		return nil, err
+	}
+	var resp []byte
+	if op == OpRead {
+		resp = bufpool.Get(n)
+		data = resp
+	}
+	for i := 0; i < int(h.Count); i++ {
+		e := extentAt(tab, i)
+		seg := data[:int(e.Blocks)*bs]
+		data = data[len(seg):]
+		switch op {
+		case OpRead:
+			err = d.ReadBlocks(ctx, e.Block, seg)
+		case OpWrite:
+			err = d.WriteBlocks(ctx, e.Block, seg)
+		default:
+			err = d.WriteBlocksBackground(ctx, e.Block, seg)
+		}
+		if err != nil {
+			bufpool.Put(resp)
+			return nil, err
+		}
+	}
+	return resp, nil
+}
+
+// diskOf addresses a per-disk control op: its payload is a bare I/O
+// header naming the disk.
+func (m *Manager) diskOf(payload []byte) (*disk.Disk, error) {
+	h, _, err := decodeIOHeader(payload)
+	if err != nil {
+		return nil, err
+	}
+	return m.disk(h.Disk)
 }
 
 // Node couples a manager with its transport server.

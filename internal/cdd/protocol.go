@@ -5,22 +5,24 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/transport"
 )
 
 // Opcodes of the CDD wire protocol. There is one block-I/O family:
-// OpRead, OpWrite and OpWriteBG carry, inside the I/O header, the layout
-// generation the sender's placement map was built from (0 = the base
-// layout), and a node that has adopted a newer generation answers
-// CodeStaleEpoch instead of serving a placement computed from a retired
-// layout (epoch.go). Flush and every control op stay open.
+// OpRead, OpWrite and OpWriteBG address their blocks with an extent table
+// and carry, inside the I/O header, the layout generation the sender's
+// placement map was built from (0 = the base layout); a node that has
+// adopted a newer generation answers CodeStaleEpoch instead of serving a
+// placement computed from a retired layout (epoch.go). Flush and every
+// control op stay open.
 const (
 	// OpInfo returns node metadata: disk count, block size, per-disk
 	// capacity.
 	OpInfo uint8 = iota + 1
-	// OpRead reads count blocks from one disk.
+	// OpRead reads the extents of one disk's table (see ioHeader).
 	OpRead
-	// OpWrite writes blocks to one disk: one extent, or several under an
-	// extent table (see ioHeader).
+	// OpWrite writes the extents of one disk's table.
 	OpWrite
 	// OpWriteBG is OpWrite as a notification: the deferred mirror push.
 	// The sender never sees a stale-generation rejection, so the node
@@ -184,20 +186,20 @@ func decodeInfo(b []byte) (infoResp, error) {
 
 // ioHeader prefixes OpRead/OpWrite/OpWriteBG payloads, and addresses
 // the disk of the per-disk control ops (flush, health, stats, fail,
-// replace), which leave Gen zero and are never checked against it.
+// replace), which leave Count and Gen zero and are never checked
+// against them.
 //
-// Count is the blocks to read on OpRead. On OpWrite, 0 means one extent
-// at Block whose length the payload implies; k > 0 means the payload is
-// an extent table of k descriptors followed by the extents' data back to
-// back, and Block is unused. OpWriteBG carries no table.
+// A block op's payload starts with an extent table of Count >= 1
+// descriptors. A write's data follows the table, the extents' blocks
+// back to back; a read carries nothing after it, and its response is the
+// extents' blocks in table order.
 type ioHeader struct {
 	Disk  uint32
-	Block int64
 	Count uint32
 	Gen   uint64 // layout generation the sender placed this I/O with
 }
 
-const ioHeaderLen = 24
+const ioHeaderLen = 16
 
 // Extent is a run of consecutive blocks on one disk; its wire form is
 // block int64, blocks uint32, big-endian like the header.
@@ -206,15 +208,7 @@ type Extent struct {
 	Blocks uint32
 }
 
-const (
-	extentLen = 12
-	// One multi-extent write carries at most this many extents and this
-	// many bytes of blocks; with <= 256 extents the table is smaller than
-	// a 4 KiB block, so a node that predates the table fails the frame
-	// with a size error instead of writing it somewhere.
-	maxExtents     = 256
-	maxExtentBytes = 1 << 20
-)
+const extentLen = 12
 
 func appendExtent(tab []byte, e Extent) []byte {
 	tab = binary.BigEndian.AppendUint64(tab, uint64(e.Block))
@@ -226,48 +220,49 @@ func extentAt(tab []byte, i int) Extent {
 	return Extent{Block: int64(binary.BigEndian.Uint64(b[0:8])), Blocks: binary.BigEndian.Uint32(b[8:12])}
 }
 
-// splitExtents validates a k-extent write payload against a disk of
-// numBlocks blocks of bs bytes and splits it into table and data. The
-// whole table is checked before the caller writes anything: every extent
-// non-empty and inside the disk, extents ascending without overlap, and
-// the data exactly as long as the table says.
-func splitExtents(payload []byte, k uint32, bs int, numBlocks int64) (tab, data []byte, err error) {
-	n := int64(k) * extentLen
-	if n > int64(len(payload)) {
-		return nil, nil, fmt.Errorf("cdd: %d-extent table exceeds %d-byte payload: %w", k, len(payload), errBadRequest)
+// splitExtents validates a block op's k-extent payload against a disk of
+// numBlocks blocks of bs bytes and splits it into table and data; n is
+// the bytes the extents span. The whole table is checked before any block
+// moves: at least one extent, every extent non-empty and inside the disk,
+// extents ascending without overlap. A write's data is exactly as long as
+// the table says; a read carries no data and spans at most one frame.
+func splitExtents(payload []byte, k uint32, bs int, numBlocks int64, read bool) (tab, data []byte, n int, err error) {
+	tl := int64(k) * extentLen
+	if k == 0 || tl > int64(len(payload)) {
+		return nil, nil, 0, fmt.Errorf("cdd: %d-extent table in a %d-byte payload: %w", k, len(payload), errBadRequest)
 	}
-	tab, data = payload[:n], payload[n:]
+	tab, data = payload[:tl], payload[tl:]
 	var end, total int64 // end of the previous extent; blocks so far (<= numBlocks)
 	for i := 0; i < int(k); i++ {
 		e := extentAt(tab, i)
 		if e.Blocks == 0 || e.Block < end || e.Block > numBlocks-int64(e.Blocks) {
-			return nil, nil, fmt.Errorf("cdd: extent %d (%d+%d) empty, out of order or outside %d blocks: %w", i, e.Block, e.Blocks, numBlocks, errBadRequest)
+			return nil, nil, 0, fmt.Errorf("cdd: extent %d (%d+%d) empty, out of order or outside %d blocks: %w", i, e.Block, e.Blocks, numBlocks, errBadRequest)
 		}
 		end = e.Block + int64(e.Blocks)
 		total += int64(e.Blocks)
 	}
-	if total*int64(bs) != int64(len(data)) {
-		return nil, nil, fmt.Errorf("cdd: extent table covers %d blocks, payload carries %d bytes: %w", total, len(data), errBadRequest)
+	size := total * int64(bs)
+	switch {
+	case read && size > transport.MaxPayload:
+		return nil, nil, 0, fmt.Errorf("cdd: read of %d bytes exceeds frame limit: %w", size, errBadRequest)
+	case read && len(data) != 0:
+		return nil, nil, 0, fmt.Errorf("cdd: read table followed by %d data bytes: %w", len(data), errBadRequest)
+	case !read && size != int64(len(data)):
+		return nil, nil, 0, fmt.Errorf("cdd: extent table covers %d blocks, payload carries %d bytes: %w", total, len(data), errBadRequest)
 	}
-	return tab, data, nil
+	return tab, data, int(size), nil
 }
 
-// putIOHeader encodes h into a caller-owned array — the allocation-free
-// alternative to encodeIOHeader for the hot path, where the header
-// travels as its own gather segment instead of being copied in front of
-// the payload.
-func putIOHeader(b *[ioHeaderLen]byte, h ioHeader) {
-	binary.BigEndian.PutUint32(b[0:4], h.Disk)
-	binary.BigEndian.PutUint64(b[4:12], uint64(h.Block))
-	binary.BigEndian.PutUint32(b[12:16], h.Count)
-	binary.BigEndian.PutUint64(b[16:24], h.Gen)
+// appendIOHeader appends h's wire form to b — on the hot path into the
+// pooled request scratch, ahead of the extent table.
+func appendIOHeader(b []byte, h ioHeader) []byte {
+	b = binary.BigEndian.AppendUint32(b, h.Disk)
+	b = binary.BigEndian.AppendUint32(b, h.Count)
+	return binary.BigEndian.AppendUint64(b, h.Gen)
 }
 
 func encodeIOHeader(h ioHeader, payload []byte) []byte {
-	b := make([]byte, ioHeaderLen+len(payload))
-	putIOHeader((*[ioHeaderLen]byte)(b), h)
-	copy(b[ioHeaderLen:], payload)
-	return b
+	return append(appendIOHeader(make([]byte, 0, ioHeaderLen+len(payload)), h), payload...)
 }
 
 func decodeIOHeader(b []byte) (ioHeader, []byte, error) {
@@ -276,9 +271,8 @@ func decodeIOHeader(b []byte) (ioHeader, []byte, error) {
 	}
 	return ioHeader{
 		Disk:  binary.BigEndian.Uint32(b[0:4]),
-		Block: int64(binary.BigEndian.Uint64(b[4:12])),
-		Count: binary.BigEndian.Uint32(b[12:16]),
-		Gen:   binary.BigEndian.Uint64(b[16:24]),
+		Count: binary.BigEndian.Uint32(b[4:8]),
+		Gen:   binary.BigEndian.Uint64(b[8:16]),
 	}, b[ioHeaderLen:], nil
 }
 

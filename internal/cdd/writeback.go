@@ -316,6 +316,13 @@ func (c *CachedDev) flushLocked(ctx context.Context) (err error) {
 	return nil
 }
 
+// One group-commit write carries at most this many extents and this many
+// bytes of blocks; a larger dirty set goes out as consecutive writes.
+const (
+	maxExtents     = 256
+	maxExtentBytes = 1 << 20
+)
+
 // commit sends the gathered extents (segsScratch: their dirty buffers,
 // one per block) as one write, then moves the blocks out of the dirty
 // map into the read cache and empties the gather lists.

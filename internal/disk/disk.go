@@ -244,18 +244,24 @@ func (d *Disk) checkUp() error {
 	return nil
 }
 
-// blockCount validates a multi-block buffer and returns its length in
-// blocks.
-func (d *Disk) blockCount(b int64, buf []byte) (int64, error) {
+// checkRange validates a scatter/gather list of total bytes at block b:
+// each segment a positive multiple of the block size, the run inside the
+// disk.
+func (d *Disk) checkRange(b int64, segs [][]byte, total int) error {
 	bs := d.st.BlockSize()
-	if len(buf) == 0 || len(buf)%bs != 0 {
-		return 0, &store.SizeError{Got: len(buf), Want: bs}
+	for _, s := range segs {
+		if len(s) == 0 || len(s)%bs != 0 {
+			return &store.SizeError{Got: len(s), Want: bs}
+		}
 	}
-	n := int64(len(buf) / bs)
+	if total == 0 {
+		return &store.SizeError{Got: 0, Want: bs}
+	}
+	n := int64(total / bs)
 	if b < 0 || b+n > d.st.NumBlocks() {
-		return 0, &store.RangeError{Block: b + n - 1, Max: d.st.NumBlocks()}
+		return &store.RangeError{Block: b + n - 1, Max: d.st.NumBlocks()}
 	}
-	return n, nil
+	return nil
 }
 
 // noteAccess updates sequential-run detection for an n-byte access at
@@ -300,35 +306,26 @@ func (d *Disk) charge(ctx context.Context, b int64, n int, background bool) {
 }
 
 // ReadBlocks reads len(buf)/BlockSize consecutive blocks starting at b.
-func (d *Disk) ReadBlocks(ctx context.Context, b int64, buf []byte) (err error) {
-	h := trace.StartLeaf(ctx, "disk.read", d.id)
-	h.Val = int64(len(buf))
-	defer func() { h.End(err) }()
-	if err := d.checkUp(); err != nil {
-		return err
-	}
-	n, err := d.blockCount(b, buf)
-	if err != nil {
-		return err
-	}
-	d.charge(ctx, b, len(buf), false)
-	bs := d.st.BlockSize()
-	for i := int64(0); i < n; i++ {
-		if err := d.st.ReadBlock(b+i, buf[int(i)*bs:int(i+1)*bs]); err != nil {
-			return err
-		}
-	}
-	d.mu.Lock()
-	d.reads++
-	d.bytesRead += int64(len(buf))
-	d.mu.Unlock()
-	return nil
+func (d *Disk) ReadBlocks(ctx context.Context, b int64, buf []byte) error {
+	return d.transfer(ctx, b, [][]byte{buf}, xferRead)
+}
+
+// ReadBlocksVec implements raid.VecDev: one disk access (one seek, one
+// sequential transfer for timing purposes) scattered into segs.
+func (d *Disk) ReadBlocksVec(ctx context.Context, b int64, segs [][]byte) error {
+	return d.transfer(ctx, b, segs, xferRead)
 }
 
 // WriteBlocks writes len(data)/BlockSize consecutive blocks starting at
 // b, blocking for the full access time.
 func (d *Disk) WriteBlocks(ctx context.Context, b int64, data []byte) error {
-	return d.write(ctx, b, data, false)
+	return d.transfer(ctx, b, [][]byte{data}, xferWrite)
+}
+
+// WriteBlocksVec implements raid.VecDev: one disk access gathered from
+// segs.
+func (d *Disk) WriteBlocksVec(ctx context.Context, b int64, segs [][]byte) error {
+	return d.transfer(ctx, b, segs, xferWrite)
 }
 
 // WriteBlocksBackground writes like WriteBlocks but does not block the
@@ -337,34 +334,61 @@ func (d *Disk) WriteBlocks(ctx context.Context, b int64, data []byte) error {
 // background, exactly the deferred mirror-update semantics of the CDD.
 // Foreground requests issued afterwards queue behind the reservation.
 func (d *Disk) WriteBlocksBackground(ctx context.Context, b int64, data []byte) error {
-	return d.write(ctx, b, data, true)
+	return d.transfer(ctx, b, [][]byte{data}, xferBgWrite)
 }
 
-func (d *Disk) write(ctx context.Context, b int64, data []byte, background bool) (err error) {
-	name := "disk.write"
-	if background {
-		name = "disk.bg-write"
+// xfer is the kind of one disk access.
+type xfer uint8
+
+const (
+	xferRead xfer = iota
+	xferWrite
+	xferBgWrite
+)
+
+var xferSpans = [...]string{xferRead: "disk.read", xferWrite: "disk.write", xferBgWrite: "disk.bg-write"}
+
+// transfer is every access's one body: consecutive blocks from b moved
+// between the store and segs, charged to the timing model as a single
+// access.
+func (d *Disk) transfer(ctx context.Context, b int64, segs [][]byte, k xfer) (err error) {
+	total := 0
+	for _, s := range segs {
+		total += len(s)
 	}
-	h := trace.StartLeaf(ctx, name, d.id)
-	h.Val = int64(len(data))
+	h := trace.StartLeaf(ctx, xferSpans[k], d.id)
+	h.Val = int64(total)
 	defer func() { h.End(err) }()
 	if err := d.checkUp(); err != nil {
 		return err
 	}
-	n, err := d.blockCount(b, data)
-	if err != nil {
+	if err := d.checkRange(b, segs, total); err != nil {
 		return err
 	}
-	d.charge(ctx, b, len(data), background)
+	d.charge(ctx, b, total, k == xferBgWrite)
 	bs := d.st.BlockSize()
-	for i := int64(0); i < n; i++ {
-		if err := d.st.WriteBlock(b+i, data[int(i)*bs:int(i+1)*bs]); err != nil {
-			return err
+	blk := b
+	for _, s := range segs {
+		for off := 0; off < len(s); off += bs {
+			if k == xferRead {
+				err = d.st.ReadBlock(blk, s[off:off+bs])
+			} else {
+				err = d.st.WriteBlock(blk, s[off:off+bs])
+			}
+			if err != nil {
+				return err
+			}
+			blk++
 		}
 	}
 	d.mu.Lock()
-	d.writes++
-	d.bytesWritten += int64(len(data))
+	if k == xferRead {
+		d.reads++
+		d.bytesRead += int64(total)
+	} else {
+		d.writes++
+		d.bytesWritten += int64(total)
+	}
 	d.mu.Unlock()
 	return nil
 }
