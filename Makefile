@@ -124,8 +124,11 @@ paritycheck:
 # run on the virtual clock and must match cmd/raidxbench/testdata byte
 # for byte. Regenerate with `go test ./cmd/raidxbench/ -run
 # TestPaperFiguresGolden -update` only when a number is meant to move.
+# Beside it, every client read of the degraded table, in all three
+# states, must return the prefilled data.
 figcheck:
 	$(GO) test -run TestPaperFiguresGolden -count=1 ./cmd/raidxbench/
+	$(GO) test -run TestDegradedSweepReadsPrefill -count=1 ./internal/bench/
 
 # obscheck runs the observability-plane shard (CI job `obs`): the
 # whole obs package (labeled instruments, time-series sampler, cluster

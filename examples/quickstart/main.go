@@ -71,8 +71,9 @@ func main() {
 	copy(data[10*arr.BlockSize():], update)
 	fmt.Println("degraded write OK")
 
-	// Replace the disk and rebuild it from the surviving copies.
-	if err := devs[2].(*raidx.Disk).Replace(); err != nil {
+	// Swap in a blank disk and rebuild it from the surviving copies. The
+	// array serves no read from it until the rebuild completes.
+	if _, err := arr.SwapDev(2, raidx.NewMemDevs(1, 1024, 4096)[0]); err != nil {
 		log.Fatal(err)
 	}
 	if err := arr.Rebuild(ctx, 2); err != nil {

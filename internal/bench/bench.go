@@ -113,14 +113,10 @@ func (r *Rig) Prefill(blocks int64) error {
 		return fmt.Errorf("bench: prefill %d blocks exceeds capacity %d", blocks, r.Arrays[0].Blocks())
 	}
 	bs := r.Arrays[0].BlockSize()
-	const chunk = 512
-	buf := make([]byte, chunk*bs)
-	for i := range buf {
-		buf[i] = byte(i * 131)
-	}
+	buf := prefillPattern(bs)
 	ctx := context.Background()
-	for b := int64(0); b < blocks; b += chunk {
-		n := int64(chunk)
+	for b := int64(0); b < blocks; b += prefillChunk {
+		n := int64(prefillChunk)
 		if b+n > blocks {
 			n = blocks - b
 		}
@@ -129,6 +125,19 @@ func (r *Rig) Prefill(blocks int64) error {
 		}
 	}
 	return r.Arrays[0].Flush(ctx)
+}
+
+// prefillChunk is how many blocks one Prefill write covers: logical
+// block b holds block b%prefillChunk of prefillPattern.
+const prefillChunk = 512
+
+// prefillPattern is the data of one Prefill write of blocks of bs bytes.
+func prefillPattern(bs int) []byte {
+	buf := make([]byte, prefillChunk*bs)
+	for i := range buf {
+		buf[i] = byte(i * 131)
+	}
+	return buf
 }
 
 // ClientWork is a workload body run by each simulated client.

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/andrew"
@@ -152,6 +154,41 @@ func TestDegradedSweepShapes(t *testing.T) {
 	}
 	if byState[StateRebuilding].RebuildTime <= 0 {
 		t.Error("rebuild time not measured")
+	}
+}
+
+// TestDegradedSweepReadsPrefill: at the parameters of `raidxbench
+// degraded`, every client of the four default systems reads back the
+// prefill pattern in every state — a rebuilding column that timed reads
+// of the emptied disk would be measuring wrong answers.
+func TestDegradedSweepReadsPrefill(t *testing.T) {
+	p := cluster.DefaultParams()
+	cfg := Config{LargeBytes: 2 << 20, SmallOps: 16}
+	want := prefillPattern(p.BlockSize)
+	for _, sys := range []System{RAID5, RAID10, Chained, RAIDx} {
+		var mu sync.Mutex
+		wrong := map[ArrayState]int{}
+		total := map[ArrayState]int{}
+		check := func(state ArrayState, lb int64, got []byte) {
+			mu.Lock()
+			defer mu.Unlock()
+			bs := p.BlockSize
+			for i := 0; i*bs < len(got); i++ {
+				off := int((lb+int64(i))%prefillChunk) * bs
+				total[state]++
+				if !bytes.Equal(got[i*bs:(i+1)*bs], want[off:off+bs]) {
+					wrong[state]++
+				}
+			}
+		}
+		if _, err := degradedSweep(p, sys, 8, cfg, check); err != nil {
+			t.Fatal(err)
+		}
+		for _, state := range []ArrayState{StateNormal, StateDegraded, StateRebuilding} {
+			if total[state] == 0 || wrong[state] != 0 {
+				t.Errorf("%s %s: %d of %d blocks read differ from the prefill", sys, state, wrong[state], total[state])
+			}
+		}
 	}
 }
 

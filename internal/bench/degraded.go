@@ -34,9 +34,17 @@ type DegradedResult struct {
 // classic question of how much a failure and its repair steal from
 // foreground service. Only redundant architectures are meaningful here.
 func DegradedSweep(p cluster.Params, sys System, clients int, cfg Config) ([]DegradedResult, error) {
+	return degradedSweep(p, sys, clients, cfg, nil)
+}
+
+// readCheck, when non-nil, is handed what each client read: the logical
+// block the read started at and the bytes it returned.
+type readCheck func(state ArrayState, lb int64, got []byte)
+
+func degradedSweep(p cluster.Params, sys System, clients int, cfg Config, check readCheck) ([]DegradedResult, error) {
 	var out []DegradedResult
 	for _, state := range []ArrayState{StateNormal, StateDegraded, StateRebuilding} {
-		r, err := runDegraded(p, sys, clients, cfg, state)
+		r, err := runDegraded(p, sys, clients, cfg, state, check)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", sys, state, err)
 		}
@@ -45,7 +53,7 @@ func DegradedSweep(p cluster.Params, sys System, clients int, cfg Config) ([]Deg
 	return out, nil
 }
 
-func runDegraded(p cluster.Params, sys System, clients int, cfg Config, state ArrayState) (DegradedResult, error) {
+func runDegraded(p cluster.Params, sys System, clients int, cfg Config, state ArrayState, check readCheck) (DegradedResult, error) {
 	rig, err := NewRig(p, sys, clients, core.Options{})
 	if err != nil {
 		return DegradedResult{}, err
@@ -72,6 +80,21 @@ func runDegraded(p cluster.Params, sys System, clients int, cfg Config, state Ar
 		if err := rig.C.Disks[victim].Replace(); err != nil {
 			return DegradedResult{}, err
 		}
+		// Every client's engine keeps its own member table: each must be
+		// told the member is blank, or its reads would use the emptied
+		// disk before the rebuild reaches the blocks they want.
+		for _, arr := range rig.Arrays {
+			sw, ok := arr.(interface {
+				raid.Restorer
+				raid.DevSwapper
+			})
+			if !ok {
+				return DegradedResult{}, fmt.Errorf("%s cannot swap a member", sys)
+			}
+			if _, err := sw.SwapDev(victim, sw.Members().Load().Devs[victim]); err != nil {
+				return DegradedResult{}, err
+			}
+		}
 	}
 
 	var rebuildTook time.Duration
@@ -93,7 +116,13 @@ func runDegraded(p cluster.Params, sys System, clients int, cfg Config, state Ar
 
 	work := func(ctx context.Context, client int, arr raid.Array) error {
 		buf := make([]byte, region*int64(bs))
-		return arr.ReadBlocks(ctx, int64(client)*region, buf)
+		if err := arr.ReadBlocks(ctx, int64(client)*region, buf); err != nil {
+			return err
+		}
+		if check != nil {
+			check(state, int64(client)*region, buf)
+		}
+		return nil
 	}
 	makespan, err := rig.RunClients(work)
 	if err != nil {

@@ -103,7 +103,10 @@ func (m *Members) fits(dev Dev) error {
 // Swap replaces member idx (typically a failed disk) with a hot spare of
 // matching geometry and returns the previous device; it is every engine's
 // SwapDev. The spare is published already blank — no reader may ever see
-// it as a valid source before its rebuild. Concurrent swaps serialize.
+// it as a valid source before its rebuild. dev may be the member's own
+// device, emptied in place (a Disk.Replace): that is how an in-process
+// caller tells the engine its member went blank. Concurrent swaps
+// serialize.
 func (m *Members) Swap(idx int, dev Dev) (Dev, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -114,9 +117,20 @@ func (m *Members) Swap(idx int, dev Dev) (Dev, error) {
 	if err := m.fits(dev); err != nil {
 		return nil, err
 	}
-	m.edit(func(v *MemberView) { v.Devs[idx], v.blank[idx] = dev, true })
-	m.events.Append(obs.EventSwap, fmt.Sprintf("%s/d%d", m.name, idx), "hot spare installed")
+	m.mask(idx, dev)
+	detail := "hot spare installed"
+	if cur[idx] == dev {
+		detail = "device emptied in place"
+	}
+	m.events.Append(obs.EventSwap, fmt.Sprintf("%s/d%d", m.name, idx), detail)
 	return cur[idx], nil
+}
+
+// mask publishes dev as member idx, blank: it takes writes and serves no
+// read until rebuilt unmasks it. It is the one place a member goes
+// blank. Callers hold m.mu.
+func (m *Members) mask(idx int, dev Dev) {
+	m.edit(func(v *MemberView) { v.Devs[idx], v.blank[idx] = dev, true })
 }
 
 // Append widens the table, and the intent log with it, by devs (an
@@ -138,9 +152,20 @@ func (m *Members) Append(devs []Dev) error {
 	return nil
 }
 
+// rebuilding masks member idx while dev, the device a whole-member
+// restore writes to, still holds the slot.
+func (m *Members) rebuilding(idx int, dev Dev) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.Load().Devs[idx] == dev {
+		m.mask(idx, dev)
+	}
+}
+
 // rebuilt records that dev, member idx, has been restored in full: the
 // copy supersedes any intents logged against the member, and it is a
-// read source again — unless a newer spare took its place meanwhile.
+// read source again — unless a newer spare took its place meanwhile. It
+// is the only code that clears a member's mask.
 func (m *Members) rebuilt(idx int, dev Dev) {
 	m.il.ClearDev(idx)
 	m.mu.Lock()

@@ -87,7 +87,7 @@ func repairTarget(m *Members, idx int, what string) (Dev, error) {
 		return nil, fmt.Errorf("%s: %s of device %d out of range", m.name, what, idx)
 	}
 	if devs[idx] == nil || !devs[idx].Healthy() {
-		return nil, fmt.Errorf("%s: %s target %d is not healthy (replace it first)", m.name, what, idx)
+		return nil, fmt.Errorf("%s: %s target %d is not healthy (swap in a spare with SwapDev first)", m.name, what, idx)
 	}
 	return devs[idx], nil
 }
@@ -118,7 +118,9 @@ type compare struct {
 // whole member, a resync its dirty regions; with cmp, a scrub or a
 // verify compares. prog, when non-nil, is the checkpoint of a
 // whole-member restore: what an earlier run restored is skipped, and the
-// checkpoint (with the rebuild gauge) is kept current after every chunk.
+// checkpoint (with the rebuild gauge) is kept current after every chunk,
+// and dev is masked from reads once the engine reconstructs the first
+// chunk: it may hold wrong blocks (a scrub found some) or none at all.
 // pace, when non-nil, is called after each chunk. restore returns the
 // number of blocks it wrote.
 func restore(ctx context.Context, r Restorer, idx int, dev Dev, lo, hi int64, prog *RebuildProgress, pace PaceFunc, cmp *compare) (copied int64, err error) {
@@ -131,6 +133,7 @@ func restore(ctx context.Context, r Restorer, idx int, dev Dev, lo, hi int64, pr
 	buf := bufpool.Get(int(min(hi-lo, width)) * bs)
 	defer bufpool.Put(buf)
 	var hole [rebuildChunk]bool
+	masked := false
 	ext, _ := r.Extents()
 	base := int64(0) // where the extent starts in the checkpoint's count
 	for _, e := range ext {
@@ -153,6 +156,12 @@ func restore(ctx context.Context, r Restorer, idx int, dev Dev, lo, hi int64, pr
 			} else {
 				clear(hole[:n])
 				err = r.Reconstruct(ctx, idx, c, buf[:n*bs], hole[:n])
+				if err == nil && prog != nil && !masked {
+					// The engine agreed to rebuild the member: from here
+					// until the rebuild completes, no read may use it.
+					m.rebuilding(idx, dev)
+					masked = true
+				}
 			}
 			for t := 0; t < n && err == nil; {
 				if hole[t] {

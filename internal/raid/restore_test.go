@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/layout"
+	"repro/internal/obs"
 	"repro/internal/raid"
 	"repro/internal/store"
 )
@@ -252,10 +253,13 @@ func head(c []devCall) string {
 	return fmt.Sprint(c)
 }
 
-// TestRepairSwapDevBlankUntilRebuilt: on every redundant engine a
-// swapped-in spare takes writes at once but serves no read until its
-// rebuild completes, and a rebuild that finishes after a newer spare took
-// the slot does not unmask the newer one.
+// TestRepairSwapDevBlankUntilRebuilt: on every redundant engine a member
+// the engine was told is blank — a swapped-in spare, or its own device
+// emptied in place and handed back through SwapDev — takes writes at once
+// but serves no read until its rebuild completes; so does a member a
+// rebuild is rewriting in place, whose blocks are known wrong. A rebuild
+// that finishes after a newer spare took the slot does not unmask the
+// newer one.
 func TestRepairSwapDevBlankUntilRebuilt(t *testing.T) {
 	const per, victim = 300, 2
 	type swappable interface {
@@ -275,15 +279,19 @@ func TestRepairSwapDevBlankUntilRebuilt(t *testing.T) {
 		{"raid10(4)", 4, func(devs []raid.Dev) (swappable, error) { return raid.NewRAID10(devs) }},
 		{"chained(4)", 4, func(devs []raid.Dev) (swappable, error) { return raid.NewChained(devs) }},
 	}
+	reads := func(d *disk.Disk) int64 { r, _, _, _ := d.Stats(); return r }
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
+		// setup builds the engine over fresh disks and fills it; readAll
+		// reads the whole array twice (the second pass prefers the other
+		// copy on the mirrored engines) and checks it against shadow.
+		setup := func(t *testing.T) (a swappable, devs []raid.Dev, raw []*disk.Disk, shadow []byte, readAll func(string)) {
 			ctx := context.Background()
-			devs, raw := mkDisks(c.n, per)
+			devs, raw = mkDisks(c.n, per)
 			a, err := c.build(devs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			shadow := make([]byte, a.Blocks()*int64(testBS))
+			shadow = make([]byte, a.Blocks()*int64(testBS))
 			fill(shadow, 61)
 			if err := a.WriteBlocks(ctx, 0, shadow); err != nil {
 				t.Fatal(err)
@@ -291,70 +299,30 @@ func TestRepairSwapDevBlankUntilRebuilt(t *testing.T) {
 			if err := a.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
-			readAll := func(when string) {
+			readAll = func(when string) {
 				t.Helper()
 				got := make([]byte, len(shadow))
-				if err := a.ReadBlocks(ctx, 0, got); err != nil {
-					t.Fatalf("read %s: %v", when, err)
-				}
-				if !bytes.Equal(got, shadow) {
-					t.Fatalf("read %s returned wrong data", when)
-				}
-			}
-			reads := func(d *disk.Disk) int64 { r, _, _, _ := d.Stats(); return r }
-
-			spares, spareDisks := mkDisks(2, per)
-			if _, err := a.SwapDev(c.n, spares[0]); err == nil {
-				t.Fatal("swap of a member out of range accepted")
-			}
-			tiny, _ := mkDisks(1, per/2)
-			if _, err := a.SwapDev(victim, tiny[0]); err == nil {
-				t.Fatal("undersized spare accepted")
-			}
-			raw[victim].Fail()
-			if old, err := a.SwapDev(victim, spares[0]); err != nil || old != devs[victim] {
-				t.Fatalf("swap returned (%v, %v), want the failed member", old, err)
-			}
-			// Blank: every write lands on the spare, no read touches it.
-			fill(shadow[:64*testBS], 62)
-			if err := a.WriteBlocks(ctx, 0, shadow[:64*testBS]); err != nil {
-				t.Fatal(err)
-			}
-			if _, w, _, _ := spareDisks[0].Stats(); w == 0 {
-				t.Fatal("a write skipped the blank spare")
-			}
-			readAll("with a blank spare")
-			readAll("with a blank spare, other copy preferred")
-			if r := reads(spareDisks[0]); r != 0 {
-				t.Fatalf("the blank spare served %d reads", r)
-			}
-			// A second spare takes the slot while the first one's rebuild is
-			// under way: the rebuild of the first must not unmask it.
-			swapped := false
-			err = raid.RebuildFrom(ctx, a, victim, nil, func(context.Context, int) error {
-				if !swapped {
-					swapped = true
-					if _, err := a.SwapDev(victim, spares[1]); err != nil {
-						t.Error(err)
+				for pass := 0; pass < 2; pass++ {
+					if err := a.ReadBlocks(ctx, 0, got); err != nil {
+						t.Fatalf("read %s: %v", when, err)
+					}
+					if !bytes.Equal(got, shadow) {
+						t.Fatalf("read %s returned wrong data", when)
 					}
 				}
-				return nil
-			})
-			if err != nil {
+			}
+			return a, devs, raw, shadow, readAll
+		}
+		// rebuilt rebuilds the victim and checks it is a read source again.
+		rebuilt := func(t *testing.T, a swappable, raw []*disk.Disk, victimDisk *disk.Disk, readAll func(string)) {
+			t.Helper()
+			if err := a.Rebuild(context.Background(), victim); err != nil {
 				t.Fatal(err)
 			}
-			readAll("after a superseded rebuild")
-			readAll("after a superseded rebuild, other copy preferred")
-			if r := reads(spareDisks[1]); r != 0 {
-				t.Fatalf("the second, never rebuilt spare served %d reads", r)
-			}
-			// Its own rebuild makes it a read source.
-			if err := a.Rebuild(ctx, victim); err != nil {
-				t.Fatal(err)
-			}
-			if err := a.Verify(ctx); err != nil {
+			if err := a.Verify(context.Background()); err != nil {
 				t.Fatalf("verify after rebuild: %v", err)
 			}
+			before := reads(victimDisk)
 			for i := range raw {
 				if i != victim {
 					raw[i].Fail()
@@ -362,9 +330,109 @@ func TestRepairSwapDevBlankUntilRebuilt(t *testing.T) {
 					raw[i].Readmit()
 				}
 			}
-			if r := reads(spareDisks[1]); r == 0 {
-				t.Fatal("the rebuilt spare serves no reads")
+			if reads(victimDisk) == before {
+				t.Fatal("the rebuilt member serves no reads")
 			}
+		}
+		t.Run(c.name, func(t *testing.T) {
+			t.Run("spare", func(t *testing.T) {
+				ctx := context.Background()
+				a, devs, raw, shadow, readAll := setup(t)
+				spares, spareDisks := mkDisks(2, per)
+				if _, err := a.SwapDev(c.n, spares[0]); err == nil {
+					t.Fatal("swap of a member out of range accepted")
+				}
+				tiny, _ := mkDisks(1, per/2)
+				if _, err := a.SwapDev(victim, tiny[0]); err == nil {
+					t.Fatal("undersized spare accepted")
+				}
+				raw[victim].Fail()
+				if old, err := a.SwapDev(victim, spares[0]); err != nil || old != devs[victim] {
+					t.Fatalf("swap returned (%v, %v), want the failed member", old, err)
+				}
+				// Blank: every write lands on the spare, no read touches it.
+				fill(shadow[:64*testBS], 62)
+				if err := a.WriteBlocks(ctx, 0, shadow[:64*testBS]); err != nil {
+					t.Fatal(err)
+				}
+				if _, w, _, _ := spareDisks[0].Stats(); w == 0 {
+					t.Fatal("a write skipped the blank spare")
+				}
+				readAll("with a blank spare")
+				if r := reads(spareDisks[0]); r != 0 {
+					t.Fatalf("the blank spare served %d reads", r)
+				}
+				// A second spare takes the slot while the first one's rebuild
+				// is under way: the rebuild of the first must not unmask it.
+				swapped := false
+				err := raid.RebuildFrom(ctx, a, victim, nil, func(context.Context, int) error {
+					if !swapped {
+						swapped = true
+						if _, err := a.SwapDev(victim, spares[1]); err != nil {
+							t.Error(err)
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				readAll("after a superseded rebuild")
+				if r := reads(spareDisks[1]); r != 0 {
+					t.Fatalf("the second, never rebuilt spare served %d reads", r)
+				}
+				// Its own rebuild makes it a read source.
+				rebuilt(t, a, raw, spareDisks[1], readAll)
+			})
+			t.Run("in place", func(t *testing.T) {
+				a, devs, raw, _, readAll := setup(t)
+				reg := obs.NewRegistry()
+				a.Members().Attach(nil, reg, nil)
+				raw[victim].Fail()
+				if err := raw[victim].Replace(); err != nil {
+					t.Fatal(err)
+				}
+				if old, err := a.SwapDev(victim, devs[victim]); err != nil || old != devs[victim] {
+					t.Fatalf("swap of the emptied member returned (%v, %v), want the member itself", old, err)
+				}
+				if ev := reg.Events().Events(); len(ev) != 1 || ev[0].Kind != obs.EventSwap || ev[0].Detail != "device emptied in place" {
+					t.Fatalf("swap events %+v, want one naming the in-place empty", ev)
+				}
+				before := reads(raw[victim])
+				readAll("with the member emptied in place")
+				if r := reads(raw[victim]) - before; r != 0 {
+					t.Fatalf("the emptied member served %d reads", r)
+				}
+				rebuilt(t, a, raw, raw[victim], readAll)
+			})
+			t.Run("rebuild in place", func(t *testing.T) {
+				ctx := context.Background()
+				a, _, raw, _, readAll := setup(t)
+				junk := make([]byte, per*testBS)
+				fill(junk, 63)
+				if err := raw[victim].WriteBlocks(ctx, 0, junk); err != nil {
+					t.Fatal(err)
+				}
+				// The member keeps its place; its rebuild alone must keep
+				// reads off the blocks it has not rewritten yet.
+				var served int64 = -1
+				err := raid.RebuildFrom(ctx, a, victim, nil, func(context.Context, int) error {
+					if served < 0 {
+						before := reads(raw[victim])
+						readAll("during a rebuild in place")
+						served = reads(raw[victim]) - before
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if served != 0 {
+					t.Fatalf("the member under rebuild served %d reads", served)
+				}
+				readAll("after the rebuild in place")
+				rebuilt(t, a, raw, raw[victim], readAll)
+			})
 		})
 	}
 }

@@ -36,8 +36,14 @@ func TestPublicAPILifecycle(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("degraded read mismatch")
 	}
-	if err := devs[1].(*Disk).Replace(); err != nil {
+	if _, err := arr.SwapDev(1, NewMemDevs(1, 256, 1024)[0]); err != nil {
 		t.Fatal(err)
+	}
+	if err := arr.ReadBlocks(ctx, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("read with a blank replacement mismatch")
 	}
 	if err := arr.Rebuild(ctx, 1); err != nil {
 		t.Fatal(err)
