@@ -87,7 +87,10 @@ bench:
 # context and nothing per branch — transport round trips, remote device
 # I/O at the benchmark's 4 KiB and 64 KiB sizes — measured 3 allocs for a
 # read and 3 for a write at both, limit 6 — the engine's stripe fan-out,
-# and coherent cache-hit reads — which
+# the parity engines' writes and degraded read, the mirrored engines'
+# 16-block reads and writes over 4 KiB blocks (raid10 6 / 8, chained
+# 8 / 12: a closure per run, no staging buffer per run), and coherent
+# cache-hit reads — which
 # must stay at 0 remote calls and <= 2 allocs; a write-back batch or a
 # scattered flush over a full cache costs no more than the one remote
 # write it makes; more than ten capacities of cache hits, halving sweeps
@@ -98,7 +101,10 @@ bench:
 # >= 0.69 at <= 0.175 misses per op (TestCallsCacheZipf; plain LRU
 # reads 0.631 / 0.212),
 # the engine's exact device-call set and issue order at layout generation
-# 0 and 1, the exact device-call set of a full rebuild through the one
+# 0 and 1 (TestCallsPlacement) and the baselines' — raid0, raid10,
+# chained, raid5, rs(6,2), afraid, healthy, with a member failed and with
+# a member blank (TestCallsForeground) — the exact device-call set of a
+# full rebuild through the one
 # restore loop for every redundant engine and then of a Verify (its
 # compare mode: every member's rebuild reads plus one read per chunk, no
 # write), none above one 128-block chunk (TestCallsRestore), and the

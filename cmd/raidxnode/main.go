@@ -71,12 +71,15 @@ func main() {
 		}()
 	}
 
+	// Signals are caught before Start: the node answers on the wire (the
+	// repair host's supervisor included) before Start returns, and a
+	// SIGTERM arriving in that window must still shut it down cleanly.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	n, err := node.Start(cfg)
 	if err != nil {
 		log.Fatalf("raidxnode: %v", err)
 	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("raidxnode %s: shutting down", cfg.Name)
 	// A crash skips Close; that is exactly what the images' unclean flag

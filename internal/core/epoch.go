@@ -1,12 +1,8 @@
 package core
 
 import (
-	"cmp"
-	"context"
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 
 	"repro/internal/layout"
 	"repro/internal/raid"
@@ -149,97 +145,19 @@ func NewAtEpoch(devs []raid.Dev, ep *layout.Epoch, opt Options) (*RAIDx, error) 
 	return a, nil
 }
 
-// ext is one block of a planned operation: logical block lb at physical
-// block phys of disk.
-type ext struct {
-	disk     int
-	phys, lb int64
-}
-
-// plan is the placement of one foreground operation over [b, b+n): where
-// every block and (for writes) every image lives under the epoch view
-// the operation loaded. Plans are pooled and their slices reused, so
-// placing an operation allocates nothing.
-type plan struct {
-	// data holds the blocks sorted by (disk, phys), so each disk's blocks
-	// fall into as few physically contiguous runs as possible and runs are
-	// issued in one deterministic order. segs[i] is data[i]'s block of the
-	// caller's buffer: a run's segments are its scatter/gather list. They
-	// alias the buffer — no bytes are copied; vector-aware devices carry
-	// them to the wire as-is, and raid.ReadBlocksVec/WriteBlocksVec
-	// coalesce through one pooled buffer for devices that need a flat
-	// transfer.
-	data []ext
-	segs [][]byte
-	// byLB and end are the counting sort's scratch: the blocks in logical
-	// order, and per-disk bucket bounds.
-	byLB []ext
-	end  []int
-	// img holds the images in logical order: img[i] is block b+i's.
-	img   []ext
-	spans []raid.Span // a write's runs, for the members' window
-	fns   []func(context.Context) error
-}
-
-var planPool = sync.Pool{New: func() any { return new(plan) }}
-
 // place plans the blocks of the caller's buffer p, starting at logical
-// block b, under layout view es and device view v. The data blocks are
-// ordered in linear time: a counting sort buckets them by disk and
-// leaves each bucket in logical order, which is already physical order
-// wherever placement is the base striping; a bucket holding override
-// placements is then sorted by physical block.
-func (a *RAIDx) place(es *epochState, v *raid.MemberView, b int64, p []byte, images bool) *plan {
-	pl := planPool.Get().(*plan)
-	width, bs := len(v.Devs), int64(a.bs)
-	pl.end = append(pl.end, make([]int, width+1)...)
+// block b, under layout view es: every data block where it lives and, for
+// writes, every image in logical order in the plan's Img.
+func (a *RAIDx) place(es *epochState, b int64, p []byte, images bool) *raid.Plan {
+	pl, bs := raid.NewPlan(), int64(a.bs)
 	for lb := b; lb < b+int64(len(p))/bs; lb++ {
 		d := es.dataLoc(lb)
-		pl.byLB = append(pl.byLB, ext{d.Disk, d.Block, lb})
-		pl.end[d.Disk+1]++
+		pl.Add(d.Disk, d.Block, lb, p[(lb-b)*bs:(lb-b+1)*bs])
 		if images {
 			m := es.mirrorLoc(lb)
-			pl.img = append(pl.img, ext{m.Disk, m.Block, lb})
+			pl.Img = append(pl.Img, raid.Ext{Disk: m.Disk, Phys: m.Block, LB: lb})
 		}
 	}
-	for d := 0; d < width; d++ {
-		pl.end[d+1] += pl.end[d] // where disk d's bucket starts
-	}
-	pl.data = append(pl.data, pl.byLB...)
-	for _, e := range pl.byLB {
-		pl.data[pl.end[e.disk]] = e
-		pl.end[e.disk]++ // ends up where the disk's bucket ends
-	}
-	lo := 0
-	for _, hi := range pl.end[:width] {
-		slices.SortFunc(pl.data[lo:hi], func(x, y ext) int { return cmp.Compare(x.phys, y.phys) })
-		lo = hi
-	}
-	for _, e := range pl.data {
-		pl.segs = append(pl.segs, p[(e.lb-b)*bs:(e.lb-b+1)*bs])
-	}
+	pl.Sort()
 	return pl
-}
-
-// release returns the plan to the pool. Lists are cleared first so a
-// pooled plan never pins caller buffers or closures.
-func (pl *plan) release() {
-	clear(pl.segs)
-	clear(pl.fns)
-	pl.data, pl.img, pl.segs, pl.fns, pl.spans = pl.data[:0], pl.img[:0], pl.segs[:0], pl.fns[:0], pl.spans[:0]
-	pl.byLB, pl.end = pl.byLB[:0], pl.end[:0]
-	planPool.Put(pl)
-}
-
-// runEnd returns the end of the run starting at exts[i]: consecutive
-// entries on one disk at consecutive physical blocks. A flat run — one
-// that must travel as a single contiguous piece of the caller's buffer —
-// also ends where the logical blocks stop being consecutive.
-func runEnd(exts []ext, i int, flat bool) int {
-	j := i + 1
-	for j < len(exts) && exts[j].disk == exts[i].disk && exts[j].phys == exts[j-1].phys+1 &&
-		(!flat || exts[j].lb == exts[j-1].lb+1) {
-		j++
-	}
-	return j
 }

@@ -263,18 +263,18 @@ func (a *RAIDx) ReadBlocks(ctx context.Context, b int64, p []byte) (err error) {
 	start := time.Now()
 	defer func() { a.met.readLat.Observe(time.Since(start)) }()
 	es, v := a.epoch.Load(), a.mem.Load()
-	pl := a.place(es, v, b, p, false)
-	defer pl.release()
-	for i, j := 0, 0; i < len(pl.data); i = j {
-		j = runEnd(pl.data, i, false)
-		run, segs := pl.data[i:j], pl.segs[i:j]
-		disk, phys := run[0].disk, run[0].phys
+	pl := a.place(es, b, p, false)
+	defer pl.Release()
+	for i, j := 0, 0; i < len(pl.Data); i = j {
+		j = raid.RunEnd(pl.Data, i, false)
+		run, segs := pl.Data[i:j], pl.Segs[i:j]
+		disk, phys := run[0].Disk, run[0].Phys
 		if !v.Readable(disk) {
 			// Degraded: fetch each block's image individually — images of
 			// one column scatter over many mirror groups.
 			for t := range run {
-				lb, dst, m := run[t].lb, segs[t], es.mirrorLoc(run[t].lb)
-				pl.fns = append(pl.fns, func(ctx context.Context) error {
+				lb, dst, m := run[t].LB, segs[t], es.mirrorLoc(run[t].LB)
+				pl.Fns = append(pl.Fns, func(ctx context.Context) error {
 					a.met.degradedReads.Inc()
 					if a.degradedNotify != nil {
 						a.degradedNotify(1)
@@ -291,12 +291,12 @@ func (a *RAIDx) ReadBlocks(ctx context.Context, b int64, p []byte) (err error) {
 		if a.opt.BalanceReads && len(run) == 1 {
 			// Load-balanced single-block read: alternate the preferred
 			// copy, then defer to whichever disk has less queued work.
-			if m := es.mirrorLoc(run[0].lb); v.Readable(m.Disk) {
+			if m := es.mirrorLoc(run[0].LB); v.Readable(m.Disk) {
 				mdev := v.Devs[m.Disk]
 				db, mb := raid.BacklogOf(dev), raid.BacklogOf(mdev)
 				if mb < db || (mb == db && a.flip.Add(1)%2 == 0) {
 					a.met.balancedMirror.Inc()
-					pl.fns = append(pl.fns, func(ctx context.Context) error {
+					pl.Fns = append(pl.Fns, func(ctx context.Context) error {
 						err := mdev.ReadBlocks(ctx, m.Block, segs[0])
 						if err == nil || ctx.Err() != nil {
 							return err
@@ -316,7 +316,7 @@ func (a *RAIDx) ReadBlocks(ctx context.Context, b int64, p []byte) (err error) {
 				a.met.balancedData.Inc()
 			}
 		}
-		pl.fns = append(pl.fns, func(ctx context.Context) (err error) {
+		pl.Fns = append(pl.Fns, func(ctx context.Context) (err error) {
 			ctx, ch := trace.Start(ctx, "raidx.col-read", a.col(disk))
 			ch.Val = int64(len(run) * a.bs)
 			defer func() { ch.End(err) }()
@@ -335,13 +335,13 @@ func (a *RAIDx) ReadBlocks(ctx context.Context, b int64, p []byte) (err error) {
 			a.noteFailover(disk, rerr)
 			fctx, fh := trace.Start(ctx, "raidx.failover", a.col(disk))
 			for t := 0; t < len(run) && err == nil; t++ {
-				err = a.readImage(fctx, v, run[t].lb, es.mirrorLoc(run[t].lb), segs[t], rerr)
+				err = a.readImage(fctx, v, run[t].LB, es.mirrorLoc(run[t].LB), segs[t], rerr)
 			}
 			fh.End(err)
 			return err
 		})
 	}
-	return par.Do(ctx, pl.fns...)
+	return par.Do(ctx, pl.Fns...)
 }
 
 // noteFailover records a read redirected from a failing primary copy on
@@ -388,18 +388,18 @@ func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) 
 	// lands, so the view loaded next places it where it lives throughout.
 	defer a.win.Exit(a.win.Enter(ctx, raid.Span{Lo: b, Hi: b + int64(n)}))
 	es, v := a.epoch.Load(), a.mem.Load()
-	pl := a.place(es, v, b, p, true)
-	defer pl.release()
-	for _, d := range pl.data {
-		if !v.Devs[d.disk].Healthy() && !v.Devs[pl.img[d.lb-b].disk].Healthy() {
-			return fmt.Errorf("core: block %d has no healthy copy location: %w", d.lb, raid.ErrDataLoss)
+	pl := a.place(es, b, p, true)
+	defer pl.Release()
+	for _, d := range pl.Data {
+		if !v.Devs[d.Disk].Healthy() && !v.Devs[pl.Img[d.LB-b].Disk].Healthy() {
+			return fmt.Errorf("core: block %d has no healthy copy location: %w", d.LB, raid.ErrDataLoss)
 		}
 	}
 	// Foreground data writes, one gathered transfer per run.
-	for i, j := 0, 0; i < len(pl.data); i = j {
-		j = runEnd(pl.data, i, false)
-		lo, segs, dev := pl.data[i], pl.segs[i:j], v.Devs[pl.data[i].disk]
-		pl.spans = append(pl.spans, raid.Span{Dev: lo.disk, Lo: lo.phys, Hi: lo.phys + int64(j-i)})
+	for i, j := 0, 0; i < len(pl.Data); i = j {
+		j = raid.RunEnd(pl.Data, i, false)
+		lo, segs, dev := pl.Data[i], pl.Segs[i:j], v.Devs[pl.Data[i].Disk]
+		pl.Spans = append(pl.Spans, raid.Span{Dev: lo.Disk, Lo: lo.Phys, Hi: lo.Phys + int64(j-i)})
 		// IntentAhead marks the region before it is in flight, so a crash
 		// treats it as possibly torn until a resync confirms it. A failed
 		// disk is skipped — the image carries the data — and the mark lets
@@ -411,12 +411,12 @@ func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) 
 		if !healthy {
 			continue
 		}
-		pl.fns = append(pl.fns, func(ctx context.Context) (err error) {
-			ctx, ch := trace.Start(ctx, "raidx.col-write", a.col(lo.disk))
+		pl.Fns = append(pl.Fns, func(ctx context.Context) (err error) {
+			ctx, ch := trace.Start(ctx, "raidx.col-write", a.col(lo.Disk))
 			ch.Val = int64(len(segs) * a.bs)
 			defer func() { ch.End(err) }()
 			// Gather the run from p — no staging buffer, no copy-in loop.
-			if err = raid.WriteBlocksVec(ctx, dev, lo.phys, segs); err != nil {
+			if err = raid.WriteBlocksVec(ctx, dev, lo.Phys, segs); err != nil {
 				// Partial landing, cancelled sibling, device died mid-write.
 				a.mark(lo, len(segs))
 			}
@@ -432,12 +432,12 @@ func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) 
 	// mark the intent up front so the divergence stays visible for delta
 	// resync instead of being a silent redundancy loss.
 	ahead := a.opt.IntentAhead || (!a.opt.ForegroundMirror && es.fenced())
-	for i, j := 0, 0; i < len(pl.img); i = j {
+	for i, j := 0, 0; i < len(pl.Img); i = j {
 		if j = i + 1; !a.opt.ScatterMirror {
-			j = runEnd(pl.img, i, true)
+			j = raid.RunEnd(pl.Img, i, true)
 		}
-		lo, count, dev := pl.img[i], j-i, v.Devs[pl.img[i].disk]
-		pl.spans = append(pl.spans, raid.Span{Dev: lo.disk, Lo: lo.phys, Hi: lo.phys + int64(count)})
+		lo, count, dev := pl.Img[i], j-i, v.Devs[pl.Img[i].Disk]
+		pl.Spans = append(pl.Spans, raid.Span{Dev: lo.Disk, Lo: lo.Phys, Hi: lo.Phys + int64(count)})
 		healthy := dev.Healthy()
 		if ahead || !healthy {
 			a.mark(lo, count)
@@ -445,15 +445,15 @@ func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) 
 		if !healthy {
 			continue // the data copy carries the blocks
 		}
-		pl.fns = append(pl.fns, func(ctx context.Context) (err error) {
-			ctx, mh := trace.Start(ctx, "raidx.mirror-write", a.col(lo.disk))
+		pl.Fns = append(pl.Fns, func(ctx context.Context) (err error) {
+			ctx, mh := trace.Start(ctx, "raidx.mirror-write", a.col(lo.Disk))
 			mh.Val = int64(count * a.bs)
 			defer func() { mh.End(err) }()
-			chunk := p[(lo.lb-b)*int64(a.bs) : (lo.lb-b+int64(count))*int64(a.bs)]
+			chunk := p[(lo.LB-b)*int64(a.bs) : (lo.LB-b+int64(count))*int64(a.bs)]
 			if a.opt.ForegroundMirror {
-				err = dev.WriteBlocks(ctx, lo.phys, chunk)
+				err = dev.WriteBlocks(ctx, lo.Phys, chunk)
 			} else {
-				err = dev.WriteBlocksBackground(ctx, lo.phys, chunk)
+				err = dev.WriteBlocksBackground(ctx, lo.Phys, chunk)
 			}
 			if err != nil {
 				a.mark(lo, count) // the image may be missing or torn
@@ -463,14 +463,14 @@ func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) 
 	}
 	// In the members' window no restore chunk reads the other copy of a
 	// run while the run is in flight.
-	defer a.mem.Window().Exit(a.mem.Window().Enter(ctx, pl.spans...))
-	return par.Do(ctx, pl.fns...)
+	defer a.mem.Window().Exit(a.mem.Window().Enter(ctx, pl.Spans...))
+	return par.Do(ctx, pl.Fns...)
 }
 
 // mark logs count blocks starting at e as a copy region whose on-disk
 // state is or may become unknown, so repair replays it from the other
 // copy.
-func (a *RAIDx) mark(e ext, count int) { a.mem.Intent().MarkRange(e.disk, e.phys, int64(count)) }
+func (a *RAIDx) mark(e raid.Ext, count int) { a.mem.Intent().MarkRange(e.Disk, e.Phys, int64(count)) }
 
 // Flush implements raid.Array: waits for all deferred image writes, so
 // the array is fully redundant on return.

@@ -124,3 +124,37 @@ func TestAllocsRSFullStripeWrite(t *testing.T) {
 		}
 	})
 }
+
+// mirroredAllocs pins one 16-block request on a mirrored engine over four
+// members: each copy is planned into one run per member, moved straight
+// into or out of the caller's buffer with no staging buffer per run, so
+// what remains is one closure per run and the fan-out bookkeeping.
+func mirroredAllocs(t *testing.T, build func([]raid.Dev) (raid.Array, error), write bool, limit float64) {
+	devs, _ := allocDisks(t, 4)
+	a, err := build(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	buf := make([]byte, 16*a.BlockSize())
+	if err := a.WriteBlocks(ctx, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	do := a.ReadBlocks
+	if write {
+		do = a.WriteBlocks
+	}
+	allocLimit(t, limit, func() {
+		if err := do(ctx, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func raid10(devs []raid.Dev) (raid.Array, error)  { return raid.NewRAID10(devs) }
+func chained(devs []raid.Dev) (raid.Array, error) { return raid.NewChained(devs) }
+
+func TestAllocsRAID10Read(t *testing.T)   { mirroredAllocs(t, raid10, false, 6) }
+func TestAllocsRAID10Write(t *testing.T)  { mirroredAllocs(t, raid10, true, 8) }
+func TestAllocsChainedRead(t *testing.T)  { mirroredAllocs(t, chained, false, 8) }
+func TestAllocsChainedWrite(t *testing.T) { mirroredAllocs(t, chained, true, 12) }

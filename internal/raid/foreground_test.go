@@ -1,0 +1,337 @@
+package raid_test
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/disk"
+	"repro/internal/layout"
+	"repro/internal/raid"
+	"repro/internal/store"
+	"repro/internal/vclock"
+)
+
+// runsOf merges block locations into device calls: one per physically
+// contiguous run of each disk's blocks.
+func runsOf(locs []layout.Loc, kind string) []devCall {
+	sort.Slice(locs, func(i, j int) bool {
+		if locs[i].Disk != locs[j].Disk {
+			return locs[i].Disk < locs[j].Disk
+		}
+		return locs[i].Block < locs[j].Block
+	})
+	var calls []devCall
+	for i := 0; i < len(locs); {
+		j := i + 1
+		for j < len(locs) && locs[j].Disk == locs[i].Disk && locs[j].Block == locs[j-1].Block+1 {
+			j++
+		}
+		calls = append(calls, devCall{locs[i].Disk, locs[i].Block, j - i, kind})
+		i = j
+	}
+	return calls
+}
+
+// fgState is the member condition an operation runs under: the member no
+// read may use and the member no write can reach (-1: none).
+type fgState struct {
+	name            string
+	unread, unwrite int
+	fail, blank     bool
+}
+
+// fgModel computes an operation's device calls over [b, b+n) and whether
+// it must fail. rep is the operation's repetition within one run: the
+// mirrored engines read their primary copy first, then their mirror copy.
+type fgModel func(b int64, n int, write bool, rep int, st fgState) (calls []devCall, fails bool)
+
+// wantStriped is RAID-0 and the mirrored engines: every copy of every
+// block written, one copy read, a run on an unreadable member read from
+// the other copy's run (no other copy: the read fails).
+func wantStriped(copies ...func(int64) layout.Loc) fgModel {
+	return func(b int64, n int, write bool, rep int, st fgState) ([]devCall, bool) {
+		var calls []devCall
+		fails := false
+		if write {
+			for _, at := range copies {
+				var locs []layout.Loc
+				for lb := b; lb < b+int64(n); lb++ {
+					if l := at(lb); l.Disk != st.unwrite || len(copies) == 1 {
+						locs = append(locs, l)
+						fails = fails || l.Disk == st.unwrite
+					}
+				}
+				calls = append(calls, runsOf(locs, "write")...)
+			}
+			return calls, fails
+		}
+		at, other := copies[0], copies[0]
+		if len(copies) == 2 {
+			at, other = copies[rep%2], copies[1-rep%2]
+		}
+		var direct, fallback []layout.Loc
+		for lb := b; lb < b+int64(n); lb++ {
+			switch l := at(lb); {
+			case l.Disk != st.unread:
+				direct = append(direct, l)
+			case len(copies) == 1:
+				fails = true
+			default:
+				fallback = append(fallback, other(lb))
+			}
+		}
+		return append(runsOf(direct, "read"), runsOf(fallback, "read")...), fails
+	}
+}
+
+// wantStripe is the parity engines with k data and m parity shards per
+// stripe, shard j of stripe s on device shard(s, j) at physical block s.
+// A read reconstructs every stripe holding a block on the unreadable
+// member from one block read of each other member. An eager write
+// updates a partial stripe by read-modify-write of its parity and
+// covered shards — or, when a covered shard's member is down, re-encodes
+// from the uncovered shards — and writes each full stripe's shards as
+// one run per member. A deferred write moves data only, and fails whole
+// when a block's member is down.
+func wantStripe(n, k, m int, deferred bool, shard func(s int64, j int) int) fgModel {
+	return func(b int64, cnt int, write bool, _ int, st fgState) ([]devCall, bool) {
+		end := b + int64(cnt)
+		var locs []layout.Loc
+		var lost []int64
+		for lb := b; lb < end; lb++ {
+			s := lb / int64(k)
+			d := shard(s, int(lb%int64(k)))
+			if d == st.unread && !write {
+				if len(lost) == 0 || lost[len(lost)-1] != s {
+					lost = append(lost, s)
+				}
+				continue
+			}
+			if write && deferred && d == st.unwrite {
+				return nil, true
+			}
+			locs = append(locs, layout.Loc{Disk: d, Block: s})
+		}
+		if !write {
+			calls := runsOf(locs, "read")
+			for _, s := range lost {
+				for j := 0; j < k+m; j++ {
+					if d := shard(s, j); d != st.unread {
+						calls = append(calls, devCall{d, s, 1, "read"})
+					}
+				}
+			}
+			return calls, false
+		}
+		if deferred {
+			return runsOf(locs, "write"), false
+		}
+		var calls []devCall
+		var full []int64
+		for s := b / int64(k); s <= (end-1)/int64(k); s++ {
+			lo, hi := max(s*int64(k), b), min((s+1)*int64(k), end)
+			if hi-lo == int64(k) {
+				full = append(full, s)
+				continue
+			}
+			var out, uncovered []int
+			coveredDown := false
+			for j := k; j < k+m; j++ {
+				if d := shard(s, j); d != st.unwrite {
+					out = append(out, d)
+				}
+			}
+			parity := len(out)
+			for j := 0; j < k; j++ {
+				d, lb := shard(s, j), s*int64(k)+int64(j)
+				switch {
+				case lb >= lo && lb < hi && d == st.unwrite:
+					coveredDown = true
+				case lb >= lo && lb < hi:
+					out = append(out, d)
+				case d != st.unwrite:
+					uncovered = append(uncovered, d)
+				}
+			}
+			reads := out
+			if coveredDown {
+				reads = uncovered
+			} else if parity == 0 {
+				reads = nil
+			}
+			for _, d := range reads {
+				calls = append(calls, devCall{d, s, 1, "read"})
+			}
+			for _, d := range out {
+				calls = append(calls, devCall{d, s, 1, "write"})
+			}
+		}
+		if len(full) > 0 {
+			for d := 0; d < n; d++ {
+				if d != st.unwrite {
+					calls = append(calls, devCall{d, full[0], len(full), "write"})
+				}
+			}
+		}
+		return calls, false
+	}
+}
+
+// TestCallsForeground pins where every engine's foreground I/O goes: the
+// exact (disk, physical block, length, read|write) set of one-block,
+// full-stripe and unaligned multi-stripe reads and writes — healthy, with
+// the member holding the one-block operation's block failed, and on the
+// mirrored engines with that member emptied and handed back through
+// SwapDev — against expectations computed from internal/layout alone. It
+// runs on the virtual clock, where arrival order is issue order, and also
+// requires that order to repeat exactly run over run. A read runs twice
+// per run, so the mirrored engines read each copy once.
+func TestCallsForeground(t *testing.T) {
+	const per = 48 // blocks per device
+	geo := func(n int) layout.Geometry { return layout.Geometry{Disks: n, DiskBlocks: per} }
+	r0, r10, ch := layout.NewRAID0(geo(4)), layout.NewRAID10(geo(4)), layout.NewChained(geo(4))
+	r5 := layout.NewRAID5(geo(4))
+	raid5Shard := func(s int64, j int) int {
+		if j < 3 {
+			return r5.DataLoc(s*3 + int64(j)).Disk
+		}
+		return r5.ParityDisk(s)
+	}
+	// rs rotates forward: shard j of stripe s on device (s + j) mod n.
+	rsShard := func(s int64, j int) int { return layout.NewRAID0(geo(8)).DataLoc(s + int64(j)).Disk }
+	engines := []struct {
+		name   string
+		n      int
+		width  int  // data blocks per stripe
+		mirror bool // also run with a blank member
+		build  func(devs []raid.Dev) (raid.Array, error)
+		want   fgModel
+		victim int // holder of block 5
+	}{
+		{"raid0(4)", 4, 4, false, func(d []raid.Dev) (raid.Array, error) { return raid.NewRAID0(d) },
+			wantStriped(r0.DataLoc), r0.DataLoc(5).Disk},
+		{"raid10(4)", 4, 2, true, func(d []raid.Dev) (raid.Array, error) { return raid.NewRAID10(d) },
+			wantStriped(r10.DataLoc, r10.MirrorLoc), r10.DataLoc(5).Disk},
+		{"chained(4)", 4, 4, true, func(d []raid.Dev) (raid.Array, error) { return raid.NewChained(d) },
+			wantStriped(ch.DataLoc, ch.MirrorLoc), ch.DataLoc(5).Disk},
+		{"raid5(4)", 4, 3, false, func(d []raid.Dev) (raid.Array, error) { return raid.NewRAID5(d) },
+			wantStripe(4, 3, 1, false, raid5Shard), raid5Shard(1, 2)},
+		{"rs(6,2)", 8, 6, false, func(d []raid.Dev) (raid.Array, error) { return raid.NewRS(d, 2) },
+			wantStripe(8, 6, 2, false, rsShard), rsShard(0, 5)},
+		{"afraid(4)", 4, 3, false, func(d []raid.Dev) (raid.Array, error) { return raid.NewAFRAID(d) },
+			wantStripe(4, 3, 1, true, raid5Shard), raid5Shard(1, 2)},
+	}
+	for _, e := range engines {
+		states := []fgState{{name: "healthy", unread: -1, unwrite: -1}, {"failed", e.victim, e.victim, true, false}}
+		if e.mirror {
+			states = append(states, fgState{"blank", e.victim, -1, false, true})
+		}
+		w := int64(e.width)
+		ops := []struct {
+			name string
+			b    int64
+			n    int
+		}{
+			{"one-block", 5, 1},
+			{"full-stripe", 2 * w, e.width},
+			{"unaligned multi-stripe", w + 1, 3 * e.width},
+		}
+		for _, st := range states {
+			t.Run(e.name+"/"+st.name, func(t *testing.T) {
+				s := vclock.New()
+				model := disk.Model{BandwidthBps: 64e6, PerRequest: 50 * time.Microsecond}
+				var mu sync.Mutex
+				var calls []devCall
+				take := func() []devCall {
+					mu.Lock()
+					defer mu.Unlock()
+					out := calls
+					calls = nil
+					return out
+				}
+				devs := make([]raid.Dev, e.n)
+				raw := make([]*disk.Disk, e.n)
+				for i := range devs {
+					raw[i] = disk.New(s, fmt.Sprintf("d%d", i), store.NewMem(testBS, per), model)
+					devs[i] = &recDev{Dev: raw[i], col: i, mu: &mu, calls: &calls}
+				}
+				a, err := e.build(devs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Spawn("client", func(p *vclock.Proc) {
+					ctx := vclock.With(context.Background(), p)
+					all := make([]byte, a.Blocks()*testBS)
+					fill(all, 3)
+					if err := a.WriteBlocks(ctx, 0, all); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := a.Flush(ctx); err != nil {
+						t.Error(err)
+						return
+					}
+					switch {
+					case st.fail:
+						raw[e.victim].Fail()
+					case st.blank:
+						if err := raw[e.victim].Replace(); err != nil {
+							t.Error(err)
+							return
+						}
+						if _, err := a.(raid.DevSwapper).SwapDev(e.victim, devs[e.victim]); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					// Reads first: a deferred-parity write leaves its stripes
+					// without parity for a read to reconstruct from.
+					for _, write := range []bool{false, true} {
+						for _, op := range ops {
+							what := fmt.Sprintf("%s %s [%d,+%d)", op.name, map[bool]string{false: "read", true: "write"}[write], op.b, op.n)
+							reps := 2
+							if write {
+								reps = 1
+							}
+							var want []devCall
+							fails := false
+							for rep := 0; rep < reps; rep++ {
+								c, f := e.want(op.b, op.n, write, rep, st)
+								want, fails = append(want, c...), fails || f
+							}
+							run := func() []devCall {
+								take()
+								buf := make([]byte, op.n*testBS)
+								for rep := 0; rep < reps; rep++ {
+									do := a.ReadBlocks
+									if write {
+										do = a.WriteBlocks
+									}
+									if err := do(ctx, op.b, buf); (err != nil) != fails {
+										t.Errorf("%s: err = %v, want failure %v", what, err, fails)
+									}
+								}
+								return take()
+							}
+							first, again := run(), run()
+							if !reflect.DeepEqual(first, again) {
+								t.Errorf("%s: issue order changed between two runs:\n first %v\n again %v", what, first, again)
+							}
+							if got, want := sortCalls(first), sortCalls(want); !reflect.DeepEqual(got, want) {
+								t.Errorf("%s: device calls\n got  %v\n want %v", what, got, want)
+							}
+						}
+					}
+				})
+				if err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}

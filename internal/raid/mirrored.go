@@ -8,6 +8,28 @@ import (
 	"repro/internal/par"
 )
 
+// mapping places one copy of the data round-robin: logical block lb
+// belongs to column lb mod width, physical block base + lb/width of disk
+// diskOf(column). The logical blocks of one column within any contiguous
+// logical range therefore occupy consecutive physical blocks, so a
+// request planned over a copy is one run per disk.
+type mapping struct {
+	width  int
+	base   int64
+	diskOf func(col int) int
+}
+
+// plan places the blocks of p, from logical block b on, under this copy.
+func (m mapping) plan(b int64, p []byte, bs int) *Plan {
+	pl, w := NewPlan(), int64(m.width)
+	for lb := b; lb < b+int64(len(p)/bs); lb++ {
+		off := (lb - b) * int64(bs)
+		pl.Add(m.diskOf(int(lb%w)), m.base+lb/w, lb, p[off:off+int64(bs)])
+	}
+	pl.Sort()
+	return pl
+}
+
 // mirroredArray factors the shared behaviour of RAID-10 and chained
 // declustering: two complete striped copies of the data, written in the
 // foreground, with reads load-balanced over both copies and degraded
@@ -36,8 +58,8 @@ func (a *mirroredArray) Members() *Members { return a.mem }
 func (a *mirroredArray) SwapDev(idx int, dev Dev) (Dev, error) { return a.mem.Swap(idx, dev) }
 
 // ReadBlocks reads from one copy, alternating between copies per call
-// for load balance, with per-run fallback to the other copy when a
-// device has failed or is a blank spare.
+// for load balance. A run on a member that failed or is blank — or whose
+// read errs — is read from the column's other copy into the same slots.
 func (a *mirroredArray) ReadBlocks(ctx context.Context, b int64, p []byte) error {
 	if _, err := CheckRange(a, b, p); err != nil {
 		return err
@@ -46,44 +68,40 @@ func (a *mirroredArray) ReadBlocks(ctx context.Context, b int64, p []byte) error
 	if a.flip.Add(1)%2 == 0 {
 		first = a.mirror
 	}
-	return readStriped(ctx, a.mem.Load(), first, b, p, a.bs, func(ctx context.Context, r run) error {
-		// Degraded path: the run as the column's other copy holds it —
-		// exactly what repair would put back on this device.
-		buf := make([]byte, r.count*a.bs)
-		if err := a.Reconstruct(ctx, first.diskOf(r.col), r.phys, buf, nil); err != nil {
-			return err
-		}
-		first.scatter(p, buf, r, b, a.bs)
-		return nil
+	v := a.mem.Load()
+	pl := first.plan(b, p, a.bs)
+	defer pl.Release()
+	return readRuns(ctx, v, pl, func(ctx context.Context, lo Ext, segs [][]byte) error {
+		return a.readOther(ctx, v, lo.Disk, lo.Phys, segs)
 	})
 }
 
 // WriteBlocks writes both copies in the foreground (the conventional
-// mirrored-write discipline that RAID-x improves upon). Runs landing on
-// a failed device are skipped, and intent-marked, as long as the other
-// copy is healthy; a blank spare takes every write. The write enters the
-// members' window over the runs of both copies.
+// mirrored-write discipline that RAID-x improves upon), the primary's
+// runs issued before the mirror's. Runs landing on a failed device are
+// skipped, and intent-marked, as long as the other copy is healthy; a
+// blank spare takes every write. The write enters the members' window
+// over the runs of both copies.
 func (a *mirroredArray) WriteBlocks(ctx context.Context, b int64, p []byte) error {
-	n, err := CheckRange(a, b, p)
-	if err != nil {
+	if _, err := CheckRange(a, b, p); err != nil {
 		return err
 	}
 	devs := a.mem.Load().Devs
-	var spans []Span
-	for _, r := range a.primary.runs(b, n) {
-		pd, md := a.primary.diskOf(r.col), a.mirror.diskOf(r.col)
-		if !devs[pd].Healthy() && !devs[md].Healthy() {
-			return fmt.Errorf("%s: both copies of column %d failed: %w", a.name, r.col, ErrDataLoss)
+	pri, mir := a.primary.plan(b, p, a.bs), a.mirror.plan(b, p, a.bs)
+	defer pri.Release()
+	defer mir.Release()
+	for i := 0; i < len(pri.Data); i = RunEnd(pri.Data, i, false) {
+		col := int(pri.Data[i].LB % int64(a.primary.width))
+		if !devs[pri.Data[i].Disk].Healthy() && !devs[a.mirror.diskOf(col)].Healthy() {
+			return fmt.Errorf("%s: both copies of column %d failed: %w", a.name, col, ErrDataLoss)
 		}
-		mp := r.phys - a.primary.base + a.mirror.base // both copies stripe with one width
-		spans = append(spans, Span{pd, r.phys, r.phys + int64(r.count)}, Span{md, mp, mp + int64(r.count)})
 	}
-	defer a.mem.win.Exit(a.mem.win.Enter(ctx, spans...))
 	mark := a.mem.Intent().MarkRange
-	return par.Do(ctx,
-		func(ctx context.Context) error { return writeStriped(ctx, devs, a.primary, b, p, a.bs, mark) },
-		func(ctx context.Context) error { return writeStriped(ctx, devs, a.mirror, b, p, a.bs, mark) },
-	)
+	writeRuns(devs, pri, mark)
+	writeRuns(devs, mir, mark)
+	pri.Spans, pri.Fns = append(pri.Spans, mir.Spans...), append(pri.Fns, mir.Fns...)
+	defer a.mem.win.Exit(a.mem.win.Enter(ctx, pri.Spans...))
+	return par.Do(ctx, pri.Fns...)
 }
 
 // Flush implements Array.
@@ -112,12 +130,17 @@ func (a *mirroredArray) Extents() ([][2]int64, uint64) {
 }
 
 // Reconstruct implements Restorer: the physical blocks of device idx
-// from pb on that fill dst are a run of some column's primary or mirror
-// copy; they are read, in one call, from the same run of the column's
-// other copy. Both mappings stripe with the same width, so the run is
-// contiguous there too.
+// from pb on that fill dst, read from the column's other copy.
 func (a *mirroredArray) Reconstruct(ctx context.Context, idx int, pb int64, dst []byte, _ []bool) error {
-	v := a.mem.Load()
+	return a.readOther(ctx, a.mem.Load(), idx, pb, [][]byte{dst})
+}
+
+// readOther fills segs with the physical blocks of device idx from pb on —
+// a run of some column's primary or mirror copy — read, in one call, from
+// the same run of the column's other copy: exactly what repair would put
+// back on idx. Both mappings stripe with the same width, so the run is
+// contiguous there too.
+func (a *mirroredArray) readOther(ctx context.Context, v *MemberView, idx int, pb int64, segs [][]byte) error {
 	holds := func(m mapping, col int) bool {
 		return m.diskOf(col) == idx && pb >= m.base && pb < m.base+a.rows()
 	}
@@ -132,7 +155,7 @@ func (a *mirroredArray) Reconstruct(ctx context.Context, idx int, pb int64, dst 
 		if !v.Readable(src) {
 			return fmt.Errorf("%s: both copies of column %d failed: %w", a.name, col, ErrDataLoss)
 		}
-		return v.Devs[src].ReadBlocks(ctx, live.base+pb-lost.base, dst)
+		return ReadBlocksVec(ctx, v.Devs[src], live.base+pb-lost.base, segs)
 	}
 	return fmt.Errorf("%s: device %d holds no column at physical block %d", a.name, idx, pb)
 }

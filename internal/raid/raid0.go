@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/layout"
+	"repro/internal/par"
 )
 
 // RAID0 is plain striping: full bandwidth, no redundancy. It is both a
@@ -12,6 +13,7 @@ import (
 type RAID0 struct {
 	view *MemberView
 	lay  layout.RAID0
+	cols mapping
 	bs   int
 }
 
@@ -24,6 +26,7 @@ func NewRAID0(devs []Dev) (*RAID0, error) {
 	return &RAID0{
 		view: NewMembers("raid0", devs, bs, per).Load(),
 		lay:  layout.NewRAID0(layout.Geometry{Disks: len(devs), DiskBlocks: per}),
+		cols: mapping{width: len(devs), diskOf: func(c int) int { return c }},
 		bs:   bs,
 	}, nil
 }
@@ -37,18 +40,14 @@ func (a *RAID0) BlockSize() int { return a.bs }
 // Blocks implements Array.
 func (a *RAID0) Blocks() int64 { return a.lay.DataBlocks() }
 
-func (a *RAID0) mapping() mapping {
-	return mapping{width: len(a.view.Devs), base: 0, diskOf: func(c int) int { return c }}
-}
-
 // ReadBlocks implements Array.
 func (a *RAID0) ReadBlocks(ctx context.Context, b int64, p []byte) error {
 	if _, err := CheckRange(a, b, p); err != nil {
 		return err
 	}
-	return readStriped(ctx, a.view, a.mapping(), b, p, a.bs, func(context.Context, run) error {
-		return fmt.Errorf("raid0: %w", ErrDataLoss)
-	})
+	pl := a.cols.plan(b, p, a.bs)
+	defer pl.Release()
+	return readRuns(ctx, a.view, pl, func(context.Context, Ext, [][]byte) error { return fmt.Errorf("raid0: %w", ErrDataLoss) })
 }
 
 // WriteBlocks implements Array.
@@ -56,7 +55,10 @@ func (a *RAID0) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 	if _, err := CheckRange(a, b, p); err != nil {
 		return err
 	}
-	return writeStriped(ctx, a.view.Devs, a.mapping(), b, p, a.bs, nil)
+	pl := a.cols.plan(b, p, a.bs)
+	defer pl.Release()
+	writeRuns(a.view.Devs, pl, nil)
+	return par.Do(ctx, pl.Fns...)
 }
 
 // Flush implements Array.

@@ -190,66 +190,45 @@ func collect(n int, at func(i int) (dev int, err error)) (devSet, error) {
 	return erred, first
 }
 
-// seg is one contiguous physical run on a device and the caller-buffer
-// slots of its blocks.
-type seg struct {
-	phys int64
-	vec  [][]byte
-}
-
-// devSegs is one device's share of a request.
-type devSegs struct {
-	dev  int
-	segs []seg
-	err  error
-}
-
-// plan maps logical blocks [b, b+n) of p onto per-device segments,
-// merging physically contiguous blocks, and lists the logical blocks
-// that live on failed devices instead. Only devices with work are
-// returned, in device order.
-func (a *Stripe) plan(b int64, n int, p []byte, failed devSet) (runs []devSegs, lost []int64) {
-	runs = make([]devSegs, a.n)
+// place plans logical blocks [b, b+n) of p on their devices, and lists
+// instead, in logical order, the blocks that live on a device in skip.
+func (a *Stripe) place(b int64, n int, p []byte, skip devSet) (pl *Plan, lost []int64) {
+	pl = NewPlan()
 	for lb := b; lb < b+int64(n); lb++ {
-		s, j := lb/int64(a.k), int(lb%int64(a.k))
-		d := a.devOf(s, j)
-		if failed.has(d) {
+		s := lb / int64(a.k)
+		if d := a.devOf(s, int(lb%int64(a.k))); skip.has(d) {
 			lost = append(lost, lb)
-			continue
-		}
-		segs := runs[d].segs
-		if n := len(segs); n > 0 && segs[n-1].phys+int64(len(segs[n-1].vec)) == s {
-			segs[n-1].vec = append(segs[n-1].vec, a.block(p, b, lb))
 		} else {
-			runs[d].segs = append(segs, seg{phys: s, vec: [][]byte{a.block(p, b, lb)}})
+			pl.Add(d, s, lb, a.block(p, b, lb))
 		}
 	}
-	active := runs[:0]
-	for d, r := range runs {
-		if len(r.segs) > 0 {
-			r.dev = d
-			active = append(active, r)
-		}
-	}
-	return active, lost
+	pl.Sort()
+	return pl, lost
 }
 
-// runSegs moves every device's segments in parallel, each segment as
-// one vectored transfer (xfer is ReadBlocksVec or WriteBlocksVec). Every
-// device is attempted — one device's error does not cancel the others —
-// and the erring devices come back alongside the first error, so reads
-// can fail over to reconstruction.
-func runSegs(ctx context.Context, devs []Dev, runs []devSegs, xfer func(context.Context, Dev, int64, [][]byte) error) (devSet, error) {
-	_ = par.ForEach(ctx, len(runs), func(ctx context.Context, i int) error {
-		r := &runs[i]
-		for _, sg := range r.segs {
-			if r.err = xfer(ctx, devs[r.dev], sg.phys, sg.vec); r.err != nil {
-				break
-			}
+// moveRuns moves every run of pl in parallel — one branch per device, its
+// runs in physical order, each as one vectored transfer (xfer is
+// ReadBlocksVec or WriteBlocksVec). Every device is attempted — one
+// device's error does not cancel the others — and the erring devices come
+// back alongside the first error, so reads can fail over to
+// reconstruction.
+func moveRuns(ctx context.Context, devs []Dev, pl *Plan, xfer func(context.Context, Dev, int64, [][]byte) error) (devSet, error) {
+	errs := make([]error, len(devs))
+	for i, j := 0, 0; i < len(pl.Data); i = j {
+		d := pl.Data[i].Disk
+		for j = i + 1; j < len(pl.Data) && pl.Data[j].Disk == d; j++ {
 		}
-		return nil
-	})
-	return collect(len(runs), func(i int) (int, error) { return runs[i].dev, runs[i].err })
+		data, segs := pl.Data[i:j], pl.Segs[i:j]
+		pl.Fns = append(pl.Fns, func(ctx context.Context) error {
+			for r, next := 0, 0; r < len(data) && errs[d] == nil; r = next {
+				next = RunEnd(data, r, false)
+				errs[d] = xfer(ctx, devs[d], data[r].Phys, segs[r:next])
+			}
+			return nil
+		})
+	}
+	_ = par.Do(ctx, pl.Fns...)
+	return collect(len(devs), func(d int) (int, error) { return d, errs[d] })
 }
 
 // ReadBlocks implements Array. Shards on healthy devices scatter
@@ -289,8 +268,9 @@ func (a *Stripe) ReadBlocks(ctx context.Context, b int64, p []byte) error {
 // readOnce executes one read attempt treating the given devices as
 // failed. On error it reports which devices errored at read time.
 func (a *Stripe) readOnce(ctx context.Context, devs []Dev, b int64, n int, p []byte, failed devSet) (devSet, error) {
-	runs, lost := a.plan(b, n, p, failed)
-	if erred, err := runSegs(ctx, devs, runs, ReadBlocksVec); err != nil {
+	pl, lost := a.place(b, n, p, failed)
+	defer pl.Release()
+	if erred, err := moveRuns(ctx, devs, pl, ReadBlocksVec); err != nil {
 		return erred, err
 	}
 	for i, lb := range lost {
@@ -402,7 +382,8 @@ func (a *Stripe) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 	s0, s1 := b/k, (end-1)/k
 	defer a.mem.win.Exit(a.mem.win.Enter(ctx, Span{Dev: -1, Lo: s0, Hi: s1 + 1}))
 	if a.dirty != nil {
-		runs, skipped := a.plan(b, n, p, down)
+		pl, skipped := a.place(b, n, p, down)
+		defer pl.Release()
 		if len(skipped) > 0 {
 			return fmt.Errorf("%s: cannot write block %d, its device failed and parity is deferred: %w", a.name, skipped[0], ErrDataLoss)
 		}
@@ -413,7 +394,7 @@ func (a *Stripe) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 			a.dirty[s] = struct{}{}
 		}
 		a.mu.Unlock()
-		_, err := runSegs(ctx, v.Devs, runs, WriteBlocksVec)
+		_, err := moveRuns(ctx, v.Devs, pl, WriteBlocksVec)
 		return err
 	}
 	fullStart, fullEnd := s0, s1+1
@@ -442,34 +423,34 @@ func (a *Stripe) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 
 // writeFullStripes writes stripes [sa, sb), all fully covered: data
 // shards go out as gather lists aliasing p, parity shards are encoded
-// into one pooled staging buffer.
+// into one pooled staging buffer. Every device holds one shard of every
+// row, so device d's gather list is the plan's d-th run of rows blocks.
 func (a *Stripe) writeFullStripes(ctx context.Context, devs []Dev, sa, sb int64, p []byte, b0 int64, down devSet) error {
 	rows := int(sb - sa)
 	parityBuf := bufpool.Get(rows * a.m * a.bs)
 	defer bufpool.Put(parityBuf)
-	vecs := make([][][]byte, a.n)
-	for d := range vecs {
-		vecs[d] = make([][]byte, rows)
-	}
+	pl := NewPlan()
+	defer pl.Release()
 	shards := make([][]byte, a.k+a.m)
 	for s := sa; s < sb; s++ {
-		row := int(s - sa)
 		for j := range shards {
+			lb := s*int64(a.k) + int64(j)
 			if j < a.k {
-				shards[j] = a.block(p, b0, s*int64(a.k)+int64(j))
+				shards[j] = a.block(p, b0, lb)
 			} else {
-				off := (row*a.m + j - a.k) * a.bs
-				shards[j] = parityBuf[off : off+a.bs]
+				off := (int(s-sa)*a.m + j - a.k) * a.bs
+				shards[j], lb = parityBuf[off:off+a.bs], -1
 			}
-			vecs[a.devOf(s, j)][row] = shards[j]
+			pl.Add(a.devOf(s, j), s, lb, shards[j])
 		}
 		if err := a.code.Encode(shards[:a.k], shards[a.k:]); err != nil {
 			return err
 		}
 	}
+	pl.Sort()
 	return par.ForEach(ctx, a.n, func(ctx context.Context, d int) (err error) {
 		if !down.has(d) {
-			err = WriteBlocksVec(ctx, devs[d], sa, vecs[d])
+			err = WriteBlocksVec(ctx, devs[d], sa, pl.Segs[d*rows:(d+1)*rows])
 		}
 		if down.has(d) || err != nil {
 			a.mem.Intent().MarkRange(d, sa, int64(rows))

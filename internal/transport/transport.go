@@ -14,9 +14,8 @@
 // yet the connection is closed (a partial frame would desynchronize the
 // stream); if the frame was sent, the connection stays usable and the
 // eventual response is dropped. A client whose connection has broken
-// re-dials automatically on the next call (unless NoReconnect is set),
-// so a crashed-and-restarted peer is reached again without rebuilding
-// the client.
+// re-dials automatically on the next call, so a crashed-and-restarted
+// peer is reached again without rebuilding the client.
 //
 // The data path is zero-copy in both directions (DESIGN.md §10): a
 // request assembled as a gather list (CallVec) goes to a TCP session as
@@ -553,14 +552,11 @@ func tcpDial(ctx context.Context, addr string) (net.Conn, error) {
 }
 
 // DialOptions tune a client's connection management. The zero value is
-// the production default: TCP, DefaultDialTimeout, reconnect enabled.
+// the production default: TCP and DefaultDialTimeout.
 type DialOptions struct {
 	// DialTimeout bounds each connection attempt (including automatic
 	// reconnects). Zero means DefaultDialTimeout.
 	DialTimeout time.Duration
-	// NoReconnect disables automatic re-dialing after a broken
-	// connection: calls fail with the error that broke it.
-	NoReconnect bool
 	// Dialer overrides the raw connection factory (fault injection,
 	// testing). Nil means plain TCP.
 	Dialer DialFunc
@@ -594,7 +590,7 @@ func newClientMetrics(r *obs.Registry) clientMetrics {
 }
 
 // Client is one CDD-to-CDD connection (logically: the transport keeps
-// it connected across broken TCP sessions unless NoReconnect is set).
+// it connected across broken TCP sessions).
 type Client struct {
 	addr   string
 	opts   DialOptions
@@ -704,7 +700,7 @@ func (c *Client) redial(ctx context.Context) error {
 }
 
 // ensureConn returns the live session, re-dialing if the previous one
-// broke (and reconnection is enabled).
+// broke.
 func (c *Client) ensureConn(ctx context.Context) (net.Conn, uint64, error) {
 	for attempt := 0; ; attempt++ {
 		c.mu.Lock()
@@ -719,12 +715,6 @@ func (c *Client) ensureConn(ctx context.Context) (net.Conn, uint64, error) {
 		}
 		lastErr := c.connErr
 		c.mu.Unlock()
-		if c.opts.NoReconnect {
-			if lastErr == nil {
-				lastErr = ErrClosed
-			}
-			return nil, 0, lastErr
-		}
 		if attempt > 0 {
 			// The session we just dialed broke before we could use it;
 			// do not spin on a flapping peer.

@@ -479,31 +479,3 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 		t.Fatalf("call after restart: %q %v", resp, err)
 	}
 }
-
-// TestNoReconnect: with reconnection disabled, a broken connection
-// stays broken.
-func TestNoReconnect(t *testing.T) {
-	s, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) { return payload, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := s.Addr()
-	c, err := DialWith(bg, addr, DialOptions{NoReconnect: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	s.Close()
-	if _, err := c.Call(bg, 1, nil); err == nil {
-		t.Fatal("call against dead server succeeded")
-	}
-	s2, err := Serve(addr, func(_ context.Context, op uint8, payload []byte) ([]byte, error) { return payload, nil })
-	if err != nil {
-		t.Skipf("could not rebind %s: %v", addr, err)
-	}
-	defer s2.Close()
-	time.Sleep(20 * time.Millisecond)
-	if _, err := c.Call(bg, 1, nil); err == nil {
-		t.Fatal("NoReconnect client reconnected")
-	}
-}
