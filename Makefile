@@ -27,14 +27,17 @@ promtest:
 
 # The second line gives internal/par's resident workers (hand-off, idle
 # exit, what a parked worker still references) ten rounds each; the third
-# gives raid.Window (both wait backends, no starvation, a foreground write
-# against a parked restore chunk on four engines, and
-# TestWindowVerifyBesideWriter: Verify and a stride-1 scrub beside a
-# stamped writer, zero mismatches) five; the fourth gives the session
-# block cache (admission, eviction, invalidation) five.
+# gives the two drills that once raced the clock (two Failovers of one
+# member, the first parked until the second is refused; a pause from the
+# pace hook) ten; the fourth gives raid.Window (both wait backends, no
+# starvation, a foreground write against a parked restore chunk on four
+# engines, and TestWindowVerifyBesideWriter: Verify and a stride-1 scrub
+# beside a stamped writer, zero mismatches) five; the fifth gives the
+# session block cache (admission, eviction, invalidation) five.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/par/
+	$(GO) test -race -count=10 -run 'TestRepairConcurrentFailover|TestRepairPauseResumeMidRebuild' ./internal/raid/ ./internal/repair/
 	$(GO) test -race -count=5 -run TestWindow ./internal/raid/
 	$(GO) test -race -count=5 -run 'TestBlockCache' ./internal/cdd/
 

@@ -10,7 +10,6 @@ package core_test
 // recovery traffic a fraction of the disks.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/intent"
 	"repro/internal/raid"
+	"repro/internal/raid/raidtest"
 	"repro/internal/repair"
 	"repro/internal/store"
 )
@@ -70,18 +70,6 @@ func (r *crashRig) syncAll(t *testing.T) {
 	}
 }
 
-func waitCond(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 func TestCrashRecoveryTornWrites(t *testing.T) { testCrashRecovery(t, "torn") }
 func TestCrashRecoveryLyingFsync(t *testing.T) { testCrashRecovery(t, "lying") }
 
@@ -96,14 +84,7 @@ func testCrashRecovery(t *testing.T, mode string) {
 
 	// ---- First life: baseline, then a write storm, then the plug. ----
 	rig := openCrashRig(t, ffs, imgDir)
-	baseline := make([]byte, rig.arr.Blocks()*int64(crashBS))
-	rand.New(rand.NewSource(21)).Read(baseline)
-	if err := rig.arr.WriteBlocks(ctx, 0, baseline); err != nil {
-		t.Fatal(err)
-	}
-	if err := rig.arr.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
+	sh := raidtest.Fill(t, rig.arr)
 	rig.syncAll(t) // honest durability barrier: the baseline is safe
 	for i := 0; i < crashNodes; i++ {
 		rig.il.ClearDev(i) // baseline fully mirrored and synced: no debt
@@ -123,9 +104,7 @@ func testCrashRecovery(t *testing.T, mode string) {
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < 25; i++ {
 		lb := rng.Int63n(rig.arr.Blocks())
-		buf := make([]byte, crashBS)
-		rng.Read(buf)
-		if err := rig.arr.WriteBlocks(ctx, lb, buf); err != nil {
+		if err := sh.Write(ctx, lb, 1); err != nil {
 			t.Fatalf("foreground write during storm: %v", err)
 		}
 		stormBlocks[lb] = true
@@ -143,7 +122,7 @@ func testCrashRecovery(t *testing.T, mode string) {
 	}
 	// Let the paused supervisor persist the storm's write-ahead marks:
 	// the snapshot on the honest FS must cover the live log exactly.
-	waitCond(t, "intent snapshot to catch up", func() bool {
+	raidtest.Eventually(t, "intent snapshot to catch up", func() bool {
 		probe := intent.NewLog(crashNodes, crashBlocks, 8)
 		if err := probe.LoadFrom(store.OS, filepath.Join(stateDir, "intent.snap")); err != nil {
 			return false
@@ -184,7 +163,7 @@ func testCrashRecovery(t *testing.T, mode string) {
 	}
 	sup2.Start(ctx)
 	defer sup2.Stop()
-	waitCond(t, "recovery resync of every member", func() bool {
+	raidtest.Eventually(t, "recovery resync of every member", func() bool {
 		if rig2.il.AnyDirty() {
 			return false
 		}
@@ -220,17 +199,13 @@ func testCrashRecovery(t *testing.T, mode string) {
 	// Every block the storm did not touch must read back as the durable
 	// baseline; storm blocks may hold old, new, or torn content, but the
 	// copies are consistent (Verify above) and reads must not error.
-	got := make([]byte, len(baseline))
-	if err := rig2.arr.ReadBlocks(ctx, 0, got); err != nil {
+	if err := rig2.arr.ReadBlocks(ctx, 0, make([]byte, rig2.arr.Blocks()*crashBS)); err != nil {
 		t.Fatalf("foreground read after recovery: %v", err)
 	}
-	for lb := int64(0); lb < rig2.arr.Blocks(); lb++ {
-		if stormBlocks[lb] {
-			continue
-		}
-		off := lb * int64(crashBS)
-		if !bytes.Equal(got[off:off+crashBS], baseline[off:off+crashBS]) {
-			t.Fatalf("untouched block %d corrupted by the crash", lb)
+	after := sh.On(rig2.arr)
+	for lb := range rig2.arr.Blocks() {
+		if err := after.Diff(ctx, lb, 1); err != nil && !stormBlocks[lb] {
+			t.Fatalf("untouched block corrupted by the crash: %v", err)
 		}
 	}
 }

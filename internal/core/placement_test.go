@@ -1,72 +1,19 @@
-package core
+package core_test
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/layout"
 	"repro/internal/raid"
-	"repro/internal/store"
+	"repro/internal/raid/raidtest"
 	"repro/internal/vclock"
 )
-
-// devCall is one device call as the engine issued it.
-type devCall struct {
-	Disk   int
-	Phys   int64
-	Blocks int
-	Kind   string // "read", "write" (foreground) or "bg-write"
-}
-
-// callLog records device calls in arrival order.
-type callLog struct {
-	mu    sync.Mutex
-	calls []devCall
-}
-
-func (l *callLog) take() []devCall {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := l.calls
-	l.calls = nil
-	return out
-}
-
-// recDev is a raid.Dev that logs every transfer before passing it on.
-// It hides the vectored interface, so a gathered run arrives as the one
-// flat call whose (phys, blocks) the test pins.
-type recDev struct {
-	raid.Dev
-	col int
-	log *callLog
-}
-
-func (d *recDev) note(b int64, p []byte, kind string) {
-	d.log.mu.Lock()
-	d.log.calls = append(d.log.calls, devCall{d.col, b, len(p) / d.BlockSize(), kind})
-	d.log.mu.Unlock()
-}
-
-func (d *recDev) ReadBlocks(ctx context.Context, b int64, p []byte) error {
-	d.note(b, p, "read")
-	return d.Dev.ReadBlocks(ctx, b, p)
-}
-
-func (d *recDev) WriteBlocks(ctx context.Context, b int64, p []byte) error {
-	d.note(b, p, "write")
-	return d.Dev.WriteBlocks(ctx, b, p)
-}
-
-func (d *recDev) WriteBlocksBackground(ctx context.Context, b int64, p []byte) error {
-	d.note(b, p, "bg-write")
-	return d.Dev.WriteBlocksBackground(ctx, b, p)
-}
 
 // placer is what layout.OSM and *layout.Epoch have in common: the
 // expectations below are computed from it, never from the engine.
@@ -80,14 +27,14 @@ type placer interface {
 // and (for writes) one deferred transfer per run of consecutive blocks
 // whose images are contiguous. Blocks on a down disk are read one by one
 // from their images.
-func wantCalls(lay placer, b int64, n int, write bool, down int) []devCall {
+func wantCalls(lay placer, b int64, n int, write bool, down int) []raidtest.DevCall {
 	perDisk := map[int][]int64{}
-	var calls []devCall
+	var calls []raidtest.DevCall
 	for lb := b; lb < b+int64(n); lb++ {
 		d := lay.DataLoc(lb)
 		if d.Disk == down {
 			m := lay.MirrorLoc(lb)
-			calls = append(calls, devCall{m.Disk, m.Block, 1, "read"})
+			calls = append(calls, raidtest.DevCall{Disk: m.Disk, Phys: m.Block, Blocks: 1, Kind: "read"})
 			continue
 		}
 		perDisk[d.Disk] = append(perDisk[d.Disk], d.Block)
@@ -103,7 +50,7 @@ func wantCalls(lay placer, b int64, n int, write bool, down int) []devCall {
 			for j < len(phys) && phys[j] == phys[j-1]+1 {
 				j++
 			}
-			calls = append(calls, devCall{dsk, phys[i], j - i, kind})
+			calls = append(calls, raidtest.DevCall{Disk: dsk, Phys: phys[i], Blocks: j - i, Kind: kind})
 			i = j
 		}
 	}
@@ -114,23 +61,10 @@ func wantCalls(lay placer, b int64, n int, write bool, down int) []devCall {
 				break
 			}
 		}
-		calls = append(calls, devCall{m.Disk, m.Block, c, "bg-write"})
+		calls = append(calls, raidtest.DevCall{Disk: m.Disk, Phys: m.Block, Blocks: c, Kind: "bg-write"})
 		lb += int64(c)
 	}
 	return calls
-}
-
-func sortCalls(c []devCall) []devCall {
-	sort.Slice(c, func(i, j int) bool {
-		if c[i].Disk != c[j].Disk {
-			return c[i].Disk < c[j].Disk
-		}
-		if c[i].Phys != c[j].Phys {
-			return c[i].Phys < c[j].Phys
-		}
-		return c[i].Kind < c[j].Kind
-	})
-	return c
 }
 
 // TestCallsPlacement pins where the engine's one placement path sends
@@ -175,27 +109,17 @@ func TestCallsPlacement(t *testing.T) {
 		{"degraded read over moved blocks", moved - 2, 8, false, true},
 	}
 	for gen, lay := range []placer{osm, grown} {
-		s := vclock.New()
-		model := disk.Model{BandwidthBps: 64e6, PerRequest: 50 * time.Microsecond}
-		log := &callLog{}
-		var raw []*disk.Disk
-		mk := func(n int) []raid.Dev {
-			devs := make([]raid.Dev, n)
-			for i := range devs {
-				d := disk.New(s, fmt.Sprintf("d%d", len(raw)), store.NewMem(bs, blocks), model)
-				devs[i] = &recDev{Dev: d, col: len(raw), log: log}
-				raw = append(raw, d)
-			}
-			return devs
-		}
-		a, err := New(mk(4), 4, 1, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s, rec := vclock.New(), &raidtest.Recorder{}
+		g := raidtest.Disks{BS: 1024, Blocks: blocks, Sim: s, Model: disk.Model{BandwidthBps: 64e6, PerRequest: 50 * time.Microsecond}, Wrap: rec.Dev}
+		a, raw := raidtest.Build[*core.RAIDx](t, raidtest.RAIDx(4, 1), g)
 		s.Spawn("client", func(p *vclock.Proc) {
 			ctx := vclock.With(context.Background(), p)
 			if gen == 1 {
-				m, err := a.BeginGrow(2, mk(2), 0)
+				// The grown members record as disks 4 and 5.
+				g.Wrap = func(i int, d raid.Dev) raid.Dev { return rec.Dev(4+i, d) }
+				devs, more := g.Make(2)
+				raw = append(raw, more...)
+				m, err := a.BeginGrow(2, devs, 0)
 				if err != nil {
 					t.Error(err)
 					return
@@ -210,13 +134,13 @@ func TestCallsPlacement(t *testing.T) {
 				if c.degraded {
 					down = lay.DataLoc(c.b).Disk
 				}
-				op := func() []devCall {
+				op := func() []raidtest.DevCall {
 					if down >= 0 {
 						raw[down].Fail()
 						defer raw[down].Readmit()
 					}
-					log.take()
-					buf := make([]byte, c.n*bs)
+					rec.Take()
+					buf := make([]byte, c.n*a.BlockSize())
 					do := a.ReadBlocks
 					if c.write {
 						do = a.WriteBlocks
@@ -227,14 +151,14 @@ func TestCallsPlacement(t *testing.T) {
 					if err := a.Flush(ctx); err != nil {
 						t.Errorf("gen %d, %s: flush: %v", gen, c.name, err)
 					}
-					return log.take()
+					return rec.Take()
 				}
 				first, again := op(), op()
 				if !reflect.DeepEqual(first, again) {
 					t.Errorf("gen %d, %s: issue order changed between two runs:\n first %v\n again %v", gen, c.name, first, again)
 				}
-				want := sortCalls(wantCalls(lay, c.b, c.n, c.write, down))
-				if got := sortCalls(first); !reflect.DeepEqual(got, want) {
+				want := raidtest.Sorted(wantCalls(lay, c.b, c.n, c.write, down))
+				if got := raidtest.Sorted(first); !reflect.DeepEqual(got, want) {
 					t.Errorf("gen %d, %s: device calls\n got  %v\n want %v", gen, c.name, got, want)
 				}
 			}

@@ -1,56 +1,31 @@
 package raid_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/raid"
+	"repro/internal/raid/raidtest"
 )
 
-func afraidRig(t *testing.T) (*raid.Stripe, []*diskHandle) {
-	t.Helper()
-	devs, raw := mkDisks(4, 32)
-	a, err := raid.NewAFRAID(devs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := make([]*diskHandle, len(raw))
-	for i, d := range raw {
-		hs[i] = &diskHandle{d}
-	}
-	return a, hs
-}
-
-// diskHandle just adapts *disk.Disk for readable failure injection.
-type diskHandle struct{ d failer }
-
-type failer interface {
-	Fail()
-	Replace() error
+func afraidRig(t *testing.T) (*raid.Stripe, []*disk.Disk) {
+	return raidtest.Build[*raid.Stripe](t, raidtest.AFRAID(4), raidtest.Disks{Blocks: 32})
 }
 
 func TestAFRAIDRoundTripAndWindow(t *testing.T) {
 	a, _ := afraidRig(t)
 	ctx := context.Background()
-	data := make([]byte, int(a.Blocks())*a.BlockSize())
-	rand.New(rand.NewSource(1)).Read(data)
-	if err := a.WriteBlocks(ctx, 0, data); err != nil {
+	sh := raidtest.NewShadow(a)
+	if err := sh.Write(ctx, 0, a.Blocks()); err != nil {
 		t.Fatal(err)
 	}
 	if a.DirtyStripes() == 0 {
 		t.Fatal("writes opened no redundancy window")
 	}
-	got := make([]byte, len(data))
-	if err := a.ReadBlocks(ctx, 0, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("round trip mismatch")
-	}
+	sh.Check(t, "round trip")
 	// Inside the window the stale parity is pending, not a mismatch.
 	if st, err := raid.Verify(ctx, a); err != nil || st.Pending == 0 {
 		t.Fatalf("verify inside the window: %+v, %v; want pending blocks and no error", st, err)
@@ -67,44 +42,28 @@ func TestAFRAIDRoundTripAndWindow(t *testing.T) {
 }
 
 func TestAFRAIDDegradedReadOutsideWindow(t *testing.T) {
-	a, hs := afraidRig(t)
-	ctx := context.Background()
-	data := make([]byte, int(a.Blocks())*a.BlockSize())
-	rand.New(rand.NewSource(2)).Read(data)
-	if err := a.WriteBlocks(ctx, 0, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	hs[1].d.Fail()
-	got := make([]byte, len(data))
-	if err := a.ReadBlocks(ctx, 0, got); err != nil {
-		t.Fatalf("degraded read with clean parity: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("degraded read wrong data")
-	}
+	a, raw := afraidRig(t)
+	sh := raidtest.Fill(t, a)
+	raw[1].Fail()
+	sh.Check(t, "degraded read with clean parity")
 }
 
 // TestAFRAIDWindowIsHonest: a failure inside the redundancy window must
 // surface as data loss, never as silently wrong data.
 func TestAFRAIDWindowIsHonest(t *testing.T) {
-	a, hs := afraidRig(t)
+	a, raw := afraidRig(t)
 	ctx := context.Background()
-	data := make([]byte, int(a.Blocks())*a.BlockSize())
-	rand.New(rand.NewSource(3)).Read(data)
-	if err := a.WriteBlocks(ctx, 0, data); err != nil {
+	if err := raidtest.NewShadow(a).Write(ctx, 0, a.Blocks()); err != nil {
 		t.Fatal(err)
 	}
 	// No flush: everything is inside the window. Lose a disk.
-	hs[2].d.Fail()
-	err := a.ReadBlocks(ctx, 0, make([]byte, len(data)))
+	raw[2].Fail()
+	err := a.ReadBlocks(ctx, 0, make([]byte, a.Blocks()*raidtest.BS))
 	if !errors.Is(err, raid.ErrDataLoss) {
 		t.Fatalf("window read: got %v, want ErrDataLoss", err)
 	}
 	// Rebuild must refuse too.
-	if err := hs[2].d.Replace(); err != nil {
+	if err := raw[2].Replace(); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Rebuild(ctx, 2); !errors.Is(err, raid.ErrDataLoss) || !errors.Is(err, raid.ErrPending) {
@@ -113,18 +72,11 @@ func TestAFRAIDWindowIsHonest(t *testing.T) {
 }
 
 func TestAFRAIDRebuildAfterFlush(t *testing.T) {
-	a, hs := afraidRig(t)
+	a, raw := afraidRig(t)
 	ctx := context.Background()
-	data := make([]byte, int(a.Blocks())*a.BlockSize())
-	rand.New(rand.NewSource(4)).Read(data)
-	if err := a.WriteBlocks(ctx, 0, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	hs[0].d.Fail()
-	if err := hs[0].d.Replace(); err != nil {
+	sh := raidtest.Fill(t, a)
+	raw[0].Fail()
+	if err := raw[0].Replace(); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Rebuild(ctx, 0); err != nil {
@@ -133,26 +85,14 @@ func TestAFRAIDRebuildAfterFlush(t *testing.T) {
 	if err := a.Verify(ctx); err != nil {
 		t.Fatalf("verify after rebuild: %v", err)
 	}
-	got := make([]byte, len(data))
-	if err := a.ReadBlocks(ctx, 0, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("data wrong after rebuild")
-	}
+	sh.Check(t, "after rebuild")
 }
 
 // TestAFRAIDSmallWriteIsSingleIO: unlike RAID-5's 4-I/O small write,
 // AFRAID's critical path is one data write.
 func TestAFRAIDSmallWriteIsSingleIO(t *testing.T) {
-	devs, raw := mkDisks(4, 32)
-	a, err := raid.NewAFRAID(devs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	buf := make([]byte, a.BlockSize())
-	if err := a.WriteBlocks(ctx, 0, buf); err != nil {
+	a, raw := afraidRig(t)
+	if err := a.WriteBlocks(context.Background(), 0, make([]byte, a.BlockSize())); err != nil {
 		t.Fatal(err)
 	}
 	var reads, writes int64
@@ -173,16 +113,14 @@ func TestAFRAIDConcurrentWritersAndFlush(t *testing.T) {
 	a, _ := afraidRig(t)
 	ctx := context.Background()
 	k, _ := a.Shards()
-	data := make([]byte, int(a.Blocks())*a.BlockSize())
-	rand.New(rand.NewSource(5)).Read(data)
+	sh := raidtest.NewShadow(a)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for s := w; s < 32; s += 4 {
-				off := s * k * a.BlockSize()
-				if err := a.WriteBlocks(ctx, int64(s*k), data[off:off+k*a.BlockSize()]); err != nil {
+				if err := sh.Write(ctx, int64(s*k), int64(k)); err != nil {
 					t.Error(err)
 				}
 				if s%8 == w {
@@ -203,5 +141,5 @@ func TestAFRAIDConcurrentWritersAndFlush(t *testing.T) {
 	if err := a.Verify(ctx); err != nil {
 		t.Fatal(err)
 	}
-	checkAll(t, a, data, "concurrent")
+	sh.Check(t, "concurrent")
 }

@@ -2,13 +2,11 @@ package raid_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
-	"repro/internal/disk"
 	"repro/internal/race"
 	"repro/internal/raid"
-	"repro/internal/store"
+	"repro/internal/raid/raidtest"
 )
 
 // allocLimit runs f and fails if it averages more than limit heap
@@ -28,28 +26,15 @@ func allocLimit(t *testing.T, limit float64, f func()) {
 	}
 }
 
-func allocDisks(t *testing.T, n int) ([]raid.Dev, []*disk.Disk) {
-	t.Helper()
-	devs := make([]raid.Dev, n)
-	raw := make([]*disk.Disk, n)
-	for i := range devs {
-		d := disk.New(nil, fmt.Sprintf("d%d", i), store.NewMem(4096, 256), disk.DefaultModel())
-		devs[i] = d
-		raw[i] = d
-	}
-	return devs, raw
-}
+// disks4k are the alloc pins' members: 256 blocks of 4 KiB.
+var disks4k = raidtest.Disks{BS: 4096, Blocks: 256}
 
 // TestAllocsAfraidSync pins the lazy-parity sync path: one write that
 // dirties a stripe plus the Flush that recomputes its parity. The
 // parity and read scratch are pooled; what remains is the dirty-map
 // and flush fan-out bookkeeping.
 func TestAllocsAfraidSync(t *testing.T) {
-	devs, _ := allocDisks(t, 4)
-	a, err := raid.NewAFRAID(devs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := raidtest.Build[raid.Array](t, raidtest.AFRAID(4), disks4k)
 	ctx := context.Background()
 	buf := make([]byte, a.BlockSize())
 	allocLimit(t, 11, func() {
@@ -67,11 +52,7 @@ func TestAllocsAfraidSync(t *testing.T) {
 // plan and the fan-out bookkeeping, scattered straight into the
 // caller's buffer.
 func TestAllocsAfraidDegradedRead(t *testing.T) {
-	devs, raw := allocDisks(t, 4)
-	a, err := raid.NewAFRAID(devs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, raw := raidtest.Build[raid.Array](t, raidtest.AFRAID(4), disks4k)
 	ctx := context.Background()
 	all := make([]byte, 9*a.BlockSize())
 	if err := a.WriteBlocks(ctx, 0, all); err != nil {
@@ -92,11 +73,7 @@ func TestAllocsAfraidDegradedRead(t *testing.T) {
 // TestAllocsRAID5SmallWrite pins the read-modify-write path: old data
 // and old parity land in pooled blocks.
 func TestAllocsRAID5SmallWrite(t *testing.T) {
-	devs, _ := allocDisks(t, 4)
-	a, err := raid.NewRAID5(devs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := raidtest.Build[raid.Array](t, raidtest.RAID5(4), disks4k)
 	ctx := context.Background()
 	buf := make([]byte, a.BlockSize())
 	allocLimit(t, 11, func() {
@@ -110,11 +87,7 @@ func TestAllocsRAID5SmallWrite(t *testing.T) {
 // write: data shards go out as gather lists aliasing the caller's
 // buffer, parity staged in one pooled buffer per call.
 func TestAllocsRSFullStripeWrite(t *testing.T) {
-	devs, _ := allocDisks(t, 8)
-	a, err := raid.NewRS(devs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := raidtest.Build[*raid.Stripe](t, raidtest.RS(6, 2), disks4k)
 	ctx := context.Background()
 	k, _ := a.Shards()
 	buf := make([]byte, k*a.BlockSize())
@@ -129,12 +102,8 @@ func TestAllocsRSFullStripeWrite(t *testing.T) {
 // members: each copy is planned into one run per member, moved straight
 // into or out of the caller's buffer with no staging buffer per run, so
 // what remains is one closure per run and the fan-out bookkeeping.
-func mirroredAllocs(t *testing.T, build func([]raid.Dev) (raid.Array, error), write bool, limit float64) {
-	devs, _ := allocDisks(t, 4)
-	a, err := build(devs)
-	if err != nil {
-		t.Fatal(err)
-	}
+func mirroredAllocs(t *testing.T, e raidtest.Engine, write bool, limit float64) {
+	a, _ := raidtest.Build[raid.Array](t, e, disks4k)
 	ctx := context.Background()
 	buf := make([]byte, 16*a.BlockSize())
 	if err := a.WriteBlocks(ctx, 0, buf); err != nil {
@@ -151,10 +120,7 @@ func mirroredAllocs(t *testing.T, build func([]raid.Dev) (raid.Array, error), wr
 	})
 }
 
-func raid10(devs []raid.Dev) (raid.Array, error)  { return raid.NewRAID10(devs) }
-func chained(devs []raid.Dev) (raid.Array, error) { return raid.NewChained(devs) }
-
-func TestAllocsRAID10Read(t *testing.T)   { mirroredAllocs(t, raid10, false, 6) }
-func TestAllocsRAID10Write(t *testing.T)  { mirroredAllocs(t, raid10, true, 8) }
-func TestAllocsChainedRead(t *testing.T)  { mirroredAllocs(t, chained, false, 8) }
-func TestAllocsChainedWrite(t *testing.T) { mirroredAllocs(t, chained, true, 12) }
+func TestAllocsRAID10Read(t *testing.T)   { mirroredAllocs(t, raidtest.RAID10(4), false, 6) }
+func TestAllocsRAID10Write(t *testing.T)  { mirroredAllocs(t, raidtest.RAID10(4), true, 8) }
+func TestAllocsChainedRead(t *testing.T)  { mirroredAllocs(t, raidtest.Chained(4), false, 8) }
+func TestAllocsChainedWrite(t *testing.T) { mirroredAllocs(t, raidtest.Chained(4), true, 12) }

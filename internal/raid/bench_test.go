@@ -5,15 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/raid"
+	"repro/internal/raid/raidtest"
 )
 
-func benchOver(b *testing.B, build func([]raid.Dev) (raid.Array, error), blocks int, small bool) {
+// benchOver times one-block (small) or twelve-block writes on e over
+// twelve members.
+func benchOver(b *testing.B, e raidtest.Engine, small bool) {
 	b.Helper()
-	devs, _ := mkDisks(12, 512)
-	a, err := build(devs)
-	if err != nil {
-		b.Fatal(err)
-	}
+	a, _ := raidtest.Build[raid.Array](b, e, raidtest.Disks{Blocks: 512})
 	ctx := context.Background()
 	n := 12
 	if small {
@@ -33,22 +32,8 @@ func benchOver(b *testing.B, build func([]raid.Dev) (raid.Array, error), blocks 
 	b.SetBytes(int64(len(buf)))
 }
 
-func BenchmarkRAID0LargeWrite(b *testing.B) {
-	benchOver(b, func(d []raid.Dev) (raid.Array, error) { return raid.NewRAID0(d) }, 12, false)
-}
-
-func BenchmarkRAID5SmallWrite(b *testing.B) {
-	benchOver(b, func(d []raid.Dev) (raid.Array, error) { return raid.NewRAID5(d) }, 12, true)
-}
-
-func BenchmarkRAID5LargeWrite(b *testing.B) {
-	benchOver(b, func(d []raid.Dev) (raid.Array, error) { return raid.NewRAID5(d) }, 12, false)
-}
-
-func BenchmarkRAID10SmallWrite(b *testing.B) {
-	benchOver(b, func(d []raid.Dev) (raid.Array, error) { return raid.NewRAID10(d) }, 12, true)
-}
-
-func BenchmarkChainedLargeWrite(b *testing.B) {
-	benchOver(b, func(d []raid.Dev) (raid.Array, error) { return raid.NewChained(d) }, 12, false)
-}
+func BenchmarkRAID0LargeWrite(b *testing.B)   { benchOver(b, raidtest.RAID0(12), false) }
+func BenchmarkRAID5SmallWrite(b *testing.B)   { benchOver(b, raidtest.RAID5(12), true) }
+func BenchmarkRAID5LargeWrite(b *testing.B)   { benchOver(b, raidtest.RAID5(12), false) }
+func BenchmarkRAID10SmallWrite(b *testing.B)  { benchOver(b, raidtest.RAID10(12), true) }
+func BenchmarkChainedLargeWrite(b *testing.B) { benchOver(b, raidtest.Chained(12), false) }

@@ -8,17 +8,12 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/raid"
+	"repro/internal/raid/raidtest"
 )
 
 func byteDev(t *testing.T) *raid.ByteDevice {
-	t.Helper()
-	devs, _ := mkDisks(4, 32)
-	a, err := raid.NewRAID0(devs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := raidtest.Build[raid.Array](t, raidtest.RAID0(4), raidtest.Disks{Blocks: 32})
 	return raid.NewByteDevice(a)
 }
 
@@ -121,45 +116,21 @@ func TestByteDeviceShadow(t *testing.T) {
 // redundancy.
 func TestCopyReconfigures4x3To6x2(t *testing.T) {
 	ctx := context.Background()
-	srcDevs, _ := mkDisks(12, 64)
-	src, err := core.New(srcDevs, 4, 3, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, src.Blocks()*int64(src.BlockSize()))
-	rand.New(rand.NewSource(31)).Read(data)
-	if err := src.WriteBlocks(ctx, 0, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	dstDevs, _ := mkDisks(12, 64)
-	dst, err := core.New(dstDevs, 6, 2, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	src, _ := raidtest.Build[raid.Array](t, raidtest.RAIDx(4, 3), disks64)
+	sh := raidtest.Fill(t, src)
+	dst, _ := raidtest.Build[raidtest.Array](t, raidtest.RAIDx(6, 2), disks64)
 	if err := raid.Copy(ctx, dst, src); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, len(data))
-	if err := dst.ReadBlocks(ctx, 0, got[:int(dst.Blocks())*dst.BlockSize()]); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[:len(data)], data) {
-		t.Fatal("reconfigured array contents differ")
-	}
+	sh.On(dst).Check(t, "reconfigured array")
 	if err := dst.Verify(ctx); err != nil {
 		t.Fatalf("verify after reconfiguration: %v", err)
 	}
 }
 
 func TestCopyRejectsSmallDestination(t *testing.T) {
-	big, _ := mkDisks(4, 64)
-	small, _ := mkDisks(4, 16)
-	src, _ := raid.NewRAID0(big)
-	dst, _ := raid.NewRAID0(small)
+	src, _ := raidtest.Build[raid.Array](t, raidtest.RAID0(4), disks64)
+	dst, _ := raidtest.Build[raid.Array](t, raidtest.RAID0(4), raidtest.Disks{Blocks: 16})
 	if err := raid.Copy(context.Background(), dst, src); err == nil {
 		t.Fatal("copy into smaller destination accepted")
 	}

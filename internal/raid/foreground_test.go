@@ -5,33 +5,32 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/disk"
 	"repro/internal/layout"
 	"repro/internal/raid"
-	"repro/internal/store"
+	"repro/internal/raid/raidtest"
 	"repro/internal/vclock"
 )
 
 // runsOf merges block locations into device calls: one per physically
 // contiguous run of each disk's blocks.
-func runsOf(locs []layout.Loc, kind string) []devCall {
+func runsOf(locs []layout.Loc, kind string) []raidtest.DevCall {
 	sort.Slice(locs, func(i, j int) bool {
 		if locs[i].Disk != locs[j].Disk {
 			return locs[i].Disk < locs[j].Disk
 		}
 		return locs[i].Block < locs[j].Block
 	})
-	var calls []devCall
+	var calls []raidtest.DevCall
 	for i := 0; i < len(locs); {
 		j := i + 1
 		for j < len(locs) && locs[j].Disk == locs[i].Disk && locs[j].Block == locs[j-1].Block+1 {
 			j++
 		}
-		calls = append(calls, devCall{locs[i].Disk, locs[i].Block, j - i, kind})
+		calls = append(calls, raidtest.DevCall{Disk: locs[i].Disk, Phys: locs[i].Block, Blocks: j - i, Kind: kind})
 		i = j
 	}
 	return calls
@@ -48,14 +47,14 @@ type fgState struct {
 // fgModel computes an operation's device calls over [b, b+n) and whether
 // it must fail. rep is the operation's repetition within one run: the
 // mirrored engines read their primary copy first, then their mirror copy.
-type fgModel func(b int64, n int, write bool, rep int, st fgState) (calls []devCall, fails bool)
+type fgModel func(b int64, n int, write bool, rep int, st fgState) (calls []raidtest.DevCall, fails bool)
 
 // wantStriped is RAID-0 and the mirrored engines: every copy of every
 // block written, one copy read, a run on an unreadable member read from
 // the other copy's run (no other copy: the read fails).
 func wantStriped(copies ...func(int64) layout.Loc) fgModel {
-	return func(b int64, n int, write bool, rep int, st fgState) ([]devCall, bool) {
-		var calls []devCall
+	return func(b int64, n int, write bool, rep int, st fgState) ([]raidtest.DevCall, bool) {
+		var calls []raidtest.DevCall
 		fails := false
 		if write {
 			for _, at := range copies {
@@ -99,7 +98,7 @@ func wantStriped(copies ...func(int64) layout.Loc) fgModel {
 // one run per member. A deferred write moves data only, and fails whole
 // when a block's member is down.
 func wantStripe(n, k, m int, deferred bool, shard func(s int64, j int) int) fgModel {
-	return func(b int64, cnt int, write bool, _ int, st fgState) ([]devCall, bool) {
+	return func(b int64, cnt int, write bool, _ int, st fgState) ([]raidtest.DevCall, bool) {
 		end := b + int64(cnt)
 		var locs []layout.Loc
 		var lost []int64
@@ -122,7 +121,7 @@ func wantStripe(n, k, m int, deferred bool, shard func(s int64, j int) int) fgMo
 			for _, s := range lost {
 				for j := 0; j < k+m; j++ {
 					if d := shard(s, j); d != st.unread {
-						calls = append(calls, devCall{d, s, 1, "read"})
+						calls = append(calls, raidtest.DevCall{Disk: d, Phys: s, Blocks: 1, Kind: "read"})
 					}
 				}
 			}
@@ -131,7 +130,7 @@ func wantStripe(n, k, m int, deferred bool, shard func(s int64, j int) int) fgMo
 		if deferred {
 			return runsOf(locs, "write"), false
 		}
-		var calls []devCall
+		var calls []raidtest.DevCall
 		var full []int64
 		for s := b / int64(k); s <= (end-1)/int64(k); s++ {
 			lo, hi := max(s*int64(k), b), min((s+1)*int64(k), end)
@@ -165,16 +164,16 @@ func wantStripe(n, k, m int, deferred bool, shard func(s int64, j int) int) fgMo
 				reads = nil
 			}
 			for _, d := range reads {
-				calls = append(calls, devCall{d, s, 1, "read"})
+				calls = append(calls, raidtest.DevCall{Disk: d, Phys: s, Blocks: 1, Kind: "read"})
 			}
 			for _, d := range out {
-				calls = append(calls, devCall{d, s, 1, "write"})
+				calls = append(calls, raidtest.DevCall{Disk: d, Phys: s, Blocks: 1, Kind: "write"})
 			}
 		}
 		if len(full) > 0 {
 			for d := 0; d < n; d++ {
 				if d != st.unwrite {
-					calls = append(calls, devCall{d, full[0], len(full), "write"})
+					calls = append(calls, raidtest.DevCall{Disk: d, Phys: full[0], Blocks: len(full), Kind: "write"})
 				}
 			}
 		}
@@ -205,26 +204,18 @@ func TestCallsForeground(t *testing.T) {
 	// rs rotates forward: shard j of stripe s on device (s + j) mod n.
 	rsShard := func(s int64, j int) int { return layout.NewRAID0(geo(8)).DataLoc(s + int64(j)).Disk }
 	engines := []struct {
-		name   string
-		n      int
+		raidtest.Engine
 		width  int  // data blocks per stripe
 		mirror bool // also run with a blank member
-		build  func(devs []raid.Dev) (raid.Array, error)
 		want   fgModel
 		victim int // holder of block 5
 	}{
-		{"raid0(4)", 4, 4, false, func(d []raid.Dev) (raid.Array, error) { return raid.NewRAID0(d) },
-			wantStriped(r0.DataLoc), r0.DataLoc(5).Disk},
-		{"raid10(4)", 4, 2, true, func(d []raid.Dev) (raid.Array, error) { return raid.NewRAID10(d) },
-			wantStriped(r10.DataLoc, r10.MirrorLoc), r10.DataLoc(5).Disk},
-		{"chained(4)", 4, 4, true, func(d []raid.Dev) (raid.Array, error) { return raid.NewChained(d) },
-			wantStriped(ch.DataLoc, ch.MirrorLoc), ch.DataLoc(5).Disk},
-		{"raid5(4)", 4, 3, false, func(d []raid.Dev) (raid.Array, error) { return raid.NewRAID5(d) },
-			wantStripe(4, 3, 1, false, raid5Shard), raid5Shard(1, 2)},
-		{"rs(6,2)", 8, 6, false, func(d []raid.Dev) (raid.Array, error) { return raid.NewRS(d, 2) },
-			wantStripe(8, 6, 2, false, rsShard), rsShard(0, 5)},
-		{"afraid(4)", 4, 3, false, func(d []raid.Dev) (raid.Array, error) { return raid.NewAFRAID(d) },
-			wantStripe(4, 3, 1, true, raid5Shard), raid5Shard(1, 2)},
+		{raidtest.RAID0(4), 4, false, wantStriped(r0.DataLoc), r0.DataLoc(5).Disk},
+		{raidtest.RAID10(4), 2, true, wantStriped(r10.DataLoc, r10.MirrorLoc), r10.DataLoc(5).Disk},
+		{raidtest.Chained(4), 4, true, wantStriped(ch.DataLoc, ch.MirrorLoc), ch.DataLoc(5).Disk},
+		{raidtest.RAID5(4), 3, false, wantStripe(4, 3, 1, false, raid5Shard), raid5Shard(1, 2)},
+		{raidtest.RS(6, 2), 6, false, wantStripe(8, 6, 2, false, rsShard), rsShard(0, 5)},
+		{raidtest.AFRAID(4), 3, false, wantStripe(4, 3, 1, true, raid5Shard), raid5Shard(1, 2)},
 	}
 	for _, e := range engines {
 		states := []fgState{{name: "healthy", unread: -1, unwrite: -1}, {"failed", e.victim, e.victim, true, false}}
@@ -242,33 +233,13 @@ func TestCallsForeground(t *testing.T) {
 			{"unaligned multi-stripe", w + 1, 3 * e.width},
 		}
 		for _, st := range states {
-			t.Run(e.name+"/"+st.name, func(t *testing.T) {
-				s := vclock.New()
+			t.Run(e.Name+"/"+st.name, func(t *testing.T) {
+				s, rec := vclock.New(), &raidtest.Recorder{}
 				model := disk.Model{BandwidthBps: 64e6, PerRequest: 50 * time.Microsecond}
-				var mu sync.Mutex
-				var calls []devCall
-				take := func() []devCall {
-					mu.Lock()
-					defer mu.Unlock()
-					out := calls
-					calls = nil
-					return out
-				}
-				devs := make([]raid.Dev, e.n)
-				raw := make([]*disk.Disk, e.n)
-				for i := range devs {
-					raw[i] = disk.New(s, fmt.Sprintf("d%d", i), store.NewMem(testBS, per), model)
-					devs[i] = &recDev{Dev: raw[i], col: i, mu: &mu, calls: &calls}
-				}
-				a, err := e.build(devs)
-				if err != nil {
-					t.Fatal(err)
-				}
+				a, raw := raidtest.Build[raid.Array](t, e.Engine, raidtest.Disks{Blocks: per, Sim: s, Model: model, Wrap: rec.Dev})
 				s.Spawn("client", func(p *vclock.Proc) {
 					ctx := vclock.With(context.Background(), p)
-					all := make([]byte, a.Blocks()*testBS)
-					fill(all, 3)
-					if err := a.WriteBlocks(ctx, 0, all); err != nil {
+					if err := raidtest.NewShadow(a).Write(ctx, 0, a.Blocks()); err != nil {
 						t.Error(err)
 						return
 					}
@@ -284,7 +255,9 @@ func TestCallsForeground(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						if _, err := a.(raid.DevSwapper).SwapDev(e.victim, devs[e.victim]); err != nil {
+						// The member's own device, as the engine holds it.
+						own := a.(raid.Restorer).Members().Load().Devs[e.victim]
+						if _, err := a.(raid.DevSwapper).SwapDev(e.victim, own); err != nil {
 							t.Error(err)
 							return
 						}
@@ -298,15 +271,15 @@ func TestCallsForeground(t *testing.T) {
 							if write {
 								reps = 1
 							}
-							var want []devCall
+							var want []raidtest.DevCall
 							fails := false
 							for rep := 0; rep < reps; rep++ {
 								c, f := e.want(op.b, op.n, write, rep, st)
 								want, fails = append(want, c...), fails || f
 							}
-							run := func() []devCall {
-								take()
-								buf := make([]byte, op.n*testBS)
+							run := func() []raidtest.DevCall {
+								rec.Take()
+								buf := make([]byte, op.n*raidtest.BS)
 								for rep := 0; rep < reps; rep++ {
 									do := a.ReadBlocks
 									if write {
@@ -316,13 +289,13 @@ func TestCallsForeground(t *testing.T) {
 										t.Errorf("%s: err = %v, want failure %v", what, err, fails)
 									}
 								}
-								return take()
+								return rec.Take()
 							}
 							first, again := run(), run()
 							if !reflect.DeepEqual(first, again) {
 								t.Errorf("%s: issue order changed between two runs:\n first %v\n again %v", what, first, again)
 							}
-							if got, want := sortCalls(first), sortCalls(want); !reflect.DeepEqual(got, want) {
+							if got, want := raidtest.Sorted(first), raidtest.Sorted(want); !reflect.DeepEqual(got, want) {
 								t.Errorf("%s: device calls\n got  %v\n want %v", what, got, want)
 							}
 						}

@@ -5,70 +5,18 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sort"
-	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/raid"
-	"repro/internal/store"
+	"repro/internal/raid/raidtest"
 )
 
 // chunk is the repair loop's rebuildChunk: the most blocks one repair
 // transfer may move.
 const chunk = 128
-
-// devCall is one device call of a repair job.
-type devCall struct {
-	Disk   int
-	Phys   int64
-	Blocks int
-	Kind   string // "read" or "write"
-}
-
-// recDev logs every transfer before passing it on. It hides the vectored
-// interface, so every transfer arrives as one flat call.
-type recDev struct {
-	raid.Dev
-	col   int
-	mu    *sync.Mutex
-	calls *[]devCall
-}
-
-func (d *recDev) note(b int64, p []byte, kind string) {
-	d.mu.Lock()
-	*d.calls = append(*d.calls, devCall{d.col, b, len(p) / d.BlockSize(), kind})
-	d.mu.Unlock()
-}
-
-func (d *recDev) ReadBlocks(ctx context.Context, b int64, p []byte) error {
-	d.note(b, p, "read")
-	return d.Dev.ReadBlocks(ctx, b, p)
-}
-
-func (d *recDev) WriteBlocks(ctx context.Context, b int64, p []byte) error {
-	d.note(b, p, "write")
-	return d.Dev.WriteBlocks(ctx, b, p)
-}
-
-func sortCalls(c []devCall) []devCall {
-	sort.Slice(c, func(i, j int) bool {
-		if c[i].Disk != c[j].Disk {
-			return c[i].Disk < c[j].Disk
-		}
-		if c[i].Phys != c[j].Phys {
-			return c[i].Phys < c[j].Phys
-		}
-		if c[i].Blocks != c[j].Blocks {
-			return c[i].Blocks < c[j].Blocks
-		}
-		return c[i].Kind < c[j].Kind
-	})
-	return c
-}
 
 // mirrorPlacer is what the mirroring layouts have in common.
 type mirrorPlacer interface {
@@ -84,7 +32,7 @@ type mirrorPlacer interface {
 // restored blocks are written in contiguous runs; they are read one block
 // per call (perBlock: the OSM engine, whose peers scatter over the other
 // disks) or in contiguous runs of the source disk.
-func wantMirrorRestore(lay mirrorPlacer, idx int, ext [][2]int64, perBlock bool) []devCall {
+func wantMirrorRestore(lay mirrorPlacer, idx int, ext [][2]int64, perBlock bool) []raidtest.DevCall {
 	src := map[int64]layout.Loc{}
 	for lb := int64(0); lb < lay.DataBlocks(); lb++ {
 		d, m := lay.DataLoc(lb), lay.MirrorLoc(lb)
@@ -97,14 +45,14 @@ func wantMirrorRestore(lay mirrorPlacer, idx int, ext [][2]int64, perBlock bool)
 	}
 	// extend grows the last call of the list when it continues it, or
 	// starts a new one.
-	extend := func(calls []devCall, cont bool, disk int, phys int64, kind string) []devCall {
+	extend := func(calls []raidtest.DevCall, cont bool, disk int, phys int64, kind string) []raidtest.DevCall {
 		if last := len(calls) - 1; cont && last >= 0 && calls[last].Disk == disk && calls[last].Phys+int64(calls[last].Blocks) == phys {
 			calls[last].Blocks++
 			return calls
 		}
-		return append(calls, devCall{disk, phys, 1, kind})
+		return append(calls, raidtest.DevCall{Disk: disk, Phys: phys, Blocks: 1, Kind: kind})
 	}
-	var reads, writes []devCall
+	var reads, writes []raidtest.DevCall
 	for _, e := range ext {
 		for c := e[0]; c < e[1]; c += chunk {
 			for pb := c; pb < min(c+chunk, e[1]); pb++ {
@@ -123,16 +71,15 @@ func wantMirrorRestore(lay mirrorPlacer, idx int, ext [][2]int64, perBlock bool)
 // rows, one read of those rows from every survivor and one write of them
 // to idx — whatever the rotation, every device holds one shard of every
 // stripe.
-func wantStripeRestore(n, idx int, rows int64) []devCall {
-	var calls []devCall
+func wantStripeRestore(n, idx int, rows int64) []raidtest.DevCall {
+	var calls []raidtest.DevCall
 	for c := int64(0); c < rows; c += chunk {
-		cnt := int(min(chunk, rows-c))
 		for d := 0; d < n; d++ {
 			kind := "read"
 			if d == idx {
 				kind = "write"
 			}
-			calls = append(calls, devCall{d, c, cnt, kind})
+			calls = append(calls, raidtest.DevCall{Disk: d, Phys: c, Blocks: int(min(chunk, rows-c)), Kind: kind})
 		}
 	}
 	return calls
@@ -152,83 +99,59 @@ func TestCallsRestore(t *testing.T) {
 	geo := func(n int) layout.Geometry { return layout.Geometry{Disks: n, DiskBlocks: per} }
 	whole, halves := [][2]int64{{0, per}}, [][2]int64{{0, per / 2}, {per / 2, per}}
 	cases := []struct {
-		name  string
-		n     int
-		ext   [][2]int64 // every member's extents
-		build func(devs []raid.Dev) (raid.Rebuilder, error)
-		want  func(idx int) []devCall // a full rebuild of member idx
+		e    raidtest.Engine
+		ext  [][2]int64                       // every member's extents
+		want func(idx int) []raidtest.DevCall // a full rebuild of member idx
 	}{
-		{"raidx 4x1", 4, halves,
-			func(devs []raid.Dev) (raid.Rebuilder, error) { return core.New(devs, 4, 1, core.Options{}) },
-			func(idx int) []devCall { return wantMirrorRestore(layout.NewOSM(4, 1, per), idx, halves, true) }},
-		{"raid5(4)", 4, whole,
-			func(devs []raid.Dev) (raid.Rebuilder, error) { return raid.NewRAID5(devs) },
-			func(idx int) []devCall { return wantStripeRestore(4, idx, per) }},
-		{"rs(6,2)", 8, whole,
-			func(devs []raid.Dev) (raid.Rebuilder, error) { return raid.NewRS(devs, 2) },
-			func(idx int) []devCall { return wantStripeRestore(8, idx, per) }},
-		{"raid10(4)", 4, whole,
-			func(devs []raid.Dev) (raid.Rebuilder, error) { return raid.NewRAID10(devs) },
-			func(idx int) []devCall { return wantMirrorRestore(layout.NewRAID10(geo(4)), idx, whole, false) }},
-		{"chained(4)", 4, halves,
-			func(devs []raid.Dev) (raid.Rebuilder, error) { return raid.NewChained(devs) },
-			func(idx int) []devCall { return wantMirrorRestore(layout.NewChained(geo(4)), idx, halves, false) }},
+		{raidtest.RAIDx(4, 1), halves,
+			func(idx int) []raidtest.DevCall {
+				return wantMirrorRestore(layout.NewOSM(4, 1, per), idx, halves, true)
+			}},
+		{raidtest.RAID5(4), whole, func(idx int) []raidtest.DevCall { return wantStripeRestore(4, idx, per) }},
+		{raidtest.RS(6, 2), whole, func(idx int) []raidtest.DevCall { return wantStripeRestore(8, idx, per) }},
+		{raidtest.RAID10(4), whole,
+			func(idx int) []raidtest.DevCall {
+				return wantMirrorRestore(layout.NewRAID10(geo(4)), idx, whole, false)
+			}},
+		{raidtest.Chained(4), halves,
+			func(idx int) []raidtest.DevCall {
+				return wantMirrorRestore(layout.NewChained(geo(4)), idx, halves, false)
+			}},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			devs, raw := mkDisks(c.n, per)
-			var mu sync.Mutex
-			var calls []devCall
-			for i := range devs {
-				devs[i] = &recDev{Dev: devs[i], col: i, mu: &mu, calls: &calls}
-			}
-			a, err := c.build(devs)
-			if err != nil {
-				t.Fatal(err)
-			}
+		t.Run(c.e.Name, func(t *testing.T) {
+			rec := &raidtest.Recorder{}
+			a, raw := raidtest.Build[raidtest.Array](t, c.e, raidtest.Disks{Blocks: per, Wrap: rec.Dev})
 			ctx := context.Background()
-			arr := a.(raid.Array)
-			data := make([]byte, arr.Blocks()*int64(testBS))
-			fill(data, 5)
-			if err := arr.WriteBlocks(ctx, 0, data); err != nil {
-				t.Fatal(err)
-			}
-			if err := arr.Flush(ctx); err != nil {
-				t.Fatal(err)
-			}
+			raidtest.Fill(t, a)
 			raw[victim].Fail()
 			if err := raw[victim].Replace(); err != nil {
 				t.Fatal(err)
 			}
-			mu.Lock()
-			calls = nil
-			mu.Unlock()
+			rec.Take()
 			if err := a.Rebuild(ctx, victim); err != nil {
 				t.Fatal(err)
 			}
-			check := func(what string, want []devCall) {
+			check := func(what string, want []raidtest.DevCall) {
 				t.Helper()
-				mu.Lock()
-				got := sortCalls(calls)
-				calls = nil
-				mu.Unlock()
+				got := raidtest.Sorted(rec.Take())
 				for _, call := range got {
 					if call.Blocks > chunk {
 						t.Errorf("%s transfer %+v moves more than %d blocks", what, call, chunk)
 					}
 				}
-				if want = sortCalls(want); !reflect.DeepEqual(got, want) {
+				if want = raidtest.Sorted(want); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s device calls: got %d, want %d\n got  %s\n want %s",
 						what, len(got), len(want), head(got), head(want))
 				}
 			}
 			check("rebuild", c.want(victim))
 
-			if err := a.(raid.Verifier).Verify(ctx); err != nil {
+			if err := a.Verify(ctx); err != nil {
 				t.Fatalf("verify after rebuild: %v", err)
 			}
-			var want []devCall
-			for i := 0; i < c.n; i++ {
+			var want []raidtest.DevCall
+			for i := 0; i < c.e.N; i++ {
 				for _, call := range c.want(i) {
 					if call.Kind == "read" {
 						want = append(want, call)
@@ -236,7 +159,7 @@ func TestCallsRestore(t *testing.T) {
 				}
 				for _, e := range c.ext {
 					for pb := e[0]; pb < e[1]; pb += chunk {
-						want = append(want, devCall{i, pb, int(min(chunk, e[1]-pb)), "read"})
+						want = append(want, raidtest.DevCall{Disk: i, Phys: pb, Blocks: int(min(chunk, e[1]-pb)), Kind: "read"})
 					}
 				}
 			}
@@ -246,7 +169,7 @@ func TestCallsRestore(t *testing.T) {
 }
 
 // head renders the first calls of a list for a failure message.
-func head(c []devCall) string {
+func head(c []raidtest.DevCall) string {
 	if len(c) > 12 {
 		return fmt.Sprintf("%v ...", c[:12])
 	}
@@ -262,59 +185,22 @@ func head(c []devCall) string {
 // newer one.
 func TestRepairSwapDevBlankUntilRebuilt(t *testing.T) {
 	const per, victim = 300, 2
-	type swappable interface {
-		raid.Array
-		raid.Restorer
-		raid.DevSwapper
-		raid.Verifier
-	}
-	cases := []struct {
-		name  string
-		n     int
-		build func(devs []raid.Dev) (swappable, error)
-	}{
-		{"raidx 4x1", 4, func(devs []raid.Dev) (swappable, error) { return core.New(devs, 4, 1, core.Options{}) }},
-		{"raid5(4)", 4, func(devs []raid.Dev) (swappable, error) { return raid.NewRAID5(devs) }},
-		{"rs(6,2)", 8, func(devs []raid.Dev) (swappable, error) { return raid.NewRS(devs, 2) }},
-		{"raid10(4)", 4, func(devs []raid.Dev) (swappable, error) { return raid.NewRAID10(devs) }},
-		{"chained(4)", 4, func(devs []raid.Dev) (swappable, error) { return raid.NewChained(devs) }},
-	}
 	reads := func(d *disk.Disk) int64 { r, _, _, _ := d.Stats(); return r }
-	for _, c := range cases {
+	for _, e := range []raidtest.Engine{raidtest.RAIDx(4, 1), raidtest.RAID5(4), raidtest.RS(6, 2), raidtest.RAID10(4), raidtest.Chained(4)} {
 		// setup builds the engine over fresh disks and fills it; readAll
 		// reads the whole array twice (the second pass prefers the other
-		// copy on the mirrored engines) and checks it against shadow.
-		setup := func(t *testing.T) (a swappable, devs []raid.Dev, raw []*disk.Disk, shadow []byte, readAll func(string)) {
-			ctx := context.Background()
-			devs, raw = mkDisks(c.n, per)
-			a, err := c.build(devs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shadow = make([]byte, a.Blocks()*int64(testBS))
-			fill(shadow, 61)
-			if err := a.WriteBlocks(ctx, 0, shadow); err != nil {
-				t.Fatal(err)
-			}
-			if err := a.Flush(ctx); err != nil {
-				t.Fatal(err)
-			}
-			readAll = func(when string) {
+		// copy on the mirrored engines) and checks it against the shadow.
+		setup := func(t *testing.T) (a raidtest.Array, raw []*disk.Disk, sh *raidtest.Shadow, readAll func(string)) {
+			a, raw = raidtest.Build[raidtest.Array](t, e, raidtest.Disks{Blocks: per})
+			sh = raidtest.Fill(t, a)
+			return a, raw, sh, func(when string) {
 				t.Helper()
-				got := make([]byte, len(shadow))
-				for pass := 0; pass < 2; pass++ {
-					if err := a.ReadBlocks(ctx, 0, got); err != nil {
-						t.Fatalf("read %s: %v", when, err)
-					}
-					if !bytes.Equal(got, shadow) {
-						t.Fatalf("read %s returned wrong data", when)
-					}
-				}
+				sh.Check(t, "read "+when)
+				sh.Check(t, "read "+when)
 			}
-			return a, devs, raw, shadow, readAll
 		}
 		// rebuilt rebuilds the victim and checks it is a read source again.
-		rebuilt := func(t *testing.T, a swappable, raw []*disk.Disk, victimDisk *disk.Disk, readAll func(string)) {
+		rebuilt := func(t *testing.T, a raidtest.Array, raw []*disk.Disk, victimDisk *disk.Disk, readAll func(string)) {
 			t.Helper()
 			if err := a.Rebuild(context.Background(), victim); err != nil {
 				t.Fatal(err)
@@ -334,25 +220,24 @@ func TestRepairSwapDevBlankUntilRebuilt(t *testing.T) {
 				t.Fatal("the rebuilt member serves no reads")
 			}
 		}
-		t.Run(c.name, func(t *testing.T) {
+		t.Run(e.Name, func(t *testing.T) {
 			t.Run("spare", func(t *testing.T) {
 				ctx := context.Background()
-				a, devs, raw, shadow, readAll := setup(t)
-				spares, spareDisks := mkDisks(2, per)
-				if _, err := a.SwapDev(c.n, spares[0]); err == nil {
+				a, raw, sh, readAll := setup(t)
+				spares, spareDisks := raidtest.Disks{Blocks: per}.Make(2)
+				if _, err := a.SwapDev(e.N, spares[0]); err == nil {
 					t.Fatal("swap of a member out of range accepted")
 				}
-				tiny, _ := mkDisks(1, per/2)
+				tiny, _ := raidtest.Disks{Blocks: per / 2}.Make(1)
 				if _, err := a.SwapDev(victim, tiny[0]); err == nil {
 					t.Fatal("undersized spare accepted")
 				}
 				raw[victim].Fail()
-				if old, err := a.SwapDev(victim, spares[0]); err != nil || old != devs[victim] {
+				if old, err := a.SwapDev(victim, spares[0]); err != nil || old != raw[victim] {
 					t.Fatalf("swap returned (%v, %v), want the failed member", old, err)
 				}
 				// Blank: every write lands on the spare, no read touches it.
-				fill(shadow[:64*testBS], 62)
-				if err := a.WriteBlocks(ctx, 0, shadow[:64*testBS]); err != nil {
+				if err := sh.Write(ctx, 0, 64); err != nil {
 					t.Fatal(err)
 				}
 				if _, w, _, _ := spareDisks[0].Stats(); w == 0 {
@@ -385,14 +270,14 @@ func TestRepairSwapDevBlankUntilRebuilt(t *testing.T) {
 				rebuilt(t, a, raw, spareDisks[1], readAll)
 			})
 			t.Run("in place", func(t *testing.T) {
-				a, devs, raw, _, readAll := setup(t)
+				a, raw, _, readAll := setup(t)
 				reg := obs.NewRegistry()
 				a.Members().Attach(nil, reg, nil)
 				raw[victim].Fail()
 				if err := raw[victim].Replace(); err != nil {
 					t.Fatal(err)
 				}
-				if old, err := a.SwapDev(victim, devs[victim]); err != nil || old != devs[victim] {
+				if old, err := a.SwapDev(victim, raw[victim]); err != nil || old != raw[victim] {
 					t.Fatalf("swap of the emptied member returned (%v, %v), want the member itself", old, err)
 				}
 				if ev := reg.Events().Events(); len(ev) != 1 || ev[0].Kind != obs.EventSwap || ev[0].Detail != "device emptied in place" {
@@ -407,10 +292,8 @@ func TestRepairSwapDevBlankUntilRebuilt(t *testing.T) {
 			})
 			t.Run("rebuild in place", func(t *testing.T) {
 				ctx := context.Background()
-				a, _, raw, _, readAll := setup(t)
-				junk := make([]byte, per*testBS)
-				fill(junk, 63)
-				if err := raw[victim].WriteBlocks(ctx, 0, junk); err != nil {
+				a, raw, _, readAll := setup(t)
+				if err := raw[victim].WriteBlocks(ctx, 0, bytes.Repeat([]byte{0xEE}, per*raidtest.BS)); err != nil {
 					t.Fatal(err)
 				}
 				// The member keeps its place; its rebuild alone must keep
@@ -442,40 +325,13 @@ func TestRepairSwapDevBlankUntilRebuilt(t *testing.T) {
 //
 //	go test -run '^$' -bench Verify -benchtime 1x -count 3 ./internal/raid/
 func BenchmarkVerify(b *testing.B) {
-	const bs, per = 4096, 4096
-	cases := []struct {
-		name  string
-		n     int
-		build func(devs []raid.Dev) (raid.Array, error)
-	}{
-		{"rs(8,2)", 10, func(devs []raid.Dev) (raid.Array, error) { return raid.NewRS(devs, 2) }},
-		{"raid5(4)", 4, func(devs []raid.Dev) (raid.Array, error) { return raid.NewRAID5(devs) }},
-		{"raidx 4x1", 4, func(devs []raid.Dev) (raid.Array, error) { return core.New(devs, 4, 1, core.Options{}) }},
-		{"raid10(4)", 4, func(devs []raid.Dev) (raid.Array, error) { return raid.NewRAID10(devs) }},
-		{"chained(4)", 4, func(devs []raid.Dev) (raid.Array, error) { return raid.NewChained(devs) }},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			ctx := context.Background()
-			devs := make([]raid.Dev, c.n)
-			for i := range devs {
-				devs[i] = disk.New(nil, fmt.Sprintf("d%d", i), store.NewMem(bs, per), disk.DefaultModel())
-			}
-			a, err := c.build(devs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			data := make([]byte, a.Blocks()*bs)
-			fill(data, 1)
-			if err := a.WriteBlocks(ctx, 0, data); err != nil {
-				b.Fatal(err)
-			}
-			if err := a.Flush(ctx); err != nil {
-				b.Fatal(err)
-			}
+	for _, e := range []raidtest.Engine{raidtest.RS(8, 2), raidtest.RAID5(4), raidtest.RAIDx(4, 1), raidtest.RAID10(4), raidtest.Chained(4)} {
+		b.Run(e.Name, func(b *testing.B) {
+			a, _ := raidtest.Build[raidtest.Array](b, e, raidtest.Disks{BS: 4096, Blocks: 4096})
+			raidtest.Fill(b, a)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := a.(raid.Verifier).Verify(ctx); err != nil {
+				if err := a.Verify(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}

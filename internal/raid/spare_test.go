@@ -1,47 +1,52 @@
 package raid_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/raid"
+	"repro/internal/raid/raidtest"
 )
+
+// parkedDev holds its first write until release closes: a rebuild onto
+// it stops at its first chunk.
+type parkedDev struct {
+	raid.Dev
+	once    sync.Once
+	release chan struct{}
+}
+
+func (d *parkedDev) WriteBlocks(ctx context.Context, b int64, p []byte) error {
+	d.once.Do(func() { <-d.release })
+	return d.Dev.WriteBlocks(ctx, b, p)
+}
 
 // TestRepairConcurrentFailover: two goroutines racing Failover for the
 // same failed member must consume exactly one spare — the loser gets
 // ErrRepairInFlight instead of swapping out the winner's fresh spare.
-// Run under -race (the CI repair shard does).
+// The spare handed out first parks its rebuild until a Failover returns,
+// so the two always overlap. Run under -race (the CI repair shard does).
 func TestRepairConcurrentFailover(t *testing.T) {
-	devs, raw := mkDisks(4, 64)
-	a, err := core.New(devs, 4, 1, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spares, _ := mkDisks(2, 64)
+	a, raw := raidtest.Build[raidtest.Array](t, raidtest.RAIDx(4, 1), disks64)
+	spares, _ := disks64.Make(2)
+	parked := &parkedDev{Dev: spares[1], release: make(chan struct{})}
+	spares[1] = parked // the Sparer hands out its last spare first
 	sp := raid.NewSparer(a, spares)
 	ctx := context.Background()
-	all := make([]byte, a.Blocks()*int64(testBS))
-	fill(all, 11)
-	if err := a.WriteBlocks(ctx, 0, all); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
+	sh := raidtest.Fill(t, a)
 
 	raw[2].Fail()
 	errs := make([]error, 2)
+	release := sync.OnceFunc(func() { close(parked.release) })
 	var wg sync.WaitGroup
 	for i := range errs {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			errs[i] = sp.Failover(ctx, 2)
+			release()
 		}()
 	}
 	wg.Wait()
@@ -71,13 +76,7 @@ func TestRepairConcurrentFailover(t *testing.T) {
 	if err := a.Verify(ctx); err != nil {
 		t.Fatalf("verify after racing failovers: %v", err)
 	}
-	got := make([]byte, len(all))
-	if err := a.ReadBlocks(ctx, 0, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, all) {
-		t.Fatal("data wrong after racing failovers")
-	}
+	sh.Check(t, "after racing failovers")
 }
 
 // TestRepairSwapReleaseClaims: the supervisor-facing Swap/Release pair
@@ -85,12 +84,8 @@ func TestRepairConcurrentFailover(t *testing.T) {
 // same slot is rejected until Release, and an unrelated slot is not
 // blocked.
 func TestRepairSwapReleaseClaims(t *testing.T) {
-	devs, raw := mkDisks(4, 64)
-	a, err := core.New(devs, 4, 1, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spares, _ := mkDisks(3, 64)
+	a, raw := raidtest.Build[raidtest.Array](t, raidtest.RAIDx(4, 1), disks64)
+	spares, _ := disks64.Make(3)
 	sp := raid.NewSparer(a, spares)
 	ctx := context.Background()
 

@@ -10,52 +10,35 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/disk"
 	"repro/internal/layout"
 	"repro/internal/raid"
+	"repro/internal/raid/raidtest"
 )
 
 // stripeGeom is one parameterisation of the stripe engine.
 type stripeGeom struct {
-	name  string
-	n, m  int
+	raidtest.Engine
+	m     int
 	raid5 bool
 }
 
 func stripeGeoms() []stripeGeom {
 	return []stripeGeom{
-		{"raid5(4)", 4, 1, true},
-		{"raid5(5)", 5, 1, true},
-		{"rs(5,1)", 6, 1, false},
-		{"rs(6,2)", 8, 2, false},
-		{"rs(4,3)", 7, 3, false},
+		{raidtest.RAID5(4), 1, true},
+		{raidtest.RAID5(5), 1, true},
+		{raidtest.RS(5, 1), 1, false},
+		{raidtest.RS(6, 2), 2, false},
+		{raidtest.RS(4, 3), 3, false},
 	}
 }
 
-func (g stripeGeom) build(t *testing.T, blocks int64) (*raid.Stripe, []raid.Dev, []*disk.Disk) {
-	t.Helper()
-	devs, raw := mkDisks(g.n, blocks)
-	return g.over(t, devs), devs, raw
-}
-
-// over builds the geometry's array over the given devices.
-func (g stripeGeom) over(t *testing.T, devs []raid.Dev) *raid.Stripe {
-	t.Helper()
-	var a *raid.Stripe
-	var err error
-	if g.raid5 {
-		a, err = raid.NewRAID5(devs)
-	} else {
-		a, err = raid.NewRS(devs, g.m)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
+func (g stripeGeom) build(t *testing.T, blocks int64) (*raid.Stripe, []*disk.Disk) {
+	return raidtest.Build[*raid.Stripe](t, g.Engine, raidtest.Disks{Blocks: blocks})
 }
 
 // devOf is the on-disk placement, stated independently of the engine:
@@ -63,10 +46,10 @@ func (g stripeGeom) over(t *testing.T, devs []raid.Dev) *raid.Stripe {
 // parity disk cyclically, or sits s devices up from j for rs.
 func (g stripeGeom) devOf(s int64, j int) int {
 	if g.raid5 {
-		lay := layout.NewRAID5(layout.Geometry{Disks: g.n, DiskBlocks: s + 1})
-		return (lay.ParityDisk(s) + 1 + j) % g.n
+		lay := layout.NewRAID5(layout.Geometry{Disks: g.N, DiskBlocks: s + 1})
+		return (lay.ParityDisk(s) + 1 + j) % g.N
 	}
-	return (int(s%int64(g.n)) + j) % g.n
+	return (int(s%int64(g.N)) + j) % g.N
 }
 
 // dataBlocksOn counts the data shards of stripes [0, stripes) that live
@@ -74,7 +57,7 @@ func (g stripeGeom) devOf(s int64, j int) int {
 func (g stripeGeom) dataBlocksOn(stripes int64, devs ...int) int {
 	count := 0
 	for s := int64(0); s < stripes; s++ {
-		for j := 0; j < g.n-g.m; j++ {
+		for j := 0; j < g.N-g.m; j++ {
 			for _, d := range devs {
 				if g.devOf(s, j) == d {
 					count++
@@ -104,33 +87,6 @@ func victimSets(n, m int) [][]int {
 	return out
 }
 
-// seedAndFlush writes a random base image and returns the shadow copy.
-func seedAndFlush(t *testing.T, a raid.Array, seed int64) []byte {
-	t.Helper()
-	ctx := context.Background()
-	data := make([]byte, a.Blocks()*int64(a.BlockSize()))
-	rand.New(rand.NewSource(seed)).Read(data)
-	if err := a.WriteBlocks(ctx, 0, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// checkAll verifies the array content equals the shadow.
-func checkAll(t *testing.T, a raid.Array, want []byte, what string) {
-	t.Helper()
-	got := make([]byte, len(want))
-	if err := a.ReadBlocks(context.Background(), 0, got); err != nil {
-		t.Fatalf("%s: read: %v", what, err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: content mismatch", what)
-	}
-}
-
 // TestStripeDegradedWrites: for every geometry and every victim set
 // within tolerance, write in degraded mode — one shard and two shards
 // of n consecutive stripes each (the rotation makes every victim the
@@ -142,23 +98,19 @@ func checkAll(t *testing.T, a raid.Array, want []byte, what string) {
 func TestStripeDegradedWrites(t *testing.T) {
 	ctx := context.Background()
 	for _, g := range stripeGeoms() {
-		t.Run(g.name, func(t *testing.T) {
-			n, k := int64(g.n), int64(g.n-g.m)
-			for _, victims := range victimSets(g.n, g.m) {
-				a, _, raw := g.build(t, 32)
-				shadow := seedAndFlush(t, a, int64(len(victims)*100+victims[0]))
+		t.Run(g.Name, func(t *testing.T) {
+			n, k := int64(g.N), int64(g.N-g.m)
+			for _, victims := range victimSets(g.N, g.m) {
+				a, raw := g.build(t, 32)
+				sh := raidtest.Fill(t, a)
 				for _, v := range victims {
 					raw[v].Fail()
 				}
-				rng := rand.New(rand.NewSource(int64(victims[0])))
 				write := func(b, blocks int64) {
 					t.Helper()
-					upd := make([]byte, blocks*testBS)
-					rng.Read(upd)
-					if err := a.WriteBlocks(ctx, b, upd); err != nil {
+					if err := sh.Write(ctx, b, blocks); err != nil {
 						t.Fatalf("victims %v: degraded write [%d,+%d): %v", victims, b, blocks, err)
 					}
-					copy(shadow[b*testBS:], upd)
 				}
 				for s := int64(0); s < n; s++ {
 					write(s*k, 1)
@@ -166,7 +118,7 @@ func TestStripeDegradedWrites(t *testing.T) {
 				}
 				write(2*n*k, k)
 				write((2*n+1)*k+2, 2*k-1)
-				checkAll(t, a, shadow, "degraded")
+				sh.Check(t, "degraded")
 
 				for _, v := range victims {
 					if err := raw[v].Replace(); err != nil {
@@ -179,7 +131,7 @@ func TestStripeDegradedWrites(t *testing.T) {
 				if err := a.Verify(ctx); err != nil {
 					t.Fatalf("victims %v: verify after rebuild: %v", victims, err)
 				}
-				checkAll(t, a, shadow, "rebuilt")
+				sh.Check(t, "rebuilt")
 			}
 		})
 	}
@@ -212,8 +164,8 @@ func TestStripePartialWriteIO(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range cases {
 		t.Run(tc.what, func(t *testing.T) {
-			a, _, raw := tc.g.build(t, 32)
-			shadow := seedAndFlush(t, a, 11)
+			a, raw := tc.g.build(t, 32)
+			sh := raidtest.Fill(t, a)
 			const s = 5
 			for _, j := range tc.lost {
 				raw[tc.g.devOf(s, j)].Fail()
@@ -223,9 +175,8 @@ func TestStripePartialWriteIO(t *testing.T) {
 				r, w, _, _ := d.Stats()
 				r0, w0 = r0+r, w0+w
 			}
-			lb := int64(s * (tc.g.n - tc.g.m))
-			upd := bytes.Repeat([]byte{0xA5}, tc.covered*testBS)
-			if err := a.WriteBlocks(ctx, lb, upd); err != nil {
+			lb := int64(s * (tc.g.N - tc.g.m))
+			if err := sh.Write(ctx, lb, int64(tc.covered)); err != nil {
 				t.Fatal(err)
 			}
 			var r1, w1 int64
@@ -236,8 +187,7 @@ func TestStripePartialWriteIO(t *testing.T) {
 			if r1-r0 != tc.reads || w1-w0 != tc.writes {
 				t.Errorf("cost %d reads + %d writes, want %d + %d", r1-r0, w1-w0, tc.reads, tc.writes)
 			}
-			copy(shadow[lb*testBS:], upd)
-			checkAll(t, a, shadow, "after write")
+			sh.Check(t, "after write")
 		})
 	}
 }
@@ -247,16 +197,16 @@ func TestStripePartialWriteIO(t *testing.T) {
 func TestStripeTooManyFailures(t *testing.T) {
 	ctx := context.Background()
 	for _, g := range stripeGeoms() {
-		a, _, raw := g.build(t, 16)
-		all := seedAndFlush(t, a, 3)
+		a, raw := g.build(t, 16)
+		raidtest.Fill(t, a)
 		for v := 0; v <= g.m; v++ {
 			raw[v].Fail()
 		}
-		if err := a.ReadBlocks(ctx, 0, make([]byte, len(all))); !errors.Is(err, raid.ErrDataLoss) {
-			t.Errorf("%s: read with %d failures: err = %v, want ErrDataLoss", g.name, g.m+1, err)
+		if err := a.ReadBlocks(ctx, 0, make([]byte, a.Blocks()*raidtest.BS)); !errors.Is(err, raid.ErrDataLoss) {
+			t.Errorf("%s: read with %d failures: err = %v, want ErrDataLoss", g.Name, g.m+1, err)
 		}
-		if err := a.WriteBlocks(ctx, 0, all[:testBS]); !errors.Is(err, raid.ErrDataLoss) {
-			t.Errorf("%s: write with %d failures: err = %v, want ErrDataLoss", g.name, g.m+1, err)
+		if err := a.WriteBlocks(ctx, 0, make([]byte, raidtest.BS)); !errors.Is(err, raid.ErrDataLoss) {
+			t.Errorf("%s: write with %d failures: err = %v, want ErrDataLoss", g.Name, g.m+1, err)
 		}
 	}
 }
@@ -268,26 +218,24 @@ func TestStripeTooManyFailures(t *testing.T) {
 func TestStripeVerifyDetectsCorruption(t *testing.T) {
 	ctx := context.Background()
 	for _, g := range stripeGeoms() {
-		a, devs, _ := g.build(t, 16)
-		all := seedAndFlush(t, a, 12)
+		a, raw := g.build(t, 16)
+		sh := raidtest.Fill(t, a)
 		if err := a.Verify(ctx); err != nil {
-			t.Fatalf("%s: verify clean array: %v", g.name, err)
+			t.Fatalf("%s: verify clean array: %v", g.Name, err)
 		}
 		// Corrupt physical block 4 of device 2 directly.
-		evil := make([]byte, testBS)
-		fill(evil, 666)
-		if err := devs[2].WriteBlocks(ctx, 4, evil); err != nil {
+		if err := raw[2].WriteBlocks(ctx, 4, bytes.Repeat([]byte{0xEE}, raidtest.BS)); err != nil {
 			t.Fatal(err)
 		}
 		if err := a.Verify(ctx); err == nil || !strings.Contains(err.Error(), "block 4 ") || !strings.Contains(err.Error(), "device") {
-			t.Fatalf("%s: verify over corrupted block: %v", g.name, err)
+			t.Fatalf("%s: verify over corrupted block: %v", g.Name, err)
 		}
 		// Rewriting the affected stripes re-encodes parity; Verify heals.
-		if err := a.WriteBlocks(ctx, 0, all); err != nil {
+		if err := sh.Write(ctx, 0, a.Blocks()); err != nil {
 			t.Fatal(err)
 		}
 		if err := a.Verify(ctx); err != nil {
-			t.Fatalf("%s: verify after rewrite: %v", g.name, err)
+			t.Fatalf("%s: verify after rewrite: %v", g.Name, err)
 		}
 	}
 }
@@ -298,37 +246,37 @@ func TestStripeVerifyDetectsCorruption(t *testing.T) {
 func TestStripeDegradedNotify(t *testing.T) {
 	ctx := context.Background()
 	for _, g := range stripeGeoms() {
-		a, _, raw := g.build(t, 16)
+		a, raw := g.build(t, 16)
 		var count int
 		a.SetDegradedNotify(func(blocks int) { count += blocks })
-		all := seedAndFlush(t, a, 8)
-		if err := a.ReadBlocks(ctx, 0, all); err != nil {
+		sh := raidtest.Fill(t, a)
+		if err := sh.Diff(ctx, 0, a.Blocks()); err != nil {
 			t.Fatal(err)
 		}
 		if count != 0 {
-			t.Fatalf("%s: healthy read notified %d blocks", g.name, count)
+			t.Fatalf("%s: healthy read notified %d blocks", g.Name, count)
 		}
 		raw[1].Fail()
-		if err := a.ReadBlocks(ctx, 0, all); err != nil {
+		if err := sh.Diff(ctx, 0, a.Blocks()); err != nil {
 			t.Fatal(err)
 		}
 		// raid5(4) and rs(6,2) over 16 stripes both keep 12 data
 		// shards (and 4 parity shards) on any one device.
 		if want := g.dataBlocksOn(16, 1); count != want {
-			t.Errorf("%s: degraded read notified %d blocks, want %d", g.name, count, want)
+			t.Errorf("%s: degraded read notified %d blocks, want %d", g.Name, count, want)
 		}
 	}
 }
 
 func TestStripeConstructorValidation(t *testing.T) {
-	devs, _ := mkDisks(3, 16)
+	devs, _ := raidtest.Disks{Blocks: 16}.Make(3)
 	if _, err := raid.NewRS(devs, 2); err == nil {
 		t.Error("rs over 3 disks with m=2 accepted (k would be 1)")
 	}
 	if _, err := raid.NewRS(devs, 0); err == nil {
 		t.Error("rs with m=0 accepted")
 	}
-	devs8, _ := mkDisks(8, 16)
+	devs8, _ := raidtest.Disks{Blocks: 16}.Make(8)
 	a, err := raid.NewRS(devs8, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -366,35 +314,29 @@ func (d *staleHealthDev) ReadBlocks(ctx context.Context, b int64, buf []byte) er
 func TestStripeReadFailoverOnStaleHealth(t *testing.T) {
 	ctx := context.Background()
 	for _, g := range []stripeGeom{stripeGeoms()[0], stripeGeoms()[2], stripeGeoms()[3]} {
-		t.Run(g.name, func(t *testing.T) {
-			devs, _ := mkDisks(g.n, 16)
-			// m liars consume the redundancy budget exactly.
-			idx := []int{1, g.n - 2}[:g.m]
-			var liars []*staleHealthDev
-			for _, i := range idx {
-				l := &staleHealthDev{Dev: devs[i]}
-				devs[i] = l
-				liars = append(liars, l)
-			}
-			// One more, honest until the last step.
-			extra := &staleHealthDev{Dev: devs[0]}
-			devs[0] = extra
-			a := g.over(t, devs)
+		t.Run(g.Name, func(t *testing.T) {
+			// m liars consume the redundancy budget exactly, and one more
+			// on device 0 is honest until the last step.
+			idx := []int{1, g.N - 2}[:g.m]
+			liars := map[int]*staleHealthDev{}
+			a, _ := raidtest.Build[*raid.Stripe](t, g.Engine, raidtest.Disks{Blocks: 16, Wrap: func(i int, d raid.Dev) raid.Dev {
+				if i == 0 || slices.Contains(idx, i) {
+					liars[i] = &staleHealthDev{Dev: d}
+					return liars[i]
+				}
+				return d
+			}})
 			var notified int
 			a.SetDegradedNotify(func(n int) { notified += n })
-			all := seedAndFlush(t, a, 97)
+			sh := raidtest.Fill(t, a)
 
 			// The wrapped devices start erroring while still reporting
 			// healthy.
-			for _, l := range liars {
-				l.failReads = true
+			for _, i := range idx {
+				liars[i].failReads = true
 			}
-			got := make([]byte, len(all))
-			if err := a.ReadBlocks(ctx, 0, got); err != nil {
+			if err := sh.Diff(ctx, 0, a.Blocks()); err != nil {
 				t.Fatalf("read with %d stale-health failures: %v", g.m, err)
-			}
-			if !bytes.Equal(got, all) {
-				t.Fatal("failover read returned wrong data")
 			}
 			if want := g.dataBlocksOn(16, idx...); notified != want {
 				t.Errorf("runtime failover notified %d blocks, want %d", notified, want)
@@ -406,21 +348,17 @@ func TestStripeReadFailoverOnStaleHealth(t *testing.T) {
 			// reconstruction source — the failover loop must absorb
 			// them all before succeeding.
 			lb := int64(0)
-			for g.devOf(lb/int64(g.n-g.m), int(lb%int64(g.n-g.m))) != idx[0] {
+			for g.devOf(lb/int64(g.N-g.m), int(lb%int64(g.N-g.m))) != idx[0] {
 				lb++
 			}
-			one := make([]byte, testBS)
-			if err := a.ReadBlocks(ctx, lb, one); err != nil {
+			if err := sh.Diff(ctx, lb, 1); err != nil {
 				t.Fatalf("single-block read with staggered discovery: %v", err)
-			}
-			if !bytes.Equal(one, all[lb*testBS:(lb+1)*testBS]) {
-				t.Fatal("staggered failover read returned wrong data")
 			}
 
 			// One more erring device exceeds the redundancy budget: the
 			// error must propagate instead of retrying forever.
-			extra.failReads = true
-			if err := a.ReadBlocks(ctx, 0, got); err == nil {
+			liars[0].failReads = true
+			if err := a.ReadBlocks(ctx, 0, make([]byte, a.Blocks()*raidtest.BS)); err == nil {
 				t.Fatalf("read with %d erring devices should fail", g.m+1)
 			}
 		})
@@ -434,14 +372,14 @@ func TestStripeRebuildIsBatched(t *testing.T) {
 	ctx := context.Background()
 	g := stripeGeoms()[3]
 	const stripes = 100
-	a, _, raw := g.build(t, stripes)
-	shadow := seedAndFlush(t, a, 21)
+	a, raw := g.build(t, stripes)
+	sh := raidtest.Fill(t, a)
 	const victim = 2
 	raw[victim].Fail()
 	if err := raw[victim].Replace(); err != nil {
 		t.Fatal(err)
 	}
-	before := make([]int64, g.n)
+	before := make([]int64, g.N)
 	for i, d := range raw {
 		before[i], _, _, _ = d.Stats()
 	}
@@ -461,5 +399,5 @@ func TestStripeRebuildIsBatched(t *testing.T) {
 	if err := a.Verify(ctx); err != nil {
 		t.Fatal(err)
 	}
-	checkAll(t, a, shadow, "rebuilt")
+	sh.Check(t, "rebuilt")
 }

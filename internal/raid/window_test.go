@@ -3,7 +3,6 @@ package raid_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"runtime"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/intent"
 	"repro/internal/raid"
+	"repro/internal/raid/raidtest"
 	"repro/internal/vclock"
 )
 
@@ -23,16 +23,6 @@ import (
 func inWindowWait() int {
 	buf := make([]byte, 1<<20)
 	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "raid.(*Window).wait(")
-}
-
-// waitUntil polls cond for up to ten seconds.
-func waitUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-	}
 }
 
 // TestWindowRealTime: on the sync.Cond backend a write overlapping a claim
@@ -50,7 +40,7 @@ func TestWindowRealTime(t *testing.T) {
 		w.Exit(w.Enter(ctx, raid.Span{Dev: -1, Lo: 7, Hi: 8})) // a row through the claim
 		close(entered)
 	}()
-	waitUntil(t, "the overlapping write to wait", func() bool { return inWindowWait() == 1 })
+	raidtest.Eventually(t, "the overlapping write to wait", func() bool { return inWindowWait() == 1 })
 	select {
 	case <-entered:
 		t.Fatal("a write overlapping a claim went through")
@@ -64,7 +54,7 @@ func TestWindowRealTime(t *testing.T) {
 	write := w.Enter(ctx, raid.Span{Dev: 0, Lo: 0, Hi: 1})
 	opened := make(chan raid.Ticket)
 	go func() { opened <- w.Open(ctx, raid.Span{Dev: 3, Lo: 0, Hi: 1}) }()
-	waitUntil(t, "the claim to drain", func() bool { return inWindowWait() == 1 })
+	raidtest.Eventually(t, "the claim to drain", func() bool { return inWindowWait() == 1 })
 	w.Exit(write)
 	claim = <-opened
 	// A write registered under an open claim holds up only a claim it overlaps.
@@ -223,65 +213,22 @@ func (d *gatedDev) WriteBlocksBackground(ctx context.Context, b int64, p []byte)
 // log drains.
 func TestWindowRestoreChunk(t *testing.T) {
 	const per, victim, region = 300, 1, 16
-	type array interface {
-		raid.Array
-		raid.Restorer
-		raid.Verifier
-	}
-	attach := func(a *raid.Stripe, err error, il *intent.Log) (array, error) {
-		if err == nil {
-			a.Members().Attach(il, nil, nil)
-		}
-		return a, err
-	}
-	cases := []struct {
-		name  string
-		n     int
-		build func(devs []raid.Dev, il *intent.Log) (array, error)
-	}{
-		{"raidx", 4, func(devs []raid.Dev, il *intent.Log) (array, error) {
-			return core.New(devs, 4, 1, core.Options{Intent: il})
-		}},
-		{"rs(4,2)", 6, func(devs []raid.Dev, il *intent.Log) (array, error) {
-			a, err := raid.NewRS(devs, 2)
-			return attach(a, err, il)
-		}},
-		{"raid5(4)", 4, func(devs []raid.Dev, il *intent.Log) (array, error) {
-			a, err := raid.NewRAID5(devs)
-			return attach(a, err, il)
-		}},
-		{"chained(4)", 4, func(devs []raid.Dev, il *intent.Log) (array, error) {
-			a, err := raid.NewChained(devs)
-			if err == nil {
-				a.Members().Attach(il, nil, nil)
-			}
-			return a, err
-		}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
+	for _, e := range []raidtest.Engine{raidtest.RAIDx(4, 1).Named("raidx"), raidtest.RS(4, 2), raidtest.RAID5(4), raidtest.Chained(4)} {
+		t.Run(e.Name, func(t *testing.T) {
 			ctx := context.Background()
-			devs, raw := mkDisks(c.n, per)
-			gd := &gatedDev{Dev: devs[victim]}
-			devs[victim] = gd
-			il := intent.NewLog(c.n, per, 8)
-			a, err := c.build(devs, il)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shadow := make([]byte, a.Blocks()*int64(testBS))
-			fill(shadow, 71)
-			if err := a.WriteBlocks(ctx, 0, shadow); err != nil {
-				t.Fatal(err)
-			}
-			if err := a.Flush(ctx); err != nil {
-				t.Fatal(err)
-			}
+			var gd *gatedDev
+			il := intent.NewLog(e.N, per, 8)
+			a, raw := raidtest.Build[raidtest.Array](t, e.With(core.Options{Intent: il}), raidtest.Disks{Blocks: per, Wrap: func(i int, d raid.Dev) raid.Dev {
+				if i == victim {
+					gd = &gatedDev{Dev: d}
+					return gd
+				}
+				return d
+			}})
+			sh := raidtest.Fill(t, a)
 			// The victim misses a write, comes back stale, and is resynced.
-			head := shadow[:region*testBS]
-			fill(head, 72)
 			raw[victim].Fail()
-			if err := a.WriteBlocks(ctx, 0, head); err != nil {
+			if err := sh.Write(ctx, 0, region); err != nil {
 				t.Fatal(err)
 			}
 			raw[victim].Readmit()
@@ -300,10 +247,9 @@ func TestWindowRestoreChunk(t *testing.T) {
 			}()
 			<-gd.parked
 
-			fill(head, 73)
 			wrote := make(chan error, 1)
-			go func() { wrote <- a.WriteBlocks(ctx, 0, head) }()
-			waitUntil(t, "the foreground write to wait for the parked chunk", func() bool {
+			go func() { wrote <- sh.Write(ctx, 0, region) }()
+			raidtest.Eventually(t, "the foreground write to wait for the parked chunk", func() bool {
 				select {
 				case err := <-wrote:
 					t.Fatalf("foreground write returned (%v) while the restore chunk was parked", err)
@@ -334,7 +280,7 @@ func TestWindowRestoreChunk(t *testing.T) {
 				if pass > 10 {
 					t.Fatal("intent log never drained")
 				}
-				for i := 0; i < c.n; i++ {
+				for i := 0; i < e.N; i++ {
 					if regions := il.TakeDirty(i); len(regions) > 0 {
 						if _, err := raid.Resync(ctx, a, i, regions, nil); err != nil {
 							t.Fatal(err)
@@ -342,19 +288,15 @@ func TestWindowRestoreChunk(t *testing.T) {
 					}
 				}
 			}
-			got := make([]byte, len(head))
 			for i := range raw {
 				if i == victim {
 					continue
 				}
 				raw[i].Fail()
-				if err := a.ReadBlocks(ctx, 0, got); err != nil {
-					t.Fatalf("read with member %d down: %v", i, err)
+				if err := sh.Diff(ctx, 0, region); err != nil {
+					t.Fatalf("with member %d down: %v", i, err)
 				}
 				raw[i].Readmit()
-				if !bytes.Equal(got, head) {
-					t.Fatalf("with member %d down the foreground write is lost", i)
-				}
 			}
 		})
 	}
@@ -427,58 +369,32 @@ func (d *heldDev) Flush(ctx context.Context) error {
 // array reads back the writer's last stamps and verifies clean.
 func TestWindowVerifyBesideWriter(t *testing.T) {
 	const per = 300
-	type array interface {
-		raid.Array
-		raid.Restorer
-	}
-	raidx := func(devs []raid.Dev) (array, error) { return core.New(devs, 4, 1, core.Options{}) }
+	raidx := raidtest.RAIDx(4, 1)
 	cases := []struct {
-		name  string
-		n     int
-		held  bool
-		build func(devs []raid.Dev) (array, error)
+		raidtest.Engine
+		held bool
 	}{
-		{"raidx", 4, false, raidx},
-		{"rs(4,2)", 6, false, func(devs []raid.Dev) (array, error) { return raid.NewRS(devs, 2) }},
-		{"raid5(4)", 4, false, func(devs []raid.Dev) (array, error) { return raid.NewRAID5(devs) }},
-		{"chained(4)", 4, false, func(devs []raid.Dev) (array, error) { return raid.NewChained(devs) }},
-		{"raidx, images held until flush", 4, true, raidx},
+		{raidx.Named("raidx"), false},
+		{raidtest.RS(4, 2), false},
+		{raidtest.RAID5(4), false},
+		{raidtest.Chained(4), false},
+		{raidx.Named("raidx, images held until flush"), true},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
+		t.Run(c.Name, func(t *testing.T) {
 			ctx := context.Background()
-			devs, _ := mkDisks(c.n, per)
 			var held []*heldDev
-			for i := range devs {
-				if c.held {
-					held = append(held, &heldDev{Dev: devs[i]})
-					devs[i] = held[i]
+			g := raidtest.Disks{Blocks: per}
+			if c.held {
+				g.Wrap = func(_ int, d raid.Dev) raid.Dev {
+					held = append(held, &heldDev{Dev: d})
+					return held[len(held)-1]
 				}
 			}
-			a, err := c.build(devs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shadow := make([]byte, a.Blocks()*int64(testBS))
-			// write stamps blocks [b, b+n) of shadow with seq and writes them.
-			write := func(b, n int64, seq uint64) error {
-				for lb := b; lb < b+n; lb++ {
-					blk := shadow[lb*testBS : (lb+1)*testBS]
-					for off := 0; off < testBS; off += 16 {
-						binary.LittleEndian.PutUint64(blk[off:], uint64(lb))
-						binary.LittleEndian.PutUint64(blk[off+8:], seq)
-					}
-				}
-				return a.WriteBlocks(ctx, b, shadow[b*testBS:(b+n)*testBS])
-			}
-			if err := write(0, a.Blocks(), 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := a.Flush(ctx); err != nil {
-				t.Fatal(err)
-			}
+			a, _ := raidtest.Build[raidtest.Array](t, c.Engine, g)
+			sh := raidtest.Fill(t, a)
 			// Unflushed: the first compare meets it whatever the schedule.
-			if err := write(0, 8, 1); err != nil {
+			if err := sh.Write(ctx, 0, 8); err != nil {
 				t.Fatal(err)
 			}
 			stop, done := make(chan struct{}), make(chan struct{})
@@ -486,14 +402,14 @@ func TestWindowVerifyBesideWriter(t *testing.T) {
 			go func() {
 				defer close(done)
 				rng := rand.New(rand.NewSource(1))
-				for seq := uint64(2); ; seq++ {
+				for {
 					select {
 					case <-stop:
 						return
 					default:
 					}
 					n := 1 + rng.Int63n(8)
-					if err := write(rng.Int63n(a.Blocks()-n+1), n, seq); err != nil {
+					if err := sh.Write(ctx, rng.Int63n(a.Blocks()-n+1), n); err != nil {
 						t.Error(err)
 						return
 					}
@@ -512,7 +428,7 @@ func TestWindowVerifyBesideWriter(t *testing.T) {
 				if st, err := raid.Verify(ctx, a); err != nil || st.Mismatches != 0 {
 					t.Fatalf("round %d: verify beside the writer: %+v, %v", round, st, err)
 				}
-				for idx := 0; idx < c.n; idx++ {
+				for idx := 0; idx < c.N; idx++ {
 					if st, err := raid.ScrubSample(ctx, a, idx, 1, nil); err != nil || st.Mismatches != 0 {
 						t.Fatalf("round %d: scrub of member %d beside the writer: %+v, %v", round, idx, st, err)
 					}
@@ -533,7 +449,7 @@ func TestWindowVerifyBesideWriter(t *testing.T) {
 			if st, err := raid.Verify(ctx, a); err != nil || st.Mismatches != 0 || st.BlocksChecked == 0 {
 				t.Fatalf("verify after the writer stopped: %+v, %v", st, err)
 			}
-			checkAll(t, a, shadow, "after the writer stopped")
+			sh.Check(t, "after the writer stopped")
 		})
 	}
 }

@@ -1,36 +1,22 @@
 package repair_test
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/intent"
-	"repro/internal/raid"
+	"repro/internal/obs"
+	"repro/internal/raid/raidtest"
 	"repro/internal/repair"
 	"repro/internal/store"
 )
-
-// waitForFile polls until path exists (the supervisor persists at poll
-// cadence, so saves land asynchronously).
-func waitForFile(t *testing.T, path string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := os.Stat(path); err == nil {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", path)
-}
 
 // TestRepairLocalStateRecovery: the supervisor persists its intent
 // snapshot into StateDir; a NEW supervisor built over the same directory
@@ -40,13 +26,6 @@ func waitForFile(t *testing.T, path string) {
 func TestRepairLocalStateRecovery(t *testing.T) {
 	const nodes, blocks = 4, 400
 	stateDir := t.TempDir()
-	devs := make([]raid.Dev, nodes)
-	raw := make([]*disk.Disk, nodes)
-	for i := range devs {
-		d := disk.New(nil, fmt.Sprintf("d%d", i), store.NewMem(bs, blocks), disk.DefaultModel())
-		devs[i] = d
-		raw[i] = d
-	}
 	cfg := repair.Config{
 		Poll:          2 * time.Millisecond,
 		FailureBudget: 10 * time.Second,
@@ -54,97 +33,81 @@ func TestRepairLocalStateRecovery(t *testing.T) {
 	}
 
 	// First life: write a base image, lose a member, dirty some regions.
-	il1 := intent.NewLog(nodes, blocks, 8)
-	arr1, err := core.New(devs, nodes, 1, core.Options{Intent: il1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newHarness(t, raidx, blocks, 0, cfg)
 	ctx := context.Background()
-	data := make([]byte, arr1.Blocks()*int64(bs))
-	rand.New(rand.NewSource(7)).Read(data)
-	if err := arr1.WriteBlocks(ctx, 0, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := arr1.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	sup1 := repair.New(arr1, nil, cfg)
+	sh := raidtest.Fill(t, h.arr)
+	sup1 := h.sup
 	sup1.Start(ctx)
 
 	const victim = 1
-	raw[victim].Fail()
+	h.raw[victim].Fail()
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 8; i++ {
-		lb := rng.Int63n(arr1.Blocks())
-		buf := make([]byte, bs)
-		rng.Read(buf)
-		if err := arr1.WriteBlocks(ctx, lb, buf); err != nil {
+		if err := sh.Write(ctx, rng.Int63n(h.arr.Blocks()), 1); err != nil {
 			t.Fatal(err)
 		}
-		copy(data[lb*int64(bs):], buf)
 	}
-	if err := arr1.Flush(ctx); err != nil {
+	if err := h.arr.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for snapshot CONTENT, not existence: the supervisor persists at
 	// poll cadence, and an early save may predate the last storm marks.
-	snapDeadline := time.Now().Add(5 * time.Second)
-	for {
+	raidtest.Eventually(t, "the intent snapshot to catch up to the live log", func() bool {
 		probe := intent.NewLog(nodes, blocks, 8)
-		if err := probe.LoadFrom(nil, filepath.Join(stateDir, "intent.snap")); err == nil &&
-			probe.DirtyRegions(victim) == il1.DirtyRegions(victim) {
-			break
-		}
-		if time.Now().After(snapDeadline) {
-			t.Fatal("intent snapshot never caught up to the live log")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	waitForFile(t, filepath.Join(stateDir, "repair.ckpt"))
+		return probe.LoadFrom(nil, filepath.Join(stateDir, "intent.snap")) == nil &&
+			probe.DirtyRegions(victim) == h.il.DirtyRegions(victim)
+	})
+	raidtest.Eventually(t, "the rebuild checkpoint", func() bool {
+		_, err := os.Stat(filepath.Join(stateDir, "repair.ckpt"))
+		return err == nil
+	})
 	// The repair host "crashes": the supervisor stops, its in-memory
 	// intent log is dropped on the floor.
 	sup1.Stop()
 
-	// Second life: the member is back (with stale contents), and the new
-	// supervisor starts from an EMPTY log plus the StateDir.
-	raw[victim].Readmit()
-	il2 := intent.NewLog(nodes, blocks, 8)
-	arr2, err := core.New(devs, nodes, 1, core.Options{Intent: il2})
+	// An array re-created with another intent geometry ignores the
+	// snapshot instead of merging it, and says so.
+	fresh, _ := raidtest.Disks{BS: bs, Blocks: blocks}.Make(nodes)
+	il3, reg3 := intent.NewLog(nodes, blocks, 16), obs.NewRegistry()
+	a3, err := raidx.With(core.Options{Intent: il3}).New(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg3 := cfg
+	cfg3.Obs = reg3
+	repair.New(a3.(raidtest.Array), nil, cfg3)
+	ev := reg3.Events().Events()
+	if il3.AnyDirty() || !slices.ContainsFunc(ev, func(e obs.Event) bool { return strings.HasPrefix(e.Detail, "stale local intent snapshot ignored") }) {
+		t.Fatalf("a snapshot of another geometry was not ignored: dirty %v, events %+v", il3.AnyDirty(), ev)
+	}
+
+	// Second life: the member is back (with stale contents), and the new
+	// supervisor starts from an EMPTY log plus the StateDir.
+	h.raw[victim].Readmit()
+	il2 := intent.NewLog(nodes, blocks, 8)
+	a2, err := raidx.With(core.Options{Intent: il2}).New(h.arr.Members().Load().Devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr2 := a2.(raidtest.Array)
 	sup2 := repair.New(arr2, nil, cfg)
 	if il2.DirtyRegions(victim) == 0 {
 		t.Fatal("local intent snapshot not recovered at construction")
 	}
 	sup2.Start(ctx)
 	defer sup2.Stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
+	raidtest.Eventually(t, "the recovered resync", func() bool {
 		st := sup2.Status()
-		if st.Devices[victim].Resyncs >= 1 && st.Devices[victim].State == repair.StateHealthy {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	st := sup2.Status()
-	if st.Devices[victim].Resyncs < 1 {
-		t.Fatalf("no resync after recovery: %+v", st.Devices[victim])
-	}
+		return st.Devices[victim].Resyncs >= 1 && st.Devices[victim].State == repair.StateHealthy
+	})
 	deviceBytes := int64(blocks) * bs
-	if rb := st.Devices[victim].ResyncBytes; rb == 0 || rb >= deviceBytes/4 {
+	if rb := sup2.Status().Devices[victim].ResyncBytes; rb == 0 || rb >= deviceBytes/4 {
 		t.Fatalf("recovered resync moved %d bytes, want a small nonzero fraction of %d", rb, deviceBytes)
 	}
 	if err := arr2.Verify(ctx); err != nil {
 		t.Fatalf("verify after recovered resync: %v", err)
 	}
-	got := make([]byte, len(data))
-	if err := arr2.ReadBlocks(ctx, 0, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("data wrong after recovered resync")
-	}
+	sh.On(arr2).Check(t, "after recovered resync")
 }
 
 // TestRepairCheckpointResumesRebuild: a rebuild interrupted by a
@@ -152,22 +115,22 @@ func TestRepairLocalStateRecovery(t *testing.T) {
 // starting over.
 func TestRepairCheckpointResumesRebuild(t *testing.T) {
 	for _, e := range drillEngines() {
-		t.Run(e.name, func(t *testing.T) {
+		t.Run(e.Name, func(t *testing.T) {
 			cfg := repair.Config{
 				Poll:          2 * time.Millisecond,
 				FailureBudget: 5 * time.Millisecond,
 				StateDir:      t.TempDir(),
 				// Slow enough to stop mid-rebuild: a chunk every ~80 ms.
-				RateBytesPerSec: 128 * rebuildChunkBytes() / 10,
+				RateBytesPerSec: 128 * 128 * bs / 10,
 			}
-			h := newEngineHarness(t, e, 800, 2, cfg)
-			data := h.fillRandom(t, 9)
+			h := newHarness(t, e, 800, 2, cfg)
+			sh := raidtest.Fill(t, h.arr)
 			ctx := context.Background()
 			h.sup.Start(ctx)
 
 			const victim = 0
 			h.raw[victim].Fail()
-			h.waitFor(t, 5*time.Second, "rebuild to make some progress", func() bool {
+			raidtest.Eventually(t, "rebuild to make some progress", func() bool {
 				st := h.sup.Status()
 				return st.Devices[victim].State == repair.StateRebuilding && st.Devices[victim].Prog.Done > 0
 			})
@@ -190,8 +153,8 @@ func TestRepairCheckpointResumesRebuild(t *testing.T) {
 			}
 			sup2.Start(ctx)
 			defer sup2.Stop()
-			h.waitRebuilt(t, sup2, victim, "resumed rebuild to finish")
-			h.checkHealed(t, data, "resumed rebuild")
+			waitRebuilt(t, sup2, victim, "resumed rebuild to finish")
+			h.checkHealed(t, sh, "resumed rebuild")
 		})
 	}
 }
@@ -208,8 +171,8 @@ func TestRepairStateDirOverFaultFS(t *testing.T) {
 		StateDir:      stateDir,
 		FS:            ffs,
 	}
-	h := newHarness(t, 4, 400, 0, cfg)
-	h.fillRandom(t, 10)
+	h := newHarness(t, raidx, 400, 0, cfg)
+	raidtest.Fill(t, h.arr)
 	ctx := context.Background()
 	h.sup.Start(ctx)
 	const victim = 2
@@ -223,7 +186,7 @@ func TestRepairStateDirOverFaultFS(t *testing.T) {
 	if err := h.arr.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	h.waitFor(t, 5*time.Second, "snapshot to land through the fault fs", func() bool {
+	raidtest.Eventually(t, "snapshot to land through the fault fs", func() bool {
 		_, err := store.ReadFileFS(ffs, filepath.Join(stateDir, "intent.snap"))
 		return err == nil
 	})

@@ -1,52 +1,44 @@
 package repair_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/layout"
 	"repro/internal/raid"
+	"repro/internal/raid/raidtest"
 	"repro/internal/repair"
 	"repro/internal/store"
 )
 
-func mkDisks(first, n int, blocks int64) ([]raid.Dev, []*disk.Disk) {
-	devs := make([]raid.Dev, n)
-	raw := make([]*disk.Disk, n)
-	for i := range devs {
-		d := disk.New(nil, fmt.Sprintf("d%d", first+i), store.NewMem(bs, blocks), disk.DefaultModel())
-		devs[i] = d
-		raw[i] = d
-	}
-	return devs, raw
+// newDisks are the eight members a grow adds to a 96-block harness.
+func newDisks() []raid.Dev {
+	devs, _ := raidtest.Disks{BS: bs, Blocks: 96}.Make(8)
+	return devs
 }
 
 // TestSupervisedGrow: the supervisor drives a grow as a background job,
 // persists the epoch checkpoint, and reports completion through Status.
 func TestSupervisedGrow(t *testing.T) {
 	dir := t.TempDir()
-	h := newHarness(t, 4, 96, 0, repair.Config{
+	h := newHarness(t, raidx, 96, 0, repair.Config{
 		Poll:     2 * time.Millisecond,
 		StateDir: dir,
 	})
-	data := h.fillRandom(t, 51)
+	sh := raidtest.Fill(t, h.arr)
 	ctx := context.Background()
 	h.sup.Start(ctx)
 	defer h.sup.Stop()
 
-	newDevs, _ := mkDisks(4, 8, 96)
-	if err := h.sup.StartGrow(8, newDevs, 0); err != nil {
+	if err := h.sup.StartGrow(8, newDisks(), 0); err != nil {
 		t.Fatal(err)
 	}
-	h.waitFor(t, 5*time.Second, "grow to complete", func() bool {
+	raidtest.Eventually(t, "grow to complete", func() bool {
 		st := h.sup.RebalanceStatus()
 		return st != nil && st.Done && !st.Running
 	})
@@ -56,19 +48,13 @@ func TestSupervisedGrow(t *testing.T) {
 	if err := h.arr.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, len(data))
-	if err := h.arr.ReadBlocks(ctx, 0, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("content changed across supervised grow")
-	}
+	sh.Check(t, "across supervised grow")
 	if err := h.arr.Verify(ctx); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 	// The durable epoch record marks the migration done at the new
 	// generation.
-	h.waitFor(t, 2*time.Second, "epoch checkpoint", func() bool {
+	raidtest.Eventually(t, "epoch checkpoint", func() bool {
 		ck, err := repair.LoadRebalance(store.OS, dir)
 		return err == nil && ck != nil && ck.Done && ck.Source.Gen() == 1
 	})
@@ -82,11 +68,11 @@ func TestSupervisedGrow(t *testing.T) {
 // recovery runs, and recovery jobs refuse while a rebalance is in
 // flight — both ways, typed.
 func TestRebalanceRepairExclusion(t *testing.T) {
-	h := newHarness(t, 4, 96, 1, repair.Config{
+	h := newHarness(t, raidx, 96, 1, repair.Config{
 		Poll:          2 * time.Millisecond,
 		FailureBudget: time.Hour,
 	})
-	h.fillRandom(t, 53)
+	raidtest.Fill(t, h.arr)
 
 	// A member mid-recovery blocks membership changes. Pause keeps the
 	// state machine transitioning but the recovery job queued, so the
@@ -94,12 +80,12 @@ func TestRebalanceRepairExclusion(t *testing.T) {
 	h.raw[1].Fail()
 	h.sup.Start(context.Background())
 	defer h.sup.Stop()
-	h.waitState(t, 1, repair.StateSuspect, 2*time.Second)
+	h.waitState(t, 1, repair.StateSuspect)
 	h.sup.Pause()
-	newDevs, _ := mkDisks(4, 8, 96)
+	newDevs := newDisks()
 	h.il.MarkRange(1, 0, 8)
 	h.raw[1].Readmit()
-	h.waitFor(t, 2*time.Second, "resync state", func() bool {
+	raidtest.Eventually(t, "resync state", func() bool {
 		return h.sup.Owns(1)
 	})
 	if err := h.sup.StartGrow(8, newDevs, 0); !errors.Is(err, repair.ErrRepairBusy) {
@@ -108,7 +94,7 @@ func TestRebalanceRepairExclusion(t *testing.T) {
 	// Drain recovery, then start the rebalance and hold it paused so it
 	// stays active.
 	h.sup.Resume()
-	h.waitState(t, 1, repair.StateHealthy, 5*time.Second)
+	h.waitState(t, 1, repair.StateHealthy)
 	h.sup.Pause()
 	if err := h.sup.StartGrow(8, newDevs, 0); err != nil {
 		t.Fatalf("StartGrow after recovery: %v", err)
@@ -121,7 +107,7 @@ func TestRebalanceRepairExclusion(t *testing.T) {
 	}
 	// Resume lets the tick loop restart the migration runner and finish.
 	h.sup.Resume()
-	h.waitFor(t, 5*time.Second, "paused grow to finish after resume", func() bool {
+	raidtest.Eventually(t, "paused grow to finish after resume", func() bool {
 		st := h.sup.RebalanceStatus()
 		return st != nil && st.Done
 	})
@@ -140,7 +126,7 @@ func TestRebalanceStopEndsRunner(t *testing.T) {
 	parked := make(chan struct{}, 1) // the runner reached its first pace point
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
-	h := newHarness(t, 4, 96, 0, repair.Config{
+	h := newHarness(t, raidx, 96, 0, repair.Config{
 		Poll:     2 * time.Millisecond,
 		StateDir: dir,
 		// Park the runner in its pace call — after a committed window —
@@ -158,10 +144,9 @@ func TestRebalanceStopEndsRunner(t *testing.T) {
 			}
 		},
 	})
-	h.fillRandom(t, 59)
+	raidtest.Fill(t, h.arr)
 	h.sup.Start(context.Background())
-	newDevs, _ := mkDisks(4, 8, 96)
-	if err := h.sup.StartGrow(8, newDevs, 0); err != nil {
+	if err := h.sup.StartGrow(8, newDisks(), 0); err != nil {
 		t.Fatal(err)
 	}
 	<-parked
@@ -190,19 +175,18 @@ func TestRebalanceStopEndsRunner(t *testing.T) {
 // path), and finish with only the delta.
 func TestRebalanceCrashResume(t *testing.T) {
 	dir := t.TempDir()
-	h := newHarness(t, 4, 96, 0, repair.Config{
+	h := newHarness(t, raidx, 96, 0, repair.Config{
 		Poll:            2 * time.Millisecond,
 		StateDir:        dir,
 		RateBytesPerSec: 256 << 10, // slow the copy so the "crash" lands mid-flight
 	})
-	data := h.fillRandom(t, 57)
+	sh := raidtest.Fill(t, h.arr)
 	h.sup.Start(context.Background())
 
-	newDevs, _ := mkDisks(4, 8, 96)
-	if err := h.sup.StartGrow(8, newDevs, 0); err != nil {
+	if err := h.sup.StartGrow(8, newDisks(), 0); err != nil {
 		t.Fatal(err)
 	}
-	h.waitFor(t, 5*time.Second, "some progress", func() bool {
+	raidtest.Eventually(t, "some progress", func() bool {
 		cursor, _, active := h.rx.Migrating()
 		return active && cursor > 0
 	})
@@ -233,7 +217,7 @@ func TestRebalanceCrashResume(t *testing.T) {
 	if err := sup2.StartGrow(ck.Nodes, nil, ck.Cursor); err != nil {
 		t.Fatalf("resume grow: %v", err)
 	}
-	h.waitFor(t, 5*time.Second, "resumed grow to finish", func() bool {
+	raidtest.Eventually(t, "resumed grow to finish", func() bool {
 		st := sup2.RebalanceStatus()
 		return st != nil && st.Done
 	})
@@ -241,20 +225,14 @@ func TestRebalanceCrashResume(t *testing.T) {
 	if err := arr2.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, len(data))
-	if err := arr2.ReadBlocks(ctx, 0, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("content changed across crash + resume")
-	}
+	sh.On(arr2).Check(t, "across crash + resume")
 	if err := arr2.Verify(ctx); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 	// The done record is written after the completed status becomes
 	// visible, so wait for it rather than racing the runner's last save.
 	var ck2 *repair.RebalanceCkpt
-	h.waitFor(t, 5*time.Second, "final checkpoint to record the grown epoch", func() bool {
+	raidtest.Eventually(t, "final checkpoint to record the grown epoch", func() bool {
 		ck2, err = repair.LoadRebalance(store.OS, dir)
 		return err == nil && ck2 != nil && ck2.Done
 	})

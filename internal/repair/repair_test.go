@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,66 +15,24 @@ import (
 	"repro/internal/intent"
 	"repro/internal/obs"
 	"repro/internal/raid"
+	"repro/internal/raid/raidtest"
 	"repro/internal/repair"
-	"repro/internal/store"
 )
 
 const bs = 1024
 
-// array is what the drills need of an engine under supervision.
-type array interface {
-	raid.Array
-	raid.Restorer // = repair.Array
-	raid.DevSwapper
-	raid.Verifier
-}
-
-// engine is one redundancy policy the supervisor drills run over.
-type engine struct {
-	name  string
-	devs  int
-	build func(devs []raid.Dev, il *intent.Log, reg *obs.Registry) (array, error)
-}
-
-// attach hands a freshly built internal/raid engine its intent log and
-// registry, the way core.Options does for RAID-x.
-func attach[A array](a A, err error, il *intent.Log, reg *obs.Registry) (array, error) {
-	if err != nil {
-		return nil, err
-	}
-	a.Members().Attach(il, reg, nil)
-	return a, nil
-}
-
-var (
-	engRAIDx = engine{"raidx", 4, func(devs []raid.Dev, il *intent.Log, reg *obs.Registry) (array, error) {
-		return core.New(devs, 4, 1, core.Options{Intent: il, Obs: reg})
-	}}
-	engRAID5 = engine{"raid5(4)", 4, func(devs []raid.Dev, il *intent.Log, reg *obs.Registry) (array, error) {
-		a, err := raid.NewRAID5(devs)
-		return attach(a, err, il, reg)
-	}}
-	engChained = engine{"chained(4)", 4, func(devs []raid.Dev, il *intent.Log, reg *obs.Registry) (array, error) {
-		a, err := raid.NewChained(devs)
-		return attach(a, err, il, reg)
-	}}
-)
-
-// engRS is rs(k,2).
-func engRS(k int) engine {
-	return engine{fmt.Sprintf("rs(%d,2)", k), k + 2, func(devs []raid.Dev, il *intent.Log, reg *obs.Registry) (array, error) {
-		a, err := raid.NewRS(devs, 2)
-		return attach(a, err, il, reg)
-	}}
-}
+// raidx is the RAID-x row under the name the drills print.
+var raidx = raidtest.RAIDx(4, 1).Named("raidx")
 
 // drillEngines are the policies every supervisor drill runs over, with
 // the same assertions.
-func drillEngines() []engine { return []engine{engRAIDx, engRS(4), engRAID5, engChained} }
+func drillEngines() []raidtest.Engine {
+	return []raidtest.Engine{raidx, raidtest.RS(4, 2), raidtest.RAID5(4), raidtest.Chained(4)}
+}
 
 // harness is a supervised test array over instant mem disks.
 type harness struct {
-	arr array
+	arr raidtest.Array
 	rx  *core.RAIDx // arr, when the engine is RAID-x
 	raw []*disk.Disk
 	il  *intent.Log
@@ -84,77 +43,36 @@ type harness struct {
 	sup    *repair.Supervisor
 }
 
-// newHarness supervises a RAID-x array over nodes single-disk nodes.
-func newHarness(t *testing.T, nodes int, blocks int64, spares int, cfg repair.Config) *harness {
-	e := engRAIDx
-	e.devs = nodes
-	return newEngineHarness(t, e, blocks, spares, cfg)
+// newHarness supervises e over members of blocks blocks of bs bytes, with
+// an intent log and a registry attached and spares disks in its pool.
+func newHarness(t *testing.T, e raidtest.Engine, blocks int64, spares int, cfg repair.Config) *harness {
+	return newHarnessOn(t, e, raidtest.Disks{BS: bs, Blocks: blocks}, spares, cfg)
 }
 
-func newEngineHarness(t *testing.T, e engine, blocks int64, spares int, cfg repair.Config) *harness {
+// newHarnessOn is newHarness over members g describes; spares are of g's
+// size, unwrapped.
+func newHarnessOn(t *testing.T, e raidtest.Engine, g raidtest.Disks, spares int, cfg repair.Config) *harness {
 	t.Helper()
-	devs := make([]raid.Dev, e.devs)
-	raw := make([]*disk.Disk, e.devs)
-	for i := range devs {
-		d := disk.New(nil, fmt.Sprintf("d%d", i), store.NewMem(bs, blocks), disk.DefaultModel())
-		devs[i] = d
-		raw[i] = d
-	}
-	il := intent.NewLog(e.devs, blocks, 8)
-	reg := obs.NewRegistry()
-	arr, err := e.build(devs, il, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sp *raid.Sparer
-	var spareDisks []*disk.Disk
+	h := &harness{il: intent.NewLog(e.N, g.Blocks, 8), reg: obs.NewRegistry()}
+	h.arr, h.raw = raidtest.Build[raidtest.Array](t, e.With(core.Options{Intent: h.il, Obs: h.reg}), g)
+	h.rx, _ = h.arr.(*core.RAIDx)
 	if spares > 0 {
-		pool := make([]raid.Dev, spares)
-		for i := range pool {
-			d := disk.New(nil, fmt.Sprintf("spare%d", i), store.NewMem(bs, blocks), disk.DefaultModel())
-			pool[i] = d
-			spareDisks = append(spareDisks, d)
-		}
-		sp = raid.NewSparer(arr, pool)
+		var pool []raid.Dev
+		g.Wrap = nil
+		pool, h.spares = g.Make(spares)
+		h.sp = raid.NewSparer(h.arr, pool)
 	}
-	cfg.Obs = reg
-	rx, _ := arr.(*core.RAIDx)
-	return &harness{arr: arr, rx: rx, raw: raw, il: il, sp: sp, spares: spareDisks, reg: reg, sup: repair.New(arr, sp, cfg)}
+	cfg.Obs = h.reg
+	h.sup = repair.New(h.arr, h.sp, cfg)
+	return h
 }
 
-func (h *harness) fillRandom(t *testing.T, seed int64) []byte {
+// waitState polls until member idx reaches want.
+func (h *harness) waitState(t *testing.T, idx int, want repair.State) {
 	t.Helper()
-	ctx := context.Background()
-	data := make([]byte, h.arr.Blocks()*int64(bs))
-	rand.New(rand.NewSource(seed)).Read(data)
-	if err := h.arr.WriteBlocks(ctx, 0, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.arr.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// waitState polls until member idx reaches want (or the deadline).
-func (h *harness) waitState(t *testing.T, idx int, want repair.State, d time.Duration) {
-	t.Helper()
-	h.waitFor(t, d, fmt.Sprintf("member %d to reach %q", idx, want), func() bool {
+	raidtest.Eventually(t, fmt.Sprintf("member %d to reach %q", idx, want), func() bool {
 		return h.sup.DevState(idx) == want
 	})
-}
-
-// waitFor polls cond until true or the deadline.
-func (h *harness) waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 func countEvents(reg *obs.Registry, kind obs.EventKind) int {
@@ -168,8 +86,8 @@ func countEvents(reg *obs.Registry, kind obs.EventKind) int {
 }
 
 // checkHealed asserts the end state every drill shares: redundancy
-// verifies clean and the content equals the shadow.
-func (h *harness) checkHealed(t *testing.T, shadow []byte, after string) {
+// verifies clean and the content is the shadow's.
+func (h *harness) checkHealed(t *testing.T, sh *raidtest.Shadow, after string) {
 	t.Helper()
 	ctx := context.Background()
 	if err := h.arr.Flush(ctx); err != nil {
@@ -178,19 +96,13 @@ func (h *harness) checkHealed(t *testing.T, shadow []byte, after string) {
 	if err := h.arr.Verify(ctx); err != nil {
 		t.Fatalf("verify after %s: %v", after, err)
 	}
-	got := make([]byte, len(shadow))
-	if err := h.arr.ReadBlocks(ctx, 0, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, shadow) {
-		t.Fatalf("data wrong after %s", after)
-	}
+	sh.Check(t, after)
 }
 
 // waitRebuilt waits until member idx has been rebuilt once and is healthy.
-func (h *harness) waitRebuilt(t *testing.T, sup *repair.Supervisor, idx int, what string) {
+func waitRebuilt(t *testing.T, sup *repair.Supervisor, idx int, what string) {
 	t.Helper()
-	h.waitFor(t, 10*time.Second, what, func() bool {
+	raidtest.Eventually(t, what, func() bool {
 		st := sup.Status()
 		return st.Devices[idx].Rebuilds == 1 && st.Devices[idx].State == repair.StateHealthy
 	})
@@ -201,18 +113,18 @@ func (h *harness) waitRebuilt(t *testing.T, sup *repair.Supervisor, idx int, wha
 // the array verifies clean afterwards — whatever the redundancy policy.
 func TestRepairSupervisorAutoSpareRebuild(t *testing.T) {
 	for _, e := range drillEngines() {
-		t.Run(e.name, func(t *testing.T) {
-			h := newEngineHarness(t, e, 400, 1, repair.Config{
+		t.Run(e.Name, func(t *testing.T) {
+			h := newHarness(t, e, 400, 1, repair.Config{
 				Poll:          2 * time.Millisecond,
 				FailureBudget: 10 * time.Millisecond,
 			})
-			data := h.fillRandom(t, 41)
+			sh := raidtest.Fill(t, h.arr)
 			h.sup.Start(context.Background())
 			defer h.sup.Stop()
 
 			const victim = 2
 			h.raw[victim].Fail()
-			h.waitRebuilt(t, h.sup, victim, "auto spare rebuild")
+			waitRebuilt(t, h.sup, victim, "auto spare rebuild")
 
 			if h.sp.SparesLeft() != 0 {
 				t.Fatalf("%d spares left, want 0", h.sp.SparesLeft())
@@ -220,7 +132,7 @@ func TestRepairSupervisorAutoSpareRebuild(t *testing.T) {
 			if len(h.sp.Retired()) != 1 {
 				t.Fatalf("%d retired, want 1", len(h.sp.Retired()))
 			}
-			h.checkHealed(t, data, "auto failover")
+			h.checkHealed(t, sh, "auto failover")
 			if countEvents(h.reg, obs.EventRepairState) < 3 {
 				t.Fatal("state transitions not recorded in the event log")
 			}
@@ -236,30 +148,26 @@ func TestRepairSupervisorAutoSpareRebuild(t *testing.T) {
 // intent log — no spare consumed, traffic a small fraction of the disk.
 func TestRepairSupervisorDeltaResync(t *testing.T) {
 	for _, e := range drillEngines() {
-		t.Run(e.name, func(t *testing.T) {
+		t.Run(e.Name, func(t *testing.T) {
 			const blocks = 400
-			h := newEngineHarness(t, e, blocks, 1, repair.Config{
+			h := newHarness(t, e, blocks, 1, repair.Config{
 				Poll:          2 * time.Millisecond,
 				FailureBudget: 10 * time.Second, // blip well inside the budget
 			})
-			data := h.fillRandom(t, 42)
+			sh := raidtest.Fill(t, h.arr)
 			ctx := context.Background()
 			h.sup.Start(ctx)
 			defer h.sup.Stop()
 
 			const victim = 1
 			h.raw[victim].Fail()
-			h.waitState(t, victim, repair.StateSuspect, 5*time.Second)
+			h.waitState(t, victim, repair.StateSuspect)
 			// Degraded writes while the member is away leave intents behind.
 			rng := rand.New(rand.NewSource(43))
 			for i := 0; i < 8; i++ {
-				lb := rng.Int63n(h.arr.Blocks())
-				buf := make([]byte, bs)
-				rng.Read(buf)
-				if err := h.arr.WriteBlocks(ctx, lb, buf); err != nil {
+				if err := sh.Write(ctx, rng.Int63n(h.arr.Blocks()), 1); err != nil {
 					t.Fatal(err)
 				}
-				copy(data[lb*int64(bs):], buf)
 			}
 			if err := h.arr.Flush(ctx); err != nil {
 				t.Fatal(err)
@@ -268,7 +176,7 @@ func TestRepairSupervisorDeltaResync(t *testing.T) {
 				t.Fatal("degraded writes left no intents against the absent member")
 			}
 			h.raw[victim].Readmit() // back with stale contents
-			h.waitFor(t, 5*time.Second, "delta resync", func() bool {
+			raidtest.Eventually(t, "delta resync", func() bool {
 				st := h.sup.Status()
 				return st.Devices[victim].Resyncs >= 1 && st.Devices[victim].State == repair.StateHealthy
 			})
@@ -285,79 +193,113 @@ func TestRepairSupervisorDeltaResync(t *testing.T) {
 			if h.sp.SparesLeft() != 1 {
 				t.Fatal("resync consumed a spare")
 			}
-			h.checkHealed(t, data, "delta resync")
+			h.checkHealed(t, sh, "delta resync")
 		})
 	}
 }
 
+// polled counts the health polls a member answers: with no job running and
+// no I/O, one per supervisor tick.
+type polled struct {
+	raid.Dev
+	n atomic.Int64
+}
+
+func (d *polled) Healthy() bool { d.n.Add(1); return d.Dev.Healthy() }
+
 // TestRepairPauseResumeMidRebuild: pausing cancels the running rebuild
-// at its next pace point with the checkpoint intact; resuming finishes
-// the job instead of restarting it.
+// at its next pace point with the checkpoint at that chunk boundary,
+// which is exactly what the spare has taken; no tick restarts it while
+// paused; resuming finishes the job from there instead of restarting it,
+// so no chunk is copied twice.
 func TestRepairPauseResumeMidRebuild(t *testing.T) {
 	for _, e := range drillEngines() {
-		t.Run(e.name, func(t *testing.T) {
-			h := newEngineHarness(t, e, 800, 2, repair.Config{
+		t.Run(e.Name, func(t *testing.T) {
+			// 768 blocks: RAID-x's mirror groups of three tile the member
+			// with no hole, so every extent block is written once.
+			const victim, chunk, pauseAt = 0, 128, 2
+			var h *harness
+			paces := 0
+			polls := &polled{}
+			g := raidtest.Disks{BS: bs, Blocks: 768, Wrap: func(i int, d raid.Dev) raid.Dev {
+				if i != victim+1 {
+					return d
+				}
+				polls.Dev = d
+				return polls
+			}}
+			h = newHarnessOn(t, e, g, 2, repair.Config{
 				Poll:          2 * time.Millisecond,
 				FailureBudget: 5 * time.Millisecond,
-				// One 128 KiB chunk every ~80 ms against an 800 KiB job: slow
-				// enough to pause mid-flight, fast enough to finish promptly.
-				RateBytesPerSec: 128 * rebuildChunkBytes() / 10,
+				// Pause after chunk pauseAt: the next chunk completes, and
+				// the job ends at the pace point after it.
+				Pace: func(context.Context, int) error {
+					if paces++; paces == pauseAt {
+						h.sup.Pause()
+					}
+					return nil
+				},
 			})
-			data := h.fillRandom(t, 44)
+			sh := raidtest.Fill(t, h.arr)
+			spare := h.spares[1] // the Sparer hands out its last spare first
 			h.sup.Start(context.Background())
 			defer h.sup.Stop()
 
-			const victim = 0
 			h.raw[victim].Fail()
-			h.waitState(t, victim, repair.StateRebuilding, 5*time.Second)
-			h.sup.Pause()
-			// Give the cancel time to land, then note the frozen checkpoint.
-			time.Sleep(50 * time.Millisecond)
-			if st := h.sup.DevState(victim); st != repair.StateRebuilding {
-				t.Fatalf("paused mid-rebuild state = %q, want rebuilding", st)
+			raidtest.Eventually(t, "the paused rebuild to exit", func() bool {
+				st := h.sup.Status()
+				return st.Paused && st.Active == -1
+			})
+			st := h.sup.Status()
+			if st.Devices[victim].State != repair.StateRebuilding {
+				t.Fatalf("paused mid-rebuild state = %q, want rebuilding", st.Devices[victim].State)
 			}
-			frozen := h.sup.Status().Devices[victim].Prog
-			time.Sleep(50 * time.Millisecond)
-			if now := h.sup.Status().Devices[victim].Prog; now != frozen {
-				t.Fatalf("checkpoint advanced while paused: %+v -> %+v", frozen, now)
+			_, _, _, taken := spare.Stats()
+			if done := st.Devices[victim].Prog.Done; done != (pauseAt+1)*chunk || taken != done*bs {
+				t.Fatalf("paused at %d blocks with %d bytes on the spare, want %d blocks, all on the spare", done, taken, (pauseAt+1)*chunk)
 			}
-			if !h.sup.Paused() {
-				t.Fatal("supervisor does not report paused")
+			// Three more ticks while paused: none may run the job again.
+			from := polls.n.Load()
+			raidtest.Eventually(t, "three ticks while paused", func() bool { return polls.n.Load() >= from+3 })
+			if _, _, _, now := spare.Stats(); now != taken || h.sup.Status().Devices[victim].Prog.Done != (pauseAt+1)*chunk {
+				t.Fatalf("the rebuild moved while paused: the spare took %d bytes, then %d", taken, now)
 			}
 			h.sup.Resume()
-			h.waitRebuilt(t, h.sup, victim, "resumed rebuild")
-			h.checkHealed(t, data, "pause/resume rebuild")
+			waitRebuilt(t, h.sup, victim, "resumed rebuild")
+			ext, _ := h.arr.Extents()
+			var want int64
+			for _, x := range ext {
+				want += (x[1] - x[0]) * bs
+			}
+			if _, _, _, taken := spare.Stats(); taken != want {
+				t.Fatalf("the spare took %d bytes over the paused and resumed rebuild, want the member's %d", taken, want)
+			}
+			h.checkHealed(t, sh, "pause/resume rebuild")
 		})
 	}
 }
-
-// rebuildChunkBytes mirrors the repair loop's chunk size in bytes for
-// rate arithmetic (128 blocks × 1 KiB test blocks).
-func rebuildChunkBytes() int64 { return 128 * bs }
 
 // TestRepairScrubEscalatesToRebuild: corruption the intent log never
 // saw (a lost write) is caught by the post-resync sampled scrub, which
 // escalates the member to a full rebuild-in-place — no spare consumed.
 func TestRepairScrubEscalatesToRebuild(t *testing.T) {
 	for _, e := range drillEngines() {
-		t.Run(e.name, func(t *testing.T) {
-			h := newEngineHarness(t, e, 400, 1, repair.Config{
+		t.Run(e.Name, func(t *testing.T) {
+			h := newHarness(t, e, 400, 1, repair.Config{
 				Poll:          2 * time.Millisecond,
 				FailureBudget: 10 * time.Second,
 				ScrubStride:   1, // exhaustive scrub so the corruption is always sampled
 			})
-			data := h.fillRandom(t, 45)
+			sh := raidtest.Fill(t, h.arr)
 			ctx := context.Background()
 
 			const victim = 3
 			h.raw[victim].Fail()
 			// A degraded write over the first blocks of every member, so
 			// readmission takes the resync path at all.
-			buf := bytes.Repeat([]byte{0xAB}, 2*e.devs*bs)
-			if err := h.arr.WriteBlocks(ctx, 0, buf); err != nil {
+			if err := sh.Write(ctx, 0, int64(2*e.N)); err != nil {
 				t.Fatal(err)
 			}
-			copy(data, buf)
 			if err := h.arr.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
@@ -374,14 +316,14 @@ func TestRepairScrubEscalatesToRebuild(t *testing.T) {
 
 			h.sup.Start(ctx)
 			defer h.sup.Stop()
-			h.waitRebuilt(t, h.sup, victim, "scrub escalation to full rebuild")
+			waitRebuilt(t, h.sup, victim, "scrub escalation to full rebuild")
 			if st := h.sup.Status(); st.Devices[victim].Resyncs != 0 {
 				t.Fatalf("resyncs = %d, want 0 (the resync must not count as completed)", st.Devices[victim].Resyncs)
 			}
 			if h.sp.SparesLeft() != 1 {
 				t.Fatal("escalated rebuild-in-place consumed a spare")
 			}
-			h.checkHealed(t, data, "escalated rebuild")
+			h.checkHealed(t, sh, "escalated rebuild")
 		})
 	}
 }
@@ -398,21 +340,17 @@ func TestRepairScrubEscalatesToRebuild(t *testing.T) {
 // must not have been read at all, not even by a read-modify-write; after
 // the rebuild the redundancy must verify clean over the same content.
 func TestRepairWritesWhileSpareBlank(t *testing.T) {
-	for _, e := range []engine{engRS(6), engRAID5, engChained} {
-		t.Run(e.name, func(t *testing.T) {
+	for _, e := range []raidtest.Engine{raidtest.RS(6, 2), raidtest.RAID5(4), raidtest.Chained(4)} {
+		t.Run(e.Name, func(t *testing.T) {
 			const blocks, victim = 400, 1
 			ctx := context.Background()
 			var h *harness
-			var shadow []byte
+			var sh *raidtest.Shadow
 			var width, stripes int64 // logical blocks per stripe; stripes in the array
-			rng := rand.New(rand.NewSource(47))
 			write := func(lb, n int64) {
-				buf := make([]byte, n*bs)
-				rng.Read(buf)
-				if err := h.arr.WriteBlocks(ctx, lb, buf); err != nil {
+				if err := sh.Write(ctx, lb, n); err != nil {
 					t.Errorf("write [%d,+%d) while the spare is blank: %v", lb, n, err)
 				}
-				copy(shadow[lb*bs:], buf)
 			}
 			steps := 0
 			// The hook runs on the supervisor's goroutine, inside the
@@ -420,18 +358,15 @@ func TestRepairWritesWhileSpareBlank(t *testing.T) {
 			// only after the supervisor reports the rebuild complete.
 			hook := func(context.Context, int) error {
 				steps++
-				n := int64(e.devs)
+				n := int64(e.N)
 				for _, s0 := range []int64{0, min(int64(steps)*128, stripes-n), stripes - n} {
 					for lb := s0 * width; lb < (s0+n)*width; lb++ {
 						write(lb, 1)
 					}
 					write(s0*width, width)
 					write(s0*width+1, 2*width+width/2)
-					got := make([]byte, n*width*bs)
-					if err := h.arr.ReadBlocks(ctx, s0*width, got); err != nil {
-						t.Errorf("read of stripes [%d,+%d) while the spare is blank: %v", s0, n, err)
-					} else if !bytes.Equal(got, shadow[s0*width*bs:(s0+n)*width*bs]) {
-						t.Errorf("step %d: stripes [%d,+%d) read back wrong while the spare is blank", steps, s0, n)
+					if err := sh.Diff(ctx, s0*width, n*width); err != nil {
+						t.Errorf("step %d: stripes [%d,+%d) while the spare is blank: %v", steps, s0, n, err)
 					}
 				}
 				if reads, _, _, _ := h.spares[0].Stats(); reads != 0 {
@@ -439,23 +374,23 @@ func TestRepairWritesWhileSpareBlank(t *testing.T) {
 				}
 				return nil
 			}
-			h = newEngineHarness(t, e, blocks, 1, repair.Config{
+			h = newHarness(t, e, blocks, 1, repair.Config{
 				Poll:          2 * time.Millisecond,
 				FailureBudget: 5 * time.Millisecond,
 				Pace:          hook,
 			})
-			shadow = h.fillRandom(t, 46)
+			sh = raidtest.Fill(t, h.arr)
 			ext, _ := h.arr.Extents()
 			stripes = ext[0][1] - ext[0][0]
 			width = h.arr.Blocks() / stripes
 			h.sup.Start(ctx)
 			defer h.sup.Stop()
 			h.raw[victim].Fail()
-			h.waitRebuilt(t, h.sup, victim, "supervised rebuild under foreground writes")
+			waitRebuilt(t, h.sup, victim, "supervised rebuild under foreground writes")
 			if steps < 3 {
 				t.Fatalf("the rebuild paced %d times, want one pace point per chunk", steps)
 			}
-			h.checkHealed(t, shadow, "writes while the spare was blank")
+			h.checkHealed(t, sh, "writes while the spare was blank")
 		})
 	}
 }
@@ -463,7 +398,7 @@ func TestRepairWritesWhileSpareBlank(t *testing.T) {
 // TestRepairStatusJSON: the wire status decodes and carries the device
 // states.
 func TestRepairStatusJSON(t *testing.T) {
-	h := newHarness(t, 4, 400, 0, repair.Config{Poll: time.Hour})
+	h := newHarness(t, raidx, 400, 0, repair.Config{Poll: time.Hour})
 	b, err := h.sup.StatusJSON()
 	if err != nil {
 		t.Fatal(err)
