@@ -14,7 +14,9 @@ var update = flag.Bool("update", false, "regenerate testdata/*.golden from this 
 // digit: the experiments run on the deterministic virtual clock, so an
 // engine refactor that keeps the device I/O sequence keeps every byte
 // of this output. Figure 6 runs in a reduced form (RAID-5 only, three
-// client counts) because the full sweep takes minutes.
+// client counts) because the full sweep takes minutes. The ablations are
+// the only deterministic runs of RAID-x's ForegroundMirror, ScatterMirror
+// and BalanceReads options.
 func TestPaperFiguresGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -25,6 +27,7 @@ func TestPaperFiguresGolden(t *testing.T) {
 		{"table3", runTable3, nil},
 		{"degraded", runDegraded, nil},
 		{"fig6", runFig6, []string{"-systems", "raid5", "-clients", "1,4,8"}},
+		{"ablate", runAblate, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
