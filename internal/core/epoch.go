@@ -124,9 +124,7 @@ func NewAtEpoch(devs []raid.Dev, ep *layout.Epoch, opt Options) (*RAIDx, error) 
 	if err != nil {
 		return nil, err
 	}
-	if per%2 != 0 {
-		per--
-	}
+	per -= per % 2
 	if per < base.DiskBlocks {
 		return nil, fmt.Errorf("core: devices hold %d blocks, epoch geometry needs %d", per, base.DiskBlocks)
 	}
@@ -139,25 +137,24 @@ func NewAtEpoch(devs []raid.Dev, ep *layout.Epoch, opt Options) (*RAIDx, error) 
 		tracer: opt.Trace,
 	}
 	a.mem.Attach(opt.Intent, opt.Obs, opt.Trace)
-	a.setColNames(len(devs))
+	if opt.BalanceReads {
+		a.pick = a.balance
+	}
 	a.epoch.Store(&epochState{cur: ep})
 	a.finishInit(devs)
 	return a, nil
 }
 
 // place plans the blocks of the caller's buffer p, starting at logical
-// block b, under layout view es: every data block where it lives and, for
-// writes, every image in logical order in the plan's Img.
-func (a *RAIDx) place(es *epochState, b int64, p []byte, images bool) *raid.Plan {
-	pl, bs := raid.NewPlan(), int64(a.bs)
+// block b, under layout view es: where each block's data lives, sorted
+// into runs, and where its image does, in logical order (raid.Flat).
+func (a *RAIDx) place(es *epochState, b int64, p []byte) (data, img *raid.Plan) {
+	data, img, bs := raid.NewPlan(), raid.NewPlan(), int64(a.bs)
 	for lb := b; lb < b+int64(len(p))/bs; lb++ {
-		d := es.dataLoc(lb)
-		pl.Add(d.Disk, d.Block, lb, p[(lb-b)*bs:(lb-b+1)*bs])
-		if images {
-			m := es.mirrorLoc(lb)
-			pl.Img = append(pl.Img, raid.Ext{Disk: m.Disk, Phys: m.Block, LB: lb})
-		}
+		d, m, seg := es.dataLoc(lb), es.mirrorLoc(lb), p[(lb-b)*bs:(lb-b+1)*bs]
+		data.Add(d.Disk, d.Block, lb, seg)
+		img.Add(m.Disk, m.Block, lb, seg)
 	}
-	pl.Sort()
-	return pl
+	data.Sort()
+	return data, img
 }

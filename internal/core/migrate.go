@@ -285,7 +285,6 @@ func (a *RAIDx) BeginGrow(addNodes int, newDevs []raid.Dev, cursor int64) (*Migr
 		if err := a.mem.Append(newDevs); err != nil {
 			return nil, err
 		}
-		a.setColNames(next.Width())
 	} else if len(newDevs) != 0 {
 		return nil, fmt.Errorf("core: device table already spans width %d; pass no new devices", len(devs))
 	}

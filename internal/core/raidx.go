@@ -35,7 +35,6 @@ import (
 	"repro/internal/intent"
 	"repro/internal/layout"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/raid"
 	"repro/internal/trace"
 )
@@ -84,10 +83,8 @@ type Options struct {
 // coreMetrics are the engine's instruments, resolved once at New;
 // without a registry every field is nil and every update a no-op.
 type coreMetrics struct {
-	failoverReads  *obs.Counter
 	balancedMirror *obs.Counter
 	balancedData   *obs.Counter
-	degradedReads  *obs.Counter
 	readLat        *obs.Histogram
 	writeLat       *obs.Histogram
 	events         *obs.EventLog
@@ -98,10 +95,8 @@ func newCoreMetrics(r *obs.Registry) coreMetrics {
 		return coreMetrics{}
 	}
 	return coreMetrics{
-		failoverReads:  r.Counter("raidx.failover_reads"),
 		balancedMirror: r.Counter("raidx.balanced_read_mirror"),
 		balancedData:   r.Counter("raidx.balanced_read_data"),
-		degradedReads:  r.Counter("raidx.degraded_reads"),
 		readLat:        r.Histogram("raidx.read_latency"),
 		writeLat:       r.Histogram("raidx.write_latency"),
 		events:         r.Events(),
@@ -131,18 +126,10 @@ type RAIDx struct {
 	opt    Options
 	met    coreMetrics
 	tracer *trace.Tracer
-	// colName holds pre-formatted per-column span subjects ("d3"), so
-	// hot-path span recording never formats strings. Copy-on-write like
-	// the device table: BeginGrow publishes an extended copy.
-	colName atomic.Pointer[[]string]
-	// flip alternates the preferred copy for balanced reads so that
-	// simultaneous readers split between data and image instead of
-	// herding onto whichever side momentarily reports less backlog.
+	// pick is balance under BalanceReads, else nil; flip alternates its
+	// choice on a tie.
+	pick func(v *raid.MemberView, data, img raid.Ext) bool
 	flip atomic.Uint32
-	// degradedNotify, when set (raid.DegradedNotifier), is called with
-	// the number of blocks each degraded read served through a mirror
-	// image; the vol package wires it to a per-volume counter.
-	degradedNotify func(blocks int)
 }
 
 // New builds a RAID-x array over an n-by-k grid of devices: devs[j] is
@@ -201,25 +188,6 @@ func (a *RAIDx) finishInit(devs []raid.Dev) {
 	}
 }
 
-// setColNames publishes a fresh pre-formatted name table covering n
-// columns.
-func (a *RAIDx) setColNames(n int) {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("d%d", i)
-	}
-	a.colName.Store(&names)
-}
-
-// col returns the pre-formatted span subject for column i.
-func (a *RAIDx) col(i int) string {
-	names := *a.colName.Load()
-	if i < len(names) {
-		return names[i]
-	}
-	return fmt.Sprintf("d%d", i)
-}
-
 // Devices returns the current device-table snapshot. The slice is the
 // engine's own copy-on-write table: treat it as read-only.
 func (a *RAIDx) Devices() []raid.Dev { return a.mem.Load().Devs }
@@ -250,9 +218,10 @@ func (a *RAIDx) BlockSize() int { return a.bs }
 func (a *RAIDx) Blocks() int64 { return a.lay.DataBlocks() }
 
 // ReadBlocks implements raid.Array: a parallel RAID-0-style read of each
-// disk's physically contiguous runs, with per-block fallback to mirror
-// images for blocks on failed disks. It is the only foreground read
-// path, at every layout generation and during a migration.
+// disk's physically contiguous runs; a block on a failed disk, or on one
+// whose read errs, is read from its mirror image instead. It is the only
+// foreground read path, at every layout generation and during a
+// migration.
 func (a *RAIDx) ReadBlocks(ctx context.Context, b int64, p []byte) (err error) {
 	if _, err := raid.CheckRange(a, b, p); err != nil {
 		return err
@@ -263,109 +232,25 @@ func (a *RAIDx) ReadBlocks(ctx context.Context, b int64, p []byte) (err error) {
 	start := time.Now()
 	defer func() { a.met.readLat.Observe(time.Since(start)) }()
 	es, v := a.epoch.Load(), a.mem.Load()
-	pl := a.place(es, b, p, false)
-	defer pl.Release()
-	for i, j := 0, 0; i < len(pl.Data); i = j {
-		j = raid.RunEnd(pl.Data, i, false)
-		run, segs := pl.Data[i:j], pl.Segs[i:j]
-		disk, phys := run[0].Disk, run[0].Phys
-		if !v.Readable(disk) {
-			// Degraded: fetch each block's image individually — images of
-			// one column scatter over many mirror groups.
-			for t := range run {
-				lb, dst, m := run[t].LB, segs[t], es.mirrorLoc(run[t].LB)
-				pl.Fns = append(pl.Fns, func(ctx context.Context) error {
-					a.met.degradedReads.Inc()
-					if a.degradedNotify != nil {
-						a.degradedNotify(1)
-					}
-					ctx, dh := trace.Start(ctx, "raidx.degraded-read", a.col(m.Disk))
-					err := a.readImage(ctx, v, lb, m, dst, nil)
-					dh.End(err)
-					return err
-				})
-			}
-			continue
-		}
-		dev := v.Devs[disk]
-		if a.opt.BalanceReads && len(run) == 1 {
-			// Load-balanced single-block read: alternate the preferred
-			// copy, then defer to whichever disk has less queued work.
-			if m := es.mirrorLoc(run[0].LB); v.Readable(m.Disk) {
-				mdev := v.Devs[m.Disk]
-				db, mb := raid.BacklogOf(dev), raid.BacklogOf(mdev)
-				if mb < db || (mb == db && a.flip.Add(1)%2 == 0) {
-					a.met.balancedMirror.Inc()
-					pl.Fns = append(pl.Fns, func(ctx context.Context) error {
-						err := mdev.ReadBlocks(ctx, m.Block, segs[0])
-						if err == nil || ctx.Err() != nil {
-							return err
-						}
-						// Failover to the data copy.
-						a.noteFailover(m.Disk, err)
-						fctx, fh := trace.Start(ctx, "raidx.failover", a.col(m.Disk))
-						derr := dev.ReadBlocks(fctx, phys, segs[0])
-						fh.End(derr)
-						if derr == nil {
-							return nil
-						}
-						return err
-					})
-					continue
-				}
-				a.met.balancedData.Inc()
-			}
-		}
-		pl.Fns = append(pl.Fns, func(ctx context.Context) (err error) {
-			ctx, ch := trace.Start(ctx, "raidx.col-read", a.col(disk))
-			ch.Val = int64(len(run) * a.bs)
-			defer func() { ch.End(err) }()
-			// Scatter the run straight into p — no staging buffer, no
-			// copy-out loop.
-			rerr := raid.ReadBlocksVec(ctx, dev, phys, segs)
-			if rerr == nil || ctx.Err() != nil {
-				return rerr
-			}
-			// Read-failover: the primary errored or timed out mid-run (a
-			// flaky/partitioned node, not a known-dead disk). Redirect every
-			// block of the run to its mirror image on the orthogonal stripe
-			// group; the failed operation has already marked the node
-			// suspect. The images rewrite every block of the run, so bytes a
-			// partial scatter may have landed in p are overwritten.
-			a.noteFailover(disk, rerr)
-			fctx, fh := trace.Start(ctx, "raidx.failover", a.col(disk))
-			for t := 0; t < len(run) && err == nil; t++ {
-				err = a.readImage(fctx, v, run[t].LB, es.mirrorLoc(run[t].LB), segs[t], rerr)
-			}
-			fh.End(err)
-			return err
-		})
-	}
-	return par.Do(ctx, pl.Fns...)
+	data, img := a.place(es, b, p)
+	defer data.Release()
+	defer img.Release()
+	// Images of one column scatter over many mirror groups: a block falls
+	// back to its own image.
+	return a.mem.ReadRuns(ctx, v, data, img, raid.Single, a.pick)
 }
 
-// noteFailover records a read redirected from a failing primary copy on
-// column col.
-func (a *RAIDx) noteFailover(col int, cause error) {
-	a.met.failoverReads.Inc()
-	a.met.events.Append(obs.EventFailover, fmt.Sprintf("raidx/d%d", col), cause.Error())
-}
-
-// readImage serves block lb from its mirror image at m. cause, when
-// non-nil, is the error that failed the primary read; a block whose
-// image is also unavailable reports both.
-func (a *RAIDx) readImage(ctx context.Context, v *raid.MemberView, lb int64, m layout.Loc, dst []byte, cause error) error {
-	if !v.Readable(m.Disk) {
-		if cause != nil {
-			return fmt.Errorf("core: block %d primary failed (%v) and image unavailable: %w", lb, cause, raid.ErrDataLoss)
-		}
-		return fmt.Errorf("core: block %d and its image both unavailable: %w", lb, raid.ErrDataLoss)
+// balance is the BalanceReads choice for a single-block read: the image
+// when its disk has less queued work, alternating on a tie so that
+// simultaneous readers split between the copies.
+func (a *RAIDx) balance(v *raid.MemberView, data, img raid.Ext) bool {
+	db, mb := raid.BacklogOf(v.Devs[data.Disk]), raid.BacklogOf(v.Devs[img.Disk])
+	if mb < db || (mb == db && a.flip.Add(1)%2 == 0) {
+		a.met.balancedMirror.Inc()
+		return true
 	}
-	err := v.Devs[m.Disk].ReadBlocks(ctx, m.Block, dst)
-	if err != nil && cause != nil {
-		return fmt.Errorf("core: block %d primary failed (%v), image read failed: %w", lb, cause, err)
-	}
-	return err
+	a.met.balancedData.Inc()
+	return false
 }
 
 // WriteBlocks implements raid.Array: data blocks stripe to all disks in
@@ -388,89 +273,30 @@ func (a *RAIDx) WriteBlocks(ctx context.Context, b int64, p []byte) (err error) 
 	// lands, so the view loaded next places it where it lives throughout.
 	defer a.win.Exit(a.win.Enter(ctx, raid.Span{Lo: b, Hi: b + int64(n)}))
 	es, v := a.epoch.Load(), a.mem.Load()
-	pl := a.place(es, b, p, true)
-	defer pl.Release()
-	for _, d := range pl.Data {
-		if !v.Devs[d.Disk].Healthy() && !v.Devs[pl.Img[d.LB-b].Disk].Healthy() {
-			return fmt.Errorf("core: block %d has no healthy copy location: %w", d.LB, raid.ErrDataLoss)
+	data, img := a.place(es, b, p)
+	defer data.Release()
+	defer img.Release()
+	// An image write needs one flat piece of p: one per mirror group at the
+	// base layout, or per block under the ScatterMirror ablation. Deferred
+	// images travel as background notifications, and a remote node's epoch
+	// fence may drop a stale one with no error coming back — once any node
+	// can be fenced, mark them up front so the divergence stays visible for
+	// delta resync instead of being a silent redundancy loss.
+	how, imgHow := raid.Issue(0), raid.Flat
+	if a.opt.IntentAhead {
+		how, imgHow = raid.MarkAhead, raid.Flat|raid.MarkAhead
+	}
+	if a.opt.ScatterMirror {
+		imgHow |= raid.Single
+	}
+	if !a.opt.ForegroundMirror {
+		imgHow |= raid.Deferred
+		if es.fenced() {
+			imgHow |= raid.MarkAhead
 		}
 	}
-	// Foreground data writes, one gathered transfer per run.
-	for i, j := 0, 0; i < len(pl.Data); i = j {
-		j = raid.RunEnd(pl.Data, i, false)
-		lo, segs, dev := pl.Data[i], pl.Segs[i:j], v.Devs[pl.Data[i].Disk]
-		pl.Spans = append(pl.Spans, raid.Span{Dev: lo.Disk, Lo: lo.Phys, Hi: lo.Phys + int64(j-i)})
-		// IntentAhead marks the region before it is in flight, so a crash
-		// treats it as possibly torn until a resync confirms it. A failed
-		// disk is skipped — the image carries the data — and the mark lets
-		// a delta resync replay just these blocks when the device returns.
-		healthy := dev.Healthy()
-		if a.opt.IntentAhead || !healthy {
-			a.mark(lo, j-i)
-		}
-		if !healthy {
-			continue
-		}
-		pl.Fns = append(pl.Fns, func(ctx context.Context) (err error) {
-			ctx, ch := trace.Start(ctx, "raidx.col-write", a.col(lo.Disk))
-			ch.Val = int64(len(segs) * a.bs)
-			defer func() { ch.End(err) }()
-			// Gather the run from p — no staging buffer, no copy-in loop.
-			if err = raid.WriteBlocksVec(ctx, dev, lo.Phys, segs); err != nil {
-				// Partial landing, cancelled sibling, device died mid-write.
-				a.mark(lo, len(segs))
-			}
-			return err
-		})
-	}
-	// Image writes, in logical order. A deferred write needs one flat
-	// piece of p, so a run ends where the blocks stop being consecutive:
-	// one gathered write per mirror group at the base layout (or per block
-	// under the ScatterMirror ablation). Deferred images travel as
-	// background notifications, and a remote node's epoch fence may drop a
-	// stale one with no error coming back — once any node can be fenced,
-	// mark the intent up front so the divergence stays visible for delta
-	// resync instead of being a silent redundancy loss.
-	ahead := a.opt.IntentAhead || (!a.opt.ForegroundMirror && es.fenced())
-	for i, j := 0, 0; i < len(pl.Img); i = j {
-		if j = i + 1; !a.opt.ScatterMirror {
-			j = raid.RunEnd(pl.Img, i, true)
-		}
-		lo, count, dev := pl.Img[i], j-i, v.Devs[pl.Img[i].Disk]
-		pl.Spans = append(pl.Spans, raid.Span{Dev: lo.Disk, Lo: lo.Phys, Hi: lo.Phys + int64(count)})
-		healthy := dev.Healthy()
-		if ahead || !healthy {
-			a.mark(lo, count)
-		}
-		if !healthy {
-			continue // the data copy carries the blocks
-		}
-		pl.Fns = append(pl.Fns, func(ctx context.Context) (err error) {
-			ctx, mh := trace.Start(ctx, "raidx.mirror-write", a.col(lo.Disk))
-			mh.Val = int64(count * a.bs)
-			defer func() { mh.End(err) }()
-			chunk := p[(lo.LB-b)*int64(a.bs) : (lo.LB-b+int64(count))*int64(a.bs)]
-			if a.opt.ForegroundMirror {
-				err = dev.WriteBlocks(ctx, lo.Phys, chunk)
-			} else {
-				err = dev.WriteBlocksBackground(ctx, lo.Phys, chunk)
-			}
-			if err != nil {
-				a.mark(lo, count) // the image may be missing or torn
-			}
-			return err
-		})
-	}
-	// In the members' window no restore chunk reads the other copy of a
-	// run while the run is in flight.
-	defer a.mem.Window().Exit(a.mem.Window().Enter(ctx, pl.Spans...))
-	return par.Do(ctx, pl.Fns...)
+	return a.mem.WriteRuns(ctx, v, data, img, how, imgHow)
 }
-
-// mark logs count blocks starting at e as a copy region whose on-disk
-// state is or may become unknown, so repair replays it from the other
-// copy.
-func (a *RAIDx) mark(e raid.Ext, count int) { a.mem.Intent().MarkRange(e.Disk, e.Phys, int64(count)) }
 
 // Flush implements raid.Array: waits for all deferred image writes, so
 // the array is fully redundant on return.
@@ -487,11 +313,9 @@ func (a *RAIDx) Rebuild(ctx context.Context, idx int) error {
 	return raid.RebuildFrom(ctx, a, idx, nil, nil)
 }
 
-// SetDegradedNotify implements raid.DegradedNotifier: fn is called
-// with the number of blocks each degraded read served through mirror
-// images. Set it before the array takes I/O; fn must be safe for
-// concurrent calls.
-func (a *RAIDx) SetDegradedNotify(fn func(blocks int)) { a.degradedNotify = fn }
+// SetDegradedNotify implements raid.DegradedNotifier: fn hears of the
+// blocks each degraded read served through mirror images.
+func (a *RAIDx) SetDegradedNotify(fn func(blocks int)) { a.mem.SetDegradedNotify(fn) }
 
 // Verify implements raid.Verifier through raid.Verify: every block of
 // every member must equal its other copy. It refuses during a migration.

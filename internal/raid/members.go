@@ -22,6 +22,21 @@ type MemberView struct {
 	// trustworthy content: a freshly swapped-in spare is blank until its
 	// rebuild completes.
 	blank []bool
+	// names are the members' span subjects ("d3"), formatted once so that
+	// recording a span formats nothing.
+	names []string
+}
+
+// unreadable is why member i serves no read.
+func (v *MemberView) unreadable(i int) error { return fmt.Errorf("member %s not readable", v.names[i]) }
+
+// subjects returns the span subjects of n members.
+func subjects(n int) []string {
+	s := make([]string, n)
+	for i := range s {
+		s[i] = fmt.Sprintf("d%d", i)
+	}
+	return s
 }
 
 // Readable reports whether member i may serve reads — foreground reads,
@@ -32,10 +47,11 @@ func (v *MemberView) Readable(i int) bool {
 	return !v.blank[i] && v.Devs[i] != nil && v.Devs[i].Healthy()
 }
 
-// Members is the copy-on-write member table every redundant engine keeps
-// its devices in, and where the repair loop (restore.go) finds what it
-// needs besides the engine's Reconstruct: the write-intent log, the event
-// log, the tracer and the progress gauges.
+// Members is the copy-on-write member table every engine keeps its
+// devices in. The run issuers (plan.go) move a request's blocks through
+// it, and the repair loop (restore.go) finds there what it needs besides
+// the engine's Reconstruct: the write-intent log, the event log, the
+// tracer and the progress gauges.
 type Members struct {
 	name   string
 	bs     int
@@ -51,26 +67,42 @@ type Members struct {
 	// done/total are the <name>.rebuild_*_blocks gauges: progress of the
 	// member under rebuild, in physical blocks.
 	done, total atomic.Int64
+	// The run issuers' span names: <name>.col-read and so on.
+	spanRead, spanWrite, spanMirror, spanFailover, spanDegraded string
+	// failovers counts the runs whose read erred and failed over to the
+	// blocks' other copy; degraded, and notify when set, the blocks a read
+	// served through redundancy because their member was unreadable.
+	failovers, degraded *obs.Counter
+	notify              func(blocks int)
 }
 
 // NewMembers builds the member table of the array called name over devs,
 // each of which must offer blocks blocks of bs bytes.
 func NewMembers(name string, devs []Dev, bs int, blocks int64) *Members {
-	m := &Members{name: name, bs: bs, blocks: blocks}
-	m.view.Store(&MemberView{Devs: append([]Dev(nil), devs...), blank: make([]bool, len(devs))})
+	m := &Members{name: name, bs: bs, blocks: blocks, spanRead: name + ".col-read", spanWrite: name + ".col-write",
+		spanMirror: name + ".mirror-write", spanFailover: name + ".failover", spanDegraded: name + ".degraded-read"}
+	m.view.Store(&MemberView{Devs: append([]Dev(nil), devs...), blank: make([]bool, len(devs)), names: subjects(len(devs))})
 	return m
 }
 
 // Attach hands the table the array's services, any of which may be nil:
 // the write-intent log (no log, no delta resync), the registry that
-// receives swap, rebuild and resync events and the rebuild gauges, and
-// the tracer for repair spans. Call it before the array takes I/O.
+// receives the failover, swap, rebuild and resync events, the read
+// counters and the rebuild gauges, and the tracer for repair spans. Call
+// it before the array takes I/O.
 func (m *Members) Attach(il *intent.Log, reg *obs.Registry, tr *trace.Tracer) {
 	m.il, m.events, m.tracer = il, reg.Events(), tr
 	il.Grow(len(m.Load().Devs))
+	m.failovers, m.degraded = reg.Counter(m.name+".failover_reads"), reg.Counter(m.name+".degraded_reads")
 	reg.RegisterGauge(m.name+".rebuild_done_blocks", m.done.Load)
 	reg.RegisterGauge(m.name+".rebuild_total_blocks", m.total.Load)
 }
+
+// SetDegradedNotify is the engines' DegradedNotifier: fn hears of the
+// blocks a read served through redundancy because their member was
+// unreadable. Set it before the array takes I/O; fn must be safe for
+// concurrent calls.
+func (m *Members) SetDegradedNotify(fn func(blocks int)) { m.notify = fn }
 
 // Load returns the current snapshot of the table.
 func (m *Members) Load() *MemberView { return m.view.Load() }
@@ -87,7 +119,7 @@ func (m *Members) Window() *Window { return &m.win }
 // edit publishes a copy of the table changed by fn. Callers hold m.mu.
 func (m *Members) edit(fn func(*MemberView)) {
 	cur := m.Load()
-	next := &MemberView{Devs: append([]Dev(nil), cur.Devs...), blank: append([]bool(nil), cur.blank...)}
+	next := &MemberView{Devs: append([]Dev(nil), cur.Devs...), blank: append([]bool(nil), cur.blank...), names: cur.names}
 	fn(next)
 	m.view.Store(next)
 }
@@ -147,6 +179,7 @@ func (m *Members) Append(devs []Dev) error {
 	m.edit(func(v *MemberView) {
 		v.Devs = append(v.Devs, devs...)
 		v.blank = append(v.blank, make([]bool, len(devs))...)
+		v.names = subjects(len(v.Devs))
 	})
 	m.il.Grow(len(m.Load().Devs))
 	return nil

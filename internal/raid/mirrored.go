@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-
-	"repro/internal/par"
 )
 
 // mapping places one copy of the data round-robin: logical block lb
@@ -39,7 +37,6 @@ func (m mapping) plan(b int64, p []byte, bs int) *Plan {
 // is exactly the paper's Figure 1b vs. a conventional striped-mirror
 // arrangement.
 type mirroredArray struct {
-	name    string
 	mem     *Members
 	bs      int
 	blocks  int64
@@ -49,7 +46,7 @@ type mirroredArray struct {
 	flip atomic.Uint32
 }
 
-func (a *mirroredArray) Name() string      { return a.name }
+func (a *mirroredArray) Name() string      { return a.mem.name }
 func (a *mirroredArray) BlockSize() int    { return a.bs }
 func (a *mirroredArray) Blocks() int64     { return a.blocks }
 func (a *mirroredArray) Members() *Members { return a.mem }
@@ -64,44 +61,27 @@ func (a *mirroredArray) ReadBlocks(ctx context.Context, b int64, p []byte) error
 	if _, err := CheckRange(a, b, p); err != nil {
 		return err
 	}
-	first := a.primary
+	first, second := a.primary, a.mirror
 	if a.flip.Add(1)%2 == 0 {
-		first = a.mirror
+		first, second = second, first
 	}
-	v := a.mem.Load()
-	pl := first.plan(b, p, a.bs)
+	pl, other := first.plan(b, p, a.bs), second.plan(b, p, a.bs)
 	defer pl.Release()
-	return readRuns(ctx, v, pl, func(ctx context.Context, lo Ext, segs [][]byte) error {
-		return a.readOther(ctx, v, lo.Disk, lo.Phys, segs)
-	})
+	defer other.Release()
+	return a.mem.ReadRuns(ctx, a.mem.Load(), pl, other, 0, nil)
 }
 
 // WriteBlocks writes both copies in the foreground (the conventional
 // mirrored-write discipline that RAID-x improves upon), the primary's
-// runs issued before the mirror's. Runs landing on a failed device are
-// skipped, and intent-marked, as long as the other copy is healthy; a
-// blank spare takes every write. The write enters the members' window
-// over the runs of both copies.
+// runs issued before the mirror's.
 func (a *mirroredArray) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 	if _, err := CheckRange(a, b, p); err != nil {
 		return err
 	}
-	devs := a.mem.Load().Devs
 	pri, mir := a.primary.plan(b, p, a.bs), a.mirror.plan(b, p, a.bs)
 	defer pri.Release()
 	defer mir.Release()
-	for i := 0; i < len(pri.Data); i = RunEnd(pri.Data, i, false) {
-		col := int(pri.Data[i].LB % int64(a.primary.width))
-		if !devs[pri.Data[i].Disk].Healthy() && !devs[a.mirror.diskOf(col)].Healthy() {
-			return fmt.Errorf("%s: both copies of column %d failed: %w", a.name, col, ErrDataLoss)
-		}
-	}
-	mark := a.mem.Intent().MarkRange
-	writeRuns(devs, pri, mark)
-	writeRuns(devs, mir, mark)
-	pri.Spans, pri.Fns = append(pri.Spans, mir.Spans...), append(pri.Fns, mir.Fns...)
-	defer a.mem.win.Exit(a.mem.win.Enter(ctx, pri.Spans...))
-	return par.Do(ctx, pri.Fns...)
+	return a.mem.WriteRuns(ctx, a.mem.Load(), pri, mir, 0, 0)
 }
 
 // Flush implements Array.
@@ -129,18 +109,12 @@ func (a *mirroredArray) Extents() ([][2]int64, uint64) {
 	return ext, 0
 }
 
-// Reconstruct implements Restorer: the physical blocks of device idx
-// from pb on that fill dst, read from the column's other copy.
+// Reconstruct implements Restorer: the physical blocks of device idx from
+// pb on that fill dst — a run of some column's primary or mirror copy —
+// read, in one call, from the same run of the column's other copy. Both
+// mappings stripe with the same width, so the run is contiguous there too.
 func (a *mirroredArray) Reconstruct(ctx context.Context, idx int, pb int64, dst []byte, _ []bool) error {
-	return a.readOther(ctx, a.mem.Load(), idx, pb, [][]byte{dst})
-}
-
-// readOther fills segs with the physical blocks of device idx from pb on —
-// a run of some column's primary or mirror copy — read, in one call, from
-// the same run of the column's other copy: exactly what repair would put
-// back on idx. Both mappings stripe with the same width, so the run is
-// contiguous there too.
-func (a *mirroredArray) readOther(ctx context.Context, v *MemberView, idx int, pb int64, segs [][]byte) error {
+	v := a.mem.Load()
 	holds := func(m mapping, col int) bool {
 		return m.diskOf(col) == idx && pb >= m.base && pb < m.base+a.rows()
 	}
@@ -153,11 +127,11 @@ func (a *mirroredArray) readOther(ctx context.Context, v *MemberView, idx int, p
 		}
 		src := live.diskOf(col)
 		if !v.Readable(src) {
-			return fmt.Errorf("%s: both copies of column %d failed: %w", a.name, col, ErrDataLoss)
+			return fmt.Errorf("%s: both copies of column %d failed: %w", a.mem.name, col, ErrDataLoss)
 		}
-		return ReadBlocksVec(ctx, v.Devs[src], live.base+pb-lost.base, segs)
+		return v.Devs[src].ReadBlocks(ctx, live.base+pb-lost.base, dst)
 	}
-	return fmt.Errorf("%s: device %d holds no column at physical block %d", a.name, idx, pb)
+	return fmt.Errorf("%s: device %d holds no column at physical block %d", a.mem.name, idx, pb)
 }
 
 // Verify implements Verifier through the repair loop's compare (Verify).

@@ -3,10 +3,14 @@ package raid
 import (
 	"cmp"
 	"context"
+	"errors"
+	"fmt"
 	"slices"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/trace"
 )
 
 // Ext is one block of a planned request: logical block LB at physical
@@ -30,15 +34,12 @@ type Plan struct {
 	// — no bytes are copied; vector-aware devices carry them to the wire
 	// as-is, and ReadBlocksVec/WriteBlocksVec coalesce through one pooled
 	// buffer for devices that need a flat transfer.
-	Data []Ext
-	Segs [][]byte
-	// Img is the engine's own list, kept in the order it appends: RAID-x's
-	// mirror images in logical order.
-	Img   []Ext
+	Data  []Ext
+	Segs  [][]byte
 	Spans []Span // a write's runs, for the members' window
 	Fns   []func(context.Context) error
-	// added and end are the counting sort's scratch: the blocks in the
-	// order added, and per-disk bucket bounds.
+	// added holds the blocks in the order added — logical order, as every
+	// engine adds them — and end is the counting sort's per-disk bounds.
 	added []Ext
 	end   []int
 }
@@ -98,65 +99,199 @@ func (pl *Plan) Release() {
 	clear(pl.added)
 	clear(pl.Segs)
 	clear(pl.Fns)
-	pl.Data, pl.Img, pl.Segs, pl.Fns, pl.Spans = pl.Data[:0], pl.Img[:0], pl.Segs[:0], pl.Fns[:0], pl.Spans[:0]
+	pl.Data, pl.Segs, pl.Fns, pl.Spans = pl.Data[:0], pl.Segs[:0], pl.Fns[:0], pl.Spans[:0]
 	pl.added, pl.end = pl.added[:0], pl.end[:0]
 	planPool.Put(pl)
 }
 
-// RunEnd returns the end of the run starting at exts[i]: consecutive
-// entries on one disk at consecutive physical blocks. A flat run — one
-// that must travel as a single contiguous piece of the caller's buffer —
-// also ends where the logical blocks stop being consecutive.
-func RunEnd(exts []Ext, i int, flat bool) int {
+// at returns the one-block slice of pl's blocks in the order added that
+// holds logical block lb.
+func (pl *Plan) at(lb int64) []Ext {
+	k := lb - pl.added[0].LB
+	return pl.added[k : k+1]
+}
+
+// Issue says how the runs of one copy of a request are cut and written.
+type Issue uint8
+
+const (
+	// Flat ends a run where its logical blocks stop being consecutive too,
+	// so that the run is one piece of the caller's buffer, and writes the
+	// runs in logical order, as added — the copy needs no Sort: RAID-x's
+	// images, one write per mirror group.
+	Flat Issue = 1 << iota
+	// Single makes every block its own run, and a read that falls back to
+	// the copy reads it block by block: RAID-x's images scatter.
+	Single
+	// Deferred writes the copy's runs in the background; it needs Flat.
+	Deferred
+	// MarkAhead intent-marks every run before it is written.
+	MarkAhead
+)
+
+// runEnd returns the end of the run starting at exts[i], cut as how says:
+// consecutive entries on one disk at consecutive physical blocks.
+func runEnd(exts []Ext, i int, how Issue) int {
 	j := i + 1
-	for j < len(exts) && exts[j].Disk == exts[i].Disk && exts[j].Phys == exts[j-1].Phys+1 &&
-		(!flat || exts[j].LB == exts[j-1].LB+1) {
+	for how&Single == 0 && j < len(exts) && exts[j].Disk == exts[i].Disk && exts[j].Phys == exts[j-1].Phys+1 &&
+		(how&Flat == 0 || exts[j].LB == exts[j-1].LB+1) {
 		j++
 	}
 	return j
 }
 
-// readRuns reads every run of pl in parallel, each scattered straight
-// into the caller's buffer. A run on a member that is not readable, or
-// whose read errs (a flaky or partitioned remote node, not a known-dead
-// disk), is served by other instead; the read's own error surfaces only
-// if other cannot serve the run either.
-func readRuns(ctx context.Context, v *MemberView, pl *Plan, other func(ctx context.Context, lo Ext, segs [][]byte) error) error {
+// cut returns the end of the piece of an n-block run, from block t on,
+// that one read of the other copy serves: the rest of the run, or under
+// Single one block.
+func cut(n, t int, how Issue) int {
+	if how&Single != 0 {
+		return t + 1
+	}
+	return n
+}
+
+var errNoCopy = errors.New("none") // a RAID-0 block's other copy
+
+// ReadRuns reads the runs of pl in parallel, scattered straight into the
+// caller's buffer. other, nil on RAID-0, plans the blocks' second copy,
+// cut as how says. A run on an unreadable member is read from other in
+// branches queued here; a run whose read errs (a flaky or partitioned
+// node) fails over to other inside its own branch. pick may send a
+// one-block run to other first.
+func (m *Members) ReadRuns(ctx context.Context, v *MemberView, pl, other *Plan, how Issue, pick func(v *MemberView, e, alt Ext) bool) error {
 	for i, j := 0, 0; i < len(pl.Data); i = j {
-		j = RunEnd(pl.Data, i, false)
-		lo, segs := pl.Data[i], pl.Segs[i:j]
-		pl.Fns = append(pl.Fns, func(ctx context.Context) error {
-			if !v.Readable(lo.Disk) {
-				return other(ctx, lo, segs)
+		j = runEnd(pl.Data, i, 0)
+		run, segs := pl.Data[i:j], pl.Segs[i:j]
+		if v.Readable(run[0].Disk) {
+			first, second := run, other
+			if pick != nil && other != nil && j-i == 1 {
+				if alt := other.at(run[0].LB); v.Readable(alt[0].Disk) && pick(v, run[0], alt[0]) {
+					first, second = alt, pl
+				}
 			}
-			err := ReadBlocksVec(ctx, v.Devs[lo.Disk], lo.Phys, segs)
-			if err != nil && ctx.Err() == nil && other(ctx, lo, segs) == nil {
-				return nil
-			}
-			return err
-		})
+			pl.Fns = append(pl.Fns, m.readRun(v, first, segs, second, how))
+			continue
+		}
+		for t, u := 0, 0; t < len(run); t = u {
+			u = cut(len(run), t, how)
+			lost, lsegs := run[t:u], segs[t:u]
+			pl.Fns = append(pl.Fns, func(ctx context.Context) error {
+				m.degraded.Add(int64(len(lost)))
+				if m.notify != nil {
+					m.notify(len(lost))
+				}
+				ctx, h := trace.Start(ctx, m.spanDegraded, v.names[lost[0].Disk])
+				err := m.fallback(ctx, v, lost, lsegs, other, how, nil)
+				h.End(err)
+				return err
+			})
+		}
 	}
 	return par.Do(ctx, pl.Fns...)
 }
 
-// writeRuns queues on pl.Fns one write per run, gathered straight from
-// the caller's buffer, and lists the runs in pl.Spans. With a mark
-// function (another copy exists) a run on a member that is down is
-// skipped, and every run skipped or failed is reported to it for the
-// intent log; without one the member's error surfaces.
-func writeRuns(devs []Dev, pl *Plan, mark func(disk int, block, count int64)) {
-	for i, j := 0, 0; i < len(pl.Data); i = j {
-		j = RunEnd(pl.Data, i, false)
-		lo, segs := pl.Data[i], pl.Segs[i:j]
-		pl.Spans = append(pl.Spans, Span{lo.Disk, lo.Phys, lo.Phys + int64(j-i)})
-		pl.Fns = append(pl.Fns, func(ctx context.Context) error {
-			if mark != nil && !devs[lo.Disk].Healthy() {
-				mark(lo.Disk, lo.Phys, int64(len(segs)))
-				return nil
+// readRun is the branch that reads run into segs and, should the read
+// err, serves the run from other instead.
+func (m *Members) readRun(v *MemberView, run []Ext, segs [][]byte, other *Plan, how Issue) func(context.Context) error {
+	return func(ctx context.Context) (err error) {
+		lo := run[0]
+		ctx, h := trace.Start(ctx, m.spanRead, v.names[lo.Disk])
+		h.Val = int64(len(segs) * m.bs)
+		defer func() { h.End(err) }()
+		if err = ReadBlocksVec(ctx, v.Devs[lo.Disk], lo.Phys, segs); err == nil || other == nil || ctx.Err() != nil {
+			return err
+		}
+		m.failovers.Inc()
+		m.events.Append(obs.EventFailover, m.name+"/"+v.names[lo.Disk], err.Error())
+		ctx, fh := trace.Start(ctx, m.spanFailover, v.names[lo.Disk])
+		err = m.fallback(ctx, v, run, segs, other, how, err)
+		fh.End(err)
+		return err
+	}
+}
+
+// fallback serves run, which its own copy could not (cause; nil when its
+// member is unreadable), from other: the mirrored engines' copies stripe
+// alike, so one read serves the run. A block whose other copy fails too is
+// lost, and the error names both causes.
+func (m *Members) fallback(ctx context.Context, v *MemberView, run []Ext, segs [][]byte, other *Plan, how Issue, cause error) error {
+	for t, u := 0, 0; t < len(run); t = u {
+		u = cut(len(run), t, how)
+		err := errNoCopy
+		if other != nil {
+			if alt := other.at(run[t].LB)[0]; !v.Readable(alt.Disk) {
+				err = v.unreadable(alt.Disk)
+			} else {
+				err = ReadBlocksVec(ctx, v.Devs[alt.Disk], alt.Phys, segs[t:u])
 			}
-			err := WriteBlocksVec(ctx, devs[lo.Disk], lo.Phys, segs)
-			if err != nil && mark != nil {
-				mark(lo.Disk, lo.Phys, int64(len(segs)))
+		}
+		if err != nil {
+			if cause == nil {
+				cause = v.unreadable(run[t].Disk)
+			}
+			return fmt.Errorf("%s: block %d: %w; other copy: %w: %w", m.name, run[t].LB, cause, err, ErrDataLoss)
+		}
+	}
+	return nil
+}
+
+// WriteRuns writes the runs of pl, then those of other (the blocks' second
+// copy, or nil), in parallel inside the members' window, gathered straight
+// from the caller's buffer. With a second copy, a block with no readable
+// copy fails the write before anything is written, a run on a member that
+// is down is skipped, and a run skipped or failed is intent-marked.
+func (m *Members) WriteRuns(ctx context.Context, v *MemberView, pl, other *Plan, how, otherHow Issue) error {
+	if other != nil {
+		for i, e := range pl.added {
+			if !v.Readable(e.Disk) && !v.Readable(other.added[i].Disk) {
+				return fmt.Errorf("%s: block %d has no readable copy: %w", m.name, e.LB, ErrDataLoss)
+			}
+		}
+	}
+	m.writeRuns(pl, v, pl, how, m.spanWrite, other != nil)
+	if other != nil {
+		m.writeRuns(pl, v, other, otherHow, m.spanMirror, true)
+	}
+	defer m.win.Exit(m.win.Enter(ctx, pl.Spans...))
+	return par.Do(ctx, pl.Fns...)
+}
+
+// writeRuns queues on dst one write per run of c, recorded as span s, and
+// lists the runs in dst.Spans.
+func (m *Members) writeRuns(dst *Plan, v *MemberView, c *Plan, how Issue, s string, redundant bool) {
+	exts := c.Data
+	if how&Flat != 0 {
+		exts = c.added // a disk order moves the foreground-mirror ablation
+	}
+	for i, j := 0, 0; i < len(exts); i = j {
+		j = runEnd(exts, i, how)
+		lo, n, segs := exts[i], int64(j-i), [][]byte(nil)
+		if how&Flat == 0 {
+			segs = c.Segs[i:j]
+		}
+		dst.Spans = append(dst.Spans, Span{lo.Disk, lo.Phys, lo.Phys + n})
+		skip := redundant && !v.Devs[lo.Disk].Healthy()
+		if skip || how&MarkAhead != 0 {
+			m.il.MarkRange(lo.Disk, lo.Phys, n)
+		}
+		if skip {
+			continue
+		}
+		dst.Fns = append(dst.Fns, func(ctx context.Context) (err error) {
+			ctx, h := trace.Start(ctx, s, v.names[lo.Disk])
+			h.Val = n * int64(m.bs)
+			defer func() { h.End(err) }()
+			switch dev := v.Devs[lo.Disk]; {
+			case segs != nil:
+				err = WriteBlocksVec(ctx, dev, lo.Phys, segs)
+			case how&Deferred != 0:
+				// A flat run's slots are adjacent in the caller's buffer.
+				err = dev.WriteBlocksBackground(ctx, lo.Phys, lo.seg[:n*int64(m.bs)])
+			default:
+				err = dev.WriteBlocks(ctx, lo.Phys, lo.seg[:n*int64(m.bs)])
+			}
+			if err != nil && redundant {
+				m.il.MarkRange(lo.Disk, lo.Phys, n)
 			}
 			return err
 		})

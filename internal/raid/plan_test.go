@@ -3,14 +3,12 @@ package raid
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/disk"
-	"repro/internal/par"
 	"repro/internal/parity"
 	"repro/internal/store"
 )
@@ -37,7 +35,8 @@ func planMixed(rng *rand.Rand, w, b int64, n, bs int, p []byte) *Plan {
 
 // TestRunsCoverRangeExactly: for any request the planner's runs partition
 // [b, b+n) exactly, and each run is on one disk at consecutive physical
-// blocks (a flat run at consecutive logical blocks too).
+// blocks (a flat run at consecutive logical blocks too; a Single run is
+// one block).
 func TestRunsCoverRangeExactly(t *testing.T) {
 	const bs = 16
 	f := func(width uint8, start uint16, count uint8, seed int64) bool {
@@ -50,14 +49,14 @@ func TestRunsCoverRangeExactly(t *testing.T) {
 			return false
 		}
 		seen := map[int64]bool{}
-		for _, flat := range []bool{false, true} {
+		for _, how := range []Issue{0, Flat, Single} {
 			clear(seen)
 			for i, j := 0, 0; i < n; i = j {
-				j = RunEnd(pl.Data, i, flat)
+				j = runEnd(pl.Data, i, how)
 				for r := i; r < j; r++ {
 					e := pl.Data[r]
 					if e.Disk != pl.Data[i].Disk || e.Phys != pl.Data[i].Phys+int64(r-i) ||
-						(flat && e.LB != pl.Data[i].LB+int64(r-i)) {
+						(how == Flat && e.LB != pl.Data[i].LB+int64(r-i)) || (how == Single && j > i+1) {
 						return false
 					}
 					if e.LB < b || e.LB >= b+int64(n) || seen[e.LB] {
@@ -101,15 +100,14 @@ func TestGatherScatterInverse(t *testing.T) {
 				t.Fatalf("trial %d: block %d's segment does not alias its slot", trial, e.LB)
 			}
 		}
-		writeRuns(devs, wp, nil)
-		if err := par.Do(ctx, wp.Fns...); err != nil {
+		m := NewMembers("plan", devs, bs, 256)
+		if err := m.WriteRuns(ctx, m.Load(), wp, nil, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		wp.Release()
 		out := make([]byte, n*bs)
 		rp := planMixed(rand.New(rand.NewSource(seed)), w, b, n, bs, out)
-		v := &MemberView{Devs: devs, blank: make([]bool, w)}
-		err := readRuns(ctx, v, rp, func(context.Context, Ext, [][]byte) error { return errors.New("no other copy") })
+		err := m.ReadRuns(ctx, m.Load(), rp, nil, 0, nil)
 		rp.Release()
 		if err != nil {
 			t.Fatal(err)

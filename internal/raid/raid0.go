@@ -2,16 +2,14 @@ package raid
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/layout"
-	"repro/internal/par"
 )
 
 // RAID0 is plain striping: full bandwidth, no redundancy. It is both a
 // baseline in the paper's Table 2 and the model for RAID-x's data area.
 type RAID0 struct {
-	view *MemberView
+	mem  *Members
 	lay  layout.RAID0
 	cols mapping
 	bs   int
@@ -24,7 +22,7 @@ func NewRAID0(devs []Dev) (*RAID0, error) {
 		return nil, err
 	}
 	return &RAID0{
-		view: NewMembers("raid0", devs, bs, per).Load(),
+		mem:  NewMembers("raid0", devs, bs, per),
 		lay:  layout.NewRAID0(layout.Geometry{Disks: len(devs), DiskBlocks: per}),
 		cols: mapping{width: len(devs), diskOf: func(c int) int { return c }},
 		bs:   bs,
@@ -47,7 +45,7 @@ func (a *RAID0) ReadBlocks(ctx context.Context, b int64, p []byte) error {
 	}
 	pl := a.cols.plan(b, p, a.bs)
 	defer pl.Release()
-	return readRuns(ctx, a.view, pl, func(context.Context, Ext, [][]byte) error { return fmt.Errorf("raid0: %w", ErrDataLoss) })
+	return a.mem.ReadRuns(ctx, a.mem.Load(), pl, nil, 0, nil)
 }
 
 // WriteBlocks implements Array.
@@ -57,9 +55,8 @@ func (a *RAID0) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 	}
 	pl := a.cols.plan(b, p, a.bs)
 	defer pl.Release()
-	writeRuns(a.view.Devs, pl, nil)
-	return par.Do(ctx, pl.Fns...)
+	return a.mem.WriteRuns(ctx, a.mem.Load(), pl, nil, 0, 0)
 }
 
 // Flush implements Array.
-func (a *RAID0) Flush(ctx context.Context) error { return FlushAll(ctx, a.view.Devs) }
+func (a *RAID0) Flush(ctx context.Context) error { return FlushAll(ctx, a.mem.Load().Devs) }

@@ -21,7 +21,6 @@ func NewRAID10(devs []Dev) (*RAID10, error) {
 	lay := layout.NewRAID10(layout.Geometry{Disks: len(devs), DiskBlocks: per})
 	pairs := lay.Pairs()
 	a := &RAID10{mirroredArray{
-		name:    "raid10",
 		mem:     NewMembers("raid10", devs, bs, per),
 		bs:      bs,
 		blocks:  lay.DataBlocks(),
@@ -47,7 +46,6 @@ func NewChained(devs []Dev) (*Chained, error) {
 	lay := layout.NewChained(layout.Geometry{Disks: len(devs), DiskBlocks: per})
 	n := len(devs)
 	a := &Chained{mirroredArray{
-		name:    "chained",
 		mem:     NewMembers("chained", devs, bs, per),
 		bs:      bs,
 		blocks:  lay.DataBlocks(),

@@ -48,8 +48,6 @@ type Stripe struct {
 	// is deferred.
 	mu    sync.Mutex
 	dirty map[int64]struct{}
-
-	degradedNotify func(blocks int)
 }
 
 // leftSymmetric is RAID-5's rotation: the parity shard (the last one)
@@ -108,10 +106,9 @@ func (a *Stripe) Blocks() int64 { return a.stripes * int64(a.k) }
 // Shards reports the code geometry (k data, m parity).
 func (a *Stripe) Shards() (k, m int) { return a.k, a.m }
 
-// SetDegradedNotify implements DegradedNotifier: fn is called with the
-// number of logical blocks served through reconstruction. Must be set
-// before the array is used; not synchronized against I/O.
-func (a *Stripe) SetDegradedNotify(fn func(blocks int)) { a.degradedNotify = fn }
+// SetDegradedNotify implements DegradedNotifier: fn hears of the logical
+// blocks served through reconstruction.
+func (a *Stripe) SetDegradedNotify(fn func(blocks int)) { a.mem.SetDegradedNotify(fn) }
 
 // DirtyStripes reports how many stripes currently lack valid parity —
 // the size of the redundancy window (always zero with eager parity).
@@ -221,7 +218,7 @@ func moveRuns(ctx context.Context, devs []Dev, pl *Plan, xfer func(context.Conte
 		data, segs := pl.Data[i:j], pl.Segs[i:j]
 		pl.Fns = append(pl.Fns, func(ctx context.Context) error {
 			for r, next := 0, 0; r < len(data) && errs[d] == nil; r = next {
-				next = RunEnd(data, r, false)
+				next = runEnd(data, r, 0)
 				errs[d] = xfer(ctx, devs[d], data[r].Phys, segs[r:next])
 			}
 			return nil
@@ -290,8 +287,8 @@ func (a *Stripe) readOnce(ctx context.Context, devs []Dev, b int64, n int, p []b
 		}
 		putShards(shards)
 	}
-	if len(lost) > 0 && a.degradedNotify != nil {
-		a.degradedNotify(len(lost))
+	if len(lost) > 0 && a.mem.notify != nil {
+		a.mem.notify(len(lost))
 	}
 	return devSet{}, nil
 }
