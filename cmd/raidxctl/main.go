@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -173,10 +174,30 @@ func globalOf(ep *layout.Epoch, node, local int) int {
 	return -1
 }
 
+// attach connects to the comma-separated addrs through mount.Connect,
+// the one path by which every subcommand reaches the nodes, and runs fn
+// over them. It fails only when no node answers; each one that does not
+// is warned about on stderr and left nil in Clients.
+func attach(addrs string, fn func(cl *mount.Cluster) error) error {
+	if addrs == "" {
+		return fmt.Errorf("-addrs is required")
+	}
+	cl, err := mount.Connect(strings.Split(addrs, ","))
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	for i, err := range cl.Errs {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "raidxctl: warning: node %s unreachable (%v); operating degraded\n", cl.Addrs[i], err)
+		}
+	}
+	return fn(cl)
+}
+
 // withCluster parses the shared flags, connects to the -addrs nodes
-// (tolerating ones that are down) and runs fn. It builds no engine, so
-// the control commands (status, stats, top, fail, replace) work whatever
-// state the layout is in.
+// and runs fn. It builds no engine, so the control commands (status,
+// stats, top, fail, replace) work whatever state the layout is in.
 func withCluster(args []string, fn func(fs *flag.FlagSet, r *rig) error) error {
 	fs := flag.NewFlagSet("raidxctl", flag.ExitOnError)
 	addrs := fs.String("addrs", "", "comma-separated node addresses (required)")
@@ -195,20 +216,7 @@ func withCluster(args []string, fn func(fs *flag.FlagSet, r *rig) error) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *addrs == "" {
-		return fmt.Errorf("-addrs is required")
-	}
-	cl, err := mount.Connect(strings.Split(*addrs, ","))
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	for i, err := range cl.Errs {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "raidxctl: warning: node %s unreachable (%v); operating degraded\n", cl.Addrs[i], err)
-		}
-	}
-	return fn(fs, &rig{Cluster: cl})
+	return attach(*addrs, func(cl *mount.Cluster) error { return fn(fs, &rig{Cluster: cl}) })
 }
 
 // withEngine is withCluster plus an engine at the cluster's layout epoch
@@ -334,27 +342,32 @@ func runRebuild(fs *flag.FlagSet, r *rig) error {
 	return nil
 }
 
+// repairStatus asks c for its repair supervisor's status: ok is false
+// when c hosts none (it refuses the op), err a status that does not
+// decode.
+func repairStatus(ctx context.Context, c *cdd.NodeClient) (st repair.Status, ok bool, err error) {
+	raw, err := c.RepairStatus(ctx)
+	if err != nil {
+		return st, false, nil
+	}
+	return st, true, json.Unmarshal(raw, &st)
+}
+
 // repairOwner reports which node's repair supervisor (if any) currently
 // owns recovery of global device idx — degraded, rebuilding, or
-// resyncing. Nodes without a supervisor answer RepairStatus with an
-// error and are skipped.
+// resyncing.
 func repairOwner(r *rig, idx int) (addr string, state repair.State) {
-	ctx := context.Background()
 	for i, c := range r.Clients {
 		if c == nil {
 			continue
 		}
-		raw, err := c.RepairStatus(ctx)
-		if err != nil {
+		st, ok, err := repairStatus(context.Background(), c)
+		if !ok || err != nil || idx >= len(st.Devices) {
 			continue
 		}
-		var st repair.Status
-		if err := json.Unmarshal(raw, &st); err != nil || idx >= len(st.Devices) {
-			continue
-		}
-		switch st.Devices[idx].State {
+		switch state := st.Devices[idx].State; state {
 		case repair.StateDegraded, repair.StateRebuilding, repair.StateResyncing:
-			return r.Addrs[i], st.Devices[idx].State
+			return r.Addrs[i], state
 		}
 	}
 	return "", ""
@@ -378,50 +391,47 @@ func runRepair(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	if *addrs == "" {
-		return fmt.Errorf("-addrs is required")
-	}
-	ctx := context.Background()
-	found := 0
-	for _, a := range strings.Split(*addrs, ",") {
-		a = strings.TrimSpace(a)
-		c, err := cdd.Connect(a)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "raidxctl: warning: node %s unreachable (%v)\n", a, err)
-			continue
+	return attach(*addrs, func(cl *mount.Cluster) error {
+		ctx := context.Background()
+		found := 0
+		for i, c := range cl.Clients {
+			if c == nil {
+				continue
+			}
+			a := cl.Addrs[i]
+			switch action {
+			case "status":
+				st, ok, err := repairStatus(ctx, c)
+				switch {
+				case !ok:
+					continue
+				case err != nil:
+					fmt.Printf("repair supervisor on %s: undecodable status: %v\n", a, err)
+				default:
+					renderRepairStatus(os.Stdout, a, st)
+				}
+			default:
+				ctl := c.RepairPause
+				if action == "resume" {
+					ctl = c.RepairResume
+				}
+				if ctl(ctx) != nil {
+					continue
+				}
+				fmt.Printf("%sd repair supervisor on %s\n", action, a)
+			}
+			found++
 		}
-		switch action {
-		case "status":
-			raw, err := c.RepairStatus(ctx)
-			if err == nil {
-				found++
-				printRepairStatus(a, raw)
-			}
-		case "pause":
-			if err := c.RepairPause(ctx); err == nil {
-				found++
-				fmt.Printf("paused repair supervisor on %s\n", a)
-			}
-		case "resume":
-			if err := c.RepairResume(ctx); err == nil {
-				found++
-				fmt.Printf("resumed repair supervisor on %s\n", a)
-			}
+		if found == 0 {
+			return fmt.Errorf("no repair supervisor reachable (start a node with -repair-cluster)")
 		}
-		c.Close()
-	}
-	if found == 0 {
-		return fmt.Errorf("no repair supervisor reachable (start a node with -repair-cluster)")
-	}
-	return nil
+		return nil
+	})
 }
 
-func printRepairStatus(addr string, raw []byte) {
-	var st repair.Status
-	if err := json.Unmarshal(raw, &st); err != nil {
-		fmt.Printf("repair supervisor on %s: undecodable status: %v\n", addr, err)
-		return
-	}
+// renderRepairStatus is one supervisor's block of `repair status`: its
+// run state and spare pool, then a row per device.
+func renderRepairStatus(w io.Writer, addr string, st repair.Status) {
 	run := "running"
 	if st.Paused {
 		run = "PAUSED"
@@ -430,10 +440,10 @@ func printRepairStatus(addr string, raw []byte) {
 	if st.Spares >= 0 {
 		spares = fmt.Sprintf("%d spare(s) left", st.Spares)
 	}
-	fmt.Printf("repair supervisor on %s: %s, %s\n", addr, run, spares)
+	fmt.Fprintf(w, "repair supervisor on %s: %s, %s\n", addr, run, spares)
+	t := newTable(w, "  ", -4, -10, 0)
 	for i, d := range st.Devices {
-		line := fmt.Sprintf("  D%-3d %-10s since %s  rebuilds %d  resyncs %d",
-			i, d.State, d.Since.Format("15:04:05"), d.Rebuilds, d.Resyncs)
+		line := fmt.Sprintf("since %s  rebuilds %d  resyncs %d", d.Since.Format("15:04:05"), d.Rebuilds, d.Resyncs)
 		if d.ResyncBytes > 0 {
 			line += fmt.Sprintf("  resynced %d KB", d.ResyncBytes>>10)
 		}
@@ -443,37 +453,31 @@ func printRepairStatus(addr string, raw []byte) {
 		if d.LastErr != "" {
 			line += "  last error: " + d.LastErr
 		}
-		fmt.Println(line)
+		t.row(fmt.Sprintf("D%d", i), d.State, line)
 	}
 }
 
-// withCoordinator runs fn against the first node hosting a rebalance
-// coordinator (the repair host). Nodes without one answer OpRebalanceCtl
-// and the probe with a typed refusal and are skipped.
-func withCoordinator(addrs string, fn func(ctx context.Context, c *cdd.NodeClient) error) error {
-	ctx := context.Background()
-	probed := 0
-	for _, a := range strings.Split(addrs, ",") {
-		a = strings.TrimSpace(a)
-		c, err := cdd.Connect(a)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "raidxctl: warning: node %s unreachable (%v)\n", a, err)
-			continue
+// startRebalance asks the first node hosting a rebalance coordinator
+// (the repair host: the one whose layout reply carries the descriptor)
+// to grow or shrink the cluster by n nodes.
+func startRebalance(addrs, verb string, n int, join []string) error {
+	return attach(addrs, func(cl *mount.Cluster) error {
+		ctx := context.Background()
+		for _, c := range cl.Clients {
+			if c == nil {
+				continue
+			}
+			if li, err := c.Layout(ctx); err != nil || li.Desc == nil {
+				continue
+			}
+			if err := c.RebalanceCtl(ctx, verb, n, join); err != nil {
+				return err
+			}
+			fmt.Printf("%s by %d node(s) started; watch with: raidxctl rebalance status -addrs %s\n", verb, n, addrs)
+			return nil
 		}
-		li, err := c.Layout(ctx)
-		if err != nil || li.Desc == nil {
-			c.Close()
-			continue // not the coordinator
-		}
-		probed++
-		err = fn(ctx, c)
-		c.Close()
-		return err
-	}
-	if probed == 0 {
 		return fmt.Errorf("no rebalance coordinator reachable (start a node with -repair-cluster)")
-	}
-	return nil
+	})
 }
 
 // runGrow adds whole nodes to a live cluster: the coordinator dials the
@@ -493,14 +497,7 @@ func runGrow(args []string) error {
 	for i := range join {
 		join[i] = strings.TrimSpace(join[i])
 	}
-	return withCoordinator(*addrs, func(ctx context.Context, c *cdd.NodeClient) error {
-		if err := c.RebalanceCtl(ctx, "grow", len(join), join); err != nil {
-			return err
-		}
-		fmt.Printf("grow by %d node(s) started; watch with: raidxctl rebalance status -addrs %s\n",
-			len(join), *addrs)
-		return nil
-	})
+	return startRebalance(*addrs, "grow", len(join), join)
 }
 
 // runShrink retires tail nodes from a live cluster.
@@ -511,17 +508,7 @@ func runShrink(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *addrs == "" {
-		return fmt.Errorf("-addrs is required")
-	}
-	return withCoordinator(*addrs, func(ctx context.Context, c *cdd.NodeClient) error {
-		if err := c.RebalanceCtl(ctx, "shrink", *nodes, nil); err != nil {
-			return err
-		}
-		fmt.Printf("shrink by %d node(s) started; watch with: raidxctl rebalance status -addrs %s\n",
-			*nodes, *addrs)
-		return nil
-	})
+	return startRebalance(*addrs, "shrink", *nodes, nil)
 }
 
 // runRebalance reports the layout epoch each node enforces and, from
@@ -535,39 +522,30 @@ func runRebalance(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	if *addrs == "" {
-		return fmt.Errorf("-addrs is required")
-	}
-	ctx := context.Background()
-	reached := 0
-	for _, a := range strings.Split(*addrs, ",") {
-		a = strings.TrimSpace(a)
-		c, err := cdd.Connect(a)
-		if err != nil {
-			fmt.Printf("%s: unreachable (%v)\n", a, err)
-			continue
-		}
-		li, err := c.Layout(ctx)
-		c.Close()
-		if err != nil {
-			fmt.Printf("%s: layout query failed: %v\n", a, err)
-			continue
-		}
-		reached++
-		line := fmt.Sprintf("%s: epoch %d", a, li.Gen)
-		if li.Desc != nil {
-			d := li.Desc
-			line += fmt.Sprintf(" [coordinator: base %dx%d, %d membership step(s)]", d.Nodes, d.DisksPerNode, len(d.Steps))
-			if li.Migrating {
-				line += fmt.Sprintf("  MIGRATING to epoch %d, cursor %d", li.TargetGen, li.Cursor)
+	return attach(*addrs, func(cl *mount.Cluster) error {
+		ctx := context.Background()
+		for i, c := range cl.Clients {
+			a := cl.Addrs[i]
+			if c == nil {
+				fmt.Printf("%s: unreachable (%v)\n", a, cl.Errs[i])
+				continue
 			}
+			li, err := c.Layout(ctx)
+			if err != nil {
+				fmt.Printf("%s: layout query failed: %v\n", a, err)
+				continue
+			}
+			line := fmt.Sprintf("%s: epoch %d", a, li.Gen)
+			if d := li.Desc; d != nil {
+				line += fmt.Sprintf(" [coordinator: base %dx%d, %d membership step(s)]", d.Nodes, d.DisksPerNode, len(d.Steps))
+				if li.Migrating {
+					line += fmt.Sprintf("  MIGRATING to epoch %d, cursor %d", li.TargetGen, li.Cursor)
+				}
+			}
+			fmt.Println(line)
 		}
-		fmt.Println(line)
-	}
-	if reached == 0 {
-		return fmt.Errorf("no node reachable")
-	}
-	return nil
+		return nil
+	})
 }
 
 // runSuper decodes the checksummed superblock of on-disk image files
@@ -637,21 +615,12 @@ func runTrace(fs *flag.FlagSet, r *rig) error {
 		return runTraceByID(r, id)
 	}
 	tracer := r.arr.Tracer()
-	ops := atoi(fs.Lookup("ops").Value.String())
+	ops := max(1, atoi(fs.Lookup("ops").Value.String()))
 	slowest := atoi(fs.Lookup("slowest").Value.String())
 	chunkKB := atoi(fs.Lookup("chunk").Value.String())
-	if ops < 1 {
-		ops = 1
-	}
 	bs := r.arr.BlockSize()
 	total := r.arr.Blocks()
-	blocksPer := int64(chunkKB) << 10 / int64(bs)
-	if blocksPer < 1 {
-		blocksPer = 1
-	}
-	if blocksPer > total {
-		blocksPer = total
-	}
+	blocksPer := min(max(int64(chunkKB)<<10/int64(bs), 1), total)
 	buf := make([]byte, blocksPer*int64(bs))
 	ctx := context.Background()
 
@@ -663,10 +632,7 @@ func runTrace(fs *flag.FlagSet, r *rig) error {
 	}
 	failed := 0
 	for i := 0; i < ops; i++ {
-		off := step * int64(i)
-		if off > span {
-			off = span
-		}
+		off := min(step*int64(i), span)
 		if err := r.arr.ReadBlocks(ctx, off, buf); err != nil {
 			failed++
 			fmt.Fprintf(os.Stderr, "raidxctl: probe read at block %d: %v\n", off, err)
@@ -683,19 +649,7 @@ func runTrace(fs *flag.FlagSet, r *rig) error {
 	}
 
 	// One span fetch per node; each waterfall merges from the same set.
-	remote := make([][]trace.Span, len(r.Clients))
-	for i, c := range r.Clients {
-		if c == nil {
-			continue
-		}
-		sp, err := c.TraceSpans(ctx)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "raidxctl: warning: node %d spans: %v\n", i, err)
-			continue
-		}
-		remote[i] = sp
-	}
-
+	remote := nodeSpans(ctx, r)
 	fmt.Printf("probe: %d read(s) x %d KB across %d blocks (%d failed); %d slowest:\n\n",
 		ops, int(blocksPer)*bs>>10, total, failed, len(traces))
 	for k := range traces {
@@ -707,4 +661,23 @@ func runTrace(fs *flag.FlagSet, r *rig) error {
 		fmt.Println()
 	}
 	return nil
+}
+
+// nodeSpans fetches every reachable node's recent server-side spans,
+// indexed by node; a node that does not answer is warned about and
+// left empty.
+func nodeSpans(ctx context.Context, r *rig) [][]trace.Span {
+	spans := make([][]trace.Span, len(r.Clients))
+	for i, c := range r.Clients {
+		if c == nil {
+			continue
+		}
+		sp, err := c.TraceSpans(ctx)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "raidxctl: warning: node %d spans: %v\n", i, err)
+			continue
+		}
+		spans[i] = sp
+	}
+	return spans
 }

@@ -4,19 +4,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// diskRow aggregates the per-disk gauges of one node snapshot.
-type diskRow struct {
-	reads, writes, bytesRead, bytesWritten int64
-	seqHits, backlogUS, bgBacklogUS        int64
-	healthy                                int64
-}
 
 // runStats fetches every node's observability registry and renders
 // per-node operation counters, per-disk tables, latency histograms, and
@@ -37,117 +30,77 @@ func runStats(fs *flag.FlagSet, r *rig) error {
 			continue
 		}
 		fmt.Printf("node %d (%s):\n", node, c.Addr())
-		printCounters(snap)
-		renderVolumes(os.Stdout, snap, "  ")
-		printDisks(snap)
-		printHistograms(snap)
-		printEvents(snap, nEvents)
+		renderStats(os.Stdout, snap, nEvents)
 	}
 	return nil
 }
 
-func printCounters(snap obs.Snapshot) {
-	keys := obs.SortedKeys(snap.Counters)
-	if len(keys) == 0 {
-		return
-	}
-	fmt.Println("  counters:")
-	for _, k := range keys {
-		fmt.Printf("    %-24s %12d\n", k, snap.Counters[k])
-	}
-}
-
-// printDisks folds the "disk.<id>.<field>" gauges into one table row
-// per disk.
-func printDisks(snap obs.Snapshot) {
-	rows := map[string]*diskRow{}
-	for name, v := range snap.Gauges {
-		rest, ok := strings.CutPrefix(name, "disk.")
-		if !ok {
-			continue
-		}
-		i := strings.LastIndex(rest, ".")
-		if i < 0 {
-			continue
-		}
-		id, field := rest[:i], rest[i+1:]
-		row := rows[id]
-		if row == nil {
-			row = &diskRow{}
-			rows[id] = row
-		}
-		switch field {
-		case "reads":
-			row.reads = v
-		case "writes":
-			row.writes = v
-		case "bytes_read":
-			row.bytesRead = v
-		case "bytes_written":
-			row.bytesWritten = v
-		case "seq_hits":
-			row.seqHits = v
-		case "backlog_us":
-			row.backlogUS = v
-		case "bg_backlog_us":
-			row.bgBacklogUS = v
-		case "healthy":
-			row.healthy = v
+// renderStats is one node's body of `raidxctl stats`: counters,
+// volumes, disks, latency histograms and the last nEvents events.
+func renderStats(w io.Writer, snap obs.Snapshot, nEvents int) {
+	if len(snap.Counters) > 0 {
+		fmt.Fprintln(w, "  counters:")
+		t := newTable(w, "    ", -24, 12)
+		for _, k := range obs.SortedKeys(snap.Counters) {
+			t.row(k, snap.Counters[k])
 		}
 	}
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Println("  disks:")
-	fmt.Printf("    %-12s %8s %8s %9s %9s %6s %10s %10s %8s\n",
-		"disk", "reads", "writes", "MB read", "MB writ", "seq%", "backlog", "bg-backlog", "state")
-	for _, id := range obs.SortedKeys(rows) {
-		row := rows[id]
-		ops := row.reads + row.writes
-		seqPct := 0.0
-		if ops > 0 {
-			seqPct = 100 * float64(row.seqHits) / float64(ops)
+	renderVolumes(w, snap, "  ")
+	renderDisks(w, snap)
+	if len(snap.Histograms) > 0 {
+		fmt.Fprintln(w, "  latency:")
+		t := newTable(w, "    ", -24, 10, 10, 10, 10, 10)
+		t.row("histogram", "count", "p50", "p95", "p99", "max")
+		for _, k := range obs.SortedKeys(snap.Histograms) {
+			h := snap.Histograms[k]
+			t.row(k, h.Count, us(h.P50), us(h.P95), us(h.P99), us(h.Max))
 		}
-		state := "healthy"
-		if row.healthy == 0 {
-			state = "FAILED"
-		}
-		fmt.Printf("    %-12s %8d %8d %9d %9d %5.1f%% %10s %10s %8s\n",
-			id, row.reads, row.writes, row.bytesRead>>20, row.bytesWritten>>20, seqPct,
-			time.Duration(row.backlogUS)*time.Microsecond,
-			time.Duration(row.bgBacklogUS)*time.Microsecond, state)
 	}
-}
-
-func printHistograms(snap obs.Snapshot) {
-	keys := obs.SortedKeys(snap.Histograms)
-	if len(keys) == 0 {
-		return
-	}
-	fmt.Println("  latency:")
-	fmt.Printf("    %-24s %10s %10s %10s %10s %10s\n", "histogram", "count", "p50", "p95", "p99", "max")
-	for _, k := range keys {
-		h := snap.Histograms[k]
-		fmt.Printf("    %-24s %10d %10s %10s %10s %10s\n",
-			k, h.Count, h.P50.Round(time.Microsecond), h.P95.Round(time.Microsecond),
-			h.P99.Round(time.Microsecond), h.Max.Round(time.Microsecond))
-	}
-}
-
-func printEvents(snap obs.Snapshot, n int) {
 	evs := snap.Events
-	if len(evs) == 0 || n <= 0 {
+	if len(evs) == 0 || nEvents <= 0 {
 		return
 	}
-	if len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	fmt.Printf("  events (last %d):\n", len(evs))
+	evs = evs[max(0, len(evs)-nEvents):]
+	fmt.Fprintf(w, "  events (last %d):\n", len(evs))
 	for _, e := range evs {
 		detail := e.Detail
 		if detail != "" {
 			detail = ": " + detail
 		}
-		fmt.Printf("    %s  %-14s %s%s\n", e.Time.Format("15:04:05.000"), e.Kind, e.Subject, detail)
+		fmt.Fprintf(w, "    %s  %-14s %s%s\n", e.Time.Format("15:04:05.000"), e.Kind, e.Subject, detail)
 	}
+}
+
+// renderDisks folds the "disk.<id>.<field>" gauges into one table row
+// per disk.
+func renderDisks(w io.Writer, snap obs.Snapshot) {
+	disks := fold(nil, snap.Gauges, dotted("disk."))
+	if len(disks) == 0 {
+		return
+	}
+	fmt.Fprintln(w, "  disks:")
+	t := newTable(w, "    ", -12, 8, 8, 9, 9, 6, 10, 10, 8)
+	t.row("disk", "reads", "writes", "MB read", "MB writ", "seq%", "backlog", "bg-backlog", "state")
+	for _, id := range obs.SortedKeys(disks) {
+		d := disks[id]
+		seq := 0.0
+		if ops := d["reads"] + d["writes"]; ops > 0 {
+			seq = 100 * float64(d["seq_hits"]) / float64(ops)
+		}
+		state := "healthy"
+		if d["healthy"] == 0 {
+			state = "FAILED"
+		}
+		t.row(id, d["reads"], d["writes"], d["bytes_read"]>>20, d["bytes_written"]>>20, fmt.Sprintf("%.1f%%", seq),
+			time.Duration(d["backlog_us"])*time.Microsecond, time.Duration(d["bg_backlog_us"])*time.Microsecond, state)
+	}
+}
+
+// diskBytes sums the per-disk byte gauges of snap.
+func diskBytes(snap obs.Snapshot) (read, written int64) {
+	for _, d := range fold(nil, snap.Gauges, dotted("disk.")) {
+		read += d["bytes_read"]
+		written += d["bytes_written"]
+	}
+	return read, written
 }

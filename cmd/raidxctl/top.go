@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -30,17 +31,21 @@ func runTop(fs *flag.FlagSet, r *rig) error {
 	iters := atoi(fs.Lookup("n").Value.String())
 	plain := fs.Lookup("plain").Value.String() == "true"
 
-	var prev obs.Snapshot
+	var p poll
 	var prevAt time.Time
 	for i := 0; iters <= 0 || i < iters; i++ {
 		if i > 0 {
 			time.Sleep(interval)
 		}
-		merged, perNode, up := pollCluster(r)
+		p.prev = p.cur
+		p.cur, p.perNode = pollCluster(r)
 		now := time.Now()
+		if !prevAt.IsZero() {
+			p.dt = now.Sub(prevAt)
+		}
+		prevAt = now
 		var out strings.Builder
-		renderTop(&out, r, merged, perNode, prev, now.Sub(prevAt), up, prevAt.IsZero())
-		prev, prevAt = merged, now
+		renderTop(&out, p, len(r.Addrs))
 		if !plain {
 			fmt.Print("\x1b[2J\x1b[H") // clear screen, home cursor
 		}
@@ -49,52 +54,53 @@ func runTop(fs *flag.FlagSet, r *rig) error {
 	return nil
 }
 
-// pollCluster fetches every reachable node's snapshot and the merged
-// cluster view. The per-node snapshots are kept for readings where a
-// sum is the wrong aggregation (SLO burn rates want the worst node).
-func pollCluster(r *rig) (obs.Snapshot, []obs.Snapshot, int) {
+// poll is one refresh of the dashboard.
+type poll struct {
+	cur, prev obs.Snapshot   // the merged cluster view, now and one interval ago
+	perNode   []obs.Snapshot // what cur merges: one snapshot per node that answered
+	dt        time.Duration  // since prev; 0 on the first poll, which has no rates
+}
+
+func (p poll) first() bool { return p.dt <= 0 }
+
+// rate is delta per second of the interval (0 on the first poll).
+func (p poll) rate(delta int64) float64 {
+	if p.first() {
+		return 0
+	}
+	return float64(delta) / p.dt.Seconds()
+}
+
+// window is the part of histogram cur observed since prev — all of it
+// on the first poll, or when either side carries no raw buckets.
+func (p poll) window(cur, prev obs.HistogramStats) obs.HistogramSnapshot {
+	cs, ok := cur.Snapshot()
+	if !ok || p.first() {
+		return cs
+	}
+	ps, ok := prev.Snapshot()
+	if !ok {
+		return cs
+	}
+	return cs.Sub(ps)
+}
+
+// pollCluster fetches every reachable node's snapshot and their merge.
+// The per-node snapshots serve readings where a sum is the wrong
+// aggregation (SLO burn rates want the worst node).
+func pollCluster(r *rig) (obs.Snapshot, []obs.Snapshot) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	snaps := make([]obs.Snapshot, 0, len(r.Clients))
-	up := 0
 	for _, c := range r.Clients {
 		if c == nil {
 			continue
 		}
-		snap, err := c.ObsSnapshot(ctx)
-		if err != nil {
-			continue
+		if snap, err := c.ObsSnapshot(ctx); err == nil {
+			snaps = append(snaps, snap)
 		}
-		up++
-		snaps = append(snaps, snap)
 	}
-	return obs.MergeSnapshots(snaps...), snaps, up
-}
-
-// counterRate derives one counter's per-second rate from the poll delta.
-func counterRate(cur, prev obs.Snapshot, name string, dt time.Duration) float64 {
-	if dt <= 0 {
-		return 0
-	}
-	return float64(cur.Counters[name]-prev.Counters[name]) / dt.Seconds()
-}
-
-// windowHist derives the observations landed since the previous poll;
-// falls back to the cumulative stats (ok=false) when raw buckets are
-// unavailable or this is the first poll.
-func windowHist(cur, prev obs.Snapshot, name string, first bool) (obs.HistogramSnapshot, bool) {
-	cs, okc := cur.Histograms[name].Snapshot()
-	if !okc {
-		return cs, false
-	}
-	if first {
-		return cs, true
-	}
-	ps, okp := prev.Histograms[name].Snapshot()
-	if !okp {
-		return cs, true
-	}
-	return cs.Sub(ps), true
+	return obs.MergeSnapshots(snaps...), snaps
 }
 
 func fmtRate(v float64) string {
@@ -108,86 +114,55 @@ func fmtRate(v float64) string {
 	}
 }
 
-func renderTop(w *strings.Builder, r *rig, cur obs.Snapshot, perNode []obs.Snapshot, prev obs.Snapshot, dt time.Duration, up int, first bool) {
-	fmt.Fprintf(w, "raidxctl top — %s — %d/%d node(s) up", cur.Time.Format("15:04:05"), up, len(r.Addrs))
-	if first {
-		fmt.Fprintf(w, " — first poll (cumulative stats; rates need one interval)")
+// renderTop renders one poll; nodes is the length of the -addrs list.
+func renderTop(w io.Writer, p poll, nodes int) {
+	fmt.Fprintf(w, "raidxctl top — %s — %d/%d node(s) up", p.cur.Time.Format("15:04:05"), len(p.perNode), nodes)
+	if p.first() {
+		fmt.Fprintln(w, " — first poll (cumulative stats; rates need one interval)")
+	} else {
+		fmt.Fprintln(w)
+		rd, wr := diskBytes(p.cur)
+		prd, pwr := diskBytes(p.prev)
+		fmt.Fprintf(w, "disk I/O: %.1f MB/s read, %.1f MB/s written\n", p.rate(rd-prd)/(1<<20), p.rate(wr-pwr)/(1<<20))
 	}
-	fmt.Fprintln(w)
-
-	// Cluster throughput from the summed per-disk byte gauges.
-	if !first && dt > 0 {
-		var rd, wr int64
-		for name, v := range cur.Gauges {
-			if strings.HasPrefix(name, "disk.") && strings.HasSuffix(name, ".bytes_read") {
-				rd += v
-			}
-			if strings.HasPrefix(name, "disk.") && strings.HasSuffix(name, ".bytes_written") {
-				wr += v
-			}
-		}
-		var prd, pwr int64
-		for name, v := range prev.Gauges {
-			if strings.HasPrefix(name, "disk.") && strings.HasSuffix(name, ".bytes_read") {
-				prd += v
-			}
-			if strings.HasPrefix(name, "disk.") && strings.HasSuffix(name, ".bytes_written") {
-				pwr += v
-			}
-		}
-		fmt.Fprintf(w, "disk I/O: %.1f MB/s read, %.1f MB/s written\n",
-			float64(rd-prd)/dt.Seconds()/(1<<20), float64(wr-pwr)/dt.Seconds()/(1<<20))
-	}
-
-	renderOps(w, cur, prev, dt, first)
-	renderCache(w, cur)
-	renderVolumes(w, cur, "")
-	renderQoS(w, cur, prev, dt, first)
-	renderSLO(w, perNode)
-	renderRepair(w, cur)
-	renderExemplars(w, cur, prev, dt, first)
+	renderOps(w, p)
+	renderCache(w, p.cur)
+	renderVolumes(w, p.cur, "")
+	renderQoS(w, p)
+	renderSLO(w, p.perNode)
+	renderRepair(w, p.cur)
+	renderExemplars(w, p.cur)
 }
 
 // renderOps is the per-op table over the mgr.op_latency{op=...} family:
-// windowed ops/s and windowed p50/p95/p99 per opcode.
-func renderOps(w *strings.Builder, cur, prev obs.Snapshot, dt time.Duration, first bool) {
+// windowed ops/s and windowed p50/p95/p99 per opcode, busiest first.
+func renderOps(w io.Writer, p poll) {
+	const family = "mgr.op_latency"
+	byOp := labeled(family, "op")
+	cur, prev := fold(nil, p.cur.Histograms, byOp), fold(nil, p.prev.Histograms, byOp)
 	type opRow struct {
-		op   string
-		s    obs.HistogramSnapshot
-		rate float64
+		op string
+		s  obs.HistogramSnapshot
 	}
 	var rows []opRow
-	for name := range cur.Histograms {
-		base, _ := obs.SplitLabeled(name)
-		if base != "mgr.op_latency" {
-			continue
+	for op, h := range cur {
+		if s := p.window(h[family], prev[op][family]); s.Count > 0 {
+			rows = append(rows, opRow{op, s})
 		}
-		s, _ := windowHist(cur, prev, name, first)
-		if s.Count == 0 {
-			continue
-		}
-		rate := 0.0
-		if !first && dt > 0 {
-			rate = float64(s.Count) / dt.Seconds()
-		}
-		rows = append(rows, opRow{op: obs.LabelValue(name, "op"), s: s, rate: rate})
 	}
 	if len(rows) == 0 {
 		return
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].s.Count > rows[j].s.Count })
 	fmt.Fprintln(w, "ops (since last poll):")
-	fmt.Fprintf(w, "  %-14s %10s %10s %10s %10s %10s\n", "op", "count", "ops/s", "p50", "p95", "p99")
-	for _, row := range rows {
-		fmt.Fprintf(w, "  %-14s %10d %10s %10s %10s %10s\n",
-			row.op, row.s.Count, fmtRate(row.rate),
-			row.s.Percentile(50).Round(time.Microsecond),
-			row.s.Percentile(95).Round(time.Microsecond),
-			row.s.Percentile(99).Round(time.Microsecond))
+	t := newTable(w, "  ", -14, 10, 10, 10, 10, 10)
+	t.row("op", "count", "ops/s", "p50", "p95", "p99")
+	for _, r := range rows {
+		t.row(r.op, r.s.Count, fmtRate(p.rate(r.s.Count)), us(r.s.Percentile(50)), us(r.s.Percentile(95)), us(r.s.Percentile(99)))
 	}
 }
 
-func renderCache(w *strings.Builder, cur obs.Snapshot) {
+func renderCache(w io.Writer, cur obs.Snapshot) {
 	hits, misses := cur.Counters["sess.cache_hits"], cur.Counters["sess.cache_misses"]
 	if hits+misses == 0 {
 		return
@@ -198,40 +173,27 @@ func renderCache(w *strings.Builder, cur obs.Snapshot) {
 
 // renderQoS shows live class rates, per-tenant shares and windowed
 // per-tenant throughput with Jain's fairness index over it.
-func renderQoS(w *strings.Builder, cur, prev obs.Snapshot, dt time.Duration, first bool) {
-	fg, okFG := cur.Gauges["qos.fg_rate_bps"]
-	bg, okBG := cur.Gauges["qos.bg_rate_bps"]
+func renderQoS(w io.Writer, p poll) {
+	fg, okFG := p.cur.Gauges["qos.fg_rate_bps"]
+	bg, okBG := p.cur.Gauges["qos.bg_rate_bps"]
 	if !okFG && !okBG {
 		return
 	}
 	fmt.Fprintf(w, "qos (cluster aggregate): fg rate %s, bg rate %s\n", fmtBps(fg), fmtBps(bg))
-	type tenantRow struct {
-		name        string
-		share, rate int64
-	}
-	var rows []tenantRow
-	var deltas []float64
-	for name, v := range cur.Gauges {
-		base, _ := obs.SplitLabeled(name)
-		if base != "qos.tenant_bytes" {
-			continue
-		}
-		tn := obs.LabelValue(name, "tenant")
-		row := tenantRow{name: tn}
-		row.share = cur.Gauges[obs.LabelName("qos.tenant_share_bps", "tenant", tn)]
-		if !first && dt > 0 {
-			row.rate = int64(float64(v-prev.Gauges[name]) / dt.Seconds())
-			deltas = append(deltas, float64(v-prev.Gauges[name]))
-		}
-		rows = append(rows, row)
-	}
-	if len(rows) == 0 {
+	byTenant := labeled("qos.tenant_", "tenant")
+	cur, prev := fold(nil, p.cur.Gauges, byTenant), fold(nil, p.prev.Gauges, byTenant)
+	if len(cur) == 0 {
 		return
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-	fmt.Fprintf(w, "  %-16s %12s %12s\n", "tenant", "share", "rate")
-	for _, row := range rows {
-		fmt.Fprintf(w, "  %-16s %12s %12s\n", row.name, fmtBps(row.share), fmtBps(row.rate))
+	t := newTable(w, "  ", -16, 12, 12)
+	t.row("tenant", "share", "rate")
+	var deltas []float64
+	for _, tn := range obs.SortedKeys(cur) {
+		moved := cur[tn]["qos.tenant_bytes"] - prev[tn]["qos.tenant_bytes"]
+		if !p.first() {
+			deltas = append(deltas, float64(moved))
+		}
+		t.row(tn, fmtBps(cur[tn]["qos.tenant_share_bps"]), fmtBps(int64(p.rate(moved))))
 	}
 	if j, ok := jain(deltas); ok {
 		fmt.Fprintf(w, "  Jain fairness over interval: %.3f (1.0 = perfectly fair across %d tenants)\n", j, len(deltas))
@@ -272,64 +234,50 @@ func fmtBps(v int64) string {
 // renderSLO reads the slo.* gauges per node and reports the WORST
 // node per objective — summing burn rates across nodes (the merged
 // view) would overstate the burn N-fold.
-func renderSLO(w *strings.Builder, perNode []obs.Snapshot) {
-	type sloAgg struct {
-		burning    bool
-		fast, slow float64
-	}
-	aggs := map[string]*sloAgg{}
-	var names []string
+func renderSLO(w io.Writer, perNode []obs.Snapshot) {
+	worst := map[string]map[string]int64{}
 	for _, snap := range perNode {
-		for name, v := range snap.Gauges {
-			rest, ok := strings.CutPrefix(name, "slo.")
-			if !ok || !strings.HasSuffix(rest, ".burning") {
+		for slo, g := range fold(nil, snap.Gauges, dotted("slo.")) {
+			if _, ok := g["burning"]; !ok {
 				continue
 			}
-			slo := strings.TrimSuffix(rest, ".burning")
-			a := aggs[slo]
-			if a == nil {
-				a = &sloAgg{}
-				aggs[slo] = a
-				names = append(names, slo)
+			if worst[slo] == nil {
+				worst[slo] = map[string]int64{}
 			}
-			if v > 0 {
-				a.burning = true
-			}
-			if f := float64(snap.Gauges["slo."+slo+".fast_burn_milli"]) / 1000; f > a.fast {
-				a.fast = f
-			}
-			if s := float64(snap.Gauges["slo."+slo+".slow_burn_milli"]) / 1000; s > a.slow {
-				a.slow = s
+			for col, v := range g {
+				worst[slo][col] = max(worst[slo][col], v)
 			}
 		}
 	}
-	if len(names) == 0 {
+	if len(worst) == 0 {
 		return
 	}
-	sort.Strings(names)
 	fmt.Fprintln(w, "slo (worst node):")
-	for _, slo := range names {
-		a := aggs[slo]
+	t := newTable(w, "  ", -16, -8, 0)
+	for _, slo := range obs.SortedKeys(worst) {
+		g := worst[slo]
 		state := "ok"
-		if a.burning {
+		if g["burning"] > 0 {
 			state = "BURNING"
 		}
-		fmt.Fprintf(w, "  %-16s %-8s burn fast %.2f slow %.2f\n", slo, state, a.fast, a.slow)
+		t.row(slo, state, fmt.Sprintf("burn fast %.2f slow %.2f", float64(g["fast_burn_milli"])/1000, float64(g["slow_burn_milli"])/1000))
 	}
 }
 
-func renderRepair(w *strings.Builder, cur obs.Snapshot) {
+func renderRepair(w io.Writer, cur obs.Snapshot) {
+	const family = "repair.dev_state"
+	devs := fold(nil, cur.Gauges, labeled(family, "dev"))
 	var busy []string
-	for name, v := range cur.Gauges {
-		base, _ := obs.SplitLabeled(name)
-		if base != "repair.dev_state" || v == 0 {
+	for _, dev := range obs.SortedKeys(devs) {
+		v := devs[dev][family]
+		if v == 0 {
 			continue
 		}
 		st := map[int64]string{1: "suspect", 2: "degraded", 3: "rebuilding", 4: "resyncing"}[v]
 		if st == "" {
 			st = strconv.FormatInt(v, 10)
 		}
-		busy = append(busy, fmt.Sprintf("D%s %s", obs.LabelValue(name, "dev"), st))
+		busy = append(busy, "D"+dev+" "+st)
 	}
 	if len(busy) == 0 {
 		if _, ok := cur.Gauges["repair.active"]; ok {
@@ -337,7 +285,6 @@ func renderRepair(w *strings.Builder, cur obs.Snapshot) {
 		}
 		return
 	}
-	sort.Strings(busy)
 	paused := ""
 	if cur.Gauges["repair.paused"] > 0 {
 		paused = " [PAUSED]"
@@ -348,30 +295,23 @@ func renderRepair(w *strings.Builder, cur obs.Snapshot) {
 
 // renderExemplars surfaces the slowest recent traced observations so
 // the operator can jump from a bad p99 straight to its trace.
-func renderExemplars(w *strings.Builder, cur, prev obs.Snapshot, dt time.Duration, first bool) {
-	type ex struct {
-		hist string
-		e    obs.Exemplar
-	}
-	var all []ex
+func renderExemplars(w io.Writer, cur obs.Snapshot) {
+	var hists []string
 	for name, st := range cur.Histograms {
-		if st.Exemplar == nil || st.Exemplar.TraceID == 0 {
-			continue
+		if st.Exemplar != nil && st.Exemplar.TraceID != 0 {
+			hists = append(hists, name)
 		}
-		all = append(all, ex{hist: name, e: *st.Exemplar})
 	}
-	if len(all) == 0 {
+	if len(hists) == 0 {
 		return
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].e.Dur > all[j].e.Dur })
-	if len(all) > 3 {
-		all = all[:3]
-	}
+	ex := func(i int) *obs.Exemplar { return cur.Histograms[hists[i]].Exemplar }
+	sort.Slice(hists, func(i, j int) bool { return ex(i).Dur > ex(j).Dur })
 	fmt.Fprintln(w, "slow exemplars (drill in with raidxctl trace -id <trace> -addrs ...):")
-	for _, x := range all {
-		age := time.Since(time.Unix(0, x.e.At)).Round(time.Second)
-		fmt.Fprintf(w, "  %-28s %10s  trace %016x  (%s ago)\n",
-			x.hist, x.e.Dur.Round(time.Microsecond), x.e.TraceID, age)
+	for i := range hists[:min(len(hists), 3)] {
+		e := ex(i)
+		age := time.Since(time.Unix(0, e.At)).Round(time.Second)
+		fmt.Fprintf(w, "  %-28s %10s  trace %016x  (%s ago)\n", hists[i], us(e.Dur), e.TraceID, age)
 	}
 }
 
@@ -388,15 +328,7 @@ func runTraceByID(r *rig, idStr string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	var spans []trace.Span
-	for i, c := range r.Clients {
-		if c == nil {
-			continue
-		}
-		sp, err := c.TraceSpans(ctx)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "raidxctl: warning: node %d spans: %v\n", i, err)
-			continue
-		}
+	for i, sp := range nodeSpans(ctx, r) {
 		for _, s := range sp {
 			if s.Trace == tid {
 				s.Origin = fmt.Sprintf("n%d", i)
@@ -409,13 +341,7 @@ func runTraceByID(r *rig, idStr string) error {
 	}
 	root := spans[0]
 	for _, s := range spans {
-		if s.Top != root.Top {
-			if s.Top {
-				root = s
-			}
-			continue
-		}
-		if s.Start.Before(root.Start) {
+		if (s.Top && !root.Top) || (s.Top == root.Top && s.Start.Before(root.Start)) {
 			root = s
 		}
 	}

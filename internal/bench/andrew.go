@@ -22,26 +22,6 @@ type AndrewResult struct {
 	Total   time.Duration
 }
 
-// Figure6 runs the Andrew benchmark over each architecture and client
-// count, reproducing the four panels of the paper's Figure 6. Every
-// client runs the five phases in a private subtree of one shared file
-// system built on the architecture under test; consistency comes from a
-// shared CDD lock-group table whose coordinator lives on node 0 (lock
-// traffic is charged on the network).
-func Figure6(p cluster.Params, systems []System, clientCounts []int, cfg andrew.Config) ([]AndrewResult, error) {
-	var out []AndrewResult
-	for _, sys := range systems {
-		for _, m := range clientCounts {
-			r, err := RunAndrew(p, sys, m, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%d clients: %w", sys, m, err)
-			}
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
 // AndrewOpts tune the file system under the benchmark (the lock- and
 // cache-granularity ablations).
 type AndrewOpts struct {
@@ -55,7 +35,11 @@ type AndrewOpts struct {
 }
 
 // RunAndrew runs one (system, clients) Andrew cell on a fresh cluster
-// with default file-system options.
+// with default file-system options. Every client runs the five phases
+// in a private subtree of one shared file system built on the
+// architecture under test; consistency comes from a shared CDD
+// lock-group table whose coordinator lives on node 0 (lock traffic is
+// charged on the network).
 func RunAndrew(p cluster.Params, sys System, clients int, cfg andrew.Config) (AndrewResult, error) {
 	return RunAndrewOpts(p, sys, clients, cfg, AndrewOpts{})
 }

@@ -90,7 +90,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 func retryableOp(op uint8) bool {
 	switch op {
 	case OpInfo, OpRead, OpWrite, OpFlush, OpHealth, OpStats,
-		OpLockSnapshot, OpUnlock, OpUnlockAll, OpFail, OpReplace,
+		OpUnlock, OpUnlockAll, OpFail, OpReplace,
 		OpObsSnapshot, OpTraceSpans,
 		OpIntentPut, OpIntentGet, OpRepairStatus, OpRepairCtl,
 		OpCoherence, OpLayout, OpEpochSet:
@@ -555,15 +555,6 @@ func (n *NodeClient) RepairResume(ctx context.Context) error {
 	return err
 }
 
-// LockSnapshot fetches the node's replica of the lock-group table.
-func (n *NodeClient) LockSnapshot() (uint64, []Record, error) {
-	raw, err := n.call(context.Background(), OpLockSnapshot, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	return decodeSnapshot(raw)
-}
-
 // RemoteDev is a remote disk masquerading as a local device. It
 // implements raid.Dev, so array engines can be built transparently over
 // any mix of local and remote disks — the essence of the SIOS.
@@ -654,12 +645,18 @@ func (d *RemoteDev) run(b int64, segs ...[]byte) Extent {
 
 var devSpanNames = [opEnd]string{OpRead: "cdd.read", OpWrite: "cdd.write", OpWriteBG: "cdd.bg-write"}
 
+// maxIOFrame bounds one block request — I/O header, extent table and
+// blocks, which a read receives in its response — leaving room in the
+// frame for the trace extension.
+const maxIOFrame = transport.MaxPayload - 64
+
 // blockIO is the one request builder of block I/O. The I/O header and
 // extent table are encoded into the pooled scratch and travel as the
 // first gather segment; segs — the extents' blocks in table order — are
 // never copied: a write's go to the wire after the table (one vectored
 // frame; a notification for OpWriteBG), and a read's response scatters
-// off the socket straight into them (DESIGN.md §10).
+// off the socket straight into them (DESIGN.md §10). A table larger
+// than one frame goes out as several requests (split).
 func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [][]byte) (err error) {
 	total, blocks := 0, 0
 	for _, sg := range segs {
@@ -670,6 +667,9 @@ func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [
 	}
 	if total == 0 || total != blocks*d.bs {
 		return fmt.Errorf("cdd: %d bytes for %d blocks of %d bytes", total, blocks, d.bs)
+	}
+	if ioHeaderLen+len(exts)*extentLen+total > maxIOFrame {
+		return d.split(ctx, op, exts, segs)
 	}
 	ctx, h := trace.Start(ctx, devSpanNames[op], d.subject)
 	h.Val = int64(total)
@@ -702,6 +702,49 @@ func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [
 	h.End(err)
 	d.noteOutcome(err)
 	return err
+}
+
+// split sends a table larger than one frame as consecutive requests of
+// at most maxIOFrame each, cutting an extent, and the segment under the
+// cut, where a frame fills. It stops at the first failed request; the
+// earlier ones may have landed, as after any failed multi-extent write.
+func (d *RemoteDev) split(ctx context.Context, op uint8, exts []Extent, segs [][]byte) error {
+	var part []Extent
+	var data [][]byte
+	var seg []byte // the unsent tail of the segment being cut
+	size := ioHeaderLen
+	send := func() error {
+		err := d.blockIO(ctx, op, part, data)
+		part, data, size = part[:0], data[:0], ioHeaderLen
+		return err
+	}
+	for _, e := range exts {
+		for e.Blocks > 0 {
+			n := min(int64(e.Blocks), int64((maxIOFrame-size-extentLen)/d.bs))
+			if n <= 0 {
+				if len(part) == 0 {
+					return fmt.Errorf("cdd: a %d-byte block does not fit in a frame", d.bs)
+				}
+				if err := send(); err != nil {
+					return err
+				}
+				continue
+			}
+			part = append(part, Extent{Block: e.Block, Blocks: uint32(n)})
+			size += extentLen + int(n)*d.bs
+			for want := int(n) * d.bs; want > 0; {
+				if len(seg) == 0 {
+					seg, segs = segs[0], segs[1:]
+				}
+				k := min(want, len(seg))
+				data = append(data, seg[:k])
+				seg, want = seg[k:], want-k
+			}
+			e.Block += n
+			e.Blocks -= uint32(n)
+		}
+	}
+	return send()
 }
 
 // mapReadErr rewrites a response-size mismatch as the short-read

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -211,6 +212,105 @@ func TestWriteExtentsStaleEpoch(t *testing.T) {
 	}
 	if !bytes.Equal(diskImage(t, n), want) {
 		t.Fatal("a stale-generation write changed the disk")
+	}
+}
+
+// TestBlockIOBeyondOneFrame: a transfer larger than one frame leaves as
+// consecutive requests that each fit — a 17 MiB write, background write
+// and read through the one-extent calls in two requests each, and a
+// two-extent table whose cut falls inside an extent and inside a
+// segment — and every block lands where the table says. The device
+// stays healthy throughout.
+func TestBlockIOBeyondOneFrame(t *testing.T) {
+	const bs, mib = 4096, 1 << 20
+	n, err := ListenAndServe("127.0.0.1:0", []*disk.Disk{disk.New(nil, "d0", store.NewMem(bs, 40*mib/bs), disk.DefaultModel())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	c, err := Connect(n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dev, ctx := c.Dev(0), context.Background()
+	data := make([]byte, 17*mib)
+	rand.New(rand.NewSource(17)).Read(data)
+	ops := func(name string) func() int64 {
+		ctr := n.Manager.Obs().Counter(name)
+		before := ctr.Value()
+		return func() int64 { return ctr.Value() - before }
+	}
+	readBack := func(at int64, want []byte) {
+		t.Helper()
+		reads := ops("mgr.read_ops")
+		got := make([]byte, len(want))
+		if err := dev.ReadBlocks(ctx, at, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes at block %d read back wrong", len(want), at)
+		}
+		if r := reads(); r != 2 {
+			t.Errorf("17 MiB read took %d requests, want 2", r)
+		}
+	}
+
+	writes := ops("mgr.write_ops")
+	if err := dev.WriteBlocks(ctx, 3, data); err != nil {
+		t.Fatal(err)
+	}
+	if w := writes(); w != 2 {
+		t.Errorf("17 MiB write took %d requests, want 2", w)
+	}
+	readBack(3, data)
+
+	for i := range data {
+		data[i] ^= 0x5A
+	}
+	bg := ops("mgr.bg_write_ops")
+	if err := dev.WriteBlocksBackground(ctx, 1, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if w := bg(); w != 2 {
+		t.Errorf("17 MiB background write took %d notifications, want 2", w)
+	}
+	readBack(1, data)
+
+	// 1000 + 3352 blocks = 17 MiB, in segments of 3 blocks and 100 bytes;
+	// the gap between the extents keeps the background write's bytes.
+	exts := []Extent{{Block: 0, Blocks: 1000}, {Block: 2000, Blocks: 3352}}
+	segments := func(b []byte) (segs [][]byte) {
+		for len(b) > 0 {
+			k := min(len(b), 3*bs+100)
+			segs, b = append(segs, b[:k]), b[k:]
+		}
+		return segs
+	}
+	gap := append([]byte(nil), data[999*bs:1999*bs]...)
+	for i := range data {
+		data[i] ^= 0xC3
+	}
+	if err := dev.blockIO(ctx, OpWrite, exts, segments(data)); err != nil {
+		t.Fatal(err)
+	}
+	reads := ops("mgr.read_ops")
+	got := make([]byte, len(data))
+	if err := dev.blockIO(ctx, OpRead, exts, segments(got)); err != nil {
+		t.Fatal(err)
+	}
+	if r := reads(); r != 2 || !bytes.Equal(got, data) {
+		t.Fatalf("two-extent 17 MiB read: %d requests, equal %v", r, bytes.Equal(got, data))
+	}
+	got = got[:len(gap)]
+	if err := dev.ReadBlocks(ctx, 1000, got); err != nil || !bytes.Equal(got, gap) {
+		t.Fatalf("the gap between the extents changed (%v)", err)
+	}
+	if !dev.Healthy() {
+		t.Fatal("a transfer larger than one frame marked the device unhealthy")
 	}
 }
 

@@ -80,6 +80,36 @@ func TestRAIDxOverTCP(t *testing.T) {
 	}
 }
 
+// TestRAIDxOverTCPBeyondOneFrame: a 72 MiB write hands each of the four
+// members an 18 MiB data run, more than one frame carries. It lands, it
+// reads back, and no member is marked suspect on the way.
+func TestRAIDxOverTCPBeyondOneFrame(t *testing.T) {
+	const mib = 1 << 20
+	devs, _ := cluster(t, 4, 1, 37*1024)
+	a, err := core.New(devs, 4, 1, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	data := make([]byte, 72*mib)
+	rand.New(rand.NewSource(72)).Read(data)
+	if err := a.WriteBlocks(ctx, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if err := a.ReadBlocks(ctx, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("72 MiB TCP round trip mismatch")
+	}
+	for i, d := range devs {
+		if !d.Healthy() {
+			t.Errorf("member %d marked unhealthy by a large transfer", i)
+		}
+	}
+}
+
 func TestRAIDxOverTCPDegradedAndRebuild(t *testing.T) {
 	devs, clients := cluster(t, 4, 1, 64)
 	a, err := core.New(devs, 4, 1, core.Options{})

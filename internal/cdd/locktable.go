@@ -178,13 +178,6 @@ func (t *Table) SetLease(ttl time.Duration, clock func() time.Time) {
 	}
 }
 
-// LeaseTTL reports the configured lease term (0 = leases disabled).
-func (t *Table) LeaseTTL() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ttl
-}
-
 // expireLocked drops owners whose lease has lapsed and stale fences.
 func (t *Table) expireLocked() {
 	if t.ttl <= 0 {

@@ -219,7 +219,6 @@ var opSpanNames = [opEnd]string{
 	OpLock:         "mgr.lock",
 	OpUnlock:       "mgr.unlock",
 	OpUnlockAll:    "mgr.unlock-all",
-	OpLockSnapshot: "mgr.lock-snapshot",
 	OpLockReplica:  "mgr.lock-replica",
 	OpStats:        "mgr.stats",
 	OpObsSnapshot:  "mgr.obs-snapshot",
@@ -367,9 +366,6 @@ func (m *Manager) handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 		m.locks.ReleaseAll(msg.Owner)
 		m.replicate(ctx)
 		return nil, nil
-
-	case OpLockSnapshot:
-		return encodeSnapshot(m.locks.Version(), m.locks.Snapshot()), nil
 
 	case OpStats:
 		d, err := m.diskOf(payload)

@@ -42,8 +42,7 @@ const (
 	OpUnlock
 	// OpUnlockAll releases everything held by an owner.
 	OpUnlockAll
-	// OpLockSnapshot returns the replicated lock-group table.
-	OpLockSnapshot
+	_ // unassigned; the opcodes below keep their numbers
 	// OpLockReplica carries a table snapshot to a peer (notification).
 	OpLockReplica
 	// OpStats returns one disk's cumulative operation counters.

@@ -438,9 +438,6 @@ type File struct {
 	ino uint32
 }
 
-// Ino reports the file's inode number.
-func (f *File) Ino() uint32 { return f.ino }
-
 // Size reports the current file size.
 func (f *File) Size(ctx context.Context) (int64, error) {
 	in, err := f.fs.readInode(ctx, f.ino)

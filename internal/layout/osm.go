@@ -145,11 +145,8 @@ func (l OSM) MirrorLoc(b int64) Loc {
 	return Loc{Disk: start.Disk, Block: start.Block + int64(j)}
 }
 
-// StripeGroupOf reports the stripe group (set of n blocks accessed in
-// parallel, one per node) containing block b.
-func (l OSM) StripeGroupOf(b int64) int64 { return b / int64(l.Nodes) }
-
-// StripeGroupBlocks returns the logical blocks of stripe group s.
+// StripeGroupBlocks returns the logical blocks of stripe group s (the
+// n blocks accessed in parallel, one per node).
 func (l OSM) StripeGroupBlocks(s int64) []int64 {
 	n := int64(l.Nodes)
 	out := make([]int64, n)

@@ -119,11 +119,6 @@ func classifyRow(row []byte) rowKind {
 func (r *RS) K() int { return r.k }
 func (r *RS) M() int { return r.m }
 
-// Rows exposes the generator coefficients (parity rows only); callers
-// must not mutate the returned slices. The raid engine uses it for
-// delta parity updates on the small-write path.
-func (r *RS) Rows() [][]byte { return r.rows }
-
 // Encode computes the m parity shards from the k data shards, in
 // place: parity[j] is overwritten. All shards must be the same length.
 // data slices are read-only; nothing is allocated, so callers can pass

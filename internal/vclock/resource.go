@@ -183,9 +183,6 @@ func (g *Gate) Broadcast() int {
 	return n
 }
 
-// Waiting reports the number of parked processes.
-func (g *Gate) Waiting() int { return len(g.waiters) }
-
 // Barrier synchronizes a fixed party of processes, mirroring the
 // MPI_Barrier() coordination the paper's benchmark clients use. The
 // barrier is reusable: after all n processes arrive, it resets for the

@@ -213,9 +213,6 @@ func (p *Proc) SleepUntil(t time.Duration) {
 	p.Sleep(t - p.s.now)
 }
 
-// Yield lets other processes scheduled at the same instant run.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // park suspends the process indefinitely; some other process must wake
 // it via Gate or Barrier. where is used for deadlock diagnostics.
 func (p *Proc) park(where string) {
