@@ -122,11 +122,13 @@ benchcheck:
 
 # paritycheck runs the parity-kernel shard (CI job `parity`): the full
 # kernel/RS suite under the race detector, the portable purego build of
-# the same tests (exercising the safe word path the asm replaces), and
-# the throughput floor + allocation pins without -race.
+# the same tests and of the stripe engine's (exercising the safe word
+# path and the table-loop multiply the asm replaces, degraded reads
+# included), and the throughput floor + allocation pins without -race.
 paritycheck:
 	$(GO) test -race -count=1 ./internal/parity/
 	$(GO) test -tags purego -count=1 ./internal/parity/
+	$(GO) test -tags purego -count=1 ./internal/raid/
 	$(GO) test -run 'TestAllocs|TestFloor' -count=1 -v ./internal/parity/ ./internal/raid/
 
 # figcheck runs the paper-figures golden test (CI job `figures`):

@@ -33,6 +33,19 @@ func TestAllocsParityKernels(t *testing.T) {
 	for j := range parity {
 		parity[j] = make([]byte, 4096)
 	}
+	// Two data shards erased; the warm-up call inverts and caches the
+	// pattern's decode matrix, after which decoding allocates nothing.
+	shards := append(append([][]byte(nil), data...), parity...)
+	present := make([]bool, len(shards))
+	for i := range present {
+		present[i] = i != 2 && i != 5
+	}
+	if err := rs.Encode(data, parity); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Reconstruct(shards, present); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name string
@@ -47,6 +60,11 @@ func TestAllocsParityKernels(t *testing.T) {
 			}
 		}},
 		{"Update", func() { rs.Update(parity, 3, data[0]) }},
+		{"Reconstruct", func() {
+			if err := rs.Reconstruct(shards, present); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(100, c.fn); n > 0 {
@@ -56,7 +74,8 @@ func TestAllocsParityKernels(t *testing.T) {
 }
 
 // TestFloorParityThroughput is the benchcheck regression floor: the
-// word-parallel kernel must beat the byte loop by a wide margin, and
+// word-parallel kernel must beat the byte loop by a wide margin, the
+// vector GF(2^8) multiply its table loop, and
 // RS(8,2) encode must stay in hundreds-of-MB/s territory even on a
 // throttled CI host. The real numbers (≥8× and ≥1 GB/s on the bench
 // host) are the benchmark ladder's ladder.parity.xor_64k and
@@ -102,6 +121,29 @@ func TestFloorParityThroughput(t *testing.T) {
 	}
 	if ratio < floor {
 		t.Errorf("XOR kernel only %.1fx over byte loop, floor is %.1fx", ratio, floor)
+	}
+
+	// With the vector tier active, GalMulXor must beat its own table loop
+	// by a wide margin (about 20× on an AVX2 Xeon): a silent fall-back to
+	// the table loop fails here.
+	if hasGFVector {
+		table := testing.Benchmark(func(b *testing.B) {
+			b.SetBytes(n)
+			for i := 0; i < b.N; i++ {
+				mulXorTable(dst, src, 29)
+			}
+		})
+		vec := testing.Benchmark(func(b *testing.B) {
+			b.SetBytes(n)
+			for i := 0; i < b.N; i++ {
+				GalMulXor(dst, src, 29)
+			}
+		})
+		ratio := mbps(vec) / mbps(table)
+		t.Logf("GalMulXor: %.0f MB/s, table loop: %.0f MB/s, speedup %.1fx", mbps(vec), mbps(table), ratio)
+		if ratio < 4 {
+			t.Errorf("GalMulXor only %.1fx over the table loop, floor is 4x", ratio)
+		}
 	}
 
 	enc := testing.Benchmark(func(b *testing.B) { benchRSEncode(b, 8, 2, n) })

@@ -8,7 +8,9 @@ package parity
 // per coefficient. That is the scalar form of the PSHUFB/TBL
 // vectorization used by SIMD RS libraries; in pure Go it keeps both
 // tables for the active coefficient in L1 and lets the compiler keep
-// them in registers across the 8-way unrolled loop.
+// them in registers across the 8-way unrolled loop. On amd64 with AVX2
+// the same two tables feed VPSHUFB, 32 lookups per instruction, and the
+// table loop is left the tail.
 
 var (
 	gfExp [512]byte // α^i, doubled so mul can skip the mod 255
@@ -75,8 +77,8 @@ func gfInv(a byte) byte {
 
 // GalMulXor computes dst[i] ^= c·src[i] for i < len(src) — the RS
 // multiply-accumulate kernel. c == 0 and c == 1 dispatch to the cheap
-// forms; the general case runs the split nibble tables 8 bytes per
-// unrolled iteration.
+// forms; the general case hands the bulk to the vector tier, when there
+// is one, and runs the rest through the split nibble tables.
 func GalMulXor(dst, src []byte, c byte) {
 	switch c {
 	case 0:
@@ -90,21 +92,8 @@ func GalMulXor(dst, src []byte, c byte) {
 		return
 	}
 	_ = dst[n-1]
-	lo, hi := &mulLo[c], &mulHi[c]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		dst[i] ^= lo[src[i]&0xf] ^ hi[src[i]>>4]
-		dst[i+1] ^= lo[src[i+1]&0xf] ^ hi[src[i+1]>>4]
-		dst[i+2] ^= lo[src[i+2]&0xf] ^ hi[src[i+2]>>4]
-		dst[i+3] ^= lo[src[i+3]&0xf] ^ hi[src[i+3]>>4]
-		dst[i+4] ^= lo[src[i+4]&0xf] ^ hi[src[i+4]>>4]
-		dst[i+5] ^= lo[src[i+5]&0xf] ^ hi[src[i+5]>>4]
-		dst[i+6] ^= lo[src[i+6]&0xf] ^ hi[src[i+6]>>4]
-		dst[i+7] ^= lo[src[i+7]&0xf] ^ hi[src[i+7]>>4]
-	}
-	for ; i < n; i++ {
-		dst[i] ^= lo[src[i]&0xf] ^ hi[src[i]>>4]
-	}
+	i := galMulVec(dst, src, c, true)
+	mulXorTable(dst[i:n], src[i:], c)
 }
 
 // galMul computes dst[i] = c·src[i] for i < len(src), overwriting dst.
@@ -122,7 +111,37 @@ func galMul(dst, src []byte, c byte) {
 		return
 	}
 	_ = dst[n-1]
+	i := galMulVec(dst, src, c, false)
+	mulTable(dst[i:n], src[i:], c)
+}
+
+// mulXorTable is GalMulXor's table loop, 8 bytes per unrolled
+// iteration; len(dst) == len(src).
+func mulXorTable(dst, src []byte, c byte) {
 	lo, hi := &mulLo[c], &mulHi[c]
+	n := len(src)
+	dst = dst[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		dst[i] ^= lo[src[i]&0xf] ^ hi[src[i]>>4]
+		dst[i+1] ^= lo[src[i+1]&0xf] ^ hi[src[i+1]>>4]
+		dst[i+2] ^= lo[src[i+2]&0xf] ^ hi[src[i+2]>>4]
+		dst[i+3] ^= lo[src[i+3]&0xf] ^ hi[src[i+3]>>4]
+		dst[i+4] ^= lo[src[i+4]&0xf] ^ hi[src[i+4]>>4]
+		dst[i+5] ^= lo[src[i+5]&0xf] ^ hi[src[i+5]>>4]
+		dst[i+6] ^= lo[src[i+6]&0xf] ^ hi[src[i+6]>>4]
+		dst[i+7] ^= lo[src[i+7]&0xf] ^ hi[src[i+7]>>4]
+	}
+	for ; i < n; i++ {
+		dst[i] ^= lo[src[i]&0xf] ^ hi[src[i]>>4]
+	}
+}
+
+// mulTable is galMul's table loop; len(dst) == len(src).
+func mulTable(dst, src []byte, c byte) {
+	lo, hi := &mulLo[c], &mulHi[c]
+	n := len(src)
+	dst = dst[:n]
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		dst[i] = lo[src[i]&0xf] ^ hi[src[i]>>4]

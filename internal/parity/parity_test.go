@@ -86,31 +86,51 @@ func TestGFTables(t *testing.T) {
 }
 
 // TestGalMulEquivalence checks the bulk multiply kernels against the
-// scalar reference for every coefficient, on an odd length with an
-// unaligned offset so tails are in play.
+// bitwise reference for every coefficient, on lengths either side of the
+// vector tier's 32-byte step and at src and dst offsets 0-3, so the
+// vector bulk, the table-loop tail and the edges are all covered on
+// whatever tier this build picked. The bytes around dst must not move.
 func TestGalMulEquivalence(t *testing.T) {
+	t.Logf("kernel: %s, vector GF(2^8): %v", KernelName(), hasGFVector)
+	var prod [256][256]byte
+	for c := range prod {
+		for x := range prod[c] {
+			prod[c][x] = gfMulBitwise(byte(c), byte(x))
+		}
+	}
 	rng := rand.New(rand.NewSource(4))
-	src := make([]byte, 203)
-	rng.Read(src)
-	for c := 0; c < 256; c++ {
-		dst := make([]byte, len(src))
-		rng.Read(dst)
-		want := make([]byte, len(src))
-		for i := range src {
-			want[i] = dst[i] ^ gfMulBitwise(byte(c), src[i])
-		}
-		GalMulXor(dst[:], src, byte(c))
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("GalMulXor c=%d mismatch at %d", c, FirstDiff(dst, want))
-		}
-		out := make([]byte, len(src))
-		rng.Read(out) // must be fully overwritten
-		for i := range src {
-			want[i] = gfMulBitwise(byte(c), src[i])
-		}
-		galMul(out, src, byte(c))
-		if !bytes.Equal(out, want) {
-			t.Fatalf("galMul c=%d mismatch at %d", c, FirstDiff(out, want))
+	const guard = 8
+	for _, n := range []int{0, 1, 31, 32, 33, 63, 64, 65, 203, 4103} {
+		for srcOff := 0; srcOff < 4; srcOff++ {
+			for dstOff := 0; dstOff < 4; dstOff++ {
+				srcBuf := make([]byte, srcOff+n)
+				rng.Read(srcBuf)
+				src := srcBuf[srcOff:]
+				for c := 0; c < 256; c++ {
+					for _, xor := range []bool{true, false} {
+						buf := make([]byte, dstOff+n+guard)
+						rng.Read(buf)
+						want := append([]byte(nil), buf...)
+						for i, v := range src {
+							if xor {
+								want[dstOff+i] ^= prod[c][v]
+							} else {
+								want[dstOff+i] = prod[c][v]
+							}
+						}
+						name := "GalMulXor"
+						if xor {
+							GalMulXor(buf[dstOff:dstOff+n], src, byte(c))
+						} else {
+							name = "galMul"
+							galMul(buf[dstOff:dstOff+n], src, byte(c))
+						}
+						if !bytes.Equal(buf, want) {
+							t.Fatalf("%s c=%d n=%d src+%d dst+%d: mismatch at %d", name, c, n, srcOff, dstOff, FirstDiff(buf, want)-dstOff)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -148,7 +168,9 @@ func TestFirstDiff(t *testing.T) {
 
 // TestKernelsRaceParallel drives the in-place kernels from many
 // goroutines sharing read-only sources — the pattern the raid engines
-// use under par.ForEach — so `make race` covers the unsafe word path.
+// use under par.ForEach — so `make race` covers the unsafe word path —
+// and decodes eight erasure patterns at once through one shared code,
+// so it covers the inverse cache too.
 func TestKernelsRaceParallel(t *testing.T) {
 	src := make([]byte, 8192)
 	rand.New(rand.NewSource(6)).Read(src)
@@ -156,7 +178,50 @@ func TestKernelsRaceParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One code shared by every decoder, so its inverse cache is filled
+	// and read concurrently, one erasure pattern per goroutine.
+	shared, err := NewRS(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := make([][]byte, 6)
+	for i := range clean {
+		clean[i] = make([]byte, 1024)
+		if i < 4 {
+			copy(clean[i], src[i*1024:])
+		}
+	}
+	if err := shared.Encode(clean[:4], clean[4:]); err != nil {
+		t.Fatal(err)
+	}
 	t.Run("group", func(t *testing.T) {
+		for g := 0; g < 8; g++ {
+			t.Run("", func(t *testing.T) {
+				t.Parallel()
+				lost := [2]int{g % 4, (g + 1 + g/4) % 6}
+				work := make([][]byte, 6)
+				present := make([]bool, 6)
+				for iter := 0; iter < 50; iter++ {
+					for i := range work {
+						work[i] = append(work[i][:0], clean[i]...)
+						present[i] = i != lost[0] && i != lost[1]
+						if !present[i] {
+							clear(work[i])
+						}
+					}
+					if err := shared.Reconstruct(work, present); err != nil {
+						t.Error(err)
+						return
+					}
+					for i := range work {
+						if !bytes.Equal(work[i], clean[i]) {
+							t.Errorf("pattern %v: shard %d wrong", lost, i)
+							return
+						}
+					}
+				}
+			})
+		}
 		for g := 0; g < 8; g++ {
 			t.Run("", func(t *testing.T) {
 				t.Parallel()

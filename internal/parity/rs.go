@@ -3,6 +3,7 @@ package parity
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // RS is a systematic Reed-Solomon code over GF(2^8): k data shards, m
@@ -31,7 +32,22 @@ type RS struct {
 
 	// per-row fast-path classification, fixed at construction
 	rowKind []rowKind
+
+	// inverses caches the decode matrix of each erasure pattern, k×k
+	// row-major, keyed by the set of shards it decodes from.
+	mu       sync.Mutex
+	inverses map[shardSet][]byte
 }
+
+// shardSet is a set of shard indexes (k+m is at most 255).
+type shardSet [4]uint64
+
+func (s *shardSet) add(i int)     { s[i>>6] |= 1 << (i & 63) }
+func (s shardSet) has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+
+// maxInverseBytes bounds the inverse cache; a code that meets more
+// erasure patterns than fit starts the cache over.
+const maxInverseBytes = 1 << 20
 
 type rowKind uint8
 
@@ -171,91 +187,137 @@ func (r *RS) Update(parity [][]byte, shard int, delta []byte) {
 	}
 }
 
-// Reconstruct fills in the missing shards in place. shards holds all
-// k+m shards in order (data first, then parity); present[i] reports
-// whether shards[i] holds valid content. Missing shards must still be
-// backed by full-length scratch buffers — Reconstruct overwrites them.
-// At least k shards must be present or ErrShortShards is returned.
+// Reconstruct fills in the missing shards the caller wants, in place.
+// shards holds all k+m shards in order (data first, then parity);
+// present[i] reports whether shards[i] holds valid content. A missing
+// shard backed by a full-length buffer is wanted and overwritten; one
+// passed as nil is not wanted and stays nil. Missing parity is encoded
+// from the data, so wanting it while a missing data shard is nil is an
+// error. At least k shards must be present or ErrShortShards is
+// returned. Each erasure pattern's decode matrix is inverted once and
+// cached on the code: after the first call for a pattern, Reconstruct
+// allocates nothing.
 func (r *RS) Reconstruct(shards [][]byte, present []bool) error {
 	n := r.k + r.m
 	if len(shards) != n || len(present) != n {
 		return fmt.Errorf("parity: rs(%d,%d): want %d shards, got %d (present %d)", r.k, r.m, n, len(shards), len(present))
 	}
-	size := -1
-	have := 0
+	size, have := -1, 0
+	wantData, wantParity, dataNil := false, false, false
 	for i, s := range shards {
+		switch {
+		case present[i]:
+			have++
+			if s == nil {
+				return fmt.Errorf("parity: shard %d present but nil", i)
+			}
+		case s == nil:
+			dataNil = dataNil || i < r.k
+			continue
+		case i < r.k:
+			wantData = true
+		default:
+			wantParity = true
+		}
 		if size == -1 {
 			size = len(s)
 		} else if len(s) != size {
 			return fmt.Errorf("parity: shard %d length %d != %d", i, len(s), size)
 		}
-		if present[i] {
-			have++
-		}
 	}
 	if have < r.k {
 		return fmt.Errorf("%w: %d of %d present, need %d", ErrShortShards, have, n, r.k)
 	}
-
-	dataMissing := false
-	for i := 0; i < r.k; i++ {
-		if !present[i] {
-			dataMissing = true
-			break
-		}
+	if wantParity && dataNil {
+		return fmt.Errorf("parity: rs(%d,%d): missing parity wanted, but a missing data shard is nil", r.k, r.m)
 	}
-	if dataMissing {
+	if wantData {
 		if err := r.decodeData(shards, present); err != nil {
 			return err
 		}
 	}
-	// All data is now valid; recompute any missing parity directly.
-	for j := 0; j < r.m; j++ {
-		if !present[r.k+j] {
+	// All data is now valid; recompute any wanted parity directly.
+	for j := 0; wantParity && j < r.m; j++ {
+		if !present[r.k+j] && shards[r.k+j] != nil {
 			r.encodeRow(j, shards[r.k+j], shards[:r.k])
 		}
 	}
 	return nil
 }
 
-// decodeData solves for the missing data shards from any k present
-// shards: invert the k×k matrix formed by the present shards' rows of
-// the systematic generator [I ; rows], then each missing data shard i
-// is the inverse's row i dotted with the chosen shards. Gaussian
-// elimination on a ≤255×255 byte matrix is microseconds — negligible
-// against the block I/O that surrounds a degraded read.
+// decodeData solves for the wanted missing data shards from the first k
+// present shards: each is its row of the inverse of those shards' rows
+// of the systematic generator [I ; rows], dotted with them.
 func (r *RS) decodeData(shards [][]byte, present []bool) error {
-	chosen := make([]int, 0, r.k)
-	for i := 0; i < r.k+r.m && len(chosen) < r.k; i++ {
+	var chosen shardSet
+	for i, c := 0, 0; c < r.k; i++ {
 		if present[i] {
-			chosen = append(chosen, i)
+			chosen.add(i)
+			c++
 		}
 	}
-	mat := make([][]byte, r.k)
-	for ri, idx := range chosen {
-		row := make([]byte, r.k)
-		if idx < r.k {
-			row[idx] = 1
-		} else {
-			copy(row, r.rows[idx-r.k])
-		}
-		mat[ri] = row
-	}
-	inv, err := matInvert(mat)
+	inv, err := r.inverse(chosen)
 	if err != nil {
-		return fmt.Errorf("parity: reconstruct: %w", err)
+		return err
 	}
 	for i := 0; i < r.k; i++ {
-		if present[i] {
+		out := shards[i]
+		if present[i] || out == nil {
 			continue
 		}
-		out := shards[i]
-		galMul(out, shards[chosen[0]], inv[i][0])
-		for c := 1; c < r.k; c++ {
-			GalMulXor(out, shards[chosen[c]], inv[i][c])
+		coef := inv[i*r.k : (i+1)*r.k]
+		for j, c := 0, 0; c < r.k; j++ {
+			if !chosen.has(j) {
+				continue
+			}
+			if c == 0 {
+				galMul(out, shards[j], coef[c])
+			} else {
+				GalMulXor(out, shards[j], coef[c])
+			}
+			c++
 		}
 	}
 	return nil
+}
+
+// inverse returns the decode matrix for the chosen shards, from the
+// cache or by Gauss-Jordan inversion of their generator rows.
+func (r *RS) inverse(chosen shardSet) ([]byte, error) {
+	r.mu.Lock()
+	inv, ok := r.inverses[chosen]
+	r.mu.Unlock()
+	if ok {
+		return inv, nil
+	}
+	mat := make([][]byte, 0, r.k)
+	for i := 0; i < r.k+r.m; i++ {
+		if !chosen.has(i) {
+			continue
+		}
+		row := make([]byte, r.k)
+		if i < r.k {
+			row[i] = 1
+		} else {
+			copy(row, r.rows[i-r.k])
+		}
+		mat = append(mat, row)
+	}
+	rows, err := matInvert(mat)
+	if err != nil {
+		return nil, fmt.Errorf("parity: reconstruct: %w", err)
+	}
+	inv = make([]byte, 0, r.k*r.k)
+	for _, row := range rows {
+		inv = append(inv, row...)
+	}
+	r.mu.Lock()
+	if r.inverses == nil || (len(r.inverses)+1)*r.k*r.k > maxInverseBytes {
+		r.inverses = map[shardSet][]byte{}
+	}
+	r.inverses[chosen] = inv
+	r.mu.Unlock()
+	return inv, nil
 }
 
 // matInvert returns the inverse of a square matrix over GF(2^8) via

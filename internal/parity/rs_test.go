@@ -114,6 +114,72 @@ func TestRSMDSExhaustive(t *testing.T) {
 	}
 }
 
+// TestRSReconstructWanted sweeps every erasure pattern of up to m
+// shards of rs(8,2) and rs(4,3), and for each every choice of which
+// erased shards the caller wants. A missing shard passed as nil must
+// stay nil, every wanted one must come back bit-exact, and wanting
+// missing parity while a missing data shard is nil must be refused.
+func TestRSReconstructWanted(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, g := range []struct{ k, m int }{{8, 2}, {4, 3}} {
+		rs, err := NewRS(g.k, g.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.k + g.m
+		data, parity, all, _ := mkShards(rng, g.k, g.m, 97)
+		if err := rs.Encode(data, parity); err != nil {
+			t.Fatal(err)
+		}
+		for mask := 1; mask < 1<<n; mask++ {
+			if popcount(mask) > g.m {
+				continue
+			}
+			for want := 0; want < 1<<n; want++ {
+				if want&^mask != 0 {
+					continue // only erased shards can be wanted or not
+				}
+				work := make([][]byte, n)
+				present := make([]bool, n)
+				wantParity, dataNil := false, false
+				for i := 0; i < n; i++ {
+					present[i] = mask&(1<<i) == 0
+					switch {
+					case present[i]:
+						work[i] = append([]byte(nil), all[i]...)
+					case want&(1<<i) != 0:
+						work[i] = make([]byte, len(all[i]))
+						rng.Read(work[i])
+						wantParity = wantParity || i >= g.k
+					default:
+						dataNil = dataNil || i < g.k
+					}
+				}
+				err := rs.Reconstruct(work, present)
+				if wantParity && dataNil {
+					if err == nil {
+						t.Fatalf("rs(%d,%d) erased %b wanted %b: missing parity rebuilt without all data", g.k, g.m, mask, want)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("rs(%d,%d) erased %b wanted %b: %v", g.k, g.m, mask, want, err)
+				}
+				for i := 0; i < n; i++ {
+					switch {
+					case !present[i] && want&(1<<i) == 0:
+						if work[i] != nil {
+							t.Fatalf("rs(%d,%d) erased %b wanted %b: unwanted shard %d was filled in", g.k, g.m, mask, want, i)
+						}
+					case !bytes.Equal(work[i], all[i]):
+						t.Fatalf("rs(%d,%d) erased %b wanted %b: shard %d differs at %d", g.k, g.m, mask, want, i, FirstDiff(work[i], all[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
 func popcount(x int) int {
 	n := 0
 	for ; x != 0; x &= x - 1 {

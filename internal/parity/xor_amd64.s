@@ -61,6 +61,59 @@ avx2loop:
 	VZEROUPPER
 	RET
 
+// func galMulAVX2(lo, hi *[16]byte, dst, src *byte, n int, xor bool)
+// n > 0 and a multiple of 32. dst[i] (^)= lo[src[i]&15] ^ hi[src[i]>>4]:
+// each 16-entry table is broadcast to both lanes and VPSHUFB looks up
+// 32 nibbles at once.
+TEXT ·galMulAVX2(SB), NOSPLIT, $0-41
+	MOVQ lo+0(FP), AX
+	MOVQ hi+8(FP), BX
+	MOVQ dst+16(FP), DI
+	MOVQ src+24(FP), SI
+	MOVQ n+32(FP), CX
+	MOVB xor+40(FP), DX
+
+	VBROADCASTI128 (AX), Y0
+	VBROADCASTI128 (BX), Y1
+	MOVQ           $0x0f0f0f0f0f0f0f0f, AX
+	MOVQ           AX, X2
+	VPBROADCASTQ   X2, Y2
+	TESTB          DX, DX
+	JEQ            gfset
+
+gfxor:
+	VMOVDQU (SI), Y3
+	VPSRLQ  $4, Y3, Y4
+	VPAND   Y2, Y3, Y3
+	VPAND   Y2, Y4, Y4
+	VPSHUFB Y3, Y0, Y3
+	VPSHUFB Y4, Y1, Y4
+	VPXOR   Y3, Y4, Y3
+	VPXOR   (DI), Y3, Y3
+	VMOVDQU Y3, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $32, CX
+	JNE     gfxor
+	VZEROUPPER
+	RET
+
+gfset:
+	VMOVDQU (SI), Y3
+	VPSRLQ  $4, Y3, Y4
+	VPAND   Y2, Y3, Y3
+	VPAND   Y2, Y4, Y4
+	VPSHUFB Y3, Y0, Y3
+	VPSHUFB Y4, Y1, Y4
+	VPXOR   Y3, Y4, Y3
+	VMOVDQU Y3, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $32, CX
+	JNE     gfset
+	VZEROUPPER
+	RET
+
 // func x86HasAVX2() bool
 // CPUID.1:ECX.OSXSAVE, then XGETBV XCR0[2:1] (OS saves XMM+YMM), then
 // CPUID.(7,0):EBX.AVX2.

@@ -50,7 +50,7 @@ func TestAllocsAfraidSync(t *testing.T) {
 // TestAllocsAfraidDegradedRead pins the read plan of a degraded array:
 // with a failed disk, a block on a surviving disk still costs only the
 // plan and the fan-out bookkeeping, scattered straight into the
-// caller's buffer.
+// caller's buffer — nothing of the decode path is set up for it.
 func TestAllocsAfraidDegradedRead(t *testing.T) {
 	a, raw := raidtest.Build[raid.Array](t, raidtest.AFRAID(4), disks4k)
 	ctx := context.Background()
@@ -63,7 +63,28 @@ func TestAllocsAfraidDegradedRead(t *testing.T) {
 	}
 	raw[1].Fail()
 	buf := make([]byte, a.BlockSize())
-	allocLimit(t, 5, func() {
+	allocLimit(t, 2, func() {
+		if err := a.ReadBlocks(ctx, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestAllocsRSDegradedRead pins a degraded read of two full rs(6,2)
+// stripes with two members failed: the survivors join the healthy blocks'
+// plan, the parity in one pooled scratch buffer, and each stripe decodes
+// in place through the code's cached inverse.
+func TestAllocsRSDegradedRead(t *testing.T) {
+	a, raw := raidtest.Build[*raid.Stripe](t, raidtest.RS(6, 2), disks4k)
+	ctx := context.Background()
+	k, _ := a.Shards()
+	buf := make([]byte, 2*k*a.BlockSize())
+	if err := a.WriteBlocks(ctx, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	raw[1].Fail()
+	raw[4].Fail()
+	allocLimit(t, 11, func() {
 		if err := a.ReadBlocks(ctx, 0, buf); err != nil {
 			t.Fatal(err)
 		}

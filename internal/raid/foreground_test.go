@@ -91,7 +91,8 @@ func wantStriped(copies ...func(int64) layout.Loc) fgModel {
 // wantStripe is the parity engines with k data and m parity shards per
 // stripe, shard j of stripe s on device shard(s, j) at physical block s.
 // A read reconstructs every stripe holding a block on the unreadable
-// member from one block read of each other member. An eager write
+// member from each other member's shard, read in the same runs as the
+// healthy blocks. An eager write
 // updates a partial stripe by read-modify-write of its parity and
 // covered shards — or, when a covered shard's member is down, re-encodes
 // from the uncovered shards — and writes each full stripe's shards as
@@ -117,15 +118,15 @@ func wantStripe(n, k, m int, deferred bool, shard func(s int64, j int) int) fgMo
 			locs = append(locs, layout.Loc{Disk: d, Block: s})
 		}
 		if !write {
-			calls := runsOf(locs, "read")
 			for _, s := range lost {
 				for j := 0; j < k+m; j++ {
-					if d := shard(s, j); d != st.unread {
-						calls = append(calls, raidtest.DevCall{Disk: d, Phys: s, Blocks: 1, Kind: "read"})
+					lb := s*int64(k) + int64(j)
+					if d := shard(s, j); d != st.unread && (j >= k || lb < b || lb >= end) {
+						locs = append(locs, layout.Loc{Disk: d, Block: s})
 					}
 				}
 			}
-			return calls, false
+			return runsOf(locs, "read"), false
 		}
 		if deferred {
 			return runsOf(locs, "write"), false

@@ -171,36 +171,31 @@ func (a *Stripe) lostDevs(v *MemberView) (lost, down devSet, err error) {
 	return lost, down, err
 }
 
-// collect folds n per-task results — at(i) is task i's device and
-// error — into the set of devices that erred and the first error.
-func collect(n int, at func(i int) (dev int, err error)) (devSet, error) {
-	var erred devSet
-	var first error
-	for i := 0; i < n; i++ {
-		if d, err := at(i); err != nil {
-			erred.add(d)
-			if first == nil {
-				first = err
-			}
-		}
-	}
-	return erred, first
-}
-
-// place plans logical blocks [b, b+n) of p on their devices, and lists
-// instead, in logical order, the blocks that live on a device in skip.
-func (a *Stripe) place(b int64, n int, p []byte, skip devSet) (pl *Plan, lost []int64) {
+// place adds logical blocks [b, b+n) of p to a new plan on their devices,
+// except those that live on a device in skip, and counts those. The
+// caller sorts the plan.
+func (a *Stripe) place(b int64, n int, p []byte, skip devSet) (pl *Plan, skipped int) {
 	pl = NewPlan()
 	for lb := b; lb < b+int64(n); lb++ {
 		s := lb / int64(a.k)
 		if d := a.devOf(s, int(lb%int64(a.k))); skip.has(d) {
-			lost = append(lost, lb)
+			skipped++
 		} else {
 			pl.Add(d, s, lb, a.block(p, b, lb))
 		}
 	}
-	pl.Sort()
-	return pl, lost
+	return pl, skipped
+}
+
+// lostRow reports whether stripe s has a data shard in [b, b+n) on a
+// failed device.
+func (a *Stripe) lostRow(s, b int64, n int, failed devSet) bool {
+	for j := 0; j < a.k; j++ {
+		if lb := s*int64(a.k) + int64(j); lb >= b && lb < b+int64(n) && failed.has(a.devOf(s, j)) {
+			return true
+		}
+	}
+	return false
 }
 
 // moveRuns moves every run of pl in parallel — one branch per device, its
@@ -225,7 +220,18 @@ func moveRuns(ctx context.Context, devs []Dev, pl *Plan, xfer func(context.Conte
 		})
 	}
 	_ = par.Do(ctx, pl.Fns...)
-	return collect(len(devs), func(d int) (int, error) { return d, errs[d] })
+	var erred devSet
+	var first error
+	for d, err := range errs {
+		if err == nil {
+			continue
+		}
+		erred.add(d)
+		if first == nil {
+			first = err
+		}
+	}
+	return erred, first
 }
 
 // ReadBlocks implements Array. Shards on healthy devices scatter
@@ -246,8 +252,11 @@ func (a *Stripe) ReadBlocks(ctx context.Context, b int64, p []byte) error {
 		return err
 	}
 	for {
-		erred, err := a.readOnce(ctx, v.Devs, b, n, p, failed)
+		lost, erred, err := a.readOnce(ctx, v.Devs, b, n, p, failed)
 		if err == nil {
+			if lost > 0 && a.mem.notify != nil {
+				a.mem.notify(lost)
+			}
 			return nil
 		}
 		// erred is disjoint from failed (failed devices are never
@@ -263,46 +272,105 @@ func (a *Stripe) ReadBlocks(ctx context.Context, b int64, p []byte) error {
 }
 
 // readOnce executes one read attempt treating the given devices as
-// failed. On error it reports which devices errored at read time.
-func (a *Stripe) readOnce(ctx context.Context, devs []Dev, b int64, n int, p []byte, failed devSet) (devSet, error) {
+// failed, in one transfer phase: every stripe with a block of [b, b+n)
+// on a failed device has all its surviving shards planned beside the
+// healthy blocks, and is decoded once they have arrived, its lost
+// blocks straight into p. It reports how many blocks it decoded and, on
+// error, which devices erred at read time.
+func (a *Stripe) readOnce(ctx context.Context, devs []Dev, b int64, n int, p []byte, failed devSet) (int, devSet, error) {
 	pl, lost := a.place(b, n, p, failed)
 	defer pl.Release()
+	s0, s1 := b/int64(a.k), (b+int64(n)-1)/int64(a.k)
+	var shards [][]byte
+	if lost > 0 {
+		var scratch []byte
+		var err error
+		if shards, scratch, err = a.planSurvivors(pl, s0, s1, b, n, p, failed); err != nil {
+			return 0, devSet{}, err
+		}
+		defer bufpool.Put(scratch)
+	}
+	pl.Sort()
 	if erred, err := moveRuns(ctx, devs, pl, ReadBlocksVec); err != nil {
-		return erred, err
+		return 0, erred, err
 	}
-	for i, lb := range lost {
-		s := lb / int64(a.k)
-		if i > 0 && lost[i-1]/int64(a.k) == s {
-			continue // the stripe's reconstruction already delivered it
+	w := a.k + a.m
+	for s, row := s0, shards; lost > 0 && s <= s1; s++ {
+		if !a.lostRow(s, b, n, failed) {
+			continue
 		}
-		shards, erred, err := a.readStripe(ctx, devs, s, failed)
-		if err != nil {
-			return erred, err
+		var present [256]bool
+		for j := 0; j < w; j++ {
+			present[j] = !failed.has(a.devOf(s, j))
 		}
-		for _, lb := range lost[i:] {
-			if lb/int64(a.k) != s {
-				break
-			}
-			copy(a.block(p, b, lb), shards[lb%int64(a.k)])
+		if err := a.code.Reconstruct(row[:w], present[:w]); err != nil {
+			return 0, devSet{}, err
 		}
-		putShards(shards)
+		row = row[w:]
 	}
-	if len(lost) > 0 && a.mem.notify != nil {
-		a.mem.notify(len(lost))
-	}
-	return devSet{}, nil
+	return lost, devSet{}, nil
 }
 
-// readShards reads shard j of stripe s into a fresh pooled block at
-// shards[j] for every j in js, in parallel, attempting all of them.
-func (a *Stripe) readShards(ctx context.Context, devs []Dev, s int64, shards [][]byte, js []int) (devSet, error) {
-	errs := make([]error, len(js))
-	_ = par.ForEach(ctx, len(js), func(ctx context.Context, i int) error {
-		shards[js[i]] = bufpool.Get(a.bs)
-		errs[i] = devs[a.devOf(s, js[i])].ReadBlocks(ctx, s, shards[js[i]])
-		return nil
+// planSurvivors adds to pl every surviving shard of the lost stripes in
+// [s0, s1] that pl does not hold yet — parity, and data outside [b, b+n)
+// — read into one pooled scratch buffer, and returns those stripes'
+// shards, k+m per stripe in stripe order, for decoding: a data shard in
+// [b, b+n) is its slot in p, lost or not, and any other lost shard is
+// nil (not wanted). A stripe in the redundancy window has no valid
+// parity to decode from.
+func (a *Stripe) planSurvivors(pl *Plan, s0, s1, b int64, n int, p []byte, failed devSet) (shards [][]byte, scratch []byte, err error) {
+	w, end := a.k+a.m, b+int64(n)
+	// inP reports whether shard j of stripe s already has a slot in p.
+	inP := func(s int64, j int) bool {
+		lb := s*int64(a.k) + int64(j)
+		return j < a.k && lb >= b && lb < end
+	}
+	rows, extra := 0, 0
+	for s := s0; s <= s1; s++ {
+		if !a.lostRow(s, b, n, failed) {
+			continue
+		}
+		if a.isDirty(s) {
+			return nil, nil, fmt.Errorf("%s: stripe %d in redundancy window (parity stale): %w", a.name, s, ErrDataLoss)
+		}
+		rows++
+		for j := 0; j < w; j++ {
+			if !inP(s, j) && !failed.has(a.devOf(s, j)) {
+				extra++
+			}
+		}
+	}
+	scratch = bufpool.Get(extra * a.bs)
+	shards = make([][]byte, rows*w)
+	row, free := shards, scratch
+	for s := s0; s <= s1; s++ {
+		if !a.lostRow(s, b, n, failed) {
+			continue
+		}
+		for j := 0; j < w; j++ {
+			lb, d := s*int64(a.k)+int64(j), a.devOf(s, j)
+			switch {
+			case inP(s, j):
+				row[j] = a.block(p, b, lb)
+			case !failed.has(d):
+				if j >= a.k {
+					lb = -1
+				}
+				row[j], free = free[:a.bs:a.bs], free[a.bs:]
+				pl.Add(d, s, lb, row[j])
+			}
+		}
+		row = row[w:]
+	}
+	return shards, scratch, nil
+}
+
+// readShards reads shard j of stripe s into shards[j] for every j in js,
+// in parallel.
+func (a *Stripe) readShards(ctx context.Context, devs []Dev, s int64, shards [][]byte, js []int) error {
+	return par.ForEach(ctx, len(js), func(ctx context.Context, i int) error {
+		return devs[a.devOf(s, js[i])].ReadBlocks(ctx, s, shards[js[i]])
 	})
-	return collect(len(js), func(i int) (int, error) { return a.devOf(s, js[i]), errs[i] })
 }
 
 // writeShards writes shard j of stripe s from shards[j] for every j in
@@ -322,36 +390,6 @@ func putShards(shards [][]byte) {
 	for _, sh := range shards {
 		bufpool.Put(sh)
 	}
-}
-
-// readStripe returns all k+m shards of stripe s in pooled blocks: the
-// survivors read from their devices, the rest reconstructed from them.
-// A stripe in the redundancy window has no valid parity to do that
-// with. The caller releases the shards with putShards.
-func (a *Stripe) readStripe(ctx context.Context, devs []Dev, s int64, failed devSet) ([][]byte, devSet, error) {
-	if a.isDirty(s) {
-		return nil, devSet{}, fmt.Errorf("%s: stripe %d in redundancy window (parity stale): %w", a.name, s, ErrDataLoss)
-	}
-	shards := make([][]byte, a.k+a.m)
-	present := make([]bool, a.k+a.m)
-	js := make([]int, 0, a.k+a.m)
-	for d := 0; d < a.n; d++ {
-		j := a.shardOf(s, d)
-		if present[j] = !failed.has(d); present[j] {
-			js = append(js, j)
-		} else {
-			shards[j] = bufpool.Get(a.bs)
-		}
-	}
-	erred, err := a.readShards(ctx, devs, s, shards, js)
-	if err == nil {
-		err = a.code.Reconstruct(shards, present)
-	}
-	if err != nil {
-		putShards(shards)
-		return nil, erred, err
-	}
-	return shards, devSet{}, nil
 }
 
 // WriteBlocks implements Array. With eager parity the request splits
@@ -381,9 +419,10 @@ func (a *Stripe) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 	if a.dirty != nil {
 		pl, skipped := a.place(b, n, p, down)
 		defer pl.Release()
-		if len(skipped) > 0 {
-			return fmt.Errorf("%s: cannot write block %d, its device failed and parity is deferred: %w", a.name, skipped[0], ErrDataLoss)
+		if skipped > 0 {
+			return fmt.Errorf("%s: cannot write %d blocks, their devices failed and parity is deferred: %w", a.name, skipped, ErrDataLoss)
 		}
+		pl.Sort()
 		// Open the window before the data moves, so a failure mid-write
 		// finds it open; a sync of these rows waits for this write.
 		a.mu.Lock()
@@ -472,17 +511,14 @@ func (a *Stripe) writeFullStripes(ctx context.Context, devs []Dev, sa, sb int64,
 //     reconstructing the old stripe.
 func (a *Stripe) writePartialStripe(ctx context.Context, devs []Dev, s, lo, hi int64, p []byte, b0 int64, lost, down devSet) error {
 	j0, j1 := int(lo-s*int64(a.k)), int(hi-s*int64(a.k))
-	// The stripe as this write sees it. Pooled blocks hold what is
-	// read or encoded; the covered data shards end up aliasing p.
+	// The stripe as this write sees it: a pooled block per shard holds
+	// what is read or encoded; the covered data shards end up aliasing p.
+	buf := bufpool.Get((a.k + a.m) * a.bs)
+	defer bufpool.Put(buf)
 	shards := make([][]byte, a.k+a.m)
-	aliased := false
-	defer func() {
-		for j, sh := range shards {
-			if !aliased || j < j0 || j >= j1 {
-				bufpool.Put(sh)
-			}
-		}
-	}()
+	for j := range shards {
+		shards[j] = buf[j*a.bs : (j+1)*a.bs]
+	}
 
 	// out lists the shards to write: parity, then covered data, each on a
 	// member that is up. reencode is set when one of them has no readable
@@ -514,7 +550,7 @@ func (a *Stripe) writePartialStripe(ctx context.Context, devs []Dev, s, lo, hi i
 
 	switch {
 	case !reencode && parityLeft > 0:
-		if _, err := a.readShards(ctx, devs, s, shards, out); err != nil {
+		if err := a.readShards(ctx, devs, s, shards, out); err != nil {
 			return err
 		}
 		for _, j := range out[parityLeft:] {
@@ -529,23 +565,19 @@ func (a *Stripe) writePartialStripe(ctx context.Context, devs []Dev, s, lo, hi i
 				uncovered = append(uncovered, j)
 			}
 		}
-		if _, err := a.readShards(ctx, devs, s, shards, uncovered); err != nil {
+		if err := a.readShards(ctx, devs, s, shards, uncovered); err != nil {
 			return err
 		}
-		for j := a.k; j < a.k+a.m; j++ {
-			shards[j] = bufpool.Get(a.bs)
-		}
 	case reencode:
-		var err error
-		if shards, _, err = a.readStripe(ctx, devs, s, lost); err != nil {
+		// The old data shards, read and decoded as a degraded read of the
+		// whole stripe would.
+		if _, _, err := a.readOnce(ctx, devs, s*int64(a.k), a.k, buf[:a.k*a.bs], lost); err != nil {
 			return err
 		}
 	}
 	for j := j0; j < j1; j++ {
-		bufpool.Put(shards[j])
 		shards[j] = a.block(p, b0, s*int64(a.k)+int64(j))
 	}
-	aliased = true
 	if reencode {
 		if err := a.code.Encode(shards[:a.k], shards[a.k:]); err != nil {
 			return err
@@ -674,12 +706,21 @@ func (a *Stripe) Reconstruct(ctx context.Context, idx int, pb int64, dst []byte,
 		if a.isDirty(s) {
 			return fmt.Errorf("%s: stripe %d in redundancy window (parity stale): %w: %w", a.name, s, ErrPending, ErrDataLoss)
 		}
+		// Decode idx's shard straight into the caller's buffer, and no
+		// other lost shard unless idx's is parity, which is encoded from
+		// all the data.
+		t := a.shardOf(s, idx)
 		for j := range shards {
-			shards[j] = cols[a.devOf(s, j)][r*a.bs : (r+1)*a.bs]
-			present[j] = !missing.has(a.devOf(s, j))
+			d := a.devOf(s, j)
+			switch present[j] = !missing.has(d); {
+			case j == t:
+				shards[j] = dst[r*a.bs : (r+1)*a.bs]
+			case present[j] || (j < a.k && t >= a.k):
+				shards[j] = cols[d][r*a.bs : (r+1)*a.bs]
+			default:
+				shards[j] = nil
+			}
 		}
-		// Decode idx's shard straight into the caller's buffer.
-		shards[a.shardOf(s, idx)] = dst[r*a.bs : (r+1)*a.bs]
 		err = a.code.Reconstruct(shards, present)
 	}
 	return err
