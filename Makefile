@@ -146,13 +146,17 @@ figcheck:
 # obscheck runs the observability-plane shard (CI job `obs`): the
 # whole obs package (labeled instruments, time-series sampler, cluster
 # merge, SLO burn tracker, exporter grammar) under the race detector,
-# the QoS live-gauge tests, and the end-to-end SLO feedback chaos
-# drill — a background storm over real TCP whose burn feedback must
-# step the Background QoS rate down until the foreground p99 recovers.
+# the two sample-driven SLO feedback tests five times more, the QoS
+# live-gauge tests, the end-to-end SLO feedback chaos drill — a
+# background storm over real TCP whose burn feedback must step the
+# Background QoS rate down until the foreground p99 recovers — and a
+# node with -sample and -slo-p99 that leaves no goroutine after Close.
 obscheck:
 	$(GO) test -race -count=1 ./internal/obs/
+	$(GO) test -race -count=5 -run 'TestSLOBurnFeedback|TestSLOErrorBurn' ./internal/obs/
 	$(GO) test -race -count=1 -run 'TestLiveRateGauges|TestTenantLabeledGauges' ./internal/qos/
 	$(GO) test -race -count=1 -run 'TestSLOChaos' -v ./internal/cdd/
+	$(GO) test -race -count=1 -run TestNodeObservabilityAndTeardown ./internal/node/
 
 # growcheck runs the online-membership shard (CI job `grow`): the
 # epoch/remap property tests (every geometry pair up to 64 nodes), the

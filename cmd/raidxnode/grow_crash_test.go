@@ -56,7 +56,7 @@ func TestGrowCrashSIGKILLResumeFromCheckpoint(t *testing.T) {
 			"-blocks", fmt.Sprint(growBlocks),
 			"-repair-cluster", strings.Join(cluster, ","),
 			"-repair-spares", "0", "-repair-poll", "5ms",
-			"-repair-rate", fmt.Sprint(rate),
+			"-qos-bg-rate", fmt.Sprint(rate),
 		}
 	}
 	// The copy rate is capped so the kill lands mid-flight, well past

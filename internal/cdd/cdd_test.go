@@ -3,12 +3,14 @@ package cdd
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/race"
 	"repro/internal/store"
 )
 
@@ -291,6 +293,36 @@ func TestRemoteLockService(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("blocking lock: %v", err)
+	}
+}
+
+// TestAllocsLockWithoutPeers: a manager with no replica peer builds no
+// lock-table snapshot, so what a lock + unlock pair allocates does not
+// grow with the number of other grant holders.
+func TestAllocsLockWithoutPeers(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	ctx := context.Background()
+	lock := encodeLockMsg(lockMsg{Owner: "w", Mode: Exclusive, Ranges: []Range{{0, 1}}})
+	pair := func(holders int) float64 {
+		m := NewManager(nil)
+		for i := 0; i < holders; i++ {
+			m.Locks().Acquire(fmt.Sprintf("h%d", i), Exclusive, []Range{{uint64(10 + 2*i), uint64(11 + 2*i)}})
+		}
+		return testing.AllocsPerRun(100, func() {
+			if resp, err := m.Handle(ctx, OpLock, lock); err != nil || resp[0] != 1 {
+				t.Fatalf("lock: %v, %v", resp, err)
+			}
+			if _, err := m.Handle(ctx, OpUnlock, lock); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	alone, crowded := pair(0), pair(256)
+	t.Logf("lock+unlock: %.1f allocs alone, %.1f beside 256 holders", alone, crowded)
+	if crowded != alone {
+		t.Errorf("lock+unlock allocates %.1f beside 256 holders, %.1f alone: want no dependence on the table", crowded, alone)
 	}
 }
 

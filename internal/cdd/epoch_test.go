@@ -122,6 +122,9 @@ func TestEpochSetBroadcast(t *testing.T) {
 	if li.Gen != 4 || li.Desc != nil || li.Migrating {
 		t.Fatalf("layout = %+v, want bare gen 4", li)
 	}
+	if g := n.Manager.Obs().Snapshot().Gauges["epoch.gen"]; g != 4 {
+		t.Fatalf("epoch.gen gauge = %d, want 4", g)
+	}
 	// The payload is exactly one generation: there is no phase byte.
 	for _, n := range []int{0, 7, 9} {
 		_, err := c.call(ctx, OpEpochSet, make([]byte, n))

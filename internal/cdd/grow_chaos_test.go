@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/qos"
 	"repro/internal/repair"
 )
 
@@ -35,10 +36,11 @@ func TestGrowChaosNodeKillMidRebalance(t *testing.T) {
 		Poll:          5 * time.Millisecond,
 		FailureBudget: 10 * time.Minute,
 		ScrubStride:   -1,
-		// Unpaced, the ~48 KiB of moves finishes between two 5ms polls
-		// and the kill lands after completion; this rate stretches the
-		// copy over ~1.5s so the kill is genuinely mid-rebalance.
-		RateBytesPerSec: 32 << 10,
+		// Unpaced, the ~96 KiB of moves finishes between two 5ms polls
+		// and the kill lands after completion; at this background rate
+		// the second copy window waits ~1s for the first one's bytes, so
+		// the kill is genuinely mid-rebalance.
+		Pace: qos.New(qos.Config{BackgroundBytesPerSec: 32 << 10}).Pace(qos.Background, "repair"),
 	})
 
 	ctx := context.Background()

@@ -124,6 +124,7 @@ func NewManager(disks []*disk.Disk) *Manager {
 	reg.RegisterGauge("locks.owners", func() int64 { o, _, _ := m.locks.Stats(); return int64(o) })
 	reg.RegisterGauge("locks.ranges", func() int64 { _, r, _ := m.locks.Stats(); return int64(r) })
 	reg.RegisterGauge("locks.expired", func() int64 { _, _, e := m.locks.Stats(); return int64(e) })
+	reg.RegisterGauge("epoch.gen", func() int64 { return int64(m.EpochGen()) })
 	for _, d := range disks {
 		d := d
 		name := "disk." + d.ID()
@@ -164,11 +165,16 @@ func (m *Manager) AddPeer(c *transport.Client) {
 
 // replicate pushes the current lock table to all peers (best-effort
 // notifications, matching the paper's asynchronous replica updates).
+// With no peer there is nothing to build: the snapshot grows with the
+// table.
 func (m *Manager) replicate(ctx context.Context) {
-	snap := encodeSnapshot(m.locks.Version(), m.locks.Snapshot())
 	m.mu.Lock()
 	peers := append([]*transport.Client(nil), m.peers...)
 	m.mu.Unlock()
+	if len(peers) == 0 {
+		return
+	}
+	snap := encodeSnapshot(m.locks.Version(), m.locks.Snapshot())
 	for _, p := range peers {
 		_ = p.Notify(ctx, OpLockReplica, snap) // best effort
 	}

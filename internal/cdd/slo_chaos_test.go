@@ -148,23 +148,27 @@ func TestSLOChaosStormFeedback(t *testing.T) {
 		BurstWindow:           20 * time.Millisecond,
 		Obs:                   reg,
 	})
-	tr := obs.NewSLOTracker(obs.SLOConfig{
+	// The SLO burns over the sampler's 250ms (fast) and 1s (slow)
+	// windows, evaluated after every 50ms sample.
+	sampler := obs.NewSampler(reg, obs.SamplerConfig{
+		Interval: 50 * time.Millisecond,
+		Capacity: 64,
+		Windows:  []time.Duration{250 * time.Millisecond, time.Second},
+	})
+	tr := obs.NewSLOTracker(sampler, obs.SLOConfig{
 		Name:              "fg",
-		Registry:          reg,
-		LatencyHist:       fgLat,
+		LatencyHist:       "fg.latency",
 		LatencyObjective:  objective,
-		ErrorCounter:      fgErrs,
-		OpsCounter:        fgOps,
+		ErrorCounter:      "fg.errors",
+		OpsCounter:        "fg.ops",
 		ErrorBudget:       0.05,
-		FastWindow:        250 * time.Millisecond,
-		SlowWindow:        time.Second,
 		BurnThreshold:     2,
 		Actuator:          sched,
 		MinBackgroundRate: floorBG,
 		RecoverEvals:      2,
 	})
-	tr.Start(50 * time.Millisecond)
-	defer tr.Stop()
+	sampler.Start()
+	defer sampler.Stop()
 
 	// The storm proper: bulk reads admitted through the Background
 	// class, the same pacing hook repair.Config.Pace uses.

@@ -83,7 +83,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Repair.Cluster, "repair-cluster", "", "comma-separated addresses of ALL cluster nodes in SIOS order; enables the self-healing repair supervisor on this node (run on exactly one node)")
 	fs.IntVar(&c.Repair.Spares, "repair-spares", 1, "local hot-spare disks the supervisor may swap in")
 	fs.DurationVar(&c.Repair.FailureBudget, "repair-budget", 5*time.Second, "how long a member may stay dead before a spare is swapped in")
-	fs.Int64Var(&c.Repair.RateBytesPerSec, "repair-rate", 0, "background repair bandwidth cap in bytes/sec (0: unlimited)")
 	fs.DurationVar(&c.Repair.Poll, "repair-poll", 250*time.Millisecond, "health-scan interval of the repair supervisor")
 	fs.Int64Var(&c.Repair.IntentRegion, "intent-region", intent.DefaultRegionBlocks, "write-intent dirty-region granularity in blocks")
 	fs.StringVar(&c.Repair.Array, "array", "raidx", "array name, the replication key for write-intent snapshots")
@@ -95,8 +94,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.Sampler.Capacity, "sample-cap", obs.DefaultSampleCapacity, "time-series ring capacity (samples retained)")
 	fs.DurationVar(&c.SLO.LatencyObjective, "slo-p99", 0, "foreground latency objective: ops slower than this burn the SLO budget (0: SLO tracker disabled)")
 	fs.Float64Var(&c.SLO.ErrorBudget, "slo-err-budget", obs.DefaultSLOErrorBudget, "SLO error budget: allowed fraction of bad (slow or failed) foreground ops")
-	fs.DurationVar(&c.SLO.FastWindow, "slo-fast", obs.DefaultSLOFastWindow, "SLO fast burn window")
-	fs.DurationVar(&c.SLO.SlowWindow, "slo-slow", obs.DefaultSLOSlowWindow, "SLO slow burn window")
 	fs.Int64Var(&c.SLO.MinBackgroundRate, "slo-min-bg", 0, "floor for SLO feedback stepping the background QoS rate down (0: baseline/16)")
 	fs.Uint64Var(&c.Epoch, "epoch", 0, "asserted cluster array epoch: disk images recording a NEWER epoch are refused at open (0: skip the check)")
 }
@@ -199,18 +196,16 @@ func Start(cfg Config) (_ *Node, err error) {
 	}
 
 	if slo := cfg.SLO; slo.LatencyObjective > 0 {
-		slo.Name, slo.Registry = "fg", mgr.Obs()
-		slo.LatencyHist = mgr.Obs().Histogram("mgr.fg_latency")
-		slo.ErrorCounter, slo.OpsCounter = mgr.Obs().Counter("mgr.fg_errors"), mgr.Obs().Counter("mgr.fg_ops")
+		// The SLO burns over the sampler's rings, after each sample.
+		if n.sampler == nil {
+			return nil, errors.New("-slo-p99 needs the sampler: -sample must be > 0")
+		}
+		slo.Name, slo.LatencyHist, slo.ErrorCounter, slo.OpsCounter = "fg", "mgr.fg_latency", "mgr.fg_errors", "mgr.fg_ops"
 		mode := "observe-only: no -qos-bg-rate"
 		if cfg.QoS.BackgroundBytesPerSec > 0 {
 			slo.Actuator, mode = sched, "feedback onto background QoS rate"
 		}
-		tracker := obs.NewSLOTracker(slo)
-		// Evaluate a few times per fast window so a burn is caught and
-		// acted on before the window fully elapses.
-		tracker.Start(max(slo.FastWindow/5, 100*time.Millisecond))
-		n.stops = append(n.stops, tracker.Stop)
+		obs.NewSLOTracker(n.sampler, slo)
 		log.Printf("raidxnode %s: SLO tracker: fg p99 objective %v, budget %.2g (%s)",
 			cfg.Name, slo.LatencyObjective, slo.ErrorBudget, mode)
 	}
@@ -286,10 +281,11 @@ func (n *Node) Handler() http.Handler {
 
 // Close is the orderly teardown. The parts stop in the reverse of the
 // order Start brought them up — HTTP, the supervisor (its checkpoint
-// survives for the next start), the coordinator's connections, SLO
-// tracker, sampler — then the server drains and closes, and only THEN are
-// the images synced and marked clean: the clean flag must never get ahead
-// of the last client write. Every goroutine Start created has exited.
+// survives for the next start), the coordinator's connections, the
+// sampler (and with it the SLO) — then the server drains and closes, and
+// only THEN are the images synced and marked clean: the clean flag must
+// never get ahead of the last client write. Every goroutine Start
+// created has exited.
 func (n *Node) Close() error { return n.shutdown((*store.File).CloseClean) }
 
 // Abort leaves what a SIGKILL leaves — sockets closed, every goroutine
@@ -391,7 +387,7 @@ func (n *Node) hostRepair(nc Config, cl *mount.Cluster, sched *qos.Scheduler) (*
 	}
 	if sched != nil {
 		// Maintenance traffic yields to foreground serving under the
-		// background admission rate.
+		// background admission rate, the one cap on its bandwidth.
 		cfg.Pace = sched.Pace(qos.Background, "repair")
 	}
 	cfg.Obs = mgr.Obs()

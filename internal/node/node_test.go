@@ -24,6 +24,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/faultnet"
 	"repro/internal/mount"
+	"repro/internal/qos"
 	"repro/internal/raid"
 	"repro/internal/repair"
 	"repro/internal/store"
@@ -168,11 +169,12 @@ func waitWithin(t *testing.T, within time.Duration, what string, cond func() boo
 	}
 }
 
-var startedHere = regexp.MustCompile(`repro/internal/(node|repair)\.`)
+var startedHere = regexp.MustCompile(`repro/internal/(node|repair|obs)\.`)
 
 // requireNoGoroutines fails if a goroutine with a frame (or a "created
-// by" line) from this package or internal/repair is still running — the
-// HTTP loop, the supervisor's loop and runner, a completion wait. The
+// by" line) from this package, internal/repair or internal/obs is still
+// running — the HTTP loop, the supervisor's loop and runner, a completion
+// wait, the sampler. The
 // test's own goroutines are told apart by testing.tRunner. Stop methods
 // wait for their goroutines' last statement, not for the scheduler to
 // retire them, so the predicate is polled within a bound.
@@ -216,7 +218,8 @@ func layoutOf(t *testing.T, addr string) cdd.LayoutInfo {
 
 // TestNodeObservabilityAndTeardown: the HTTP surfaces answer on a plain
 // node, the one whose part is off is a 404, and Close leaves no goroutine
-// behind — the HTTP server included, which nothing used to shut down.
+// behind — the HTTP server and the sampler that evaluates the SLO
+// included. An SLO without a sampler is refused at start.
 func TestNodeObservabilityAndTeardown(t *testing.T) {
 	c := newTestCluster(t)
 	i := c.start("-http", "127.0.0.1:0", "-blocks", "64", "-sample", "50ms", "-slo-p99", "50ms")
@@ -231,6 +234,10 @@ func TestNodeObservabilityAndTeardown(t *testing.T) {
 		}
 	}
 	c.stop(i, (*Node).Close)
+	if n, err := Start(parseFlags(t, []string{"-blocks", "64", "-slo-p99", "50ms"})); err == nil {
+		n.Close()
+		t.Error("-slo-p99 with -sample 0: started, want refused")
+	}
 	requireNoGoroutines(t)
 }
 
@@ -406,7 +413,7 @@ func TestGrowChaosAbortRestart(t *testing.T) {
 	// At 512 KiB/s the copy takes over a second, so an abort at cursor 1536
 	// lands mid-flight with a quarter of the moves made and checkpointed.
 	const abortAt = 1536
-	d := startGrowDrill(t, 1024, "-repair-rate", fmt.Sprint(512<<10))
+	d := startGrowDrill(t, 1024, "-qos-bg-rate", fmt.Sprint(512<<10))
 	d.grow()
 	waitWithin(t, 60*time.Second, "the cursor to pass a checkpoint", func() bool {
 		li := layoutOf(t, d.base[0])
@@ -574,9 +581,9 @@ func TestGrowChaosLiveTrafficPartition(t *testing.T) {
 	// this rate stretches the copy over a second so the partition is
 	// genuinely mid-rebalance.
 	cfg := parseFlags(t, []string{"-blocks", fmt.Sprint(blocks), "-repair-spares", "0", "-repair-poll", "5ms",
-		"-repair-budget", "10m", "-intent-region", "8", "-repair-state", t.TempDir(), "-repair-rate", fmt.Sprint(128 << 10)})
+		"-repair-budget", "10m", "-intent-region", "8", "-repair-state", t.TempDir(), "-qos-bg-rate", fmt.Sprint(128 << 10)})
 	cfg.Repair.ScrubStride = -1
-	coord, err := c.nodes[0].hostRepair(cfg, cl, nil)
+	coord, err := c.nodes[0].hostRepair(cfg, cl, qos.New(cfg.QoS))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,13 +196,6 @@ func TestSamplerSeries(t *testing.T) {
 		time.Sleep(12 * time.Millisecond)
 	}
 
-	if rate := s.CounterRate("mgr.fg_ops", 50*time.Millisecond); rate <= 0 {
-		t.Errorf("CounterRate = %v, want > 0", rate)
-	}
-	if _, ok := s.WindowHistogram("mgr.fg_latency", 50*time.Millisecond); !ok {
-		t.Error("WindowHistogram: no delta available")
-	}
-
 	doc := s.Series()
 	if doc.Samples < 2 || doc.Samples > 16 {
 		t.Fatalf("Samples = %d, want 2..16", doc.Samples)
@@ -231,6 +224,11 @@ func TestSamplerSeries(t *testing.T) {
 	if hs.Cum.Count != 6 {
 		t.Errorf("cumulative hist count = %d, want 6", hs.Cum.Count)
 	}
+	// A 50ms window at a 10ms interval spans five samples, however long
+	// the intervals really took.
+	if len(hs.Windowed) != 1 || hs.Windowed[0].Count != 5 {
+		t.Errorf("windowed hist = %+v, want one window of 5 observations", hs.Windowed)
+	}
 
 	// Instruments that disappear (unregistered gauges) age out of the
 	// series rather than reporting stale values forever.
@@ -249,13 +247,20 @@ func TestSamplerSeries(t *testing.T) {
 	}
 }
 
-// TestSamplerLive runs the background sampler against a concurrent
-// workload — counters, labeled vecs, and histograms hammered from
-// several goroutines while Series() is read — primarily as a -race
-// subject (make obscheck).
+// TestSamplerLive runs the background sampler, with an SLO and a fake
+// actuator attached, against a concurrent workload — counters, labeled
+// vecs, and histograms hammered from several goroutines while Series()
+// and registry snapshots are read and samples are also taken by hand —
+// primarily as the -race and lock-order subject (make obscheck): a
+// tracker that called into the sampler under its own lock would deadlock
+// against the sampler reading its slo.* gauges.
 func TestSamplerLive(t *testing.T) {
 	r := NewRegistry()
-	s := NewSampler(r, SamplerConfig{Interval: time.Millisecond, Capacity: 64})
+	s := NewSampler(r, SamplerConfig{Interval: time.Millisecond, Capacity: 64,
+		Windows: []time.Duration{2 * time.Millisecond, 8 * time.Millisecond}})
+	act := &fakeActuator{rate: 64 << 20}
+	tr := NewSLOTracker(s, SLOConfig{Name: "fg", LatencyHist: "mgr.fg_latency", LatencyObjective: 50 * time.Microsecond,
+		OpsCounter: "mgr.fg_ops", Actuator: act, RecoverEvals: 1})
 	s.Start()
 	defer s.Stop()
 
@@ -266,6 +271,7 @@ func TestSamplerLive(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			c := r.Counter("mgr.fg_ops")
+			lat := r.Histogram("mgr.fg_latency")
 			hv := r.HistogramVec("mgr.op_latency", "op")
 			ops := []string{"read", "write"}
 			for i := 0; ; i++ {
@@ -275,6 +281,7 @@ func TestSamplerLive(t *testing.T) {
 				default:
 				}
 				c.Inc()
+				lat.Observe(time.Duration(i%100) * time.Microsecond)
 				hv.With(ops[i%2]).ObserveTraced(time.Duration(i%100)*time.Microsecond, uint64(i))
 				r.GaugeVec("qos.tenant_share_bps", "tenant").With("t0").Set(int64(i))
 			}
@@ -287,6 +294,8 @@ func TestSamplerLive(t *testing.T) {
 			done = true
 		default:
 			_ = s.Series()
+			_ = r.Snapshot()
+			_ = tr.Status()
 			s.SampleNow()
 		}
 	}
@@ -300,6 +309,13 @@ func TestSamplerLive(t *testing.T) {
 	}
 	if cs, ok := doc.Counters["mgr.fg_ops"]; !ok || cs.Value == 0 {
 		t.Errorf("live counter missing or zero: %+v", doc.Counters["mgr.fg_ops"])
+	}
+	if _, ok := doc.Gauges["slo.fg.bg_rate_bps"]; !ok {
+		t.Error("slo.fg.bg_rate_bps gauge missing from series")
+	}
+	// Half the observations are over the objective: the loop stepped.
+	if rate := act.BackgroundRate(); rate >= 64<<20 {
+		t.Errorf("bg rate %d: the SLO never stepped it down", rate)
 	}
 }
 
@@ -323,26 +339,27 @@ func (f *fakeActuator) SetBackgroundRate(bps int64) {
 	f.steps = append(f.steps, bps)
 }
 
-// TestSLOBurnFeedback closes the loop against a fake actuator: a burst
-// of over-objective latency trips both burn windows and halves the
-// background rate (to the floor, never below); a sustained healthy
-// period steps it back to the baseline.
+// TestSLOBurnFeedback closes the loop against a fake actuator, driven
+// sample by sample: a burst of over-objective latency trips both burn
+// windows and halves the background rate (once per fast window, to the
+// floor, never below); a sustained healthy period steps it back to the
+// baseline.
 func TestSLOBurnFeedback(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("mgr.fg_latency")
-	errs := r.Counter("mgr.fg_errors")
+	r.Counter("mgr.fg_errors")
 	ops := r.Counter("mgr.fg_ops")
+	// Windows of 5 and 20 samples: the burn horizons and the step spacing.
+	s := NewSampler(r, SamplerConfig{Interval: time.Millisecond, Capacity: 64,
+		Windows: []time.Duration{5 * time.Millisecond, 20 * time.Millisecond}})
 	act := &fakeActuator{rate: 64 << 20}
-	tr := NewSLOTracker(SLOConfig{
+	tr := NewSLOTracker(s, SLOConfig{
 		Name:              "fg",
-		Registry:          r,
-		LatencyHist:       h,
+		LatencyHist:       "mgr.fg_latency",
 		LatencyObjective:  time.Millisecond,
-		ErrorCounter:      errs,
-		OpsCounter:        ops,
+		ErrorCounter:      "mgr.fg_errors",
+		OpsCounter:        "mgr.fg_ops",
 		ErrorBudget:       0.01,
-		FastWindow:        5 * time.Millisecond,
-		SlowWindow:        20 * time.Millisecond,
 		BurnThreshold:     2,
 		Actuator:          act,
 		MinBackgroundRate: 4 << 20,
@@ -351,21 +368,21 @@ func TestSLOBurnFeedback(t *testing.T) {
 	if st := tr.Status(); st.Baseline != 64<<20 || st.BGRate != 64<<20 {
 		t.Fatalf("baseline/rate = %d/%d, want both 64MiB", st.Baseline, st.BGRate)
 	}
+	// sample observes n ops of latency lat, then takes one sample.
+	sample := func(n int, lat time.Duration) SLOStatus {
+		for j := 0; j < n; j++ {
+			h.Observe(lat)
+			ops.Inc()
+		}
+		s.SampleNow()
+		return tr.Status()
+	}
 
 	// Seed one healthy sample so burn windows have a reference.
-	for i := 0; i < 50; i++ {
-		h.Observe(100 * time.Microsecond)
-		ops.Inc()
-	}
-	tr.EvalNow()
-	time.Sleep(25 * time.Millisecond)
+	sample(50, 100*time.Microsecond)
 
 	// Latency storm: everything over the objective.
-	for i := 0; i < 200; i++ {
-		h.Observe(10 * time.Millisecond)
-		ops.Inc()
-	}
-	st := tr.EvalNow()
+	st := sample(200, 10*time.Millisecond)
 	if !st.Burning {
 		t.Fatalf("not burning after storm: %+v", st)
 	}
@@ -375,13 +392,13 @@ func TestSLOBurnFeedback(t *testing.T) {
 
 	// Keep burning: rate halves at most once per fast window, and
 	// never below the floor.
-	for i := 0; i < 6; i++ {
-		time.Sleep(6 * time.Millisecond)
-		for j := 0; j < 50; j++ {
-			h.Observe(10 * time.Millisecond)
-			ops.Inc()
+	for i := 1; i < 5; i++ {
+		if st = sample(50, 10*time.Millisecond); st.BGRate != 32<<20 {
+			t.Fatalf("rate %d %d samples after the first step, want %d until a fast window has passed", st.BGRate, i, 32<<20)
 		}
-		st = tr.EvalNow()
+	}
+	for i := 0; i < 6*5; i++ {
+		st = sample(50, 10*time.Millisecond)
 	}
 	if got := act.BackgroundRate(); got != 4<<20 {
 		t.Fatalf("rate after sustained burn = %d, want floor %d", got, 4<<20)
@@ -389,17 +406,11 @@ func TestSLOBurnFeedback(t *testing.T) {
 
 	// Recovery: healthy traffic only until both windows clear, then
 	// doubling back to baseline (at most once per slow window).
-	start := time.Now()
-	for act.BackgroundRate() < 64<<20 {
-		if time.Since(start) > 5*time.Second {
+	for i := 0; act.BackgroundRate() < 64<<20; i++ {
+		if i == 1000 {
 			t.Fatalf("rate never recovered: %d", act.BackgroundRate())
 		}
-		for j := 0; j < 50; j++ {
-			h.Observe(100 * time.Microsecond)
-			ops.Inc()
-		}
-		time.Sleep(22 * time.Millisecond)
-		st = tr.EvalNow()
+		st = sample(50, 100*time.Microsecond)
 	}
 	if st.Burning {
 		t.Errorf("still burning after recovery: %+v", st)
@@ -440,22 +451,21 @@ func TestSLOErrorBurn(t *testing.T) {
 	r := NewRegistry()
 	errs := r.Counter("mgr.fg_errors")
 	ops := r.Counter("mgr.fg_ops")
-	tr := NewSLOTracker(SLOConfig{
+	s := NewSampler(r, SamplerConfig{Interval: time.Millisecond, Capacity: 16,
+		Windows: []time.Duration{5 * time.Millisecond, 10 * time.Millisecond}})
+	tr := NewSLOTracker(s, SLOConfig{
 		Name:          "fg",
-		Registry:      r,
-		ErrorCounter:  errs,
-		OpsCounter:    ops,
+		ErrorCounter:  "mgr.fg_errors",
+		OpsCounter:    "mgr.fg_ops",
 		ErrorBudget:   0.01,
-		FastWindow:    5 * time.Millisecond,
-		SlowWindow:    10 * time.Millisecond,
 		BurnThreshold: 2,
 	})
 	ops.Add(100)
-	tr.EvalNow()
-	time.Sleep(12 * time.Millisecond)
+	s.SampleNow()
 	ops.Add(100)
 	errs.Add(10) // 10% errors against a 1% budget: burn 10x
-	st := tr.EvalNow()
+	s.SampleNow()
+	st := tr.Status()
 	if !st.Burning {
 		t.Fatalf("error burn not detected: %+v", st)
 	}
@@ -475,11 +485,12 @@ func TestSLOErrorBurn(t *testing.T) {
 		t.Errorf("fast_burn_milli = %d, want >= 2000", snap.Gauges["slo.fg.fast_burn_milli"])
 	}
 
-	// A nil tracker is inert everywhere.
+	// A nil tracker is inert, and a nil sampler yields one.
 	var nilT *SLOTracker
-	nilT.Start(time.Millisecond)
-	nilT.Stop()
-	if st := nilT.EvalNow(); st.Burning {
+	if st := nilT.Status(); st.Burning {
 		t.Error("nil tracker burning")
+	}
+	if NewSLOTracker(nil, SLOConfig{}) != nil {
+		t.Error("tracker over a nil sampler")
 	}
 }

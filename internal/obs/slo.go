@@ -22,52 +22,45 @@ type Actuator interface {
 
 // SLO tracker defaults.
 const (
-	DefaultSLOFastWindow    = 10 * time.Second
-	DefaultSLOSlowWindow    = time.Minute
 	DefaultSLOBurnThreshold = 2.0
 	DefaultSLOErrorBudget   = 0.01
 	DefaultSLORecoverEvals  = 3
 )
 
-// sloRingCap bounds the tracker's sample history.
-const sloRingCap = 512
-
 // SLOConfig describes one service-level objective and the feedback it
-// drives.
+// drives. Its inputs are named instruments of the sampler's registry.
 type SLOConfig struct {
 	// Name tags the slo.* gauges and events ("fg-latency").
 	Name string
-	// Registry receives slo.* gauges and burn/recover events (optional).
-	Registry *Registry
 
-	// LatencyHist + LatencyObjective: observations above the objective
-	// count against the budget. CountAbove rounds whole buckets up, the
-	// conservative direction. Optional (error-only SLO without it).
-	LatencyHist      *Histogram
+	// LatencyHist + LatencyObjective: observations of the named
+	// histogram above the objective count against the budget.
+	// CountAbove rounds whole buckets up, the conservative direction.
+	// Optional (error-only SLO without it).
+	LatencyHist      string
 	LatencyObjective time.Duration
 
-	// ErrorCounter / OpsCounter: the error-rate objective — errors per
-	// op count against the budget. Optional (latency-only SLO).
-	ErrorCounter *Counter
-	OpsCounter   *Counter
+	// ErrorCounter / OpsCounter name the error-rate objective's
+	// counters — errors per op count against the budget. Optional
+	// (latency-only SLO).
+	ErrorCounter string
+	OpsCounter   string
 
 	// ErrorBudget is the allowed bad fraction (default 1%). Burn rate is
 	// badFraction/ErrorBudget: 1.0 means consuming budget exactly as
 	// fast as allowed.
 	ErrorBudget float64
 
-	// FastWindow and SlowWindow are the multi-window burn horizons: the
-	// SLO only trips when BOTH exceed BurnThreshold — the fast window
-	// makes feedback prompt, the slow window keeps one latency spike
-	// from thrashing the actuator.
-	FastWindow    time.Duration
-	SlowWindow    time.Duration
+	// BurnThreshold trips the SLO when the burn over BOTH of the
+	// sampler's windows reaches it: the first (fast) window makes
+	// feedback prompt, the last (slow) one keeps one latency spike from
+	// thrashing the actuator.
 	BurnThreshold float64
 
 	// Actuator, when set, closes the loop. Down-steps halve the
-	// Background rate (at most once per FastWindow) to the
+	// Background rate (at most once per fast window) to the
 	// MinBackgroundRate floor; after RecoverEvals consecutive healthy
-	// evaluations the rate doubles back (at most once per SlowWindow)
+	// evaluations the rate doubles back (at most once per slow window)
 	// toward the baseline captured at construction.
 	Actuator          Actuator
 	MinBackgroundRate int64
@@ -81,12 +74,6 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	if c.ErrorBudget <= 0 {
 		c.ErrorBudget = DefaultSLOErrorBudget
 	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = DefaultSLOFastWindow
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = DefaultSLOSlowWindow
-	}
 	if c.BurnThreshold <= 0 {
 		c.BurnThreshold = DefaultSLOBurnThreshold
 	}
@@ -94,14 +81,6 @@ func (c SLOConfig) withDefaults() SLOConfig {
 		c.RecoverEvals = DefaultSLORecoverEvals
 	}
 	return c
-}
-
-// sloSample is one evaluation-time reading of the SLO's inputs.
-type sloSample struct {
-	at   int64 // unix-nano
-	hist HistogramSnapshot
-	errs int64
-	ops  int64
 }
 
 // SLOStatus is a point-in-time view of a tracker, for dashboards and
@@ -117,67 +96,62 @@ type SLOStatus struct {
 	Baseline int64 `json:"baseline_bps,omitempty"`
 }
 
-// SLOTracker evaluates one SLO with multi-window burn rates and
-// optionally actuates the QoS plane. Drive it with Start (background
-// ticker) or EvalNow (tests). A nil tracker is inert.
+// SLOTracker evaluates one SLO with multi-window burn rates over a
+// sampler's rings, after every sample the sampler takes, and optionally
+// actuates the QoS plane. A nil tracker is inert.
 type SLOTracker struct {
-	cfg SLOConfig
+	cfg        SLOConfig
+	s          *Sampler
+	fast, slow time.Duration // the sampler's first and last windows
 
 	mu         sync.Mutex
-	ring       [sloRingCap]sloSample
-	head, n    int
+	seq        uint64 // the sample last evaluated
 	burning    bool
 	fastBurn   float64
 	slowBurn   float64
 	healthyRun int
 	baseline   int64
-	lastDown   int64 // unix-nano of the last down-step
-	lastUp     int64
-
-	stop chan struct{}
-	done chan struct{}
+	lastDown   uint64 // sample of the last down-step; 0: none yet
+	lastUp     uint64
 }
 
-// NewSLOTracker builds a tracker; the actuator's current rate (if any)
-// is captured as the restore baseline. slo.* gauges are registered on
-// cfg.Registry:
+// NewSLOTracker attaches an SLO to s: from then on every SampleNow
+// evaluates it. The actuator's current rate (if any) is captured as the
+// restore baseline. slo.* gauges are registered on the sampler's
+// registry:
 //
 //	slo.<name>.fast_burn_milli, slo.<name>.slow_burn_milli,
 //	slo.<name>.burning, slo.<name>.bg_rate_bps
-func NewSLOTracker(cfg SLOConfig) *SLOTracker {
+//
+// A nil sampler yields a nil tracker.
+func NewSLOTracker(s *Sampler, cfg SLOConfig) *SLOTracker {
+	if s == nil {
+		return nil
+	}
 	cfg = cfg.withDefaults()
-	t := &SLOTracker{cfg: cfg}
+	w := s.cfg.Windows
+	t := &SLOTracker{cfg: cfg, s: s, fast: w[0], slow: w[len(w)-1]}
 	if cfg.Actuator != nil {
 		t.baseline = cfg.Actuator.BackgroundRate()
 		if t.cfg.MinBackgroundRate <= 0 {
-			t.cfg.MinBackgroundRate = t.baseline / 16
-			if t.cfg.MinBackgroundRate < 1 {
-				t.cfg.MinBackgroundRate = 1
-			}
+			t.cfg.MinBackgroundRate = max(t.baseline/16, 1)
 		}
 	}
-	if r := cfg.Registry; r != nil {
-		pre := "slo." + cfg.Name + "."
-		r.RegisterGauge(pre+"fast_burn_milli", func() int64 {
-			st := t.Status()
-			return int64(st.FastBurn * 1000)
-		})
-		r.RegisterGauge(pre+"slow_burn_milli", func() int64 {
-			st := t.Status()
-			return int64(st.SlowBurn * 1000)
-		})
-		r.RegisterGauge(pre+"burning", func() int64 {
-			if t.Status().Burning {
-				return 1
-			}
-			return 0
-		})
-		if cfg.Actuator != nil {
-			r.RegisterGauge(pre+"bg_rate_bps", func() int64 {
-				return cfg.Actuator.BackgroundRate()
-			})
+	r, pre := s.reg, "slo."+cfg.Name+"."
+	r.RegisterGauge(pre+"fast_burn_milli", func() int64 { return int64(t.Status().FastBurn * 1000) })
+	r.RegisterGauge(pre+"slow_burn_milli", func() int64 { return int64(t.Status().SlowBurn * 1000) })
+	r.RegisterGauge(pre+"burning", func() int64 {
+		if t.Status().Burning {
+			return 1
 		}
+		return 0
+	})
+	if cfg.Actuator != nil {
+		r.RegisterGauge(pre+"bg_rate_bps", cfg.Actuator.BackgroundRate)
 	}
+	s.mu.Lock()
+	s.slos = append(s.slos, t)
+	s.mu.Unlock()
 	return t
 }
 
@@ -201,81 +175,31 @@ func (t *SLOTracker) Status() SLOStatus {
 	return st
 }
 
-// Start evaluates the SLO every interval until Stop.
-func (t *SLOTracker) Start(interval time.Duration) {
-	if t == nil || interval <= 0 {
-		return
-	}
-	t.mu.Lock()
-	if t.stop != nil {
-		t.mu.Unlock()
-		return
-	}
-	t.stop = make(chan struct{})
-	t.done = make(chan struct{})
-	stop, done := t.stop, t.done
-	t.mu.Unlock()
-	go func() {
-		defer close(done)
-		tk := time.NewTicker(interval)
-		defer tk.Stop()
-		for {
-			select {
-			case <-tk.C:
-				t.EvalNow()
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop halts background evaluation and waits for the goroutine.
-func (t *SLOTracker) Stop() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	stop, done := t.stop, t.done
-	t.stop, t.done = nil, nil
-	t.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
-// EvalNow takes one sample, recomputes both windows' burn rates, and —
-// when an actuator is configured — steps the Background rate. Returns
-// the resulting status.
-func (t *SLOTracker) EvalNow() SLOStatus {
-	if t == nil {
-		return SLOStatus{}
-	}
-	now := time.Now()
-	var s sloSample
-	s.at = now.UnixNano()
-	if t.cfg.LatencyHist != nil {
-		s.hist = t.cfg.LatencyHist.Snapshot()
-	}
-	s.errs = t.cfg.ErrorCounter.Value()
-	s.ops = t.cfg.OpsCounter.Value()
+// eval recomputes both windows' burn rates from the sampler's rings and
+// — when an actuator is configured — steps the Background rate. The
+// sampler calls it after each sample, outside its lock: the slo.* gauges
+// it samples take t.mu, so the rings are read first and t.mu is taken
+// only after the sampler's lock is released.
+func (t *SLOTracker) eval() {
+	s := t.s
+	s.mu.Lock()
+	seq := s.seq
+	fast := s.burnLocked(&t.cfg, t.fast)
+	slow := s.burnLocked(&t.cfg, t.slow)
+	s.mu.Unlock()
 
 	t.mu.Lock()
-	t.ring[t.head] = s
-	t.head = (t.head + 1) % sloRingCap
-	if t.n < sloRingCap {
-		t.n++
+	defer t.mu.Unlock()
+	if seq <= t.seq {
+		return // a concurrent SampleNow already evaluated a newer sample
 	}
-	fast, fok := t.burnLocked(s, t.cfg.FastWindow)
-	slow, sok := t.burnLocked(s, t.cfg.SlowWindow)
+	t.seq = seq
 	t.fastBurn, t.slowBurn = fast, slow
-	burning := fok && sok && fast >= t.cfg.BurnThreshold && slow >= t.cfg.BurnThreshold
+	burning := fast >= t.cfg.BurnThreshold && slow >= t.cfg.BurnThreshold
 	wasBurning := t.burning
 	t.burning = burning
 
-	reg, name := t.cfg.Registry, t.cfg.Name
+	reg, name := s.reg, t.cfg.Name
 	if burning && !wasBurning {
 		reg.Event(EventSLOBurn, name, fmt.Sprintf("burn fast=%.2f slow=%.2f threshold=%.2f", fast, slow, t.cfg.BurnThreshold))
 	}
@@ -284,82 +208,61 @@ func (t *SLOTracker) EvalNow() SLOStatus {
 	}
 
 	act := t.cfg.Actuator
-	if act != nil {
-		if burning {
-			t.healthyRun = 0
-			if cur := act.BackgroundRate(); cur > t.cfg.MinBackgroundRate &&
-				s.at-t.lastDown >= int64(t.cfg.FastWindow) {
-				nw := cur / 2
-				if nw < t.cfg.MinBackgroundRate {
-					nw = t.cfg.MinBackgroundRate
-				}
-				t.lastDown = s.at
-				act.SetBackgroundRate(nw)
-				reg.Event(EventQoSStep, name, fmt.Sprintf("bg rate %d -> %d bps (slo burning)", cur, nw))
-			}
-		} else {
-			t.healthyRun++
-			if cur := act.BackgroundRate(); cur < t.baseline &&
-				t.healthyRun >= t.cfg.RecoverEvals &&
-				s.at-t.lastUp >= int64(t.cfg.SlowWindow) {
-				nw := cur * 2
-				if nw > t.baseline {
-					nw = t.baseline
-				}
-				t.lastUp = s.at
-				t.healthyRun = 0
-				act.SetBackgroundRate(nw)
-				reg.Event(EventQoSStep, name, fmt.Sprintf("bg rate %d -> %d bps (budget recovered)", cur, nw))
-			}
+	if act == nil {
+		return
+	}
+	// Steps are spaced in samples, like the windows they are paced by.
+	if burning {
+		t.healthyRun = 0
+		if cur := act.BackgroundRate(); cur > t.cfg.MinBackgroundRate &&
+			(t.lastDown == 0 || seq-t.lastDown >= uint64(s.samples(t.fast))) {
+			nw := max(cur/2, t.cfg.MinBackgroundRate)
+			t.lastDown = seq
+			act.SetBackgroundRate(nw)
+			reg.Event(EventQoSStep, name, fmt.Sprintf("bg rate %d -> %d bps (slo burning)", cur, nw))
 		}
+		return
 	}
-
-	st := SLOStatus{Name: name, Burning: burning, FastBurn: fast, SlowBurn: slow, Baseline: t.baseline}
-	t.mu.Unlock()
-	if act != nil {
-		st.BGRate = act.BackgroundRate()
+	t.healthyRun++
+	if cur := act.BackgroundRate(); cur < t.baseline && t.healthyRun >= t.cfg.RecoverEvals &&
+		(t.lastUp == 0 || seq-t.lastUp >= uint64(s.samples(t.slow))) {
+		nw := min(cur*2, t.baseline)
+		t.lastUp = seq
+		t.healthyRun = 0
+		act.SetBackgroundRate(nw)
+		reg.Event(EventQoSStep, name, fmt.Sprintf("bg rate %d -> %d bps (budget recovered)", cur, nw))
 	}
-	return st
 }
 
-// burnLocked computes the burn rate over the trailing window ending at
-// cur: the worse of the latency and error objectives, as a multiple of
-// the error budget. The reference sample is the newest one at least
-// window old (or the oldest retained, so a young tracker can still
-// react). ok is false without any usable reference.
-func (t *SLOTracker) burnLocked(cur sloSample, window time.Duration) (float64, bool) {
-	if t.n < 2 {
-		return 0, false
-	}
-	var ref sloSample
-	found := false
-	for k := 1; k < t.n; k++ {
-		s := t.ring[(t.head-1-k+2*sloRingCap)%sloRingCap]
-		ref = s
-		if cur.at-s.at >= int64(window) {
-			found = true
-			break
-		}
-	}
-	_ = found // oldest retained sample stands in while history is short
-	if ref.at == 0 || ref.at >= cur.at {
-		return 0, false
-	}
+// burnLocked computes c's burn rate over the trailing window: the worse
+// of the latency and error objectives, as a multiple of the error
+// budget. An instrument without two samples in the ring contributes 0.
+func (s *Sampler) burnLocked(c *SLOConfig, window time.Duration) float64 {
 	var burn float64
-	if t.cfg.LatencyHist != nil {
-		delta := cur.hist.Sub(ref.hist)
-		if delta.Count > 0 {
-			burn = delta.FractionAbove(t.cfg.LatencyObjective) / t.cfg.ErrorBudget
+	if rg := s.hists[c.LatencyHist]; rg != nil {
+		if last, past, _, ok := s.lookbackLocked(rg.valid, window); ok {
+			if d := rg.vals[last].Sub(rg.vals[past]); d.Count > 0 {
+				burn = d.FractionAbove(c.LatencyObjective) / c.ErrorBudget
+			}
 		}
 	}
-	if opsD := cur.ops - ref.ops; opsD > 0 {
-		errD := cur.errs - ref.errs
-		if errD < 0 {
-			errD = 0
-		}
-		if eb := (float64(errD) / float64(opsD)) / t.cfg.ErrorBudget; eb > burn {
-			burn = eb
-		}
+	if ops := s.counterDeltaLocked(c.OpsCounter, window); ops > 0 {
+		errs := max(s.counterDeltaLocked(c.ErrorCounter, window), 0)
+		burn = max(burn, float64(errs)/float64(ops)/c.ErrorBudget)
 	}
-	return burn, true
+	return burn
+}
+
+// counterDeltaLocked is the named counter's increase over the trailing
+// window (0 without two samples).
+func (s *Sampler) counterDeltaLocked(name string, window time.Duration) int64 {
+	rg := s.counters[name]
+	if rg == nil {
+		return 0
+	}
+	last, past, _, ok := s.lookbackLocked(rg.valid, window)
+	if !ok {
+		return 0
+	}
+	return rg.vals[last] - rg.vals[past]
 }

@@ -8,14 +8,15 @@ import (
 )
 
 // Sampler defaults: one sample per second, two minutes of history, with
-// rates derived over 10s and 60s windows.
+// rates (and SLO burns) derived over 10s and 60s windows.
 const (
 	DefaultSampleInterval = time.Second
 	DefaultSampleCapacity = 120
 )
 
 // DefaultWindows are the lookback windows Series derives rates and
-// windowed percentiles over when the config leaves Windows nil.
+// windowed percentiles over when the config leaves Windows nil; the first
+// and last are also an attached SLO's fast and slow burn windows.
 var DefaultWindows = []time.Duration{10 * time.Second, time.Minute}
 
 // SamplerConfig tunes a Sampler. Zero values take the defaults above.
@@ -24,7 +25,9 @@ type SamplerConfig struct {
 	Interval time.Duration
 	// Capacity is the ring length: how many samples are retained.
 	Capacity int
-	// Windows are the lookbacks Series reports rates over.
+	// Windows are the lookbacks Series reports rates over. An attached
+	// SLO burns over the first (fast) and the last (slow). A window
+	// spans window/Interval samples, clamped to the retained ring.
 	Windows []time.Duration
 }
 
@@ -61,7 +64,8 @@ type histRing struct {
 // windowed percentiles from histogram deltas. All ring storage is
 // allocated when an instrument is first seen; steady-state sampling is
 // ring writes plus atomic loads, with no per-tick allocation (beyond a
-// reused scratch slice for gauge callbacks). A nil *Sampler is inert.
+// reused scratch slice for gauge callbacks). The SLOs attached with
+// NewSLOTracker are evaluated after every sample. A nil *Sampler is inert.
 type Sampler struct {
 	reg *Registry
 	cfg SamplerConfig
@@ -76,6 +80,7 @@ type Sampler struct {
 	hists    map[string]*histRing
 
 	gaugeScratch []gaugeSample
+	slos         []*SLOTracker
 
 	stop chan struct{}
 	done chan struct{}
@@ -101,14 +106,6 @@ func NewSampler(reg *Registry, cfg SamplerConfig) *Sampler {
 		gauges:   map[string]*scalarRing{},
 		hists:    map[string]*histRing{},
 	}
-}
-
-// Interval reports the configured sampling interval.
-func (s *Sampler) Interval() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.cfg.Interval
 }
 
 // Start launches the background sampling goroutine. Starting a started
@@ -161,13 +158,12 @@ func (s *Sampler) Stop() {
 // SampleNow takes one sample immediately: every registry instrument is
 // read into its ring slot. Instruments created since the last sample get
 // rings lazily; instruments removed (unregistered gauges) simply stop
-// updating and age out of Series.
+// updating and age out of Series. Then every attached SLO evaluates.
 func (s *Sampler) SampleNow() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.seq++
 	slot := s.head
 	s.times[slot] = time.Now().UnixNano()
@@ -204,6 +200,13 @@ func (s *Sampler) SampleNow() {
 	if s.n < s.cfg.Capacity {
 		s.n++
 	}
+	slos := s.slos
+	s.mu.Unlock()
+	// Outside the lock: a tracker re-reads the rings, and its slo.*
+	// gauges, sampled above, take its own lock.
+	for _, t := range slos {
+		t.eval()
+	}
 }
 
 func (s *Sampler) scalarLocked(m map[string]*scalarRing, name string) *scalarRing {
@@ -223,24 +226,20 @@ func (rg *scalarRing) write(slot int, v int64, seq uint64) {
 	}
 }
 
+// samples is the number of sampling intervals a window spans (at least 1).
+func (s *Sampler) samples(window time.Duration) int {
+	return max(int(window/s.cfg.Interval), 1)
+}
+
 // lookbackLocked translates a window into a slot pair: the latest slot
-// and the slot ~window earlier (clamped to available history). ok is
-// false with fewer than two comparable samples.
+// and the slot window/Interval samples earlier (clamped to available
+// history). ok is false with fewer than two comparable samples.
 func (s *Sampler) lookbackLocked(valid int, window time.Duration) (last, past int, elapsed time.Duration, ok bool) {
-	avail := s.n
-	if valid < avail {
-		avail = valid
-	}
+	avail := min(s.n, valid)
 	if avail < 2 {
 		return 0, 0, 0, false
 	}
-	k := int(window / s.cfg.Interval)
-	if k < 1 {
-		k = 1
-	}
-	if k > avail-1 {
-		k = avail - 1
-	}
+	k := min(s.samples(window), avail-1)
 	cap := s.cfg.Capacity
 	last = (s.head - 1 + cap) % cap
 	past = (last - k + 2*cap) % cap
@@ -249,44 +248,6 @@ func (s *Sampler) lookbackLocked(valid int, window time.Duration) (last, past in
 		return 0, 0, 0, false
 	}
 	return last, past, elapsed, true
-}
-
-// CounterRate reports the named counter's increase per second over the
-// trailing window (0 when unknown or not enough history).
-func (s *Sampler) CounterRate(name string, window time.Duration) float64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rg := s.counters[name]
-	if rg == nil {
-		return 0
-	}
-	last, past, elapsed, ok := s.lookbackLocked(rg.valid, window)
-	if !ok {
-		return 0
-	}
-	return float64(rg.vals[last]-rg.vals[past]) / elapsed.Seconds()
-}
-
-// WindowHistogram reports the named histogram's observations within the
-// trailing window, as a snapshot delta suitable for Percentile.
-func (s *Sampler) WindowHistogram(name string, window time.Duration) (HistogramSnapshot, bool) {
-	if s == nil {
-		return HistogramSnapshot{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rg := s.hists[name]
-	if rg == nil {
-		return HistogramSnapshot{}, false
-	}
-	last, past, _, ok := s.lookbackLocked(rg.valid, window)
-	if !ok {
-		return HistogramSnapshot{}, false
-	}
-	return rg.vals[last].Sub(rg.vals[past]), true
 }
 
 // CounterSeries is one counter's derived view: current value plus its

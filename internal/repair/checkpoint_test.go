@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/intent"
 	"repro/internal/obs"
+	"repro/internal/qos"
 	"repro/internal/raid/raidtest"
 	"repro/internal/repair"
 	"repro/internal/store"
@@ -121,7 +122,7 @@ func TestRepairCheckpointResumesRebuild(t *testing.T) {
 				FailureBudget: 5 * time.Millisecond,
 				StateDir:      t.TempDir(),
 				// Slow enough to stop mid-rebuild: a chunk every ~80 ms.
-				RateBytesPerSec: 128 * 128 * bs / 10,
+				Pace: qos.New(qos.Config{BackgroundBytesPerSec: 128 * 128 * bs / 10}).Pace(qos.Background, "repair"),
 			}
 			h := newHarness(t, e, 800, 2, cfg)
 			sh := raidtest.Fill(t, h.arr)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/layout"
+	"repro/internal/qos"
 	"repro/internal/raid"
 	"repro/internal/raid/raidtest"
 	"repro/internal/repair"
@@ -61,6 +62,11 @@ func TestSupervisedGrow(t *testing.T) {
 	st := h.sup.Status()
 	if st.Rebalance == nil || !st.Rebalance.Done || st.Rebalance.Action != "grow" {
 		t.Fatalf("status rebalance = %+v", st.Rebalance)
+	}
+	// The progress gauges: the cursor reached the total.
+	g := h.reg.Snapshot().Gauges
+	if cur, total := g["rebalance.cursor_blocks"], g["rebalance.total_blocks"]; total != h.rx.Blocks() || cur != total {
+		t.Errorf("rebalance gauges cursor %d / total %d after the grow, want both %d", cur, total, h.rx.Blocks())
 	}
 }
 
@@ -176,9 +182,10 @@ func TestRebalanceStopEndsRunner(t *testing.T) {
 func TestRebalanceCrashResume(t *testing.T) {
 	dir := t.TempDir()
 	h := newHarness(t, raidx, 96, 0, repair.Config{
-		Poll:            2 * time.Millisecond,
-		StateDir:        dir,
-		RateBytesPerSec: 256 << 10, // slow the copy so the "crash" lands mid-flight
+		Poll:     2 * time.Millisecond,
+		StateDir: dir,
+		// Slow the copy so the "crash" lands mid-flight.
+		Pace: qos.New(qos.Config{BackgroundBytesPerSec: 256 << 10}).Pace(qos.Background, "repair"),
 	})
 	sh := raidtest.Fill(t, h.arr)
 	h.sup.Start(context.Background())

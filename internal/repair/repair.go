@@ -93,13 +93,12 @@ type Config struct {
 	// the supervisor gives up on readmission and swaps a spare (default
 	// 5s). A budget of 0 escalates on the first poll.
 	FailureBudget time.Duration
-	// RateBytesPerSec caps background repair bandwidth; 0 is unlimited.
-	RateBytesPerSec int64
-	// Pace, when set, is consulted before the fixed-rate throttle for
-	// every supervised transfer — the hook that routes repair, resync,
-	// and scrub traffic through a QoS admission scheduler (e.g.
+	// Pace, when set, is consulted before every supervised transfer —
+	// the hook that routes repair, resync, scrub and rebalance traffic
+	// through a QoS admission scheduler (e.g.
 	// qos.Scheduler.Pace(qos.Background, "repair")) so maintenance I/O
 	// shares bandwidth with foreground serving instead of racing it.
+	// It is the only bandwidth cap (nil: unpaced).
 	Pace raid.PaceFunc
 	// ScrubStride samples every stride-th block after a resync
 	// (0 takes the repair loop's default). Negative disables the scrub.
@@ -239,6 +238,18 @@ func New(arr Array, sp *raid.Sparer, cfg Config) *Supervisor {
 			}
 			return n
 		})
+		if s.rebalancer() != nil {
+			// The membership job's progress: the cursor reaches the
+			// total when it is done.
+			progress := func() (st RebalanceStatus) {
+				if p := s.RebalanceStatus(); p != nil {
+					st = *p
+				}
+				return st
+			}
+			cfg.Obs.RegisterGauge("rebalance.cursor_blocks", func() int64 { return progress().Cursor })
+			cfg.Obs.RegisterGauge("rebalance.total_blocks", func() int64 { return progress().Blocks })
+		}
 		s.stateG = cfg.Obs.GaugeVec("repair.dev_state", "dev")
 		for i := range s.devs {
 			s.stateG.With(strconv.Itoa(i)).Set(s.devs[i].State.Code())
@@ -362,7 +373,7 @@ func (s *Supervisor) setState(idx int, next State, why string) {
 }
 
 // pace is the PaceFunc of every supervised job: it aborts on pause or
-// cancellation and throttles to the configured byte rate.
+// cancellation and waits for cfg.Pace's admission.
 func (s *Supervisor) pace(ctx context.Context, bytes int) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrPaused, err)
@@ -373,14 +384,6 @@ func (s *Supervisor) pace(ctx context.Context, bytes int) error {
 	if s.cfg.Pace != nil {
 		if err := s.cfg.Pace(ctx, bytes); err != nil {
 			return fmt.Errorf("%w: %v", ErrPaused, err)
-		}
-	}
-	if s.cfg.RateBytesPerSec > 0 {
-		d := time.Duration(float64(bytes) / float64(s.cfg.RateBytesPerSec) * float64(time.Second))
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
-			return fmt.Errorf("%w: %v", ErrPaused, ctx.Err())
 		}
 	}
 	return nil

@@ -366,8 +366,8 @@ type (
 	// SamplerConfig sets the sampling interval, ring capacity, and
 	// rate windows.
 	SamplerConfig = obs.SamplerConfig
-	// SLOTracker evaluates multi-window burn rates against a latency
-	// and error-budget objective and steps a QoS actuator.
+	// SLOTracker evaluates a sampler's two-window burn rates against a
+	// latency and error-budget objective and steps a QoS actuator.
 	SLOTracker = obs.SLOTracker
 	// SLOConfig names the instruments, objective, and actuator of an SLO.
 	SLOConfig = obs.SLOConfig
@@ -382,9 +382,9 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // NewSampler attaches a background time-series sampler to a registry.
 func NewSampler(r *MetricsRegistry, cfg SamplerConfig) *Sampler { return obs.NewSampler(r, cfg) }
 
-// NewSLOTracker builds a burn-rate tracker; call Start to evaluate
-// periodically.
-func NewSLOTracker(cfg SLOConfig) *SLOTracker { return obs.NewSLOTracker(cfg) }
+// NewSLOTracker attaches a burn-rate tracker to a sampler: it evaluates
+// after every sample, over the sampler's first and last windows.
+func NewSLOTracker(s *Sampler, cfg SLOConfig) *SLOTracker { return obs.NewSLOTracker(s, cfg) }
 
 // MergeSnapshots aggregates per-node registry snapshots into one
 // cluster view: counters and gauges sum, histograms merge bucket-wise.
