@@ -33,13 +33,16 @@ promtest:
 # starvation, a foreground write against a parked restore chunk on four
 # engines, and TestWindowVerifyBesideWriter: Verify and a stride-1 scrub
 # beside a stamped writer, zero mismatches) five; the fifth gives the
-# session block cache (admission, eviction, invalidation) five.
+# session block cache (admission, eviction, invalidation) five; the sixth
+# gives fsim's multi-client tests (one lock group per operation, one
+# lock per inode-table block) five.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/par/
 	$(GO) test -race -count=10 -run 'TestRepairConcurrentFailover|TestRepairPauseResumeMidRebuild' ./internal/raid/ ./internal/repair/
 	$(GO) test -race -count=5 -run TestWindow ./internal/raid/
 	$(GO) test -race -count=5 -run 'TestBlockCache' ./internal/cdd/
+	$(GO) test -race -count=5 -run 'TestConcurrentClientsUnderVClock|TestLockerSerializesConflicts|TestTwoMountsShareState|TestShadowModelSequential' ./internal/fsim/
 
 # Full verification: static analysis, the exporter grammar tests, and
 # the whole suite (including the transport/cdd fault-injection tests)
@@ -63,7 +66,9 @@ chaoscheck:
 # crashcheck runs the crash-consistency suite (CI job `crash`): the
 # fault-injection VFS tests, superblock/reopen edge cases, intent and
 # checkpoint persistence, the in-process power-cut recovery harness
-# (torn writes, lying fsync), and the real SIGKILL/restart drill over
+# (torn writes, lying fsync), fsim's commit order (each operation cut
+# after every one of its writes leaves only leaks), and the real
+# SIGKILL/restart drill over
 # raidxnode processes (cmd/raidxnode; its in-process twin, the node
 # runtime's Abort -> restart drill, runs in growcheck) — all under the
 # race detector, twice.
@@ -111,10 +116,13 @@ bench:
 # full rebuild through the one
 # restore loop for every redundant engine and then of a Verify (its
 # compare mode: every member's rebuild reads plus one read per chunk, no
-# write), none above one 128-block chunk (TestCallsRestore), and the
+# write), none above one 128-block chunk (TestCallsRestore), the
 # array calls on fsim's extent data path (a 256 KiB
 # WriteFile, its ReadFile and a 4 KiB overwrite inside a 1 MiB file each
-# stay at a handful, so a return to per-block I/O fails here). A hot-path
+# stay at a handful, so a return to per-block I/O fails here), fsim's
+# calls per operation on a cached mount (TestCallsFSOps: each operation
+# is one transaction), its one Lock per operation (TestCallsLockOps) and
+# its allocations per overwrite and per Create + Remove (TestAllocsFS). A hot-path
 # allocation regression fails here before it shows up in the benchmarks.
 # Must run without -race — the race runtime allocates on its own account.
 benchcheck:

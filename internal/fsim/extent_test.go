@@ -15,6 +15,7 @@ import (
 	"repro/internal/cdd"
 	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/race"
 	"repro/internal/raid"
 	"repro/internal/store"
 )
@@ -283,11 +284,13 @@ func TestExtentRanges(t *testing.T) {
 				}
 			}
 			for i, f := range frag {
-				in, err := fs.readInode(ctx, f.ino)
+				tx := fs.begin(true)
+				in, err := fs.readInode(ctx, tx, f.ino)
 				if err != nil {
 					t.Fatal(err)
 				}
-				blks, err := fs.fileBlocks(ctx, in)
+				blks, err := fs.fileBlocks(ctx, tx, in)
+				tx.end()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -349,7 +352,8 @@ func TestCacheDropOnDirectWrite(t *testing.T) {
 // TestCallsExtentIO pins how many array calls the extent path may make,
 // on an uncached mount so every read is counted. A return to one call
 // per file block, or to re-reading the indirect block per pointer, fails
-// here (per-block I/O made 134, 121 and 122 calls).
+// here (per-block I/O made 134, 121 and 122 calls; a WriteFile that ran
+// Create and then WriteAt made 18).
 func TestCallsExtentIO(t *testing.T) {
 	ctx := context.Background()
 	fs, arr := newCountedFS(t, Options{CacheBlocks: -1})
@@ -364,11 +368,12 @@ func TestCallsExtentIO(t *testing.T) {
 	data := make([]byte, 256<<10)
 	rand.New(rand.NewSource(3)).Read(data)
 
-	// Create: 11 (path, inode bitmap, two inodes, block bitmap, entry).
-	// WriteAt: inode read, block bitmap read+write, indirect write, one
-	// data write, inode read+write.
-	if n := calls(func() error { return fs.WriteFile(ctx, "/big", data) }); n > 18 {
-		t.Errorf("WriteFile of 256 KiB on a fresh volume: %d array calls, want <= 18", n)
+	// Unlocked: the root inode and the inode bitmap (the peek). Locked:
+	// the root inode, the root directory, the bitmaps and the new
+	// inode's table block; the indirect block, one data run, the bitmaps
+	// with the table block after them, the entry and the root inode.
+	if n := calls(func() error { return fs.WriteFile(ctx, "/big", data) }); n > 12 {
+		t.Errorf("WriteFile of 256 KiB on a fresh volume: %d array calls, want <= 12", n)
 	}
 	// Root inode, root directory, file inode, indirect block, one data read.
 	var got []byte
@@ -391,4 +396,154 @@ func TestCallsExtentIO(t *testing.T) {
 		t.Errorf("4 KiB overwrite inside a 1 MiB file: %d array calls, want <= 3", n)
 	}
 	mustFsck(t, fs)
+}
+
+// countingLocker counts lock-group acquisitions and releases.
+type countingLocker struct {
+	Locker
+	locks, unlocks atomic.Int64
+}
+
+func (l *countingLocker) Lock(ctx context.Context, owner string, rs []cdd.Range) error {
+	l.locks.Add(1)
+	return l.Locker.Lock(ctx, owner, rs)
+}
+
+func (l *countingLocker) Unlock(ctx context.Context, owner string, rs []cdd.Range) error {
+	l.unlocks.Add(1)
+	return l.Locker.Unlock(ctx, owner, rs)
+}
+
+// TestCallsFSOps pins the array calls of one operation on the default
+// cached mount: each is one transaction that reads a block at most once
+// under its locks and writes each changed block once, at commit. The
+// files live in a directory this mount created, as in the Andrew tree,
+// so the parent's inode and the new one share a table block; creating
+// in the root, whose inode sits in another group's table, reads and
+// writes that second table block too. Running Create and then WriteAt,
+// with nested table-block locks, made 11, 18, 18, 14 and 14 calls.
+func TestCallsFSOps(t *testing.T) {
+	ctx := context.Background()
+	data := make([]byte, 256<<10)
+	rand.New(rand.NewSource(4)).Read(data)
+	for _, dir := range []string{"/d", ""} {
+		fs, arr := newCountedFS(t, Options{})
+		if dir != "" {
+			if err := fs.Mkdir(ctx, dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A first file warms the cache the unlocked lookups read.
+		if err := fs.WriteFile(ctx, dir+"/warm", []byte("w")); err != nil {
+			t.Fatal(err)
+		}
+		other := 0 // the root's table block, read and written once more
+		if dir == "" {
+			other = 1
+		}
+		for _, op := range []struct {
+			name string
+			max  int
+			fn   func() error
+		}{
+			{"Create", 6 + other, func() error { _, err := fs.Create(ctx, dir+"/c"); return err }},
+			{"WriteFile 256 KiB", 10 + other, func() error { return fs.WriteFile(ctx, dir+"/big", data) }},
+			{"WriteFile 5,000 B", 8 + other, func() error { return fs.WriteFile(ctx, dir+"/small", data[:5000]) }},
+			{"same-directory Rename", 3, func() error { return fs.Rename(ctx, dir+"/c", dir+"/c2") }},
+			{"Remove 256 KiB", 8, func() error { return fs.Remove(ctx, dir+"/big") }},
+			{"Remove 5,000 B", 8, func() error { return fs.Remove(ctx, dir+"/small") }},
+		} {
+			before := arr.calls.Load()
+			if err := op.fn(); err != nil {
+				t.Fatalf("%s in %q: %v", op.name, dir+"/", err)
+			}
+			if n := arr.calls.Load() - before; n > int64(op.max) {
+				t.Errorf("%s in %q: %d array calls, want <= %d", op.name, dir+"/", n, op.max)
+			}
+		}
+		mustFsck(t, fs)
+	}
+}
+
+// TestCallsLockOps: every mutating operation takes its whole lock group
+// in one Lock and gives it back in one Unlock. Under raidxfs the lock
+// home is a node, so each Lock is a network round trip; nested
+// table-block locks made 3, 5, 2, 2, 3 and 3.
+func TestCallsLockOps(t *testing.T) {
+	ctx := context.Background()
+	fs, _ := newCountedFS(t, Options{})
+	lk := &countingLocker{Locker: fs.lock}
+	fs.lock = lk
+	if err := fs.Mkdir(ctx, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	var f *File
+	for _, op := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"Create", func() (err error) { f, err = fs.Create(ctx, "/d/f"); return err }},
+		{"WriteFile", func() error { return fs.WriteFile(ctx, "/d/g", make([]byte, 70000)) }},
+		{"WriteAt", func() error { return f.WriteAt(ctx, make([]byte, 70000), 100) }},
+		{"Truncate", func() error { return f.Truncate(ctx, 5000) }},
+		{"Rename", func() error { return fs.Rename(ctx, "/d/f", "/f") }},
+		{"Remove", func() error { return fs.Remove(ctx, "/d/g") }},
+	} {
+		l0, u0 := lk.locks.Load(), lk.unlocks.Load()
+		if err := op.fn(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if l, u := lk.locks.Load()-l0, lk.unlocks.Load()-u0; l != 1 || u != 1 {
+			t.Errorf("%s: %d Lock and %d Unlock calls, want 1 and 1", op.name, l, u)
+		}
+	}
+	mustFsck(t, fs)
+}
+
+// TestAllocsFSOverwrite: a 4 KiB overwrite inside a 1 MiB file, over
+// the in-process engine, allocates no more than before the operation
+// became a transaction (15).
+func TestAllocsFSOverwrite(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	ctx := context.Background()
+	fs, _ := newCountedFS(t, Options{})
+	f, err := fs.Create(ctx, "/mib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteAt(ctx, make([]byte, 1<<20), 0); err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, 4096)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := f.WriteAt(ctx, p, 512<<10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 15 {
+		t.Errorf("4 KiB overwrite: %.1f allocs, want <= 15", allocs)
+	}
+}
+
+// TestAllocsFSCreateRemove: a Create and a Remove of the same name
+// allocate no more than before they became transactions (132).
+func TestAllocsFSCreateRemove(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	ctx := context.Background()
+	fs, _ := newCountedFS(t, Options{})
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := fs.Create(ctx, "/x"); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Remove(ctx, "/x"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 132 {
+		t.Errorf("Create + Remove: %.1f allocs, want <= 132", allocs)
+	}
 }

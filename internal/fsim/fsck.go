@@ -40,7 +40,6 @@ func (r *FsckReport) String() string {
 // volume (it takes no locks); the concurrency tests use it to prove the
 // allocator never double-assigned or leaked under contention.
 func (fs *FS) Fsck(ctx context.Context) (*FsckReport, error) {
-	ctx = withNoCache(ctx)
 	rep := &FsckReport{}
 	blockOwner := map[int64]uint32{} // phys block -> inode
 	inodeSeen := map[uint32]bool{}
@@ -52,7 +51,9 @@ func (fs *FS) Fsck(ctx context.Context) (*FsckReport, error) {
 			return nil
 		}
 		inodeSeen[ino] = true
-		in, err := fs.readInode(ctx, ino)
+		t := fs.begin(true)
+		defer t.end()
+		in, err := fs.readInode(ctx, t, ino)
 		if err != nil {
 			return err
 		}
@@ -65,7 +66,7 @@ func (fs *FS) Fsck(ctx context.Context) (*FsckReport, error) {
 			rep.Problems = append(rep.Problems, fmt.Sprintf("%s: inode %d has mode %d", path, ino, in.Mode))
 			return nil
 		}
-		blks, err := fs.fileBlocks(ctx, in)
+		blks, err := fs.fileBlocks(ctx, t, in)
 		if err != nil {
 			return err
 		}
@@ -84,15 +85,11 @@ func (fs *FS) Fsck(ctx context.Context) (*FsckReport, error) {
 		if in.Mode != modeDir {
 			return nil
 		}
-		data, err := fs.readDirData(ctx, in)
+		ents, err := fs.readDir(ctx, t, in)
 		if err != nil {
 			return err
 		}
-		for i := 0; i < len(data)/direntSize; i++ {
-			e, ok := entryAt(data, i)
-			if !ok {
-				continue
-			}
+		for _, e := range ents {
 			if e.Ino >= fs.sb.maxInodes() {
 				rep.Problems = append(rep.Problems, fmt.Sprintf("%s/%s: inode %d out of range", path, e.Name, e.Ino))
 				continue
@@ -108,10 +105,12 @@ func (fs *FS) Fsck(ctx context.Context) (*FsckReport, error) {
 	}
 
 	// Cross-check bitmaps.
-	buf := make([]byte, fs.bs)
+	t := fs.begin(true)
+	defer t.end()
 	for g := uint32(0); g < fs.sb.Groups; g++ {
 		// Inode bitmap vs reachability.
-		if err := fs.bread(ctx, fs.sb.inodeBitmapBlk(g), buf); err != nil {
+		buf, err := t.bread(ctx, fs.sb.inodeBitmapBlk(g))
+		if err != nil {
 			return nil, err
 		}
 		for i := uint32(0); i < fs.sb.InodesPerGroup; i++ {
@@ -125,7 +124,7 @@ func (fs *FS) Fsck(ctx context.Context) (*FsckReport, error) {
 			}
 		}
 		// Block bitmap vs references.
-		if err := fs.bread(ctx, fs.sb.blockBitmapBlk(g), buf); err != nil {
+		if buf, err = t.bread(ctx, fs.sb.blockBitmapBlk(g)); err != nil {
 			return nil, err
 		}
 		lo, hi := fs.sb.groupDataRange(g)
@@ -159,8 +158,8 @@ func (fs *FS) Repair(ctx context.Context) (*FsckReport, error) {
 		byGroup[g] = append(byGroup[g], b)
 	}
 	for g, blks := range byGroup {
-		err := fs.withLocks(ctx, []cdd.Range{lockForGroup(g)}, func(ctx context.Context) error {
-			return fs.freeBlocksInGroup(ctx, g, blks)
+		err := fs.withLocks(ctx, []cdd.Range{lockForGroup(g)}, func(t *tx) error {
+			return fs.freeBlocksInGroup(ctx, t, g, blks)
 		})
 		if err != nil {
 			return nil, err
@@ -168,11 +167,11 @@ func (fs *FS) Repair(ctx context.Context) (*FsckReport, error) {
 	}
 	for _, ino := range rep.LeakedInodes {
 		g := ino / fs.sb.InodesPerGroup
-		err := fs.withLocks(ctx, []cdd.Range{lockForGroup(g), lockForInode(ino)}, func(ctx context.Context) error {
-			if err := fs.writeInode(ctx, ino, &inode{}); err != nil {
+		err := fs.withLocks(ctx, fs.lockSet([]uint32{g}, ino), func(t *tx) error {
+			if err := fs.writeInode(ctx, t, ino, &inode{}); err != nil {
 				return err
 			}
-			return fs.setInodeUsed(ctx, ino, false)
+			return fs.setInodeUsed(ctx, t, ino, false)
 		})
 		if err != nil {
 			return nil, err
@@ -191,13 +190,14 @@ type FSStat struct {
 // StatFS scans the allocation bitmaps and reports capacity and free
 // space (data blocks and inodes).
 func (fs *FS) StatFS(ctx context.Context) (FSStat, error) {
-	ctx = withNoCache(ctx)
 	st := FSStat{BlockSize: fs.bs}
-	buf := make([]byte, fs.bs)
+	t := fs.begin(true)
+	defer t.end()
 	for g := uint32(0); g < fs.sb.Groups; g++ {
 		lo, hi := fs.sb.groupDataRange(g)
 		st.TotalBlocks += hi - lo
-		if err := fs.bread(ctx, fs.sb.blockBitmapBlk(g), buf); err != nil {
+		buf, err := t.bread(ctx, fs.sb.blockBitmapBlk(g))
+		if err != nil {
 			return st, err
 		}
 		for bit := int64(0); bit < hi-lo; bit++ {
@@ -206,7 +206,7 @@ func (fs *FS) StatFS(ctx context.Context) (FSStat, error) {
 			}
 		}
 		st.TotalInodes += int64(fs.sb.InodesPerGroup)
-		if err := fs.bread(ctx, fs.sb.inodeBitmapBlk(g), buf); err != nil {
+		if buf, err = t.bread(ctx, fs.sb.inodeBitmapBlk(g)); err != nil {
 			return st, err
 		}
 		for i := uint32(0); i < fs.sb.InodesPerGroup; i++ {

@@ -2,10 +2,12 @@
 // layer the Andrew benchmark (paper Figure 6) exercises. Its design
 // follows the paper's architecture: each client mounts the shared
 // single-I/O-space array through its own FS instance (its own CDD
-// view), metadata is written through with no stale caching, and
-// cross-client consistency comes from the CDD lock-group table —
-// every mutating operation acquires its lock group atomically
-// (all-or-nothing), which also makes deadlock impossible.
+// view), and cross-client consistency comes from the CDD lock-group
+// table: every mutating operation is one transaction under one lock
+// group, acquired atomically (all-or-nothing) and never nested, which
+// also makes deadlock impossible. Under its locks the transaction reads
+// each metadata block from the array once and writes each changed block
+// once, at commit (see tx).
 //
 // The volume is divided into allocation groups (ext2-style block
 // groups): each group has its own inode bitmap, block bitmap, and inode
@@ -26,6 +28,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,11 +44,10 @@ const (
 	maxNameLen = 59
 	direntSize = 64
 	numDirect  = 12
-	// Lock-space layout: group allocator locks, then per-inode logical
-	// locks, then leaf locks for inode-table-block read-modify-writes.
+	// Lock-space layout: group allocator locks, then one lock per
+	// inode-table block (lockForInode).
 	lockGroupBase = 0
 	lockInodeBase = 1 << 10
-	lockITBBase   = 1 << 30
 	// mkfsChunk is how much of the metadata region Mkfs zeroes per
 	// array call: large enough to stripe over every disk, small enough
 	// for one frame per node over TCP.
@@ -171,6 +173,15 @@ func (sb *superblock) inodeTableStart(g uint32) int64 {
 	return 1 + int64(g)*sb.GroupMetaLen + 2
 }
 
+// bitmapGroup reports the group whose inode or block bitmap block blk
+// is, if it is one.
+func (sb *superblock) bitmapGroup(blk int64) (uint32, bool) {
+	if blk < 1 || blk >= sb.DataStart {
+		return 0, false
+	}
+	return uint32((blk - 1) / sb.GroupMetaLen), (blk-1)%sb.GroupMetaLen < 2
+}
+
 // groupDataRange reports the data blocks owned by group g.
 func (sb *superblock) groupDataRange(g uint32) (lo, hi int64) {
 	lo = sb.DataStart + int64(g)*sb.GroupSpan
@@ -199,8 +210,10 @@ type FS struct {
 	owner string
 	seq   atomic.Uint64
 	cache *blockCache
-	// scratch pools one-block buffers (*[]byte of bs bytes).
+	// scratch pools one-block buffers (*[]byte of bs bytes), txs
+	// transactions.
 	scratch sync.Pool
+	txs     sync.Pool
 	// prefGroup is this mount's preferred allocation group, derived
 	// from the owner identity so concurrent clients spread out.
 	prefGroup uint32
@@ -288,12 +301,17 @@ func Mkfs(ctx context.Context, arr raid.Array, lk Locker, owner string, opts Opt
 	if err := arr.WriteBlocks(ctx, 0, buf); err != nil {
 		return nil, err
 	}
-	// Create the root directory (inode 0, group 0).
-	root := inode{Mode: modeDir, Nlink: 1}
-	if err := fs.writeInodeRaw(ctx, 0, &root); err != nil {
+	// Create the root directory (inode 0, group 0). No other client
+	// can hold the volume yet, so this transaction takes no locks.
+	t := fs.begin(true)
+	defer t.end()
+	if err := fs.setInodeUsed(ctx, t, 0, true); err != nil {
 		return nil, err
 	}
-	if err := fs.setInodeUsed(ctx, 0, true); err != nil {
+	if err := fs.writeInode(ctx, t, 0, &inode{Mode: modeDir, Nlink: 1}); err != nil {
+		return nil, err
+	}
+	if err := t.commit(ctx); err != nil {
 		return nil, err
 	}
 	return fs, nil
@@ -344,20 +362,29 @@ func (fs *FS) txOwner() string {
 	return fmt.Sprintf("%s#%d", fs.owner, fs.seq.Add(1))
 }
 
-// withLocks runs fn while atomically holding the given lock group. fn
-// receives a context whose reads bypass the block cache, so decisions
-// made under the locks always see fresh on-disk state.
-func (fs *FS) withLocks(ctx context.Context, rs []cdd.Range, fn func(ctx context.Context) error) error {
+// withLocks runs fn as one transaction while atomically holding the
+// given lock group, and commits it if fn returns nil. Every operation
+// takes exactly one lock group: nothing nests.
+func (fs *FS) withLocks(ctx context.Context, rs []cdd.Range, fn func(t *tx) error) error {
 	owner := fs.txOwner()
 	if err := fs.lock.Lock(ctx, owner, rs); err != nil {
 		return err
 	}
 	defer fs.lock.Unlock(ctx, owner, rs)
-	return fn(withNoCache(ctx))
+	t := fs.begin(true)
+	defer t.end()
+	if err := fn(t); err != nil {
+		return err
+	}
+	return t.commit(ctx)
 }
 
-func lockForInode(ino uint32) cdd.Range {
-	return cdd.Range{Start: lockInodeBase + uint64(ino), End: lockInodeBase + uint64(ino) + 1}
+// lockForInode covers inode ino's whole inode-table block, which it
+// shares with its neighbours: the holder may read-modify-write that
+// block, and operations on inodes sharing it serialize.
+func (fs *FS) lockForInode(ino uint32) cdd.Range {
+	blk, _ := fs.inodeLoc(ino)
+	return cdd.Range{Start: lockInodeBase + uint64(blk), End: lockInodeBase + uint64(blk) + 1}
 }
 
 // lockForGroup protects group g's bitmaps (allocation and free).
@@ -365,8 +392,17 @@ func lockForGroup(g uint32) cdd.Range {
 	return cdd.Range{Start: lockGroupBase + uint64(g), End: lockGroupBase + uint64(g) + 1}
 }
 
-// lockForTableBlock is the leaf lock serializing read-modify-writes of
-// one inode-table block (several inodes share a physical block).
-func lockForTableBlock(blk int64) cdd.Range {
-	return cdd.Range{Start: lockITBBase + uint64(blk), End: lockITBBase + uint64(blk) + 1}
+// lockSet is one operation's lock group: the allocation groups and the
+// table blocks of the inodes, each range once.
+func (fs *FS) lockSet(groups []uint32, inos ...uint32) []cdd.Range {
+	rs := make([]cdd.Range, 0, len(groups)+len(inos))
+	for _, g := range groups {
+		rs = append(rs, lockForGroup(g))
+	}
+	for _, ino := range inos {
+		if r := fs.lockForInode(ino); !slices.Contains(rs, r) {
+			rs = append(rs, r)
+		}
+	}
+	return rs
 }

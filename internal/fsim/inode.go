@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/cdd"
 )
 
 // Inode modes.
@@ -54,15 +52,13 @@ func (fs *FS) inodeLoc(ino uint32) (blk int64, off int) {
 }
 
 // readInode loads inode ino.
-func (fs *FS) readInode(ctx context.Context, ino uint32) (*inode, error) {
+func (fs *FS) readInode(ctx context.Context, t *tx, ino uint32) (*inode, error) {
 	if ino >= fs.sb.maxInodes() {
 		return nil, fmt.Errorf("fsim: inode %d out of range", ino)
 	}
 	blk, off := fs.inodeLoc(ino)
-	bp := fs.getBlock()
-	defer fs.putBlock(bp)
-	buf := *bp
-	if err := fs.bread(ctx, blk, buf); err != nil {
+	buf, err := t.bread(ctx, blk)
+	if err != nil {
 		return nil, err
 	}
 	var in inode
@@ -70,42 +66,28 @@ func (fs *FS) readInode(ctx context.Context, ino uint32) (*inode, error) {
 	return &in, nil
 }
 
-// writeInode stores inode ino. Several inodes share one table block, so
-// the read-modify-write runs under a leaf lock on that block. Leaf
-// locks are never held while acquiring other locks, so they cannot
-// participate in a deadlock cycle.
-func (fs *FS) writeInode(ctx context.Context, ino uint32, in *inode) error {
-	blk, _ := fs.inodeLoc(ino)
-	return fs.withLocks(ctx, []cdd.Range{lockForTableBlock(blk)}, func(ctx context.Context) error {
-		return fs.writeInodeRaw(ctx, ino, in)
-	})
-}
-
-// writeInodeRaw is writeInode without the leaf lock (Mkfs, before any
-// concurrency exists).
-func (fs *FS) writeInodeRaw(ctx context.Context, ino uint32, in *inode) error {
+// writeInode stores inode ino in its table block. The caller holds
+// lockForInode(ino), which covers that whole block.
+func (fs *FS) writeInode(ctx context.Context, t *tx, ino uint32, in *inode) error {
 	blk, off := fs.inodeLoc(ino)
-	bp := fs.getBlock()
-	defer fs.putBlock(bp)
-	buf := *bp
-	if err := fs.bread(ctx, blk, buf); err != nil {
+	buf, err := t.bread(ctx, blk)
+	if err != nil {
 		return err
 	}
 	in.encode(buf[off : off+inodeSize])
-	return fs.bwrite(ctx, blk, buf)
+	t.bwrite(blk)
+	return nil
 }
 
 // --- bitmaps (callers hold the owning group's lock) ---
 
 // setInodeUsed flips inode ino's bit in its group's inode bitmap.
-func (fs *FS) setInodeUsed(ctx context.Context, ino uint32, used bool) error {
+func (fs *FS) setInodeUsed(ctx context.Context, t *tx, ino uint32, used bool) error {
 	g := ino / fs.sb.InodesPerGroup
 	within := ino % fs.sb.InodesPerGroup
 	bm := fs.sb.inodeBitmapBlk(g)
-	bp := fs.getBlock()
-	defer fs.putBlock(bp)
-	buf := *bp
-	if err := fs.bread(ctx, bm, buf); err != nil {
+	buf, err := t.bread(ctx, bm)
+	if err != nil {
 		return err
 	}
 	if used {
@@ -113,38 +95,36 @@ func (fs *FS) setInodeUsed(ctx context.Context, ino uint32, used bool) error {
 	} else {
 		buf[within/8] &^= 1 << (within % 8)
 	}
-	return fs.bwrite(ctx, bm, buf)
+	t.bwrite(bm)
+	return nil
 }
 
-// allocInode claims a free inode in group g.
-func (fs *FS) allocInode(ctx context.Context, g uint32) (uint32, error) {
-	bm := fs.sb.inodeBitmapBlk(g)
-	bp := fs.getBlock()
-	defer fs.putBlock(bp)
-	buf := *bp
-	if err := fs.bread(ctx, bm, buf); err != nil {
+// freeInode reports the first inode of group g that the inode bitmap
+// marks free, among those whose slot lies in inode-table block tb, or
+// in any block when tb is 0.
+func (fs *FS) freeInode(ctx context.Context, t *tx, g uint32, tb int64) (uint32, error) {
+	buf, err := t.bread(ctx, fs.sb.inodeBitmapBlk(g))
+	if err != nil {
 		return 0, err
 	}
 	for i := uint32(0); i < fs.sb.InodesPerGroup; i++ {
-		if buf[i/8]&(1<<(i%8)) == 0 {
-			buf[i/8] |= 1 << (i % 8)
-			if err := fs.bwrite(ctx, bm, buf); err != nil {
-				return 0, err
-			}
-			return g*fs.sb.InodesPerGroup + i, nil
+		ino := g*fs.sb.InodesPerGroup + i
+		if buf[i/8]&(1<<(i%8)) != 0 {
+			continue
+		}
+		if blk, _ := fs.inodeLoc(ino); tb == 0 || blk == tb {
+			return ino, nil
 		}
 	}
 	return 0, ErrNoInodes
 }
 
 // allocBlocks claims count free data blocks from group g.
-func (fs *FS) allocBlocks(ctx context.Context, g uint32, count int) ([]int64, error) {
+func (fs *FS) allocBlocks(ctx context.Context, t *tx, g uint32, count int) ([]int64, error) {
 	lo, hi := fs.sb.groupDataRange(g)
 	bm := fs.sb.blockBitmapBlk(g)
-	bp := fs.getBlock()
-	defer fs.putBlock(bp)
-	buf := *bp
-	if err := fs.bread(ctx, bm, buf); err != nil {
+	buf, err := t.bread(ctx, bm)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]int64, 0, count)
@@ -155,22 +135,18 @@ func (fs *FS) allocBlocks(ctx context.Context, g uint32, count int) ([]int64, er
 		}
 	}
 	if len(out) < count {
-		return nil, ErrNoSpace // nothing written back: claim rolled back
+		return nil, ErrNoSpace // the failed transaction commits nothing
 	}
-	if err := fs.bwrite(ctx, bm, buf); err != nil {
-		return nil, err
-	}
+	t.bwrite(bm)
 	return out, nil
 }
 
 // freeBlocksInGroup releases the subset of blks owned by group g.
-func (fs *FS) freeBlocksInGroup(ctx context.Context, g uint32, blks []int64) error {
+func (fs *FS) freeBlocksInGroup(ctx context.Context, t *tx, g uint32, blks []int64) error {
 	lo, hi := fs.sb.groupDataRange(g)
 	bm := fs.sb.blockBitmapBlk(g)
-	bp := fs.getBlock()
-	defer fs.putBlock(bp)
-	buf := *bp
-	if err := fs.bread(ctx, bm, buf); err != nil {
+	buf, err := t.bread(ctx, bm)
+	if err != nil {
 		return err
 	}
 	for _, b := range blks {
@@ -180,7 +156,8 @@ func (fs *FS) freeBlocksInGroup(ctx context.Context, g uint32, blks []int64) err
 		bit := b - lo
 		buf[bit/8] &^= 1 << (bit % 8)
 	}
-	return fs.bwrite(ctx, bm, buf)
+	t.bwrite(bm)
+	return nil
 }
 
 // ptrsPerBlock is the fanout of the indirect block.
@@ -197,29 +174,20 @@ func (fs *FS) blocksFor(size int64) int64 { return (size + int64(fs.bs) - 1) / i
 // block. Physical block 0 (the superblock) stands for a hole.
 type blockMap struct {
 	in    *inode
-	ind   *[]byte // pooled copy of the indirect block; nil if the file has none or the operation stays below numDirect
-	dirty bool    // ind differs from what is on the array
+	ind   []byte // the transaction's copy of the indirect block; nil if the file has none or the operation stays below numDirect
+	dirty bool   // ind differs from what is on the array
 }
 
-// loadMap resolves file blocks [0, nblocks) of in. The caller releases
-// the map when done.
-func (fs *FS) loadMap(ctx context.Context, in *inode, nblocks int64) (blockMap, error) {
+// loadMap resolves file blocks [0, nblocks) of in.
+func (fs *FS) loadMap(ctx context.Context, t *tx, in *inode, nblocks int64) (blockMap, error) {
 	m := blockMap{in: in}
 	if nblocks > numDirect && in.Indirect != 0 {
-		m.ind = fs.getBlock()
-		if err := fs.bread(ctx, int64(in.Indirect), *m.ind); err != nil {
-			fs.releaseMap(&m)
+		var err error
+		if m.ind, err = t.bread(ctx, int64(in.Indirect)); err != nil {
 			return m, err
 		}
 	}
 	return m, nil
-}
-
-func (fs *FS) releaseMap(m *blockMap) {
-	if m.ind != nil {
-		fs.putBlock(m.ind)
-		m.ind = nil
-	}
 }
 
 // at reports the physical block of file block idx, 0 for a hole.
@@ -228,10 +196,10 @@ func (m *blockMap) at(idx int64) int64 {
 		return int64(m.in.Direct[idx])
 	}
 	off := (idx - numDirect) * 8
-	if m.ind == nil || off >= int64(len(*m.ind)) {
+	if m.ind == nil || off >= int64(len(m.ind)) {
 		return 0
 	}
-	return int64(binary.BigEndian.Uint64((*m.ind)[off:]))
+	return int64(binary.BigEndian.Uint64(m.ind[off:]))
 }
 
 // set points file block idx at phys. Past numDirect the indirect block
@@ -241,7 +209,7 @@ func (m *blockMap) set(idx, phys int64) {
 		m.in.Direct[idx] = uint64(phys)
 		return
 	}
-	binary.BigEndian.PutUint64((*m.ind)[(idx-numDirect)*8:], uint64(phys))
+	binary.BigEndian.PutUint64(m.ind[(idx-numDirect)*8:], uint64(phys))
 	m.dirty = true
 }
 
@@ -263,9 +231,9 @@ func (m *blockMap) run(idx int64, limit int) (phys int64, n int) {
 }
 
 // mapBlocks ensures file blocks [first, want) are allocated, claiming
-// new blocks from group g as needed and writing the indirect block back
-// if it changed. Caller holds the inode lock and group g's lock.
-func (fs *FS) mapBlocks(ctx context.Context, m *blockMap, first, want int64, g uint32) error {
+// new blocks from group g as needed and marking the indirect block
+// dirty if it changed. Caller holds the inode lock and group g's lock.
+func (fs *FS) mapBlocks(ctx context.Context, t *tx, m *blockMap, first, want int64, g uint32) error {
 	if want > fs.maxFileBlocks() {
 		return fmt.Errorf("fsim: file larger than %d blocks", fs.maxFileBlocks())
 	}
@@ -282,16 +250,14 @@ func (fs *FS) mapBlocks(ctx context.Context, m *blockMap, first, want int64, g u
 	if n == 0 {
 		return nil
 	}
-	blks, err := fs.allocBlocks(ctx, g, n)
+	blks, err := fs.allocBlocks(ctx, t, g, n)
 	if err != nil {
 		return err
 	}
 	if needIndirect {
 		m.in.Indirect = uint64(blks[0])
 		blks = blks[1:]
-		m.ind = fs.getBlock()
-		clear(*m.ind)
-		m.dirty = true
+		m.ind = t.zero(int64(m.in.Indirect))
 	}
 	for idx := first; idx < want; idx++ {
 		if m.at(idx) == 0 {
@@ -299,27 +265,26 @@ func (fs *FS) mapBlocks(ctx context.Context, m *blockMap, first, want int64, g u
 			blks = blks[1:]
 		}
 	}
-	return fs.flushMap(ctx, m)
+	m.flush(t)
+	return nil
 }
 
-// flushMap writes a changed indirect block back.
-func (fs *FS) flushMap(ctx context.Context, m *blockMap) error {
-	if !m.dirty {
-		return nil
+// flush marks a changed indirect block dirty in t.
+func (m *blockMap) flush(t *tx) {
+	if m.dirty {
+		m.dirty = false
+		t.bwrite(int64(m.in.Indirect))
 	}
-	m.dirty = false
-	return fs.bwrite(ctx, int64(m.in.Indirect), *m.ind)
 }
 
 // fileBlocks lists the allocated physical blocks of an inode in order,
 // the indirect block last.
-func (fs *FS) fileBlocks(ctx context.Context, in *inode) ([]int64, error) {
+func (fs *FS) fileBlocks(ctx context.Context, t *tx, in *inode) ([]int64, error) {
 	nblocks := fs.blocksFor(int64(in.Size))
-	m, err := fs.loadMap(ctx, in, nblocks)
+	m, err := fs.loadMap(ctx, t, in, nblocks)
 	if err != nil {
 		return nil, err
 	}
-	defer fs.releaseMap(&m)
 	out := make([]int64, 0, nblocks+1)
 	for idx := int64(0); idx < nblocks; idx++ {
 		if b := m.at(idx); b != 0 {
@@ -349,9 +314,8 @@ func (fs *FS) piece(m *blockMap, off int64, remain int) (phys int64, within, n i
 
 // readData copies [off, off+len(p)) of the inode's data into p. Runs of
 // whole blocks move in one array call each, straight into p and past
-// the cache; partial blocks and directory blocks (metadata the cache is
-// there to hold) are read through it.
-func (fs *FS) readData(ctx context.Context, in *inode, off int64, p []byte) (int, error) {
+// the cache; partial blocks are read through the transaction.
+func (fs *FS) readData(ctx context.Context, t *tx, in *inode, off int64, p []byte) (int, error) {
 	size := int64(in.Size)
 	if off >= size {
 		return 0, nil
@@ -359,11 +323,10 @@ func (fs *FS) readData(ctx context.Context, in *inode, off int64, p []byte) (int
 	if off+int64(len(p)) > size {
 		p = p[:size-off]
 	}
-	m, err := fs.loadMap(ctx, in, fs.blocksFor(off+int64(len(p))))
+	m, err := fs.loadMap(ctx, t, in, fs.blocksFor(off+int64(len(p))))
 	if err != nil {
 		return 0, err
 	}
-	defer fs.releaseMap(&m)
 	total := 0
 	for len(p) > 0 {
 		phys, within, n := fs.piece(&m, off, len(p))
@@ -371,13 +334,9 @@ func (fs *FS) readData(ctx context.Context, in *inode, off int64, p []byte) (int
 		case phys == 0:
 			clear(p[:n]) // hole
 		case n < fs.bs:
-			bp := fs.getBlock()
-			err = fs.bread(ctx, phys, *bp)
-			copy(p[:n], (*bp)[within:])
-			fs.putBlock(bp)
-		case in.Mode == modeDir:
-			for b := 0; b < n/fs.bs && err == nil; b++ {
-				err = fs.bread(ctx, phys+int64(b), p[b*fs.bs:(b+1)*fs.bs])
+			var buf []byte
+			if buf, err = t.bread(ctx, phys); err == nil {
+				copy(p[:n], buf[within:])
 			}
 		default:
 			err = fs.arr.ReadBlocks(ctx, phys, p[:n])
@@ -394,39 +353,43 @@ func (fs *FS) readData(ctx context.Context, in *inode, off int64, p []byte) (int
 
 // writeData stores p at [off, off+len(p)), growing the file with
 // blocks from group g. Runs of whole blocks move in one array call each,
-// straight from p and past the cache; a partial block is merged in a
-// bounce buffer, which starts as zeros when this write allocated the
-// block, so a previous owner's bytes are never read back. Caller must
-// hold the inode and group locks; the inode is updated in memory and
-// must be written back by the caller.
-func (fs *FS) writeData(ctx context.Context, in *inode, off int64, p []byte, g uint32) error {
+// straight from p and past the cache, before the transaction commits; a
+// partial block is merged in the transaction, into zeros when this
+// write allocated the block, so a previous owner's bytes are never read
+// back. Caller must hold the inode and group locks; the inode is
+// updated in memory and must be written back by the caller.
+func (fs *FS) writeData(ctx context.Context, t *tx, in *inode, off int64, p []byte, g uint32) error {
 	if len(p) == 0 {
 		return nil
 	}
 	end := off + int64(len(p))
 	first, want := off/int64(fs.bs), fs.blocksFor(end)
-	m, err := fs.loadMap(ctx, in, want)
+	m, err := fs.loadMap(ctx, t, in, want)
 	if err != nil {
 		return err
 	}
-	defer fs.releaseMap(&m)
 	// Only the first and last block can be partial.
 	firstFresh, lastFresh := m.at(first) == 0, m.at(want-1) == 0
-	if err := fs.mapBlocks(ctx, &m, first, want, g); err != nil {
+	if err := fs.mapBlocks(ctx, t, &m, first, want, g); err != nil {
 		return err
 	}
 	for len(p) > 0 {
 		phys, within, n := fs.piece(&m, off, len(p))
 		if n < fs.bs {
 			idx := off / int64(fs.bs)
-			fresh := idx == first && firstFresh || idx == want-1 && lastFresh
-			err = fs.writePartial(ctx, phys, within, p[:n], fresh)
+			var buf []byte
+			if idx == first && firstFresh || idx == want-1 && lastFresh {
+				buf = t.zero(phys)
+			} else if buf, err = t.bread(ctx, phys); err != nil {
+				return err
+			}
+			copy(buf[within:], p[:n])
+			t.bwrite(phys)
 		} else {
-			err = fs.arr.WriteBlocks(ctx, phys, p[:n])
-			fs.cache.drop(phys, n/fs.bs)
-		}
-		if err != nil {
-			return err
+			if err := fs.arr.WriteBlocks(ctx, phys, p[:n]); err != nil {
+				return err
+			}
+			t.drop(phys, n/fs.bs)
 		}
 		p = p[n:]
 		off += int64(n)
@@ -435,20 +398,4 @@ func (fs *FS) writeData(ctx context.Context, in *inode, off int64, p []byte, g u
 		in.Size = uint64(end)
 	}
 	return nil
-}
-
-// writePartial merges p into block phys at offset within. A fresh block
-// (one with no owner's data in it yet) is merged into zeros instead of
-// being read.
-func (fs *FS) writePartial(ctx context.Context, phys int64, within int, p []byte, fresh bool) error {
-	bp := fs.getBlock()
-	defer fs.putBlock(bp)
-	buf := *bp
-	if fresh {
-		clear(buf)
-	} else if err := fs.bread(ctx, phys, buf); err != nil {
-		return err
-	}
-	copy(buf[within:], p)
-	return fs.bwrite(ctx, phys, buf)
 }

@@ -6,9 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
-
-	"repro/internal/cdd"
 )
 
 // FileInfo describes a file or directory.
@@ -38,55 +37,74 @@ func splitPath(path string) []string {
 	return out
 }
 
-// entryAt decodes the i-th directory record from raw dir data.
-func entryAt(data []byte, i int) (DirEntry, bool) {
-	rec := data[i*direntSize : (i+1)*direntSize]
-	nameLen := int(rec[4])
-	if nameLen == 0 {
-		return DirEntry{}, false
-	}
-	return DirEntry{
-		Ino:  binary.BigEndian.Uint32(rec[0:4]),
-		Name: string(rec[5 : 5+nameLen]),
-	}, true
-}
+// recName and recIno decode a directory record; a record whose name
+// length is 0 is a free slot.
+func recName(rec []byte) []byte { return rec[5 : 5+min(int(rec[4]), maxNameLen)] }
+func recIno(rec []byte) uint32  { return binary.BigEndian.Uint32(rec[0:4]) }
 
 func encodeEntry(rec []byte, e DirEntry) {
-	for i := range rec {
-		rec[i] = 0
-	}
 	binary.BigEndian.PutUint32(rec[0:4], e.Ino)
 	rec[4] = byte(len(e.Name))
 	copy(rec[5:], e.Name)
 }
 
-// readDirData loads a directory's raw records.
-func (fs *FS) readDirData(ctx context.Context, in *inode) ([]byte, error) {
-	data := make([]byte, in.Size)
-	if _, err := fs.readData(ctx, in, 0, data); err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
-// lookup scans directory din for name.
-func (fs *FS) lookup(ctx context.Context, din *inode, name string) (uint32, bool, error) {
-	data, err := fs.readDirData(ctx, din)
+// entries calls fn with the slot and record of each used entry of
+// directory din, in slot order, straight from the transaction's copies
+// of its blocks; fn returns false to stop.
+func (fs *FS) entries(ctx context.Context, t *tx, din *inode, fn func(slot int, rec []byte) bool) error {
+	per := fs.bs / direntSize
+	slots := int(din.Size) / direntSize
+	m, err := fs.loadMap(ctx, t, din, fs.blocksFor(int64(din.Size)))
 	if err != nil {
-		return 0, false, err
+		return err
 	}
-	for i := 0; i < len(data)/direntSize; i++ {
-		if e, ok := entryAt(data, i); ok && e.Name == name {
-			return e.Ino, true, nil
+	for first := 0; first < slots; first += per {
+		phys := m.at(int64(first / per))
+		if phys == 0 {
+			continue // a hole holds no entries
+		}
+		buf, err := t.bread(ctx, phys)
+		if err != nil {
+			return err
+		}
+		for s := first; s < min(first+per, slots); s++ {
+			rec := buf[(s-first)*direntSize : (s-first+1)*direntSize]
+			if rec[4] != 0 && !fn(s, rec) {
+				return nil
+			}
 		}
 	}
-	return 0, false, nil
+	return nil
+}
+
+// readDir lists directory din.
+func (fs *FS) readDir(ctx context.Context, t *tx, din *inode) ([]DirEntry, error) {
+	var out []DirEntry
+	err := fs.entries(ctx, t, din, func(_ int, rec []byte) bool {
+		out = append(out, DirEntry{Name: string(recName(rec)), Ino: recIno(rec)})
+		return true
+	})
+	return out, err
+}
+
+// lookup scans directory din for name and reports its inode and slot;
+// slot is -1 if name is absent.
+func (fs *FS) lookup(ctx context.Context, t *tx, din *inode, name string) (ino uint32, slot int, err error) {
+	slot = -1
+	err = fs.entries(ctx, t, din, func(s int, rec []byte) bool {
+		if string(recName(rec)) != name {
+			return true
+		}
+		ino, slot = recIno(rec), s
+		return false
+	})
+	return ino, slot, err
 }
 
 // resolve walks path to an inode number.
-func (fs *FS) resolve(ctx context.Context, path string) (uint32, *inode, error) {
+func (fs *FS) resolve(ctx context.Context, t *tx, path string) (uint32, *inode, error) {
 	ino := uint32(0)
-	in, err := fs.readInode(ctx, ino)
+	in, err := fs.readInode(ctx, t, ino)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -94,15 +112,15 @@ func (fs *FS) resolve(ctx context.Context, path string) (uint32, *inode, error) 
 		if in.Mode != modeDir {
 			return 0, nil, fmt.Errorf("%w: %s", ErrNotDir, path)
 		}
-		child, ok, err := fs.lookup(ctx, in, name)
+		child, slot, err := fs.lookup(ctx, t, in, name)
 		if err != nil {
 			return 0, nil, err
 		}
-		if !ok {
+		if slot < 0 {
 			return 0, nil, fmt.Errorf("%w: %s", ErrNotExist, path)
 		}
 		ino = child
-		if in, err = fs.readInode(ctx, ino); err != nil {
+		if in, err = fs.readInode(ctx, t, ino); err != nil {
 			return 0, nil, err
 		}
 	}
@@ -110,7 +128,7 @@ func (fs *FS) resolve(ctx context.Context, path string) (uint32, *inode, error) 
 }
 
 // resolveParent resolves everything but the last component.
-func (fs *FS) resolveParent(ctx context.Context, path string) (uint32, string, error) {
+func (fs *FS) resolveParent(ctx context.Context, t *tx, path string) (uint32, string, error) {
 	parts := splitPath(path)
 	if len(parts) == 0 {
 		return 0, "", fmt.Errorf("fsim: path %q has no leaf", path)
@@ -120,7 +138,7 @@ func (fs *FS) resolveParent(ctx context.Context, path string) (uint32, string, e
 		return 0, "", fmt.Errorf("%w: %s", ErrNameTooLong, leaf)
 	}
 	dir := strings.Join(parts[:len(parts)-1], "/")
-	ino, in, err := fs.resolve(ctx, dir)
+	ino, in, err := fs.resolve(ctx, t, dir)
 	if err != nil {
 		return 0, "", err
 	}
@@ -130,89 +148,53 @@ func (fs *FS) resolveParent(ctx context.Context, path string) (uint32, string, e
 	return ino, leaf, nil
 }
 
-// addEntry writes a directory record into the first free slot of dir
-// dino (held under locks by the caller), growing the directory file
-// from group g as needed, and persists the directory inode.
-func (fs *FS) addEntry(ctx context.Context, dino uint32, din *inode, e DirEntry, g uint32) error {
-	data, err := fs.readDirData(ctx, din)
-	if err != nil {
-		return err
-	}
-	slot := len(data) / direntSize
-	for i := 0; i < len(data)/direntSize; i++ {
-		if _, ok := entryAt(data, i); !ok {
-			slot = i
-			break
-		}
-	}
+// setEntry stores e in slot of directory dino (a zero DirEntry clears
+// the slot), growing the directory from group g as needed, and writes
+// the directory inode back only if that changed it.
+func (fs *FS) setEntry(ctx context.Context, t *tx, dino uint32, din *inode, slot int, e DirEntry, g uint32) error {
 	rec := make([]byte, direntSize)
 	encodeEntry(rec, e)
-	if err := fs.writeData(ctx, din, int64(slot)*direntSize, rec, g); err != nil {
+	before := *din
+	if err := fs.writeData(ctx, t, din, int64(slot)*direntSize, rec, g); err != nil {
 		return err
 	}
-	return fs.writeInode(ctx, dino, din)
+	if *din == before {
+		return nil
+	}
+	return fs.writeInode(ctx, t, dino, din)
 }
 
-// removeEntry clears name's record in dir dino (caller holds locks).
-func (fs *FS) removeEntry(ctx context.Context, dino uint32, din *inode, name string) error {
-	data, err := fs.readDirData(ctx, din)
+// addEntry links e into the first free slot of directory dino.
+func (fs *FS) addEntry(ctx context.Context, t *tx, dino uint32, din *inode, e DirEntry, g uint32) error {
+	// Used slots come in order, so the first one missing is free.
+	free := 0
+	err := fs.entries(ctx, t, din, func(slot int, _ []byte) bool {
+		if slot != free {
+			return false
+		}
+		free++
+		return true
+	})
 	if err != nil {
 		return err
 	}
-	for i := 0; i < len(data)/direntSize; i++ {
-		if e, ok := entryAt(data, i); ok && e.Name == name {
-			rec := make([]byte, direntSize)
-			// Clearing a slot never grows the directory, so no
-			// allocation group is consulted.
-			if err := fs.writeData(ctx, din, int64(i)*direntSize, rec, 0); err != nil {
-				return err
-			}
-			return fs.writeInode(ctx, dino, din)
-		}
-	}
-	return fmt.Errorf("%w: %s", ErrNotExist, name)
+	return fs.setEntry(ctx, t, dino, din, free, e, g)
 }
 
-// create allocates an inode of the given mode and links it under path.
-// Allocation prefers this mount's group and falls over to the next
-// group when one fills up.
-func (fs *FS) create(ctx context.Context, path string, mode uint16) (uint32, error) {
-	pino, leaf, err := fs.resolveParent(ctx, path)
+// create makes an inode of the given mode holding data and links it
+// under path, as one transaction. Allocation prefers this mount's group
+// and falls over to the next group when one fills up.
+func (fs *FS) create(ctx context.Context, path string, mode uint16, data []byte) (uint32, error) {
+	u := fs.begin(false)
+	defer u.end()
+	pino, leaf, err := fs.resolveParent(ctx, u, path)
 	if err != nil {
 		return 0, err
 	}
-	var ino uint32
 	lastErr := error(ErrNoSpace)
 	for attempt := uint32(0); attempt < fs.sb.Groups; attempt++ {
 		g := (fs.prefGroup + attempt) % fs.sb.Groups
-		err := fs.withLocks(ctx, []cdd.Range{lockForGroup(g), lockForInode(pino)}, func(ctx context.Context) error {
-			din, err := fs.readInode(ctx, pino)
-			if err != nil {
-				return err
-			}
-			if din.Mode != modeDir {
-				return fmt.Errorf("%w: parent of %s", ErrNotDir, path)
-			}
-			if _, exists, err := fs.lookup(ctx, din, leaf); err != nil {
-				return err
-			} else if exists {
-				return fmt.Errorf("%w: %s", ErrExist, path)
-			}
-			ino, err = fs.allocInode(ctx, g)
-			if err != nil {
-				return err
-			}
-			child := inode{Mode: mode, Nlink: 1}
-			if err := fs.writeInode(ctx, ino, &child); err != nil {
-				return err
-			}
-			if err := fs.addEntry(ctx, pino, din, DirEntry{Name: leaf, Ino: ino}, g); err != nil {
-				// Roll back the inode claim so nothing leaks.
-				_ = fs.setInodeUsed(ctx, ino, false)
-				return err
-			}
-			return nil
-		})
+		ino, err := fs.createIn(ctx, u, g, pino, leaf, path, mode, data)
 		if errors.Is(err, ErrNoInodes) || errors.Is(err, ErrNoSpace) {
 			lastErr = err
 			continue
@@ -222,9 +204,69 @@ func (fs *FS) create(ctx context.Context, path string, mode uint16) (uint32, err
 	return 0, lastErr
 }
 
+// createIn is create in group g. The new inode's table block must be in
+// the lock group, so it peeks at the inode bitmap through u (the mount
+// cache) for a free inode, locks that inode's block with the parent's
+// and the group, and under the locks allocates only inside that block.
+// If the block filled meanwhile, it retries with a free inode the
+// locked bitmap shows.
+func (fs *FS) createIn(ctx context.Context, u *tx, g, pino uint32, leaf, path string, mode uint16, data []byte) (uint32, error) {
+	ino, err := fs.freeInode(ctx, u, g, 0)
+	if err != nil {
+		return 0, err
+	}
+	for retry := 0; ; retry++ {
+		stale := false
+		err := fs.withLocks(ctx, fs.lockSet([]uint32{g}, pino, ino), func(t *tx) error {
+			din, err := fs.readInode(ctx, t, pino)
+			if err != nil {
+				return err
+			}
+			if din.Mode != modeDir {
+				return fmt.Errorf("%w: parent of %s", ErrNotDir, path)
+			}
+			if _, slot, err := fs.lookup(ctx, t, din, leaf); err != nil {
+				return err
+			} else if slot >= 0 {
+				return fmt.Errorf("%w: %s", ErrExist, path)
+			}
+			tb, _ := fs.inodeLoc(ino)
+			got, err := fs.freeInode(ctx, t, g, tb)
+			if errors.Is(err, ErrNoInodes) {
+				ino, err = fs.freeInode(ctx, t, g, 0)
+				stale = err == nil
+				return err
+			}
+			if err != nil {
+				return err
+			}
+			ino = got
+			// Bitmaps, then data, the inode and the entry that makes them
+			// reachable: commit writes them in that order.
+			if err := fs.setInodeUsed(ctx, t, ino, true); err != nil {
+				return err
+			}
+			child := inode{Mode: mode, Nlink: 1}
+			if err := fs.writeData(ctx, t, &child, 0, data, g); err != nil {
+				return err
+			}
+			if err := fs.writeInode(ctx, t, ino, &child); err != nil {
+				return err
+			}
+			return fs.addEntry(ctx, t, pino, din, DirEntry{Name: leaf, Ino: ino}, g)
+		})
+		if err != nil || !stale {
+			return ino, err
+		}
+		if retry > 16 {
+			return 0, fmt.Errorf("fsim: create %s: inode table kept filling", path)
+		}
+	}
+}
+
 // Mkdir creates a directory.
 func (fs *FS) Mkdir(ctx context.Context, path string) error {
-	_, err := fs.create(ctx, path, modeDir)
+	_, err := fs.create(ctx, path, modeDir, nil)
 	return err
 }
 
@@ -242,7 +284,7 @@ func (fs *FS) MkdirAll(ctx context.Context, path string) error {
 
 // Create makes a new empty file and returns a handle.
 func (fs *FS) Create(ctx context.Context, path string) (*File, error) {
-	ino, err := fs.create(ctx, path, modeFile)
+	ino, err := fs.create(ctx, path, modeFile, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -250,8 +292,8 @@ func (fs *FS) Create(ctx context.Context, path string) (*File, error) {
 }
 
 // resolveFile is resolve for a path that must not name a directory.
-func (fs *FS) resolveFile(ctx context.Context, path string) (uint32, *inode, error) {
-	ino, in, err := fs.resolve(ctx, path)
+func (fs *FS) resolveFile(ctx context.Context, t *tx, path string) (uint32, *inode, error) {
+	ino, in, err := fs.resolve(ctx, t, path)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -263,7 +305,9 @@ func (fs *FS) resolveFile(ctx context.Context, path string) (uint32, *inode, err
 
 // Open returns a handle to an existing file.
 func (fs *FS) Open(ctx context.Context, path string) (*File, error) {
-	ino, _, err := fs.resolveFile(ctx, path)
+	t := fs.begin(false)
+	defer t.end()
+	ino, _, err := fs.resolveFile(ctx, t, path)
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +316,9 @@ func (fs *FS) Open(ctx context.Context, path string) (*File, error) {
 
 // Stat describes the object at path.
 func (fs *FS) Stat(ctx context.Context, path string) (FileInfo, error) {
-	ino, in, err := fs.resolve(ctx, path)
+	t := fs.begin(false)
+	defer t.end()
+	ino, in, err := fs.resolve(ctx, t, path)
 	if err != nil {
 		return FileInfo{}, err
 	}
@@ -286,110 +332,99 @@ func (fs *FS) Stat(ctx context.Context, path string) (FileInfo, error) {
 
 // ReadDir lists a directory.
 func (fs *FS) ReadDir(ctx context.Context, path string) ([]DirEntry, error) {
-	_, in, err := fs.resolve(ctx, path)
+	t := fs.begin(false)
+	defer t.end()
+	_, in, err := fs.resolve(ctx, t, path)
 	if err != nil {
 		return nil, err
 	}
 	if in.Mode != modeDir {
 		return nil, fmt.Errorf("%w: %s", ErrNotDir, path)
 	}
-	data, err := fs.readDirData(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	var out []DirEntry
-	for i := 0; i < len(data)/direntSize; i++ {
-		if e, ok := entryAt(data, i); ok {
-			out = append(out, e)
-		}
-	}
-	return out, nil
+	return fs.readDir(ctx, t, in)
 }
 
 // Remove deletes a file or an empty directory. The lock group covers
 // the parent and child inodes plus every allocation group that will
 // receive freed blocks; the group set is computed optimistically and
-// re-verified under the locks, retrying if it changed.
+// re-verified under the locks, retrying with the set seen there if it
+// changed.
 func (fs *FS) Remove(ctx context.Context, path string) error {
-	pino, leaf, err := fs.resolveParent(ctx, path)
+	u := fs.begin(false)
+	defer u.end()
+	pino, leaf, err := fs.resolveParent(ctx, u, path)
 	if err != nil {
 		return err
 	}
+	din, err := fs.readInode(ctx, u, pino)
+	if err != nil {
+		return err
+	}
+	cino, slot, err := fs.lookup(ctx, u, din, leaf)
+	if err != nil {
+		return err
+	}
+	if slot < 0 {
+		return fmt.Errorf("%w: %s", ErrNotExist, path)
+	}
+	child, err := fs.readInode(ctx, u, cino)
+	if err != nil {
+		return err
+	}
+	blks, err := fs.fileBlocks(ctx, u, child)
+	if err != nil {
+		return err
+	}
+	groups := fs.groupsOf(blks, cino/fs.sb.InodesPerGroup)
 	for retry := 0; ; retry++ {
-		din, err := fs.readInode(ctx, pino)
-		if err != nil {
-			return err
-		}
-		cino, ok, err := fs.lookup(ctx, din, leaf)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrNotExist, path)
-		}
-		child, err := fs.readInode(ctx, cino)
-		if err != nil {
-			return err
-		}
-		blks, err := fs.fileBlocks(ctx, child)
-		if err != nil {
-			return err
-		}
-		groups := fs.groupsOf(cino, blks)
-		ranges := make([]cdd.Range, 0, len(groups)+2)
-		for _, g := range groups {
-			ranges = append(ranges, lockForGroup(g))
-		}
-		ranges = append(ranges, lockForInode(pino), lockForInode(cino))
-
 		stale := false
-		err = fs.withLocks(ctx, ranges, func(ctx context.Context) error {
-			din, err := fs.readInode(ctx, pino)
+		err = fs.withLocks(ctx, fs.lockSet(groups, pino, cino), func(t *tx) error {
+			din, err := fs.readInode(ctx, t, pino)
 			if err != nil {
 				return err
 			}
-			got, ok, err := fs.lookup(ctx, din, leaf)
+			got, slot, err := fs.lookup(ctx, t, din, leaf)
 			if err != nil {
 				return err
 			}
-			if !ok || got != cino {
+			if slot < 0 || got != cino {
 				return fmt.Errorf("%w: %s (changed concurrently)", ErrNotExist, path)
 			}
-			child, err := fs.readInode(ctx, cino)
+			child, err := fs.readInode(ctx, t, cino)
 			if err != nil {
 				return err
 			}
 			if child.Mode == modeDir {
-				data, err := fs.readDirData(ctx, child)
-				if err != nil {
+				empty := true
+				if err := fs.entries(ctx, t, child, func(int, []byte) bool { empty = false; return false }); err != nil {
 					return err
 				}
-				for i := 0; i < len(data)/direntSize; i++ {
-					if _, used := entryAt(data, i); used {
-						return fmt.Errorf("%w: %s", ErrNotEmpty, path)
-					}
+				if !empty {
+					return fmt.Errorf("%w: %s", ErrNotEmpty, path)
 				}
 			}
-			blks, err := fs.fileBlocks(ctx, child)
+			blks, err := fs.fileBlocks(ctx, t, child)
 			if err != nil {
 				return err
 			}
-			if !sameGroups(groups, fs.groupsOf(cino, blks)) {
-				stale = true // file grew into new groups; retry with them
+			if now := fs.groupsOf(blks, cino/fs.sb.InodesPerGroup); !slices.Equal(groups, now) {
+				groups, stale = now, true // file grew into new groups; retry with them
 				return nil
 			}
+			// Unlink first and free last: commit writes the entry and
+			// the inode before the bitmaps, so a cut leaves only leaks.
+			if err := fs.setEntry(ctx, t, pino, din, slot, DirEntry{}, 0); err != nil {
+				return err
+			}
+			if err := fs.writeInode(ctx, t, cino, &inode{}); err != nil {
+				return err
+			}
 			for _, g := range groups {
-				if err := fs.freeBlocksInGroup(ctx, g, blks); err != nil {
+				if err := fs.freeBlocksInGroup(ctx, t, g, blks); err != nil {
 					return err
 				}
 			}
-			if err := fs.writeInode(ctx, cino, &inode{}); err != nil {
-				return err
-			}
-			if err := fs.setInodeUsed(ctx, cino, false); err != nil {
-				return err
-			}
-			return fs.removeEntry(ctx, pino, din, leaf)
+			return fs.setInodeUsed(ctx, t, cino, false)
 		})
 		if err != nil || !stale {
 			return err
@@ -400,35 +435,17 @@ func (fs *FS) Remove(ctx context.Context, path string) error {
 	}
 }
 
-// groupsOf lists, sorted, every allocation group touched by freeing the
-// inode and blocks.
-func (fs *FS) groupsOf(ino uint32, blks []int64) []uint32 {
-	seen := map[uint32]bool{ino / fs.sb.InodesPerGroup: true}
+// groupsOf lists, sorted, the groups gs plus every allocation group
+// owning one of blks.
+func (fs *FS) groupsOf(blks []int64, gs ...uint32) []uint32 {
+	out := slices.Clone(gs)
 	for _, b := range blks {
-		seen[fs.sb.groupOfBlock(b)] = true
-	}
-	out := make([]uint32, 0, len(seen))
-	for g := range seen {
-		out = append(out, g)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+		if g := fs.sb.groupOfBlock(b); !slices.Contains(out, g) {
+			out = append(out, g)
 		}
 	}
+	slices.Sort(out)
 	return out
-}
-
-func sameGroups(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // File is an open file handle. Handles are stateless (offsets are
@@ -440,7 +457,9 @@ type File struct {
 
 // Size reports the current file size.
 func (f *File) Size(ctx context.Context) (int64, error) {
-	in, err := f.fs.readInode(ctx, f.ino)
+	t := f.fs.begin(false)
+	defer t.end()
+	in, err := f.fs.readInode(ctx, t, f.ino)
 	if err != nil {
 		return 0, err
 	}
@@ -450,11 +469,13 @@ func (f *File) Size(ctx context.Context) (int64, error) {
 // ReadAt fills p from offset off, returning the bytes read (short reads
 // happen at end of file).
 func (f *File) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
-	in, err := f.fs.readInode(ctx, f.ino)
+	t := f.fs.begin(false)
+	defer t.end()
+	in, err := f.fs.readInode(ctx, t, f.ino)
 	if err != nil {
 		return 0, err
 	}
-	return f.fs.readData(ctx, in, off, p)
+	return f.fs.readData(ctx, t, in, off, p)
 }
 
 // WriteAt stores p at offset off, growing the file as needed. The
@@ -474,19 +495,19 @@ func (f *File) write(ctx context.Context, p []byte, offOf func(*inode) int64) er
 	lastErr := error(ErrNoSpace)
 	for attempt := uint32(0); attempt < fs.sb.Groups; attempt++ {
 		g := (fs.prefGroup + attempt) % fs.sb.Groups
-		err := fs.withLocks(ctx, []cdd.Range{lockForGroup(g), lockForInode(f.ino)}, func(ctx context.Context) error {
-			in, err := fs.readInode(ctx, f.ino)
+		err := fs.withLocks(ctx, fs.lockSet([]uint32{g}, f.ino), func(t *tx) error {
+			in, err := fs.readInode(ctx, t, f.ino)
 			if err != nil {
 				return err
 			}
 			before := *in
-			if err := fs.writeData(ctx, in, offOf(in), p, g); err != nil {
+			if err := fs.writeData(ctx, t, in, offOf(in), p, g); err != nil {
 				return err
 			}
 			if *in == before {
 				return nil // overwritten in place: size and pointers stand
 			}
-			return fs.writeInode(ctx, f.ino, in)
+			return fs.writeInode(ctx, t, f.ino, in)
 		})
 		if errors.Is(err, ErrNoSpace) {
 			lastErr = err
@@ -497,24 +518,23 @@ func (f *File) write(ctx context.Context, p []byte, offOf func(*inode) int64) er
 	return lastErr
 }
 
-// WriteFile creates a file with the given contents; it fails with
-// ErrExist if path already names something.
+// WriteFile creates a file with the given contents, as one transaction;
+// it fails with ErrExist if path already names something.
 func (fs *FS) WriteFile(ctx context.Context, path string, data []byte) error {
-	f, err := fs.Create(ctx, path)
-	if err != nil {
-		return err
-	}
-	return f.WriteAt(ctx, data, 0)
+	_, err := fs.create(ctx, path, modeFile, data)
+	return err
 }
 
 // ReadFile returns a file's full contents.
 func (fs *FS) ReadFile(ctx context.Context, path string) ([]byte, error) {
-	_, in, err := fs.resolveFile(ctx, path)
+	t := fs.begin(false)
+	defer t.end()
+	_, in, err := fs.resolveFile(ctx, t, path)
 	if err != nil {
 		return nil, err
 	}
 	data := make([]byte, in.Size)
-	n, err := fs.readData(ctx, in, 0, data)
+	n, err := fs.readData(ctx, t, in, 0, data)
 	return data[:n], err
 }
 

@@ -3,9 +3,7 @@ package fsim
 import (
 	"context"
 	"fmt"
-	"sort"
-
-	"repro/internal/cdd"
+	"slices"
 )
 
 // Truncate shrinks (or logically grows) the file to size bytes. Growth
@@ -21,58 +19,42 @@ func (f *File) Truncate(ctx context.Context, size int64) error {
 	// Discover the groups owning blocks that may be freed, then lock
 	// them with the inode; re-validated implicitly because the inode
 	// lock freezes the block list.
-	in, err := fs.readInode(ctx, f.ino)
+	u := fs.begin(false)
+	defer u.end()
+	in, err := fs.readInode(ctx, u, f.ino)
 	if err != nil {
 		return err
 	}
-	blks, err := fs.fileBlocks(ctx, in)
+	blks, err := fs.fileBlocks(ctx, u, in)
 	if err != nil {
 		return err
 	}
-	groups := map[uint32]bool{}
-	for _, b := range blks {
-		groups[fs.sb.groupOfBlock(b)] = true
-	}
-	sorted := make([]uint32, 0, len(groups))
-	for g := range groups {
-		sorted = append(sorted, g)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	ranges := make([]cdd.Range, 0, len(sorted)+1)
-	for _, g := range sorted {
-		ranges = append(ranges, lockForGroup(g))
-	}
-	ranges = append(ranges, lockForInode(f.ino))
+	groups := fs.groupsOf(blks)
 
-	return fs.withLocks(ctx, ranges, func(ctx context.Context) error {
-		in, err := fs.readInode(ctx, f.ino)
+	return fs.withLocks(ctx, fs.lockSet(groups, f.ino), func(t *tx) error {
+		in, err := fs.readInode(ctx, t, f.ino)
 		if err != nil {
 			return err
 		}
 		if size >= int64(in.Size) {
 			in.Size = uint64(size)
-			return fs.writeInode(ctx, f.ino, in)
+			return fs.writeInode(ctx, t, f.ino, in)
 		}
 		keep, nblocks := fs.blocksFor(size), fs.blocksFor(int64(in.Size))
-		m, err := fs.loadMap(ctx, in, nblocks)
+		m, err := fs.loadMap(ctx, t, in, nblocks)
 		if err != nil {
 			return err
 		}
-		defer fs.releaseMap(&m)
 		// Zero the stale tail of a partially-kept final block, so a
 		// later grow exposes zeros, not old data.
 		if within := int(size % int64(fs.bs)); within != 0 {
 			if phys := m.at(keep - 1); phys != 0 {
-				bp := fs.getBlock()
-				defer fs.putBlock(bp)
-				buf := *bp
-				if err := fs.bread(ctx, phys, buf); err != nil {
+				buf, err := t.bread(ctx, phys)
+				if err != nil {
 					return err
 				}
 				clear(buf[within:])
-				if err := fs.bwrite(ctx, phys, buf); err != nil {
-					return err
-				}
+				t.bwrite(phys)
 			}
 		}
 		var freed []int64
@@ -89,25 +71,22 @@ func (f *File) Truncate(ctx context.Context, size int64) error {
 			in.Indirect = 0
 			m.dirty = false
 		}
-		if err := fs.flushMap(ctx, &m); err != nil {
+		m.flush(t)
+		// Unlink first and free last: commit writes the indirect block
+		// and the inode before the bitmaps, so a cut leaves only leaks.
+		in.Size = uint64(size)
+		if err := fs.writeInode(ctx, t, f.ino, in); err != nil {
 			return err
 		}
-		// Free per group (all involved groups are locked).
-		byGroup := map[uint32][]int64{}
-		for _, b := range freed {
-			g := fs.sb.groupOfBlock(b)
-			if !groups[g] {
+		for _, g := range fs.groupsOf(freed) {
+			if !slices.Contains(groups, g) {
 				return fmt.Errorf("fsim: truncate lock set missed group %d", g)
 			}
-			byGroup[g] = append(byGroup[g], b)
-		}
-		for g, bs := range byGroup {
-			if err := fs.freeBlocksInGroup(ctx, g, bs); err != nil {
+			if err := fs.freeBlocksInGroup(ctx, t, g, freed); err != nil {
 				return err
 			}
 		}
-		in.Size = uint64(size)
-		return fs.writeInode(ctx, f.ino, in)
+		return nil
 	})
 }
 
