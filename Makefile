@@ -58,10 +58,15 @@ check: vet staticcheck promtest race
 # internal/cdd over raidx and an rs(4,2) stripe — plus the coherence
 # chaos suite (partitioned writers and caching readers on overlapping
 # lock groups: zero stale reads, lease auto-release of dead holders)
-# run twice.
+# run twice; the transport and faultnet packages (the one
+# deadline-bounded write path, driven through faultnet's stalls) under
+# the race detector three times; and the cdd mixed-workload chaos test
+# (TestChaosMixedWorkload) once.
 chaoscheck:
 	$(GO) test -run 'TestRepair|TestResync' -race ./...
 	$(GO) test -run 'TestCoherence' -race -count=2 ./internal/cdd/
+	$(GO) test -race -count=3 ./internal/transport/ ./internal/faultnet/
+	$(GO) test -run TestChaosMixedWorkload -race ./internal/cdd/
 
 # crashcheck runs the crash-consistency suite (CI job `crash`): the
 # fault-injection VFS tests, superblock/reopen edge cases, intent and

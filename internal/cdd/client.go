@@ -25,15 +25,15 @@ import (
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget per operation (>= 1).
 	MaxAttempts int
-	// CallTimeout bounds each attempt. Zero disables per-attempt
-	// deadlines (the caller's context still applies).
+	// CallTimeout bounds each attempt that moves no payload (see
+	// MinBandwidth).
 	CallTimeout time.Duration
 	// BaseBackoff is the delay before the first retry; it doubles per
 	// attempt up to MaxBackoff, with ±50% jitter.
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential backoff.
 	MaxBackoff time.Duration
-	// ProbeInterval paces the heartbeat that re-probes a suspect node
+	// ProbeInterval paces the probe loop that re-probes a suspect node
 	// until it recovers.
 	ProbeInterval time.Duration
 	// MinBandwidth (bytes/sec) extends the per-attempt deadline for
@@ -44,8 +44,17 @@ type RetryPolicy struct {
 	MinBandwidth int64
 }
 
+// timeout bounds an attempt that moves b bytes: CallTimeout +
+// b/MinBandwidth. Every remote frame is bounded by it — each call
+// attempt and health probe from when it is issued, each mirror push from
+// when it takes the session's write lock — so no write holds the lock
+// without bound. p must have its defaults.
+func (p RetryPolicy) timeout(b int) time.Duration {
+	return p.CallTimeout + time.Duration(int64(b)*int64(time.Second)/p.MinBandwidth)
+}
+
 // DefaultRetryPolicy is the production default: four attempts, 2 s per
-// attempt, 10 ms → 500 ms backoff, 250 ms heartbeat.
+// attempt, 10 ms → 500 ms backoff, 250 ms between probes of a suspect.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
 		MaxAttempts:   4,
@@ -214,7 +223,7 @@ func Connect(addr string) (*NodeClient, error) {
 // ConnectWith dials a CDD node with explicit fault-tolerance options;
 // ctx bounds the initial connection and inventory fetch.
 func ConnectWith(ctx context.Context, addr string, opts Options) (*NodeClient, error) {
-	c, err := transport.DialWith(ctx, addr, transport.DialOptions{
+	c, err := transport.Dial(ctx, addr, transport.DialOptions{
 		DialTimeout: opts.DialTimeout,
 		Dialer:      opts.Dialer,
 		Obs:         opts.Obs,
@@ -242,28 +251,26 @@ func ConnectWith(ctx context.Context, addr string, opts Options) (*NodeClient, e
 // attempts, and retries only for idempotent opcodes on transport-level
 // failures.
 func (n *NodeClient) call(ctx context.Context, op uint8, payload []byte) ([]byte, error) {
-	return n.doCall(ctx, op, [][]byte{payload}, nil, 0)
+	return n.doCall(ctx, op, [][]byte{payload}, nil)
 }
 
 // doCall performs one remote operation under the retry policy. req is
 // the request's gather list (written vectored, owned by the caller
 // throughout). When scatter is non-empty the response lands directly in
-// its segments — the bulk-read path — and the returned payload is nil;
-// the per-attempt deadline then scales with respBytes, the expected
-// response size, in addition to the request bytes.
-func (n *NodeClient) doCall(ctx context.Context, op uint8, req [][]byte, scatter [][]byte, respBytes int) ([]byte, error) {
+// its segments — the bulk-read path — and the returned payload is nil.
+// Each attempt's deadline scales with the bytes both lists move.
+func (n *NodeClient) doCall(ctx context.Context, op uint8, req [][]byte, scatter [][]byte) ([]byte, error) {
 	pol := n.policy
 	attempts := pol.MaxAttempts
 	if !retryableOp(op) {
 		attempts = 1
 	}
-	reqBytes := 0
+	xfer := 0
 	for _, s := range req {
-		reqBytes += len(s)
+		xfer += len(s)
 	}
-	timeout := pol.CallTimeout
-	if xfer := int64(reqBytes + respBytes); timeout > 0 && xfer > 0 && pol.MinBandwidth > 0 {
-		timeout += time.Duration(xfer * int64(time.Second) / pol.MinBandwidth)
+	for _, s := range scatter {
+		xfer += len(s)
 	}
 	var lastErr error
 	for a := 0; a < attempts; a++ {
@@ -276,25 +283,14 @@ func (n *NodeClient) doCall(ctx context.Context, op uint8, req [][]byte, scatter
 				return nil, err
 			}
 		}
-		// The per-attempt deadline travels as a plain time.Time instead
-		// of a context.WithTimeout wrapper: the transport arms it as a
-		// socket deadline plus a pooled timer, so a timed attempt costs
-		// zero heap allocations (DESIGN.md §10).
-		var dl time.Time
-		if timeout > 0 {
-			dl = time.Now().Add(timeout)
-		}
 		// One span per attempt: retries show up as sibling spans with
 		// the attempt number, so backoff gaps are visible in waterfalls.
+		// The deadline travels as a plain time.Time, not a
+		// context.WithTimeout wrapper, so a timed attempt costs zero heap
+		// allocations (DESIGN.md §10).
 		actx, ah := trace.Start(ctx, "cdd.attempt", n.addr)
 		ah.Val = int64(a + 1)
-		var resp []byte
-		var err error
-		if len(scatter) > 0 {
-			err = n.c.CallScatterDeadline(actx, op, req, scatter, dl)
-		} else {
-			resp, err = n.c.CallVecDeadline(actx, op, req, dl)
-		}
+		resp, err := n.c.Call(actx, op, req, scatter, time.Now().Add(pol.timeout(xfer)))
 		ah.End(err)
 		if err == nil {
 			return resp, nil
@@ -359,7 +355,7 @@ func (n *NodeClient) Policy() RetryPolicy { return n.policy }
 // Transport exposes the underlying connection (peer registration).
 func (n *NodeClient) Transport() *transport.Client { return n.c }
 
-// Close tears down the connection and stops any heartbeat probes.
+// Close tears down the connection and stops the devices' probe loops.
 func (n *NodeClient) Close() error {
 	n.closed.Store(true)
 	return n.c.Close()
@@ -562,8 +558,8 @@ func (n *NodeClient) RepairResume(ctx context.Context) error {
 // Fault handling: every operation runs under the node's RetryPolicy
 // (per-attempt deadline, bounded retries). An operation that still
 // fails at the transport level marks the device *suspect* — Healthy()
-// reports false without further network traffic while a background
-// heartbeat re-probes the node, re-admitting it once it answers again.
+// reports false without further network traffic while the device's
+// probe loop re-probes the node, re-admitting it once it answers again.
 type RemoteDev struct {
 	n       *NodeClient
 	disk    uint32
@@ -575,11 +571,11 @@ type RemoteDev struct {
 	hmu       sync.Mutex
 	healthy   bool
 	checked   time.Time
-	probing   bool // heartbeat goroutine active (device is suspect)
-	// refresh is non-nil while a single-flight health probe is in
-	// flight; it closes when the probe lands. Concurrent callers at TTL
-	// expiry share the one probe instead of racing to issue duplicates.
-	refresh chan struct{}
+	suspect   bool // a transport failure is unanswered; probeLoop runs
+	// probed is non-nil while the device's one probe loop runs; it
+	// closes at the loop's first outcome, releasing the Healthy callers
+	// that wait for a fresh answer.
+	probed chan struct{}
 }
 
 var (
@@ -626,7 +622,10 @@ func (d *RemoteDev) WriteExtents(ctx context.Context, exts []Extent, segs [][]by
 
 // WriteBlocksBackground implements raid.Dev: the write travels as a
 // notification, so the caller does not wait for the remote disk. A
-// later Flush or Call on the same connection orders after it. A push
+// later Flush or Call on the same connection orders after it. The push
+// may hold the session's write lock for an attempt's timeout
+// (RetryPolicy.timeout): past it the push fails with
+// context.DeadlineExceeded and drops the session. A push
 // placed with a retired layout is dropped by the node instead of landing
 // at a dead home; the node counts the drop (mgr.bg_stale_drops) and the
 // writer's intent log keeps the block dirty, so resync re-mirrors it.
@@ -683,18 +682,18 @@ func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [
 	switch op {
 	case OpRead:
 		s.dst = append(s.dst[:0], segs...)
-		_, err = d.n.doCall(ctx, op, s.req, s.dst, total)
+		_, err = d.n.doCall(ctx, op, s.req, s.dst)
 		d.n.met.readLat.Observe(time.Since(start))
 		if err != nil {
 			err = d.mapReadErr(err)
 		}
 	case OpWrite:
 		s.req = append(s.req, segs...)
-		_, err = d.n.doCall(ctx, op, s.req, nil, 0)
+		_, err = d.n.doCall(ctx, op, s.req, nil)
 		d.n.met.writeLat.Observe(time.Since(start))
 	default:
 		s.req = append(s.req, segs...)
-		err = d.n.c.NotifyVec(ctx, op, s.req)
+		err = d.n.c.Notify(ctx, op, s.req, d.n.policy.timeout(total))
 	}
 	clear(s.req)
 	clear(s.dst)
@@ -774,80 +773,103 @@ func (d *RemoteDev) Flush(ctx context.Context) error {
 // Healthy implements raid.Dev. The answer is cached briefly (healthTTL)
 // to keep engine health sweeps from flooding the network; while the
 // device is suspect the cached answer (false) is served without any
-// network traffic and the heartbeat probe is the only thing touching
-// the peer.
+// network traffic and the probe loop is the only thing touching the
+// peer.
 //
 // When the cache has merely expired, Healthy serves the stale answer
-// immediately and refreshes it with ONE background probe shared by all
-// concurrent callers — the engine's serial planning loops never stall
-// on a network round trip, and TTL expiry cannot fan out duplicate
-// probes. Only after an explicit InvalidateHealth (an administrative
-// demand for a fresh answer) does Healthy block, and even then
-// concurrent callers share a single probe.
+// immediately and starts the probe loop unless it runs already — the
+// engine's serial planning loops never stall on a network round trip,
+// and TTL expiry cannot fan out duplicate probes. Only after an explicit
+// InvalidateHealth (an administrative demand for a fresh answer) does
+// Healthy block, and even then concurrent callers share the one loop's
+// first probe.
 func (d *RemoteDev) Healthy() bool {
 	d.hmu.Lock()
-	if d.probing || (!d.checked.IsZero() && time.Since(d.checked) < d.healthTTL) {
-		h := d.healthy
-		d.hmu.Unlock()
-		return h
-	}
-	if d.checked.IsZero() {
-		// Invalidated: block for a fresh answer, single-flight.
-		ch := d.refresh
-		if ch == nil {
-			ch = make(chan struct{})
-			d.refresh = ch
-			d.hmu.Unlock()
-			d.runRefresh(ch)
-		} else {
-			d.hmu.Unlock()
-			<-ch
-		}
-		d.hmu.Lock()
-		h := d.healthy
-		d.hmu.Unlock()
-		return h
-	}
-	// Stale: serve the cached answer, refresh in the background.
 	h := d.healthy
-	if d.refresh == nil {
-		ch := make(chan struct{})
-		d.refresh = ch
-		go d.runRefresh(ch)
+	if d.suspect || (!d.checked.IsZero() && time.Since(d.checked) < d.healthTTL) {
+		d.hmu.Unlock()
+		return h
 	}
+	invalidated := d.checked.IsZero()
+	ch := d.startProbing()
 	d.hmu.Unlock()
-	return h
+	if !invalidated {
+		return h
+	}
+	<-ch
+	d.hmu.Lock()
+	defer d.hmu.Unlock()
+	return d.healthy
 }
 
-// runRefresh performs the single-flight health probe and publishes the
-// result; ch closes when the cache is updated.
-func (d *RemoteDev) runRefresh(ch chan struct{}) {
-	h, err := d.probe(context.Background())
-	d.hmu.Lock()
-	d.refresh = nil
-	if err == nil {
-		d.n.met.probeOK.Inc()
-		d.healthy = h
-		d.checked = time.Now()
-		d.hmu.Unlock()
-		close(ch)
-		return
+// startProbing starts the probe loop unless it runs or the node client
+// has closed, and returns the channel that closes at the loop's first
+// outcome (at once for a closed client). It requires d.hmu held.
+func (d *RemoteDev) startProbing() chan struct{} {
+	if d.probed != nil {
+		return d.probed
 	}
-	d.hmu.Unlock()
-	d.n.met.probeFail.Inc()
-	d.markSuspect(err)
-	close(ch)
+	ch := make(chan struct{})
+	if d.n.closed.Load() {
+		close(ch) // a closed client's device is not probed
+		return ch
+	}
+	d.probed = ch
+	go d.probeLoop(ch)
+	return ch
+}
+
+// probeLoop is the device's one prober. It probes until the node
+// answers, sleeping ProbeInterval before each probe while the device is
+// suspect: a failed probe marks it suspect, and the answer — healthy or
+// not — refreshes the cache and, for a suspect device, re-admits it to
+// the normal cached path. first closes at the loop's first outcome. The
+// loop stops, unprobed, once the node client has closed.
+func (d *RemoteDev) probeLoop(first chan struct{}) {
+	release := func() {
+		if first != nil {
+			close(first)
+			first = nil
+		}
+	}
+	defer release()
+	for {
+		d.hmu.Lock()
+		suspect := d.suspect
+		d.hmu.Unlock()
+		if suspect {
+			time.Sleep(d.n.policy.ProbeInterval)
+		}
+		if d.n.closed.Load() {
+			d.hmu.Lock()
+			d.probed = nil
+			d.hmu.Unlock()
+			return
+		}
+		h, err := d.probe()
+		if err == nil {
+			d.n.met.probeOK.Inc()
+			d.hmu.Lock()
+			d.healthy, d.checked, d.probed = h, time.Now(), nil
+			suspect, d.suspect = d.suspect, false
+			d.hmu.Unlock()
+			if suspect {
+				d.n.met.readmits.Inc()
+				d.n.met.events.Append(obs.EventReadmit, d.subject, fmt.Sprintf("healthy=%v", h))
+			}
+			return
+		}
+		d.n.met.probeFail.Inc()
+		d.markSuspect(err)
+		release()
+	}
 }
 
 // probe asks the remote manager whether the disk serves requests (one
 // attempt, bounded by the policy's CallTimeout).
-func (d *RemoteDev) probe(ctx context.Context) (bool, error) {
-	cancel := func() {}
-	if t := d.n.policy.CallTimeout; t > 0 {
-		ctx, cancel = context.WithTimeout(ctx, t)
-	}
-	defer cancel()
-	resp, err := d.n.c.Call(ctx, OpHealth, encodeIOHeader(ioHeader{Disk: d.disk}, nil))
+func (d *RemoteDev) probe() (bool, error) {
+	req := [][]byte{encodeIOHeader(ioHeader{Disk: d.disk}, nil)}
+	resp, err := d.n.c.Call(context.Background(), OpHealth, req, nil, time.Now().Add(d.n.policy.timeout(0)))
 	if err != nil {
 		return false, err
 	}
@@ -866,7 +888,7 @@ func (d *RemoteDev) InvalidateHealth() {
 // matching message text — marks the device unhealthy immediately (the
 // node answered; its disk is gone). A transport-level failure — broken
 // connection, timeout, injected fault — marks the device suspect and
-// starts the heartbeat that re-admits the node when it recovers.
+// starts the probe loop that re-admits the node when it recovers.
 func (d *RemoteDev) noteOutcome(err error) {
 	if err == nil {
 		return
@@ -891,58 +913,21 @@ func (d *RemoteDev) noteOutcome(err error) {
 	d.markSuspect(err)
 }
 
-// markSuspect records the device as unhealthy and ensures a heartbeat
-// probe is running to re-admit it. cause, when non-nil, is recorded in
-// the event log.
+// markSuspect records the device as unhealthy and suspect and ensures
+// the probe loop runs to re-admit it. cause, when non-nil, is recorded
+// in the event log.
 func (d *RemoteDev) markSuspect(cause error) {
 	d.hmu.Lock()
-	wasHealthy := d.healthy
-	d.healthy = false
-	d.checked = time.Now()
-	start := !d.probing && !d.n.closed.Load()
-	if start {
-		d.probing = true
-	}
+	was := d.suspect
+	d.healthy, d.checked, d.suspect = false, time.Now(), true
+	d.startProbing()
 	d.hmu.Unlock()
-	if wasHealthy || start {
+	if !was {
 		d.n.met.suspects.Inc()
 		detail := ""
 		if cause != nil {
 			detail = cause.Error()
 		}
 		d.n.met.events.Append(obs.EventSuspect, d.subject, detail)
-	}
-	if start {
-		go d.probeLoop()
-	}
-}
-
-// probeLoop is the heartbeat of a suspect device: every ProbeInterval
-// it asks the node for the disk's health, and on the first answer —
-// healthy or not — hands health tracking back to the normal cached
-// path. It exits when the node client closes.
-func (d *RemoteDev) probeLoop() {
-	for {
-		time.Sleep(d.n.policy.ProbeInterval)
-		if d.n.closed.Load() {
-			d.hmu.Lock()
-			d.probing = false
-			d.hmu.Unlock()
-			return
-		}
-		h, err := d.probe(context.Background())
-		if err != nil {
-			d.n.met.probeFail.Inc()
-			continue // still unreachable; stay suspect
-		}
-		d.n.met.probeOK.Inc()
-		d.hmu.Lock()
-		d.healthy = h
-		d.checked = time.Now()
-		d.probing = false
-		d.hmu.Unlock()
-		d.n.met.readmits.Inc()
-		d.n.met.events.Append(obs.EventReadmit, d.subject, fmt.Sprintf("healthy=%v", h))
-		return
 	}
 }

@@ -118,7 +118,7 @@ func TestWriteExtentsRejected(t *testing.T) {
 						data = tc.rdata
 					}
 					want := patterned(t, n)
-					_, err := c.Transport().Call(context.Background(), op, blockPayload(tc.disk, tc.count, tc.exts, data))
+					_, err := c.Transport().Call(context.Background(), op, [][]byte{blockPayload(tc.disk, tc.count, tc.exts, data)}, nil, time.Time{})
 					var re *transport.RemoteError
 					if !errors.As(err, &re) || re.Code != transport.CodeBadRequest {
 						t.Fatalf("err = %v, want CodeBadRequest", err)

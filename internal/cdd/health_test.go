@@ -190,7 +190,7 @@ func TestShortReadMarksSuspect(t *testing.T) {
 			resp = resp[:len(resp)-1]
 		}
 		return resp, err
-	})
+	}, transport.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,5 +222,28 @@ func TestShortReadMarksSuspect(t *testing.T) {
 	waitFor(t, "heartbeat re-admission", func() bool { return dev.Healthy() })
 	if !hasEvent(reg, obs.EventReadmit, dev.subject) {
 		t.Error("no re-admission event logged")
+	}
+}
+
+// TestNoProbeAfterClose: an operation that fails because the node
+// client was closed marks the device suspect but starts no probe, so
+// cdd.probe_fail counts only probes of a live client, and an
+// invalidated Healthy does not wait on one.
+func TestNoProbeAfterClose(t *testing.T) {
+	n := startNode(t, 1, 16)
+	c, reg := connectObs(t, n.Addr())
+	dev := c.Dev(0)
+	base := reg.Counter("cdd.probe_fail").Value()
+	c.Close()
+	if err := dev.ReadBlocks(context.Background(), 0, make([]byte, 512)); err == nil {
+		t.Fatal("read on a closed client succeeded")
+	}
+	dev.InvalidateHealth()
+	if dev.Healthy() {
+		t.Error("device of a closed client reported healthy")
+	}
+	time.Sleep(5 * quickPolicy().ProbeInterval)
+	if got := reg.Counter("cdd.probe_fail").Value(); got != base {
+		t.Errorf("cdd.probe_fail moved %d -> %d after Close", base, got)
 	}
 }

@@ -176,7 +176,7 @@ func (m *Manager) replicate(ctx context.Context) {
 	}
 	snap := encodeSnapshot(m.locks.Version(), m.locks.Snapshot())
 	for _, p := range peers {
-		_ = p.Notify(ctx, OpLockReplica, snap) // best effort
+		_ = p.Notify(ctx, OpLockReplica, [][]byte{snap}, DefaultRetryPolicy().timeout(len(snap))) // best effort
 	}
 }
 
@@ -543,7 +543,7 @@ type Node struct {
 // slice of the request payload.
 func ListenAndServe(addr string, disks []*disk.Disk) (*Node, error) {
 	m := NewManager(disks)
-	s, err := transport.ServeWith(addr, m.Handle, transport.ServerOptions{
+	s, err := transport.Serve(addr, m.Handle, transport.ServerOptions{
 		Tracer:           m.tracer,
 		RecycleResponses: true,
 	})

@@ -9,7 +9,10 @@
 // A Network hands out a transport.DialFunc whose connections route
 // every read and write through the peer's current fault plan, so faults
 // can be injected, varied, and healed while a workload runs. Peers are
-// keyed by dial address.
+// keyed by dial address. The connections honour write deadlines the way
+// a socket does — a stalled or delayed write gives up at its deadline
+// with os.ErrDeadlineExceeded — so a client over them runs the same
+// deadline-bounded write path as over plain TCP.
 package faultnet
 
 import (
@@ -18,7 +21,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -182,8 +187,15 @@ func (p *peer) clearBlock() {
 }
 
 // gate applies the peer's current fault plan to one conn operation:
-// wait out stalls/partitions, charge latency, maybe inject an error.
-func (p *peer) gate(c *faultConn) error {
+// wait out stalls/partitions, charge latency, maybe inject an error. A
+// wait that outlasts dl (zero = none) fails with os.ErrDeadlineExceeded.
+func (p *peer) gate(c *faultConn, dl time.Time) error {
+	var expired <-chan time.Time
+	if !dl.IsZero() {
+		t := time.NewTimer(time.Until(dl))
+		defer t.Stop()
+		expired = t.C
+	}
 	for {
 		p.mu.Lock()
 		if p.blocked {
@@ -194,6 +206,8 @@ func (p *peer) gate(c *faultConn) error {
 				continue // re-evaluate the (possibly new) plan
 			case <-c.done:
 				return net.ErrClosed
+			case <-expired:
+				return os.ErrDeadlineExceeded
 			}
 		}
 		lat := p.latency
@@ -207,6 +221,8 @@ func (p *peer) gate(c *faultConn) error {
 			case <-time.After(lat):
 			case <-c.done:
 				return net.ErrClosed
+			case <-expired:
+				return os.ErrDeadlineExceeded
 			}
 		}
 		if inject {
@@ -223,20 +239,36 @@ type faultConn struct {
 	p    *peer
 	once sync.Once
 	done chan struct{}
+	wdl  atomic.Int64 // write deadline in Unix nanoseconds; 0 = none
 }
 
 func (c *faultConn) Read(b []byte) (int, error) {
-	if err := c.p.gate(c); err != nil {
+	if err := c.p.gate(c, time.Time{}); err != nil {
 		return 0, err
 	}
 	return c.Conn.Read(b)
 }
 
 func (c *faultConn) Write(b []byte) (int, error) {
-	if err := c.p.gate(c); err != nil {
+	var dl time.Time
+	if ns := c.wdl.Load(); ns != 0 {
+		dl = time.Unix(0, ns)
+	}
+	if err := c.p.gate(c, dl); err != nil {
 		return 0, err
 	}
 	return c.Conn.Write(b)
+}
+
+// SetWriteDeadline bounds the injected waits of later writes as well as
+// the socket write under them.
+func (c *faultConn) SetWriteDeadline(t time.Time) error {
+	var ns int64
+	if !t.IsZero() {
+		ns = t.UnixNano()
+	}
+	c.wdl.Store(ns)
+	return c.Conn.SetWriteDeadline(t)
 }
 
 func (c *faultConn) Close() error {

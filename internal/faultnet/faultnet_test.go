@@ -3,6 +3,8 @@ package faultnet
 import (
 	"context"
 	"errors"
+	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -13,7 +15,7 @@ func echoServer(t *testing.T) *transport.Server {
 	t.Helper()
 	s, err := transport.Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
 		return payload, nil
-	})
+	}, transport.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +25,7 @@ func echoServer(t *testing.T) *transport.Server {
 
 func faultyClient(t *testing.T, n *Network, addr string) *transport.Client {
 	t.Helper()
-	c, err := transport.DialWith(context.Background(), addr, transport.DialOptions{Dialer: n.Dialer()})
+	c, err := transport.Dial(context.Background(), addr, transport.DialOptions{Dialer: n.Dialer()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +33,16 @@ func faultyClient(t *testing.T, n *Network, addr string) *transport.Client {
 	return c
 }
 
+// call is a one-segment Call with no deadline of its own.
+func call(c *transport.Client, ctx context.Context, payload []byte) ([]byte, error) {
+	return c.Call(ctx, 1, [][]byte{payload}, nil, time.Time{})
+}
+
 func TestCleanPassThrough(t *testing.T) {
 	s := echoServer(t)
 	n := New(1)
 	c := faultyClient(t, n, s.Addr())
-	resp, err := c.Call(context.Background(), 1, []byte("hello"))
+	resp, err := call(c, context.Background(), []byte("hello"))
 	if err != nil || string(resp) != "hello" {
 		t.Fatalf("got %q %v", resp, err)
 	}
@@ -47,7 +54,7 @@ func TestLatencyInjection(t *testing.T) {
 	c := faultyClient(t, n, s.Addr())
 	n.SetLatency(s.Addr(), 30*time.Millisecond, 0)
 	start := time.Now()
-	if _, err := c.Call(context.Background(), 1, []byte("x")); err != nil {
+	if _, err := call(c, context.Background(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	// The request goes out as one vectored write, so the frame pays the
@@ -58,11 +65,11 @@ func TestLatencyInjection(t *testing.T) {
 	}
 	n.Heal(s.Addr())
 	// One warm-up call absorbs the read loop's already-gated sleep.
-	if _, err := c.Call(context.Background(), 1, []byte("x")); err != nil {
+	if _, err := call(c, context.Background(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	start = time.Now()
-	if _, err := c.Call(context.Background(), 1, []byte("x")); err != nil {
+	if _, err := call(c, context.Background(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if took := time.Since(start); took > 25*time.Millisecond {
@@ -76,7 +83,7 @@ func callUntilOK(t *testing.T, c *transport.Client, payload []byte) []byte {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := c.Call(context.Background(), 1, payload)
+		resp, err := call(c, context.Background(), payload)
 		if err == nil {
 			return resp
 		}
@@ -92,7 +99,7 @@ func TestErrorInjectionBreaksAndReconnects(t *testing.T) {
 	n := New(7)
 	c := faultyClient(t, n, s.Addr())
 	n.SetErrorRate(s.Addr(), 1.0)
-	if _, err := c.Call(context.Background(), 1, []byte("x")); err == nil {
+	if _, err := call(c, context.Background(), []byte("x")); err == nil {
 		t.Fatal("call through 100% error rate succeeded")
 	}
 	n.Heal(s.Addr())
@@ -110,14 +117,41 @@ func TestStallBlocksUntilCleared(t *testing.T) {
 	// With a deadline, a stalled call returns DeadlineExceeded.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := c.Call(ctx, 1, []byte("x")); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := call(c, ctx, []byte("x")); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want DeadlineExceeded", err)
+	}
+	// Without a deadline, cancelling the context abandons the write.
+	cctx, ccancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, ccancel)
+	if _, err := call(c, cctx, []byte("x")); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want Canceled", err)
 	}
 	// Without a stall, traffic flows again (new conn, since the stalled
 	// one was abandoned mid-write).
 	n.Unstall(s.Addr())
 	if resp := callUntilOK(t, c, []byte("y")); string(resp) != "y" {
 		t.Fatalf("after unstall: %q", resp)
+	}
+
+	// A raw write to a stalled peer gives up at its write deadline, as a
+	// socket's would, and fails with net.ErrClosed once the conn closes.
+	conn, err := n.Dialer()(context.Background(), s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Stall(s.Addr())
+	start := time.Now()
+	conn.SetWriteDeadline(start.Add(50 * time.Millisecond))
+	if _, err := conn.Write([]byte("x")); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("stalled write: got %v, want os.ErrDeadlineExceeded", err)
+	}
+	if took := time.Since(start); took < 40*time.Millisecond || took > time.Second {
+		t.Fatalf("stalled write gave up after %v, want its 50ms deadline", took)
+	}
+	conn.SetWriteDeadline(time.Time{})
+	time.AfterFunc(20*time.Millisecond, func() { conn.Close() })
+	if _, err := conn.Write([]byte("x")); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("stalled write on a closed conn: got %v, want net.ErrClosed", err)
 	}
 }
 
@@ -144,7 +178,7 @@ func TestHealAllClearsEveryPeer(t *testing.T) {
 	n.HealAll()
 	for _, addr := range []string{s1.Addr(), s2.Addr()} {
 		c := faultyClient(t, n, addr)
-		if _, err := c.Call(context.Background(), 1, []byte("ok")); err != nil {
+		if _, err := call(c, context.Background(), []byte("ok")); err != nil {
 			t.Fatalf("%s after HealAll: %v", addr, err)
 		}
 	}

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/race"
@@ -30,12 +31,12 @@ func TestAllocsCallScatter(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
 		buf := bufpool.Get(64 << 10)
 		return buf, nil
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestAllocsCallScatter(t *testing.T) {
 	req := [][]byte{hdr}
 	resp := [][]byte{dst}
 	allocLimit(t, 6, func() {
-		if err := c.CallScatter(ctx, 1, req, resp); err != nil {
+		if _, err := c.Call(ctx, 1, req, resp, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -58,12 +59,12 @@ func TestAllocsCallScatter(t *testing.T) {
 func TestAllocsCallVecWrite(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
 		return nil, nil
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestAllocsCallVecWrite(t *testing.T) {
 	data := make([]byte, 64<<10)
 	req := [][]byte{hdr, data}
 	allocLimit(t, 6, func() {
-		if _, err := c.CallVec(ctx, 1, req); err != nil {
+		if _, err := c.Call(ctx, 1, req, nil, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -86,12 +87,12 @@ func TestAllocsCallVecWrite(t *testing.T) {
 func TestAllocsNonErrorFastPath(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
 		return nil, nil
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestAllocsNonErrorFastPath(t *testing.T) {
 	ctx := context.Background()
 	req := [][]byte{make([]byte, 16)}
 	allocLimit(t, 6, func() {
-		if _, err := c.CallVec(ctx, 1, req); err != nil {
+		if _, err := c.Call(ctx, 1, req, nil, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -12,11 +12,11 @@ func benchPair(b *testing.B) *Client {
 	b.Helper()
 	s, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
 		return payload, nil
-	})
+	}, ServerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := Dial(s.Addr())
+	c, err := Dial(context.Background(), s.Addr(), DialOptions{})
 	if err != nil {
 		s.Close()
 		b.Fatal(err)
@@ -33,7 +33,7 @@ func BenchmarkCallRoundTrip(b *testing.B) {
 	payload := make([]byte, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Call(bgBench, 1, payload); err != nil {
+		if _, err := callOne(c, bgBench, 1, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func BenchmarkCallConcurrent(b *testing.B) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if _, err := c.Call(bgBench, 1, payload); err != nil {
+				if _, err := callOne(c, bgBench, 1, payload); err != nil {
 					b.Error(err)
 					return
 				}
@@ -68,12 +68,12 @@ func BenchmarkNotify(b *testing.B) {
 	payload := make([]byte, 32<<10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Notify(context.Background(), 2, payload); err != nil {
+		if err := c.Notify(context.Background(), 2, [][]byte{payload}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 	// Drain: one Call orders after all notifications.
-	if _, err := c.Call(bgBench, 1, nil); err != nil {
+	if _, err := callOne(c, bgBench, 1, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(payload)))

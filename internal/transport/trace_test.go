@@ -65,7 +65,7 @@ func TestTraceUntracedFrameBytesIdentical(t *testing.T) {
 // the compatibility matrix. The response must itself be old-format.
 func TestTraceOldClientNewServer(t *testing.T) {
 	tr := trace.New(trace.Config{})
-	srv, err := ServeWith("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
+	srv, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
 		return append([]byte("echo:"), payload...), nil
 	}, ServerOptions{Tracer: tr})
 	if err != nil {
@@ -148,16 +148,16 @@ func TestTraceNewClientOldServer(t *testing.T) {
 		}
 	}()
 
-	c, err := Dial(ln.Addr().String())
+	c, err := Dial(context.Background(), ln.Addr().String(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	ctx := context.Background() // untraced
-	if err := c.Notify(ctx, 2, []byte("bg")); err != nil {
+	if err := c.Notify(ctx, 2, [][]byte{[]byte("bg")}, 0); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Call(ctx, 1, []byte("ping"))
+	resp, err := callOne(c, ctx, 1, []byte("ping"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestTraceNewClientOldServer(t *testing.T) {
 // work under the caller's trace and span IDs.
 func TestTracePropagation(t *testing.T) {
 	serverTr := trace.New(trace.Config{})
-	srv, err := ServeWith("127.0.0.1:0", func(ctx context.Context, op uint8, payload []byte) ([]byte, error) {
+	srv, err := Serve("127.0.0.1:0", func(ctx context.Context, op uint8, payload []byte) ([]byte, error) {
 		h := trace.StartLeaf(ctx, "handler.work", "d0")
 		h.End(nil)
 		return payload, nil
@@ -186,7 +186,7 @@ func TestTracePropagation(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestTracePropagation(t *testing.T) {
 
 	clientTr := trace.New(trace.Config{})
 	ctx, root := clientTr.StartRoot(context.Background(), "raidx.read", "raidx")
-	if _, err := c.Call(ctx, 4, []byte("abcd")); err != nil {
+	if _, err := callOne(c, ctx, 4, []byte("abcd")); err != nil {
 		t.Fatal(err)
 	}
 	root.End(nil)
@@ -252,19 +252,19 @@ func TestTracePropagation(t *testing.T) {
 func TestTraceServerWithoutTracer(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
 		return payload, nil
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	tr := trace.New(trace.Config{})
 	ctx, root := tr.StartRoot(context.Background(), "op", "")
-	resp, err := c.Call(ctx, 1, []byte("x"))
+	resp, err := callOne(c, ctx, 1, []byte("x"))
 	root.End(err)
 	if err != nil || string(resp) != "x" {
 		t.Fatalf("resp=%q err=%v", resp, err)

@@ -9,21 +9,24 @@
 // frames with ID 0) get no response — the mechanism behind deferred
 // mirror pushes.
 //
-// Calls are context-aware: a deadline or cancellation on the context
-// abandons the call. If the request frame had not been fully written
-// yet the connection is closed (a partial frame would desynchronize the
-// stream); if the frame was sent, the connection stays usable and the
-// eventual response is dropped. A client whose connection has broken
-// re-dials automatically on the next call, so a crashed-and-restarted
-// peer is reached again without rebuilding the client.
+// A client has two request methods, Call and Notify, and one way to
+// write a frame: inline under the session's write lock, bounded by the
+// request's deadline armed as the conn's write deadline. A deadline or
+// cancellation abandons the call. If the request frame had not been
+// fully written yet the connection is closed (a partial frame would
+// desynchronize the stream); if the frame was sent, the connection stays
+// usable and the eventual response is dropped. A client whose connection
+// has broken re-dials automatically on the next call, so a
+// crashed-and-restarted peer is reached again without rebuilding the
+// client.
 //
 // The data path is zero-copy in both directions (DESIGN.md §10): a
-// request assembled as a gather list (CallVec) goes to a TCP session as
-// one writev — header, trace extension, and payload segments are never
-// coalesced into a staging buffer — and a bulk response (CallScatter)
-// is read off the socket directly into caller-provided memory. Frame
-// headers come from a pool; server-side request payloads are pooled
-// per-frame and released after the response is written.
+// request is a gather list that goes to a TCP session as one writev —
+// header, trace extension, and payload segments are never coalesced
+// into a staging buffer — and a bulk response is read off the socket
+// directly into caller-provided memory. Frame headers come from a pool;
+// server-side request payloads are pooled per-frame and released after
+// the response is written.
 //
 // Frame layout (big endian):
 //
@@ -178,7 +181,7 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("transport: remote error (op %d, code %d): %s", e.Op, e.Code, e.Msg)
 }
 
-// RespSizeError is returned by CallScatter when the peer's response
+// RespSizeError is returned by a scattering Call when the peer's response
 // does not exactly fill the caller's landing buffers. The frame was
 // still consumed (the stream stays in sync) but none of the payload is
 // delivered. It proves the peer processed the request, so — like
@@ -410,12 +413,7 @@ type ServerOptions struct {
 
 // Serve starts a server on addr (e.g. "127.0.0.1:0") and begins
 // accepting connections in the background.
-func Serve(addr string, h Handler) (*Server, error) {
-	return ServeWith(addr, h, ServerOptions{})
-}
-
-// ServeWith starts a server with explicit options.
-func ServeWith(addr string, h Handler, opts ServerOptions) (*Server, error) {
+func Serve(addr string, h Handler, opts ServerOptions) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -601,8 +599,10 @@ type Client struct {
 	// broken connection produce one new session, not many.
 	dialMu sync.Mutex
 
-	// wmu serializes frame writes on the current connection.
-	wmu sync.Mutex
+	// wslot is the write lock: one slot, held while a frame is written
+	// on the current connection. A channel, not a mutex, so a frame
+	// queued behind a stalled write can give up on its own bound.
+	wslot chan struct{}
 
 	mu      sync.Mutex
 	conn    net.Conn // current session; nil while broken
@@ -637,21 +637,16 @@ type response struct {
 	inDst   bool // payload landed in the caller's dst; payload is nil
 }
 
-// Dial connects to a CDD server with default options.
-func Dial(addr string) (*Client, error) {
-	return DialWith(context.Background(), addr, DialOptions{})
-}
-
-// DialWith connects to a CDD server with explicit options; ctx bounds
-// the initial connection attempt.
-func DialWith(ctx context.Context, addr string, opts DialOptions) (*Client, error) {
+// Dial connects to a CDD server; ctx bounds the initial connection
+// attempt.
+func Dial(ctx context.Context, addr string, opts DialOptions) (*Client, error) {
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = DefaultDialTimeout
 	}
 	if opts.Dialer == nil {
 		opts.Dialer = tcpDial
 	}
-	c := &Client{addr: addr, opts: opts, met: newClientMetrics(opts.Obs), pending: map[uint64]*pendingCall{}}
+	c := &Client{addr: addr, opts: opts, met: newClientMetrics(opts.Obs), wslot: make(chan struct{}, 1), pending: map[uint64]*pendingCall{}}
 	if err := c.redial(ctx); err != nil {
 		return nil, err
 	}
@@ -817,58 +812,47 @@ func payloadLen(segs [][]byte) int {
 	return n
 }
 
-// Call sends a request and waits for its response payload. The context
-// bounds the whole exchange: on expiry or cancellation the call
-// returns ctx.Err() immediately (closing the connection only if the
-// request frame was still in flight). A traced context (internal/trace)
+// Call sends a request and waits for its response. req is the request
+// as a gather list: its segments go to the wire back-to-back (one
+// vectored write, no coalescing copy) and arrive at the peer as one
+// contiguous payload; the transport only reads them during the call.
+//
+// With an empty resp the response payload is returned. With a non-empty
+// resp a successful payload scatters off the socket directly into its
+// segments and the returned payload is nil; a response that does not
+// exactly fill them consumes the frame but fails with *RespSizeError.
+// The caller must not touch resp's segments until Call returns.
+//
+// dl (zero = none) is the call's deadline, merged with ctx's. Passing it
+// as a plain time.Time instead of wrapping ctx in context.WithTimeout
+// keeps the hot path allocation-free: it is armed as the conn's write
+// deadline plus one pooled timer for the response. A deadline or
+// cancellation abandons the call without waiting for the peer or for
+// frames queued ahead of it (dropping the session if the request frame
+// was not fully written); expiry
+// returns context.DeadlineExceeded. A traced context (internal/trace)
 // records the exchange as a "transport.call" span and stamps the frame
 // with the trace extension so the server can continue the trace.
-func (c *Client) Call(ctx context.Context, op uint8, payload []byte) ([]byte, error) {
-	ext, h := c.startWire(ctx, "transport.call", len(payload))
-	resp, _, err := c.call(ctx, op, ext, [][]byte{payload}, nil, time.Time{})
-	h.End(err)
-	return resp, err
-}
-
-// CallVec is Call with a gathered request: the segments are written to
-// the wire back-to-back (one vectored write, no coalescing copy) and
-// arrive at the peer as a single contiguous payload. The transport only
-// reads the segments during the call; they stay owned by the caller.
-func (c *Client) CallVec(ctx context.Context, op uint8, req [][]byte) ([]byte, error) {
-	return c.CallVecDeadline(ctx, op, req, time.Time{})
-}
-
-// CallVecDeadline is CallVec with an explicit per-call deadline (zero =
-// none), merged with any deadline already on ctx. Passing the deadline
-// here instead of wrapping ctx in context.WithTimeout keeps the hot
-// path allocation-free: the transport arms it as a socket write
-// deadline plus one pooled timer, where a context wrap costs several
-// heap objects per call. Expiry returns context.DeadlineExceeded.
-func (c *Client) CallVecDeadline(ctx context.Context, op uint8, req [][]byte, dl time.Time) ([]byte, error) {
+func (c *Client) Call(ctx context.Context, op uint8, req, resp [][]byte, dl time.Time) ([]byte, error) {
 	ext, h := c.startWire(ctx, "transport.call", payloadLen(req))
-	resp, _, err := c.call(ctx, op, ext, req, nil, dl)
+	payload, err := c.call(ctx, op, ext, req, resp, dl)
 	h.End(err)
-	return resp, err
+	return payload, err
 }
 
-// CallScatter is CallVec for bulk reads: a successful response payload
-// is scattered off the socket directly into resp's segments — caller
-// memory, no intermediate buffer. The response must exactly fill the
-// segments (which must total at least one byte); any other size
-// consumes the frame but fails with *RespSizeError. The caller must not
-// read, write, or reuse the segments until the call returns.
-func (c *Client) CallScatter(ctx context.Context, op uint8, req [][]byte, resp [][]byte) error {
-	return c.CallScatterDeadline(ctx, op, req, resp, time.Time{})
-}
-
-// CallScatterDeadline is CallScatter with an explicit per-call deadline
-// (zero = none); see CallVecDeadline for the rationale.
-func (c *Client) CallScatterDeadline(ctx context.Context, op uint8, req [][]byte, resp [][]byte, dl time.Time) error {
-	want := payloadLen(resp)
-	ext, h := c.startWire(ctx, "transport.call", payloadLen(req))
-	payload, landed, err := c.call(ctx, op, ext, req, resp, dl)
-	if err == nil && !landed {
-		err = &RespSizeError{Got: len(payload), Want: want}
+// Notify sends a fire-and-forget request (no response; errors on the
+// server are dropped) — used for deferred mirror pushes. It shares the
+// session with Call and re-dials a broken one. timeout (zero = none)
+// bounds the frame's write from when it takes the session's write lock,
+// so a push queued behind other frames is not charged for their writes,
+// each bounded by its own deadline; ctx bounds the wait and the write
+// too. Past a bound mid-write the push fails with
+// context.DeadlineExceeded and drops the session.
+func (c *Client) Notify(ctx context.Context, op uint8, req [][]byte, timeout time.Duration) error {
+	ext, h := c.startWire(ctx, "transport.notify", payloadLen(req))
+	conn, _, err := c.ensureConn(ctx)
+	if err == nil {
+		err = c.send(ctx, conn, 0, op, ext, req, deadline(ctx, time.Time{}), timeout)
 	}
 	h.End(err)
 	return err
@@ -913,13 +897,18 @@ func putTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte, dst [][]byte, dl time.Time) ([]byte, bool, error) {
-	if n := payloadLen(req); n > MaxPayload {
-		return nil, false, fmt.Errorf("%w: payload %d bytes exceeds %d", ErrFrameTooLarge, n, MaxPayload)
+// deadline is the earlier of dl (zero = none) and ctx's deadline.
+func deadline(ctx context.Context, dl time.Time) time.Time {
+	if cdl, ok := ctx.Deadline(); ok && (dl.IsZero() || cdl.Before(dl)) {
+		return cdl
 	}
+	return dl
+}
+
+func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte, dst [][]byte, dl time.Time) ([]byte, error) {
 	conn, gen, err := c.ensureConn(ctx)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	id := c.nextID.Add(1)
 	pc := &pendingCall{ch: make(chan response, 1), gen: gen}
@@ -930,7 +919,7 @@ func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, false, ErrClosed
+		return nil, ErrClosed
 	}
 	if c.conn != conn || c.gen != gen {
 		// The session died between ensureConn and registration; its
@@ -940,7 +929,7 @@ func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte
 		if err == nil {
 			err = ErrClosed
 		}
-		return nil, false, err
+		return nil, err
 	}
 	c.pending[id] = pc
 	c.mu.Unlock()
@@ -951,106 +940,15 @@ func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte
 		c.mu.Unlock()
 	}
 
-	// The effective deadline is the earlier of the explicit per-call
-	// deadline and any deadline already carried by ctx.
-	hasDL := !dl.IsZero()
-	if cdl, ok := ctx.Deadline(); ok && (!hasDL || cdl.Before(dl)) {
-		dl = cdl
-		hasDL = true
+	dl = deadline(ctx, dl)
+	if err := c.send(ctx, conn, id, op, ext, req, dl, 0); err != nil {
+		unregister()
+		return nil, err
 	}
-
-	// Three write strategies, cheapest first: with nothing to interrupt
-	// the call it writes inline; a deadline on a raw TCP session writes
-	// inline under a socket write deadline (the runtime's netpoll
-	// interrupts a blocked write, no goroutine needed); anything else —
-	// cancel-only contexts, injected test conns whose Write does not
-	// honor deadlines — keeps the goroutine race from the original
-	// design.
-	inline := ctx.Done() == nil && !hasDL
-	var wdl time.Time
-	if !inline && hasDL {
-		if _, isTCP := conn.(*net.TCPConn); isTCP {
-			wdl = dl
-			inline = true
-		}
-	}
-	if inline {
-		err = c.writeReq(conn, id, op, ext, wdl, req)
-		if err != nil {
-			if ctx.Err() != nil {
-				// The socket deadline fired (or the write failed) after
-				// the context expired: report the caller's own deadline.
-				c.dropConn(conn, ctx.Err())
-				unregister()
-				c.met.deadlineExpired.Inc()
-				return nil, false, ctx.Err()
-			}
-			if hasDL && errors.Is(err, os.ErrDeadlineExceeded) {
-				// The per-call deadline fired as a socket timeout;
-				// report it the way a context deadline would.
-				c.dropConn(conn, context.DeadlineExceeded)
-				unregister()
-				c.met.deadlineExpired.Inc()
-				return nil, false, context.DeadlineExceeded
-			}
-			if errors.Is(err, ErrFrameTooLarge) {
-				// Nothing was written; the session is still good.
-				unregister()
-				return nil, false, err
-			}
-			c.dropConn(conn, err) // a partial frame desynchronizes the stream
-			unregister()
-			return nil, false, err
-		}
-	} else {
-		written := make(chan error, 1)
-		go func() {
-			written <- c.writeReq(conn, id, op, ext, time.Time{}, req)
-		}()
-		var tm *time.Timer
-		var timerC <-chan time.Time
-		if hasDL {
-			tm = getTimer(time.Until(dl))
-			timerC = tm.C
-		}
-		var abort error
-		select {
-		case err = <-written:
-		case <-ctx.Done():
-			abort = ctx.Err()
-		case <-timerC:
-			abort = context.DeadlineExceeded
-		}
-		if tm != nil {
-			putTimer(tm)
-		}
-		if abort != nil {
-			// Abandon mid-write: the frame may be half on the wire, so
-			// the session cannot be reused. Closing it also unblocks the
-			// writer; wait for it so the caller regains exclusive
-			// ownership of req before the call returns — retry paths
-			// (cdd) recycle pooled request headers aliased by req, and
-			// handing those back while the writer still reads them
-			// would be a use-after-release.
-			c.dropConn(conn, abort)
-			<-written
-			unregister()
-			c.met.deadlineExpired.Inc()
-			return nil, false, abort
-		}
-		if err != nil {
-			if !errors.Is(err, ErrFrameTooLarge) {
-				c.dropConn(conn, err)
-			}
-			unregister()
-			return nil, false, err
-		}
-	}
-	c.met.framesSent.Inc()
 
 	var tm *time.Timer
 	var timerC <-chan time.Time
-	if hasDL {
+	if !dl.IsZero() {
 		tm = getTimer(time.Until(dl))
 		timerC = tm.C
 	}
@@ -1083,69 +981,102 @@ func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte
 		}
 		unregister()
 		c.met.deadlineExpired.Inc()
-		return nil, false, abort
+		return nil, abort
 	}
 	if !respOK {
-		return nil, false, c.brokenErr()
+		return nil, c.brokenErr()
 	}
 	if resp.typ == frameError {
 		c.met.remoteErrors.Inc()
-		return nil, false, decodeRemoteError(resp.op, resp.payload)
+		return nil, decodeRemoteError(resp.op, resp.payload)
 	}
-	return resp.payload, resp.inDst, nil
-}
-
-// writeReq emits one request frame under the write lock. On a TCP
-// session the given deadline (zero = none) is armed as the socket write
-// deadline; other conns get plain writes.
-func (c *Client) writeReq(conn net.Conn, id uint64, op uint8, ext *TraceExt, deadline time.Time, req [][]byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetWriteDeadline(deadline) //nolint:errcheck // zero clears; best-effort
+	if pc.dstLen > 0 && !resp.inDst {
+		return nil, &RespSizeError{Got: len(resp.payload), Want: pc.dstLen}
 	}
-	return writeFrame(conn, id, frameRequest, op, ext, req...)
+	return resp.payload, nil
 }
 
-// Notify sends a fire-and-forget request (no response, errors on the
-// server are dropped) — used for deferred mirror pushes. It shares the
-// session with Call and re-dials a broken one. ctx supplies only the
-// trace context (recorded as a "transport.notify" span); the send
-// itself is not cancellable.
-func (c *Client) Notify(ctx context.Context, op uint8, payload []byte) error {
-	ext, h := c.startWire(ctx, "transport.notify", len(payload))
-	err := c.notify(op, ext, [][]byte{payload})
-	h.End(err)
-	return err
-}
-
-// NotifyVec is Notify with a gathered payload, written vectored like
-// CallVec. The segments are only read during the call.
-func (c *Client) NotifyVec(ctx context.Context, op uint8, req [][]byte) error {
-	ext, h := c.startWire(ctx, "transport.notify", payloadLen(req))
-	err := c.notify(op, ext, req)
-	h.End(err)
-	return err
-}
-
-func (c *Client) notify(op uint8, ext *TraceExt, req [][]byte) error {
-	if n := payloadLen(req); n > MaxPayload {
-		return fmt.Errorf("%w: payload %d bytes exceeds %d", ErrFrameTooLarge, n, MaxPayload)
-	}
-	conn, _, err := c.ensureConn(context.Background())
-	if err != nil {
+// send writes one request frame (id 0: a notification) inline under the
+// write lock, bounded through the conn's write deadline by dl and by
+// timeout (zero = none) counted from taking the lock — the runtime's
+// netpoll interrupts a blocked socket write, so no goroutine is needed
+// to abandon it. A frame still waiting for the lock when dl passes or
+// ctx ends is not written and leaves the session up. A ctx that can be
+// cancelled but set no deadline closes the session if it fires
+// mid-write. Any other failure but an oversized frame (nothing written)
+// drops the session, since a partial frame desynchronizes the stream;
+// an expired deadline reports context.DeadlineExceeded, a cancellation
+// ctx.Err().
+func (c *Client) send(ctx context.Context, conn net.Conn, id uint64, op uint8, ext *TraceExt, req [][]byte, dl time.Time, timeout time.Duration) error {
+	if err := c.lockWrite(ctx, dl); err != nil {
+		c.met.deadlineExpired.Inc()
 		return err
 	}
-	err = c.writeReq(conn, 0, op, ext, time.Time{}, req)
-	if err != nil {
-		if errors.Is(err, ErrFrameTooLarge) {
-			return err
+	if timeout > 0 {
+		if t := time.Now().Add(timeout); dl.IsZero() || t.Before(dl) {
+			dl = t
 		}
-		c.dropConn(conn, err)
+	}
+	conn.SetWriteDeadline(dl) //nolint:errcheck // zero clears; a dead conn fails the write
+	stop := func() bool { return true }
+	if dl.IsZero() && ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, func() { c.dropConn(conn, ctx.Err()) })
+	}
+	err := writeFrame(conn, id, frameRequest, op, ext, req...)
+	if !stop() && err == nil {
+		err = ctx.Err() // the session was dropped under a complete frame
+	}
+	<-c.wslot
+	switch {
+	case err == nil:
+		c.met.framesSent.Inc()
+		return nil
+	case errors.Is(err, ErrFrameTooLarge):
 		return err
 	}
-	c.met.framesSent.Inc()
-	return nil
+	c.dropConn(conn, err)
+	if ctx.Err() != nil {
+		err = ctx.Err()
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		err = context.DeadlineExceeded
+	} else {
+		return err
+	}
+	c.met.deadlineExpired.Inc()
+	return err
+}
+
+// lockWrite takes the write lock, giving up with context.DeadlineExceeded
+// at dl (zero = none) or with ctx.Err() when ctx ends first — a waiter is
+// bounded by its own deadline, not by the frame ahead of it. A frame
+// whose time is up by when it holds the lock gets neither the lock nor
+// the wire.
+func (c *Client) lockWrite(ctx context.Context, dl time.Time) error {
+	select {
+	case c.wslot <- struct{}{}:
+	default:
+		var timerC <-chan time.Time
+		if !dl.IsZero() {
+			tm := getTimer(time.Until(dl))
+			defer putTimer(tm)
+			timerC = tm.C
+		}
+		select {
+		case c.wslot <- struct{}{}:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-timerC:
+			return context.DeadlineExceeded
+		}
+	}
+	err := ctx.Err()
+	if err == nil && !dl.IsZero() && !time.Now().Before(dl) {
+		err = context.DeadlineExceeded
+	}
+	if err != nil {
+		<-c.wslot
+	}
+	return err
 }
 
 // dropConn retires a session whose stream can no longer be trusted (a

@@ -15,6 +15,11 @@ import (
 
 var bg = context.Background()
 
+// callOne is a Call of a one-segment request with no deadline of its own.
+func callOne(c *Client, ctx context.Context, op uint8, payload []byte) ([]byte, error) {
+	return c.Call(ctx, op, [][]byte{payload}, nil, time.Time{})
+}
+
 func echoServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
 	s, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
@@ -32,11 +37,11 @@ func echoServer(t *testing.T) (*Server, *Client) {
 			return nil, WithCode(CodeDiskFailed, errors.New("disk d0: failed"))
 		}
 		return nil, fmt.Errorf("unknown op %d", op)
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(s.Addr())
+	c, err := Dial(context.Background(), s.Addr(), DialOptions{})
 	if err != nil {
 		s.Close()
 		t.Fatal(err)
@@ -50,7 +55,7 @@ func echoServer(t *testing.T) (*Server, *Client) {
 
 func TestCallRoundTrip(t *testing.T) {
 	_, c := echoServer(t)
-	resp, err := c.Call(bg, 1, []byte("hello"))
+	resp, err := callOne(c, bg, 1, []byte("hello"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +66,7 @@ func TestCallRoundTrip(t *testing.T) {
 
 func TestCallEmptyPayload(t *testing.T) {
 	_, c := echoServer(t)
-	resp, err := c.Call(bg, 1, nil)
+	resp, err := callOne(c, bg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +77,7 @@ func TestCallEmptyPayload(t *testing.T) {
 
 func TestRemoteError(t *testing.T) {
 	_, c := echoServer(t)
-	_, err := c.Call(bg, 2, nil)
+	_, err := callOne(c, bg, 2, nil)
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("got %v, want RemoteError", err)
@@ -90,7 +95,7 @@ func TestRemoteError(t *testing.T) {
 // message text survives alongside it.
 func TestRemoteErrorCodeRoundTrip(t *testing.T) {
 	_, c := echoServer(t)
-	_, err := c.Call(bg, 4, nil)
+	_, err := callOne(c, bg, 4, nil)
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("got %v, want RemoteError", err)
@@ -105,7 +110,7 @@ func TestRemoteErrorCodeRoundTrip(t *testing.T) {
 
 func TestUnknownOp(t *testing.T) {
 	_, c := echoServer(t)
-	if _, err := c.Call(bg, 99, nil); err == nil {
+	if _, err := callOne(c, bg, 99, nil); err == nil {
 		t.Fatal("unknown op succeeded")
 	}
 }
@@ -119,7 +124,7 @@ func TestConcurrentCallsMultiplex(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			msg := bytes.Repeat([]byte{byte(i)}, 100+i)
-			resp, err := c.Call(bg, 1, msg)
+			resp, err := callOne(c, bg, 1, msg)
 			if err != nil {
 				errs[i] = err
 				return
@@ -143,7 +148,7 @@ func TestLargePayload(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i * 7)
 	}
-	resp, err := c.Call(bg, 3, big)
+	resp, err := callOne(c, bg, 3, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,23 +168,23 @@ func TestNotifyIsProcessedInOrder(t *testing.T) {
 		log = append(log, op)
 		mu.Unlock()
 		return nil, nil
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := Dial(s.Addr())
+	c, err := Dial(context.Background(), s.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	for i := 0; i < 5; i++ {
-		if err := c.Notify(context.Background(), 10, nil); err != nil {
+		if err := c.Notify(context.Background(), 10, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A Call on the same connection flushes behind the notifications.
-	if _, err := c.Call(bg, 20, nil); err != nil {
+	if _, err := callOne(c, bg, 20, nil); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -193,7 +198,7 @@ func TestNotifyIsProcessedInOrder(t *testing.T) {
 func TestCallAfterClose(t *testing.T) {
 	_, c := echoServer(t)
 	c.Close()
-	if _, err := c.Call(bg, 1, nil); err == nil {
+	if _, err := callOne(c, bg, 1, nil); err == nil {
 		t.Fatal("call on closed client succeeded")
 	}
 }
@@ -202,7 +207,7 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	s, c := echoServer(t)
 	s.Close()
 	// Either the write or the read fails, but the call must return.
-	if _, err := c.Call(bg, 1, []byte("x")); err == nil {
+	if _, err := callOne(c, bg, 1, []byte("x")); err == nil {
 		t.Fatal("call against closed server succeeded")
 	}
 }
@@ -210,11 +215,11 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 func TestMultipleClients(t *testing.T) {
 	s, _ := echoServer(t)
 	for i := 0; i < 4; i++ {
-		c, err := Dial(s.Addr())
+		c, err := Dial(context.Background(), s.Addr(), DialOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := c.Call(bg, 1, []byte{byte(i)})
+		resp, err := callOne(c, bg, 1, []byte{byte(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +246,7 @@ func TestServerSurvivesMalformedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The good client still works.
-	resp, err := good.Call(bg, 1, []byte("still alive"))
+	resp, err := callOne(good, bg, 1, []byte("still alive"))
 	if err != nil || string(resp) != "still alive" {
 		t.Fatalf("good client broken: %q %v", resp, err)
 	}
@@ -257,7 +262,7 @@ func TestServerSurvivesMalformedFrames(t *testing.T) {
 	if _, err := raw2.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = good.Call(bg, 1, []byte("again"))
+	resp, err = callOne(good, bg, 1, []byte("again"))
 	if err != nil || string(resp) != "again" {
 		t.Fatalf("good client broken after oversize frame: %q %v", resp, err)
 	}
@@ -283,12 +288,12 @@ func TestClientRejectsOversizedResponse(t *testing.T) {
 		binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
 		conn.Write(hdr[:])
 	}()
-	c, err := Dial(ln.Addr().String())
+	c, err := Dial(context.Background(), ln.Addr().String(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Call(bg, 1, []byte("x")); err == nil {
+	if _, err := callOne(c, bg, 1, []byte("x")); err == nil {
 		t.Fatal("oversized response accepted")
 	}
 }
@@ -299,14 +304,14 @@ func TestClientRejectsOversizedResponse(t *testing.T) {
 func TestOversizedPayloadRejectedAtSend(t *testing.T) {
 	_, c := echoServer(t)
 	big := make([]byte, MaxPayload+1)
-	if _, err := c.Call(bg, 1, big); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := callOne(c, bg, 1, big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("Call: got %v, want ErrFrameTooLarge", err)
 	}
-	if err := c.Notify(context.Background(), 1, big); !errors.Is(err, ErrFrameTooLarge) {
+	if err := c.Notify(context.Background(), 1, [][]byte{big}, 0); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("Notify: got %v, want ErrFrameTooLarge", err)
 	}
 	// The connection must still be usable.
-	resp, err := c.Call(bg, 1, []byte("ok"))
+	resp, err := callOne(c, bg, 1, []byte("ok"))
 	if err != nil || string(resp) != "ok" {
 		t.Fatalf("connection broken after rejected send: %q %v", resp, err)
 	}
@@ -317,23 +322,23 @@ func TestOversizedPayloadRejectedAtSend(t *testing.T) {
 func TestOversizedHandlerResultBecomesError(t *testing.T) {
 	s, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
 		return make([]byte, MaxPayload+1), nil
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := Dial(s.Addr())
+	c, err := Dial(context.Background(), s.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Call(bg, 1, nil)
+	_, err = callOne(c, bg, 1, nil)
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("got %v, want RemoteError", err)
 	}
 	// And the connection survived.
-	if _, err := c.Call(bg, 1, nil); !errors.As(err, &re) {
+	if _, err := callOne(c, bg, 1, nil); !errors.As(err, &re) {
 		t.Fatalf("second call: got %v, want RemoteError", err)
 	}
 }
@@ -345,18 +350,18 @@ func TestCloseFailsOutstandingCalls(t *testing.T) {
 	s, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
 		<-stall // never answer until the test ends
 		return nil, nil
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { close(stall); s.Close() }()
-	c, err := Dial(s.Addr())
+	c, err := Dial(context.Background(), s.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Call(bg, 1, nil)
+		_, err := callOne(c, bg, 1, nil)
 		errc <- err
 	}()
 	// Wait until the call is registered, then close under it.
@@ -379,12 +384,12 @@ func TestCallDeadlineAgainstHungServer(t *testing.T) {
 	s, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
 		<-stall
 		return nil, nil
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { close(stall); s.Close() }()
-	c, err := Dial(s.Addr())
+	c, err := Dial(context.Background(), s.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +397,7 @@ func TestCallDeadlineAgainstHungServer(t *testing.T) {
 	ctx, cancel := context.WithTimeout(bg, 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = c.Call(ctx, 1, nil)
+	_, err = callOne(c, ctx, 1, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want DeadlineExceeded", err)
 	}
@@ -407,12 +412,12 @@ func TestCallCancellation(t *testing.T) {
 	s, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
 		<-stall
 		return nil, nil
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { close(stall); s.Close() }()
-	c, err := Dial(s.Addr())
+	c, err := Dial(context.Background(), s.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +425,7 @@ func TestCallCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(bg)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Call(ctx, 1, nil)
+		_, err := callOne(c, ctx, 1, nil)
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -440,27 +445,27 @@ func TestCallCancellation(t *testing.T) {
 // hand.
 func TestReconnectAfterServerRestart(t *testing.T) {
 	handler := func(_ context.Context, op uint8, payload []byte) ([]byte, error) { return payload, nil }
-	s, err := Serve("127.0.0.1:0", handler)
+	s, err := Serve("127.0.0.1:0", handler, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := s.Addr()
-	c, err := Dial(addr)
+	c, err := Dial(context.Background(), addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Call(bg, 1, []byte("one")); err != nil {
+	if _, err := callOne(c, bg, 1, []byte("one")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 
 	// While the server is down every call fails, but nothing hangs.
-	if _, err := c.Call(bg, 1, []byte("down")); err == nil {
+	if _, err := callOne(c, bg, 1, []byte("down")); err == nil {
 		t.Fatal("call against dead server succeeded")
 	}
 
-	s2, err := Serve(addr, handler)
+	s2, err := Serve(addr, handler, ServerOptions{})
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
@@ -469,7 +474,7 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 	var resp []byte
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err = c.Call(bg, 1, []byte("two"))
+		resp, err = callOne(c, bg, 1, []byte("two"))
 		if err == nil || time.Now().After(deadline) {
 			break
 		}
@@ -477,5 +482,87 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 	}
 	if err != nil || string(resp) != "two" {
 		t.Fatalf("call after restart: %q %v", resp, err)
+	}
+}
+
+// TestCallDeadlineBehindStalledPush: a push to a peer that stopped
+// reading holds the session's write lock mid-frame. A call queued behind
+// it must fail at its own deadline (or cancellation), not at the push's
+// longer one, and the push's timeout must end its write.
+func TestCallDeadlineBehindStalledPush(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	started, done := make(chan struct{}), make(chan struct{})
+	defer close(done)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		conn.(*net.TCPConn).SetReadBuffer(16 << 10)
+		// Read the push's frame header, then stop reading.
+		if _, err := io.ReadFull(conn, make([]byte, 4+headerLen)); err != nil {
+			return
+		}
+		close(started)
+		<-done
+	}()
+	small := func(ctx context.Context, addr string) (net.Conn, error) {
+		conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", addr)
+		if err == nil {
+			conn.(*net.TCPConn).SetWriteBuffer(16 << 10)
+		}
+		return conn, err
+	}
+	c, err := Dial(bg, ln.Addr().String(), DialOptions{Dialer: small})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	pushErr := make(chan error, 1)
+	go func() {
+		push := [][]byte{make([]byte, 1<<20)}
+		pushErr <- c.Notify(bg, 2, push, 2*time.Second)
+	}()
+	<-started // the push holds the write lock and cannot finish its frame
+
+	cctx, cancel := context.WithCancel(bg)
+	callErr, cancelErr := make(chan error, 1), make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := c.Call(bg, 1, [][]byte{[]byte("x")}, nil, start.Add(100*time.Millisecond))
+		callErr <- err
+	}()
+	go func() {
+		_, err := c.Call(cctx, 1, [][]byte{[]byte("y")}, nil, time.Time{})
+		cancelErr <- err
+	}()
+	select {
+	case err := <-callErr:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call behind the stalled push: got %v, want DeadlineExceeded", err)
+		}
+		if took := time.Since(start); took > 500*time.Millisecond {
+			t.Fatalf("call with a 100ms deadline returned after %v behind a stalled push", took)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("call with a 100ms deadline still blocked after 1s behind a stalled push")
+	}
+	cancel()
+	select {
+	case err := <-cancelErr:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled call behind the stalled push: got %v, want Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("cancelled call still blocked after 1s behind a stalled push")
+	}
+	if err := <-pushErr; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("stalled push: got %v, want DeadlineExceeded", err)
 	}
 }
