@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck promtest check bench benchcheck chaoscheck crashcheck fuzz scalecheck obscheck paritycheck growcheck figcheck perfcheck
+.PHONY: build test race vet staticcheck promtest check bench benchcheck chaoscheck crashcheck fuzz scalecheck obscheck paritycheck growcheck figcheck perfcheck runcheck
 
 build:
 	$(GO) build ./...
@@ -160,14 +160,15 @@ figcheck:
 # whole obs package (labeled instruments, time-series sampler, cluster
 # merge, SLO burn tracker, exporter grammar) under the race detector,
 # the two sample-driven SLO feedback tests five times more, the QoS
-# live-gauge tests, the end-to-end SLO feedback chaos drill — a
-# background storm over real TCP whose burn feedback must step the
-# Background QoS rate down until the foreground p99 recovers — and a
+# actuator tests (live gauges, retuning beside waiters), the end-to-end
+# SLO feedback chaos drill — a background storm over real TCP whose
+# burn feedback must step the background QoS rate down until the
+# foreground p99 recovers — and a
 # node with -sample and -slo-p99 that leaves no goroutine after Close.
 obscheck:
 	$(GO) test -race -count=1 ./internal/obs/
 	$(GO) test -race -count=5 -run 'TestSLOBurnFeedback|TestSLOErrorBurn' ./internal/obs/
-	$(GO) test -race -count=1 -run 'TestLiveRateGauges|TestTenantLabeledGauges' ./internal/qos/
+	$(GO) test -race -count=1 -run 'TestLiveRateGauges|TestRetuneRaceUnderWaiters' ./internal/qos/
 	$(GO) test -race -count=1 -run 'TestSLOChaos' -v ./internal/cdd/
 	$(GO) test -race -count=1 -run TestNodeObservabilityAndTeardown ./internal/node/
 
@@ -183,10 +184,11 @@ obscheck:
 # through the real rebalance coordinator over in-process nodes
 # (internal/node: fence at start, completion, Abort -> restart resume,
 # a partition mid-rebalance, no goroutine left after Close or Abort, the
-# untearable layout reply) — all under the race detector, twice. The
+# untearable layout reply, intent snapshots reaching the joined nodes)
+# — all under the race detector, twice. The
 # real-process SIGKILL resume drill runs once (it builds binaries).
 growcheck:
-	$(GO) test -run 'TestEpoch|TestOSM|TestMigration|TestSupervisedGrow|TestRebalance|TestGrowChaos|TestFileEpoch|TestMount|TestLayoutReply' -race -count=2 ./internal/layout/ ./internal/core/ ./internal/repair/ ./internal/cdd/ ./internal/store/ ./internal/mount/ ./internal/node/
+	$(GO) test -run 'TestEpoch|TestOSM|TestMigration|TestSupervisedGrow|TestRebalance|TestGrowChaos|TestGrowIntent|TestFileEpoch|TestMount|TestLayoutReply' -race -count=2 ./internal/layout/ ./internal/core/ ./internal/repair/ ./internal/cdd/ ./internal/store/ ./internal/mount/ ./internal/node/
 	$(GO) test -run 'TestGrowCrash' -race -count=1 ./cmd/raidxnode/
 
 # scalecheck runs the serving-at-scale shard (CI job `scale`): the
@@ -217,3 +219,26 @@ perfcheck:
 		if [ $$attempt -eq 1 ]; then echo "perfcheck: unresolved metrics, running once more"; fi; \
 	done; \
 	echo "perfcheck: WARNING: still unresolved after a rerun; not failing"
+
+# runcheck fails when a test pattern in this Makefile or in the CI
+# workflow names nothing: every |-separated alternative of every -run
+# and -fuzz pattern (but '^$$', which runs nothing on purpose) must be
+# matched by `go test -list` over that line's packages, so a deleted or
+# renamed test cannot drop out of a shard unseen (CI job `lint`).
+runcheck:
+	@set -f; grep -hE '^[[:space:]]*(run: )?(\$$\(GO\)|go) test .*-(run|fuzz) ' Makefile .github/workflows/ci.yml | \
+	sed -e 's/^.* test //' -e "s/'//g" -e 's/\$$\$$/$$/g' | while read -r line; do \
+		set -- $$line; pkgs=; pats=; \
+		while [ $$# -gt 0 ]; do \
+			case $$1 in -run|-fuzz) pats="$$pats $$2"; shift;; ./*) pkgs="$$pkgs $$1";; esac; shift; \
+		done; \
+		for pat in $$pats; do \
+			[ "$$pat" = '^$$' ] && continue; \
+			for alt in $$(echo "$$pat" | tr '|' ' '); do \
+				out=$$($(GO) test -list "$$alt" $$pkgs) || exit 1; \
+				if ! echo "$$out" | grep -qvE '^(ok|\?) '; then \
+					echo "runcheck: '$$alt' (of -run/-fuzz '$$pat') matches no test in$$pkgs"; exit 1; \
+				fi; \
+			done; \
+		done; \
+	done && echo "runcheck: every test pattern matches"

@@ -202,9 +202,9 @@ func scaleClientSweep(counts []int, tenants, bs, totalOps int, region int64) err
 	return nil
 }
 
-// scaleQoS storms the node with foreground readers while a
-// background repair-class stream runs through the admission scheduler,
-// and reports the background share against its cap.
+// scaleQoS storms the node with foreground readers while a background
+// repair stream runs through the QoS pacer, and reports the background
+// share against its cap.
 func scaleQoS(bs int, bgCap int64) error {
 	node, err := scaleNode(bs, 8192)
 	if err != nil {
@@ -212,7 +212,6 @@ func scaleQoS(bs int, bgCap int64) error {
 	}
 	defer node.Close()
 	sched := qos.New(qos.Config{BackgroundBytesPerSec: bgCap, BurstWindow: 20 * time.Millisecond})
-	pace := sched.Pace(qos.Background, "repair")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -254,7 +253,7 @@ func scaleQoS(bs int, bgCap int64) error {
 		buf := make([]byte, 64*bs)
 		var blk int64
 		for ctx.Err() == nil {
-			if pace(ctx, len(buf)) != nil {
+			if sched.Wait(ctx, len(buf)) != nil {
 				return
 			}
 			if c.Dev(0).ReadBlocks(ctx, blk%4096, buf) != nil {

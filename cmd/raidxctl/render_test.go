@@ -40,8 +40,8 @@ func repeat(n int, us ...int) []int {
 
 // nodeSnapshot is node's registry at poll (0 first, 1 second): two
 // disks (the second failed on node 1), two volumes, per-op latencies,
-// a tenant that still holds a share and one whose share expired, an
-// SLO burning on node 1 only and, on node 0, the repair supervisor.
+// a background QoS rate, an SLO burning on node 1 only and, on node 0,
+// the repair supervisor.
 // Counts grow between polls so every rate has a delta; no two op rows
 // or exemplars tie, so each table's order is fixed.
 func nodeSnapshot(node, poll int) obs.Snapshot {
@@ -65,14 +65,10 @@ func nodeSnapshot(node, poll int) obs.Snapshot {
 			obs.LabelName("vol.info", "volume", "arch", "policy", "rs(4,2)"): 1,
 			obs.LabelName("vol.blocks", "volume", "arch"):                    16384,
 			obs.LabelName("vol.capacity_overhead_pct", "volume", "arch"):     50,
-			"qos.fg_rate_bps": 64 << 20,
-			"qos.bg_rate_bps": 3 << 19,
-			obs.LabelName("qos.tenant_bytes", "tenant", "alice"):     (40 + 30*p + 4*n) << 20,
-			obs.LabelName("qos.tenant_share_bps", "tenant", "alice"): 32 << 20,
-			obs.LabelName("qos.tenant_bytes", "tenant", "bob"):       (10 + 6*p) << 20,
-			"slo.read-p99.burning":                                   n * p,
-			"slo.read-p99.fast_burn_milli":                           400 + 2100*n*p,
-			"slo.read-p99.slow_burn_milli":                           250 + 900*n,
+			"qos.bg_rate_bps":              3 << 19,
+			"slo.read-p99.burning":         n * p,
+			"slo.read-p99.fast_burn_milli": 400 + 2100*n*p,
+			"slo.read-p99.slow_burn_milli": 250 + 900*n,
 		},
 		Histograms: map[string]obs.HistogramStats{
 			obs.LabelName("mgr.op_latency", "op", "read"):  hist(repeat(40+30*poll+node, 90, 150, 300, 1200)...),

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -19,8 +18,8 @@ import (
 // runTop is the live cluster dashboard: it polls every node's
 // observability snapshot, merges them (counters by sum, histograms
 // bucket-wise — the power-of-two edges are shared), and renders per-op
-// throughput and tail latency, session cache hit ratio, per-tenant QoS
-// shares with Jain fairness, SLO burn state, repair state, and trace-ID
+// throughput and tail latency, session cache hit ratio, the background
+// QoS rate, SLO burn state, repair state, and trace-ID
 // exemplars that drill into `raidxctl trace -id`. Rates and windowed
 // percentiles are derived from the delta between successive polls.
 func runTop(fs *flag.FlagSet, r *rig) error {
@@ -171,51 +170,12 @@ func renderCache(w io.Writer, cur obs.Snapshot) {
 		hits, misses, 100*float64(hits)/float64(hits+misses))
 }
 
-// renderQoS shows live class rates, per-tenant shares and windowed
-// per-tenant throughput with Jain's fairness index over it.
+// renderQoS shows the live background QoS rate, summed over the nodes
+// that pace one.
 func renderQoS(w io.Writer, p poll) {
-	fg, okFG := p.cur.Gauges["qos.fg_rate_bps"]
-	bg, okBG := p.cur.Gauges["qos.bg_rate_bps"]
-	if !okFG && !okBG {
-		return
+	if bg, ok := p.cur.Gauges["qos.bg_rate_bps"]; ok {
+		fmt.Fprintf(w, "qos (cluster aggregate): bg rate %s\n", fmtBps(bg))
 	}
-	fmt.Fprintf(w, "qos (cluster aggregate): fg rate %s, bg rate %s\n", fmtBps(fg), fmtBps(bg))
-	byTenant := labeled("qos.tenant_", "tenant")
-	cur, prev := fold(nil, p.cur.Gauges, byTenant), fold(nil, p.prev.Gauges, byTenant)
-	if len(cur) == 0 {
-		return
-	}
-	t := newTable(w, "  ", -16, 12, 12)
-	t.row("tenant", "share", "rate")
-	var deltas []float64
-	for _, tn := range obs.SortedKeys(cur) {
-		moved := cur[tn]["qos.tenant_bytes"] - prev[tn]["qos.tenant_bytes"]
-		if !p.first() {
-			deltas = append(deltas, float64(moved))
-		}
-		t.row(tn, fmtBps(cur[tn]["qos.tenant_share_bps"]), fmtBps(int64(p.rate(moved))))
-	}
-	if j, ok := jain(deltas); ok {
-		fmt.Fprintf(w, "  Jain fairness over interval: %.3f (1.0 = perfectly fair across %d tenants)\n", j, len(deltas))
-	}
-}
-
-// jain is Jain's fairness index (Σx)²/(n·Σx²) over active allocations.
-func jain(xs []float64) (float64, bool) {
-	var sum, sq float64
-	n := 0
-	for _, x := range xs {
-		if x <= 0 {
-			continue
-		}
-		sum += x
-		sq += x * x
-		n++
-	}
-	if n == 0 || sq == 0 || math.IsNaN(sq) {
-		return 0, false
-	}
-	return sum * sum / (float64(n) * sq), true
 }
 
 func fmtBps(v int64) string {

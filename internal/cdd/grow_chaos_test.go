@@ -40,7 +40,7 @@ func TestGrowChaosNodeKillMidRebalance(t *testing.T) {
 		// and the kill lands after completion; at this background rate
 		// the second copy window waits ~1s for the first one's bytes, so
 		// the kill is genuinely mid-rebalance.
-		Pace: qos.New(qos.Config{BackgroundBytesPerSec: 32 << 10}).Pace(qos.Background, "repair"),
+		Pace: qos.New(qos.Config{BackgroundBytesPerSec: 32 << 10}).Wait,
 	})
 
 	ctx := context.Background()

@@ -2,10 +2,10 @@ package cdd_test
 
 // SLO feedback chaos drill (DESIGN.md section 14): a background
 // maintenance storm — bulk rebuild-style reads paced by the QoS
-// Background class, exactly how repair.Config.Pace wires the
+// background pacer, exactly how repair.Config.Pace wires the
 // supervisor — saturates the shared node connections and inflates
 // foreground latency past the SLO objective. The burn-rate tracker
-// must notice on both windows, step the Background rate down through
+// must notice on both windows, step the background rate down through
 // the real qos.Scheduler actuator until the foreground p99 returns
 // under the objective WHILE the storm keeps running, and step the rate
 // back to baseline once the storm ends. Zero foreground errors
@@ -100,7 +100,7 @@ func TestSLOChaosStormFeedback(t *testing.T) {
 	}
 
 	// Storm capacity: run the bulk readers unpaced briefly, so the
-	// initial Background rate provably saturates (2x capacity) on any
+	// initial background rate provably saturates (2x capacity) on any
 	// machine, and the floor provably does not (capacity/50).
 	const chunk = 1 << 20
 	stormRead := func(g int, buf []byte) error {
@@ -170,9 +170,8 @@ func TestSLOChaosStormFeedback(t *testing.T) {
 	sampler.Start()
 	defer sampler.Stop()
 
-	// The storm proper: bulk reads admitted through the Background
-	// class, the same pacing hook repair.Config.Pace uses.
-	pace := sched.Pace(qos.Background, "repair")
+	// The storm proper: bulk reads admitted through the background
+	// pacer, the same hook repair.Config.Pace uses.
 	stormStop := make(chan struct{})
 	var stormWG sync.WaitGroup
 	for g := 0; g < 12; g++ {
@@ -187,7 +186,7 @@ func TestSLOChaosStormFeedback(t *testing.T) {
 					return
 				default:
 				}
-				if pace(ctx, chunk) != nil {
+				if sched.Wait(ctx, chunk) != nil {
 					return
 				}
 				if err := stormRead(g, buf); err != nil {
@@ -225,7 +224,7 @@ func TestSLOChaosStormFeedback(t *testing.T) {
 	}
 
 	// Phase 3: storm over — the budget recovers and the feedback
-	// restores the Background rate all the way to baseline.
+	// restores the background rate all the way to baseline.
 	close(stormStop)
 	stormWG.Wait()
 	deadline = time.Now().Add(45 * time.Second)

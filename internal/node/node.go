@@ -88,7 +88,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Repair.Array, "array", "raidx", "array name, the replication key for write-intent snapshots")
 	fs.StringVar(&c.AddrFile, "addr-file", "", "write the actual listen address to this file once serving (for :0 ports)")
 	fs.StringVar(&c.Repair.StateDir, "repair-state", "", "directory for the repair supervisor's local crash-recovery state (default <dir>/repair when -dir is set)")
-	fs.Int64Var(&c.QoS.ForegroundBytesPerSec, "qos-fg-rate", 0, "QoS foreground (client I/O) admission rate in bytes/sec (0: unlimited)")
 	fs.Int64Var(&c.QoS.BackgroundBytesPerSec, "qos-bg-rate", 0, "QoS background (repair/resync/scrub) admission rate in bytes/sec (0: unlimited)")
 	fs.DurationVar(&c.Sampler.Interval, "sample", obs.DefaultSampleInterval, "time-series sampling interval for /stats/series (0: sampler disabled)")
 	fs.IntVar(&c.Sampler.Capacity, "sample-cap", obs.DefaultSampleCapacity, "time-series ring capacity (samples retained)")
@@ -182,11 +181,10 @@ func Start(cfg Config) (_ *Node, err error) {
 	}
 
 	var sched *qos.Scheduler
-	if cfg.QoS.ForegroundBytesPerSec > 0 || cfg.QoS.BackgroundBytesPerSec > 0 {
+	if cfg.QoS.BackgroundBytesPerSec > 0 {
 		cfg.QoS.Obs = mgr.Obs()
 		sched = qos.New(cfg.QoS)
-		log.Printf("raidxnode %s: QoS admission control: foreground %d B/s, background %d B/s (0 = unlimited)",
-			cfg.Name, cfg.QoS.ForegroundBytesPerSec, cfg.QoS.BackgroundBytesPerSec)
+		log.Printf("raidxnode %s: QoS: background I/O paced at %d B/s", cfg.Name, cfg.QoS.BackgroundBytesPerSec)
 	}
 
 	if cfg.Sampler.Interval > 0 {
@@ -387,21 +385,11 @@ func (n *Node) hostRepair(nc Config, cl *mount.Cluster, sched *qos.Scheduler) (*
 	}
 	if sched != nil {
 		// Maintenance traffic yields to foreground serving under the
-		// background admission rate, the one cap on its bandwidth.
-		cfg.Pace = sched.Pace(qos.Background, "repair")
+		// background QoS rate, the one cap on its bandwidth.
+		cfg.Pace = sched.Wait
 	}
 	cfg.Obs = mgr.Obs()
-	cfg.Persist = func(snap []byte) {
-		// Replicate the dirty map to every node, best effort; any one
-		// surviving copy is enough for recovery.
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		for _, c := range cl.Clients {
-			if err := c.PutIntent(ctx, cfg.Array, snap); err != nil {
-				log.Printf("raidxnode: intent replication to %s: %v", c.Addr(), err)
-			}
-		}
-	}
+	cfg.Persist = func(snap []byte) { coord.replicate(cfg.Array, snap) }
 	n.sup = repair.New(coord.arr, sp, cfg.Config)
 	n.stops = append(n.stops, n.sup.Stop) // before coord.stop closes the connections under it
 	coord.sup = n.sup
@@ -551,6 +539,23 @@ func (g *coordinator) fence(ctx context.Context) {
 	for _, c := range g.peers {
 		if _, err := c.EpochSet(ctx, gen); err != nil {
 			log.Printf("raidxnode: epoch %d broadcast to %s: %v", gen, c.Addr(), err)
+		}
+	}
+}
+
+// replicate pushes an intent snapshot to every node of the current
+// membership, best effort: any one surviving copy is enough for
+// recovery. The membership is read under g.mu — a grow installs a new
+// one, joiners included — and the pushes run outside it.
+func (g *coordinator) replicate(array string, snap []byte) {
+	g.mu.Lock()
+	clients := g.cl.Clients
+	g.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, c := range clients {
+		if err := c.PutIntent(ctx, array, snap); err != nil {
+			log.Printf("raidxnode: intent replication to %s: %v", c.Addr(), err)
 		}
 	}
 }

@@ -723,3 +723,51 @@ func TestGrowChaosLiveTrafficPartition(t *testing.T) {
 	c.stop(0, (*Node).Close)
 	requireNoGoroutines(t)
 }
+
+// TestGrowIntentReplication: intent snapshots follow the membership.
+// Once a grow has completed, the next change to the repair host's
+// intent log reaches the nodes that joined, not only the ones the host
+// started with — a joiner's copy is as good as any for recovery.
+func TestGrowIntentReplication(t *testing.T) {
+	const blocks = 64
+	c := newTestCluster(t)
+	for i := 0; i < 6; i++ {
+		c.start("-name", fmt.Sprintf("r%d", i), "-blocks", fmt.Sprint(blocks))
+	}
+	cl, err := mount.Connect(c.addrs(0, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := parseFlags(t, []string{"-blocks", fmt.Sprint(blocks), "-repair-spares", "0", "-repair-poll", "5ms", "-intent-region", "8"})
+	cfg.Repair.ScrubStride = -1
+	coord, err := c.nodes[0].hostRepair(cfg, cl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ctl, err := cdd.Connect(c.nodes[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	if err := ctl.RebalanceCtl(ctx, "grow", 2, c.addrs(4, 6)); err != nil {
+		t.Fatal(err)
+	}
+	waitWithin(t, 30*time.Second, "the grow to complete", func() bool {
+		st := c.nodes[0].Supervisor().RebalanceStatus()
+		return st != nil && st.Done && !st.Running
+	})
+
+	coord.arr.Members().Intent().MarkRange(0, 0, 1)
+	for _, addr := range c.addrs(4, 6) {
+		joined, err := cdd.Connect(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer joined.Close()
+		waitWithin(t, 10*time.Second, "an intent snapshot on joined node "+addr, func() bool {
+			snap, err := joined.GetIntent(ctx, cfg.Repair.Array)
+			return err == nil && len(snap) > 0
+		})
+	}
+}

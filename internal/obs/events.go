@@ -56,8 +56,8 @@ const (
 	EventSLOBurn EventKind = "slo-burn"
 	// EventSLORecover: a burning SLO returned below threshold.
 	EventSLORecover EventKind = "slo-recover"
-	// EventQoSStep: SLO feedback re-tuned a QoS class rate (detail is
-	// "old -> new bps" plus the direction and reason).
+	// EventQoSStep: SLO feedback retuned the background QoS rate
+	// (detail is "old -> new bps" plus the direction and reason).
 	EventQoSStep EventKind = "qos-step"
 	// EventRebalanceStart / EventRebalanceEnd bracket an online
 	// membership change: a layout-epoch migration moving the minimal

@@ -209,7 +209,7 @@ func (g *GaugeVal) Value() int64 {
 
 // GaugeVec is a family of stored-value gauges sharing one base name.
 // Children register themselves as ordinary registry gauges under the
-// canonical labeled name; Delete unregisters one (a departed tenant).
+// canonical labeled name.
 type GaugeVec struct {
 	r    *Registry
 	base string
@@ -245,23 +245,10 @@ func (v *GaugeVec) With(vals ...string) *GaugeVal {
 	return g
 }
 
-// Delete unregisters and forgets the child for the given label values.
-func (v *GaugeVec) Delete(vals ...string) {
-	if v == nil {
-		return
-	}
-	k := vecCacheKey(vals)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if _, ok := v.children[k]; ok {
-		delete(v.children, k)
-		v.r.UnregisterGauge(labeledName(v.base, v.keys, vals))
-	}
-}
-
 // Labels parses the inner label string of a labeled name back into
 // key/value pairs, sorted by key — the consumer side (raidxctl top
-// folding per-tenant gauges into a table). Escapes are undone.
+// folding per-volume and per-device gauges into tables). Escapes are
+// undone.
 func Labels(labels string) [][2]string {
 	if labels == "" {
 		return nil

@@ -340,8 +340,8 @@ func (r *Registry) RegisterGauge(name string, g Gauge) {
 	r.mu.Unlock()
 }
 
-// UnregisterGauge removes the named gauge (labeled gauges of departed
-// tenants). Unknown names are ignored.
+// UnregisterGauge removes the named gauge (an instrument whose part has
+// gone; the sampler ages its series out). Unknown names are ignored.
 func (r *Registry) UnregisterGauge(name string) {
 	if r == nil {
 		return

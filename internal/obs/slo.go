@@ -9,14 +9,14 @@ import (
 // Actuator is the control surface an SLO tracker drives when its
 // objective burns. The QoS scheduler implements it (qos imports obs, so
 // the interface lives here to keep the dependency one-way): stepping the
-// Background class rate down slows repair/rebuild traffic, giving the
+// background rate down slows repair/rebuild traffic, giving the
 // foreground back its latency budget; stepping it back up restores
 // repair bandwidth once the budget recovers.
 type Actuator interface {
-	// BackgroundRate reports the current Background class rate in
+	// BackgroundRate reports the current background rate in
 	// bytes/sec.
 	BackgroundRate() int64
-	// SetBackgroundRate re-tunes the Background class rate.
+	// SetBackgroundRate retunes the background rate.
 	SetBackgroundRate(bps int64)
 }
 

@@ -2,26 +2,13 @@ package qos
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/raid"
 )
-
-// tenantRate reads a tenant bucket's current rate (test helper).
-func tenantRate(s *Scheduler, name string) int64 {
-	s.mu.Lock()
-	ts := s.tenants[name]
-	s.mu.Unlock()
-	if ts == nil {
-		return -1
-	}
-	ts.b.mu.Lock()
-	defer ts.b.mu.Unlock()
-	return ts.b.rate
-}
 
 // TestBackgroundRateCap drives background admissions and checks the
 // achieved rate stays near the configured cap.
@@ -34,7 +21,7 @@ func TestBackgroundRateCap(t *testing.T) {
 	start := time.Now()
 	var total int64
 	for time.Since(start) < 400*time.Millisecond {
-		if err := s.Wait(ctx, Background, "", chunk); err != nil {
+		if err := s.Wait(ctx, chunk); err != nil {
 			t.Fatalf("Wait: %v", err)
 		}
 		total += chunk
@@ -48,21 +35,27 @@ func TestBackgroundRateCap(t *testing.T) {
 	}
 }
 
-// TestUnlimitedClassNeverBlocks checks rate 0 admits instantly.
+// TestUnlimitedClassNeverBlocks checks rate 0 admits instantly and
+// still counts every admitted byte.
 func TestUnlimitedClassNeverBlocks(t *testing.T) {
-	s := New(Config{})
+	r := obs.NewRegistry()
+	s := New(Config{Obs: r})
 	ctx := context.Background()
 	start := time.Now()
 	for i := 0; i < 1000; i++ {
-		if err := s.Wait(ctx, Foreground, "t1", 1<<20); err != nil {
+		if err := s.Wait(ctx, 1<<20); err != nil {
 			t.Fatalf("Wait: %v", err)
 		}
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("unlimited admissions took %v", d)
 	}
-	if got := s.TenantBytes()["t1"]; got != 1000<<20 {
-		t.Fatalf("tenant bytes = %d, want %d", got, int64(1000)<<20)
+	c := r.Snapshot().Counters
+	if got := c["qos.bg_bytes"]; got != 1000<<20 {
+		t.Fatalf("qos.bg_bytes = %d, want %d", got, int64(1000)<<20)
+	}
+	if got := c["qos.bg_waits"]; got != 0 {
+		t.Fatalf("qos.bg_waits = %d with no cap, want 0", got)
 	}
 }
 
@@ -72,175 +65,99 @@ func TestOversizedAdmission(t *testing.T) {
 	s := New(Config{BackgroundBytesPerSec: 1 << 20, BurstWindow: 10 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := s.Wait(ctx, Background, "", 1<<20); err != nil {
+	if err := s.Wait(ctx, 1<<20); err != nil {
 		t.Fatalf("oversized admission: %v", err)
 	}
 }
 
 // TestWaitHonorsContext checks cancellation unblocks a waiter.
 func TestWaitHonorsContext(t *testing.T) {
-	s := New(Config{ForegroundBytesPerSec: 1024, BurstWindow: time.Millisecond})
+	s := New(Config{BackgroundBytesPerSec: 1024, BurstWindow: time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	// An oversized admission lands immediately but leaves the bucket in
 	// deep debt; the next admission must block until the debt is paid —
 	// far longer than the 50 ms deadline.
-	if err := s.Wait(context.Background(), Foreground, "", 1<<20); err != nil {
+	if err := s.Wait(context.Background(), 1<<20); err != nil {
 		t.Fatalf("debt admission: %v", err)
 	}
-	err := s.Wait(ctx, Foreground, "", 1)
-	if err == nil {
+	if err := s.Wait(ctx, 1); err == nil {
 		t.Fatal("expected context error while bucket is in debt")
 	}
 }
 
-// TestTenantFairShares runs greedy tenants concurrently and checks
-// admitted bytes stay near-equal (Jain's index close to 1).
-func TestTenantFairShares(t *testing.T) {
-	s := New(Config{ForegroundBytesPerSec: 4 << 20, BurstWindow: 5 * time.Millisecond, Obs: obs.NewRegistry()})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
-	tenants := []string{"a", "b", "c", "d"}
-	// Register everyone up front so shares are equal from the start.
-	for _, tn := range tenants {
-		if err := s.Wait(ctx, Foreground, tn, 1); err != nil {
-			t.Fatalf("prime %s: %v", tn, err)
-		}
-	}
-	var wg sync.WaitGroup
-	stop := time.Now().Add(300 * time.Millisecond)
-	for _, tn := range tenants {
-		wg.Add(1)
-		go func(tn string) {
-			defer wg.Done()
-			for time.Now().Before(stop) {
-				if s.Wait(ctx, Foreground, tn, 16<<10) != nil {
-					return
-				}
-			}
-		}(tn)
-	}
-	wg.Wait()
-
-	got := s.TenantBytes()
-	var sum, sumSq float64
-	for _, tn := range tenants {
-		v := float64(got[tn])
-		if v == 0 {
-			t.Fatalf("tenant %s admitted nothing: %v", tn, got)
-		}
-		sum += v
-		sumSq += v * v
-	}
-	jain := sum * sum / (float64(len(tenants)) * sumSq)
-	if jain < 0.8 {
-		t.Fatalf("Jain fairness %.3f < 0.8 across %v", jain, got)
-	}
-}
-
-// TestTenantExpiryRestoresShares checks idle tenants are expired —
-// their slice returns to the active tenants instead of shrinking every
-// share forever — while their cumulative byte counts survive and a
-// returning tenant resumes from them.
-func TestTenantExpiryRestoresShares(t *testing.T) {
-	s := New(Config{ForegroundBytesPerSec: 8 << 20, BurstWindow: time.Millisecond, TenantIdle: 50 * time.Millisecond})
-	ctx := context.Background()
-	for _, tn := range []string{"a", "b"} {
-		if err := s.Wait(ctx, Foreground, tn, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := tenantRate(s, "a"); got != 4<<20 {
-		t.Fatalf("share with 2 tenants = %d, want %d", got, 4<<20)
-	}
-
-	// b goes idle past TenantIdle; a's next admission sweeps it out.
-	time.Sleep(120 * time.Millisecond)
-	if err := s.Wait(ctx, Foreground, "a", 1); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	_, bAlive := s.tenants["b"]
-	retired := s.retired["b"]
-	s.mu.Unlock()
-	if bAlive || retired != 1 {
-		t.Fatalf("idle tenant not expired: alive=%v retiredBytes=%d", bAlive, retired)
-	}
-	if got := tenantRate(s, "a"); got != 8<<20 {
-		t.Fatalf("share after expiry = %d, want full rate %d", got, 8<<20)
-	}
-	if got := s.TenantBytes(); got["a"] != 2 || got["b"] != 1 {
-		t.Fatalf("TenantBytes = %v, want a:2 b:1", got)
-	}
-
-	// b returns: its count resumes and the shares split again.
-	if err := s.Wait(ctx, Foreground, "b", 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.TenantBytes()["b"]; got != 2 {
-		t.Fatalf("returning tenant bytes = %d, want 2", got)
-	}
-	if got := tenantRate(s, "b"); got != 4<<20 {
-		t.Fatalf("share after return = %d, want %d", got, 4<<20)
-	}
-}
-
-// TestRetuneRaceUnderWaiters drives concurrent admissions against one
-// tenant while tenant churn retunes shares via setRate — a -race
-// canary for the bucket's rate/burst access discipline.
+// TestRetuneRaceUnderWaiters retunes the rate — the path obs.SLOTracker
+// drives under repair load — while four goroutines wait on the bucket:
+// a -race canary for the bucket's rate/burst access discipline. Every
+// admission completes and is counted, and the last retune is what the
+// actuator and gauges read back.
 func TestRetuneRaceUnderWaiters(t *testing.T) {
-	s := New(Config{ForegroundBytesPerSec: 64 << 20, BurstWindow: time.Millisecond, TenantIdle: 20 * time.Millisecond})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	r := obs.NewRegistry()
+	s := New(Config{BackgroundBytesPerSec: 64 << 20, BurstWindow: time.Millisecond, Obs: r})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	stop := time.Now().Add(200 * time.Millisecond)
+	const waiters, admissions, chunk = 4, 200, 4 << 10
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for time.Now().Before(stop) {
-				if s.Wait(ctx, Foreground, "steady", 4<<10) != nil {
+			for k := 0; k < admissions; k++ {
+				if err := s.Wait(ctx, chunk); err != nil {
+					t.Errorf("Wait: %v", err)
 					return
 				}
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; time.Now().Before(stop); i++ {
-			if s.Wait(ctx, Foreground, fmt.Sprintf("churn-%d", i%8), 1) != nil {
-				return
-			}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	rates := []int64{32 << 20, 0, 128 << 20, 64 << 20}
+retune:
+	for i := 0; ; i++ {
+		select {
+		case <-done:
+			break retune
+		default:
+			s.SetBackgroundRate(rates[i%len(rates)])
 		}
-	}()
-	wg.Wait()
+	}
+	if got := r.Snapshot().Counters["qos.bg_bytes"]; got != waiters*admissions*chunk {
+		t.Fatalf("qos.bg_bytes = %d, want %d", got, waiters*admissions*chunk)
+	}
+	s.SetBackgroundRate(8 << 20)
+	g := r.Snapshot().Gauges
+	if s.BackgroundRate() != 8<<20 || g["qos.bg_rate_bps"] != 8<<20 || g["qos.bg_burst_bytes"] != 8<<20/1000 {
+		t.Fatalf("after retune: rate %d, gauges %d / %d, want %d / %d",
+			s.BackgroundRate(), g["qos.bg_rate_bps"], g["qos.bg_burst_bytes"], 8<<20, 8<<20/1000)
+	}
 }
 
-// TestPaceShape checks the Pace adapter admits through the scheduler.
+// TestPaceShape checks Wait is itself the raid.PaceFunc the repair
+// supervisor is wired with, and admits through the bucket.
 func TestPaceShape(t *testing.T) {
-	s := New(Config{BackgroundBytesPerSec: 8 << 20})
-	pace := s.Pace(Background, "repair")
+	r := obs.NewRegistry()
+	s := New(Config{BackgroundBytesPerSec: 8 << 20, Obs: r})
+	var pace raid.PaceFunc = s.Wait
 	if err := pace(context.Background(), 4096); err != nil {
 		t.Fatalf("pace: %v", err)
 	}
-	if v := s.admittedBG.Value(); v != 0 {
-		// no registry: counter is nil and Value() is 0 — just ensure no panic
-		t.Fatalf("unexpected counter value %d", v)
+	c := r.Snapshot().Counters
+	if c["qos.bg_bytes"] != 4096 || c["qos.bg_waits"] != 1 {
+		t.Fatalf("counters after one paced chunk: bytes %d waits %d, want 4096 / 1", c["qos.bg_bytes"], c["qos.bg_waits"])
 	}
 }
 
-// TestLiveRateGauges pins the PR-8 fix: qos.fg_rate_bps / qos.bg_rate_bps
-// report the scheduler's *live* bucket rates (not the construction-time
-// config), so SLO feedback re-tuning is visible in snapshots.
+// TestLiveRateGauges pins that qos.bg_rate_bps / qos.bg_burst_bytes
+// report the bucket's *live* limits (not the construction-time config),
+// so SLO feedback retuning is visible in snapshots.
 func TestLiveRateGauges(t *testing.T) {
 	r := obs.NewRegistry()
-	s := New(Config{ForegroundBytesPerSec: 32 << 20, BackgroundBytesPerSec: 8 << 20, Obs: r})
+	s := New(Config{BackgroundBytesPerSec: 8 << 20, Obs: r})
 
 	g := r.Snapshot().Gauges
-	if g["qos.fg_rate_bps"] != 32<<20 || g["qos.bg_rate_bps"] != 8<<20 {
-		t.Fatalf("initial gauges fg=%d bg=%d, want configured rates", g["qos.fg_rate_bps"], g["qos.bg_rate_bps"])
+	if g["qos.bg_rate_bps"] != 8<<20 || g["qos.bg_burst_bytes"] != 8<<20/10 {
+		t.Fatalf("initial gauges rate=%d burst=%d, want the configured rate and 100 ms of it", g["qos.bg_rate_bps"], g["qos.bg_burst_bytes"])
 	}
 
 	// The SLO actuator surface: rate changes land in the gauges.
@@ -248,55 +165,8 @@ func TestLiveRateGauges(t *testing.T) {
 	if got := s.BackgroundRate(); got != 2<<20 {
 		t.Fatalf("BackgroundRate = %d, want %d", got, 2<<20)
 	}
-	s.SetForegroundRate(16 << 20)
-	if got := s.ForegroundRate(); got != 16<<20 {
-		t.Fatalf("ForegroundRate = %d, want %d", got, 16<<20)
-	}
 	g = r.Snapshot().Gauges
-	if g["qos.bg_rate_bps"] != 2<<20 {
-		t.Errorf("bg gauge after SetBackgroundRate = %d, want %d", g["qos.bg_rate_bps"], 2<<20)
-	}
-	if g["qos.fg_rate_bps"] != 16<<20 {
-		t.Errorf("fg gauge after SetForegroundRate = %d, want %d", g["qos.fg_rate_bps"], 16<<20)
-	}
-}
-
-// TestTenantLabeledGauges checks the per-tenant labeled exports: each
-// active tenant gets qos.tenant_share_bps{tenant=...} and
-// qos.tenant_bytes{tenant=...}; expiry deletes the share gauge but the
-// cumulative byte gauge survives (it is still the true total).
-func TestTenantLabeledGauges(t *testing.T) {
-	r := obs.NewRegistry()
-	s := New(Config{ForegroundBytesPerSec: 8 << 20, BurstWindow: time.Millisecond, TenantIdle: 50 * time.Millisecond, Obs: r})
-	ctx := context.Background()
-	for _, tn := range []string{"a", "b"} {
-		if err := s.Wait(ctx, Foreground, tn, 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := r.Snapshot().Gauges
-	shareA := obs.LabelName("qos.tenant_share_bps", "tenant", "a")
-	bytesB := obs.LabelName("qos.tenant_bytes", "tenant", "b")
-	if g[shareA] != 4<<20 {
-		t.Fatalf("share{a} = %d, want %d (half of fg)", g[shareA], 4<<20)
-	}
-	if g[bytesB] != 100 {
-		t.Fatalf("bytes{b} = %d, want 100", g[bytesB])
-	}
-
-	// b idles out; a's next admission sweeps it.
-	time.Sleep(120 * time.Millisecond)
-	if err := s.Wait(ctx, Foreground, "a", 1); err != nil {
-		t.Fatal(err)
-	}
-	g = r.Snapshot().Gauges
-	if _, ok := g[obs.LabelName("qos.tenant_share_bps", "tenant", "b")]; ok {
-		t.Error("expired tenant's share gauge not deleted")
-	}
-	if g[shareA] != 8<<20 {
-		t.Errorf("share{a} after expiry = %d, want full rate", g[shareA])
-	}
-	if g[bytesB] != 100 {
-		t.Errorf("bytes{b} after expiry = %d, want cumulative 100 kept", g[bytesB])
+	if g["qos.bg_rate_bps"] != 2<<20 || g["qos.bg_burst_bytes"] != 2<<20/10 {
+		t.Errorf("gauges after SetBackgroundRate rate=%d burst=%d, want %d / %d", g["qos.bg_rate_bps"], g["qos.bg_burst_bytes"], 2<<20, 2<<20/10)
 	}
 }

@@ -122,7 +122,7 @@ func TestRepairCheckpointResumesRebuild(t *testing.T) {
 				FailureBudget: 5 * time.Millisecond,
 				StateDir:      t.TempDir(),
 				// Slow enough to stop mid-rebuild: a chunk every ~80 ms.
-				Pace: qos.New(qos.Config{BackgroundBytesPerSec: 128 * 128 * bs / 10}).Pace(qos.Background, "repair"),
+				Pace: qos.New(qos.Config{BackgroundBytesPerSec: 128 * 128 * bs / 10}).Wait,
 			}
 			h := newHarness(t, e, 800, 2, cfg)
 			sh := raidtest.Fill(t, h.arr)

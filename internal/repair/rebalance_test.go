@@ -185,7 +185,7 @@ func TestRebalanceCrashResume(t *testing.T) {
 		Poll:     2 * time.Millisecond,
 		StateDir: dir,
 		// Slow the copy so the "crash" lands mid-flight.
-		Pace: qos.New(qos.Config{BackgroundBytesPerSec: 256 << 10}).Pace(qos.Background, "repair"),
+		Pace: qos.New(qos.Config{BackgroundBytesPerSec: 256 << 10}).Wait,
 	})
 	sh := raidtest.Fill(t, h.arr)
 	h.sup.Start(context.Background())

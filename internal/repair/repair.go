@@ -94,11 +94,10 @@ type Config struct {
 	// 5s). A budget of 0 escalates on the first poll.
 	FailureBudget time.Duration
 	// Pace, when set, is consulted before every supervised transfer —
-	// the hook that routes repair, resync, scrub and rebalance traffic
-	// through a QoS admission scheduler (e.g.
-	// qos.Scheduler.Pace(qos.Background, "repair")) so maintenance I/O
-	// shares bandwidth with foreground serving instead of racing it.
-	// It is the only bandwidth cap (nil: unpaced).
+	// the hook that paces repair, resync, scrub and rebalance traffic
+	// through the node's QoS background bucket (qos.Scheduler.Wait), so
+	// maintenance I/O runs beneath foreground serving instead of racing
+	// it. It is the only bandwidth cap (nil: unpaced).
 	Pace raid.PaceFunc
 	// ScrubStride samples every stride-th block after a resync
 	// (0 takes the repair loop's default). Negative disables the scrub.

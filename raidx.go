@@ -331,26 +331,16 @@ func OLTPWorkload(workingSetBlocks int64) WorkloadConfig { return workload.OLTP(
 // MiningWorkload returns a data-mining-like mix.
 func MiningWorkload(workingSetBlocks int64) WorkloadConfig { return workload.Mining(workingSetBlocks) }
 
-// QoS admission control: token-bucket scheduling with service classes
-// and per-tenant fair shares (DESIGN.md section 13).
+// QoS: one token bucket pacing background I/O — repair, resync, scrub
+// and rebalance (DESIGN.md section 13).
 type (
-	// QoSClass is a service class (Foreground or Background).
-	QoSClass = qos.Class
-	// QoSConfig sets per-class rates and the burst window.
+	// QoSConfig sets the background rate and the burst window.
 	QoSConfig = qos.Config
-	// QoSScheduler admits I/O against class and tenant token buckets.
+	// QoSScheduler paces background I/O; its Wait is a repair pace hook.
 	QoSScheduler = qos.Scheduler
 )
 
-// QoS service classes.
-const (
-	// Foreground is latency-sensitive client traffic.
-	Foreground = qos.Foreground
-	// Background is bulk maintenance traffic (repair, resync).
-	Background = qos.Background
-)
-
-// NewQoS creates a QoS admission scheduler.
+// NewQoS creates a background QoS pacer.
 func NewQoS(cfg QoSConfig) *QoSScheduler { return qos.New(cfg) }
 
 // Observability plane: time-series sampling, cluster aggregation, and
