@@ -160,15 +160,17 @@ figcheck:
 # whole obs package (labeled instruments, time-series sampler, cluster
 # merge, SLO burn tracker, exporter grammar) under the race detector,
 # the two sample-driven SLO feedback tests five times more, the QoS
-# actuator tests (live gauges, retuning beside waiters), the end-to-end
-# SLO feedback chaos drill — a background storm over real TCP whose
-# burn feedback must step the background QoS rate down until the
-# foreground p99 recovers — and a
+# actuator tests (live gauges, retuning beside waiters) and the closed
+# loop over a plant (TestSLOPlantStepSequence: the exact step sequence
+# down to the floor and back to baseline, no wall clock), the SLO
+# feedback chaos drill — a background storm over real TCP whose burn
+# feedback must step the background QoS rate down while it runs, every
+# sample taken by the test — and a
 # node with -sample and -slo-p99 that leaves no goroutine after Close.
 obscheck:
 	$(GO) test -race -count=1 ./internal/obs/
 	$(GO) test -race -count=5 -run 'TestSLOBurnFeedback|TestSLOErrorBurn' ./internal/obs/
-	$(GO) test -race -count=1 -run 'TestLiveRateGauges|TestRetuneRaceUnderWaiters' ./internal/qos/
+	$(GO) test -race -count=1 -run 'TestLiveRateGauges|TestRetuneRaceUnderWaiters|TestSLOPlantStepSequence' ./internal/qos/
 	$(GO) test -race -count=1 -run 'TestSLOChaos' -v ./internal/cdd/
 	$(GO) test -race -count=1 -run TestNodeObservabilityAndTeardown ./internal/node/
 
@@ -192,13 +194,11 @@ growcheck:
 	$(GO) test -run 'TestGrowCrash' -race -count=1 ./cmd/raidxnode/
 
 # scalecheck runs the serving-at-scale shard (CI job `scale`): the
-# coherence protocol and session tests, the QoS scheduler, the workload
-# runner, and a reduced `raidxbench scale` run over real TCP (client
-# fairness sweep + background QoS cap under a foreground storm).
+# coherence protocol and session tests, the QoS scheduler and the
+# workload generator (Gen, Latencies), under the race detector.
 scalecheck:
 	$(GO) test -run 'TestLockModes|TestLease|TestRevocation|TestBeatReset|TestSession|TestCoherence' -race ./internal/cdd/
 	$(GO) test -race ./internal/qos/ ./internal/workload/
-	$(GO) run ./cmd/raidxbench scale -clients 50,200 -totalops 20000
 
 # perfcheck runs the one yardstick (CI job `perf`, pushes to main only):
 # the five benchmark workloads plus ladder and traced runs, compared

@@ -498,8 +498,7 @@ func runAll(args []string) error {
 // runScaleSim sweeps the simulated cluster size — the paper's closing
 // claim that the design is "highly scalable with distributed control"
 // and its plan for "an enlarged prototype of several hundreds of
-// disks". The `scale` command (scale.go) is its real-TCP counterpart:
-// coherent client sessions at thousands of connections.
+// disks".
 func runScaleSim(args []string) error {
 	fs := flag.NewFlagSet("scale-sim", flag.ExitOnError)
 	nodesFlag := fs.String("sizes", "12,24,48,96", "cluster sizes (nodes, 1 disk each)")

@@ -59,8 +59,6 @@ func main() {
 	cmd, args := global.Arg(0), global.Args()[1:]
 	var err error
 	switch cmd {
-	case "scale":
-		err = runScale(args)
 	case "scale-sim":
 		err = runScaleSim(args)
 	case "all":
@@ -85,8 +83,6 @@ func main() {
 		err = runReliability(args)
 	case "ablate":
 		err = runAblate(args)
-	case "rebalance":
-		err = runRebalance(args)
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -102,11 +98,9 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: raidxbench <all|scale|scale-sim|rebalance|table2|fig5|table3|fig6|fig7|summary|txn|degraded|reliability|ablate> [flags]
+	fmt.Fprintln(os.Stderr, `usage: raidxbench <all|scale-sim|table2|fig5|table3|fig6|fig7|summary|txn|degraded|reliability|ablate> [flags]
 Run 'raidxbench <cmd> -h' for per-command flags.
-Global flag (before the command): -pprof <file>.
-The scale command drives coherent client sessions over real TCP:
-  raidxbench scale -clients 100,500,1000,2000 -tenants 4`)
+Global flag (before the command): -pprof <file>.`)
 }
 
 // clusterFlags registers the shared testbed flags.

@@ -313,9 +313,13 @@ func TestSamplerLive(t *testing.T) {
 	if _, ok := doc.Gauges["slo.fg.bg_rate_bps"]; !ok {
 		t.Error("slo.fg.bg_rate_bps gauge missing from series")
 	}
-	// Half the observations are over the objective: the loop stepped.
-	if rate := act.BackgroundRate(); rate >= 64<<20 {
-		t.Errorf("bg rate %d: the SLO never stepped it down", rate)
+	// Half the observations are over the objective: the loop's first
+	// step halved the rate. Samples that saw no ops read healthy, so by
+	// now it may have doubled back; the final rate proves nothing.
+	act.mu.Lock()
+	defer act.mu.Unlock()
+	if len(act.steps) == 0 || act.steps[0] != 32<<20 {
+		t.Errorf("steps %v: the SLO never halved the rate", act.steps)
 	}
 }
 

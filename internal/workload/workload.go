@@ -2,8 +2,9 @@
 // "secure E-commerce and data mining" class of applications the paper's
 // Section 7 targets. A workload is a stream of block-level transactions
 // with a configurable read/write mix, a Zipf-skewed hot set over the
-// working set, and per-transaction sizes; the runner measures both
-// throughput and the latency distribution each architecture delivers.
+// working set, and per-transaction sizes; the transactions experiment
+// (bench.Transactions) measures the throughput and latency distribution
+// each architecture delivers.
 //
 // Randomness is deterministic (seeded xorshift + a Zipf sampler), so
 // every run is reproducible.

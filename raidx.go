@@ -6,17 +6,29 @@
 //
 // The package re-exports the building blocks:
 //
-//   - Array engines: RAID-x (the paper's contribution) plus the RAID-0,
-//     RAID-5, RAID-10, and chained-declustering baselines, all over the
-//     same Dev block-device interface.
+//   - Array engines: RAID-x (the paper's contribution) and its OSM
+//     address map, plus the RAID-0, RAID-5, RAID-10, and
+//     chained-declustering baselines, all over the same Dev
+//     block-device interface; CopyArray moves a volume from one to
+//     another (the paper's reconfiguration).
+//   - The erasure-coded tier: rs(k,m) stripes, AFRAID, the raw
+//     Reed-Solomon code and XOR kernel, and per-volume-policy pools.
 //   - Devices: in-memory disks with a calibrated timing model, remote
-//     disks served by cooperative disk drivers over TCP, and simulated
-//     cluster device views for deterministic experiments.
-//   - A block file system (with CDD lock-group consistency) and the
-//     Andrew benchmark that drives it.
+//     disks served by cooperative disk drivers over TCP (retry policy,
+//     lock groups, coherent cached sessions, the mount path),
+//     simulated cluster device views for deterministic experiments, and
+//     byte-addressed access to any array.
+//   - A block file system (with CDD lock-group consistency and fsck)
+//     and the Andrew benchmark that drives it.
 //   - Striped/staggered coordinated checkpointing.
 //   - The benchmark harness that regenerates every table and figure of
-//     the paper's evaluation.
+//     the paper's evaluation: its systems and access patterns, the NFS
+//     baseline, the OLTP and mining mixes, and the MTTDL comparison.
+//
+// Options wires a tracer, an intent log and a metrics registry into the
+// RAID-x engine, so those are exported too. The node runtime that
+// internal/node assembles (hot spares and the repair supervisor, the
+// sampler, the SLO loop, the QoS pacer) is not.
 //
 // Quick start (see examples/quickstart):
 //
@@ -28,7 +40,6 @@ package raidx
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/andrew"
@@ -38,7 +49,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/disk"
-	"repro/internal/faultnet"
 	"repro/internal/fsim"
 	"repro/internal/intent"
 	"repro/internal/layout"
@@ -46,10 +56,8 @@ import (
 	"repro/internal/nfssim"
 	"repro/internal/obs"
 	"repro/internal/parity"
-	"repro/internal/qos"
 	"repro/internal/raid"
 	"repro/internal/reliab"
-	"repro/internal/repair"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -207,19 +215,15 @@ func Connect(addr string) (*NodeClient, error) { return cdd.Connect(addr) }
 // rebuilt engine when the cluster rebalances underneath it (Run).
 func Attach(addrs []string) (*mount.Cluster, error) { return mount.Connect(addrs) }
 
-// Fault tolerance: retry policy, custom dialers, fault injection.
+// Fault tolerance: retry policy and custom dialers.
 type (
 	// RetryPolicy tunes per-call deadlines, the retry budget, backoff,
 	// and the suspect-node heartbeat interval.
 	RetryPolicy = cdd.RetryPolicy
 	// ConnectOptions configure a CDD client connection.
 	ConnectOptions = cdd.Options
-	// DialFunc lets callers interpose on connection establishment
-	// (e.g. a FaultNetwork dialer).
+	// DialFunc lets callers interpose on connection establishment.
 	DialFunc = transport.DialFunc
-	// FaultNetwork injects latency, errors, stalls, and partitions
-	// into client connections for fault-tolerance testing.
-	FaultNetwork = faultnet.Network
 )
 
 // ConnectWith dials a CDD node with explicit options; ctx bounds the
@@ -230,9 +234,6 @@ func ConnectWith(ctx context.Context, addr string, opts ConnectOptions) (*NodeCl
 
 // DefaultRetryPolicy returns the production retry/deadline defaults.
 func DefaultRetryPolicy() RetryPolicy { return cdd.DefaultRetryPolicy() }
-
-// NewFaultNetwork creates a reproducible network fault injector.
-func NewFaultNetwork(seed int64) *FaultNetwork { return faultnet.New(seed) }
 
 // NewLockTable creates an empty lock-group table.
 func NewLockTable() *LockTable { return cdd.NewTable() }
@@ -291,17 +292,10 @@ type (
 	Tracer = trace.Tracer
 	// TraceConfig sizes a Tracer (ring, sampling, slow log).
 	TraceConfig = trace.Config
-	// TraceSpan is one timed section of a traced operation.
-	TraceSpan = trace.Span
-	// TraceRecord is one assembled trace (root plus spans).
-	TraceRecord = trace.Trace
 )
 
 // NewTracer creates a Tracer; zero cfg fields take the defaults.
 func NewTracer(cfg TraceConfig) *Tracer { return trace.New(cfg) }
-
-// WriteTraceWaterfall renders one assembled trace as an indented tree.
-func WriteTraceWaterfall(w io.Writer, tr TraceRecord) { trace.WriteWaterfall(w, tr) }
 
 // Byte-granular access and integrity tooling.
 
@@ -319,8 +313,6 @@ type FsckReport = fsim.FsckReport
 type (
 	// WorkloadConfig shapes a synthetic transactional mix.
 	WorkloadConfig = workload.Config
-	// Latencies aggregates per-operation latency percentiles.
-	Latencies = workload.Latencies
 	// ReliabilityRow is one architecture's MTTDL summary.
 	ReliabilityRow = reliab.Row
 )
@@ -331,54 +323,12 @@ func OLTPWorkload(workingSetBlocks int64) WorkloadConfig { return workload.OLTP(
 // MiningWorkload returns a data-mining-like mix.
 func MiningWorkload(workingSetBlocks int64) WorkloadConfig { return workload.Mining(workingSetBlocks) }
 
-// QoS: one token bucket pacing background I/O — repair, resync, scrub
-// and rebalance (DESIGN.md section 13).
-type (
-	// QoSConfig sets the background rate and the burst window.
-	QoSConfig = qos.Config
-	// QoSScheduler paces background I/O; its Wait is a repair pace hook.
-	QoSScheduler = qos.Scheduler
-)
-
-// NewQoS creates a background QoS pacer.
-func NewQoS(cfg QoSConfig) *QoSScheduler { return qos.New(cfg) }
-
-// Observability plane: time-series sampling, cluster aggregation, and
-// SLO burn-rate feedback into QoS (DESIGN.md section 14).
-type (
-	// MetricsRegistry holds a process's counters, gauges, histograms,
-	// and labeled instrument families.
-	MetricsRegistry = obs.Registry
-	// MetricsSnapshot is a point-in-time JSON-serializable registry dump.
-	MetricsSnapshot = obs.Snapshot
-	// Sampler snapshots a registry into fixed time-series rings.
-	Sampler = obs.Sampler
-	// SamplerConfig sets the sampling interval, ring capacity, and
-	// rate windows.
-	SamplerConfig = obs.SamplerConfig
-	// SLOTracker evaluates a sampler's two-window burn rates against a
-	// latency and error-budget objective and steps a QoS actuator.
-	SLOTracker = obs.SLOTracker
-	// SLOConfig names the instruments, objective, and actuator of an SLO.
-	SLOConfig = obs.SLOConfig
-	// SLOActuator is the feedback surface an SLO tracker drives; the
-	// QoS scheduler's background class implements it.
-	SLOActuator = obs.Actuator
-)
+// MetricsRegistry holds a process's counters, gauges, histograms, and
+// labeled instrument families (Options.Obs wires one into the engine).
+type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry creates an empty instrument registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewSampler attaches a background time-series sampler to a registry.
-func NewSampler(r *MetricsRegistry, cfg SamplerConfig) *Sampler { return obs.NewSampler(r, cfg) }
-
-// NewSLOTracker attaches a burn-rate tracker to a sampler: it evaluates
-// after every sample, over the sampler's first and last windows.
-func NewSLOTracker(s *Sampler, cfg SLOConfig) *SLOTracker { return obs.NewSLOTracker(s, cfg) }
-
-// MergeSnapshots aggregates per-node registry snapshots into one
-// cluster view: counters and gauges sum, histograms merge bucket-wise.
-func MergeSnapshots(snaps ...MetricsSnapshot) MetricsSnapshot { return obs.MergeSnapshots(snaps...) }
 
 // CompareReliability builds the MTTDL table for an n-by-k cluster.
 func CompareReliability(nodes, disksPerNode int, diskBlocks int64, mttf, mttr time.Duration, trials int) []ReliabilityRow {
@@ -433,66 +383,16 @@ func XorParity(dst, src []byte) { parity.XorInto(dst, src) }
 // "unsafe64+avx2".
 func ParityKernelName() string { return parity.KernelName() }
 
-// Sparer manages hot-spare disks with automatic failover + rebuild.
-type Sparer = raid.Sparer
-
-// NewSparer creates a hot-spare pool for any redundant array (RAID-x,
-// RAID-5, rs(k,m), RAID-10, chained declustering).
-func NewSparer(arr raid.DevSwapper, spares []Dev) *Sparer { return raid.NewSparer(arr, spares) }
-
-// Self-healing: write-intent logging, delta resync, and the automatic
-// repair supervisor (DESIGN.md section 11).
-type (
-	// IntentLog is the per-device, region-granular dirty bitmap the
-	// engine marks when a mirror write misses a device (Options.Intent
-	// wires one into the engine).
-	IntentLog = intent.Log
-	// IntentRegion is one contiguous dirty range of physical blocks.
-	IntentRegion = intent.Region
-	// RepairSupervisor drives array members through the repair state
-	// machine: hot-spare failover, rate-limited resumable rebuilds,
-	// and delta resyncs from the intent log.
-	RepairSupervisor = repair.Supervisor
-	// RepairConfig tunes the supervisor.
-	RepairConfig = repair.Config
-	// RepairState is one node of the per-device repair state machine.
-	RepairState = repair.State
-	// RepairStatus is the supervisor's queryable status snapshot.
-	RepairStatus = repair.Status
-	// RepairDevStatus is the supervisor's view of one member.
-	RepairDevStatus = repair.DevStatus
-	// RebuildProgress checkpoints an interrupted rebuild for resume.
-	RebuildProgress = raid.RebuildProgress
-	// ResyncStats reports what a delta resync moved.
-	ResyncStats = raid.ResyncStats
-	// ScrubStats reports what a scrub or verify checked and repaired.
-	ScrubStats = raid.ScrubStats
-)
-
-// Repair state machine nodes (see DESIGN.md section 11).
-const (
-	RepairHealthy    = repair.StateHealthy
-	RepairSuspect    = repair.StateSuspect
-	RepairDegraded   = repair.StateDegraded
-	RepairRebuilding = repair.StateRebuilding
-	RepairResyncing  = repair.StateResyncing
-)
-
-// DefaultIntentRegionBlocks is the default dirty-region granularity.
-const DefaultIntentRegionBlocks = intent.DefaultRegionBlocks
+// IntentLog is the per-device, region-granular dirty bitmap the engine
+// marks when a mirror write misses a device (Options.Intent wires one
+// into the engine).
+type IntentLog = intent.Log
 
 // NewIntentLog creates a dirty-region log covering devices members of
-// deviceBlocks physical blocks each; regionBlocks <= 0 takes
-// DefaultIntentRegionBlocks.
+// deviceBlocks physical blocks each; regionBlocks <= 0 takes the
+// default region size.
 func NewIntentLog(devices int, deviceBlocks, regionBlocks int64) *IntentLog {
 	return intent.NewLog(devices, deviceBlocks, regionBlocks)
-}
-
-// NewRepairSupervisor builds (but does not start) a repair supervisor
-// over any redundant array. sp may be nil: failed members then wait for
-// manual repair while readmitted ones still get automatic delta resyncs.
-func NewRepairSupervisor(arr repair.Array, sp *Sparer, cfg RepairConfig) *RepairSupervisor {
-	return repair.New(arr, sp, cfg)
 }
 
 // CopyArray migrates the contents of src onto dst (array

@@ -6,6 +6,10 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/faultnet"
+	"repro/internal/raid"
+	"repro/internal/repair"
 )
 
 // TestPublicAPILifecycle exercises the façade end to end: build, write,
@@ -183,9 +187,9 @@ func TestPublicAPIOSMLayout(t *testing.T) {
 	}
 }
 
-// TestPublicAPIFaultTolerance exercises the exported retry/fault
-// surface: ConnectWith through a FaultNetwork dialer, call deadlines,
-// and recovery after healing.
+// TestPublicAPIFaultTolerance exercises the exported retry surface:
+// ConnectWith through a fault-injecting dialer (internal/faultnet), call
+// deadlines, and recovery after healing.
 func TestPublicAPIFaultTolerance(t *testing.T) {
 	disks := []*Disk{NewMemDisk("d0", 512, 64)}
 	node, err := ListenAndServe("127.0.0.1:0", disks)
@@ -193,7 +197,7 @@ func TestPublicAPIFaultTolerance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	fnet := NewFaultNetwork(1)
+	fnet := faultnet.New(1)
 	pol := DefaultRetryPolicy()
 	pol.CallTimeout = 100 * time.Millisecond
 	pol.BaseBackoff = time.Millisecond
@@ -234,8 +238,9 @@ func TestPublicAPIFaultTolerance(t *testing.T) {
 }
 
 // TestPublicAPIRepairAnyPolicy: the hot-spare pool and the repair
-// supervisor take any redundant engine through the façade — here an
-// rs(2,2) stripe with its intent log attached — and a failover heals it.
+// supervisor (internal/raid, internal/repair) take any redundant engine
+// the façade builds — here an rs(2,2) stripe with its intent log
+// attached — and a failover heals it.
 func TestPublicAPIRepairAnyPolicy(t *testing.T) {
 	ctx := context.Background()
 	devs := NewMemDevs(4, 64, 512)
@@ -245,8 +250,8 @@ func TestPublicAPIRepairAnyPolicy(t *testing.T) {
 	}
 	reg := NewMetricsRegistry()
 	arr.Members().Attach(NewIntentLog(len(devs), 64, 0), reg, nil)
-	sp := NewSparer(arr, NewMemDevs(1, 64, 512))
-	sup := NewRepairSupervisor(arr, sp, RepairConfig{Obs: reg})
+	sp := raid.NewSparer(arr, NewMemDevs(1, 64, 512))
+	sup := repair.New(arr, sp, repair.Config{Obs: reg})
 	if st := sup.Status(); len(st.Devices) != 4 || st.Spares != 1 {
 		t.Fatalf("supervisor status %+v", st)
 	}
