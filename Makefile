@@ -35,7 +35,9 @@ promtest:
 # beside a stamped writer, zero mismatches) five; the fifth gives the
 # session block cache (admission, eviction, invalidation) five; the sixth
 # gives fsim's multi-client tests (one lock group per operation, one
-# lock per inode-table block) five.
+# lock per inode-table block) five; the seventh gives the memory store
+# (its mapping copied only under a shard lock, no torn block beside a
+# writer, unmapped once unreachable, remapped by Blank) five.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/par/
@@ -43,6 +45,7 @@ race:
 	$(GO) test -race -count=5 -run TestWindow ./internal/raid/
 	$(GO) test -race -count=5 -run 'TestBlockCache' ./internal/cdd/
 	$(GO) test -race -count=5 -run 'TestConcurrentClientsUnderVClock|TestLockerSerializesConflicts|TestTwoMountsShareState|TestShadowModelSequential' ./internal/fsim/
+	$(GO) test -race -count=5 -run 'TestMem' ./internal/store/
 
 # Full verification: static analysis, the exporter grammar tests, and
 # the whole suite (including the transport/cdd fault-injection tests)
@@ -127,11 +130,14 @@ bench:
 # stay at a handful, so a return to per-block I/O fails here), fsim's
 # calls per operation on a cached mount (TestCallsFSOps: each operation
 # is one transaction), its one Lock per operation (TestCallsLockOps) and
-# its allocations per overwrite and per Create + Remove (TestAllocsFS). A hot-path
+# its allocations per overwrite and per Create + Remove (TestAllocsFS), and the
+# memory store's first write to an untouched block, overwrite and read,
+# which allocate nothing (TestAllocsMem: a block is a range of one
+# mapping, not a heap slice). A hot-path
 # allocation regression fails here before it shows up in the benchmarks.
 # Must run without -race — the race runtime allocates on its own account.
 benchcheck:
-	$(GO) test -run 'TestAllocs|TestFloor|TestCalls' -count=1 -v ./internal/par/ ./internal/transport/ ./internal/cdd/ ./internal/core/ ./internal/raid/ ./internal/parity/ ./internal/fsim/
+	$(GO) test -run 'TestAllocs|TestFloor|TestCalls' -count=1 -v ./internal/par/ ./internal/transport/ ./internal/cdd/ ./internal/core/ ./internal/raid/ ./internal/parity/ ./internal/fsim/ ./internal/store/
 
 # paritycheck runs the parity-kernel shard (CI job `parity`): the full
 # kernel/RS suite under the race detector, the portable purego build of

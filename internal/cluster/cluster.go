@@ -16,6 +16,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/netmodel"
 	"repro/internal/raid"
+	"repro/internal/store"
 	"repro/internal/vclock"
 )
 
@@ -97,7 +98,7 @@ func New(p Params) *Cluster {
 	for j := 0; j < total; j++ {
 		node := j % p.Nodes
 		d := disk.New(s, fmt.Sprintf("n%dd%d", node, j/p.Nodes),
-			newStore(p.BlockSize, p.DiskBlocks), p.Disk)
+			store.NewMem(p.BlockSize, p.DiskBlocks), p.Disk)
 		c.Disks = append(c.Disks, d)
 		c.Nodes[node].Disks = append(c.Nodes[node].Disks, d)
 	}

@@ -161,22 +161,14 @@ func (d *Disk) Readmit() {
 
 // Replace presents a fresh zeroed store of the same geometry and clears
 // the failure, modelling a hot-swapped replacement disk awaiting rebuild.
-//
-// A store that can erase itself (store.Blanker — file-backed images,
-// Mem) is blanked in place, so the old contents are destroyed on the
-// backing medium too; swapping in a fresh in-memory store over a
-// file-backed one would only forget the data until the next restart,
-// and the "blank" disk's old blocks would resurrect. Only a store that
-// cannot blank itself is swapped for a fresh Mem.
+// The store is blanked in place, so the old contents are destroyed on
+// the backing medium too: a file-backed disk's old blocks must not
+// resurrect on restart.
 func (d *Disk) Replace() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if b, ok := d.st.(store.Blanker); ok {
-		if err := b.Blank(); err != nil {
-			return fmt.Errorf("disk %s: blank: %w", d.id, err)
-		}
-	} else {
-		d.st = store.NewMem(d.st.BlockSize(), d.st.NumBlocks())
+	if err := d.st.Blank(); err != nil {
+		return fmt.Errorf("disk %s: blank: %w", d.id, err)
 	}
 	d.failed = false
 	d.failCountdown = 0

@@ -256,7 +256,7 @@ func (s *File) WriteBlock(b int64, data []byte) error {
 // barrier for everything written before it.
 func (s *File) Sync() error { return s.f.Sync() }
 
-// Blank implements Blanker: the data region is zeroed (truncate down
+// Blank implements BlockStore: the data region is zeroed (truncate down
 // and back up, so the file goes sparse again), the device takes a new
 // identity, and the result is synced. Used when the image stands in for
 // a hot-swapped blank replacement disk: the old contents must not

@@ -7,7 +7,11 @@ package store
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"syscall"
 )
 
 // BlockStore is fixed-block-size random-access storage.
@@ -21,15 +25,9 @@ type BlockStore interface {
 	ReadBlock(b int64, buf []byte) error
 	// WriteBlock stores data (exactly BlockSize bytes) as block b.
 	WriteBlock(b int64, data []byte) error
-}
-
-// Blanker is implemented by stores that can erase themselves in place.
-// disk.Replace blanks through it so that "install a fresh zeroed disk"
-// actually destroys the old contents on the backing medium — replacing
-// a file-backed store with a fresh in-memory one would only forget the
-// data until the next restart.
-type Blanker interface {
-	// Blank zeroes the store's contents durably.
+	// Blank zeroes the store's contents durably, in place: disk.Replace
+	// blanks through it so that "install a fresh zeroed disk" destroys
+	// the old contents on the backing medium too.
 	Blank() error
 }
 
@@ -53,21 +51,32 @@ func (e *SizeError) Error() string {
 	return fmt.Sprintf("store: buffer is %d bytes, want %d", e.Got, e.Want)
 }
 
-// Mem is an in-memory BlockStore. Blocks are allocated lazily on first
-// write; unwritten blocks read as zeros. Mem is safe for concurrent use.
+// Mem is an in-memory BlockStore. Its blocks live in one anonymous
+// mapping outside the Go heap: the kernel faults a page in, zeroed, on
+// its first touch, so unwritten blocks read as zeros and cost no memory,
+// and the garbage collector neither scans the store nor counts it toward
+// its next goal. No slice of the mapping leaves Mem; reads and writes
+// copy. Mem is safe for concurrent use.
 type Mem struct {
-	// mu[b%memShards] guards block b, contents included: WriteBlock
-	// overwrites a block's slice in place, so a reader holds the lock
-	// across its copy or it could return a torn block. Sharding keeps
-	// that longer hold from serializing operations on different blocks.
+	// mu[b%memShards] guards block b, contents included, and is held
+	// across every copy into or out of the mapping: a reader must not
+	// see a torn block, and the lock, a field of m, keeps m reachable
+	// (and so its finalizer from unmapping) until the copy is done.
+	// Sharding keeps that hold from serializing operations on
+	// different blocks. Blank holds every shard while it swaps mem.
 	mu        [memShards]sync.RWMutex
 	blockSize int
-	blocks    []([]byte)
+	n         int64
+	mem       []byte // n*blockSize bytes, mapped; nil when that is 0
 }
 
 const memShards = 64
 
+// mappedBytes is how much memory every live Mem has mapped.
+var mappedBytes atomic.Int64
+
 // NewMem creates an in-memory store with n blocks of blockSize bytes.
+// Like an allocation, it panics if the memory cannot be mapped.
 func NewMem(blockSize int, n int64) *Mem {
 	if blockSize <= 0 {
 		panic("store: block size must be positive")
@@ -75,30 +84,65 @@ func NewMem(blockSize int, n int64) *Mem {
 	if n < 0 {
 		panic("store: negative block count")
 	}
-	return &Mem{blockSize: blockSize, blocks: make([][]byte, n)}
+	if n > 0 && int64(blockSize) > math.MaxInt/n {
+		panic("store: store size overflows int")
+	}
+	size := int(n) * blockSize
+	mem, err := mapMem(size)
+	if err != nil {
+		panic(fmt.Sprintf("store: map %d bytes: %v", size, err))
+	}
+	m := &Mem{blockSize: blockSize, n: n, mem: mem}
+	runtime.SetFinalizer(m, func(m *Mem) { unmapMem(m.mem) })
+	return m
+}
+
+// mapMem maps size bytes of zeroed, private, anonymous memory.
+func mapMem(size int) ([]byte, error) {
+	if size == 0 {
+		return nil, nil
+	}
+	mem, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		return nil, err
+	}
+	mappedBytes.Add(int64(size))
+	return mem, nil
+}
+
+func unmapMem(mem []byte) {
+	if mem == nil {
+		return
+	}
+	if err := syscall.Munmap(mem); err != nil {
+		panic(fmt.Sprintf("store: unmap: %v", err)) // only a bad slice can fail
+	}
+	mappedBytes.Add(-int64(len(mem)))
 }
 
 // BlockSize implements BlockStore.
 func (m *Mem) BlockSize() int { return m.blockSize }
 
 // NumBlocks implements BlockStore.
-func (m *Mem) NumBlocks() int64 { return int64(len(m.blocks)) }
+func (m *Mem) NumBlocks() int64 { return m.n }
+
+// block is block b's bytes in the mapping; the caller holds b's shard.
+func (m *Mem) block(b int64) []byte {
+	off := int(b) * m.blockSize
+	return m.mem[off : off+m.blockSize]
+}
 
 // ReadBlock implements BlockStore.
 func (m *Mem) ReadBlock(b int64, buf []byte) error {
 	if len(buf) != m.blockSize {
 		return &SizeError{Got: len(buf), Want: m.blockSize}
 	}
-	if b < 0 || b >= int64(len(m.blocks)) {
-		return &RangeError{Block: b, Max: int64(len(m.blocks))}
+	if b < 0 || b >= m.n {
+		return &RangeError{Block: b, Max: m.n}
 	}
 	mu := &m.mu[b%memShards]
 	mu.RLock()
-	if src := m.blocks[b]; src != nil {
-		copy(buf, src)
-	} else {
-		clear(buf)
-	}
+	copy(buf, m.block(b))
 	mu.RUnlock()
 	return nil
 }
@@ -108,42 +152,29 @@ func (m *Mem) WriteBlock(b int64, data []byte) error {
 	if len(data) != m.blockSize {
 		return &SizeError{Got: len(data), Want: m.blockSize}
 	}
-	if b < 0 || b >= int64(len(m.blocks)) {
-		return &RangeError{Block: b, Max: int64(len(m.blocks))}
+	if b < 0 || b >= m.n {
+		return &RangeError{Block: b, Max: m.n}
 	}
 	mu := &m.mu[b%memShards]
 	mu.Lock()
-	dst := m.blocks[b]
-	if dst == nil {
-		dst = make([]byte, m.blockSize)
-		m.blocks[b] = dst
-	}
-	copy(dst, data)
+	copy(m.block(b), data)
 	mu.Unlock()
 	return nil
 }
 
-// Blank implements Blanker: every block reverts to reading as zeros.
+// Blank implements BlockStore: every block reverts to reading as zeros.
+// A fresh mapping replaces the old one, whose pages go back to the
+// system instead of being rewritten.
 func (m *Mem) Blank() error {
 	for i := range m.mu {
 		m.mu[i].Lock()
 		defer m.mu[i].Unlock()
 	}
-	clear(m.blocks)
-	return nil
-}
-
-// AllocatedBlocks reports how many blocks have been written at least
-// once (useful in tests and capacity accounting).
-func (m *Mem) AllocatedBlocks() int64 {
-	var n int64
-	for i := range m.blocks {
-		mu := &m.mu[i%memShards]
-		mu.RLock()
-		if m.blocks[i] != nil {
-			n++
-		}
-		mu.RUnlock()
+	mem, err := mapMem(len(m.mem))
+	if err != nil {
+		return fmt.Errorf("store: blank: %w", err)
 	}
-	return n
+	unmapMem(m.mem)
+	m.mem = mem
+	return nil
 }

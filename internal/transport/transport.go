@@ -1096,7 +1096,10 @@ func (c *Client) dropConn(conn net.Conn, cause error) {
 
 // Close tears down the connection. Outstanding calls fail with
 // ErrClosed immediately rather than waiting for the read loop to trip
-// over the dead socket.
+// over the dead socket — all but a call whose bulk response the read
+// loop has claimed: bytes may be landing in the caller's buffers, so,
+// as when such a call is abandoned, it is left to the read loop, which
+// finishes it once the closed socket ends the read.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -1107,6 +1110,9 @@ func (c *Client) Close() error {
 	conn := c.conn
 	c.conn = nil
 	for id, p := range c.pending {
+		if p.dstLen > 0 && !p.dstState.CompareAndSwap(0, 2) {
+			continue
+		}
 		delete(c.pending, id)
 		close(p.ch)
 	}

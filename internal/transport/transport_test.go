@@ -566,3 +566,65 @@ func TestCallDeadlineBehindStalledPush(t *testing.T) {
 		t.Fatalf("stalled push: got %v, want DeadlineExceeded", err)
 	}
 }
+
+// gatedConn blocks its second Read until release is closed, reporting
+// on reading when that Read starts.
+type gatedConn struct {
+	net.Conn
+	reads   int
+	reading chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedConn) Read(b []byte) (int, error) {
+	if g.reads++; g.reads == 2 {
+		close(g.reading)
+		<-g.release
+	}
+	return g.Conn.Read(b)
+}
+
+// TestCloseWaitsForClaimedDst: a Close while the read loop is scattering
+// a bulk response into the caller's buffers must not let Call return
+// until that read has ended — the buffers may be pooled and reused at
+// once.
+func TestCloseWaitsForClaimedDst(t *testing.T) {
+	cli, srv := net.Pipe()
+	defer srv.Close()
+	gc := &gatedConn{Conn: cli, reading: make(chan struct{}), release: make(chan struct{})}
+	c, err := Dial(bg, "pipe", DialOptions{Dialer: func(context.Context, string) (net.Conn, error) { return gc, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 8192)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Call(bg, 1, nil, [][]byte{dst}, time.Time{})
+		errc <- err
+	}()
+	id, _, _, _, _, err := readFrame(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The response header and the first half of the payload.
+	frame := make([]byte, 4+headerLen+len(dst)/2)
+	binary.BigEndian.PutUint32(frame[0:4], uint32(headerLen+len(dst)))
+	binary.BigEndian.PutUint64(frame[4:12], id)
+	frame[12] = frameOK
+	frame[13] = 1
+	if _, err := srv.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	<-gc.reading // the read loop has claimed dst and wants the rest
+	c.Close()
+	select {
+	case err := <-errc:
+		close(gc.release)
+		t.Fatalf("Call returned (%v) while the read loop still held its destination", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gc.release)
+	if err := <-errc; !errors.Is(err, ErrClosed) {
+		t.Fatalf("got %v, want ErrClosed", err)
+	}
+}
