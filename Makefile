@@ -163,16 +163,16 @@ figcheck:
 	$(GO) test -run TestDegradedSweepReadsPrefill -count=1 ./internal/bench/
 
 # obscheck runs the observability-plane shard (CI job `obs`): the
-# whole obs package (labeled instruments, time-series sampler, cluster
-# merge, SLO burn tracker, exporter grammar) under the race detector,
-# the two sample-driven SLO feedback tests five times more, the QoS
+# whole obs package (labeled instruments, cluster merge, SLO burn
+# tracker and its live sampling loop, exporter grammar) under the race
+# detector, the two sample-driven SLO feedback tests five times more, the QoS
 # actuator tests (live gauges, retuning beside waiters) and the closed
 # loop over a plant (TestSLOPlantStepSequence: the exact step sequence
 # down to the floor and back to baseline, no wall clock), the SLO
 # feedback chaos drill — a background storm over real TCP whose burn
 # feedback must step the background QoS rate down while it runs, every
-# sample taken by the test — and a
-# node with -sample and -slo-p99 that leaves no goroutine after Close.
+# sample taken by the test — and a node that samples nothing without
+# -slo-p99 and, with it, leaves no goroutine after Close.
 obscheck:
 	$(GO) test -race -count=1 ./internal/obs/
 	$(GO) test -race -count=5 -run 'TestSLOBurnFeedback|TestSLOErrorBurn' ./internal/obs/

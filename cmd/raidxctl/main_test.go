@@ -91,7 +91,7 @@ func startNode(t *testing.T, args ...string) *node.Node {
 	var cfg node.Config
 	fs := flag.NewFlagSet("raidxnode", flag.ContinueOnError)
 	cfg.RegisterFlags(fs)
-	if err := fs.Parse(append([]string{"-bs", "512", "-blocks", "256", "-sample", "0"}, args...)); err != nil {
+	if err := fs.Parse(append([]string{"-bs", "512", "-blocks", "256"}, args...)); err != nil {
 		t.Fatal(err)
 	}
 	n, err := node.Start(cfg)

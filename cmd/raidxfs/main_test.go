@@ -27,7 +27,7 @@ func startNode(t *testing.T, addr, dir string) *node.Node {
 	var cfg node.Config
 	fs := flag.NewFlagSet("raidxnode", flag.ContinueOnError)
 	cfg.RegisterFlags(fs)
-	if err := fs.Parse([]string{"-addr", addr, "-dir", dir, "-bs", "1024", "-blocks", "2048", "-sample", "0"}); err != nil {
+	if err := fs.Parse([]string{"-addr", addr, "-dir", dir, "-bs", "1024", "-blocks", "2048"}); err != nil {
 		t.Fatal(err)
 	}
 	nd, err := node.Start(cfg)

@@ -186,6 +186,18 @@ func TestSessionCachedReads(t *testing.T) {
 		t.Fatalf("cache hits = %d, want >= 40", hits)
 	}
 
+	// A write under the shared grant passes through; the cached copy of
+	// its block must not be served after it.
+	if err := dev.WriteBlocks(ctx, 1, bytes.Repeat([]byte{0x22}, bs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.ReadBlocks(ctx, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf[bs]; got != 0x22 {
+		t.Fatalf("read %#x after writing 0x22", got)
+	}
+
 	// Uncovered blocks must not be cached.
 	far := make([]byte, bs)
 	if err := dev.ReadBlocks(ctx, 200, far); err != nil {
@@ -469,6 +481,19 @@ func TestWriteBackRecoversAfterRenewal(t *testing.T) {
 	if err := dev.FlushWriteBack(ctx); !errors.Is(err, cdd.ErrStaleLease) {
 		t.Fatalf("mid-window flush: err = %v, want ErrStaleLease", err)
 	}
+	// A write in the window passes through: the held copy of its block
+	// must neither shadow it now nor replay over it after renewal.
+	data = bytes.Repeat([]byte{0x22}, bs)
+	if err := dev.WriteBlocks(ctx, 2, data); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, bs)
+	if err := dev.ReadBlocks(ctx, 2, got); err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 0x22 {
+		t.Fatalf("read %#x after writing 0x22", got[0])
+	}
 
 	// The next beat (1.4 s, inside the server's 2 s lease) renews, and
 	// the loop's aged-flush pass commits the held batch.
@@ -479,12 +504,11 @@ func TestWriteBackRecoversAfterRenewal(t *testing.T) {
 	if dev.DirtyBlocks() != 0 {
 		t.Fatal("held batch never flushed after lease renewal")
 	}
-	got := make([]byte, bs)
 	if err := c.Dev(0).ReadBlocks(ctx, 2, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("renewed flush lost the dirty block")
+		t.Fatalf("block holds %#x after the acknowledged write of 0x22", got[0])
 	}
 	_ = node
 }

@@ -50,7 +50,7 @@ func TestSLOChaosStormFeedback(t *testing.T) {
 	}
 
 	// foreground runs n small random reads on each of two readers, each
-	// timed into the SLO's instruments, and returns the batch's p99.
+	// timed into the SLO's instruments, and returns the batch's p50.
 	seed := int64(90)
 	foreground := func(n int) time.Duration {
 		mark := fgLat.Snapshot()
@@ -76,10 +76,10 @@ func TestSLOChaosStormFeedback(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		return fgLat.Snapshot().Sub(mark).Percentile(0.99)
+		return fgLat.Snapshot().Sub(mark).Percentile(50)
 	}
 
-	// Calibrate: uncontended foreground p99 sets the SLO objective.
+	// Calibrate: 3x the uncontended foreground p50 is the SLO objective.
 	objective := max(3*foreground(100), time.Millisecond)
 
 	// Storm capacity: time a fixed amount of unpaced bulk reads, so the
@@ -115,13 +115,10 @@ func TestSLOChaosStormFeedback(t *testing.T) {
 		Obs:                   reg,
 	})
 	// Never started: the fast and slow windows span 2 and 4 samples.
-	sampler := obs.NewSampler(reg, obs.SamplerConfig{
-		Interval: 50 * time.Millisecond,
-		Capacity: 64,
-		Windows:  []time.Duration{100 * time.Millisecond, 200 * time.Millisecond},
-	})
-	tr := obs.NewSLOTracker(sampler, obs.SLOConfig{
+	tr := obs.NewSLOTracker(reg, obs.SLOConfig{
 		Name:              "fg",
+		Interval:          50 * time.Millisecond,
+		Windows:           []time.Duration{100 * time.Millisecond, 200 * time.Millisecond},
 		LatencyHist:       "fg.latency",
 		LatencyObjective:  objective,
 		ErrorCounter:      "fg.errors",
@@ -132,7 +129,7 @@ func TestSLOChaosStormFeedback(t *testing.T) {
 		MinBackgroundRate: floorBG,
 		RecoverEvals:      2,
 	})
-	sampler.SampleNow() // the reference the storm's windows burn against
+	tr.SampleNow() // the reference the storm's windows burn against
 
 	// The storm proper: bulk reads admitted through the background
 	// pacer, the same hook repair.Config.Pace uses.
@@ -158,7 +155,7 @@ func TestSLOChaosStormFeedback(t *testing.T) {
 				i, sched.BackgroundRate(), initialBG, objective, tr.Status())
 		}
 		foreground(25)
-		sampler.SampleNow()
+		tr.SampleNow()
 	}
 	stopStorm()
 	stormWG.Wait()

@@ -33,8 +33,8 @@ var ErrStaleLease = errors.New("cdd: lease stale; write-back held")
 // an extent of one multi-extent write — bounded by bytes
 // (SessionConfig.WriteBackBytes, flushed inline), age (WriteBackAge,
 // flushed by the heartbeat loop), and lock handoff (Session.Release
-// flushes before the grant drops). Uncovered writes pass straight
-// through.
+// flushes before the grant drops). Uncovered writes, and writes outside
+// the lease safety window, pass straight through (writeThrough).
 type CachedDev struct {
 	s    *Session
 	d    *RemoteDev
@@ -148,6 +148,20 @@ func (c *CachedDev) getDirty(blk int64, dst []byte) bool {
 // WriteBlocks writes data at block b: absorbed into write-back when an
 // exclusive grant covers the span, written through otherwise.
 func (c *CachedDev) WriteBlocks(ctx context.Context, b int64, data []byte) error {
+	return c.write(ctx, OpWrite, b, data)
+}
+
+// WriteBlocksBackground makes the same choice: write-back *is* the
+// background batching layer, and uncovered writes keep the remote
+// fire-and-forget path.
+func (c *CachedDev) WriteBlocksBackground(ctx context.Context, b int64, data []byte) error {
+	return c.write(ctx, OpWriteBG, b, data)
+}
+
+// write is the one buffer-or-pass decision of both write paths: the
+// span is buffered only inside the lease safety window and under a
+// covering exclusive grant; otherwise op sends it straight through.
+func (c *CachedDev) write(ctx context.Context, op uint8, b int64, data []byte) error {
 	if len(data)%c.bs != 0 {
 		return fmt.Errorf("cdd: write buffer %d not a multiple of block size %d", len(data), c.bs)
 	}
@@ -156,7 +170,7 @@ func (c *CachedDev) WriteBlocks(ctx context.Context, b int64, data []byte) error
 		return nil
 	}
 	if !c.s.leaseFresh() || !c.s.holdsBlocks(c.disk, b, n, true) {
-		return c.d.WriteBlocks(ctx, b, data)
+		return c.writeThrough(ctx, op, b, data)
 	}
 
 	c.mu.Lock()
@@ -184,17 +198,33 @@ func (c *CachedDev) WriteBlocks(ctx context.Context, b int64, data []byte) error
 	return err
 }
 
-// WriteBlocksBackground routes through WriteBlocks: write-back *is*
-// the background batching layer, and uncovered writes keep the remote
-// fire-and-forget path.
-func (c *CachedDev) WriteBlocksBackground(ctx context.Context, b int64, data []byte) error {
-	if len(data)%c.bs == 0 && len(data) > 0 {
-		n := int64(len(data) / c.bs)
-		if c.s.leaseFresh() && c.s.holdsBlocks(c.disk, b, n, true) {
-			return c.WriteBlocks(ctx, b, data)
+// writeThrough sends a write straight to the remote device. No older
+// local copy of its blocks may outlive it: cached blocks are dropped,
+// and buffered ones take the new data once the write succeeded. c.mu is
+// held across a write that has buffered blocks, so a flush cannot replay
+// the old buffer over it; a failed write leaves the buffer as it was.
+func (c *CachedDev) writeThrough(ctx context.Context, op uint8, b int64, data []byte) error {
+	n := int64(len(data) / c.bs)
+	defer c.s.cache.InvalidateBlocks(c.disk, b, n)
+	c.mu.Lock()
+	buffered := false
+	for i := int64(0); i < n && len(c.dirty) > 0 && !buffered; i++ {
+		_, buffered = c.dirty[b+i]
+	}
+	if buffered {
+		defer c.mu.Unlock()
+	} else {
+		c.mu.Unlock()
+	}
+	if err := c.d.blockIO(ctx, op, []Extent{c.d.run(b, data)}, [][]byte{data}); err != nil || !buffered {
+		return err
+	}
+	for i := int64(0); i < n; i++ {
+		if buf, ok := c.dirty[b+i]; ok {
+			copy(buf, data[i*int64(c.bs):(i+1)*int64(c.bs)])
 		}
 	}
-	return c.d.WriteBlocksBackground(ctx, b, data)
+	return nil
 }
 
 // Flush group-commits the write-back buffer, then flushes the remote

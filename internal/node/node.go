@@ -1,7 +1,7 @@
 // Package node is the RAID-x node runtime: what one raidxnode process is.
 // Start assembles it from a Config — the exported disks, the CDD server,
 // the layout-generation fence seeded from the superblocks, tracing, QoS,
-// sampler, SLO tracker, the HTTP surfaces and, on the node given
+// the SLO tracker, the HTTP surfaces and, on the node given
 // Repair.Cluster, the repair supervisor with its rebalance coordinator.
 // cmd/raidxnode is flags and signals around Start and Close; in-process
 // drills Abort a Node where a process drill would SIGKILL.
@@ -54,9 +54,8 @@ type Config struct {
 	TraceSlow   time.Duration
 	TraceSample int
 
-	QoS     qos.Config
-	Sampler obs.SamplerConfig
-	SLO     obs.SLOConfig
+	QoS qos.Config
+	SLO obs.SLOConfig
 
 	// Repair makes this node the repair host when Cluster is set.
 	Repair struct {
@@ -89,8 +88,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.AddrFile, "addr-file", "", "write the actual listen address to this file once serving (for :0 ports)")
 	fs.StringVar(&c.Repair.StateDir, "repair-state", "", "directory for the repair supervisor's local crash-recovery state (default <dir>/repair when -dir is set)")
 	fs.Int64Var(&c.QoS.BackgroundBytesPerSec, "qos-bg-rate", 0, "QoS background (repair/resync/scrub) admission rate in bytes/sec (0: unlimited)")
-	fs.DurationVar(&c.Sampler.Interval, "sample", obs.DefaultSampleInterval, "time-series sampling interval for /stats/series (0: sampler disabled)")
-	fs.IntVar(&c.Sampler.Capacity, "sample-cap", obs.DefaultSampleCapacity, "time-series ring capacity (samples retained)")
 	fs.DurationVar(&c.SLO.LatencyObjective, "slo-p99", 0, "foreground latency objective: ops slower than this burn the SLO budget (0: SLO tracker disabled)")
 	fs.Float64Var(&c.SLO.ErrorBudget, "slo-err-budget", obs.DefaultSLOErrorBudget, "SLO error budget: allowed fraction of bad (slow or failed) foreground ops")
 	fs.Int64Var(&c.SLO.MinBackgroundRate, "slo-min-bg", 0, "floor for SLO feedback stepping the background QoS rate down (0: baseline/16)")
@@ -99,11 +96,10 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 
 // Node is one running storage node.
 type Node struct {
-	srv     *cdd.Node
-	images  []*store.File      // the persistent disk images; none for memory disks
-	sampler *obs.Sampler       // nil when disabled
-	sup     *repair.Supervisor // nil unless this node is the repair host
-	stops   []func()           // one per part Start started, run in reverse by shutdown
+	srv    *cdd.Node
+	images []*store.File      // the persistent disk images; none for memory disks
+	sup    *repair.Supervisor // nil unless this node is the repair host
+	stops  []func()           // one per part Start started, run in reverse by shutdown
 }
 
 // Addr reports the bound CDD listen address.
@@ -187,23 +183,15 @@ func Start(cfg Config) (_ *Node, err error) {
 		log.Printf("raidxnode %s: QoS: background I/O paced at %d B/s", cfg.Name, cfg.QoS.BackgroundBytesPerSec)
 	}
 
-	if cfg.Sampler.Interval > 0 {
-		n.sampler = obs.NewSampler(mgr.Obs(), cfg.Sampler)
-		n.sampler.Start()
-		n.stops = append(n.stops, n.sampler.Stop)
-	}
-
 	if slo := cfg.SLO; slo.LatencyObjective > 0 {
-		// The SLO burns over the sampler's rings, after each sample.
-		if n.sampler == nil {
-			return nil, errors.New("-slo-p99 needs the sampler: -sample must be > 0")
-		}
 		slo.Name, slo.LatencyHist, slo.ErrorCounter, slo.OpsCounter = "fg", "mgr.fg_latency", "mgr.fg_errors", "mgr.fg_ops"
 		mode := "observe-only: no -qos-bg-rate"
 		if cfg.QoS.BackgroundBytesPerSec > 0 {
 			slo.Actuator, mode = sched, "feedback onto background QoS rate"
 		}
-		obs.NewSLOTracker(n.sampler, slo)
+		tr := obs.NewSLOTracker(mgr.Obs(), slo)
+		tr.Start()
+		n.stops = append(n.stops, tr.Stop)
 		log.Printf("raidxnode %s: SLO tracker: fg p99 objective %v, budget %.2g (%s)",
 			cfg.Name, slo.LatencyObjective, slo.ErrorBudget, mode)
 	}
@@ -240,8 +228,8 @@ func Start(cfg Config) (_ *Node, err error) {
 }
 
 // Handler serves the node's observability surfaces: /stats, /metrics,
-// /trace, /debug/pprof and — where the part behind them runs (else plain
-// 404) — /stats/series and /repair.
+// /trace, /debug/pprof and — on the repair host (else plain 404) —
+// /repair.
 func (n *Node) Handler() http.Handler {
 	mgr := n.srv.Manager
 	mux := http.NewServeMux()
@@ -255,9 +243,6 @@ func (n *Node) Handler() http.Handler {
 	}
 	serve("/stats", "application/json", mgr.Obs().WriteJSON)
 	serve("/metrics", "text/plain; version=0.0.4", mgr.Obs().WriteProm)
-	if n.sampler != nil {
-		serve("/stats/series", "application/json", n.sampler.WriteJSON)
-	}
 	if n.sup != nil {
 		serve("/repair", "application/json", func(w io.Writer) error { return json.NewEncoder(w).Encode(n.sup.Status()) })
 	}
@@ -280,7 +265,7 @@ func (n *Node) Handler() http.Handler {
 // Close is the orderly teardown. The parts stop in the reverse of the
 // order Start brought them up — HTTP, the supervisor (its checkpoint
 // survives for the next start), the coordinator's connections, the
-// sampler (and with it the SLO) — then the server drains and closes, and
+// SLO tracker — then the server drains and closes, and
 // only THEN are the images synced and marked clean: the clean flag must
 // never get ahead of the last client write. Every goroutine Start
 // created has exited.

@@ -75,7 +75,7 @@ func parseFlags(t *testing.T, args []string) Config {
 	var cfg Config
 	fs := flag.NewFlagSet("raidxnode", flag.ContinueOnError)
 	cfg.RegisterFlags(fs)
-	if err := fs.Parse(append([]string{"-addr", "127.0.0.1:0", "-bs", fmt.Sprint(testBS), "-sample", "0"}, args...)); err != nil {
+	if err := fs.Parse(append([]string{"-addr", "127.0.0.1:0", "-bs", fmt.Sprint(testBS)}, args...)); err != nil {
 		t.Fatal(err)
 	}
 	return cfg
@@ -174,7 +174,7 @@ var startedHere = regexp.MustCompile(`repro/internal/(node|repair|obs)\.`)
 // requireNoGoroutines fails if a goroutine with a frame (or a "created
 // by" line) from this package, internal/repair or internal/obs is still
 // running — the HTTP loop, the supervisor's loop and runner, a completion
-// wait, the sampler. The
+// wait, the SLO tracker's sampling loop. The
 // test's own goroutines are told apart by testing.tRunner. Stop methods
 // wait for their goroutines' last statement, not for the scheduler to
 // retire them, so the predicate is polled within a bound.
@@ -216,15 +216,18 @@ func layoutOf(t *testing.T, addr string) cdd.LayoutInfo {
 	return li
 }
 
-// TestNodeObservabilityAndTeardown: the HTTP surfaces answer on a plain
-// node, the one whose part is off is a 404, and Close leaves no goroutine
-// behind — the HTTP server and the sampler that evaluates the SLO
-// included. An SLO without a sampler is refused at start.
+// TestNodeObservabilityAndTeardown: a node without -slo-p99 runs no
+// sampling goroutine; the HTTP surfaces answer on a plain node, the one
+// whose part is off is a 404, /stats/series is gone; and Close leaves no
+// goroutine behind — the HTTP server and the SLO tracker's sampling loop
+// included.
 func TestNodeObservabilityAndTeardown(t *testing.T) {
 	c := newTestCluster(t)
-	i := c.start("-http", "127.0.0.1:0", "-blocks", "64", "-sample", "50ms", "-slo-p99", "50ms")
+	c.start("-blocks", "64")
+	requireNoGoroutines(t)
+	i := c.start("-http", "127.0.0.1:0", "-blocks", "64", "-slo-p99", "50ms")
 	for path, want := range map[string]int{
-		"/stats": 200, "/metrics": 200, "/stats/series": 200, "/trace?n=2": 200,
+		"/stats": 200, "/metrics": 200, "/stats/series": 404, "/trace?n=2": 200,
 		"/debug/pprof/cmdline": 200, "/repair": 404,
 	} {
 		rec := httptest.NewRecorder()
@@ -234,10 +237,6 @@ func TestNodeObservabilityAndTeardown(t *testing.T) {
 		}
 	}
 	c.stop(i, (*Node).Close)
-	if n, err := Start(parseFlags(t, []string{"-blocks", "64", "-slo-p99", "50ms"})); err == nil {
-		n.Close()
-		t.Error("-slo-p99 with -sample 0: started, want refused")
-	}
 	requireNoGoroutines(t)
 }
 

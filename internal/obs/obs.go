@@ -163,7 +163,7 @@ type HistogramSnapshot struct {
 // Sub reports the histogram delta s - prev: the observations that
 // landed between the two snapshots. Counters are monotonic, so the
 // difference is itself a valid snapshot — this is how windowed
-// percentiles are derived from the time-series rings. The exemplar of
+// percentiles are derived from the SLO tracker's ring. The exemplar of
 // the newer snapshot is kept.
 func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
 	out := s
@@ -337,17 +337,6 @@ func (r *Registry) RegisterGauge(name string, g Gauge) {
 	}
 	r.mu.Lock()
 	r.gauges[name] = g
-	r.mu.Unlock()
-}
-
-// UnregisterGauge removes the named gauge (an instrument whose part has
-// gone; the sampler ages its series out). Unknown names are ignored.
-func (r *Registry) UnregisterGauge(name string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	delete(r.gauges, name)
 	r.mu.Unlock()
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -177,89 +176,18 @@ func TestLabelsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSamplerSeries drives the sampler synchronously and checks the
-// windowed views: cumulative values, positive windowed rates, gauge
-// min/max, and per-window histogram deltas.
-func TestSamplerSeries(t *testing.T) {
+// TestSLOTrackerLive runs the tracker's background sampling, with a
+// fake actuator, against a concurrent workload — counters, labeled vecs,
+// and histograms hammered from several goroutines while registry
+// snapshots (which read the tracker's slo.* gauges) and tracker status
+// are read and samples are also taken by hand — primarily as the -race
+// and lock-order subject (make obscheck).
+func TestSLOTrackerLive(t *testing.T) {
 	r := NewRegistry()
-	s := NewSampler(r, SamplerConfig{Interval: 10 * time.Millisecond, Capacity: 16, Windows: []time.Duration{50 * time.Millisecond}})
-	c := r.Counter("mgr.fg_ops")
-	h := r.Histogram("mgr.fg_latency")
-	g := int64(1)
-	r.RegisterGauge("sess.cache_bytes", func() int64 { return g })
-
-	for i := 0; i < 6; i++ {
-		c.Add(100)
-		h.Observe(time.Duration(i+1) * time.Millisecond)
-		g = int64(i)
-		s.SampleNow()
-		time.Sleep(12 * time.Millisecond)
-	}
-
-	doc := s.Series()
-	if doc.Samples < 2 || doc.Samples > 16 {
-		t.Fatalf("Samples = %d, want 2..16", doc.Samples)
-	}
-	cs, ok := doc.Counters["mgr.fg_ops"]
-	if !ok {
-		t.Fatal("counter missing from series")
-	}
-	if cs.Value != 600 {
-		t.Errorf("cumulative counter = %d, want 600", cs.Value)
-	}
-	if len(cs.Rates) != 1 || cs.Rates[0] <= 0 {
-		t.Errorf("windowed rates = %v, want one positive 50ms rate", cs.Rates)
-	}
-	gs, ok := doc.Gauges["sess.cache_bytes"]
-	if !ok {
-		t.Fatal("gauge missing from series")
-	}
-	if gs.Min > gs.Max || gs.Max != 5 {
-		t.Errorf("gauge min/max = %d/%d, want max 5", gs.Min, gs.Max)
-	}
-	hs, ok := doc.Histograms["mgr.fg_latency"]
-	if !ok {
-		t.Fatal("histogram missing from series")
-	}
-	if hs.Cum.Count != 6 {
-		t.Errorf("cumulative hist count = %d, want 6", hs.Cum.Count)
-	}
-	// A 50ms window at a 10ms interval spans five samples, however long
-	// the intervals really took.
-	if len(hs.Windowed) != 1 || hs.Windowed[0].Count != 5 {
-		t.Errorf("windowed hist = %+v, want one window of 5 observations", hs.Windowed)
-	}
-
-	// Instruments that disappear (unregistered gauges) age out of the
-	// series rather than reporting stale values forever.
-	r.UnregisterGauge("sess.cache_bytes")
-	s.SampleNow()
-	if _, ok := s.Series().Gauges["sess.cache_bytes"]; ok {
-		t.Error("unregistered gauge still present in series")
-	}
-
-	var sb strings.Builder
-	if err := s.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "mgr.fg_ops") {
-		t.Error("WriteJSON output missing counter")
-	}
-}
-
-// TestSamplerLive runs the background sampler, with an SLO and a fake
-// actuator attached, against a concurrent workload — counters, labeled
-// vecs, and histograms hammered from several goroutines while Series()
-// and registry snapshots are read and samples are also taken by hand —
-// primarily as the -race and lock-order subject (make obscheck): a
-// tracker that called into the sampler under its own lock would deadlock
-// against the sampler reading its slo.* gauges.
-func TestSamplerLive(t *testing.T) {
-	r := NewRegistry()
-	s := NewSampler(r, SamplerConfig{Interval: time.Millisecond, Capacity: 64,
-		Windows: []time.Duration{2 * time.Millisecond, 8 * time.Millisecond}})
 	act := &fakeActuator{rate: 64 << 20}
-	tr := NewSLOTracker(s, SLOConfig{Name: "fg", LatencyHist: "mgr.fg_latency", LatencyObjective: 50 * time.Microsecond,
+	s := NewSLOTracker(r, SLOConfig{Name: "fg", Interval: time.Millisecond,
+		Windows:     []time.Duration{2 * time.Millisecond, 8 * time.Millisecond},
+		LatencyHist: "mgr.fg_latency", LatencyObjective: 50 * time.Microsecond,
 		OpsCounter: "mgr.fg_ops", Actuator: act, RecoverEvals: 1})
 	s.Start()
 	defer s.Stop()
@@ -293,9 +221,8 @@ func TestSamplerLive(t *testing.T) {
 		case <-deadline:
 			done = true
 		default:
-			_ = s.Series()
 			_ = r.Snapshot()
-			_ = tr.Status()
+			_ = s.Status()
 			s.SampleNow()
 		}
 	}
@@ -303,15 +230,8 @@ func TestSamplerLive(t *testing.T) {
 	wg.Wait()
 	s.Stop()
 
-	doc := s.Series()
-	if doc.Samples == 0 {
-		t.Fatal("sampler took no samples")
-	}
-	if cs, ok := doc.Counters["mgr.fg_ops"]; !ok || cs.Value == 0 {
-		t.Errorf("live counter missing or zero: %+v", doc.Counters["mgr.fg_ops"])
-	}
-	if _, ok := doc.Gauges["slo.fg.bg_rate_bps"]; !ok {
-		t.Error("slo.fg.bg_rate_bps gauge missing from series")
+	if r.Counter("mgr.fg_ops").Value() == 0 {
+		t.Fatal("workload counted no ops")
 	}
 	// Half the observations are over the objective: the loop's first
 	// step halved the rate. Samples that saw no ops read healthy, so by
@@ -353,12 +273,12 @@ func TestSLOBurnFeedback(t *testing.T) {
 	h := r.Histogram("mgr.fg_latency")
 	r.Counter("mgr.fg_errors")
 	ops := r.Counter("mgr.fg_ops")
-	// Windows of 5 and 20 samples: the burn horizons and the step spacing.
-	s := NewSampler(r, SamplerConfig{Interval: time.Millisecond, Capacity: 64,
-		Windows: []time.Duration{5 * time.Millisecond, 20 * time.Millisecond}})
 	act := &fakeActuator{rate: 64 << 20}
-	tr := NewSLOTracker(s, SLOConfig{
+	// Windows of 5 and 20 samples: the burn horizons and the step spacing.
+	tr := NewSLOTracker(r, SLOConfig{
 		Name:              "fg",
+		Interval:          time.Millisecond,
+		Windows:           []time.Duration{5 * time.Millisecond, 20 * time.Millisecond},
 		LatencyHist:       "mgr.fg_latency",
 		LatencyObjective:  time.Millisecond,
 		ErrorCounter:      "mgr.fg_errors",
@@ -378,7 +298,7 @@ func TestSLOBurnFeedback(t *testing.T) {
 			h.Observe(lat)
 			ops.Inc()
 		}
-		s.SampleNow()
+		tr.SampleNow()
 		return tr.Status()
 	}
 
@@ -455,20 +375,20 @@ func TestSLOErrorBurn(t *testing.T) {
 	r := NewRegistry()
 	errs := r.Counter("mgr.fg_errors")
 	ops := r.Counter("mgr.fg_ops")
-	s := NewSampler(r, SamplerConfig{Interval: time.Millisecond, Capacity: 16,
-		Windows: []time.Duration{5 * time.Millisecond, 10 * time.Millisecond}})
-	tr := NewSLOTracker(s, SLOConfig{
+	tr := NewSLOTracker(r, SLOConfig{
 		Name:          "fg",
+		Interval:      time.Millisecond,
+		Windows:       []time.Duration{5 * time.Millisecond, 10 * time.Millisecond},
 		ErrorCounter:  "mgr.fg_errors",
 		OpsCounter:    "mgr.fg_ops",
 		ErrorBudget:   0.01,
 		BurnThreshold: 2,
 	})
 	ops.Add(100)
-	s.SampleNow()
+	tr.SampleNow()
 	ops.Add(100)
 	errs.Add(10) // 10% errors against a 1% budget: burn 10x
-	s.SampleNow()
+	tr.SampleNow()
 	st := tr.Status()
 	if !st.Burning {
 		t.Fatalf("error burn not detected: %+v", st)
@@ -489,12 +409,12 @@ func TestSLOErrorBurn(t *testing.T) {
 		t.Errorf("fast_burn_milli = %d, want >= 2000", snap.Gauges["slo.fg.fast_burn_milli"])
 	}
 
-	// A nil tracker is inert, and a nil sampler yields one.
+	// A nil tracker is inert, and a nil registry yields one.
 	var nilT *SLOTracker
 	if st := nilT.Status(); st.Burning {
 		t.Error("nil tracker burning")
 	}
 	if NewSLOTracker(nil, SLOConfig{}) != nil {
-		t.Error("tracker over a nil sampler")
+		t.Error("tracker over a nil registry")
 	}
 }

@@ -20,18 +20,31 @@ type Actuator interface {
 	SetBackgroundRate(bps int64)
 }
 
-// SLO tracker defaults.
+// SLO tracker defaults: one sample per second, burning over a 10s
+// (fast) and a 1m (slow) window.
 const (
+	DefaultSLOInterval      = time.Second
 	DefaultSLOBurnThreshold = 2.0
 	DefaultSLOErrorBudget   = 0.01
 	DefaultSLORecoverEvals  = 3
 )
 
+// DefaultSLOWindows are the fast and slow burn windows when the config
+// leaves Windows nil.
+var DefaultSLOWindows = []time.Duration{10 * time.Second, time.Minute}
+
 // SLOConfig describes one service-level objective and the feedback it
-// drives. Its inputs are named instruments of the sampler's registry.
+// drives. Its inputs are named instruments of the tracker's registry.
 type SLOConfig struct {
 	// Name tags the slo.* gauges and events ("fg-latency").
 	Name string
+
+	// Interval between background samples (Start).
+	Interval time.Duration
+	// Windows are the burn lookbacks: the first is the fast window, the
+	// last the slow one. A window spans window/Interval samples; the
+	// ring keeps just enough samples for the slow window.
+	Windows []time.Duration
 
 	// LatencyHist + LatencyObjective: observations of the named
 	// histogram above the objective count against the budget.
@@ -51,10 +64,9 @@ type SLOConfig struct {
 	// fast as allowed.
 	ErrorBudget float64
 
-	// BurnThreshold trips the SLO when the burn over BOTH of the
-	// sampler's windows reaches it: the first (fast) window makes
-	// feedback prompt, the last (slow) one keeps one latency spike from
-	// thrashing the actuator.
+	// BurnThreshold trips the SLO when the burn over BOTH windows
+	// reaches it: the fast window makes feedback prompt, the slow one
+	// keeps one latency spike from thrashing the actuator.
 	BurnThreshold float64
 
 	// Actuator, when set, closes the loop. Down-steps halve the
@@ -70,6 +82,12 @@ type SLOConfig struct {
 func (c SLOConfig) withDefaults() SLOConfig {
 	if c.Name == "" {
 		c.Name = "slo"
+	}
+	if c.Interval <= 0 {
+		c.Interval = DefaultSLOInterval
+	}
+	if len(c.Windows) == 0 {
+		c.Windows = DefaultSLOWindows
 	}
 	if c.ErrorBudget <= 0 {
 		c.ErrorBudget = DefaultSLOErrorBudget
@@ -96,16 +114,23 @@ type SLOStatus struct {
 	Baseline int64 `json:"baseline_bps,omitempty"`
 }
 
-// SLOTracker evaluates one SLO with multi-window burn rates over a
-// sampler's rings, after every sample the sampler takes, and optionally
-// actuates the QoS plane. A nil tracker is inert.
+// SLOTracker evaluates one SLO with multi-window burn rates and
+// optionally actuates the QoS plane. It samples its own three inputs —
+// the latency histogram and the ops and error counters — into a ring
+// sized for the slow window, and evaluates after every sample. A nil
+// tracker is inert.
 type SLOTracker struct {
 	cfg        SLOConfig
-	s          *Sampler
-	fast, slow time.Duration // the sampler's first and last windows
+	reg        *Registry
+	lat        *Histogram // nil without LatencyHist
+	ops, errs  *Counter   // nil without OpsCounter / ErrorCounter
+	fast, slow time.Duration
 
 	mu         sync.Mutex
-	seq        uint64 // the sample last evaluated
+	ring       []sloSample
+	head       int    // next slot to write
+	n          int    // slots filled, capped at len(ring)
+	seq        uint64 // samples taken
 	burning    bool
 	fastBurn   float64
 	slowBurn   float64
@@ -113,46 +138,106 @@ type SLOTracker struct {
 	baseline   int64
 	lastDown   uint64 // sample of the last down-step; 0: none yet
 	lastUp     uint64
+
+	stop chan struct{}
+	done chan struct{}
 }
 
-// NewSLOTracker attaches an SLO to s: from then on every SampleNow
-// evaluates it. The actuator's current rate (if any) is captured as the
-// restore baseline. slo.* gauges are registered on the sampler's
-// registry:
+// sloSample is one ring slot: the tracker's inputs at one instant.
+type sloSample struct {
+	at        int64 // unix-nano
+	lat       HistogramSnapshot
+	ops, errs int64
+}
+
+// NewSLOTracker builds a tracker over reg's named instruments (created
+// if absent). Call Start to sample in the background, or SampleNow from
+// a test clock. The actuator's current rate (if any) is captured as the
+// restore baseline. slo.* gauges are registered on reg:
 //
 //	slo.<name>.fast_burn_milli, slo.<name>.slow_burn_milli,
-//	slo.<name>.burning, slo.<name>.bg_rate_bps
+//	slo.<name>.burning
 //
-// A nil sampler yields a nil tracker.
-func NewSLOTracker(s *Sampler, cfg SLOConfig) *SLOTracker {
-	if s == nil {
+// A nil registry yields a nil tracker.
+func NewSLOTracker(reg *Registry, cfg SLOConfig) *SLOTracker {
+	if reg == nil {
 		return nil
 	}
 	cfg = cfg.withDefaults()
-	w := s.cfg.Windows
-	t := &SLOTracker{cfg: cfg, s: s, fast: w[0], slow: w[len(w)-1]}
+	w := cfg.Windows
+	t := &SLOTracker{cfg: cfg, reg: reg, fast: w[0], slow: w[len(w)-1]}
+	if cfg.LatencyHist != "" {
+		t.lat = reg.Histogram(cfg.LatencyHist)
+	}
+	if cfg.OpsCounter != "" {
+		t.ops = reg.Counter(cfg.OpsCounter)
+	}
+	if cfg.ErrorCounter != "" {
+		t.errs = reg.Counter(cfg.ErrorCounter)
+	}
+	t.ring = make([]sloSample, t.samples(t.slow)+1)
 	if cfg.Actuator != nil {
 		t.baseline = cfg.Actuator.BackgroundRate()
 		if t.cfg.MinBackgroundRate <= 0 {
 			t.cfg.MinBackgroundRate = max(t.baseline/16, 1)
 		}
 	}
-	r, pre := s.reg, "slo."+cfg.Name+"."
-	r.RegisterGauge(pre+"fast_burn_milli", func() int64 { return int64(t.Status().FastBurn * 1000) })
-	r.RegisterGauge(pre+"slow_burn_milli", func() int64 { return int64(t.Status().SlowBurn * 1000) })
-	r.RegisterGauge(pre+"burning", func() int64 {
+	pre := "slo." + cfg.Name + "."
+	reg.RegisterGauge(pre+"fast_burn_milli", func() int64 { return int64(t.Status().FastBurn * 1000) })
+	reg.RegisterGauge(pre+"slow_burn_milli", func() int64 { return int64(t.Status().SlowBurn * 1000) })
+	reg.RegisterGauge(pre+"burning", func() int64 {
 		if t.Status().Burning {
 			return 1
 		}
 		return 0
 	})
-	if cfg.Actuator != nil {
-		r.RegisterGauge(pre+"bg_rate_bps", cfg.Actuator.BackgroundRate)
-	}
-	s.mu.Lock()
-	s.slos = append(s.slos, t)
-	s.mu.Unlock()
 	return t
+}
+
+// Start launches the background sampling goroutine, one sample per
+// Interval. Starting a started tracker is a no-op.
+func (t *SLOTracker) Start() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	if t.stop != nil {
+		t.mu.Unlock()
+		return
+	}
+	t.stop = make(chan struct{})
+	t.done = make(chan struct{})
+	stop, done := t.stop, t.done
+	t.mu.Unlock()
+	go func() {
+		defer close(done)
+		tk := time.NewTicker(t.cfg.Interval)
+		defer tk.Stop()
+		for {
+			select {
+			case <-tk.C:
+				t.SampleNow()
+			case <-stop:
+				return
+			}
+		}
+	}()
+}
+
+// Stop halts background sampling and waits for the goroutine to exit.
+func (t *SLOTracker) Stop() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	stop, done := t.stop, t.done
+	t.stop, t.done = nil, nil
+	t.mu.Unlock()
+	if stop == nil {
+		return
+	}
+	close(stop)
+	<-done
 }
 
 // Status reports the tracker's current burn state.
@@ -175,31 +260,30 @@ func (t *SLOTracker) Status() SLOStatus {
 	return st
 }
 
-// eval recomputes both windows' burn rates from the sampler's rings and
-// — when an actuator is configured — steps the Background rate. The
-// sampler calls it after each sample, outside its lock: the slo.* gauges
-// it samples take t.mu, so the rings are read first and t.mu is taken
-// only after the sampler's lock is released.
-func (t *SLOTracker) eval() {
-	s := t.s
-	s.mu.Lock()
-	seq := s.seq
-	fast := s.burnLocked(&t.cfg, t.fast)
-	slow := s.burnLocked(&t.cfg, t.slow)
-	s.mu.Unlock()
-
+// SampleNow takes one sample of the three inputs, recomputes both
+// windows' burn rates and — when an actuator is configured — steps the
+// Background rate.
+func (t *SLOTracker) SampleNow() {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if seq <= t.seq {
-		return // a concurrent SampleNow already evaluated a newer sample
+	t.seq++
+	t.ring[t.head] = sloSample{at: time.Now().UnixNano(), lat: t.lat.Snapshot(), ops: t.ops.Value(), errs: t.errs.Value()}
+	t.head = (t.head + 1) % len(t.ring)
+	if t.n < len(t.ring) {
+		t.n++
 	}
-	t.seq = seq
+
+	seq := t.seq
+	fast, slow := t.burnLocked(t.fast), t.burnLocked(t.slow)
 	t.fastBurn, t.slowBurn = fast, slow
 	burning := fast >= t.cfg.BurnThreshold && slow >= t.cfg.BurnThreshold
 	wasBurning := t.burning
 	t.burning = burning
 
-	reg, name := s.reg, t.cfg.Name
+	reg, name := t.reg, t.cfg.Name
 	if burning && !wasBurning {
 		reg.Event(EventSLOBurn, name, fmt.Sprintf("burn fast=%.2f slow=%.2f threshold=%.2f", fast, slow, t.cfg.BurnThreshold))
 	}
@@ -215,7 +299,7 @@ func (t *SLOTracker) eval() {
 	if burning {
 		t.healthyRun = 0
 		if cur := act.BackgroundRate(); cur > t.cfg.MinBackgroundRate &&
-			(t.lastDown == 0 || seq-t.lastDown >= uint64(s.samples(t.fast))) {
+			(t.lastDown == 0 || seq-t.lastDown >= uint64(t.samples(t.fast))) {
 			nw := max(cur/2, t.cfg.MinBackgroundRate)
 			t.lastDown = seq
 			act.SetBackgroundRate(nw)
@@ -225,7 +309,7 @@ func (t *SLOTracker) eval() {
 	}
 	t.healthyRun++
 	if cur := act.BackgroundRate(); cur < t.baseline && t.healthyRun >= t.cfg.RecoverEvals &&
-		(t.lastUp == 0 || seq-t.lastUp >= uint64(s.samples(t.slow))) {
+		(t.lastUp == 0 || seq-t.lastUp >= uint64(t.samples(t.slow))) {
 		nw := min(cur*2, t.baseline)
 		t.lastUp = seq
 		t.healthyRun = 0
@@ -234,35 +318,33 @@ func (t *SLOTracker) eval() {
 	}
 }
 
-// burnLocked computes c's burn rate over the trailing window: the worse
-// of the latency and error objectives, as a multiple of the error
-// budget. An instrument without two samples in the ring contributes 0.
-func (s *Sampler) burnLocked(c *SLOConfig, window time.Duration) float64 {
-	var burn float64
-	if rg := s.hists[c.LatencyHist]; rg != nil {
-		if last, past, _, ok := s.lookbackLocked(rg.valid, window); ok {
-			if d := rg.vals[last].Sub(rg.vals[past]); d.Count > 0 {
-				burn = d.FractionAbove(c.LatencyObjective) / c.ErrorBudget
-			}
-		}
-	}
-	if ops := s.counterDeltaLocked(c.OpsCounter, window); ops > 0 {
-		errs := max(s.counterDeltaLocked(c.ErrorCounter, window), 0)
-		burn = max(burn, float64(errs)/float64(ops)/c.ErrorBudget)
-	}
-	return burn
+// samples is the number of sampling intervals a window spans (at least 1).
+func (t *SLOTracker) samples(window time.Duration) int {
+	return max(int(window/t.cfg.Interval), 1)
 }
 
-// counterDeltaLocked is the named counter's increase over the trailing
-// window (0 without two samples).
-func (s *Sampler) counterDeltaLocked(name string, window time.Duration) int64 {
-	rg := s.counters[name]
-	if rg == nil {
+// burnLocked computes the burn rate over the trailing window: the worse
+// of the latency and error objectives, as a multiple of the error
+// budget. It is 0 without two comparable samples: the latest and the
+// one window/Interval samples earlier, clamped to the ring.
+func (t *SLOTracker) burnLocked(window time.Duration) float64 {
+	if t.n < 2 {
 		return 0
 	}
-	last, past, _, ok := s.lookbackLocked(rg.valid, window)
-	if !ok {
+	k := min(t.samples(window), t.n-1)
+	size := len(t.ring)
+	last := &t.ring[(t.head-1+size)%size]
+	past := &t.ring[(t.head-1-k+2*size)%size]
+	if last.at <= past.at {
 		return 0
 	}
-	return rg.vals[last] - rg.vals[past]
+	var burn float64
+	if d := last.lat.Sub(past.lat); d.Count > 0 {
+		burn = d.FractionAbove(t.cfg.LatencyObjective) / t.cfg.ErrorBudget
+	}
+	if ops := last.ops - past.ops; ops > 0 {
+		errs := max(last.errs-past.errs, 0)
+		burn = max(burn, float64(errs)/float64(ops)/t.cfg.ErrorBudget)
+	}
+	return burn
 }

@@ -32,10 +32,10 @@ func TestSLOPlantStepSequence(t *testing.T) {
 	reg.Counter("fg.errors")
 	sched := New(Config{BackgroundBytesPerSec: baseline, Obs: reg})
 	// Never started: windows are counted in samples, 2 (fast) and 4 (slow).
-	sampler := obs.NewSampler(reg, obs.SamplerConfig{Interval: time.Millisecond, Capacity: 64,
-		Windows: []time.Duration{2 * time.Millisecond, 4 * time.Millisecond}})
-	tr := obs.NewSLOTracker(sampler, obs.SLOConfig{
+	tr := obs.NewSLOTracker(reg, obs.SLOConfig{
 		Name:              "fg",
+		Interval:          time.Millisecond,
+		Windows:           []time.Duration{2 * time.Millisecond, 4 * time.Millisecond},
 		LatencyHist:       "fg.latency",
 		LatencyObjective:  objective,
 		ErrorCounter:      "fg.errors",
@@ -60,7 +60,7 @@ func TestSLOPlantStepSequence(t *testing.T) {
 			ops.Inc()
 		}
 		window = lat.Snapshot().Sub(mark)
-		sampler.SampleNow()
+		tr.SampleNow()
 		rates = append(rates, sched.BackgroundRate())
 	}
 
@@ -68,9 +68,9 @@ func TestSLOPlantStepSequence(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		sample(true)
 	}
-	if st := tr.Status(); st.Burning || window.Percentile(0.99) > objective {
+	if st := tr.Status(); st.Burning || window.Percentile(99) > objective {
 		t.Fatalf("storm still running at %d B/s: burning %v, p99 %v, want healthy under %v",
-			sched.BackgroundRate(), st.Burning, window.Percentile(0.99), objective)
+			sched.BackgroundRate(), st.Burning, window.Percentile(99), objective)
 	}
 	for sched.BackgroundRate() < baseline && len(rates) < 64 {
 		sample(false)

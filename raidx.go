@@ -28,7 +28,7 @@
 // Options wires a tracer, an intent log and a metrics registry into the
 // RAID-x engine, so those are exported too. The node runtime that
 // internal/node assembles (hot spares and the repair supervisor, the
-// sampler, the SLO loop, the QoS pacer) is not.
+// SLO loop, the QoS pacer) is not.
 //
 // Quick start (see examples/quickstart):
 //
