@@ -37,7 +37,10 @@ promtest:
 # gives fsim's multi-client tests (one lock group per operation, one
 # lock per inode-table block) five; the seventh gives the memory store
 # (its mapping copied only under a shard lock, no torn block beside a
-# writer, unmapped once unreachable, remapped by Blank) five.
+# writer, unmapped once unreachable, remapped by Blank) five; the eighth
+# gives the grouped write (notes behind a call: their bytes, their order
+# after the request, the frames a RAID-x write costs, the intent marks of
+# a failed grouped call) five.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/par/
@@ -46,6 +49,7 @@ race:
 	$(GO) test -race -count=5 -run 'TestBlockCache' ./internal/cdd/
 	$(GO) test -race -count=5 -run 'TestConcurrentClientsUnderVClock|TestLockerSerializesConflicts|TestTwoMountsShareState|TestShadowModelSequential' ./internal/fsim/
 	$(GO) test -race -count=5 -run 'TestMem' ./internal/store/
+	$(GO) test -race -count=5 -run 'TestCallNotesFollowRequest|TestVectoredWriteBytesIdentical|TestCallsGroupedWrite|TestGroupedWriteFailureMarksCarriedRuns' ./internal/transport/ ./internal/cdd/
 
 # Full verification: static analysis, the exporter grammar tests, and
 # the whole suite (including the transport/cdd fault-injection tests)
@@ -100,9 +104,11 @@ bench:
 
 # benchcheck runs the allocation-pinned regression tests: AllocsPerRun
 # limits on the hot paths (a warmed-up par.Do itself — the cancellable
-# context and nothing per branch — transport round trips, remote device
-# I/O at the benchmark's 4 KiB and 64 KiB sizes — measured 3 allocs for a
-# read and 3 for a write at both, limit 6 — the engine's stripe fan-out,
+# context and nothing per branch — transport round trips, a call with
+# notes behind it included, remote device I/O at the benchmark's 4 KiB
+# and 64 KiB sizes — measured 3 allocs for a read and 3 for a write at
+# both, limit 6, a grouped write as well — a 64 KiB RAID-x write over
+# four loopback nodes — measured 20, limit 23 — the engine's stripe fan-out,
 # the parity engines' writes and degraded read, the mirrored engines'
 # 16-block reads and writes over 4 KiB blocks (limits raid10 6 / 8,
 # chained 8 / 12; measured 5 / 7 and 7 / 11: a closure per run, no
@@ -113,7 +119,9 @@ bench:
 # write it makes; more than ten capacities of cache hits, halving sweeps
 # of the admission sketch included, allocate nothing) — and the call pins
 # (TestCalls): a session's flush of 64 scattered dirty blocks is ONE
-# remote write (TestCallsGroupCommit), the session cache's hit ratio on
+# remote write (TestCallsGroupCommit), a 64 KiB RAID-x write is 4 OpWrite
+# + 6 OpWriteBG frames at the managers, grouped or not
+# (TestCallsGroupedWrite), the session cache's hit ratio on
 # session_cache's own mix, replayed with no network or clock, stays
 # >= 0.69 at <= 0.175 misses per op (TestCallsCacheZipf; plain LRU
 # reads 0.631 / 0.212),

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cdd"
 	"repro/internal/race"
+	"repro/internal/raid"
 )
 
 // allocLimit runs f and fails if it averages more than limit heap
@@ -52,6 +53,36 @@ func TestAllocsRemoteDevWrite(t *testing.T) {
 			})
 		})
 	}
+}
+
+// raidxWriteAllocs bounds a 64 KiB RAID-x write over four loopback
+// nodes, both sides: measured 20, and 26 while each member's deferred
+// images left as branches of their own, ten branches per write.
+const raidxWriteAllocs = 23
+
+// TestAllocsRaidxRemoteWrite pins the grouped RAID-x write: a 64 KiB
+// write over four loopback nodes costs no more than when its images left
+// apart, and one member's grouped call — its 16 KiB run and two images
+// behind it — no more than a plain remote write.
+func TestAllocsRaidxRemoteWrite(t *testing.T) {
+	a, devs := benchCluster(t, 4, 4096, 4<<10)
+	ctx := context.Background()
+	buf := make([]byte, 64<<10)
+	b := int64(0)
+	allocLimit(t, raidxWriteAllocs, func() {
+		if err := a.WriteBlocks(ctx, b, buf); err != nil {
+			t.Fatal(err)
+		}
+		b = (b + 16) % (a.Blocks() - 16)
+	})
+	segs := [][]byte{buf[:16<<10]}
+	bg := []raid.Run{{Phys: 2048, Data: buf[16<<10 : 28<<10]}, {Phys: 2051, Data: buf[28<<10 : 32<<10]}}
+	g := devs[0].(raid.GroupDev)
+	allocLimit(t, remoteWriteAllocs, func() {
+		if err := g.WriteBlocksWith(ctx, 0, segs, bg); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestAllocsRemoteDevRead pins the single-device remote read path: the

@@ -142,9 +142,11 @@ func retryableErr(err error) bool {
 // gather/scatter lists. Pooled so the hot path allocates nothing for
 // framing; blockIO drops payload references before returning it.
 type ioScratch struct {
-	head []byte // I/O header, then the extent table
-	req  [][]byte
-	dst  [][]byte
+	head  []byte // I/O header and extent table, then each note's
+	req   [][]byte
+	dst   [][]byte
+	nreq  [][]byte // the notes' gather lists, two segments each
+	notes []transport.Note
 }
 
 var ioScratchPool = sync.Pool{New: func() any { return new(ioScratch) }}
@@ -251,15 +253,17 @@ func ConnectWith(ctx context.Context, addr string, opts Options) (*NodeClient, e
 // attempts, and retries only for idempotent opcodes on transport-level
 // failures.
 func (n *NodeClient) call(ctx context.Context, op uint8, payload []byte) ([]byte, error) {
-	return n.doCall(ctx, op, [][]byte{payload}, nil)
+	return n.doCall(ctx, op, [][]byte{payload}, nil, nil)
 }
 
 // doCall performs one remote operation under the retry policy. req is
 // the request's gather list (written vectored, owned by the caller
-// throughout). When scatter is non-empty the response lands directly in
-// its segments — the bulk-read path — and the returned payload is nil.
-// Each attempt's deadline scales with the bytes both lists move.
-func (n *NodeClient) doCall(ctx context.Context, op uint8, req [][]byte, scatter [][]byte) ([]byte, error) {
+// throughout). When scatter is non-empty the response is copied into its
+// segments — the bulk-read path — and the returned payload is nil. notes
+// ride behind the request on every attempt (transport.Client.Call), so
+// they must be as idempotent as it is. Each attempt's deadline scales
+// with the bytes the lists and the notes move.
+func (n *NodeClient) doCall(ctx context.Context, op uint8, req [][]byte, scatter [][]byte, notes []transport.Note) ([]byte, error) {
 	pol := n.policy
 	attempts := pol.MaxAttempts
 	if !retryableOp(op) {
@@ -271,6 +275,11 @@ func (n *NodeClient) doCall(ctx context.Context, op uint8, req [][]byte, scatter
 	}
 	for _, s := range scatter {
 		xfer += len(s)
+	}
+	for _, nt := range notes {
+		for _, s := range nt.Req {
+			xfer += len(s)
+		}
 	}
 	var lastErr error
 	for a := 0; a < attempts; a++ {
@@ -290,7 +299,7 @@ func (n *NodeClient) doCall(ctx context.Context, op uint8, req [][]byte, scatter
 		// allocations (DESIGN.md §10).
 		actx, ah := trace.Start(ctx, "cdd.attempt", n.addr)
 		ah.Val = int64(a + 1)
-		resp, err := n.c.Call(actx, op, req, scatter, time.Now().Add(pol.timeout(xfer)))
+		resp, err := n.c.Call(actx, op, req, scatter, time.Now().Add(pol.timeout(xfer)), notes...)
 		ah.End(err)
 		if err == nil {
 			return resp, nil
@@ -579,8 +588,9 @@ type RemoteDev struct {
 }
 
 var (
-	_ raid.Dev    = (*RemoteDev)(nil)
-	_ raid.VecDev = (*RemoteDev)(nil)
+	_ raid.Dev      = (*RemoteDev)(nil)
+	_ raid.VecDev   = (*RemoteDev)(nil)
+	_ raid.GroupDev = (*RemoteDev)(nil)
 )
 
 // BlockSize implements raid.Dev.
@@ -589,27 +599,55 @@ func (d *RemoteDev) BlockSize() int { return d.bs }
 // NumBlocks implements raid.Dev.
 func (d *RemoteDev) NumBlocks() int64 { return d.blocks }
 
-// ReadBlocks implements raid.Dev: a one-extent read whose response
-// scatters off the socket directly into buf.
+// ReadBlocks implements raid.Dev: a one-extent read whose response is
+// copied into buf, allocating nothing.
 func (d *RemoteDev) ReadBlocks(ctx context.Context, b int64, buf []byte) error {
-	return d.blockIO(ctx, OpRead, []Extent{d.run(b, buf)}, [][]byte{buf})
+	return d.blockIO(ctx, OpRead, []Extent{d.run(b, buf)}, [][]byte{buf}, nil)
 }
 
 // ReadBlocksVec implements raid.VecDev: one remote read of consecutive
-// blocks at b whose response scatters into segs.
+// blocks at b whose response is copied into segs.
 func (d *RemoteDev) ReadBlocksVec(ctx context.Context, b int64, segs [][]byte) error {
-	return d.blockIO(ctx, OpRead, []Extent{d.run(b, segs...)}, segs)
+	return d.blockIO(ctx, OpRead, []Extent{d.run(b, segs...)}, segs, nil)
 }
 
 // WriteBlocks implements raid.Dev: a one-extent write.
 func (d *RemoteDev) WriteBlocks(ctx context.Context, b int64, data []byte) error {
-	return d.blockIO(ctx, OpWrite, []Extent{d.run(b, data)}, [][]byte{data})
+	return d.blockIO(ctx, OpWrite, []Extent{d.run(b, data)}, [][]byte{data}, nil)
 }
 
 // WriteBlocksVec implements raid.VecDev: one remote write of consecutive
 // blocks at b gathered from segs.
 func (d *RemoteDev) WriteBlocksVec(ctx context.Context, b int64, segs [][]byte) error {
-	return d.blockIO(ctx, OpWrite, []Extent{d.run(b, segs...)}, segs)
+	return d.blockIO(ctx, OpWrite, []Extent{d.run(b, segs...)}, segs, nil)
+}
+
+// WriteBlocksWith implements raid.GroupDev: the write WriteBlocksVec
+// makes, and behind its request, in the same vectored write, the
+// notification WriteBlocksBackground would send for each run of bg. It
+// waits for the write's ack only. When the write or a run does not fit
+// in one frame, they go out as those calls instead.
+func (d *RemoteDev) WriteBlocksWith(ctx context.Context, b int64, segs [][]byte, bg []raid.Run) error {
+	exts := []Extent{d.run(b, segs...)}
+	grouped := ioHeaderLen+extentLen+int(exts[0].Blocks)*d.bs <= maxIOFrame
+	for _, r := range bg {
+		if len(r.Data) == 0 || len(r.Data)%d.bs != 0 {
+			return fmt.Errorf("cdd: background run of %d bytes in blocks of %d", len(r.Data), d.bs)
+		}
+		grouped = grouped && ioHeaderLen+extentLen+len(r.Data) <= maxIOFrame
+	}
+	if grouped {
+		return d.blockIO(ctx, OpWrite, exts, segs, bg)
+	}
+	if err := d.blockIO(ctx, OpWrite, exts, segs, nil); err != nil {
+		return err
+	}
+	for _, r := range bg {
+		if err := d.WriteBlocksBackground(ctx, r.Phys, r.Data); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WriteExtents writes several extents of this disk in one OpWrite: segs
@@ -617,7 +655,7 @@ func (d *RemoteDev) WriteBlocksVec(ctx context.Context, b int64, segs [][]byte) 
 // whole table before writing anything; after an error any extent may or
 // may not have landed.
 func (d *RemoteDev) WriteExtents(ctx context.Context, exts []Extent, segs [][]byte) error {
-	return d.blockIO(ctx, OpWrite, exts, segs)
+	return d.blockIO(ctx, OpWrite, exts, segs, nil)
 }
 
 // WriteBlocksBackground implements raid.Dev: the write travels as a
@@ -630,7 +668,7 @@ func (d *RemoteDev) WriteExtents(ctx context.Context, exts []Extent, segs [][]by
 // at a dead home; the node counts the drop (mgr.bg_stale_drops) and the
 // writer's intent log keeps the block dirty, so resync re-mirrors it.
 func (d *RemoteDev) WriteBlocksBackground(ctx context.Context, b int64, data []byte) error {
-	return d.blockIO(ctx, OpWriteBG, []Extent{d.run(b, data)}, [][]byte{data})
+	return d.blockIO(ctx, OpWriteBG, []Extent{d.run(b, data)}, [][]byte{data}, nil)
 }
 
 // run is the one extent at b that segs fill.
@@ -652,11 +690,13 @@ const maxIOFrame = transport.MaxPayload - 64
 // blockIO is the one request builder of block I/O. The I/O header and
 // extent table are encoded into the pooled scratch and travel as the
 // first gather segment; segs — the extents' blocks in table order — are
-// never copied: a write's go to the wire after the table (one vectored
-// frame; a notification for OpWriteBG), and a read's response scatters
-// off the socket straight into them (DESIGN.md §10). A table larger
-// than one frame goes out as several requests (split).
-func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [][]byte) (err error) {
+// never staged: a write's go to the wire after the table (one vectored
+// frame; a notification for OpWriteBG), and a read's response is copied
+// into them (DESIGN.md §10). A table larger than one frame goes out as
+// several requests (split). An OpWrite carries bg, each run of which
+// must fit in one frame, as one OpWriteBG notification a run behind its
+// request.
+func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [][]byte, bg []raid.Run) (err error) {
 	total, blocks := 0, 0
 	for _, sg := range segs {
 		total += len(sg)
@@ -682,14 +722,14 @@ func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [
 	switch op {
 	case OpRead:
 		s.dst = append(s.dst[:0], segs...)
-		_, err = d.n.doCall(ctx, op, s.req, s.dst)
+		_, err = d.n.doCall(ctx, op, s.req, s.dst, nil)
 		d.n.met.readLat.Observe(time.Since(start))
 		if err != nil {
 			err = d.mapReadErr(err)
 		}
 	case OpWrite:
 		s.req = append(s.req, segs...)
-		_, err = d.n.doCall(ctx, op, s.req, nil)
+		_, err = d.n.doCall(ctx, op, s.req, nil, d.notes(s, bg))
 		d.n.met.writeLat.Observe(time.Since(start))
 	default:
 		s.req = append(s.req, segs...)
@@ -697,10 +737,31 @@ func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [
 	}
 	clear(s.req)
 	clear(s.dst)
+	clear(s.nreq)
+	clear(s.notes)
 	ioScratchPool.Put(s)
 	h.End(err)
 	d.noteOutcome(err)
 	return err
+}
+
+// notes encodes into s, after the request's table, one OpWriteBG
+// notification of one extent per run of bg.
+func (d *RemoteDev) notes(s *ioScratch, bg []raid.Run) []transport.Note {
+	if len(bg) == 0 {
+		return nil
+	}
+	s.nreq, s.notes = s.nreq[:0], s.notes[:0]
+	for _, r := range bg {
+		at := len(s.head)
+		s.head = appendIOHeader(s.head, ioHeader{Disk: d.disk, Count: 1, Gen: d.n.arrayEpoch.Load()})
+		s.head = appendExtent(s.head, Extent{Block: r.Phys, Blocks: uint32(len(r.Data) / d.bs)})
+		s.nreq = append(s.nreq, s.head[at:], r.Data)
+	}
+	for i := range bg {
+		s.notes = append(s.notes, transport.Note{Op: OpWriteBG, Req: s.nreq[2*i : 2*i+2]})
+	}
+	return s.notes
 }
 
 // split sends a table larger than one frame as consecutive requests of
@@ -713,7 +774,7 @@ func (d *RemoteDev) split(ctx context.Context, op uint8, exts []Extent, segs [][
 	var seg []byte // the unsent tail of the segment being cut
 	size := ioHeaderLen
 	send := func() error {
-		err := d.blockIO(ctx, op, part, data)
+		err := d.blockIO(ctx, op, part, data, nil)
 		part, data, size = part[:0], data[:0], ioHeaderLen
 		return err
 	}

@@ -173,7 +173,7 @@ func TestWriteExtentsRoundTrip(t *testing.T) {
 			}
 			counter := n.Manager.Obs().Counter(tc.counter)
 			before := counter.Value()
-			if err := dev.blockIO(ctx, tc.op, tc.exts, segs); err != nil {
+			if err := dev.blockIO(ctx, tc.op, tc.exts, segs, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := dev.Flush(ctx); err != nil {
@@ -294,12 +294,12 @@ func TestBlockIOBeyondOneFrame(t *testing.T) {
 	for i := range data {
 		data[i] ^= 0xC3
 	}
-	if err := dev.blockIO(ctx, OpWrite, exts, segments(data)); err != nil {
+	if err := dev.blockIO(ctx, OpWrite, exts, segments(data), nil); err != nil {
 		t.Fatal(err)
 	}
 	reads := ops("mgr.read_ops")
 	got := make([]byte, len(data))
-	if err := dev.blockIO(ctx, OpRead, exts, segments(got)); err != nil {
+	if err := dev.blockIO(ctx, OpRead, exts, segments(got), nil); err != nil {
 		t.Fatal(err)
 	}
 	if r := reads(); r != 2 || !bytes.Equal(got, data) {

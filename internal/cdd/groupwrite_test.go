@@ -1,0 +1,170 @@
+package cdd_test
+
+// The grouped write: a RAID-x write's foreground run on a member and the
+// deferred images that member hosts leave as one vectored write
+// (raid.GroupDev), and reach the manager as the same frames as when they
+// leave apart.
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/cdd"
+	"repro/internal/core"
+	"repro/internal/disk"
+	"repro/internal/intent"
+	"repro/internal/raid"
+	"repro/internal/raid/raidtest"
+	"repro/internal/store"
+)
+
+// groupCluster starts n loopback nodes of one disk each (4 KiB blocks)
+// and returns them, their disks and a plain RemoteDev per node.
+func groupCluster(t *testing.T, n int, blocks int64) ([]*cdd.Node, []*disk.Disk, []raid.Dev) {
+	t.Helper()
+	nodes, disks, devs := make([]*cdd.Node, n), make([]*disk.Disk, n), make([]raid.Dev, n)
+	for i := range nodes {
+		disks[i] = disk.New(nil, fmt.Sprintf("n%d.d0", i), store.NewMem(4<<10, blocks), disk.DefaultModel())
+		node, err := cdd.ListenAndServe("127.0.0.1:0", disks[i:i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cdd.Connect(node.Addr())
+		if err != nil {
+			node.Close()
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			c.Close()
+			node.Close()
+		})
+		nodes[i], devs[i] = node, c.Dev(0)
+	}
+	return nodes, disks, devs
+}
+
+// ungrouped hides raid.GroupDev and keeps raid.VecDev: the engine issues
+// the runs of a member as branches of their own.
+type ungrouped struct {
+	raid.Dev
+	raid.VecDev
+}
+
+// mgrWrites sums the managers' foreground and background write ops.
+func mgrWrites(nodes []*cdd.Node) (writes, bg int64) {
+	for _, n := range nodes {
+		writes += n.Manager.Obs().Counter("mgr.write_ops").Value()
+		bg += n.Manager.Obs().Counter("mgr.bg_write_ops").Value()
+	}
+	return writes, bg
+}
+
+// TestCallsGroupedWrite pins the frames a 64 KiB RAID-x write over four
+// nodes costs: one OpWrite per member and one OpWriteBG per mirror group
+// it touches, 4 + 6, whether each member's images ride behind its write
+// or go out on their own.
+func TestCallsGroupedWrite(t *testing.T) {
+	for _, hide := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hidden=%v", hide), func(t *testing.T) {
+			nodes, _, devs := groupCluster(t, 4, 256)
+			if hide {
+				for i, d := range devs {
+					devs[i] = ungrouped{d, d.(raid.VecDev)}
+				}
+			}
+			a, err := core.New(devs, 4, 1, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			w0, bg0 := mgrWrites(nodes)
+			if err := a.WriteBlocks(ctx, 0, make([]byte, 64<<10)); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			w1, bg1 := mgrWrites(nodes)
+			if w1-w0 != 4 || bg1-bg0 != 6 {
+				t.Errorf("a 64 KiB write cost %d mgr.write_ops + %d mgr.bg_write_ops, want 4 + 6", w1-w0, bg1-bg0)
+			}
+		})
+	}
+}
+
+// healthyDev answers healthy whatever its disk does, so a write is planned
+// onto a member that has failed and its grouped call fails.
+type healthyDev struct{ *cdd.RemoteDev }
+
+func (healthyDev) Healthy() bool { return true }
+
+// TestGroupedWriteFailureMarksCarriedRuns fails the disk under a member's
+// grouped write. The write must fail and leave dirty in the intent log
+// both its foreground run and every image run the call carried; a delta
+// resync of those regions then leaves the array verifying clean.
+func TestGroupedWriteFailureMarksCarriedRuns(t *testing.T) {
+	const blocks = 256
+	_, disks, devs := groupCluster(t, 4, blocks)
+	for i, d := range devs {
+		devs[i] = healthyDev{d.(*cdd.RemoteDev)}
+	}
+	il := intent.NewLog(4, blocks, 1)
+	a, err := core.New(devs, 4, 1, core.Options{Intent: il})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sh := raidtest.Fill(t, a)
+	if il.AnyDirty() {
+		t.Fatal("intent log dirty after a clean fill")
+	}
+	const b, n = 0, 16 // 64 KiB
+	lay := a.Layout()
+	victim := lay.DataLoc(b).Disk
+	var data, images []int64
+	for lb := int64(b); lb < b+n; lb++ {
+		if l := lay.DataLoc(lb); l.Disk == victim {
+			data = append(data, l.Block)
+		}
+		if l := lay.MirrorLoc(lb); l.Disk == victim {
+			images = append(images, l.Block)
+		}
+	}
+	if len(images) == 0 {
+		t.Fatalf("member %d hosts no image of blocks [%d, %d)", victim, b, b+n)
+	}
+
+	disks[victim].Fail()
+	if err := sh.Write(ctx, b, n); err == nil {
+		t.Fatal("write onto a failed disk succeeded")
+	}
+	dirty := map[int64]bool{}
+	for _, r := range il.Dirty(victim) {
+		for blk := r.Start; blk < r.Start+r.Count; blk++ {
+			dirty[blk] = true
+		}
+	}
+	for _, blk := range data {
+		if !dirty[blk] {
+			t.Errorf("data block %d of member %d is not dirty", blk, victim)
+		}
+	}
+	for _, blk := range images {
+		if !dirty[blk] {
+			t.Errorf("carried image block %d of member %d is not dirty", blk, victim)
+		}
+	}
+
+	disks[victim].Readmit()
+	if _, err := raid.Resync(ctx, a, victim, il.TakeDirty(victim), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raid.Verify(ctx, a); err != nil {
+		t.Fatalf("after resync: %v", err)
+	}
+	sh.Check(t, "after resync")
+}

@@ -216,7 +216,7 @@ func (c *CachedDev) writeThrough(ctx context.Context, op uint8, b int64, data []
 	} else {
 		c.mu.Unlock()
 	}
-	if err := c.d.blockIO(ctx, op, []Extent{c.d.run(b, data)}, [][]byte{data}); err != nil || !buffered {
+	if err := c.d.blockIO(ctx, op, []Extent{c.d.run(b, data)}, [][]byte{data}, nil); err != nil || !buffered {
 		return err
 	}
 	for i := int64(0); i < n; i++ {

@@ -42,6 +42,10 @@ type Plan struct {
 	// engine adds them — and end is the counting sort's per-disk bounds.
 	added []Ext
 	end   []int
+	// bg holds the deferred runs a write's branches carry (writeRuns), and
+	// carried flags the members whose deferred runs one of them carries.
+	bg      []Run
+	carried []bool
 }
 
 var planPool = sync.Pool{New: func() any { return new(Plan) }}
@@ -99,8 +103,9 @@ func (pl *Plan) Release() {
 	clear(pl.added)
 	clear(pl.Segs)
 	clear(pl.Fns)
+	clear(pl.bg)
 	pl.Data, pl.Segs, pl.Fns, pl.Spans = pl.Data[:0], pl.Segs[:0], pl.Fns[:0], pl.Spans[:0]
-	pl.added, pl.end = pl.added[:0], pl.end[:0]
+	pl.added, pl.end, pl.bg, pl.carried = pl.added[:0], pl.end[:0], pl.bg[:0], pl.carried[:0]
 	planPool.Put(pl)
 }
 
@@ -239,7 +244,10 @@ func (m *Members) fallback(ctx context.Context, v *MemberView, run []Ext, segs [
 // copy, or nil), in parallel inside the members' window, gathered straight
 // from the caller's buffer. With a second copy, a block with no readable
 // copy fails the write before anything is written, a run on a member that
-// is down is skipped, and a run skipped or failed is intent-marked.
+// is down is skipped, and a run skipped or failed is intent-marked. When
+// other is Deferred, a member that is a GroupDev gets its deferred runs
+// in the branch of its first run of pl, one transfer; a failed transfer
+// marks every run it carried.
 func (m *Members) WriteRuns(ctx context.Context, v *MemberView, pl, other *Plan, how, otherHow Issue) error {
 	if other != nil {
 		for i, e := range pl.added {
@@ -248,17 +256,24 @@ func (m *Members) WriteRuns(ctx context.Context, v *MemberView, pl, other *Plan,
 			}
 		}
 	}
-	m.writeRuns(pl, v, pl, how, m.spanWrite, other != nil)
+	var bg *Plan
+	if other != nil && otherHow&Deferred != 0 {
+		bg = other
+	}
+	m.writeRuns(pl, v, pl, how, m.spanWrite, other != nil, bg, otherHow)
 	if other != nil {
-		m.writeRuns(pl, v, other, otherHow, m.spanMirror, true)
+		m.writeRuns(pl, v, other, otherHow, m.spanMirror, true, nil, 0)
 	}
 	defer m.win.Exit(m.win.Enter(ctx, pl.Spans...))
 	return par.Do(ctx, pl.Fns...)
 }
 
 // writeRuns queues on dst one write per run of c, recorded as span s, and
-// lists the runs in dst.Spans.
-func (m *Members) writeRuns(dst *Plan, v *MemberView, c *Plan, how Issue, s string, redundant bool) {
+// lists the runs in dst.Spans. Given bg, a deferred copy cut as bgHow
+// says, the first gathered run on a GroupDev member carries that
+// member's runs of bg (carry); a deferred run on a carried member queues
+// no branch of its own.
+func (m *Members) writeRuns(dst *Plan, v *MemberView, c *Plan, how Issue, s string, redundant bool, bg *Plan, bgHow Issue) {
 	exts := c.Data
 	if how&Flat != 0 {
 		exts = c.added // a disk order moves the foreground-mirror ablation
@@ -270,18 +285,25 @@ func (m *Members) writeRuns(dst *Plan, v *MemberView, c *Plan, how Issue, s stri
 			segs = c.Segs[i:j]
 		}
 		dst.Spans = append(dst.Spans, Span{lo.Disk, lo.Phys, lo.Phys + n})
-		skip := redundant && !v.Devs[lo.Disk].Healthy()
+		carried := how&Deferred != 0 && dst.carries(lo.Disk)
+		skip := redundant && !carried && !v.Devs[lo.Disk].Healthy()
 		if skip || how&MarkAhead != 0 {
 			m.il.MarkRange(lo.Disk, lo.Phys, n)
 		}
-		if skip {
+		if skip || carried {
 			continue
+		}
+		var runs []Run
+		if _, ok := v.Devs[lo.Disk].(GroupDev); ok && bg != nil && segs != nil && !dst.carries(lo.Disk) {
+			runs = m.carry(dst, bg, bgHow, lo.Disk)
 		}
 		dst.Fns = append(dst.Fns, func(ctx context.Context) (err error) {
 			ctx, h := trace.Start(ctx, s, v.names[lo.Disk])
 			h.Val = n * int64(m.bs)
 			defer func() { h.End(err) }()
 			switch dev := v.Devs[lo.Disk]; {
+			case runs != nil:
+				err = dev.(GroupDev).WriteBlocksWith(ctx, lo.Phys, segs, runs)
 			case segs != nil:
 				err = WriteBlocksVec(ctx, dev, lo.Phys, segs)
 			case how&Deferred != 0:
@@ -292,11 +314,39 @@ func (m *Members) writeRuns(dst *Plan, v *MemberView, c *Plan, how Issue, s stri
 			}
 			if err != nil && redundant {
 				m.il.MarkRange(lo.Disk, lo.Phys, n)
+				for _, r := range runs {
+					m.il.MarkRange(lo.Disk, r.Phys, int64(len(r.Data)/m.bs))
+				}
 			}
 			return err
 		})
 	}
 }
+
+// carry records in dst that member disk's runs of the deferred copy c
+// travel with one of its runs, and returns them, listed in dst.bg — or
+// nil when disk hosts none.
+func (m *Members) carry(dst, c *Plan, how Issue, disk int) []Run {
+	for len(dst.carried) <= disk {
+		dst.carried = append(dst.carried, false)
+	}
+	dst.carried[disk] = true
+	at := len(dst.bg)
+	for i, j := 0, 0; i < len(c.added); i = j {
+		j = runEnd(c.added, i, how)
+		if lo := c.added[i]; lo.Disk == disk {
+			// A flat run's slots are adjacent in the caller's buffer.
+			dst.bg = append(dst.bg, Run{lo.Phys, lo.seg[:(j-i)*m.bs]})
+		}
+	}
+	if len(dst.bg) == at {
+		return nil
+	}
+	return dst.bg[at:len(dst.bg):len(dst.bg)]
+}
+
+// carries reports whether a run of dst carries member disk's deferred runs.
+func (pl *Plan) carries(disk int) bool { return disk < len(pl.carried) && pl.carried[disk] }
 
 // FlushAll drains background work on every device, in parallel. Empty
 // slots and unhealthy devices are skipped (their queued work is lost

@@ -175,8 +175,9 @@ type Recorder struct {
 	calls []DevCall
 }
 
-// Dev wraps d as member col. It passes raid.VecDev on, so an engine
-// gathers over it as it would over d.
+// Dev wraps d as member col. It passes raid.VecDev and raid.GroupDev on,
+// so an engine gathers and groups over it as it would over a remote disk;
+// a grouped call logs the calls it stands for.
 func (r *Recorder) Dev(col int, d raid.Dev) raid.Dev { return &recorded{d, col, r} }
 
 // Take returns the calls logged since the last Take.
@@ -232,6 +233,25 @@ func (d *recorded) ReadBlocksVec(ctx context.Context, b int64, segs [][]byte) er
 func (d *recorded) WriteBlocksVec(ctx context.Context, b int64, segs [][]byte) error {
 	d.log(b, size(segs), "write")
 	return raid.WriteBlocksVec(ctx, d.Dev, b, segs)
+}
+
+func (d *recorded) WriteBlocksWith(ctx context.Context, b int64, segs [][]byte, bg []raid.Run) error {
+	d.log(b, size(segs), "write")
+	for _, r := range bg {
+		d.log(r.Phys, len(r.Data), "bg-write")
+	}
+	if g, ok := d.Dev.(raid.GroupDev); ok {
+		return g.WriteBlocksWith(ctx, b, segs, bg)
+	}
+	if err := raid.WriteBlocksVec(ctx, d.Dev, b, segs); err != nil {
+		return err
+	}
+	for _, r := range bg {
+		if err := d.Dev.WriteBlocksBackground(ctx, r.Phys, r.Data); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func size(segs [][]byte) (n int) {

@@ -67,3 +67,22 @@ func WriteBlocksVec(ctx context.Context, d Dev, b int64, segs [][]byte) error {
 	bufpool.Put(buf)
 	return err
 }
+
+// Run is a background write of consecutive blocks starting at Phys,
+// flat in Data.
+type Run struct {
+	Phys int64
+	Data []byte
+}
+
+// GroupDev is optionally implemented by devices that can send a write
+// and background writes of the same device as one transfer: the write
+// of segs at b, as VecDev's, and then each run of bg as
+// WriteBlocksBackground would write it. Only the write is waited for;
+// after an error any of them may or may not have landed. Remote disks
+// implement it to put a member's foreground run and the deferred images
+// it hosts on the wire in one vectored write; over any other device the
+// members issue the runs as branches of their own.
+type GroupDev interface {
+	WriteBlocksWith(ctx context.Context, b int64, segs [][]byte, bg []Run) error
+}

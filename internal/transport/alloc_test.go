@@ -24,7 +24,7 @@ func allocLimit(t *testing.T, limit float64, f func()) {
 	}
 }
 
-// TestAllocsCallScatter pins the zero-copy read path: a bulk response
+// TestAllocsCallScatter pins the read path: a bulk response
 // must land in the caller's buffer with a small constant number of
 // bookkeeping allocations and no per-byte cost.
 func TestAllocsCallScatter(t *testing.T) {
@@ -55,7 +55,8 @@ func TestAllocsCallScatter(t *testing.T) {
 }
 
 // TestAllocsCallVecWrite pins the zero-copy write path: a gather request
-// with a 64 KiB payload segment and an empty response.
+// with a 64 KiB payload segment and an empty response, alone and with
+// two notes of 16 KiB behind it in the same vectored write.
 func TestAllocsCallVecWrite(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
 		return nil, nil
@@ -76,6 +77,12 @@ func TestAllocsCallVecWrite(t *testing.T) {
 	req := [][]byte{hdr, data}
 	allocLimit(t, 6, func() {
 		if _, err := c.Call(ctx, 1, req, nil, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	notes := []Note{{Op: 2, Req: [][]byte{hdr, data[:16<<10]}}, {Op: 2, Req: [][]byte{hdr, data[16<<10 : 32<<10]}}}
+	allocLimit(t, 6, func() {
+		if _, err := c.Call(ctx, 1, req, nil, time.Time{}, notes...); err != nil {
 			t.Fatal(err)
 		}
 	})

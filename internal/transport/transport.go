@@ -20,13 +20,16 @@
 // crashed-and-restarted peer is reached again without rebuilding the
 // client.
 //
-// The data path is zero-copy in both directions (DESIGN.md §10): a
-// request is a gather list that goes to a TCP session as one writev —
-// header, trace extension, and payload segments are never coalesced
-// into a staging buffer — and a bulk response is read off the socket
-// directly into caller-provided memory. Frame headers come from a pool;
-// server-side request payloads are pooled per-frame and released after
-// the response is written.
+// The data path allocates nothing per byte (DESIGN.md §10): a request is
+// a gather list that goes to a TCP session as one writev — header, trace
+// extension, and payload segments are never coalesced into a staging
+// buffer, and notifications riding behind a call share its writev — and
+// a bulk response lands in caller-provided memory with one copy: out of
+// the connection's read buffer, which takes in whatever part of the
+// payload has already arrived, or straight off the socket for a
+// remainder at least as large as that buffer. Frame headers come from a
+// pool; server-side request payloads are pooled per-frame and released
+// after the response is written.
 //
 // Frame layout (big endian):
 //
@@ -218,58 +221,67 @@ func decodeRemoteError(op uint8, payload []byte) *RemoteError {
 	return re
 }
 
-// frameScratch holds the per-write transient state of one frame: the
-// encoded header bytes and the reusable gather list. Pooled so the hot
-// path allocates neither.
+// frameScratch holds the per-write transient state of one write: the
+// encoded headers of its frames and the reusable gather list. Pooled so
+// the hot path allocates neither.
 type frameScratch struct {
-	hdr  [4 + headerLen + traceExtLen]byte
+	hdrs []byte
 	vecs net.Buffers
 }
 
 var framePool = sync.Pool{New: func() any { return new(frameScratch) }}
+
+// Note is a notification that rides behind a Call's request frame: its
+// op and its payload as a gather list.
+type Note struct {
+	Op  uint8
+	Req [][]byte
+}
 
 // writeFrame emits one frame whose payload is the concatenation of
 // segs. A nil ext produces bytes identical to the pre-extension frame
 // format, so untraced traffic is indistinguishable from an older
 // peer's. No bytes are written when the frame would exceed MaxFrame, so
 // an ErrFrameTooLarge does not desynchronize the stream.
-//
-// On a TCP session the header and segments go out as one vectored
-// write (writev) with no coalescing copy. Other writers (pipes, fault
-// injectors, in-memory buffers) get the frame as a single Write from a
-// pooled staging buffer — one Write per frame either way, so
-// per-write fault injection charges frames, not segments.
 func writeFrame(w io.Writer, id uint64, typ, op uint8, ext *TraceExt, segs ...[]byte) error {
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
+	return writeFrames(w, id, typ, op, ext, segs, nil)
+}
+
+// writeFrames emits the frame writeFrame would, then one request frame
+// with id 0 per note, each byte for byte as a notification of its own:
+// every frame carries ext. Every frame's size is checked before any
+// byte is written.
+//
+// On a TCP session all the headers and segments go out as one vectored
+// write (writev) with no coalescing copy. Other writers (pipes, fault
+// injectors, in-memory buffers) get each frame as a single Write from a
+// pooled staging buffer — one Write per frame either way, so per-write
+// fault injection charges frames, not segments.
+func writeFrames(w io.Writer, id uint64, typ, op uint8, ext *TraceExt, segs [][]byte, notes []Note) error {
 	extLen := 0
 	if ext != nil {
 		extLen = traceExtLen
 	}
-	if extLen+total > MaxPayload {
-		return fmt.Errorf("%w: payload %d bytes exceeds %d", ErrFrameTooLarge, total, MaxPayload-extLen)
+	if err := fits(extLen, segs); err != nil {
+		return err
+	}
+	for _, n := range notes {
+		if err := fits(extLen, n.Req); err != nil {
+			return err
+		}
 	}
 	scr := framePool.Get().(*frameScratch)
-	hdr := scr.hdr[:4+headerLen+extLen]
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(headerLen+extLen+total))
-	binary.BigEndian.PutUint64(hdr[4:12], id)
-	hdr[12] = typ
-	hdr[13] = op
-	if ext != nil {
-		hdr[12] |= typExt
-		hdr[14] = flagTrace
-		binary.BigEndian.PutUint64(hdr[15:23], uint64(ext.Trace))
-		binary.BigEndian.PutUint64(hdr[23:31], uint64(ext.Span))
+	scr.hdrs = appendHeader(scr.hdrs[:0], id, typ, op, ext, segs)
+	for _, n := range notes {
+		scr.hdrs = appendHeader(scr.hdrs, 0, frameRequest, n.Op, ext, n.Req)
 	}
+	hlen := 4 + headerLen + extLen
+	hdr := func(i int) []byte { return scr.hdrs[i*hlen : (i+1)*hlen] }
 	var err error
 	if tc, ok := w.(*net.TCPConn); ok {
-		scr.vecs = append(scr.vecs[:0], hdr)
-		for _, s := range segs {
-			if len(s) > 0 {
-				scr.vecs = append(scr.vecs, s)
-			}
+		scr.vecs = appendFrame(scr.vecs[:0], hdr(0), segs)
+		for i, n := range notes {
+			scr.vecs = appendFrame(scr.vecs, hdr(i+1), n.Req)
 		}
 		// WriteTo advances its receiver, so keep the full view aside to
 		// restore the backing array afterwards. Calling through the
@@ -281,15 +293,64 @@ func writeFrame(w io.Writer, id uint64, typ, op uint8, ext *TraceExt, segs ...[]
 		clear(full) // drop payload references before pooling
 		scr.vecs = full[:0]
 	} else {
-		buf := bufpool.Get(len(hdr) + total)
-		n := copy(buf, hdr)
-		for _, s := range segs {
-			n += copy(buf[n:], s)
+		err = writeFlat(w, hdr(0), segs)
+		for i := 0; i < len(notes) && err == nil; i++ {
+			err = writeFlat(w, hdr(i+1), notes[i].Req)
 		}
-		_, err = w.Write(buf)
-		bufpool.Put(buf)
 	}
 	framePool.Put(scr)
+	return err
+}
+
+// fits fails with ErrFrameTooLarge when a frame of segs and an
+// extension of extLen bytes would exceed MaxFrame.
+func fits(extLen int, segs [][]byte) error {
+	if total := payloadLen(segs); extLen+total > MaxPayload {
+		return fmt.Errorf("%w: payload %d bytes exceeds %d", ErrFrameTooLarge, total, MaxPayload-extLen)
+	}
+	return nil
+}
+
+// appendHeader appends the encoded header of a frame whose payload is
+// segs: length prefix, fixed header and, given ext, the trace extension.
+func appendHeader(b []byte, id uint64, typ, op uint8, ext *TraceExt, segs [][]byte) []byte {
+	n := headerLen + payloadLen(segs)
+	if ext != nil {
+		n += traceExtLen
+		typ |= typExt
+	}
+	b = binary.BigEndian.AppendUint32(b, uint32(n))
+	b = binary.BigEndian.AppendUint64(b, id)
+	b = append(b, typ, op)
+	if ext != nil {
+		b = append(b, flagTrace)
+		b = binary.BigEndian.AppendUint64(b, uint64(ext.Trace))
+		b = binary.BigEndian.AppendUint64(b, uint64(ext.Span))
+	}
+	return b
+}
+
+// appendFrame appends a frame's header and non-empty segments to vecs.
+func appendFrame(vecs net.Buffers, hdr []byte, segs [][]byte) net.Buffers {
+	vecs = append(vecs, hdr)
+	for _, s := range segs {
+		if len(s) > 0 {
+			vecs = append(vecs, s)
+		}
+	}
+	return vecs
+}
+
+// writeFlat writes one frame as a single Write from a pooled staging
+// buffer.
+func writeFlat(w io.Writer, hdr []byte, segs [][]byte) error {
+	buf := bufpool.Get(len(hdr) + payloadLen(segs))
+	n := copy(buf, hdr)
+	for _, s := range segs {
+		n += copy(buf[n:], s)
+	}
+	_, err := w.Write(buf)
+	bufpool.Put(buf)
 	return err
 }
 
@@ -614,9 +675,9 @@ type Client struct {
 
 // pendingCall tracks one in-flight request. dst, when non-empty, is the
 // caller's landing area for a bulk response: the read loop claims it
-// via dstState and scatters the payload straight off the socket into
-// it, so cancellation must coordinate (see the dstState states) before
-// the caller may reuse the memory.
+// via dstState and copies the payload into it from the connection's
+// read buffer (or the socket), so cancellation must coordinate (see the
+// dstState states) before the caller may reuse the memory.
 type pendingCall struct {
 	ch     chan response
 	gen    uint64
@@ -742,8 +803,8 @@ func (c *Client) readLoop(conn net.Conn, gen uint64) {
 					_, err = io.CopyN(io.Discard, br, int64(plen))
 				}
 			case fh.typ == frameOK && plen == p.dstLen && p.dstLen > 0 && p.claimDst():
-				// Bulk response: scatter the socket bytes straight into
-				// the caller's buffers. The claim blocks the caller from
+				// Bulk response: scatter the payload into the caller's
+				// buffers. The claim blocks the caller from
 				// reusing them mid-read if it gives up (see call).
 				resp.inDst = true
 				for _, d := range p.dst {
@@ -818,10 +879,17 @@ func payloadLen(segs [][]byte) int {
 // contiguous payload; the transport only reads them during the call.
 //
 // With an empty resp the response payload is returned. With a non-empty
-// resp a successful payload scatters off the socket directly into its
-// segments and the returned payload is nil; a response that does not
+// resp a successful payload is copied into its segments, allocating
+// nothing, and the returned payload is nil; a response that does not
 // exactly fill them consumes the frame but fails with *RespSizeError.
 // The caller must not touch resp's segments until Call returns.
+//
+// notes are notifications written after the request frame in the same
+// vectored write, each byte for byte the frame Notify would send, with
+// the request's trace extension. The peer handles a connection's frames
+// in order, so it answers the request before it handles the first note.
+// Like the request, the notes are only read during the call, and a
+// failed call may have sent any of them.
 //
 // dl (zero = none) is the call's deadline, merged with ctx's. Passing it
 // as a plain time.Time instead of wrapping ctx in context.WithTimeout
@@ -833,9 +901,9 @@ func payloadLen(segs [][]byte) int {
 // returns context.DeadlineExceeded. A traced context (internal/trace)
 // records the exchange as a "transport.call" span and stamps the frame
 // with the trace extension so the server can continue the trace.
-func (c *Client) Call(ctx context.Context, op uint8, req, resp [][]byte, dl time.Time) ([]byte, error) {
+func (c *Client) Call(ctx context.Context, op uint8, req, resp [][]byte, dl time.Time, notes ...Note) ([]byte, error) {
 	ext, h := c.startWire(ctx, "transport.call", payloadLen(req))
-	payload, err := c.call(ctx, op, ext, req, resp, dl)
+	payload, err := c.call(ctx, op, ext, req, resp, dl, notes)
 	h.End(err)
 	return payload, err
 }
@@ -852,7 +920,7 @@ func (c *Client) Notify(ctx context.Context, op uint8, req [][]byte, timeout tim
 	ext, h := c.startWire(ctx, "transport.notify", payloadLen(req))
 	conn, _, err := c.ensureConn(ctx)
 	if err == nil {
-		err = c.send(ctx, conn, 0, op, ext, req, deadline(ctx, time.Time{}), timeout)
+		err = c.send(ctx, conn, 0, op, ext, req, nil, deadline(ctx, time.Time{}), timeout)
 	}
 	h.End(err)
 	return err
@@ -905,7 +973,7 @@ func deadline(ctx context.Context, dl time.Time) time.Time {
 	return dl
 }
 
-func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte, dst [][]byte, dl time.Time) ([]byte, error) {
+func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte, dst [][]byte, dl time.Time, notes []Note) ([]byte, error) {
 	conn, gen, err := c.ensureConn(ctx)
 	if err != nil {
 		return nil, err
@@ -941,7 +1009,7 @@ func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte
 	}
 
 	dl = deadline(ctx, dl)
-	if err := c.send(ctx, conn, id, op, ext, req, dl, 0); err != nil {
+	if err := c.send(ctx, conn, id, op, ext, req, notes, dl, 0); err != nil {
 		unregister()
 		return nil, err
 	}
@@ -996,8 +1064,8 @@ func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte
 	return resp.payload, nil
 }
 
-// send writes one request frame (id 0: a notification) inline under the
-// write lock, bounded through the conn's write deadline by dl and by
+// send writes one request frame (id 0: a notification), and the notes
+// behind it, inline under the write lock, bounded through the conn's write deadline by dl and by
 // timeout (zero = none) counted from taking the lock — the runtime's
 // netpoll interrupts a blocked socket write, so no goroutine is needed
 // to abandon it. A frame still waiting for the lock when dl passes or
@@ -1007,7 +1075,7 @@ func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte
 // drops the session, since a partial frame desynchronizes the stream;
 // an expired deadline reports context.DeadlineExceeded, a cancellation
 // ctx.Err().
-func (c *Client) send(ctx context.Context, conn net.Conn, id uint64, op uint8, ext *TraceExt, req [][]byte, dl time.Time, timeout time.Duration) error {
+func (c *Client) send(ctx context.Context, conn net.Conn, id uint64, op uint8, ext *TraceExt, req [][]byte, notes []Note, dl time.Time, timeout time.Duration) error {
 	if err := c.lockWrite(ctx, dl); err != nil {
 		c.met.deadlineExpired.Inc()
 		return err
@@ -1022,14 +1090,14 @@ func (c *Client) send(ctx context.Context, conn net.Conn, id uint64, op uint8, e
 	if dl.IsZero() && ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, func() { c.dropConn(conn, ctx.Err()) })
 	}
-	err := writeFrame(conn, id, frameRequest, op, ext, req...)
+	err := writeFrames(conn, id, frameRequest, op, ext, req, notes)
 	if !stop() && err == nil {
 		err = ctx.Err() // the session was dropped under a complete frame
 	}
 	<-c.wslot
 	switch {
 	case err == nil:
-		c.met.framesSent.Inc()
+		c.met.framesSent.Add(int64(1 + len(notes)))
 		return nil
 	case errors.Is(err, ErrFrameTooLarge):
 		return err

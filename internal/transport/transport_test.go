@@ -346,8 +346,9 @@ func TestOversizedHandlerResultBecomesError(t *testing.T) {
 // TestCloseFailsOutstandingCalls: Close must fail in-flight calls with
 // ErrClosed immediately, not leave them waiting on the read loop.
 func TestCloseFailsOutstandingCalls(t *testing.T) {
-	stall := make(chan struct{})
+	stall, arrived := make(chan struct{}), make(chan struct{})
 	s, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
+		close(arrived)
 		<-stall // never answer until the test ends
 		return nil, nil
 	}, ServerOptions{})
@@ -364,8 +365,9 @@ func TestCloseFailsOutstandingCalls(t *testing.T) {
 		_, err := callOne(c, bg, 1, nil)
 		errc <- err
 	}()
-	// Wait until the call is registered, then close under it.
-	time.Sleep(20 * time.Millisecond)
+	// The frame reached the server, so the call is registered: close
+	// under it.
+	<-arrived
 	c.Close()
 	select {
 	case err := <-errc:
@@ -374,6 +376,51 @@ func TestCloseFailsOutstandingCalls(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("outstanding call not failed by Close")
+	}
+}
+
+// TestCallNotesFollowRequest: notes riding behind a call reach the
+// handler after its request, in order, and the call's response is on its
+// way before the first note is handled — a note parked in its handler
+// does not hold the call back.
+func TestCallNotesFollowRequest(t *testing.T) {
+	type seen struct {
+		op      uint8
+		payload string
+	}
+	got := make(chan seen, 3)
+	returned := make(chan struct{})
+	s, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
+		if op != 1 {
+			select {
+			case <-returned:
+			case <-time.After(5 * time.Second):
+				t.Error("a note was handled before the call returned")
+			}
+		}
+		got <- seen{op, string(payload)}
+		return []byte("ok"), nil
+	}, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(bg, s.Addr(), DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	notes := []Note{{Op: 2, Req: [][]byte{[]byte("no"), []byte("te a")}}, {Op: 3, Req: [][]byte{[]byte("note b")}}}
+	resp, err := c.Call(bg, 1, [][]byte{[]byte("req")}, nil, time.Now().Add(5*time.Second), notes...)
+	close(returned)
+	if err != nil || string(resp) != "ok" {
+		t.Fatalf("call: %q, %v", resp, err)
+	}
+	want := []seen{{1, "req"}, {2, "note a"}, {3, "note b"}}
+	for i, w := range want {
+		if g := <-got; g != w {
+			t.Fatalf("frame %d handled: %+v, want %+v", i, g, w)
+		}
 	}
 }
 
@@ -408,8 +455,9 @@ func TestCallDeadlineAgainstHungServer(t *testing.T) {
 
 // TestCallCancellation: cancelling the context abandons the call.
 func TestCallCancellation(t *testing.T) {
-	stall := make(chan struct{})
+	stall, arrived := make(chan struct{}), make(chan struct{})
 	s, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
+		close(arrived)
 		<-stall
 		return nil, nil
 	}, ServerOptions{})
@@ -428,7 +476,7 @@ func TestCallCancellation(t *testing.T) {
 		_, err := callOne(c, ctx, 1, nil)
 		errc <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	<-arrived // the call is sent and waits for its response
 	cancel()
 	select {
 	case err := <-errc:
