@@ -33,7 +33,8 @@ promtest:
 # starvation, a foreground write against a parked restore chunk on four
 # engines, and TestWindowVerifyBesideWriter: Verify and a stride-1 scrub
 # beside a stamped writer, zero mismatches) five; the fifth gives the
-# session block cache (admission, eviction, invalidation) five; the sixth
+# session block cache (admission, eviction, invalidation, its slot list)
+# and the two session tests that fill and flush through it five; the sixth
 # gives fsim's multi-client tests (one lock group per operation, one
 # lock per inode-table block) five; the seventh gives the memory store
 # (its mapping copied only under a shard lock, no torn block beside a
@@ -46,7 +47,7 @@ race:
 	$(GO) test -race -count=10 ./internal/par/
 	$(GO) test -race -count=10 -run 'TestRepairConcurrentFailover|TestRepairPauseResumeMidRebuild' ./internal/raid/ ./internal/repair/
 	$(GO) test -race -count=5 -run TestWindow ./internal/raid/
-	$(GO) test -race -count=5 -run 'TestBlockCache' ./internal/cdd/
+	$(GO) test -race -count=5 -run 'TestBlockCache|TestSessionCachedReads|TestWriteBackRecoversAfterRenewal' ./internal/cdd/
 	$(GO) test -race -count=5 -run 'TestConcurrentClientsUnderVClock|TestLockerSerializesConflicts|TestTwoMountsShareState|TestShadowModelSequential' ./internal/fsim/
 	$(GO) test -race -count=5 -run 'TestMem' ./internal/store/
 	$(GO) test -race -count=5 -run 'TestCallNotesFollowRequest|TestVectoredWriteBytesIdentical|TestCallsGroupedWrite|TestGroupedWriteFailureMarksCarriedRuns' ./internal/transport/ ./internal/cdd/
@@ -120,8 +121,8 @@ bench:
 # of the admission sketch included, allocate nothing) — and the call pins
 # (TestCalls): a session's flush of 64 scattered dirty blocks is ONE
 # remote write (TestCallsGroupCommit), a 64 KiB RAID-x write is 4 OpWrite
-# + 6 OpWriteBG frames at the managers, grouped or not
-# (TestCallsGroupedWrite), the session cache's hit ratio on
+# + 6 OpWriteBG frames at the managers and 4 col-write + 6 mirror-write
+# spans, grouped or not (TestCallsGroupedWrite), the session cache's hit ratio on
 # session_cache's own mix, replayed with no network or clock, stays
 # >= 0.69 at <= 0.175 misses per op (TestCallsCacheZipf; plain LRU
 # reads 0.631 / 0.212),
@@ -141,11 +142,14 @@ bench:
 # its allocations per overwrite and per Create + Remove (TestAllocsFS), and the
 # memory store's first write to an untouched block, overwrite and read,
 # which allocate nothing (TestAllocsMem: a block is a range of one
-# mapping, not a heap slice). A hot-path
+# mapping, not a heap slice), a full session cache's bytes, which stay off
+# the heap (TestAllocsCacheBytesOffHeap), and a tracer that never records,
+# which holds no span ring and records later spans with no allocation
+# (TestAllocsIdleTracer). A hot-path
 # allocation regression fails here before it shows up in the benchmarks.
 # Must run without -race — the race runtime allocates on its own account.
 benchcheck:
-	$(GO) test -run 'TestAllocs|TestFloor|TestCalls' -count=1 -v ./internal/par/ ./internal/transport/ ./internal/cdd/ ./internal/core/ ./internal/raid/ ./internal/parity/ ./internal/fsim/ ./internal/store/
+	$(GO) test -run 'TestAllocs|TestFloor|TestCalls' -count=1 -v ./internal/par/ ./internal/transport/ ./internal/cdd/ ./internal/core/ ./internal/raid/ ./internal/parity/ ./internal/fsim/ ./internal/store/ ./internal/trace/
 
 # paritycheck runs the parity-kernel shard (CI job `parity`): the full
 # kernel/RS suite under the race detector, the portable purego build of

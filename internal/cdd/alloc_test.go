@@ -199,7 +199,7 @@ func TestAllocsCachedWrite(t *testing.T) {
 
 // TestAllocsCachedMiss pins a miss over a full cache: the remote read
 // (3 of its limit of 6 today) plus the admission check, which either
-// recycles the entry and buffer it evicts or drops the copy — at most
+// recycles the entry and slot it evicts or drops the copy — at most
 // one more than the read costs, where an entry and a list element per
 // admission made it 5.
 func TestAllocsCachedMiss(t *testing.T) {

@@ -3,23 +3,26 @@ package cdd
 import (
 	"sync"
 
-	"repro/internal/bufpool"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // BlockCache is a per-client read cache over remote blocks: a bounded
-// LRU keyed by (disk, block), with bufpool-backed entries so cache
-// churn recycles buffers — and, once full, the evicted entry itself —
-// instead of allocating. A full cache admits a new block only if recent
-// lookups rate it above the LRU block it would evict (TinyLFU), so a
-// stream of one-touch misses cannot flush the hot set. It holds bytes
-// only — coherence (when an entry may be *served*) is the Session's job:
-// a hit is valid only under a live lock-group grant within the lease
-// safety window (DESIGN.md §13).
+// LRU keyed by (disk, block). Its bytes live outside the Go heap, in one
+// store.Mem of ⌊max / bs⌋ slots that the first insert maps (bs is that
+// block's size; a block of another size is not cached), so the collector
+// neither scans them nor counts them toward its goal. Each slot has one
+// entry, allocated with the mapping, so churn allocates nothing. A full
+// cache admits a new block only if recent lookups rate it above the LRU
+// block it would evict (TinyLFU), so a stream of one-touch misses cannot
+// flush the hot set. It holds bytes only — coherence (when an entry may
+// be *served*) is the Session's job: a hit is valid only under a live
+// lock-group grant within the lease safety window (DESIGN.md §13).
 type BlockCache struct {
 	mu   sync.Mutex
 	max  int64
-	size int64
+	mem  *store.Mem  // the slots; nil until the first insert
+	free *cacheEntry // entries whose slot holds no block, linked by next
 	m    map[cacheKey]*cacheEntry
 	lru  cacheEntry // ring sentinel: lru.next = most recent, lru.prev = least
 	freq sketch
@@ -34,7 +37,7 @@ type cacheKey struct {
 
 type cacheEntry struct {
 	key        cacheKey
-	buf        []byte // bufpool-owned, exactly one block
+	slot       int64 // its block in mem
 	prev, next *cacheEntry
 }
 
@@ -55,11 +58,7 @@ func NewBlockCache(maxBytes int64, reg *obs.Registry) *BlockCache {
 		c.evicts = reg.Counter("sess.cache_evictions")
 		c.rejects = reg.Counter("sess.cache_admit_rejects")
 		c.invals = reg.Counter("sess.cache_invalidations")
-		reg.RegisterGauge("sess.cache_bytes", func() int64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return c.size
-		})
+		reg.RegisterGauge("sess.cache_bytes", c.Bytes)
 		reg.RegisterGauge("sess.cache_hit_ratio_pct", func() int64 {
 			h, m := c.hits.Value(), c.misses.Value()
 			if h+m == 0 {
@@ -82,12 +81,12 @@ func (c *BlockCache) Get(disk uint32, block int64, dst []byte) bool {
 	}
 	c.freq.add(key)
 	ent := c.m[key]
-	if ent == nil || len(ent.buf) != len(dst) {
+	if ent == nil || len(dst) != c.mem.BlockSize() {
 		c.mu.Unlock()
 		c.misses.Inc()
 		return false
 	}
-	copy(dst, ent.buf)
+	c.mem.ReadBlock(ent.slot, dst) // sized and in range: cannot fail
 	detach(ent)
 	c.pushFrontLocked(ent)
 	c.mu.Unlock()
@@ -96,72 +95,51 @@ func (c *BlockCache) Get(disk uint32, block int64, dst []byte) bool {
 }
 
 // Put stores a copy of data (exactly one block) under (disk, block),
-// evicting LRU entries to stay within the byte bound — or drops it, when
-// it would evict and the admission check turns it away.
+// evicting the LRU entry when every slot is taken — or drops it, when
+// the admission check turns it away or its size is not the slots'.
 func (c *BlockCache) Put(disk uint32, block int64, data []byte) {
-	if int64(len(data)) > c.max {
-		return
-	}
 	c.mu.Lock()
-	if ent := c.insertLocked(cacheKey{disk: disk, block: block}, len(data)); ent != nil {
-		if len(ent.buf) != len(data) {
-			bufpool.Put(ent.buf)
-			ent.buf = bufpool.Get(len(data))
+	defer c.mu.Unlock()
+	if n := int64(len(data)); c.mem == nil && n > 0 && n <= c.max {
+		c.mem = store.NewMem(len(data), c.max/n)
+		ents := make([]cacheEntry, c.mem.NumBlocks())
+		for i := range ents {
+			ents[i].slot, ents[i].next, c.free = int64(i), c.free, &ents[i]
 		}
-		copy(ent.buf, data)
 	}
-	c.mu.Unlock()
-}
-
-// PutOwned is Put with buffer handoff: the cache takes ownership of
-// buf (a bufpool buffer holding exactly one block) instead of copying.
-// The write-back flusher uses it to move committed blocks straight
-// into the cache. A rejected buf goes back to the pool.
-func (c *BlockCache) PutOwned(disk uint32, block int64, buf []byte) {
-	if int64(len(buf)) > c.max {
-		bufpool.Put(buf)
+	if c.mem == nil || len(data) != c.mem.BlockSize() {
+		c.rejects.Inc()
 		return
 	}
-	c.mu.Lock()
-	if ent := c.insertLocked(cacheKey{disk: disk, block: block}, len(buf)); ent != nil {
-		ent.buf, buf = buf, ent.buf
+	if ent := c.insertLocked(cacheKey{disk: disk, block: block}); ent != nil {
+		c.mem.WriteBlock(ent.slot, data) // sized and in range: cannot fail
 	}
-	c.mu.Unlock()
-	bufpool.Put(buf) // the buffer the entry held, or buf itself if rejected
 }
 
-// insertLocked links an entry for key at the front and accounts n bytes
-// to it, first displacing the key's old entry and then LRU entries until
-// n fits. The entry is the last one displaced, its buffer still attached
-// (a fresh one with no buffer when nothing was): the caller leaves it
-// holding exactly n bytes. It returns nil, changing nothing, when key is
-// new, would evict, and is not looked up more often than the LRU block:
-// a cached key is always replaced, so a rejection never leaves a stale
-// copy behind.
-func (c *BlockCache) insertLocked(key cacheKey, n int) *cacheEntry {
+// insertLocked links an entry for key at the front and returns it, for
+// the caller to fill its slot: the key's own entry, a free one, or the
+// evicted LRU entry. It returns nil, changing nothing, when key is new,
+// no slot is free, and key is not looked up more often than the LRU
+// block: a cached key is always replaced, so a rejection never leaves a
+// stale copy behind.
+func (c *BlockCache) insertLocked(key cacheKey) *cacheEntry {
 	ent := c.m[key]
-	if ent != nil {
-		c.unlinkLocked(ent)
-	} else if c.size+int64(n) > c.max && c.lru.prev != &c.lru &&
-		c.freq.estimate(key) <= c.freq.estimate(c.lru.prev.key) {
+	switch {
+	case ent != nil:
+		detach(ent)
+	case c.free != nil:
+		ent, c.free = c.free, c.free.next
+	case c.freq.estimate(key) <= c.freq.estimate(c.lru.prev.key):
 		c.rejects.Inc()
 		return nil
-	}
-	for c.size+int64(n) > c.max && c.lru.prev != &c.lru {
-		if ent != nil {
-			bufpool.Put(ent.buf)
-		}
+	default:
 		ent = c.lru.prev
 		c.unlinkLocked(ent)
 		c.evicts.Inc()
 	}
-	if ent == nil {
-		ent = new(cacheEntry)
-	}
 	ent.key = key
 	c.pushFrontLocked(ent)
 	c.m[key] = ent
-	c.size += int64(n)
 	return ent
 }
 
@@ -174,18 +152,16 @@ func (c *BlockCache) pushFrontLocked(ent *cacheEntry) {
 // detach takes ent out of the LRU ring.
 func detach(ent *cacheEntry) { ent.prev.next, ent.next.prev = ent.next, ent.prev }
 
-// unlinkLocked takes ent out of the ring, the map and the byte count;
-// its buffer stays attached.
+// unlinkLocked takes ent out of the ring and the map; it keeps its slot.
 func (c *BlockCache) unlinkLocked(ent *cacheEntry) {
 	detach(ent)
 	delete(c.m, ent.key)
-	c.size -= int64(len(ent.buf))
 }
 
-// removeLocked unlinks ent and returns its buffer to the pool.
+// removeLocked unlinks ent and frees its slot.
 func (c *BlockCache) removeLocked(ent *cacheEntry) {
 	c.unlinkLocked(ent)
-	bufpool.Put(ent.buf)
+	ent.next, c.free = c.free, ent
 }
 
 // InvalidateBlocks drops the cached blocks [start, start+count) of one
@@ -236,7 +212,10 @@ func (c *BlockCache) Len() int {
 func (c *BlockCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.size
+	if c.mem == nil {
+		return 0
+	}
+	return int64(len(c.m) * c.mem.BlockSize())
 }
 
 // sketch is the admission check's count-min sketch of recent lookups

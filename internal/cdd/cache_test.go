@@ -3,6 +3,7 @@ package cdd_test
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/cdd"
 	"repro/internal/obs"
+	"repro/internal/race"
 )
 
 // TestBlockCacheAdmission walks the cache's admission rule and its one
@@ -107,7 +109,8 @@ func TestBlockCacheAdmission(t *testing.T) {
 			c.Put(0, 5, blk(0x55)) // ...but a cached key with the same count is not,
 			own := bufpool.Get(bs)
 			copy(own, blk(0x66))
-			c.PutOwned(0, 6, own)
+			c.Put(0, 6, own) // the flusher's put: a copy, then its buffer goes back
+			bufpool.Put(own)
 			c.Put(0, 0, blk(0xaa)) // nor is the LRU block itself
 			counts(t, reg, 0, 1)
 			size(t, c, capBlocks)
@@ -120,11 +123,12 @@ func TestBlockCacheAdmission(t *testing.T) {
 				t.Fatal("rejected block 99 is cached")
 			}
 		}},
-		{"a rejected PutOwned changes nothing and hands its buffer back", func(t *testing.T, c *cdd.BlockCache, reg *obs.Registry) {
+		{"a rejected Put changes nothing and its buffer goes back", func(t *testing.T, c *cdd.BlockCache, reg *obs.Registry) {
 			readEach(c, 0, capBlocks)
 			own := bufpool.Get(bs)
 			before := bufpool.Snapshot()
-			c.PutOwned(0, 200, own)
+			c.Put(0, 200, own)
+			bufpool.Put(own)
 			if puts := bufpool.Snapshot().Puts - before.Puts; puts < 1 {
 				t.Fatal("the rejected buffer was not returned to bufpool")
 			}
@@ -132,6 +136,19 @@ func TestBlockCacheAdmission(t *testing.T) {
 			counts(t, reg, 0, 1)
 			if c.Get(0, 200, got) {
 				t.Fatal("rejected block 200 is cached")
+			}
+		}},
+		{"a block of another size misses and is rejected", func(t *testing.T, c *cdd.BlockCache, reg *obs.Registry) {
+			readEach(c, 0, 4) // the first insert fixed the slot size at bs
+			half := make([]byte, bs/2)
+			c.Put(0, 50, half)
+			counts(t, reg, 0, 1)
+			if c.Get(0, 50, half) || c.Get(0, 1, make([]byte, 2*bs)) {
+				t.Fatal("a lookup of another size hit")
+			}
+			size(t, c, 4)
+			if !holds(c, 1, 1) {
+				t.Fatal("block 1 missing or wrong")
 			}
 		}},
 		{"a hot block no longer read ages out", func(t *testing.T, c *cdd.BlockCache, reg *obs.Registry) {
@@ -183,7 +200,7 @@ func TestBlockCacheAdmission(t *testing.T) {
 // no clock: one client's 70 % reads at Zipf 0.9 over a 4,096-block
 // region, ranks scattered by the benchmark generator's seeded
 // permutation, a 1,024-block cache, and writes absorbed into a 64-block
-// write-back batch whose flush moves every block into the cache in
+// write-back batch whose flush copies every block into the cache in
 // ascending order, as writeback.go's commit does. A dirty block's read
 // is served from the batch and never reaches the cache. Plain LRU reads
 // 0.631 / 0.212 here.
@@ -250,7 +267,9 @@ func TestCallsCacheZipf(t *testing.T) {
 			}
 			slices.Sort(flush)
 			for _, b := range flush {
-				c.PutOwned(0, b, bufpool.Get(bs))
+				own := bufpool.Get(bs)
+				c.Put(0, b, own)
+				bufpool.Put(own)
 			}
 			clear(dirty)
 		}
@@ -260,5 +279,36 @@ func TestCallsCacheZipf(t *testing.T) {
 	t.Logf("hit ratio %.4f, misses per op %.4f", ratio, perOp)
 	if ratio < 0.69 || perOp > 0.175 {
 		t.Fatalf("hit ratio %.4f, misses per op %.4f; want >= 0.69 and <= 0.175", ratio, perOp)
+	}
+}
+
+// TestAllocsCacheBytesOffHeap pins where a full cache's bytes live: 1,024
+// distinct 4 KiB blocks in a default 4 MiB cache grow the live heap by
+// under 512 KiB (entries, map and sketch), not by the 4 MiB they hold.
+func TestAllocsCacheBytesOffHeap(t *testing.T) {
+	if race.Enabled {
+		t.Skip("heap accounting differs under -race")
+	}
+	const bs, blocks = 4 << 10, 1024
+	var before, after runtime.MemStats
+	runtime.GC() // twice: the first leaves pooled buffers in the victim cache
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := cdd.NewBlockCache(0, nil)
+	data, got := make([]byte, bs), make([]byte, bs)
+	for b := int64(0); b < blocks; b++ {
+		data[0] = byte(b)
+		c.Put(0, b, data)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	last := int64(blocks - 1)
+	if c.Len() != blocks || !c.Get(0, last, got) || got[0] != byte(last) {
+		t.Fatalf("%d blocks cached, want %d with the last one readable", c.Len(), blocks)
+	}
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("live heap grew %d KiB for %d KiB cached", grew>>10, blocks*bs>>10)
+	if grew >= 512<<10 {
+		t.Fatalf("live heap grew %d bytes for a full cache, want < 512 KiB", grew)
 	}
 }

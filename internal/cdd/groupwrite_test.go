@@ -8,6 +8,8 @@ package cdd_test
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cdd"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/raid"
 	"repro/internal/raid/raidtest"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // groupCluster starts n loopback nodes of one disk each (4 KiB blocks)
@@ -63,7 +66,8 @@ func mgrWrites(nodes []*cdd.Node) (writes, bg int64) {
 // TestCallsGroupedWrite pins the frames a 64 KiB RAID-x write over four
 // nodes costs: one OpWrite per member and one OpWriteBG per mirror group
 // it touches, 4 + 6, whether each member's images ride behind its write
-// or go out on their own.
+// or go out on their own — and its spans, one col-write per member and one
+// mirror-write per image run, so a traced write reads the same either way.
 func TestCallsGroupedWrite(t *testing.T) {
 	for _, hide := range []bool{false, true} {
 		t.Run(fmt.Sprintf("hidden=%v", hide), func(t *testing.T) {
@@ -73,7 +77,8 @@ func TestCallsGroupedWrite(t *testing.T) {
 					devs[i] = ungrouped{d, d.(raid.VecDev)}
 				}
 			}
-			a, err := core.New(devs, 4, 1, core.Options{})
+			tr := trace.New(trace.Config{SlowThreshold: -1})
+			a, err := core.New(devs, 4, 1, core.Options{Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,15 +94,55 @@ func TestCallsGroupedWrite(t *testing.T) {
 			if w1-w0 != 4 || bg1-bg0 != 6 {
 				t.Errorf("a 64 KiB write cost %d mgr.write_ops + %d mgr.bg_write_ops, want 4 + 6", w1-w0, bg1-bg0)
 			}
+			spans := map[string]int{}
+			for _, sp := range tr.Spans() {
+				spans[sp.Name]++
+			}
+			if cw, mw := spans["raidx.col-write"], spans["raidx.mirror-write"]; cw != 4 || mw != 6 {
+				t.Errorf("a 64 KiB write recorded %d raidx.col-write + %d raidx.mirror-write spans, want 4 + 6", cw, mw)
+			}
 		})
 	}
 }
 
 // healthyDev answers healthy whatever its disk does, so a write is planned
-// onto a member that has failed and its grouped call fails.
-type healthyDev struct{ *cdd.RemoteDev }
+// onto a member that has failed and its grouped call fails. While its
+// order is armed, the victim's foreground call waits until every other
+// member's has returned: a failure that came back first would cancel a
+// sibling still in flight and leave that member's runs dirty too.
+type healthyDev struct {
+	*cdd.RemoteDev
+	i int
+	o *callOrder
+}
+
+type callOrder struct {
+	armed  atomic.Bool
+	victim int
+	others sync.WaitGroup
+}
 
 func (healthyDev) Healthy() bool { return true }
+
+// inOrder runs one foreground call of d in the order o sets.
+func (d healthyDev) inOrder(call func() error) error {
+	if d.o.armed.Load() {
+		if d.i == d.o.victim {
+			d.o.others.Wait()
+		} else {
+			defer d.o.others.Done()
+		}
+	}
+	return call()
+}
+
+func (d healthyDev) WriteBlocksVec(ctx context.Context, b int64, segs [][]byte) error {
+	return d.inOrder(func() error { return d.RemoteDev.WriteBlocksVec(ctx, b, segs) })
+}
+
+func (d healthyDev) WriteBlocksWith(ctx context.Context, b int64, segs [][]byte, bg []raid.Run) error {
+	return d.inOrder(func() error { return d.RemoteDev.WriteBlocksWith(ctx, b, segs, bg) })
+}
 
 // TestGroupedWriteFailureMarksCarriedRuns fails the disk under a member's
 // grouped write. The write must fail and leave dirty in the intent log
@@ -106,8 +151,9 @@ func (healthyDev) Healthy() bool { return true }
 func TestGroupedWriteFailureMarksCarriedRuns(t *testing.T) {
 	const blocks = 256
 	_, disks, devs := groupCluster(t, 4, blocks)
+	order := new(callOrder)
 	for i, d := range devs {
-		devs[i] = healthyDev{d.(*cdd.RemoteDev)}
+		devs[i] = healthyDev{d.(*cdd.RemoteDev), i, order}
 	}
 	il := intent.NewLog(4, blocks, 1)
 	a, err := core.New(devs, 4, 1, core.Options{Intent: il})
@@ -136,8 +182,17 @@ func TestGroupedWriteFailureMarksCarriedRuns(t *testing.T) {
 	}
 
 	disks[victim].Fail()
+	order.victim = victim
+	order.others.Add(len(devs) - 1) // one foreground call per member
+	order.armed.Store(true)
 	if err := sh.Write(ctx, b, n); err == nil {
 		t.Fatal("write onto a failed disk succeeded")
+	}
+	order.armed.Store(false)
+	for d := range devs {
+		if d != victim && len(il.Dirty(d)) != 0 {
+			t.Fatalf("member %d is dirty: %v", d, il.Dirty(d))
+		}
 	}
 	dirty := map[int64]bool{}
 	for _, r := range il.Dirty(victim) {

@@ -355,7 +355,7 @@ const (
 
 // commit sends the gathered extents (segsScratch: their dirty buffers,
 // one per block) as one write, then moves the blocks out of the dirty
-// map into the read cache and empties the gather lists.
+// map, copying each into the read cache, and empties the gather lists.
 func (c *CachedDev) commit(ctx context.Context) error {
 	exts, segs := c.extsScratch, c.segsScratch
 	if len(exts) == 0 {
@@ -373,10 +373,9 @@ func (c *CachedDev) commit(ctx context.Context) error {
 			delete(c.dirty, blk)
 			c.dirtyBytes -= c.bs
 			if c.s.leaseFresh() && c.s.holdsBlocks(c.disk, blk, 1, false) {
-				c.s.cache.PutOwned(c.disk, blk, segs[i])
-			} else {
-				bufpool.Put(segs[i])
+				c.s.cache.Put(c.disk, blk, segs[i])
 			}
+			bufpool.Put(segs[i])
 			i++
 		}
 	}

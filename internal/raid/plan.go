@@ -271,8 +271,9 @@ func (m *Members) WriteRuns(ctx context.Context, v *MemberView, pl, other *Plan,
 // writeRuns queues on dst one write per run of c, recorded as span s, and
 // lists the runs in dst.Spans. Given bg, a deferred copy cut as bgHow
 // says, the first gathered run on a GroupDev member carries that
-// member's runs of bg (carry); a deferred run on a carried member queues
-// no branch of its own.
+// member's runs of bg (carry), each recorded as a mirror-write span beside
+// the carrying branch's; a deferred run on a carried member queues no
+// branch of its own.
 func (m *Members) writeRuns(dst *Plan, v *MemberView, c *Plan, how Issue, s string, redundant bool, bg *Plan, bgHow Issue) {
 	exts := c.Data
 	if how&Flat != 0 {
@@ -304,6 +305,11 @@ func (m *Members) writeRuns(dst *Plan, v *MemberView, c *Plan, how Issue, s stri
 			switch dev := v.Devs[lo.Disk]; {
 			case runs != nil:
 				err = dev.(GroupDev).WriteBlocksWith(ctx, lo.Phys, segs, runs)
+				for _, r := range runs { // each carried run's own span
+					rh := h.Sibling(m.spanMirror, v.names[lo.Disk])
+					rh.Val = int64(len(r.Data))
+					rh.End(err)
+				}
 			case segs != nil:
 				err = WriteBlocksVec(ctx, dev, lo.Phys, segs)
 			case how&Deferred != 0:

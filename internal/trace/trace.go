@@ -9,7 +9,8 @@
 // failover. The design follows the same constraints as obs:
 //
 //   - Recording is allocation-free on the hot path: spans land in a
-//     fixed-size ring of pre-allocated slots; names and subjects are
+//     fixed-size ring of slots, allocated by the first span recorded (a
+//     tracer that never records holds none); names and subjects are
 //     static or pre-computed strings; claiming a slot is one atomic add
 //     plus one uncontended per-slot lock (the lock makes snapshots
 //     race-free under the race detector without a seqlock).
@@ -108,12 +109,13 @@ type slot struct {
 // Tracer records spans into a fixed ring and assembles slow traces. A
 // nil *Tracer is inert: every method is a no-op or returns zero values.
 type Tracer struct {
-	slots []slot
-	next  atomic.Uint64 // ring cursor (total spans ever recorded)
-	ids   atomic.Uint64 // trace/span ID allocator, randomly seeded
-	tick  atomic.Uint64 // sampling counter
-	every atomic.Int64  // sample 1 in N
-	slow  atomic.Int64  // slow threshold (ns); <0 disables
+	ring  atomic.Pointer[[]slot] // nil until the first span is recorded
+	size  int                    // ring capacity
+	next  atomic.Uint64          // ring cursor (total spans ever recorded)
+	ids   atomic.Uint64          // trace/span ID allocator, randomly seeded
+	tick  atomic.Uint64          // sampling counter
+	every atomic.Int64           // sample 1 in N
+	slow  atomic.Int64           // slow threshold (ns); <0 disables
 
 	mu       sync.Mutex
 	slowRing []Trace // newest-first bounded slow log
@@ -134,7 +136,7 @@ func New(cfg Config) *Tracer {
 	if cfg.SlowCap <= 0 {
 		cfg.SlowCap = DefaultSlowCap
 	}
-	t := &Tracer{slots: make([]slot, cfg.Ring), slowCap: cfg.SlowCap}
+	t := &Tracer{size: cfg.Ring, slowCap: cfg.SlowCap}
 	t.ids.Store(rand.Uint64())
 	t.every.Store(int64(cfg.SampleEvery))
 	t.slow.Store(int64(cfg.SlowThreshold))
@@ -227,14 +229,41 @@ func (h *Handle) End(err error) {
 	}
 }
 
-// record claims the next ring slot and stores the span.
+// Sibling begins a span beside h: the same trace, parent and start, its
+// own ID. It records work h's call carried along (an image run riding a
+// grouped write); ended after h's call, it lasts as long. From a no-op h
+// it is a no-op.
+func (h *Handle) Sibling(name, subject string) Handle {
+	if h.t == nil {
+		return Handle{}
+	}
+	s := *h
+	s.Val, s.id, s.name, s.subject = 0, SpanID(h.t.ids.Add(1)), name, subject
+	return s
+}
+
+// record claims the next ring slot and stores the span, allocating the
+// ring first if this is the tracer's first span.
 func (t *Tracer) record(sp Span) {
+	if t.ring.Load() == nil {
+		fresh := make([]slot, t.size)
+		t.ring.CompareAndSwap(nil, &fresh) // or a concurrent first span's ring stays
+	}
+	slots := t.slots()
 	i := t.next.Add(1) - 1
-	s := &t.slots[i%uint64(len(t.slots))]
+	s := &slots[i%uint64(len(slots))]
 	s.mu.Lock()
 	s.sp = sp
 	s.ok = true
 	s.mu.Unlock()
+}
+
+// slots is the ring, nil while no span has been recorded.
+func (t *Tracer) slots() []slot {
+	if r := t.ring.Load(); r != nil {
+		return *r
+	}
+	return nil
 }
 
 // Recorded reports how many spans were ever recorded (including ones
@@ -318,8 +347,9 @@ func StartLeaf(ctx context.Context, name, subject string) Handle {
 // collect gathers every retained span of one trace, start-ordered.
 func (t *Tracer) collect(id TraceID) []Span {
 	var out []Span
-	for i := range t.slots {
-		s := &t.slots[i]
+	slots := t.slots()
+	for i := range slots {
+		s := &slots[i]
 		s.mu.Lock()
 		if s.ok && s.sp.Trace == id {
 			out = append(out, s.sp)
@@ -358,8 +388,9 @@ func (t *Tracer) Spans() []Span {
 		return nil
 	}
 	var out []Span
-	for i := range t.slots {
-		s := &t.slots[i]
+	slots := t.slots()
+	for i := range slots {
+		s := &slots[i]
 		s.mu.Lock()
 		if s.ok {
 			out = append(out, s.sp)

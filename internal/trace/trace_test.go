@@ -203,6 +203,16 @@ func TestRingWrap(t *testing.T) {
 	if got := len(tr.Spans()); got != 8 {
 		t.Fatalf("ring retains %d spans, want 8", got)
 	}
+
+	// The default ring, allocated by its first span, wraps the same way.
+	tr = New(Config{SlowThreshold: -1})
+	for i := 0; i < DefaultRing+1; i++ {
+		_, h := tr.StartRoot(context.Background(), "op", "")
+		h.End(nil)
+	}
+	if got := len(tr.Spans()); got != DefaultRing {
+		t.Fatalf("default ring retains %d spans, want %d", got, DefaultRing)
+	}
 }
 
 func TestResumeMarksSubtreeTop(t *testing.T) {
