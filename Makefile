@@ -32,7 +32,9 @@ promtest:
 # pace hook) ten; the fourth gives raid.Window (both wait backends, no
 # starvation, a foreground write against a parked restore chunk on four
 # engines, and TestWindowVerifyBesideWriter: Verify and a stride-1 scrub
-# beside a stamped writer, zero mismatches) five; the fifth gives the
+# beside a stamped writer, zero mismatches) and the write drill (every
+# engine loses a member mid-call and ends as with it down at plan time)
+# five; the fifth gives the
 # session block cache (admission, eviction, invalidation, its slot list)
 # and the two session tests that fill and flush through it five; the sixth
 # gives fsim's multi-client tests (one lock group per operation, one
@@ -40,17 +42,19 @@ promtest:
 # (its mapping copied only under a shard lock, no torn block beside a
 # writer, unmapped once unreachable, remapped by Blank) five; the eighth
 # gives the grouped write (notes behind a call: their bytes, their order
-# after the request, the frames a RAID-x write costs, the intent marks of
-# a failed grouped call) five.
+# after the request, the frames a RAID-x write costs) five; the ninth gives
+# a grouped call failed mid-flight (only its member dirty, its carried
+# runs marked, no sibling cancelled) twenty.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/par/
 	$(GO) test -race -count=10 -run 'TestRepairConcurrentFailover|TestRepairPauseResumeMidRebuild' ./internal/raid/ ./internal/repair/
-	$(GO) test -race -count=5 -run TestWindow ./internal/raid/
+	$(GO) test -race -count=5 -run 'TestWindow|TestEnginesWriteFailureMidCall' ./internal/raid/
 	$(GO) test -race -count=5 -run 'TestBlockCache|TestSessionCachedReads|TestWriteBackRecoversAfterRenewal' ./internal/cdd/
 	$(GO) test -race -count=5 -run 'TestConcurrentClientsUnderVClock|TestLockerSerializesConflicts|TestTwoMountsShareState|TestShadowModelSequential' ./internal/fsim/
 	$(GO) test -race -count=5 -run 'TestMem' ./internal/store/
-	$(GO) test -race -count=5 -run 'TestCallNotesFollowRequest|TestVectoredWriteBytesIdentical|TestCallsGroupedWrite|TestGroupedWriteFailureMarksCarriedRuns' ./internal/transport/ ./internal/cdd/
+	$(GO) test -race -count=5 -run 'TestCallNotesFollowRequest|TestVectoredWriteBytesIdentical|TestCallsGroupedWrite' ./internal/transport/ ./internal/cdd/
+	$(GO) test -race -count=20 -run TestGroupedWriteFailureMarksCarriedRuns ./internal/cdd/
 
 # Full verification: static analysis, the exporter grammar tests, and
 # the whole suite (including the transport/cdd fault-injection tests)
@@ -104,8 +108,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # benchcheck runs the allocation-pinned regression tests: AllocsPerRun
-# limits on the hot paths (a warmed-up par.Do itself — the cancellable
-# context and nothing per branch — transport round trips, a call with
+# limits on the hot paths (a warmed-up par.Do itself — its index adapter
+# and nothing per branch — transport round trips, a call with
 # notes behind it included, remote device I/O at the benchmark's 4 KiB
 # and 64 KiB sizes — measured 3 allocs for a read and 3 for a write at
 # both, limit 6, a grouped write as well — a 64 KiB RAID-x write over

@@ -8,7 +8,6 @@ package cdd_test
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -105,55 +104,45 @@ func TestCallsGroupedWrite(t *testing.T) {
 	}
 }
 
-// healthyDev answers healthy whatever its disk does, so a write is planned
-// onto a member that has failed and its grouped call fails. While its
-// order is armed, the victim's foreground call waits until every other
-// member's has returned: a failure that came back first would cancel a
-// sibling still in flight and leave that member's runs dirty too.
+// healthyDev answers healthy until a foreground write of its has failed,
+// as a RemoteDev whose cached health predates its disk's failure does: a
+// write is planned onto the failed member, its grouped call fails
+// mid-flight, and from that answer on the member reads as down.
 type healthyDev struct {
 	*cdd.RemoteDev
-	i int
-	o *callOrder
+	lost *atomic.Bool
 }
 
-type callOrder struct {
-	armed  atomic.Bool
-	victim int
-	others sync.WaitGroup
-}
-
-func (healthyDev) Healthy() bool { return true }
-
-// inOrder runs one foreground call of d in the order o sets.
-func (d healthyDev) inOrder(call func() error) error {
-	if d.o.armed.Load() {
-		if d.i == d.o.victim {
-			d.o.others.Wait()
-		} else {
-			defer d.o.others.Done()
-		}
-	}
-	return call()
-}
+func (d healthyDev) Healthy() bool { return !d.lost.Load() }
 
 func (d healthyDev) WriteBlocksVec(ctx context.Context, b int64, segs [][]byte) error {
-	return d.inOrder(func() error { return d.RemoteDev.WriteBlocksVec(ctx, b, segs) })
+	return d.note(d.RemoteDev.WriteBlocksVec(ctx, b, segs))
 }
 
 func (d healthyDev) WriteBlocksWith(ctx context.Context, b int64, segs [][]byte, bg []raid.Run) error {
-	return d.inOrder(func() error { return d.RemoteDev.WriteBlocksWith(ctx, b, segs, bg) })
+	return d.note(d.RemoteDev.WriteBlocksWith(ctx, b, segs, bg))
+}
+
+func (d healthyDev) note(err error) error {
+	if err != nil {
+		d.lost.Store(true)
+	}
+	return err
 }
 
 // TestGroupedWriteFailureMarksCarriedRuns fails the disk under a member's
-// grouped write. The write must fail and leave dirty in the intent log
-// both its foreground run and every image run the call carried; a delta
-// resync of those regions then leaves the array verifying clean.
+// grouped write. The write must succeed, as it does with the member down
+// at plan time: every block's other copy landed. It must leave dirty in
+// the intent log both the victim's foreground run and every image run the
+// call carried, and nothing of any other member. Reads right after the
+// write see it; a delta resync of the victim alone then leaves the array
+// verifying clean.
 func TestGroupedWriteFailureMarksCarriedRuns(t *testing.T) {
 	const blocks = 256
 	_, disks, devs := groupCluster(t, 4, blocks)
-	order := new(callOrder)
+	lost := make([]atomic.Bool, len(devs))
 	for i, d := range devs {
-		devs[i] = healthyDev{d.(*cdd.RemoteDev), i, order}
+		devs[i] = healthyDev{d.(*cdd.RemoteDev), &lost[i]}
 	}
 	il := intent.NewLog(4, blocks, 1)
 	a, err := core.New(devs, 4, 1, core.Options{Intent: il})
@@ -182,13 +171,9 @@ func TestGroupedWriteFailureMarksCarriedRuns(t *testing.T) {
 	}
 
 	disks[victim].Fail()
-	order.victim = victim
-	order.others.Add(len(devs) - 1) // one foreground call per member
-	order.armed.Store(true)
-	if err := sh.Write(ctx, b, n); err == nil {
-		t.Fatal("write onto a failed disk succeeded")
+	if err := sh.Write(ctx, b, n); err != nil {
+		t.Fatalf("write with one member failed mid-call: %v", err)
 	}
-	order.armed.Store(false)
 	for d := range devs {
 		if d != victim && len(il.Dirty(d)) != 0 {
 			t.Fatalf("member %d is dirty: %v", d, il.Dirty(d))
@@ -211,7 +196,10 @@ func TestGroupedWriteFailureMarksCarriedRuns(t *testing.T) {
 		}
 	}
 
+	sh.Check(t, "right after the write")
+
 	disks[victim].Readmit()
+	lost[victim].Store(false)
 	if _, err := raid.Resync(ctx, a, victim, il.TakeDirty(victim), nil); err != nil {
 		t.Fatal(err)
 	}

@@ -182,6 +182,7 @@ func (m *Migration) copyWindow(ctx context.Context, lo, hi int64, checkpoint fun
 		if v.Readable(src.Disk) {
 			rerr = devs[src.Disk].ReadBlocks(ctx, src.Block, dst)
 		}
+		// ctx ends only by the caller's own cancellation: no fallback then.
 		if rerr != nil && ctx.Err() == nil {
 			if !v.Readable(alt.Disk) {
 				return fmt.Errorf("core: migrating block %d: both copies unavailable (%v): %w", mv.lb, rerr, raid.ErrDataLoss)

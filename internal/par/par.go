@@ -6,12 +6,12 @@
 // of the per-disk times, not their sum. When the context carries a
 // vclock.Proc, children are spawned as simulated processes so that the
 // virtual clock observes the overlap; otherwise the branches run on
-// resident worker goroutines (see doReal).
+// resident worker goroutines (see doReal). A failure cancels no sibling.
 package par
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -24,16 +24,8 @@ import (
 
 // Do runs every function, in parallel, and waits for all of them. It
 // returns the first non-nil error in argument order. A nil function is
-// skipped.
-//
-// In real time, the first failure cancels the context passed to the
-// remaining siblings, so a doomed fan-out (one column of a striped read
-// has lost both copies) fails as soon as the root cause is known
-// instead of waiting out every other column's full retry/backoff
-// budget. Siblings that fail only because of that cancellation are not
-// reported as the operation's error: the root cause wins, chosen
-// deterministically as the first non-cancellation error in argument
-// order.
+// skipped. Every function gets the caller's context: one's failure never
+// cancels another.
 //
 // A function must return normally: it runs on the caller's goroutine or
 // on a shared worker, so runtime.Goexit (t.FailNow) is not its to call.
@@ -42,16 +34,8 @@ import (
 // branch count), so a waterfall shows the fan-out's wall time as the
 // max of its branches, with every branch a child span.
 func Do(ctx context.Context, fns ...func(context.Context) error) error {
-	live := fns[:0]
-	for _, fn := range fns {
-		if fn != nil {
-			live = append(live, fn)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
+	live := slices.DeleteFunc(fns, func(fn func(context.Context) error) bool { return fn == nil })
+	if len(live) == 1 {
 		return live[0](ctx)
 	}
 	return ForEach(ctx, len(live), func(ctx context.Context, i int) error { return live[i](ctx) })
@@ -70,25 +54,19 @@ func ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) err
 	h.Val = int64(n)
 	defer func() { h.End(err) }()
 	if p, ok := vclock.From(ctx); ok {
-		fns := make([]func(context.Context) error, n)
-		for i := range fns {
-			i := i
-			fns[i] = func(ctx context.Context) error { return fn(ctx, i) }
-		}
-		return doSim(ctx, p, fns)
+		return doSim(ctx, p, n, fn)
 	}
 	return doReal(ctx, n, fn)
 }
 
-func doSim(ctx context.Context, p *vclock.Proc, fns []func(context.Context) error) error {
+func doSim(ctx context.Context, p *vclock.Proc, n int, fn func(context.Context, int) error) error {
 	s := p.Sim()
-	errs := make([]error, len(fns))
-	remaining := len(fns)
+	errs := make([]error, n)
+	remaining := n
 	gate := vclock.NewGate(s, "par.Do")
-	for i, fn := range fns {
-		i, fn := i, fn
+	for i := 0; i < n; i++ {
 		s.Spawn(fmt.Sprintf("%s/par%d", p.Name(), i), func(child *vclock.Proc) {
-			errs[i] = fn(vclock.With(ctx, child))
+			errs[i] = fn(vclock.With(ctx, child), i)
 			remaining--
 			if remaining == 0 {
 				gate.Broadcast()
@@ -100,26 +78,17 @@ func doSim(ctx context.Context, p *vclock.Proc, fns []func(context.Context) erro
 	if remaining > 0 {
 		gate.Wait(p)
 	}
-	return firstError(errs)
+	return cmp.Or(errs...) // the first error
 }
 
 // join is the state one real-time fan-out shares with its branches. It
 // is pooled and cleared on release, so neither the pool nor a parked
 // worker pins a finished operation's buffers.
 type join struct {
-	ctx    context.Context // cancelled by the first failure
-	cancel context.CancelFunc
-	fn     func(context.Context, int) error
-	errs   []error
-	wg     sync.WaitGroup
-}
-
-// run is branch i: a failure is recorded and aborts the siblings.
-func (j *join) run(i int) {
-	if err := j.fn(j.ctx, i); err != nil {
-		j.errs[i] = err
-		j.cancel()
-	}
+	ctx  context.Context
+	fn   func(context.Context, int) error
+	errs []error
+	wg   sync.WaitGroup
 }
 
 // task is one branch handed to a resident worker.
@@ -158,7 +127,7 @@ func work(t task) {
 	defer tick.Stop()
 	for {
 		j := t.j
-		j.run(t.i)
+		j.errs[t.i] = j.fn(j.ctx, t.i)
 		t = task{}
 		// Parked before Done: once Do returns, the next one can hire
 		// every worker it used.
@@ -180,12 +149,11 @@ func work(t task) {
 }
 
 // doReal hands n-1 branches to resident workers, whose stacks are
-// already grown, and runs the last on the caller, whose stack is deep.
+// already grown, and runs the last on the caller, whose stack is deep. It
+// joins as doSim does.
 func doReal(ctx context.Context, n int, fn func(context.Context, int) error) error {
 	j := joins.Get().(*join)
-	j.ctx, j.cancel = context.WithCancel(ctx)
-	defer j.cancel()
-	j.fn, j.errs = fn, slices.Grow(j.errs, n)[:n]
+	j.ctx, j.fn, j.errs = ctx, fn, slices.Grow(j.errs, n)[:n]
 	j.wg.Add(n - 1)
 	for i := 0; i < n-1; i++ {
 		if hire() {
@@ -195,36 +163,11 @@ func doReal(ctx context.Context, n int, fn func(context.Context, int) error) err
 		started.Add(1)
 		go work(task{j, i})
 	}
-	j.run(n - 1)
+	j.errs[n-1] = fn(ctx, n-1)
 	j.wg.Wait()
-	err := rootCause(j.errs, ctx.Err() != nil)
+	err := cmp.Or(j.errs...)
 	clear(j.errs)
-	j.ctx, j.cancel, j.fn, j.errs = nil, nil, nil, j.errs[:0]
+	j.ctx, j.fn, j.errs = nil, nil, j.errs[:0]
 	joins.Put(j) // not deferred: a panicking branch leaves its siblings running on j
 	return err
-}
-
-// rootCause is the first error that is not a sibling's cancellation
-// echo, else the first echo. When the caller's own context ended every
-// error is legitimate and the first one wins.
-func rootCause(errs []error, callerEnded bool) error {
-	var echo error
-	for _, err := range errs {
-		if err != nil && (callerEnded || !errors.Is(err, context.Canceled)) {
-			return err
-		}
-		if echo == nil {
-			echo = err
-		}
-	}
-	return echo
-}
-
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

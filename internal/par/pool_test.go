@@ -46,8 +46,8 @@ func TestPoolSteadyStateStartsNoWorker(t *testing.T) {
 	t.Fatal("a warmed-up 8-branch Do keeps starting workers")
 }
 
-// TestAllocsDo pins what a warmed-up fan-out allocates: the cancellable
-// context (2), for Do the index-to-function adapter, nothing per branch.
+// TestAllocsDo pins what a warmed-up fan-out allocates: for Do the
+// index-to-function adapter, nothing else and nothing per branch.
 func TestAllocsDo(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -60,8 +60,8 @@ func TestAllocsDo(t *testing.T) {
 		limit float64
 		f     func()
 	}{
-		{"Do", 3, func() { _ = Do(ctx, fns...) }},
-		{"ForEach", 2, func() { _ = ForEach(ctx, len(fns), each) }},
+		{"Do", 1, func() { _ = Do(ctx, fns...) }},
+		{"ForEach", 0, func() { _ = ForEach(ctx, len(fns), each) }},
 	} {
 		got := testing.AllocsPerRun(200, c.f)
 		t.Logf("%s: %.1f allocs/op (limit %.0f)", c.name, got, c.limit)

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/intent"
 	"repro/internal/raid"
 	"repro/internal/raid/raidtest"
 	"repro/internal/store"
@@ -167,6 +169,143 @@ func TestEnginesDegradedWriteThenRead(t *testing.T) {
 				sh.Check(t, fmt.Sprintf("victim %d: read after degraded write", victim))
 			}
 		})
+	}
+}
+
+// writeLiar reports healthy until, once armed, a write of its fails with
+// err: a member lost behind a stale health probe, which an engine plans
+// onto and loses mid-call, and which from that answer on reads as down, as
+// a RemoteDev does. With stays set it still reads healthy after failing,
+// as a member that refused the write or rejected the request does.
+type writeLiar struct {
+	raid.Dev
+	err         error
+	stays       bool
+	armed, lost atomic.Bool
+}
+
+var (
+	errWriteLost    = errors.New("injected: write lost behind a stale health probe")
+	errWriteRefused = errors.New("injected: write refused by a member still in service")
+)
+
+func (d *writeLiar) Healthy() bool { return !d.lost.Load() }
+
+func (d *writeLiar) fail() error {
+	d.lost.Store(!d.stays)
+	return d.err
+}
+
+func (d *writeLiar) WriteBlocks(ctx context.Context, b int64, p []byte) error {
+	if d.armed.Load() {
+		return d.fail()
+	}
+	return d.Dev.WriteBlocks(ctx, b, p)
+}
+
+func (d *writeLiar) WriteBlocksBackground(ctx context.Context, b int64, p []byte) error {
+	if d.armed.Load() {
+		return d.fail()
+	}
+	return d.Dev.WriteBlocksBackground(ctx, b, p)
+}
+
+// liarDisks returns disks whose member i is liars[i] where that is set.
+// Build over them once.
+func liarDisks(liars ...*writeLiar) raidtest.Disks {
+	return raidtest.Disks{Blocks: disks64.Blocks, Wrap: func(i int, d raid.Dev) raid.Dev {
+		if i >= len(liars) || liars[i] == nil {
+			return d
+		}
+		liars[i].Dev = d
+		return liars[i]
+	}}
+}
+
+// TestEnginesWriteFailureMidCall is the write twin of
+// TestStripeReadFailoverOnStaleHealth, on every engine and every victim: a
+// member lost mid-call counts as one down at plan time. The write ends as
+// its twin does, with the victim failed before the write (nil or
+// ErrDataLoss alike), and leaves no member but the victim dirty. A write
+// that succeeded reads back at once, leaves the victim dirty, and a resync
+// of the readmitted victim alone leaves Verify clean and the shadow
+// matching.
+func TestEnginesWriteFailureMidCall(t *testing.T) {
+	const b, n = 1, 13 // partial rows around full ones on every stripe
+	ctx := context.Background()
+	for _, e := range raidtest.Engines() {
+		for victim := 0; victim < e.N; victim++ {
+			t.Run(fmt.Sprintf("%s/d%d", subtest(e), victim), func(t *testing.T) {
+				twin, raw := raidtest.Build[raid.Array](t, e, disks64)
+				tsh := raidtest.Fill(t, twin)
+				raw[victim].Fail()
+				want := tsh.Write(ctx, b, n)
+
+				il := intent.NewLog(e.N, disks64.Blocks, 1)
+				liars := make([]*writeLiar, e.N)
+				liars[victim] = &writeLiar{err: errWriteLost}
+				a, _ := raidtest.Build[raid.Array](t, e.With(core.Options{Intent: il}), liarDisks(liars...))
+				sh := raidtest.Fill(t, a)
+				liars[victim].armed.Store(true)
+				err := sh.Write(ctx, b, n)
+				if (err == nil) != (want == nil) || errors.Is(err, raid.ErrDataLoss) != errors.Is(want, raid.ErrDataLoss) {
+					t.Fatalf("member lost mid-call: write returned %v; with it down at plan time: %v", err, want)
+				}
+				for d := 0; d < e.N; d++ {
+					if d != victim && len(il.Dirty(d)) != 0 {
+						t.Fatalf("member %d is dirty: %v", d, il.Dirty(d))
+					}
+				}
+				if err != nil {
+					return
+				}
+				sh.Check(t, "right after the write")
+				regions := il.TakeDirty(victim)
+				if len(regions) == 0 {
+					t.Fatal("the victim's lost writes left no intent")
+				}
+				liars[victim].armed.Store(false)
+				liars[victim].lost.Store(false) // readmitted
+				r := a.(raidtest.Array)
+				if _, err := raid.Resync(ctx, r, victim, regions, nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Flush(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Verify(ctx); err != nil {
+					t.Fatalf("after the victim's resync: %v", err)
+				}
+				sh.Check(t, "after the victim's resync")
+			})
+		}
+	}
+}
+
+// TestEnginesWriteFailureOnHealthyMemberFails: a member that fails a write
+// but still reads healthy stays in service with the old data, so on every
+// engine the write fails with that member's error — alone, and beside a
+// member the write lost, though either loss alone is within the rule.
+func TestEnginesWriteFailureOnHealthyMemberFails(t *testing.T) {
+	for _, e := range raidtest.Engines() {
+		for _, beside := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/beside-loss=%v", subtest(e), beside), func(t *testing.T) {
+				liars := []*writeLiar{{err: errWriteRefused, stays: true}, nil}
+				if beside {
+					liars[1] = &writeLiar{err: errWriteLost}
+				}
+				a, _ := raidtest.Build[raid.Array](t, e, liarDisks(liars...))
+				sh := raidtest.Fill(t, a)
+				for _, l := range liars {
+					if l != nil {
+						l.armed.Store(true)
+					}
+				}
+				if err := sh.Write(context.Background(), 1, 13); !errors.Is(err, errWriteRefused) {
+					t.Fatalf("write a healthy member failed returned %v, want its error", err)
+				}
+			})
+		}
 	}
 }
 

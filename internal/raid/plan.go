@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -46,6 +47,7 @@ type Plan struct {
 	// carried flags the members whose deferred runs one of them carries.
 	bg      []Run
 	carried []bool
+	errs    []atomic.Pointer[error] // each member's first branch error (fail)
 }
 
 var planPool = sync.Pool{New: func() any { return new(Plan) }}
@@ -104,8 +106,9 @@ func (pl *Plan) Release() {
 	clear(pl.Segs)
 	clear(pl.Fns)
 	clear(pl.bg)
+	clear(pl.errs)
 	pl.Data, pl.Segs, pl.Fns, pl.Spans = pl.Data[:0], pl.Segs[:0], pl.Fns[:0], pl.Spans[:0]
-	pl.added, pl.end, pl.bg, pl.carried = pl.added[:0], pl.end[:0], pl.bg[:0], pl.carried[:0]
+	pl.added, pl.end, pl.bg, pl.carried, pl.errs = pl.added[:0], pl.end[:0], pl.bg[:0], pl.carried[:0], pl.errs[:0]
 	planPool.Put(pl)
 }
 
@@ -203,6 +206,7 @@ func (m *Members) readRun(v *MemberView, run []Ext, segs [][]byte, other *Plan, 
 		ctx, h := trace.Start(ctx, m.spanRead, v.names[lo.Disk])
 		h.Val = int64(len(segs) * m.bs)
 		defer func() { h.End(err) }()
+		// ctx ends only by the caller's own cancellation: no failover then.
 		if err = ReadBlocksVec(ctx, v.Devs[lo.Disk], lo.Phys, segs); err == nil || other == nil || ctx.Err() != nil {
 			return err
 		}
@@ -244,17 +248,26 @@ func (m *Members) fallback(ctx context.Context, v *MemberView, run []Ext, segs [
 // copy, or nil), in parallel inside the members' window, gathered straight
 // from the caller's buffer. With a second copy, a block with no readable
 // copy fails the write before anything is written, a run on a member that
-// is down is skipped, and a run skipped or failed is intent-marked. When
+// is down is skipped, a run skipped or failed is intent-marked, and the
+// same check decides the write once a branch has failed (settle). When
 // other is Deferred, a member that is a GroupDev gets its deferred runs
 // in the branch of its first run of pl, one transfer; a failed transfer
 // marks every run it carried.
 func (m *Members) WriteRuns(ctx context.Context, v *MemberView, pl, other *Plan, how, otherHow Issue) error {
-	if other != nil {
+	// covered is the mirrored engines' write rule.
+	covered := func() error {
 		for i, e := range pl.added {
 			if !v.Readable(e.Disk) && !v.Readable(other.added[i].Disk) {
 				return fmt.Errorf("%s: block %d has no readable copy: %w", m.name, e.LB, ErrDataLoss)
 			}
 		}
+		return nil
+	}
+	if other != nil {
+		if err := covered(); err != nil {
+			return err
+		}
+		pl.track(len(v.Devs))
 	}
 	var bg *Plan
 	if other != nil && otherHow&Deferred != 0 {
@@ -265,7 +278,39 @@ func (m *Members) WriteRuns(ctx context.Context, v *MemberView, pl, other *Plan,
 		m.writeRuns(pl, v, other, otherHow, m.spanMirror, true, nil, 0)
 	}
 	defer m.win.Exit(m.win.Enter(ctx, pl.Spans...))
-	return par.Do(ctx, pl.Fns...)
+	err := par.Do(ctx, pl.Fns...)
+	if other == nil {
+		return err
+	}
+	return pl.settle(ctx, v, err, covered)
+}
+
+// track readies pl to record the failures of a fan-out over n members.
+func (pl *Plan) track(n int) { pl.errs = slices.Grow(pl.errs, n)[:n] }
+
+// fail records err as a failure of a branch of pl on member d.
+func (pl *Plan) fail(d int, err error) {
+	rec := err // escapes in place of err: a branch that succeeds allocates nothing
+	pl.errs[d].CompareAndSwap(nil, &rec)
+}
+
+// settle decides a redundant write whose fan-out returned err. A member
+// whose write failed but that v still sees healthy would serve the old
+// data, so its error fails the write, as err does once the caller's ctx
+// has ended; otherwise rule, the engine's plan-time check, decides.
+func (pl *Plan) settle(ctx context.Context, v *MemberView, err error, rule func() error) error {
+	if err == nil || ctx.Err() != nil {
+		return err
+	}
+	for d := range pl.errs {
+		if e := pl.errs[d].Load(); e != nil && v.Devs[d].Healthy() {
+			return *e
+		}
+	}
+	if verdict := rule(); verdict != nil {
+		return fmt.Errorf("%w: %w", verdict, err)
+	}
+	return nil
 }
 
 // writeRuns queues on dst one write per run of c, recorded as span s, and
@@ -323,6 +368,7 @@ func (m *Members) writeRuns(dst *Plan, v *MemberView, c *Plan, how Issue, s stri
 				for _, r := range runs {
 					m.il.MarkRange(lo.Disk, r.Phys, int64(len(r.Data)/m.bs))
 				}
+				dst.fail(lo.Disk, err)
 			}
 			return err
 		})

@@ -200,38 +200,34 @@ func (a *Stripe) lostRow(s, b int64, n int, failed devSet) bool {
 
 // moveRuns moves every run of pl in parallel — one branch per device, its
 // runs in physical order, each as one vectored transfer (xfer is
-// ReadBlocksVec or WriteBlocksVec). Every device is attempted — one
-// device's error does not cancel the others — and the erring devices come
-// back alongside the first error, so reads can fail over to
-// reconstruction.
-func moveRuns(ctx context.Context, devs []Dev, pl *Plan, xfer func(context.Context, Dev, int64, [][]byte) error) (devSet, error) {
-	errs := make([]error, len(devs))
+// ReadBlocksVec or WriteBlocksVec) — and returns the erring devices, each
+// recorded in pl (fail), alongside the first error, so reads can fail
+// over to reconstruction.
+func moveRuns(ctx context.Context, devs []Dev, pl *Plan, xfer func(context.Context, Dev, int64, [][]byte) error) (erred devSet, err error) {
+	pl.track(len(devs))
 	for i, j := 0, 0; i < len(pl.Data); i = j {
 		d := pl.Data[i].Disk
 		for j = i + 1; j < len(pl.Data) && pl.Data[j].Disk == d; j++ {
 		}
 		data, segs := pl.Data[i:j], pl.Segs[i:j]
-		pl.Fns = append(pl.Fns, func(ctx context.Context) error {
-			for r, next := 0, 0; r < len(data) && errs[d] == nil; r = next {
+		pl.Fns = append(pl.Fns, func(ctx context.Context) (err error) {
+			for r, next := 0, 0; r < len(data) && err == nil; r = next {
 				next = runEnd(data, r, 0)
-				errs[d] = xfer(ctx, devs[d], data[r].Phys, segs[r:next])
+				err = xfer(ctx, devs[d], data[r].Phys, segs[r:next])
 			}
-			return nil
+			if err != nil {
+				pl.fail(d, err)
+			}
+			return err
 		})
 	}
-	_ = par.Do(ctx, pl.Fns...)
-	var erred devSet
-	var first error
-	for d, err := range errs {
-		if err == nil {
-			continue
-		}
-		erred.add(d)
-		if first == nil {
-			first = err
+	err = par.Do(ctx, pl.Fns...)
+	for d := range pl.errs {
+		if pl.errs[d].Load() != nil {
+			erred.add(d)
 		}
 	}
-	return erred, first
+	return erred, err
 }
 
 // ReadBlocks implements Array. Shards on healthy devices scatter
@@ -374,16 +370,22 @@ func (a *Stripe) readShards(ctx context.Context, devs []Dev, s int64, shards [][
 }
 
 // writeShards writes shard j of stripe s from shards[j] for every j in
-// js, in parallel. A shard that fails to land is intent-marked.
-func (a *Stripe) writeShards(ctx context.Context, devs []Dev, s int64, shards [][]byte, js []int) error {
-	return par.ForEach(ctx, len(js), func(ctx context.Context, i int) error {
+// js, in parallel. A shard that fails to land is intent-marked, and the
+// write settles on lostDevs.
+func (a *Stripe) writeShards(ctx context.Context, v *MemberView, s int64, shards [][]byte, js []int) error {
+	pl := NewPlan() // only its failure record
+	defer pl.Release()
+	pl.track(a.n)
+	err := par.ForEach(ctx, len(js), func(ctx context.Context, i int) error {
 		d := a.devOf(s, js[i])
-		err := devs[d].WriteBlocks(ctx, s, shards[js[i]])
+		err := v.Devs[d].WriteBlocks(ctx, s, shards[js[i]])
 		if err != nil {
 			a.mem.Intent().MarkRange(d, s, 1)
+			pl.fail(d, err)
 		}
 		return err
 	})
+	return pl.settle(ctx, v, err, func() error { _, _, err := a.lostDevs(v); return err })
 }
 
 func putShards(shards [][]byte) {
@@ -397,9 +399,9 @@ func putShards(shards [][]byte) {
 // stripe. With deferred parity the data blocks go out immediately (no
 // parity I/O on the critical path) and the touched stripes enter the
 // redundancy window until Flush. An eager write skips only members that
-// are down — a blank spare takes every write — and intent-marks every
-// shard write it skips or that fails. (A deferred write that fails
-// stays in the window: no parity exists yet to resync it from.) Every
+// are down — a blank spare takes every write — intent-marks every shard
+// write it skips or that fails, and settles on lostDevs. A deferred write
+// that skips or loses a block fails: no parity holds it yet. Every
 // write enters the members' window over its rows: a row's shards decode
 // only together, so a restore of one member must not see half of a write.
 func (a *Stripe) WriteBlocks(ctx context.Context, b int64, p []byte) error {
@@ -431,7 +433,7 @@ func (a *Stripe) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 		}
 		a.mu.Unlock()
 		_, err := moveRuns(ctx, v.Devs, pl, WriteBlocksVec)
-		return err
+		return pl.settle(ctx, v, err, func() error { return fmt.Errorf("%s: parity is deferred: %w", a.name, ErrDataLoss) })
 	}
 	fullStart, fullEnd := s0, s1+1
 	if b%k != 0 {
@@ -446,13 +448,13 @@ func (a *Stripe) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 			continue
 		}
 		lo, hi := max(s*k, b), min((s+1)*k, end)
-		if err := a.writePartialStripe(ctx, v.Devs, s, lo, hi, p, b, lost, down); err != nil {
+		if err := a.writePartialStripe(ctx, v, s, lo, hi, p, b, lost, down); err != nil {
 			return err
 		}
 	}
 	// ...then the full-stripe region as one long parallel write.
 	if fullStart < fullEnd {
-		return a.writeFullStripes(ctx, v.Devs, fullStart, fullEnd, p, b, down)
+		return a.writeFullStripes(ctx, v, fullStart, fullEnd, p, b, down)
 	}
 	return nil
 }
@@ -461,7 +463,7 @@ func (a *Stripe) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 // shards go out as gather lists aliasing p, parity shards are encoded
 // into one pooled staging buffer. Every device holds one shard of every
 // row, so device d's gather list is the plan's d-th run of rows blocks.
-func (a *Stripe) writeFullStripes(ctx context.Context, devs []Dev, sa, sb int64, p []byte, b0 int64, down devSet) error {
+func (a *Stripe) writeFullStripes(ctx context.Context, v *MemberView, sa, sb int64, p []byte, b0 int64, down devSet) error {
 	rows := int(sb - sa)
 	parityBuf := bufpool.Get(rows * a.m * a.bs)
 	defer bufpool.Put(parityBuf)
@@ -484,15 +486,19 @@ func (a *Stripe) writeFullStripes(ctx context.Context, devs []Dev, sa, sb int64,
 		}
 	}
 	pl.Sort()
-	return par.ForEach(ctx, a.n, func(ctx context.Context, d int) (err error) {
+	pl.track(a.n)
+	err := par.ForEach(ctx, a.n, func(ctx context.Context, d int) (err error) {
 		if !down.has(d) {
-			err = WriteBlocksVec(ctx, devs[d], sa, pl.Segs[d*rows:(d+1)*rows])
+			if err = WriteBlocksVec(ctx, v.Devs[d], sa, pl.Segs[d*rows:(d+1)*rows]); err != nil {
+				pl.fail(d, err)
+			}
 		}
 		if down.has(d) || err != nil {
 			a.mem.Intent().MarkRange(d, sa, int64(rows))
 		}
 		return err
 	})
+	return pl.settle(ctx, v, err, func() error { _, _, err := a.lostDevs(v); return err })
 }
 
 // writePartialStripe updates logical blocks [lo, hi) of stripe s — the
@@ -509,7 +515,7 @@ func (a *Stripe) writeFullStripes(ctx context.Context, devs []Dev, sa, sb int64,
 //     from the new covered values and the old uncovered ones, which are
 //     read directly — or, when one of those is lost too, recovered by
 //     reconstructing the old stripe.
-func (a *Stripe) writePartialStripe(ctx context.Context, devs []Dev, s, lo, hi int64, p []byte, b0 int64, lost, down devSet) error {
+func (a *Stripe) writePartialStripe(ctx context.Context, v *MemberView, s, lo, hi int64, p []byte, b0 int64, lost, down devSet) error {
 	j0, j1 := int(lo-s*int64(a.k)), int(hi-s*int64(a.k))
 	// The stripe as this write sees it: a pooled block per shard holds
 	// what is read or encoded; the covered data shards end up aliasing p.
@@ -550,7 +556,7 @@ func (a *Stripe) writePartialStripe(ctx context.Context, devs []Dev, s, lo, hi i
 
 	switch {
 	case !reencode && parityLeft > 0:
-		if err := a.readShards(ctx, devs, s, shards, out); err != nil {
+		if err := a.readShards(ctx, v.Devs, s, shards, out); err != nil {
 			return err
 		}
 		for _, j := range out[parityLeft:] {
@@ -565,13 +571,13 @@ func (a *Stripe) writePartialStripe(ctx context.Context, devs []Dev, s, lo, hi i
 				uncovered = append(uncovered, j)
 			}
 		}
-		if err := a.readShards(ctx, devs, s, shards, uncovered); err != nil {
+		if err := a.readShards(ctx, v.Devs, s, shards, uncovered); err != nil {
 			return err
 		}
 	case reencode:
 		// The old data shards, read and decoded as a degraded read of the
 		// whole stripe would.
-		if _, _, err := a.readOnce(ctx, devs, s*int64(a.k), a.k, buf[:a.k*a.bs], lost); err != nil {
+		if _, _, err := a.readOnce(ctx, v.Devs, s*int64(a.k), a.k, buf[:a.k*a.bs], lost); err != nil {
 			return err
 		}
 	}
@@ -583,7 +589,7 @@ func (a *Stripe) writePartialStripe(ctx context.Context, devs []Dev, s, lo, hi i
 			return err
 		}
 	}
-	return a.writeShards(ctx, devs, s, shards, out)
+	return a.writeShards(ctx, v, s, shards, out)
 }
 
 // Flush implements Array. With deferred parity it first recomputes the
