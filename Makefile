@@ -27,10 +27,9 @@ promtest:
 
 # The second line gives internal/par's resident workers (hand-off, idle
 # exit, what a parked worker still references) ten rounds each; the third
-# gives the two drills that once raced the clock (two Failovers of one
-# member, the first parked until the second is refused; a pause from the
-# pace hook) ten; the fourth gives raid.Window (both wait backends, no
-# starvation, a foreground write against a parked restore chunk on four
+# gives two supervisor drills (a spare that dies mid-rebuild, then the
+# next spare and an empty pool; a pause from the pace hook) ten; the
+# fourth gives raid.Window (both wait backends, no starvation, a foreground write against a parked restore chunk on four
 # engines, and TestWindowVerifyBesideWriter: Verify and a stride-1 scrub
 # beside a stamped writer, zero mismatches) and the write drill (every
 # engine loses a member mid-call and ends as with it down at plan time)
@@ -48,7 +47,7 @@ promtest:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/par/
-	$(GO) test -race -count=10 -run 'TestRepairConcurrentFailover|TestRepairPauseResumeMidRebuild' ./internal/raid/ ./internal/repair/
+	$(GO) test -race -count=10 -run 'TestRepairSpareDiesMidRebuild|TestRepairPauseResumeMidRebuild' ./internal/repair/
 	$(GO) test -race -count=5 -run 'TestWindow|TestEnginesWriteFailureMidCall' ./internal/raid/
 	$(GO) test -race -count=5 -run 'TestBlockCache|TestSessionCachedReads|TestWriteBackRecoversAfterRenewal' ./internal/cdd/
 	$(GO) test -race -count=5 -run 'TestConcurrentClientsUnderVClock|TestLockerSerializesConflicts|TestTwoMountsShareState|TestShadowModelSequential' ./internal/fsim/

@@ -30,7 +30,6 @@ import (
 type healArray interface {
 	raid.Array
 	raid.Restorer // = repair.Array
-	raid.DevSwapper
 	raid.Verifier
 }
 
@@ -93,8 +92,7 @@ func nodeKillAutoSpareRebuild(t *testing.T, n int, build func([]raid.Dev, *inten
 		t.Fatal(err)
 	}
 	spare := disk.New(nil, "spare0", store.NewMem(1024, blocks), disk.DefaultModel())
-	sp := raid.NewSparer(a, []raid.Dev{spare})
-	sup := repair.New(a, sp, repair.Config{
+	sup := repair.New(a, []raid.Dev{spare}, repair.Config{
 		Poll:          5 * time.Millisecond,
 		FailureBudget: 50 * time.Millisecond,
 		ScrubStride:   -1,
@@ -186,11 +184,11 @@ func nodeKillAutoSpareRebuild(t *testing.T, n int, build func([]raid.Dev, *inten
 	if reads.Load() == 0 {
 		t.Fatal("reader made no progress")
 	}
-	if sp.SparesLeft() != 0 {
-		t.Fatalf("%d spares left, want 0 (the supervisor must have consumed one)", sp.SparesLeft())
+	if n := sup.Status().Spares; n != 0 {
+		t.Fatalf("%d spares left, want 0 (the supervisor must have consumed one)", n)
 	}
-	if len(sp.Retired()) != 1 {
-		t.Fatalf("%d retired devices, want 1", len(sp.Retired()))
+	if a.Members().Load().Devs[2] != raid.Dev(spare) {
+		t.Fatal("device 2's slot does not hold the spare")
 	}
 
 	// Writes that raced the rebuild may have been clobbered by an

@@ -359,14 +359,10 @@ func (n *Node) hostRepair(nc Config, cl *mount.Cluster, sched *qos.Scheduler) (*
 		}
 	}
 	cancel()
-	var sp *raid.Sparer
-	if cfg.Spares > 0 {
-		spareDevs := make([]raid.Dev, cfg.Spares)
-		for i := range spareDevs {
-			spareDevs[i] = disk.New(nil, fmt.Sprintf("spare-%d", i),
-				store.NewMem(nc.BlockSize, nc.Blocks), disk.DefaultModel())
-		}
-		sp = raid.NewSparer(coord.arr, spareDevs)
+	var spares []raid.Dev
+	for i := 0; i < cfg.Spares; i++ {
+		spares = append(spares, disk.New(nil, fmt.Sprintf("spare-%d", i),
+			store.NewMem(nc.BlockSize, nc.Blocks), disk.DefaultModel()))
 	}
 	if sched != nil {
 		// Maintenance traffic yields to foreground serving under the
@@ -375,7 +371,7 @@ func (n *Node) hostRepair(nc Config, cl *mount.Cluster, sched *qos.Scheduler) (*
 	}
 	cfg.Obs = mgr.Obs()
 	cfg.Persist = func(snap []byte) { coord.replicate(cfg.Array, snap) }
-	n.sup = repair.New(coord.arr, sp, cfg.Config)
+	n.sup = repair.New(coord.arr, spares, cfg.Config)
 	n.stops = append(n.stops, n.sup.Stop) // before coord.stop closes the connections under it
 	coord.sup = n.sup
 	// Completion without polling: the supervisor's runner repeats the

@@ -394,50 +394,48 @@ func TestConstructorValidation(t *testing.T) {
 	}
 }
 
-// TestHotSpareFailover: lose a disk, fail over onto a spare, verify the
-// array is fully redundant again by losing a second disk afterwards.
+// TestHotSpareFailover: lose a disk, swap a spare into its slot and
+// rebuild it, verify the array is fully redundant again by losing a
+// second disk afterwards.
 func TestHotSpareFailover(t *testing.T) {
 	a, raw := raidtest.Build[raidtest.Array](t, raidtest.RAIDx(4, 1), disks64)
 	spares, _ := disks64.Make(2)
-	sp := raid.NewSparer(a, spares)
-	if sp.SparesLeft() != 2 {
-		t.Fatalf("spares = %d", sp.SparesLeft())
-	}
 	ctx := context.Background()
 	sh := raidtest.Fill(t, a)
+	failover := func(idx int, spare raid.Dev) {
+		t.Helper()
+		if old, err := a.SwapDev(idx, spare); err != nil || old != raid.Dev(raw[idx]) {
+			t.Fatalf("swap of member %d returned (%v, %v), want the failed disk", idx, old, err)
+		}
+		if err := a.Rebuild(ctx, idx); err != nil {
+			t.Fatalf("rebuild of member %d: %v", idx, err)
+		}
+	}
 
 	raw[2].Fail()
-	if err := sp.Failover(ctx, 2); err != nil {
-		t.Fatalf("failover: %v", err)
-	}
-	if sp.SparesLeft() != 1 || len(sp.Retired()) != 1 {
-		t.Fatalf("pool state: %d spares, %d retired", sp.SparesLeft(), len(sp.Retired()))
-	}
+	failover(2, spares[0])
 	if err := a.Verify(ctx); err != nil {
 		t.Fatalf("verify after failover: %v", err)
 	}
 	// The rebuilt spare must carry the data when another disk dies.
 	raw[0].Fail()
 	sh.Check(t, "after spare failover + second failure")
-	// Second failover uses the last spare.
-	if err := sp.Failover(ctx, 0); err != nil {
-		t.Fatalf("second failover: %v", err)
-	}
-	if err := sp.Failover(ctx, 1); err == nil {
-		t.Fatal("third failover succeeded with empty pool")
+	failover(0, spares[1])
+	if err := a.Verify(ctx); err != nil {
+		t.Fatalf("verify after second failover: %v", err)
 	}
 }
 
-// TestHotSpareGeometryMismatch: a wrong-sized spare is rejected and
-// returned to the pool.
+// TestHotSpareGeometryMismatch: a wrong-sized spare is refused and the
+// member table is left as it was.
 func TestHotSpareGeometryMismatch(t *testing.T) {
 	a, _ := raidtest.Build[raidtest.Array](t, raidtest.RAIDx(4, 1), disks64)
 	tiny, _ := raidtest.Disks{Blocks: 8}.Make(1)
-	sp := raid.NewSparer(a, tiny)
-	if err := sp.Failover(context.Background(), 1); err == nil {
+	before := a.Members().Load()
+	if _, err := a.SwapDev(1, tiny[0]); err == nil {
 		t.Fatal("mismatched spare accepted")
 	}
-	if sp.SparesLeft() != 1 {
-		t.Fatalf("spare not returned to pool: %d left", sp.SparesLeft())
+	if a.Members().Load() != before {
+		t.Fatal("a refused swap changed the member table")
 	}
 }

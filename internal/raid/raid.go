@@ -74,6 +74,24 @@ type Rebuilder interface {
 	Rebuild(ctx context.Context, idx int) error
 }
 
+// DevSwapper is implemented by arrays whose member devices can be
+// replaced in place — every redundant engine, through its Members
+// table (Members.Swap).
+type DevSwapper interface {
+	Rebuilder
+	// SwapDev replaces member idx with dev (which must match geometry)
+	// and returns the previous device.
+	SwapDev(idx int, dev Dev) (Dev, error)
+}
+
+// Every redundant engine of this package is repaired by the one loop in
+// restore.go and takes a replacement device (core.RAIDx asserts the
+// same).
+var _, _, _ interface {
+	Restorer
+	DevSwapper
+} = (*Stripe)(nil), (*RAID10)(nil), (*Chained)(nil)
+
 // Verifier is implemented by arrays that can check their redundancy
 // (mirror equality, parity consistency) — used by tests and scrubbing.
 type Verifier interface {

@@ -30,7 +30,6 @@ type devCheckpoint struct {
 	ResyncBytes int64                `json:"resync_bytes,omitempty"`
 	Rebuilds    int                  `json:"rebuilds,omitempty"`
 	Resyncs     int                  `json:"resyncs,omitempty"`
-	Escalated   bool                 `json:"escalated,omitempty"`
 }
 
 // checkpointFile is the on-disk JSON shape.
@@ -94,12 +93,10 @@ func (s *Supervisor) recoverLocal() {
 		switch d.State {
 		case StateRebuilding, StateResyncing, StateDegraded:
 			// An interrupted job: resume it. A crashed-mid-rebuild member
-			// continues from the last landed chunk; spare claims did not
-			// survive the crash, so the rebuild resumes in place and the
-			// normal state machine re-degrades the member if it is gone.
+			// continues from the last landed chunk in place; the normal
+			// state machine re-degrades the member if it is gone.
 			st.State = d.State
 			st.Prog = d.Prog
-			st.escalated = d.Escalated
 			s.events.Append(obs.EventRepairState, fmt.Sprintf("repair/d%d", i),
 				fmt.Sprintf("resuming %s from local checkpoint", d.State))
 		}
@@ -130,7 +127,6 @@ func (s *Supervisor) saveLocal(intentChanged bool) {
 			ResyncBytes: d.ResyncBytes,
 			Rebuilds:    d.Rebuilds,
 			Resyncs:     d.Resyncs,
-			Escalated:   d.escalated,
 		}
 	}
 	s.mu.Unlock()

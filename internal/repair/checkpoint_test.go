@@ -91,9 +91,17 @@ func TestRepairLocalStateRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	arr2 := a2.(raidtest.Array)
+	// A checkpoint written before the "escalated" key was retired still
+	// loads: the victim's interrupted resync resumes.
+	if err := os.WriteFile(filepath.Join(stateDir, "repair.ckpt"), []byte(`{"version":1,"devices":[{},{"state":"resyncing","escalated":true}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	sup2 := repair.New(arr2, nil, cfg)
 	if il2.DirtyRegions(victim) == 0 {
 		t.Fatal("local intent snapshot not recovered at construction")
+	}
+	if st := sup2.DevState(victim); st != repair.StateResyncing {
+		t.Fatalf("an old checkpoint with the escalated key restored %q, want resyncing", st)
 	}
 	sup2.Start(ctx)
 	defer sup2.Stop()

@@ -12,8 +12,8 @@
 // the failure budget expires, the supervisor replays only the write
 // intents logged while it was away (delta resync, then a sampled scrub)
 // — a two-second blip costs seconds of copying, not a whole disk. If
-// the budget expires, the member is degraded: the supervisor claims a
-// hot spare from the Sparer, swaps it in, and rebuilds it from the
+// the budget expires, the member is degraded: the supervisor takes a
+// hot spare from its pool, swaps it in, and rebuilds it from the
 // array's redundancy. Jobs checkpoint their progress, pause and
 // resume on demand, survive interruption (a crash-mid-rebuild resumes
 // from the last landed chunk), and pace themselves through a byte-rate
@@ -51,7 +51,7 @@ const (
 	// running.
 	StateSuspect State = "suspect"
 	// StateDegraded: the budget expired; the supervisor is waiting to
-	// claim a spare (or has none).
+	// install a spare (or has none).
 	StateDegraded State = "degraded"
 	// StateRebuilding: a full background copy onto the device is in
 	// progress (fresh spare, or escalated after a failed scrub).
@@ -90,8 +90,9 @@ type Config struct {
 	// Poll is the health-scan interval (default 250ms).
 	Poll time.Duration
 	// FailureBudget is how long a member may stay unresponsive before
-	// the supervisor gives up on readmission and swaps a spare (default
-	// 5s). A budget of 0 escalates on the first poll.
+	// the supervisor gives up on readmission and swaps a spare
+	// (raidxnode's -repair-budget: 5s). A budget of 0 escalates on the
+	// first poll.
 	FailureBudget time.Duration
 	// Pace, when set, is consulted before every supervised transfer —
 	// the hook that paces repair, resync, scrub and rebalance traffic
@@ -138,18 +139,13 @@ type DevStatus struct {
 	LastErr string `json:"last_err,omitempty"`
 
 	unhealthySince time.Time
-	// swapped: a spare has been claimed and installed for the current
-	// rebuild (Release on completion).
-	swapped bool
-	// escalated: a scrub mismatch forced rebuild-in-place (no swap).
-	escalated bool
 }
 
 // Status is the supervisor's queryable state (the JSON raidxctl shows).
 type Status struct {
 	Paused  bool        `json:"paused"`
 	Active  int         `json:"active"` // device index of the running job, -1 when idle
-	Spares  int         `json:"spares"` // -1 when no sparer is attached
+	Spares  int         `json:"spares"` // -1 when no spare pool is attached
 	Devices []DevStatus `json:"devices"`
 	// Rebalance reports the membership-change job, nil when the array
 	// has never had one (or does not support them).
@@ -160,7 +156,6 @@ type Status struct {
 type Supervisor struct {
 	arr Array
 	mem *raid.Members // arr's member table: devices and write-intent log
-	sp  *raid.Sparer  // optional: nil disables auto-failover
 	cfg Config
 
 	events *obs.EventLog
@@ -168,6 +163,7 @@ type Supervisor struct {
 
 	mu        sync.Mutex
 	devs      []DevStatus
+	spares    []raid.Dev // the hot-spare pool, installed last first; nil: none
 	paused    bool
 	active    int // index of the device whose job is running, -1 idle
 	jobCancel context.CancelFunc
@@ -189,9 +185,9 @@ type Supervisor struct {
 // stopped; the job's checkpoint survives for the next resume.
 var ErrPaused = fmt.Errorf("repair: paused")
 
-// New builds a supervisor over the array. sp may be nil (no hot-spare
-// pool: degraded members wait for an operator).
-func New(arr Array, sp *raid.Sparer, cfg Config) *Supervisor {
+// New builds a supervisor over the array with a pool of hot spares.
+// spares may be nil (no pool: degraded members wait for an operator).
+func New(arr Array, spares []raid.Dev, cfg Config) *Supervisor {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 250 * time.Millisecond
 	}
@@ -202,7 +198,7 @@ func New(arr Array, sp *raid.Sparer, cfg Config) *Supervisor {
 	s := &Supervisor{
 		arr:    arr,
 		mem:    arr.Members(),
-		sp:     sp,
+		spares: spares,
 		cfg:    cfg,
 		events: cfg.Obs.Events(),
 		devs:   make([]DevStatus, n),
@@ -342,13 +338,13 @@ func (s *Supervisor) Owns(idx int) bool {
 
 // Status snapshots the supervisor for display.
 func (s *Supervisor) Status() Status {
-	spares := -1
-	if s.sp != nil {
-		spares = s.sp.SparesLeft()
-	}
 	reb := s.RebalanceStatus()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	spares := -1
+	if s.spares != nil {
+		spares = len(s.spares)
+	}
 	return Status{
 		Paused:    s.paused,
 		Active:    s.active,
@@ -391,7 +387,8 @@ func (s *Supervisor) pace(ctx context.Context, bytes int) error {
 // tick is one pass of the state machine: advance every member's state,
 // then run at most one recovery job synchronously.
 func (s *Supervisor) tick(ctx context.Context) {
-	devs := s.mem.Load().Devs
+	view := s.mem.Load()
+	devs := view.Devs
 	il := s.mem.Intent()
 	now := time.Now()
 	job := -1
@@ -434,26 +431,21 @@ func (s *Supervisor) tick(ctx context.Context) {
 				// member mid-storm would race foreground writes forever.
 				s.transitionLocked(i, StateResyncing, "outstanding intents on a healthy member")
 			}
-		case StateSuspect:
-			if healthy {
-				if dirty > 0 {
-					s.transitionLocked(i, StateResyncing, "readmitted with outstanding intents")
-				} else {
-					s.transitionLocked(i, StateHealthy, "readmitted clean")
-				}
-			} else if now.Sub(st.unhealthySince) >= s.cfg.FailureBudget {
+		case StateSuspect, StateDegraded:
+			// A member back even after the budget, before a swap landed,
+			// is still cheaper to resync than a spare is to rebuild.
+			switch {
+			case healthy && !view.Readable(i):
+				// Still blank: a spare (or an in-place rebuild target)
+				// that died mid-rebuild and came back owes the rebuild.
+				s.transitionLocked(i, StateRebuilding, "readmitted blank")
+			case healthy && dirty > 0:
+				s.transitionLocked(i, StateResyncing, "readmitted with outstanding intents")
+			case healthy:
+				s.transitionLocked(i, StateHealthy, "readmitted clean")
+			case st.State == StateSuspect && now.Sub(st.unhealthySince) >= s.cfg.FailureBudget:
 				s.transitionLocked(i, StateDegraded, "failure budget exhausted")
-			}
-		case StateDegraded:
-			if healthy {
-				// Came back after the budget but before a swap landed:
-				// still cheaper to resync than to consume a spare.
-				if dirty > 0 {
-					s.transitionLocked(i, StateResyncing, "late readmission")
-				} else {
-					s.transitionLocked(i, StateHealthy, "late readmission, no intents")
-				}
-			} else if !paused && job < 0 && s.sp != nil && s.sp.SparesLeft() > 0 {
+			case st.State == StateDegraded && !paused && job < 0 && len(s.spares) > 0:
 				job = i
 			}
 		case StateRebuilding, StateResyncing:
@@ -526,32 +518,40 @@ func (s *Supervisor) runJob(ctx context.Context, idx int) {
 	s.mu.Unlock()
 }
 
-// startFailover claims and installs a spare for degraded member idx,
-// then runs the rebuild.
+// startFailover installs the pool's last spare as degraded member idx,
+// then runs the rebuild. A spare the array refuses (geometry) stays in
+// the pool.
 func (s *Supervisor) startFailover(ctx context.Context, idx int) error {
-	if err := s.sp.Swap(idx); err != nil {
+	s.mu.Lock()
+	spare := s.spares[len(s.spares)-1]
+	s.spares = s.spares[:len(s.spares)-1]
+	s.mu.Unlock()
+	if _, err := s.mem.Swap(idx, spare); err != nil {
+		s.mu.Lock()
+		s.spares = append(s.spares, spare)
+		s.mu.Unlock()
 		return err
 	}
 	s.mu.Lock()
-	s.devs[idx].swapped = true
 	s.devs[idx].Prog = raid.RebuildProgress{}
+	s.transitionLocked(idx, StateRebuilding, "hot spare installed")
 	s.mu.Unlock()
-	s.setState(idx, StateRebuilding, "hot spare installed")
 	return s.runRebuild(ctx, idx)
 }
 
-// targetFailed reports whether a job on member idx (what names it)
-// failed with err because the target device itself died, and if so sends
-// the member back to suspect with a fresh failure budget.
-func (s *Supervisor) targetFailed(idx int, what string, err error) bool {
+// targetFailed handles a job on member idx (what names it) that failed
+// with err: if the target device itself died, the member goes back to
+// suspect with a fresh failure budget, and the next spare's rebuild
+// starts from scratch.
+func (s *Supervisor) targetFailed(idx int, what string, err error) {
 	if d := s.mem.Load().Devs[idx]; d != nil && d.Healthy() {
-		return false
+		return
 	}
 	s.mu.Lock()
 	s.devs[idx].unhealthySince = time.Now()
+	s.devs[idx].Prog = raid.RebuildProgress{}
 	s.transitionLocked(idx, StateSuspect, what+" target failed: "+err.Error())
 	s.mu.Unlock()
-	return true
 }
 
 // runRebuild runs (or resumes) the full background copy onto member idx.
@@ -567,28 +567,12 @@ func (s *Supervisor) runRebuild(ctx context.Context, idx int) error {
 	})
 	s.mu.Lock()
 	s.devs[idx].Prog = prog
-	swapped := s.devs[idx].swapped
 	s.mu.Unlock()
 	if err != nil {
-		if s.targetFailed(idx, "rebuild", err) {
-			// Release the claim so the degraded path can swap the next
-			// spare.
-			if swapped && s.sp != nil {
-				s.sp.Release(idx)
-			}
-			s.mu.Lock()
-			s.devs[idx].swapped = false
-			s.devs[idx].Prog = raid.RebuildProgress{}
-			s.mu.Unlock()
-		}
+		s.targetFailed(idx, "rebuild", err)
 		return err
 	}
-	if swapped && s.sp != nil {
-		s.sp.Release(idx)
-	}
 	s.mu.Lock()
-	s.devs[idx].swapped = false
-	s.devs[idx].escalated = false
 	s.devs[idx].Rebuilds++
 	s.devs[idx].Prog = raid.RebuildProgress{}
 	s.mu.Unlock()
@@ -629,7 +613,6 @@ func (s *Supervisor) runResync(ctx context.Context, idx int) error {
 			// Intent tracking missed a write: the delta can't be
 			// trusted, escalate to a full rebuild-in-place.
 			s.mu.Lock()
-			s.devs[idx].escalated = true
 			s.devs[idx].Prog = raid.RebuildProgress{}
 			s.mu.Unlock()
 			s.setState(idx, StateRebuilding,

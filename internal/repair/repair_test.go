@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,8 +38,8 @@ type harness struct {
 	rx  *core.RAIDx // arr, when the engine is RAID-x
 	raw []*disk.Disk
 	il  *intent.Log
-	sp  *raid.Sparer
-	// spares are the pool's disks; the Sparer hands them out last first.
+	// spares are the pool's disks; the supervisor installs them last
+	// first.
 	spares []*disk.Disk
 	reg    *obs.Registry
 	sup    *repair.Supervisor
@@ -56,14 +58,13 @@ func newHarnessOn(t *testing.T, e raidtest.Engine, g raidtest.Disks, spares int,
 	h := &harness{il: intent.NewLog(e.N, g.Blocks, 8), reg: obs.NewRegistry()}
 	h.arr, h.raw = raidtest.Build[raidtest.Array](t, e.With(core.Options{Intent: h.il, Obs: h.reg}), g)
 	h.rx, _ = h.arr.(*core.RAIDx)
+	var pool []raid.Dev
 	if spares > 0 {
-		var pool []raid.Dev
 		g.Wrap = nil
 		pool, h.spares = g.Make(spares)
-		h.sp = raid.NewSparer(h.arr, pool)
 	}
 	cfg.Obs = h.reg
-	h.sup = repair.New(h.arr, h.sp, cfg)
+	h.sup = repair.New(h.arr, pool, cfg)
 	return h
 }
 
@@ -126,11 +127,11 @@ func TestRepairSupervisorAutoSpareRebuild(t *testing.T) {
 			h.raw[victim].Fail()
 			waitRebuilt(t, h.sup, victim, "auto spare rebuild")
 
-			if h.sp.SparesLeft() != 0 {
-				t.Fatalf("%d spares left, want 0", h.sp.SparesLeft())
+			if n := h.sup.Status().Spares; n != 0 {
+				t.Fatalf("%d spares left, want 0", n)
 			}
-			if len(h.sp.Retired()) != 1 {
-				t.Fatalf("%d retired, want 1", len(h.sp.Retired()))
+			if h.arr.Members().Load().Devs[victim] != raid.Dev(h.spares[0]) {
+				t.Fatal("the member's slot does not hold the spare")
 			}
 			h.checkHealed(t, sh, "auto failover")
 			if countEvents(h.reg, obs.EventRepairState) < 3 {
@@ -140,6 +141,109 @@ func TestRepairSupervisorAutoSpareRebuild(t *testing.T) {
 				t.Fatal("swap and rebuild not recorded in the event log")
 			}
 		})
+	}
+}
+
+// TestRepairSpareDiesMidRebuild: a spare that dies mid-rebuild sends
+// its member back to suspect; when the budget runs out again the next
+// spare is installed and rebuilt, and the array heals. With the pool
+// empty, a further failure leaves the member degraded.
+func TestRepairSpareDiesMidRebuild(t *testing.T) {
+	for _, e := range drillEngines() {
+		t.Run(e.Name, func(t *testing.T) {
+			const victim = 2
+			polls := &polled{}
+			g := raidtest.Disks{BS: bs, Blocks: 400, Wrap: func(i int, d raid.Dev) raid.Dev {
+				if i != victim+1 {
+					return d
+				}
+				polls.Dev = d
+				return polls
+			}}
+			h := newHarnessOn(t, e, g, 2, repair.Config{
+				Poll:          2 * time.Millisecond,
+				FailureBudget: 10 * time.Millisecond,
+			})
+			sh := raidtest.Fill(t, h.arr)
+			first, second := h.spares[1], h.spares[0] // installed last first
+			first.FailAfter(2)                        // the third chunk of its rebuild fails
+			h.sup.Start(context.Background())
+			defer h.sup.Stop()
+
+			h.raw[victim].Fail()
+			waitRebuilt(t, h.sup, victim, "the rebuild onto the second spare")
+			if !slices.ContainsFunc(h.reg.Events().Events(), func(ev obs.Event) bool {
+				return strings.Contains(ev.Detail, "rebuilding -> suspect: rebuild target failed")
+			}) {
+				t.Fatal("the dead spare did not send its member back to suspect")
+			}
+			if st := h.sup.Status(); st.Spares != 0 || countEvents(h.reg, obs.EventSwap) != 2 {
+				t.Fatalf("%d spares left after %d swaps, want 0 after 2", st.Spares, countEvents(h.reg, obs.EventSwap))
+			}
+			if h.arr.Members().Load().Devs[victim] != raid.Dev(second) {
+				t.Fatal("the member's slot does not hold the second spare")
+			}
+			h.checkHealed(t, sh, "a spare lost mid-rebuild")
+
+			second.Fail()
+			h.waitState(t, victim, repair.StateDegraded)
+			from := polls.n.Load()
+			raidtest.Eventually(t, "three ticks with the pool empty", func() bool { return polls.n.Load() >= from+3 })
+			if st := h.sup.Status(); st.Devices[victim].State != repair.StateDegraded || st.Devices[victim].Rebuilds != 1 {
+				t.Fatalf("with the pool empty the member is %q after %d rebuilds, want degraded after 1",
+					st.Devices[victim].State, st.Devices[victim].Rebuilds)
+			}
+		})
+	}
+}
+
+// TestRepairSpareBackMidRebuild: a spare that dropped out mid-rebuild
+// and answers again is still blank, so the supervisor rebuilds it in
+// place instead of calling it healthy.
+func TestRepairSpareBackMidRebuild(t *testing.T) {
+	for _, e := range drillEngines() {
+		t.Run(e.Name, func(t *testing.T) {
+			const victim = 1
+			h := newHarness(t, e, 400, 1, repair.Config{
+				Poll:          2 * time.Millisecond,
+				FailureBudget: 10 * time.Millisecond,
+			})
+			sh := raidtest.Fill(t, h.arr)
+			h.spares[0].FailAfter(2)
+			h.sup.Start(context.Background())
+			defer h.sup.Stop()
+
+			h.raw[victim].Fail()
+			raidtest.Eventually(t, "the dead spare to leave its member degraded", func() bool {
+				st := h.sup.Status()
+				return st.Spares == 0 && st.Devices[victim].State == repair.StateDegraded
+			})
+			h.spares[0].Readmit()
+			waitRebuilt(t, h.sup, victim, "the readmitted spare's rebuild")
+			h.checkHealed(t, sh, "a spare back mid-rebuild")
+		})
+	}
+}
+
+// TestRepairRefusedSpareStaysInPool: a spare the array refuses (wrong
+// geometry) goes back in the pool, and its member stays degraded.
+func TestRepairRefusedSpareStaysInPool(t *testing.T) {
+	h := newHarness(t, raidx, 400, 0, repair.Config{Poll: time.Hour})
+	tiny, _ := raidtest.Disks{BS: bs, Blocks: 8}.Make(1)
+	sup := repair.New(h.arr, tiny, repair.Config{Poll: 2 * time.Millisecond})
+	sup.Start(context.Background())
+	defer sup.Stop()
+
+	const victim = 1
+	h.raw[victim].Fail()
+	raidtest.Eventually(t, "the refused swap", func() bool {
+		st := sup.Status().Devices[victim]
+		return st.State == repair.StateDegraded && strings.Contains(st.LastErr, "geometry")
+	})
+	sup.Stop() // no swap in flight
+	kept := h.arr.Members().Load().Devs[victim] == raid.Dev(h.raw[victim])
+	if st := sup.Status(); st.Spares != 1 || !kept {
+		t.Fatalf("after a refused swap: %d spares left (want 1), member %d kept: %v", st.Spares, victim, kept)
 	}
 }
 
@@ -190,7 +294,7 @@ func TestRepairSupervisorDeltaResync(t *testing.T) {
 			if rb := st.Devices[victim].ResyncBytes; rb == 0 || rb >= deviceBytes/4 {
 				t.Fatalf("resync moved %d bytes, want a small nonzero fraction of %d", rb, deviceBytes)
 			}
-			if h.sp.SparesLeft() != 1 {
+			if h.sup.Status().Spares != 1 {
 				t.Fatal("resync consumed a spare")
 			}
 			h.checkHealed(t, sh, "delta resync")
@@ -241,7 +345,7 @@ func TestRepairPauseResumeMidRebuild(t *testing.T) {
 				},
 			})
 			sh := raidtest.Fill(t, h.arr)
-			spare := h.spares[1] // the Sparer hands out its last spare first
+			spare := h.spares[1] // the supervisor installs its last spare first
 			h.sup.Start(context.Background())
 			defer h.sup.Stop()
 
@@ -320,7 +424,7 @@ func TestRepairScrubEscalatesToRebuild(t *testing.T) {
 			if st := h.sup.Status(); st.Devices[victim].Resyncs != 0 {
 				t.Fatalf("resyncs = %d, want 0 (the resync must not count as completed)", st.Devices[victim].Resyncs)
 			}
-			if h.sp.SparesLeft() != 1 {
+			if h.sup.Status().Spares != 1 {
 				t.Fatal("escalated rebuild-in-place consumed a spare")
 			}
 			h.checkHealed(t, sh, "escalated rebuild")

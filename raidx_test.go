@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"repro/internal/faultnet"
-	"repro/internal/raid"
+	"repro/internal/raid/raidtest"
 	"repro/internal/repair"
 )
 
@@ -237,10 +237,9 @@ func TestPublicAPIFaultTolerance(t *testing.T) {
 	}
 }
 
-// TestPublicAPIRepairAnyPolicy: the hot-spare pool and the repair
-// supervisor (internal/raid, internal/repair) take any redundant engine
-// the façade builds — here an rs(2,2) stripe with its intent log
-// attached — and a failover heals it.
+// TestPublicAPIRepairAnyPolicy: the repair supervisor (internal/repair)
+// and its hot-spare pool take any redundant engine the façade builds —
+// here an rs(2,2) stripe with its intent log attached — and heal it.
 func TestPublicAPIRepairAnyPolicy(t *testing.T) {
 	ctx := context.Background()
 	devs := NewMemDevs(4, 64, 512)
@@ -250,8 +249,7 @@ func TestPublicAPIRepairAnyPolicy(t *testing.T) {
 	}
 	reg := NewMetricsRegistry()
 	arr.Members().Attach(NewIntentLog(len(devs), 64, 0), reg, nil)
-	sp := raid.NewSparer(arr, NewMemDevs(1, 64, 512))
-	sup := repair.New(arr, sp, repair.Config{Obs: reg})
+	sup := repair.New(arr, NewMemDevs(1, 64, 512), repair.Config{Poll: time.Millisecond, FailureBudget: 0, Obs: reg})
 	if st := sup.Status(); len(st.Devices) != 4 || st.Spares != 1 {
 		t.Fatalf("supervisor status %+v", st)
 	}
@@ -260,10 +258,13 @@ func TestPublicAPIRepairAnyPolicy(t *testing.T) {
 	if err := arr.WriteBlocks(ctx, 0, data); err != nil {
 		t.Fatal(err)
 	}
+	sup.Start(ctx)
+	defer sup.Stop()
 	devs[2].(*Disk).Fail()
-	if err := sp.Failover(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
+	raidtest.Eventually(t, "the supervisor to rebuild member 2 onto the spare", func() bool {
+		st := sup.Status()
+		return st.Spares == 0 && st.Devices[2].Rebuilds == 1 && st.Devices[2].State == repair.StateHealthy
+	})
 	if err := arr.Verify(ctx); err != nil {
 		t.Fatal(err)
 	}
