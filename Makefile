@@ -27,8 +27,10 @@ promtest:
 
 # The second line gives internal/par's resident workers (hand-off, idle
 # exit, what a parked worker still references) ten rounds each; the third
-# gives two supervisor drills (a spare that dies mid-rebuild, then the
-# next spare and an empty pool; a pause from the pace hook) ten; the
+# gives four supervisor drills (a spare that dies mid-rebuild, then the
+# next spare and an empty pool; a pause from the pace hook; the state
+# persisted and a second failure tracked beside a held rebuild; a snapshot
+# saved mid-resync keeping the regions not yet copied) ten; the
 # fourth gives raid.Window (both wait backends, no starvation, a foreground write against a parked restore chunk on four
 # engines, and TestWindowVerifyBesideWriter: Verify and a stride-1 scrub
 # beside a stamped writer, zero mismatches) and the write drill (every
@@ -47,7 +49,7 @@ promtest:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/par/
-	$(GO) test -race -count=10 -run 'TestRepairSpareDiesMidRebuild|TestRepairPauseResumeMidRebuild' ./internal/repair/
+	$(GO) test -race -count=10 -run 'TestRepairSpareDiesMidRebuild|TestRepairPauseResumeMidRebuild|TestRepairCheckpointDuringJob|TestRepairCheckpointMidResync' ./internal/repair/
 	$(GO) test -race -count=5 -run 'TestWindow|TestEnginesWriteFailureMidCall' ./internal/raid/
 	$(GO) test -race -count=5 -run 'TestBlockCache|TestSessionCachedReads|TestWriteBackRecoversAfterRenewal' ./internal/cdd/
 	$(GO) test -race -count=5 -run 'TestConcurrentClientsUnderVClock|TestLockerSerializesConflicts|TestTwoMountsShareState|TestShadowModelSequential' ./internal/fsim/

@@ -60,6 +60,9 @@ type Log struct {
 	bits         [][]uint64 // one bitset per device
 	dirty        []int64    // dirty-region count per device (cheap gauges)
 	gen          uint64     // bumped on every mutation (persistence dirtiness)
+	// taken holds, per device, the bits the last TakeDirty handed out:
+	// snapshots list them until they are replayed (empty: nothing held).
+	taken [][]uint64
 	// n is len(bits) for the bounds checks made before taking mu: Grow
 	// appends to bits while marks and polls are in flight.
 	n atomic.Int64
@@ -85,6 +88,7 @@ func NewLog(devices int, deviceBlocks, regionBlocks int64) *Log {
 		regionBlocks: regionBlocks,
 		deviceBlocks: deviceBlocks,
 		bits:         make([][]uint64, devices),
+		taken:        make([][]uint64, devices),
 		dirty:        make([]int64, devices),
 	}
 	for i := range l.bits {
@@ -107,6 +111,7 @@ func (l *Log) Grow(devices int) {
 	l.mu.Lock()
 	for len(l.bits) < devices {
 		l.bits = append(l.bits, make([]uint64, words))
+		l.taken = append(l.taken, nil)
 		l.dirty = append(l.dirty, 0)
 	}
 	l.n.Store(int64(len(l.bits)))
@@ -204,6 +209,9 @@ func (l *Log) Dirty(dev int) []Region {
 // TakeDirty atomically returns dev's coalesced dirty regions and clears
 // them. The caller owns replaying the returned regions; on failure it
 // must re-mark them (MarkRange is idempotent) or the intents are lost.
+// Snapshots keep listing the regions until the caller's next TakeDirty
+// (or a ClearDev) on dev, which it makes once they are replayed, so a
+// crash mid-replay loses none of them.
 func (l *Log) TakeDirty(dev int) []Region {
 	if !l.tracks(dev) {
 		return nil
@@ -211,11 +219,16 @@ func (l *Log) TakeDirty(dev int) []Region {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := l.collect(dev)
+	held := l.taken[dev][:0]
 	if len(out) > 0 {
+		held = append(held, l.bits[dev]...)
 		clear(l.bits[dev])
 		l.dirty[dev] = 0
+	}
+	if len(out) > 0 || len(l.taken[dev]) > 0 {
 		l.gen++
 	}
+	l.taken[dev] = held
 	return out
 }
 
@@ -257,9 +270,10 @@ func (l *Log) ClearDev(dev int) {
 		return
 	}
 	l.mu.Lock()
-	if l.dirty[dev] != 0 {
+	if l.dirty[dev] != 0 || len(l.taken[dev]) > 0 {
 		clear(l.bits[dev])
 		l.dirty[dev] = 0
+		l.taken[dev] = l.taken[dev][:0]
 		l.gen++
 	}
 	l.mu.Unlock()
@@ -295,7 +309,8 @@ func (l *Log) Gen() uint64 {
 const snapshotMagic = 0x52584931
 
 // MarshalBinary serializes the log: magic, geometry, then each device's
-// bitset. The format is fixed-size and self-describing enough for Merge
+// bitset, regions a TakeDirty handed out and not yet replayed included.
+// The format is fixed-size and self-describing enough for Merge
 // to reject snapshots of a different geometry.
 func (l *Log) MarshalBinary() ([]byte, error) {
 	if l == nil {
@@ -312,8 +327,12 @@ func (l *Log) MarshalBinary() ([]byte, error) {
 	b = binary.BigEndian.AppendUint32(b, uint32(len(l.bits)))
 	b = binary.BigEndian.AppendUint64(b, uint64(l.deviceBlocks))
 	b = binary.BigEndian.AppendUint64(b, uint64(l.regionBlocks))
-	for _, bits := range l.bits {
-		for _, w := range bits {
+	for dev, bits := range l.bits {
+		taken := l.taken[dev]
+		for i, w := range bits {
+			if len(taken) > 0 {
+				w |= taken[i]
+			}
 			b = binary.BigEndian.AppendUint64(b, w)
 		}
 	}

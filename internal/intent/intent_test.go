@@ -107,9 +107,58 @@ func TestGenTracksMutation(t *testing.T) {
 		t.Fatal("take did not bump generation")
 	}
 	g2 := l.Gen()
-	l.TakeDirty(0) // no-op: nothing dirty
-	if l.Gen() != g2 {
+	l.TakeDirty(0) // nothing dirty, but it ends the first take's hold on snapshots
+	if l.Gen() == g2 {
+		t.Fatal("releasing a take did not bump generation")
+	}
+	g3 := l.Gen()
+	l.TakeDirty(0) // no-op: nothing dirty, nothing held
+	if l.Gen() != g3 {
 		t.Fatal("empty take bumped generation")
+	}
+}
+
+// TestTakeDirtySnapshotHoldsTaken: regions a TakeDirty handed out stay in
+// snapshots until the next take on that device, which releases them, so a
+// snapshot saved mid-replay loses nothing; marks made meanwhile are new
+// dirt, not held regions.
+func TestTakeDirtySnapshotHoldsTaken(t *testing.T) {
+	l := NewLog(2, 100, 10)
+	snapDirty := func(dev int) int64 {
+		t.Helper()
+		snap, err := l.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe := NewLog(2, 100, 10)
+		if err := probe.Merge(snap); err != nil {
+			t.Fatal(err)
+		}
+		return probe.DirtyRegions(dev)
+	}
+	l.MarkRange(1, 0, 30)
+	l.MarkRange(0, 50, 10)
+	if got := l.TakeDirty(1); len(got) != 1 || got[0] != (Region{Start: 0, Count: 30}) {
+		t.Fatalf("take = %+v", got)
+	}
+	if l.DirtyRegions(1) != 0 || snapDirty(1) != 3 || snapDirty(0) != 1 {
+		t.Fatalf("after a take: live %d, snapshot %d / %d regions, want 0, 3 / 1", l.DirtyRegions(1), snapDirty(1), snapDirty(0))
+	}
+	l.MarkRange(1, 90, 10) // a write missed the device mid-replay
+	if got := l.TakeDirty(1); len(got) != 1 || got[0] != (Region{Start: 90, Count: 10}) {
+		t.Fatalf("second take = %+v, want only the new mark", got)
+	}
+	if snapDirty(1) != 1 {
+		t.Fatalf("snapshot holds %d regions after the second take, want its 1", snapDirty(1))
+	}
+	if l.TakeDirty(1) != nil || snapDirty(1) != 0 {
+		t.Fatalf("an empty take left %d regions held", snapDirty(1))
+	}
+	l.MarkRange(1, 0, 10)
+	l.TakeDirty(1)
+	l.ClearDev(1)
+	if snapDirty(1) != 0 {
+		t.Fatal("ClearDev left a take held")
 	}
 }
 

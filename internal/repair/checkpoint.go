@@ -90,8 +90,7 @@ func (s *Supervisor) recoverLocal() {
 		st.ResyncBytes = d.ResyncBytes
 		st.Rebuilds = d.Rebuilds
 		st.Resyncs = d.Resyncs
-		switch d.State {
-		case StateRebuilding, StateResyncing, StateDegraded:
+		if d.State.owed() {
 			// An interrupted job: resume it. A crashed-mid-rebuild member
 			// continues from the last landed chunk in place; the normal
 			// state machine re-degrades the member if it is gone.
@@ -105,8 +104,9 @@ func (s *Supervisor) recoverLocal() {
 
 // saveLocal persists the intent snapshot (when the log changed) and the
 // job checkpoint (when the devices changed) into StateDir. Runs at poll
-// cadence from the supervision loop; each write is atomic, so a crash
-// between or during saves leaves the previous consistent state.
+// cadence from the supervision loop, a job running or not, and once more
+// from Stop; each write is atomic, so a crash between or during saves
+// leaves the previous consistent state.
 func (s *Supervisor) saveLocal(intentChanged bool) {
 	if s.cfg.StateDir == "" {
 		return

@@ -2,11 +2,14 @@ package repair_test
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +17,7 @@ import (
 	"repro/internal/intent"
 	"repro/internal/obs"
 	"repro/internal/qos"
+	"repro/internal/raid"
 	"repro/internal/raid/raidtest"
 	"repro/internal/repair"
 	"repro/internal/store"
@@ -208,5 +212,188 @@ func TestRepairStateDirOverFaultFS(t *testing.T) {
 	}
 	if il2.DirtyRegions(victim) == 0 {
 		t.Fatal("dirty map lost across torn crash")
+	}
+}
+
+// parkAfterFirstChunk is a Pace hook that holds the job at its first pace
+// point — after the first chunk landed — until release closes or the job
+// is cancelled; parked closes when it gets there.
+func parkAfterFirstChunk() (pace func(context.Context, int) error, parked, release chan struct{}) {
+	parked, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	pace = func(ctx context.Context, _ int) error {
+		first := false
+		once.Do(func() { first = true; close(parked) })
+		if first {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		return nil
+	}
+	return pace, parked, release
+}
+
+// waitParked waits for the job to reach parkAfterFirstChunk's hold.
+func waitParked(t *testing.T, parked chan struct{}) {
+	t.Helper()
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for the job's first chunk")
+	}
+}
+
+// TestRepairCheckpointDuringJob: the loop keeps persisting and tracking
+// health while a job runs. With a rebuild held between two chunks, and no
+// Stop, repair.ckpt names the member rebuilding with its landed chunk; a
+// second member that fails meanwhile reads suspect, and intent.snap holds
+// the regions it missed. (raid5(4) with a blank member has no redundancy
+// left for a second loss: every write would fail, so it checks only the
+// checkpoint.)
+func TestRepairCheckpointDuringJob(t *testing.T) {
+	for _, e := range drillEngines() {
+		t.Run(e.Name, func(t *testing.T) {
+			const victim, second, blocks = 0, 2, 800
+			dir := t.TempDir()
+			// A rebuild of the victim in place, as a restart over a crash
+			// mid-rebuild resumes it; the failure budget is long, so the
+			// second member stays suspect.
+			if err := os.WriteFile(filepath.Join(dir, "repair.ckpt"), []byte(`{"version":1,"devices":[{"state":"rebuilding"}]}`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			pace, parked, release := parkAfterFirstChunk()
+			h := newHarness(t, e, blocks, 0, repair.Config{
+				Poll:          2 * time.Millisecond,
+				FailureBudget: time.Hour,
+				StateDir:      dir,
+				Pace:          pace,
+			})
+			sh := raidtest.Fill(t, h.arr)
+			ctx := context.Background()
+			h.sup.Start(ctx)
+			defer h.sup.Stop()
+			defer close(release)
+			waitParked(t, parked)
+
+			raidtest.Eventually(t, "repair.ckpt to record the landed chunk", func() bool {
+				raw, err := os.ReadFile(filepath.Join(dir, "repair.ckpt"))
+				var ck struct{ Devices []repair.DevStatus }
+				if err != nil || json.Unmarshal(raw, &ck) != nil || len(ck.Devices) <= victim {
+					return false
+				}
+				d := ck.Devices[victim]
+				return d.State == repair.StateRebuilding && d.Prog.Done > 0
+			})
+			if st := h.sup.Status(); st.Active != victim || st.Devices[victim].State != repair.StateRebuilding {
+				t.Fatalf("the held rebuild reads active %d, state %q", st.Active, st.Devices[victim].State)
+			}
+			if e.Name == raidtest.RAID5(4).Name {
+				return
+			}
+
+			// On raidx a block whose other copy is on the blank victim has
+			// no readable copy left, so its write fails; the rest succeed.
+			h.raw[second].Fail()
+			rng := rand.New(rand.NewSource(11))
+			ok := 0
+			for i := 0; i < 32; i++ {
+				switch err := sh.Write(ctx, rng.Int63n(h.arr.Blocks()), 1); {
+				case err == nil:
+					ok++
+				case !errors.Is(err, raid.ErrDataLoss):
+					t.Fatalf("write without member %d: %v", second, err)
+				}
+			}
+			if err := h.arr.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if ok == 0 || h.il.DirtyRegions(second) == 0 {
+				t.Fatalf("%d of 32 writes succeeded without member %d, leaving %d regions against it; want some of both", ok, second, h.il.DirtyRegions(second))
+			}
+			h.waitState(t, second, repair.StateSuspect)
+			raidtest.Eventually(t, "intent.snap to hold the second member's regions", func() bool {
+				probe := intent.NewLog(e.N, blocks, 8)
+				return probe.LoadFrom(nil, filepath.Join(dir, "intent.snap")) == nil &&
+					probe.DirtyRegions(second) == h.il.DirtyRegions(second)
+			})
+			if st := h.sup.Status(); st.Active != victim || st.Devices[victim].State != repair.StateRebuilding {
+				t.Fatalf("the rebuild stopped holding its slot: active %d, state %q", st.Active, st.Devices[victim].State)
+			}
+		})
+	}
+}
+
+// TestRepairCheckpointMidResync: a resync takes its regions out of the
+// live intent log before it copies them, yet every intent.snap saved
+// while it runs still lists each region not yet copied, so a crash
+// mid-resync replays them after the restart instead of forgetting them.
+func TestRepairCheckpointMidResync(t *testing.T) {
+	for _, e := range drillEngines() {
+		t.Run(e.Name, func(t *testing.T) {
+			const victim, blocks = 1, 400
+			dir := t.TempDir()
+			polls := &polled{}
+			g := raidtest.Disks{BS: bs, Blocks: blocks, Wrap: func(i int, d raid.Dev) raid.Dev {
+				if i != victim+1 {
+					return d
+				}
+				polls.Dev = d
+				return polls
+			}}
+			pace, parked, release := parkAfterFirstChunk()
+			h := newHarnessOn(t, e, g, 0, repair.Config{
+				Poll:          2 * time.Millisecond,
+				FailureBudget: time.Hour,
+				StateDir:      dir,
+				Pace:          pace,
+			})
+			sh := raidtest.Fill(t, h.arr)
+			ctx := context.Background()
+			h.raw[victim].Fail()
+			for lb := int64(0); lb < h.arr.Blocks(); lb += 37 {
+				if err := sh.Write(ctx, lb, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := h.arr.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			owed := h.il.Dirty(victim)
+			if len(owed) < 3 {
+				t.Fatalf("the writes dirtied %d runs of member %d, want several", len(owed), victim)
+			}
+			h.raw[victim].Readmit()
+			h.sup.Start(ctx)
+			defer h.sup.Stop()
+			waitParked(t, parked)
+			if n := h.il.DirtyRegions(victim); n != 0 {
+				t.Fatalf("the resync left %d regions in the live log, want all taken", n)
+			}
+			// Three ticks beside the held job, each of which persists.
+			from := polls.n.Load()
+			raidtest.Eventually(t, "three ticks beside the resync", func() bool { return polls.n.Load() >= from+3 })
+			probe := intent.NewLog(e.N, blocks, 8)
+			if err := probe.LoadFrom(nil, filepath.Join(dir, "intent.snap")); err != nil {
+				t.Fatal(err)
+			}
+			saved := probe.Dirty(victim)
+			// The first run may be partly copied; none of the others is.
+			for _, r := range owed[1:] {
+				if !slices.ContainsFunc(saved, func(s intent.Region) bool {
+					return s.Start <= r.Start && r.Start+r.Count <= s.Start+s.Count
+				}) {
+					t.Fatalf("intent.snap saved mid-resync lost run %+v (it holds %+v)", r, saved)
+				}
+			}
+			close(release)
+			raidtest.Eventually(t, "the resync to finish", func() bool {
+				st := h.sup.Status().Devices[victim]
+				return st.Resyncs == 1 && st.State == repair.StateHealthy
+			})
+			h.checkHealed(t, sh, "a resync checkpointed mid-job")
+		})
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/layout"
@@ -76,19 +77,19 @@ func SaveRebalance(fs store.FS, dir string, ck *RebalanceCkpt) error {
 // rebalanceJob is the supervisor's state of the membership-change job,
 // guarded by Supervisor.mu.
 type rebalanceJob struct {
-	action  string // "grow" | "shrink", "" before any change
-	source  layout.EpochDesc
-	nodes   int
-	err     string
-	running bool            // a runner goroutine is going
-	mig     *core.Migration // the migration the runner drives
-	done    func(context.Context)
+	action string // "grow" | "shrink", "" before any change
+	source layout.EpochDesc
+	nodes  int
+	err    string
+	mig    *core.Migration // the migration the runner drives
+	done   func(context.Context)
 }
 
 // OnRebalanceDone registers f, before Start, to run on the rebalance
 // runner each time a membership change completes — after the done record
 // is down, while the job still reports running — so Stop waits for it and
-// ends its context. The rebalance coordinator's completion broadcast.
+// ends its context (Pause does not). The rebalance coordinator's
+// completion broadcast.
 func (s *Supervisor) OnRebalanceDone(f func(ctx context.Context)) { s.reb.done = f }
 
 // RebalanceStatus is the supervisor's view of the membership job.
@@ -117,21 +118,12 @@ func (s *Supervisor) rebalanceActive() bool {
 	return active
 }
 
-// recoveryBusy reports whether any member is mid-recovery (a job is
-// running, or a member sits in a state that owes one).
+// recoveryBusy reports whether recovery is owed: the slot runs a recovery
+// job, or some member Owns.
 func (s *Supervisor) recoveryBusy() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.active >= 0 {
-		return true
-	}
-	for i := range s.devs {
-		switch s.devs[i].State {
-		case StateDegraded, StateRebuilding, StateResyncing:
-			return true
-		}
-	}
-	return false
+	return s.activeLocked() >= 0 || slices.ContainsFunc(s.devs, func(d DevStatus) bool { return d.State.owed() })
 }
 
 // StartGrow begins (cursor 0) or resumes a live expansion by addNodes
@@ -156,7 +148,7 @@ func (s *Supervisor) StartRebalance(action string, nodes int, newDevs []raid.Dev
 		return fmt.Errorf("repair: array does not support membership changes")
 	}
 	s.mu.Lock()
-	running := s.reb.running // a finished job's runner may still be writing its done record
+	running := s.job != nil && s.job.dev < 0 // a finished migration's runner may still be writing its done record
 	s.mu.Unlock()
 	if running || s.rebalanceActive() {
 		return ErrRebalanceActive
@@ -194,43 +186,18 @@ func (s *Supervisor) StartRebalance(action string, nodes int, newDevs []raid.Dev
 	s.mu.Unlock()
 	s.events.Append(obs.EventRebalanceStart, "repair",
 		fmt.Sprintf("%s by %d nodes, resume at block %d", action, nodes, cursor))
-	s.kickRebalance()
+	// Refused while paused or before Start: tick launches it then.
+	s.launch(-1, func(ctx context.Context) { s.runRebalance(ctx, m) })
 	return nil
 }
 
-// kickRebalance launches the runner of the migration StartRebalance
-// recorded, unless one is already going. Called from StartRebalance and
-// from tick (which restarts the runner after a pause or a transient copy
-// error, and starts it for a rebalance requested before Start). The
-// runner is a child of the context Start created, so Stop ends it.
-func (s *Supervisor) kickRebalance() {
-	s.mu.Lock()
-	m, ctx := s.reb.mig, s.ctx
-	if m == nil || s.reb.running || s.paused || ctx == nil || ctx.Err() != nil {
-		s.mu.Unlock()
-		return
-	}
-	s.reb.running = true
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		s.runRebalance(ctx, m)
-	}()
-}
-
 // runRebalance drives the migration to completion (or to a pause/error
-// abort). The cursor is persisted durably on every window, BEFORE the
-// engine commits it: foreground writes route to new-epoch homes only
-// at or below the durable cursor, so a coordinator crash and resume
-// from the checkpoint can never re-copy old homes over acknowledged
-// writes.
+// abort) on the job slot. The cursor is persisted durably on every
+// window, BEFORE the engine commits it: foreground writes route to
+// new-epoch homes only at or below the durable cursor, so a coordinator
+// crash and resume from the checkpoint can never re-copy old homes over
+// acknowledged writes.
 func (s *Supervisor) runRebalance(ctx context.Context, m *core.Migration) {
-	defer func() {
-		s.mu.Lock()
-		s.reb.running = false
-		s.mu.Unlock()
-	}()
 	err := m.Run(ctx, s.pace, func(cursor int64) error {
 		return s.saveRebalanceCkpt(cursor, false)
 	})
@@ -244,7 +211,8 @@ func (s *Supervisor) runRebalance(ctx context.Context, m *core.Migration) {
 		return
 	}
 	s.mu.Lock()
-	s.reb.err, s.reb.mig = "", nil // done: nothing left for tick to kick
+	s.reb.err, s.reb.mig = "", nil // done: nothing left for tick to launch
+	broadcast := s.ctx             // Stop's context: a Pause now must not cut the broadcast
 	s.mu.Unlock()
 	// Best effort: if the done record misses, the last per-window
 	// checkpoint holds cursor = Blocks(), so a restart resumes into an
@@ -253,7 +221,7 @@ func (s *Supervisor) runRebalance(ctx context.Context, m *core.Migration) {
 	s.events.Append(obs.EventRebalanceEnd, "repair",
 		fmt.Sprintf("moved %d blocks (%d bytes)", m.Status().MovedBlocks, m.Status().MovedBytes))
 	if s.reb.done != nil {
-		s.reb.done(ctx)
+		s.reb.done(broadcast)
 	}
 }
 
@@ -294,7 +262,7 @@ func (s *Supervisor) RebalanceStatus() *RebalanceStatus {
 	}
 	m := r.CurrentMigration()
 	s.mu.Lock()
-	action, running, lastErr := s.reb.action, s.reb.running, s.reb.err
+	action, running, lastErr := s.reb.action, s.job != nil && s.job.dev < 0, s.reb.err
 	s.mu.Unlock()
 	if m == nil {
 		if action == "" {

@@ -80,6 +80,11 @@ func (st State) Code() int64 {
 	return -1
 }
 
+// owed reports whether a member in this state is owed a recovery job.
+func (st State) owed() bool {
+	return st == StateDegraded || st == StateRebuilding || st == StateResyncing
+}
+
 // Array is what the supervisor drives: any engine the policy-independent
 // repair loop of internal/raid can restore — its member table (devices,
 // write-intent log) plus the policy's Reconstruct.
@@ -165,20 +170,25 @@ type Supervisor struct {
 	devs      []DevStatus
 	spares    []raid.Dev // the hot-spare pool, installed last first; nil: none
 	paused    bool
-	active    int // index of the device whose job is running, -1 idle
-	jobCancel context.CancelFunc
+	job       *job    // the one running job; nil when idle
 	lastGen   uint64  // intent-log generation last persisted
 	lastCkpt  string  // last checkpoint JSON written to StateDir
 	prevDirty []int64 // per-device dirty count at the previous poll
 
 	reb rebalanceJob // the membership-change job; see rebalance.go
 
-	// ctx is the context Start created; the supervision loop and the
-	// rebalance runner are its children, counted in wg, so Stop cancels
-	// both and returns only once both have exited.
+	// ctx is the context Start created; the supervision loop and the job
+	// are its children, counted in wg, so Stop cancels both and returns
+	// only once both have exited.
 	ctx  context.Context
 	stop context.CancelFunc
 	wg   sync.WaitGroup
+}
+
+// job is the supervisor's one job slot: a recovery job, or the rebalance.
+type job struct {
+	cancel context.CancelFunc
+	dev    int // the member a recovery job owns; -1 for the rebalance
 }
 
 // ErrPaused aborts a running job when the supervisor is paused or
@@ -202,7 +212,6 @@ func New(arr Array, spares []raid.Dev, cfg Config) *Supervisor {
 		cfg:    cfg,
 		events: cfg.Obs.Events(),
 		devs:   make([]DevStatus, n),
-		active: -1,
 	}
 	now := time.Now()
 	for i := range s.devs {
@@ -222,7 +231,7 @@ func New(arr Array, spares []raid.Dev, cfg Config) *Supervisor {
 		cfg.Obs.RegisterGauge("repair.active", func() int64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return int64(s.active)
+			return int64(s.activeLocked())
 		})
 		cfg.Obs.RegisterGauge("repair.resync_bytes", func() int64 {
 			s.mu.Lock()
@@ -265,7 +274,7 @@ func (s *Supervisor) Start(ctx context.Context) {
 		t := time.NewTicker(s.cfg.Poll)
 		defer t.Stop()
 		for {
-			s.tick(ctx)
+			s.tick()
 			select {
 			case <-ctx.Done():
 				return
@@ -275,18 +284,20 @@ func (s *Supervisor) Start(ctx context.Context) {
 	}()
 }
 
-// Stop halts the loop and cancels any running job, a rebalance included
-// (its checkpoint survives; a later Start resumes it). When Stop returns
+// Stop halts the loop and cancels the running job, a rebalance included
+// (its checkpoint survives; a later Start resumes it), then persists once
+// more, so StateDir holds the job's last landed chunk. When Stop returns
 // the supervisor moves no more blocks and writes no more state.
 func (s *Supervisor) Stop() {
 	s.mu.Lock()
-	// Cancelled under mu: kickRebalance checks the context and joins wg
-	// under the same lock, so no runner starts past this point.
+	// Cancelled under mu: launch checks the context and joins wg under
+	// the same lock, so no job starts past this point.
 	if s.stop != nil {
 		s.stop()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
+	s.persist()
 }
 
 // Pause suspends repair: the running job is cancelled at its next pace
@@ -294,8 +305,8 @@ func (s *Supervisor) Stop() {
 func (s *Supervisor) Pause() {
 	s.mu.Lock()
 	s.paused = true
-	if s.jobCancel != nil {
-		s.jobCancel()
+	if s.job != nil {
+		s.job.cancel()
 	}
 	s.mu.Unlock()
 	s.events.Append(obs.EventRepairState, "repair", "paused")
@@ -328,12 +339,38 @@ func (s *Supervisor) DevState(idx int) State {
 
 // Owns reports whether the supervisor currently owns recovery of member
 // idx — a manual rebuild would run a second conflicting copy.
-func (s *Supervisor) Owns(idx int) bool {
-	switch s.DevState(idx) {
-	case StateDegraded, StateRebuilding, StateResyncing:
-		return true
+func (s *Supervisor) Owns(idx int) bool { return s.DevState(idx).owed() }
+
+// activeLocked is the member the running job owns, -1 when the slot is
+// empty or holds the rebalance. s.mu held.
+func (s *Supervisor) activeLocked() int {
+	if s.job == nil {
+		return -1
 	}
-	return false
+	return s.job.dev
+}
+
+// launch runs fn on its own goroutine as the one job — recovery of member
+// dev, or the rebalance (dev -1) — unless a job holds the slot, repair is
+// paused or the supervisor is not running. The job's context is a child
+// of Start's, counted in wg: Pause cancels it, Stop waits for it.
+func (s *Supervisor) launch(dev int, fn func(context.Context)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.job != nil || s.paused || s.ctx == nil || s.ctx.Err() != nil {
+		return
+	}
+	ctx, cancel := context.WithCancel(s.ctx)
+	s.job = &job{cancel: cancel, dev: dev}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		fn(ctx)
+		cancel()
+		s.mu.Lock()
+		s.job = nil
+		s.mu.Unlock()
+	}()
 }
 
 // Status snapshots the supervisor for display.
@@ -347,7 +384,7 @@ func (s *Supervisor) Status() Status {
 	}
 	return Status{
 		Paused:    s.paused,
-		Active:    s.active,
+		Active:    s.activeLocked(),
 		Spares:    spares,
 		Devices:   append([]DevStatus(nil), s.devs...),
 		Rebalance: reb,
@@ -360,21 +397,11 @@ func (s *Supervisor) StatusJSON() ([]byte, error) {
 	return json.Marshal(s.Status())
 }
 
-// setState moves member idx to next and logs the transition.
-func (s *Supervisor) setState(idx int, next State, why string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.transitionLocked(idx, next, why)
-}
-
-// pace is the PaceFunc of every supervised job: it aborts on pause or
-// cancellation and waits for cfg.Pace's admission.
+// pace is the PaceFunc of every supervised job: it aborts once the job
+// is cancelled (Pause, Stop) and waits for cfg.Pace's admission.
 func (s *Supervisor) pace(ctx context.Context, bytes int) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrPaused, err)
-	}
-	if s.Paused() {
-		return ErrPaused
 	}
 	if s.cfg.Pace != nil {
 		if err := s.cfg.Pace(ctx, bytes); err != nil {
@@ -384,21 +411,22 @@ func (s *Supervisor) pace(ctx context.Context, bytes int) error {
 	return nil
 }
 
-// tick is one pass of the state machine: advance every member's state,
-// then run at most one recovery job synchronously.
-func (s *Supervisor) tick(ctx context.Context) {
+// tick is one pass of the state machine: advance the state of every
+// member but the one the running job owns, launch the next job if the
+// slot is free, and persist. It never waits for a job.
+func (s *Supervisor) tick() {
 	view := s.mem.Load()
 	devs := view.Devs
 	il := s.mem.Intent()
 	now := time.Now()
-	job := -1
+	next := -1
 	// During a membership change no recovery job may start (the copier
 	// and a rebuild would each re-derive blocks the other is moving);
 	// state transitions still track health. A paused or error-aborted
 	// migration runner is restarted here once repair is resumed.
 	rebalancing := s.rebalanceActive()
 	s.mu.Lock()
-	paused := s.paused
+	owner, mig := s.activeLocked(), s.reb.mig
 	// A grow widened the device table: supervise the new members.
 	for len(s.devs) < len(devs) {
 		s.devs = append(s.devs, DevStatus{State: StateHealthy, Since: now})
@@ -408,9 +436,10 @@ func (s *Supervisor) tick(ctx context.Context) {
 		if i >= len(devs) {
 			break
 		}
-		if raid.ColumnRetired(s.arr, i) {
-			// A shrink removed this column's node: it holds no live
-			// blocks, is never rebuilt, and must not consume a spare.
+		if i == owner || raid.ColumnRetired(s.arr, i) {
+			// The running job moves its member's state. A shrink removed
+			// a retired column's node: it holds no live blocks, is never
+			// rebuilt, and must not consume a spare.
 			continue
 		}
 		st := &s.devs[i]
@@ -445,12 +474,12 @@ func (s *Supervisor) tick(ctx context.Context) {
 				s.transitionLocked(i, StateHealthy, "readmitted clean")
 			case st.State == StateSuspect && now.Sub(st.unhealthySince) >= s.cfg.FailureBudget:
 				s.transitionLocked(i, StateDegraded, "failure budget exhausted")
-			case st.State == StateDegraded && !paused && job < 0 && len(s.spares) > 0:
-				job = i
+			case st.State == StateDegraded && next < 0 && len(s.spares) > 0:
+				next = i
 			}
 		case StateRebuilding, StateResyncing:
-			if !paused && job < 0 {
-				job = i
+			if next < 0 {
+				next = i
 			}
 		}
 		s.prevDirty[i] = dirty
@@ -458,16 +487,17 @@ func (s *Supervisor) tick(ctx context.Context) {
 	s.mu.Unlock()
 
 	if rebalancing {
-		if !paused {
-			s.kickRebalance()
+		if mig != nil {
+			s.launch(-1, func(ctx context.Context) { s.runRebalance(ctx, mig) })
 		}
-	} else if job >= 0 {
-		s.runJob(ctx, job)
+	} else if next >= 0 {
+		s.launch(next, func(ctx context.Context) { s.runJob(ctx, next) })
 	}
 	s.persist()
 }
 
-// transitionLocked is setState for callers already holding s.mu.
+// transitionLocked moves member idx to next and logs the transition.
+// s.mu held.
 func (s *Supervisor) transitionLocked(idx int, next State, why string) {
 	prev := s.devs[idx].State
 	if prev == next {
@@ -482,32 +512,20 @@ func (s *Supervisor) transitionLocked(idx int, next State, why string) {
 		fmt.Sprintf("%s -> %s: %s", prev, next, why))
 }
 
-// runJob executes the recovery owed to member idx: the spare swap (for
-// a degraded member), then the rebuild or resync, synchronously. One
-// job runs at a time; everything else waits for later ticks.
+// runJob executes the recovery owed to member idx on the job slot: the
+// spare swap (for a degraded member), then the rebuild or resync.
 func (s *Supervisor) runJob(ctx context.Context, idx int) {
-	jobCtx, cancel := context.WithCancel(ctx)
 	s.mu.Lock()
-	s.active = idx
-	s.jobCancel = cancel
 	state := s.devs[idx].State
 	s.mu.Unlock()
-	defer func() {
-		cancel()
-		s.mu.Lock()
-		s.active = -1
-		s.jobCancel = nil
-		s.mu.Unlock()
-	}()
-
 	var err error
 	switch state {
 	case StateDegraded:
-		err = s.startFailover(jobCtx, idx)
+		err = s.startFailover(ctx, idx)
 	case StateRebuilding:
-		err = s.runRebuild(jobCtx, idx)
+		err = s.runRebuild(ctx, idx)
 	case StateResyncing:
-		err = s.runResync(jobCtx, idx)
+		err = s.runResync(ctx, idx)
 	}
 	s.mu.Lock()
 	if err != nil {
@@ -565,19 +583,20 @@ func (s *Supervisor) runRebuild(ctx context.Context, idx int) error {
 		s.mu.Unlock()
 		return s.pace(ctx, b)
 	})
+	// One critical section: a persist beside the job sees the rebuild
+	// either running or complete, never counted and still owed.
 	s.mu.Lock()
 	s.devs[idx].Prog = prog
+	if err == nil {
+		s.devs[idx].Rebuilds++
+		s.devs[idx].Prog = raid.RebuildProgress{}
+		s.transitionLocked(idx, StateHealthy, "rebuild complete")
+	}
 	s.mu.Unlock()
 	if err != nil {
 		s.targetFailed(idx, "rebuild", err)
-		return err
 	}
-	s.mu.Lock()
-	s.devs[idx].Rebuilds++
-	s.devs[idx].Prog = raid.RebuildProgress{}
-	s.mu.Unlock()
-	s.setState(idx, StateHealthy, "rebuild complete")
-	return nil
+	return err
 }
 
 // runResync drains the intent log onto readmitted member idx, then
@@ -585,6 +604,8 @@ func (s *Supervisor) runRebuild(ctx context.Context, idx int) error {
 func (s *Supervisor) runResync(ctx context.Context, idx int) error {
 	il := s.mem.Intent()
 	for {
+		// Snapshots list what a take returned until the next take: every
+		// one saved mid-job holds the regions not yet replayed.
 		regions := il.TakeDirty(idx)
 		if len(regions) == 0 {
 			break
@@ -614,16 +635,16 @@ func (s *Supervisor) runResync(ctx context.Context, idx int) error {
 			// trusted, escalate to a full rebuild-in-place.
 			s.mu.Lock()
 			s.devs[idx].Prog = raid.RebuildProgress{}
-			s.mu.Unlock()
-			s.setState(idx, StateRebuilding,
+			s.transitionLocked(idx, StateRebuilding,
 				fmt.Sprintf("scrub found %d mismatches, escalating to full rebuild", sc.Mismatches))
+			s.mu.Unlock()
 			return s.runRebuild(ctx, idx)
 		}
 	}
 	s.mu.Lock()
 	s.devs[idx].Resyncs++
+	s.transitionLocked(idx, StateHealthy, "delta resync complete")
 	s.mu.Unlock()
-	s.setState(idx, StateHealthy, "delta resync complete")
 	return nil
 }
 
