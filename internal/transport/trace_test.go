@@ -24,6 +24,31 @@ func oldFrame(id uint64, typ, op uint8, payload []byte) []byte {
 	return b
 }
 
+// writeFrame emits one frame whose payload is the concatenation of
+// segs: writeFrames with no notes.
+func writeFrame(w io.Writer, id uint64, typ, op uint8, ext *TraceExt, segs ...[]byte) error {
+	return writeFrames(w, id, typ, op, ext, segs, nil)
+}
+
+// readFrame parses one whole frame, accepting both the original format
+// and the flags-byte extension. The returned typ has the extension bit
+// stripped; ext is nil unless the frame carried a trace context.
+func readFrame(r io.Reader) (id uint64, typ, op uint8, ext *TraceExt, payload []byte, err error) {
+	var scratch headerScratch
+	fh, n, err := readFrameHeader(r, &scratch)
+	if err != nil {
+		return
+	}
+	payload = make([]byte, n)
+	if _, err = io.ReadFull(r, payload); err != nil {
+		return
+	}
+	if fh.hasExt {
+		ext = &fh.ext
+	}
+	return fh.id, fh.typ, fh.op, ext, payload, nil
+}
+
 func TestTraceFrameRoundTrip(t *testing.T) {
 	ext := &TraceExt{Trace: 0xdeadbeef, Span: 0x1234}
 	payload := []byte("hello")

@@ -2,12 +2,13 @@
 // drivers: a minimal, stdlib-only, length-prefixed binary RPC over TCP.
 //
 // Frames are multiplexed by request ID, so one connection carries many
-// outstanding requests. The server processes each connection's requests
-// in arrival order, preserving the per-client ordering the CDD relies
-// on (a background write followed by a flush on the same connection is
-// applied before the flush completes). Notifications (fire-and-forget
-// frames with ID 0) get no response — the mechanism behind deferred
-// mirror pushes.
+// outstanding requests. The server handles each connection's requests
+// in arrival order, the per-client order the CDD relies on (a background
+// write before a flush on the same connection is applied before the
+// flush completes), and replies in that order. Notifications (ID 0) get
+// no response — the mechanism behind deferred mirror pushes. A reply
+// waits while the next request is whole in the read buffer with its
+// opcode (under 64 KiB held); then all held replies leave in one write.
 //
 // A client has two request methods, Call and Notify, and one way to
 // write a frame: inline under the session's write lock, bounded by the
@@ -28,8 +29,7 @@
 // the connection's read buffer, which takes in whatever part of the
 // payload has already arrived, or straight off the socket for a
 // remainder at least as large as that buffer. Frame headers come from a
-// pool; server-side request payloads are pooled per-frame and released
-// after the response is written.
+// pool, and a request's pooled payload is released once its reply is out.
 //
 // Frame layout (big endian):
 //
@@ -238,19 +238,13 @@ type Note struct {
 	Req [][]byte
 }
 
-// writeFrame emits one frame whose payload is the concatenation of
-// segs. A nil ext produces bytes identical to the pre-extension frame
-// format, so untraced traffic is indistinguishable from an older
-// peer's. No bytes are written when the frame would exceed MaxFrame, so
-// an ErrFrameTooLarge does not desynchronize the stream.
-func writeFrame(w io.Writer, id uint64, typ, op uint8, ext *TraceExt, segs ...[]byte) error {
-	return writeFrames(w, id, typ, op, ext, segs, nil)
-}
-
-// writeFrames emits the frame writeFrame would, then one request frame
-// with id 0 per note, each byte for byte as a notification of its own:
-// every frame carries ext. Every frame's size is checked before any
-// byte is written.
+// writeFrames emits one frame whose payload is the concatenation of
+// segs, then one request frame with id 0 per note, each byte for byte as
+// a notification of its own: every frame carries ext. A nil ext produces
+// bytes identical to the pre-extension frame format, so untraced traffic
+// is indistinguishable from an older peer's. Every frame's size is
+// checked before any byte is written, so an ErrFrameTooLarge does not
+// desynchronize the stream.
 //
 // On a TCP session all the headers and segments go out as one vectored
 // write (writev) with no coalescing copy. Other writers (pipes, fault
@@ -279,19 +273,11 @@ func writeFrames(w io.Writer, id uint64, typ, op uint8, ext *TraceExt, segs [][]
 	hdr := func(i int) []byte { return scr.hdrs[i*hlen : (i+1)*hlen] }
 	var err error
 	if tc, ok := w.(*net.TCPConn); ok {
-		scr.vecs = appendFrame(scr.vecs[:0], hdr(0), segs)
+		scr.vecs = appendFrame(scr.vecs, hdr(0), segs)
 		for i, n := range notes {
 			scr.vecs = appendFrame(scr.vecs, hdr(i+1), n.Req)
 		}
-		// WriteTo advances its receiver, so keep the full view aside to
-		// restore the backing array afterwards. Calling through the
-		// pooled scratch's field (not a local copy) keeps the slice
-		// header off the heap — a local would escape into the pointer
-		// receiver and cost an allocation per frame.
-		full := scr.vecs
-		_, err = scr.vecs.WriteTo(tc)
-		clear(full) // drop payload references before pooling
-		scr.vecs = full[:0]
+		err = scr.writev(tc)
 	} else {
 		err = writeFlat(w, hdr(0), segs)
 		for i := 0; i < len(notes) && err == nil; i++ {
@@ -299,6 +285,21 @@ func writeFrames(w io.Writer, id uint64, typ, op uint8, ext *TraceExt, segs [][]
 		}
 	}
 	framePool.Put(scr)
+	return err
+}
+
+// writev sends the gathered frames as one vectored write and empties
+// the gather list, dropping its payload references.
+func (scr *frameScratch) writev(w io.Writer) error {
+	// WriteTo advances its receiver, so keep the full view aside to
+	// restore the backing array afterwards. Calling through the scratch's
+	// field (not a local copy) keeps the slice header off the heap — a
+	// local would escape into the pointer receiver and cost an allocation
+	// per write.
+	full := scr.vecs
+	_, err := scr.vecs.WriteTo(w)
+	clear(full)
+	scr.vecs = full[:0]
 	return err
 }
 
@@ -427,25 +428,6 @@ func readFrameHeader(r io.Reader, scratch *headerScratch) (fh frameHeader, paylo
 	return fh, rem, nil
 }
 
-// readFrame parses one whole frame, accepting both the original format
-// and the flags-byte extension. The returned typ has the extension bit
-// stripped; ext is nil unless the frame carried a trace context.
-func readFrame(r io.Reader) (id uint64, typ, op uint8, ext *TraceExt, payload []byte, err error) {
-	var scratch headerScratch
-	fh, n, err := readFrameHeader(r, &scratch)
-	if err != nil {
-		return
-	}
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return
-	}
-	if fh.hasExt {
-		ext = &fh.ext
-	}
-	return fh.id, fh.typ, fh.op, ext, payload, nil
-}
-
 // Server accepts CDD connections and dispatches requests to a Handler.
 type Server struct {
 	ln      net.Listener
@@ -456,6 +438,9 @@ type Server struct {
 	conns   map[net.Conn]struct{}
 	wg      sync.WaitGroup
 	closed  atomic.Bool
+	// replyWrites counts the writes that carried replies (one writev each
+	// on TCP), for the tests that pin how replies share a write.
+	replyWrites atomic.Int64
 }
 
 // ServerOptions tune a server. The zero value serves without tracing.
@@ -510,7 +495,9 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
+	var held replyBatch
 	defer func() {
+		s.flush(conn, &held) // best effort: replies held when a read failed
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -518,7 +505,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	remote := conn.RemoteAddr().String()
 	br := bufio.NewReaderSize(conn, connBufSize)
-	var wmu sync.Mutex
 	var scratch headerScratch
 	for {
 		fh, plen, err := readFrameHeader(br, &scratch)
@@ -539,8 +525,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			bufpool.Put(payload)
 			continue // ignore stray frames
 		}
-		// Requests are handled in order; responses are written under a
-		// lock because a handler could in principle respond late.
 		ctx := context.Background()
 		var h trace.Handle
 		if fh.hasExt && s.tracer != nil {
@@ -557,23 +541,85 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.release(resp, payload)
 			continue // notification: no response even on error
 		}
-		wmu.Lock()
-		if herr != nil {
-			err = writeFrame(conn, fh.id, frameError, fh.op, nil, encodeErrorPayload(codeOf(herr), herr.Error()))
-		} else {
-			err = writeFrame(conn, fh.id, frameOK, fh.op, nil, resp)
-			if errors.Is(err, ErrFrameTooLarge) {
-				// An oversized handler result must not kill the
-				// connection: deliver it as an error response instead.
-				err = writeFrame(conn, fh.id, frameError, fh.op, nil, encodeErrorPayload(CodeOversized, err.Error()))
-			}
+		held.add(fh.id, fh.op, resp, herr, payload)
+		if held.size < connBufSize && nextSameOp(br, fh.op) {
+			continue // the next request's reply shares this one's write
 		}
-		wmu.Unlock()
-		s.release(resp, payload)
-		if err != nil {
+		if err := s.flush(conn, &held); err != nil {
 			return
 		}
 	}
+}
+
+// replyBatch holds a connection's replies until they go out in one
+// write: their encoded headers, their payloads, and the buffers to
+// release once that write is done. One per connection, reused, so
+// holding a reply allocates nothing.
+type replyBatch struct {
+	frameScratch
+	bodies [][]byte // one payload per reply
+	bufs   [][]byte // (response, request payload) per reply, for release
+	size   int      // bytes of held frames
+}
+
+// replyHdrLen is a frame header without the extension: a reply's whole
+// header (replies carry none), and the part of a request nextSameOp reads.
+const replyHdrLen = 4 + headerLen
+
+// add holds the reply to request id: the handler's response, or its
+// error as a response-error frame. A response too large for a frame
+// becomes a CodeOversized error instead of killing the connection.
+func (b *replyBatch) add(id uint64, op uint8, resp []byte, herr error, payload []byte) {
+	b.bufs = append(b.bufs, resp, payload)
+	typ := uint8(frameOK)
+	if herr == nil {
+		if err := fits(0, [][]byte{resp}); err != nil {
+			herr = WithCode(CodeOversized, err)
+		}
+	}
+	if herr != nil {
+		typ, resp = frameError, encodeErrorPayload(codeOf(herr), herr.Error())
+	}
+	b.bodies = append(b.bodies, resp)
+	b.hdrs = appendHeader(b.hdrs, id, typ, op, nil, b.bodies[len(b.bodies)-1:])
+	b.size += replyHdrLen + len(resp)
+}
+
+// nextSameOp reports whether br already holds the whole next frame and it
+// is a request with an id and opcode op — a request whose reply may share
+// a write with the replies held before it, since it waits only behind a
+// handler of the same kind. A notification ends a burst: the replies
+// before it leave before it is handled.
+func nextSameOp(br *bufio.Reader, op uint8) bool {
+	if br.Buffered() < replyHdrLen {
+		return false
+	}
+	b, _ := br.Peek(replyHdrLen)
+	n := binary.BigEndian.Uint32(b)
+	return n >= headerLen && int(n) <= br.Buffered()-4 &&
+		binary.BigEndian.Uint64(b[4:12]) != 0 && b[12]&^typExt == frameRequest && b[13] == op
+}
+
+// flush writes the held replies in order as one writev (a server conn
+// is always TCP), then releases their buffers and empties the batch
+// whether or not the write worked.
+func (s *Server) flush(conn net.Conn, b *replyBatch) error {
+	if len(b.bodies) == 0 {
+		return nil
+	}
+	hdr := func(i int) []byte { return b.hdrs[i*replyHdrLen : (i+1)*replyHdrLen] }
+	s.replyWrites.Add(1)
+	for i := range b.bodies {
+		b.vecs = appendFrame(b.vecs, hdr(i), b.bodies[i:i+1])
+	}
+	err := b.writev(conn)
+	for i := 0; i < len(b.bufs); i += 2 {
+		s.release(b.bufs[i], b.bufs[i+1])
+	}
+	clear(b.bodies)
+	clear(b.bufs)
+	b.hdrs, b.bodies, b.bufs, b.size = b.hdrs[:0], b.bodies[:0], b.bufs[:0], 0
+	return err
 }
 
 // release recycles a frame's buffers after its response is written: the

@@ -676,3 +676,120 @@ func TestCloseWaitsForClaimedDst(t *testing.T) {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
 }
+
+// rawPair starts a server with handler h and dials it with a plain TCP
+// connection, so a test can put several request frames on the wire in
+// one write and read the replies frame by frame.
+func rawPair(t *testing.T, h Handler) (*Server, net.Conn) {
+	t.Helper()
+	s, err := Serve("127.0.0.1:0", h, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	return s, conn
+}
+
+// pipeline writes one request frame per op, ids 1, 2, …, each carrying
+// its index as a one-byte payload, in a single Write.
+func pipeline(t *testing.T, conn net.Conn, ops ...uint8) {
+	t.Helper()
+	var buf bytes.Buffer
+	for i, op := range ops {
+		if err := writeFrame(&buf, uint64(i+1), frameRequest, op, nil, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readReply reads one reply frame and checks that it answers request id
+// with frameOK.
+func readReply(t *testing.T, conn net.Conn, id uint64) []byte {
+	t.Helper()
+	gid, typ, _, _, payload, err := readFrame(conn)
+	if err != nil {
+		t.Fatalf("reply %d: %v", id, err)
+	}
+	if gid != id || typ != frameOK {
+		t.Fatalf("reply id %d type %d, want id %d type %d", gid, typ, id, frameOK)
+	}
+	return payload
+}
+
+// TestReplyBurstOneWrite: three same-op requests that arrive in one
+// segment are answered in order, all three replies in one write.
+func TestReplyBurstOneWrite(t *testing.T) {
+	s, conn := rawPair(t, func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
+		return payload, nil
+	})
+	pipeline(t, conn, 1, 1, 1)
+	for i := 0; i < 3; i++ {
+		if p := readReply(t, conn, uint64(i+1)); !bytes.Equal(p, []byte{byte(i)}) {
+			t.Fatalf("reply %d payload %v", i+1, p)
+		}
+	}
+	if n := s.replyWrites.Load(); n != 1 {
+		t.Fatalf("%d reply writes for a three-request burst, want 1", n)
+	}
+}
+
+// TestReplyBurstEnds: a reply is never held behind a request of another
+// opcode, nor behind a notification of its own — it arrives though the
+// next frame's handler blocks until the test ends.
+func TestReplyBurstEnds(t *testing.T) {
+	for _, next := range []struct {
+		name string
+		id   uint64
+		op   uint8
+	}{{"other op", 2, 2}, {"note", 0, 1}} {
+		t.Run(next.name, func(t *testing.T) {
+			blocked, release := make(chan struct{}), make(chan struct{})
+			defer close(release)
+			_, conn := rawPair(t, func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
+				if string(payload) == "block" {
+					close(blocked)
+					<-release
+				}
+				return nil, nil
+			})
+			var buf bytes.Buffer
+			writeFrame(&buf, 1, frameRequest, 1, nil, []byte("go"))
+			writeFrame(&buf, next.id, frameRequest, next.op, nil, []byte("block"))
+			if _, err := conn.Write(buf.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			readReply(t, conn, 1)
+			<-blocked // and the next handler holds on until the test ends
+		})
+	}
+}
+
+// TestReplyBurstSplitsPast64K: a same-op burst whose replies pass the
+// connection buffer's 64 KiB goes out in more than one write, every
+// reply intact and in order.
+func TestReplyBurstSplitsPast64K(t *testing.T) {
+	const size = 16 << 10
+	s, conn := rawPair(t, func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
+		return bytes.Repeat(payload, size), nil
+	})
+	ops := bytes.Repeat([]byte{1}, 8)
+	pipeline(t, conn, ops...)
+	for i := range ops {
+		if p := readReply(t, conn, uint64(i+1)); !bytes.Equal(p, bytes.Repeat([]byte{byte(i)}, size)) {
+			t.Fatalf("reply %d: %d bytes, wrong content", i+1, len(p))
+		}
+	}
+	if n := s.replyWrites.Load(); n < 2 {
+		t.Fatalf("%d reply write for %d KiB of replies, want more than one", n, len(ops)*size>>10)
+	}
+}
