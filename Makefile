@@ -42,10 +42,10 @@ promtest:
 # lock per inode-table block) five; the seventh gives the memory store
 # (its mapping copied only under a shard lock, no torn block beside a
 # writer, unmapped once unreachable, remapped by Blank) five; the eighth
-# gives the grouped write (notes behind a call: their bytes, their order
-# after the request, the frames a RAID-x write costs) and the server's
-# reply bursts (a same-op burst in one write, no reply held behind
-# another op or a note, a burst split past 64 KiB) five; the ninth gives
+# gives the frame writer (its bytes however segmented), the frames a
+# RAID-x write costs and the server's reply bursts (a same-op burst in
+# one write, no reply held behind another op or a notification, a burst
+# split past 64 KiB) five; the ninth gives
 # a grouped call failed mid-flight (only its member dirty, its carried
 # runs marked, no sibling cancelled) twenty.
 race:
@@ -56,7 +56,7 @@ race:
 	$(GO) test -race -count=5 -run 'TestBlockCache|TestSessionCachedReads|TestWriteBackRecoversAfterRenewal' ./internal/cdd/
 	$(GO) test -race -count=5 -run 'TestConcurrentClientsUnderVClock|TestLockerSerializesConflicts|TestTwoMountsShareState|TestShadowModelSequential' ./internal/fsim/
 	$(GO) test -race -count=5 -run 'TestMem' ./internal/store/
-	$(GO) test -race -count=5 -run 'TestCallNotesFollowRequest|TestVectoredWriteBytesIdentical|TestReplyBurst|TestCallsGroupedWrite' ./internal/transport/ ./internal/cdd/
+	$(GO) test -race -count=5 -run 'TestVectoredWriteBytesIdentical|TestReplyBurst|TestCallsGroupedWrite' ./internal/transport/ ./internal/cdd/
 	$(GO) test -race -count=20 -run TestGroupedWriteFailureMarksCarriedRuns ./internal/cdd/
 
 # Full verification: static analysis, the exporter grammar tests, and

@@ -1,10 +1,12 @@
 package cdd
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,7 +28,7 @@ type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget per operation (>= 1).
 	MaxAttempts int
 	// CallTimeout bounds each attempt that moves no payload (see
-	// MinBandwidth).
+	// timeout).
 	CallTimeout time.Duration
 	// BaseBackoff is the delay before the first retry; it doubles per
 	// attempt up to MaxBackoff, with ±50% jitter.
@@ -36,21 +38,21 @@ type RetryPolicy struct {
 	// ProbeInterval paces the probe loop that re-probes a suspect node
 	// until it recovers.
 	ProbeInterval time.Duration
-	// MinBandwidth (bytes/sec) extends the per-attempt deadline for
-	// bulk transfers: an attempt moving b bytes gets CallTimeout +
-	// b/MinBandwidth. Without it a fixed CallTimeout spuriously cuts
-	// down multi-megabyte reads/writes — and an abandoned call tears
-	// down the shared session, failing innocent concurrent operations.
-	MinBandwidth int64
 }
 
+// minBandwidth (bytes/sec) extends the per-attempt deadline for bulk
+// transfers. Without it a fixed CallTimeout spuriously cuts down
+// multi-megabyte reads and writes — and an abandoned call tears down the
+// shared session, failing innocent concurrent operations.
+const minBandwidth = 4 << 20
+
 // timeout bounds an attempt that moves b bytes: CallTimeout +
-// b/MinBandwidth. Every remote frame is bounded by it — each call
+// b/minBandwidth. Every remote frame is bounded by it — each call
 // attempt and health probe from when it is issued, each mirror push from
 // when it takes the session's write lock — so no write holds the lock
 // without bound. p must have its defaults.
 func (p RetryPolicy) timeout(b int) time.Duration {
-	return p.CallTimeout + time.Duration(int64(b)*int64(time.Second)/p.MinBandwidth)
+	return p.CallTimeout + time.Duration(int64(b)*int64(time.Second)/minBandwidth)
 }
 
 // DefaultRetryPolicy is the production default: four attempts, 2 s per
@@ -62,7 +64,6 @@ func DefaultRetryPolicy() RetryPolicy {
 		BaseBackoff:   10 * time.Millisecond,
 		MaxBackoff:    500 * time.Millisecond,
 		ProbeInterval: 250 * time.Millisecond,
-		MinBandwidth:  4 << 20, // 4 MiB/s floor for bulk-transfer deadlines
 	}
 }
 
@@ -83,9 +84,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.ProbeInterval <= 0 {
 		p.ProbeInterval = def.ProbeInterval
-	}
-	if p.MinBandwidth <= 0 {
-		p.MinBandwidth = def.MinBandwidth
 	}
 	return p
 }
@@ -139,14 +137,16 @@ func retryableErr(err error) bool {
 
 // ioScratch is the per-call assembly area of one remote block
 // operation: the wire-encoded I/O header and extent table plus reusable
-// gather/scatter lists. Pooled so the hot path allocates nothing for
-// framing; blockIO drops payload references before returning it.
+// gather/scatter lists, and a grouped write's table before it is
+// encoded. Pooled so the hot path allocates nothing for framing; its
+// users drop payload references before returning it.
 type ioScratch struct {
-	head  []byte // I/O header and extent table, then each note's
-	req   [][]byte
-	dst   [][]byte
-	nreq  [][]byte // the notes' gather lists, two segments each
-	notes []transport.Note
+	head []byte // I/O header and extent table
+	req  [][]byte
+	dst  [][]byte
+	runs []raid.Run
+	exts []Extent
+	segs [][]byte
 }
 
 var ioScratchPool = sync.Pool{New: func() any { return new(ioScratch) }}
@@ -253,17 +253,15 @@ func ConnectWith(ctx context.Context, addr string, opts Options) (*NodeClient, e
 // attempts, and retries only for idempotent opcodes on transport-level
 // failures.
 func (n *NodeClient) call(ctx context.Context, op uint8, payload []byte) ([]byte, error) {
-	return n.doCall(ctx, op, [][]byte{payload}, nil, nil)
+	return n.doCall(ctx, op, [][]byte{payload}, nil)
 }
 
 // doCall performs one remote operation under the retry policy. req is
 // the request's gather list (written vectored, owned by the caller
 // throughout). When scatter is non-empty the response is copied into its
-// segments — the bulk-read path — and the returned payload is nil. notes
-// ride behind the request on every attempt (transport.Client.Call), so
-// they must be as idempotent as it is. Each attempt's deadline scales
-// with the bytes the lists and the notes move.
-func (n *NodeClient) doCall(ctx context.Context, op uint8, req [][]byte, scatter [][]byte, notes []transport.Note) ([]byte, error) {
+// segments — the bulk-read path — and the returned payload is nil. Each
+// attempt's deadline scales with the bytes the lists move.
+func (n *NodeClient) doCall(ctx context.Context, op uint8, req [][]byte, scatter [][]byte) ([]byte, error) {
 	pol := n.policy
 	attempts := pol.MaxAttempts
 	if !retryableOp(op) {
@@ -275,11 +273,6 @@ func (n *NodeClient) doCall(ctx context.Context, op uint8, req [][]byte, scatter
 	}
 	for _, s := range scatter {
 		xfer += len(s)
-	}
-	for _, nt := range notes {
-		for _, s := range nt.Req {
-			xfer += len(s)
-		}
 	}
 	var lastErr error
 	for a := 0; a < attempts; a++ {
@@ -299,7 +292,7 @@ func (n *NodeClient) doCall(ctx context.Context, op uint8, req [][]byte, scatter
 		// allocations (DESIGN.md §10).
 		actx, ah := trace.Start(ctx, "cdd.attempt", n.addr)
 		ah.Val = int64(a + 1)
-		resp, err := n.c.Call(actx, op, req, scatter, time.Now().Add(pol.timeout(xfer)), notes...)
+		resp, err := n.c.Call(actx, op, req, scatter, time.Now().Add(pol.timeout(xfer)))
 		ah.End(err)
 		if err == nil {
 			return resp, nil
@@ -602,52 +595,57 @@ func (d *RemoteDev) NumBlocks() int64 { return d.blocks }
 // ReadBlocks implements raid.Dev: a one-extent read whose response is
 // copied into buf, allocating nothing.
 func (d *RemoteDev) ReadBlocks(ctx context.Context, b int64, buf []byte) error {
-	return d.blockIO(ctx, OpRead, []Extent{d.run(b, buf)}, [][]byte{buf}, nil)
+	return d.blockIO(ctx, OpRead, []Extent{d.run(b, buf)}, [][]byte{buf})
 }
 
 // ReadBlocksVec implements raid.VecDev: one remote read of consecutive
 // blocks at b whose response is copied into segs.
 func (d *RemoteDev) ReadBlocksVec(ctx context.Context, b int64, segs [][]byte) error {
-	return d.blockIO(ctx, OpRead, []Extent{d.run(b, segs...)}, segs, nil)
+	return d.blockIO(ctx, OpRead, []Extent{d.run(b, segs...)}, segs)
 }
 
 // WriteBlocks implements raid.Dev: a one-extent write.
 func (d *RemoteDev) WriteBlocks(ctx context.Context, b int64, data []byte) error {
-	return d.blockIO(ctx, OpWrite, []Extent{d.run(b, data)}, [][]byte{data}, nil)
+	return d.blockIO(ctx, OpWrite, []Extent{d.run(b, data)}, [][]byte{data})
 }
 
 // WriteBlocksVec implements raid.VecDev: one remote write of consecutive
 // blocks at b gathered from segs.
 func (d *RemoteDev) WriteBlocksVec(ctx context.Context, b int64, segs [][]byte) error {
-	return d.blockIO(ctx, OpWrite, []Extent{d.run(b, segs...)}, segs, nil)
+	return d.blockIO(ctx, OpWrite, []Extent{d.run(b, segs...)}, segs)
 }
 
-// WriteBlocksWith implements raid.GroupDev: the write WriteBlocksVec
-// makes, and behind its request, in the same vectored write, the
-// notification WriteBlocksBackground would send for each run of bg. It
-// waits for the write's ack only. When the write or a run does not fit
-// in one frame, they go out as those calls instead.
+// WriteBlocksWith implements raid.GroupDev: one OpWrite whose table holds
+// the foreground extent WriteBlocksVec would send and a background extent
+// per run of bg, in block order, acknowledged together. A table larger
+// than one frame leaves in pieces (split), and a piece holding only
+// background extents is a notification.
 func (d *RemoteDev) WriteBlocksWith(ctx context.Context, b int64, segs [][]byte, bg []raid.Run) error {
-	exts := []Extent{d.run(b, segs...)}
-	grouped := ioHeaderLen+extentLen+int(exts[0].Blocks)*d.bs <= maxIOFrame
 	for _, r := range bg {
 		if len(r.Data) == 0 || len(r.Data)%d.bs != 0 {
 			return fmt.Errorf("cdd: background run of %d bytes in blocks of %d", len(r.Data), d.bs)
 		}
-		grouped = grouped && ioHeaderLen+extentLen+len(r.Data) <= maxIOFrame
 	}
-	if grouped {
-		return d.blockIO(ctx, OpWrite, exts, segs, bg)
-	}
-	if err := d.blockIO(ctx, OpWrite, exts, segs, nil); err != nil {
-		return err
-	}
-	for _, r := range bg {
-		if err := d.WriteBlocksBackground(ctx, r.Phys, r.Data); err != nil {
-			return err
+	// The runs come in the engine's logical order, which a relocated
+	// image need not keep; the data run, Data nil, sorts in among them.
+	s := ioScratchPool.Get().(*ioScratch)
+	s.runs = append(append(s.runs[:0], bg...), raid.Run{Phys: b})
+	slices.SortFunc(s.runs, func(x, y raid.Run) int { return cmp.Compare(x.Phys, y.Phys) })
+	s.exts, s.segs = s.exts[:0], s.segs[:0]
+	for _, r := range s.runs {
+		if r.Data == nil {
+			s.exts = append(s.exts, d.run(b, segs...))
+			s.segs = append(s.segs, segs...)
+			continue
 		}
+		s.exts = append(s.exts, Extent{Block: r.Phys, Blocks: uint32(len(r.Data) / d.bs), BG: true})
+		s.segs = append(s.segs, r.Data)
 	}
-	return nil
+	err := d.blockIO(ctx, OpWrite, s.exts, s.segs)
+	clear(s.runs)
+	clear(s.segs)
+	ioScratchPool.Put(s)
+	return err
 }
 
 // WriteExtents writes several extents of this disk in one OpWrite: segs
@@ -655,20 +653,22 @@ func (d *RemoteDev) WriteBlocksWith(ctx context.Context, b int64, segs [][]byte,
 // whole table before writing anything; after an error any extent may or
 // may not have landed.
 func (d *RemoteDev) WriteExtents(ctx context.Context, exts []Extent, segs [][]byte) error {
-	return d.blockIO(ctx, OpWrite, exts, segs, nil)
+	return d.blockIO(ctx, OpWrite, exts, segs)
 }
 
-// WriteBlocksBackground implements raid.Dev: the write travels as a
-// notification, so the caller does not wait for the remote disk. A
-// later Flush or Call on the same connection orders after it. The push
-// may hold the session's write lock for an attempt's timeout
-// (RetryPolicy.timeout): past it the push fails with
-// context.DeadlineExceeded and drops the session. A push
-// placed with a retired layout is dropped by the node instead of landing
-// at a dead home; the node counts the drop (mgr.bg_stale_drops) and the
-// writer's intent log keeps the block dirty, so resync re-mirrors it.
+// WriteBlocksBackground implements raid.Dev: a one-extent write of a
+// background extent, which travels as a notification, so the caller
+// does not wait for the remote disk. A later Flush or Call on the same
+// connection orders after it. The push may hold the session's write lock
+// for an attempt's timeout (RetryPolicy.timeout): past it the push fails
+// with context.DeadlineExceeded and drops the session. A push placed with
+// a retired layout is dropped by the node instead of landing at a dead
+// home; the node counts the drop (mgr.bg_stale_drops) and the writer's
+// intent log keeps the block dirty, so resync re-mirrors it.
 func (d *RemoteDev) WriteBlocksBackground(ctx context.Context, b int64, data []byte) error {
-	return d.blockIO(ctx, OpWriteBG, []Extent{d.run(b, data)}, [][]byte{data}, nil)
+	e := d.run(b, data)
+	e.BG = true
+	return d.blockIO(ctx, OpWrite, []Extent{e}, [][]byte{data})
 }
 
 // run is the one extent at b that segs fill.
@@ -680,7 +680,7 @@ func (d *RemoteDev) run(b int64, segs ...[]byte) Extent {
 	return Extent{Block: b, Blocks: uint32(n / d.bs)}
 }
 
-var devSpanNames = [opEnd]string{OpRead: "cdd.read", OpWrite: "cdd.write", OpWriteBG: "cdd.bg-write"}
+var devSpanNames = [opEnd]string{OpRead: "cdd.read", OpWrite: "cdd.write"}
 
 // maxIOFrame bounds one block request — I/O header, extent table and
 // blocks, which a read receives in its response — leaving room in the
@@ -691,18 +691,17 @@ const maxIOFrame = transport.MaxPayload - 64
 // extent table are encoded into the pooled scratch and travel as the
 // first gather segment; segs — the extents' blocks in table order — are
 // never staged: a write's go to the wire after the table (one vectored
-// frame; a notification for OpWriteBG), and a read's response is copied
-// into them (DESIGN.md §10). A table larger than one frame goes out as
-// several requests (split). An OpWrite carries bg, each run of which
-// must fit in one frame, as one OpWriteBG notification a run behind its
-// request.
-func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [][]byte, bg []raid.Run) (err error) {
-	total, blocks := 0, 0
+// frame), and a read's response is copied into them (DESIGN.md §10). A
+// write without a foreground extent goes as a notification. A table
+// larger than one frame goes out as several requests (split).
+func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [][]byte) (err error) {
+	total, blocks, notify := 0, 0, op == OpWrite
 	for _, sg := range segs {
 		total += len(sg)
 	}
 	for _, e := range exts {
 		blocks += int(e.Blocks)
+		notify = notify && e.BG
 	}
 	if total == 0 || total != blocks*d.bs {
 		return fmt.Errorf("cdd: %d bytes for %d blocks of %d bytes", total, blocks, d.bs)
@@ -710,7 +709,11 @@ func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [
 	if ioHeaderLen+len(exts)*extentLen+total > maxIOFrame {
 		return d.split(ctx, op, exts, segs)
 	}
-	ctx, h := trace.Start(ctx, devSpanNames[op], d.subject)
+	name := devSpanNames[op]
+	if notify {
+		name = "cdd.bg-write"
+	}
+	ctx, h := trace.Start(ctx, name, d.subject)
 	h.Val = int64(total)
 	start := time.Now()
 	s := ioScratchPool.Get().(*ioScratch)
@@ -719,62 +722,42 @@ func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [
 		s.head = appendExtent(s.head, e)
 	}
 	s.req = append(s.req[:0], s.head)
-	switch op {
-	case OpRead:
+	switch {
+	case op == OpRead:
 		s.dst = append(s.dst[:0], segs...)
-		_, err = d.n.doCall(ctx, op, s.req, s.dst, nil)
+		_, err = d.n.doCall(ctx, op, s.req, s.dst)
 		d.n.met.readLat.Observe(time.Since(start))
 		if err != nil {
 			err = d.mapReadErr(err)
 		}
-	case OpWrite:
-		s.req = append(s.req, segs...)
-		_, err = d.n.doCall(ctx, op, s.req, nil, d.notes(s, bg))
-		d.n.met.writeLat.Observe(time.Since(start))
-	default:
+	case notify:
 		s.req = append(s.req, segs...)
 		err = d.n.c.Notify(ctx, op, s.req, d.n.policy.timeout(total))
+	default:
+		s.req = append(s.req, segs...)
+		_, err = d.n.doCall(ctx, op, s.req, nil)
+		d.n.met.writeLat.Observe(time.Since(start))
 	}
 	clear(s.req)
 	clear(s.dst)
-	clear(s.nreq)
-	clear(s.notes)
 	ioScratchPool.Put(s)
 	h.End(err)
 	d.noteOutcome(err)
 	return err
 }
 
-// notes encodes into s, after the request's table, one OpWriteBG
-// notification of one extent per run of bg.
-func (d *RemoteDev) notes(s *ioScratch, bg []raid.Run) []transport.Note {
-	if len(bg) == 0 {
-		return nil
-	}
-	s.nreq, s.notes = s.nreq[:0], s.notes[:0]
-	for _, r := range bg {
-		at := len(s.head)
-		s.head = appendIOHeader(s.head, ioHeader{Disk: d.disk, Count: 1, Gen: d.n.arrayEpoch.Load()})
-		s.head = appendExtent(s.head, Extent{Block: r.Phys, Blocks: uint32(len(r.Data) / d.bs)})
-		s.nreq = append(s.nreq, s.head[at:], r.Data)
-	}
-	for i := range bg {
-		s.notes = append(s.notes, transport.Note{Op: OpWriteBG, Req: s.nreq[2*i : 2*i+2]})
-	}
-	return s.notes
-}
-
 // split sends a table larger than one frame as consecutive requests of
 // at most maxIOFrame each, cutting an extent, and the segment under the
-// cut, where a frame fills. It stops at the first failed request; the
-// earlier ones may have landed, as after any failed multi-extent write.
+// cut, where a frame fills; every piece of an extent keeps its BG flag.
+// It stops at the first failed request; the earlier ones may have
+// landed, as after any failed multi-extent write.
 func (d *RemoteDev) split(ctx context.Context, op uint8, exts []Extent, segs [][]byte) error {
 	var part []Extent
 	var data [][]byte
 	var seg []byte // the unsent tail of the segment being cut
 	size := ioHeaderLen
 	send := func() error {
-		err := d.blockIO(ctx, op, part, data, nil)
+		err := d.blockIO(ctx, op, part, data)
 		part, data, size = part[:0], data[:0], ioHeaderLen
 		return err
 	}
@@ -790,7 +773,7 @@ func (d *RemoteDev) split(ctx context.Context, op uint8, exts []Extent, segs [][
 				}
 				continue
 			}
-			part = append(part, Extent{Block: e.Block, Blocks: uint32(n)})
+			part = append(part, Extent{Block: e.Block, Blocks: uint32(n), BG: e.BG})
 			size += extentLen + int(n)*d.bs
 			for want := int(n) * d.bs; want > 0; {
 				if len(seg) == 0 {

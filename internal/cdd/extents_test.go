@@ -11,7 +11,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -24,12 +23,12 @@ import (
 const extTestBlocks = 16
 
 // blockPayload frames an I/O header for disk claiming count extents,
-// then exts' table, then data — malformed on purpose where the case says
-// so.
-func blockPayload(disk, count uint32, exts []Extent, data []byte) []byte {
+// then the table of exts, each (block, blocks) and background when bg
+// is set, then data — malformed on purpose where the case says so.
+func blockPayload(disk, count uint32, exts [][2]int64, bg bool, data []byte) []byte {
 	var tab []byte
 	for _, e := range exts {
-		tab = appendExtent(tab, e)
+		tab = appendExtent(tab, Extent{Block: e[0], Blocks: uint32(e[1]), BG: bg})
 	}
 	return encodeIOHeader(ioHeader{Disk: disk, Count: count}, append(tab, data...))
 }
@@ -58,10 +57,23 @@ func diskImage(t testing.TB, n *Node) []byte {
 	return img
 }
 
-var blockOps = []uint8{OpRead, OpWrite, OpWriteBG}
+// blockKind is a block op as the node tells it apart: a read, or a write
+// whose extents are all foreground or all background.
+type blockKind struct {
+	name string
+	op   uint8
+	bg   bool
+}
+
+var (
+	readKind  = blockKind{"read", OpRead, false}
+	writeKind = blockKind{"write", OpWrite, false}
+	bgKind    = blockKind{"bg-write", OpWrite, true}
+	blockOps  = []blockKind{readKind, writeKind, bgKind}
+)
 
 // TestWriteExtentsRejected: every malformed block op is CodeBadRequest
-// with nothing moved, whichever of the three ops carries it. Disk 0 is
+// with nothing moved, whichever of the three kinds carries it. Disk 0 is
 // the one patterned; disk 1 is sparse and spans more than one frame.
 func TestWriteExtentsRejected(t *testing.T) {
 	const bs = 512
@@ -80,45 +92,46 @@ func TestWriteExtentsRejected(t *testing.T) {
 	}
 	defer c.Close()
 	blk := func(k int) []byte { return bytes.Repeat([]byte{0xEE}, k*bs) }
-	writes := []uint8{OpWrite, OpWriteBG}
+	writes := []blockKind{writeKind, bgKind}
 	cases := []struct {
 		name  string
-		ops   []uint8
+		ops   []blockKind
 		disk  uint32
 		count uint32
-		exts  []Extent
+		exts  [][2]int64
 		// wdata follows the table on a write, rdata on a read.
 		wdata, rdata []byte
 	}{
 		{name: "no extent table", ops: blockOps, count: 0, wdata: blk(1)},
-		{name: "short table", ops: blockOps, count: 2, exts: []Extent{{0, 1}}},
-		{name: "table longer than payload", ops: blockOps, count: 1000, exts: []Extent{{0, 1}}, wdata: blk(1)},
-		{name: "table count wraps uint32*12", ops: blockOps, count: math.MaxUint32, exts: []Extent{{0, 1}}, wdata: blk(1)},
-		{name: "zero-length extent", ops: blockOps, count: 2, exts: []Extent{{0, 1}, {4, 0}}, wdata: blk(1)},
-		{name: "negative block", ops: blockOps, count: 1, exts: []Extent{{-1, 1}}, wdata: blk(1)},
-		{name: "past the disk", ops: blockOps, count: 2, exts: []Extent{{0, 1}, {extTestBlocks - 1, 2}}, wdata: blk(3)},
-		{name: "block+blocks wraps int64", ops: blockOps, count: 2, exts: []Extent{{0, 1}, {math.MaxInt64, 2}}, wdata: blk(3)},
-		{name: "blocks beyond any disk", ops: blockOps, count: 1, exts: []Extent{{1, math.MaxUint32}}, wdata: blk(1)},
-		{name: "descending", ops: blockOps, count: 2, exts: []Extent{{8, 1}, {2, 1}}, wdata: blk(2)},
-		{name: "overlapping", ops: blockOps, count: 2, exts: []Extent{{2, 3}, {4, 1}}, wdata: blk(4)},
-		{name: "repeated", ops: blockOps, count: 2, exts: []Extent{{2, 1}, {2, 1}}, wdata: blk(2)},
-		{name: "no such disk", ops: blockOps, disk: 2, count: 1, exts: []Extent{{0, 1}}, wdata: blk(1)},
-		{name: "data longer than table", ops: writes, count: 2, exts: []Extent{{0, 1}, {4, 1}}, wdata: blk(3)},
-		{name: "data shorter than table", ops: writes, count: 2, exts: []Extent{{0, 1}, {4, 2}}, wdata: blk(2)},
-		{name: "data not whole blocks", ops: writes, count: 1, exts: []Extent{{0, 1}}, wdata: blk(1)[:bs-1]},
-		{name: "read table followed by data", ops: []uint8{OpRead}, count: 1, exts: []Extent{{0, 1}}, rdata: blk(1)},
-		{name: "read beyond one frame", ops: []uint8{OpRead}, disk: 1, count: 1, exts: []Extent{{0, uint32(bigBlocks)}}},
+		{name: "short table", ops: blockOps, count: 2, exts: [][2]int64{{0, 1}}},
+		{name: "table longer than payload", ops: blockOps, count: 1000, exts: [][2]int64{{0, 1}}, wdata: blk(1)},
+		{name: "table count wraps uint32*12", ops: blockOps, count: math.MaxUint32, exts: [][2]int64{{0, 1}}, wdata: blk(1)},
+		{name: "zero-length extent", ops: blockOps, count: 2, exts: [][2]int64{{0, 1}, {4, 0}}, wdata: blk(1)},
+		{name: "negative block", ops: blockOps, count: 1, exts: [][2]int64{{-1, 1}}, wdata: blk(1)},
+		{name: "past the disk", ops: blockOps, count: 2, exts: [][2]int64{{0, 1}, {extTestBlocks - 1, 2}}, wdata: blk(3)},
+		{name: "block+blocks wraps int64", ops: blockOps, count: 2, exts: [][2]int64{{0, 1}, {math.MaxInt64, 2}}, wdata: blk(3)},
+		{name: "blocks beyond any disk", ops: blockOps, count: 1, exts: [][2]int64{{1, math.MaxInt32}}, wdata: blk(1)},
+		{name: "descending", ops: blockOps, count: 2, exts: [][2]int64{{8, 1}, {2, 1}}, wdata: blk(2)},
+		{name: "overlapping", ops: blockOps, count: 2, exts: [][2]int64{{2, 3}, {4, 1}}, wdata: blk(4)},
+		{name: "repeated", ops: blockOps, count: 2, exts: [][2]int64{{2, 1}, {2, 1}}, wdata: blk(2)},
+		{name: "no such disk", ops: blockOps, disk: 2, count: 1, exts: [][2]int64{{0, 1}}, wdata: blk(1)},
+		{name: "data longer than table", ops: writes, count: 2, exts: [][2]int64{{0, 1}, {4, 1}}, wdata: blk(3)},
+		{name: "data shorter than table", ops: writes, count: 2, exts: [][2]int64{{0, 1}, {4, 2}}, wdata: blk(2)},
+		{name: "data not whole blocks", ops: writes, count: 1, exts: [][2]int64{{0, 1}}, wdata: blk(1)[:bs-1]},
+		{name: "read table followed by data", ops: []blockKind{readKind}, count: 1, exts: [][2]int64{{0, 1}}, rdata: blk(1)},
+		{name: "read beyond one frame", ops: []blockKind{readKind}, disk: 1, count: 1, exts: [][2]int64{{0, bigBlocks}}},
+		{name: "read with a background extent", ops: []blockKind{{"read", OpRead, true}}, count: 1, exts: [][2]int64{{0, 1}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, op := range tc.ops {
-				t.Run(strings.TrimPrefix(opSpanName(op), "mgr."), func(t *testing.T) {
+			for _, k := range tc.ops {
+				t.Run(k.name, func(t *testing.T) {
 					data := tc.wdata
-					if op == OpRead {
+					if k.op == OpRead {
 						data = tc.rdata
 					}
 					want := patterned(t, n)
-					_, err := c.Transport().Call(context.Background(), op, [][]byte{blockPayload(tc.disk, tc.count, tc.exts, data)}, nil, time.Time{})
+					_, err := c.Transport().Call(context.Background(), k.op, [][]byte{blockPayload(tc.disk, tc.count, tc.exts, k.bg, data)}, nil, time.Time{})
 					var re *transport.RemoteError
 					if !errors.As(err, &re) || re.Code != transport.CodeBadRequest {
 						t.Fatalf("err = %v, want CodeBadRequest", err)
@@ -134,7 +147,9 @@ func TestWriteExtentsRejected(t *testing.T) {
 
 // TestWriteExtentsRoundTrip: the well-formed twin of the table above, one
 // request per row — adjacent and separated extents, first and last block
-// of the disk — and each counted as one op of its kind.
+// of the disk, foreground and background extents in one table — and
+// each counted as its kind: a read or a write with a foreground extent
+// as one op, every background extent as one background write.
 func TestWriteExtentsRoundTrip(t *testing.T) {
 	n := startNode(t, 1, extTestBlocks)
 	c, err := Connect(n.Addr())
@@ -144,16 +159,19 @@ func TestWriteExtentsRoundTrip(t *testing.T) {
 	defer c.Close()
 	dev := c.Dev(0)
 	ctx := context.Background()
+	fg := func(b int64, k uint32) Extent { return Extent{Block: b, Blocks: k} }
+	bg := func(b int64, k uint32) Extent { return Extent{Block: b, Blocks: k, BG: true} }
 	cases := []struct {
-		name    string
-		op      uint8
-		counter string
-		exts    []Extent
+		name               string
+		op                 uint8
+		exts               []Extent
+		reads, writes, bgs int64
 	}{
-		{"write", OpWrite, "mgr.write_ops", []Extent{{0, 1}, {1, 2}, {7, 1}, {extTestBlocks - 1, 1}}},
-		{"background write, one extent", OpWriteBG, "mgr.bg_write_ops", []Extent{{3, 2}}},
-		{"background write, two extents", OpWriteBG, "mgr.bg_write_ops", []Extent{{0, 1}, {extTestBlocks - 2, 2}}},
-		{"read, two extents", OpRead, "mgr.read_ops", []Extent{{9, 2}, {12, 1}}},
+		{"write", OpWrite, []Extent{fg(0, 1), fg(1, 2), fg(7, 1), fg(extTestBlocks-1, 1)}, 0, 1, 0},
+		{"background write, one extent", OpWrite, []Extent{bg(3, 2)}, 0, 0, 1},
+		{"background write, two extents", OpWrite, []Extent{bg(0, 1), bg(extTestBlocks-2, 2)}, 0, 0, 2},
+		{"foreground and background", OpWrite, []Extent{bg(0, 2), fg(2, 3), bg(9, 1), bg(10, 2)}, 0, 1, 3},
+		{"read, two extents", OpRead, []Extent{fg(9, 2), fg(12, 1)}, 1, 0, 0},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,16 +189,23 @@ func TestWriteExtentsRoundTrip(t *testing.T) {
 					segs = append(segs, seg)
 				}
 			}
-			counter := n.Manager.Obs().Counter(tc.counter)
-			before := counter.Value()
-			if err := dev.blockIO(ctx, tc.op, tc.exts, segs, nil); err != nil {
+			ops := func() [3]int64 {
+				var v [3]int64
+				for i, name := range []string{"mgr.read_ops", "mgr.write_ops", "mgr.bg_write_ops"} {
+					v[i] = n.Manager.Obs().Counter(name).Value()
+				}
+				return v
+			}
+			before := ops()
+			if err := dev.blockIO(ctx, tc.op, tc.exts, segs); err != nil {
 				t.Fatal(err)
 			}
 			if err := dev.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
-			if got := counter.Value() - before; got != 1 {
-				t.Errorf("one %d-extent request counted as %d %s", len(tc.exts), got, tc.counter)
+			after := ops()
+			if got, want := [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}, [3]int64{tc.reads, tc.writes, tc.bgs}; got != want {
+				t.Errorf("%d-extent request counted as %v read, write and bg write ops, want %v", len(tc.exts), got, want)
 			}
 			if tc.op == OpRead && !bytes.Equal(bytes.Join(segs, nil), read) {
 				t.Error("the extents came back out of table order or wrong")
@@ -205,7 +230,7 @@ func TestWriteExtentsStaleEpoch(t *testing.T) {
 	defer c.Close()
 	c.SetArrayEpoch(3)
 	seg := bytes.Repeat([]byte{0xEE}, 512)
-	err = c.Dev(0).WriteExtents(context.Background(), []Extent{{1, 1}, {5, 1}}, [][]byte{seg, seg})
+	err = c.Dev(0).WriteExtents(context.Background(), []Extent{{Block: 1, Blocks: 1}, {Block: 5, Blocks: 1}}, [][]byte{seg, seg})
 	var re *transport.RemoteError
 	if !errors.As(err, &re) || re.Code != transport.CodeStaleEpoch {
 		t.Fatalf("multi-extent write at a retired generation: err = %v, want CodeStaleEpoch", err)
@@ -219,8 +244,10 @@ func TestWriteExtentsStaleEpoch(t *testing.T) {
 // consecutive requests that each fit — a 17 MiB write, background write
 // and read through the one-extent calls in two requests each, and a
 // two-extent table whose cut falls inside an extent and inside a
-// segment — and every block lands where the table says. The device
-// stays healthy throughout.
+// segment, once foreground and once grouped, with its second extent
+// background — and every block lands where the table says, every piece
+// of a background extent background. The device stays healthy
+// throughout.
 func TestBlockIOBeyondOneFrame(t *testing.T) {
 	const bs, mib = 4096, 1 << 20
 	n, err := ListenAndServe("127.0.0.1:0", []*disk.Disk{disk.New(nil, "d0", store.NewMem(bs, 40*mib/bs), disk.DefaultModel())})
@@ -294,18 +321,42 @@ func TestBlockIOBeyondOneFrame(t *testing.T) {
 	for i := range data {
 		data[i] ^= 0xC3
 	}
-	if err := dev.blockIO(ctx, OpWrite, exts, segments(data), nil); err != nil {
+	if err := dev.blockIO(ctx, OpWrite, exts, segments(data)); err != nil {
 		t.Fatal(err)
 	}
-	reads := ops("mgr.read_ops")
-	got := make([]byte, len(data))
-	if err := dev.blockIO(ctx, OpRead, exts, segments(got), nil); err != nil {
+	readExts := func() {
+		t.Helper()
+		reads := ops("mgr.read_ops")
+		got := make([]byte, len(data))
+		if err := dev.blockIO(ctx, OpRead, exts, segments(got)); err != nil {
+			t.Fatal(err)
+		}
+		if r := reads(); r != 2 || !bytes.Equal(got, data) {
+			t.Fatalf("two-extent 17 MiB read: %d requests, equal %v", r, bytes.Equal(got, data))
+		}
+	}
+	readExts()
+
+	// The cut falls inside the background extent: the first request
+	// carries the foreground extent and the background one's head, the
+	// second, its tail alone, leaves as a notification.
+	for i := range data {
+		data[i] ^= 0x3C
+	}
+	exts[1].BG = true
+	writes, bg = ops("mgr.write_ops"), ops("mgr.bg_write_ops")
+	if err := dev.blockIO(ctx, OpWrite, exts, segments(data)); err != nil {
 		t.Fatal(err)
 	}
-	if r := reads(); r != 2 || !bytes.Equal(got, data) {
-		t.Fatalf("two-extent 17 MiB read: %d requests, equal %v", r, bytes.Equal(got, data))
+	if err := dev.Flush(ctx); err != nil {
+		t.Fatal(err)
 	}
-	got = got[:len(gap)]
+	if w, b := writes(), bg(); w != 1 || b != 2 {
+		t.Errorf("grouped 17 MiB table: %d write ops + %d background extents, want 1 + 2", w, b)
+	}
+	exts[1].BG = false
+	readExts()
+	got := make([]byte, len(gap))
 	if err := dev.ReadBlocks(ctx, 1000, got); err != nil || !bytes.Equal(got, gap) {
 		t.Fatalf("the gap between the extents changed (%v)", err)
 	}
@@ -319,15 +370,19 @@ func TestBlockIOBeyondOneFrame(t *testing.T) {
 func FuzzWriteExtents(f *testing.F) {
 	n := startNode(f, 1, extTestBlocks)
 	seg := bytes.Repeat([]byte{0xEE}, 512)
-	f.Add(OpWrite, uint32(2), blockPayload(0, 0, []Extent{{1, 1}, {5, 1}}, append(seg, seg...))[ioHeaderLen:])
-	f.Add(OpWriteBG, uint32(2), blockPayload(0, 0, []Extent{{5, 1}, {1, 1}}, append(seg, seg...))[ioHeaderLen:])
-	f.Add(OpWrite, uint32(1), blockPayload(0, 0, []Extent{{15, 2}}, append(seg, seg...))[ioHeaderLen:])
-	f.Add(OpRead, uint32(2), blockPayload(0, 0, []Extent{{0, 1}, {4, 3}}, nil)[ioHeaderLen:])
-	f.Add(OpRead, uint32(1), blockPayload(0, 0, []Extent{{0, 1}}, seg)[ioHeaderLen:])
-	f.Add(OpWriteBG, uint32(0), seg)
+	mixed := appendExtent(appendExtent(nil, Extent{Block: 1, Blocks: 1}), Extent{Block: 5, Blocks: 1, BG: true})
+	f.Add(OpWrite, uint32(2), blockPayload(0, 0, [][2]int64{{1, 1}, {5, 1}}, false, append(seg, seg...))[ioHeaderLen:])
+	f.Add(OpWrite, uint32(2), blockPayload(0, 0, [][2]int64{{5, 1}, {1, 1}}, true, append(seg, seg...))[ioHeaderLen:])
+	f.Add(OpWrite, uint32(1), blockPayload(0, 0, [][2]int64{{15, 2}}, false, append(seg, seg...))[ioHeaderLen:])
+	f.Add(OpRead, uint32(2), blockPayload(0, 0, [][2]int64{{0, 1}, {4, 3}}, false, nil)[ioHeaderLen:])
+	f.Add(OpRead, uint32(1), blockPayload(0, 0, [][2]int64{{0, 1}}, false, seg)[ioHeaderLen:])
+	f.Add(OpWrite, uint32(0), seg)
+	f.Add(OpRead, uint32(1), blockPayload(0, 0, [][2]int64{{0, 1}}, true, nil)[ioHeaderLen:])
+	f.Add(OpWrite, uint32(2), append(mixed, append(seg, seg...)...))
+	f.Add(OpWrite, uint32(1), blockPayload(0, 0, [][2]int64{{15, 2}}, true, append(seg, seg...))[ioHeaderLen:])
 	want := patterned(f, n)
 	f.Fuzz(func(t *testing.T, op uint8, count uint32, body []byte) {
-		op = blockOps[int(op)%len(blockOps)]
+		op = []uint8{OpRead, OpWrite}[op%2]
 		payload := encodeIOHeader(ioHeader{Disk: 0, Count: count}, body)
 		resp, err := n.Manager.Handle(context.Background(), op, payload)
 		if err == nil {

@@ -1,11 +1,12 @@
 package cdd_test
 
 // The grouped write: a RAID-x write's foreground run on a member and the
-// deferred images that member hosts leave as one vectored write
-// (raid.GroupDev), and reach the manager as the same frames as when they
-// leave apart.
+// deferred images that member hosts leave as one OpWrite table
+// (raid.GroupDev), its images background extents, and reach the disks as
+// the same writes as when they leave apart.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/intent"
+	"repro/internal/obs"
 	"repro/internal/raid"
 	"repro/internal/raid/raidtest"
 	"repro/internal/store"
@@ -22,17 +24,19 @@ import (
 )
 
 // groupCluster starts n loopback nodes of one disk each (4 KiB blocks)
-// and returns them, their disks and a plain RemoteDev per node.
-func groupCluster(t *testing.T, n int, blocks int64) ([]*cdd.Node, []*disk.Disk, []raid.Dev) {
+// and returns them, their disks, a plain RemoteDev per node and the
+// registry all the clients count into.
+func groupCluster(t *testing.T, n int, blocks int64) ([]*cdd.Node, []*disk.Disk, []raid.Dev, *obs.Registry) {
 	t.Helper()
 	nodes, disks, devs := make([]*cdd.Node, n), make([]*disk.Disk, n), make([]raid.Dev, n)
+	reg := obs.NewRegistry()
 	for i := range nodes {
 		disks[i] = disk.New(nil, fmt.Sprintf("n%d.d0", i), store.NewMem(4<<10, blocks), disk.DefaultModel())
 		node, err := cdd.ListenAndServe("127.0.0.1:0", disks[i:i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := cdd.Connect(node.Addr())
+		c, err := cdd.ConnectWith(context.Background(), node.Addr(), cdd.Options{Obs: reg})
 		if err != nil {
 			node.Close()
 			t.Fatal(err)
@@ -43,7 +47,7 @@ func groupCluster(t *testing.T, n int, blocks int64) ([]*cdd.Node, []*disk.Disk,
 		})
 		nodes[i], devs[i] = node, c.Dev(0)
 	}
-	return nodes, disks, devs
+	return nodes, disks, devs, reg
 }
 
 // ungrouped hides raid.GroupDev and keeps raid.VecDev: the engine issues
@@ -62,20 +66,25 @@ func mgrWrites(nodes []*cdd.Node) (writes, bg int64) {
 	return writes, bg
 }
 
-// TestCallsGroupedWrite pins the frames a 64 KiB RAID-x write over four
-// nodes costs: one OpWrite per member and one OpWriteBG per mirror group
-// it touches, 4 + 6, whether each member's images ride behind its write
-// or go out on their own — and its spans, one col-write per member and one
-// mirror-write per image run, so a traced write reads the same either way.
+// TestCallsGroupedWrite pins the request frames a 64 KiB RAID-x write
+// over four nodes sends: one per member when each member's images ride in
+// its write's table, and one more per image run, 4 + 6, when they go out
+// on their own. Either way the managers count one write op per member and
+// one background write per mirror group the write touches, 4 + 6, and the
+// write records one col-write span per member and one mirror-write per
+// image run, so a traced write reads the same.
 func TestCallsGroupedWrite(t *testing.T) {
 	for _, hide := range []bool{false, true} {
 		t.Run(fmt.Sprintf("hidden=%v", hide), func(t *testing.T) {
-			nodes, _, devs := groupCluster(t, 4, 256)
-			if hide {
-				for i, d := range devs {
-					devs[i] = ungrouped{d, d.(raid.VecDev)}
+			nodes, _, devs, reg := groupCluster(t, 4, 256)
+			for i, d := range devs {
+				// Healthy without a probe, whose frame would count.
+				devs[i] = healthyDev{d.(*cdd.RemoteDev), new(atomic.Bool)}
+				if hide {
+					devs[i] = ungrouped{devs[i], devs[i].(raid.VecDev)}
 				}
 			}
+			frames := reg.Counter("transport.frames_sent")
 			tr := trace.New(trace.Config{SlowThreshold: -1})
 			a, err := core.New(devs, 4, 1, core.Options{Trace: tr})
 			if err != nil {
@@ -83,8 +92,16 @@ func TestCallsGroupedWrite(t *testing.T) {
 			}
 			ctx := context.Background()
 			w0, bg0 := mgrWrites(nodes)
+			f0 := frames.Value()
 			if err := a.WriteBlocks(ctx, 0, make([]byte, 64<<10)); err != nil {
 				t.Fatal(err)
+			}
+			want := int64(4)
+			if hide {
+				want = 10
+			}
+			if f := frames.Value() - f0; f != want {
+				t.Errorf("a 64 KiB write sent %d request frames, want %d", f, want)
 			}
 			if err := a.Flush(ctx); err != nil {
 				t.Fatal(err)
@@ -139,7 +156,7 @@ func (d healthyDev) note(err error) error {
 // verifying clean.
 func TestGroupedWriteFailureMarksCarriedRuns(t *testing.T) {
 	const blocks = 256
-	_, disks, devs := groupCluster(t, 4, blocks)
+	_, disks, devs, _ := groupCluster(t, 4, blocks)
 	lost := make([]atomic.Bool, len(devs))
 	for i, d := range devs {
 		devs[i] = healthyDev{d.(*cdd.RemoteDev), &lost[i]}
@@ -210,4 +227,48 @@ func TestGroupedWriteFailureMarksCarriedRuns(t *testing.T) {
 		t.Fatalf("after resync: %v", err)
 	}
 	sh.Check(t, "after resync")
+}
+
+// TestGroupedWriteSortsTable hands WriteBlocksWith image runs out of block
+// order, with the data run between them, as a grow that relocates images
+// may. The node serves only an ascending table, so every block lands
+// only if the table goes out sorted.
+func TestGroupedWriteSortsTable(t *testing.T) {
+	_, disks, devs, _ := groupCluster(t, 1, 64)
+	const bs = 4 << 10
+	ctx := context.Background()
+	fill := func(b byte, blocks int) []byte { return bytes.Repeat([]byte{b}, blocks*bs) }
+	data := fill(0xD0, 2)
+	bg := []raid.Run{{Phys: 40, Data: fill(0xB4, 1)}, {Phys: 20, Data: fill(0xB2, 2)}}
+	if err := devs[0].(raid.GroupDev).WriteBlocksWith(ctx, 30, [][]byte{data[:bs], data[bs:]}, bg); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range append(bg, raid.Run{Phys: 30, Data: data}) {
+		got := make([]byte, len(r.Data))
+		if err := disks[0].ReadBlocks(ctx, r.Phys, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, r.Data) {
+			t.Errorf("the run at block %d did not land", r.Phys)
+		}
+	}
+}
+
+// TestGroupedWriteStaleEpoch: a grouped write placed with a retired
+// layout fails typed, and the node counts each background extent it
+// carried as a dropped mirror write, as it counts a notified one.
+func TestGroupedWriteStaleEpoch(t *testing.T) {
+	nodes, _, devs, _ := groupCluster(t, 1, 64)
+	nodes[0].Manager.AdoptEpoch(2)
+	drops := nodes[0].Manager.Obs().Counter("mgr.bg_stale_drops")
+	const bs = 4 << 10
+	bg := []raid.Run{{Phys: 20, Data: make([]byte, bs)}, {Phys: 40, Data: make([]byte, 2*bs)}}
+	before := drops.Value()
+	err := devs[0].(raid.GroupDev).WriteBlocksWith(context.Background(), 0, [][]byte{make([]byte, bs)}, bg)
+	if !cdd.IsStaleEpoch(err) {
+		t.Fatalf("grouped write at a retired generation: err = %v, want stale-epoch", err)
+	}
+	if d := drops.Value() - before; d != 2 {
+		t.Errorf("bg_stale_drops rose by %d, want 2", d)
+	}
 }

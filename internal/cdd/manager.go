@@ -64,18 +64,20 @@ func (m *Manager) SetRepair(rc RepairController) {
 	m.mu.Unlock()
 }
 
-// managerMetrics count the node's served operations. fgOps/fgErrors and
-// fgLat cover only the foreground data path (read/write/flush) — they
-// are the inputs to the node's foreground SLO tracker; latByOp carries
-// one labeled histogram per opcode, resolved once so the dispatch path
-// indexes a static array.
+// managerMetrics count the node's served operations: writes counts the
+// write requests with a foreground extent, bgWrites the background
+// extents. fgOps/fgErrors and fgLat cover only the foreground data path
+// (read, flush, a write with a foreground extent) — they are the inputs
+// to the node's foreground SLO tracker; latByOp carries one labeled
+// histogram per opcode, resolved once so the dispatch path indexes a
+// static array.
 type managerMetrics struct {
 	reads, writes, bgWrites, flushes, probes, failed *obs.Counter
 	beats, lockOps                                   *obs.Counter
 	fgOps, fgErrors                                  *obs.Counter
-	// bgStaleDrops counts background mirror writes rejected for a stale
-	// layout generation. Clients send those as notifications and never
-	// see the rejection, so each drop is a silent redundancy loss until
+	// bgStaleDrops counts background extents rejected for a stale layout
+	// generation. A client that sent them as a notification never sees
+	// the rejection, so each drop is a silent redundancy loss until
 	// resync — the counter keeps it visible to operators.
 	bgStaleDrops *obs.Counter
 	fgLat        *obs.Histogram
@@ -217,7 +219,6 @@ var opSpanNames = [opEnd]string{
 	OpInfo:         "mgr.info",
 	OpRead:         "mgr.read",
 	OpWrite:        "mgr.write",
-	OpWriteBG:      "mgr.bg-write",
 	OpFlush:        "mgr.flush",
 	OpHealth:       "mgr.health",
 	OpFail:         "mgr.fail",
@@ -266,8 +267,8 @@ func (m *Manager) Handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 	if int(op) < len(m.met.latByOp) {
 		m.met.latByOp[op].ObserveTraced(d, tid)
 	}
-	switch op {
-	case OpRead, OpWrite, OpFlush:
+	switch {
+	case op == OpRead || op == OpFlush || op == OpWrite && !background(payload):
 		m.met.fgOps.Inc()
 		m.met.fgLat.ObserveTraced(d, tid)
 		if err != nil {
@@ -293,7 +294,7 @@ func (m *Manager) handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 			Blocks:    m.disks[0].NumBlocks(),
 		}), nil
 
-	case OpRead, OpWrite, OpWriteBG:
+	case OpRead, OpWrite:
 		return m.blockIO(ctx, op, payload)
 
 	case OpFlush:
@@ -455,46 +456,51 @@ func (m *Manager) handle(ctx context.Context, op uint8, payload []byte) ([]byte,
 	return nil, fmt.Errorf("cdd: op %d: %w", op, errUnknownOp)
 }
 
-// blockIO serves OpRead, OpWrite and OpWriteBG: the generation fence,
-// the disk, the whole extent table validated, then one disk call per
-// extent in table order — a write's straight from the request buffer, a
-// read's into one pooled response the server releases once the frame is
-// on the wire (RecycleResponses). The first disk error aborts; extents
-// before it have moved, as with a torn vectored write, so a client
-// resends every block of a failed write.
+// background reports whether payload is a block op whose table has no
+// foreground extent: a write its sender sent as a notification.
+func background(payload []byte) bool {
+	h, body, err := decodeIOHeader(payload)
+	return err == nil && h.Count > 0 && bgExtents(body, h.Count) == int(h.Count)
+}
+
+// blockIO serves OpRead and OpWrite: the generation fence, the disk, the
+// whole extent table validated, then one disk call per extent in table
+// order — a write's straight from the request buffer, a background
+// extent's on the disk's background path, a read's into one pooled
+// response the server releases once the frame is on the wire
+// (RecycleResponses). The first disk error aborts; extents before it have
+// moved, as with a torn vectored write, so a client resends every block
+// of a failed write.
 func (m *Manager) blockIO(ctx context.Context, op uint8, payload []byte) ([]byte, error) {
 	h, body, err := decodeIOHeader(payload)
 	if err != nil {
 		return nil, err
 	}
+	bg := bgExtents(body, h.Count)
 	// The one fence: block I/O placed with a layout older than the one
 	// this node has adopted is never served.
 	if err := m.checkEpoch(h.Gen); err != nil {
-		if op == OpWriteBG {
-			// The client sent this as a notification and will never see
-			// the rejection; count the dropped mirror write so the
-			// redundancy loss is observable.
-			m.met.bgStaleDrops.Inc()
-		}
+		// A notification's sender never sees the rejection; count every
+		// dropped mirror write so the redundancy loss is observable.
+		m.met.bgStaleDrops.Add(int64(bg))
 		return nil, err
 	}
 	d, err := m.disk(h.Disk)
 	if err != nil {
 		return nil, err
 	}
-	switch op {
-	case OpRead:
-		m.met.reads.Inc()
-	case OpWrite:
-		m.met.writes.Inc()
-	default:
-		m.met.bgWrites.Inc()
-	}
 	bs := d.BlockSize()
 	tab, data, n, err := splitExtents(body, h.Count, bs, d.NumBlocks(), op == OpRead)
 	if err != nil {
 		return nil, err
 	}
+	switch {
+	case op == OpRead:
+		m.met.reads.Inc()
+	case bg < int(h.Count):
+		m.met.writes.Inc()
+	}
+	m.met.bgWrites.Add(int64(bg))
 	var resp []byte
 	if op == OpRead {
 		resp = bufpool.Get(n)
@@ -504,13 +510,13 @@ func (m *Manager) blockIO(ctx context.Context, op uint8, payload []byte) ([]byte
 		e := extentAt(tab, i)
 		seg := data[:int(e.Blocks)*bs]
 		data = data[len(seg):]
-		switch op {
-		case OpRead:
+		switch {
+		case op == OpRead:
 			err = d.ReadBlocks(ctx, e.Block, seg)
-		case OpWrite:
-			err = d.WriteBlocks(ctx, e.Block, seg)
-		default:
+		case e.BG:
 			err = d.WriteBlocksBackground(ctx, e.Block, seg)
+		default:
+			err = d.WriteBlocks(ctx, e.Block, seg)
 		}
 		if err != nil {
 			bufpool.Put(resp)

@@ -10,8 +10,8 @@ import (
 )
 
 // Opcodes of the CDD wire protocol. There is one block-I/O family:
-// OpRead, OpWrite and OpWriteBG address their blocks with an extent table
-// and carry, inside the I/O header, the layout generation the sender's
+// OpRead and OpWrite address their blocks with an extent table and
+// carry, inside the I/O header, the layout generation the sender's
 // placement map was built from (0 = the base layout); a node that has
 // adopted a newer generation answers CodeStaleEpoch instead of serving a
 // placement computed from a retired layout (epoch.go). Flush and every
@@ -22,12 +22,11 @@ const (
 	OpInfo uint8 = iota + 1
 	// OpRead reads the extents of one disk's table (see ioHeader).
 	OpRead
-	// OpWrite writes the extents of one disk's table.
+	// OpWrite writes the extents of one disk's table, each foreground or
+	// background (Extent.BG). One without a foreground extent goes as a
+	// notification: the deferred mirror push.
 	OpWrite
-	// OpWriteBG is OpWrite as a notification: the deferred mirror push.
-	// The sender never sees a stale-generation rejection, so the node
-	// counts each dropped push in mgr.bg_stale_drops.
-	OpWriteBG
+	_ // unassigned; the opcodes below keep their numbers
 	// OpFlush drains background work on one disk.
 	OpFlush
 	// OpHealth reports whether a disk is serving requests.
@@ -183,7 +182,7 @@ func decodeInfo(b []byte) (infoResp, error) {
 	}, nil
 }
 
-// ioHeader prefixes OpRead/OpWrite/OpWriteBG payloads, and addresses
+// ioHeader prefixes OpRead/OpWrite payloads, and addresses
 // the disk of the per-disk control ops (flush, health, stats, fail,
 // replace), which leave Count and Gen zero and are never checked
 // against them.
@@ -201,22 +200,44 @@ type ioHeader struct {
 const ioHeaderLen = 16
 
 // Extent is a run of consecutive blocks on one disk; its wire form is
-// block int64, blocks uint32, big-endian like the header.
+// block int64, blocks uint32, big-endian like the header, with BG as the
+// count's top bit. A background extent — a deferred mirror image — is
+// written with the disk's WriteBlocksBackground.
 type Extent struct {
 	Block  int64
 	Blocks uint32
+	BG     bool
 }
 
-const extentLen = 12
+const (
+	extentLen = 12
+	extentBG  = 1 << 31
+)
 
 func appendExtent(tab []byte, e Extent) []byte {
 	tab = binary.BigEndian.AppendUint64(tab, uint64(e.Block))
+	if e.BG {
+		e.Blocks |= extentBG
+	}
 	return binary.BigEndian.AppendUint32(tab, e.Blocks)
 }
 
 func extentAt(tab []byte, i int) Extent {
 	b := tab[i*extentLen:]
-	return Extent{Block: int64(binary.BigEndian.Uint64(b[0:8])), Blocks: binary.BigEndian.Uint32(b[8:12])}
+	n := binary.BigEndian.Uint32(b[8:12])
+	return Extent{Block: int64(binary.BigEndian.Uint64(b[0:8])), Blocks: n &^ extentBG, BG: n&extentBG != 0}
+}
+
+// bgExtents counts the background extents among the first k of tab, as
+// far as tab holds them.
+func bgExtents(tab []byte, k uint32) int {
+	n := 0
+	for i := 0; i < int(min(k, uint32(len(tab)/extentLen))); i++ {
+		if extentAt(tab, i).BG {
+			n++
+		}
+	}
+	return n
 }
 
 // splitExtents validates a block op's k-extent payload against a disk of
@@ -224,7 +245,8 @@ func extentAt(tab []byte, i int) Extent {
 // the bytes the extents span. The whole table is checked before any block
 // moves: at least one extent, every extent non-empty and inside the disk,
 // extents ascending without overlap. A write's data is exactly as long as
-// the table says; a read carries no data and spans at most one frame.
+// the table says; a read has no background extent, carries no data and
+// spans at most one frame.
 func splitExtents(payload []byte, k uint32, bs int, numBlocks int64, read bool) (tab, data []byte, n int, err error) {
 	tl := int64(k) * extentLen
 	if k == 0 || tl > int64(len(payload)) {
@@ -236,6 +258,9 @@ func splitExtents(payload []byte, k uint32, bs int, numBlocks int64, read bool) 
 		e := extentAt(tab, i)
 		if e.Blocks == 0 || e.Block < end || e.Block > numBlocks-int64(e.Blocks) {
 			return nil, nil, 0, fmt.Errorf("cdd: extent %d (%d+%d) empty, out of order or outside %d blocks: %w", i, e.Block, e.Blocks, numBlocks, errBadRequest)
+		}
+		if read && e.BG {
+			return nil, nil, 0, fmt.Errorf("cdd: read of background extent %d: %w", i, errBadRequest)
 		}
 		end = e.Block + int64(e.Blocks)
 		total += int64(e.Blocks)

@@ -45,7 +45,6 @@ func TestRetryableOpMatrix(t *testing.T) {
 		// A lost OpLock response leaves the grant recorded server-side; a
 		// blind resend would double-record it. Single attempt only.
 		{"lock", OpLock, false},
-		{"write-bg", OpWriteBG, false}, // notify-only: no response to retry on
 		{"lock-replica", OpLockReplica, false},
 		// A start whose response was lost would double-begin.
 		{"rebalance-ctl", OpRebalanceCtl, false},
@@ -63,7 +62,7 @@ func TestRetryableOpMatrix(t *testing.T) {
 	// the same operation.
 	names := map[string]uint8{}
 	for op := OpInfo; op < opEnd; op++ {
-		if op == OpUnlockAll+1 {
+		if op == OpWrite+1 || op == OpUnlockAll+1 {
 			continue // unassigned
 		}
 		if !classed[op] {

@@ -24,10 +24,9 @@ func BlockLockRange(disk uint32, block, count int64) Range {
 	return Range{Start: base + uint64(block), End: base + uint64(block+count)}
 }
 
-// SessionConfig tunes a coherent client session.
+// SessionConfig tunes a coherent client session; its read cache holds
+// 4 MiB.
 type SessionConfig struct {
-	// CacheBytes bounds the read cache (<= 0: 4 MiB).
-	CacheBytes int64
 	// WriteBackBytes is the dirty-byte threshold that triggers a group
 	// commit (<= 0: 256 KiB).
 	WriteBackBytes int
@@ -43,9 +42,6 @@ type SessionConfig struct {
 }
 
 func (c SessionConfig) withDefaults(pol RetryPolicy) SessionConfig {
-	if c.CacheBytes <= 0 {
-		c.CacheBytes = 4 << 20
-	}
 	if c.WriteBackBytes <= 0 {
 		c.WriteBackBytes = 256 << 10
 	}
@@ -106,7 +102,7 @@ func NewSession(n *NodeClient, owner string, cfg SessionConfig) *Session {
 		n:     n,
 		owner: owner,
 		cfg:   cfg,
-		cache: NewBlockCache(cfg.CacheBytes, cfg.Obs),
+		cache: NewBlockCache(4<<20, cfg.Obs),
 		devs:  map[uint32]*CachedDev{},
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),

@@ -148,20 +148,21 @@ func (c *CachedDev) getDirty(blk int64, dst []byte) bool {
 // WriteBlocks writes data at block b: absorbed into write-back when an
 // exclusive grant covers the span, written through otherwise.
 func (c *CachedDev) WriteBlocks(ctx context.Context, b int64, data []byte) error {
-	return c.write(ctx, OpWrite, b, data)
+	return c.write(ctx, b, data, false)
 }
 
 // WriteBlocksBackground makes the same choice: write-back *is* the
 // background batching layer, and uncovered writes keep the remote
 // fire-and-forget path.
 func (c *CachedDev) WriteBlocksBackground(ctx context.Context, b int64, data []byte) error {
-	return c.write(ctx, OpWriteBG, b, data)
+	return c.write(ctx, b, data, true)
 }
 
 // write is the one buffer-or-pass decision of both write paths: the
 // span is buffered only inside the lease safety window and under a
-// covering exclusive grant; otherwise op sends it straight through.
-func (c *CachedDev) write(ctx context.Context, op uint8, b int64, data []byte) error {
+// covering exclusive grant; otherwise it goes straight through, as a
+// background extent when bg is set.
+func (c *CachedDev) write(ctx context.Context, b int64, data []byte, bg bool) error {
 	if len(data)%c.bs != 0 {
 		return fmt.Errorf("cdd: write buffer %d not a multiple of block size %d", len(data), c.bs)
 	}
@@ -170,7 +171,7 @@ func (c *CachedDev) write(ctx context.Context, op uint8, b int64, data []byte) e
 		return nil
 	}
 	if !c.s.leaseFresh() || !c.s.holdsBlocks(c.disk, b, n, true) {
-		return c.writeThrough(ctx, op, b, data)
+		return c.writeThrough(ctx, b, data, bg)
 	}
 
 	c.mu.Lock()
@@ -203,7 +204,7 @@ func (c *CachedDev) write(ctx context.Context, op uint8, b int64, data []byte) e
 // and buffered ones take the new data once the write succeeded. c.mu is
 // held across a write that has buffered blocks, so a flush cannot replay
 // the old buffer over it; a failed write leaves the buffer as it was.
-func (c *CachedDev) writeThrough(ctx context.Context, op uint8, b int64, data []byte) error {
+func (c *CachedDev) writeThrough(ctx context.Context, b int64, data []byte, bg bool) error {
 	n := int64(len(data) / c.bs)
 	defer c.s.cache.InvalidateBlocks(c.disk, b, n)
 	c.mu.Lock()
@@ -216,7 +217,7 @@ func (c *CachedDev) writeThrough(ctx context.Context, op uint8, b int64, data []
 	} else {
 		c.mu.Unlock()
 	}
-	if err := c.d.blockIO(ctx, op, []Extent{c.d.run(b, data)}, [][]byte{data}, nil); err != nil || !buffered {
+	if err := c.d.blockIO(ctx, OpWrite, []Extent{{Block: b, Blocks: uint32(n), BG: bg}}, [][]byte{data}); err != nil || !buffered {
 		return err
 	}
 	for i := int64(0); i < n; i++ {

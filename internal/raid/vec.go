@@ -77,12 +77,12 @@ type Run struct {
 
 // GroupDev is optionally implemented by devices that can send a write
 // and background writes of the same device as one transfer: the write
-// of segs at b, as VecDev's, and then each run of bg as
-// WriteBlocksBackground would write it. Only the write is waited for;
-// after an error any of them may or may not have landed. Remote disks
-// implement it to put a member's foreground run and the deferred images
-// it hosts on the wire in one vectored write; over any other device the
-// members issue the runs as branches of their own.
+// of segs at b, as VecDev's, and each run of bg as WriteBlocksBackground
+// would write it. The call returns once the write and its runs have
+// landed or failed; after an error any of them may or may not have
+// landed. Remote disks implement it to put a member's foreground run and
+// the deferred images it hosts on the wire as one request; over any
+// other device the members issue the runs as branches of their own.
 type GroupDev interface {
 	WriteBlocksWith(ctx context.Context, b int64, segs [][]byte, bg []Run) error
 }

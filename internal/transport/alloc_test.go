@@ -55,8 +55,7 @@ func TestAllocsCallScatter(t *testing.T) {
 }
 
 // TestAllocsCallVecWrite pins the zero-copy write path: a gather request
-// with a 64 KiB payload segment and an empty response, alone and with
-// two notes of 16 KiB behind it in the same vectored write.
+// with a 64 KiB payload segment and an empty response.
 func TestAllocsCallVecWrite(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
 		return nil, nil
@@ -77,12 +76,6 @@ func TestAllocsCallVecWrite(t *testing.T) {
 	req := [][]byte{hdr, data}
 	allocLimit(t, 6, func() {
 		if _, err := c.Call(ctx, 1, req, nil, time.Time{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	notes := []Note{{Op: 2, Req: [][]byte{hdr, data[:16<<10]}}, {Op: 2, Req: [][]byte{hdr, data[16<<10 : 32<<10]}}}
-	allocLimit(t, 6, func() {
-		if _, err := c.Call(ctx, 1, req, nil, time.Time{}, notes...); err != nil {
 			t.Fatal(err)
 		}
 	})

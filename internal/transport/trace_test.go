@@ -24,12 +24,6 @@ func oldFrame(id uint64, typ, op uint8, payload []byte) []byte {
 	return b
 }
 
-// writeFrame emits one frame whose payload is the concatenation of
-// segs: writeFrames with no notes.
-func writeFrame(w io.Writer, id uint64, typ, op uint8, ext *TraceExt, segs ...[]byte) error {
-	return writeFrames(w, id, typ, op, ext, segs, nil)
-}
-
 // readFrame parses one whole frame, accepting both the original format
 // and the flags-byte extension. The returned typ has the extension bit
 // stripped; ext is nil unless the frame carried a trace context.
@@ -363,9 +357,7 @@ func FuzzReadFrame(f *testing.F) {
 // writeFrame takes the net.Buffers (writev) branch — must be identical
 // to the coalesced single-buffer encoding, however the payload is
 // segmented, and identical to the original pre-extension format when
-// untraced. A request with notes behind it must put on the wire, over
-// TCP and over any other writer, exactly the frames written one at a
-// time — the other writer getting one Write per frame.
+// untraced.
 func TestVectoredWriteBytesIdentical(t *testing.T) {
 	payload := make([]byte, 4096)
 	for i := range payload {
@@ -395,43 +387,7 @@ func TestVectoredWriteBytesIdentical(t *testing.T) {
 				t.Fatalf("ext=%v segmenting %d: vectored TCP bytes differ:\n got %x\nwant %x", ext, i, got, want.Bytes())
 			}
 		}
-		notes := []Note{{Op: 5, Req: segmentings[1]}, {Op: 6, Req: segmentings[3]}, {Op: 7, Req: nil}}
-		frames := [][]byte{want.Bytes()}
-		for _, n := range notes {
-			var f bytes.Buffer
-			if err := writeFrame(&f, 0, frameRequest, n.Op, ext, n.Req...); err != nil {
-				t.Fatal(err)
-			}
-			frames = append(frames, f.Bytes())
-		}
-		all := bytes.Join(frames, nil)
-		got := captureTCPWrite(t, func(conn net.Conn) error {
-			return writeFrames(conn, 11, frameRequest, 9, ext, segmentings[2], notes)
-		}, len(all))
-		if !bytes.Equal(got, all) {
-			t.Fatalf("ext=%v: request and notes over TCP differ from the frames one at a time:\n got %x\nwant %x", ext, got, all)
-		}
-		var w writeLog
-		if err := writeFrames(&w, 11, frameRequest, 9, ext, segmentings[2], notes); err != nil {
-			t.Fatal(err)
-		}
-		if len(w) != len(frames) {
-			t.Fatalf("ext=%v: %d writes for %d frames", ext, len(w), len(frames))
-		}
-		for i := range frames {
-			if !bytes.Equal(w[i], frames[i]) {
-				t.Fatalf("ext=%v: write %d:\n got %x\nwant %x", ext, i, w[i], frames[i])
-			}
-		}
 	}
-}
-
-// writeLog is a non-TCP writer that keeps each Write apart.
-type writeLog [][]byte
-
-func (w *writeLog) Write(p []byte) (int, error) {
-	*w = append(*w, bytes.Clone(p))
-	return len(p), nil
 }
 
 // captureTCPWrite runs write against one end of a loopback TCP pair and

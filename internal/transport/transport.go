@@ -24,12 +24,12 @@
 // The data path allocates nothing per byte (DESIGN.md §10): a request is
 // a gather list that goes to a TCP session as one writev — header, trace
 // extension, and payload segments are never coalesced into a staging
-// buffer, and notifications riding behind a call share its writev — and
-// a bulk response lands in caller-provided memory with one copy: out of
-// the connection's read buffer, which takes in whatever part of the
-// payload has already arrived, or straight off the socket for a
-// remainder at least as large as that buffer. Frame headers come from a
-// pool, and a request's pooled payload is released once its reply is out.
+// buffer — and a bulk response lands in caller-provided memory with one
+// copy: out of the connection's read buffer, which takes in whatever
+// part of the payload has already arrived, or straight off the socket
+// for a remainder at least as large as that buffer. Frame headers come
+// from a pool, and a request's pooled payload is released once its reply
+// is out.
 //
 // Frame layout (big endian):
 //
@@ -231,27 +231,18 @@ type frameScratch struct {
 
 var framePool = sync.Pool{New: func() any { return new(frameScratch) }}
 
-// Note is a notification that rides behind a Call's request frame: its
-// op and its payload as a gather list.
-type Note struct {
-	Op  uint8
-	Req [][]byte
-}
-
-// writeFrames emits one frame whose payload is the concatenation of
-// segs, then one request frame with id 0 per note, each byte for byte as
-// a notification of its own: every frame carries ext. A nil ext produces
-// bytes identical to the pre-extension frame format, so untraced traffic
-// is indistinguishable from an older peer's. Every frame's size is
-// checked before any byte is written, so an ErrFrameTooLarge does not
-// desynchronize the stream.
+// writeFrame emits one frame whose payload is the concatenation of
+// segs. A nil ext produces bytes identical to the pre-extension frame
+// format, so untraced traffic is indistinguishable from an older peer's.
+// No bytes are written when the frame would exceed MaxFrame, so an
+// ErrFrameTooLarge does not desynchronize the stream.
 //
-// On a TCP session all the headers and segments go out as one vectored
-// write (writev) with no coalescing copy. Other writers (pipes, fault
-// injectors, in-memory buffers) get each frame as a single Write from a
+// On a TCP session the header and segments go out as one vectored write
+// (writev) with no coalescing copy. Other writers (pipes, fault
+// injectors, in-memory buffers) get the frame as a single Write from a
 // pooled staging buffer — one Write per frame either way, so per-write
 // fault injection charges frames, not segments.
-func writeFrames(w io.Writer, id uint64, typ, op uint8, ext *TraceExt, segs [][]byte, notes []Note) error {
+func writeFrame(w io.Writer, id uint64, typ, op uint8, ext *TraceExt, segs ...[]byte) error {
 	extLen := 0
 	if ext != nil {
 		extLen = traceExtLen
@@ -259,30 +250,14 @@ func writeFrames(w io.Writer, id uint64, typ, op uint8, ext *TraceExt, segs [][]
 	if err := fits(extLen, segs); err != nil {
 		return err
 	}
-	for _, n := range notes {
-		if err := fits(extLen, n.Req); err != nil {
-			return err
-		}
-	}
 	scr := framePool.Get().(*frameScratch)
 	scr.hdrs = appendHeader(scr.hdrs[:0], id, typ, op, ext, segs)
-	for _, n := range notes {
-		scr.hdrs = appendHeader(scr.hdrs, 0, frameRequest, n.Op, ext, n.Req)
-	}
-	hlen := 4 + headerLen + extLen
-	hdr := func(i int) []byte { return scr.hdrs[i*hlen : (i+1)*hlen] }
 	var err error
 	if tc, ok := w.(*net.TCPConn); ok {
-		scr.vecs = appendFrame(scr.vecs, hdr(0), segs)
-		for i, n := range notes {
-			scr.vecs = appendFrame(scr.vecs, hdr(i+1), n.Req)
-		}
+		scr.vecs = appendFrame(scr.vecs, scr.hdrs, segs)
 		err = scr.writev(tc)
 	} else {
-		err = writeFlat(w, hdr(0), segs)
-		for i := 0; i < len(notes) && err == nil; i++ {
-			err = writeFlat(w, hdr(i+1), notes[i].Req)
-		}
+		err = writeFlat(w, scr.hdrs, segs)
 	}
 	framePool.Put(scr)
 	return err
@@ -930,13 +905,6 @@ func payloadLen(segs [][]byte) int {
 // exactly fill them consumes the frame but fails with *RespSizeError.
 // The caller must not touch resp's segments until Call returns.
 //
-// notes are notifications written after the request frame in the same
-// vectored write, each byte for byte the frame Notify would send, with
-// the request's trace extension. The peer handles a connection's frames
-// in order, so it answers the request before it handles the first note.
-// Like the request, the notes are only read during the call, and a
-// failed call may have sent any of them.
-//
 // dl (zero = none) is the call's deadline, merged with ctx's. Passing it
 // as a plain time.Time instead of wrapping ctx in context.WithTimeout
 // keeps the hot path allocation-free: it is armed as the conn's write
@@ -947,9 +915,9 @@ func payloadLen(segs [][]byte) int {
 // returns context.DeadlineExceeded. A traced context (internal/trace)
 // records the exchange as a "transport.call" span and stamps the frame
 // with the trace extension so the server can continue the trace.
-func (c *Client) Call(ctx context.Context, op uint8, req, resp [][]byte, dl time.Time, notes ...Note) ([]byte, error) {
+func (c *Client) Call(ctx context.Context, op uint8, req, resp [][]byte, dl time.Time) ([]byte, error) {
 	ext, h := c.startWire(ctx, "transport.call", payloadLen(req))
-	payload, err := c.call(ctx, op, ext, req, resp, dl, notes)
+	payload, err := c.call(ctx, op, ext, req, resp, dl)
 	h.End(err)
 	return payload, err
 }
@@ -966,7 +934,7 @@ func (c *Client) Notify(ctx context.Context, op uint8, req [][]byte, timeout tim
 	ext, h := c.startWire(ctx, "transport.notify", payloadLen(req))
 	conn, _, err := c.ensureConn(ctx)
 	if err == nil {
-		err = c.send(ctx, conn, 0, op, ext, req, nil, deadline(ctx, time.Time{}), timeout)
+		err = c.send(ctx, conn, 0, op, ext, req, deadline(ctx, time.Time{}), timeout)
 	}
 	h.End(err)
 	return err
@@ -1019,7 +987,7 @@ func deadline(ctx context.Context, dl time.Time) time.Time {
 	return dl
 }
 
-func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte, dst [][]byte, dl time.Time, notes []Note) ([]byte, error) {
+func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte, dst [][]byte, dl time.Time) ([]byte, error) {
 	conn, gen, err := c.ensureConn(ctx)
 	if err != nil {
 		return nil, err
@@ -1055,7 +1023,7 @@ func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte
 	}
 
 	dl = deadline(ctx, dl)
-	if err := c.send(ctx, conn, id, op, ext, req, notes, dl, 0); err != nil {
+	if err := c.send(ctx, conn, id, op, ext, req, dl, 0); err != nil {
 		unregister()
 		return nil, err
 	}
@@ -1110,8 +1078,8 @@ func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte
 	return resp.payload, nil
 }
 
-// send writes one request frame (id 0: a notification), and the notes
-// behind it, inline under the write lock, bounded through the conn's write deadline by dl and by
+// send writes one request frame (id 0: a notification) inline under the
+// write lock, bounded through the conn's write deadline by dl and by
 // timeout (zero = none) counted from taking the lock — the runtime's
 // netpoll interrupts a blocked socket write, so no goroutine is needed
 // to abandon it. A frame still waiting for the lock when dl passes or
@@ -1121,7 +1089,7 @@ func (c *Client) call(ctx context.Context, op uint8, ext *TraceExt, req [][]byte
 // drops the session, since a partial frame desynchronizes the stream;
 // an expired deadline reports context.DeadlineExceeded, a cancellation
 // ctx.Err().
-func (c *Client) send(ctx context.Context, conn net.Conn, id uint64, op uint8, ext *TraceExt, req [][]byte, notes []Note, dl time.Time, timeout time.Duration) error {
+func (c *Client) send(ctx context.Context, conn net.Conn, id uint64, op uint8, ext *TraceExt, req [][]byte, dl time.Time, timeout time.Duration) error {
 	if err := c.lockWrite(ctx, dl); err != nil {
 		c.met.deadlineExpired.Inc()
 		return err
@@ -1136,14 +1104,14 @@ func (c *Client) send(ctx context.Context, conn net.Conn, id uint64, op uint8, e
 	if dl.IsZero() && ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, func() { c.dropConn(conn, ctx.Err()) })
 	}
-	err := writeFrames(conn, id, frameRequest, op, ext, req, notes)
+	err := writeFrame(conn, id, frameRequest, op, ext, req...)
 	if !stop() && err == nil {
 		err = ctx.Err() // the session was dropped under a complete frame
 	}
 	<-c.wslot
 	switch {
 	case err == nil:
-		c.met.framesSent.Add(int64(1 + len(notes)))
+		c.met.framesSent.Inc()
 		return nil
 	case errors.Is(err, ErrFrameTooLarge):
 		return err

@@ -379,51 +379,6 @@ func TestCloseFailsOutstandingCalls(t *testing.T) {
 	}
 }
 
-// TestCallNotesFollowRequest: notes riding behind a call reach the
-// handler after its request, in order, and the call's response is on its
-// way before the first note is handled — a note parked in its handler
-// does not hold the call back.
-func TestCallNotesFollowRequest(t *testing.T) {
-	type seen struct {
-		op      uint8
-		payload string
-	}
-	got := make(chan seen, 3)
-	returned := make(chan struct{})
-	s, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
-		if op != 1 {
-			select {
-			case <-returned:
-			case <-time.After(5 * time.Second):
-				t.Error("a note was handled before the call returned")
-			}
-		}
-		got <- seen{op, string(payload)}
-		return []byte("ok"), nil
-	}, ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := Dial(bg, s.Addr(), DialOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	notes := []Note{{Op: 2, Req: [][]byte{[]byte("no"), []byte("te a")}}, {Op: 3, Req: [][]byte{[]byte("note b")}}}
-	resp, err := c.Call(bg, 1, [][]byte{[]byte("req")}, nil, time.Now().Add(5*time.Second), notes...)
-	close(returned)
-	if err != nil || string(resp) != "ok" {
-		t.Fatalf("call: %q, %v", resp, err)
-	}
-	want := []seen{{1, "req"}, {2, "note a"}, {3, "note b"}}
-	for i, w := range want {
-		if g := <-got; g != w {
-			t.Fatalf("frame %d handled: %+v, want %+v", i, g, w)
-		}
-	}
-}
-
 // TestCallDeadlineAgainstHungServer: a server that accepts but never
 // responds must not hang a call with a deadline.
 func TestCallDeadlineAgainstHungServer(t *testing.T) {
