@@ -43,9 +43,11 @@ promtest:
 # (its mapping copied only under a shard lock, no torn block beside a
 # writer, unmapped once unreachable, remapped by Blank) five; the eighth
 # gives the frame writer (its bytes however segmented), the frames a
-# RAID-x write costs and the server's reply bursts (a same-op burst in
+# RAID-x write costs, the server's reply bursts (a same-op burst in
 # one write, no reply held behind another op or a notification, a burst
-# split past 64 KiB) five; the ninth gives
+# split past 64 KiB) and its payload views (a handler that keeps one is
+# a race report, an echoed burst comes back intact, the pool balances
+# over fitting and oversized payloads) five; the ninth gives
 # a grouped call failed mid-flight (only its member dirty, its carried
 # runs marked, no sibling cancelled) twenty.
 race:
@@ -56,7 +58,7 @@ race:
 	$(GO) test -race -count=5 -run 'TestBlockCache|TestSessionCachedReads|TestWriteBackRecoversAfterRenewal' ./internal/cdd/
 	$(GO) test -race -count=5 -run 'TestConcurrentClientsUnderVClock|TestLockerSerializesConflicts|TestTwoMountsShareState|TestShadowModelSequential' ./internal/fsim/
 	$(GO) test -race -count=5 -run 'TestMem' ./internal/store/
-	$(GO) test -race -count=5 -run 'TestVectoredWriteBytesIdentical|TestReplyBurst|TestCallsGroupedWrite' ./internal/transport/ ./internal/cdd/
+	$(GO) test -race -count=5 -run 'TestVectoredWriteBytesIdentical|TestReplyBurst|TestServerView|TestCallsGroupedWrite' ./internal/transport/ ./internal/cdd/
 	$(GO) test -race -count=20 -run TestGroupedWriteFailureMarksCarriedRuns ./internal/cdd/
 
 # Full verification: static analysis, the exporter grammar tests, and

@@ -618,8 +618,7 @@ func (d *RemoteDev) WriteBlocksVec(ctx context.Context, b int64, segs [][]byte) 
 // WriteBlocksWith implements raid.GroupDev: one OpWrite whose table holds
 // the foreground extent WriteBlocksVec would send and a background extent
 // per run of bg, in block order, acknowledged together. A table larger
-// than one frame leaves in pieces (split), and a piece holding only
-// background extents is a notification.
+// than one frame leaves in pieces (split), each of them a call.
 func (d *RemoteDev) WriteBlocksWith(ctx context.Context, b int64, segs [][]byte, bg []raid.Run) error {
 	for _, r := range bg {
 		if len(r.Data) == 0 || len(r.Data)%d.bs != 0 {
@@ -694,7 +693,7 @@ const maxIOFrame = transport.MaxPayload - 64
 // frame), and a read's response is copied into them (DESIGN.md §10). A
 // write without a foreground extent goes as a notification. A table
 // larger than one frame goes out as several requests (split).
-func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [][]byte) (err error) {
+func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [][]byte) error {
 	total, blocks, notify := 0, 0, op == OpWrite
 	for _, sg := range segs {
 		total += len(sg)
@@ -707,8 +706,14 @@ func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [
 		return fmt.Errorf("cdd: %d bytes for %d blocks of %d bytes", total, blocks, d.bs)
 	}
 	if ioHeaderLen+len(exts)*extentLen+total > maxIOFrame {
-		return d.split(ctx, op, exts, segs)
+		return d.split(ctx, op, notify, exts, segs)
 	}
+	return d.request(ctx, op, notify, exts, segs, total)
+}
+
+// request sends one block request of total data bytes: a notification
+// if notify, else a call.
+func (d *RemoteDev) request(ctx context.Context, op uint8, notify bool, exts []Extent, segs [][]byte, total int) (err error) {
 	name := devSpanNames[op]
 	if notify {
 		name = "cdd.bg-write"
@@ -749,16 +754,19 @@ func (d *RemoteDev) blockIO(ctx context.Context, op uint8, exts []Extent, segs [
 // split sends a table larger than one frame as consecutive requests of
 // at most maxIOFrame each, cutting an extent, and the segment under the
 // cut, where a frame fills; every piece of an extent keeps its BG flag.
-// It stops at the first failed request; the earlier ones may have
-// landed, as after any failed multi-extent write.
-func (d *RemoteDev) split(ctx context.Context, op uint8, exts []Extent, segs [][]byte) error {
+// A piece is a notification only if the whole table is (notify): one
+// holding only the background tail of a grouped table is still a call,
+// so the table has landed when split returns. It stops at the first
+// failed request; the earlier ones may have landed, as after any failed
+// multi-extent write.
+func (d *RemoteDev) split(ctx context.Context, op uint8, notify bool, exts []Extent, segs [][]byte) error {
 	var part []Extent
 	var data [][]byte
 	var seg []byte // the unsent tail of the segment being cut
-	size := ioHeaderLen
+	size, total := ioHeaderLen, 0
 	send := func() error {
-		err := d.blockIO(ctx, op, part, data)
-		part, data, size = part[:0], data[:0], ioHeaderLen
+		err := d.request(ctx, op, notify, part, data, total)
+		part, data, size, total = part[:0], data[:0], ioHeaderLen, 0
 		return err
 	}
 	for _, e := range exts {
@@ -775,6 +783,7 @@ func (d *RemoteDev) split(ctx context.Context, op uint8, exts []Extent, segs [][
 			}
 			part = append(part, Extent{Block: e.Block, Blocks: uint32(n), BG: e.BG})
 			size += extentLen + int(n)*d.bs
+			total += int(n) * d.bs
 			for want := int(n) * d.bs; want > 0; {
 				if len(seg) == 0 {
 					seg, segs = segs[0], segs[1:]

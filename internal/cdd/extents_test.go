@@ -247,10 +247,12 @@ func TestWriteExtentsStaleEpoch(t *testing.T) {
 // segment, once foreground and once grouped, with its second extent
 // background — and every block lands where the table says, every piece
 // of a background extent background. The device stays healthy
-// throughout.
+// throughout. Last, a disk failure in the grouped table's
+// background-only piece reaches the caller: that piece is a call.
 func TestBlockIOBeyondOneFrame(t *testing.T) {
 	const bs, mib = 4096, 1 << 20
-	n, err := ListenAndServe("127.0.0.1:0", []*disk.Disk{disk.New(nil, "d0", store.NewMem(bs, 40*mib/bs), disk.DefaultModel())})
+	d0 := disk.New(nil, "d0", store.NewMem(bs, 40*mib/bs), disk.DefaultModel())
+	n, err := ListenAndServe("127.0.0.1:0", []*disk.Disk{d0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,6 +364,14 @@ func TestBlockIOBeyondOneFrame(t *testing.T) {
 	}
 	if !dev.Healthy() {
 		t.Fatal("a transfer larger than one frame marked the device unhealthy")
+	}
+
+	// The first piece's two extents land; the disk fails under the
+	// second piece, the background extent's tail alone.
+	exts[1].BG = true
+	d0.FailAfter(2)
+	if err := dev.blockIO(ctx, OpWrite, exts, segments(data)); err == nil {
+		t.Fatal("grouped 17 MiB table returned nil though its background-only piece failed")
 	}
 }
 

@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"net"
 	"sync"
 	"testing"
 )
@@ -77,4 +80,47 @@ func BenchmarkNotify(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(payload)))
+}
+
+// BenchmarkServeWrite32K is the server's request-payload path alone:
+// pipelined 32 KiB requests on one raw connection, each copied once by
+// its handler (as a disk write copies into the store) and answered with
+// an empty reply.
+func BenchmarkServeWrite32K(b *testing.B) {
+	sink := make([]byte, 32<<10)
+	s, err := Serve("127.0.0.1:0", func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
+		copy(sink, payload)
+		return nil, nil
+	}, ServerOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	var frame bytes.Buffer
+	if err := writeFrame(&frame, 1, frameRequest, 1, nil, make([]byte, len(sink))); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(sink)))
+	b.ResetTimer()
+	werr := make(chan error, 1)
+	go func() {
+		for i := 0; i < b.N; i++ {
+			if _, err := conn.Write(frame.Bytes()); err != nil {
+				werr <- err
+				return
+			}
+		}
+		werr <- nil
+	}()
+	if _, err := io.CopyN(io.Discard, conn, int64(b.N)*replyHdrLen); err != nil {
+		b.Fatal(err)
+	}
+	if err := <-werr; err != nil {
+		b.Fatal(err)
+	}
 }

@@ -28,8 +28,9 @@
 // copy: out of the connection's read buffer, which takes in whatever
 // part of the payload has already arrived, or straight off the socket
 // for a remainder at least as large as that buffer. Frame headers come
-// from a pool, and a request's pooled payload is released once its reply
-// is out.
+// from a pool. A server hands its handler a request payload that fits
+// the connection's read buffer as a view of that buffer, uncopied; a
+// larger one lands in a pooled buffer, released once its reply is out.
 //
 // Frame layout (big endian):
 //
@@ -87,21 +88,27 @@ const (
 	MaxPayload = MaxFrame - headerLen
 	// DefaultDialTimeout bounds each connection attempt.
 	DefaultDialTimeout = 5 * time.Second
-	// connBufSize sizes the per-connection read buffer: big enough that
-	// a frame header never costs its own syscall, small enough to be
-	// cheap per connection.
+	// connBufSize sizes a client connection's read buffer: big enough
+	// that a frame header never costs its own syscall, small enough to
+	// be cheap per connection.
 	connBufSize = 64 << 10
+	// serverBufSize sizes a server connection's read buffer, which a
+	// request payload that fits is handed to its handler as a view of.
+	serverBufSize = 128 << 10
+	// maxHeld bounds the reply bytes a server connection holds back to
+	// send in one write.
+	maxHeld = 64 << 10
 )
 
 // Handler processes one request and returns the response payload. ctx
 // carries the request's resumed trace context when the frame had one
 // (and the server a tracer); it is not otherwise used for cancellation
-// today. The payload is only valid for the duration of the call — the
-// server recycles it once the handler returns, so a handler that needs
-// the bytes later must copy them. Returning an error sends a
-// response-error frame; the error text travels to the caller, prefixed
-// by a one-byte error code (CodeGeneric unless the error carries one
-// via WithCode).
+// today. The payload is valid only until the handler returns — a view of
+// the connection's read buffer, or a pooled buffer if too large — so a
+// handler that keeps bytes copies them; the response may alias it. An
+// error sends a response-error frame; its text travels to the caller,
+// prefixed by a one-byte error code (CodeGeneric unless the error
+// carries one via WithCode).
 type Handler func(ctx context.Context, op uint8, payload []byte) ([]byte, error)
 
 // TraceExt is a frame's optional trace extension: the caller's trace
@@ -427,8 +434,8 @@ type ServerOptions struct {
 	// RecycleResponses releases each handler's response slice to the
 	// buffer pool once its frame is on the wire, completing the pool
 	// cycle for read-heavy handlers. Enable only when every handler
-	// returns a buffer it owns outright and does not retain — never a
-	// sub-slice of the request payload it was passed.
+	// returns a buffer it owns outright and does not retain, or a slice
+	// of its request payload (which is never pooled).
 	RecycleResponses bool
 }
 
@@ -479,25 +486,21 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	remote := conn.RemoteAddr().String()
-	br := bufio.NewReaderSize(conn, connBufSize)
+	br := bufio.NewReaderSize(conn, serverBufSize)
 	var scratch headerScratch
 	for {
 		fh, plen, err := readFrameHeader(br, &scratch)
 		if err != nil {
 			return
 		}
-		// The request payload lives in a pooled buffer owned by the
-		// server; the handler may use it only until it returns.
-		var payload []byte
-		if plen > 0 {
-			payload = bufpool.Get(plen)
-			if _, err := io.ReadFull(br, payload); err != nil {
-				bufpool.Put(payload)
-				return
-			}
+		payload, view, err := readPayload(conn, br, plen)
+		if err != nil {
+			return
 		}
 		if fh.typ != frameRequest {
-			bufpool.Put(payload)
+			if !view {
+				bufpool.Put(payload)
+			}
 			continue // ignore stray frames
 		}
 		ctx := context.Background()
@@ -512,18 +515,48 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		resp, herr := s.handler(ctx, fh.op, payload)
 		h.End(herr)
+		free := s.pooled(resp, payload, view)
 		if fh.id == 0 {
-			s.release(resp, payload)
+			bufpool.Put(free[0])
+			bufpool.Put(free[1])
 			continue // notification: no response even on error
 		}
-		held.add(fh.id, fh.op, resp, herr, payload)
-		if held.size < connBufSize && nextSameOp(br, fh.op) {
+		held.add(fh.id, fh.op, resp, herr, free)
+		// A held reply may alias a view, which the next fill of br would
+		// overwrite. So a reply is held only while the next frame is
+		// already whole in br: reading it fills nothing, and no fill runs
+		// before the held replies are flushed.
+		if held.size < maxHeld && nextSameOp(br, fh.op) {
 			continue // the next request's reply shares this one's write
 		}
 		if err := s.flush(conn, &held); err != nil {
 			return
 		}
 	}
+}
+
+// readPayload consumes a request's plen-byte payload from br. One that
+// fits in br is a view of br's buffer (view true), valid until the next
+// read of br fills it. A larger one lands in a pooled buffer: what br
+// already holds is copied, the rest read straight off conn.
+func readPayload(conn net.Conn, br *bufio.Reader, plen int) (payload []byte, view bool, err error) {
+	if plen == 0 {
+		return nil, false, nil
+	}
+	if plen <= br.Size() {
+		if payload, err = br.Peek(plen); err != nil {
+			return nil, false, err
+		}
+		br.Discard(plen) // cannot fail: the bytes are buffered
+		return payload, true, nil
+	}
+	payload = bufpool.Get(plen)
+	n, _ := br.Read(payload) // what br holds; one read off conn if nothing
+	if _, err = io.ReadFull(conn, payload[n:]); err != nil {
+		bufpool.Put(payload)
+		return nil, false, err
+	}
+	return payload, false, nil
 }
 
 // replyBatch holds a connection's replies until they go out in one
@@ -533,7 +566,7 @@ func (s *Server) serveConn(conn net.Conn) {
 type replyBatch struct {
 	frameScratch
 	bodies [][]byte // one payload per reply
-	bufs   [][]byte // (response, request payload) per reply, for release
+	bufs   [][]byte // buffers to pool once the write is done
 	size   int      // bytes of held frames
 }
 
@@ -544,8 +577,8 @@ const replyHdrLen = 4 + headerLen
 // add holds the reply to request id: the handler's response, or its
 // error as a response-error frame. A response too large for a frame
 // becomes a CodeOversized error instead of killing the connection.
-func (b *replyBatch) add(id uint64, op uint8, resp []byte, herr error, payload []byte) {
-	b.bufs = append(b.bufs, resp, payload)
+func (b *replyBatch) add(id uint64, op uint8, resp []byte, herr error, free [2][]byte) {
+	b.bufs = append(b.bufs, free[0], free[1])
 	typ := uint8(frameOK)
 	if herr == nil {
 		if err := fits(0, [][]byte{resp}); err != nil {
@@ -588,8 +621,8 @@ func (s *Server) flush(conn net.Conn, b *replyBatch) error {
 		b.vecs = appendFrame(b.vecs, hdr(i), b.bodies[i:i+1])
 	}
 	err := b.writev(conn)
-	for i := 0; i < len(b.bufs); i += 2 {
-		s.release(b.bufs[i], b.bufs[i+1])
+	for _, buf := range b.bufs {
+		bufpool.Put(buf)
 	}
 	clear(b.bodies)
 	clear(b.bufs)
@@ -597,15 +630,24 @@ func (s *Server) flush(conn net.Conn, b *replyBatch) error {
 	return err
 }
 
-// release recycles a frame's buffers after its response is written: the
-// request payload always (the server owns it), the handler's response
-// only under the RecycleResponses contract. A response that is the
-// payload itself (an echoing handler) must not be pooled twice.
-func (s *Server) release(resp, payload []byte) {
-	if s.recycle && len(resp) > 0 && (len(payload) == 0 || &resp[0] != &payload[0]) {
-		bufpool.Put(resp)
+// pooled returns the buffers of a handled request that go back to the
+// pool once its reply is out (nil for none): the payload unless it is a
+// view, and under RecycleResponses the response unless it shares the
+// payload's memory — an echo, or any slice of a view.
+func (s *Server) pooled(resp, payload []byte, view bool) [2][]byte {
+	if !s.recycle || sameArray(resp, payload) {
+		resp = nil
 	}
-	bufpool.Put(payload)
+	if view {
+		payload = nil
+	}
+	return [2][]byte{resp, payload}
+}
+
+// sameArray reports whether a and b slice one backing array: a slice
+// taken without a capacity bound runs to its array's end.
+func sameArray(a, b []byte) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
 }
 
 // Close stops accepting and tears down all connections, waiting for

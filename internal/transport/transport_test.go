@@ -635,9 +635,9 @@ func TestCloseWaitsForClaimedDst(t *testing.T) {
 // rawPair starts a server with handler h and dials it with a plain TCP
 // connection, so a test can put several request frames on the wire in
 // one write and read the replies frame by frame.
-func rawPair(t *testing.T, h Handler) (*Server, net.Conn) {
+func rawPair(t *testing.T, h Handler, opts ServerOptions) (*Server, net.Conn) {
 	t.Helper()
-	s, err := Serve("127.0.0.1:0", h, ServerOptions{})
+	s, err := Serve("127.0.0.1:0", h, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,7 +685,7 @@ func readReply(t *testing.T, conn net.Conn, id uint64) []byte {
 func TestReplyBurstOneWrite(t *testing.T) {
 	s, conn := rawPair(t, func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
 		return payload, nil
-	})
+	}, ServerOptions{})
 	pipeline(t, conn, 1, 1, 1)
 	for i := 0; i < 3; i++ {
 		if p := readReply(t, conn, uint64(i+1)); !bytes.Equal(p, []byte{byte(i)}) {
@@ -715,7 +715,7 @@ func TestReplyBurstEnds(t *testing.T) {
 					<-release
 				}
 				return nil, nil
-			})
+			}, ServerOptions{})
 			var buf bytes.Buffer
 			writeFrame(&buf, 1, frameRequest, 1, nil, []byte("go"))
 			writeFrame(&buf, next.id, frameRequest, next.op, nil, []byte("block"))
@@ -736,7 +736,7 @@ func TestReplyBurstSplitsPast64K(t *testing.T) {
 	const size = 16 << 10
 	s, conn := rawPair(t, func(_ context.Context, op uint8, payload []byte) ([]byte, error) {
 		return bytes.Repeat(payload, size), nil
-	})
+	}, ServerOptions{})
 	ops := bytes.Repeat([]byte{1}, 8)
 	pipeline(t, conn, ops...)
 	for i := range ops {
