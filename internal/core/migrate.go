@@ -178,6 +178,10 @@ func (m *Migration) copyWindow(ctx context.Context, lo, hi int64, checkpoint fun
 		if mv.image {
 			alt = m.from.DataLoc(mv.lb)
 		}
+		// A copy that missed a write serves only if the other is no fresher.
+		if il := m.a.mem.Intent(); il.Missed(src.Disk, src.Block, 1) && v.Readable(alt.Disk) && !il.Missed(alt.Disk, alt.Block, 1) {
+			src, alt = alt, src
+		}
 		rerr := errSourceDown
 		if v.Readable(src.Disk) {
 			rerr = devs[src.Disk].ReadBlocks(ctx, src.Block, dst)

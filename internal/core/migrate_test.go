@@ -830,3 +830,38 @@ func TestEpochMountRegistersObs(t *testing.T) {
 	}
 	checkContent(t, b, data, "degraded generation-1 mount")
 }
+
+// TestMigrationCopiesFreshCopy: a member readmitted with missed regions
+// before a grow holds stale copies there; the migration moves the fresh
+// copy of every block it relocates, so the grown array reads back what
+// was written and, once the member's resync has run, verifies clean.
+func TestMigrationCopiesFreshCopy(t *testing.T) {
+	const blocks, victim = 96, 1
+	a, raw, mk := migArray(t, 4, 1, blocks, Options{})
+	ctx := context.Background()
+	data := fillRandom(t, a, 23)
+	raw[victim].Fail()
+	fresh := append([]byte(nil), data...)
+	most := fresh[:len(fresh)-8*bs] // the victim stays readable, not blank
+	rand.New(rand.NewSource(24)).Read(most)
+	if err := a.WriteBlocks(ctx, 0, most); err != nil {
+		t.Fatal(err)
+	}
+	raw[victim].Readmit() // back stale where the write missed it
+	m, err := a.BeginGrow(2, mk(2), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(ctx, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkContent(t, a, fresh, "after a grow beside a stale member")
+	il := a.Members().Intent()
+	if _, err := raid.Resync(ctx, a, victim, il.TakeDirty(victim), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Verify(ctx); err != nil {
+		t.Fatalf("after the stale member's resync: %v", err)
+	}
+	checkContent(t, a, fresh, "after the resync")
+}

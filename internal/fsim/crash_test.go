@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -15,17 +16,33 @@ var errCut = errors.New("write cut")
 
 // cutArray passes the first `left` writes on to the array and fails
 // every later one, like a volume whose node stops answering partway
-// through an operation.
+// through an operation. With lands set, the first failed write is torn
+// instead: of its blocks only those lands names reach the array, one
+// call each, and n records how many blocks that write had.
 type cutArray struct {
 	raid.Array
-	left atomic.Int64
+	left  atomic.Int64
+	lands func(i, n int) bool
+	n     int
 }
 
 func (a *cutArray) WriteBlocks(ctx context.Context, b int64, p []byte) error {
-	if a.left.Add(-1) < 0 {
-		return errCut
+	left := a.left.Add(-1)
+	if left >= 0 {
+		return a.Array.WriteBlocks(ctx, b, p)
 	}
-	return a.Array.WriteBlocks(ctx, b, p)
+	if left == -1 && a.lands != nil {
+		bs := a.BlockSize()
+		a.n = len(p) / bs
+		for i := 0; i < a.n; i++ {
+			if a.lands(i, a.n) {
+				if err := a.Array.WriteBlocks(ctx, b+int64(i), p[i*bs:(i+1)*bs]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return errCut
 }
 
 // TestCrashFSCommitOrder cuts each operation after its k-th array write,
@@ -33,7 +50,12 @@ func (a *cutArray) WriteBlocks(ctx context.Context, b int64, p []byte) error {
 // must find no problem (at most leaks) and Repair must leave it clean.
 // Commit order is what makes this hold: an allocation writes the blocks
 // it allocated, then the bitmaps, the inode and the entry; a removal
-// writes the entry and the inode, then the bitmaps.
+// writes the entry and the inode, then the bitmaps. The k-th write is
+// also torn, as a client dying inside one striped call tears it: every
+// prefix of its blocks lands, and each block alone. A torn call may
+// leave a bitmap behind its inode, which Repair mends; after it the
+// volume is clean and every file still reachable reads back whole (a
+// truncated one up to its new size).
 func TestCrashFSCommitOrder(t *testing.T) {
 	ctx := context.Background()
 	data := make([]byte, 70000) // 18 blocks: indirect block in use
@@ -85,7 +107,10 @@ func TestCrashFSCommitOrder(t *testing.T) {
 		}, func(fs *FS) error { return fs.WriteFile(ctx, "/g/new", data[:100]) }},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
-			for k := int64(0); ; k++ {
+			// run cuts the operation at its k-th write, torn as lands says
+			// (nil: not at all), and checks the volume; it reports whether
+			// the operation completed and the torn write's block count.
+			run := func(k int64, lands func(i, n int) bool) (done bool, n int) {
 				base, _ := newCountedFS(t, Options{})
 				cut := &cutArray{Array: base.arr}
 				cut.left.Store(1 << 62)
@@ -102,6 +127,7 @@ func TestCrashFSCommitOrder(t *testing.T) {
 					}
 				}
 				cut.left.Store(k)
+				cut.lands = lands
 				opErr := sc.op(fs)
 				if opErr != nil && !errors.Is(opErr, errCut) {
 					t.Fatalf("k=%d: %v", k, opErr)
@@ -114,14 +140,37 @@ func TestCrashFSCommitOrder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(rep.Problems) > 0 {
+				if lands == nil && len(rep.Problems) > 0 {
 					t.Fatalf("cut after %d writes: %s\nproblems: %v", k, rep, rep.Problems)
 				}
 				if rep, err = check.Repair(ctx); err != nil || !rep.OK() {
-					t.Fatalf("cut after %d writes: repair: %v %v", k, rep, err)
+					t.Fatalf("cut after %d writes, torn %v: repair: %v %v", k, lands != nil, rep, err)
 				}
-				if opErr == nil {
+				// A truncate may drop its tail before the inode says so.
+				keep := len(data)
+				if sc.name == "Truncate" {
+					keep = 5000
+				}
+				for _, path := range []string{"/d/f", "/d/c", "/g/new"} {
+					got, err := check.ReadFile(ctx, path)
+					if n := min(len(got), keep); err == nil && !bytes.Equal(got[:n], data[:n]) {
+						t.Fatalf("cut after %d writes, torn %v: %s lost bytes", k, lands != nil, path)
+					}
+				}
+				return opErr == nil, cut.n
+			}
+			for k := int64(0); ; k++ {
+				done, _ := run(k, nil)
+				if done {
 					return // k covered every write the operation makes
+				}
+				// Tear the k-th write: each prefix, then each block alone.
+				_, n := run(k, func(i, n int) bool { return false })
+				for j := 1; j < n; j++ {
+					run(k, func(i, n int) bool { return i < j })
+				}
+				for j := 0; n > 1 && j < n; j++ {
+					run(k, func(i, n int) bool { return i == j })
 				}
 			}
 		})

@@ -23,6 +23,11 @@ type FsckReport struct {
 	// Problems lists hard inconsistencies (cross-linked blocks, entries
 	// pointing at free inodes, blocks marked free but in use).
 	Problems []string
+
+	// freeInodes and freeBlocks are the reachable inodes and in-use
+	// blocks a bitmap marks free (among Problems): Repair marks them used.
+	freeInodes []uint32
+	freeBlocks []int64
 }
 
 // OK reports whether the volume is fully consistent.
@@ -121,6 +126,7 @@ func (fs *FS) Fsck(ctx context.Context) (*FsckReport, error) {
 				rep.LeakedInodes = append(rep.LeakedInodes, ino)
 			case !marked && inodeSeen[ino]:
 				rep.Problems = append(rep.Problems, fmt.Sprintf("inode %d reachable but marked free", ino))
+				rep.freeInodes = append(rep.freeInodes, ino)
 			}
 		}
 		// Block bitmap vs references.
@@ -137,29 +143,40 @@ func (fs *FS) Fsck(ctx context.Context) (*FsckReport, error) {
 				rep.LeakedBlocks = append(rep.LeakedBlocks, blk)
 			case !marked && used:
 				rep.Problems = append(rep.Problems, fmt.Sprintf("block %d in use but marked free", blk))
+				rep.freeBlocks = append(rep.freeBlocks, blk)
 			}
 		}
 	}
 	return rep, nil
 }
 
-// Repair releases every leaked block and inode found by a fresh Fsck,
+// Repair makes the allocation bitmaps agree with reachability, as
+// e2fsck's pass 5 does: it releases every leaked block and inode a fresh
+// Fsck finds, and marks used every reachable inode and in-use block a
+// bitmap marks free (what an array call torn between its blocks leaves),
 // taking the affected group locks. It returns the post-repair report.
-// Hard problems (cross-links, reachable-but-free) are not auto-fixed.
+// Cross-links are reported, not fixed.
 func (fs *FS) Repair(ctx context.Context) (*FsckReport, error) {
 	rep, err := fs.Fsck(ctx)
 	if err != nil {
 		return nil, err
 	}
-	// Group leaked blocks by allocation group.
-	byGroup := map[uint32][]int64{}
-	for _, b := range rep.LeakedBlocks {
-		g := fs.sb.groupOfBlock(b)
-		byGroup[g] = append(byGroup[g], b)
+	// Blocks by allocation group.
+	byGroup := map[uint32][2][]int64{} // free, used
+	for i, blks := range [][]int64{rep.LeakedBlocks, rep.freeBlocks} {
+		for _, b := range blks {
+			g := fs.sb.groupOfBlock(b)
+			set := byGroup[g]
+			set[i] = append(set[i], b)
+			byGroup[g] = set
+		}
 	}
-	for g, blks := range byGroup {
+	for g, set := range byGroup {
 		err := fs.withLocks(ctx, []cdd.Range{lockForGroup(g)}, func(t *tx) error {
-			return fs.freeBlocksInGroup(ctx, t, g, blks)
+			if err := fs.setBlocksInGroup(ctx, t, g, set[0], false); err != nil {
+				return err
+			}
+			return fs.setBlocksInGroup(ctx, t, g, set[1], true)
 		})
 		if err != nil {
 			return nil, err
@@ -172,6 +189,14 @@ func (fs *FS) Repair(ctx context.Context) (*FsckReport, error) {
 				return err
 			}
 			return fs.setInodeUsed(ctx, t, ino, false)
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	for _, ino := range rep.freeInodes {
+		err := fs.withLocks(ctx, fs.lockSet([]uint32{ino / fs.sb.InodesPerGroup}, ino), func(t *tx) error {
+			return fs.setInodeUsed(ctx, t, ino, true)
 		})
 		if err != nil {
 			return nil, err

@@ -143,6 +143,12 @@ func (fs *FS) allocBlocks(ctx context.Context, t *tx, g uint32, count int) ([]in
 
 // freeBlocksInGroup releases the subset of blks owned by group g.
 func (fs *FS) freeBlocksInGroup(ctx context.Context, t *tx, g uint32, blks []int64) error {
+	return fs.setBlocksInGroup(ctx, t, g, blks, false)
+}
+
+// setBlocksInGroup marks the subset of blks owned by group g used, or
+// free.
+func (fs *FS) setBlocksInGroup(ctx context.Context, t *tx, g uint32, blks []int64, used bool) error {
 	lo, hi := fs.sb.groupDataRange(g)
 	bm := fs.sb.blockBitmapBlk(g)
 	buf, err := t.bread(ctx, bm)
@@ -154,7 +160,11 @@ func (fs *FS) freeBlocksInGroup(ctx context.Context, t *tx, g uint32, blks []int
 			continue
 		}
 		bit := b - lo
-		buf[bit/8] &^= 1 << (bit % 8)
+		if used {
+			buf[bit/8] |= 1 << (bit % 8)
+		} else {
+			buf[bit/8] &^= 1 << (bit % 8)
+		}
 	}
 	t.bwrite(bm)
 	return nil

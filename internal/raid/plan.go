@@ -133,7 +133,8 @@ const (
 	Single
 	// Deferred writes the copy's runs in the background; it needs Flat.
 	Deferred
-	// MarkAhead intent-marks every run before it is written.
+	// MarkAhead marks every run ahead in the intent log before it is
+	// written (see intent.Log.MarkAhead).
 	MarkAhead
 )
 
@@ -162,18 +163,18 @@ var errNoCopy = errors.New("none") // a RAID-0 block's other copy
 
 // ReadRuns reads the runs of pl in parallel, scattered straight into the
 // caller's buffer. other, nil on RAID-0, plans the blocks' second copy,
-// cut as how says. A run on an unreadable member is read from other in
-// branches queued here; a run whose read errs (a flaky or partitioned
-// node) fails over to other inside its own branch. pick may send a
-// one-block run to other first.
+// cut as how says. A run on a member that is unreadable, or missed a write
+// there, is read from other in branches queued here; a run whose read errs
+// (a flaky or partitioned node) fails over to other inside its own branch.
+// pick may send a one-block run to other first.
 func (m *Members) ReadRuns(ctx context.Context, v *MemberView, pl, other *Plan, how Issue, pick func(v *MemberView, e, alt Ext) bool) error {
 	for i, j := 0, 0; i < len(pl.Data); i = j {
 		j = runEnd(pl.Data, i, 0)
 		run, segs := pl.Data[i:j], pl.Segs[i:j]
-		if v.Readable(run[0].Disk) {
+		if m.fresh(v, run[0].Disk, run[0].Phys, int64(j-i)) {
 			first, second := run, other
 			if pick != nil && other != nil && j-i == 1 {
-				if alt := other.at(run[0].LB); v.Readable(alt[0].Disk) && pick(v, run[0], alt[0]) {
+				if alt := other.at(run[0].LB); m.fresh(v, alt[0].Disk, alt[0].Phys, 1) && pick(v, run[0], alt[0]) {
 					first, second = alt, pl
 				}
 			}
@@ -220,25 +221,43 @@ func (m *Members) readRun(v *MemberView, run []Ext, segs [][]byte, other *Plan, 
 }
 
 // fallback serves run, which its own copy could not (cause; nil when its
-// member is unreadable), from other: the mirrored engines' copies stripe
-// alike, so one read serves the run. A block whose other copy fails too is
-// lost, and the error names both causes.
+// member is unreadable or missed a write there), from other: the mirrored
+// engines' copies stripe alike, so one read serves the run. A piece whose
+// other copy is not fresh throughout is read block by block, each from
+// its fresh copy, or from its own one if neither is and that answers; a
+// block no copy serves is lost, and the error names both causes.
 func (m *Members) fallback(ctx context.Context, v *MemberView, run []Ext, segs [][]byte, other *Plan, how Issue, cause error) error {
 	for t, u := 0, 0; t < len(run); t = u {
 		u = cut(len(run), t, how)
+		own, n := run[t], int64(u-t)
 		err := errNoCopy
 		if other != nil {
-			if alt := other.at(run[t].LB)[0]; !v.Readable(alt.Disk) {
-				err = v.unreadable(alt.Disk)
-			} else {
+			alt := other.at(own.LB)[0]
+			ownOK, altFresh := cause == nil && v.Readable(own.Disk), m.fresh(v, alt.Disk, alt.Phys, n)
+			switch {
+			case ownOK && !altFresh && n > 1:
+				// Neither copy is fresh throughout: choose block by block.
+				if err = m.fallback(ctx, v, run[t:u], segs[t:u], other, how|Single, nil); err != nil {
+					return err
+				}
+			case ownOK && !altFresh:
+				err = ReadBlocksVec(ctx, v.Devs[own.Disk], own.Phys, segs[t:u])
+			case v.Readable(alt.Disk):
 				err = ReadBlocksVec(ctx, v.Devs[alt.Disk], alt.Phys, segs[t:u])
+			case cause == nil && v.Readable(own.Disk):
+				// Blankness is the live log's, not the view's: the looks
+				// above can straddle a repair's commit on own and a swap
+				// on alt. This one comes after both.
+				err = ReadBlocksVec(ctx, v.Devs[own.Disk], own.Phys, segs[t:u])
+			default:
+				err = v.unreadable(alt.Disk)
 			}
 		}
 		if err != nil {
 			if cause == nil {
-				cause = v.unreadable(run[t].Disk)
+				cause = v.unreadable(own.Disk)
 			}
-			return fmt.Errorf("%s: block %d: %w; other copy: %w: %w", m.name, run[t].LB, cause, err, ErrDataLoss)
+			return fmt.Errorf("%s: block %d: %w; other copy: %w: %w", m.name, own.LB, cause, err, ErrDataLoss)
 		}
 	}
 	return nil
@@ -247,17 +266,18 @@ func (m *Members) fallback(ctx context.Context, v *MemberView, run []Ext, segs [
 // WriteRuns writes the runs of pl, then those of other (the blocks' second
 // copy, or nil), in parallel inside the members' window, gathered straight
 // from the caller's buffer. With a second copy, a block with no readable
-// copy fails the write before anything is written, a run on a member that
-// is down is skipped, a run skipped or failed is intent-marked, and the
-// same check decides the write once a branch has failed (settle). When
-// other is Deferred, a member that is a GroupDev gets its deferred runs
-// in the branch of its first run of pl, one transfer; a failed transfer
-// marks every run it carried.
+// copy (down, or blank) fails the write before anything is written, a
+// run on a member that is down is skipped, a run skipped or failed is
+// marked missed, and the same check decides the write once a branch has
+// failed (settle). When other is Deferred, a member that is a GroupDev
+// gets its deferred runs in the branch of its first run of pl, one
+// transfer; a failed transfer marks every run it carried.
 func (m *Members) WriteRuns(ctx context.Context, v *MemberView, pl, other *Plan, how, otherHow Issue) error {
 	// covered is the mirrored engines' write rule.
 	covered := func() error {
 		for i, e := range pl.added {
-			if !v.Readable(e.Disk) && !v.Readable(other.added[i].Disk) {
+			// e is looked at again after its peer, as in fallback.
+			if d := e.Disk; !v.Readable(d) && !v.Readable(other.added[i].Disk) && !v.Readable(d) {
 				return fmt.Errorf("%s: block %d has no readable copy: %w", m.name, e.LB, ErrDataLoss)
 			}
 		}
@@ -333,8 +353,10 @@ func (m *Members) writeRuns(dst *Plan, v *MemberView, c *Plan, how Issue, s stri
 		dst.Spans = append(dst.Spans, Span{lo.Disk, lo.Phys, lo.Phys + n})
 		carried := how&Deferred != 0 && dst.carries(lo.Disk)
 		skip := redundant && !carried && !v.Devs[lo.Disk].Healthy()
-		if skip || how&MarkAhead != 0 {
+		if skip {
 			m.il.MarkRange(lo.Disk, lo.Phys, n)
+		} else if how&MarkAhead != 0 {
+			m.il.MarkAhead(lo.Disk, lo.Phys, n)
 		}
 		if skip || carried {
 			continue
