@@ -241,7 +241,7 @@ func TestCrashRestartSIGKILLDeltaResync(t *testing.T) {
 	if err := arr.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if il.DirtyRegions(victim) == 0 {
+	if il.MissedBlocks(victim) == 0 {
 		t.Fatal("storm against the killed node logged no intents")
 	}
 

@@ -168,7 +168,7 @@ func TestGroupedWriteFailureMarksCarriedRuns(t *testing.T) {
 	}
 	ctx := context.Background()
 	sh := raidtest.Fill(t, a)
-	if il.AnyDirty() {
+	if raidtest.Missed(il, 4) != 0 {
 		t.Fatal("intent log dirty after a clean fill")
 	}
 	const b, n = 0, 16 // 64 KiB
@@ -192,23 +192,17 @@ func TestGroupedWriteFailureMarksCarriedRuns(t *testing.T) {
 		t.Fatalf("write with one member failed mid-call: %v", err)
 	}
 	for d := range devs {
-		if d != victim && len(il.Dirty(d)) != 0 {
-			t.Fatalf("member %d is dirty: %v", d, il.Dirty(d))
-		}
-	}
-	dirty := map[int64]bool{}
-	for _, r := range il.Dirty(victim) {
-		for blk := r.Start; blk < r.Start+r.Count; blk++ {
-			dirty[blk] = true
+		if d != victim && il.MissedBlocks(d) != 0 {
+			t.Fatalf("member %d missed %d blocks", d, il.MissedBlocks(d))
 		}
 	}
 	for _, blk := range data {
-		if !dirty[blk] {
+		if !il.Missed(victim, blk, 1) {
 			t.Errorf("data block %d of member %d is not dirty", blk, victim)
 		}
 	}
 	for _, blk := range images {
-		if !dirty[blk] {
+		if !il.Missed(victim, blk, 1) {
 			t.Errorf("carried image block %d of member %d is not dirty", blk, victim)
 		}
 	}

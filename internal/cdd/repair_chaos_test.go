@@ -283,7 +283,7 @@ func partitionDeltaOnly(t *testing.T, n int, build func([]raid.Dev, *intent.Log,
 		time.Sleep(5 * time.Millisecond)
 	}
 	copy(golden[wbase*int64(bs):], wdata)
-	if il.DirtyRegions(1) == 0 {
+	if il.MissedBlocks(1) == 0 {
 		t.Fatal("degraded writes logged no intents against the partitioned member")
 	}
 
@@ -305,8 +305,8 @@ func partitionDeltaOnly(t *testing.T, n int, build func([]raid.Dev, *intent.Log,
 	if st.ResyncBytes >= deviceBytes/4 {
 		t.Fatalf("resync moved %d bytes; want a small delta (device is %d bytes)", st.ResyncBytes, deviceBytes)
 	}
-	if il.DirtyRegions(1) != 0 {
-		t.Fatalf("%d dirty regions left after resync", il.DirtyRegions(1))
+	if il.MissedBlocks(1) != 0 {
+		t.Fatalf("%d missed blocks left after resync", il.MissedBlocks(1))
 	}
 
 	got := make([]byte, len(golden))

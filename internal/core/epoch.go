@@ -40,12 +40,6 @@ type epochState struct {
 	mig *Migration
 }
 
-// fenced reports whether some node may hold a generation above zero
-// (a grow or shrink has happened or is in flight). Such a node's epoch
-// fence drops a stale deferred image write with no error coming back,
-// so the write path records those writes in the intent log up front.
-func (s *epochState) fenced() bool { return s.next != nil || s.cur.Gen() > 0 }
-
 // dataLoc places block b under this view: migrated blocks by the target
 // layout, the rest by the current one.
 func (s *epochState) dataLoc(b int64) layout.Loc {

@@ -677,7 +677,7 @@ func TestGrowChaosLiveTrafficPartition(t *testing.T) {
 	il := a.Members().Intent()
 	waitWithin(t, 60*time.Second, "write intents to drain", func() bool {
 		for i := 0; i < 12; i++ {
-			if il.DirtyRegions(i) != 0 {
+			if il.MissedBlocks(i) != 0 {
 				return false
 			}
 		}

@@ -276,7 +276,7 @@ func TestWindowRestoreChunk(t *testing.T) {
 			if err := a.Verify(ctx); err != nil {
 				t.Fatalf("verify: %v", err)
 			}
-			for pass := 0; il.AnyDirty(); pass++ {
+			for pass := 0; raidtest.Missed(il, e.N) != 0; pass++ {
 				if pass > 10 {
 					t.Fatal("intent log never drained")
 				}

@@ -4,7 +4,7 @@ package repair
 // array's write-intent snapshot and the per-device job checkpoints are
 // saved into Config.StateDir with the atomic tmp+rename+dir-fsync
 // discipline, and loaded at construction — BEFORE any peer recovery —
-// so a restarted repair host knows its own dirty regions and resumes
+// so a restarted repair host knows its own missed blocks and resumes
 // interrupted rebuilds without asking the cluster. Peer-replicated
 // snapshots (Config.Persist) remain the fallback when the local state
 // die with the machine; merging both is safe because intent snapshots
@@ -60,10 +60,15 @@ func (s *Supervisor) checkpointPath() string {
 // the array was re-created and the old state is meaningless.
 func (s *Supervisor) recoverLocal() {
 	il := s.mem.Intent()
-	if err := il.LoadFrom(s.fsys(), s.intentPath()); err != nil {
+	err := il.LoadFrom(s.fsys(), s.intentPath())
+	missed := int64(0)
+	for i := range s.devs {
+		missed += il.MissedBlocks(i)
+	}
+	if err != nil {
 		s.events.Append(obs.EventRepairState, "repair",
 			fmt.Sprintf("stale local intent snapshot ignored: %v", err))
-	} else if il.AnyDirty() {
+	} else if missed > 0 {
 		s.events.Append(obs.EventRepairState, "repair",
 			"recovered dirty map from local intent snapshot")
 	}
@@ -94,8 +99,14 @@ func (s *Supervisor) recoverLocal() {
 			// An interrupted job: resume it. A crashed-mid-rebuild member
 			// continues from the last landed chunk in place; the normal
 			// state machine re-degrades the member if it is gone.
+			// A member that owes a rebuild is blank, and the rebuild's
+			// take held, as before the restart.
 			st.State = d.State
 			st.Prog = d.Prog
+			if d.State == StateRebuilding {
+				il.MarkBlank(i)
+				il.TakeDirty(i)
+			}
 			s.events.Append(obs.EventRepairState, fmt.Sprintf("repair/d%d", i),
 				fmt.Sprintf("resuming %s from local checkpoint", d.State))
 		}
